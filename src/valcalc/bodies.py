@@ -1,22 +1,25 @@
 """Convex bodies and numeric evaluation of valuations over their normal cycles.
 
-A body's normal cycle decomposes into products face x spherical normal region.
-Faces carry an orthonormal frame and a k-volume; normal regions are lists of
-spherical simplices, each given by n-k linearly independent unit generators.
-The piece orientation is the sign of det[frame | generators], matching the
-convention under which the Euler characteristic of every body comes out +1.
+A ball's normal cycle is a sphere graph, on which every valuation has a closed
+form (``valuation.ball_value``).  Any other body's normal cycle decomposes
+into products face x spherical normal region, integrated by one adaptive
+cubature routine.  Faces carry an orthonormal frame and a k-volume; normal
+regions are lists of spherical simplices, each given by n-k linearly
+independent unit generators.  The piece orientation is the sign of
+det[frame | generators], matching the convention under which the Euler
+characteristic of every body comes out +1.
 """
 
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 import numpy as np
 
 from .exterior import pullback_ball_shift
-from .valuation import ValuationRep, ball_volume, unit_ball_value
+from .valuation import ValuationRep, ball_value, ball_volume
 
 QUAD_ORDER = 8
 QUAD_ORDER_FINE = 12
@@ -32,8 +35,15 @@ class IndeterminateIntersection(RuntimeError):
     """Raised when the separation iteration hits its cap without a verdict."""
 
 
+def _finite(values, name):
+    a = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _as_matrix(rows, name):
-    a = np.asarray(rows, dtype=float)
+    a = _finite(rows, name)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a matrix")
     return a
@@ -51,8 +61,8 @@ class Ball:
     radius: float
 
     def __init__(self, center, radius):
-        object.__setattr__(self, "center", np.asarray(center, dtype=float))
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "center", _finite(center, "center"))
+        object.__setattr__(self, "radius", float(_finite(radius, "radius")))
         if self.center.ndim != 1:
             raise ValueError("center must be a vector")
         if self.radius < 0:
@@ -70,8 +80,8 @@ class Box:
     rotation: np.ndarray
 
     def __init__(self, center, half_extents, rotation=None):
-        center = np.asarray(center, dtype=float)
-        half = np.asarray(half_extents, dtype=float)
+        center = _finite(center, "center")
+        half = _finite(half_extents, "half_extents")
         n = len(center)
         if half.shape != (n,):
             raise ValueError("half_extents must match the center dimension")
@@ -133,7 +143,7 @@ class PlanarPolygon:
             cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
             if cross <= 1e-12:
                 raise ValueError("polygon must be convex and counterclockwise")
-        base = np.zeros(n) if base is None else np.asarray(base, dtype=float)
+        base = np.zeros(n) if base is None else _finite(base, "base")
         if base.shape != (n,):
             raise ValueError("base point must match the frame dimension")
         object.__setattr__(self, "frame", frame)
@@ -146,6 +156,17 @@ class PlanarPolygon:
 
     def embedded_vertices(self):
         return self.base + self.vertices2d @ self.frame
+
+    @property
+    def area(self):
+        """Shoelace area of the counterclockwise polygon in its plane."""
+        v = self.vertices2d
+        m = len(v)
+        area = 0.0
+        for i in range(m):
+            a, b = v[i], v[(i + 1) % m]
+            area += 0.5 * (a[0] * b[1] - a[1] * b[0])
+        return float(area)
 
 
 @dataclass(frozen=True)
@@ -282,17 +303,13 @@ def _polygon_lattice(K):
         edge_dirs.append((e[0] * u1 + e[1] * u2) / ln)
         edge_normals.append((e[1] * u1 - e[0] * u2) / ln)
     out = []
-    area = 0.0
-    for i in range(m):
-        a, b = verts2[i], verts2[(i + 1) % m]
-        area += 0.5 * (a[0] * b[1] - a[1] * b[0])
     if n == 2:
         body_region = ()
     else:
         body_region = tuple(
             tuple(tuple(s * b) for s, b in zip(signs, perp))
             for signs in _orthant_signs(len(perp)))
-    out.append(FaceLatticeEntry(2, (tuple(u1), tuple(u2)), area, body_region))
+    out.append(FaceLatticeEntry(2, (tuple(u1), tuple(u2)), K.area, body_region))
     for i in range(m):
         region = []
         if len(perp):
@@ -418,20 +435,34 @@ def _split_longest(gens):
     return left, right
 
 
-def _adaptive_cell(form, face_vecs, gens, tol, depth):
-    # the order-8/order-12 gap overestimates the order-12 error by orders of
-    # magnitude on analytic integrands, so the accepted value is far inside tol
+def _cone_density(gens, order):
+    """Spherical measure of the simplex spanned by the generators, at one order."""
+    v, tangents, wts = _sphere_points(gens, order)
+    mats = np.concatenate([v[:, None, :], tangents], axis=1)
+    grams = mats @ np.swapaxes(mats, 1, 2)
+    dens = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
+    return float(dens @ wts)
+
+
+def _adaptive(integrand, gens, tol, depth=QUAD_DEPTH):
+    """Adaptive cubature of integrand(cell, order) over a spherical simplex.
+
+    A cell is accepted when its order-8 and order-12 values agree to within
+    0.1 * tol relative; otherwise it is split at the midpoint of its longest
+    edge.  The gap overestimates the order-12 error by orders of magnitude on
+    analytic integrands, so the accepted value is far inside tol.
+    """
     if len(gens) == 1:
-        return _cell_integral(form, face_vecs, gens, QUAD_ORDER)
-    coarse = _cell_integral(form, face_vecs, gens, QUAD_ORDER)
-    fine = _cell_integral(form, face_vecs, gens, QUAD_ORDER_FINE)
+        return integrand(gens, QUAD_ORDER)
+    coarse = integrand(gens, QUAD_ORDER)
+    fine = integrand(gens, QUAD_ORDER_FINE)
     if abs(coarse - fine) <= 0.1 * tol * (1.0 + abs(fine)):
         return fine
     if depth <= 0:
         raise RuntimeError("spherical quadrature did not converge")
     left, right = _split_longest(gens)
-    return (_adaptive_cell(form, face_vecs, left, tol, depth - 1)
-            + _adaptive_cell(form, face_vecs, right, tol, depth - 1))
+    return (_adaptive(integrand, left, tol, depth - 1)
+            + _adaptive(integrand, right, tol, depth - 1))
 
 
 def _piece_sign(face_vecs, gens):
@@ -441,17 +472,6 @@ def _piece_sign(face_vecs, gens):
     if abs(det) < 1e-12:
         raise ValueError("degenerate normal-cycle piece")
     return 1.0 if det > 0 else -1.0
-
-
-def _has_float(mu):
-    for p in list(mu.omega.terms.values()):
-        for c in p.terms.values():
-            if isinstance(c, float):
-                return True
-    for c in mu.phi.terms.values():
-        if isinstance(c, float):
-            return True
-    return False
 
 
 def _integrate_lattice(form, lattice, tol):
@@ -465,7 +485,7 @@ def _integrate_lattice(form, lattice, tol):
         parity = -1.0 if entry.k % 2 else 1.0
         for gens in entry.region:
             sgn = parity * _piece_sign(face_vecs, gens)
-            val = _adaptive_cell(form, face_vecs, gens, tol, QUAD_DEPTH)
+            val = _adaptive(partial(_cell_integral, form, face_vecs), gens, tol)
             total += sgn * entry.volume * val
     return total
 
@@ -482,105 +502,23 @@ def volume(K) -> float:
         edges = K.vertices[1:] - K.vertices[0]
         return abs(float(np.linalg.det(edges))) / math.factorial(K.dim)
     if isinstance(K, PlanarPolygon):
-        if K.dim != 2:
-            return 0.0
-        v = K.vertices2d
-        m = len(v)
-        return 0.5 * sum(v[i][0] * v[(i + 1) % m][1] - v[i][1] * v[(i + 1) % m][0]
-                         for i in range(m))
+        return K.area if K.dim == 2 else 0.0
     raise ValueError(f"unsupported body {type(K).__name__}")
-
-
-def _ball_numeric(mu, K, tol):
-    """Quadrature over the sphere graph {(c + R v, v)}, for float-coefficient reps."""
-    n = mu.n
-    form = mu.omega
-    total = float(mu.phi.top_coefficient()) * volume(K)
-    if form.is_zero():
-        return total
-    R = K.radius
-    eye = np.eye(n)
-    for signs in _orthant_signs(n):
-        gens = np.array([s * eye[i] for i, s in enumerate(signs)])
-        sgn = _piece_sign([], gens)
-        # tangents of the graph: x-part R*t, v-part t
-        val = _graph_cell(form, gens, R, tol, QUAD_DEPTH)
-        total += sgn * val
-    return total
-
-
-def _graph_cell_integral(form, gens, R, order):
-    # tangent vectors of the sphere graph are (R t, t); the base and fiber
-    # slots mix, so the minors are assembled per term before a batched det
-    m = len(gens)
-    v, tangents, wts = _sphere_points(gens, order)
-    total = np.zeros(len(v))
-    for (I, J), p in form.terms.items():
-        if len(I) + len(J) != m - 1:
-            continue
-        rows = []
-        if I:
-            rows.append(R * np.swapaxes(tangents[:, :, I], 1, 2))
-        if J:
-            rows.append(np.swapaxes(tangents[:, :, J], 1, 2))
-        mat = np.concatenate(rows, axis=1)
-        total += np.linalg.det(mat) * _poly_batch(p, v)
-    return float(total @ wts)
-
-
-def _graph_cell(form, gens, R, tol, depth):
-    coarse = _graph_cell_integral(form, gens, R, QUAD_ORDER)
-    fine = _graph_cell_integral(form, gens, R, QUAD_ORDER_FINE)
-    if abs(coarse - fine) <= 0.1 * tol * (1.0 + abs(fine)):
-        return fine
-    if depth <= 0:
-        raise RuntimeError("spherical quadrature did not converge")
-    left, right = _split_longest(gens)
-    return (_graph_cell(form, left, R, tol, depth - 1)
-            + _graph_cell(form, right, R, tol, depth - 1))
 
 
 def evaluate(mu: ValuationRep, K) -> float:
     """Numeric value of the valuation on a convex body."""
     if K.dim != mu.n:
         raise ValueError("body dimension does not match the valuation")
-    tol = _quad_tol()
     if isinstance(K, Ball):
-        if _has_float(mu):
-            return _ball_numeric(mu, K, tol)
-        return float(unit_ball_value(mu, radius=K.radius))
+        return ball_value(mu, K.radius)
     lattice = face_lattice(K)
     total = 0.0
     phi_top = float(mu.phi.top_coefficient())
     if phi_top:
         total += phi_top * volume(K)
-    total += _integrate_lattice(mu.omega, lattice, tol)
+    total += _integrate_lattice(mu.omega, lattice, _quad_tol())
     return total
-
-
-def _cone_angle(gens, tol):
-    """Spherical measure of the simplex spanned by the generators."""
-
-    def density(order, cell):
-        v, tangents, wts = _sphere_points(cell, order)
-        mats = np.concatenate([v[:, None, :], tangents], axis=1)
-        grams = mats @ np.swapaxes(mats, 1, 2)
-        dens = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
-        return float(dens @ wts)
-
-    def adaptive(cell, depth):
-        if len(cell) == 1:
-            return density(QUAD_ORDER, cell)
-        coarse = density(QUAD_ORDER, cell)
-        fine = density(QUAD_ORDER_FINE, cell)
-        if abs(coarse - fine) <= 0.1 * tol * (1.0 + abs(fine)):
-            return fine
-        if depth <= 0:
-            raise RuntimeError("spherical quadrature did not converge")
-        left, right = _split_longest(cell)
-        return adaptive(left, depth - 1) + adaptive(right, depth - 1)
-
-    return adaptive(np.asarray(gens, dtype=float), QUAD_DEPTH)
 
 
 def steiner_volume(K, t: float) -> float:
@@ -594,7 +532,7 @@ def steiner_volume(K, t: float) -> float:
         if entry.k == n:
             total += entry.volume
             continue
-        angle = sum(_cone_angle(g, tol) for g in entry.region)
+        angle = sum(_adaptive(_cone_density, g, tol) for g in entry.region)
         total += entry.volume * angle / (n - entry.k) * t ** (n - entry.k)
     return total
 
@@ -616,19 +554,23 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     return total
 
 
-def support(K, xi) -> float:
-    """Support function sup_{x in K} <xi, x>."""
+def support(K, xi):
+    """Support function sup_{x in K} <xi, x>.
+
+    A single direction gives a float, a (B, n) batch of directions an array.
+    """
     xi = np.asarray(xi, dtype=float)
     if isinstance(K, Ball):
-        return float(K.center @ xi) + K.radius * float(np.linalg.norm(xi))
-    if isinstance(K, Box):
-        proj = K.rotation.T @ xi
-        return float(K.center @ xi) + float(K.half_extents @ np.abs(proj))
-    if isinstance(K, Simplex):
-        return float(np.max(K.vertices @ xi))
-    if isinstance(K, PlanarPolygon):
-        return float(np.max(K.embedded_vertices() @ xi))
-    raise ValueError(f"unsupported body {type(K).__name__}")
+        h = xi @ K.center + K.radius * np.linalg.norm(xi, axis=-1)
+    elif isinstance(K, Box):
+        h = xi @ K.center + np.abs(xi @ K.rotation) @ K.half_extents
+    elif isinstance(K, Simplex):
+        h = np.max(xi @ K.vertices.T, axis=-1)
+    elif isinstance(K, PlanarPolygon):
+        h = np.max(xi @ K.embedded_vertices().T, axis=-1)
+    else:
+        raise ValueError(f"unsupported body {type(K).__name__}")
+    return float(h) if xi.ndim == 1 else h
 
 
 def support_point(K, xi):

@@ -26,6 +26,8 @@ from .linalg import solve_linear
 from .scalars import Rat
 
 ANSATZ_DEGREE_CAP = 12
+# corrections kept for reuse; one pairing with its operators needs about five
+RUMIN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def rumin(omega: InvariantForm, method: str = "lefschetz") -> RuminResult:
     return _rumin_cached(omega, method)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RUMIN_CACHE_SIZE)
 def _rumin_cached(omega: InvariantForm, method: str) -> RuminResult:
     n = omega.n
     if omega.is_zero():

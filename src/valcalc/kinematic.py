@@ -146,6 +146,8 @@ def _body_key(K):
     return None
 
 
+# evaluation vectors by (basis, tolerance, body), oldest evicted first
+VECTOR_CACHE_SIZE = 256
 _VECTOR_CACHE = {}
 
 
@@ -158,6 +160,8 @@ def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
     values = tuple(evaluate(rep, K) for _, rep in basis)
     vec = EvaluationVector(K, tuple(label for label, _ in basis), values)
     if key:
+        if len(_VECTOR_CACHE) >= VECTOR_CACHE_SIZE:
+            del _VECTOR_CACHE[next(iter(_VECTOR_CACHE))]
         _VECTOR_CACHE[key] = vec
     return vec
 
@@ -240,19 +244,6 @@ def _batch_rotations(qs: np.ndarray) -> np.ndarray:
     return R
 
 
-def _support_batch(K, dirs: np.ndarray) -> np.ndarray:
-    """Support values of a fixed body along a (B, n) batch of directions."""
-    if isinstance(K, Ball):
-        return dirs @ K.center + K.radius * np.linalg.norm(dirs, axis=1)
-    if isinstance(K, Box):
-        return dirs @ K.center + np.abs(dirs @ K.rotation) @ K.half_extents
-    if isinstance(K, Simplex):
-        return np.max(dirs @ K.vertices.T, axis=1)
-    if isinstance(K, PlanarPolygon):
-        return np.max(dirs @ K.embedded_vertices().T, axis=1)
-    raise ValueError(f"unsupported body {type(K).__name__}")
-
-
 def _translation_box(K, L, Rs: np.ndarray):
     """Axis bounds of {x - q y : x in K, y in L} for each sample rotation."""
     B = len(Rs)
@@ -262,8 +253,8 @@ def _translation_box(K, L, Rs: np.ndarray):
         e = np.zeros(4)
         e[i] = 1.0
         rows = Rs[:, i, :]
-        hi[:, i] = support(K, e) + _support_batch(L, -rows)
-        lo[:, i] = -(support(K, -e) + _support_batch(L, rows))
+        hi[:, i] = support(K, e) + support(L, -rows)
+        lo[:, i] = -(support(K, -e) + support(L, rows))
     return lo, hi
 
 
@@ -418,12 +409,6 @@ def plane_class(frame) -> np.ndarray:
     ])
 
 
-def _polygon_area(M: PlanarPolygon) -> float:
-    v = np.asarray(M.vertices2d, dtype=float)
-    rolled = np.roll(v, -1, axis=0)
-    return 0.5 * float(np.sum(v[:, 0] * rolled[:, 1] - v[:, 1] * rolled[:, 0]))
-
-
 def _inside_polygon(v2d: np.ndarray, pts: np.ndarray) -> np.ndarray:
     edges = np.roll(v2d, -1, axis=0) - v2d
     inside = np.ones(len(pts), dtype=bool)
@@ -442,7 +427,7 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     if M1.dim != 4 or M2.dim != 4:
         raise ValueError("the intersection count estimator needs polygons in R^4")
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
-    rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * _polygon_area(M1) * _polygon_area(M2)
+    rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * M1.area * M2.area
     F1t = np.asarray(M1.frame, dtype=float).T
     F2t = np.asarray(M2.frame, dtype=float).T
     b1 = np.asarray(M1.base, dtype=float)

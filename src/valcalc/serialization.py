@@ -13,6 +13,7 @@ encoding of the json module.
 """
 
 import json
+import math
 
 from .bodies import Ball, Box, PlanarPolygon, Simplex
 from .exterior import BaseForm, InvariantForm, SpherePoly
@@ -153,6 +154,8 @@ def _vector(raw, path):
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in raw)):
         raise SerializationError(path, "expected a nonempty list of numbers")
+    if not all(math.isfinite(x) for x in raw):
+        raise SerializationError(path, "numbers must be finite")
     return [float(x) for x in raw]
 
 
@@ -193,6 +196,8 @@ def body_from_json(obj, path="body"):
             radius = obj.get("radius")
             if not isinstance(radius, (int, float)) or isinstance(radius, bool):
                 raise SerializationError(f"{path}.radius", "expected a number")
+            if not math.isfinite(radius):
+                raise SerializationError(f"{path}.radius", "radius must be finite")
             body = Ball(_vector(obj.get("center"), f"{path}.center"), obj["radius"])
         elif tag == "box":
             rot = obj.get("rotation")

@@ -16,16 +16,17 @@ from .exterior import (
     BaseForm,
     InvariantForm,
     SpherePoly,
+    _coeff_to_scalar,
     _complement,
     _merge_sign,
     contract,
     fiber_integrate,
     hodge_star,
-    integrate_spherical,
     lie_reeb,
     pullback_antipode,
     reeb_field,
     sphere_monomial_integral,
+    spherical_density,
 )
 from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
 
@@ -197,26 +198,56 @@ def ball_volume(n: int, radius=1) -> Scalar:
     return Scalar({(n - h) // 2: 1 / c}) * (Rat(radius) ** n)
 
 
-def unit_ball_value(mu: ValuationRep, radius=1) -> Scalar:
-    """Exact value on a ball of rational radius centered anywhere.
+def _ball_parts(mu: ValuationRep, radius, numeric: bool):
+    """Exact and float parts of the value on a ball centered anywhere.
 
-    The normal cycle is the graph v -> (radius * v, v), so dx pulls back to
-    radius * dv and the integral reduces to spherical monomial integrals.
+    The normal cycle is the graph v -> (c + radius * v, v), so dx pulls back
+    to radius * dv and the integral reduces to spherical monomial integrals
+    (Folland, "How to integrate a polynomial over a sphere", 2001).  With
+    numeric set, float coefficients are summed in floats against the same
+    exact monomial integrals; otherwise they raise TypeError like every exact
+    operation.
     """
     n = mu.n
     r = Rat(radius)
-    total = mu.phi.top_coefficient() * ball_volume(n, radius)
+    exact = mu.phi.top_coefficient() * ball_volume(n, radius)
+    approx = 0.0
     for (I, J), p in mu.omega.terms.items():
         if set(I) & set(J):
             continue
         merged = tuple(sorted(I + J))
         if len(merged) != n - 1:
             continue
-        val = integrate_spherical(n, merged, p) * (r ** len(I))
+        part, fpart = ZERO, 0.0
+        for e, c in spherical_density(n, merged, p).terms.items():
+            w = sphere_monomial_integral(e)
+            if numeric and isinstance(c, float):
+                fpart += c * float(w)
+            else:
+                part = part + _coeff_to_scalar(c) * w
+        scale = r ** len(I)
+        part = part * scale
+        fpart *= float(scale)
         if _merge_sign(I, J) < 0:
-            val = -val
-        total = total + val
-    return total
+            part, fpart = -part, -fpart
+        exact = exact + part
+        approx += fpart
+    return exact, approx
+
+
+def unit_ball_value(mu: ValuationRep, radius=1) -> Scalar:
+    """Exact value on a ball of rational radius centered anywhere."""
+    return _ball_parts(mu, radius, numeric=False)[0]
+
+
+def ball_value(mu: ValuationRep, radius) -> float:
+    """Value on a ball as a float, for exact and float coefficients alike.
+
+    Exact coefficients are summed exactly and rounded once, so an exact rep
+    gives float(unit_ball_value(mu, radius)) bit for bit.
+    """
+    exact, approx = _ball_parts(mu, radius, numeric=True)
+    return float(exact) + approx
 
 
 def intrinsic_volume_rep(n: int, k: int) -> ValuationRep:

@@ -21,8 +21,15 @@ from valcalc.bodies import (
     translate,
     volume,
 )
-from valcalc.su2 import ImDirection, left_mult_matrix, rational_unit_quaternion, z_rep
-from valcalc.valuation import derivation, intrinsic_volume_rep
+from valcalc.exterior import fiber_integrate
+from valcalc.su2 import (
+    ImDirection,
+    left_mult_matrix,
+    rational_unit_quaternion,
+    su2_basis,
+    z_rep,
+)
+from valcalc.valuation import derivation, intrinsic_volume_rep, pairing, unit_ball_value
 
 
 def unit_box(n):
@@ -71,6 +78,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PlanarPolygon(np.array([[1.0, 0, 0, 0], [1.0, 1, 0, 0]]),
                           [[0, 0], [1, 0], [0, 1]])
+
+    def test_non_finite_rejected(self):
+        frame = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+        tri = [[0, 0], [1, 0], [0, 1]]
+        for bad in (math.nan, math.inf, -math.inf):
+            makers = [
+                lambda: Ball(np.zeros(3), bad),
+                lambda: Ball([0.0, bad, 0.0], 1.0),
+                lambda: Box(np.zeros(3), np.array([1.0, bad, 1.0])),
+                lambda: Box([bad, 0.0, 0.0], np.ones(3)),
+                lambda: Box(np.zeros(2), np.ones(2), [[1.0, 0.0], [0.0, bad]]),
+                lambda: Simplex([[0, 0], [1, bad], [0, 1]]),
+                lambda: PlanarPolygon(frame, [[0, 0], [bad, 0], [0, 1]]),
+                lambda: PlanarPolygon(frame, tri, [0, 0, bad, 0]),
+            ]
+            for make in makers:
+                with pytest.raises(ValueError, match="finite"):
+                    make()
+
+    def test_polygon_area(self):
+        sq = PlanarPolygon(np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]),
+                           [[0, 0], [2, 0], [2, 1.5], [0, 1.5]])
+        assert sq.area == 3.0
+        assert regular_polygon(6).area == pytest.approx(1.5 * math.sqrt(3), abs=1e-14)
 
 
 class TestFaceLattice:
@@ -167,14 +198,47 @@ class TestEvaluate:
 
 
 class TestBallNumericPath:
+    # balls of either coefficient type go through the closed-form monomial
+    # sum over the sphere graph: exact coefficients summed exactly, float
+    # coefficients summed in floats
     def test_matches_exact(self):
-        # float coefficients force the quadrature path over the sphere graph
         exact_rep = z_rep(ImDirection.of(1, 0, 0))
         float_rep = z_rep(ImDirection.of(1.0, 0.0, 0.0))
         for ball in (Ball(np.zeros(4), 1.0), Ball(np.array([0.5, -0.25, 0, 1]), 2.0)):
             a = evaluate(exact_rep, ball)
             b = evaluate(float_rep, ball)
             assert abs(a - b) < 1e-12
+
+    def test_exact_rep_rounds_the_exact_value(self):
+        mu = z_rep(ImDirection.of(1, 2, 0)) + intrinsic_volume_rep(4, 4) * 3
+        for radius in (0.7, 1.0, 2.0):
+            ball = Ball(np.array([0.5, -0.25, 0, 1]), radius)
+            assert evaluate(mu, ball) == float(unit_ball_value(mu, radius))
+
+    def test_icosahedral_off_centre(self):
+        reps = [rep for label, rep in su2_basis("icosahedron") if label.startswith("Z_u")]
+        assert len(reps) == 6
+        for radius in (0.5, 2.0):
+            ball = Ball(np.array([0.3, -1.2, 0.7, 2.0]), radius)
+            for rep in reps:
+                assert abs(evaluate(rep, ball) - math.pi * radius ** 2) < 1e-12
+
+    def test_tube_of_float_rep(self):
+        _, rep = su2_basis("icosahedron")[4]
+        ball = Ball(np.array([1.0, 0, -0.5, 0.25]), 0.8)
+        val = evaluate_tube(rep, ball, 0.7)
+        assert abs(val - math.pi * 1.5 ** 2) < 1e-12
+
+    def test_exact_pipeline_rejects_float_coefficients(self):
+        float_rep = z_rep(ImDirection.of(1.0, 0.0, 0.0))
+        # the twice-lowered rep has degree 0, so its form reaches the
+        # spherical integrals of fiber integration
+        with pytest.raises(TypeError):
+            fiber_integrate(derivation(derivation(float_rep)).omega)
+        with pytest.raises(TypeError):
+            pairing(float_rep, z_rep(ImDirection.of(0, 1, 0)))
+        with pytest.raises(TypeError):
+            unit_ball_value(float_rep)
 
 
 class TestTube:
@@ -243,6 +307,20 @@ class TestSupport:
         poly = regular_polygon(8)
         verts = poly.embedded_vertices()
         assert support(poly, xi) == pytest.approx(float(np.max(verts @ xi)), abs=1e-12)
+
+    def test_batch_matches_single_directions(self):
+        rng = np.random.default_rng(11)
+        bodies = [Ball(np.array([1.0, -0.5, 0.2, 0.0]), 0.7),
+                  Box(np.zeros(4), np.array([0.5, 1.0, 0.25, 0.7]),
+                      left_mult_matrix((0.5, 0.5, 0.5, 0.5))),
+                  STANDARD_SIMPLEX, regular_polygon(5)]
+        dirs = rng.normal(size=(7, 4))
+        for K in bodies:
+            batch = support(K, dirs)
+            assert batch.shape == (7,)
+            for xi, h in zip(dirs, batch):
+                assert isinstance(support(K, xi), float)
+                assert support(K, xi) == pytest.approx(h, abs=1e-12)
 
 
 def lp_constraints(K, n):

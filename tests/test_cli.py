@@ -227,6 +227,23 @@ class TestVerifyMc:
 
 
 class TestExitCodes:
+    def test_non_finite_body_numbers(self, capsys, files):
+        tmp, save = files
+        chi = save("chi.json", ser.valuation_to_json(intrinsic_volume_rep(4, 0)))
+        cases = [
+            ("ball.json", '{"type": "ball", "center": [0, 0, 0, 0], "radius": NaN}',
+             "radius"),
+            ("box.json", '{"type": "box", "center": [0, 0, 0, 0], '
+                         '"half_extents": [0.5, Infinity, 0.5, 0.5]}', "half_extents"),
+        ]
+        for name, text, field in cases:
+            body = tmp / name
+            body.write_text(text)
+            rc, out, err = run(capsys, "eval", "--valuation", chi, "--body", str(body))
+            assert rc == 2
+            assert not out
+            assert f"{body}.{field}" in err
+
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "rumin", "--form", str(tmp_path / "nope.json"))
         assert rc == 2

@@ -5,8 +5,10 @@ import pytest
 
 from _oracles import bundle_frame, random_form
 from valcalc.contact import (
+    RUMIN_CACHE_SIZE,
     ContactData,
     RuminResult,
+    _rumin_cached,
     contact_data,
     dual_lefschetz,
     horizontal_part,
@@ -26,6 +28,7 @@ from valcalc.exterior import (
     sphere_volume_form,
 )
 from valcalc.scalars import PI, Rat, Scalar
+from valcalc.valuation import intrinsic_volume_rep
 
 
 class TestContactData:
@@ -117,6 +120,23 @@ class TestRumin:
         res = rumin(omega)
         assert horizontal_part(res.D_omega).is_zero()
         assert d(res.D_omega).is_zero()
+
+
+class TestRuminCache:
+    def test_size_stays_within_bound(self):
+        base = intrinsic_volume_rep(3, 1).omega
+        for k in range(1, RUMIN_CACHE_SIZE + 10):
+            rumin(base * k)
+        info = _rumin_cached.cache_info()
+        assert info.maxsize == RUMIN_CACHE_SIZE
+        assert info.currsize <= RUMIN_CACHE_SIZE
+
+    def test_repeated_form_hits(self):
+        omega = intrinsic_volume_rep(3, 2).omega * 7
+        first = rumin(omega)
+        hits = _rumin_cached.cache_info().hits
+        assert rumin(omega) is first
+        assert _rumin_cached.cache_info().hits == hits + 1
 
 
 class TestAnsatz:

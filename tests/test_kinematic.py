@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex, rotate
 from valcalc.kinematic import (
+    VECTOR_CACHE_SIZE,
     EvaluationVector,
     KinematicTensor,
     MCReport,
@@ -19,6 +20,7 @@ from valcalc.kinematic import (
     plane_class,
     rhs_kinematic,
     rotation_matrix,
+    _VECTOR_CACHE,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import left_mult_matrix, su2_basis
@@ -111,6 +113,12 @@ class TestEvaluationVector:
         vec = evaluation_vector(Box(np.zeros(4), np.full(4, 0.5)))
         assert vec.values[0] == pytest.approx(1.0, abs=1e-9)
         assert vec.values[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_cache_size_stays_within_bound(self):
+        balls = [Ball(np.zeros(4), 1.0 + k / 64) for k in range(VECTOR_CACHE_SIZE + 10)]
+        vecs = [evaluation_vector(K) for K in balls]
+        assert len(_VECTOR_CACHE) <= VECTOR_CACHE_SIZE
+        assert evaluation_vector(balls[-1]) is vecs[-1]
 
 
 class TestRhs:

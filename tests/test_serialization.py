@@ -170,6 +170,9 @@ class TestBodyJson:
             {"type": "ball", "center": [0, 0], "radius": "1"},
             {"type": "ball", "center": [0, 0], "radius": -1.0},
             {"type": "ball", "center": [0.0], "radius": 1.0},
+            {"type": "ball", "center": [0, 0], "radius": float("nan")},
+            {"type": "ball", "center": [0, float("inf")], "radius": 1.0},
+            {"type": "box", "center": [0, 0], "half_extents": [1.0, float("inf")]},
             {"type": "ball", "center": "origin", "radius": 1.0},
             {"type": "box", "center": [0, 0], "half_extents": [1.0, 0.0]},
             {"type": "box", "center": [0, 0], "half_extents": [1, 1],
