@@ -8,6 +8,10 @@ regions are lists of spherical simplices, each given by n-k linearly
 independent unit generators.  The piece orientation is the sign of
 det[frame | generators], matching the convention under which the Euler
 characteristic of every body comes out +1.
+
+Each body class carries its own support function (``support``,
+``support_point``, ``reference_point``), volume, rigid motion
+``moved(R, t)`` for x -> R x + t, and, except the ball, its face lattice.
 """
 
 import math
@@ -53,120 +57,6 @@ def _check_orthonormal(a, name, tol=1e-9):
     g = a @ a.T
     if not np.allclose(g, np.eye(a.shape[0]), atol=tol):
         raise ValueError(f"{name} must have orthonormal rows")
-
-
-@dataclass(frozen=True, eq=False)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __init__(self, center, radius):
-        object.__setattr__(self, "center", _finite(center, "center"))
-        object.__setattr__(self, "radius", float(_finite(radius, "radius")))
-        if self.center.ndim != 1:
-            raise ValueError("center must be a vector")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-    @property
-    def dim(self):
-        return len(self.center)
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    center: np.ndarray
-    half_extents: np.ndarray
-    rotation: np.ndarray
-
-    def __init__(self, center, half_extents, rotation=None):
-        center = _finite(center, "center")
-        half = _finite(half_extents, "half_extents")
-        n = len(center)
-        if half.shape != (n,):
-            raise ValueError("half_extents must match the center dimension")
-        if np.any(half <= 0):
-            raise ValueError("half extents must be positive")
-        rot = np.eye(n) if rotation is None else _as_matrix(rotation, "rotation")
-        if rot.shape != (n, n):
-            raise ValueError("rotation must be square of matching dimension")
-        _check_orthonormal(rot, "rotation")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_extents", half)
-        object.__setattr__(self, "rotation", rot)
-
-    @property
-    def dim(self):
-        return len(self.center)
-
-    def axis(self, i):
-        return self.rotation[:, i]
-
-
-@dataclass(frozen=True, eq=False)
-class Simplex:
-    vertices: np.ndarray
-
-    def __init__(self, vertices):
-        verts = _as_matrix(vertices, "vertices")
-        n = verts.shape[1]
-        if not 1 <= verts.shape[0] <= n + 1:
-            raise ValueError("a simplex in R^n has between 1 and n+1 vertices")
-        edges = verts[1:] - verts[0]
-        if len(edges) and np.linalg.matrix_rank(edges, tol=1e-10) < len(edges):
-            raise ValueError("vertices are affinely dependent")
-        object.__setattr__(self, "vertices", verts)
-
-    @property
-    def dim(self):
-        return self.vertices.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class PlanarPolygon:
-    frame: np.ndarray
-    vertices2d: np.ndarray
-    base: np.ndarray
-
-    def __init__(self, frame, vertices2d, base=None):
-        frame = _as_matrix(frame, "frame")
-        verts = _as_matrix(vertices2d, "vertices2d")
-        if frame.shape[0] != 2:
-            raise ValueError("frame must consist of two rows")
-        n = frame.shape[1]
-        _check_orthonormal(frame, "frame")
-        if verts.shape[0] < 3 or verts.shape[1] != 2:
-            raise ValueError("need at least three planar vertices")
-        m = verts.shape[0]
-        for i in range(m):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % m]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross <= 1e-12:
-                raise ValueError("polygon must be convex and counterclockwise")
-        base = np.zeros(n) if base is None else _finite(base, "base")
-        if base.shape != (n,):
-            raise ValueError("base point must match the frame dimension")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "vertices2d", verts)
-        object.__setattr__(self, "base", base)
-
-    @property
-    def dim(self):
-        return self.frame.shape[1]
-
-    def embedded_vertices(self):
-        return self.base + self.vertices2d @ self.frame
-
-    @property
-    def area(self):
-        """Shoelace area of the counterclockwise polygon in its plane."""
-        v = self.vertices2d
-        m = len(v)
-        area = 0.0
-        for i in range(m):
-            a, b = v[i], v[(i + 1) % m]
-            area += 0.5 * (a[0] * b[1] - a[1] * b[0])
-        return float(area)
 
 
 @dataclass(frozen=True)
@@ -222,116 +112,300 @@ def _orthonormal_frame(edges):
     return q.T[: a.shape[0]]
 
 
-def face_lattice(K):
-    """All faces with oriented frames, volumes, and triangulated normal regions."""
-    if isinstance(K, Box):
-        return _box_lattice(K)
-    if isinstance(K, Simplex):
-        return _simplex_lattice(K)
-    if isinstance(K, PlanarPolygon):
-        return _polygon_lattice(K)
-    raise ValueError(f"no face lattice for {type(K).__name__}")
+@dataclass(frozen=True, eq=False)
+class Ball:
+    center: np.ndarray
+    radius: float
+
+    def __init__(self, center, radius):
+        object.__setattr__(self, "center", _finite(center, "center"))
+        object.__setattr__(self, "radius", float(_finite(radius, "radius")))
+        if self.center.ndim != 1:
+            raise ValueError("center must be a vector")
+        if self.radius < 0:
+            raise ValueError("radius must be nonnegative")
+
+    @property
+    def dim(self):
+        return len(self.center)
+
+    def support(self, xi):
+        """Support function sup_{x in K} <xi, x>.
+
+        A single direction gives a float, a (B, n) batch of directions an array.
+        """
+        xi = np.asarray(xi, dtype=float)
+        h = xi @ self.center + self.radius * np.linalg.norm(xi, axis=-1)
+        return float(h) if xi.ndim == 1 else h
+
+    def support_point(self, xi):
+        """A point of the body attaining the support value in direction xi."""
+        xi = np.asarray(xi, dtype=float)
+        norm = float(np.linalg.norm(xi))
+        if norm == 0.0:
+            return self.center.copy()
+        return self.center + self.radius * xi / norm
+
+    def reference_point(self):
+        """A point of the body, used to seed and scale the separation iteration."""
+        return self.center.copy()
+
+    def volume(self) -> float:
+        """Lebesgue volume (zero for the lower-dimensional bodies)."""
+        return float(ball_volume(self.dim)) * self.radius ** self.dim
+
+    def moved(self, R, t):
+        """Image under x -> R x + t."""
+        return Ball(R @ self.center + t, self.radius)
 
 
-def _box_lattice(K):
-    n = K.dim
-    axes = [K.rotation[:, i] for i in range(n)]
-    out = []
-    for free in range(n + 1):
-        for idx in combinations(range(n), free):
-            fixed = [i for i in range(n) if i not in idx]
-            frame = tuple(tuple(axes[i]) for i in idx)
-            vol = 1.0
-            for i in idx:
-                vol *= 2.0 * K.half_extents[i]
-            if not fixed:
-                out.append(FaceLatticeEntry(free, frame, vol, ()))
-                continue
-            # one face per sign choice of the fixed coordinates
-            for signs in _orthant_signs(len(fixed)):
-                region = (tuple(tuple(s * axes[i]) for s, i in zip(signs, fixed)),)
-                out.append(FaceLatticeEntry(free, frame, vol, region))
-    return out
+@dataclass(frozen=True, eq=False)
+class Box:
+    center: np.ndarray
+    half_extents: np.ndarray
+    rotation: np.ndarray
+
+    def __init__(self, center, half_extents, rotation=None):
+        center = _finite(center, "center")
+        half = _finite(half_extents, "half_extents")
+        n = len(center)
+        if half.shape != (n,):
+            raise ValueError("half_extents must match the center dimension")
+        if np.any(half <= 0):
+            raise ValueError("half extents must be positive")
+        rot = np.eye(n) if rotation is None else _as_matrix(rotation, "rotation")
+        if rot.shape != (n, n):
+            raise ValueError("rotation must be square of matching dimension")
+        _check_orthonormal(rot, "rotation")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "half_extents", half)
+        object.__setattr__(self, "rotation", rot)
+
+    @property
+    def dim(self):
+        return len(self.center)
+
+    def axis(self, i):
+        return self.rotation[:, i]
+
+    def support(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        h = xi @ self.center + np.abs(xi @ self.rotation) @ self.half_extents
+        return float(h) if xi.ndim == 1 else h
+
+    def support_point(self, xi):
+        proj = self.rotation.T @ np.asarray(xi, dtype=float)
+        return self.center + self.rotation @ (self.half_extents * np.sign(proj))
+
+    def reference_point(self):
+        return self.center.copy()
+
+    def volume(self) -> float:
+        return float(np.prod(2.0 * self.half_extents))
+
+    def moved(self, R, t):
+        return Box(R @ self.center + t, self.half_extents, R @ self.rotation)
+
+    def face_lattice(self):
+        """All faces with oriented frames, volumes, and triangulated normal regions."""
+        n = self.dim
+        axes = [self.rotation[:, i] for i in range(n)]
+        out = []
+        for free in range(n + 1):
+            for idx in combinations(range(n), free):
+                fixed = [i for i in range(n) if i not in idx]
+                frame = tuple(tuple(axes[i]) for i in idx)
+                vol = 1.0
+                for i in idx:
+                    vol *= 2.0 * self.half_extents[i]
+                if not fixed:
+                    out.append(FaceLatticeEntry(free, frame, vol, ()))
+                    continue
+                # one face per sign choice of the fixed coordinates
+                for signs in _orthant_signs(len(fixed)):
+                    region = (tuple(tuple(s * axes[i]) for s, i in zip(signs, fixed)),)
+                    out.append(FaceLatticeEntry(free, frame, vol, region))
+        return out
 
 
-def _simplex_lattice(K):
-    verts = K.vertices
-    n = K.dim
-    kt = len(verts) - 1
-    edges = verts[1:] - verts[0]
-    perp = _complement_basis(edges, n)
-    normals = _simplex_facet_normals(verts) if kt else []
-    out = []
-    for size in range(1, kt + 2):
-        for subset in combinations(range(kt + 1), size):
-            fverts = [verts[i] for i in subset]
-            frame = _orthonormal_frame(np.array(fverts[1:]) - fverts[0]) if size > 1 \
-                else np.zeros((0, n))
-            cone = [normals[j] for j in range(kt + 1) if j not in subset]
+class _VertexHull:
+    """Support data of a body that is the convex hull of ``_hull()``'s rows."""
+
+    def support(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        h = np.max(xi @ self._hull().T, axis=-1)
+        return float(h) if xi.ndim == 1 else h
+
+    def support_point(self, xi):
+        verts = self._hull()
+        return verts[int(np.argmax(verts @ np.asarray(xi, dtype=float)))].copy()
+
+    def reference_point(self):
+        return self._hull().mean(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Simplex(_VertexHull):
+    vertices: np.ndarray
+
+    def __init__(self, vertices):
+        verts = _as_matrix(vertices, "vertices")
+        n = verts.shape[1]
+        if not 1 <= verts.shape[0] <= n + 1:
+            raise ValueError("a simplex in R^n has between 1 and n+1 vertices")
+        edges = verts[1:] - verts[0]
+        if len(edges) and np.linalg.matrix_rank(edges, tol=1e-10) < len(edges):
+            raise ValueError("vertices are affinely dependent")
+        object.__setattr__(self, "vertices", verts)
+
+    @property
+    def dim(self):
+        return self.vertices.shape[1]
+
+    def _hull(self):
+        return self.vertices
+
+    def volume(self) -> float:
+        if len(self.vertices) != self.dim + 1:
+            return 0.0
+        edges = self.vertices[1:] - self.vertices[0]
+        return abs(float(np.linalg.det(edges))) / math.factorial(self.dim)
+
+    def moved(self, R, t):
+        return Simplex(self.vertices @ R.T + t)
+
+    def face_lattice(self):
+        verts = self.vertices
+        n = self.dim
+        kt = len(verts) - 1
+        edges = verts[1:] - verts[0]
+        perp = _complement_basis(edges, n)
+        normals = _simplex_facet_normals(verts) if kt else []
+        out = []
+        for size in range(1, kt + 2):
+            for subset in combinations(range(kt + 1), size):
+                fverts = [verts[i] for i in subset]
+                frame = _orthonormal_frame(np.array(fverts[1:]) - fverts[0]) if size > 1 \
+                    else np.zeros((0, n))
+                cone = [normals[j] for j in range(kt + 1) if j not in subset]
+                region = []
+                if len(perp):
+                    for signs in _orthant_signs(len(perp)):
+                        gens = [tuple(g) for g in cone]
+                        gens += [tuple(s * b) for s, b in zip(signs, perp)]
+                        region.append(tuple(gens))
+                elif cone:
+                    region.append(tuple(tuple(g) for g in cone))
+                k = size - 1
+                if k == n:
+                    region = []
+                out.append(FaceLatticeEntry(
+                    k, tuple(tuple(r) for r in frame), _face_volume(fverts),
+                    tuple(region)))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class PlanarPolygon(_VertexHull):
+    frame: np.ndarray
+    vertices2d: np.ndarray
+    base: np.ndarray
+
+    def __init__(self, frame, vertices2d, base=None):
+        frame = _as_matrix(frame, "frame")
+        verts = _as_matrix(vertices2d, "vertices2d")
+        if frame.shape[0] != 2:
+            raise ValueError("frame must consist of two rows")
+        n = frame.shape[1]
+        _check_orthonormal(frame, "frame")
+        if verts.shape[0] < 3 or verts.shape[1] != 2:
+            raise ValueError("need at least three planar vertices")
+        m = verts.shape[0]
+        for i in range(m):
+            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % m]
+            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+            if cross <= 1e-12:
+                raise ValueError("polygon must be convex and counterclockwise")
+        base = np.zeros(n) if base is None else _finite(base, "base")
+        if base.shape != (n,):
+            raise ValueError("base point must match the frame dimension")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "vertices2d", verts)
+        object.__setattr__(self, "base", base)
+
+    @property
+    def dim(self):
+        return self.frame.shape[1]
+
+    def embedded_vertices(self):
+        return self.base + self.vertices2d @ self.frame
+
+    _hull = embedded_vertices
+
+    @property
+    def area(self):
+        """Shoelace area of the counterclockwise polygon in its plane."""
+        v = self.vertices2d
+        m = len(v)
+        area = 0.0
+        for i in range(m):
+            a, b = v[i], v[(i + 1) % m]
+            area += 0.5 * (a[0] * b[1] - a[1] * b[0])
+        return float(area)
+
+    def volume(self) -> float:
+        return self.area if self.dim == 2 else 0.0
+
+    def moved(self, R, t):
+        return PlanarPolygon(self.frame @ R.T, self.vertices2d, R @ self.base + t)
+
+    def face_lattice(self):
+        n = self.dim
+        u1, u2 = self.frame
+        verts2 = self.vertices2d
+        m = len(verts2)
+        perp = _complement_basis(self.frame, n)
+        # outer normals of the edges, embedded; edge i runs verts2[i] -> verts2[i+1]
+        edge_normals = []
+        edge_dirs = []
+        lengths = []
+        for i in range(m):
+            a, b = verts2[i], verts2[(i + 1) % m]
+            e = b - a
+            ln = float(np.linalg.norm(e))
+            lengths.append(ln)
+            edge_dirs.append((e[0] * u1 + e[1] * u2) / ln)
+            edge_normals.append((e[1] * u1 - e[0] * u2) / ln)
+        out = []
+        if n == 2:
+            body_region = ()
+        else:
+            body_region = tuple(
+                tuple(tuple(s * b) for s, b in zip(signs, perp))
+                for signs in _orthant_signs(len(perp)))
+        out.append(FaceLatticeEntry(2, (tuple(u1), tuple(u2)), self.area, body_region))
+        for i in range(m):
             region = []
             if len(perp):
                 for signs in _orthant_signs(len(perp)):
-                    gens = [tuple(g) for g in cone]
-                    gens += [tuple(s * b) for s, b in zip(signs, perp)]
-                    region.append(tuple(gens))
-            elif cone:
-                region.append(tuple(tuple(g) for g in cone))
-            k = size - 1
-            if k == n:
-                region = []
+                    region.append(tuple([tuple(edge_normals[i])]
+                                        + [tuple(s * b) for s, b in zip(signs, perp)]))
+            else:
+                region.append((tuple(edge_normals[i]),))
             out.append(FaceLatticeEntry(
-                k, tuple(tuple(r) for r in frame), _face_volume(fverts),
-                tuple(region)))
-    return out
-
-
-def _polygon_lattice(K):
-    n = K.dim
-    u1, u2 = K.frame
-    verts2 = K.vertices2d
-    m = len(verts2)
-    perp = _complement_basis(K.frame, n)
-    # outer normals of the edges, embedded; edge i runs verts2[i] -> verts2[i+1]
-    edge_normals = []
-    edge_dirs = []
-    lengths = []
-    for i in range(m):
-        a, b = verts2[i], verts2[(i + 1) % m]
-        e = b - a
-        ln = float(np.linalg.norm(e))
-        lengths.append(ln)
-        edge_dirs.append((e[0] * u1 + e[1] * u2) / ln)
-        edge_normals.append((e[1] * u1 - e[0] * u2) / ln)
-    out = []
-    if n == 2:
-        body_region = ()
-    else:
-        body_region = tuple(
-            tuple(tuple(s * b) for s, b in zip(signs, perp))
-            for signs in _orthant_signs(len(perp)))
-    out.append(FaceLatticeEntry(2, (tuple(u1), tuple(u2)), K.area, body_region))
-    for i in range(m):
-        region = []
-        if len(perp):
-            for signs in _orthant_signs(len(perp)):
-                region.append(tuple([tuple(edge_normals[i])]
-                                    + [tuple(s * b) for s, b in zip(signs, perp)]))
-        else:
-            region.append((tuple(edge_normals[i]),))
-        out.append(FaceLatticeEntry(
-            1, (tuple(edge_dirs[i]),), lengths[i], tuple(region)))
-    for i in range(m):
-        mprev = edge_normals[i - 1]
-        mnext = edge_normals[i]
-        region = []
-        if len(perp):
-            for signs in _orthant_signs(len(perp)):
-                region.append(tuple([tuple(mprev), tuple(mnext)]
-                                    + [tuple(s * b) for s, b in zip(signs, perp)]))
-        else:
-            region.append((tuple(mprev), tuple(mnext)))
-        out.append(FaceLatticeEntry(0, (), 1.0, tuple(region)))
-    return out
+                1, (tuple(edge_dirs[i]),), lengths[i], tuple(region)))
+        for i in range(m):
+            mprev = edge_normals[i - 1]
+            mnext = edge_normals[i]
+            region = []
+            if len(perp):
+                for signs in _orthant_signs(len(perp)):
+                    region.append(tuple([tuple(mprev), tuple(mnext)]
+                                        + [tuple(s * b) for s, b in zip(signs, perp)]))
+            else:
+                region.append((tuple(mprev), tuple(mnext)))
+            out.append(FaceLatticeEntry(0, (), 1.0, tuple(region)))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -490,33 +564,17 @@ def _integrate_lattice(form, lattice, tol):
     return total
 
 
-def volume(K) -> float:
-    """Lebesgue volume of the body (zero for lower-dimensional classes)."""
-    if isinstance(K, Ball):
-        return float(ball_volume(K.dim)) * K.radius ** K.dim
-    if isinstance(K, Box):
-        return float(np.prod(2.0 * K.half_extents))
-    if isinstance(K, Simplex):
-        if len(K.vertices) != K.dim + 1:
-            return 0.0
-        edges = K.vertices[1:] - K.vertices[0]
-        return abs(float(np.linalg.det(edges))) / math.factorial(K.dim)
-    if isinstance(K, PlanarPolygon):
-        return K.area if K.dim == 2 else 0.0
-    raise ValueError(f"unsupported body {type(K).__name__}")
-
-
 def evaluate(mu: ValuationRep, K) -> float:
     """Numeric value of the valuation on a convex body."""
     if K.dim != mu.n:
         raise ValueError("body dimension does not match the valuation")
     if isinstance(K, Ball):
         return ball_value(mu, K.radius)
-    lattice = face_lattice(K)
+    lattice = K.face_lattice()
     total = 0.0
     phi_top = float(mu.phi.top_coefficient())
     if phi_top:
-        total += phi_top * volume(K)
+        total += phi_top * K.volume()
     total += _integrate_lattice(mu.omega, lattice, _quad_tol())
     return total
 
@@ -528,7 +586,7 @@ def steiner_volume(K, t: float) -> float:
     n = K.dim
     tol = _quad_tol()
     total = 0.0
-    for entry in face_lattice(K):
+    for entry in K.face_lattice():
         if entry.k == n:
             total += entry.volume
             continue
@@ -547,49 +605,11 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
         return evaluate(mu, K)
     tol = _quad_tol()
     shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
-    total = _integrate_lattice(shifted, face_lattice(K), tol)
+    total = _integrate_lattice(shifted, K.face_lattice(), tol)
     phi_top = float(mu.phi.top_coefficient())
     if phi_top:
         total += phi_top * steiner_volume(K, t)
     return total
-
-
-def support(K, xi):
-    """Support function sup_{x in K} <xi, x>.
-
-    A single direction gives a float, a (B, n) batch of directions an array.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if isinstance(K, Ball):
-        h = xi @ K.center + K.radius * np.linalg.norm(xi, axis=-1)
-    elif isinstance(K, Box):
-        h = xi @ K.center + np.abs(xi @ K.rotation) @ K.half_extents
-    elif isinstance(K, Simplex):
-        h = np.max(xi @ K.vertices.T, axis=-1)
-    elif isinstance(K, PlanarPolygon):
-        h = np.max(xi @ K.embedded_vertices().T, axis=-1)
-    else:
-        raise ValueError(f"unsupported body {type(K).__name__}")
-    return float(h) if xi.ndim == 1 else h
-
-
-def support_point(K, xi):
-    """A point of K attaining the support value in direction xi."""
-    xi = np.asarray(xi, dtype=float)
-    if isinstance(K, Ball):
-        norm = float(np.linalg.norm(xi))
-        if norm == 0.0:
-            return K.center.copy()
-        return K.center + K.radius * xi / norm
-    if isinstance(K, Box):
-        proj = K.rotation.T @ xi
-        return K.center + K.rotation @ (K.half_extents * np.sign(proj))
-    if isinstance(K, Simplex):
-        return K.vertices[int(np.argmax(K.vertices @ xi))].copy()
-    if isinstance(K, PlanarPolygon):
-        verts = K.embedded_vertices()
-        return verts[int(np.argmax(verts @ xi))].copy()
-    raise ValueError(f"unsupported body {type(K).__name__}")
 
 
 def _closest_in_hull(points):
@@ -618,17 +638,6 @@ def _closest_in_hull(points):
     return best
 
 
-def reference_point(K):
-    """A point of the body, used to seed and scale the separation iteration."""
-    if isinstance(K, Ball) or isinstance(K, Box):
-        return K.center.copy()
-    if isinstance(K, Simplex):
-        return K.vertices.mean(axis=0)
-    if isinstance(K, PlanarPolygon):
-        return K.embedded_vertices().mean(axis=0)
-    raise ValueError(f"unsupported body {type(K).__name__}")
-
-
 def _body_radius(K, center):
     n = K.dim
     r = 0.0
@@ -636,7 +645,7 @@ def _body_radius(K, center):
         e = np.zeros(n)
         e[i] = 1.0
         for s in (1.0, -1.0):
-            r = max(r, float(np.linalg.norm(support_point(K, s * e) - center)))
+            r = max(r, float(np.linalg.norm(K.support_point(s * e) - center)))
     return r
 
 
@@ -651,9 +660,9 @@ def intersects(K, L, tol: float = 1e-12) -> bool:
         raise ValueError("dimension mismatch")
 
     def diff_support(d):
-        return support_point(K, d) - support_point(L, -d)
+        return K.support_point(d) - L.support_point(-d)
 
-    ck, cl = reference_point(K), reference_point(L)
+    ck, cl = K.reference_point(), L.reference_point()
     d0 = ck - cl
     scale = 1.0 + float(np.linalg.norm(d0)) + _body_radius(K, ck) + _body_radius(L, cl)
     if float(np.linalg.norm(d0)) < tol * scale:
@@ -675,29 +684,3 @@ def intersects(K, L, tol: float = 1e-12) -> bool:
             return False
         points.append(w)
     raise IndeterminateIntersection("separation iteration hit its cap")
-
-
-def translate(K, shift):
-    shift = np.asarray(shift, dtype=float)
-    if isinstance(K, Ball):
-        return Ball(K.center + shift, K.radius)
-    if isinstance(K, Box):
-        return Box(K.center + shift, K.half_extents, K.rotation)
-    if isinstance(K, Simplex):
-        return Simplex(K.vertices + shift)
-    if isinstance(K, PlanarPolygon):
-        return PlanarPolygon(K.frame, K.vertices2d, K.base + shift)
-    raise ValueError(f"unsupported body {type(K).__name__}")
-
-
-def rotate(K, R):
-    R = np.asarray(R, dtype=float)
-    if isinstance(K, Ball):
-        return Ball(R @ K.center, K.radius)
-    if isinstance(K, Box):
-        return Box(R @ K.center, K.half_extents, R @ K.rotation)
-    if isinstance(K, Simplex):
-        return Simplex(K.vertices @ R.T)
-    if isinstance(K, PlanarPolygon):
-        return PlanarPolygon(K.frame @ R.T, K.vertices2d, R @ K.base)
-    raise ValueError(f"unsupported body {type(K).__name__}")

@@ -4,8 +4,9 @@ Exact scalars print in their canonical string form; floats print with twelve
 digits after the decimal point, matching the precision promised by the
 evaluators.  Every command accepts --json for machine-readable output with
 the same numeric content.  Exit codes: 0 success, 2 invalid input (bad
-arguments or malformed files, with the offending location in the message),
-3 numeric non-convergence.
+arguments, malformed files or non-exact coefficients, with the offending
+location in the message), 3 numeric failure (non-convergence, an arithmetic
+error).
 """
 
 import argparse
@@ -293,10 +294,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         human, payload = args.handler(args)
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:
+    except (RuntimeError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     print(json.dumps(payload, indent=2) if args.json else human)

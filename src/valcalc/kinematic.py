@@ -13,7 +13,7 @@ translations).
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -23,12 +23,8 @@ from .bodies import (
     Box,
     IndeterminateIntersection,
     PlanarPolygon,
-    Simplex,
     evaluate,
     intersects,
-    rotate,
-    support,
-    translate,
 )
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
@@ -125,44 +121,30 @@ def kinematic_tensor(basis="icosahedron") -> KinematicTensor:
         return _TENSOR_CACHE[basis]
     labels = [label for label, _ in basis]
     reps = [rep for _, rep in basis]
-    for rep in reps:
-        for p in rep.omega.terms.values():
-            if any(isinstance(c, float) for c in p.terms.values()):
-                raise ValueError("kinematic tensor requires exact representatives")
+    if not all(rep.is_exact() for rep in reps):
+        raise ValueError("kinematic tensor requires exact representatives")
     G = [[pairing(a, b) for b in reps] for a in reps]
     inv = invert_scalar_matrix(G)
     return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
 
 
-def _body_key(K):
-    if isinstance(K, Ball):
-        return ("ball", K.center.tobytes(), K.radius)
-    if isinstance(K, Box):
-        return ("box", K.center.tobytes(), K.half_extents.tobytes(), K.rotation.tobytes())
-    if isinstance(K, Simplex):
-        return ("simplex", K.vertices.tobytes())
-    if isinstance(K, PlanarPolygon):
-        return ("polygon", K.frame.tobytes(), K.vertices2d.tobytes(), K.base.tobytes())
-    return None
-
-
-# evaluation vectors by (basis, tolerance, body), oldest evicted first
+# evaluation vectors by (basis, tolerance, body type and field bytes), oldest
+# evicted first
 VECTOR_CACHE_SIZE = 256
 _VECTOR_CACHE = {}
 
 
 def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
-    body_key = _body_key(K)
-    key = (kind, os.environ.get("VALCALC_QUAD_TOL"), body_key) if body_key else None
-    if key and key in _VECTOR_CACHE:
+    key = (kind, os.environ.get("VALCALC_QUAD_TOL"), type(K).__name__,
+           *(np.asarray(getattr(K, f.name)).tobytes() for f in fields(K)))
+    if key in _VECTOR_CACHE:
         return _VECTOR_CACHE[key]
     basis = su2_basis(kind)
     values = tuple(evaluate(rep, K) for _, rep in basis)
     vec = EvaluationVector(K, tuple(label for label, _ in basis), values)
-    if key:
-        if len(_VECTOR_CACHE) >= VECTOR_CACHE_SIZE:
-            del _VECTOR_CACHE[next(iter(_VECTOR_CACHE))]
-        _VECTOR_CACHE[key] = vec
+    if len(_VECTOR_CACHE) >= VECTOR_CACHE_SIZE:
+        del _VECTOR_CACHE[next(iter(_VECTOR_CACHE))]
+    _VECTOR_CACHE[key] = vec
     return vec
 
 
@@ -212,7 +194,7 @@ class RigidMotion:
         return rotation_matrix(self.q)
 
     def apply(self, K):
-        return translate(rotate(K, self.matrix()), self.t)
+        return K.moved(self.matrix(), self.t)
 
 
 def haar_sample(rng, t_low=None, t_high=None) -> RigidMotion:
@@ -253,8 +235,8 @@ def _translation_box(K, L, Rs: np.ndarray):
         e = np.zeros(4)
         e[i] = 1.0
         rows = Rs[:, i, :]
-        hi[:, i] = support(K, e) + support(L, -rows)
-        lo[:, i] = -(support(K, -e) + support(L, rows))
+        hi[:, i] = K.support(e) + L.support(-rows)
+        lo[:, i] = -(K.support(-e) + L.support(rows))
     return lo, hi
 
 
@@ -274,18 +256,10 @@ def _orthogonal_complement(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hits_ball_ball(K, L, Rs, ts):
-    centers = Rs @ L.center + ts
-    d = K.center - centers
-    return np.linalg.norm(d, axis=1) <= K.radius + L.radius
-
-
-def _hits_ball_box(ball, box, axes, centers):
-    """Ball against per-sample oriented boxes with orthonormal axes (B,4,4)."""
-    d = ball.center - centers
-    y = np.einsum("bij,bi->bj", axes, d)
+def _ball_box_hits(y, box, radius):
+    """Whether ball centers at box-frame coordinates y (B, 4) reach the box."""
     clipped = np.clip(y, -box.half_extents, box.half_extents)
-    return np.linalg.norm(y - clipped, axis=1) <= ball.radius + 1e-12
+    return np.linalg.norm(y - clipped, axis=1) <= radius + 1e-12
 
 
 def _hits_box_box(K, L, Rs, ts):
@@ -311,24 +285,21 @@ def _hits_box_box(K, L, Rs, ts):
 def _score_principal(K, L, Rs, ts):
     """Hit indicators for K against the rotated, translated copies of L."""
     if isinstance(K, Ball) and isinstance(L, Ball):
-        return _hits_ball_ball(K, L, Rs, ts), 0
+        d = K.center - (Rs @ L.center + ts)
+        return np.linalg.norm(d, axis=1) <= K.radius + L.radius, 0
     if isinstance(K, Ball) and isinstance(L, Box):
-        axes = Rs @ L.rotation
-        centers = Rs @ L.center + ts
-        return _hits_ball_box(K, L, axes, centers), 0
+        y = np.einsum("bij,bi->bj", Rs @ L.rotation, K.center - (Rs @ L.center + ts))
+        return _ball_box_hits(y, L, K.radius), 0
     if isinstance(K, Box) and isinstance(L, Ball):
-        centers = Rs @ L.center + ts
-        y = (centers - K.center) @ K.rotation
-        clipped = np.clip(y, -K.half_extents, K.half_extents)
-        return np.linalg.norm(y - clipped, axis=1) <= L.radius + 1e-12, 0
+        y = (Rs @ L.center + ts - K.center) @ K.rotation
+        return _ball_box_hits(y, K, L.radius), 0
     if isinstance(K, Box) and isinstance(L, Box):
         return _hits_box_box(K, L, Rs, ts), 0
     hits = np.zeros(len(Rs), dtype=bool)
     indeterminate = 0
     for idx in range(len(Rs)):
-        moved = translate(rotate(L, Rs[idx]), ts[idx])
         try:
-            hits[idx] = intersects(K, moved)
+            hits[idx] = intersects(K, L.moved(Rs[idx], ts[idx]))
         except IndeterminateIntersection:
             indeterminate += 1
     return hits, indeterminate
@@ -346,10 +317,11 @@ def _mc_chunks(N):
 
 def _run_chunks(worker, N, threads):
     sizes = _mc_chunks(N)
-    if threads <= 1:
+    workers = min(threads, len(sizes), os.cpu_count() or 1)
+    if workers <= 1:
         results = [worker(idx, size) for idx, size in enumerate(sizes)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, range(len(sizes)), sizes))
     sum_w = math.fsum(r[0] for r in results)
     sum_w2 = math.fsum(r[1] for r in results)
@@ -368,6 +340,18 @@ def _finalize(sum_w, sum_w2, N, seed, rhs, bad):
     return MCReport(mean, stderr, N, seed, rhs, z, bad)
 
 
+def _sample_motions(K, L, seed, idx, size):
+    """Rotations, translations and translation-box volumes of chunk idx."""
+    rng = np.random.default_rng([seed, idx])
+    qs = rng.standard_normal((size, 4))
+    qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+    Rs = _batch_rotations(qs)
+    lo, hi = _translation_box(K, L, Rs)
+    vol = np.prod(hi - lo, axis=1)
+    ts = lo + rng.uniform(size=(size, 4)) * (hi - lo)
+    return Rs, ts, vol
+
+
 def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1, kind: str = "icosahedron") -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
@@ -379,13 +363,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     rhs = rhs_kinematic(K, L, kind)
 
     def worker(idx, size):
-        rng = np.random.default_rng([seed, idx])
-        qs = rng.standard_normal((size, 4))
-        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
-        Rs = _batch_rotations(qs)
-        lo, hi = _translation_box(K, L, Rs)
-        vol = np.prod(hi - lo, axis=1)
-        ts = lo + rng.uniform(size=(size, 4)) * (hi - lo)
+        Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
         hits, bad = _score_principal(K, L, Rs, ts)
         w = vol * hits
         return float(np.sum(w)), float(np.sum(w * w)), bad
@@ -436,13 +414,7 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     v2 = np.asarray(M2.vertices2d, dtype=float)
 
     def worker(idx, size):
-        rng = np.random.default_rng([seed, idx])
-        qs = rng.standard_normal((size, 4))
-        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
-        Rs = _batch_rotations(qs)
-        lo, hi = _translation_box(M1, M2, Rs)
-        vol = np.prod(hi - lo, axis=1)
-        ts = lo + rng.uniform(size=(size, 4)) * (hi - lo)
+        Rs, ts, vol = _sample_motions(M1, M2, seed, idx, size)
         mats = np.concatenate([np.broadcast_to(F1t, (size, 4, 2)), -(Rs @ F2t)], axis=2)
         rhsv = Rs @ b2 + ts - b1
         cond = np.linalg.cond(mats)

@@ -67,6 +67,11 @@ class ValuationRep:
 
     __rmul__ = __mul__
 
+    def is_exact(self) -> bool:
+        """Whether no coefficient is a float (phi's are exact by construction)."""
+        return not any(isinstance(c, float)
+                       for p in self.omega.terms.values() for c in p.terms.values())
+
     def degrees(self) -> set:
         """Degrees of the nonzero homogeneous components (bidegree filtering)."""
         out = {len(I) for (I, J) in self.omega.terms}
@@ -138,6 +143,8 @@ def pairing(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     """Exact Poincare-type pairing; zero unless degrees are complementary."""
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")
+    if not (mu1.is_exact() and mu2.is_exact()):
+        raise TypeError("pairing requires exact coefficients, not floats")
     d1, d2 = mu1.degrees(), mu2.degrees()
     if len(d1) <= 1 and len(d2) <= 1:
         if not d1 or not d2 or d1.pop() + d2.pop() != mu1.n:
@@ -187,9 +194,10 @@ def unit_cube_value(mu: ValuationRep) -> Scalar:
 
 
 def _as_scalar(c) -> Scalar:
+    # Scalar rejects float coefficients with a TypeError
     if isinstance(c, Scalar):
         return c
-    return Scalar({0: Rat(c)})
+    return Scalar({0: c})
 
 
 def ball_volume(n: int, radius=1) -> Scalar:

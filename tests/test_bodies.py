@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -13,13 +14,8 @@ from valcalc.bodies import (
     Simplex,
     evaluate,
     evaluate_tube,
-    face_lattice,
     intersects,
-    rotate,
     steiner_volume,
-    support,
-    translate,
-    volume,
 )
 from valcalc.exterior import fiber_integrate
 from valcalc.su2 import (
@@ -107,27 +103,27 @@ class TestConstruction:
 class TestFaceLattice:
     def test_box_counts(self):
         counts = {}
-        for entry in face_lattice(unit_box(4)):
+        for entry in unit_box(4).face_lattice():
             counts[entry.k] = counts.get(entry.k, 0) + 1
         assert counts == {0: 16, 1: 32, 2: 24, 3: 8, 4: 1}
 
     def test_segment_counts(self):
         seg = Simplex([[0, 0, 0, 0], [1, 2, 2, 0]])
         counts = {}
-        for entry in face_lattice(seg):
+        for entry in seg.face_lattice():
             counts[entry.k] = counts.get(entry.k, 0) + 1
         assert counts == {0: 2, 1: 1}
 
     def test_polygon_counts(self):
         poly = regular_polygon(7)
         counts = {}
-        for entry in face_lattice(poly):
+        for entry in poly.face_lattice():
             counts[entry.k] = counts.get(entry.k, 0) + 1
         assert counts == {0: 7, 1: 7, 2: 1}
 
     def test_frames_orthonormal_regions_orthogonal(self):
         for body in (unit_box(3), STANDARD_SIMPLEX, regular_polygon(5)):
-            for entry in face_lattice(body):
+            for entry in body.face_lattice():
                 frame = np.asarray(entry.frame, dtype=float)
                 if entry.k:
                     gram = frame @ frame.T
@@ -140,7 +136,7 @@ class TestFaceLattice:
 
     def test_face_volumes(self):
         total = {k: 0.0 for k in range(5)}
-        for entry in face_lattice(unit_box(4)):
+        for entry in unit_box(4).face_lattice():
             total[entry.k] += entry.volume
         # 2^(n-k) C(n,k) faces of unit k-volume each
         assert np.allclose([total[k] for k in range(5)],
@@ -166,7 +162,7 @@ class TestEvaluate:
     def test_simplex_volume(self):
         vol = intrinsic_volume_rep(4, 4)
         assert abs(evaluate(vol, STANDARD_SIMPLEX) - 1 / 24) < 1e-12
-        assert volume(STANDARD_SIMPLEX) == pytest.approx(1 / 24, abs=1e-15)
+        assert STANDARD_SIMPLEX.volume() == pytest.approx(1 / 24, abs=1e-15)
 
     def test_ball_exact_path(self):
         mu = z_rep(ImDirection.of(1, 0, 0))
@@ -289,7 +285,7 @@ class TestSupport:
     def test_ball(self):
         b = Ball(np.array([1.0, 2.0, 0.0]), 1.5)
         xi = np.array([0.0, 1.0, 0.0])
-        assert support(b, xi) == pytest.approx(3.5)
+        assert b.support(xi) == pytest.approx(3.5)
 
     def test_box_rotated(self):
         c, s = math.cos(0.3), math.sin(0.3)
@@ -299,14 +295,14 @@ class TestSupport:
         for _ in range(20):
             xi = rng.normal(size=2)
             want = box.center @ xi + np.abs(R.T @ xi) @ box.half_extents
-            assert support(box, xi) == pytest.approx(want, abs=1e-12)
+            assert box.support(xi) == pytest.approx(want, abs=1e-12)
 
     def test_simplex_and_polygon(self):
         xi = np.array([1.0, 1.0, 0.0, 0.0])
-        assert support(STANDARD_SIMPLEX, xi) == pytest.approx(1.0)
+        assert STANDARD_SIMPLEX.support(xi) == pytest.approx(1.0)
         poly = regular_polygon(8)
         verts = poly.embedded_vertices()
-        assert support(poly, xi) == pytest.approx(float(np.max(verts @ xi)), abs=1e-12)
+        assert poly.support(xi) == pytest.approx(float(np.max(verts @ xi)), abs=1e-12)
 
     def test_batch_matches_single_directions(self):
         rng = np.random.default_rng(11)
@@ -316,11 +312,11 @@ class TestSupport:
                   STANDARD_SIMPLEX, regular_polygon(5)]
         dirs = rng.normal(size=(7, 4))
         for K in bodies:
-            batch = support(K, dirs)
+            batch = K.support(dirs)
             assert batch.shape == (7,)
             for xi, h in zip(dirs, batch):
-                assert isinstance(support(K, xi), float)
-                assert support(K, xi) == pytest.approx(h, abs=1e-12)
+                assert isinstance(K.support(xi), float)
+                assert K.support(xi) == pytest.approx(h, abs=1e-12)
 
 
 def lp_constraints(K, n):
@@ -385,8 +381,8 @@ class TestIntersects:
 
     def test_box_far_translate(self):
         box = Box(np.zeros(3), np.ones(3))
-        assert not intersects(box, translate(box, np.array([10.4, 0, 0])))
-        assert intersects(box, translate(box, np.array([1.9, 0, 0])))
+        assert not intersects(box, box.moved(np.eye(3), np.array([10.4, 0, 0])))
+        assert intersects(box, box.moved(np.eye(3), np.array([1.9, 0, 0])))
 
     def test_lp_oracle(self):
         rng = np.random.default_rng(20260818)
@@ -421,8 +417,9 @@ class TestInvariants:
         rng = random.Random(11)
         q = rational_unit_quaternion(rng)
         R = np.array([[float(x) for x in row] for row in left_mult_matrix(q)])
-        assert abs(evaluate(mu, rotate(K, R)) - base) < 1e-8
-        assert abs(evaluate(mu, translate(K, np.array([0.3, -1, 2, 0.05]))) - base) < 1e-8
+        assert abs(evaluate(mu, K.moved(R, np.zeros(4))) - base) < 1e-8
+        assert abs(evaluate(mu, K.moved(np.eye(4), np.array([0.3, -1, 2, 0.05])))
+                   - base) < 1e-8
 
     def test_homogeneity(self):
         K = Simplex([[0, 0, 0, 0], [1, 0.2, 0, 0], [0, 1, 0.1, 0],
@@ -441,15 +438,40 @@ class TestTransforms:
         shift3 = np.array([1.0, -2.0, 0.5])
         shift4 = np.array([1.0, -2.0, 0.5, 0.0])
         R = np.eye(4)[[1, 0, 2, 3]] * np.array([1, -1, 1, 1])[:, None]
-        ball = translate(Ball(np.zeros(3), 1.0), shift3)
+        ball = Ball(np.zeros(3), 1.0).moved(np.eye(3), shift3)
         assert np.allclose(ball.center, shift3)
-        box = rotate(Box(np.zeros(4), np.ones(4)), R)
+        box = Box(np.zeros(4), np.ones(4)).moved(R, np.zeros(4))
         assert np.allclose(box.rotation @ box.rotation.T, np.eye(4))
-        poly = rotate(regular_polygon(5), R)
+        poly = regular_polygon(5).moved(R, np.zeros(4))
         assert np.allclose(poly.frame @ poly.frame.T, np.eye(2), atol=1e-12)
-        simp = rotate(translate(STANDARD_SIMPLEX, shift4), R)
-        assert abs(volume(simp) - 1 / 24) < 1e-15
+        simp = STANDARD_SIMPLEX.moved(np.eye(4), shift4).moved(R, np.zeros(4))
+        assert abs(simp.volume() - 1 / 24) < 1e-15
 
     def test_rotate_validates(self):
         with pytest.raises(ValueError):
-            rotate(unit_box(3), np.diag([1.0, 1.0, 2.0]))
+            unit_box(3).moved(np.diag([1.0, 1.0, 2.0]), np.zeros(3))
+
+    # x -> R x + t built in two steps, rotation first: one constructor per step
+    @pytest.mark.parametrize("body, two_step", [
+        (Ball(np.array([0.3, -1.0, 2.0, 0.5]), 0.7),
+         lambda K, R, t: Ball((r := Ball(R @ K.center, K.radius)).center + t, r.radius)),
+        (Box(np.array([0.1, 0.2, -0.3, 0.4]), np.array([0.5, 1.0, 0.25, 0.7]),
+             left_mult_matrix((0.5, 0.5, 0.5, 0.5))),
+         lambda K, R, t: Box((r := Box(R @ K.center, K.half_extents, R @ K.rotation)).center
+                             + t, r.half_extents, r.rotation)),
+        (STANDARD_SIMPLEX,
+         lambda K, R, t: Simplex(Simplex(K.vertices @ R.T).vertices + t)),
+        (regular_polygon(5, radius=0.8),
+         lambda K, R, t: PlanarPolygon(
+             (r := PlanarPolygon(K.frame @ R.T, K.vertices2d, R @ K.base)).frame,
+             r.vertices2d, r.base + t)),
+    ], ids=["ball", "box", "simplex", "polygon"])
+    def test_moved_matches_rotate_then_translate(self, body, two_step):
+        rng = np.random.default_rng(3)
+        R, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        t = rng.normal(size=4)
+        got, want = body.moved(R, t), two_step(body, R, t)
+        assert type(got) is type(body)
+        for field in dataclasses.fields(body):
+            assert (np.asarray(getattr(got, field.name)).tobytes()
+                    == np.asarray(getattr(want, field.name)).tobytes())

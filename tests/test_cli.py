@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from valcalc import cli
 from valcalc import serialization as ser
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
 from valcalc.cli import main
@@ -281,6 +282,21 @@ class TestExitCodes:
         rc, _, err = run(capsys, "eval", "--valuation", zu, "--body", body)
         assert rc == 3
         assert "converge" in err
+
+    @pytest.mark.parametrize("exc, code", [
+        (TypeError("exact operation on non-exact coefficient 0.5"), 2),
+        (ArithmeticError("correction failed to make the derivative vertical"), 3),
+        (ZeroDivisionError("division by zero"), 3),
+    ], ids=["type", "arithmetic", "zero-division"])
+    def test_library_errors(self, capsys, monkeypatch, exc, code):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_su2_kinematic", handler)
+        rc, out, err = run(capsys, "su2", "kinematic")
+        assert rc == code
+        assert not out
+        assert err == f"error: {exc}\n"
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex, rotate
+from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
 from valcalc.kinematic import (
     VECTOR_CACHE_SIZE,
     EvaluationVector,
@@ -144,8 +144,7 @@ class TestRhs:
         ab = rhs_kinematic(box, simp)
         ba = rhs_kinematic(simp, box)
         assert ab == pytest.approx(ba, rel=1e-9)
-        from valcalc.bodies import translate
-        shifted = translate(box, np.array([3.0, -2.0, 0.5, 1.0]))
+        shifted = box.moved(np.eye(4), np.array([3.0, -2.0, 0.5, 1.0]))
         assert rhs_kinematic(shifted, simp) == pytest.approx(ab, rel=1e-9)
 
     def test_basis_independence(self):
@@ -224,6 +223,38 @@ class TestMCPrincipal:
         assert a.estimate == b.estimate == c.estimate
         assert a.stderr == c.stderr
 
+    def test_threads_bounded_by_chunks_and_cpus(self, monkeypatch):
+        import valcalc.kinematic as kinematic
+
+        seen = []
+
+        class Recorder:
+            # records the pool size and runs the chunks in order on the
+            # calling thread, so no thread is started
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(kinematic, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 64)
+        half = Ball(np.zeros(4), 0.5)
+        N = 2 * kinematic.MC_CHUNK + 1  # three chunks
+        one = mc_principal_kinematic(half, half, N=N, seed=4)
+        many = mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
+        assert seen == [3]
+        assert (many.estimate, many.stderr) == (one.estimate, one.stderr)
+        monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 2)
+        mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
+        assert seen == [3, 2]
+
     def test_box_point(self):
         box = Box(np.zeros(4), np.array([0.5, 0.5, 0.5, 0.5]))
         point = Simplex([[0.0, 0, 0, 0]])
@@ -284,7 +315,7 @@ class TestMCPoincare:
         p = mgon(5, [[1, 0, 0, 0], [0, 0, 1, 0]])
         q = np.array([1.0, -2.0, 0.5, 3.0])
         q /= np.linalg.norm(q)
-        moved = rotate(p, rotation_matrix(q))
+        moved = p.moved(rotation_matrix(q), np.zeros(4))
         assert np.allclose(plane_class(moved.frame), plane_class(p.frame), atol=1e-12)
 
 

@@ -14,6 +14,7 @@ from valcalc.exterior import (
     sphere_volume_form,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
+from valcalc.su2 import su2_basis
 from valcalc.valuation import (
     ValuationRep,
     derivation,
@@ -239,6 +240,22 @@ class TestRepresentationIndependence:
             shifted = ValuationRep(n, a.omega + deta, a.phi)
             assert pairing(shifted, b) == pairing(a, b)
             assert pairing(b, shifted) == pairing(b, a)
+
+
+class TestFloatCoefficients:
+    # a float-coefficient rep (the icosahedral Z_u) has no exact value: the
+    # exact routines raise TypeError instead of reading floats as rationals
+    def test_unit_cube_value_rejects(self):
+        _, zf = su2_basis("icosahedron")[2]
+        with pytest.raises(TypeError):
+            unit_cube_value(zf)
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_pairing_names_the_cause(self, float_first):
+        _, zf = su2_basis("icosahedron")[2]
+        v2 = intrinsic_volume_rep(4, 2)
+        with pytest.raises(TypeError, match="exact coefficients"):
+            pairing(*((zf, v2) if float_first else (v2, zf)))
 
 
 class TestKlain:
