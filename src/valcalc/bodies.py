@@ -2,12 +2,17 @@
 
 A ball's normal cycle is a sphere graph, on which every valuation has a closed
 form (``valuation.ball_value``).  Any other body's normal cycle decomposes
-into products face x spherical normal region, integrated by one adaptive
-cubature routine.  Faces carry an orthonormal frame and a k-volume; normal
-regions are lists of spherical simplices, each given by n-k linearly
-independent unit generators.  The piece orientation is the sign of
-det[frame | generators], matching the convention under which the Euler
-characteristic of every body comes out +1.
+into products face x spherical normal region.  Faces carry an orthonormal
+frame and a k-volume; normal regions are lists of spherical simplices, each
+given by n-k linearly independent unit generators.  The piece orientation is
+the sign of det[frame | generators], matching the convention under which the
+Euler characteristic of every body comes out +1.
+
+A cell whose generators are orthonormal (an orthant), or orthonormal but for
+one pair spanning an arc, is integrated in closed form through spherical
+moments; that covers every cell of boxes, points, segments and polygons and
+the 2-generator cones of simplices.  Only the remaining, oblique cells go
+through the adaptive cubature routine and its tolerance ``VALCALC_QUAD_TOL``.
 
 Each body class carries its own support function (``support``,
 ``support_point``, ``reference_point``), volume, rigid motion
@@ -23,6 +28,17 @@ from itertools import combinations, product
 import numpy as np
 
 from .exterior import pullback_ball_shift
+from .tolerances import (
+    CELL_TOL,
+    CONVEXITY_TOL,
+    DEGENERATE_PIECE_TOL,
+    GJK_BARYCENTRIC_TOL,
+    GJK_DISTANCE_GAIN,
+    GJK_TOL,
+    ORTHONORMAL_TOL,
+    QUAD_TOL,
+    RANK_TOL,
+)
 from .valuation import ValuationRep, ball_value, ball_volume
 
 QUAD_ORDER = 8
@@ -32,7 +48,7 @@ GJK_CAP = 200
 
 
 def _quad_tol() -> float:
-    return float(os.environ.get("VALCALC_QUAD_TOL", "1e-9"))
+    return float(os.environ.get("VALCALC_QUAD_TOL", QUAD_TOL))
 
 
 class IndeterminateIntersection(RuntimeError):
@@ -53,7 +69,7 @@ def _as_matrix(rows, name):
     return a
 
 
-def _check_orthonormal(a, name, tol=1e-9):
+def _check_orthonormal(a, name, tol=ORTHONORMAL_TOL):
     g = a @ a.T
     if not np.allclose(g, np.eye(a.shape[0]), atol=tol):
         raise ValueError(f"{name} must have orthonormal rows")
@@ -77,7 +93,7 @@ def _complement_basis(directions, n):
     if a.shape[0] == 0:
         return np.eye(n)
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-10))
+    rank = int(np.sum(s > RANK_TOL))
     return vt[rank:]
 
 
@@ -254,7 +270,7 @@ class Simplex(_VertexHull):
         if not 1 <= verts.shape[0] <= n + 1:
             raise ValueError("a simplex in R^n has between 1 and n+1 vertices")
         edges = verts[1:] - verts[0]
-        if len(edges) and np.linalg.matrix_rank(edges, tol=1e-10) < len(edges):
+        if len(edges) and np.linalg.matrix_rank(edges, tol=RANK_TOL) < len(edges):
             raise ValueError("vertices are affinely dependent")
         object.__setattr__(self, "vertices", verts)
 
@@ -324,7 +340,7 @@ class PlanarPolygon(_VertexHull):
         for i in range(m):
             a, b, c = verts[i - 1], verts[i], verts[(i + 1) % m]
             cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross <= 1e-12:
+            if cross <= CONVEXITY_TOL:
                 raise ValueError("polygon must be convex and counterclockwise")
         base = np.zeros(n) if base is None else _finite(base, "base")
         if base.shape != (n,):
@@ -539,11 +555,230 @@ def _adaptive(integrand, gens, tol, depth=QUAD_DEPTH):
             + _adaptive(integrand, right, tol, depth - 1))
 
 
+# -- closed-form cells ---------------------------------------------------------
+#
+# A cell whose generators are orthonormal is an orthant of the unit sphere of
+# their span, and one whose generators are orthonormal but for a pair at angle
+# theta in (0, pi) is an arc times an orthant.  In an orthonormal frame E of
+# the span, arc pair first, v = y E, and every moment of such a cell has a
+# closed form (Folland, "How to integrate a polynomial over a sphere", 2001):
+#   orthant:  int y^a = 2^(1-m) prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2),
+#             odd exponents included;
+#   arc:      int y^a = int_0^theta cos^a_0 sin^a_1
+#                       x (orthant moment of (a_0+a_1+1, a_2, ...)),
+# the second from polar coordinates in the arc's plane.
+
+
+@lru_cache(maxsize=None)
+def _monomials(nvars, degree):
+    """Exponent tuples of one degree in nvars variables, and their positions."""
+    if nvars == 1:
+        exps = ((degree,),)
+    else:
+        exps = tuple((i,) + rest for i in range(degree, -1, -1)
+                     for rest in _monomials(nvars - 1, degree - i)[0])
+    return exps, {e: k for k, e in enumerate(exps)}
+
+
+def _moment_position(n, e):
+    """Position of v^e among the monomials of degree 0, 1, ... laid end to end."""
+    d = sum(e)
+    return sum(len(_monomials(n, j)[0]) for j in range(d)) + _monomials(n, d)[1][e]
+
+
+@lru_cache(maxsize=None)
+def _lowering(nvars, degree):
+    """Per monomial of the degree: its first variable i and the position of the
+    monomial divided by v_i among those of degree - 1."""
+    exps = _monomials(nvars, degree)[0]
+    lower = _monomials(nvars, degree - 1)[1]
+    var = [next(i for i, a in enumerate(e) if a) for e in exps]
+    parent = [lower[e[:i] + (e[i] - 1,) + e[i + 1:]] for e, i in zip(exps, var)]
+    return np.array(var), np.array(parent)
+
+
+@lru_cache(maxsize=None)
+def _raising(nvars, degree):
+    """Row k: positions of (each monomial of degree - 1) * y_k in the degree."""
+    lower = _monomials(nvars, degree - 1)[0]
+    index = _monomials(nvars, degree)[1]
+    return np.array([[index[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in lower]
+                     for k in range(nvars)]).reshape(nvars, len(lower))
+
+
+def _orthant_moment(a):
+    b = [(x + 1) / 2 for x in a]
+    return 2.0 ** (1 - len(a)) * math.prod(map(math.gamma, b)) / math.gamma(sum(b))
+
+
+@lru_cache(maxsize=None)
+def _orthant_moments(m, degree):
+    """Orthant moments in R^m, one per monomial of the degree."""
+    return np.array([_orthant_moment(a) for a in _monomials(m, degree)[0]])
+
+
+@lru_cache(maxsize=None)
+def _arc_moment_parts(m, degree):
+    """Per monomial y^a of the degree: a_0, a_1 and the orthant moment of
+    (a_0 + a_1 + 1, a_2, ...) in R^(m-1)."""
+    exps = _monomials(m, degree)[0]
+    a0 = np.array([e[0] for e in exps], dtype=int)
+    a1 = np.array([e[1] for e in exps], dtype=int)
+    rest = np.array([_orthant_moment((e[0] + e[1] + 1,) + e[2:]) for e in exps])
+    return a0, a1, rest
+
+
+def _arc_integrals(theta, degree):
+    """F[a, b] = integral of cos^a sin^b over [0, theta], for a + b <= degree."""
+    c, s = math.cos(theta), math.sin(theta)
+    F = np.zeros((degree + 1, degree + 1))
+    F[0, 0] = theta
+    if degree:
+        F[0, 1] = 2.0 * math.sin(theta / 2.0) ** 2
+    for b in range(2, degree + 1):
+        F[0, b] = ((b - 1) * F[0, b - 2] - s ** (b - 1) * c) / b
+    for b in range(degree):
+        F[1, b] = s ** (b + 1) / (b + 1)
+    for a in range(2, degree + 1):
+        for b in range(degree + 1 - a):
+            F[a, b] = (c ** (a - 1) * s ** (b + 1) + (a - 1) * F[a - 2, b]) / (a + b)
+    return F
+
+
+def _spherical_cell(gens):
+    """(frame, theta, sign) of an orthant or arc cell, None for an oblique one.
+
+    The frame is an orthonormal basis of the generators' span by Gram-Schmidt,
+    arc pair first; theta is the arc's angle (None for an orthant); sign is
+    the orientation of the barycentric chart of ``_sphere_points`` against
+    the frame, sign det(gens E^T).
+    """
+    g = np.asarray(gens, dtype=float)
+    m = len(g)
+    gram = g @ g.T
+    dev = np.abs(gram - np.eye(m))
+    if np.any(np.diag(dev) > CELL_TOL):
+        return None
+    pairs = np.argwhere(np.triu(dev, 1) > CELL_TOL)
+    if len(pairs) > 1:
+        return None
+    order = list(range(m))
+    if len(pairs):
+        a, b = (int(i) for i in pairs[0])
+        if 1.0 - abs(gram[a, b]) <= CELL_TOL:
+            return None
+        order = [a, b] + [i for i in order if i not in (a, b)]
+    q, r = np.linalg.qr(g[order].T)
+    flip = np.sign(np.diag(r))
+    frame = (q * flip).T
+    theta = math.atan2(flip[1] * r[1, 1], flip[0] * r[0, 1]) if len(pairs) else None
+    sign = 1.0 if np.linalg.det(g @ frame.T) > 0 else -1.0
+    return frame, theta, sign
+
+
+def _frame_moments(frame, theta, degree):
+    """Integrals of v^e over the cell for every monomial e of degree at most
+    ``degree``, laid end to end by degree (see ``_moment_position``).
+
+    ``sub`` holds the y-coefficients of (y E)^e, one row per monomial e of the
+    current degree, built from the degree below by one factor (y E)_i each.
+    """
+    m, n = frame.shape
+    F = None if theta is None else _arc_integrals(theta, degree)
+    sub = np.ones((1, 1))
+    out = []
+    for d in range(degree + 1):
+        if d:
+            var, parent = _lowering(n, d)
+            up = _raising(m, d)
+            prev = sub[parent]
+            sub = np.zeros((len(var), len(_monomials(m, d)[0])))
+            for k in range(m):
+                sub[:, up[k]] += frame[k, var][:, None] * prev
+        if F is None:
+            y = _orthant_moments(m, d)
+        else:
+            a0, a1, rest = _arc_moment_parts(m, d)
+            y = F[a0, a1] * rest
+        out.append(sub @ y)
+    return np.concatenate(out)
+
+
+def _cell_measure(cell):
+    """Spherical measure of an orthant or arc cell."""
+    frame, theta, _ = cell
+    return float(_frame_moments(frame, theta, 0)[0])
+
+
+@dataclass(frozen=True)
+class _TermGroup:
+    """The terms dx_I dv_J of a form on pieces of one shape, as float arrays."""
+    I: np.ndarray         # (T, k) base indices
+    J: np.ndarray         # (T, m - 1) fiber indices
+    term: np.ndarray      # (P,) term of each monomial
+    coef: np.ndarray      # (P,) float coefficient of each monomial
+    position: np.ndarray  # (P, n) moment position of monomial * v_i
+    degree: int           # highest degree of monomial * v_i
+
+
+def _closed_form_terms(form):
+    """The form's terms grouped by (k, m): face dimension, cone generators."""
+    n = form.n
+    by_shape = {}
+    for (I, J), p in form.terms.items():
+        by_shape.setdefault((len(I), len(J) + 1), []).append((I, J, p))
+    groups = {}
+    for (k, m), items in by_shape.items():
+        term, coef, position = [], [], []
+        for t, (_, _, p) in enumerate(items):
+            for e, c in p.terms.items():
+                term.append(t)
+                coef.append(float(c))
+                position.append([_moment_position(n, e[:i] + (e[i] + 1,) + e[i + 1:])
+                                 for i in range(n)])
+        groups[(k, m)] = _TermGroup(
+            np.array([I for I, _, _ in items], dtype=int).reshape(len(items), k),
+            np.array([J for _, J, _ in items], dtype=int).reshape(len(items), m - 1),
+            np.array(term, dtype=int), np.array(coef),
+            np.array(position, dtype=int).reshape(len(term), n),
+            max(p.degree() for _, _, p in items) + 1)
+    return groups
+
+
+def _closed_cell(group, fmat, cell):
+    """Oriented integral of the group's terms over face x an orthant or arc cell.
+
+    On the cell, dv_J = det[y^T | E[:, J]] dsigma = (y . w_J) dsigma, where w_J
+    holds the signed cofactors of E[:, J]; since y = E v, y . w_J = v . (w_J E),
+    and the integrand p(v) (v . w_J E) is integrated through the moments.
+    """
+    frame, theta, sign = cell
+    m = len(frame)
+    base = np.linalg.det(fmat[:, group.I].transpose(1, 0, 2))
+    rows = np.array([[r for r in range(m) if r != c] for c in range(m)],
+                    dtype=int).reshape(m, m - 1)
+    cofactors = np.linalg.det(frame[rows][:, :, group.J].transpose(2, 0, 1, 3))
+    w = cofactors * (-1.0) ** np.arange(m)
+    z = w @ frame
+    mu = _frame_moments(frame, theta, group.degree)
+    vals = np.einsum("pi,pi->p", mu[group.position], z[group.term])
+    return sign * float(vals @ (group.coef * base[group.term]))
+
+
+def _cell_value(gens, closed, integrand, tol):
+    """Integral over one cell: closed(cell) for an orthant or arc cell,
+    adaptive cubature of integrand(cell, order) for an oblique one."""
+    cell = _spherical_cell(gens)
+    if cell is None:
+        return _adaptive(integrand, gens, tol)
+    return closed(cell)
+
+
 def _piece_sign(face_vecs, gens):
     rows = [np.asarray(f, dtype=float) for f in face_vecs]
     rows += [np.asarray(g, dtype=float) for g in gens]
     det = np.linalg.det(np.array(rows))
-    if abs(det) < 1e-12:
+    if abs(det) < DEGENERATE_PIECE_TOL:
         raise ValueError("degenerate normal-cycle piece")
     return 1.0 if det > 0 else -1.0
 
@@ -552,14 +787,20 @@ def _integrate_lattice(form, lattice, tol):
     total = 0.0
     if form.is_zero():
         return total
+    groups = _closed_form_terms(form)
     for entry in lattice:
         if entry.volume == 0.0 or not entry.region:
             continue
         face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
+        fmat = np.array(face_vecs, dtype=float).reshape(entry.k, form.n)
         parity = -1.0 if entry.k % 2 else 1.0
         for gens in entry.region:
             sgn = parity * _piece_sign(face_vecs, gens)
-            val = _adaptive(partial(_cell_integral, form, face_vecs), gens, tol)
+            group = groups.get((entry.k, len(gens)))
+            if group is None:
+                continue  # no term of the form lives on pieces of this shape
+            val = _cell_value(gens, partial(_closed_cell, group, fmat),
+                              partial(_cell_integral, form, face_vecs), tol)
             total += sgn * entry.volume * val
     return total
 
@@ -590,7 +831,7 @@ def steiner_volume(K, t: float) -> float:
         if entry.k == n:
             total += entry.volume
             continue
-        angle = sum(_adaptive(_cone_density, g, tol) for g in entry.region)
+        angle = sum(_cell_value(g, _cell_measure, _cone_density, tol) for g in entry.region)
         total += entry.volume * angle / (n - entry.k) * t ** (n - entry.k)
     return total
 
@@ -629,11 +870,11 @@ def _closest_in_hull(points):
                 except np.linalg.LinAlgError:
                     continue
                 lam = np.concatenate([[1.0 - sol.sum()], sol])
-            if any(l < -1e-12 for l in lam):
+            if any(l < -GJK_BARYCENTRIC_TOL for l in lam):
                 continue
             c = sum(l * p for l, p in zip(lam, pts))
             d = float(c @ c)
-            if best is None or d < best[0] - 1e-18:
+            if best is None or d < best[0] - GJK_DISTANCE_GAIN:
                 best = (d, subset, c)
     return best
 
@@ -649,7 +890,7 @@ def _body_radius(K, center):
     return r
 
 
-def intersects(K, L, tol: float = 1e-12) -> bool:
+def intersects(K, L, tol: float = GJK_TOL) -> bool:
     """Whether the two bodies meet, by iterative support-function separation.
 
     Maintains a simplex inside the difference body K - L and tracks the

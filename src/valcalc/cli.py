@@ -35,6 +35,8 @@ OPERATORS = {
     "laplace": laplace,
 }
 
+BASES = ("icosahedron", "alesker")
+
 
 def format_float(x) -> str:
     return f"{float(x):.12f}"
@@ -153,8 +155,8 @@ def cmd_su2_gram(args):
 
 
 def cmd_su2_kinematic(args):
-    tensor = kinematic_tensor("icosahedron")
-    payload = {"labels": list(tensor.labels),
+    tensor = kinematic_tensor(args.basis)
+    payload = {"basis": args.basis, "labels": list(tensor.labels),
                "matrix": [[str(x) for x in row] for row in tensor.matrix]}
     return _labeled_matrix(tensor.labels, tensor.matrix), payload
 
@@ -249,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = su2_sub.add_parser("gram", parents=[common],
                            help="exact pairing Gram matrix of the ten-element basis")
-    p.add_argument("--basis", choices=["icosahedron", "alesker"],
-                   default="icosahedron")
+    p.add_argument("--basis", choices=BASES, default=BASES[0])
     p.set_defaults(handler=cmd_su2_gram)
 
     p = su2_sub.add_parser("kinematic", parents=[common],
                            help="exact kinematic coefficient table")
+    p.add_argument("--basis", choices=BASES, default=BASES[0])
     p.set_defaults(handler=cmd_su2_kinematic)
 
     p = su2_sub.add_parser("forms", parents=[common],

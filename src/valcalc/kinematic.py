@@ -29,6 +29,14 @@ from .bodies import (
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import alesker_directions, gram_zz, icosahedron_directions, su2_basis, tasaki_density
+from .tolerances import (
+    CONTACT_TOL,
+    MC_DEGENERATE_PLANE_RATE,
+    MC_INDETERMINATE_RATE,
+    UNIT_QUATERNION_TOL,
+    ZERO_NORM_TOL,
+    ZONOTOPE_TOL,
+)
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
@@ -185,7 +193,7 @@ class RigidMotion:
         t = np.asarray(t, dtype=float)
         if q.shape != (4,) or t.shape != (4,):
             raise ValueError("rigid motion needs a quaternion and a translation in R^4")
-        if abs(q @ q - 1.0) > 1e-12:
+        if abs(q @ q - 1.0) > UNIT_QUATERNION_TOL:
             raise ValueError("rotation part must be a unit quaternion")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
@@ -206,7 +214,7 @@ def haar_sample(rng, t_low=None, t_high=None) -> RigidMotion:
     while True:
         q = rng.standard_normal(4)
         norm = math.sqrt(q @ q)
-        if norm > 1e-12:
+        if norm > ZERO_NORM_TOL:
             break
     q = q / norm
     if t_low is None:
@@ -259,7 +267,7 @@ def _orthogonal_complement(rows: np.ndarray) -> np.ndarray:
 def _ball_box_hits(y, box, radius):
     """Whether ball centers at box-frame coordinates y (B, 4) reach the box."""
     clipped = np.clip(y, -box.half_extents, box.half_extents)
-    return np.linalg.norm(y - clipped, axis=1) <= radius + 1e-12
+    return np.linalg.norm(y - clipped, axis=1) <= radius + CONTACT_TOL
 
 
 def _hits_box_box(K, L, Rs, ts):
@@ -275,10 +283,10 @@ def _hits_box_box(K, L, Rs, ts):
     for tri in combinations(range(8), 3):
         nu = _orthogonal_complement(gens[:, tri, :])
         scale = np.linalg.norm(nu, axis=1)
-        ok = scale > 1e-12
+        ok = scale > ZERO_NORM_TOL
         proj = np.abs(np.einsum("bi,bi->b", nu, d))
         extent = np.abs(np.einsum("bi,bgi->bg", nu, gens)).sum(axis=1)
-        inside &= ~ok | (proj <= extent + 1e-9 * scale)
+        inside &= ~ok | (proj <= extent + ZONOTOPE_TOL * scale)
     return inside
 
 
@@ -369,7 +377,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
         return float(np.sum(w)), float(np.sum(w * w)), bad
 
     sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    if bad > 1e-4 * N:
+    if bad > MC_INDETERMINATE_RATE * N:
         raise RuntimeError(f"indeterminate intersection rate {bad/N:.2%} exceeds 0.01%")
     return _finalize(sum_w, sum_w2, N, seed, rhs, bad)
 
@@ -392,7 +400,7 @@ def _inside_polygon(v2d: np.ndarray, pts: np.ndarray) -> np.ndarray:
     inside = np.ones(len(pts), dtype=bool)
     for (vx, vy), (ex, ey) in zip(v2d, edges):
         cross = ex * (pts[:, 1] - vy) - ey * (pts[:, 0] - vx)
-        inside &= cross >= -1e-12
+        inside &= cross >= -CONTACT_TOL
     return inside
 
 
@@ -428,6 +436,6 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
         return float(np.sum(w)), float(np.sum(w * w)), bad
 
     sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    if bad > 1e-3 * N:
+    if bad > MC_DEGENERATE_PLANE_RATE * N:
         raise RuntimeError(f"degenerate plane-pair rate {bad/N:.2%} exceeds 0.1%")
     return _finalize(sum_w, sum_w2, N, seed, rhs, bad)

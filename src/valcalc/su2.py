@@ -21,6 +21,7 @@ from .exterior import (
     d,
 )
 from .scalars import PI, Rat, Scalar
+from .tolerances import DIRECTION_MATCH_TOL, ORTHONORMAL_TOL, ZERO_NORM_TOL
 from .valuation import ValuationRep, intrinsic_volume_rep, pairing
 
 I_MATRICES = {
@@ -114,11 +115,11 @@ class ImDirection:
             return cls(tuple(ints), True, family)
         vals = tuple(float(x) for x in vals)
         norm = math.sqrt(sum(x * x for x in vals))
-        if norm < 1e-12:
+        if norm < ZERO_NORM_TOL:
             raise ValueError("direction must be nonzero")
         vals = tuple(x / norm for x in vals)
         for x in vals:
-            if abs(x) > 1e-12:
+            if abs(x) > ZERO_NORM_TOL:
                 if x < 0:
                     vals = tuple(-y for y in vals)
                 break
@@ -141,7 +142,7 @@ class ImDirection:
             dot = sum(x * y for x, y in zip(self.coords, other.coords))
             return Rat(dot * dot, self.norm_sq * other.norm_sq)
         if self.family == "icosahedron" and other.family == "icosahedron":
-            if all(abs(x - y) < 1e-9 for x, y in zip(self.unit(), other.unit())):
+            if all(abs(x - y) < DIRECTION_MATCH_TOL for x, y in zip(self.unit(), other.unit())):
                 return Rat(1)
             return Rat(1, 5)
         dot = sum(x * y for x, y in zip(self.unit(), other.unit()))
@@ -249,7 +250,7 @@ def icosahedron_directions(rotation=None):
         for r in range(3):
             for s in range(3):
                 dot = sum(rot[t][r] * rot[t][s] for t in range(3))
-                if abs(dot - (1.0 if r == s else 0.0)) > 1e-9:
+                if abs(dot - (1.0 if r == s else 0.0)) > ORTHONORMAL_TOL:
                     raise ValueError("rotation matrix is not orthogonal")
         seeds = [tuple(sum(rot[r][s] * x[s] for s in range(3)) for r in range(3))
                  for x in seeds]

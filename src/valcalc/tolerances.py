@@ -1,0 +1,51 @@
+"""Named numeric tolerances shared by the float code paths.
+
+Each constant replaces a literal that used to sit at its point of use, with
+the same value, so every output is unchanged.  ``QUAD_TOL`` is the default
+of ``VALCALC_QUAD_TOL``.
+"""
+
+# adaptive cubature: default relative tolerance of an oblique normal cone
+QUAD_TOL = 1e-9
+
+# a normal cone integrates in closed form when its generators' Gram matrix
+# is the identity, or the identity but for one arc pair, to within this
+CELL_TOL = 1e-12
+
+# rows given as orthonormal (box rotations, polygon and Klain frames, the
+# icosahedron's rotation) may deviate from it by this much
+ORTHONORMAL_TOL = 1e-9
+
+# singular values and ranks of edge sets (simplex vertices, complements)
+RANK_TOL = 1e-10
+
+# a polygon turns left at every vertex by more than this cross product
+CONVEXITY_TOL = 1e-12
+
+# |det[face frame | cone generators]| below this is a degenerate piece
+DEGENERATE_PIECE_TOL = 1e-12
+
+# support-function separation (``bodies.intersects``)
+GJK_TOL = 1e-12
+GJK_BARYCENTRIC_TOL = 1e-12   # slack on a barycentric weight's sign
+GJK_DISTANCE_GAIN = 1e-18     # least squared-distance drop that changes the subset
+
+# vectors shorter than this count as zero (directions, sampled quaternions,
+# zonotope facet normals)
+ZERO_NORM_TOL = 1e-12
+
+# a sampled rotation is a unit quaternion to within this
+UNIT_QUATERNION_TOL = 1e-12
+
+# contact slack of the closed-form ball/box and point-in-polygon hit tests
+CONTACT_TOL = 1e-12
+
+# relative slack of the zonotope facet test in the box/box hit test
+ZONOTOPE_TOL = 1e-9
+
+# two float icosahedron directions are the same within this per coordinate
+DIRECTION_MATCH_TOL = 1e-9
+
+# Monte Carlo gives up above these shares of undecided samples
+MC_INDETERMINATE_RATE = 1e-4
+MC_DEGENERATE_PLANE_RATE = 1e-3

@@ -29,6 +29,7 @@ from .exterior import (
     spherical_density,
 )
 from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
+from .tolerances import ORTHONORMAL_TOL
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def klain(mu: ValuationRep, frame) -> float:
     mat = np.array([[float(x) for x in f] for f in frame], dtype=float)
     if mat.shape != (k, mu.n):
         raise ValueError("frame vectors must have length n")
-    if not np.allclose(mat @ mat.T, np.eye(k), atol=1e-9):
+    if not np.allclose(mat @ mat.T, np.eye(k), atol=ORTHONORMAL_TOL):
         raise ValueError("frame is not orthonormal")
     from .bodies import Simplex, evaluate
 

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from valcalc import bodies
 from valcalc.bodies import (
     Ball,
     Box,
@@ -17,7 +20,7 @@ from valcalc.bodies import (
     intersects,
     steiner_volume,
 )
-from valcalc.exterior import fiber_integrate
+from valcalc.exterior import InvariantForm, SpherePoly, fiber_integrate
 from valcalc.su2 import (
     ImDirection,
     left_mult_matrix,
@@ -475,3 +478,129 @@ class TestTransforms:
         for field in dataclasses.fields(body):
             assert (np.asarray(getattr(got, field.name)).tobytes()
                     == np.asarray(getattr(want, field.name)).tobytes())
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _random_form(rng, n, degree):
+    """Float (n-1)-form with every (I, J) term and random polynomial coefficients."""
+    terms = {}
+    for k in range(n):
+        for I in itertools.combinations(range(n), k):
+            for J in itertools.combinations(range(n), n - 1 - k):
+                poly = {e: float(rng.standard_normal())
+                        for e in itertools.product(range(degree + 1), repeat=n)
+                        if sum(e) <= degree and rng.random() < 0.4}
+                terms[(I, J)] = SpherePoly(n, poly)
+    return InvariantForm(n, terms)
+
+
+def _quadrature_only(monkeypatch):
+    """Send every cell to adaptive cubature at tolerance 1e-13."""
+    monkeypatch.setenv("VALCALC_QUAD_TOL", "1e-13")
+    monkeypatch.setattr(bodies, "_spherical_cell", lambda gens: None)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+_ROTATED_BOX = Box(np.array([0.1, -0.2, 0.3, 0.0]), np.array([0.6, 0.4, 0.5, 0.3]),
+                   _random_orthogonal(np.random.default_rng(7), 4))
+_PENTAGON_ANGLES = 2 * math.pi * np.arange(5) / 5 + np.array([0.1, 0.3, -0.2, 0.0, 0.15])
+_PENTAGON = 0.8 * np.stack([np.cos(_PENTAGON_ANGLES), np.sin(_PENTAGON_ANGLES)], axis=1)
+
+
+class TestClosedFormCells:
+    """Orthant and arc cells in closed form against adaptive cubature."""
+
+    @pytest.mark.parametrize("m, arc", [(1, False), (2, False), (2, True), (3, False),
+                                        (3, True), (4, False), (4, True)])
+    def test_cell_matches_quadrature(self, m, arc):
+        rng = np.random.default_rng(10 * m + arc)
+        # the reference cubature at 1e-13 slows with the cell's dimension and
+        # the integrand's degree; degree 5 - m keeps each case near a second
+        form = _random_form(rng, 4, 5 - m)
+        k = 4 - m
+        group = bodies._closed_form_terms(form)[(k, m)]
+        for theta in (0.7, 2.2):
+            q = _random_orthogonal(rng, 4)
+            fmat, gens = q[:k], q[k:].copy()
+            if arc:
+                gens[1] = math.cos(theta) * gens[0] + math.sin(theta) * gens[1]
+            gens = gens[rng.permutation(m)]
+            cell = bodies._spherical_cell(gens)
+            assert cell is not None and (cell[1] is not None) == arc
+            got = bodies._closed_cell(group, fmat, cell)
+            want = bodies._adaptive(
+                functools.partial(bodies._cell_integral, form, list(fmat)), gens, 1e-13)
+            assert _close(got, want), (got, want)
+
+    def test_near_orthonormal_cell_falls_back(self):
+        rng = np.random.default_rng(4)
+        gens = _random_orthogonal(rng, 4)[:3] + 1e-8 * rng.standard_normal((3, 4))
+        gens /= np.linalg.norm(gens, axis=1, keepdims=True)
+        assert bodies._spherical_cell(gens) is None
+
+        def closed(cell):
+            raise AssertionError("closed form used on an oblique cell")
+
+        integrand = bodies._cone_density
+        got = bodies._cell_value(gens, closed, integrand, 1e-9)
+        assert got == bodies._adaptive(integrand, gens, 1e-9)
+
+    @pytest.mark.parametrize("body, ks", [
+        (_ROTATED_BOX, (1, 2, 3)),
+        (Box(np.array([0.2, 0.0, -0.1]), np.array([0.3, 0.5, 0.7])), (0, 1, 2)),
+        (Simplex([[0.3, -1, 2, 0.5]]), (0,)),
+        (Simplex([[0.3, -1, 2, 0.5], [1.0, 0.2, 1.5, 0.1]]), (1,)),
+        (PlanarPolygon(_random_orthogonal(np.random.default_rng(2), 4)[:2], _PENTAGON,
+                       np.array([0.1, 0.2, 0.3, 0.4])), (1, 2)),
+        (PlanarPolygon(np.eye(2), _PENTAGON), (0, 1)),
+    ], ids=["rotated-box4", "box3", "point4", "segment4", "pentagon4", "pentagon2"])
+    def test_body_matches_quadrature(self, monkeypatch, body, ks):
+        # chi on R^4 bodies other than the point is left out: its sixteen
+        # 4-generator orthants per vertex take seconds at tolerance 1e-13
+        reps = [intrinsic_volume_rep(body.dim, k) for k in ks]
+        if body is _ROTATED_BOX:
+            reps += [rep for label, rep in su2_basis("icosahedron")
+                     if label in ("Z_u1", "Z_u4")]
+        closed = [evaluate(mu, body) for mu in reps]
+        _quadrature_only(monkeypatch)
+        for mu, got in zip(reps, closed):
+            want = evaluate(mu, body)
+            assert _close(got, want), (got, want)
+
+    def test_quadrature_only_on_oblique_cones(self, monkeypatch):
+        calls = []
+        adaptive = bodies._adaptive
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(bodies, "_adaptive", counting)
+        reps = [rep for _, rep in su2_basis("icosahedron")]
+        for body in (_ROTATED_BOX, regular_polygon(5, radius=0.8),
+                     PlanarPolygon(np.eye(2), _PENTAGON)):
+            for mu in reps if body.dim == 4 else [intrinsic_volume_rep(2, 0)]:
+                evaluate(mu, body)
+            steiner_volume(body, 0.3)
+        assert calls == []
+        oblique = Simplex([[0, 0, 0, 0], [1, 0.2, 0, 0], [0, 1, 0.1, 0],
+                           [0.3, 0, 1, 0], [0, 0.1, 0, 1.2]])
+        assert abs(evaluate(intrinsic_volume_rep(4, 0), oblique) - 1.0) < 1e-9
+        assert calls and set(calls) == {4}
+
+    def test_box_steiner_volume_is_elementary_symmetric(self):
+        edges = 2.0 * _ROTATED_BOX.half_extents
+        t = 0.35
+        want = 0.0
+        for k in range(5):
+            omega = math.pi ** ((4 - k) / 2) / math.gamma((4 - k) / 2 + 1)
+            e_k = sum(math.prod(c) for c in itertools.combinations(edges, k))
+            want += omega * e_k * t ** (4 - k)
+        assert abs(steiner_volume(_ROTATED_BOX, t) - want) <= 1e-12 * want

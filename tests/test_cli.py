@@ -10,6 +10,7 @@ from valcalc import serialization as ser
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
 from valcalc.cli import main
 from valcalc.contact import rumin
+from valcalc.kinematic import kinematic_tensor
 from valcalc.su2 import ImDirection, quaternionic_forms, z_rep
 from valcalc.valuation import derivation, intrinsic_volume_rep
 
@@ -59,6 +60,22 @@ class TestDocumentedOutputs:
         assert "17/4" in out
         assert "-3/4" in out
         assert "4/3*pi^-1" in out
+
+    @pytest.mark.parametrize("basis", ["icosahedron", "alesker"])
+    def test_kinematic_basis(self, capsys, basis):
+        rc, out, _ = run(capsys, "su2", "kinematic", "--basis", basis, "--json")
+        assert rc == 0
+        payload = json.loads(out)
+        tensor = kinematic_tensor(basis)
+        assert payload["basis"] == basis
+        assert payload["labels"] == list(tensor.labels)
+        assert payload["matrix"] == [[str(x) for x in row] for row in tensor.matrix]
+
+    def test_kinematic_unknown_basis(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["su2", "kinematic", "--basis", "cube"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_gram_table_constants(self, capsys):
         rc, out, _ = run(capsys, "su2", "gram")
@@ -276,10 +293,12 @@ class TestExitCodes:
     def test_quadrature_non_convergence(self, capsys, files, monkeypatch):
         _, save = files
         monkeypatch.setenv("VALCALC_QUAD_TOL", "1e-30")
-        zu = save("zu.json", ser.valuation_to_json(z_rep(ImDirection.of(1, 0, 0))))
+        # chi lives on the vertex cones; four of them have oblique
+        # generators, which take quadrature (Z_u's cones are all arcs)
+        chi = save("chi.json", ser.valuation_to_json(intrinsic_volume_rep(4, 0)))
         body = save("s.json", ser.body_to_json(
             Simplex(np.vstack([np.zeros(4), np.eye(4)]))))
-        rc, _, err = run(capsys, "eval", "--valuation", zu, "--body", body)
+        rc, _, err = run(capsys, "eval", "--valuation", chi, "--body", body)
         assert rc == 3
         assert "converge" in err
 
