@@ -498,12 +498,6 @@ def _random_form(rng, n, degree):
     return InvariantForm(n, terms)
 
 
-def _quadrature_only(monkeypatch):
-    """Send every cell to adaptive cubature at tolerance 1e-13."""
-    monkeypatch.setenv("VALCALC_QUAD_TOL", "1e-13")
-    monkeypatch.setattr(bodies, "_spherical_cell", lambda gens: None)
-
-
 def _close(a, b):
     return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -569,7 +563,9 @@ class TestClosedFormCells:
             reps += [rep for label, rep in su2_basis("icosahedron")
                      if label in ("Z_u1", "Z_u4")]
         closed = [evaluate(mu, body) for mu in reps]
-        _quadrature_only(monkeypatch)
+        # the reference: every cell through adaptive cubature at 1e-13
+        monkeypatch.setenv("VALCALC_QUAD_TOL", "1e-13")
+        monkeypatch.setattr(bodies, "_spherical_cell", lambda gens: None)
         for mu, got in zip(reps, closed):
             want = evaluate(mu, body)
             assert _close(got, want), (got, want)
