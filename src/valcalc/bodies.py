@@ -8,11 +8,13 @@ given by n-k linearly independent unit generators.  The piece orientation is
 the sign of det[frame | generators], matching the convention under which the
 Euler characteristic of every body comes out +1.
 
-A cell whose generators are orthonormal (an orthant), or orthonormal but for
-one pair spanning an arc, is integrated in closed form through spherical
-moments; that covers every cell of boxes, points, segments and polygons and
-the 2-generator cones of simplices.  Only the remaining, oblique cells go
-through the adaptive cubature routine and its tolerance ``VALCALC_QUAD_TOL``.
+Every piece is integrated exactly, through the spherical moments of its cell:
+an orthant, an arc times an orthant, or a geodesic triangle.  Vertex pieces
+are integrated all at once, as the normal cone of a point, since the vertex
+cones of a polytope tile the sphere.  That covers every cell of boxes,
+points, segments, polygons and simplices in R^2 to R^4; an oblique cone of
+four or more generators on a face of dimension >= 1, which only simplices of
+dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
 
 Each body class carries its own support function (``support``,
 ``support_point``, ``reference_point``), volume, rigid motion
@@ -20,10 +22,10 @@ Each body class carries its own support function (``support``,
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,19 +38,11 @@ from .tolerances import (
     GJK_DISTANCE_GAIN,
     GJK_TOL,
     ORTHONORMAL_TOL,
-    QUAD_TOL,
     RANK_TOL,
 )
 from .valuation import ValuationRep, ball_value, ball_volume
 
-QUAD_ORDER = 8
-QUAD_ORDER_FINE = 12
-QUAD_DEPTH = 14
 GJK_CAP = 200
-
-
-def _quad_tol() -> float:
-    return float(os.environ.get("VALCALC_QUAD_TOL", QUAD_TOL))
 
 
 class IndeterminateIntersection(RuntimeError):
@@ -424,149 +418,24 @@ class PlanarPolygon(_VertexHull):
         return out
 
 
-@lru_cache(maxsize=None)
-def _gauss(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-@lru_cache(maxsize=None)
-def _duffy_points(dim, order):
-    """Quadrature nodes/weights on the standard simplex {l >= 0, sum l <= 1}."""
-    if dim == 0:
-        return (np.zeros(0),), (1.0,)
-    x, w = _gauss(order)
-    nodes, weights = [], []
-    for idx in product(range(order), repeat=dim):
-        lam = np.zeros(dim)
-        weight = 1.0
-        rem = 1.0
-        for axis, i in enumerate(idx):
-            lam[axis] = x[i] * rem
-            weight *= w[i] * rem
-            rem -= lam[axis]
-        nodes.append(lam)
-        weights.append(weight)
-    return tuple(nodes), tuple(weights)
-
-
-def _sphere_points(gens, order):
-    """Batched quadrature data: points, tangent stacks, weights, 1/|raw|."""
-    gens = np.asarray(gens, dtype=float)
-    m = len(gens)
-    nodes, weights = _duffy_points(m - 1, order)
-    lam = np.array(nodes).reshape(len(nodes), m - 1)
-    wts = np.array(weights)
-    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
-    raw = bary @ gens
-    norms = np.linalg.norm(raw, axis=1)
-    v = raw / norms[:, None]
-    edges = gens[1:] - gens[0]
-    dots = v @ edges.T
-    # tangents[q, j] = projection of edge j to the sphere at v[q]
-    tangents = (edges[None, :, :] - dots[:, :, None] * v[:, None, :]) / norms[:, None, None]
-    return v, tangents, wts
-
-
-def _poly_batch(p, v):
-    """Vectorized SpherePoly evaluation over rows of v."""
-    out = np.zeros(len(v))
-    for e, c in p.terms.items():
-        term = np.full(len(v), float(c))
-        for i, ei in enumerate(e):
-            if ei:
-                term = term * v[:, i] ** ei
-        out += term
-    return out
-
-
-def _cell_integral(form, face_vecs, gens, order):
-    """Oriented integral of the form over face x spherical simplex.
-
-    Face vectors have no fiber part and sphere tangents no base part, so each
-    term's determinant splits into a constant base minor times a batched
-    fiber minor over the quadrature points.
-    """
-    m = len(gens)
-    v, tangents, wts = _sphere_points(gens, order)
-    k = len(face_vecs)
-    fmat = np.array(face_vecs, dtype=float).reshape(k, form.n)
-    total = np.zeros(len(v))
-    for (I, J), p in form.terms.items():
-        if len(I) != k or len(J) != m - 1:
-            continue
-        base_minor = float(np.linalg.det(fmat[:, I])) if k else 1.0
-        if base_minor == 0.0:
-            continue
-        if J:
-            fiber = np.linalg.det(tangents[:, :, J])
-        else:
-            fiber = 1.0
-        total += base_minor * fiber * _poly_batch(p, v)
-    return float(total @ wts)
-
-
-def _split_longest(gens):
-    gens = np.asarray(gens, dtype=float)
-    m = len(gens)
-    best, pair = -1.0, (0, 1)
-    for a in range(m):
-        for b in range(a + 1, m):
-            d = float(np.linalg.norm(gens[a] - gens[b]))
-            if d > best:
-                best, pair = d, (a, b)
-    a, b = pair
-    mid = gens[a] + gens[b]
-    mid = mid / np.linalg.norm(mid)
-    left = gens.copy()
-    left[b] = mid
-    right = gens.copy()
-    right[a] = mid
-    return left, right
-
-
-def _cone_density(gens, order):
-    """Spherical measure of the simplex spanned by the generators, at one order."""
-    v, tangents, wts = _sphere_points(gens, order)
-    mats = np.concatenate([v[:, None, :], tangents], axis=1)
-    grams = mats @ np.swapaxes(mats, 1, 2)
-    dens = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
-    return float(dens @ wts)
-
-
-def _adaptive(integrand, gens, tol, depth=QUAD_DEPTH):
-    """Adaptive cubature of integrand(cell, order) over a spherical simplex.
-
-    A cell is accepted when its order-8 and order-12 values agree to within
-    0.1 * tol relative; otherwise it is split at the midpoint of its longest
-    edge.  The gap overestimates the order-12 error by orders of magnitude on
-    analytic integrands, so the accepted value is far inside tol.
-    """
-    if len(gens) == 1:
-        return integrand(gens, QUAD_ORDER)
-    coarse = integrand(gens, QUAD_ORDER)
-    fine = integrand(gens, QUAD_ORDER_FINE)
-    if abs(coarse - fine) <= 0.1 * tol * (1.0 + abs(fine)):
-        return fine
-    if depth <= 0:
-        raise RuntimeError("spherical quadrature did not converge")
-    left, right = _split_longest(gens)
-    return (_adaptive(integrand, left, tol, depth - 1)
-            + _adaptive(integrand, right, tol, depth - 1))
-
-
-# -- closed-form cells ---------------------------------------------------------
+# -- exact cells -----------------------------------------------------------------
 #
-# A cell whose generators are orthonormal is an orthant of the unit sphere of
-# their span, and one whose generators are orthonormal but for a pair at angle
-# theta in (0, pi) is an arc times an orthant.  In an orthonormal frame E of
-# the span, arc pair first, v = y E, and every moment of such a cell has a
-# closed form (Folland, "How to integrate a polynomial over a sphere", 2001):
-#   orthant:  int y^a = 2^(1-m) prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2),
+# A cell is integrated through its moments, the integrals of y^a over the cell
+# for every monomial a, where v = y E in an orthonormal frame E of the span of
+# its m generators.  Three kinds of cell have exact moments:
+#   orthant:  orthonormal generators (Folland, "How to integrate a polynomial
+#             over a sphere", 2001),
+#             int y^a = 2^(1-m) prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2),
 #             odd exponents included;
-#   arc:      int y^a = int_0^theta cos^a_0 sin^a_1
+#   arc:      orthonormal but for one pair at angle theta in (0, pi), put first,
+#             int y^a = int_0^theta cos^a_0 sin^a_1
 #                       x (orthant moment of (a_0+a_1+1, a_2, ...)),
-# the second from polar coordinates in the arc's plane.
+#             from polar coordinates in the arc's plane;
+#   triangle: any other three generators, a geodesic triangle on S^2
+#             (``_triangle_moments``).
+# Vertex cells need no rule of their own (``_integrate_lattice``).  That leaves
+# oblique cones of four or more generators on faces of dimension >= 1, which
+# only simplices of dimension >= 4 in R^n with n >= 5 have: they raise.
 
 
 @lru_cache(maxsize=None)
@@ -586,6 +455,10 @@ def _moment_position(n, e):
     return sum(len(_monomials(n, j)[0]) for j in range(d)) + _monomials(n, d)[1][e]
 
 
+def _shifted(e, i, step):
+    return e[:i] + (e[i] + step,) + e[i + 1:]
+
+
 @lru_cache(maxsize=None)
 def _lowering(nvars, degree):
     """Per monomial of the degree: its first variable i and the position of the
@@ -593,7 +466,7 @@ def _lowering(nvars, degree):
     exps = _monomials(nvars, degree)[0]
     lower = _monomials(nvars, degree - 1)[1]
     var = [next(i for i, a in enumerate(e) if a) for e in exps]
-    parent = [lower[e[:i] + (e[i] - 1,) + e[i + 1:]] for e, i in zip(exps, var)]
+    parent = [lower[_shifted(e, i, -1)] for e, i in zip(exps, var)]
     return np.array(var), np.array(parent)
 
 
@@ -602,8 +475,27 @@ def _raising(nvars, degree):
     """Row k: positions of (each monomial of degree - 1) * y_k in the degree."""
     lower = _monomials(nvars, degree - 1)[0]
     index = _monomials(nvars, degree)[1]
-    return np.array([[index[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in lower]
+    return np.array([[index[_shifted(e, k, 1)] for e in lower]
                      for k in range(nvars)]).reshape(nvars, len(lower))
+
+
+@lru_cache(maxsize=None)
+def _derivatives(degree):
+    """Laplacian and gradient of the monomials of the degree in three variables:
+    ``lap[r]`` holds the coefficients of Delta y^e_r over the monomials of
+    degree - 2, ``grad[i, r]`` those of d/dy_i y^e_r over degree - 1."""
+    exps = _monomials(3, degree)[0]
+    lower = _monomials(3, degree - 1)[1]
+    lower2 = _monomials(3, degree - 2)[1] if degree >= 2 else {}
+    lap = np.zeros((len(exps), len(lower2)))
+    grad = np.zeros((3, len(exps), len(lower)))
+    for r, e in enumerate(exps):
+        for i, a in enumerate(e):
+            if a:
+                grad[i, r, lower[_shifted(e, i, -1)]] = a
+            if a > 1:
+                lap[r, lower2[_shifted(e, i, -2)]] = a * (a - 1)
+    return lap, grad
 
 
 def _orthant_moment(a):
@@ -645,49 +537,72 @@ def _arc_integrals(theta, degree):
     return F
 
 
-def _spherical_cell(gens):
-    """(frame, theta, sign) of an orthant or arc cell, None for an oblique one.
+def _orthant_cell_moments(m, degree):
+    """Moments of an orthant of S^(m-1), one array per degree up to the given."""
+    return [_orthant_moments(m, d) for d in range(degree + 1)]
 
-    The frame is an orthonormal basis of the generators' span by Gram-Schmidt,
-    arc pair first; theta is the arc's angle (None for an orthant); sign is
-    the orientation of the barycentric chart of ``_sphere_points`` against
-    the frame, sign det(gens E^T).
+
+def _arc_moments(m, theta, degree):
+    """Moments of an arc of angle theta times an orthant, per degree."""
+    F = _arc_integrals(theta, degree)
+    out = []
+    for d in range(degree + 1):
+        a0, a1, rest = _arc_moment_parts(m, d)
+        out.append(F[a0, a1] * rest)
+    return out
+
+
+def _triangle_moments(corners, degree):
+    """Moments of the geodesic triangle T on S^2 with the given corners, per degree.
+
+    The corners have a positive determinant, as in the frame of their cell.
+
+    Degree 0 is the solid angle (Van Oosterom and Strackee, "The solid angle
+    of a plane triangle", 1983).  On S^2 a homogeneous P of degree d has
+    Delta_S P = Delta P - d(d+1) P, and by the divergence theorem the integral
+    of Delta_S P over T is the flux of grad P through the boundary, so
+
+        int_T P = (int_T Delta P - sum over arcs of int grad P . nu ds) / (d(d+1))
+
+    with nu the outward unit normal of the arc's great circle.  On a harmonic
+    of degree d this is int_T h = -flux(h) / (d(d+1)); Delta P carries the
+    lower harmonics of P's Fischer decomposition, so P need not be split.  The
+    arc integrals are the moments of two-generator arc cells.
     """
-    g = np.asarray(gens, dtype=float)
-    m = len(g)
-    gram = g @ g.T
-    dev = np.abs(gram - np.eye(m))
-    if np.any(np.diag(dev) > CELL_TOL):
-        return None
-    pairs = np.argwhere(np.triu(dev, 1) > CELL_TOL)
-    if len(pairs) > 1:
-        return None
-    order = list(range(m))
-    if len(pairs):
-        a, b = (int(i) for i in pairs[0])
-        if 1.0 - abs(gram[a, b]) <= CELL_TOL:
-            return None
-        order = [a, b] + [i for i in order if i not in (a, b)]
-    q, r = np.linalg.qr(g[order].T)
-    flip = np.sign(np.diag(r))
-    frame = (q * flip).T
-    theta = math.atan2(flip[1] * r[1, 1], flip[0] * r[0, 1]) if len(pairs) else None
-    sign = 1.0 if np.linalg.det(g @ frame.T) > 0 else -1.0
-    return frame, theta, sign
+    a, b, c = corners / np.linalg.norm(corners, axis=1)[:, None]
+    out = [np.array([2.0 * math.atan2(a @ np.cross(b, c), 1.0 + a @ b + b @ c + c @ a)])]
+    if not degree:
+        return out
+    flux = [np.zeros((3, len(_monomials(3, d)[0]))) for d in range(degree)]
+    for x, z in ((a, b), (b, c), (c, a)):
+        normal = np.cross(x, z)  # points into T
+        s = float(np.linalg.norm(normal))
+        normal = normal / s
+        arc = _frame_moments(np.array([x, np.cross(normal, x)]),
+                             _arc_moments(2, math.atan2(s, x @ z), degree - 1))
+        for d in range(degree):
+            flux[d] -= np.outer(normal, arc[d])
+    for d in range(1, degree + 1):
+        lap, grad = _derivatives(d)
+        total = -np.einsum("irk,ik->r", grad, flux[d - 1])
+        if d >= 2:
+            total += lap @ out[d - 2]
+        out.append(total / (d * (d + 1)))
+    return out
 
 
-def _frame_moments(frame, theta, degree):
-    """Integrals of v^e over the cell for every monomial e of degree at most
-    ``degree``, laid end to end by degree (see ``_moment_position``).
+def _frame_moments(frame, y):
+    """Integrals of v^e over a cell, one array per degree d (monomials e in
+    ``_monomials`` order), from y[d], its moments of the monomials of degree d
+    in the frame coordinates v = y E.
 
     ``sub`` holds the y-coefficients of (y E)^e, one row per monomial e of the
     current degree, built from the degree below by one factor (y E)_i each.
     """
     m, n = frame.shape
-    F = None if theta is None else _arc_integrals(theta, degree)
     sub = np.ones((1, 1))
     out = []
-    for d in range(degree + 1):
+    for d, yd in enumerate(y):
         if d:
             var, parent = _lowering(n, d)
             up = _raising(m, d)
@@ -695,19 +610,52 @@ def _frame_moments(frame, theta, degree):
             sub = np.zeros((len(var), len(_monomials(m, d)[0])))
             for k in range(m):
                 sub[:, up[k]] += frame[k, var][:, None] * prev
-        if F is None:
-            y = _orthant_moments(m, d)
-        else:
-            a0, a1, rest = _arc_moment_parts(m, d)
-            y = F[a0, a1] * rest
-        out.append(sub @ y)
-    return np.concatenate(out)
+        out.append(sub @ yd)
+    return out
+
+
+class _Cell(NamedTuple):
+    rule: str               # "orthant", "arc" or "triangle"
+    frame: np.ndarray       # orthonormal rows E spanning the cell, v = y E
+    moments: Callable       # degree -> the cell's y-moments of each degree up to it
+    sign: float             # orientation of the generators' chart against E
+
+
+def _spherical_cell(gens):
+    """The exact rule of the cell spanned by the generators.
+
+    The frame is an orthonormal basis of the span by Gram-Schmidt, arc pair
+    first; the sign is the orientation of the barycentric chart of the
+    generators against the frame, sign det(gens E^T).  A Gram matrix equal to
+    the identity, or to it but for one pair, to within ``CELL_TOL`` makes an
+    orthant or an arc; any other three generators make a triangle.
+    """
+    g = np.asarray(gens, dtype=float)
+    m = len(g)
+    dev = np.abs(g @ g.T - np.eye(m))
+    pairs = np.argwhere(np.triu(dev, 1) > CELL_TOL)
+    if len(pairs) > 1 and m != 3:
+        raise ValueError(f"no exact rule for an oblique normal cone of {m} generators "
+                         f"in R^{g.shape[1]}")
+    order = list(range(m))
+    if len(pairs) == 1:
+        a, b = (int(i) for i in pairs[0])
+        order = [a, b] + [i for i in order if i not in (a, b)]
+    q, r = np.linalg.qr(g[order].T)
+    flip = np.sign(np.diag(r))
+    frame = (q * flip).T
+    sign = 1.0 if np.linalg.det(g @ frame.T) > 0 else -1.0
+    if not len(pairs):
+        return _Cell("orthant", frame, partial(_orthant_cell_moments, m), sign)
+    if len(pairs) == 1:
+        theta = math.atan2(flip[1] * r[1, 1], flip[0] * r[0, 1])
+        return _Cell("arc", frame, partial(_arc_moments, m, theta), sign)
+    return _Cell("triangle", frame, partial(_triangle_moments, g @ frame.T), sign)
 
 
 def _cell_measure(cell):
-    """Spherical measure of an orthant or arc cell."""
-    frame, theta, _ = cell
-    return float(_frame_moments(frame, theta, 0)[0])
+    """Spherical measure of a cell."""
+    return float(cell.moments(0)[0][0])
 
 
 @dataclass(frozen=True)
@@ -734,8 +682,7 @@ def _closed_form_terms(form):
             for e, c in p.terms.items():
                 term.append(t)
                 coef.append(float(c))
-                position.append([_moment_position(n, e[:i] + (e[i] + 1,) + e[i + 1:])
-                                 for i in range(n)])
+                position.append([_moment_position(n, _shifted(e, i, 1)) for i in range(n)])
         groups[(k, m)] = _TermGroup(
             np.array([I for I, _, _ in items], dtype=int).reshape(len(items), k),
             np.array([J for _, J, _ in items], dtype=int).reshape(len(items), m - 1),
@@ -746,13 +693,13 @@ def _closed_form_terms(form):
 
 
 def _closed_cell(group, fmat, cell):
-    """Oriented integral of the group's terms over face x an orthant or arc cell.
+    """Oriented integral of the group's terms over face x cell.
 
     On the cell, dv_J = det[y^T | E[:, J]] dsigma = (y . w_J) dsigma, where w_J
     holds the signed cofactors of E[:, J]; since y = E v, y . w_J = v . (w_J E),
     and the integrand p(v) (v . w_J E) is integrated through the moments.
     """
-    frame, theta, sign = cell
+    frame = cell.frame
     m = len(frame)
     base = np.linalg.det(fmat[:, group.I].transpose(1, 0, 2))
     rows = np.array([[r for r in range(m) if r != c] for c in range(m)],
@@ -760,18 +707,9 @@ def _closed_cell(group, fmat, cell):
     cofactors = np.linalg.det(frame[rows][:, :, group.J].transpose(2, 0, 1, 3))
     w = cofactors * (-1.0) ** np.arange(m)
     z = w @ frame
-    mu = _frame_moments(frame, theta, group.degree)
+    mu = np.concatenate(_frame_moments(frame, cell.moments(group.degree)))
     vals = np.einsum("pi,pi->p", mu[group.position], z[group.term])
-    return sign * float(vals @ (group.coef * base[group.term]))
-
-
-def _cell_value(gens, closed, integrand, tol):
-    """Integral over one cell: closed(cell) for an orthant or arc cell,
-    adaptive cubature of integrand(cell, order) for an oblique one."""
-    cell = _spherical_cell(gens)
-    if cell is None:
-        return _adaptive(integrand, gens, tol)
-    return closed(cell)
+    return cell.sign * float(vals @ (group.coef * base[group.term]))
 
 
 def _piece_sign(face_vecs, gens):
@@ -783,12 +721,24 @@ def _piece_sign(face_vecs, gens):
     return 1.0 if det > 0 else -1.0
 
 
-def _integrate_lattice(form, lattice, tol):
+@lru_cache(maxsize=None)
+def _point_vertex(n):
+    """The vertex entry of a point in R^n: its normal cone, R^n, as 2^n orthants."""
+    return Simplex(np.zeros((1, n))).face_lattice()[0]
+
+
+def _integrate_lattice(form, lattice):
+    """Oriented integral of the form over the normal cycle of the face lattice.
+
+    Only the pure-dv terms (I = ()) live on vertex pieces, and they depend on
+    v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
+    vertex pieces together integrate like the one vertex of a point.
+    """
     total = 0.0
     if form.is_zero():
         return total
     groups = _closed_form_terms(form)
-    for entry in lattice:
+    for entry in [e for e in lattice if e.k] + [_point_vertex(form.n)]:
         if entry.volume == 0.0 or not entry.region:
             continue
         face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
@@ -799,9 +749,7 @@ def _integrate_lattice(form, lattice, tol):
             group = groups.get((entry.k, len(gens)))
             if group is None:
                 continue  # no term of the form lives on pieces of this shape
-            val = _cell_value(gens, partial(_closed_cell, group, fmat),
-                              partial(_cell_integral, form, face_vecs), tol)
-            total += sgn * entry.volume * val
+            total += sgn * entry.volume * _closed_cell(group, fmat, _spherical_cell(gens))
     return total
 
 
@@ -816,23 +764,23 @@ def evaluate(mu: ValuationRep, K) -> float:
     phi_top = float(mu.phi.top_coefficient())
     if phi_top:
         total += phi_top * K.volume()
-    total += _integrate_lattice(mu.omega, lattice, _quad_tol())
+    total += _integrate_lattice(mu.omega, lattice)
     return total
 
 
 def steiner_volume(K, t: float) -> float:
     """Volume of the outer parallel body K + tB via the face decomposition."""
-    if isinstance(K, Ball):
-        return float(ball_volume(K.dim)) * (K.radius + t) ** K.dim
     n = K.dim
-    tol = _quad_tol()
-    total = 0.0
+    if isinstance(K, Ball):
+        return float(ball_volume(n)) * (K.radius + t) ** n
+    # the vertex angles add up to |S^(n-1)| (see _integrate_lattice)
+    total = float(ball_volume(n)) * t ** n
     for entry in K.face_lattice():
         if entry.k == n:
             total += entry.volume
-            continue
-        angle = sum(_cell_value(g, _cell_measure, _cone_density, tol) for g in entry.region)
-        total += entry.volume * angle / (n - entry.k) * t ** (n - entry.k)
+        elif entry.k:
+            angle = sum(_cell_measure(_spherical_cell(g)) for g in entry.region)
+            total += entry.volume * angle / (n - entry.k) * t ** (n - entry.k)
     return total
 
 
@@ -844,9 +792,8 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
         return evaluate(mu, Ball(K.center, K.radius + t))
     if t == 0:
         return evaluate(mu, K)
-    tol = _quad_tol()
     shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
-    total = _integrate_lattice(shifted, K.face_lattice(), tol)
+    total = _integrate_lattice(shifted, K.face_lattice())
     phi_top = float(mu.phi.top_coefficient())
     if phi_top:
         total += phi_top * steiner_volume(K, t)

@@ -136,14 +136,13 @@ def kinematic_tensor(basis="icosahedron") -> KinematicTensor:
     return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
 
 
-# evaluation vectors by (basis, tolerance, body type and field bytes), oldest
-# evicted first
+# evaluation vectors by (basis, body type and field bytes), oldest evicted first
 VECTOR_CACHE_SIZE = 256
 _VECTOR_CACHE = {}
 
 
 def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
-    key = (kind, os.environ.get("VALCALC_QUAD_TOL"), type(K).__name__,
+    key = (kind, type(K).__name__,
            *(np.asarray(getattr(K, f.name)).tobytes() for f in fields(K)))
     if key in _VECTOR_CACHE:
         return _VECTOR_CACHE[key]

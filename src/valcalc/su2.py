@@ -263,8 +263,18 @@ def alesker_directions():
     return [ImDirection.of(*s) for s in seeds]
 
 
+_BASES = {}
+
+
 def su2_basis(kind: str = "icosahedron"):
-    """Ten labeled valuations spanning the unitarily invariant space."""
+    """Ten labeled valuations spanning the unitarily invariant space, as a
+    tuple of (label, rep) pairs built once per kind."""
+    if kind not in _BASES:
+        _BASES[kind] = _build_basis(kind)
+    return _BASES[kind]
+
+
+def _build_basis(kind):
     if kind == "icosahedron":
         dirs = icosahedron_directions()
         labels = [f"Z_u{i + 1}" for i in range(6)]
@@ -276,4 +286,4 @@ def su2_basis(kind: str = "icosahedron"):
     out = [("chi", intrinsic_volume_rep(4, 0)), ("vol1", intrinsic_volume_rep(4, 1))]
     out += list(zip(labels, (z_rep(u) for u in dirs)))
     out += [("vol3", intrinsic_volume_rep(4, 3)), ("vol", intrinsic_volume_rep(4, 4))]
-    return out
+    return tuple(out)

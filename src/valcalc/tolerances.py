@@ -1,15 +1,13 @@
 """Named numeric tolerances shared by the float code paths.
 
-Each constant replaces a literal that used to sit at its point of use, with
-the same value, so every output is unchanged.  ``QUAD_TOL`` is the default
-of ``VALCALC_QUAD_TOL``.
+Each constant names a threshold of one geometric or numeric test.  None of
+them is an accuracy target: every normal-cycle cell is integrated exactly, so
+float results carry only rounding error.
 """
 
-# adaptive cubature: default relative tolerance of an oblique normal cone
-QUAD_TOL = 1e-9
-
-# a normal cone integrates in closed form when its generators' Gram matrix
-# is the identity, or the identity but for one arc pair, to within this
+# a normal cone is an orthant when its generators' Gram matrix is the
+# identity, and an arc times an orthant when it is the identity but for one
+# pair, to within this
 CELL_TOL = 1e-12
 
 # rows given as orthonormal (box rotations, polygon and Klain frames, the

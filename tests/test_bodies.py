@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from _oracles import adaptive, cell_integral, cone_density, quadrature_evaluate, quadrature_lattice
 from valcalc import bodies
 from valcalc.bodies import (
     Ball,
@@ -508,8 +509,37 @@ _PENTAGON_ANGLES = 2 * math.pi * np.arange(5) / 5 + np.array([0.1, 0.3, -0.2, 0.
 _PENTAGON = 0.8 * np.stack([np.cos(_PENTAGON_ANGLES), np.sin(_PENTAGON_ANGLES)], axis=1)
 
 
+def _oracle_cell(form, fmat, gens, tol=1e-13):
+    return adaptive(functools.partial(cell_integral, form, list(fmat)), gens, tol)
+
+
+def _cone_near(rng, center, spread, dirs):
+    """Three unit generators scattered by ``spread`` about ``center`` in the
+    plane of ``dirs``."""
+    gens = center + spread * (rng.standard_normal((3, 1)) * dirs[0]
+                              + rng.standard_normal((3, 1)) * dirs[1])
+    return gens / np.linalg.norm(gens, axis=1, keepdims=True)
+
+
+def _small_circle_triangle(sin2):
+    """Equilateral triangle on the circle at polar angle asin(sqrt(sin2)); its
+    solid-angle denominator 1 + a.b + b.c + c.a is 4 - 4.5 sin2, 0 at 8/9."""
+    s, c = math.sqrt(sin2), math.sqrt(1.0 - sin2)
+    ang = 2 * math.pi * np.arange(3) / 3
+    return np.column_stack([s * np.cos(ang), s * np.sin(ang), np.full(3, c)])
+
+
+_OBLIQUE_4 = Simplex([[0, 0, 0, 0], [1, 0.2, 0, 0], [0, 1, 0.1, 0],
+                      [0.3, 0, 1, 0], [0, 0.1, 0, 1.2]])
+
+
+def _oblique_simplex(rng, n, size):
+    return Simplex(np.vstack([np.zeros(n), np.eye(n)])[:size]
+                   + rng.uniform(-0.2, 0.2, (size, n)))
+
+
 class TestClosedFormCells:
-    """Orthant and arc cells in closed form against adaptive cubature."""
+    """Exact cell rules against the adaptive cubature oracle."""
 
     @pytest.mark.parametrize("m, arc", [(1, False), (2, False), (2, True), (3, False),
                                         (3, True), (4, False), (4, True)])
@@ -527,24 +557,127 @@ class TestClosedFormCells:
                 gens[1] = math.cos(theta) * gens[0] + math.sin(theta) * gens[1]
             gens = gens[rng.permutation(m)]
             cell = bodies._spherical_cell(gens)
-            assert cell is not None and (cell[1] is not None) == arc
+            assert cell.rule == ("arc" if arc else "orthant")
             got = bodies._closed_cell(group, fmat, cell)
-            want = bodies._adaptive(
-                functools.partial(bodies._cell_integral, form, list(fmat)), gens, 1e-13)
+            want = _oracle_cell(form, fmat, gens)
             assert _close(got, want), (got, want)
 
-    def test_near_orthonormal_cell_falls_back(self):
+    def test_near_orthonormal_cell_takes_triangle_rule(self):
         rng = np.random.default_rng(4)
-        gens = _random_orthogonal(rng, 4)[:3] + 1e-8 * rng.standard_normal((3, 4))
+        q = _random_orthogonal(rng, 4)
+        gens = q[1:] + 1e-8 * rng.standard_normal((3, 4))
         gens /= np.linalg.norm(gens, axis=1, keepdims=True)
-        assert bodies._spherical_cell(gens) is None
+        cell = bodies._spherical_cell(gens)
+        assert cell.rule == "triangle"
+        assert _close(bodies._cell_measure(cell), adaptive(cone_density, gens, 1e-13))
+        form = _random_form(rng, 4, 2)
+        group = bodies._closed_form_terms(form)[(1, 3)]
+        got = bodies._closed_cell(group, q[:1], cell)
+        assert _close(got, _oracle_cell(form, q[:1], gens))
 
-        def closed(cell):
-            raise AssertionError("closed form used on an oblique cell")
+    @pytest.mark.parametrize("seed, spread", [(1, 0.3), (2, 0.6), (3, 0.45)])
+    def test_triangle_matches_quadrature(self, seed, spread):
+        # every degree up to 5; the spread keeps the oracle at 1e-13 under a second
+        rng = np.random.default_rng(seed)
+        form = _random_form(rng, 4, 5)
+        group = bodies._closed_form_terms(form)[(1, 3)]
+        q = _random_orthogonal(rng, 4)
+        gens = _cone_near(rng, q[1], spread, q[2:])
+        want = _oracle_cell(form, q[:1], gens)
+        for order in itertools.permutations(range(3)):
+            cell = bodies._spherical_cell(gens[list(order)])
+            assert cell.rule == "triangle"
+            # the chart of reordered generators is oriented by the order's sign
+            sign = 1.0 if order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
+            got = bodies._closed_cell(group, q[:1], cell)
+            assert _close(got, sign * want), (order, got, want)
 
-        integrand = bodies._cone_density
-        got = bodies._cell_value(gens, closed, integrand, 1e-9)
-        assert got == bodies._adaptive(integrand, gens, 1e-9)
+    @pytest.mark.parametrize("corners", [
+        # a sliver: two corners 1e-6 apart
+        np.array([[1.0, 0.0, 0.0], [math.cos(1e-6), math.sin(1e-6), 0.0], [0.6, 0.3, 0.74]]),
+        # a needle: all three corners within 1e-3
+        np.array([[0.0, 0.0, 1.0], [1e-3, 0.0, 1.0], [0.0, 1e-3, 1.0]]),
+        # solid angle pi: the atan2 denominator is 0, then slightly each side
+        _small_circle_triangle(8.0 / 9.0),
+        _small_circle_triangle(8.0 / 9.0 - 1e-9),
+        _small_circle_triangle(8.0 / 9.0 + 1e-9),
+    ], ids=["sliver", "needle", "pi", "pi-below", "pi-above"])
+    def test_degenerate_triangles(self, corners):
+        gens = corners / np.linalg.norm(corners, axis=1, keepdims=True)
+        rng = np.random.default_rng(8)
+        form = _random_form(rng, 3, 2)
+        group = bodies._closed_form_terms(form)[(0, 3)]
+        fmat = np.zeros((0, 3))
+        for order in ((0, 1, 2), (2, 1, 0)):
+            cell = bodies._spherical_cell(gens[list(order)])
+            assert cell.rule == "triangle"
+            assert _close(bodies._cell_measure(cell), adaptive(cone_density, gens, 1e-13))
+            got = bodies._closed_cell(group, fmat, cell)
+            want = _oracle_cell(form, fmat, gens[list(order)])
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+    @pytest.mark.parametrize("n, degree, tol", [(3, 3, 1e-13), (4, 0, 1e-9)])
+    def test_vertex_rule_matches_quadrature(self, n, degree, tol):
+        # the oracle integrates each vertex cone of the simplex; the 4-generator
+        # cones of R^4 take seconds at 1e-13, so there the oracle runs at 1e-9
+        rng = np.random.default_rng(n)
+        full = _random_form(rng, n, degree)
+        form = InvariantForm(n, {(I, J): p for (I, J), p in full.terms.items() if not I})
+        lattice = _oblique_simplex(rng, n, n + 1).face_lattice()
+        got = bodies._integrate_lattice(form, lattice)
+        want = quadrature_lattice(form, lattice, tol)
+        assert abs(got - want) <= 10 * tol * max(1.0, abs(want)), (got, want)
+
+    @pytest.mark.parametrize("body", [
+        Simplex([[0.1, 0.2], [1.0, -0.1], [0.3, 0.9]]),
+        _oblique_simplex(np.random.default_rng(3), 3, 4),
+        _OBLIQUE_4,
+        _oblique_simplex(np.random.default_rng(4), 4, 4),
+        _oblique_simplex(np.random.default_rng(5), 4, 3),
+        Box(np.zeros(2), np.array([0.3, 0.8]), _random_orthogonal(np.random.default_rng(6), 2)),
+        Box(np.array([0.2, 0.0, -0.1]), np.array([0.3, 0.5, 0.7])),
+        _ROTATED_BOX,
+        PlanarPolygon(np.eye(2), _PENTAGON),
+        PlanarPolygon(_random_orthogonal(np.random.default_rng(2), 3)[:2], _PENTAGON),
+        PlanarPolygon(_random_orthogonal(np.random.default_rng(2), 4)[:2], _PENTAGON),
+    ], ids=["triangle2", "simplex3", "simplex4", "tetrahedron4", "triangle4", "box2", "box3",
+            "box4", "pentagon2", "pentagon3", "pentagon4"])
+    def test_euler_characteristic_is_one(self, body):
+        assert abs(evaluate(intrinsic_volume_rep(body.dim, 0), body) - 1.0) <= 1e-15
+
+    def test_every_cell_has_an_exact_rule(self):
+        rng = np.random.default_rng(12)
+        rules = {}
+        for n in (2, 3, 4):
+            bodies_n = {
+                "point": Simplex(rng.uniform(-1, 1, (1, n))),
+                "segment": _oblique_simplex(rng, n, 2),
+                "simplex": _oblique_simplex(rng, n, n + 1),
+                "box": Box(np.zeros(n), np.full(n, 0.4), _random_orthogonal(rng, n)),
+                "polygon": PlanarPolygon(_random_orthogonal(rng, n)[:2], _PENTAGON),
+            }
+            if n == 4:
+                bodies_n["tetrahedron"] = _oblique_simplex(rng, 4, 4)
+                bodies_n["triangle"] = _oblique_simplex(rng, 4, 3)
+            for name, body in bodies_n.items():
+                found = rules.setdefault((name, n), set())
+                for entry in body.face_lattice():
+                    if entry.k == 0:  # the vertex rule: the point's orthants
+                        continue
+                    found.update(bodies._spherical_cell(g).rule for g in entry.region)
+                for k in range(n + 1):
+                    assert math.isfinite(evaluate(intrinsic_volume_rep(n, k), body))
+                assert math.isfinite(steiner_volume(body, 0.3))
+        assert rules[("simplex", 4)] == {"triangle", "arc", "orthant"}
+        assert rules[("simplex", 3)] == rules[("tetrahedron", 4)] == {"arc", "orthant"}
+        assert rules[("triangle", 4)] == rules[("box", 4)] == {"orthant"}
+        assert all(found <= {"arc", "orthant"} for (name, _), found in rules.items()
+                   if name != "simplex")
+        s5 = Simplex(np.vstack([np.zeros(5), np.eye(5)]))
+        with pytest.raises(ValueError, match="4 generators in R\\^5"):
+            evaluate(intrinsic_volume_rep(5, 1), s5)
+        with pytest.raises(ValueError, match="4 generators in R\\^5"):
+            steiner_volume(s5, 0.3)
 
     @pytest.mark.parametrize("body, ks", [
         (_ROTATED_BOX, (1, 2, 3)),
@@ -555,41 +688,24 @@ class TestClosedFormCells:
                        np.array([0.1, 0.2, 0.3, 0.4])), (1, 2)),
         (PlanarPolygon(np.eye(2), _PENTAGON), (0, 1)),
     ], ids=["rotated-box4", "box3", "point4", "segment4", "pentagon4", "pentagon2"])
-    def test_body_matches_quadrature(self, monkeypatch, body, ks):
+    def test_body_matches_quadrature(self, body, ks):
         # chi on R^4 bodies other than the point is left out: its sixteen
         # 4-generator orthants per vertex take seconds at tolerance 1e-13
         reps = [intrinsic_volume_rep(body.dim, k) for k in ks]
         if body is _ROTATED_BOX:
             reps += [rep for label, rep in su2_basis("icosahedron")
                      if label in ("Z_u1", "Z_u4")]
-        closed = [evaluate(mu, body) for mu in reps]
-        # the reference: every cell through adaptive cubature at 1e-13
-        monkeypatch.setenv("VALCALC_QUAD_TOL", "1e-13")
-        monkeypatch.setattr(bodies, "_spherical_cell", lambda gens: None)
-        for mu, got in zip(reps, closed):
-            want = evaluate(mu, body)
+        for mu in reps:
+            got, want = evaluate(mu, body), quadrature_evaluate(mu, body, 1e-13)
             assert _close(got, want), (got, want)
 
-    def test_quadrature_only_on_oblique_cones(self, monkeypatch):
-        calls = []
-        adaptive = bodies._adaptive
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[1]))
-            return adaptive(*args, **kwargs)
-
-        monkeypatch.setattr(bodies, "_adaptive", counting)
-        reps = [rep for _, rep in su2_basis("icosahedron")]
-        for body in (_ROTATED_BOX, regular_polygon(5, radius=0.8),
-                     PlanarPolygon(np.eye(2), _PENTAGON)):
-            for mu in reps if body.dim == 4 else [intrinsic_volume_rep(2, 0)]:
-                evaluate(mu, body)
-            steiner_volume(body, 0.3)
-        assert calls == []
-        oblique = Simplex([[0, 0, 0, 0], [1, 0.2, 0, 0], [0, 1, 0.1, 0],
-                           [0.3, 0, 1, 0], [0, 0.1, 0, 1.2]])
-        assert abs(evaluate(intrinsic_volume_rep(4, 0), oblique) - 1.0) < 1e-9
-        assert calls and set(calls) == {4}
+    def test_simplex_steiner_volume_from_intrinsic_volumes(self):
+        t = 0.3
+        want = 0.0
+        for k in range(5):
+            omega = math.pi ** ((4 - k) / 2) / math.gamma((4 - k) / 2 + 1)
+            want += omega * evaluate(intrinsic_volume_rep(4, k), _OBLIQUE_4) * t ** (4 - k)
+        assert abs(steiner_volume(_OBLIQUE_4, t) - want) <= 1e-12 * want
 
     def test_box_steiner_volume_is_elementary_symmetric(self):
         edges = 2.0 * _ROTATED_BOX.half_extents

@@ -290,18 +290,6 @@ class TestExitCodes:
         assert rc == 2
         assert "degree" in err
 
-    def test_quadrature_non_convergence(self, capsys, files, monkeypatch):
-        _, save = files
-        monkeypatch.setenv("VALCALC_QUAD_TOL", "1e-30")
-        # chi lives on the vertex cones; four of them have oblique
-        # generators, which take quadrature (Z_u's cones are all arcs)
-        chi = save("chi.json", ser.valuation_to_json(intrinsic_volume_rep(4, 0)))
-        body = save("s.json", ser.body_to_json(
-            Simplex(np.vstack([np.zeros(4), np.eye(4)]))))
-        rc, _, err = run(capsys, "eval", "--valuation", chi, "--body", body)
-        assert rc == 3
-        assert "converge" in err
-
     @pytest.mark.parametrize("exc, code", [
         (TypeError("exact operation on non-exact coefficient 0.5"), 2),
         (ArithmeticError("correction failed to make the derivative vertical"), 3),

@@ -120,6 +120,18 @@ class TestEvaluationVector:
         assert len(_VECTOR_CACHE) <= VECTOR_CACHE_SIZE
         assert evaluation_vector(balls[-1]) is vecs[-1]
 
+    def test_basis_built_once_per_kind(self, monkeypatch):
+        import valcalc.su2 as su2
+
+        assert su2_basis("alesker") is su2_basis("alesker")
+        assert su2_basis() is su2_basis("icosahedron")
+        evaluation_vector(Box(np.zeros(4), np.full(4, 0.3)))
+        calls = []
+        monkeypatch.setattr(su2, "z_rep", lambda *args: calls.append(args))
+        vec = evaluation_vector(Box(np.zeros(4), np.full(4, 0.35)))
+        assert calls == []
+        assert vec.values[-1] == pytest.approx(0.7 ** 4, rel=1e-12)
+
 
 class TestRhs:
     def test_point_pairs(self):
