@@ -17,8 +17,10 @@ four or more generators on a face of dimension >= 1, which only simplices of
 dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
 
 Each body class carries its own support function (``support``,
-``support_point``, ``reference_point``), volume, rigid motion
-``moved(R, t)`` for x -> R x + t, and, except the ball, its face lattice.
+``support_point``, both batched over (B, n) directions, and
+``reference_point``), volume, rigid motion ``moved(R, t)`` for x -> R x + t,
+and, except the ball, its face lattice.  ``intersects_batch`` decides by GJK
+whether one body meets each of a batch of rigid motions of another.
 """
 
 import math
@@ -34,8 +36,6 @@ from .tolerances import (
     CELL_TOL,
     CONVEXITY_TOL,
     DEGENERATE_PIECE_TOL,
-    GJK_BARYCENTRIC_TOL,
-    GJK_DISTANCE_GAIN,
     GJK_TOL,
     ORTHONORMAL_TOL,
     RANK_TOL,
@@ -46,7 +46,19 @@ GJK_CAP = 200
 
 
 class IndeterminateIntersection(RuntimeError):
-    """Raised when the separation iteration hits its cap without a verdict."""
+    """Raised when the separation iteration hits its cap without a verdict.
+
+    Carries the iteration count and the last distance bounds: the distance
+    from the origin to the simplex's hull and the lower bound on the distance
+    to the difference body.
+    """
+
+    def __init__(self, iterations, dist, lower):
+        super().__init__(f"separation iteration hit its cap of {iterations} iterations "
+                         f"at distance {dist:.3e} with lower bound {lower:.3e}")
+        self.iterations = iterations
+        self.dist = dist
+        self.lower = lower
 
 
 def _finite(values, name):
@@ -149,12 +161,12 @@ class Ball:
         return float(h) if xi.ndim == 1 else h
 
     def support_point(self, xi):
-        """A point of the body attaining the support value in direction xi."""
+        """A point of the body attaining the support value in direction xi,
+        one per row for a (B, n) batch; the center for a zero direction."""
         xi = np.asarray(xi, dtype=float)
-        norm = float(np.linalg.norm(xi))
-        if norm == 0.0:
-            return self.center.copy()
-        return self.center + self.radius * xi / norm
+        norm = np.linalg.norm(xi, axis=-1, keepdims=True)
+        unit = np.divide(xi, norm, out=np.zeros_like(xi), where=norm > 0)
+        return self.center + self.radius * unit
 
     def reference_point(self):
         """A point of the body, used to seed and scale the separation iteration."""
@@ -204,8 +216,8 @@ class Box:
         return float(h) if xi.ndim == 1 else h
 
     def support_point(self, xi):
-        proj = self.rotation.T @ np.asarray(xi, dtype=float)
-        return self.center + self.rotation @ (self.half_extents * np.sign(proj))
+        proj = np.asarray(xi, dtype=float) @ self.rotation
+        return self.center + (self.half_extents * np.sign(proj)) @ self.rotation.T
 
     def reference_point(self):
         return self.center.copy()
@@ -248,7 +260,7 @@ class _VertexHull:
 
     def support_point(self, xi):
         verts = self._hull()
-        return verts[int(np.argmax(verts @ np.asarray(xi, dtype=float)))].copy()
+        return np.take(verts, np.argmax(np.asarray(xi, dtype=float) @ verts.T, axis=-1), axis=0)
 
     def reference_point(self):
         return self._hull().mean(axis=0)
@@ -800,75 +812,164 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     return total
 
 
-def _closest_in_hull(points):
-    """Closest point of the convex hull to the origin with its support set."""
-    best = None
-    for size in range(1, len(points) + 1):
-        for subset in combinations(range(len(points)), size):
-            pts = [points[i] for i in subset]
-            if size == 1:
-                lam = [1.0]
-            else:
-                a = np.array([pts[i] - pts[0] for i in range(1, size)])
-                g = a @ a.T
-                b = -a @ pts[0]
-                try:
-                    sol = np.linalg.solve(g, b)
-                except np.linalg.LinAlgError:
-                    continue
-                lam = np.concatenate([[1.0 - sol.sum()], sol])
-            if any(l < -GJK_BARYCENTRIC_TOL for l in lam):
+def _projection(pts):
+    """The origin's projection onto the affine hull of each row of points
+    (B, m, n), m >= 2: its barycentric weights, whether the points are
+    affinely independent (the weights mean nothing where they are not), and
+    the projection itself.
+
+    The projection is taken off the edges twice: the first pass leaves a
+    rounding error along the edges as large as eps times the points, which
+    would tilt a projection near the origin off its normal cone, and the
+    second pass removes it.
+    """
+    edges = pts[:, 1:] - pts[:, :1]
+    columns = edges.swapaxes(1, 2)
+    gram = edges @ columns
+    ok = np.linalg.det(gram) > 0
+    gram[~ok] = np.eye(gram.shape[1])
+    inv = np.linalg.inv(gram)
+    p0 = pts[:, 0, :, None]
+    sol = -(inv @ (edges @ p0))
+    c = p0 + columns @ sol
+    c -= columns @ (inv @ (edges @ c))
+    lam = np.concatenate([1.0 - sol.sum(axis=1), sol[..., 0]], axis=1)
+    return lam, ok, c[..., 0]
+
+
+def _closest_points(simplex, size):
+    """Closest point to the origin of each simplex's hull, and its support face.
+
+    ``simplex`` is (B, n+1, n); sample b uses its first ``size[b]`` rows.
+    Signed-volumes rule (Montanari, Petrinic and Barbieri 2017): a face whose
+    barycentric weights of the origin's projection are all positive holds that
+    projection, and any other face hands the search on to the facets that drop
+    a vertex of non-positive weight (to all of them if it is degenerate).
+    Faces are visited by decreasing size, each once for all the samples that
+    reach it, and the closest of the reached faces holding their projection
+    wins.  A face of n+1 points holding its projection holds the origin.
+    """
+    B, slots, n = simplex.shape
+    reach = {tuple(range(m)): size == m for m in range(1, slots + 1)}
+    best = np.full(B, np.inf)
+    closest = np.zeros((B, n))
+    keep = np.zeros((B, slots), dtype=bool)
+    for m in range(slots, 0, -1):
+        for face in combinations(range(slots), m):
+            rows = np.flatnonzero(reach.pop(face, ()))
+            if not len(rows):
                 continue
-            c = sum(l * p for l, p in zip(lam, pts))
-            d = float(c @ c)
-            if best is None or d < best[0] - GJK_DISTANCE_GAIN:
-                best = (d, subset, c)
-    return best
+            pts = simplex[np.ix_(rows, face)]
+            if m == 1:
+                c = pts[:, 0]
+            else:
+                lam, ok, c = _projection(pts)
+                positive = ok[:, None] & (lam > 0)
+                held = positive.all(axis=1)
+                for j in range(m):
+                    sub = face[:j] + face[j + 1:]
+                    reach.setdefault(sub, np.zeros(B, dtype=bool))[rows[~positive[:, j]]] = True
+                rows, c = rows[held], c[held]
+                if m == n + 1:
+                    c = np.zeros_like(c)
+            d = np.einsum("bi,bi->b", c, c)
+            better = d < best[rows]
+            rows = rows[better]
+            best[rows] = d[better]
+            closest[rows] = c[better]
+            keep[rows] = [i in face for i in range(slots)]
+    return closest, keep
 
 
-def _body_radius(K, center):
-    n = K.dim
+def _support_radius(K, center, frames):
+    """Largest distance from center to K's support points along the rows of
+    each frame (B, n, n) and their negatives."""
     r = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
+    for i in range(frames.shape[1]):
         for s in (1.0, -1.0):
-            r = max(r, float(np.linalg.norm(K.support_point(s * e) - center)))
+            r = np.maximum(r, np.linalg.norm(K.support_point(s * frames[:, i]) - center, axis=1))
     return r
 
 
-def intersects(K, L, tol: float = GJK_TOL) -> bool:
-    """Whether the two bodies meet, by iterative support-function separation.
+class Separation(NamedTuple):
+    """Verdicts of ``intersects_batch``, one entry per motion."""
+    hits: np.ndarray       # (B,) whether K meets R_b L + t_b
+    undecided: np.ndarray  # (B,) the iteration hit GJK_CAP without a verdict
+    dist: np.ndarray       # (B,) an undecided sample's last distance, else nan
+    lower: np.ndarray      # (B,) an undecided sample's last lower bound, else nan
 
-    Maintains a simplex inside the difference body K - L and tracks the
-    distance from its hull to the origin; exits on a zero-distance witness or
-    a certified positive lower bound from a support evaluation.
+
+def intersects_batch(K, L, Rs, ts, tol: float = GJK_TOL) -> Separation:
+    """Whether K meets R_b L + t_b, for each motion of a batch (Rs, ts).
+
+    GJK (Gilbert, Johnson and Keerthi 1988) on all samples in step.  Each
+    sample keeps a simplex inside its difference body K - (R L + t) and the
+    point c of the simplex's hull closest to the origin (``_closest_points``).
+    It is decided on a zero-distance witness, |c| <= tol * scale, or on a
+    certified positive lower bound from the support point w in direction -c;
+    scale is 1 + |d0| + the two bodies' support radii, d0 the difference of
+    their reference points.  The support point of R L + t in direction xi is
+    R s_L(R^T xi) + t, so L itself is never moved.
     """
     if K.dim != L.dim:
         raise ValueError("dimension mismatch")
-
-    def diff_support(d):
-        return K.support_point(d) - L.support_point(-d)
-
+    n = K.dim
+    Rs = np.asarray(Rs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
     ck, cl = K.reference_point(), L.reference_point()
-    d0 = ck - cl
-    scale = 1.0 + float(np.linalg.norm(d0)) + _body_radius(K, ck) + _body_radius(L, cl)
-    if float(np.linalg.norm(d0)) < tol * scale:
-        return True
-    points = [diff_support(-d0)]
+    d0 = ck - (Rs @ cl + ts)
+    norm0 = np.linalg.norm(d0, axis=1)
+    scale = (1.0 + norm0 + _support_radius(K, ck, np.eye(n)[None])
+             + _support_radius(L, cl, Rs))
+    hits = norm0 < tol * scale
+    live = np.flatnonzero(~hits)
+    R, t, bound = Rs[live], ts[live], tol * scale[live]
+
+    def support(d):
+        """Support points of the live difference bodies in directions d."""
+        s = L.support_point(-np.einsum("bji,bj->bi", R, d))
+        return K.support_point(d) - np.einsum("bij,bj->bi", R, s) - t
+
+    simplex = np.zeros((len(live), n + 1, n))
+    simplex[:, 0] = support(-d0[live])
+    size = np.ones(len(live), dtype=int)
+    dist = lower = np.zeros(0)
     for _ in range(GJK_CAP):
-        _, subset, c = _closest_in_hull(points)
-        dist = float(np.linalg.norm(c))
-        if dist <= tol * scale:
-            return True
-        points = [points[i] for i in subset]
-        w = diff_support(-c)
-        # w minimizes <c, z> over the difference body, so <c,w>/|c| bounds the
-        # distance from below; positive bound certifies separation
-        lower = float(c @ w) / dist
-        if lower > tol * scale:
-            return False
-        if dist - lower <= tol * scale:
-            return False
-        points.append(w)
-    raise IndeterminateIntersection("separation iteration hit its cap")
+        if not len(live):
+            break
+        c, keep = _closest_points(simplex, size)
+        dist = np.linalg.norm(c, axis=1)
+        hit = dist <= bound
+        hits[live[hit]] = True
+        w = support(-c)
+        # w minimizes <c, z> over the difference body, so <c, w>/|c| bounds
+        # the distance from below; a positive bound certifies separation
+        lower = np.einsum("bi,bi->b", c, w) / np.where(hit, 1.0, dist)
+        go = ~(hit | (lower > bound) | (dist - lower <= bound))
+        # the support face keeps its points in front, and w joins them
+        keep = keep[go]
+        order = np.argsort(~keep, axis=1, kind="stable")
+        simplex = np.take_along_axis(simplex[go], order[..., None], axis=1)
+        size = keep.sum(axis=1)
+        simplex[np.arange(len(size)), size] = w[go]
+        size += 1
+        live, R, t, bound = live[go], R[go], t[go], bound[go]
+        dist, lower = dist[go], lower[go]
+    undecided = np.zeros(len(Rs), dtype=bool)
+    undecided[live] = True
+    last_dist = np.full(len(Rs), np.nan)
+    last_lower = np.full(len(Rs), np.nan)
+    last_dist[live], last_lower[live] = dist, lower
+    return Separation(hits, undecided, last_dist, last_lower)
+
+
+def intersects(K, L, tol: float = GJK_TOL) -> bool:
+    """Whether the two bodies meet: ``intersects_batch`` for the identity motion.
+
+    Raises ``IndeterminateIntersection`` when the iteration hits its cap.
+    """
+    n = K.dim
+    sep = intersects_batch(K, L, np.eye(n)[None], np.zeros((1, n)), tol)
+    if sep.undecided[0]:
+        raise IndeterminateIntersection(GJK_CAP, float(sep.dist[0]), float(sep.lower[0]))
+    return bool(sep.hits[0])

@@ -18,14 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bodies import (
-    Ball,
-    Box,
-    IndeterminateIntersection,
-    PlanarPolygon,
-    evaluate,
-    intersects,
-)
+from .bodies import Ball, Box, PlanarPolygon, evaluate, intersects_batch
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import alesker_directions, gram_zz, icosahedron_directions, su2_basis, tasaki_density
@@ -302,14 +295,8 @@ def _score_principal(K, L, Rs, ts):
         return _ball_box_hits(y, K, L.radius), 0
     if isinstance(K, Box) and isinstance(L, Box):
         return _hits_box_box(K, L, Rs, ts), 0
-    hits = np.zeros(len(Rs), dtype=bool)
-    indeterminate = 0
-    for idx in range(len(Rs)):
-        try:
-            hits[idx] = intersects(K, L.moved(Rs[idx], ts[idx]))
-        except IndeterminateIntersection:
-            indeterminate += 1
-    return hits, indeterminate
+    sep = intersects_batch(K, L, Rs, ts)
+    return sep.hits, int(np.count_nonzero(sep.undecided))
 
 
 def _mc_chunks(N):
@@ -359,6 +346,22 @@ def _sample_motions(K, L, seed, idx, size):
     return Rs, ts, vol
 
 
+def _check_mc_args(N, threads, **bodies):
+    for name, value in (("N", N), ("threads", threads)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, body in bodies.items():
+        if getattr(body, "dim", None) != 4:
+            raise ValueError(f"{name} must be a body in R^4")
+
+
+def _check_rate(bad, N, limit, what, K, L, seed):
+    if bad > limit * N:
+        raise RuntimeError(
+            f"{bad} of {N} samples {what} for {type(K).__name__} against "
+            f"{type(L).__name__} at seed {seed}: rate {bad / N:.3g} exceeds {limit:g}")
+
+
 def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1, kind: str = "icosahedron") -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
@@ -367,6 +370,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     of the support differences, scored by box volume times the intersection
     indicator.  Deterministic for fixed (seed, N) regardless of threads.
     """
+    _check_mc_args(N, threads, K=K, L=L)
     rhs = rhs_kinematic(K, L, kind)
 
     def worker(idx, size):
@@ -376,8 +380,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
         return float(np.sum(w)), float(np.sum(w * w)), bad
 
     sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    if bad > MC_INDETERMINATE_RATE * N:
-        raise RuntimeError(f"indeterminate intersection rate {bad/N:.2%} exceeds 0.01%")
+    _check_rate(bad, N, MC_INDETERMINATE_RATE, "undecided", K, L, seed)
     return _finalize(sum_w, sum_w2, N, seed, rhs, bad)
 
 
@@ -407,10 +410,9 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
                 seed: int = 0, threads: int = 1) -> MCReport:
     """Monte Carlo for the expected number of intersection points of two
     moving polygons, against the plane-class density (1 + (u.v)^2)/4."""
+    _check_mc_args(N, threads, M1=M1, M2=M2)
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
-    if M1.dim != 4 or M2.dim != 4:
-        raise ValueError("the intersection count estimator needs polygons in R^4")
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
     rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * M1.area * M2.area
     F1t = np.asarray(M1.frame, dtype=float).T
@@ -435,6 +437,5 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
         return float(np.sum(w)), float(np.sum(w * w)), bad
 
     sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    if bad > MC_DEGENERATE_PLANE_RATE * N:
-        raise RuntimeError(f"degenerate plane-pair rate {bad/N:.2%} exceeds 0.1%")
+    _check_rate(bad, N, MC_DEGENERATE_PLANE_RATE, "in degenerate plane pairs", M1, M2, seed)
     return _finalize(sum_w, sum_w2, N, seed, rhs, bad)

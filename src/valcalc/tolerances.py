@@ -23,10 +23,12 @@ CONVEXITY_TOL = 1e-12
 # |det[face frame | cone generators]| below this is a degenerate piece
 DEGENERATE_PIECE_TOL = 1e-12
 
-# support-function separation (``bodies.intersects``)
+# GJK separation (``bodies.intersects_batch``): a sample is decided once the
+# simplex's distance to the origin, or the gap between it and the support
+# lower bound, falls to this times 1 + |d0| + the two support radii.  The
+# closest face is chosen by the signs of barycentric weights alone, with no
+# slack on a sign and no least gain in distance.
 GJK_TOL = 1e-12
-GJK_BARYCENTRIC_TOL = 1e-12   # slack on a barycentric weight's sign
-GJK_DISTANCE_GAIN = 1e-18     # least squared-distance drop that changes the subset
 
 # vectors shorter than this count as zero (directions, sampled quaternions,
 # zonotope facet normals)

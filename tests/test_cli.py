@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,9 +325,14 @@ class TestSubprocess:
         box = tmp_path / "box.json"
         ser.write_json_file(ser.valuation_to_json(intrinsic_volume_rep(4, 0)), chi)
         ser.write_json_file(ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))), box)
+        # the subprocess does not get pyproject's pythonpath, so it gets the
+        # repository's src here and needs no install
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "valcalc.cli", "eval",
              "--valuation", str(chi), "--body", str(box)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.000000000000"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from valcalc import bodies
+from valcalc import kinematic
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
 from valcalc.kinematic import (
     VECTOR_CACHE_SIZE,
@@ -25,6 +27,13 @@ from valcalc.kinematic import (
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import left_mult_matrix, su2_basis
 from valcalc.valuation import pairing
+
+
+# the box and simplex of the motion_mc benchmark workload
+MOTION_BOX = Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6]))
+MOTION_SIMPLEX = Simplex([[0.0, 0.0, 0.0, 0.0], [1.1, 0.0, 0.0, 0.0],
+                          [0.2, 0.9, 0.0, 0.0], [0.1, 0.2, 1.0, 0.0],
+                          [0.3, 0.1, 0.2, 0.8]])
 
 
 def mgon(m, frame, radius=1.0, base=None):
@@ -289,6 +298,94 @@ class TestMCPrincipal:
         l = Box(np.array([0.1, 0, -0.2, 0]), np.array([0.45, 0.55, 0.35, 0.6]))
         rep = mc_principal_kinematic(k, l, N=200000, seed=17)
         assert abs(rep.z_score) < 3
+
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ball_simplex_decided(self, seed):
+        # a closest-face rule that needed a larger face to lower the squared
+        # distance by a fixed gain left 2-4e-4 of these samples undecided, so
+        # both estimates raised
+        half = Ball(np.zeros(4), 0.5)
+        rep = mc_principal_kinematic(half, MOTION_SIMPLEX, N=20000, seed=seed)
+        assert rep.indeterminate <= 1e-4 * rep.samples
+        assert abs(rep.z_score) < 3
+
+    def test_box_simplex_thread_invariant_across_chunks(self):
+        N = kinematic.MC_CHUNK + 4096
+        one = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=8)
+        two = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=8, threads=2)
+        assert (one.estimate, one.stderr, one.indeterminate) == \
+            (two.estimate, two.stderr, two.indeterminate)
+        assert abs(one.z_score) < 3
+
+
+def _undecided_first(count, monkeypatch):
+    """Make the narrow phase leave the first ``count`` samples of each chunk undecided."""
+    real = kinematic.intersects_batch
+
+    def fake(K, L, Rs, ts):
+        sep = real(K, L, Rs, ts)
+        undecided = sep.undecided.copy()
+        undecided[:count] = True
+        return bodies.Separation(sep.hits & ~undecided, undecided, sep.dist, sep.lower)
+
+    monkeypatch.setattr(kinematic, "intersects_batch", fake)
+
+
+class TestMCArguments:
+    SQUARE = ([[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0], [1, 0], [1, 1], [0, 1]])
+
+    def _estimate(self, estimator, dim=4, **kwargs):
+        if estimator == "poincare":
+            frame, verts = self.SQUARE
+            p = PlanarPolygon(np.asarray(frame, dtype=float)[:, :dim], verts)
+            return mc_poincare(p, mgon(5, self.SQUARE[0]), **{"N": 100, **kwargs})
+        ball = Ball(np.zeros(dim), 0.5)
+        return mc_principal_kinematic(ball, Ball(np.zeros(4), 0.5), **{"N": 100, **kwargs})
+
+    @pytest.mark.parametrize("estimator", ["principal", "poincare"])
+    @pytest.mark.parametrize("name, value", [
+        ("N", 0), ("N", -5), ("N", 2.5), ("N", True),
+        ("threads", 0), ("threads", -1), ("threads", 1.0),
+    ])
+    def test_counts_must_be_positive_integers(self, estimator, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            self._estimate(estimator, **{name: value})
+
+    @pytest.mark.parametrize("estimator", ["principal", "poincare"])
+    def test_bodies_must_lie_in_r4(self, estimator):
+        first = "M1" if estimator == "poincare" else "K"
+        with pytest.raises(ValueError, match=f"^{first} must be a body in R\\^4"):
+            self._estimate(estimator, dim=3)
+        with pytest.raises(ValueError, match="^L must be a body in R\\^4"):
+            mc_principal_kinematic(Ball(np.zeros(4), 0.5), Ball(np.zeros(3), 0.5), N=10)
+
+    def test_numpy_integers_accepted(self):
+        rep = self._estimate("principal", N=np.int64(64), threads=np.int32(1))
+        assert rep.samples == 64
+
+
+class TestMCFailureContext:
+    def test_undecided_rate_names_the_run(self, monkeypatch):
+        _undecided_first(3, monkeypatch)
+        with pytest.raises(RuntimeError) as exc:
+            mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=20000, seed=6)
+        assert str(exc.value) == ("3 of 20000 samples undecided for Box against Simplex "
+                                  "at seed 6: rate 0.00015 exceeds 0.0001")
+
+    def test_undecided_at_the_limit_pass(self, monkeypatch):
+        _undecided_first(2, monkeypatch)
+        rep = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=20000, seed=6)
+        assert rep.indeterminate == 2
+
+    def test_degenerate_rate_names_the_run(self, monkeypatch):
+        monkeypatch.setattr(kinematic.np.linalg, "cond", lambda m: np.full(len(m), np.inf))
+        p1 = mgon(6, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        with pytest.raises(RuntimeError) as exc:
+            mc_poincare(p1, p1, N=100, seed=4)
+        assert str(exc.value) == ("100 of 100 samples in degenerate plane pairs for "
+                                  "PlanarPolygon against PlanarPolygon at seed 4: "
+                                  "rate 1 exceeds 0.001")
 
 
 class TestMCPoincare:
