@@ -3,8 +3,9 @@
 A form omega of degree n-1 admits a unique correction alpha ^ xi making
 d(omega + alpha ^ xi) a multiple of the contact form alpha.  The corrected
 derivative is the basic invariant attached to omega here; the correction is
-found either by inverting the Lefschetz operator on horizontal forms in
-closed form or by an escalating polynomial ansatz solved exactly.
+found by inverting the Lefschetz operator on horizontal forms in closed
+form.  The solve is linear over Z, so it runs on the pi-graded integer parts
+of omega (see ``exterior.split_pi``).
 """
 
 from dataclasses import dataclass
@@ -12,20 +13,17 @@ from functools import lru_cache
 
 from .exterior import (
     InvariantForm,
-    SpherePoly,
     VectorField,
     alpha_form,
     contract,
     contract_slot,
     d,
     fiber_integrate,
-    monomial_forms,
+    join_pi,
     reeb_field,
+    split_pi,
 )
-from .linalg import solve_linear
-from .scalars import Rat
 
-ANSATZ_DEGREE_CAP = 12
 # corrections kept for reuse; one pairing with its operators needs about five
 RUMIN_CACHE_SIZE = 64
 
@@ -46,7 +44,10 @@ def contact_data(n: int) -> ContactData:
 
 @dataclass(frozen=True)
 class RuminResult:
-    """Corrected derivative D_omega = d(omega + alpha ^ xi) with its correction."""
+    """Corrected derivative D_omega = d(omega + alpha ^ xi) with its correction.
+
+    ansatz_degree is the polynomial degree of xi's coefficients.
+    """
 
     D_omega: InvariantForm
     xi: InvariantForm
@@ -77,87 +78,43 @@ def _coeff_degree(a: InvariantForm) -> int:
     return max((p.degree() for p in a.terms.values()), default=0)
 
 
-def _xi_lefschetz(omega: InvariantForm) -> InvariantForm:
-    n = omega.n
-    tau = -horizontal_part(d(omega))
+def _xi_lefschetz(f: InvariantForm):
+    """Correction of an integer-coefficient form as (xi, s), meaning xi / s."""
+    n = f.n
+    tau = -horizontal_part(d(f))
     lam1 = dual_lefschetz(tau)
     if n in (2, 3):
-        return lam1
+        return lam1, 1
     if n == 4:
-        lam2 = dual_lefschetz(lam1)
-        return lam1 - _pihat(n).wedge(lam2) * Rat(1, 4)
+        # lam1 - pihat ^ lam2 / 4, scaled by 4 to stay integral
+        return lam1 * 4 - _pihat(n).wedge(dual_lefschetz(lam1)), 4
     raise ValueError(f"unsupported dimension {n}")
 
 
-def _xi_ansatz(omega: InvariantForm):
-    n = omega.n
-    dw = d(omega)
-    tau = -horizontal_part(dw)
-    start = _coeff_degree(dw) + 2
-    last_err = None
-    for deg in range(start, ANSATZ_DEGREE_CAP + 1, 2):
-        basis = monomial_forms(n, n - 2, deg)
-        columns = [horizontal_part(_pihat(n).wedge(b)) for b in basis]
-        row_index = {}
-        rows = []
-
-        def row_for(key):
-            if key not in row_index:
-                row_index[key] = len(rows)
-                rows.append({})
-            return rows[row_index[key]]
-
-        for col, form in enumerate(columns):
-            for ij, p in form.terms.items():
-                for e, c in p.terms.items():
-                    row_for((ij, e))[col] = c
-        rhs_map = {}
-        for ij, p in tau.terms.items():
-            for e, c in p.terms.items():
-                rhs_map[(ij, e)] = c
-        for key in rhs_map:
-            row_for(key)
-        rhs = [0] * len(rows)
-        for key, c in rhs_map.items():
-            rhs[row_index[key]] = c
-        try:
-            sol = solve_linear(rows, rhs, len(columns))
-        except ValueError as err:
-            last_err = err
-            continue
-        xi = InvariantForm.zero(n)
-        for c, b in zip(sol, basis):
-            if c:
-                xi = xi + b * c
-        return xi, deg
-    raise ValueError(f"no solution at degree cap {ANSATZ_DEGREE_CAP}") from last_err
-
-
-def rumin(omega: InvariantForm, method: str = "lefschetz") -> RuminResult:
+def rumin(omega: InvariantForm) -> RuminResult:
     """Correction xi and corrected derivative for a form of degree n-1."""
-    return _rumin_cached(omega, method)
+    return _rumin_cached(omega)
 
 
 @lru_cache(maxsize=RUMIN_CACHE_SIZE)
-def _rumin_cached(omega: InvariantForm, method: str) -> RuminResult:
+def _rumin_cached(omega: InvariantForm) -> RuminResult:
     n = omega.n
     if omega.is_zero():
         zero = InvariantForm.zero(n)
         return RuminResult(D_omega=zero, xi=zero, ansatz_degree=0)
     if omega.degree() != n - 1:
         raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
-    if method == "lefschetz":
-        xi = _xi_lefschetz(omega)
-        deg = _coeff_degree(xi)
-    elif method == "ansatz":
-        xi, deg = _xi_ansatz(omega)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    corrected = omega + contact_data(n).alpha.wedge(xi)
-    D = d(corrected)
-    if not horizontal_part(D).is_zero():
-        raise ArithmeticError("correction failed to make the derivative vertical")
-    return RuminResult(D_omega=D, xi=xi, ansatz_degree=deg)
+    alpha = contact_data(n).alpha
+    D_parts, xi_parts = {}, {}
+    for k, (den, f) in split_pi(omega).items():
+        xi, s = _xi_lefschetz(f)
+        D = d(f * s + alpha.wedge(xi))
+        if not horizontal_part(D).is_zero():
+            raise ArithmeticError("correction failed to make the derivative vertical")
+        D_parts[k] = (den * s, D)
+        xi_parts[k] = (den * s, xi)
+    xi = join_pi(n, xi_parts)
+    return RuminResult(D_omega=join_pi(n, D_parts), xi=xi, ansatz_degree=_coeff_degree(xi))
 
 
 def verify_zero_valuation(omega: InvariantForm, phi) -> bool:

@@ -8,16 +8,19 @@ exactly when their stored representations coincide.
 
 Coefficients are Scalars (or ints/rationals) for exact work; plain floats
 are accepted by the purely algebraic operations for numeric pipelines.
+Every operator here is linear over Z, so the exact layers above split a
+Scalar-coefficient form once into pi-graded parts with plain int
+coefficients (``split_pi``), run the operators on those, and rebuild the
+Scalar coefficients once on the way out (``join_pi``).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import lru_cache
+from operator import add
 
-from .scalars import Rat, Scalar, ZERO, gamma_half
-
-Fraction = type(Rat(1))
+from .scalars import _RAT_TYPES, Rat, Scalar, ZERO, gamma_half
 
 
 def _merge_sign(a, b) -> int:
@@ -90,6 +93,15 @@ class SpherePoly:
         self._hash = None
 
     @classmethod
+    def _canonical(cls, n, terms) -> "SpherePoly":
+        """Wrap terms that are already canonical and free of zero coefficients."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def constant(cls, n, c) -> "SpherePoly":
         return cls(n, {(0,) * n: c})
 
@@ -119,20 +131,12 @@ class SpherePoly:
                 t[e] = s
             else:
                 t.pop(e, None)
-        out = SpherePoly.__new__(SpherePoly)
-        out.n = self.n
-        out.terms = t
-        out._hash = None
-        return out
+        return SpherePoly._canonical(self.n, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SpherePoly.__new__(SpherePoly)
-        out.n = self.n
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return SpherePoly._canonical(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SpherePoly):
@@ -143,35 +147,38 @@ class SpherePoly:
         if isinstance(other, int) and other == 1:
             return self
         if not isinstance(other, SpherePoly):
-            out = SpherePoly.__new__(SpherePoly)
-            out.n = self.n
-            out.terms = {}
-            out._hash = None
+            t = {}
             for e, c in self.terms.items():
                 s = c * other
                 if s:
-                    out.terms[e] = s
-            return out
+                    t[e] = s
+            return SpherePoly._canonical(self.n, t)
+        # both factors are canonical, so a product's last exponent is at most
+        # 2 and one rewrite of v_n^2 canonicalizes it
+        n = self.n
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2
                 if not c:
                     continue
-                s = t.get(e, 0) + c
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return SpherePoly(self.n, t)
+                e = tuple(map(add, e1, e2))
+                if e[n - 1] < 2:
+                    t[e] = t.get(e, 0) + c
+                    continue
+                base = e[:n - 1] + (0,)
+                t[base] = t.get(base, 0) + c
+                for i in range(n - 1):
+                    ei = base[:i] + (base[i] + 2,) + base[i + 1:]
+                    t[ei] = t.get(ei, 0) - c
+        return SpherePoly._canonical(n, {e: c for e, c in t.items() if c})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, SpherePoly):
             return self.n == other.n and self.terms == other.terms
-        if isinstance(other, (int, Scalar, Fraction)):
+        if isinstance(other, (Scalar,) + _RAT_TYPES):
             zero = not other
             if zero:
                 return not self.terms
@@ -205,12 +212,8 @@ class SpherePoly:
         return out
 
     def negate_variables(self) -> "SpherePoly":
-        t = {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()}
-        out = SpherePoly.__new__(SpherePoly)
-        out.n = self.n
-        out.terms = {e: c for e, c in t.items() if c}
-        out._hash = None
-        return out
+        return SpherePoly._canonical(
+            self.n, {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
 
     def evaluate(self, v) -> float:
         total = 0.0
@@ -278,8 +281,28 @@ def _wedge_step(acc, combo):
     return nxt
 
 
+@lru_cache(maxsize=None)
+def _dv_projection(n, J):
+    """Tangential projection of dv_J as ((J', q), ...), meaning sum_J' q dv_J'.
+
+    Each dv_j is replaced by dv_j - v_j * sum_t v_t dv_t and the product is
+    expanded; the coefficients q are integer polynomials.  One entry per
+    (n, J), so at most 2^n per dimension.
+    """
+    acc = {((), ()): SpherePoly.constant(n, 1)}
+    for j in J:
+        combo = [(1, 1, j)]
+        for t in range(n):
+            ejt = [0] * n
+            ejt[j] += 1
+            ejt[t] += 1
+            combo.append((SpherePoly(n, {tuple(ejt): -1}), 1, t))
+        acc = _wedge_step(acc, combo)
+    return tuple((Jp, q) for (_, Jp), q in acc.items())
+
+
 def _project_terms(n, terms):
-    """Replace each dv_j by dv_j - v_j * sum_t v_t dv_t and expand."""
+    """Project every dv factor tangentially to the sphere fiber and expand."""
     out = {}
     for (I, J), p in terms.items():
         if not p:
@@ -287,17 +310,8 @@ def _project_terms(n, terms):
         if not J:
             _accumulate(out, (I, J), p)
             continue
-        acc = {(I, ()): p}
-        for j in J:
-            combo = [(1, 1, j)]
-            for t in range(n):
-                ejt = [0] * n
-                ejt[j] += 1
-                ejt[t] += 1
-                combo.append((SpherePoly(n, {tuple(ejt): -1}), 1, t))
-            acc = _wedge_step(acc, combo)
-        for key, q in acc.items():
-            _accumulate(out, key, q)
+        for Jp, q in _dv_projection(n, J):
+            _accumulate(out, (I, Jp), p * q)
     return out
 
 
@@ -659,7 +673,7 @@ def sphere_monomial_integral(e) -> Scalar:
 def _coeff_to_scalar(c) -> Scalar:
     if isinstance(c, Scalar):
         return c
-    if isinstance(c, (int, Fraction)) or type(c).__name__ == "Fraction":
+    if isinstance(c, _RAT_TYPES):
         return Scalar({0: c})
     raise TypeError(f"exact operation on non-exact coefficient {c!r}")
 
@@ -794,33 +808,65 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
     return InvariantForm(n, out)
 
 
-def monomial_forms(n, degree, max_vdeg):
-    """All projected monomial forms v^e dx_I ^ dv_J of the given total form degree."""
-    out = []
-    exps = _exponents_up_to(n, max_vdeg)
-    for k in range(degree + 1):
-        for I in combinations(range(n), k):
-            for J in combinations(range(n), degree - k):
-                if degree - k > n:
-                    continue
-                for e in exps:
-                    f = InvariantForm(n, {(I, J): SpherePoly(n, {e: 1})})
-                    if not f.is_zero():
-                        out.append(f)
-    return out
+def _pi_terms(c):
+    """(pi power, rational) pairs of an exact coefficient."""
+    if isinstance(c, Scalar):
+        return c.terms.items()
+    if isinstance(c, _RAT_TYPES):
+        return ((0, c),) if c else ()
+    raise TypeError(f"exact coefficients are required, not {type(c).__name__} {c!r}")
 
 
-def _exponents_up_to(n, max_deg):
-    out = []
+def split_pi(a: InvariantForm) -> dict:
+    """The pi-graded integer parts {k: (den, f)} of a, with a = sum_k pi^k f / den.
 
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        # canonical exponents keep the last slot below 2
-        cap = remaining if len(prefix) < n - 1 else min(remaining, 1)
-        for k in range(cap + 1):
-            rec(prefix + [k], remaining - k)
+    Each f has plain int coefficients and den is the least common
+    denominator of the pi^k coefficients.  Float coefficients have no exact
+    value and raise TypeError.
+    """
+    n = a.n
+    raw = {}
+    for key, p in a.terms.items():
+        for e, c in p.terms.items():
+            for k, r in _pi_terms(c):
+                raw.setdefault(k, {}).setdefault(key, {})[e] = r
+    parts = {}
+    for k, terms in raw.items():
+        den = math.lcm(*(int(r.denominator) for poly in terms.values() for r in poly.values()))
+        ints = {key: SpherePoly._canonical(
+                    n, {e: int(r.numerator) * (den // int(r.denominator))
+                        for e, r in poly.items()})
+                for key, poly in terms.items()}
+        parts[k] = (den, InvariantForm(n, ints, projected=True))
+    return parts
 
-    rec([], max_deg)
+
+def join_pi(n, parts) -> InvariantForm:
+    """The Scalar-coefficient form sum_k pi^k f / den of parts {k: (den, f)}."""
+    coeffs = {}
+    for k, (den, f) in parts.items():
+        for key, p in f.terms.items():
+            poly = coeffs.setdefault(key, {})
+            for e, c in p.terms.items():
+                poly.setdefault(e, {})[k] = Rat(c, den)
+    terms = {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
+             for key, poly in coeffs.items()}
+    return InvariantForm(n, terms, projected=True)
+
+
+def map_pi(fn, parts) -> dict:
+    """Apply a Z-linear operator to each part of a split form."""
+    return {k: (den, fn(f)) for k, (den, f) in parts.items()}
+
+
+def add_pi(a, b) -> dict:
+    """Sum of two split forms, each pi power over the lcm of its denominators."""
+    out = dict(a)
+    for k, (db, fb) in b.items():
+        if k in out:
+            da, fa = out[k]
+            den = math.lcm(da, db)
+            out[k] = (den, fa * (den // da) + fb * (den // db))
+        else:
+            out[k] = (db, fb)
     return out

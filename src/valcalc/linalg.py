@@ -1,73 +1,8 @@
-"""Exact linear algebra: sparse rational elimination and matrices over Q(pi)."""
+"""Exact linear algebra: determinants and inverses of matrices over Q(pi)."""
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .scalars import ONE, Rat, Scalar, ZERO
-
-
-def solve_linear(rows, rhs, ncols):
-    """Solve A x = rhs over the rationals, assigning zero to every free variable.
-
-    rows: list of sparse rows {column: rational}; rhs entries may be rationals
-    or Scalars (the matrix itself must be rational).  Pivot columns are chosen
-    in ascending order, so the result is deterministic.  Raises ValueError if
-    the system is inconsistent.
-    """
-    rows = [{c: Rat(v) for c, v in r.items() if v} for r in rows]
-    rhs = [v if isinstance(v, Scalar) else Rat(v) for v in rhs]
-    nrows = len(rows)
-    if len(rhs) != nrows:
-        raise ValueError("rhs length mismatch")
-    by_col = defaultdict(set)
-    for i, r in enumerate(rows):
-        for c in r:
-            by_col[c].add(i)
-    used = [False] * nrows
-    pivots = {}
-    for col in range(ncols):
-        cand = [i for i in by_col.get(col, ()) if not used[i]]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda i: (len(rows[i]), i))
-        used[piv] = True
-        pivots[col] = piv
-        pr = rows[piv]
-        pc = pr[col]
-        if pc != 1:
-            for c in list(pr):
-                pr[c] = pr[c] / pc
-            rhs[piv] = rhs[piv] / pc
-        for i in list(by_col[col]):
-            if i == piv:
-                continue
-            f = rows[i].get(col)
-            if not f:
-                continue
-            ri = rows[i]
-            for c, v in pr.items():
-                nv = ri.get(c, 0) - f * v
-                if nv:
-                    ri[c] = nv
-                    by_col[c].add(i)
-                else:
-                    ri.pop(c, None)
-                    by_col[c].discard(i)
-            rhs[i] = rhs[i] - f * rhs[piv]
-    for i in range(nrows):
-        if not used[i] and not _is_zero(rhs[i]):
-            raise ValueError("inconsistent linear system")
-    x = [Rat(0)] * ncols
-    for col, piv in pivots.items():
-        x[col] = rhs[piv]
-    return x
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, Scalar):
-        return v.is_zero()
-    return not v
 
 
 def _poly_coeffs(s: Scalar) -> list:

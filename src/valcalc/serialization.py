@@ -17,10 +17,8 @@ import math
 
 from .bodies import Ball, Box, PlanarPolygon, Simplex
 from .exterior import BaseForm, InvariantForm, SpherePoly
-from .scalars import Rat, Scalar
+from .scalars import _RAT_TYPES, Rat, Scalar
 from .valuation import ValuationRep
-
-_RAT_TYPES = (int, type(Rat(1)))
 
 
 class SerializationError(ValueError):
@@ -37,7 +35,7 @@ def scalar_to_json(c) -> dict:
         raise ValueError("float coefficients cannot be serialized exactly")
     if isinstance(c, Scalar):
         return {str(k): str(c.terms[k]) for k in sorted(c.terms)}
-    if isinstance(c, _RAT_TYPES) or type(c).__name__ == "Fraction":
+    if isinstance(c, _RAT_TYPES):
         return {"0": str(Rat(c))} if c else {}
     raise TypeError(f"cannot serialize coefficient {c!r}")
 

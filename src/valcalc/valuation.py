@@ -4,7 +4,8 @@ A valuation is carried by a pair (omega, phi): omega an invariant form of
 degree n-1 on the sphere bundle integrated over normal cycles, phi a constant
 top-degree form integrated over the body.  The operators here (reflection,
 derivation, signature, Laplacian) and the product pairing are all computed
-exactly in Q[pi, 1/pi].
+exactly in Q[pi, 1/pi], on the pi-graded integer parts of the forms
+(``exterior.split_pi``): every operator involved is linear over Z.
 """
 
 import math
@@ -19,14 +20,18 @@ from .exterior import (
     _coeff_to_scalar,
     _complement,
     _merge_sign,
+    add_pi,
     contract,
     fiber_integrate,
     hodge_star,
+    join_pi,
     lie_reeb,
+    map_pi,
     pullback_antipode,
     reeb_field,
     sphere_monomial_integral,
     spherical_density,
+    split_pi,
 )
 from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
 from .tolerances import ORTHONORMAL_TOL
@@ -106,15 +111,25 @@ def euler_verdier(mu: ValuationRep) -> ValuationRep:
 
 def derivation(mu: ValuationRep) -> ValuationRep:
     """Degree-lowering derivative: (L_T omega + i_T pullback(phi), 0)."""
-    T = reeb_field(mu.n)
-    omega = lie_reeb(mu.omega) + contract(T, mu.phi.to_invariant())
-    return ValuationRep(mu.n, omega, BaseForm(mu.n))
+    n = mu.n
+    if mu.is_exact():
+        lowered = join_pi(n, map_pi(lie_reeb, split_pi(mu.omega)))
+    else:
+        # float reps (the icosahedral Z_u) are lowered in floats
+        lowered = lie_reeb(mu.omega)
+    omega = lowered + contract(reeb_field(n), mu.phi.to_invariant())
+    return ValuationRep(n, omega, BaseForm(n))
+
+
+def _inner_parts(mu: ValuationRep) -> dict:
+    """Split parts of D(omega) + pullback(phi); raises TypeError on floats."""
+    return add_pi(split_pi(rumin(mu.omega).D_omega), split_pi(mu.phi.to_invariant()))
 
 
 def signature(mu: ValuationRep) -> ValuationRep:
     """Hodge star of the corrected derivative: (star(D omega + pullback(phi)), 0)."""
-    inner = rumin(mu.omega).D_omega + mu.phi.to_invariant()
-    return ValuationRep(mu.n, hodge_star(inner), BaseForm(mu.n))
+    omega = join_pi(mu.n, map_pi(hodge_star, _inner_parts(mu)))
+    return ValuationRep(mu.n, omega, BaseForm(mu.n))
 
 
 def laplace(mu: ValuationRep) -> ValuationRep:
@@ -132,8 +147,12 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")
     n = mu1.n
-    inner = rumin(mu2.omega).D_omega + mu2.phi.to_invariant()
-    first = fiber_integrate(mu1.omega.wedge(inner)).top_coefficient()
+    inner = _inner_parts(mu2)
+    first = ZERO
+    for k1, (d1, f1) in split_pi(mu1.omega).items():
+        for k2, (d2, f2) in inner.items():
+            top = fiber_integrate(f1.wedge(f2)).top_coefficient()
+            first = first + top * Scalar({k1 + k2: Rat(1, d1 * d2)})
     if n % 2:
         first = -first
     second = mu1.phi.top_coefficient() * fiber_integrate(mu2.omega).terms.get((), ZERO)

@@ -3,37 +3,52 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from functools import lru_cache, partial
 
 import numpy as np
 
 from valcalc.bodies import _piece_sign
-from valcalc.exterior import InvariantForm, SpherePoly
-from valcalc.scalars import Rat, Scalar
+from valcalc.contact import dual_lefschetz, horizontal_part
+from valcalc.exterior import (
+    BaseForm,
+    InvariantForm,
+    SpherePoly,
+    alpha_form,
+    contract,
+    d,
+    fiber_integrate,
+    hodge_star,
+    lie_reeb,
+    reeb_field,
+)
+from valcalc.scalars import ZERO, Rat, Scalar
+from valcalc.valuation import ValuationRep, euler_verdier
 
 
 def random_rational(rng, lo=-3, hi=4, den=4):
     return Rat(rng.randrange(lo, hi), rng.randrange(1, den))
 
 
-def random_sphere_poly(rng, n, max_deg=2, nterms=2):
+def random_sphere_poly(rng, n, max_deg=2, nterms=2, pi_powers=(0,), den=4):
+    """Random polynomial whose coefficients carry a random rational per pi power."""
     t = {}
     for _ in range(nterms):
         e = [0] * n
         for _ in range(rng.randrange(0, max_deg + 1)):
             e[rng.randrange(n)] += 1
-        t[tuple(e)] = Scalar({0: random_rational(rng)})
+        t[tuple(e)] = Scalar({k: random_rational(rng, den=den) for k in pi_powers})
     return SpherePoly(n, t)
 
 
-def random_form(rng, n, deg, max_vdeg=2, nterms=3):
+def random_form(rng, n, deg, max_vdeg=2, nterms=3, pi_powers=(0,), den=4):
     """Random tangentially projected form of the given total degree."""
     terms = {}
     for _ in range(nterms):
         k = rng.randrange(max(0, deg - n), min(deg, n) + 1)
         I = tuple(sorted(rng.sample(range(n), k)))
         J = tuple(sorted(rng.sample(range(n), deg - k)))
-        terms[(I, J)] = random_sphere_poly(rng, n, max_vdeg)
+        terms[(I, J)] = random_sphere_poly(rng, n, max_vdeg, pi_powers=pi_powers, den=den)
     return InvariantForm(n, terms)
 
 
@@ -366,3 +381,171 @@ def quadrature_evaluate(mu, K, tol):
     total = quadrature_lattice(mu.omega, K.face_lattice(), tol)
     phi_top = float(mu.phi.top_coefficient())
     return total + phi_top * K.volume() if phi_top else total
+
+
+# -- reference Rumin solves and operators on Scalar coefficients -----------------
+#
+# valcalc runs the Lefschetz solve and the operators on pi-graded integer
+# parts.  These references run the same formulas on Scalar coefficients, and
+# the ansatz solve finds the correction by exact linear algebra instead.
+
+ANSATZ_DEGREE_CAP = 12
+
+
+def rumin_reference(omega):
+    """(xi, D_omega) by the Lefschetz solve run on Scalar coefficients."""
+    n = omega.n
+    tau = -horizontal_part(d(omega))
+    xi = dual_lefschetz(tau)
+    if n == 4:
+        xi = xi - d(alpha_form(n)).wedge(dual_lefschetz(xi)) * Rat(1, 4)
+    return xi, d(omega + alpha_form(n).wedge(xi))
+
+
+def derivation_reference(mu):
+    T = reeb_field(mu.n)
+    omega = lie_reeb(mu.omega) + contract(T, mu.phi.to_invariant())
+    return ValuationRep(mu.n, omega, BaseForm(mu.n))
+
+
+def signature_reference(mu):
+    inner = rumin_reference(mu.omega)[1] + mu.phi.to_invariant()
+    return ValuationRep(mu.n, hodge_star(inner), BaseForm(mu.n))
+
+
+def pairing_reference(mu1, mu2):
+    """Top coefficient of (-1)^n pi_*(omega1 ^ (D omega2' + phi2')) + phi1 pi_*(omega2'),
+    with mu2' the Euler-Verdier reflection of mu2."""
+    n = mu1.n
+    mu2 = euler_verdier(mu2)
+    inner = rumin_reference(mu2.omega)[1] + mu2.phi.to_invariant()
+    first = fiber_integrate(mu1.omega.wedge(inner)).top_coefficient()
+    if n % 2:
+        first = -first
+    return first + mu1.phi.top_coefficient() * fiber_integrate(mu2.omega).terms.get((), ZERO)
+
+
+def solve_linear(rows, rhs, ncols):
+    """Solve A x = rhs over the rationals, assigning zero to every free variable.
+
+    rows: list of sparse rows {column: rational}; rhs entries may be rationals
+    or Scalars (the matrix itself must be rational).  Pivot columns are chosen
+    in ascending order, so the result is deterministic.  Raises ValueError if
+    the system is inconsistent.
+    """
+    rows = [{c: Rat(v) for c, v in r.items() if v} for r in rows]
+    rhs = [v if isinstance(v, Scalar) else Rat(v) for v in rhs]
+    nrows = len(rows)
+    if len(rhs) != nrows:
+        raise ValueError("rhs length mismatch")
+    by_col = defaultdict(set)
+    for i, r in enumerate(rows):
+        for c in r:
+            by_col[c].add(i)
+    used = [False] * nrows
+    pivots = {}
+    for col in range(ncols):
+        cand = [i for i in by_col.get(col, ()) if not used[i]]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda i: (len(rows[i]), i))
+        used[piv] = True
+        pivots[col] = piv
+        pr = rows[piv]
+        pc = pr[col]
+        if pc != 1:
+            for c in list(pr):
+                pr[c] = pr[c] / pc
+            rhs[piv] = rhs[piv] / pc
+        for i in list(by_col[col]):
+            if i == piv:
+                continue
+            f = rows[i].get(col)
+            if not f:
+                continue
+            ri = rows[i]
+            for c, v in pr.items():
+                nv = ri.get(c, 0) - f * v
+                if nv:
+                    ri[c] = nv
+                    by_col[c].add(i)
+                else:
+                    ri.pop(c, None)
+                    by_col[c].discard(i)
+            rhs[i] = rhs[i] - f * rhs[piv]
+    for i in range(nrows):
+        if not used[i] and rhs[i]:
+            raise ValueError("inconsistent linear system")
+    x = [Rat(0)] * ncols
+    for col, piv in pivots.items():
+        x[col] = rhs[piv]
+    return x
+
+
+def _exponents_up_to(n, max_deg):
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        # canonical exponents keep the last slot below 2
+        cap = remaining if len(prefix) < n - 1 else min(remaining, 1)
+        for k in range(cap + 1):
+            rec(prefix + [k], remaining - k)
+
+    rec([], max_deg)
+    return out
+
+
+def monomial_forms(n, degree, max_vdeg):
+    """All projected monomial forms v^e dx_I ^ dv_J of the given total form degree."""
+    out = []
+    exps = _exponents_up_to(n, max_vdeg)
+    for k in range(degree + 1):
+        for I in itertools.combinations(range(n), k):
+            for J in itertools.combinations(range(n), degree - k):
+                for e in exps:
+                    f = InvariantForm(n, {(I, J): SpherePoly(n, {e: 1})})
+                    if not f.is_zero():
+                        out.append(f)
+    return out
+
+
+def rumin_ansatz(omega):
+    """(xi, D_omega, degree): xi from a polynomial ansatz of escalating degree,
+    solved exactly so that d(omega + alpha ^ xi) is vertical."""
+    n = omega.n
+    dw = d(omega)
+    tau = -horizontal_part(dw)
+    pihat = d(alpha_form(n))
+    start = max((p.degree() for p in dw.terms.values()), default=0) + 2
+    last_err = None
+    for deg in range(start, ANSATZ_DEGREE_CAP + 1, 2):
+        basis = monomial_forms(n, n - 2, deg)
+        columns = [horizontal_part(pihat.wedge(b)) for b in basis]
+        row_index = {}
+        for form in columns + [tau]:
+            for ij, p in form.terms.items():
+                for e in p.terms:
+                    row_index.setdefault((ij, e), len(row_index))
+        rows = [{} for _ in row_index]
+        for col, form in enumerate(columns):
+            for ij, p in form.terms.items():
+                for e, c in p.terms.items():
+                    rows[row_index[(ij, e)]][col] = c
+        rhs = [0] * len(rows)
+        for ij, p in tau.terms.items():
+            for e, c in p.terms.items():
+                rhs[row_index[(ij, e)]] = c
+        try:
+            sol = solve_linear(rows, rhs, len(columns))
+        except ValueError as err:
+            last_err = err
+            continue
+        xi = InvariantForm.zero(n)
+        for c, b in zip(sol, basis):
+            if c:
+                xi = xi + b * c
+        return xi, d(omega + alpha_form(n).wedge(xi)), deg
+    raise ValueError(f"no solution at degree cap {ANSATZ_DEGREE_CAP}") from last_err

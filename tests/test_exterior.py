@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
     VectorField,
+    _coeff_to_scalar,
     alpha_form,
     contract,
     contract_slot,
@@ -388,6 +390,12 @@ class TestFiberIntegrate:
     def test_sphere_volume(self):
         got = fiber_integrate(sphere_volume_form(N))
         assert got == BaseForm(N, {(): 2 * PI ** 2})
+
+    def test_fractions_fraction_accepted(self):
+        # the standard library's type is exact whichever backend Rat is
+        assert _coeff_to_scalar(Fraction(2, 3)) == Scalar.of(2, 3)
+        got = fiber_integrate(sphere_volume_form(N) * Fraction(1, 2))
+        assert got == BaseForm(N, {(): PI ** 2})
 
     def test_low_fiber_degree_vanishes(self):
         a = dx_form(N, 0).wedge(dx_form(N, 1)).wedge(dx_form(N, 2))

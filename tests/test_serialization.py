@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ class TestScalarJson:
         assert ser.scalar_to_json(3) == {"0": "3"}
         assert ser.scalar_to_json(Rat(1, 2)) == {"0": "1/2"}
         assert ser.scalar_to_json(0) == {}
+
+    def test_fractions_fraction_accepted(self):
+        # the standard library's type is accepted whichever backend Rat is
+        assert ser.scalar_to_json(Fraction(-3, 4)) == {"0": "-3/4"}
+        assert ser.scalar_to_json(Fraction(0)) == {}
 
     def test_float_rejected(self):
         with pytest.raises(ValueError):

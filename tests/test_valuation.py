@@ -3,7 +3,7 @@ import random
 import pytest
 
 from _oracles import random_form, random_rational
-from valcalc.contact import verify_zero_valuation
+from valcalc.contact import rumin, verify_zero_valuation
 from valcalc.exterior import (
     BaseForm,
     InvariantForm,
@@ -256,6 +256,16 @@ class TestFloatCoefficients:
         v2 = intrinsic_volume_rep(4, 2)
         with pytest.raises(TypeError, match="exact coefficients"):
             pairing(*((zf, v2) if float_first else (v2, zf)))
+
+    @pytest.mark.parametrize("name", ["rumin", "signature", "laplace"])
+    def test_rumin_operators_name_the_cause(self, name):
+        # the Rumin solve runs on integer coefficients; floats used to surface
+        # as a failed verticality check instead of a TypeError
+        _, zf = su2_basis("icosahedron")[2]
+        op = {"rumin": lambda mu: rumin(mu.omega), "signature": signature,
+              "laplace": laplace}[name]
+        with pytest.raises(TypeError, match="exact coefficients"):
+            op(zf)
 
 
 class TestKlain:
