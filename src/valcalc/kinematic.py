@@ -18,14 +18,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .bodies import Ball, Box, PlanarPolygon, evaluate, intersects_batch
+from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate, intersects_batch
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
-from .su2 import alesker_directions, gram_zz, icosahedron_directions, su2_basis, tasaki_density
+from .su2 import icosahedron_directions, su2_basis, tasaki_density
 from .tolerances import (
     CONTACT_TOL,
     MC_DEGENERATE_PLANE_RATE,
     MC_INDETERMINATE_RATE,
+    PLATE_COND_LIMIT,
     UNIT_QUATERNION_TOL,
     ZERO_NORM_TOL,
     ZONOTOPE_TOL,
@@ -33,6 +34,9 @@ from .tolerances import (
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
+# samples per block of the box/box test, whose temporaries come to about a
+# hundred floats per sample
+BOX_BOX_BLOCK = 1 << 12
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
 
@@ -76,32 +80,22 @@ class MCReport:
         }
 
 
-def _directions(kind: str):
-    if kind == "icosahedron":
-        return icosahedron_directions()
-    if kind == "alesker":
-        return alesker_directions()
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
 def gram_matrix(kind: str = "icosahedron"):
     """Labels and the exact 10x10 pairing Gram matrix of the basis."""
     basis = su2_basis(kind)
-    dirs = _directions(kind)
     labels = [label for label, _ in basis]
+    # the icosahedron's direction pairs carry algebraic (u.v)^2, so its Z_u
+    # have float coefficients and its projection-valuation block takes the
+    # closed-form density; every other entry pairs the basis reps
+    dirs = icosahedron_directions() if kind == "icosahedron" else None
     n = len(basis)
     G = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if BASIS_DEGREES[i] + BASIS_DEGREES[j] != 4:
                 continue
-            zi, zj = 2 <= i < 8, 2 <= j < 8
-            if zi and zj:
-                u, v = dirs[i - 2], dirs[j - 2]
-                # the projection-valuation block; the direction pairs of the
-                # icosahedron basis carry algebraic (u.v)^2, the rational
-                # directions go through the full symbolic pairing
-                val = tasaki_density(u, v) if kind == "icosahedron" else gram_zz(u, v)
+            if dirs and 2 <= i < 8 and 2 <= j < 8:
+                val = tasaki_density(dirs[i - 2], dirs[j - 2])
             else:
                 val = pairing(basis[i][1], basis[j][1])
             G[i][j] = G[j][i] = val
@@ -164,15 +158,16 @@ def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
     return total
 
 
+# left multiplication by q0 + q1 i + q2 j + q3 k: entry (r, c) of its matrix
+# is _LEFT_SIGN[r, c] * q[_LEFT_INDEX[r, c]]
+_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
+                       [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+
+
 def rotation_matrix(q) -> np.ndarray:
     """Left multiplication by the unit quaternion q as a 4x4 float matrix."""
-    q0, q1, q2, q3 = (float(x) for x in q)
-    return np.array([
-        [q0, -q1, -q2, -q3],
-        [q1, q0, -q3, q2],
-        [q2, q3, q0, -q1],
-        [q3, -q2, q1, q0],
-    ])
+    return np.array([float(x) for x in q])[_LEFT_INDEX] * _LEFT_SIGN
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +211,13 @@ def haar_sample(rng, t_low=None, t_high=None) -> RigidMotion:
     return RigidMotion(q, t)
 
 
-def _batch_rotations(qs: np.ndarray) -> np.ndarray:
-    q0, q1, q2, q3 = qs[:, 0], qs[:, 1], qs[:, 2], qs[:, 3]
-    R = np.empty((len(qs), 4, 4))
-    R[:, 0, 0], R[:, 0, 1], R[:, 0, 2], R[:, 0, 3] = q0, -q1, -q2, -q3
-    R[:, 1, 0], R[:, 1, 1], R[:, 1, 2], R[:, 1, 3] = q1, q0, -q3, q2
-    R[:, 2, 0], R[:, 2, 1], R[:, 2, 2], R[:, 2, 3] = q2, q3, q0, -q1
-    R[:, 3, 0], R[:, 3, 1], R[:, 3, 2], R[:, 3, 3] = q3, -q2, q1, q0
-    return R
+def _haar_rotations(rng, size):
+    """Left multiplications by ``size`` unit quaternions uniform on S^3."""
+    qs = rng.standard_normal((size, 4))
+    qs /= _row_norms(qs)[:, None]
+    Rs = qs[:, _LEFT_INDEX]
+    Rs *= _LEFT_SIGN
+    return Rs
 
 
 def _translation_box(K, L, Rs: np.ndarray):
@@ -240,55 +234,94 @@ def _translation_box(K, L, Rs: np.ndarray):
     return lo, hi
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
-
-
-def _orthogonal_complement(rows: np.ndarray) -> np.ndarray:
-    """Vector orthogonal to three row vectors in R^4, batched as (B, 3, 4)."""
-    out = np.empty(rows.shape[:-2] + (4,))
-    cols = np.arange(4)
-    for l in range(4):
-        keep = cols[cols != l]
-        out[..., l] = (-1.0) ** l * _det3(rows[..., keep])
-    return out
-
-
 def _ball_box_hits(y, box, radius):
     """Whether ball centers at box-frame coordinates y (B, 4) reach the box."""
     clipped = np.clip(y, -box.half_extents, box.half_extents)
-    return np.linalg.norm(y - clipped, axis=1) <= radius + CONTACT_TOL
+    return _row_norms(y - clipped) <= radius + CONTACT_TOL
+
+
+# the pairs (a, b), a < b, of four indices (box generators or coordinates);
+# for each index the three pairs that hold it, for each pair the two indices
+# outside it
+_PAIRS = tuple(combinations(range(4), 2))
+_FIRST, _SECOND = (np.array(side) for side in zip(*_PAIRS))
+_HOLDING = np.array([[p for p, pair in enumerate(_PAIRS) if a in pair] for a in range(4)])
+_OUTSIDE = np.array([[c for c in range(4) if c not in pair] for pair in _PAIRS])
 
 
 def _hits_box_box(K, L, Rs, ts):
-    # Minkowski difference of two boxes is a zonotope on 8 generators; the
-    # origin lies inside iff no facet normal separates, and every facet
-    # normal annihilates some independent triple of generators
+    """Whether K meets R L + t, for each sample rotation R and translation t."""
+    return np.concatenate([_hits_box_box_block(K, L, Rs[s:s + BOX_BOX_BLOCK],
+                                               ts[s:s + BOX_BOX_BLOCK])
+                           for s in range(0, len(Rs), BOX_BOX_BLOCK)])
+
+
+def _hits_box_box_block(K, L, Rs, ts):
+    """The box/box hit test on one block of samples.
+
+    The Minkowski difference of two boxes is a zonotope on their 8
+    generators. The origin lies inside iff no facet normal separates, and
+    each of the 56 facet normals annihilates three generators. In K's frame
+    K's generators are h_i e_i, so each normal is a closed form: e_l (three
+    of K's), a 2-D perpendicular to an L generator (two of K's), a 3-D cross
+    product of two L generators (one of K's) or an L axis (three of L's).
+    These are the separating axes of Gottschalk, Lin and Manocha's OBBTree,
+    taken to R^4. Each normal n is tested with its scale: it is skipped
+    when w |n| <= ZERO_NORM_TOL, w the half-extent product that makes it the
+    generalized cross product of its three generators, and otherwise needs
+    |n.d| <= sum_g |n.g| + ZONOTOPE_TOL |n|.
+    """
     B = len(Rs)
-    gen_K = (K.rotation * K.half_extents).T                  # (4, 4) static
-    gen_L = np.swapaxes(Rs @ (L.rotation * L.half_extents), 1, 2)  # (B, 4, 4)
-    d = Rs @ L.center + ts - K.center                        # (B, 4)
-    gens = np.concatenate([np.broadcast_to(gen_K, (B, 4, 4)), gen_L], axis=1)
-    inside = np.ones(B, dtype=bool)
-    for tri in combinations(range(8), 3):
-        nu = _orthogonal_complement(gens[:, tri, :])
-        scale = np.linalg.norm(nu, axis=1)
-        ok = scale > ZERO_NORM_TOL
-        proj = np.abs(np.einsum("bi,bi->b", nu, d))
-        extent = np.abs(np.einsum("bi,bgi->bg", nu, gens)).sum(axis=1)
-        inside &= ~ok | (proj <= extent + ZONOTOPE_TOL * scale)
+    hK, hL = K.half_extents, L.half_extents
+    # G[c, a]: coordinate c of L's generator a in K's frame, and D[c]:
+    # coordinate c of the offset of L's center from K's, one (B,) row each
+    G = (np.kron(K.rotation.T, (L.rotation * hL).T) @ Rs.reshape(B, 16).T).reshape(4, 4, B)
+    D = K.rotation.T @ (Rs @ L.center + ts - K.center).T
+    absG = np.abs(G)
+    vol_K = np.prod(hK)
+    # e_l
+    inside = _unseparated(np.abs(D), hK[:, None] + absG.sum(axis=1), 1.0, (vol_K / hK)[:, None])
+    # G[l, a] e_k - G[k, a] e_l; its products with L's generators are the
+    # 2x2 minors of rows k, l of G
+    minors = {}
+    for k, l in _PAIRS:
+        Gk, Gl = G[k], G[l]
+        m = minors[k, l] = Gk[_FIRST] * Gl[_SECOND] - Gl[_FIRST] * Gk[_SECOND]
+        extent = hK[k] * absG[l] + hK[l] * absG[k] + np.abs(m)[_HOLDING].sum(axis=1)
+        inside &= _unseparated(np.abs(Gl * D[k] - Gk * D[l]), extent,
+                               np.sqrt(Gk * Gk + Gl * Gl), vol_K / (hK[k] * hK[l]))
+    # the cross products, on the coordinates other than i, of L's generator pairs
+    for i in range(4):
+        c1, c2, c3 = (c for c in range(4) if c != i)
+        n1, n2, n3 = minors[c2, c3], -minors[c1, c3], minors[c1, c2]
+        proj = np.abs(n1 * D[c1] + n2 * D[c2] + n3 * D[c3])
+        others = (n1[:, None] * G[c1][_OUTSIDE] + n2[:, None] * G[c2][_OUTSIDE]
+                  + n3[:, None] * G[c3][_OUTSIDE])
+        extent = (hK[c1] * np.abs(n1) + hK[c2] * np.abs(n2) + hK[c3] * np.abs(n3)
+                  + np.abs(others).sum(axis=1))
+        inside &= _unseparated(proj, extent, np.sqrt(n1 * n1 + n2 * n2 + n3 * n3), hK[i])
+    # L's axis G[:, d], orthogonal to L's other three generators
+    square = (G * G).sum(axis=0)
+    inside &= _unseparated(np.abs((G * D[:, None]).sum(axis=0)),
+                           (absG * hK[:, None, None]).sum(axis=0) + square, np.sqrt(square),
+                           (np.prod(hL) / (hL * hL))[:, None])
     return inside
+
+
+def _unseparated(proj, extent, length, weight):
+    """Samples that no normal of a family separates, given one normal n per
+    row: |n.d|, sum_g |n.g|, |n| and the weight w."""
+    return np.all((proj <= extent + ZONOTOPE_TOL * length)
+                  | (weight * length <= ZERO_NORM_TOL), axis=0)
 
 
 def _score_principal(K, L, Rs, ts):
     """Hit indicators for K against the rotated, translated copies of L."""
     if isinstance(K, Ball) and isinstance(L, Ball):
         d = K.center - (Rs @ L.center + ts)
-        return np.linalg.norm(d, axis=1) <= K.radius + L.radius, 0
+        return _row_norms(d) <= K.radius + L.radius, 0
     if isinstance(K, Ball) and isinstance(L, Box):
-        y = np.einsum("bij,bi->bj", Rs @ L.rotation, K.center - (Rs @ L.center + ts))
+        y = np.einsum("bij,bi->bj", Rs, K.center - (Rs @ L.center + ts)) @ L.rotation
         return _ball_box_hits(y, L, K.radius), 0
     if isinstance(K, Box) and isinstance(L, Ball):
         y = (Rs @ L.center + ts - K.center) @ K.rotation
@@ -337,13 +370,16 @@ def _finalize(sum_w, sum_w2, N, seed, rhs, bad):
 def _sample_motions(K, L, seed, idx, size):
     """Rotations, translations and translation-box volumes of chunk idx."""
     rng = np.random.default_rng([seed, idx])
-    qs = rng.standard_normal((size, 4))
-    qs /= np.linalg.norm(qs, axis=1, keepdims=True)
-    Rs = _batch_rotations(qs)
-    lo, hi = _translation_box(K, L, Rs)
-    vol = np.prod(hi - lo, axis=1)
-    ts = lo + rng.uniform(size=(size, 4)) * (hi - lo)
-    return Rs, ts, vol
+    Rs = _haar_rotations(rng, size)
+    # hi - lo and lo + u (hi - lo) in place: with fewer temporaries beside
+    # Rs, a chunk's arrays fit in the heap the allocator keeps between
+    # chunks instead of being returned to the system and faulted in again
+    lo, span = _translation_box(K, L, Rs)
+    span -= lo
+    ts = rng.uniform(size=(size, 4))
+    ts *= span
+    ts += lo
+    return Rs, ts, np.prod(span, axis=1)
 
 
 def _check_mc_args(N, threads, **bodies):
@@ -406,6 +442,31 @@ def _inside_polygon(v2d: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _plates_transversal(F1t, F2):
+    """Which plate pairs are far enough from parallel to solve for their
+    crossing, for the orthonormal 4x2 frame F1t and a (B, 4, 2) batch of
+    orthonormal frames F2: cond [F1t | -F2] <= PLATE_COND_LIMIT.
+
+    For orthonormal frames that condition number is cot(theta/2) =
+    (1 + cos theta) / sin theta, theta the smallest principal angle between
+    the planes (Bjorck and Golub 1973). Wherever it comes near the limit,
+    cos theta rounds to 1, so the test is sin theta >= 2 / PLATE_COND_LIMIT.
+    sin theta is the smaller singular value of the residual
+    P = F2 - F1t (F1t^T F2). It is taken from the trace of P^T P and its
+    Cauchy-Binet determinant, the sum of the squared 2x2 minors of P, which
+    keeps the accuracy of an SVD near parallel planes.
+    """
+    P = F2 - F1t @ (F1t.T @ F2)
+    minors = P[:, _FIRST, 0] * P[:, _SECOND, 1] - P[:, _SECOND, 0] * P[:, _FIRST, 1]
+    det = (minors * minors).sum(axis=1)
+    trace = (P * P).sum(axis=(1, 2))
+    # sin^2 theta, the smaller root of x^2 - trace x + det, in the form free
+    # of cancellation
+    root = trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
+    sin2 = np.divide(2.0 * det, root, out=np.zeros_like(det), where=root > 0.0)
+    return 2.0 <= PLATE_COND_LIMIT * np.sqrt(sin2)
+
+
 def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
                 seed: int = 0, threads: int = 1) -> MCReport:
     """Monte Carlo for the expected number of intersection points of two
@@ -424,14 +485,15 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
 
     def worker(idx, size):
         Rs, ts, vol = _sample_motions(M1, M2, seed, idx, size)
-        mats = np.concatenate([np.broadcast_to(F1t, (size, 4, 2)), -(Rs @ F2t)], axis=2)
+        F2 = Rs @ F2t
         rhsv = Rs @ b2 + ts - b1
-        cond = np.linalg.cond(mats)
-        ok = np.isfinite(cond) & (cond <= 1e12)
+        ok = _plates_transversal(F1t, F2)
         bad = int(np.sum(~ok))
         w = np.zeros(size)
         if np.any(ok):
-            sols = np.linalg.solve(mats[ok], rhsv[ok][..., None])[..., 0]
+            F2 = F2[ok]
+            mats = np.concatenate([np.broadcast_to(F1t, F2.shape), -F2], axis=2)
+            sols = np.linalg.solve(mats, rhsv[ok][..., None])[..., 0]
             hit = _inside_polygon(v1, sols[:, :2]) & _inside_polygon(v2, sols[:, 2:])
             w[ok] = vol[ok] * hit
         return float(np.sum(w)), float(np.sum(w * w)), bad

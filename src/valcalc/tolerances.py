@@ -40,8 +40,18 @@ UNIT_QUATERNION_TOL = 1e-12
 # contact slack of the closed-form ball/box and point-in-polygon hit tests
 CONTACT_TOL = 1e-12
 
-# relative slack of the zonotope facet test in the box/box hit test
+# relative slack of the box/box hit test: a facet normal n of the zonotope
+# K - L passes when |n.d| <= sum_g |n.g| + this times |n|. The normals are
+# written in K's frame, which takes both box rotations as exactly
+# orthonormal; a rotation within ORTHONORMAL_TOL of it moves a verdict only
+# within about this slack
 ZONOTOPE_TOL = 1e-9
+
+# the intersection count estimator solves for the crossing of two plates
+# only while cond [F1^T | -R F2^T] = cot(theta/2), theta the smallest
+# principal angle between their planes, is at most this; a pair closer to
+# parallel (theta below about 2e-12) counts as degenerate
+PLATE_COND_LIMIT = 1e12
 
 # two float icosahedron directions are the same within this per coordinate
 DIRECTION_MATCH_TOL = 1e-9

@@ -23,6 +23,7 @@ from valcalc.exterior import (
     reeb_field,
 )
 from valcalc.scalars import ZERO, Rat, Scalar
+from valcalc.tolerances import PLATE_COND_LIMIT, ZERO_NORM_TOL, ZONOTOPE_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
 
@@ -549,3 +550,64 @@ def rumin_ansatz(omega):
                 xi = xi + b * c
         return xi, d(omega + alpha_form(n).wedge(xi)), deg
     raise ValueError(f"no solution at degree cap {ANSATZ_DEGREE_CAP}") from last_err
+
+
+# -- Monte Carlo scoring oracles --------------------------------------------------
+#
+# The generic forms of the closed-form per-sample tests in ``valcalc.kinematic``
+# and ``valcalc.bodies``: the zonotope facet test on world-frame generators,
+# the SVD condition number of a plate pair and numpy's row norms and maxima.
+
+
+def det3(m):
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+
+
+def orthogonal_complement(rows):
+    """Vector orthogonal to three row vectors in R^4, batched as (B, 3, 4)."""
+    out = np.empty(rows.shape[:-2] + (4,))
+    cols = np.arange(4)
+    for l in range(4):
+        keep = cols[cols != l]
+        out[..., l] = (-1.0) ** l * det3(rows[..., keep])
+    return out
+
+
+def box_box_generators(K, L, Rs):
+    """The 8 generators of the zonotope K - R L, world frame, as (B, 8, 4)."""
+    gen_K = (K.rotation * K.half_extents).T
+    gen_L = np.swapaxes(Rs @ (L.rotation * L.half_extents), 1, 2)
+    return np.concatenate([np.broadcast_to(gen_K, (len(Rs), 4, 4)), gen_L], axis=1)
+
+
+def hits_box_box_zonotope(K, L, Rs, ts):
+    """Box/box hit test on the 56 facet normals of the Minkowski difference,
+    each the complement of three world-frame generators."""
+    gens = box_box_generators(K, L, Rs)
+    d = Rs @ L.center + ts - K.center
+    inside = np.ones(len(Rs), dtype=bool)
+    for tri in itertools.combinations(range(8), 3):
+        nu = orthogonal_complement(gens[:, tri, :])
+        scale = np.linalg.norm(nu, axis=1)
+        ok = scale > ZERO_NORM_TOL
+        proj = np.abs(np.einsum("bi,bi->b", nu, d))
+        extent = np.abs(np.einsum("bi,bgi->bg", nu, gens)).sum(axis=1)
+        inside &= ~ok | (proj <= extent + ZONOTOPE_TOL * scale)
+    return inside
+
+
+def plates_transversal_svd(F1t, F2):
+    """The plate-pair mask from the SVD condition number of [F1t | -F2]."""
+    mats = np.concatenate([np.broadcast_to(F1t, F2.shape), -F2], axis=2)
+    cond = np.linalg.cond(mats)
+    return np.isfinite(cond) & (cond <= PLATE_COND_LIMIT)
+
+
+def row_norms_numpy(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def row_max_numpy(x):
+    return np.max(x, axis=-1)

@@ -322,6 +322,16 @@ class TestSupport:
                 assert isinstance(K.support(xi), float)
                 assert K.support(xi) == pytest.approx(h, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_row_norms_and_maxima_are_numpys_bits(self, n):
+        # rows of fewer than 8 entries, contiguous, strided and single, over
+        # a wide range of magnitudes
+        rng = np.random.default_rng(40 + n)
+        x = rng.normal(size=(4096, 2 * n)) * np.exp(3 * rng.normal(size=(4096, 2 * n)))
+        for rows in (x[:, :n], x[:, ::2], -x[:, n:], x[0, :n]):
+            assert np.array_equal(bodies._row_norms(rows), np.linalg.norm(rows, axis=-1))
+            assert np.array_equal(bodies._row_max(rows), np.max(rows, axis=-1))
+
 
 def lp_constraints(K, n):
     if isinstance(K, Box):

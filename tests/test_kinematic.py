@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import _oracles
 from valcalc import bodies
 from valcalc import kinematic
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
@@ -25,7 +27,7 @@ from valcalc.kinematic import (
     _VECTOR_CACHE,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
-from valcalc.su2 import left_mult_matrix, su2_basis
+from valcalc.su2 import alesker_directions, gram_zz, left_mult_matrix, su2_basis
 from valcalc.valuation import pairing
 
 
@@ -70,6 +72,21 @@ class TestGram:
         assert G[2][3] == rational(1, 4)
         assert G[2][5] == rational(3, 8)  # i against (i+j)/sqrt2
         assert G[5][6] == rational(5, 16)  # (i+j) against (i+k)
+
+    def test_alesker_pairs_the_basis_reps(self, monkeypatch):
+        import valcalc.su2 as su2
+
+        su2_basis("alesker")
+        calls = []
+        real = su2.z_rep
+        monkeypatch.setattr(su2, "z_rep", lambda *args: calls.append(args) or real(*args))
+        _, G = gram_matrix("alesker")
+        assert calls == []
+        monkeypatch.undo()
+        dirs = alesker_directions()
+        for i, u in enumerate(dirs):
+            for j, v in enumerate(dirs):
+                assert G[i + 2][j + 2] == gram_zz(u, v)
 
 
 class TestTensor:
@@ -379,7 +396,8 @@ class TestMCFailureContext:
         assert rep.indeterminate == 2
 
     def test_degenerate_rate_names_the_run(self, monkeypatch):
-        monkeypatch.setattr(kinematic.np.linalg, "cond", lambda m: np.full(len(m), np.inf))
+        monkeypatch.setattr(kinematic, "_plates_transversal",
+                            lambda F1t, F2: np.zeros(len(F2), dtype=bool))
         p1 = mgon(6, [[1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(RuntimeError) as exc:
             mc_poincare(p1, p1, N=100, seed=4)
@@ -430,3 +448,156 @@ class TestMCPoincare:
 
 def _area(m, radius):
     return 0.5 * m * math.sin(2 * math.pi / m) * radius ** 2
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    return q * np.sign(np.diag(r))
+
+
+def _quaternion_rotations(*qs):
+    return np.stack([rotation_matrix(np.asarray(q, dtype=float) / np.linalg.norm(q))
+                     for q in qs])
+
+
+_BOX_RNG = np.random.default_rng(2024)
+# the box/box pair of the motion_mc benchmark, two axis-aligned boxes apart,
+# and two pairs of randomly rotated boxes
+BOX_PAIRS = [
+    (Box(np.zeros(4), np.array([0.6, 0.5, 0.4, 0.55])),) * 2,
+    (Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4])),
+     Box(np.array([0.1, 0.0, -0.2, 0.0]), np.array([0.45, 0.55, 0.35, 0.6]))),
+] + [
+    (Box(_BOX_RNG.uniform(-0.3, 0.3, 4), _BOX_RNG.uniform(0.1, 0.8, 4), _random_rotation(_BOX_RNG)),
+     Box(_BOX_RNG.uniform(-0.3, 0.3, 4), _BOX_RNG.uniform(0.1, 0.8, 4), _random_rotation(_BOX_RNG)))
+    for _ in range(2)
+]
+
+
+def _contacts(K, L, Rs, rng, gaps):
+    """Motions that put L at each gap off every facet of the zonotope K - R L.
+
+    The facet point is the signed sum of the generators off the facet plus a
+    random point of the facet, so K and R L + t touch there at gap 0; the gap
+    moves it along the facet's unit normal.
+    """
+    out_R, out_t, out_gap = [], [], []
+    for R, gens in zip(Rs, _oracles.box_box_generators(K, L, Rs)):
+        for tri in combinations(range(8), 3):
+            normal = _oracles.orthogonal_complement(gens[list(tri)])
+            if np.linalg.norm(normal) < 1e-6:
+                continue
+            normal /= np.linalg.norm(normal)
+            heights = gens @ normal
+            coef = np.where(np.abs(heights) > 1e-9, np.sign(heights), rng.uniform(-0.8, 0.8, 8))
+            point = coef @ gens
+            for gap in gaps:
+                out_R.append(R)
+                out_t.append(point + gap * normal - R @ L.center + K.center)
+                out_gap.append(gap)
+    return np.array(out_R), np.array(out_t), np.array(out_gap)
+
+
+class TestBoxBoxFacets:
+    """The box/box test in K's frame against the generic zonotope test on
+    world-frame generators (``_oracles.hits_box_box_zonotope``)."""
+
+    @pytest.mark.parametrize("pair", range(len(BOX_PAIRS)))
+    def test_sampled_motions_match_oracle(self, pair):
+        # 4 pairs of 2 chunks: 262144 samples in all
+        K, L = BOX_PAIRS[pair]
+        for idx in range(2):
+            Rs, ts, _ = kinematic._sample_motions(K, L, 31 + pair, idx, kinematic.MC_CHUNK)
+            got = kinematic._hits_box_box(K, L, Rs, ts)
+            assert np.array_equal(got, _oracles.hits_box_box_zonotope(K, L, Rs, ts))
+            assert 0.05 < got.mean() < 0.95
+
+    @pytest.mark.parametrize("boxes, quaternions", [
+        # face to face: axis-aligned boxes, L's axes sent to K's axes
+        ("axis", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)]),
+        # edge to edge: L turned by 45 or 60 degrees in two coordinate planes
+        ("axis", [(1, 1, 0, 0), (1, 0, -1, 0), (1, 1, 1, 1)]),
+        # face to face between rotated boxes, and random motions
+        ("rotated", [(1, 0, 0, 0), (-1, 0, 0, 0), (0.3, -1.1, 0.4, 0.8)]),
+    ])
+    def test_contacts_at_tiny_gaps(self, boxes, quaternions):
+        rng = np.random.default_rng(len(quaternions))
+        if boxes == "axis":
+            K, L = BOX_PAIRS[1]
+        else:
+            K, L = BOX_PAIRS[2][0], Box(BOX_PAIRS[2][1].center, BOX_PAIRS[2][1].half_extents,
+                                        BOX_PAIRS[2][0].rotation)
+        gaps = (-1e-8, -1e-10, 1e-10, 1e-8)
+        Rs, ts, gap = _contacts(K, L, _quaternion_rotations(*quaternions), rng, gaps)
+        got = kinematic._hits_box_box(K, L, Rs, ts)
+        want = _oracles.hits_box_box_zonotope(K, L, Rs, ts)
+        assert np.array_equal(got, want)
+        # touching within the test's slack is a hit, 1e-8 apart is a miss
+        assert np.array_equal(got, gap < 1e-9)
+
+
+def _plates_sharing_a_line(rng, F1t, eps, count):
+    """Frames whose plane meets span F1t at principal angles eps and a random
+    angle in [0.1, pi/2]: a line of F1t's plane tilted by eps."""
+    comp = np.linalg.svd(F1t, full_matrices=True)[0][:, 2:]
+    frames = []
+    for _ in range(count):
+        a, b, phi = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), \
+            rng.uniform(0.1, math.pi / 2)
+        u = F1t @ np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        w = comp @ np.array([[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]])
+        frames.append(np.stack([math.cos(eps) * u[:, 0] + math.sin(eps) * w[:, 0],
+                                math.cos(phi) * u[:, 1] + math.sin(phi) * w[:, 1]], axis=1))
+    return np.array(frames)
+
+
+class TestPlateConditioning:
+    """The closed-form plate-pair mask against the SVD condition number
+    (``_oracles.plates_transversal_svd``)."""
+
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(2, 17)] + [0.0])
+    def test_matches_svd_near_a_shared_line(self, eps):
+        rng = np.random.default_rng(int(-math.log10(eps)) if eps else 99)
+        F1t = _random_rotation(rng)[:, :2]
+        F2 = _plates_sharing_a_line(rng, F1t, eps, 128)
+        got = kinematic._plates_transversal(F1t, F2)
+        assert np.array_equal(got, _oracles.plates_transversal_svd(F1t, F2))
+        # cond = cot(eps / 2), about 2 / eps, against the limit 1e12
+        assert np.all(got) if eps >= 1e-11 else not np.any(got)
+
+    def test_matches_svd_on_sampled_motions(self):
+        M1 = mgon(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        M2 = mgon(5, [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]], radius=0.8)
+        Rs, _, _ = kinematic._sample_motions(M1, M2, 12, 0, 4096)
+        F1t, F2 = M1.frame.T, Rs @ M2.frame.T
+        got = kinematic._plates_transversal(F1t, F2)
+        assert np.all(got)
+        assert np.array_equal(got, _oracles.plates_transversal_svd(F1t, F2))
+        same = kinematic._plates_transversal(F1t, np.broadcast_to(F1t, (3, 4, 2)))
+        assert not np.any(same)
+
+
+class TestOracleEstimates:
+    def test_estimates_unchanged_by_the_oracles(self, monkeypatch):
+        # two chunks per estimate; every sample must get the same weight from
+        # the closed forms as from the generic tests and numpy's norms and maxima
+        N = kinematic.MC_CHUNK + 7000
+        half = Ball(np.zeros(4), 0.5)
+        box = BOX_PAIRS[0][0]
+        square = mgon(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        pentagon = mgon(5, [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]], radius=0.8)
+
+        def run():
+            reps = [mc_principal_kinematic(K, L, N=N, seed=seed)
+                    for seed, (K, L) in enumerate([(half, half), (half, box), BOX_PAIRS[0],
+                                                   BOX_PAIRS[3]])]
+            reps.append(mc_poincare(square, pentagon, N=N, seed=5))
+            return [(r.estimate, r.stderr, r.indeterminate) for r in reps]
+
+        fast = run()
+        monkeypatch.setattr(kinematic, "_hits_box_box", _oracles.hits_box_box_zonotope)
+        monkeypatch.setattr(kinematic, "_plates_transversal", _oracles.plates_transversal_svd)
+        monkeypatch.setattr(kinematic, "_row_norms", _oracles.row_norms_numpy)
+        monkeypatch.setattr(bodies, "_row_norms", _oracles.row_norms_numpy)
+        monkeypatch.setattr(bodies, "_row_max", _oracles.row_max_numpy)
+        assert run() == fast
