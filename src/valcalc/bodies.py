@@ -14,7 +14,9 @@ are integrated all at once, as the normal cone of a point, since the vertex
 cones of a polytope tile the sphere.  That covers every cell of boxes,
 points, segments, polygons and simplices in R^2 to R^4; an oblique cone of
 four or more generators on a face of dimension >= 1, which only simplices of
-dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
+dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.  Several
+valuations on one body share one pass over its face lattice
+(``evaluate_many``): each piece's cell and moments are computed once for all.
 
 Each body class carries its own support function (``support``,
 ``support_point``, both batched over (B, n) directions, and
@@ -704,8 +706,13 @@ class _TermGroup:
     degree: int           # highest degree of monomial * v_i
 
 
+@lru_cache(maxsize=64)
 def _closed_form_terms(form):
-    """The form's terms grouped by (k, m): face dimension, cone generators."""
+    """The form's terms grouped by (k, m): face dimension, cone generators.
+
+    Cached by form, so each basis valuation's groups are built once, not once
+    per body; the returned groups are shared and must not be changed.
+    """
     n = form.n
     by_shape = {}
     for (I, J), p in form.terms.items():
@@ -727,12 +734,20 @@ def _closed_form_terms(form):
     return groups
 
 
-def _closed_cell(group, fmat, cell):
+def _cell_moments(cell, degree):
+    """Integrals of v^e over the cell for every monomial e of degree 0 up to the
+    given, laid end to end as ``_moment_position`` numbers them.  The moments of
+    one degree do not depend on the top degree asked for."""
+    return np.concatenate(_frame_moments(cell.frame, cell.moments(degree)))
+
+
+def _closed_cell(group, fmat, cell, moments):
     """Oriented integral of the group's terms over face x cell.
 
     On the cell, dv_J = det[y^T | E[:, J]] dsigma = (y . w_J) dsigma, where w_J
     holds the signed cofactors of E[:, J]; since y = E v, y . w_J = v . (w_J E),
-    and the integrand p(v) (v . w_J E) is integrated through the moments.
+    and the integrand p(v) (v . w_J E) is integrated through the moments, the
+    cell's ``_cell_moments`` up to at least the group's degree.
     """
     frame = cell.frame
     m = len(frame)
@@ -742,8 +757,7 @@ def _closed_cell(group, fmat, cell):
     cofactors = np.linalg.det(frame[rows][:, :, group.J].transpose(2, 0, 1, 3))
     w = cofactors * (-1.0) ** np.arange(m)
     z = w @ frame
-    mu = np.concatenate(_frame_moments(frame, cell.moments(group.degree)))
-    vals = np.einsum("pi,pi->p", mu[group.position], z[group.term])
+    vals = np.einsum("pi,pi->p", moments[group.position], z[group.term])
     return cell.sign * float(vals @ (group.coef * base[group.term]))
 
 
@@ -763,44 +777,67 @@ def _point_vertex(n):
 
 
 def _integrate_lattice(form, lattice):
-    """Oriented integral of the form over the normal cycle of the face lattice.
+    """Oriented integral of the form over the normal cycle of the face lattice."""
+    return _integrate_forms([form], lattice)[0]
+
+
+def _integrate_forms(forms, lattice):
+    """Oriented integrals of forms on R^n over the normal cycle of the face
+    lattice, in one pass: each piece's cell and moments serve every form with
+    terms of the piece's shape.
 
     Only the pure-dv terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
     vertex pieces together integrate like the one vertex of a point.
     """
-    total = 0.0
-    if form.is_zero():
-        return total
-    groups = _closed_form_terms(form)
-    for entry in [e for e in lattice if e.k] + [_point_vertex(form.n)]:
+    totals = [0.0] * len(forms)
+    live = [(i, _closed_form_terms(form)) for i, form in enumerate(forms)
+            if not form.is_zero()]
+    if not live:
+        return totals
+    n = forms[live[0][0]].n
+    for entry in [e for e in lattice if e.k] + [_point_vertex(n)]:
         if entry.volume == 0.0 or not entry.region:
             continue
         face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
-        fmat = np.array(face_vecs, dtype=float).reshape(entry.k, form.n)
+        fmat = np.array(face_vecs, dtype=float).reshape(entry.k, n)
         parity = -1.0 if entry.k % 2 else 1.0
         for gens in entry.region:
             sgn = parity * _piece_sign(face_vecs, gens)
-            group = groups.get((entry.k, len(gens)))
-            if group is None:
-                continue  # no term of the form lives on pieces of this shape
-            total += sgn * entry.volume * _closed_cell(group, fmat, _spherical_cell(gens))
-    return total
+            shape = (entry.k, len(gens))
+            users = [(i, groups[shape]) for i, groups in live if shape in groups]
+            if not users:
+                continue  # no term of any form lives on pieces of this shape
+            cell = _spherical_cell(gens)
+            moments = _cell_moments(cell, max(group.degree for _, group in users))
+            for i, group in users:
+                totals[i] += sgn * entry.volume * _closed_cell(group, fmat, cell, moments)
+    return totals
+
+
+def evaluate_many(reps, K) -> list:
+    """Numeric values of the valuations on one convex body, in one pass over
+    its face lattice."""
+    reps = list(reps)
+    if any(K.dim != mu.n for mu in reps):
+        raise ValueError("body dimension does not match the valuation")
+    if isinstance(K, Ball):
+        return [ball_value(mu, K.radius) for mu in reps]
+    integrals = _integrate_forms([mu.omega for mu in reps], K.face_lattice())
+    out = []
+    for mu, integral in zip(reps, integrals):
+        total = 0.0
+        phi_top = float(mu.phi.top_coefficient())
+        if phi_top:
+            total += phi_top * K.volume()
+        total += integral
+        out.append(total)
+    return out
 
 
 def evaluate(mu: ValuationRep, K) -> float:
     """Numeric value of the valuation on a convex body."""
-    if K.dim != mu.n:
-        raise ValueError("body dimension does not match the valuation")
-    if isinstance(K, Ball):
-        return ball_value(mu, K.radius)
-    lattice = K.face_lattice()
-    total = 0.0
-    phi_top = float(mu.phi.top_coefficient())
-    if phi_top:
-        total += phi_top * K.volume()
-    total += _integrate_lattice(mu.omega, lattice)
-    return total
+    return evaluate_many([mu], K)[0]
 
 
 def steiner_volume(K, t: float) -> float:

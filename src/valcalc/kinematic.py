@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate, intersects_batch
+from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate_many, intersects_batch
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
@@ -134,7 +134,7 @@ def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
     if key in _VECTOR_CACHE:
         return _VECTOR_CACHE[key]
     basis = su2_basis(kind)
-    values = tuple(evaluate(rep, K) for _, rep in basis)
+    values = tuple(evaluate_many([rep for _, rep in basis], K))
     vec = EvaluationVector(K, tuple(label for label, _ in basis), values)
     if len(_VECTOR_CACHE) >= VECTOR_CACHE_SIZE:
         del _VECTOR_CACHE[next(iter(_VECTOR_CACHE))]

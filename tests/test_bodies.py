@@ -196,6 +196,45 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(intrinsic_volume_rep(3, 0), unit_box(4))
 
+    def test_dimension_mismatch_in_a_batch(self):
+        reps = [intrinsic_volume_rep(4, 0), intrinsic_volume_rep(3, 0)]
+        for K in (unit_box(4), Ball(np.zeros(4), 1.0)):
+            with pytest.raises(ValueError, match="body dimension does not match the valuation"):
+                bodies.evaluate_many(reps, K)
+
+    def test_degenerate_piece_raises_without_a_term_on_it(self):
+        # an edge piece whose generators are dependent, under forms with terms
+        # on vertex pieces only, and under a form with terms on edge pieces too
+        chi = intrinsic_volume_rep(4, 0).omega
+        vertex_only = InvariantForm(4, {(I, J): p for (I, J), p in chi.terms.items() if not I})
+        assert set(bodies._closed_form_terms(vertex_only)) == {(0, 4)}
+        gens = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.6, 0.8, 0.0), (0.0, 0.6, 0.8, 0.0))
+        lattice = [bodies.FaceLatticeEntry(1, ((1.0, 0.0, 0.0, 0.0),), 1.0, (gens,))]
+        for forms in ([vertex_only], [vertex_only, InvariantForm.zero(4)], [chi, vertex_only]):
+            with pytest.raises(ValueError, match="degenerate normal-cycle piece"):
+                bodies._integrate_forms(forms, lattice)
+        with pytest.raises(ValueError, match="degenerate normal-cycle piece"):
+            bodies._integrate_lattice(vertex_only, lattice)
+
+    def test_batch_of_mixed_degrees_matches_single_forms(self):
+        # forms of different degrees share pieces; each takes its own degrees
+        # of the moments computed once at the highest
+        rng = np.random.default_rng(6)
+        forms = [_random_form(rng, 4, d) for d in (3, 0, 1)] + [InvariantForm.zero(4)]
+        for K in (_ROTATED_BOX, _OBLIQUE_4, regular_polygon(5)):
+            lattice = K.face_lattice()
+            batch = bodies._integrate_forms(forms, lattice)
+            single = [bodies._integrate_lattice(form, lattice) for form in forms]
+            assert [x.hex() for x in batch] == [x.hex() for x in single]
+
+    def test_term_cache_stays_within_bound(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            bodies._closed_form_terms(_random_form(rng, 3, 1))
+        info = bodies._closed_form_terms.cache_info()
+        assert info.maxsize is not None and info.maxsize < 100
+        assert info.currsize <= info.maxsize
+
 
 class TestBallNumericPath:
     # balls of either coefficient type go through the closed-form monomial
@@ -776,7 +815,8 @@ class TestClosedFormCells:
             gens = gens[rng.permutation(m)]
             cell = bodies._spherical_cell(gens)
             assert cell.rule == ("arc" if arc else "orthant")
-            got = bodies._closed_cell(group, fmat, cell)
+            got = bodies._closed_cell(group, fmat, cell,
+                                      bodies._cell_moments(cell, group.degree))
             want = _oracle_cell(form, fmat, gens)
             assert _close(got, want), (got, want)
 
@@ -790,7 +830,8 @@ class TestClosedFormCells:
         assert _close(bodies._cell_measure(cell), adaptive(cone_density, gens, 1e-13))
         form = _random_form(rng, 4, 2)
         group = bodies._closed_form_terms(form)[(1, 3)]
-        got = bodies._closed_cell(group, q[:1], cell)
+        got = bodies._closed_cell(group, q[:1], cell,
+                                  bodies._cell_moments(cell, group.degree))
         assert _close(got, _oracle_cell(form, q[:1], gens))
 
     @pytest.mark.parametrize("seed, spread", [(1, 0.3), (2, 0.6), (3, 0.45)])
@@ -807,7 +848,8 @@ class TestClosedFormCells:
             assert cell.rule == "triangle"
             # the chart of reordered generators is oriented by the order's sign
             sign = 1.0 if order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-            got = bodies._closed_cell(group, q[:1], cell)
+            got = bodies._closed_cell(group, q[:1], cell,
+                                      bodies._cell_moments(cell, group.degree))
             assert _close(got, sign * want), (order, got, want)
 
     @pytest.mark.parametrize("corners", [
@@ -830,7 +872,8 @@ class TestClosedFormCells:
             cell = bodies._spherical_cell(gens[list(order)])
             assert cell.rule == "triangle"
             assert _close(bodies._cell_measure(cell), adaptive(cone_density, gens, 1e-13))
-            got = bodies._closed_cell(group, fmat, cell)
+            got = bodies._closed_cell(group, fmat, cell,
+                                      bodies._cell_moments(cell, group.degree))
             want = _oracle_cell(form, fmat, gens[list(order)])
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 

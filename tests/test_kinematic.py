@@ -159,6 +159,149 @@ class TestEvaluationVector:
         assert vec.values[-1] == pytest.approx(0.7 ** 4, rel=1e-12)
 
 
+# evaluation vectors as float.hex, pinned with numpy 2.4 and OpenBLAS 0.3.31 on
+# x86-64 from a build that evaluated each rep in a lattice pass of its own; the
+# one pass over the lattice for all ten reps must reproduce every bit
+_PENTAGON_2D = [[0.8 * math.cos(2 * math.pi * i / 5 + 0.1 * i),
+                 0.8 * math.sin(2 * math.pi * i / 5 + 0.1 * i)] for i in range(5)]
+PINNED_BODIES = {
+    "box": Box(np.array([0.1, 0.0, -0.2, 0.3]), np.array([0.45, 0.55, 0.35, 0.6]),
+               rotation_matrix([0.5, 0.5, 0.5, 0.5]) @ rotation_matrix([0.6, 0.0, 0.8, 0.0])),
+    "simplex": Simplex([[0.0, 0.0, 0.0, 0.0], [1.1, 0.0, 0.1, 0.0], [0.2, 0.9, 0.0, -0.1],
+                        [0.1, 0.2, 1.0, 0.0], [0.3, 0.1, 0.2, 0.8]]),
+    "pentagon": PlanarPolygon([[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]], _PENTAGON_2D,
+                              [0.1, 0.2, 0.3, 0.4]),
+    "point": Simplex([[0.2, -1.0, 0.0, 3.0]]),
+    "segment": Simplex([[0.0, 0.1, 0.2, 0.3], [1.0, -0.5, 0.7, 0.2]]),
+}
+_ONE = "0x1.fffffffffffffp-1"
+_ZERO = "0x0.0p+0"
+PINNED_VECTORS = {
+    "icosahedron": {
+        "box": (
+            _ONE, "0x1.f333333333330p+1", "0x1.e07d29a1a1ec8p+0",
+            "0x1.e07d29a1a1ec9p+0", "0x1.e2ff4f10fc27fp+0", "0x1.e2ff4f10fc27fp+0",
+            "0x1.ddcb3561dccd2p+0", "0x1.ddcb3561dccd2p+0", "0x1.c7ced916872b1p+1",
+            "0x1.a9c779a6b50b1p-1",
+        ),
+        "simplex": (
+            _ONE, "0x1.2cc1d8451cf9fp+1", "0x1.131fe1ade315ep-1",
+            "0x1.1089ea06d79a2p-1", "0x1.06f30591360edp-1", "0x1.0d4f8b003a11cp-1",
+            "0x1.0c0f83fd62fddp-1", "0x1.0e634f2f56ee3p-1", "0x1.9800e483b174bp-2",
+            "0x1.0f64e5ec10ee3p-5",
+        ),
+        "pentagon": (
+            _ONE, "0x1.2b8c791ffdb1bp+1", "0x1.0bd9b8f991f90p-1",
+            "0x1.7fcf052ea71f0p-2", "0x1.5fe7a3941881ep-1", "0x1.90066d9f375dcp-2",
+            "0x1.28548d5e6960ap-1", "0x1.b8c4adf855ee2p-2", _ZERO, _ZERO,
+        ),
+        "point": (_ONE,) + (_ZERO,) * 9,
+        "segment": (_ONE, "0x1.45d5b5c3f4f6bp+0") + (_ZERO,) * 8,
+    },
+    "alesker": {
+        "box": (
+            _ONE, "0x1.f333333333330p+1", "0x1.dd70a3d70a3d8p+0",
+            "0x1.e51eb851eb853p+0", "0x1.deb851eb851ecp+0", "0x1.e147ae147ae17p+0",
+            "0x1.de147ae147ae6p+0", "0x1.e1eb851eb8521p+0", "0x1.c7ced916872b1p+1",
+            "0x1.a9c779a6b50b1p-1",
+        ),
+        "simplex": (
+            _ONE, "0x1.2cc1d8451cf9fp+1", "0x1.0a5462e866e80p-1",
+            "0x1.0a0dc32a9c0d5p-1", "0x1.14cd71a66f68ep-1", "0x1.06a2b40cfd444p-1",
+            "0x1.0e43db388aa72p-1", "0x1.10dfa77850727p-1", "0x1.9800e483b174bp-2",
+            "0x1.0f64e5ec10ee3p-5",
+        ),
+        "pentagon": (
+            _ONE, "0x1.2b8c791ffdb1bp+1", "0x1.13f56d31da186p-1",
+            "0x1.13f56d31da186p-1", "0x1.a88d4587c5af6p-2", "0x1.68de7b19ce6eap-1",
+            "0x1.1e928eeed8a32p-1", "0x1.1e928eeed8a32p-1", _ZERO, _ZERO,
+        ),
+        "point": (_ONE,) + (_ZERO,) * 9,
+        "segment": (_ONE, "0x1.45d5b5c3f4f6bp+0") + (_ZERO,) * 8,
+    },
+}
+
+
+class TestOnePass:
+    """The basis is evaluated on a body in one pass over its face lattice."""
+
+    @pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
+    @pytest.mark.parametrize("name", list(PINNED_BODIES))
+    def test_pinned_bits(self, kind, name, monkeypatch):
+        monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
+        vec = evaluation_vector(PINNED_BODIES[name], kind)
+        assert tuple(float(v).hex() for v in vec.values) == PINNED_VECTORS[kind][name]
+
+    @pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
+    @pytest.mark.parametrize("name", list(PINNED_BODIES) + ["ball"])
+    def test_vector_equals_single_evaluations(self, kind, name):
+        K = Ball(np.array([0.1, 0.0, 0.2, -0.3]), 0.7) if name == "ball" else PINNED_BODIES[name]
+        vec = evaluation_vector(K, kind)
+        for value, (label, rep) in zip(vec.values, su2_basis(kind)):
+            assert float(value).hex() == bodies.evaluate(rep, K).hex(), label
+
+    def test_one_face_lattice_per_cold_vector(self, monkeypatch):
+        monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
+        calls = []
+        for cls in (Box, Simplex, PlanarPolygon):
+            original = cls.face_lattice
+
+            def counted(self, original=original):
+                calls.append(self)
+                return original(self)
+
+            monkeypatch.setattr(cls, "face_lattice", counted)
+        for name, K in PINNED_BODIES.items():
+            for kind in ("icosahedron", "alesker"):
+                evaluation_vector(K, kind)
+                assert [c for c in calls if c is K] == [K], (name, kind)
+                calls.clear()
+            evaluation_vector(K)
+            assert not [c for c in calls if c is K], name
+
+    @pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
+    def test_one_spherical_cell_per_live_piece(self, kind, monkeypatch):
+        monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
+        shapes = set()
+        for _, rep in su2_basis(kind):
+            if not rep.omega.is_zero():
+                shapes |= set(bodies._closed_form_terms(rep.omega))
+        calls = []
+        original = bodies._spherical_cell
+
+        def counted(gens):
+            calls.append(gens)
+            return original(gens)
+
+        monkeypatch.setattr(bodies, "_spherical_cell", counted)
+        for name in ("box", "simplex", "pentagon", "segment"):
+            K = PINNED_BODIES[name]
+            live = [gens
+                    for entry in [e for e in K.face_lattice() if e.k] + [bodies._point_vertex(4)]
+                    if entry.volume != 0.0
+                    for gens in entry.region if (entry.k, len(gens)) in shapes]
+            calls.clear()
+            evaluation_vector(K, kind)
+            assert live and len(calls) == len(live), (name, len(calls), len(live))
+
+    def test_basis_terms_not_rebuilt_on_a_second_body(self, monkeypatch):
+        monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
+        evaluation_vector(PINNED_BODIES["box"])
+        calls = []
+        original = bodies._closed_form_terms
+
+        def counted(form):
+            calls.append(form)
+            return original(form)
+
+        monkeypatch.setattr(bodies, "_closed_form_terms", counted)
+        misses = original.cache_info().misses
+        evaluation_vector(PINNED_BODIES["simplex"])
+        forms = [rep.omega for _, rep in su2_basis() if not rep.omega.is_zero()]
+        assert len(calls) == len(forms)
+        assert original.cache_info().misses == misses
+
+
 class TestRhs:
     def test_point_pairs(self):
         point = Simplex([[0.0, 0, 0, 0]])
