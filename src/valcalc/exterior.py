@@ -240,11 +240,6 @@ class SpherePoly:
     __repr__ = __str__
 
 
-def reduce_poly(n, raw_terms) -> SpherePoly:
-    """Canonical representative of a raw exponent-to-coefficient map."""
-    return SpherePoly(n, dict(raw_terms))
-
-
 def _accumulate(d, key, val):
     if not val:
         return

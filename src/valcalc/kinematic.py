@@ -3,11 +3,12 @@
 The ten-element bases are graded by degree, so the pairing Gram matrix is
 anti-diagonal in degree: chi pairs with vol, vol1 with vol3, and the six
 degree-2 projection valuations pair among themselves with density
-(1 + (u.v)^2)/4.  Inverting the Gram matrix over Q(pi) yields the tensor
-of the principal kinematic formula; a Monte Carlo estimator over random
-rotations and translations provides an independent numeric check of the
-normalization (probability Haar measure on the rotations, Lebesgue on the
-translations).
+(1 + (u.v)^2)/4.  Each nonzero Gram entry is a single power of pi, so
+Gauss-Jordan elimination with monomial pivots in Q[pi, 1/pi] inverts it
+exactly and yields the tensor of the principal kinematic formula; a Monte
+Carlo estimator over random rotations and translations provides an
+independent numeric check of the normalization (probability Haar measure
+on the rotations, Lebesgue on the translations).
 """
 
 import math
@@ -27,7 +28,6 @@ from .tolerances import (
     MC_DEGENERATE_PLANE_RATE,
     MC_INDETERMINATE_RATE,
     PLATE_COND_LIMIT,
-    UNIT_QUATERNION_TOL,
     ZERO_NORM_TOL,
     ZONOTOPE_TOL,
 )
@@ -106,7 +106,9 @@ _TENSOR_CACHE = {}
 
 
 def kinematic_tensor(basis="icosahedron") -> KinematicTensor:
-    """Exact inverse of the pairing Gram matrix over Q(pi)."""
+    """Exact inverse of the pairing Gram matrix, by Gauss-Jordan elimination
+    with monomial pivots in Q[pi, 1/pi]; raises ValueError on a Gram matrix
+    that needs any other pivot."""
     if isinstance(basis, str):
         if basis not in _TENSOR_CACHE:
             labels, G = gram_matrix(basis)
@@ -168,47 +170,6 @@ _LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
 def rotation_matrix(q) -> np.ndarray:
     """Left multiplication by the unit quaternion q as a 4x4 float matrix."""
     return np.array([float(x) for x in q])[_LEFT_INDEX] * _LEFT_SIGN
-
-
-@dataclass(frozen=True, eq=False)
-class RigidMotion:
-    q: np.ndarray
-    t: np.ndarray
-
-    def __init__(self, q, t):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if q.shape != (4,) or t.shape != (4,):
-            raise ValueError("rigid motion needs a quaternion and a translation in R^4")
-        if abs(q @ q - 1.0) > UNIT_QUATERNION_TOL:
-            raise ValueError("rotation part must be a unit quaternion")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
-
-    def matrix(self) -> np.ndarray:
-        return rotation_matrix(self.q)
-
-    def apply(self, K):
-        return K.moved(self.matrix(), self.t)
-
-
-def haar_sample(rng, t_low=None, t_high=None) -> RigidMotion:
-    """Rotation uniform on the unit quaternions; translation uniform in a box.
-
-    Without translation bounds the translation part is zero; the kinematic
-    estimator draws translations itself from per-sample bounding boxes.
-    """
-    while True:
-        q = rng.standard_normal(4)
-        norm = math.sqrt(q @ q)
-        if norm > ZERO_NORM_TOL:
-            break
-    q = q / norm
-    if t_low is None:
-        t = np.zeros(4)
-    else:
-        t = rng.uniform(np.asarray(t_low, dtype=float), np.asarray(t_high, dtype=float))
-    return RigidMotion(q, t)
 
 
 def _haar_rotations(rng, size):

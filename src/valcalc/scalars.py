@@ -35,7 +35,8 @@ class Scalar:
         t = {}
         if terms:
             for k, c in terms.items():
-                c = _rat(c)
+                if type(c) is not Rat:
+                    c = _rat(c)
                 if c:
                     t[int(k)] = c
         self.terms = t
@@ -85,13 +86,6 @@ class Scalar:
 
     def is_rational(self) -> bool:
         return all(k == 0 for k in self.terms)
-
-    def as_rational(self) -> Rat:
-        if not self.terms:
-            return Rat(0)
-        if self.is_rational():
-            return self.terms[0]
-        raise ValueError(f"scalar {self} is not rational")
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -174,12 +168,13 @@ class Scalar:
             return NotImplemented
         if not other.terms:
             raise ZeroDivisionError("scalar division by zero")
+        if len(other.terms) != 1:
+            # only the units c * pi^k divide every element of Q[pi, 1/pi]
+            raise ValueError(f"scalar division by {other}, which is not a single power of pi")
         if not self.terms:
             return Scalar()
-        if len(other.terms) == 1:
-            (k2, c2), = other.terms.items()
-            return Scalar({k - k2: c / c2 for k, c in self.terms.items()})
-        return _laurent_div(self, other)
+        (k2, c2), = other.terms.items()
+        return Scalar({k - k2: c / c2 for k, c in self.terms.items()})
 
     def __rtruediv__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -231,31 +226,6 @@ def _coerce(x):
     if isinstance(x, _RAT_TYPES):
         return Scalar({0: x})
     return NotImplemented
-
-
-def _laurent_div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact division in Q[pi, pi^-1]; raises if b does not divide a."""
-    la, lb = min(a.terms), min(b.terms)
-    num = {k - la: c for k, c in a.terms.items()}
-    den = {k - lb: c for k, c in b.terms.items()}
-    qmax = max(num) - max(den)
-    if qmax < 0:
-        raise ValueError(f"scalar {a} is not divisible by {b}")
-    d0 = den[0]
-    quot: dict[int, Rat] = {}
-    while num:
-        k = min(num)
-        if k > qmax:
-            raise ValueError(f"scalar {a} is not divisible by {b}")
-        q = num[k] / d0
-        quot[k] = q
-        for j, c in den.items():
-            s = num.get(k + j, Rat(0)) - q * c
-            if s:
-                num[k + j] = s
-            else:
-                num.pop(k + j, None)
-    return Scalar({k + la - lb: c for k, c in quot.items()})
 
 
 ZERO = Scalar()

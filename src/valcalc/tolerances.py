@@ -30,12 +30,9 @@ DEGENERATE_PIECE_TOL = 1e-12
 # slack on a sign and no least gain in distance.
 GJK_TOL = 1e-12
 
-# vectors shorter than this count as zero (directions, sampled quaternions,
-# zonotope facet normals)
+# vectors shorter than this count as zero (directions and zonotope facet
+# normals)
 ZERO_NORM_TOL = 1e-12
-
-# a sampled rotation is a unit quaternion to within this
-UNIT_QUATERNION_TOL = 1e-12
 
 # contact slack of the closed-form ball/box and point-in-polygon hit tests
 CONTACT_TOL = 1e-12

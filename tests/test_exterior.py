@@ -41,7 +41,6 @@ from valcalc.exterior import (
     pullback_antipode,
     pullback_ball_shift,
     pullback_linear,
-    reduce_poly,
     reeb_field,
     sphere_monomial_integral,
     sphere_volume_form,
@@ -58,7 +57,7 @@ def unit_exp(i, n=N):
 
 class TestReduce:
     def test_last_square_rewrites(self):
-        p = reduce_poly(N, {(0, 0, 0, 2): 1})
+        p = SpherePoly(N, {(0, 0, 0, 2): 1})
         expect = {(0, 0, 0, 0): 1, (2, 0, 0, 0): -1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1}
         assert p.terms == {e: c for e, c in expect.items()}
 
@@ -66,12 +65,12 @@ class TestReduce:
         t = {unit_exp(i): 0 for i in range(N)}
         t = {tuple(2 if k == i else 0 for k in range(N)): 1 for i in range(N)}
         t[(0, 0, 0, 0)] = t.get((0, 0, 0, 0), 0) - 1
-        assert reduce_poly(N, t).is_zero()
+        assert SpherePoly(N, t).is_zero()
 
     def test_cubic_rewrite_numeric(self):
-        p = reduce_poly(N, {(0, 0, 0, 3): 1})
-        expect = reduce_poly(N, {(0, 0, 0, 1): 1, (2, 0, 0, 1): -1,
-                                 (0, 2, 0, 1): -1, (0, 0, 2, 1): -1})
+        p = SpherePoly(N, {(0, 0, 0, 3): 1})
+        expect = SpherePoly(N, {(0, 0, 0, 1): 1, (2, 0, 0, 1): -1,
+                                (0, 2, 0, 1): -1, (0, 0, 2, 1): -1})
         assert p == expect
         rng = random.Random(5)
         for _ in range(20):

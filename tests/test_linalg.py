@@ -1,10 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from _oracles import solve_linear
-from valcalc.linalg import FracScalar, invert_scalar_matrix
-from valcalc.scalars import ONE, PI, Rat, Scalar, rational
+from valcalc.kinematic import gram_matrix
+from valcalc.linalg import invert_scalar_matrix
+from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 
 
 def test_solve_dense_example():
@@ -51,26 +53,30 @@ def test_solve_random_consistent():
             assert sum((r.get(c, Rat(0)) * x[c] for c in range(n)), Rat(0)) == bi
 
 
-def test_frac_scalar_arithmetic():
-    half = FracScalar(ONE, rational(2))
-    assert half + half == FracScalar(1)
-    a = FracScalar(PI, PI + 1)
-    b = FracScalar(ONE, PI + 1)
-    assert a + b == FracScalar(1)
-    assert (a / a) == FracScalar(1)
-    assert (a * (PI + 1)).to_scalar() == PI
-    with pytest.raises(ZeroDivisionError):
-        a / FracScalar(0)
+def _product(A, B):
+    n = len(B)
+    return [[sum((A[i][k] * B[k][j] for k in range(n)), ZERO) for j in range(len(B[0]))]
+            for i in range(len(A))]
 
 
-def test_frac_scalar_reduction():
-    # (pi^2 - 1) / (pi - 1) reduces to pi + 1
-    num = PI ** 2 - 1
-    den = PI - 1
-    f = FracScalar(num, den)
-    assert f.den == ONE
-    assert f.num == PI + 1
-    assert f.to_scalar() == PI + 1
+def assert_exact_inverse(M, inv):
+    n = len(M)
+    eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    assert _product(M, inv) == eye
+    assert _product(inv, M) == eye
+
+
+def _leibniz_det(A):
+    """Determinant of a small rational matrix as a sum over permutations."""
+    n = len(A)
+    total = Rat(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Rat(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
 
 
 def test_invert_rational_matrix():
@@ -87,22 +93,47 @@ def test_invert_pi_matrix():
     assert inv[0][1].is_zero()
 
 
+@pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
+def test_gram_inverse_exact(kind):
+    _, G = gram_matrix(kind)
+    assert_exact_inverse(G, invert_scalar_matrix(G))
+
+
 def test_invert_random_matrices():
+    """D1 G_Q D2 with D = diag(pi^a): the inverse is D2^-1 G_Q^-1 D1^-1."""
     rng = random.Random(9)
-    done = 0
-    while done < 20:
-        n = rng.randrange(1, 5)
-        M = [[rational(rng.randrange(-3, 4)) + rational(rng.randrange(-1, 2)) * PI
-              for _ in range(n)] for _ in range(n)]
-        try:
-            inv = invert_scalar_matrix(M)
-        except ValueError:
+    singular = 0
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        GQ = [[Rat(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(n)]
+              for _ in range(n)]
+        # a zero leading block forces row swaps, as in the anti-diagonal Gram matrices
+        k = rng.randrange(0, n + 1)
+        for i in range(k):
+            for j in range(k):
+                GQ[i][j] = Rat(0)
+        left = [rng.randrange(-2, 3) for _ in range(n)]
+        right = left if rng.random() < 0.5 else [rng.randrange(-2, 3) for _ in range(n)]
+        M = [[Scalar({left[i] + right[j]: GQ[i][j]}) for j in range(n)] for i in range(n)]
+        if _leibniz_det(GQ) == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                invert_scalar_matrix(M)
             continue
-        done += 1
+        inv = invert_scalar_matrix(M)
+        assert_exact_inverse(M, inv)
         for i in range(n):
             for j in range(n):
-                s = sum((M[i][k] * inv[k][j] for k in range(n)), Scalar())
-                assert s == (1 if i == j else 0)
+                assert set(inv[i][j].terms) <= {-right[i] - left[j]}
+    assert 0 < singular < 30
+
+
+def test_invert_rejects_non_monomial_pivot():
+    with pytest.raises(ValueError, match="pivot"):
+        invert_scalar_matrix([[PI + 1]])
+    # the second pivot is 1 - pi after clearing the first column
+    with pytest.raises(ValueError, match="pivot"):
+        invert_scalar_matrix([[ONE, PI], [ONE, ONE]])
 
 
 def test_invert_singular():

@@ -52,11 +52,15 @@ def test_division_exact():
     rng = random.Random(11)
     for _ in range(100):
         a = random_scalar(rng)
-        b = random_scalar(rng, allow_zero=False)
+        b = Scalar({rng.randrange(-3, 4): Rat(rng.choice([-1, 1]) * rng.randrange(1, 10),
+                                             rng.randrange(1, 8))})
         assert (a * b) / b == a
     assert (PI * PI) / PI == PI
     assert rational(1) / PI == Scalar.of(1, pi=-1)
-    assert (rational(2) * PI + rational(2)) / (PI + 1) == rational(2)
+    assert ZERO / (3 * PI) == ZERO
+    # only the units c * pi^k are divisors, even where a quotient exists
+    with pytest.raises(ValueError):
+        (rational(2) * PI + rational(2)) / (PI + 1)
 
 
 def test_division_failures():
@@ -66,6 +70,12 @@ def test_division_failures():
         ONE / (PI + 1)
     with pytest.raises(ValueError):
         (PI ** 2 + 1) / (PI + 1)
+    with pytest.raises(ValueError):
+        (PI ** 2 - 1) / (PI - 1)
+    with pytest.raises(ValueError):
+        ZERO / (PI + 1)
+    with pytest.raises(ValueError):
+        (PI + 1) ** -1
 
 
 def test_powers():
@@ -113,11 +123,15 @@ def test_parse_round_trip():
             Scalar.parse(bad)
 
 
-def test_as_rational():
-    assert rational(5, 3).as_rational() == Rat(5, 3)
-    assert ZERO.as_rational() == 0
-    with pytest.raises(ValueError):
-        PI.as_rational()
+def test_rational_coefficients_stored_as_given():
+    c = Rat(3, 7)
+    s = Scalar({1: c, 0: 2})
+    assert s.terms[1] is c
+    assert s.terms[0] == 2 and type(s.terms[0]) is Rat
+    with pytest.raises(TypeError):
+        Scalar({0: 0.5})
+    with pytest.raises(TypeError):
+        Scalar({0: c, 1: 1.0})
 
 
 def test_gamma_half():
