@@ -6,9 +6,13 @@ degree-2 projection valuations pair among themselves with density
 (1 + (u.v)^2)/4.  Each nonzero Gram entry is a single power of pi, so
 Gauss-Jordan elimination with monomial pivots in Q[pi, 1/pi] inverts it
 exactly and yields the tensor of the principal kinematic formula; a Monte
-Carlo estimator over random rotations and translations provides an
-independent numeric check of the normalization (probability Haar measure
-on the rotations, Lebesgue on the translations).
+Carlo estimator over random rigid motions provides an independent numeric
+check of the normalization (probability Haar measure on the rotations,
+Lebesgue on the translations).  Where the translation integral for a fixed
+rotation has a closed form (two boxes: a zonotope volume; two plates: a
+determinant) the estimator draws only rotations and integrates the
+translation exactly; every other pair draws translations too and scores a
+hit indicator.
 """
 
 import math
@@ -23,18 +27,11 @@ from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate_many, interse
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
-from .tolerances import (
-    CONTACT_TOL,
-    MC_DEGENERATE_PLANE_RATE,
-    MC_INDETERMINATE_RATE,
-    PLATE_COND_LIMIT,
-    ZERO_NORM_TOL,
-    ZONOTOPE_TOL,
-)
+from .tolerances import CONTACT_TOL, MC_INDETERMINATE_RATE
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
-# samples per block of the box/box test, whose temporaries come to about a
+# samples per block of the box/box volumes, whose minors come to about a
 # hundred floats per sample
 BOX_BOX_BLOCK = 1 << 12
 
@@ -201,79 +198,42 @@ def _ball_box_hits(y, box, radius):
     return _row_norms(y - clipped) <= radius + CONTACT_TOL
 
 
-# the pairs (a, b), a < b, of four indices (box generators or coordinates);
-# for each index the three pairs that hold it, for each pair the two indices
-# outside it
-_PAIRS = tuple(combinations(range(4), 2))
-_FIRST, _SECOND = (np.array(side) for side in zip(*_PAIRS))
-_HOLDING = np.array([[p for p, pair in enumerate(_PAIRS) if a in pair] for a in range(4)])
-_OUTSIDE = np.array([[c for c in range(4) if c not in pair] for pair in _PAIRS])
+def _box_box_volumes(K, L, Rs):
+    """vol(K - R L) for each sample rotation R, a block of samples at a time."""
+    vol = np.empty(len(Rs))
+    for s in range(0, len(Rs), BOX_BOX_BLOCK):
+        vol[s:s + BOX_BOX_BLOCK] = _box_box_block(K, L, Rs[s:s + BOX_BOX_BLOCK])
+    return vol
 
 
-def _hits_box_box(K, L, Rs, ts):
-    """Whether K meets R L + t, for each sample rotation R and translation t."""
-    return np.concatenate([_hits_box_box_block(K, L, Rs[s:s + BOX_BOX_BLOCK],
-                                               ts[s:s + BOX_BOX_BLOCK])
-                           for s in range(0, len(Rs), BOX_BOX_BLOCK)])
+def _box_box_block(K, L, Rs):
+    """The zonotope volumes of one block of samples.
 
-
-def _hits_box_box_block(K, L, Rs, ts):
-    """The box/box hit test on one block of samples.
-
-    The Minkowski difference of two boxes is a zonotope on their 8
-    generators. The origin lies inside iff no facet normal separates, and
-    each of the 56 facet normals annihilates three generators. In K's frame
-    K's generators are h_i e_i, so each normal is a closed form: e_l (three
-    of K's), a 2-D perpendicular to an L generator (two of K's), a 3-D cross
-    product of two L generators (one of K's) or an L axis (three of L's).
-    These are the separating axes of Gottschalk, Lin and Manocha's OBBTree,
-    taken to R^4. Each normal n is tested with its scale: it is skipped
-    when w |n| <= ZERO_NORM_TOL, w the half-extent product that makes it the
-    generalized cross product of its three generators, and otherwise needs
-    |n.d| <= sum_g |n.g| + ZONOTOPE_TOL |n|.
+    K - R L is the zonotope of K's 4 and R L's 4 half-generators, so its
+    volume is 16 times the sum of |det| over the 70 4-subsets of them
+    (Shephard 1974). In K's frame K's half-generators are h_i e_i, so the
+    subset of K's generators off the rows P and L's generators T, |T| = |P|,
+    contributes prod_(i not in P) h_i |minor(G; P, T)|, G the matrix of L's
+    half-generators. Each minor is a Laplace expansion along its first row
+    of those one size smaller.
     """
     B = len(Rs)
     hK, hL = K.half_extents, L.half_extents
-    # G[c, a]: coordinate c of L's generator a in K's frame, and D[c]:
-    # coordinate c of the offset of L's center from K's, one (B,) row each
+    # G[c, a]: coordinate c of L's half-generator a in K's frame, a (B,) row
     G = (np.kron(K.rotation.T, (L.rotation * hL).T) @ Rs.reshape(B, 16).T).reshape(4, 4, B)
-    D = K.rotation.T @ (Rs @ L.center + ts - K.center).T
-    absG = np.abs(G)
-    vol_K = np.prod(hK)
-    # e_l
-    inside = _unseparated(np.abs(D), hK[:, None] + absG.sum(axis=1), 1.0, (vol_K / hK)[:, None])
-    # G[l, a] e_k - G[k, a] e_l; its products with L's generators are the
-    # 2x2 minors of rows k, l of G
-    minors = {}
-    for k, l in _PAIRS:
-        Gk, Gl = G[k], G[l]
-        m = minors[k, l] = Gk[_FIRST] * Gl[_SECOND] - Gl[_FIRST] * Gk[_SECOND]
-        extent = hK[k] * absG[l] + hK[l] * absG[k] + np.abs(m)[_HOLDING].sum(axis=1)
-        inside &= _unseparated(np.abs(Gl * D[k] - Gk * D[l]), extent,
-                               np.sqrt(Gk * Gk + Gl * Gl), vol_K / (hK[k] * hK[l]))
-    # the cross products, on the coordinates other than i, of L's generator pairs
-    for i in range(4):
-        c1, c2, c3 = (c for c in range(4) if c != i)
-        n1, n2, n3 = minors[c2, c3], -minors[c1, c3], minors[c1, c2]
-        proj = np.abs(n1 * D[c1] + n2 * D[c2] + n3 * D[c3])
-        others = (n1[:, None] * G[c1][_OUTSIDE] + n2[:, None] * G[c2][_OUTSIDE]
-                  + n3[:, None] * G[c3][_OUTSIDE])
-        extent = (hK[c1] * np.abs(n1) + hK[c2] * np.abs(n2) + hK[c3] * np.abs(n3)
-                  + np.abs(others).sum(axis=1))
-        inside &= _unseparated(proj, extent, np.sqrt(n1 * n1 + n2 * n2 + n3 * n3), hK[i])
-    # L's axis G[:, d], orthogonal to L's other three generators
-    square = (G * G).sum(axis=0)
-    inside &= _unseparated(np.abs((G * D[:, None]).sum(axis=0)),
-                           (absG * hK[:, None, None]).sum(axis=0) + square, np.sqrt(square),
-                           (np.prod(hL) / (hL * hL))[:, None])
-    return inside
-
-
-def _unseparated(proj, extent, length, weight):
-    """Samples that no normal of a family separates, given one normal n per
-    row: |n.d|, sum_g |n.g|, |n| and the weight w."""
-    return np.all((proj <= extent + ZONOTOPE_TOL * length)
-                  | (weight * length <= ZERO_NORM_TOL), axis=0)
+    minors = {((), ()): 1.0}
+    vol = np.full(B, np.prod(hK))
+    for k in range(1, 5):
+        for rows in combinations(range(4), k):
+            weight = np.prod([h for i, h in enumerate(hK) if i not in rows])
+            for cols in combinations(range(4), k):
+                m = 0.0
+                for j, c in enumerate(cols):
+                    term = G[rows[0], c] * minors[rows[1:], cols[:j] + cols[j + 1:]]
+                    m = m - term if j % 2 else m + term
+                minors[rows, cols] = m
+                vol += weight * np.abs(m)
+    return 16.0 * vol
 
 
 def _score_principal(K, L, Rs, ts):
@@ -287,24 +247,12 @@ def _score_principal(K, L, Rs, ts):
     if isinstance(K, Box) and isinstance(L, Ball):
         y = (Rs @ L.center + ts - K.center) @ K.rotation
         return _ball_box_hits(y, K, L.radius), 0
-    if isinstance(K, Box) and isinstance(L, Box):
-        return _hits_box_box(K, L, Rs, ts), 0
     sep = intersects_batch(K, L, Rs, ts)
     return sep.hits, int(np.count_nonzero(sep.undecided))
 
 
-def _mc_chunks(N):
-    sizes = []
-    done = 0
-    while done < N:
-        size = min(MC_CHUNK, N - done)
-        sizes.append(size)
-        done += size
-    return sizes
-
-
 def _run_chunks(worker, N, threads):
-    sizes = _mc_chunks(N)
+    sizes = [min(MC_CHUNK, N - s) for s in range(0, N, MC_CHUNK)]
     workers = min(threads, len(sizes), os.cpu_count() or 1)
     if workers <= 1:
         results = [worker(idx, size) for idx, size in enumerate(sizes)]
@@ -352,32 +300,37 @@ def _check_mc_args(N, threads, **bodies):
             raise ValueError(f"{name} must be a body in R^4")
 
 
-def _check_rate(bad, N, limit, what, K, L, seed):
-    if bad > limit * N:
-        raise RuntimeError(
-            f"{bad} of {N} samples {what} for {type(K).__name__} against "
-            f"{type(L).__name__} at seed {seed}: rate {bad / N:.3g} exceeds {limit:g}")
-
-
 def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1, kind: str = "icosahedron") -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
 
-    Per sample: a Haar rotation, a translation uniform in the bounding box
-    of the support differences, scored by box volume times the intersection
-    indicator.  Deterministic for fixed (seed, N) regardless of threads.
+    Per sample a Haar rotation R. For two boxes the translation integral of
+    chi(K . (R L + t)) is vol(K - R L), which scores the sample in closed
+    form. Every other pair also draws a translation uniform in the bounding
+    box of the support differences, scored by box volume times the
+    intersection indicator. Deterministic for fixed (seed, N) regardless of
+    threads.
     """
     _check_mc_args(N, threads, K=K, L=L)
     rhs = rhs_kinematic(K, L, kind)
+    boxes = isinstance(K, Box) and isinstance(L, Box)
 
     def worker(idx, size):
-        Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
-        hits, bad = _score_principal(K, L, Rs, ts)
-        w = vol * hits
+        if boxes:
+            Rs = _haar_rotations(np.random.default_rng([seed, idx]), size)
+            w, bad = _box_box_volumes(K, L, Rs), 0
+        else:
+            Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
+            hits, bad = _score_principal(K, L, Rs, ts)
+            w = vol * hits
         return float(np.sum(w)), float(np.sum(w * w)), bad
 
     sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    _check_rate(bad, N, MC_INDETERMINATE_RATE, "undecided", K, L, seed)
+    if bad > MC_INDETERMINATE_RATE * N:
+        raise RuntimeError(
+            f"{bad} of {N} samples undecided for {type(K).__name__} against "
+            f"{type(L).__name__} at seed {seed}: rate {bad / N:.3g} exceeds "
+            f"{MC_INDETERMINATE_RATE:g}")
     return _finalize(sum_w, sum_w2, N, seed, rhs, bad)
 
 
@@ -394,71 +347,47 @@ def plane_class(frame) -> np.ndarray:
     ])
 
 
-def _inside_polygon(v2d: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    edges = np.roll(v2d, -1, axis=0) - v2d
-    inside = np.ones(len(pts), dtype=bool)
-    for (vx, vy), (ex, ey) in zip(v2d, edges):
-        cross = ex * (pts[:, 1] - vy) - ey * (pts[:, 0] - vx)
-        inside &= cross >= -CONTACT_TOL
-    return inside
+# the six pairs (a, b), a < b, of four indices in lexicographic order; pair
+# 5 - p is the complement of pair p, and _PAIR_SIGNS[p] the sign of the term
+# of p in the Laplace expansion of a 4x4 determinant along its first two
+# columns
+_FIRST, _SECOND = np.array(list(combinations(range(4), 2))).T
+_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 
-def _plates_transversal(F1t, F2):
-    """Which plate pairs are far enough from parallel to solve for their
-    crossing, for the orthonormal 4x2 frame F1t and a (B, 4, 2) batch of
-    orthonormal frames F2: cond [F1t | -F2] <= PLATE_COND_LIMIT.
+def _pair_minors(F):
+    """The six 2x2 minors of the (..., 4, 2) frames F, one per pair of rows."""
+    return F[..., _FIRST, 0] * F[..., _SECOND, 1] - F[..., _SECOND, 0] * F[..., _FIRST, 1]
 
-    For orthonormal frames that condition number is cot(theta/2) =
-    (1 + cos theta) / sin theta, theta the smallest principal angle between
-    the planes (Bjorck and Golub 1973). Wherever it comes near the limit,
-    cos theta rounds to 1, so the test is sin theta >= 2 / PLATE_COND_LIMIT.
-    sin theta is the smaller singular value of the residual
-    P = F2 - F1t (F1t^T F2). It is taken from the trace of P^T P and its
-    Cauchy-Binet determinant, the sum of the squared 2x2 minors of P, which
-    keeps the accuracy of an SVD near parallel planes.
-    """
-    P = F2 - F1t @ (F1t.T @ F2)
-    minors = P[:, _FIRST, 0] * P[:, _SECOND, 1] - P[:, _SECOND, 0] * P[:, _FIRST, 1]
-    det = (minors * minors).sum(axis=1)
-    trace = (P * P).sum(axis=(1, 2))
-    # sin^2 theta, the smaller root of x^2 - trace x + det, in the form free
-    # of cancellation
-    root = trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
-    sin2 = np.divide(2.0 * det, root, out=np.zeros_like(det), where=root > 0.0)
-    return 2.0 <= PLATE_COND_LIMIT * np.sqrt(sin2)
+
+def _plate_determinants(F1t, F2):
+    """|det [F1t | F2]| for the 4x2 frame F1t and each of the (B, 4, 2)
+    frames F2, from the 2x2 minors of both (a Laplace expansion along the
+    first two columns)."""
+    return np.abs(_pair_minors(F2) @ (_PAIR_SIGNS * _pair_minors(F1t))[::-1])
 
 
 def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
                 seed: int = 0, threads: int = 1) -> MCReport:
     """Monte Carlo for the expected number of intersection points of two
-    moving polygons, against the plane-class density (1 + (u.v)^2)/4."""
+    moving polygons, against the plane-class density (1 + (u.v)^2)/4.
+
+    Per sample a Haar rotation R, scored by the translation integral of the
+    intersection count, area1 area2 |det [F1^T | R F2^T]|: near-parallel
+    plates get a weight near 0.
+    """
     _check_mc_args(N, threads, M1=M1, M2=M2)
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
     rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * M1.area * M2.area
-    F1t = np.asarray(M1.frame, dtype=float).T
-    F2t = np.asarray(M2.frame, dtype=float).T
-    b1 = np.asarray(M1.base, dtype=float)
-    b2 = np.asarray(M2.base, dtype=float)
-    v1 = np.asarray(M1.vertices2d, dtype=float)
-    v2 = np.asarray(M2.vertices2d, dtype=float)
+    areas = M1.area * M2.area
+    F1t, F2t = M1.frame.T, M2.frame.T
 
     def worker(idx, size):
-        Rs, ts, vol = _sample_motions(M1, M2, seed, idx, size)
-        F2 = Rs @ F2t
-        rhsv = Rs @ b2 + ts - b1
-        ok = _plates_transversal(F1t, F2)
-        bad = int(np.sum(~ok))
-        w = np.zeros(size)
-        if np.any(ok):
-            F2 = F2[ok]
-            mats = np.concatenate([np.broadcast_to(F1t, F2.shape), -F2], axis=2)
-            sols = np.linalg.solve(mats, rhsv[ok][..., None])[..., 0]
-            hit = _inside_polygon(v1, sols[:, :2]) & _inside_polygon(v2, sols[:, 2:])
-            w[ok] = vol[ok] * hit
-        return float(np.sum(w)), float(np.sum(w * w)), bad
+        Rs = _haar_rotations(np.random.default_rng([seed, idx]), size)
+        w = areas * _plate_determinants(F1t, Rs @ F2t)
+        return float(np.sum(w)), float(np.sum(w * w)), 0
 
-    sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    _check_rate(bad, N, MC_DEGENERATE_PLANE_RATE, "in degenerate plane pairs", M1, M2, seed)
-    return _finalize(sum_w, sum_w2, N, seed, rhs, bad)
+    sum_w, sum_w2, _ = _run_chunks(worker, N, threads)
+    return _finalize(sum_w, sum_w2, N, seed, rhs, 0)

@@ -2,7 +2,8 @@
 
 Each constant names a threshold of one geometric or numeric test.  None of
 them is an accuracy target: every normal-cycle cell is integrated exactly, so
-float results carry only rounding error.
+float results carry only rounding error.  The Monte Carlo weights of box/box
+pairs and of plate pairs are closed forms with no threshold at all.
 """
 
 # a normal cone is an orthant when its generators' Gram matrix is the
@@ -30,29 +31,14 @@ DEGENERATE_PIECE_TOL = 1e-12
 # slack on a sign and no least gain in distance.
 GJK_TOL = 1e-12
 
-# vectors shorter than this count as zero (directions and zonotope facet
-# normals)
+# vectors shorter than this count as zero (imaginary directions)
 ZERO_NORM_TOL = 1e-12
 
-# contact slack of the closed-form ball/box and point-in-polygon hit tests
+# contact slack of the closed-form ball/box hit test
 CONTACT_TOL = 1e-12
-
-# relative slack of the box/box hit test: a facet normal n of the zonotope
-# K - L passes when |n.d| <= sum_g |n.g| + this times |n|. The normals are
-# written in K's frame, which takes both box rotations as exactly
-# orthonormal; a rotation within ORTHONORMAL_TOL of it moves a verdict only
-# within about this slack
-ZONOTOPE_TOL = 1e-9
-
-# the intersection count estimator solves for the crossing of two plates
-# only while cond [F1^T | -R F2^T] = cot(theta/2), theta the smallest
-# principal angle between their planes, is at most this; a pair closer to
-# parallel (theta below about 2e-12) counts as degenerate
-PLATE_COND_LIMIT = 1e12
 
 # two float icosahedron directions are the same within this per coordinate
 DIRECTION_MATCH_TOL = 1e-9
 
-# Monte Carlo gives up above these shares of undecided samples
+# Monte Carlo gives up above this share of samples that GJK leaves undecided
 MC_INDETERMINATE_RATE = 1e-4
-MC_DEGENERATE_PLANE_RATE = 1e-3

@@ -204,20 +204,13 @@ def unit_cube_value(mu: ValuationRep) -> Scalar:
                         continue
                     eb = tuple(e[b] for b in B)
                     eb = tuple(x + (1 if b == pos else 0) for b, x in enumerate(eb))
-                    val = _as_scalar(c) * sphere_monomial_integral(eb)
+                    val = _coeff_to_scalar(c) * sphere_monomial_integral(eb)
                     if pos % 2:
                         val = -val
                     acc = acc + val
             if acc:
                 total = total + (-acc if sign < 0 else acc)
     return total
-
-
-def _as_scalar(c) -> Scalar:
-    # Scalar rejects float coefficients with a TypeError
-    if isinstance(c, Scalar):
-        return c
-    return Scalar({0: c})
 
 
 def ball_volume(n: int, radius=1) -> Scalar:

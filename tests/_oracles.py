@@ -23,7 +23,7 @@ from valcalc.exterior import (
     reeb_field,
 )
 from valcalc.scalars import ZERO, Rat, Scalar
-from valcalc.tolerances import PLATE_COND_LIMIT, ZERO_NORM_TOL, ZONOTOPE_TOL
+from valcalc.tolerances import ZERO_NORM_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
 
@@ -554,9 +554,10 @@ def rumin_ansatz(omega):
 
 # -- Monte Carlo scoring oracles --------------------------------------------------
 #
-# The generic forms of the closed-form per-sample tests in ``valcalc.kinematic``
-# and ``valcalc.bodies``: the zonotope facet test on world-frame generators,
-# the SVD condition number of a plate pair and numpy's row norms and maxima.
+# References for the Monte Carlo scoring in ``valcalc.kinematic`` and
+# ``valcalc.bodies``: the box/box hit indicator that the zonotope volume
+# integrates over translations, tested on world-frame generators, and numpy's
+# row norms and maxima.
 
 
 def det3(m):
@@ -582,6 +583,11 @@ def box_box_generators(K, L, Rs):
     return np.concatenate([np.broadcast_to(gen_K, (len(Rs), 4, 4)), gen_L], axis=1)
 
 
+# relative slack of the zonotope hit test: a facet normal n passes when
+# |n.d| <= sum_g |n.g| + this times |n|
+ZONOTOPE_SLACK = 1e-9
+
+
 def hits_box_box_zonotope(K, L, Rs, ts):
     """Box/box hit test on the 56 facet normals of the Minkowski difference,
     each the complement of three world-frame generators."""
@@ -594,15 +600,8 @@ def hits_box_box_zonotope(K, L, Rs, ts):
         ok = scale > ZERO_NORM_TOL
         proj = np.abs(np.einsum("bi,bi->b", nu, d))
         extent = np.abs(np.einsum("bi,bgi->bg", nu, gens)).sum(axis=1)
-        inside &= ~ok | (proj <= extent + ZONOTOPE_TOL * scale)
+        inside &= ~ok | (proj <= extent + ZONOTOPE_SLACK * scale)
     return inside
-
-
-def plates_transversal_svd(F1t, F2):
-    """The plate-pair mask from the SVD condition number of [F1t | -F2]."""
-    mats = np.concatenate([np.broadcast_to(F1t, F2.shape), -F2], axis=2)
-    cond = np.linalg.cond(mats)
-    return np.isfinite(cond) & (cond <= PLATE_COND_LIMIT)
 
 
 def row_norms_numpy(x):

@@ -524,16 +524,6 @@ class TestMCFailureContext:
         rep = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=20000, seed=6)
         assert rep.indeterminate == 2
 
-    def test_degenerate_rate_names_the_run(self, monkeypatch):
-        monkeypatch.setattr(kinematic, "_plates_transversal",
-                            lambda F1t, F2: np.zeros(len(F2), dtype=bool))
-        p1 = mgon(6, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        with pytest.raises(RuntimeError) as exc:
-            mc_poincare(p1, p1, N=100, seed=4)
-        assert str(exc.value) == ("100 of 100 samples in degenerate plane pairs for "
-                                  "PlanarPolygon against PlanarPolygon at seed 4: "
-                                  "rate 1 exceeds 0.001")
-
 
 class TestMCPoincare:
     def test_same_class_density(self):
@@ -584,11 +574,6 @@ def _random_rotation(rng):
     return q * np.sign(np.diag(r))
 
 
-def _quaternion_rotations(*qs):
-    return np.stack([rotation_matrix(np.asarray(q, dtype=float) / np.linalg.norm(q))
-                     for q in qs])
-
-
 _BOX_RNG = np.random.default_rng(2024)
 # the box/box pair of the motion_mc benchmark, two axis-aligned boxes apart,
 # and two pairs of randomly rotated boxes
@@ -603,73 +588,85 @@ BOX_PAIRS = [
 ]
 
 
-def _contacts(K, L, Rs, rng, gaps):
-    """Motions that put L at each gap off every facet of the zonotope K - R L.
+def _zonotope_volumes(K, L, Rs):
+    """16 times the sum of |det| over the 70 4-subsets of the 8 half-generators
+    of K - R L, by numpy's determinant."""
+    gens = _oracles.box_box_generators(K, L, Rs)
+    return 16.0 * sum(np.abs(np.linalg.det(gens[:, list(sub)]))
+                      for sub in combinations(range(8), 4))
 
-    The facet point is the signed sum of the generators off the facet plus a
-    random point of the facet, so K and R L + t touch there at gap 0; the gap
-    moves it along the facet's unit normal.
+
+def _elementary(x, k):
+    return sum(math.prod(c) for c in combinations(x, k))
+
+
+def _axis_box_rhs(a, b):
+    """The mean of vol(K - R L) over left multiplications R by unit
+    quaternions, for axis-aligned boxes of half extents a and b.
+
+    The 1x1 and 3x3 minors of R have mean |q_k| = 4/(3 pi); a 2x2 minor on
+    rows P and columns T is a sum of two squares, of mean 1/2, when T is P
+    or its complement, and has mean 1/4 otherwise.
     """
-    out_R, out_t, out_gap = [], [], []
-    for R, gens in zip(Rs, _oracles.box_box_generators(K, L, Rs)):
-        for tri in combinations(range(8), 3):
-            normal = _oracles.orthogonal_complement(gens[list(tri)])
-            if np.linalg.norm(normal) < 1e-6:
-                continue
-            normal /= np.linalg.norm(normal)
-            heights = gens @ normal
-            coef = np.where(np.abs(heights) > 1e-9, np.sign(heights), rng.uniform(-0.8, 0.8, 8))
-            point = coef @ gens
-            for gap in gaps:
-                out_R.append(R)
-                out_t.append(point + gap * normal - R @ L.center + K.center)
-                out_gap.append(gap)
-    return np.array(out_R), np.array(out_t), np.array(out_gap)
+    total = math.prod(a) + math.prod(b) + 4.0 / (3.0 * math.pi) * (
+        _elementary(a, 3) * _elementary(b, 1) + _elementary(a, 1) * _elementary(b, 3))
+    for P in combinations(range(4), 2):
+        rest = tuple(i for i in range(4) if i not in P)
+        for T in combinations(range(4), 2):
+            c = 0.5 if T in (P, rest) else 0.25
+            total += math.prod(a[i] for i in rest) * math.prod(b[j] for j in T) * c
+    return 16.0 * total
 
 
-class TestBoxBoxFacets:
-    """The box/box test in K's frame against the generic zonotope test on
-    world-frame generators (``_oracles.hits_box_box_zonotope``)."""
+class TestBoxBoxVolumes:
+    """The box/box weight vol(K - R L) against numpy's determinants, the
+    hit indicator it integrates and the exact right-hand side."""
 
     @pytest.mark.parametrize("pair", range(len(BOX_PAIRS)))
-    def test_sampled_motions_match_oracle(self, pair):
-        # 4 pairs of 2 chunks: 262144 samples in all
+    def test_matches_determinant_sum(self, pair):
+        # one full block and a partial one
         K, L = BOX_PAIRS[pair]
-        for idx in range(2):
-            Rs, ts, _ = kinematic._sample_motions(K, L, 31 + pair, idx, kinematic.MC_CHUNK)
-            got = kinematic._hits_box_box(K, L, Rs, ts)
-            assert np.array_equal(got, _oracles.hits_box_box_zonotope(K, L, Rs, ts))
-            assert 0.05 < got.mean() < 0.95
+        Rs = kinematic._haar_rotations(np.random.default_rng(31 + pair),
+                                       kinematic.BOX_BOX_BLOCK + 500)
+        got = kinematic._box_box_volumes(K, L, Rs)
+        np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("boxes, quaternions", [
-        # face to face: axis-aligned boxes, L's axes sent to K's axes
-        ("axis", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)]),
-        # edge to edge: L turned by 45 or 60 degrees in two coordinate planes
-        ("axis", [(1, 1, 0, 0), (1, 0, -1, 0), (1, 1, 1, 1)]),
-        # face to face between rotated boxes, and random motions
-        ("rotated", [(1, 0, 0, 0), (-1, 0, 0, 0), (0.3, -1.1, 0.4, 0.8)]),
+    @pytest.mark.parametrize("pair", [1, 2])
+    def test_averages_the_hit_indicator(self, pair):
+        # translations uniform in the translation box, each scored by box
+        # volume times the generic zonotope hit test: their mean over 2^16
+        # translations is the weight to within its standard error
+        K, L = BOX_PAIRS[pair]
+        rng = np.random.default_rng(50 + pair)
+        n = 1 << 16
+        for R in kinematic._haar_rotations(rng, 4):
+            lo, hi = (side[0] for side in kinematic._translation_box(K, L, R[None]))
+            ts = lo + rng.uniform(size=(n, 4)) * (hi - lo)
+            hits = _oracles.hits_box_box_zonotope(K, L, np.broadcast_to(R, (n, 4, 4)), ts)
+            w = np.prod(hi - lo) * hits
+            se = w.std(ddof=1) / math.sqrt(n)
+            (want,) = kinematic._box_box_volumes(K, L, R[None])
+            assert abs(w.mean() - want) <= 4.0 * se, (w.mean(), want, se)
+
+    @pytest.mark.parametrize("a, b", [
+        # the box pair of the motion_mc benchmark, its box8 against a second
+        # box, and the thin boxes of acceptance criterion 10
+        ((0.6, 0.5, 0.4, 0.55), (0.6, 0.5, 0.4, 0.55)),
+        ((0.7, 0.55, 0.5, 0.6), (0.45, 0.55, 0.35, 0.6)),
+        ((1.0, 1.0, 0.06, 0.06), (1.0, 1.0, 0.06, 0.06)),
     ])
-    def test_contacts_at_tiny_gaps(self, boxes, quaternions):
-        rng = np.random.default_rng(len(quaternions))
-        if boxes == "axis":
-            K, L = BOX_PAIRS[1]
-        else:
-            K, L = BOX_PAIRS[2][0], Box(BOX_PAIRS[2][1].center, BOX_PAIRS[2][1].half_extents,
-                                        BOX_PAIRS[2][0].rotation)
-        gaps = (-1e-8, -1e-10, 1e-10, 1e-8)
-        Rs, ts, gap = _contacts(K, L, _quaternion_rotations(*quaternions), rng, gaps)
-        got = kinematic._hits_box_box(K, L, Rs, ts)
-        want = _oracles.hits_box_box_zonotope(K, L, Rs, ts)
-        assert np.array_equal(got, want)
-        # touching within the test's slack is a hit, 1e-8 apart is a miss
-        assert np.array_equal(got, gap < 1e-9)
+    def test_rhs_of_axis_aligned_boxes(self, a, b):
+        K = Box(np.zeros(4), np.array(a))
+        L = Box(np.array([0.1, 0.0, -0.2, 0.0]), np.array(b))
+        assert rhs_kinematic(K, L) == pytest.approx(_axis_box_rhs(a, b), rel=1e-12, abs=0)
 
 
 def _plates_sharing_a_line(rng, F1t, eps, count):
     """Frames whose plane meets span F1t at principal angles eps and a random
-    angle in [0.1, pi/2]: a line of F1t's plane tilted by eps."""
+    angle phi in [0.1, pi/2]: a line of F1t's plane tilted by eps. Returns
+    the frames and sin(eps) sin(phi), their |det [F1t | F2]|."""
     comp = np.linalg.svd(F1t, full_matrices=True)[0][:, 2:]
-    frames = []
+    frames, dets = [], []
     for _ in range(count):
         a, b, phi = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), \
             rng.uniform(0.1, math.pi / 2)
@@ -677,39 +674,56 @@ def _plates_sharing_a_line(rng, F1t, eps, count):
         w = comp @ np.array([[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]])
         frames.append(np.stack([math.cos(eps) * u[:, 0] + math.sin(eps) * w[:, 0],
                                 math.cos(phi) * u[:, 1] + math.sin(phi) * w[:, 1]], axis=1))
-    return np.array(frames)
+        dets.append(math.sin(eps) * math.sin(phi))
+    return np.array(frames), np.array(dets)
+
+
+def _svd_volumes(F1t, F2):
+    """|det [F1t | F2]| as the product of the singular values."""
+    mats = np.concatenate([np.broadcast_to(F1t, F2.shape), F2], axis=2)
+    return np.prod(np.linalg.svd(mats, compute_uv=False), axis=-1)
 
 
 class TestPlateConditioning:
-    """The closed-form plate-pair mask against the SVD condition number
-    (``_oracles.plates_transversal_svd``)."""
+    """The plate weight |det [F1^T | R F2^T]| from the frames' 2x2 minors.
+
+    For orthonormal frames it is sin a sin b, a and b the principal angles
+    between the planes, so a pair near parallel gets a weight near 0 and no
+    pair is set aside.
+    """
+
+    def test_matches_svd_on_sampled_motions(self):
+        M1 = mgon(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        M2 = mgon(5, [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]], radius=0.8)
+        Rs = kinematic._haar_rotations(np.random.default_rng(12), 4096)
+        F1t, F2 = M1.frame.T, Rs @ M2.frame.T
+        mats = np.concatenate([np.broadcast_to(F1t, F2.shape), F2], axis=2)
+        got = kinematic._plate_determinants(F1t, F2)
+        np.testing.assert_allclose(got, np.abs(np.linalg.det(mats)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, _svd_volumes(F1t, F2), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(2, 17)] + [0.0])
     def test_matches_svd_near_a_shared_line(self, eps):
         rng = np.random.default_rng(int(-math.log10(eps)) if eps else 99)
         F1t = _random_rotation(rng)[:, :2]
-        F2 = _plates_sharing_a_line(rng, F1t, eps, 128)
-        got = kinematic._plates_transversal(F1t, F2)
-        assert np.array_equal(got, _oracles.plates_transversal_svd(F1t, F2))
-        # cond = cot(eps / 2), about 2 / eps, against the limit 1e12
-        assert np.all(got) if eps >= 1e-11 else not np.any(got)
+        F2, want = _plates_sharing_a_line(rng, F1t, eps, 128)
+        got = kinematic._plate_determinants(F1t, F2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got, _svd_volumes(F1t, F2), rtol=0, atol=2e-15)
 
-    def test_matches_svd_on_sampled_motions(self):
-        M1 = mgon(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        M2 = mgon(5, [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]], radius=0.8)
-        Rs, _, _ = kinematic._sample_motions(M1, M2, 12, 0, 4096)
-        F1t, F2 = M1.frame.T, Rs @ M2.frame.T
-        got = kinematic._plates_transversal(F1t, F2)
-        assert np.all(got)
-        assert np.array_equal(got, _oracles.plates_transversal_svd(F1t, F2))
-        same = kinematic._plates_transversal(F1t, np.broadcast_to(F1t, (3, 4, 2)))
-        assert not np.any(same)
+    def test_plate_against_itself(self):
+        p = mgon(6, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        F1t = p.frame.T
+        assert kinematic._plate_determinants(F1t, F1t[None])[0] <= 1e-15
+        rep = mc_poincare(p, p, N=100, seed=4)
+        assert math.isfinite(rep.estimate) and math.isfinite(rep.stderr)
+        assert rep.indeterminate == 0
 
 
 class TestOracleEstimates:
     def test_estimates_unchanged_by_the_oracles(self, monkeypatch):
-        # two chunks per estimate; every sample must get the same weight from
-        # the closed forms as from the generic tests and numpy's norms and maxima
+        # two chunks per estimate; every sample must get the same weight with
+        # numpy's row norms and maxima as with the column sums and maxima
         N = kinematic.MC_CHUNK + 7000
         half = Ball(np.zeros(4), 0.5)
         box = BOX_PAIRS[0][0]
@@ -724,8 +738,6 @@ class TestOracleEstimates:
             return [(r.estimate, r.stderr, r.indeterminate) for r in reps]
 
         fast = run()
-        monkeypatch.setattr(kinematic, "_hits_box_box", _oracles.hits_box_box_zonotope)
-        monkeypatch.setattr(kinematic, "_plates_transversal", _oracles.plates_transversal_svd)
         monkeypatch.setattr(kinematic, "_row_norms", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_norms", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_max", _oracles.row_max_numpy)
