@@ -90,6 +90,14 @@ def _row_norms(x):
     return np.sqrt(total)
 
 
+def _row_min(x):
+    """Minima over the last axis, as _row_max takes maxima."""
+    low = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        low = np.minimum(low, x[..., k])
+    return low
+
+
 def _row_max(x):
     """Maxima over the last axis, as explicit column maxima: on the few
     vertices of a simplex or polygon several times faster than ``np.max``'s
@@ -185,6 +193,14 @@ class Ball:
         h = xi @ self.center + self.radius * _row_norms(xi)
         return float(h) if xi.ndim == 1 else h
 
+    def support_pair(self, xi):
+        """The support values at a (B, n) batch of directions and at their
+        negatives, from one product with the center and one row norm.  The
+        values equal those of support(xi) and support(-xi); a zero may take
+        the other sign."""
+        p, r = xi @ self.center, self.radius * _row_norms(xi)
+        return p + r, r - p
+
     def support_point(self, xi):
         """A point of the body attaining the support value in direction xi,
         one per row for a (B, n) batch; the center for a zero direction."""
@@ -240,6 +256,10 @@ class Box:
         h = xi @ self.center + np.abs(xi @ self.rotation) @ self.half_extents
         return float(h) if xi.ndim == 1 else h
 
+    def support_pair(self, xi):
+        p, r = xi @ self.center, np.abs(xi @ self.rotation) @ self.half_extents
+        return p + r, r - p
+
     def support_point(self, xi):
         proj = np.asarray(xi, dtype=float) @ self.rotation
         return self.center + (self.half_extents * np.sign(proj)) @ self.rotation.T
@@ -282,6 +302,10 @@ class _VertexHull:
         xi = np.asarray(xi, dtype=float)
         h = _row_max(xi @ self._hull().T)
         return float(h) if xi.ndim == 1 else h
+
+    def support_pair(self, xi):
+        p = xi @ self._hull().T
+        return _row_max(p), -_row_min(p)
 
     def support_point(self, xi):
         verts = self._hull()
@@ -776,6 +800,27 @@ def _point_vertex(n):
     return Simplex(np.zeros((1, n))).face_lattice()[0]
 
 
+@lru_cache(maxsize=64)
+def _vertex_values(form):
+    """The form's integrals over the pieces of the point vertex, in piece
+    order, for the pieces its terms live on.  They depend on the form alone
+    (see _integrate_forms), so each is computed once per form, not per body;
+    a piece's cell moments up to any degree give the same value."""
+    n = form.n
+    entry = _point_vertex(n)
+    groups = _closed_form_terms(form)
+    fmat = np.zeros((0, n))
+    out = []
+    for gens in entry.region:
+        sgn = _piece_sign([], gens)
+        group = groups.get((0, len(gens)))
+        if group is not None:
+            cell = _spherical_cell(gens)
+            value = _closed_cell(group, fmat, cell, _cell_moments(cell, group.degree))
+            out.append(sgn * entry.volume * value)
+    return tuple(out)
+
+
 def _integrate_lattice(form, lattice):
     """Oriented integral of the form over the normal cycle of the face lattice."""
     return _integrate_forms([form], lattice)[0]
@@ -796,8 +841,8 @@ def _integrate_forms(forms, lattice):
     if not live:
         return totals
     n = forms[live[0][0]].n
-    for entry in [e for e in lattice if e.k] + [_point_vertex(n)]:
-        if entry.volume == 0.0 or not entry.region:
+    for entry in lattice:
+        if not entry.k or entry.volume == 0.0 or not entry.region:
             continue
         face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
         fmat = np.array(face_vecs, dtype=float).reshape(entry.k, n)
@@ -812,6 +857,9 @@ def _integrate_forms(forms, lattice):
             moments = _cell_moments(cell, max(group.degree for _, group in users))
             for i, group in users:
                 totals[i] += sgn * entry.volume * _closed_cell(group, fmat, cell, moments)
+    for i, _ in live:
+        for value in _vertex_values(forms[i]):
+            totals[i] += value
     return totals
 
 

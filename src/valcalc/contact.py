@@ -5,12 +5,27 @@ d(omega + alpha ^ xi) a multiple of the contact form alpha.  The corrected
 derivative is the basic invariant attached to omega here; the correction is
 found by inverting the Lefschetz operator on horizontal forms in closed
 form.  The solve is linear over Z, so it runs on the pi-graded integer parts
-of omega (see ``exterior.split_pi``).
+of omega as sparse vectors over monomials (see ``columns``): D and xi are a
+cache of integer columns per input block (n, |I|, |J|).  The dict solve
+builds the missing columns of an input in one lane-packed pass and checks
+there, once for every column, that the corrected derivative is vertical.  Its
+lane width comes from ``_rumin_bound``, the product of the column l1 norms of
+the solve's steps.  In front of the columns, a bounded LRU keeps the result
+per form.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+from .columns import (
+    _ColumnOperator,
+    _alpha_norm,
+    _d_norm,
+    _horizontal_norm,
+    _join_vectors,
+    _split_vectors,
+    _wedge_norm,
+)
 from .exterior import (
     InvariantForm,
     VectorField,
@@ -19,9 +34,7 @@ from .exterior import (
     contract_slot,
     d,
     fiber_integrate,
-    join_pi,
     reeb_field,
-    split_pi,
 )
 
 # corrections kept for reuse; one pairing with its operators needs about five
@@ -42,16 +55,30 @@ def contact_data(n: int) -> ContactData:
     return ContactData(n=n, alpha=alpha_form(n), reeb=reeb_field(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RuminResult:
     """Corrected derivative D_omega = d(omega + alpha ^ xi) with its correction.
 
-    ansatz_degree is the polynomial degree of xi's coefficients.
+    Both are held as split vectors (``columns._split_vectors``) and become
+    Scalar-coefficient forms on first access.  ansatz_degree is the
+    polynomial degree of xi's coefficients.
     """
 
-    D_omega: InvariantForm
-    xi: InvariantForm
-    ansatz_degree: int
+    n: int
+    D_parts: dict
+    xi_parts: dict
+
+    @cached_property
+    def D_omega(self) -> InvariantForm:
+        return _join_vectors(self.n, self.D_parts)
+
+    @cached_property
+    def xi(self) -> InvariantForm:
+        return _join_vectors(self.n, self.xi_parts)
+
+    @cached_property
+    def ansatz_degree(self) -> int:
+        return _coeff_degree(self.xi)
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +118,39 @@ def _xi_lefschetz(f: InvariantForm):
     raise ValueError(f"unsupported dimension {n}")
 
 
+def _lefschetz_pass(f: InvariantForm):
+    """((xi, D), s) of an integer-coefficient form, meaning xi / s and D / s.
+
+    Raises ArithmeticError unless D is vertical.  On a lane-packed form the
+    check covers every lane: each entry of horizontal_part(D) is below
+    2^(B - 1) in its lane (``_rumin_bound``), so the packed sum is zero only
+    when every lane is.
+    """
+    xi, s = _xi_lefschetz(f)
+    D = d(f * s + contact_data(f.n).alpha.wedge(xi))
+    if not horizontal_part(D).is_zero():
+        raise ArithmeticError("correction failed to make the derivative vertical")
+    return (xi, D), s
+
+
+def _rumin_bound(n, a, b, deg) -> int:
+    """Bound on the entries of xi, D and horizontal_part(D) for one monomial of
+    bidegree (a, b) and polynomial degree <= deg: the product of the column l1
+    norms of the steps of _lefschetz_pass.  d and the projection raise the
+    degree by at most one, i_T and alpha ^ by one, pihat ^ by two.
+    """
+    lam1 = _d_norm(n, b, deg) * _horizontal_norm(n, a) * min(a, b + 1)
+    s, xi, xi_deg = 1, lam1, deg + 3
+    if n == 4:
+        s, xi, xi_deg = 4, 4 * lam1 + _wedge_norm(_pihat(n)) * min(a - 1, b) * lam1, deg + 5
+    D = _d_norm(n, b, max(deg, xi_deg + 1)) * (s + _alpha_norm(n, a - 1) * xi)
+    return max(xi, D, _horizontal_norm(n, a) * D)
+
+
+RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
+                        lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
+
+
 def rumin(omega: InvariantForm) -> RuminResult:
     """Correction xi and corrected derivative for a form of degree n-1."""
     return _rumin_cached(omega)
@@ -100,21 +160,11 @@ def rumin(omega: InvariantForm) -> RuminResult:
 def _rumin_cached(omega: InvariantForm) -> RuminResult:
     n = omega.n
     if omega.is_zero():
-        zero = InvariantForm.zero(n)
-        return RuminResult(D_omega=zero, xi=zero, ansatz_degree=0)
+        return RuminResult(n, {}, {})
     if omega.degree() != n - 1:
         raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
-    alpha = contact_data(n).alpha
-    D_parts, xi_parts = {}, {}
-    for k, (den, f) in split_pi(omega).items():
-        xi, s = _xi_lefschetz(f)
-        D = d(f * s + alpha.wedge(xi))
-        if not horizontal_part(D).is_zero():
-            raise ArithmeticError("correction failed to make the derivative vertical")
-        D_parts[k] = (den * s, D)
-        xi_parts[k] = (den * s, xi)
-    xi = join_pi(n, xi_parts)
-    return RuminResult(D_omega=join_pi(n, D_parts), xi=xi, ansatz_degree=_coeff_degree(xi))
+    xi_parts, D_parts = RUMIN.apply(n, _split_vectors(omega))
+    return RuminResult(n, D_parts, xi_parts)
 
 
 def verify_zero_valuation(omega: InvariantForm, phi) -> bool:

@@ -12,6 +12,14 @@ Every operator here is linear over Z, so the exact layers above split a
 Scalar-coefficient form once into pi-graded parts with plain int
 coefficients (``split_pi``), run the operators on those, and rebuild the
 Scalar coefficients once on the way out (``join_pi``).
+
+On the exact path the parts are sparse integer vectors over monomial
+coordinates, and hodge_star, lie_reeb and the antipode (with contact's
+Rumin solve) apply as caches of integer columns keyed by the input's (n,
+|I|, |J|) (``columns``).  The dict operators here build those columns, a
+batch at a time, with every monomial in a lane of a Python int whose width
+comes from a proved bound on the column's entries, and they stay the
+reference the tests hold the columns to.
 """
 
 from __future__ import annotations
@@ -153,9 +161,20 @@ class SpherePoly:
                 if s:
                     t[e] = s
             return SpherePoly._canonical(self.n, t)
+        n = self.n
+        if len(self.terms) == 1 and len(other.terms) != 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            (e2, c2), = other.terms.items()
+            if not e2[n - 1] and type(c2) is int and c2 in (1, -1):
+                # a shift by +-v^e2 free of v_n: no rewrite, no two terms meet
+                if c2 == 1:
+                    return SpherePoly._canonical(
+                        n, {tuple(map(add, e1, e2)): c1 for e1, c1 in self.terms.items()})
+                return SpherePoly._canonical(
+                    n, {tuple(map(add, e1, e2)): -c1 for e1, c1 in self.terms.items()})
         # both factors are canonical, so a product's last exponent is at most
         # 2 and one rewrite of v_n^2 canonicalizes it
-        n = self.n
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -318,7 +337,7 @@ class InvariantForm:
     come first in the monomial orientation.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms", "_hash", "_parts")
 
     def __init__(self, n, terms=None, projected=False):
         self.n = n
@@ -337,6 +356,7 @@ class InvariantForm:
             clean = _project_terms(n, clean)
         self.terms = clean
         self._hash = None
+        self._parts = None  # columns._split_vectors, once computed
 
     @classmethod
     def zero(cls, n) -> "InvariantForm":
@@ -392,6 +412,10 @@ class InvariantForm:
         if self._hash is None:
             self._hash = hash((self.n, frozenset(self.terms.items())))
         return self._hash
+
+    def __reduce__(self):
+        # the cached split vectors number monomials as this process first saw them
+        return (InvariantForm, (self.n, self.terms, True))
 
     def wedge(self, other) -> "InvariantForm":
         if self.n != other.n:
@@ -847,21 +871,3 @@ def join_pi(n, parts) -> InvariantForm:
     terms = {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
              for key, poly in coeffs.items()}
     return InvariantForm(n, terms, projected=True)
-
-
-def map_pi(fn, parts) -> dict:
-    """Apply a Z-linear operator to each part of a split form."""
-    return {k: (den, fn(f)) for k, (den, f) in parts.items()}
-
-
-def add_pi(a, b) -> dict:
-    """Sum of two split forms, each pi power over the lcm of its denominators."""
-    out = dict(a)
-    for k, (db, fb) in b.items():
-        if k in out:
-            da, fa = out[k]
-            den = math.lcm(da, db)
-            out[k] = (den, fa * (den // da) + fb * (den // db))
-        else:
-            out[k] = (db, fb)
-    return out

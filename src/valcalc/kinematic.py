@@ -186,9 +186,9 @@ def _translation_box(K, L, Rs: np.ndarray):
     for i in range(4):
         e = np.zeros(4)
         e[i] = 1.0
-        rows = Rs[:, i, :]
-        hi[:, i] = K.support(e) + L.support(-rows)
-        lo[:, i] = -(K.support(-e) + L.support(rows))
+        plus, minus = L.support_pair(Rs[:, i, :])
+        hi[:, i] = K.support(e) + minus
+        lo[:, i] = -(K.support(-e) + plus)
     return lo, hi
 
 

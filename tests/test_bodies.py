@@ -325,6 +325,22 @@ class TestTube:
 
 
 class TestSupport:
+    @pytest.mark.parametrize("kind", ["ball", "box", "simplex", "polygon"])
+    def test_pair_matches_both_signs(self, kind):
+        rng = np.random.default_rng(6)
+        K = {"ball": Ball(np.array([0.3, -0.1, 0.2, 0.5]), 0.7),
+             "box": Box(np.array([0.1, 0.2, -0.3, 0.0]), np.array([0.5, 0.4, 0.3, 0.6]),
+                        np.linalg.qr(rng.normal(size=(4, 4)))[0]),
+             "simplex": STANDARD_SIMPLEX,
+             "polygon": regular_polygon(5, radius=0.8)}[kind]
+        # the rows of rotation matrices, as the translation box reads them
+        xi = np.linalg.qr(rng.normal(size=(64, 4, 4)))[0][:, 1, :]
+        # equal values: a product with a vertex at the origin may give a zero
+        # of the other sign than the product with the negated direction
+        plus, minus = K.support_pair(xi)
+        assert np.array_equal(plus, K.support(xi))
+        assert np.array_equal(minus, K.support(-xi))
+
     def test_ball(self):
         b = Ball(np.array([1.0, 2.0, 0.0]), 1.5)
         xi = np.array([0.0, 1.0, 0.0])

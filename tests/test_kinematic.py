@@ -238,6 +238,18 @@ class TestOnePass:
         for value, (label, rep) in zip(vec.values, su2_basis(kind)):
             assert float(value).hex() == bodies.evaluate(rep, K).hex(), label
 
+    @pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
+    def test_vertex_values_cached_without_moving_bits(self, kind):
+        reps = [rep for _, rep in su2_basis(kind)]
+        bodies._vertex_values.cache_clear()
+        cold = {name: bodies.evaluate_many(reps, PINNED_BODIES[name])
+                for name in ("box", "simplex", "pentagon")}
+        assert bodies._vertex_values.cache_info().currsize == sum(
+            1 for rep in reps if not rep.omega.is_zero())
+        for name, values in cold.items():
+            warm = bodies.evaluate_many(reps, PINNED_BODIES[name])
+            assert [v.hex() for v in warm] == [v.hex() for v in values], name
+
     def test_one_face_lattice_per_cold_vector(self, monkeypatch):
         monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
         calls = []
@@ -264,6 +276,8 @@ class TestOnePass:
         for _, rep in su2_basis(kind):
             if not rep.omega.is_zero():
                 shapes |= set(bodies._closed_form_terms(rep.omega))
+                # the point vertex's pieces are integrated once per form
+                bodies._vertex_values(rep.omega)
         calls = []
         original = bodies._spherical_cell
 
@@ -275,8 +289,7 @@ class TestOnePass:
         for name in ("box", "simplex", "pentagon", "segment"):
             K = PINNED_BODIES[name]
             live = [gens
-                    for entry in [e for e in K.face_lattice() if e.k] + [bodies._point_vertex(4)]
-                    if entry.volume != 0.0
+                    for entry in K.face_lattice() if entry.k and entry.volume != 0.0
                     for gens in entry.region if (entry.k, len(gens)) in shapes]
             calls.clear()
             evaluation_vector(K, kind)
@@ -718,6 +731,50 @@ class TestPlateConditioning:
         rep = mc_poincare(p, p, N=100, seed=4)
         assert math.isfinite(rep.estimate) and math.isfinite(rep.stderr)
         assert rep.indeterminate == 0
+
+
+# (estimate, stderr, indeterminate) as float.hex at the benchmark's sample
+# counts, pinned with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 from a build that
+# called each body's support function once per sign of every row
+PINNED_TRANSLATION_BOX = {
+    ("ball_ball", 91): ("0x1.3c81800000000p+2", "0x1.d9355e2ed176fp-8", 0),
+    ("ball_ball", 92): ("0x1.3baac00000000p+2", "0x1.d8dc6d206b0edp-8", 0),
+    ("ball_box", 91): ("0x1.95c4fafe6c9b5p+3", "0x1.97c8460cee136p-6", 0),
+    ("ball_box", 92): ("0x1.94bb51b3b3127p+3", "0x1.979d455b92231p-6", 0),
+    ("box_simplex", 91): ("0x1.a2aafa215ff08p+3", "0x1.e63f789098d8ep-2", 0),
+    ("box_simplex", 92): ("0x1.b00c85c160582p+3", "0x1.e3525f975b340p-2", 0),
+}
+_BALL = Ball(np.zeros(4), 0.5)
+TRANSLATION_PAIRS = {
+    "ball_ball": (_BALL, _BALL, 1 << 20),
+    "ball_box": (_BALL, Box(np.zeros(4), np.array([0.6, 0.5, 0.4, 0.55])), 28 << 15),
+    "box_simplex": (Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6])),
+                    Simplex([[0.0, 0.0, 0.0, 0.0], [1.1, 0.0, 0.0, 0.0], [0.2, 0.9, 0.0, 0.0],
+                             [0.1, 0.2, 1.0, 0.0], [0.3, 0.1, 0.2, 0.8]]), 512),
+}
+
+
+class TestTranslationBox:
+    @pytest.mark.parametrize("pair, seed", list(PINNED_TRANSLATION_BOX))
+    def test_pinned_estimates(self, pair, seed):
+        K, L, N = TRANSLATION_PAIRS[pair]
+        for threads in (1, 2):
+            rep = mc_principal_kinematic(K, L, N=N, seed=seed, threads=threads)
+            got = (float(rep.estimate).hex(), float(rep.stderr).hex(), rep.indeterminate)
+            assert got == PINNED_TRANSLATION_BOX[(pair, seed)], threads
+
+    def test_one_support_call_per_axis(self, monkeypatch):
+        calls = []
+        original = Ball.support_pair
+
+        def counted(self, xi):
+            calls.append(len(xi))
+            return original(self, xi)
+
+        monkeypatch.setattr(Ball, "support_pair", counted)
+        Rs = kinematic._haar_rotations(np.random.default_rng(3), 64)
+        kinematic._translation_box(_BALL, _BALL, Rs)
+        assert calls == [64] * 4
 
 
 class TestOracleEstimates:
