@@ -4,33 +4,50 @@ On the exact path a pi-graded integer part is a sparse vector over the
 monomials v^e dx_I ^ dv_J of one bidegree (|I|, |J|), a block, numbered in
 the order the process first sees them.  A split form is
 {k: (den, {(|I|, |J|): (ids, vals)})}, ids indexing the block's monomials and
-vals int64 (an object array of Python ints once an entry reaches INT64_SAFE).
+vals int64 while every entry is below INT64_SAFE, an object array of Python
+ints otherwise (``_fit``).
 
-hodge_star, lie_reeb and contact's Rumin solve are caches of integer
-columns, one per monomial of an input block: its image as (row, value) arrays
-into each output block.  Applying one is a gather and an np.add.at per
-output block, in int64 while a checked bound allows it and in Python ints
-past it.  The dict operators build the columns, all missing monomials of an
-input in one pass: monomial i enters with coefficient 2^(B i), so its image
-rides in lane i of every output coefficient, and a bias of 2^(B - 1) per lane
-decodes it.  The lane width B comes from a proved bound on a column's
-entries, the product of the column l1 norms of the operator's steps (the
-*_norm helpers), so no lane carries into the next.
+contact's Rumin solve (RUMIN), hodge_star (HODGE) and lie_reeb (LIE_REEB)
+are caches of integer columns, one per monomial of an input block: its image
+as (row, value) arrays into each output block.  Applying one is a gather and
+an np.add.at per output block, in int64 while a checked bound allows it and
+in Python ints past it (``_widen``).  The dict operators build the columns,
+all missing monomials of an input in one pass: monomial i enters with
+coefficient 2^(B i), so its image rides in lane i of every output
+coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane width B
+comes from a proved bound on a column's entries, the product of the column
+l1 norms of the operator's steps (the *_norm helpers), so no lane carries
+into the next.  pair_top contracts two vectors against the closed-form
+integrals of sphere monomials.
+
+Limits: an input whose column bound needs lanes wider than 64 bits (for
+the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
+up) runs the dict operator itself, and a pairing whose degrees sum past MAX_CONTRACT_DEGREE
+wedges and fiber-integrates.  The caches keep every column they build for
+the life of the process: their size is bounded by the number of monomials
+of the degrees in use, not by a count of forms.  This module is imported on
+the first exact operation, so code that runs none does not load it.
 """
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
+from .contact import _lefschetz_pass, _pihat
 from .exterior import (
     InvariantForm,
     SpherePoly,
+    _complement,
     _dv_projection,
+    _merge_sign,
     _pi_terms,
+    _prepend_sign,
+    fiber_integrate,
     hodge_star,
     lie_reeb,
+    sphere_monomial_integral,
 )
 from .scalars import Rat, Scalar
 
@@ -84,8 +101,13 @@ def _block(n, a, b) -> _Block:
     return blk
 
 
-def _int_array(vals):
-    """vals as int64, or as an object array once an entry reaches INT64_SAFE."""
+def _fit(vals):
+    """Integer entries (a list or an array) as a vector's values: int64 while
+    every entry is below INT64_SAFE, else an object array of Python ints."""
+    if isinstance(vals, np.ndarray):
+        if vals.dtype != object:
+            return vals.astype(object) if _maxabs(vals) >= INT64_SAFE else vals
+        vals = vals.tolist()
     if vals and max(max(vals), -min(vals)) >= INT64_SAFE:
         out = np.empty(len(vals), object)
         out[:] = vals
@@ -93,8 +115,22 @@ def _int_array(vals):
     return np.array(vals, np.int64)
 
 
+def _maxabs(vals) -> int:
+    return int(np.abs(vals).max()) if vals.size else 0
+
+
+def _widen(bound, *arrays):
+    """The arrays of a product or sum whose every partial result is at most
+    bound in size: as they are while bound < 2^63 and all are int64, else as
+    object arrays of Python ints."""
+    if bound < 1 << 63 and all(a.dtype != object for a in arrays):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
 def _split_vectors(a: InvariantForm) -> dict:
-    """split_pi of a as sparse vectors, computed once per form."""
+    """The pi-graded integer parts of a, with a = sum_k pi^k part_k / den_k, as
+    sparse vectors, computed once per form; float coefficients raise TypeError."""
     if a._parts is None:
         n = a.n
         raw = {}
@@ -110,7 +146,7 @@ def _split_vectors(a: InvariantForm) -> dict:
         for k, blocks in raw.items():
             den = math.lcm(*(int(r.denominator) for _, rats in blocks.values() for r in rats))
             parts[k] = (den, {ab: (np.array(ids, np.int64),
-                                   _int_array([int(r.numerator) * (den // int(r.denominator))
+                                   _fit([int(r.numerator) * (den // int(r.denominator))
                                                for r in rats]))
                               for ab, (ids, rats) in blocks.items()})
         a._parts = parts
@@ -144,6 +180,12 @@ def _reduce_grade(den, blocks):
     return den // g, {ab: (ids, vals // g) for ab, (ids, vals) in blocks.items()}
 
 
+def _rescale(vals, f):
+    """f times a vector's values."""
+    (vals,) = _widen(_maxabs(vals) * f, vals)
+    return _fit(vals * f)
+
+
 def _add_vectors(n, p, q) -> dict:
     """Sum of two split forms, each pi power over the lcm of its denominators."""
     out = dict(p)
@@ -153,15 +195,15 @@ def _add_vectors(n, p, q) -> dict:
             continue
         dp, bp = out[k]
         den = math.lcm(dp, dq)
-        merged = {ab: (ids, vals * (den // dp)) for ab, (ids, vals) in bp.items()}
+        merged = {ab: (ids, _rescale(vals, den // dp)) for ab, (ids, vals) in bp.items()}
         for ab, (ids, vals) in bq.items():
-            vals = vals * (den // dq)
+            vals = _rescale(vals, den // dq)
             if ab in merged:
                 acc = np.zeros(len(_BLOCKS[(n,) + ab].keys), object)
                 np.add.at(acc, merged[ab][0], merged[ab][1].astype(object))
                 np.add.at(acc, ids, vals.astype(object))
                 ids = np.flatnonzero(acc)
-                vals = _int_array(acc[ids].tolist())
+                vals = _fit(acc[ids])
             merged[ab] = (ids, vals)
         merged = {ab: v for ab, v in merged.items() if len(v[0])}
         if merged:
@@ -171,9 +213,17 @@ def _add_vectors(n, p, q) -> dict:
     return out
 
 
-def _decode_lanes(form, blk, lanes, B):
-    """(lane, row, value) arrays of the monomials of form, lane i read from bits
-    B i .. B i + B - 1 of each coefficient, less the bias 2^(B - 1)."""
+def _form(n, keys, values) -> InvariantForm:
+    """The integer-coefficient form with coefficient values[i] on monomial keys[i]."""
+    terms = {}
+    for (I, J, e), c in zip(keys, values):
+        terms.setdefault((I, J), {})[e] = c
+    return InvariantForm(n, {key: SpherePoly._canonical(n, t) for key, t in terms.items()},
+                         projected=True)
+
+
+def _monomials(form, blk):
+    """(ids, coefficients) of the monomials of a form that lies in block blk."""
     ids, values = [], []
     for (I, J), p in form.terms.items():
         if (len(I), len(J)) != (blk.a, blk.b):
@@ -181,7 +231,13 @@ def _decode_lanes(form, blk, lanes, B):
         for e, c in p.terms.items():
             ids.append(blk.id((I, J, e)))
             values.append(c)
-    ids = np.array(ids, np.int64)
+    return np.array(ids, np.int64), values
+
+
+def _decode_lanes(form, blk, lanes, B):
+    """(lane, row, value) arrays of the monomials of form, lane i read from bits
+    B i .. B i + B - 1 of each coefficient, less the bias 2^(B - 1)."""
+    ids, values = _monomials(form, blk)
     nbytes, width = lanes * B // 8, B // 8
     bias = ((1 << (B * lanes)) - 1) // ((1 << B) - 1) << (B - 1)
     chunk = max(1, 65536 // lanes)
@@ -204,11 +260,8 @@ def _decode_lanes(form, blk, lanes, B):
 
 def _lane_bits(bound) -> int:
     """Lane width B, a whole number of bytes, with bound < 2^(B - 1): entries
-    of size up to bound decode exactly, and fit in int64."""
-    B = 8 * -(-(bound.bit_length() + 1) // 8)
-    if B > 64:
-        raise ValueError(f"column entries up to {bound} may not fit in int64")
-    return B
+    of size up to bound decode exactly (and fit in int64 while B <= 64)."""
+    return 8 * -(-(bound.bit_length() + 1) // 8)
 
 
 class _Columns:
@@ -239,43 +292,52 @@ class _Columns:
         cols = self.slot[ids]
         missing = ids[cols < 0]
         if missing.size:
-            self._build(missing.tolist())
+            if not self._build(missing.tolist()):
+                return self._direct(ids, vals)
             cols = self.slot[ids]
         out = []
+        top = _maxabs(vals) * self.maxabs
         for j, blk in enumerate(self.outs):
             start, size = self.start[j][cols], self.size[j][cols]
             total = int(size.sum())
             idx = np.repeat(start - np.cumsum(size) + size, size) + np.arange(total)
-            col_vals, x = self.vals[j][idx], vals
             # every partial sum is at most max|x| * max|entry| * total
-            if x.dtype == object or int(np.abs(x).max()) * self.maxabs * total >= 1 << 63:
-                x, col_vals = x.astype(object), col_vals.astype(object)
+            x, col_vals = _widen(top * total, vals, self.vals[j][idx])
             acc = np.zeros(len(blk.keys), x.dtype)
             np.add.at(acc, self.rows[j][idx], col_vals * np.repeat(x, size))
             nz = np.flatnonzero(acc)
-            res = acc[nz]
-            out.append((nz, _int_array(res.tolist()) if res.dtype == object else res)
-                       if nz.size else None)
+            out.append((nz, _fit(acc[nz])) if nz.size else None)
         return out
 
-    def _build(self, missing):
+    def _build(self, missing) -> bool:
+        """Build the columns of the source ids missing in lane-packed passes;
+        build none, and return False, if their entries may not fit int64."""
         keys = [self.src.keys[i] for i in missing]
         deg = max(sum(e) for _, _, e in keys)
         B = _lane_bits(self.bound(deg))
+        if B > 64:
+            return False
         passes = -(-len(keys) * B // PACKED_BITS)
         step = -(-len(keys) // passes)
         for s in range(0, len(keys), step):
             self._build_lanes(missing[s:s + step], keys[s:s + step], B)
+        return True
+
+    def _direct(self, ids, vals):
+        """The image of the vector (ids, vals) through the dict operator
+        itself, for monomials of so high a degree that no column is kept."""
+        keys = [self.src.keys[i] for i in ids.tolist()]
+        outputs, self.scale = self.build(_form(self.src.n, keys, vals.tolist()))
+        out = []
+        for blk, form in zip(self.outs, outputs):
+            rows, values = _monomials(form, blk)
+            out.append((rows, _fit(values)) if values else None)
+        return out
 
     def _build_lanes(self, ids, keys, B):
-        n = self.src.n
-        terms = {}
-        for i, (I, J, e) in enumerate(keys):
-            terms.setdefault((I, J), {})[e] = 1 << (B * i)
-        packed = InvariantForm(n, {key: SpherePoly._canonical(n, t) for key, t in terms.items()},
-                               projected=True)
-        outputs, self.scale = self.build(packed)
         lanes = len(keys)
+        packed = _form(self.src.n, keys, [1 << (B * i) for i in range(lanes)])
+        outputs, self.scale = self.build(packed)
         self.slot[ids] = np.arange(self.count, self.count + lanes)
         self.count += lanes
         for j, form in enumerate(outputs):
@@ -386,6 +448,24 @@ def _lie_bound(n, a, b, deg) -> int:
     return _reeb_norm(n, a) * (_d_norm(n, b, deg) + _d_norm(n, b, deg + 1))
 
 
+def _rumin_bound(n, a, b, deg) -> int:
+    """Bound on the entries of xi, D and horizontal_part(D) for one monomial of
+    bidegree (a, b) and polynomial degree <= deg: the product of the column l1
+    norms of the steps of _lefschetz_pass.  d and the projection raise the
+    degree by at most one, i_T and alpha ^ by one, pihat ^ by two.
+    """
+    lam1 = _d_norm(n, b, deg) * _horizontal_norm(n, a) * min(a, b + 1)
+    s, xi, xi_deg = 1, lam1, deg + 3
+    if n == 4:
+        s, xi, xi_deg = 4, 4 * lam1 + _wedge_norm(_pihat(n)) * min(a - 1, b) * lam1, deg + 5
+    D = _d_norm(n, b, max(deg, xi_deg + 1)) * (s + _alpha_norm(n, a - 1) * xi)
+    return max(xi, D, _horizontal_norm(n, a) * D)
+
+
+RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
+                        lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
+
+
 HODGE = _ColumnOperator(lambda f: ((hodge_star(f),), 1), _hodge_bound,
                         lambda n, a, b: ((n - a, n - b - 1),))
 LIE_REEB = _ColumnOperator(lambda f: ((lie_reeb(f),), 1), _lie_bound,
@@ -406,3 +486,97 @@ def _antipode_vectors(n, parts, sign):
             image[(a, b)] = (ids, np.where(neg, -vals, vals))
         out[k] = (den, image)
     return out if flips else parts
+
+
+# the contraction packs exponents 8 bits each, and a product's exponent is at
+# most the sum of the factors' degrees plus one; past it, forms are wedged
+MAX_CONTRACT_DEGREE = 254
+
+
+@lru_cache(maxsize=None)
+def _partners(n):
+    """For each key code Imask | Jmask << n of a monomial of degree n - 1, the
+    key codes of the monomials its wedge reaches dx_1..n ^ dv_(all but t)
+    with, as arrays of shape (4^n, n): partner key, sign of wedge and fiber
+    orientation, 2^(8 t).  A sign of 0 pads the rows."""
+    key, sign, shift = (np.zeros((1 << (2 * n), n), np.int64) for _ in range(3))
+    for a in range(n):
+        for I1, J1 in product(combinations(range(n), a), combinations(range(n), n - 1 - a)):
+            code = sum(1 << i for i in I1) | sum(1 << (n + j) for j in J1)
+            I2 = _complement(I1, n)
+            for slot, t in enumerate(_complement(J1, n)):
+                J2 = tuple(j for j in _complement(J1, n) if j != t)
+                s = _merge_sign(I1, I2) * _merge_sign(J1, J2) * (-1) ** (len(I2) * len(J1))
+                key[code, slot] = sum(1 << i for i in I2) | sum(1 << (n + j) for j in J2)
+                sign[code, slot] = s * _prepend_sign(tuple(sorted(J1 + J2)), t)
+                shift[code, slot] = 1 << (8 * t)
+    return key, sign, shift
+
+
+@lru_cache(maxsize=None)
+def _sphere_rational(n, code):
+    """The integral of v^e over S^(n-1), e packed 8 bits per exponent, as
+    (rational, pi power)."""
+    (power, r), = sphere_monomial_integral(tuple(code >> (8 * i) & 255
+                                                 for i in range(n))).terms.items()
+    return r, power
+
+
+def _degree(n, parts) -> int:
+    """Largest polynomial degree of the monomials of a split form."""
+    return max((int(_BLOCKS[(n,) + ab].codes()[2][ids].max())
+                for _, blocks in parts.values() for ab, (ids, _) in blocks.items()), default=0)
+
+
+def _top_contract(n, ab, x_vec, y_vec):
+    """Top coefficient of pi_*(x ^ y) for integer vectors x on block ab and y
+    on the complementary block, as {pi power: rational}.  Needs the degrees of
+    x and y to sum to at most MAX_CONTRACT_DEGREE."""
+    codes_x = _block(n, *ab).codes()
+    codes_y = _block(n, n - ab[0], n - 1 - ab[1]).codes()
+    (ix, x), (iy, y) = x_vec, y_vec
+    kx, ex = codes_x[0][ix], codes_x[1][ix]
+    order = np.argsort(codes_y[0][iy], kind="stable")
+    ky, ey, y = codes_y[0][iy][order], codes_y[1][iy][order], y[order]
+    pkey, psign, pshift = (t[kx].ravel() for t in _partners(n))
+    lo = np.searchsorted(ky, pkey)
+    count = np.where(psign != 0, np.searchsorted(ky, pkey, side="right") - lo, 0)
+    total = int(count.sum())
+    pair = np.repeat(np.arange(len(count)), count)
+    j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
+    i = pair // n
+    code = ex[i] + ey[j] + pshift[pair]
+    even = (code & sum(1 << (8 * t) for t in range(n))) == 0
+    if not even.any():
+        return {}
+    # |x_i y_j| summed over all pairs bounds every total below
+    x, y = _widen(_maxabs(x) * _maxabs(y) * total, x, y)
+    val, code = (x[i] * y[j] * psign[pair])[even], code[even]
+    order = np.argsort(code, kind="stable")
+    val, code = val[order], code[order]
+    first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    out = {}
+    for c, t in zip(code[first].tolist(), np.add.reduceat(val, first).tolist()):
+        if t:
+            r, power = _sphere_rational(n, c)
+            out[power] = out.get(power, 0) + t * r
+    return out
+
+
+def pair_top(n, omega, parts) -> Scalar:
+    """Top coefficient of pi_*(omega ^ y) for a form omega of degree n - 1 and
+    a split form y of degree n, contracted on their vectors."""
+    parts1 = _split_vectors(omega)
+    if _degree(n, parts1) + _degree(n, parts) > MAX_CONTRACT_DEGREE:
+        return fiber_integrate(omega.wedge(_join_vectors(n, parts))).top_coefficient()
+    first = {}
+    for k1, (d1, blocks1) in parts1.items():
+        for k2, (d2, blocks2) in parts.items():
+            for (a, b), x in blocks1.items():
+                y = blocks2.get((n - a, n - 1 - b))
+                if y is None:
+                    continue
+                for power, r in _top_contract(n, (a, b), x, y).items():
+                    key = k1 + k2 + power
+                    first[key] = first.get(key, 0) + r / (d1 * d2)
+    return Scalar(first)

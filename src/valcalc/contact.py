@@ -6,26 +6,17 @@ derivative is the basic invariant attached to omega here; the correction is
 found by inverting the Lefschetz operator on horizontal forms in closed
 form.  The solve is linear over Z, so it runs on the pi-graded integer parts
 of omega as sparse vectors over monomials (see ``columns``): D and xi are a
-cache of integer columns per input block (n, |I|, |J|).  The dict solve
-builds the missing columns of an input in one lane-packed pass and checks
-there, once for every column, that the corrected derivative is vertical.  Its
-lane width comes from ``_rumin_bound``, the product of the column l1 norms of
-the solve's steps.  In front of the columns, a bounded LRU keeps the result
-per form.
+cache of integer columns per input block (n, |I|, |J|), ``columns.RUMIN``.
+The dict solve here, ``_lefschetz_pass``, builds the missing columns of an
+input in one lane-packed pass and checks there, once for every column, that
+the corrected derivative is vertical.  Its lane width comes from
+``columns._rumin_bound``, the product of the column l1 norms of the solve's
+steps.  In front of the columns, a bounded LRU keeps the result per form.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .columns import (
-    _ColumnOperator,
-    _alpha_norm,
-    _d_norm,
-    _horizontal_norm,
-    _join_vectors,
-    _split_vectors,
-    _wedge_norm,
-)
 from .exterior import (
     InvariantForm,
     VectorField,
@@ -70,10 +61,14 @@ class RuminResult:
 
     @cached_property
     def D_omega(self) -> InvariantForm:
+        from .columns import _join_vectors
+
         return _join_vectors(self.n, self.D_parts)
 
     @cached_property
     def xi(self) -> InvariantForm:
+        from .columns import _join_vectors
+
         return _join_vectors(self.n, self.xi_parts)
 
     @cached_property
@@ -133,24 +128,6 @@ def _lefschetz_pass(f: InvariantForm):
     return (xi, D), s
 
 
-def _rumin_bound(n, a, b, deg) -> int:
-    """Bound on the entries of xi, D and horizontal_part(D) for one monomial of
-    bidegree (a, b) and polynomial degree <= deg: the product of the column l1
-    norms of the steps of _lefschetz_pass.  d and the projection raise the
-    degree by at most one, i_T and alpha ^ by one, pihat ^ by two.
-    """
-    lam1 = _d_norm(n, b, deg) * _horizontal_norm(n, a) * min(a, b + 1)
-    s, xi, xi_deg = 1, lam1, deg + 3
-    if n == 4:
-        s, xi, xi_deg = 4, 4 * lam1 + _wedge_norm(_pihat(n)) * min(a - 1, b) * lam1, deg + 5
-    D = _d_norm(n, b, max(deg, xi_deg + 1)) * (s + _alpha_norm(n, a - 1) * xi)
-    return max(xi, D, _horizontal_norm(n, a) * D)
-
-
-RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
-                        lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
-
-
 def rumin(omega: InvariantForm) -> RuminResult:
     """Correction xi and corrected derivative for a form of degree n-1."""
     return _rumin_cached(omega)
@@ -163,6 +140,8 @@ def _rumin_cached(omega: InvariantForm) -> RuminResult:
         return RuminResult(n, {}, {})
     if omega.degree() != n - 1:
         raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
+    from .columns import RUMIN, _split_vectors
+
     xi_parts, D_parts = RUMIN.apply(n, _split_vectors(omega))
     return RuminResult(n, D_parts, xi_parts)
 

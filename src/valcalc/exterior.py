@@ -10,21 +10,17 @@ Coefficients are Scalars (or ints/rationals) for exact work; plain floats
 are accepted by the purely algebraic operations for numeric pipelines.
 Every operator here is linear over Z, so the exact layers above split a
 Scalar-coefficient form once into pi-graded parts with plain int
-coefficients (``split_pi``), run the operators on those, and rebuild the
-Scalar coefficients once on the way out (``join_pi``).
-
-On the exact path the parts are sparse integer vectors over monomial
-coordinates, and hodge_star, lie_reeb and the antipode (with contact's
-Rumin solve) apply as caches of integer columns keyed by the input's (n,
-|I|, |J|) (``columns``).  The dict operators here build those columns, a
-batch at a time, with every monomial in a lane of a Python int whose width
-comes from a proved bound on the column's entries, and they stay the
-reference the tests hold the columns to.
+coefficients, held as sparse integer vectors over monomial coordinates, and
+rebuild the Scalar coefficients once on the way out (``columns``).  There
+hodge_star, lie_reeb and the antipode (with contact's Rumin solve) apply as
+caches of integer columns keyed by the input's (n, |I|, |J|).  The dict
+operators here build those columns, a batch at a time, with every monomial
+in a lane of a Python int whose width comes from a proved bound on the
+column's entries, and they stay the reference the tests hold the columns to.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from operator import add
 
@@ -161,20 +157,9 @@ class SpherePoly:
                 if s:
                     t[e] = s
             return SpherePoly._canonical(self.n, t)
-        n = self.n
-        if len(self.terms) == 1 and len(other.terms) != 1:
-            self, other = other, self
-        if len(other.terms) == 1:
-            (e2, c2), = other.terms.items()
-            if not e2[n - 1] and type(c2) is int and c2 in (1, -1):
-                # a shift by +-v^e2 free of v_n: no rewrite, no two terms meet
-                if c2 == 1:
-                    return SpherePoly._canonical(
-                        n, {tuple(map(add, e1, e2)): c1 for e1, c1 in self.terms.items()})
-                return SpherePoly._canonical(
-                    n, {tuple(map(add, e1, e2)): -c1 for e1, c1 in self.terms.items()})
         # both factors are canonical, so a product's last exponent is at most
         # 2 and one rewrite of v_n^2 canonicalizes it
+        n = self.n
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -834,40 +819,3 @@ def _pi_terms(c):
     if isinstance(c, _RAT_TYPES):
         return ((0, c),) if c else ()
     raise TypeError(f"exact coefficients are required, not {type(c).__name__} {c!r}")
-
-
-def split_pi(a: InvariantForm) -> dict:
-    """The pi-graded integer parts {k: (den, f)} of a, with a = sum_k pi^k f / den.
-
-    Each f has plain int coefficients and den is the least common
-    denominator of the pi^k coefficients.  Float coefficients have no exact
-    value and raise TypeError.
-    """
-    n = a.n
-    raw = {}
-    for key, p in a.terms.items():
-        for e, c in p.terms.items():
-            for k, r in _pi_terms(c):
-                raw.setdefault(k, {}).setdefault(key, {})[e] = r
-    parts = {}
-    for k, terms in raw.items():
-        den = math.lcm(*(int(r.denominator) for poly in terms.values() for r in poly.values()))
-        ints = {key: SpherePoly._canonical(
-                    n, {e: int(r.numerator) * (den // int(r.denominator))
-                        for e, r in poly.items()})
-                for key, poly in terms.items()}
-        parts[k] = (den, InvariantForm(n, ints, projected=True))
-    return parts
-
-
-def join_pi(n, parts) -> InvariantForm:
-    """The Scalar-coefficient form sum_k pi^k f / den of parts {k: (den, f)}."""
-    coeffs = {}
-    for k, (den, f) in parts.items():
-        for key, p in f.terms.items():
-            poly = coeffs.setdefault(key, {})
-            for e, c in p.terms.items():
-                poly.setdefault(e, {})[k] = Rat(c, den)
-    terms = {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
-             for key, poly in coeffs.items()}
-    return InvariantForm(n, terms, projected=True)

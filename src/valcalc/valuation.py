@@ -8,26 +8,15 @@ exactly in Q[pi, 1/pi], on the pi-graded integer parts of the forms as sparse
 vectors over monomials (``columns._split_vectors``): every operator involved
 is linear over Z, and applies as cached integer columns (see ``columns``).
 The pairing contracts two such vectors against the closed-form integrals of
-sphere monomials, each a rational times pi^(n // 2).  Float-coefficient reps
-keep the dict operators.
+sphere monomials, each a rational times pi^(n // 2) (``columns.pair_top``).
+Float-coefficient reps keep the dict operators.  ``columns`` is imported
+where an exact operator first runs.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
-import numpy as np
-
-from .columns import (
-    HODGE,
-    LIE_REEB,
-    _add_vectors,
-    _antipode_vectors,
-    _block,
-    _join_vectors,
-    _split_vectors,
-)
 from .contact import rumin
 from .exterior import (
     BaseForm,
@@ -36,7 +25,6 @@ from .exterior import (
     _coeff_to_scalar,
     _complement,
     _merge_sign,
-    _prepend_sign,
     contract,
     fiber_integrate,
     lie_reeb,
@@ -115,11 +103,13 @@ def euler_verdier(mu: ValuationRep) -> ValuationRep:
     """Composition with the antipodal reflection: ((-1)^n s*omega, (-1)^n phi)."""
     sign = -1 if mu.n % 2 else 1
     if mu.is_exact():
-        parts = _split_vectors(mu.omega)
-        image = _antipode_vectors(mu.n, parts, sign)
+        from . import columns
+
+        parts = columns._split_vectors(mu.omega)
+        image = columns._antipode_vectors(mu.n, parts, sign)
         if image is parts and (sign > 0 or not mu.phi.terms):
             return mu
-        omega = mu.omega if image is parts else _join_vectors(mu.n, image)
+        omega = mu.omega if image is parts else columns._join_vectors(mu.n, image)
     else:
         omega = pullback_antipode(mu.omega)
         if sign < 0:
@@ -132,8 +122,11 @@ def derivation(mu: ValuationRep) -> ValuationRep:
     n = mu.n
     lifted = contract(reeb_field(n), mu.phi.to_invariant())
     if mu.is_exact():
-        (parts,) = LIE_REEB.apply(n, _split_vectors(mu.omega))
-        omega = _join_vectors(n, _add_vectors(n, parts, _split_vectors(lifted)))
+        from . import columns
+
+        (parts,) = columns.LIE_REEB.apply(n, columns._split_vectors(mu.omega))
+        omega = columns._join_vectors(
+            n, columns._add_vectors(n, parts, columns._split_vectors(lifted)))
     else:
         # float reps (the icosahedral Z_u) are lowered in floats
         omega = lie_reeb(mu.omega) + lifted
@@ -142,86 +135,24 @@ def derivation(mu: ValuationRep) -> ValuationRep:
 
 def _inner_parts(mu: ValuationRep) -> dict:
     """Split vectors of D(omega) + pullback(phi); raises TypeError on floats."""
-    return _add_vectors(mu.n, rumin(mu.omega).D_parts, _split_vectors(mu.phi.to_invariant()))
+    from . import columns
+
+    return columns._add_vectors(mu.n, rumin(mu.omega).D_parts,
+                                columns._split_vectors(mu.phi.to_invariant()))
 
 
 def signature(mu: ValuationRep) -> ValuationRep:
     """Hodge star of the corrected derivative: (star(D omega + pullback(phi)), 0)."""
-    (parts,) = HODGE.apply(mu.n, _inner_parts(mu))
-    return ValuationRep(mu.n, _join_vectors(mu.n, parts), BaseForm(mu.n))
+    from . import columns
+
+    (parts,) = columns.HODGE.apply(mu.n, _inner_parts(mu))
+    return ValuationRep(mu.n, columns._join_vectors(mu.n, parts), BaseForm(mu.n))
 
 
 def laplace(mu: ValuationRep) -> ValuationRep:
     """(-1)^n times the squared signature operator."""
     out = signature(signature(mu))
     return -out if mu.n % 2 else out
-
-
-@lru_cache(maxsize=None)
-def _partners(n):
-    """For each key code Imask | Jmask << n of a monomial of degree n - 1, the
-    key codes of the monomials its wedge reaches dx_1..n ^ dv_(all but t)
-    with, as arrays of shape (4^n, n): partner key, sign of wedge and fiber
-    orientation, 2^(8 t).  A sign of 0 pads the rows."""
-    key, sign, shift = (np.zeros((1 << (2 * n), n), np.int64) for _ in range(3))
-    for a in range(n):
-        for I1, J1 in product(combinations(range(n), a), combinations(range(n), n - 1 - a)):
-            code = sum(1 << i for i in I1) | sum(1 << (n + j) for j in J1)
-            I2 = _complement(I1, n)
-            for slot, t in enumerate(_complement(J1, n)):
-                J2 = tuple(j for j in _complement(J1, n) if j != t)
-                s = _merge_sign(I1, I2) * _merge_sign(J1, J2) * (-1) ** (len(I2) * len(J1))
-                key[code, slot] = sum(1 << i for i in I2) | sum(1 << (n + j) for j in J2)
-                sign[code, slot] = s * _prepend_sign(tuple(sorted(J1 + J2)), t)
-                shift[code, slot] = 1 << (8 * t)
-    return key, sign, shift
-
-
-@lru_cache(maxsize=None)
-def _sphere_rational(n, code):
-    """The integral of v^e over S^(n-1), e packed 8 bits per exponent, as
-    (rational, pi power)."""
-    (power, r), = sphere_monomial_integral(tuple(code >> (8 * i) & 255
-                                                 for i in range(n))).terms.items()
-    return r, power
-
-
-def _top_contract(n, ab, x_vec, y_vec):
-    """Top coefficient of pi_*(x ^ y) for integer vectors x on block ab and y
-    on the complementary block, as {pi power: rational}."""
-    codes_x = _block(n, *ab).codes()
-    codes_y = _block(n, n - ab[0], n - 1 - ab[1]).codes()
-    (ix, x), (iy, y) = x_vec, y_vec
-    if int(codes_x[2][ix].max()) + int(codes_y[2][iy].max()) > 254:
-        raise ValueError("polynomial degree too high for 8-bit exponent codes")
-    kx, ex = codes_x[0][ix], codes_x[1][ix]
-    order = np.argsort(codes_y[0][iy], kind="stable")
-    ky, ey, y = codes_y[0][iy][order], codes_y[1][iy][order], y[order]
-    pkey, psign, pshift = (t[kx].ravel() for t in _partners(n))
-    lo = np.searchsorted(ky, pkey)
-    count = np.where(psign != 0, np.searchsorted(ky, pkey, side="right") - lo, 0)
-    total = int(count.sum())
-    pair = np.repeat(np.arange(len(count)), count)
-    j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
-    i = pair // n
-    code = ex[i] + ey[j] + pshift[pair]
-    even = (code & sum(1 << (8 * t) for t in range(n))) == 0
-    if not even.any():
-        return {}
-    # |x_i y_j| summed over all pairs bounds every total below
-    if (x.dtype == object or y.dtype == object
-            or int(np.abs(x).max()) * int(np.abs(y).max()) * total >= 1 << 63):
-        x, y = x.astype(object), y.astype(object)
-    val, code = (x[i] * y[j] * psign[pair])[even], code[even]
-    order = np.argsort(code, kind="stable")
-    val, code = val[order], code[order]
-    first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    out = {}
-    for c, t in zip(code[first].tolist(), np.add.reduceat(val, first).tolist()):
-        if t:
-            r, power = _sphere_rational(n, c)
-            out[power] = out.get(power, 0) + t * r
-    return out
 
 
 def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
@@ -233,18 +164,9 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")
     n = mu1.n
-    inner = _inner_parts(mu2)
-    first = {}
-    for k1, (d1, blocks1) in _split_vectors(mu1.omega).items():
-        for k2, (d2, blocks2) in inner.items():
-            for (a, b), x in blocks1.items():
-                y = blocks2.get((n - a, n - 1 - b))
-                if y is None:
-                    continue
-                for power, r in _top_contract(n, (a, b), x, y).items():
-                    key = k1 + k2 + power
-                    first[key] = first.get(key, 0) + r / (d1 * d2)
-    first = Scalar(first)
+    from . import columns
+
+    first = columns.pair_top(n, mu1.omega, _inner_parts(mu2))
     if n % 2:
         first = -first
     top1 = mu1.phi.top_coefficient()

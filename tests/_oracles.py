@@ -14,6 +14,7 @@ from valcalc.exterior import (
     BaseForm,
     InvariantForm,
     SpherePoly,
+    _pi_terms,
     alpha_form,
     contract,
     d,
@@ -610,3 +611,40 @@ def row_norms_numpy(x):
 
 def row_max_numpy(x):
     return np.max(x, axis=-1)
+
+
+def split_pi(a: InvariantForm) -> dict:
+    """The pi-graded integer parts {k: (den, f)} of a, with a = sum_k pi^k f / den.
+
+    Each f has plain int coefficients and den is the least common
+    denominator of the pi^k coefficients.  Float coefficients have no exact
+    value and raise TypeError.
+    """
+    n = a.n
+    raw = {}
+    for key, p in a.terms.items():
+        for e, c in p.terms.items():
+            for k, r in _pi_terms(c):
+                raw.setdefault(k, {}).setdefault(key, {})[e] = r
+    parts = {}
+    for k, terms in raw.items():
+        den = math.lcm(*(int(r.denominator) for poly in terms.values() for r in poly.values()))
+        ints = {key: SpherePoly._canonical(
+                    n, {e: int(r.numerator) * (den // int(r.denominator))
+                        for e, r in poly.items()})
+                for key, poly in terms.items()}
+        parts[k] = (den, InvariantForm(n, ints, projected=True))
+    return parts
+
+
+def join_pi(n, parts) -> InvariantForm:
+    """The Scalar-coefficient form sum_k pi^k f / den of parts {k: (den, f)}."""
+    coeffs = {}
+    for k, (den, f) in parts.items():
+        for key, p in f.terms.items():
+            poly = coeffs.setdefault(key, {})
+            for e, c in p.terms.items():
+                poly.setdefault(e, {})[k] = Rat(c, den)
+    terms = {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
+             for key, poly in coeffs.items()}
+    return InvariantForm(n, terms, projected=True)

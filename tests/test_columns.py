@@ -17,15 +17,18 @@ import pytest
 
 from _oracles import (
     derivation_reference,
+    join_pi,
     pairing_reference,
     random_sphere_poly,
     rumin_reference,
     signature_reference,
+    split_pi,
 )
-from valcalc import columns, contact
+from valcalc import columns, contact, valuation
 from valcalc.columns import (
     HODGE,
     LIE_REEB,
+    RUMIN,
     _alpha_norm,
     _d_norm,
     _hodge_bound,
@@ -33,10 +36,11 @@ from valcalc.columns import (
     _lane_bits,
     _lie_bound,
     _reeb_norm,
+    _rumin_bound,
     _split_vectors,
     _wedge_norm,
 )
-from valcalc.contact import RUMIN, _lefschetz_pass, _pihat, _rumin_bound, dual_lefschetz, rumin
+from valcalc.contact import _lefschetz_pass, _pihat, dual_lefschetz, rumin
 from valcalc.exterior import (
     BaseForm,
     InvariantForm,
@@ -45,13 +49,11 @@ from valcalc.exterior import (
     contract,
     d,
     hodge_star,
-    join_pi,
     lie_reeb,
     pullback_antipode,
     reeb_field,
-    split_pi,
 )
-from valcalc.scalars import Scalar
+from valcalc.scalars import Rat, Scalar
 from valcalc.su2 import ImDirection, z_rep
 from valcalc.valuation import (
     ValuationRep,
@@ -159,6 +161,78 @@ class TestPythonInts:
         (_, (_, blocks)), = _split_vectors(omega).items()
         assert all(vals.dtype == np.int64 for _, vals in blocks.values())
         assert rumin(omega).D_omega == rumin_reference(omega)[1]
+
+
+    def test_rescaled_entries_past_int64(self):
+        # int64 entries near 2^62 whose sum with phi, over denominator 7,
+        # rescales them past 2^63: in derivation and in D(omega) + phi
+        rng = random.Random(33)
+        n, big = 4, 2 ** 60 + 1
+        terms = {}
+        for _ in range(3):
+            I = tuple(sorted(rng.sample(range(n), 2)))
+            J = tuple(sorted(rng.sample(range(n), 1)))
+            terms[(I, J)] = SpherePoly(n, {e: Scalar({0: rng.choice((-3, -1, 1, 2, 3)) * big})
+                                           for e in rng.sample(exponents(n, 3), 3)})
+        omega = InvariantForm(n, terms)
+        (_, (_, blocks)), = _split_vectors(omega).items()
+        assert all(vals.dtype == np.int64 for _, vals in blocks.values())
+        mu = ValuationRep(n, omega, BaseForm(n, {(0, 1, 2, 3): Scalar({0: Rat(1, 7)})}))
+        nu = graded_rep(rng, n, 1)
+        assert derivation(mu).omega == derivation_reference(mu).omega
+        assert signature(mu).omega == signature_reference(mu).omega
+        assert pairing(nu, mu) == pairing_reference(nu, mu)
+        assert pairing(mu, nu) == pairing_reference(mu, nu)
+
+    def test_int64_entries_stay_below_bound(self):
+        safe = columns.INT64_SAFE
+        near = np.array([safe - 1, -3], np.int64)
+        assert columns._rescale(near, 7).tolist() == [7 * (safe - 1), -21]
+        assert columns._fit(near).dtype == np.int64
+        assert columns._fit(np.array([safe, 1], np.int64)).dtype == object
+        assert columns._fit([1, -safe]).dtype == object
+        assert columns._fit(np.array([safe - 1, 2 ** 70], object)[:1]).dtype == np.int64
+        # an int64 column apply whose result reaches INT64_SAFE hands back
+        # Python ints: a toy operator, twice its input, with entries 2
+        double = columns._ColumnOperator(lambda f: ((f * 2,), 1), lambda n, a, b, deg: 2,
+                                         lambda n, a, b: ((a, b),))
+        omega = monomial(4, (0, 1), (2,), (1, 0, 0, 0), 2 ** 61 + 1)
+        (parts,) = double.apply(4, _split_vectors(omega))
+        (_, (_, blocks)), = parts.items()
+        (_, vals), = blocks.values()
+        assert vals.dtype == object and vals.tolist() == [2 ** 62 + 2]
+
+
+class TestLimits:
+    """Inputs past the column path's limits take the dict operators."""
+
+    def test_rumin_past_int64_lanes(self):
+        # at degree 331,751 the bound on a (2, 1) column needs 64-bit lanes,
+        # one bit too many: that grade runs the dict solve, the other columns
+        deg = 331751
+        assert _lane_bits(_rumin_bound(4, 2, 1, deg)) > 64
+        assert _lane_bits(_rumin_bound(4, 2, 1, deg - 1)) <= 64
+        poly = SpherePoly(4, {(deg, 0, 0, 0): Scalar({1: Rat(3, 5)}),
+                              (1, 1, 0, 1): Scalar({0: Rat(2)})})
+        omega = InvariantForm(4, {((0, 1), (2,)): poly})
+        xi, D = rumin_reference(omega)
+        res = rumin(omega)
+        assert res.xi == xi and res.D_omega == D
+        cols = RUMIN.columns(4, 2, 1)
+        built = np.flatnonzero(cols.slot >= 0)
+        assert built.size and columns._block(4, 2, 1).codes()[2][built].max() < 10
+
+    def test_pairing_past_contraction_degree(self):
+        a = InvariantForm(2, {((0,), ()): SpherePoly(2, {(130, 1): Scalar({0: Rat(1, 3)}),
+                                                         (2, 0): Scalar({-1: Rat(1)})})})
+        b = InvariantForm(2, {((1,), ()): SpherePoly(2, {(127, 0): Scalar({0: Rat(5)}),
+                                                         (3, 1): Scalar({1: Rat(1)})})})
+        mu, nu = ValuationRep(2, a, BaseForm(2)), ValuationRep(2, b, BaseForm(2))
+        inner = valuation._inner_parts(euler_verdier(nu))
+        assert (columns._degree(2, _split_vectors(a)) + columns._degree(2, inner)
+                > columns.MAX_CONTRACT_DEGREE)
+        assert pairing(mu, nu) == pairing_reference(mu, nu) != 0
+        assert pairing(nu, mu) == pairing_reference(nu, mu)
 
 
 def test_split_vectors_match_split_pi():
