@@ -129,7 +129,12 @@ def _lefschetz_pass(f: InvariantForm):
 
 
 def rumin(omega: InvariantForm) -> RuminResult:
-    """Correction xi and corrected derivative for a form of degree n-1."""
+    """Correction xi and corrected derivative for a form of degree n-1.
+
+    The integer columns it builds stay cached for the life of the process,
+    one per monomial seen (``columns``); monomials whose column bound needs
+    lanes past 64 bits run the dict solve instead.
+    """
     return _rumin_cached(omega)
 
 

@@ -176,7 +176,11 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
 
 
 def pairing(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
-    """Exact Poincare-type pairing; zero unless degrees are complementary."""
+    """Exact Poincare-type pairing; zero unless degrees are complementary.
+
+    Forms whose polynomial degrees sum past ``columns.MAX_CONTRACT_DEGREE``
+    are wedged and fiber-integrated instead of contracted.
+    """
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")
     if not (mu1.is_exact() and mu2.is_exact()):
