@@ -205,6 +205,8 @@ def cmd_verify_mc(args):
     payload = report.to_dict()
     rows = [[key, format_float(val) if isinstance(val, float) else str(val)]
             for key, val in payload.items()]
+    # strict JSON has no Infinity: a zero-variance estimate off its rhs has z = inf
+    payload["z_score"] = report.z_score if math.isfinite(report.z_score) else None
     return _table(rows), payload
 
 

@@ -11,14 +11,17 @@ check of the normalization (probability Haar measure on the rotations,
 Lebesgue on the translations).  Where the translation integral for a fixed
 rotation has a closed form (two boxes: a zonotope volume; two plates: a
 determinant) the estimator draws only rotations and integrates the
-translation exactly; every other pair draws translations too and scores a
-hit indicator.
+translation exactly.  A ball is unchanged by rotation, and the motion
+measure by g -> g^-1, so a ball against a ball or a box draws only
+translations: the integral is the volume of the points within the ball's
+radius of the other body.  Every other pair draws rotations and
+translations and scores a hit indicator.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -66,15 +69,7 @@ class MCReport:
     indeterminate: int = 0
 
     def to_dict(self):
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "rhs": self.rhs,
-            "z_score": self.z_score,
-            "indeterminate": self.indeterminate,
-        }
+        return asdict(self)
 
 
 def gram_matrix(kind: str = "icosahedron"):
@@ -192,10 +187,17 @@ def _translation_box(K, L, Rs: np.ndarray):
     return lo, hi
 
 
-def _ball_box_hits(y, box, radius):
-    """Whether ball centers at box-frame coordinates y (B, 4) reach the box."""
-    clipped = np.clip(y, -box.half_extents, box.half_extents)
-    return _row_norms(y - clipped) <= radius + CONTACT_TOL
+def _ball_reach(K, L):
+    """(h, r) for a ball against a ball or a box, else None: the motion
+    integral is the volume of the points within r of the box [-h, h] in the
+    other body's frame (two balls: a point, h = 0, and r their radius sum).
+    It is symmetric in each coordinate, so samples draw |y| in [0, h + r]."""
+    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
+    if isinstance(ball, Ball) and isinstance(other, Ball):
+        return np.zeros(4), K.radius + L.radius
+    if isinstance(ball, Ball) and isinstance(other, Box):
+        return other.half_extents, ball.radius
+    return None
 
 
 def _box_box_volumes(K, L, Rs):
@@ -234,21 +236,6 @@ def _box_box_block(K, L, Rs):
                 minors[rows, cols] = m
                 vol += weight * np.abs(m)
     return 16.0 * vol
-
-
-def _score_principal(K, L, Rs, ts):
-    """Hit indicators for K against the rotated, translated copies of L."""
-    if isinstance(K, Ball) and isinstance(L, Ball):
-        d = K.center - (Rs @ L.center + ts)
-        return _row_norms(d) <= K.radius + L.radius, 0
-    if isinstance(K, Ball) and isinstance(L, Box):
-        y = np.einsum("bij,bi->bj", Rs, K.center - (Rs @ L.center + ts)) @ L.rotation
-        return _ball_box_hits(y, L, K.radius), 0
-    if isinstance(K, Box) and isinstance(L, Ball):
-        y = (Rs @ L.center + ts - K.center) @ K.rotation
-        return _ball_box_hits(y, K, L.radius), 0
-    sep = intersects_batch(K, L, Rs, ts)
-    return sep.hits, int(np.count_nonzero(sep.undecided))
 
 
 def _run_chunks(worker, N, threads):
@@ -304,25 +291,36 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1, kind: str = "icosahedron") -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
 
-    Per sample a Haar rotation R. For two boxes the translation integral of
-    chi(K . (R L + t)) is vol(K - R L), which scores the sample in closed
-    form. Every other pair also draws a translation uniform in the bounding
-    box of the support differences, scored by box volume times the
-    intersection indicator. Deterministic for fixed (seed, N) regardless of
-    threads.
+    A ball against a ball or a box draws per sample a point y uniform in a
+    fixed box in the other body's frame, scored by box volume times whether
+    y lies within the ball's radius of that body. Every other pair draws a Haar
+    rotation R. For two boxes the translation integral of chi(K . (R L + t))
+    is vol(K - R L), which scores the sample in closed form. The rest also
+    draw a translation uniform in the bounding box of the support
+    differences, scored by box volume times the intersection indicator.
+    Deterministic for fixed (seed, N) regardless of threads.
     """
     _check_mc_args(N, threads, K=K, L=L)
     rhs = rhs_kinematic(K, L, kind)
     boxes = isinstance(K, Box) and isinstance(L, Box)
+    reach = _ball_reach(K, L)
 
     def worker(idx, size):
+        if reach:
+            h, r = reach
+            y = np.random.default_rng([seed, idx]).uniform(size=(size, 4))
+            y *= h + r
+            y -= h
+            n = np.count_nonzero(_row_norms(np.maximum(y, 0.0, out=y)) <= r + CONTACT_TOL)
+            vol = float(np.prod(2.0 * (h + r)))
+            return vol * n, vol * vol * n, 0
         if boxes:
             Rs = _haar_rotations(np.random.default_rng([seed, idx]), size)
             w, bad = _box_box_volumes(K, L, Rs), 0
         else:
             Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
-            hits, bad = _score_principal(K, L, Rs, ts)
-            w = vol * hits
+            sep = intersects_batch(K, L, Rs, ts)
+            w, bad = vol * sep.hits, int(np.count_nonzero(sep.undecided))
         return float(np.sum(w)), float(np.sum(w * w)), bad
 
     sum_w, sum_w2, bad = _run_chunks(worker, N, threads)

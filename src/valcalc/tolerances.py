@@ -34,7 +34,7 @@ GJK_TOL = 1e-12
 # vectors shorter than this count as zero (imaginary directions)
 ZERO_NORM_TOL = 1e-12
 
-# contact slack of the closed-form ball/box hit test
+# contact slack of the Monte Carlo hit test of ball pairs
 CONTACT_TOL = 1e-12
 
 # two float icosahedron directions are the same within this per coordinate

@@ -229,6 +229,26 @@ class TestVerifyMc:
         assert rc == 2
         assert err
 
+    def test_infinite_z_is_null_in_strict_json(self, capsys, files):
+        # every sample of a box against a point scores vol(box) = 1, one ulp
+        # above the right-hand side, so the standard error is 0 and z = inf
+        _, save = files
+        k = save("box.json", ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))))
+        l = save("point.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0]])))
+        args = ("verify", "mc", "--k", k, "--l", l, "--samples", "20000", "--seed", "5")
+        rc, machine, _ = run(capsys, *args, "--json")
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(machine, parse_constant=reject)
+        assert payload["z_score"] is None
+        assert payload["stderr"] == 0.0 and payload["estimate"] != payload["rhs"]
+        rc, human, _ = run(capsys, *args)
+        assert rc == 0
+        assert ["z_score", "inf"] in [line.split() for line in human.splitlines()]
+
     def test_seed_required(self, capsys, files):
         _, save = files
         k = save("k.json", ser.body_to_json(Ball(np.zeros(4), 0.5)))

@@ -737,13 +737,18 @@ class TestPlateConditioning:
 # counts, pinned with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 from a build that
 # called each body's support function once per sign of every row
 PINNED_TRANSLATION_BOX = {
-    ("ball_ball", 91): ("0x1.3c81800000000p+2", "0x1.d9355e2ed176fp-8", 0),
-    ("ball_ball", 92): ("0x1.3baac00000000p+2", "0x1.d8dc6d206b0edp-8", 0),
-    ("ball_box", 91): ("0x1.95c4fafe6c9b5p+3", "0x1.97c8460cee136p-6", 0),
-    ("ball_box", 92): ("0x1.94bb51b3b3127p+3", "0x1.979d455b92231p-6", 0),
     ("box_simplex", 91): ("0x1.a2aafa215ff08p+3", "0x1.e63f789098d8ep-2", 0),
     ("box_simplex", 92): ("0x1.b00c85c160582p+3", "0x1.e3525f975b340p-2", 0),
 }
+# the same for the ball pairs, pinned with numpy 2.4 on x86-64 from the
+# sampler that draws only points within reach of the ball
+PINNED_BALL_REACH = {
+    ("ball_ball", 91): ("0x1.3c5cc00000000p+2", "0x1.d9262dd49d989p-8", 0),
+    ("ball_ball", 92): ("0x1.3b34800000000p+2", "0x1.d8ab42c49afa7p-8", 0),
+    ("ball_box", 91): ("0x1.953660c49ba5fp+3", "0x1.e50d95288a29fp-8", 0),
+    ("ball_box", 92): ("0x1.946faf5c28f5dp+3", "0x1.e611108fa1aedp-8", 0),
+}
+PINNED_ESTIMATES = {**PINNED_BALL_REACH, **PINNED_TRANSLATION_BOX}
 _BALL = Ball(np.zeros(4), 0.5)
 TRANSLATION_PAIRS = {
     "ball_ball": (_BALL, _BALL, 1 << 20),
@@ -755,13 +760,13 @@ TRANSLATION_PAIRS = {
 
 
 class TestTranslationBox:
-    @pytest.mark.parametrize("pair, seed", list(PINNED_TRANSLATION_BOX))
+    @pytest.mark.parametrize("pair, seed", list(PINNED_ESTIMATES))
     def test_pinned_estimates(self, pair, seed):
         K, L, N = TRANSLATION_PAIRS[pair]
         for threads in (1, 2):
             rep = mc_principal_kinematic(K, L, N=N, seed=seed, threads=threads)
             got = (float(rep.estimate).hex(), float(rep.stderr).hex(), rep.indeterminate)
-            assert got == PINNED_TRANSLATION_BOX[(pair, seed)], threads
+            assert got == PINNED_ESTIMATES[(pair, seed)], threads
 
     def test_one_support_call_per_axis(self, monkeypatch):
         calls = []
@@ -775,6 +780,54 @@ class TestTranslationBox:
         Rs = kinematic._haar_rotations(np.random.default_rng(3), 64)
         kinematic._translation_box(_BALL, _BALL, Rs)
         assert calls == [64] * 4
+
+
+# the rotated box of the CI's Monte Carlo step and an off-centre ball
+ROTATED_BOX = Box(np.array([0.1, 0, -0.2, 0]), np.array([0.45, 0.55, 0.35, 0.6]),
+                  rotation_matrix([0.6, 0.0, 0.8, 0.0]))
+OFF_CENTRE_BALL = Ball(np.array([0.3, -0.1, 0.2, 0.05]), 0.35)
+
+
+def _steiner_box(half_extents, r):
+    """vol(box + r B^4) = sum_k omega_(4-k) V_k(box) r^(4-k), V_k(box) the
+    k-th elementary symmetric function of the edge lengths."""
+    omega = (1.0, 2.0, math.pi, 4.0 * math.pi / 3.0, math.pi ** 2 / 2.0)
+    edges = [2.0 * h for h in half_extents]
+    return sum(omega[4 - k] * _elementary(edges, k) * r ** (4 - k) for k in range(5))
+
+
+class TestBallReach:
+    """Pairs with a ball draw only points within reach of it."""
+
+    def test_no_rotation_drawn(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a ball pair drew a rotation")
+
+        monkeypatch.setattr(kinematic, "_haar_rotations", boom)
+        monkeypatch.setattr(kinematic, "_translation_box", boom)
+        for K, L in [(_BALL, _BALL), (_BALL, ROTATED_BOX), (ROTATED_BOX, OFF_CENTRE_BALL)]:
+            rep = mc_principal_kinematic(K, L, N=kinematic.MC_CHUNK + 100, seed=3)
+            assert abs(rep.z_score) < 3
+
+    def test_off_centre_pair_in_either_order(self):
+        want = _steiner_box(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius)
+        a = mc_principal_kinematic(OFF_CENTRE_BALL, ROTATED_BOX, N=200000, seed=23)
+        b = mc_principal_kinematic(ROTATED_BOX, OFF_CENTRE_BALL, N=200000, seed=23)
+        assert (a.estimate, a.stderr) == (b.estimate, b.stderr)
+        assert a.rhs == pytest.approx(want, rel=1e-9)
+        assert abs(a.estimate - want) < 3 * a.stderr, (a.estimate, want, a.stderr)
+
+    def test_zero_radius_ball_gives_box_volume(self):
+        point = Ball(np.array([0.2, 0.0, 0.1, 0.0]), 0.0)
+        rep = mc_principal_kinematic(point, ROTATED_BOX, N=50000, seed=4)
+        assert rep.estimate == pytest.approx(np.prod(2.0 * ROTATED_BOX.half_extents),
+                                             rel=1e-14)
+
+    def test_ball_box_stderr(self):
+        # criterion 10's ball/box run: the translation box around rotated
+        # copies gave 1.9e-3
+        rep = mc_principal_kinematic(_BALL, TRANSLATION_PAIRS["ball_box"][1], N=10**6, seed=31)
+        assert rep.stderr / rep.estimate < 1e-3
 
 
 class TestOracleEstimates:
