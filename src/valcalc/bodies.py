@@ -90,6 +90,16 @@ def _row_norms(x):
     return np.sqrt(total)
 
 
+def _row_norms_inplace(x):
+    """_row_norms of x, the same bits, squaring x in place and summing its
+    columns into the first; returns a view of that column."""
+    np.multiply(x, x, out=x)
+    total = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += x[..., k]
+    return np.sqrt(total, out=total)
+
+
 def _row_min(x):
     """Minima over the last axis, as _row_max takes maxima."""
     low = x[..., 0]

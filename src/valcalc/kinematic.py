@@ -11,7 +11,10 @@ check of the normalization (probability Haar measure on the rotations,
 Lebesgue on the translations).  Where the translation integral for a fixed
 rotation has a closed form (two boxes: a zonotope volume; two plates: a
 determinant) the estimator draws only rotations and integrates the
-translation exactly.  A ball is unchanged by rotation, and the motion
+translation exactly.  A rotation is left multiplication L_q by a unit
+quaternion q, so these weights are scored from q itself: the box/box
+generators are linear in q, and the plates' determinant is a quadratic
+form q^T A q in it.  A ball is unchanged by rotation, and the motion
 measure by g -> g^-1, so a ball against a ball or a box draws only
 translations: the integral is the volume of the points within the ball's
 radius of the other body.  Every other pair draws rotations and
@@ -26,7 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate_many, intersects_batch
+from .bodies import (Ball, Box, PlanarPolygon, _row_norms, _row_norms_inplace, evaluate_many,
+                     intersects_batch)
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
@@ -164,10 +168,21 @@ def rotation_matrix(q) -> np.ndarray:
     return np.array([float(x) for x in q])[_LEFT_INDEX] * _LEFT_SIGN
 
 
-def _haar_rotations(rng, size):
-    """Left multiplications by ``size`` unit quaternions uniform on S^3."""
+# _UNIT_LEFT[k] is left multiplication by the quaternion unit e_k, so that
+# L_q = sum_k q_k _UNIT_LEFT[k]
+_UNIT_LEFT = _LEFT_SIGN * (_LEFT_INDEX == np.arange(4)[:, None, None])
+
+
+def _haar_quaternions(rng, size):
+    """``size`` unit quaternions uniform on S^3, as (size, 4) rows."""
     qs = rng.standard_normal((size, 4))
     qs /= _row_norms(qs)[:, None]
+    return qs
+
+
+def _haar_rotations(rng, size):
+    """Left multiplications by ``size`` unit quaternions uniform on S^3."""
+    qs = _haar_quaternions(rng, size)
     Rs = qs[:, _LEFT_INDEX]
     Rs *= _LEFT_SIGN
     return Rs
@@ -200,16 +215,22 @@ def _ball_reach(K, L):
     return None
 
 
-def _box_box_volumes(K, L, Rs):
-    """vol(K - R L) for each sample rotation R, a block of samples at a time."""
-    vol = np.empty(len(Rs))
-    for s in range(0, len(Rs), BOX_BOX_BLOCK):
-        vol[s:s + BOX_BOX_BLOCK] = _box_box_block(K, L, Rs[s:s + BOX_BOX_BLOCK])
+def _box_box_volumes(K, L, qs):
+    """vol(K - L_q L) for each unit quaternion q of the (B, 4) rows qs, a
+    block of samples at a time."""
+    # coordinate c of L's half-generator a in K's frame is row 4c + a of
+    # gen @ q: K.rotation^T L_q L.rotation diag(hL), flattened, is linear in q
+    gen = np.kron(K.rotation.T, (L.rotation * L.half_extents).T) @ _UNIT_LEFT.reshape(4, 16).T
+    G = (gen @ qs.T).reshape(4, 4, len(qs))
+    vol = np.empty(len(qs))
+    for s in range(0, len(qs), BOX_BOX_BLOCK):
+        vol[s:s + BOX_BOX_BLOCK] = _box_box_block(K.half_extents, G[..., s:s + BOX_BOX_BLOCK])
     return vol
 
 
-def _box_box_block(K, L, Rs):
-    """The zonotope volumes of one block of samples.
+def _box_box_block(hK, G):
+    """The zonotope volumes of one block of samples, hK K's half extents and
+    G[c, a] the (B,) row of coordinate c of L's half-generator a in K's frame.
 
     K - R L is the zonotope of K's 4 and R L's 4 half-generators, so its
     volume is 16 times the sum of |det| over the 70 4-subsets of them
@@ -219,12 +240,8 @@ def _box_box_block(K, L, Rs):
     half-generators. Each minor is a Laplace expansion along its first row
     of those one size smaller.
     """
-    B = len(Rs)
-    hK, hL = K.half_extents, L.half_extents
-    # G[c, a]: coordinate c of L's half-generator a in K's frame, a (B,) row
-    G = (np.kron(K.rotation.T, (L.rotation * hL).T) @ Rs.reshape(B, 16).T).reshape(4, 4, B)
     minors = {((), ()): 1.0}
-    vol = np.full(B, np.prod(hK))
+    vol = np.full(G.shape[2], np.prod(hK))
     for k in range(1, 5):
         for rows in combinations(range(4), k):
             weight = np.prod([h for i, h in enumerate(hK) if i not in rows])
@@ -294,8 +311,9 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     A ball against a ball or a box draws per sample a point y uniform in a
     fixed box in the other body's frame, scored by box volume times whether
     y lies within the ball's radius of that body. Every other pair draws a Haar
-    rotation R. For two boxes the translation integral of chi(K . (R L + t))
-    is vol(K - R L), which scores the sample in closed form. The rest also
+    rotation R = L_q. For two boxes the translation integral of
+    chi(K . (R L + t)) is vol(K - R L), which scores the sample in closed
+    form from q: the generators of R L in K's frame are linear in q. The rest also
     draw a translation uniform in the bounding box of the support
     differences, scored by box volume times the intersection indicator.
     Deterministic for fixed (seed, N) regardless of threads.
@@ -308,15 +326,19 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     def worker(idx, size):
         if reach:
             h, r = reach
-            y = np.random.default_rng([seed, idx]).uniform(size=(size, 4))
+            # random() draws the bits uniform(size=...) would; y becomes
+            # |y| - h clamped at 0, which is |y| itself when h = 0 (two balls)
+            y = np.random.default_rng([seed, idx]).random((size, 4))
             y *= h + r
-            y -= h
-            n = np.count_nonzero(_row_norms(np.maximum(y, 0.0, out=y)) <= r + CONTACT_TOL)
+            if h.any():
+                y -= h
+                np.maximum(y, 0.0, out=y)
+            n = np.count_nonzero(_row_norms_inplace(y) <= r + CONTACT_TOL)
             vol = float(np.prod(2.0 * (h + r)))
             return vol * n, vol * vol * n, 0
         if boxes:
-            Rs = _haar_rotations(np.random.default_rng([seed, idx]), size)
-            w, bad = _box_box_volumes(K, L, Rs), 0
+            qs = _haar_quaternions(np.random.default_rng([seed, idx]), size)
+            w, bad = _box_box_volumes(K, L, qs), 0
         else:
             Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
             sep = intersects_batch(K, L, Rs, ts)
@@ -345,24 +367,38 @@ def plane_class(frame) -> np.ndarray:
     ])
 
 
-# the six pairs (a, b), a < b, of four indices in lexicographic order; pair
-# 5 - p is the complement of pair p, and _PAIR_SIGNS[p] the sign of the term
-# of p in the Laplace expansion of a 4x4 determinant along its first two
-# columns
-_FIRST, _SECOND = np.array(list(combinations(range(4), 2))).T
-_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+def _plate_form(F1t, F2t):
+    """The symmetric 4x4 matrix A with det [F1t | L_q F2t] = q^T A q for
+    every quaternion q, F1t and F2t 4x2 frames.
+
+    The columns of L_q F2t are q a and q b, a and b those of F2t read as
+    quaternions, and q a = sum_i q_i (e_i a) is linear in q. The
+    determinant is linear in each column, so it is sum_ij q_i q_j
+    det [F1t | e_i a | e_j b], and A_ij is the mean of that determinant and
+    the one with i and j swapped.
+    """
+    mats = np.empty((4, 4, 4, 4))
+    mats[..., :2] = F1t
+    mats[..., 2] = (_UNIT_LEFT @ F2t[:, 0])[:, None, :]
+    mats[..., 3] = (_UNIT_LEFT @ F2t[:, 1])[None, :, :]
+    D = np.linalg.det(mats)
+    return 0.5 * (D + D.T)
 
 
-def _pair_minors(F):
-    """The six 2x2 minors of the (..., 4, 2) frames F, one per pair of rows."""
-    return F[..., _FIRST, 0] * F[..., _SECOND, 1] - F[..., _SECOND, 0] * F[..., _FIRST, 1]
+def _quadratic_forms(A, qs):
+    """q^T A q for each row q of the (B, 4) array qs and symmetric A.
 
-
-def _plate_determinants(F1t, F2):
-    """|det [F1t | F2]| for the 4x2 frame F1t and each of the (B, 4, 2)
-    frames F2, from the 2x2 minors of both (a Laplace expansion along the
-    first two columns)."""
-    return np.abs(_pair_minors(F2) @ (_PAIR_SIGNS * _pair_minors(F1t))[::-1])
+    The sum over i of q_i (q . A_i) takes one (B,) product at a time: with
+    no (B, 4) array beside qs, a chunk's arrays stay in the heap the
+    allocator keeps between chunks instead of being faulted in again.
+    """
+    total = qs @ A[0]
+    total *= qs[:, 0]
+    for i in range(1, 4):
+        term = qs @ A[i]
+        term *= qs[:, i]
+        total += term
+    return total
 
 
 def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
@@ -370,21 +406,27 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     """Monte Carlo for the expected number of intersection points of two
     moving polygons, against the plane-class density (1 + (u.v)^2)/4.
 
-    Per sample a Haar rotation R, scored by the translation integral of the
-    intersection count, area1 area2 |det [F1^T | R F2^T]|: near-parallel
-    plates get a weight near 0.
+    Per sample a Haar rotation L_q, scored by the translation integral of
+    the intersection count, area1 area2 |det [F1^T | L_q F2^T]|: near-parallel
+    plates get a weight near 0. The determinant is the quadratic form
+    q^T A q of the unit quaternion q, with
+
+        A_ij = (det [F1^T | e_i a | e_j b] + det [F1^T | e_j a | e_i b]) / 2,
+
+    a and b the rows of F2 read as quaternions and e_i the quaternion
+    units, so each sample costs a 4-vector product with A and no rotation
+    matrix is built.
     """
     _check_mc_args(N, threads, M1=M1, M2=M2)
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
     rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * M1.area * M2.area
-    areas = M1.area * M2.area
-    F1t, F2t = M1.frame.T, M2.frame.T
+    A = M1.area * M2.area * _plate_form(M1.frame.T, M2.frame.T)
 
     def worker(idx, size):
-        Rs = _haar_rotations(np.random.default_rng([seed, idx]), size)
-        w = areas * _plate_determinants(F1t, Rs @ F2t)
+        w = _quadratic_forms(A, _haar_quaternions(np.random.default_rng([seed, idx]), size))
+        np.abs(w, out=w)
         return float(np.sum(w)), float(np.sum(w * w)), 0
 
     sum_w, sum_w2, _ = _run_chunks(worker, N, threads)

@@ -605,6 +605,27 @@ def hits_box_box_zonotope(K, L, Rs, ts):
     return inside
 
 
+# the six pairs (a, b), a < b, of four indices in lexicographic order; pair
+# 5 - p is the complement of pair p, and _PAIR_SIGNS[p] the sign of the term
+# of p in the Laplace expansion of a 4x4 determinant along its first two
+# columns
+_FIRST, _SECOND = np.array(list(itertools.combinations(range(4), 2))).T
+_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def _pair_minors(F):
+    """The six 2x2 minors of the (..., 4, 2) frames F, one per pair of rows."""
+    return F[..., _FIRST, 0] * F[..., _SECOND, 1] - F[..., _SECOND, 0] * F[..., _FIRST, 1]
+
+
+def plate_determinants(F1t, F2):
+    """|det [F1t | F2]| for the 4x2 frame F1t and each of the (B, 4, 2)
+    frames F2, from the 2x2 minors of both (a Laplace expansion along the
+    first two columns): the reference for the plates' quadratic form in
+    the quaternion."""
+    return np.abs(_pair_minors(F2) @ (_PAIR_SIGNS * _pair_minors(F1t))[::-1])
+
+
 def row_norms_numpy(x):
     return np.linalg.norm(x, axis=-1)
 

@@ -385,6 +385,8 @@ class TestSupport:
         x = rng.normal(size=(4096, 2 * n)) * np.exp(3 * rng.normal(size=(4096, 2 * n)))
         for rows in (x[:, :n], x[:, ::2], -x[:, n:], x[0, :n]):
             assert np.array_equal(bodies._row_norms(rows), np.linalg.norm(rows, axis=-1))
+            assert np.array_equal(bodies._row_norms_inplace(rows.copy()),
+                                  np.linalg.norm(rows, axis=-1))
             assert np.array_equal(bodies._row_max(rows), np.max(rows, axis=-1))
 
 

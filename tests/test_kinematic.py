@@ -385,6 +385,14 @@ class TestHaar:
         stat = kstest(coords, sphere_cdf)
         assert stat.pvalue > 1e-3
 
+    def test_rotations_are_left_multiplications_by_the_quaternions(self):
+        # box/box and the plates score the quaternions, the other pairs their
+        # rotations: the same draws, bit for bit
+        qs = kinematic._haar_quaternions(np.random.default_rng(5), 1000)
+        Rs = kinematic._haar_rotations(np.random.default_rng(5), 1000)
+        assert np.ascontiguousarray(Rs[:, :, 0]).tobytes() == qs.tobytes()
+        assert np.array_equal(Rs, [rotation_matrix(q) for q in qs])
+
 
 class TestMCPrincipal:
     def test_ball_ball(self):
@@ -641,7 +649,7 @@ class TestBoxBoxVolumes:
         K, L = BOX_PAIRS[pair]
         Rs = kinematic._haar_rotations(np.random.default_rng(31 + pair),
                                        kinematic.BOX_BOX_BLOCK + 500)
-        got = kinematic._box_box_volumes(K, L, Rs)
+        got = kinematic._box_box_volumes(K, L, Rs[:, :, 0])
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pair", [1, 2])
@@ -658,7 +666,7 @@ class TestBoxBoxVolumes:
             hits = _oracles.hits_box_box_zonotope(K, L, np.broadcast_to(R, (n, 4, 4)), ts)
             w = np.prod(hi - lo) * hits
             se = w.std(ddof=1) / math.sqrt(n)
-            (want,) = kinematic._box_box_volumes(K, L, R[None])
+            (want,) = kinematic._box_box_volumes(K, L, R[None, :, 0])
             assert abs(w.mean() - want) <= 4.0 * se, (w.mean(), want, se)
 
     @pytest.mark.parametrize("a, b", [
@@ -697,8 +705,18 @@ def _svd_volumes(F1t, F2):
     return np.prod(np.linalg.svd(mats, compute_uv=False), axis=-1)
 
 
+def _plate_weights(F1t, F2t, qs):
+    """|det [F1t | L_q F2t]| for each row q of qs, as the plates score it."""
+    return np.abs(kinematic._quadratic_forms(kinematic._plate_form(F1t, F2t), qs))
+
+
+SQUARE_FRAME = [[1, 0, 0, 0], [0, 1, 0, 0]]
+PENTAGON_FRAME = [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]]
+
+
 class TestPlateConditioning:
-    """The plate weight |det [F1^T | R F2^T]| from the frames' 2x2 minors.
+    """The plate weight |det [F1^T | L_q F2^T]| as the quadratic form
+    q^T A q, against the frames' 2x2 minors and the singular values.
 
     For orthonormal frames it is sin a sin b, a and b the principal angles
     between the planes, so a pair near parallel gets a weight near 0 and no
@@ -706,31 +724,72 @@ class TestPlateConditioning:
     """
 
     def test_matches_svd_on_sampled_motions(self):
-        M1 = mgon(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        M2 = mgon(5, [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]], radius=0.8)
+        M1 = mgon(4, SQUARE_FRAME)
+        M2 = mgon(5, PENTAGON_FRAME, radius=0.8)
         Rs = kinematic._haar_rotations(np.random.default_rng(12), 4096)
         F1t, F2 = M1.frame.T, Rs @ M2.frame.T
         mats = np.concatenate([np.broadcast_to(F1t, F2.shape), F2], axis=2)
-        got = kinematic._plate_determinants(F1t, F2)
-        np.testing.assert_allclose(got, np.abs(np.linalg.det(mats)), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(got, _svd_volumes(F1t, F2), rtol=0, atol=1e-13)
+        minors = _oracles.plate_determinants(F1t, F2)
+        np.testing.assert_allclose(minors, np.abs(np.linalg.det(mats)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(minors, _svd_volumes(F1t, F2), rtol=0, atol=1e-13)
+        got = _plate_weights(F1t, M2.frame.T, Rs[:, :, 0])
+        np.testing.assert_allclose(got, minors, rtol=0, atol=1e-15)
+        # the product of the singular values is itself up to 1.1e-15 off the
+        # exact determinant of these float frames, which the minors and the
+        # form meet to 2.2e-16; 2e-15 is the bound of the shared-line test
+        np.testing.assert_allclose(got, _svd_volumes(F1t, F2), rtol=0, atol=2e-15)
+
+    def test_matches_svd_near_the_zero_set(self):
+        # the 200 of 4 10^5 sampled quaternions where the form is nearest 0:
+        # L_q F2^T nearly shares a line with F1^T
+        F1t = mgon(4, SQUARE_FRAME).frame.T
+        F2t = mgon(5, PENTAGON_FRAME, radius=0.8).frame.T
+        qs = kinematic._haar_quaternions(np.random.default_rng(13), 4 * 10 ** 5)
+        weights = _plate_weights(F1t, F2t, qs)
+        near = np.argsort(weights)[:200]
+        qs, got = qs[near], weights[near]
+        F2 = np.array([rotation_matrix(q) for q in qs]) @ F2t
+        assert np.max(got) < 1e-3
+        np.testing.assert_allclose(got, _oracles.plate_determinants(F1t, F2), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got, _svd_volumes(F1t, F2), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(2, 17)] + [0.0])
     def test_matches_svd_near_a_shared_line(self, eps):
         rng = np.random.default_rng(int(-math.log10(eps)) if eps else 99)
         F1t = _random_rotation(rng)[:, :2]
         F2, want = _plates_sharing_a_line(rng, F1t, eps, 128)
-        got = kinematic._plate_determinants(F1t, F2)
+        minors = _oracles.plate_determinants(F1t, F2)
+        np.testing.assert_allclose(minors, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(minors, _svd_volumes(F1t, F2), rtol=0, atol=2e-15)
+        # the form of F1t and each frame F, at q = 1 where L_q F = F
+        got = [_plate_weights(F1t, F, np.array([[1.0, 0.0, 0.0, 0.0]]))[0] for F in F2]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         np.testing.assert_allclose(got, _svd_volumes(F1t, F2), rtol=0, atol=2e-15)
 
     def test_plate_against_itself(self):
-        p = mgon(6, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        p = mgon(6, SQUARE_FRAME)
         F1t = p.frame.T
-        assert kinematic._plate_determinants(F1t, F1t[None])[0] <= 1e-15
+        assert _oracles.plate_determinants(F1t, F1t[None])[0] <= 1e-15
+        assert _plate_weights(F1t, F1t, np.array([[1.0, 0.0, 0.0, 0.0]]))[0] <= 1e-15
         rep = mc_poincare(p, p, N=100, seed=4)
         assert math.isfinite(rep.estimate) and math.isfinite(rep.stderr)
         assert rep.indeterminate == 0
+
+
+class TestQuaternionWeights:
+    """Box/box and the plates score unit quaternions, not rotation matrices."""
+
+    def test_no_rotation_drawn(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a box/box or plate estimate drew rotation matrices")
+
+        monkeypatch.setattr(kinematic, "_haar_rotations", boom)
+        N = kinematic.MC_CHUNK + 100
+        reps = [mc_principal_kinematic(*BOX_PAIRS[1], N=N, seed=3),
+                mc_poincare(mgon(4, SQUARE_FRAME), mgon(5, PENTAGON_FRAME, radius=0.8),
+                            N=N, seed=3)]
+        for rep in reps:
+            assert abs(rep.z_score) < 3
 
 
 # (estimate, stderr, indeterminate) as float.hex at the benchmark's sample
@@ -849,6 +908,7 @@ class TestOracleEstimates:
 
         fast = run()
         monkeypatch.setattr(kinematic, "_row_norms", _oracles.row_norms_numpy)
+        monkeypatch.setattr(kinematic, "_row_norms_inplace", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_norms", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_max", _oracles.row_max_numpy)
         assert run() == fast
