@@ -9,14 +9,16 @@ the sign of det[frame | generators], matching the convention under which the
 Euler characteristic of every body comes out +1.
 
 Every piece is integrated exactly, through the spherical moments of its cell:
-an orthant, an arc times an orthant, or a geodesic triangle.  Vertex pieces
-are integrated all at once, as the normal cone of a point, since the vertex
-cones of a polytope tile the sphere.  That covers every cell of boxes,
-points, segments, polygons and simplices in R^2 to R^4; an oblique cone of
-four or more generators on a face of dimension >= 1, which only simplices of
-dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.  Several
-valuations on one body share one pass over its face lattice
-(``evaluate_many``): each piece's cell and moments are computed once for all.
+an orthant, an arc times an orthant, or a geodesic triangle.  The vertex
+cones of a polytope tile the sphere, so its vertex pieces together give the
+valuation's value on a point, ``valuation.ball_value`` at radius 0, whose
+exact coefficients are summed exactly and rounded once.  That covers every
+cell of boxes, points, segments, polygons and simplices in R^2 to R^4; an
+oblique cone of four or more generators on a face of dimension >= 1, which
+only simplices of dimension >= 4 in R^n with n >= 5 have, raises
+``ValueError``.  Several valuations on one body share one pass over its face
+lattice (``evaluate_many``): each piece's cell and moments are computed once
+for all.
 
 Each body class carries its own support function (``support``,
 ``support_point``, both batched over (B, n) directions, and
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exterior import pullback_ball_shift
+from .exterior import BaseForm, pullback_ball_shift
 from .tolerances import (
     CELL_TOL,
     CONVEXITY_TOL,
@@ -134,6 +136,18 @@ class FaceLatticeEntry:
 
 def _orthant_signs(d):
     return list(product((1.0, -1.0), repeat=d))
+
+
+def _normal_region(cone, perp):
+    """A face's normal region: its normal cone within the body's affine hull,
+    given by generators, times the orthants of the hull's orthogonal
+    complement, spanned by the rows of perp.  One spherical simplex per
+    orthant, the cone's generators first; empty when both are empty."""
+    cone = [tuple(g) for g in cone]
+    if not len(perp):
+        return (tuple(cone),) if cone else ()
+    return tuple(tuple(cone + [tuple(s * b) for s, b in zip(signs, perp)])
+                 for signs in _orthant_signs(len(perp)))
 
 
 def _complement_basis(directions, n):
@@ -295,13 +309,10 @@ class Box:
                 vol = 1.0
                 for i in idx:
                     vol *= 2.0 * self.half_extents[i]
-                if not fixed:
-                    out.append(FaceLatticeEntry(free, frame, vol, ()))
-                    continue
                 # one face per sign choice of the fixed coordinates
                 for signs in _orthant_signs(len(fixed)):
-                    region = (tuple(tuple(s * axes[i]) for s, i in zip(signs, fixed)),)
-                    out.append(FaceLatticeEntry(free, frame, vol, region))
+                    cone = [s * axes[i] for s, i in zip(signs, fixed)]
+                    out.append(FaceLatticeEntry(free, frame, vol, _normal_region(cone, ())))
         return out
 
 
@@ -369,20 +380,9 @@ class Simplex(_VertexHull):
                 frame = _orthonormal_frame(np.array(fverts[1:]) - fverts[0]) if size > 1 \
                     else np.zeros((0, n))
                 cone = [normals[j] for j in range(kt + 1) if j not in subset]
-                region = []
-                if len(perp):
-                    for signs in _orthant_signs(len(perp)):
-                        gens = [tuple(g) for g in cone]
-                        gens += [tuple(s * b) for s, b in zip(signs, perp)]
-                        region.append(tuple(gens))
-                elif cone:
-                    region.append(tuple(tuple(g) for g in cone))
-                k = size - 1
-                if k == n:
-                    region = []
                 out.append(FaceLatticeEntry(
-                    k, tuple(tuple(r) for r in frame), _face_volume(fverts),
-                    tuple(region)))
+                    size - 1, tuple(tuple(r) for r in frame), _face_volume(fverts),
+                    _normal_region(cone, perp)))
         return out
 
 
@@ -457,35 +457,13 @@ class PlanarPolygon(_VertexHull):
             lengths.append(ln)
             edge_dirs.append((e[0] * u1 + e[1] * u2) / ln)
             edge_normals.append((e[1] * u1 - e[0] * u2) / ln)
-        out = []
-        if n == 2:
-            body_region = ()
-        else:
-            body_region = tuple(
-                tuple(tuple(s * b) for s, b in zip(signs, perp))
-                for signs in _orthant_signs(len(perp)))
-        out.append(FaceLatticeEntry(2, (tuple(u1), tuple(u2)), self.area, body_region))
+        out = [FaceLatticeEntry(2, (tuple(u1), tuple(u2)), self.area, _normal_region((), perp))]
         for i in range(m):
-            region = []
-            if len(perp):
-                for signs in _orthant_signs(len(perp)):
-                    region.append(tuple([tuple(edge_normals[i])]
-                                        + [tuple(s * b) for s, b in zip(signs, perp)]))
-            else:
-                region.append((tuple(edge_normals[i]),))
+            out.append(FaceLatticeEntry(1, (tuple(edge_dirs[i]),), lengths[i],
+                                        _normal_region([edge_normals[i]], perp)))
+        for i in range(m):
             out.append(FaceLatticeEntry(
-                1, (tuple(edge_dirs[i]),), lengths[i], tuple(region)))
-        for i in range(m):
-            mprev = edge_normals[i - 1]
-            mnext = edge_normals[i]
-            region = []
-            if len(perp):
-                for signs in _orthant_signs(len(perp)):
-                    region.append(tuple([tuple(mprev), tuple(mnext)]
-                                        + [tuple(s * b) for s, b in zip(signs, perp)]))
-            else:
-                region.append((tuple(mprev), tuple(mnext)))
-            out.append(FaceLatticeEntry(0, (), 1.0, tuple(region)))
+                0, (), 1.0, _normal_region([edge_normals[i - 1], edge_normals[i]], perp)))
         return out
 
 
@@ -504,7 +482,7 @@ class PlanarPolygon(_VertexHull):
 #             from polar coordinates in the arc's plane;
 #   triangle: any other three generators, a geodesic triangle on S^2
 #             (``_triangle_moments``).
-# Vertex cells need no rule of their own (``_integrate_lattice``).  That leaves
+# Vertex cells need no rule of their own (``_point_value``).  That leaves
 # oblique cones of four or more generators on faces of dimension >= 1, which
 # only simplices of dimension >= 4 in R^n with n >= 5 have: they raise.
 
@@ -804,36 +782,14 @@ def _piece_sign(face_vecs, gens):
     return 1.0 if det > 0 else -1.0
 
 
-@lru_cache(maxsize=None)
-def _point_vertex(n):
-    """The vertex entry of a point in R^n: its normal cone, R^n, as 2^n orthants."""
-    return Simplex(np.zeros((1, n))).face_lattice()[0]
-
-
 @lru_cache(maxsize=64)
-def _vertex_values(form):
-    """The form's integrals over the pieces of the point vertex, in piece
-    order, for the pieces its terms live on.  They depend on the form alone
-    (see _integrate_forms), so each is computed once per form, not per body;
-    a piece's cell moments up to any degree give the same value."""
-    n = form.n
-    entry = _point_vertex(n)
-    groups = _closed_form_terms(form)
-    fmat = np.zeros((0, n))
-    out = []
-    for gens in entry.region:
-        sgn = _piece_sign([], gens)
-        group = groups.get((0, len(gens)))
-        if group is not None:
-            cell = _spherical_cell(gens)
-            value = _closed_cell(group, fmat, cell, _cell_moments(cell, group.degree))
-            out.append(sgn * entry.volume * value)
-    return tuple(out)
-
-
-def _integrate_lattice(form, lattice):
-    """Oriented integral of the form over the normal cycle of the face lattice."""
-    return _integrate_forms([form], lattice)[0]
+def _point_value(form):
+    """The form's integral over the normal cycle of a point, which the vertex
+    pieces of every polytope add up to: its value on a ball of radius 0
+    (``valuation.ball_value``), where only the dv-only terms count.  Exact
+    coefficients are summed exactly and rounded once.  Cached per form, so a
+    basis valuation's value is computed once, not once per body."""
+    return ball_value(ValuationRep(form.n, form, BaseForm(form.n)), 0)
 
 
 def _integrate_forms(forms, lattice):
@@ -841,9 +797,9 @@ def _integrate_forms(forms, lattice):
     lattice, in one pass: each piece's cell and moments serve every form with
     terms of the piece's shape.
 
-    Only the pure-dv terms (I = ()) live on vertex pieces, and they depend on
+    Only the dv-only terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
-    vertex pieces together integrate like the one vertex of a point.
+    vertex pieces together give the form's value on a point (``_point_value``).
     """
     totals = [0.0] * len(forms)
     live = [(i, _closed_form_terms(form)) for i, form in enumerate(forms)
@@ -867,9 +823,9 @@ def _integrate_forms(forms, lattice):
             moments = _cell_moments(cell, max(group.degree for _, group in users))
             for i, group in users:
                 totals[i] += sgn * entry.volume * _closed_cell(group, fmat, cell, moments)
-    for i, _ in live:
-        for value in _vertex_values(forms[i]):
-            totals[i] += value
+    for i, groups in live:
+        if (0, n) in groups:
+            totals[i] += _point_value(forms[i])
     return totals
 
 
@@ -903,7 +859,7 @@ def steiner_volume(K, t: float) -> float:
     n = K.dim
     if isinstance(K, Ball):
         return float(ball_volume(n)) * (K.radius + t) ** n
-    # the vertex angles add up to |S^(n-1)| (see _integrate_lattice)
+    # the vertex angles add up to |S^(n-1)| (see _integrate_forms)
     total = float(ball_volume(n)) * t ** n
     for entry in K.face_lattice():
         if entry.k == n:
@@ -923,7 +879,7 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     if t == 0:
         return evaluate(mu, K)
     shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
-    total = _integrate_lattice(shifted, K.face_lattice())
+    (total,) = _integrate_forms([shifted], K.face_lattice())
     phi_top = float(mu.phi.top_coefficient())
     if phi_top:
         total += phi_top * steiner_volume(K, t)
@@ -1017,13 +973,13 @@ class Separation(NamedTuple):
     lower: np.ndarray      # (B,) an undecided sample's last lower bound, else nan
 
 
-def intersects_batch(K, L, Rs, ts, tol: float = GJK_TOL) -> Separation:
+def intersects_batch(K, L, Rs, ts) -> Separation:
     """Whether K meets R_b L + t_b, for each motion of a batch (Rs, ts).
 
     GJK (Gilbert, Johnson and Keerthi 1988) on all samples in step.  Each
     sample keeps a simplex inside its difference body K - (R L + t) and the
     point c of the simplex's hull closest to the origin (``_closest_points``).
-    It is decided on a zero-distance witness, |c| <= tol * scale, or on a
+    It is decided on a zero-distance witness, |c| <= GJK_TOL * scale, or on a
     certified positive lower bound from the support point w in direction -c;
     scale is 1 + |d0| + the two bodies' support radii, d0 the difference of
     their reference points.  The support point of R L + t in direction xi is
@@ -1039,9 +995,9 @@ def intersects_batch(K, L, Rs, ts, tol: float = GJK_TOL) -> Separation:
     norm0 = np.linalg.norm(d0, axis=1)
     scale = (1.0 + norm0 + _support_radius(K, ck, np.eye(n)[None])
              + _support_radius(L, cl, Rs))
-    hits = norm0 < tol * scale
+    hits = norm0 < GJK_TOL * scale
     live = np.flatnonzero(~hits)
-    R, t, bound = Rs[live], ts[live], tol * scale[live]
+    R, t, bound = Rs[live], ts[live], GJK_TOL * scale[live]
 
     def support(d):
         """Support points of the live difference bodies in directions d."""
@@ -1081,13 +1037,13 @@ def intersects_batch(K, L, Rs, ts, tol: float = GJK_TOL) -> Separation:
     return Separation(hits, undecided, last_dist, last_lower)
 
 
-def intersects(K, L, tol: float = GJK_TOL) -> bool:
+def intersects(K, L) -> bool:
     """Whether the two bodies meet: ``intersects_batch`` for the identity motion.
 
     Raises ``IndeterminateIntersection`` when the iteration hits its cap.
     """
     n = K.dim
-    sep = intersects_batch(K, L, np.eye(n)[None], np.zeros((1, n)), tol)
+    sep = intersects_batch(K, L, np.eye(n)[None], np.zeros((1, n)))
     if sep.undecided[0]:
         raise IndeterminateIntersection(GJK_CAP, float(sep.dist[0]), float(sep.lower[0]))
     return bool(sep.hits[0])

@@ -24,7 +24,6 @@ from .exterior import (
     contract,
     contract_slot,
     d,
-    fiber_integrate,
     reeb_field,
 )
 
@@ -149,12 +148,3 @@ def _rumin_cached(omega: InvariantForm) -> RuminResult:
 
     xi_parts, D_parts = RUMIN.apply(n, _split_vectors(omega))
     return RuminResult(n, D_parts, xi_parts)
-
-
-def verify_zero_valuation(omega: InvariantForm, phi) -> bool:
-    """True iff the pair (omega, phi) represents the zero valuation.
-
-    Checks D(omega) + pullback of phi = 0 together with fiber_integrate(omega) = 0.
-    """
-    total = rumin(omega).D_omega + phi.to_invariant()
-    return total.is_zero() and fiber_integrate(omega).is_zero()

@@ -420,29 +420,6 @@ class InvariantForm:
                 _accumulate(out, key, q)
         return InvariantForm(self.n, out, projected=True)
 
-    def evaluate_at(self, v, vectors) -> float:
-        """Numeric value on tangent vectors at fiber point v.
-
-        Each vector is a length-2n sequence (x-components then v-components).
-        """
-        import numpy as np
-
-        k = len(vectors)
-        total = 0.0
-        for (I, J), p in self.terms.items():
-            if len(I) + len(J) != k:
-                continue
-            c = p.evaluate(v)
-            if c == 0.0:
-                continue
-            if k == 0:
-                total += c
-                continue
-            rows = [[vec[i] for vec in vectors] for i in I]
-            rows += [[vec[self.n + j] for vec in vectors] for j in J]
-            total += c * float(np.linalg.det(np.array(rows, dtype=float)))
-        return total
-
     def map_coefficients(self, fn) -> "InvariantForm":
         t = {}
         for key, p in self.terms.items():
@@ -497,30 +474,8 @@ def reeb_field(n) -> VectorField:
                        [SpherePoly(n) for _ in range(n)])
 
 
-def dx_form(n, i) -> InvariantForm:
-    return InvariantForm(n, {((i,), ()): SpherePoly.constant(n, 1)}, projected=True)
-
-
-def dv_form(n, i) -> InvariantForm:
-    return InvariantForm(n, {((), (i,)): SpherePoly.constant(n, 1)})
-
-
 def alpha_form(n) -> InvariantForm:
     t = {((i,), ()): SpherePoly.variable(n, i) for i in range(n)}
-    return InvariantForm(n, t, projected=True)
-
-
-def dx_top_form(n) -> InvariantForm:
-    return InvariantForm(n, {(tuple(range(n)), ()): SpherePoly.constant(n, 1)}, projected=True)
-
-
-def sphere_volume_form(n) -> InvariantForm:
-    """Volume form of the fiber sphere: contraction of dv_1^...^dv_n with v."""
-    t = {}
-    for t_idx in range(n):
-        J = tuple(i for i in range(n) if i != t_idx)
-        c = SpherePoly.variable(n, t_idx)
-        t[((), J)] = c if t_idx % 2 == 0 else -c
     return InvariantForm(n, t, projected=True)
 
 
@@ -639,20 +594,6 @@ def pullback_linear(a: InvariantForm, A) -> InvariantForm:
     dx_images = [[(A[i][k], 0, k) for k in range(n) if A[i][k]] for i in range(n)]
     dv_images = [[(A[j][k], 1, k) for k in range(n) if A[j][k]] for j in range(n)]
     return _substitute(a, dx_images, dv_images, lambda p: p.substitute_linear(A))
-
-
-def pullback(a: InvariantForm, kind, t=None, matrix=None) -> InvariantForm:
-    if kind == "antipode":
-        return pullback_antipode(a)
-    if kind == "ball_shift":
-        if t is None:
-            raise ValueError("ball_shift needs a radius")
-        return pullback_ball_shift(a, t)
-    if kind == "linear":
-        if matrix is None:
-            raise ValueError("linear needs a matrix")
-        return pullback_linear(a, matrix)
-    raise ValueError(f"unknown bundle map {kind!r}")
 
 
 def sphere_monomial_integral(e) -> Scalar:

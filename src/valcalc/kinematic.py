@@ -34,7 +34,7 @@ from .bodies import (Ball, Box, PlanarPolygon, _row_norms, _row_norms_inplace, e
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
-from .tolerances import CONTACT_TOL, MC_INDETERMINATE_RATE
+from .tolerances import MC_INDETERMINATE_RATE
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
@@ -161,11 +161,6 @@ def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
 _LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
                        [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
-
-
-def rotation_matrix(q) -> np.ndarray:
-    """Left multiplication by the unit quaternion q as a 4x4 float matrix."""
-    return np.array([float(x) for x in q])[_LEFT_INDEX] * _LEFT_SIGN
 
 
 # _UNIT_LEFT[k] is left multiplication by the quaternion unit e_k, so that
@@ -333,7 +328,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
             if h.any():
                 y -= h
                 np.maximum(y, 0.0, out=y)
-            n = np.count_nonzero(_row_norms_inplace(y) <= r + CONTACT_TOL)
+            n = np.count_nonzero(_row_norms_inplace(y) <= r)
             vol = float(np.prod(2.0 * (h + r)))
             return vol * n, vol * vol * n, 0
         if boxes:

@@ -46,43 +46,6 @@ def right_mult_matrix(a, b, c):
     )
 
 
-def right_translation_matrix(q):
-    """Matrix of x -> x q for a full quaternion q = (q0, q1, q2, q3)."""
-    m = right_mult_matrix(q[1], q[2], q[3])
-    return [[m[r][s] + (q[0] if r == s else 0) for s in range(4)] for r in range(4)]
-
-
-def left_mult_matrix(q):
-    """Matrix of left multiplication by the quaternion q = (q0, q1, q2, q3)."""
-    q0, q1, q2, q3 = q
-    return [
-        [q0, -q1, -q2, -q3],
-        [q1, q0, -q3, q2],
-        [q2, q3, q0, -q1],
-        [q3, -q2, q1, q0],
-    ]
-
-
-def rational_unit_quaternion(rng):
-    """Random unit quaternion with rational entries (Cayley parametrization)."""
-    while True:
-        t, s, r = (Rat(rng.randrange(-6, 7), rng.randrange(1, 7)) for _ in range(3))
-        if t or s or r:
-            break
-    m = 1 + t * t + s * s + r * r
-    return ((1 - t * t - s * s - r * r) / m, 2 * t / m, 2 * s / m, 2 * r / m)
-
-
-def imaginary_rotation(q):
-    """3x3 matrix of u -> q u conj(q) on the imaginary part, rational in q."""
-    q0, q1, q2, q3 = q
-    return [
-        [q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
-        [2 * (q1 * q2 + q0 * q3), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3, 2 * (q2 * q3 - q0 * q1)],
-        [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3],
-    ]
-
-
 @dataclass(frozen=True)
 class ImDirection:
     """A point of the projective sphere of imaginary quaternions.
@@ -198,16 +161,18 @@ def quaternionic_forms(u: ImDirection):
 
 
 def stated_z_form(u: ImDirection) -> InvariantForm:
-    """The combination (1/8pi) beta^d(beta) + (1/4pi) gamma^Omega, unit-normalized."""
+    """The combination (1/8pi) beta^d(beta) + (1/4pi) gamma^Omega, unit-normalized.
+
+    An exact direction builds the forms from its integer triple and divides
+    by |u|^2; a float direction builds them from its unit coordinates.
+    Dividing the scale by 8 and by 4 is exact in either case.
+    """
     if u.exact:
-        beta, gamma, omega = _scaled_forms(u.coords)
-        c8 = Rat(1, 8) * PI ** -1 / u.norm_sq
-        c4 = Rat(1, 4) * PI ** -1 / u.norm_sq
-        return beta.wedge(d(beta)) * c8 + gamma.wedge(omega) * c4
-    beta, gamma, omega = _scaled_forms(u.unit())
-    c8 = 1.0 / (8.0 * math.pi)
-    c4 = 1.0 / (4.0 * math.pi)
-    return beta.wedge(d(beta)) * c8 + gamma.wedge(omega) * c4
+        coords, scale = u.coords, PI ** -1 / u.norm_sq
+    else:
+        coords, scale = u.unit(), 1 / math.pi
+    beta, gamma, omega = _scaled_forms(coords)
+    return beta.wedge(d(beta)) * (scale / 8) + gamma.wedge(omega) * (scale / 4)
 
 
 def z_rep(u: ImDirection) -> ValuationRep:

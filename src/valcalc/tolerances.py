@@ -3,7 +3,9 @@
 Each constant names a threshold of one geometric or numeric test.  None of
 them is an accuracy target: every normal-cycle cell is integrated exactly, so
 float results carry only rounding error.  The Monte Carlo weights of box/box
-pairs and of plate pairs are closed forms with no threshold at all.
+pairs and of plate pairs are closed forms with no threshold at all, and ball
+pairs score the exact hit |y| <= r: a slack would only move samples within it
+of a sphere, a set of measure zero.
 """
 
 # a normal cone is an orthant when its generators' Gram matrix is the
@@ -33,9 +35,6 @@ GJK_TOL = 1e-12
 
 # vectors shorter than this count as zero (imaginary directions)
 ZERO_NORM_TOL = 1e-12
-
-# contact slack of the Monte Carlo hit test of ball pairs
-CONTACT_TOL = 1e-12
 
 # two float icosahedron directions are the same within this per coordinate
 DIRECTION_MATCH_TOL = 1e-9

@@ -26,7 +26,6 @@ from .exterior import (
     _complement,
     _merge_sign,
     contract,
-    fiber_integrate,
     lie_reeb,
     pullback_antipode,
     reeb_field,
@@ -91,13 +90,6 @@ class ValuationRep:
             raise ValueError("valuation is zero or not homogeneous")
         return degs.pop()
 
-    def degree_component(self, k: int) -> "ValuationRep":
-        if k == self.n:
-            return ValuationRep(self.n, InvariantForm.zero(self.n), self.phi)
-        terms = {key: p for key, p in self.omega.terms.items() if len(key[0]) == k}
-        omega = InvariantForm(self.n, terms, projected=True)
-        return ValuationRep(self.n, omega, BaseForm(self.n))
-
 
 def euler_verdier(mu: ValuationRep) -> ValuationRep:
     """Composition with the antipodal reflection: ((-1)^n s*omega, (-1)^n phi)."""
@@ -159,7 +151,8 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     """Top-degree coefficient of the product of mu1 with the reflection of mu2.
 
     Computed as the dx_1^...^dx_n coefficient of
-    (-1)^n pi_*(omega1 ^ (D omega2 + pullback(phi2))) + phi1 ^ pi_*(omega2).
+    (-1)^n pi_*(omega1 ^ (D omega2 + pullback(phi2))) + phi1 ^ pi_*(omega2),
+    where the degree-0 part of pi_*(omega2) is mu2's value on a point.
     """
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")
@@ -172,7 +165,7 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     top1 = mu1.phi.top_coefficient()
     if not top1:
         return first
-    return first + top1 * fiber_integrate(mu2.omega).terms.get((), ZERO)
+    return first + top1 * unit_ball_value(mu2, 0)
 
 
 def pairing(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
@@ -254,7 +247,8 @@ def _ball_parts(mu: ValuationRep, radius, numeric: bool):
     exact = mu.phi.top_coefficient() * ball_volume(n, radius)
     approx = 0.0
     for (I, J), p in mu.omega.terms.items():
-        if set(I) & set(J):
+        scale = r ** len(I)
+        if not scale or set(I) & set(J):
             continue
         merged = tuple(sorted(I + J))
         if len(merged) != n - 1:
@@ -266,7 +260,6 @@ def _ball_parts(mu: ValuationRep, radius, numeric: bool):
                 fpart += c * float(w)
             else:
                 part = part + _coeff_to_scalar(c) * w
-        scale = r ** len(I)
         part = part * scale
         fpart *= float(scale)
         if _merge_sign(I, J) < 0:
@@ -285,7 +278,9 @@ def ball_value(mu: ValuationRep, radius) -> float:
     """Value on a ball as a float, for exact and float coefficients alike.
 
     Exact coefficients are summed exactly and rounded once, so an exact rep
-    gives float(unit_ball_value(mu, radius)) bit for bit.
+    gives float(unit_ball_value(mu, radius)) bit for bit.  At radius 0 it is
+    the value on a point, which the vertex pieces of every polytope add up
+    to (``bodies._integrate_forms``) and ``klain`` takes for k = 0.
     """
     exact, approx = _ball_parts(mu, radius, numeric=True)
     return float(exact) + approx
@@ -309,13 +304,14 @@ def klain(mu: ValuationRep, frame) -> float:
     """Klain density of an even degree-k valuation on the span of an orthonormal frame.
 
     Evaluates mu on a unit-volume piece of the subspace: for k = 0 the value on
-    a point, otherwise k! times the value on the simplex spanned by the frame.
+    a point, the value on a ball of radius 0 (``ball_value``), otherwise k!
+    times the value on the simplex spanned by the frame.
     """
     k = mu.degree()
     if len(frame) != k:
         raise ValueError(f"expected {k} frame vectors, got {len(frame)}")
     if k == 0:
-        return float(fiber_integrate(mu.omega).terms.get((), ZERO))
+        return ball_value(mu, 0)
     import numpy as np
 
     mat = np.array([[float(x) for x in f] for f in frame], dtype=float)

@@ -9,7 +9,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from valcalc.bodies import _piece_sign
-from valcalc.contact import dual_lefschetz, horizontal_part
+from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
     BaseForm,
     InvariantForm,
@@ -23,7 +23,9 @@ from valcalc.exterior import (
     lie_reeb,
     reeb_field,
 )
+from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN
 from valcalc.scalars import ZERO, Rat, Scalar
+from valcalc.su2 import right_mult_matrix
 from valcalc.tolerances import ZERO_NORM_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
@@ -81,8 +83,8 @@ def shuffle_wedge_value(a, b, v, vectors):
             for y in Sc:
                 if x > y:
                     sign = -sign
-        total += sign * a.evaluate_at(v, [vectors[i] for i in S]) \
-            * b.evaluate_at(v, [vectors[i] for i in Sc])
+        total += sign * evaluate_at(a, v, [vectors[i] for i in S]) \
+            * evaluate_at(b, v, [vectors[i] for i in Sc])
     return total
 
 
@@ -116,7 +118,7 @@ def orthographic_chart(n, axis, signs):
 
 def chart_component(form, frame_fn, x, u, subset):
     v, vecs = frame_fn(x, u)
-    return form.evaluate_at(v, [vecs[i] for i in subset])
+    return evaluate_at(form, v, [vecs[i] for i in subset])
 
 
 def fd_exterior_derivative(form, frame_fn, x, u, subset, h=1e-5):
@@ -178,7 +180,7 @@ def bundle_frame(v):
 def frame_components(form, v, frame, deg):
     comps = {}
     for S in itertools.combinations(range(len(frame)), deg):
-        comps[S] = form.evaluate_at(v, [frame[i] for i in S])
+        comps[S] = evaluate_at(form, v, [frame[i] for i in S])
     return comps
 
 
@@ -199,7 +201,7 @@ def numeric_hodge_components(comps, dim, deg):
 
 def numeric_contraction(form, v, X_at, vectors):
     """Oracle for interior product: plug the field value into the first slot."""
-    return form.evaluate_at(v, [X_at] + list(vectors))
+    return evaluate_at(form, v, [X_at] + list(vectors))
 
 
 def random_tangent_field(rng, n):
@@ -669,3 +671,111 @@ def join_pi(n, parts) -> InvariantForm:
     terms = {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
              for key, poly in coeffs.items()}
     return InvariantForm(n, terms, projected=True)
+
+
+# -- basic forms, quaternion matrices and checks that only the tests use -------
+
+
+def dx_form(n, i) -> InvariantForm:
+    return InvariantForm(n, {((i,), ()): SpherePoly.constant(n, 1)}, projected=True)
+
+
+def dv_form(n, i) -> InvariantForm:
+    return InvariantForm(n, {((), (i,)): SpherePoly.constant(n, 1)})
+
+
+def dx_top_form(n) -> InvariantForm:
+    return InvariantForm(n, {(tuple(range(n)), ()): SpherePoly.constant(n, 1)}, projected=True)
+
+
+def sphere_volume_form(n) -> InvariantForm:
+    """Volume form of the fiber sphere: contraction of dv_1^...^dv_n with v."""
+    t = {}
+    for t_idx in range(n):
+        J = tuple(i for i in range(n) if i != t_idx)
+        c = SpherePoly.variable(n, t_idx)
+        t[((), J)] = c if t_idx % 2 == 0 else -c
+    return InvariantForm(n, t, projected=True)
+
+
+def evaluate_at(form, v, vectors) -> float:
+    """Numeric value of the form on tangent vectors at fiber point v.
+
+    Each vector is a length-2n sequence (x-components then v-components).
+    """
+    k = len(vectors)
+    total = 0.0
+    for (I, J), p in form.terms.items():
+        if len(I) + len(J) != k:
+            continue
+        c = p.evaluate(v)
+        if c == 0.0:
+            continue
+        if k == 0:
+            total += c
+            continue
+        rows = [[vec[i] for vec in vectors] for i in I]
+        rows += [[vec[form.n + j] for vec in vectors] for j in J]
+        total += c * float(np.linalg.det(np.array(rows, dtype=float)))
+    return total
+
+
+def degree_component(mu: ValuationRep, k: int) -> ValuationRep:
+    """The degree-k part of the valuation."""
+    if k == mu.n:
+        return ValuationRep(mu.n, InvariantForm.zero(mu.n), mu.phi)
+    terms = {key: p for key, p in mu.omega.terms.items() if len(key[0]) == k}
+    omega = InvariantForm(mu.n, terms, projected=True)
+    return ValuationRep(mu.n, omega, BaseForm(mu.n))
+
+
+def verify_zero_valuation(omega: InvariantForm, phi) -> bool:
+    """True iff the pair (omega, phi) represents the zero valuation.
+
+    Checks D(omega) + pullback of phi = 0 together with fiber_integrate(omega) = 0.
+    """
+    total = rumin(omega).D_omega + phi.to_invariant()
+    return total.is_zero() and fiber_integrate(omega).is_zero()
+
+
+def right_translation_matrix(q):
+    """Matrix of x -> x q for a full quaternion q = (q0, q1, q2, q3)."""
+    m = right_mult_matrix(q[1], q[2], q[3])
+    return [[m[r][s] + (q[0] if r == s else 0) for s in range(4)] for r in range(4)]
+
+
+def left_mult_matrix(q):
+    """Matrix of left multiplication by the quaternion q = (q0, q1, q2, q3)."""
+    q0, q1, q2, q3 = q
+    return [
+        [q0, -q1, -q2, -q3],
+        [q1, q0, -q3, q2],
+        [q2, q3, q0, -q1],
+        [q3, -q2, q1, q0],
+    ]
+
+
+def rotation_matrix(q) -> np.ndarray:
+    """Left multiplication by the unit quaternion q as a 4x4 float matrix, from
+    the index and sign tables the Monte Carlo rotations are built with."""
+    return np.array([float(x) for x in q])[_LEFT_INDEX] * _LEFT_SIGN
+
+
+def rational_unit_quaternion(rng):
+    """Random unit quaternion with rational entries (Cayley parametrization)."""
+    while True:
+        t, s, r = (Rat(rng.randrange(-6, 7), rng.randrange(1, 7)) for _ in range(3))
+        if t or s or r:
+            break
+    m = 1 + t * t + s * s + r * r
+    return ((1 - t * t - s * s - r * r) / m, 2 * t / m, 2 * s / m, 2 * r / m)
+
+
+def imaginary_rotation(q):
+    """3x3 matrix of u -> q u conj(q) on the imaginary part, rational in q."""
+    q0, q1, q2, q3 = q
+    return [
+        [q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
+        [2 * (q1 * q2 + q0 * q3), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3, 2 * (q2 * q3 - q0 * q1)],
+        [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3],
+    ]

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from _oracles import random_form, random_sphere_poly
+from _oracles import random_form, random_sphere_poly, right_translation_matrix
 from valcalc.bodies import (
     Ball,
     Box,
@@ -41,7 +41,6 @@ from valcalc.su2 import (
     ImDirection,
     _scaled_forms,
     quaternionic_forms,
-    right_translation_matrix,
     stated_z_form,
     su2_basis,
     tasaki_density,

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from _oracles import adaptive, cell_integral, cone_density, quadrature_evaluate, quadrature_lattice
+from _oracles import (
+    adaptive,
+    cell_integral,
+    cone_density,
+    left_mult_matrix,
+    quadrature_evaluate,
+    quadrature_lattice,
+    rational_unit_quaternion,
+)
 from valcalc import bodies
 from valcalc.bodies import (
     Ball,
@@ -22,13 +30,7 @@ from valcalc.bodies import (
     steiner_volume,
 )
 from valcalc.exterior import InvariantForm, SpherePoly, fiber_integrate
-from valcalc.su2 import (
-    ImDirection,
-    left_mult_matrix,
-    rational_unit_quaternion,
-    su2_basis,
-    z_rep,
-)
+from valcalc.su2 import ImDirection, su2_basis, z_rep
 from valcalc.valuation import derivation, intrinsic_volume_rep, pairing, unit_ball_value
 
 
@@ -213,8 +215,6 @@ class TestEvaluate:
         for forms in ([vertex_only], [vertex_only, InvariantForm.zero(4)], [chi, vertex_only]):
             with pytest.raises(ValueError, match="degenerate normal-cycle piece"):
                 bodies._integrate_forms(forms, lattice)
-        with pytest.raises(ValueError, match="degenerate normal-cycle piece"):
-            bodies._integrate_lattice(vertex_only, lattice)
 
     def test_batch_of_mixed_degrees_matches_single_forms(self):
         # forms of different degrees share pieces; each takes its own degrees
@@ -224,7 +224,7 @@ class TestEvaluate:
         for K in (_ROTATED_BOX, _OBLIQUE_4, regular_polygon(5)):
             lattice = K.face_lattice()
             batch = bodies._integrate_forms(forms, lattice)
-            single = [bodies._integrate_lattice(form, lattice) for form in forms]
+            single = [bodies._integrate_forms([form], lattice)[0] for form in forms]
             assert [x.hex() for x in batch] == [x.hex() for x in single]
 
     def test_term_cache_stays_within_bound(self):
@@ -903,7 +903,7 @@ class TestClosedFormCells:
         full = _random_form(rng, n, degree)
         form = InvariantForm(n, {(I, J): p for (I, J), p in full.terms.items() if not I})
         lattice = _oblique_simplex(rng, n, n + 1).face_lattice()
-        got = bodies._integrate_lattice(form, lattice)
+        (got,) = bodies._integrate_forms([form], lattice)
         want = quadrature_lattice(form, lattice, tol)
         assert abs(got - want) <= 10 * tol * max(1.0, abs(want)), (got, want)
 
@@ -924,6 +924,20 @@ class TestClosedFormCells:
     def test_euler_characteristic_is_one(self, body):
         assert abs(evaluate(intrinsic_volume_rep(body.dim, 0), body) - 1.0) <= 1e-15
 
+    def test_euler_characteristic_is_exactly_one(self):
+        # the vertex pieces add up to the closed-form value on a point, summed
+        # exactly and rounded once
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 4):
+            bodies_n = [Box(rng.uniform(-1, 1, n), rng.uniform(0.2, 0.9, n),
+                            _random_orthogonal(rng, n)),
+                        PlanarPolygon(_random_orthogonal(rng, n)[:2], _PENTAGON,
+                                      rng.uniform(-1, 1, n))]
+            bodies_n += [_oblique_simplex(rng, n, m) for m in range(1, n + 2)]
+            chi = intrinsic_volume_rep(n, 0)
+            for body in bodies_n:
+                assert evaluate(chi, body) == 1.0, (n, body)
+
     def test_every_cell_has_an_exact_rule(self):
         rng = np.random.default_rng(12)
         rules = {}
@@ -941,7 +955,7 @@ class TestClosedFormCells:
             for name, body in bodies_n.items():
                 found = rules.setdefault((name, n), set())
                 for entry in body.face_lattice():
-                    if entry.k == 0:  # the vertex rule: the point's orthants
+                    if entry.k == 0:  # vertex pieces: the value on a point
                         continue
                     found.update(bodies._spherical_cell(g).rule for g in entry.region)
                 for k in range(n + 1):

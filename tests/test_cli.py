@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from valcalc import cli
+from valcalc import cli, kinematic
 from valcalc import serialization as ser
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
 from valcalc.cli import main
@@ -229,9 +229,10 @@ class TestVerifyMc:
         assert rc == 2
         assert err
 
-    def test_infinite_z_is_null_in_strict_json(self, capsys, files):
-        # every sample of a box against a point scores vol(box) = 1, one ulp
-        # above the right-hand side, so the standard error is 0 and z = inf
+    def test_infinite_z_is_null_in_strict_json(self, capsys, files, monkeypatch):
+        # every sample of a box against a point scores vol(box) = 1, so the
+        # standard error is 0; against a right-hand side of 1/2, z = inf
+        monkeypatch.setattr(kinematic, "rhs_kinematic", lambda K, L, kind="icosahedron": 0.5)
         _, save = files
         k = save("box.json", ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))))
         l = save("point.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0]])))
@@ -244,7 +245,7 @@ class TestVerifyMc:
 
         payload = json.loads(machine, parse_constant=reject)
         assert payload["z_score"] is None
-        assert payload["stderr"] == 0.0 and payload["estimate"] != payload["rhs"]
+        assert payload["stderr"] == 0.0 and (payload["estimate"], payload["rhs"]) == (1.0, 0.5)
         rc, human, _ = run(capsys, *args)
         assert rc == 0
         assert ["z_score", "inf"] in [line.split() for line in human.splitlines()]

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import kstest
 
 import _oracles
+from _oracles import left_mult_matrix, rotation_matrix
 from valcalc import bodies
 from valcalc import kinematic
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
@@ -21,11 +22,10 @@ from valcalc.kinematic import (
     mc_principal_kinematic,
     plane_class,
     rhs_kinematic,
-    rotation_matrix,
     _VECTOR_CACHE,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
-from valcalc.su2 import alesker_directions, gram_zz, left_mult_matrix, su2_basis
+from valcalc.su2 import alesker_directions, gram_zz, su2_basis
 from valcalc.valuation import pairing
 
 
@@ -159,7 +159,8 @@ class TestEvaluationVector:
 
 # evaluation vectors as float.hex, pinned with numpy 2.4 and OpenBLAS 0.3.31 on
 # x86-64 from a build that evaluated each rep in a lattice pass of its own; the
-# one pass over the lattice for all ten reps must reproduce every bit
+# one pass over the lattice for all ten reps must reproduce every bit; chi is
+# the closed-form value on a point, 1 exactly
 _PENTAGON_2D = [[0.8 * math.cos(2 * math.pi * i / 5 + 0.1 * i),
                  0.8 * math.sin(2 * math.pi * i / 5 + 0.1 * i)] for i in range(5)]
 PINNED_BODIES = {
@@ -172,7 +173,7 @@ PINNED_BODIES = {
     "point": Simplex([[0.2, -1.0, 0.0, 3.0]]),
     "segment": Simplex([[0.0, 0.1, 0.2, 0.3], [1.0, -0.5, 0.7, 0.2]]),
 }
-_ONE = "0x1.fffffffffffffp-1"
+_ONE = "0x1.0000000000000p+0"
 _ZERO = "0x0.0p+0"
 PINNED_VECTORS = {
     "icosahedron": {
@@ -239,13 +240,15 @@ class TestOnePass:
             assert float(value).hex() == bodies.evaluate(rep, K).hex(), label
 
     @pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
-    def test_vertex_values_cached_without_moving_bits(self, kind):
+    def test_point_values_cached_without_moving_bits(self, kind):
+        # one value per form with dv-only terms: chi's, the only basis rep
+        # whose omega has terms on vertex pieces
         reps = [rep for _, rep in su2_basis(kind)]
-        bodies._vertex_values.cache_clear()
+        bodies._point_value.cache_clear()
         cold = {name: bodies.evaluate_many(reps, PINNED_BODIES[name])
                 for name in ("box", "simplex", "pentagon")}
-        assert bodies._vertex_values.cache_info().currsize == sum(
-            1 for rep in reps if not rep.omega.is_zero())
+        assert bodies._point_value.cache_info().currsize == sum(
+            1 for rep in reps if (0, 4) in bodies._closed_form_terms(rep.omega)) == 1
         for name, values in cold.items():
             warm = bodies.evaluate_many(reps, PINNED_BODIES[name])
             assert [v.hex() for v in warm] == [v.hex() for v in values], name
@@ -276,8 +279,6 @@ class TestOnePass:
         for _, rep in su2_basis(kind):
             if not rep.omega.is_zero():
                 shapes |= set(bodies._closed_form_terms(rep.omega))
-                # the point vertex's pieces are integrated once per form
-                bodies._vertex_values(rep.omega)
         calls = []
         original = bodies._spherical_cell
 

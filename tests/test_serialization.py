@@ -5,7 +5,8 @@ import pytest
 
 from valcalc import serialization as ser
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
-from valcalc.exterior import InvariantForm, SpherePoly, dv_form, dx_form
+from _oracles import dv_form, dx_form
+from valcalc.exterior import InvariantForm, SpherePoly
 from valcalc.scalars import PI, Rat, Scalar, rational
 from valcalc.serialization import SerializationError
 from valcalc.su2 import ImDirection, su2_basis, z_rep

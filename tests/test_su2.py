@@ -6,6 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from _oracles import (
+    imaginary_rotation,
+    left_mult_matrix,
+    rational_unit_quaternion,
+    right_translation_matrix,
+    sphere_volume_form,
+    verify_zero_valuation,
+)
 from valcalc.exterior import (
     BaseForm,
     InvariantForm,
@@ -14,9 +22,9 @@ from valcalc.exterior import (
     lie_reeb,
     pullback_antipode,
     pullback_linear,
-    sphere_volume_form,
 )
-from valcalc.contact import rumin, verify_zero_valuation
+from valcalc.contact import rumin
+from valcalc import su2
 from valcalc.linalg import invert_scalar_matrix
 from valcalc.scalars import PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import (
@@ -24,12 +32,8 @@ from valcalc.su2 import (
     alesker_directions,
     gram_zz,
     icosahedron_directions,
-    imaginary_rotation,
-    left_mult_matrix,
     quaternionic_forms,
-    rational_unit_quaternion,
     right_mult_matrix,
-    right_translation_matrix,
     stated_z_form,
     su2_basis,
     tasaki_density,
@@ -185,6 +189,24 @@ class TestZRep:
         assert (z_rep(u).omega + stated_z_form(u)).is_zero()
         stated = ValuationRep(4, stated_z_form(u), BaseForm(4))
         assert unit_ball_value(stated) == -PI
+
+    def test_stated_combination_scales(self):
+        # exact directions scale by pi^-1 / |u|^2, float ones by 1 / pi, each
+        # divided by 8 and by 4: the same values, to the bit, as 1 / (8 pi)
+        # and 1 / (4 pi) taken apart
+        def coefficients(form):
+            return {(key, e): c.hex() if isinstance(c, float) else c
+                    for key, p in form.terms.items() for e, c in p.terms.items()}
+
+        for u in icosahedron_directions() + [ImDirection.of(1, -1, 2), ImDirection.of(0, 3, -2)]:
+            if u.exact:
+                coords, c8, c4 = u.coords, Rat(1, 8) * PI ** -1 / u.norm_sq, \
+                    Rat(1, 4) * PI ** -1 / u.norm_sq
+            else:
+                coords, c8, c4 = u.unit(), 1.0 / (8.0 * math.pi), 1.0 / (4.0 * math.pi)
+            beta, gamma, omega = su2._scaled_forms(coords)
+            want = beta.wedge(d(beta)) * c8 + gamma.wedge(omega) * c4
+            assert coefficients(stated_z_form(u)) == coefficients(want), u
 
     def test_rumin_derivative_closed_form(self):
         u = ImDirection.of(1, 0, 0)

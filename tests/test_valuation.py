@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from _oracles import random_form, random_rational
-from valcalc.contact import rumin, verify_zero_valuation
+from _oracles import (
+    degree_component,
+    random_form,
+    random_rational,
+    sphere_volume_form,
+    verify_zero_valuation,
+)
+from valcalc.contact import rumin
 from valcalc.exterior import (
     BaseForm,
     InvariantForm,
@@ -11,7 +17,6 @@ from valcalc.exterior import (
     d,
     fiber_integrate,
     pullback_linear,
-    sphere_volume_form,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import su2_basis
@@ -50,7 +55,7 @@ class TestRepBasics:
         mu = random_valuation(rng, 4)
         recon = ValuationRep.zero(4)
         for k in sorted(mu.degrees()):
-            comp = mu.degree_component(k)
+            comp = degree_component(mu, k)
             if k < 4:
                 assert comp.degrees() <= {k}
             recon = recon + comp
