@@ -12,9 +12,10 @@ Every piece is integrated exactly, through the spherical moments of its cell:
 an orthant, an arc times an orthant, or a geodesic triangle.  The vertex
 cones of a polytope tile the sphere, so its vertex pieces together give the
 valuation's value on a point, ``valuation.ball_value`` at radius 0, whose
-exact coefficients are summed exactly and rounded once.  That covers every
-cell of boxes, points, segments, polygons and simplices in R^2 to R^4; an
-oblique cone of four or more generators on a face of dimension >= 1, which
+exact coefficients are summed exactly and rounded once; the face lattice
+lists only faces of dimension >= 1, and a point's is empty.  That covers
+every cell of boxes, points, segments, polygons and simplices in R^2 to R^4;
+an oblique cone of four or more generators on a face of dimension >= 1, which
 only simplices of dimension >= 4 in R^n with n >= 5 have, raises
 ``ValueError``.  Several valuations on one body share one pass over its face
 lattice (``evaluate_many``): each piece's cell and moments are computed once
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exterior import BaseForm, pullback_ball_shift
+from .exterior import pullback_ball_shift
 from .tolerances import (
     CELL_TOL,
     CONVEXITY_TOL,
@@ -176,8 +177,6 @@ def _simplex_facet_normals(verts):
 
 
 def _face_volume(verts):
-    if len(verts) == 1:
-        return 1.0
     edges = np.array([np.asarray(v) - np.asarray(verts[0]) for v in verts[1:]])
     g = edges @ edges.T
     return math.sqrt(max(np.linalg.det(g), 0.0)) / math.factorial(len(edges))
@@ -272,9 +271,6 @@ class Box:
     def dim(self):
         return len(self.center)
 
-    def axis(self, i):
-        return self.rotation[:, i]
-
     def support(self, xi):
         xi = np.asarray(xi, dtype=float)
         h = xi @ self.center + np.abs(xi @ self.rotation) @ self.half_extents
@@ -298,11 +294,12 @@ class Box:
         return Box(R @ self.center + t, self.half_extents, R @ self.rotation)
 
     def face_lattice(self):
-        """All faces with oriented frames, volumes, and triangulated normal regions."""
+        """Faces of dimension >= 1 with oriented frames, volumes, and
+        triangulated normal regions."""
         n = self.dim
         axes = [self.rotation[:, i] for i in range(n)]
         out = []
-        for free in range(n + 1):
+        for free in range(1, n + 1):
             for idx in combinations(range(n), free):
                 fixed = [i for i in range(n) if i not in idx]
                 frame = tuple(tuple(axes[i]) for i in idx)
@@ -374,11 +371,10 @@ class Simplex(_VertexHull):
         perp = _complement_basis(edges, n)
         normals = _simplex_facet_normals(verts) if kt else []
         out = []
-        for size in range(1, kt + 2):
+        for size in range(2, kt + 2):
             for subset in combinations(range(kt + 1), size):
                 fverts = [verts[i] for i in subset]
-                frame = _orthonormal_frame(np.array(fverts[1:]) - fverts[0]) if size > 1 \
-                    else np.zeros((0, n))
+                frame = _orthonormal_frame(np.array(fverts[1:]) - fverts[0])
                 cone = [normals[j] for j in range(kt + 1) if j not in subset]
                 out.append(FaceLatticeEntry(
                     size - 1, tuple(tuple(r) for r in frame), _face_volume(fverts),
@@ -461,9 +457,6 @@ class PlanarPolygon(_VertexHull):
         for i in range(m):
             out.append(FaceLatticeEntry(1, (tuple(edge_dirs[i]),), lengths[i],
                                         _normal_region([edge_normals[i]], perp)))
-        for i in range(m):
-            out.append(FaceLatticeEntry(
-                0, (), 1.0, _normal_region([edge_normals[i - 1], edge_normals[i]], perp)))
         return out
 
 
@@ -789,7 +782,7 @@ def _point_value(form):
     (``valuation.ball_value``), where only the dv-only terms count.  Exact
     coefficients are summed exactly and rounded once.  Cached per form, so a
     basis valuation's value is computed once, not once per body."""
-    return ball_value(ValuationRep(form.n, form, BaseForm(form.n)), 0)
+    return ball_value(ValuationRep(form.n, form), 0)
 
 
 def _integrate_forms(forms, lattice):
@@ -799,7 +792,8 @@ def _integrate_forms(forms, lattice):
 
     Only the dv-only terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
-    vertex pieces together give the form's value on a point (``_point_value``).
+    vertex pieces together give the form's value on a point (``_point_value``),
+    and the lattice has no vertex entries.
     """
     totals = [0.0] * len(forms)
     live = [(i, _closed_form_terms(form)) for i, form in enumerate(forms)
@@ -808,7 +802,7 @@ def _integrate_forms(forms, lattice):
         return totals
     n = forms[live[0][0]].n
     for entry in lattice:
-        if not entry.k or entry.volume == 0.0 or not entry.region:
+        if entry.volume == 0.0 or not entry.region:
             continue
         face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
         fmat = np.array(face_vecs, dtype=float).reshape(entry.k, n)
@@ -841,7 +835,7 @@ def evaluate_many(reps, K) -> list:
     out = []
     for mu, integral in zip(reps, integrals):
         total = 0.0
-        phi_top = float(mu.phi.top_coefficient())
+        phi_top = float(mu.phi)
         if phi_top:
             total += phi_top * K.volume()
         total += integral
@@ -864,7 +858,7 @@ def steiner_volume(K, t: float) -> float:
     for entry in K.face_lattice():
         if entry.k == n:
             total += entry.volume
-        elif entry.k:
+        else:
             angle = sum(_cell_measure(_spherical_cell(g)) for g in entry.region)
             total += entry.volume * angle / (n - entry.k) * t ** (n - entry.k)
     return total
@@ -880,7 +874,7 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
         return evaluate(mu, K)
     shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
     (total,) = _integrate_forms([shifted], K.face_lattice())
-    phi_top = float(mu.phi.top_coefficient())
+    phi_top = float(mu.phi)
     if phi_top:
         total += phi_top * steiner_volume(K, t)
     return total

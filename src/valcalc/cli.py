@@ -136,7 +136,8 @@ def cmd_pair(args):
 def cmd_op(args):
     mu = ser.load_valuation(args.valuation)
     out = OPERATORS[args.name](mu)
-    human = f"omega = {out.omega}\nphi = {out.phi}"
+    top = "^".join(f"dx{i + 1}" for i in range(out.n))
+    human = f"omega = {out.omega}\nphi = " + (f"({out.phi}) {top}" if out.phi else "0")
     return human, {"name": args.name, "result": ser.valuation_to_json(out)}
 
 

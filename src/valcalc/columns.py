@@ -22,11 +22,12 @@ integrals of sphere monomials.
 
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
-up) runs the dict operator itself, and a pairing whose degrees sum past MAX_CONTRACT_DEGREE
-wedges and fiber-integrates.  The caches keep every column they build for
-the life of the process: their size is bounded by the number of monomials
-of the degrees in use, not by a count of forms.  This module is imported on
-the first exact operation, so code that runs none does not load it.
+up) runs the dict operator itself, and a pairing whose degrees sum past
+MAX_CONTRACT_DEGREE wedges and takes the top coefficient of the fiber
+integral.  The caches keep every column they build for the life of the
+process: their size is bounded by the number of monomials of the degrees in
+use, not by a count of forms.  This module is imported on the first exact
+operation, so code that runs none does not load it.
 """
 
 import math
@@ -44,10 +45,10 @@ from .exterior import (
     _merge_sign,
     _pi_terms,
     _prepend_sign,
-    fiber_integrate,
     hodge_star,
     lie_reeb,
     sphere_monomial_integral,
+    top_fiber_integral,
 )
 from .scalars import Rat, Scalar
 
@@ -568,7 +569,7 @@ def pair_top(n, omega, parts) -> Scalar:
     a split form y of degree n, contracted on their vectors."""
     parts1 = _split_vectors(omega)
     if _degree(n, parts1) + _degree(n, parts) > MAX_CONTRACT_DEGREE:
-        return fiber_integrate(omega.wedge(_join_vectors(n, parts))).top_coefficient()
+        return top_fiber_integral(omega.wedge(_join_vectors(n, parts)))
     first = {}
     for k1, (d1, blocks1) in parts1.items():
         for k2, (d2, blocks2) in parts.items():

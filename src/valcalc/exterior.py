@@ -17,6 +17,10 @@ caches of integer columns keyed by the input's (n, |I|, |J|).  The dict
 operators here build those columns, a batch at a time, with every monomial
 in a lane of a Python int whose width comes from a proved bound on the
 column's entries, and they stay the reference the tests hold the columns to.
+
+Fiber integration pi_* enters only through its dx_1^...^dx_n coefficient
+(``top_fiber_integral``), which the pairing takes for forms too large to
+contract on their vectors.
 """
 
 from __future__ import annotations
@@ -200,20 +204,6 @@ class SpherePoly:
             if e[i]:
                 t[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return SpherePoly(self.n, t)
-
-    def substitute_linear(self, A) -> "SpherePoly":
-        """Substitute v_i -> sum_j A[i][j] v_j."""
-        lin = [SpherePoly(self.n, {tuple(1 if k == j else 0 for k in range(self.n)): A[i][j]
-                                   for j in range(self.n) if A[i][j]})
-               for i in range(self.n)]
-        out = SpherePoly(self.n)
-        for e, c in self.terms.items():
-            term = SpherePoly.constant(self.n, c)
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    term = term * lin[i]
-            out = out + term
-        return out
 
     def negate_variables(self) -> "SpherePoly":
         return SpherePoly._canonical(
@@ -420,17 +410,12 @@ class InvariantForm:
                 _accumulate(out, key, q)
         return InvariantForm(self.n, out, projected=True)
 
-    def map_coefficients(self, fn) -> "InvariantForm":
-        t = {}
-        for key, p in self.terms.items():
-            _accumulate(t, key, fn(p))
-        return InvariantForm(self.n, t, projected=True)
-
     def to_float(self) -> "InvariantForm":
         """Copy with float coefficients, for numeric evaluation paths."""
-        def conv(p):
-            return SpherePoly(p.n, {e: float(c) for e, c in p.terms.items()})
-        return self.map_coefficients(conv)
+        t = {}
+        for key, p in self.terms.items():
+            _accumulate(t, key, SpherePoly(p.n, {e: float(c) for e, c in p.terms.items()}))
+        return InvariantForm(self.n, t, projected=True)
 
     def __str__(self):
         if not self.terms:
@@ -547,10 +532,10 @@ def lie_reeb(a: InvariantForm) -> InvariantForm:
     return contract(T, d(a)) + d(contract(T, a))
 
 
-def _substitute(a, dx_images, dv_images, coeff_fn) -> InvariantForm:
+def _substitute(a, dx_images, dv_images) -> InvariantForm:
     out = {}
     for (I, J), p in a.terms.items():
-        acc = {((), ()): coeff_fn(p)}
+        acc = {((), ()): p}
         for i in I:
             acc = _wedge_step(acc, dx_images[i])
         for j in J:
@@ -575,25 +560,7 @@ def pullback_ball_shift(a: InvariantForm, t) -> InvariantForm:
     n = a.n
     dx_images = [[(1, 0, i), (t, 1, i)] for i in range(n)]
     dv_images = [[(1, 1, j)] for j in range(n)]
-    return _substitute(a, dx_images, dv_images, lambda p: p)
-
-
-def pullback_linear(a: InvariantForm, A) -> InvariantForm:
-    """Pullback along (x, v) -> (Ax, Av) for an exactly orthogonal matrix A."""
-    n = a.n
-    A = [[Rat(x) if not isinstance(x, (Scalar, float)) else x for x in row] for row in A]
-    for row in A:
-        for x in row:
-            if isinstance(x, (Scalar, float)):
-                raise ValueError("orthogonal matrix entries must be exact rationals")
-    for i in range(n):
-        for j in range(n):
-            s = sum(A[k][i] * A[k][j] for k in range(n))
-            if s != (1 if i == j else 0):
-                raise ValueError("matrix is not orthogonal")
-    dx_images = [[(A[i][k], 0, k) for k in range(n) if A[i][k]] for i in range(n)]
-    dv_images = [[(A[j][k], 1, k) for k in range(n) if A[j][k]] for j in range(n)]
-    return _substitute(a, dx_images, dv_images, lambda p: p.substitute_linear(A))
+    return _substitute(a, dx_images, dv_images)
 
 
 def sphere_monomial_integral(e) -> Scalar:
@@ -642,95 +609,18 @@ def integrate_spherical(n, J, p) -> Scalar:
     return total
 
 
-class BaseForm:
-    """Constant-coefficient form on the x factor: {index tuple: Scalar}."""
+def top_fiber_integral(a: InvariantForm) -> Scalar:
+    """Coefficient of dx_1^...^dx_n in the fiber integral pi_*(a).
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        t = {}
-        for I, c in (terms or {}).items():
-            c = c if isinstance(c, Scalar) else Scalar({0: c})
-            if c:
-                t[tuple(I)] = t.get(tuple(I), ZERO) + c
-        self.terms = {I: c for I, c in t.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, BaseForm):
-            return self.n == other.n and self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for I, c in other.terms.items():
-            s = t.get(I, ZERO) + c
-            if s:
-                t[I] = s
-            else:
-                t.pop(I, None)
-        out = BaseForm(self.n)
-        out.terms = t
-        return out
-
-    def __neg__(self):
-        out = BaseForm(self.n)
-        out.terms = {I: -c for I, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, c):
-        out = BaseForm(self.n)
-        out.terms = {}
-        for I, v in self.terms.items():
-            s = v * c
-            if s:
-                out.terms[I] = s
-        return out
-
-    __rmul__ = __mul__
-
-    def top_coefficient(self) -> Scalar:
-        """Coefficient of dx_1^...^dx_n."""
-        return self.terms.get(tuple(range(self.n)), ZERO)
-
-    def to_invariant(self) -> InvariantForm:
-        t = {(I, ()): SpherePoly.constant(self.n, c) for I, c in self.terms.items()}
-        return InvariantForm(self.n, t, projected=True)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for I in sorted(self.terms, key=lambda k: (len(k), k)):
-            mono = "^".join(f"dx{i + 1}" for i in I)
-            parts.append(f"({self.terms[I]})" + (f" {mono}" if mono else ""))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def fiber_integrate(a: InvariantForm) -> BaseForm:
-    """Integrate over the sphere fiber; only dv-degree n-1 terms contribute."""
+    Only the terms dx_1^...^dx_n ^ dv_J with |J| = n-1 contribute.
+    """
     n = a.n
-    out = {}
+    top = tuple(range(n))
+    total = ZERO
     for (I, J), p in a.terms.items():
-        if len(J) != n - 1:
-            continue
-        val = integrate_spherical(n, J, p)
-        if val:
-            out[I] = out.get(I, ZERO) + val
-    return BaseForm(n, out)
+        if I == top and len(J) == n - 1:
+            total = total + integrate_spherical(n, J, p)
+    return total
 
 
 def hodge_star(a: InvariantForm) -> InvariantForm:

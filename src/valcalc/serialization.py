@@ -16,7 +16,7 @@ import json
 import math
 
 from .bodies import Ball, Box, PlanarPolygon, Simplex
-from .exterior import BaseForm, InvariantForm, SpherePoly
+from .exterior import InvariantForm, SpherePoly
 from .scalars import _RAT_TYPES, Rat, Scalar
 from .valuation import ValuationRep
 
@@ -132,15 +132,14 @@ def valuation_to_json(mu: ValuationRep) -> dict:
     return {
         "dim": mu.n,
         "omega": form_to_json(mu.omega),
-        "phi": scalar_to_json(mu.phi.top_coefficient()),
+        "phi": scalar_to_json(mu.phi),
     }
 
 
 def valuation_from_json(obj, path="valuation") -> ValuationRep:
     n = _check_dim(obj, path)
     omega = form_from_json(obj.get("omega", {"dim": n, "terms": []}), f"{path}.omega")
-    phi_c = scalar_from_json(obj.get("phi", {}), f"{path}.phi")
-    phi = BaseForm(n, {tuple(range(n)): phi_c} if phi_c else {})
+    phi = scalar_from_json(obj.get("phi", {}), f"{path}.phi")
     try:
         return ValuationRep(n, omega, phi)
     except ValueError as e:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .exterior import (
-    BaseForm,
     InvariantForm,
     SpherePoly,
     alpha_form,
@@ -180,7 +179,7 @@ def z_rep(u: ImDirection) -> ValuationRep:
     omega = stated_z_form(u)
     if Z_ORIENTATION < 0:
         omega = -omega
-    return ValuationRep(4, omega, BaseForm(4))
+    return ValuationRep(4, omega)
 
 
 def gram_zz(u: ImDirection, v: ImDirection) -> Scalar:

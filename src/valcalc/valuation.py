@@ -2,15 +2,17 @@
 
 A valuation is carried by a pair (omega, phi): omega an invariant form of
 degree n-1 on the sphere bundle integrated over normal cycles, phi a constant
-top-degree form integrated over the body.  The operators here (reflection,
-derivation, signature, Laplacian) and the product pairing are all computed
-exactly in Q[pi, 1/pi], on the pi-graded integer parts of the forms as sparse
-vectors over monomials (``columns._split_vectors``): every operator involved
-is linear over Z, and applies as cached integer columns (see ``columns``).
-The pairing contracts two such vectors against the closed-form integrals of
-sphere monomials, each a rational times pi^(n // 2) (``columns.pair_top``).
-Float-coefficient reps keep the dict operators.  ``columns`` is imported
-where an exact operator first runs.
+top-degree form integrated over the body.  Translation invariance makes phi a
+constant times dx_1^...^dx_n, so a rep stores that constant, a Scalar.  The
+operators here (reflection, derivation, signature, Laplacian) and the product
+pairing are all computed exactly in Q[pi, 1/pi], on the pi-graded integer
+parts of the forms as sparse vectors over monomials
+(``columns._split_vectors``): every operator involved is linear over Z, and
+applies as cached integer columns (see ``columns``).  The pairing contracts
+two such vectors against the closed-form integrals of sphere monomials, each
+a rational times pi^(n // 2) (``columns.pair_top``).  Float-coefficient reps
+keep the dict operators.  ``columns`` is imported where an exact operator
+first runs.
 """
 
 import math
@@ -19,7 +21,6 @@ from itertools import combinations
 
 from .contact import rumin
 from .exterior import (
-    BaseForm,
     InvariantForm,
     SpherePoly,
     _coeff_to_scalar,
@@ -38,23 +39,26 @@ from .tolerances import ORTHONORMAL_TOL
 
 @dataclass(frozen=True)
 class ValuationRep:
-    """Form pair (omega, phi) representing a smooth translation-invariant valuation."""
+    """Form pair (omega, phi) representing a smooth translation-invariant valuation.
+
+    phi is the coefficient of dx_1^...^dx_n.
+    """
 
     n: int
     omega: InvariantForm
-    phi: BaseForm
+    phi: Scalar = ZERO
 
     @classmethod
     def zero(cls, n: int) -> "ValuationRep":
-        return cls(n, InvariantForm.zero(n), BaseForm(n))
+        return cls(n, InvariantForm.zero(n))
 
     def __post_init__(self):
-        if self.omega.n != self.n or self.phi.n != self.n:
-            raise ValueError("dimension mismatch between omega, phi and n")
+        if self.omega.n != self.n:
+            raise ValueError("dimension mismatch between omega and n")
         if self.omega and self.omega.degree() != self.n - 1:
             raise ValueError("omega must have degree n-1")
-        if any(len(I) != self.n for I in self.phi.terms):
-            raise ValueError("phi must be a top-degree form")
+        if not isinstance(self.phi, Scalar):
+            raise TypeError(f"phi must be a Scalar, not {type(self.phi).__name__}")
 
     def __add__(self, other: "ValuationRep") -> "ValuationRep":
         if self.n != other.n:
@@ -68,7 +72,8 @@ class ValuationRep:
         return ValuationRep(self.n, -self.omega, -self.phi)
 
     def __mul__(self, c) -> "ValuationRep":
-        return ValuationRep(self.n, self.omega * c, self.phi * c)
+        # a zero phi stays exact, so float reps scale by floats
+        return ValuationRep(self.n, self.omega * c, self.phi * c if self.phi else ZERO)
 
     __rmul__ = __mul__
 
@@ -80,7 +85,7 @@ class ValuationRep:
     def degrees(self) -> set:
         """Degrees of the nonzero homogeneous components (bidegree filtering)."""
         out = {len(I) for (I, J) in self.omega.terms}
-        if self.phi.terms:
+        if self.phi:
             out.add(self.n)
         return out
 
@@ -99,7 +104,7 @@ def euler_verdier(mu: ValuationRep) -> ValuationRep:
 
         parts = columns._split_vectors(mu.omega)
         image = columns._antipode_vectors(mu.n, parts, sign)
-        if image is parts and (sign > 0 or not mu.phi.terms):
+        if image is parts and (sign > 0 or not mu.phi):
             return mu
         omega = mu.omega if image is parts else columns._join_vectors(mu.n, image)
     else:
@@ -112,7 +117,7 @@ def euler_verdier(mu: ValuationRep) -> ValuationRep:
 def derivation(mu: ValuationRep) -> ValuationRep:
     """Degree-lowering derivative: (L_T omega + i_T pullback(phi), 0)."""
     n = mu.n
-    lifted = contract(reeb_field(n), mu.phi.to_invariant())
+    lifted = contract(reeb_field(n), _phi_form(mu))
     if mu.is_exact():
         from . import columns
 
@@ -122,7 +127,13 @@ def derivation(mu: ValuationRep) -> ValuationRep:
     else:
         # float reps (the icosahedral Z_u) are lowered in floats
         omega = lie_reeb(mu.omega) + lifted
-    return ValuationRep(n, omega, BaseForm(n))
+    return ValuationRep(n, omega)
+
+
+def _phi_form(mu: ValuationRep) -> InvariantForm:
+    """phi * dx_1^...^dx_n, pulled back to the sphere bundle."""
+    top = {(tuple(range(mu.n)), ()): SpherePoly.constant(mu.n, mu.phi)}
+    return InvariantForm(mu.n, top, projected=True)
 
 
 def _inner_parts(mu: ValuationRep) -> dict:
@@ -130,7 +141,7 @@ def _inner_parts(mu: ValuationRep) -> dict:
     from . import columns
 
     return columns._add_vectors(mu.n, rumin(mu.omega).D_parts,
-                                columns._split_vectors(mu.phi.to_invariant()))
+                                columns._split_vectors(_phi_form(mu)))
 
 
 def signature(mu: ValuationRep) -> ValuationRep:
@@ -138,7 +149,7 @@ def signature(mu: ValuationRep) -> ValuationRep:
     from . import columns
 
     (parts,) = columns.HODGE.apply(mu.n, _inner_parts(mu))
-    return ValuationRep(mu.n, columns._join_vectors(mu.n, parts), BaseForm(mu.n))
+    return ValuationRep(mu.n, columns._join_vectors(mu.n, parts))
 
 
 def laplace(mu: ValuationRep) -> ValuationRep:
@@ -162,10 +173,9 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     first = columns.pair_top(n, mu1.omega, _inner_parts(mu2))
     if n % 2:
         first = -first
-    top1 = mu1.phi.top_coefficient()
-    if not top1:
+    if not mu1.phi:
         return first
-    return first + top1 * unit_ball_value(mu2, 0)
+    return first + mu1.phi * unit_ball_value(mu2, 0)
 
 
 def pairing(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
@@ -194,38 +204,6 @@ def _invariant_top_pair(n: int, m: int) -> InvariantForm:
     return InvariantForm(n, terms)
 
 
-def unit_cube_value(mu: ValuationRep) -> Scalar:
-    """Exact value of the valuation on the unit cube.
-
-    The normal cycle decomposes into face-times-normal-cone pieces; summing a
-    fixed face span A over all positions turns each piece into a full
-    subsphere integral with an orientation sign depending only on A.
-    """
-    n = mu.n
-    total = mu.phi.top_coefficient()
-    for j in range(1, n + 1):
-        for B in combinations(range(n), j):
-            A = _complement(B, n)
-            sign = _merge_sign(A, B) * (-1 if len(A) % 2 else 1)
-            acc = ZERO
-            for pos, t in enumerate(B):
-                p = mu.omega.terms.get((A, B[:pos] + B[pos + 1:]))
-                if p is None:
-                    continue
-                for e, c in p.terms.items():
-                    if any(e[a] for a in A):
-                        continue
-                    eb = tuple(e[b] for b in B)
-                    eb = tuple(x + (1 if b == pos else 0) for b, x in enumerate(eb))
-                    val = _coeff_to_scalar(c) * sphere_monomial_integral(eb)
-                    if pos % 2:
-                        val = -val
-                    acc = acc + val
-            if acc:
-                total = total + (-acc if sign < 0 else acc)
-    return total
-
-
 def ball_volume(n: int, radius=1) -> Scalar:
     """Exact volume of the n-ball: pi^(n/2) / Gamma(n/2 + 1) times radius^n."""
     c, h = gamma_half(n + 2)
@@ -244,7 +222,7 @@ def _ball_parts(mu: ValuationRep, radius, numeric: bool):
     """
     n = mu.n
     r = Rat(radius)
-    exact = mu.phi.top_coefficient() * ball_volume(n, radius)
+    exact = mu.phi * ball_volume(n, radius)
     approx = 0.0
     for (I, J), p in mu.omega.terms.items():
         scale = r ** len(I)
@@ -287,17 +265,20 @@ def ball_value(mu: ValuationRep, radius) -> float:
 
 
 def intrinsic_volume_rep(n: int, k: int) -> ValuationRep:
-    """Rotation-invariant degree-k valuation normalized to binomial(n, k) on the cube."""
+    """The k-th intrinsic volume V_k, exactly.
+
+    The rotation-invariant degree-k rep is normalized by its value on the
+    unit ball, V_k(B^n) = binomial(n, k) ball_volume(n) / ball_volume(n - k);
+    V_k is binomial(n, k) on the unit cube.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
     if k == n:
-        return ValuationRep(n, InvariantForm.zero(n),
-                            BaseForm(n, {tuple(range(n)): ONE}))
+        return ValuationRep(n, InvariantForm.zero(n), ONE)
     T = reeb_field(n)
-    omega = contract(T, _invariant_top_pair(n, n - 1 - k))
-    raw = ValuationRep(n, omega, BaseForm(n))
-    scale = rational(math.comb(n, k)) / unit_cube_value(raw)
-    return raw * scale
+    raw = ValuationRep(n, contract(T, _invariant_top_pair(n, n - 1 - k)))
+    ball = rational(math.comb(n, k)) * ball_volume(n) / ball_volume(n - k)
+    return raw * (ball / unit_ball_value(raw))
 
 
 def klain(mu: ValuationRep, frame) -> float:

@@ -8,20 +8,25 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from valcalc.bodies import _piece_sign
+from valcalc.bodies import FaceLatticeEntry, _normal_region, _piece_sign
 from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
-    BaseForm,
     InvariantForm,
     SpherePoly,
+    _coeff_to_scalar,
+    _complement,
+    _merge_sign,
+    _accumulate,
     _pi_terms,
+    _wedge_step,
     alpha_form,
     contract,
     d,
-    fiber_integrate,
     hodge_star,
+    integrate_spherical,
     lie_reeb,
     reeb_field,
+    sphere_monomial_integral,
 )
 from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN
 from valcalc.scalars import ZERO, Rat, Scalar
@@ -364,9 +369,15 @@ def adaptive(integrand, gens, tol, depth=QUAD_DEPTH):
             + adaptive(integrand, right, tol, depth - 1))
 
 
+def point_lattice(n):
+    """The normal cycle of a point as a face lattice: one vertex entry whose
+    normal region is the 2^n orthants of S^(n-1)."""
+    return [FaceLatticeEntry(0, (), 1.0, _normal_region((), np.eye(n)))]
+
+
 def quadrature_lattice(form, lattice, tol):
     """Oriented integral of the form over the normal cycle of a face lattice,
-    every piece by adaptive cubature, vertex pieces one by one."""
+    every piece by adaptive cubature."""
     total = 0.0
     for entry in lattice:
         if entry.volume == 0.0 or not entry.region:
@@ -381,9 +392,13 @@ def quadrature_lattice(form, lattice, tol):
 
 
 def quadrature_evaluate(mu, K, tol):
-    """Numeric value of the valuation on a polytope, every piece by cubature."""
-    total = quadrature_lattice(mu.omega, K.face_lattice(), tol)
-    phi_top = float(mu.phi.top_coefficient())
+    """Numeric value of the valuation on a polytope, every piece by cubature.
+
+    The face lattice lists no vertices; the vertex cones of a polytope tile
+    S^(n-1), so its vertex pieces are integrated as a point's normal cycle.
+    """
+    total = quadrature_lattice(mu.omega, K.face_lattice() + point_lattice(K.dim), tol)
+    phi_top = float(mu.phi)
     return total + phi_top * K.volume() if phi_top else total
 
 
@@ -408,13 +423,13 @@ def rumin_reference(omega):
 
 def derivation_reference(mu):
     T = reeb_field(mu.n)
-    omega = lie_reeb(mu.omega) + contract(T, mu.phi.to_invariant())
-    return ValuationRep(mu.n, omega, BaseForm(mu.n))
+    omega = lie_reeb(mu.omega) + contract(T, dx_top_form(mu.n) * mu.phi)
+    return ValuationRep(mu.n, omega)
 
 
 def signature_reference(mu):
-    inner = rumin_reference(mu.omega)[1] + mu.phi.to_invariant()
-    return ValuationRep(mu.n, hodge_star(inner), BaseForm(mu.n))
+    inner = rumin_reference(mu.omega)[1] + dx_top_form(mu.n) * mu.phi
+    return ValuationRep(mu.n, hodge_star(inner))
 
 
 def pairing_reference(mu1, mu2):
@@ -422,11 +437,11 @@ def pairing_reference(mu1, mu2):
     with mu2' the Euler-Verdier reflection of mu2."""
     n = mu1.n
     mu2 = euler_verdier(mu2)
-    inner = rumin_reference(mu2.omega)[1] + mu2.phi.to_invariant()
-    first = fiber_integrate(mu1.omega.wedge(inner)).top_coefficient()
+    inner = rumin_reference(mu2.omega)[1] + dx_top_form(n) * mu2.phi
+    first = fiber_integral(mu1.omega.wedge(inner)).get(tuple(range(n)), ZERO)
     if n % 2:
         first = -first
-    return first + mu1.phi.top_coefficient() * fiber_integrate(mu2.omega).terms.get((), ZERO)
+    return first + mu1.phi * fiber_integral(mu2.omega).get((), ZERO)
 
 
 def solve_linear(rows, rhs, ncols):
@@ -676,6 +691,92 @@ def join_pi(n, parts) -> InvariantForm:
 # -- basic forms, quaternion matrices and checks that only the tests use -------
 
 
+def fiber_integral(a: InvariantForm) -> dict:
+    """The fiber integral pi_*(a) as {I: Scalar}, the nonzero coefficients of
+    dx_I; only the terms of dv-degree n-1 contribute."""
+    n = a.n
+    out = {}
+    for (I, J), p in a.terms.items():
+        if len(J) == n - 1:
+            out[I] = out.get(I, ZERO) + integrate_spherical(n, J, p)
+    return {I: c for I, c in out.items() if c}
+
+
+def substitute_linear(p: SpherePoly, A) -> SpherePoly:
+    """Substitute v_i -> sum_j A[i][j] v_j in p."""
+    n = p.n
+    lin = [SpherePoly(n, {tuple(1 if k == j else 0 for k in range(n)): A[i][j]
+                          for j in range(n) if A[i][j]})
+           for i in range(n)]
+    out = SpherePoly(n)
+    for e, c in p.terms.items():
+        term = SpherePoly.constant(n, c)
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                term = term * lin[i]
+        out = out + term
+    return out
+
+
+def pullback_linear(a: InvariantForm, A) -> InvariantForm:
+    """Pullback along (x, v) -> (Ax, Av) for an exactly orthogonal matrix A."""
+    n = a.n
+    A = [[Rat(x) if not isinstance(x, (Scalar, float)) else x for x in row] for row in A]
+    for row in A:
+        for x in row:
+            if isinstance(x, (Scalar, float)):
+                raise ValueError("orthogonal matrix entries must be exact rationals")
+    for i in range(n):
+        for j in range(n):
+            s = sum(A[k][i] * A[k][j] for k in range(n))
+            if s != (1 if i == j else 0):
+                raise ValueError("matrix is not orthogonal")
+    dx_images = [[(A[i][k], 0, k) for k in range(n) if A[i][k]] for i in range(n)]
+    dv_images = [[(A[j][k], 1, k) for k in range(n) if A[j][k]] for j in range(n)]
+    out = {}
+    for (I, J), p in a.terms.items():
+        acc = {((), ()): substitute_linear(p, A)}
+        for i in I:
+            acc = _wedge_step(acc, dx_images[i])
+        for j in J:
+            acc = _wedge_step(acc, dv_images[j])
+        for key, q in acc.items():
+            _accumulate(out, key, q)
+    return InvariantForm(n, out)
+
+
+def unit_cube_value(mu: ValuationRep) -> Scalar:
+    """Exact value of the valuation on the unit cube.
+
+    The normal cycle decomposes into face-times-normal-cone pieces; summing a
+    fixed face span A over all positions turns each piece into a full
+    subsphere integral with an orientation sign depending only on A.
+    """
+    n = mu.n
+    total = mu.phi
+    for j in range(1, n + 1):
+        for B in itertools.combinations(range(n), j):
+            A = _complement(B, n)
+            sign = _merge_sign(A, B) * (-1 if len(A) % 2 else 1)
+            acc = ZERO
+            for pos, t in enumerate(B):
+                p = mu.omega.terms.get((A, B[:pos] + B[pos + 1:]))
+                if p is None:
+                    continue
+                for e, c in p.terms.items():
+                    if any(e[a] for a in A):
+                        continue
+                    eb = tuple(e[b] for b in B)
+                    eb = tuple(x + (1 if b == pos else 0) for b, x in enumerate(eb))
+                    val = _coeff_to_scalar(c) * sphere_monomial_integral(eb)
+                    if pos % 2:
+                        val = -val
+                    acc = acc + val
+            if acc:
+                total = total + (-acc if sign < 0 else acc)
+    return total
+
+
 def dx_form(n, i) -> InvariantForm:
     return InvariantForm(n, {((i,), ()): SpherePoly.constant(n, 1)}, projected=True)
 
@@ -726,16 +827,17 @@ def degree_component(mu: ValuationRep, k: int) -> ValuationRep:
         return ValuationRep(mu.n, InvariantForm.zero(mu.n), mu.phi)
     terms = {key: p for key, p in mu.omega.terms.items() if len(key[0]) == k}
     omega = InvariantForm(mu.n, terms, projected=True)
-    return ValuationRep(mu.n, omega, BaseForm(mu.n))
+    return ValuationRep(mu.n, omega)
 
 
-def verify_zero_valuation(omega: InvariantForm, phi) -> bool:
-    """True iff the pair (omega, phi) represents the zero valuation.
+def verify_zero_valuation(omega: InvariantForm, phi=ZERO) -> bool:
+    """True iff the pair (omega, phi) represents the zero valuation, phi the
+    coefficient of dx_1^...^dx_n.
 
-    Checks D(omega) + pullback of phi = 0 together with fiber_integrate(omega) = 0.
+    Checks D(omega) + pullback of phi = 0 together with fiber_integral(omega) = 0.
     """
-    total = rumin(omega).D_omega + phi.to_invariant()
-    return total.is_zero() and fiber_integrate(omega).is_zero()
+    total = rumin(omega).D_omega + dx_top_form(omega.n) * phi
+    return total.is_zero() and not fiber_integral(omega)
 
 
 def right_translation_matrix(q):

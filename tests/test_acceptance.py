@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from _oracles import random_form, random_sphere_poly, right_translation_matrix
+from _oracles import fiber_integral, random_form, random_sphere_poly, right_translation_matrix
 from valcalc.bodies import (
     Ball,
     Box,
@@ -20,11 +20,9 @@ from valcalc.bodies import (
 )
 from valcalc.contact import rumin
 from valcalc.exterior import (
-    BaseForm,
     InvariantForm,
     alpha_form,
     d,
-    fiber_integrate,
     hodge_star,
     lie_reeb,
 )
@@ -198,7 +196,7 @@ def test_06_ball_and_disc_values():
 
 def _random_valuation(rng, nterms=3):
     omega = random_form(rng, 4, 3, max_vdeg=2, nterms=nterms)
-    phi = BaseForm(4, {(0, 1, 2, 3): Scalar({0: Rat(rng.randrange(-9, 10), rng.randrange(1, 7))})})
+    phi = Scalar({0: Rat(rng.randrange(-9, 10), rng.randrange(1, 7))})
     return ValuationRep(4, omega, phi)
 
 
@@ -247,7 +245,7 @@ def test_08_exact_differential_changes_nothing():
         etas = [_low_fiber_form(rng, 4, 2) for _ in range(2)]
         detas = [d(eta) for eta in etas]
         for deta in detas:
-            assert fiber_integrate(deta).is_zero()
+            assert not fiber_integral(deta)
         basis = su2_basis("alesker")
         box = Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6]))
         simplex = Simplex(np.array([
@@ -387,7 +385,7 @@ def test_12_structural_property_suite():
                 assert d(a.wedge(b)) == d(a).wedge(b) + a.wedge(d(b)) * ((-1) ** p)
             for _ in range(6):
                 a = random_form(rng, n, rng.randrange(0, 2 * n - 2))
-                assert fiber_integrate(d(a)).is_zero()
+                assert not fiber_integral(d(a))
         for _ in range(8):
             a = random_form(rng, 4, rng.randrange(0, 5))
             assert hodge_star(hodge_star(a)) == a

@@ -12,7 +12,9 @@ from _oracles import (
     adaptive,
     cell_integral,
     cone_density,
+    fiber_integral,
     left_mult_matrix,
+    point_lattice,
     quadrature_evaluate,
     quadrature_lattice,
     rational_unit_quaternion,
@@ -29,7 +31,7 @@ from valcalc.bodies import (
     intersects,
     steiner_volume,
 )
-from valcalc.exterior import InvariantForm, SpherePoly, fiber_integrate
+from valcalc.exterior import InvariantForm, SpherePoly
 from valcalc.su2 import ImDirection, su2_basis, z_rep
 from valcalc.valuation import derivation, intrinsic_volume_rep, pairing, unit_ball_value
 
@@ -111,21 +113,33 @@ class TestFaceLattice:
         counts = {}
         for entry in unit_box(4).face_lattice():
             counts[entry.k] = counts.get(entry.k, 0) + 1
-        assert counts == {0: 16, 1: 32, 2: 24, 3: 8, 4: 1}
+        assert counts == {1: 32, 2: 24, 3: 8, 4: 1}
 
     def test_segment_counts(self):
         seg = Simplex([[0, 0, 0, 0], [1, 2, 2, 0]])
         counts = {}
         for entry in seg.face_lattice():
             counts[entry.k] = counts.get(entry.k, 0) + 1
-        assert counts == {0: 2, 1: 1}
+        assert counts == {1: 1}
 
     def test_polygon_counts(self):
         poly = regular_polygon(7)
         counts = {}
         for entry in poly.face_lattice():
             counts[entry.k] = counts.get(entry.k, 0) + 1
-        assert counts == {0: 7, 1: 7, 2: 1}
+        assert counts == {1: 7, 2: 1}
+
+    def test_no_vertex_entries(self):
+        # the vertex pieces give the value on a point, taken in closed form
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 4):
+            bodies_n = [unit_box(n), Box(np.zeros(n), np.full(n, 0.4), _random_orthogonal(rng, n)),
+                        PlanarPolygon(_random_orthogonal(rng, n)[:2], _PENTAGON)]
+            bodies_n += [_oblique_simplex(rng, n, m) for m in range(2, n + 2)]
+            for body in bodies_n:
+                lattice = body.face_lattice()
+                assert lattice and all(entry.k >= 1 for entry in lattice), (n, body)
+            assert Simplex(rng.uniform(-1, 1, (1, n))).face_lattice() == []
 
     def test_frames_orthonormal_regions_orthogonal(self):
         for body in (unit_box(3), STANDARD_SIMPLEX, regular_polygon(5)):
@@ -141,12 +155,12 @@ class TestFaceLattice:
                         assert np.max(np.abs(g @ frame.T)) < 1e-12
 
     def test_face_volumes(self):
-        total = {k: 0.0 for k in range(5)}
+        total = {k: 0.0 for k in range(1, 5)}
         for entry in unit_box(4).face_lattice():
             total[entry.k] += entry.volume
         # 2^(n-k) C(n,k) faces of unit k-volume each
-        assert np.allclose([total[k] for k in range(5)],
-                           [16, 32, 24, 8, 1], atol=1e-12)
+        assert np.allclose([total[k] for k in range(1, 5)],
+                           [32, 24, 8, 1], atol=1e-12)
 
 
 class TestEvaluate:
@@ -273,7 +287,7 @@ class TestBallNumericPath:
         # the twice-lowered rep has degree 0, so its form reaches the
         # spherical integrals of fiber integration
         with pytest.raises(TypeError):
-            fiber_integrate(derivation(derivation(float_rep)).omega)
+            fiber_integral(derivation(derivation(float_rep)).omega)
         with pytest.raises(TypeError):
             pairing(float_rep, z_rep(ImDirection.of(0, 1, 0)))
         with pytest.raises(TypeError):
@@ -897,14 +911,16 @@ class TestClosedFormCells:
 
     @pytest.mark.parametrize("n, degree, tol", [(3, 3, 1e-13), (4, 0, 1e-9)])
     def test_vertex_rule_matches_quadrature(self, n, degree, tol):
-        # the oracle integrates each vertex cone of the simplex; the 4-generator
-        # cones of R^4 take seconds at 1e-13, so there the oracle runs at 1e-9
+        # the vertex pieces of the simplex add up to the value on a point,
+        # which the oracle integrates over the 2^n orthants of the sphere; the
+        # 4-generator orthants of R^4 take seconds at 1e-13, so there the
+        # oracle runs at 1e-9
         rng = np.random.default_rng(n)
         full = _random_form(rng, n, degree)
         form = InvariantForm(n, {(I, J): p for (I, J), p in full.terms.items() if not I})
         lattice = _oblique_simplex(rng, n, n + 1).face_lattice()
         (got,) = bodies._integrate_forms([form], lattice)
-        want = quadrature_lattice(form, lattice, tol)
+        want = quadrature_lattice(form, point_lattice(n), tol)
         assert abs(got - want) <= 10 * tol * max(1.0, abs(want)), (got, want)
 
     @pytest.mark.parametrize("body", [
@@ -955,8 +971,6 @@ class TestClosedFormCells:
             for name, body in bodies_n.items():
                 found = rules.setdefault((name, n), set())
                 for entry in body.face_lattice():
-                    if entry.k == 0:  # vertex pieces: the value on a point
-                        continue
                     found.update(bodies._spherical_cell(g).rule for g in entry.region)
                 for k in range(n + 1):
                     assert math.isfinite(evaluate(intrinsic_volume_rep(n, k), body))
@@ -982,8 +996,9 @@ class TestClosedFormCells:
         (PlanarPolygon(np.eye(2), _PENTAGON), (0, 1)),
     ], ids=["rotated-box4", "box3", "point4", "segment4", "pentagon4", "pentagon2"])
     def test_body_matches_quadrature(self, body, ks):
-        # chi on R^4 bodies other than the point is left out: its sixteen
-        # 4-generator orthants per vertex take seconds at tolerance 1e-13
+        # chi on R^4 bodies other than the point is left out: the oracle
+        # integrates its vertex part over the sixteen 4-generator orthants of
+        # a point, seconds at tolerance 1e-13, which point4 already covers
         reps = [intrinsic_volume_rep(body.dim, k) for k in ks]
         if body is _ROTATED_BOX:
             reps += [rep for label, rep in su2_basis("icosahedron")

@@ -42,7 +42,6 @@ from valcalc.columns import (
 )
 from valcalc.contact import _lefschetz_pass, _pihat, dual_lefschetz, rumin
 from valcalc.exterior import (
-    BaseForm,
     InvariantForm,
     SpherePoly,
     alpha_form,
@@ -83,7 +82,7 @@ def bidegree_form(rng, n, a, deg=MAX_DEGREE, nterms=3, pi_powers=PI_POWERS):
 
 def graded_rep(rng, n, a):
     top = Scalar({k: rng.randrange(1, 7) for k in PI_POWERS})
-    return ValuationRep(n, bidegree_form(rng, n, a), BaseForm(n, {tuple(range(n)): top}))
+    return ValuationRep(n, bidegree_form(rng, n, a), top)
 
 
 def monomial(n, I, J, e, c=1):
@@ -149,8 +148,8 @@ class TestPythonInts:
                    for _, vals in blocks.values())
         xi, D = rumin_reference(omega)
         assert rumin(omega).D_omega == D and rumin(omega).xi == xi
-        mu = ValuationRep(4, omega, BaseForm(4))
-        nu = ValuationRep(4, bidegree_form(rng, 4, 2), BaseForm(4, {(0, 1, 2, 3): Scalar({1: 3})}))
+        mu = ValuationRep(4, omega)
+        nu = ValuationRep(4, bidegree_form(rng, 4, 2), Scalar({1: 3}))
         assert pairing(nu, mu) == pairing_reference(nu, mu)
         assert signature(mu).omega == signature_reference(mu).omega
 
@@ -177,7 +176,7 @@ class TestPythonInts:
         omega = InvariantForm(n, terms)
         (_, (_, blocks)), = _split_vectors(omega).items()
         assert all(vals.dtype == np.int64 for _, vals in blocks.values())
-        mu = ValuationRep(n, omega, BaseForm(n, {(0, 1, 2, 3): Scalar({0: Rat(1, 7)})}))
+        mu = ValuationRep(n, omega, Scalar({0: Rat(1, 7)}))
         nu = graded_rep(rng, n, 1)
         assert derivation(mu).omega == derivation_reference(mu).omega
         assert signature(mu).omega == signature_reference(mu).omega
@@ -227,7 +226,7 @@ class TestLimits:
                                                          (2, 0): Scalar({-1: Rat(1)})})})
         b = InvariantForm(2, {((1,), ()): SpherePoly(2, {(127, 0): Scalar({0: Rat(5)}),
                                                          (3, 1): Scalar({1: Rat(1)})})})
-        mu, nu = ValuationRep(2, a, BaseForm(2)), ValuationRep(2, b, BaseForm(2))
+        mu, nu = ValuationRep(2, a), ValuationRep(2, b)
         inner = valuation._inner_parts(euler_verdier(nu))
         assert (columns._degree(2, _split_vectors(a)) + columns._degree(2, inner)
                 > columns.MAX_CONTRACT_DEGREE)

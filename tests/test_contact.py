@@ -23,13 +23,11 @@ from valcalc.contact import (
     rumin,
 )
 from valcalc.exterior import (
-    BaseForm,
     InvariantForm,
     SpherePoly,
     alpha_form,
     contract,
     d,
-    fiber_integrate,
     lie_reeb,
 )
 from valcalc.scalars import PI, Rat, Scalar
@@ -169,7 +167,7 @@ class TestAnsatz:
 class TestVerifyZero:
     def test_zero_pair(self):
         for n in (2, 3, 4):
-            assert verify_zero_valuation(InvariantForm.zero(n), BaseForm(n))
+            assert verify_zero_valuation(InvariantForm.zero(n))
 
     def test_exact_low_fiber_degree(self):
         # eta of fiber degree <= n-2 gives an exact form with zero fiber integral
@@ -188,13 +186,13 @@ class TestVerifyZero:
                     e[rng.randrange(n)] = rng.randrange(0, 2)
                     raw[(I, J)] = SpherePoly(n, {tuple(e): Rat(rng.randrange(-3, 4))})
                 eta = InvariantForm(n, raw)
-                assert verify_zero_valuation(d(eta), BaseForm(n))
+                assert verify_zero_valuation(d(eta))
 
     def test_euler_representative_not_zero(self):
         omega = sphere_volume_form(4) * (PI ** -2) * Rat(1, 2)
         assert rumin(omega).D_omega.is_zero()
-        assert not verify_zero_valuation(omega, BaseForm(4))
+        assert not verify_zero_valuation(omega)
 
     def test_volume_not_zero(self):
-        phi = BaseForm(4, {(0, 1, 2, 3): Scalar.of(1)})
+        phi = Scalar.of(1)
         assert not verify_zero_valuation(InvariantForm.zero(4), phi)

@@ -24,7 +24,6 @@ from _oracles import (
 )
 from valcalc.columns import _join_vectors, _split_vectors
 from valcalc.contact import rumin
-from valcalc.exterior import BaseForm
 from valcalc.scalars import Scalar
 from valcalc.valuation import ValuationRep, derivation, laplace, pairing, signature
 
@@ -38,7 +37,7 @@ def graded_form(rng, n, deg):
 
 def graded_valuation(rng, n):
     top = Scalar({k: random_rational(rng, den=DEN) for k in PI_POWERS})
-    return ValuationRep(n, graded_form(rng, n, n - 1), BaseForm(n, {tuple(range(n)): top}))
+    return ValuationRep(n, graded_form(rng, n, n - 1), top)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -290,7 +290,7 @@ class TestOnePass:
         for name in ("box", "simplex", "pentagon", "segment"):
             K = PINNED_BODIES[name]
             live = [gens
-                    for entry in K.face_lattice() if entry.k and entry.volume != 0.0
+                    for entry in K.face_lattice() if entry.volume != 0.0
                     for gens in entry.region if (entry.k, len(gens)) in shapes]
             calls.clear()
             evaluation_vector(K, kind)

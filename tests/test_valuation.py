@@ -1,25 +1,23 @@
+import math
 import random
 
 import pytest
 
 from _oracles import (
     degree_component,
+    fiber_integral,
+    pullback_linear,
     random_form,
     random_rational,
     sphere_volume_form,
+    unit_cube_value,
     verify_zero_valuation,
 )
+from valcalc import valuation
 from valcalc.contact import rumin
-from valcalc.exterior import (
-    BaseForm,
-    InvariantForm,
-    SpherePoly,
-    d,
-    fiber_integrate,
-    pullback_linear,
-)
+from valcalc.exterior import InvariantForm, SpherePoly, contract, d, reeb_field
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
-from valcalc.su2 import su2_basis
+from valcalc.su2 import ImDirection, su2_basis, z_rep
 from valcalc.valuation import (
     ValuationRep,
     derivation,
@@ -30,25 +28,33 @@ from valcalc.valuation import (
     pairing,
     product_top,
     signature,
-    unit_cube_value,
 )
 
 
 def random_valuation(rng, n):
     omega = random_form(rng, n, n - 1)
-    phi = BaseForm(n, {tuple(range(n)): Scalar({0: random_rational(rng)})})
+    phi = Scalar({0: random_rational(rng)})
     return ValuationRep(n, omega, phi)
 
 
 class TestRepBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ValuationRep(4, sphere_volume_form(3), BaseForm(4))
+            ValuationRep(4, sphere_volume_form(3))
         with pytest.raises(ValueError):
-            ValuationRep(4, InvariantForm(4, {((0,), ()): SpherePoly.constant(4, 1)}),
-                         BaseForm(4))
-        with pytest.raises(ValueError):
-            ValuationRep(4, InvariantForm.zero(4), BaseForm(4, {(0, 1): ONE}))
+            ValuationRep(4, InvariantForm(4, {((0,), ()): SpherePoly.constant(4, 1)}))
+
+    def test_phi_is_a_scalar(self):
+        assert ValuationRep.zero(4).phi is ZERO
+        for phi in (1.0, 1, Rat(1)):
+            with pytest.raises(TypeError, match="phi must be a Scalar"):
+                ValuationRep(4, InvariantForm.zero(4), phi)
+
+    def test_float_rep_scales_by_floats(self):
+        # a float rep's phi is zero, and stays an exact zero
+        half = z_rep(ImDirection.of(1.0, 0.0, 0.0)) * 0.5
+        assert half.phi is ZERO and not half.is_exact()
+        assert half.degree() == 2
 
     def test_degree_components(self):
         rng = random.Random(3)
@@ -73,12 +79,22 @@ class TestRepBasics:
 
 class TestIntrinsicVolumes:
     def test_cube_normalization(self):
-        import math
         for n in (2, 3, 4):
             for k in range(n + 1):
                 mu = intrinsic_volume_rep(n, k)
                 assert unit_cube_value(mu) == rational(math.comb(n, k))
                 assert mu.degree() == k
+
+    def test_ball_normalization_matches_cube_normalization(self):
+        # the library scales each rotation-invariant rep by its value on the
+        # unit ball; scaled to binomial(n, k) on the unit cube it is the same
+        for n in (2, 3, 4):
+            for k in range(n):
+                top_pair = valuation._invariant_top_pair(n, n - 1 - k)
+                raw = ValuationRep(n, contract(reeb_field(n), top_pair))
+                want = raw * (rational(math.comb(n, k)) / unit_cube_value(raw))
+                got = intrinsic_volume_rep(n, k)
+                assert got.omega == want.omega and got.phi == want.phi == ZERO, (n, k)
 
     def test_euler_rep_matches_sphere_measure(self):
         chi = intrinsic_volume_rep(4, 0)
@@ -98,7 +114,7 @@ class TestIntrinsicVolumes:
     def test_top_is_volume(self):
         vol = intrinsic_volume_rep(4, 4)
         assert vol.omega.is_zero()
-        assert vol.phi.top_coefficient() == ONE
+        assert vol.phi == ONE
 
 
 class TestGoldenPairings:
@@ -241,7 +257,7 @@ class TestRepresentationIndependence:
                 raw[(I, J)] = SpherePoly.constant(n, random_rational(rng))
             eta = InvariantForm(n, raw)
             deta = d(eta)
-            assert fiber_integrate(deta).is_zero()
+            assert not fiber_integral(deta)
             shifted = ValuationRep(n, a.omega + deta, a.phi)
             assert pairing(shifted, b) == pairing(a, b)
             assert pairing(b, shifted) == pairing(b, a)
