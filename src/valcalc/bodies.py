@@ -2,29 +2,30 @@
 
 A ball's normal cycle is a sphere graph, on which every valuation has a closed
 form (``valuation.ball_value``).  Any other body's normal cycle decomposes
-into products face x spherical normal region.  Faces carry an orthonormal
-frame and a k-volume; normal regions are lists of spherical simplices, each
-given by n-k linearly independent unit generators.  The piece orientation is
-the sign of det[frame | generators], matching the convention under which the
-Euler characteristic of every body comes out +1.
+into pieces face x spherical simplex: a face with an orthonormal frame and a
+k-volume, times a simplex of its normal region given by m linearly
+independent unit generators.  Each polytope class builds its pieces as arrays
+by shape (k, m) (``pieces``), oriented by the sign of det[frame | generators],
+the convention under which the Euler characteristic of every body is +1.
 
 Every piece is integrated exactly, through the spherical moments of its cell:
 an orthant, an arc times an orthant, or a geodesic triangle.  The vertex
 cones of a polytope tile the sphere, so its vertex pieces together give the
 valuation's value on a point, ``valuation.ball_value`` at radius 0, whose
-exact coefficients are summed exactly and rounded once; the face lattice
-lists only faces of dimension >= 1, and a point's is empty.  That covers
-every cell of boxes, points, segments, polygons and simplices in R^2 to R^4;
-an oblique cone of four or more generators on a face of dimension >= 1, which
-only simplices of dimension >= 4 in R^n with n >= 5 have, raises
-``ValueError``.  Several valuations on one body share one pass over its face
-lattice (``evaluate_many``), which takes the pieces of one shape together as
-arrays, their cells and moments computed once for all the valuations.
+exact coefficients are summed exactly and rounded once; the pieces cover
+only faces of dimension >= 1, and a point has none.  That covers every cell
+of boxes, points, segments, polygons and simplices in R^2 to R^4; an oblique
+cone of four or more generators on a face of dimension >= 1, which only
+simplices of dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
+Several valuations on one body share one pass over its pieces
+(``evaluate_many``), their cells and moments computed once per shape for all
+the valuations, and a tube value passes the same pieces to the form's
+integral and to the Steiner volume (``evaluate_tube``).
 
 Each body class carries its own support function (``support``,
 ``support_point``, both batched over (B, n) directions, and
 ``reference_point``), volume, rigid motion ``moved(R, t)`` for x -> R x + t,
-and, except the ball, its face lattice.  ``intersects_batch`` decides by GJK
+and, except the ball, its pieces.  ``intersects_batch`` decides by GJK
 whether one body meets each of a batch of rigid motions of another.
 """
 
@@ -127,35 +128,10 @@ def _check_orthonormal(a, name, tol=ORTHONORMAL_TOL):
         raise ValueError(f"{name} must have orthonormal rows")
 
 
-@dataclass(frozen=True)
-class FaceLatticeEntry:
-    k: int
-    frame: tuple        # k orthonormal direction rows
-    volume: float
-    region: tuple       # spherical simplices, each a tuple of n-k unit rows
-
-
-def _normal_region(cone, perp):
-    """A face's normal region: its normal cone within the body's affine hull,
-    given by generators, times the orthants of the hull's orthogonal
-    complement, spanned by the rows of perp.  One spherical simplex per
-    orthant, the cone's generators first; empty when both are empty."""
-    cone = [tuple(g) for g in cone]
-    if not len(perp):
-        return (tuple(cone),) if cone else ()
-    signed = [(tuple(b.tolist()), tuple((-b).tolist())) for b in np.asarray(perp)]
-    return tuple(tuple(cone + [pair[s] for s, pair in zip(signs, signed)])
-                 for signs in product((0, 1), repeat=len(perp)))
-
-
-def _complement_basis(directions, n):
-    """Orthonormal basis of the orthogonal complement of the given rows."""
-    a = np.asarray(directions, dtype=float).reshape(-1, n)
-    if a.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > RANK_TOL))
-    return vt[rank:]
+def _complement_basis(rows):
+    """Orthonormal basis of the orthogonal complement of the rows of a matrix."""
+    _, s, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(s > RANK_TOL)):]
 
 
 def _simplex_facet_normals(verts):
@@ -168,6 +144,44 @@ def _simplex_facet_normals(verts):
     grads = np.linalg.pinv(edges.T)
     grads = np.vstack([-grads.sum(axis=0), grads])
     return -grads / _row_norms(grads)[:, None]
+
+
+def _pieces(groups):
+    """A polytope's normal cycle as pieces face x spherical simplex, by shape
+    (k, m): face frames (P, k, n), cone generators (P, m, n) and face volumes
+    signed by the orientation (-1)^k sign det[frame | generators].
+
+    Each group holds faces of one dimension k: orthonormal frames (F, k, n),
+    k-volumes (F,), the generators of their normal cones within the body's
+    affine hull (F, c, n), and orthonormal bases of the hull's orthogonal
+    complement (F, d, n), or one (d, n) for all.  A face gives one piece per
+    orthant of the complement, + before -, the last sign fastest; a face of
+    volume 0 or with no generators gives none.  A degenerate piece, whose
+    frame and generators are dependent, raises ``ValueError`` naming its face
+    dimension and its place in its shape.
+    """
+    out = {}
+    for frames, volumes, cones, perp in groups:
+        k, n = frames.shape[1:]
+        c, d = cones.shape[1], perp.shape[-2]
+        keep = volumes != 0.0
+        if not c + d or not keep.any():
+            continue
+        perp = np.broadcast_to(perp, (len(frames), d, n))[keep]
+        signs = np.array(list(product((1.0, -1.0), repeat=d))).reshape(2 ** d, d)
+        F, S = int(keep.sum()), len(signs)
+        faces = np.repeat(frames[keep], S, axis=0)
+        gens = np.concatenate([np.broadcast_to(cones[keep][:, None], (F, S, c, n)),
+                               signs[:, :, None] * perp[:, None]], axis=2)
+        gens = gens.reshape(F * S, c + d, n)
+        det = np.linalg.det(np.concatenate([faces, gens], axis=1))
+        bad = np.flatnonzero(np.abs(det) < DEGENERATE_PIECE_TOL)
+        if len(bad):
+            raise ValueError(f"degenerate normal-cycle piece: face of dimension {k}, "
+                             f"piece {bad[0]}, |det| = {abs(det[bad[0]]):.3e}")
+        volume = np.repeat(volumes[keep], S)
+        out[(k, c + d)] = faces, gens, (-1.0) ** k * np.where(det > 0, 1.0, -1.0) * volume
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,24 +287,19 @@ class Box:
     def moved(self, R, t):
         return Box(R @ self.center + t, self.half_extents, R @ self.rotation)
 
-    def face_lattice(self):
-        """Faces of dimension >= 1 with oriented frames, volumes, and
-        triangulated normal regions."""
+    def pieces(self):
+        """The normal cycle's pieces by shape (``_pieces``): the faces of
+        dimension 1 to n - 1 by their free axes, in ``combinations`` order,
+        each with one piece per orthant of its fixed axes."""
         n = self.dim
-        axes = [(tuple(a.tolist()), tuple((-a).tolist())) for a in self.rotation.T]
-        out = []
-        for free in range(1, n + 1):
-            for idx in combinations(range(n), free):
-                fixed = [i for i in range(n) if i not in idx]
-                frame = tuple(axes[i][0] for i in idx)
-                vol = 1.0
-                for i in idx:
-                    vol *= 2.0 * self.half_extents[i]
-                # one face per sign choice of the fixed coordinates, + before -
-                for signs in product((0, 1), repeat=len(fixed)):
-                    cone = [axes[i][s] for s, i in zip(signs, fixed)]
-                    out.append(FaceLatticeEntry(free, frame, vol, _normal_region(cone, ())))
-        return out
+        axes, edges = self.rotation.T, 2.0 * self.half_extents
+        groups = []
+        for k in range(1, n):
+            free = _subsets(n, k)[0]
+            volumes = np.prod(edges[free], axis=1)
+            fixed = _subsets(n, n - k)[0][::-1]  # row i: the axes not in free's row i
+            groups.append((axes[free], volumes, np.zeros((len(free), 0, n)), axes[fixed]))
+        return _pieces(groups)
 
 
 class _VertexHull:
@@ -343,26 +352,29 @@ class Simplex(_VertexHull):
     def moved(self, R, t):
         return Simplex(self.vertices @ R.T + t)
 
-    def face_lattice(self):
+    def pieces(self):
+        """The normal cycle's pieces by shape (``_pieces``): the faces of
+        dimension >= 1 by their vertex sets, in ``combinations`` order; a
+        face's cone is spanned by the facet normals of the vertices it omits.
+        A point has none."""
         verts = self.vertices
-        n = self.dim
         kt = len(verts) - 1
-        perp = _complement_basis(verts[1:] - verts[0], n)
-        normals = [tuple(g) for g in _simplex_facet_normals(verts).tolist()] if kt else []
-        out = []
+        if not kt:
+            return {}
+        perp = _complement_basis(verts[1:] - verts[0])
+        normals = _simplex_facet_normals(verts)
+        groups = []
         for size in range(2, kt + 2):
-            subsets = list(combinations(range(kt + 1), size))
+            subsets = _subsets(kt + 1, size)[0]
+            others = _subsets(kt + 1, kt + 1 - size)[0][::-1]  # row i: the rest
             # frames from one stacked QR, volumes from one stacked Gram determinant
-            fverts = verts[np.array(subsets)]
+            fverts = verts[subsets]
             edges = fverts[:, 1:] - fverts[:, :1]
             frames = np.linalg.qr(edges.transpose(0, 2, 1))[0].transpose(0, 2, 1)
             gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
             volumes = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(size - 1)
-            for subset, frame, volume in zip(subsets, frames.tolist(), volumes.tolist()):
-                cone = [normals[j] for j in range(kt + 1) if j not in subset]
-                out.append(FaceLatticeEntry(size - 1, tuple(map(tuple, frame)), volume,
-                                            _normal_region(cone, perp)))
-        return out
+            groups.append((frames, volumes, normals[others], perp))
+        return _pieces(groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,19 +431,20 @@ class PlanarPolygon(_VertexHull):
     def moved(self, R, t):
         return PlanarPolygon(self.frame @ R.T, self.vertices2d, R @ self.base + t)
 
-    def face_lattice(self):
+    def pieces(self):
+        """The normal cycle's pieces by shape (``_pieces``): the polygon
+        itself, then its edges."""
         n = self.dim
-        perp = _complement_basis(self.frame, n)
+        perp = _complement_basis(self.frame)
         # edge i runs vertices2d[i] -> vertices2d[i+1]; its embedded direction, outer normal
         e = np.roll(self.vertices2d, -1, axis=0) - self.vertices2d
         lengths = _row_norms(e)
         dirs = (e[:, :1] * self.frame[0] + e[:, 1:] * self.frame[1]) / lengths[:, None]
         normals = (e[:, 1:] * self.frame[0] - e[:, :1] * self.frame[1]) / lengths[:, None]
-        out = [FaceLatticeEntry(2, tuple(map(tuple, self.frame.tolist())), self.area,
-                                _normal_region((), perp))]
-        for u, g, length in zip(dirs.tolist(), normals.tolist(), lengths.tolist()):
-            out.append(FaceLatticeEntry(1, (tuple(u),), length, _normal_region([g], perp)))
-        return out
+        return _pieces([
+            (self.frame[None], np.array([self.area]), np.zeros((1, 0, n)), perp),
+            (dirs[:, None], lengths, normals[:, None], perp),
+        ])
 
 
 # -- exact cells -----------------------------------------------------------------
@@ -765,33 +778,6 @@ def _piece_integrals(group, minors):
     return np.einsum("pq,pq->p", vals, group.coef * base[:, group.base])
 
 
-def _pieces(lattice, n):
-    """The lattice's pieces face x spherical simplex by shape (k, m), in
-    lattice order: face frames (P, k, n), cone generators (P, m, n) and face
-    volumes signed by the orientation (-1)^k sign det[frame | generators].
-    A degenerate piece, whose frame and generators are dependent, raises
-    ``ValueError`` naming its face dimension and its place in its shape."""
-    stacks = {}
-    for entry in lattice:
-        if entry.volume == 0.0 or not entry.region:
-            continue
-        faces, gens, volume = stacks.setdefault((entry.k, len(entry.region[0])), ([], [], []))
-        faces += [entry.frame] * len(entry.region)
-        gens += entry.region
-        volume += [entry.volume] * len(entry.region)
-    out = {}
-    for (k, m), (faces, gens, volume) in stacks.items():
-        faces = np.array(faces, dtype=float).reshape(len(volume), k, n)
-        gens = np.array(gens, dtype=float).reshape(len(volume), m, n)
-        det = np.linalg.det(np.concatenate([faces, gens], axis=1))
-        bad = np.flatnonzero(np.abs(det) < DEGENERATE_PIECE_TOL)
-        if len(bad):
-            raise ValueError(f"degenerate normal-cycle piece: face of dimension {k}, "
-                             f"piece {bad[0]}, |det| = {abs(det[bad[0]]):.3e}")
-        out[(k, m)] = faces, gens, (-1.0) ** k * np.where(det > 0, 1.0, -1.0) * np.array(volume)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _point_value(form):
     """The form's integral over the normal cycle of a point, which the vertex
@@ -802,15 +788,15 @@ def _point_value(form):
     return ball_value(ValuationRep(form.n, form), 0)
 
 
-def _integrate_forms(forms, lattice):
-    """Oriented integrals of forms on R^n over the normal cycle of the face
-    lattice, in one pass: the cells and moments of the pieces of one shape
-    serve every form with terms of that shape; other pieces are only checked.
+def _integrate_forms(forms, pieces):
+    """Oriented integrals of forms on R^n over a polytope's normal cycle, its
+    ``pieces`` by shape, in one pass: the cells and moments of the pieces of
+    one shape serve every form with terms of that shape.
 
     Only the dv-only terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
     vertex pieces together give the form's value on a point (``_point_value``),
-    and the lattice has no vertex entries.
+    and a body's pieces include no vertex pieces.
     """
     totals = [0.0] * len(forms)
     live = [(i, _closed_form_terms(form)) for i, form in enumerate(forms)
@@ -818,7 +804,7 @@ def _integrate_forms(forms, lattice):
     if not live:
         return totals
     n = forms[live[0][0]].n
-    for shape, (faces, gens, volume) in _pieces(lattice, n).items():
+    for shape, (faces, gens, volume) in pieces.items():
         users = [(i, groups[shape]) for i, groups in live if shape in groups]
         if not users:
             continue
@@ -833,13 +819,13 @@ def _integrate_forms(forms, lattice):
 
 def evaluate_many(reps, K) -> list:
     """Numeric values of the valuations on one convex body, in one pass over
-    its face lattice."""
+    its normal cycle's pieces."""
     reps = list(reps)
     if any(K.dim != mu.n for mu in reps):
         raise ValueError("body dimension does not match the valuation")
     if isinstance(K, Ball):
         return [ball_value(mu, K.radius) for mu in reps]
-    integrals = _integrate_forms([mu.omega for mu in reps], K.face_lattice())
+    integrals = _integrate_forms([mu.omega for mu in reps], K.pieces())
     phi = [float(mu.phi) for mu in reps]
     volume = K.volume() if any(phi) else 0.0
     return [f * volume + integral if f else integral for f, integral in zip(phi, integrals)]
@@ -850,33 +836,42 @@ def evaluate(mu: ValuationRep, K) -> float:
     return evaluate_many([mu], K)[0]
 
 
-def steiner_volume(K, t: float) -> float:
-    """Volume of the outer parallel body K + tB via the face decomposition."""
-    n = K.dim
-    if isinstance(K, Ball):
-        return float(ball_volume(n)) * (K.radius + t) ** n
-    # the vertex angles add up to |S^(n-1)| (see _integrate_forms)
-    total = float(ball_volume(n)) * t ** n
-    lattice = K.face_lattice()
-    total += sum(entry.volume for entry in lattice if entry.k == n)
-    for (_, m), (_, gens, volume) in _pieces(lattice, n).items():
+def _check_tube(t):
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"tube parameter must be finite and nonnegative, got {t}")
+
+
+def _steiner_volume(K, pieces, t):
+    """Volume of K + tB from the pieces of K's normal cycle: each piece adds
+    its face volume times its cell's solid angle times t^m / m, and the
+    vertex angles add up to |S^(n-1)| (see ``_integrate_forms``)."""
+    total = float(ball_volume(K.dim)) * t ** K.dim + K.volume()
+    for (_, m), (_, gens, volume) in pieces.items():
         total += float(np.abs(volume) @ _moments(_classify(gens), 0)[:, 0]) / m * t ** m
     return total
 
 
+def steiner_volume(K, t: float) -> float:
+    """Volume of the outer parallel body K + tB via the face decomposition."""
+    _check_tube(t)
+    if isinstance(K, Ball):
+        return float(ball_volume(K.dim)) * (K.radius + t) ** K.dim
+    return _steiner_volume(K, K.pieces(), t)
+
+
 def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     """Value of the valuation on the outer parallel body K + tB."""
-    if t < 0:
-        raise ValueError("tube parameter must be nonnegative")
+    _check_tube(t)
     if isinstance(K, Ball):
         return evaluate(mu, Ball(K.center, K.radius + t))
     if t == 0:
         return evaluate(mu, K)
+    pieces = K.pieces()
     shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
-    (total,) = _integrate_forms([shifted], K.face_lattice())
+    (total,) = _integrate_forms([shifted], pieces)
     phi_top = float(mu.phi)
     if phi_top:
-        total += phi_top * steiner_volume(K, t)
+        total += phi_top * _steiner_volume(K, pieces, t)
     return total
 
 

@@ -121,14 +121,14 @@ def kinematic_tensor(basis="icosahedron") -> KinematicTensor:
     return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
 
 
-# evaluation vectors by (basis, body type and field bytes), oldest evicted first
+# evaluation vectors by (basis, body type, field shapes and bytes), oldest evicted first
 VECTOR_CACHE_SIZE = 256
 _VECTOR_CACHE = {}
 
 
 def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
-    key = (kind, type(K).__name__,
-           *(np.asarray(getattr(K, f.name)).tobytes() for f in fields(K)))
+    arrays = (np.asarray(getattr(K, f.name)) for f in fields(K))
+    key = (kind, type(K).__name__, *((a.shape, a.tobytes()) for a in arrays))
     if key in _VECTOR_CACHE:
         return _VECTOR_CACHE[key]
     basis = su2_basis(kind)

@@ -76,6 +76,8 @@ class ImDirection:
                     break
             return cls(tuple(ints), True, family)
         vals = tuple(float(x) for x in vals)
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("direction components must be finite")
         norm = math.sqrt(sum(x * x for x in vals))
         if norm < ZERO_NORM_TOL:
             raise ValueError("direction must be nonzero")

@@ -298,6 +298,8 @@ def klain(mu: ValuationRep, frame) -> float:
     mat = np.array([[float(x) for x in f] for f in frame], dtype=float)
     if mat.shape != (k, mu.n):
         raise ValueError("frame vectors must have length n")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("frame entries must be finite")
     if not np.allclose(mat @ mat.T, np.eye(k), atol=ORTHONORMAL_TOL):
         raise ValueError("frame is not orthonormal")
     from .bodies import Simplex, evaluate

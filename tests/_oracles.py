@@ -8,7 +8,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from valcalc.bodies import FaceLatticeEntry, _normal_region
 from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
     InvariantForm,
@@ -369,10 +368,11 @@ def adaptive(integrand, gens, tol, depth=QUAD_DEPTH):
             + adaptive(integrand, right, tol, depth - 1))
 
 
-def point_lattice(n):
-    """The normal cycle of a point as a face lattice: one vertex entry whose
-    normal region is the 2^n orthants of S^(n-1)."""
-    return [FaceLatticeEntry(0, (), 1.0, _normal_region((), np.eye(n)))]
+def point_pieces(n):
+    """The normal cycle of a point as pieces by shape: one vertex piece per
+    orthant of S^(n-1), generators the signed unit vectors, volume 1."""
+    gens = np.array([np.diag(signs) for signs in itertools.product((1.0, -1.0), repeat=n)])
+    return {(0, n): (np.zeros((len(gens), 0, n)), gens, np.ones(len(gens)))}
 
 
 def piece_sign(face_vecs, gens):
@@ -383,29 +383,29 @@ def piece_sign(face_vecs, gens):
     return 1.0 if det > 0 else -1.0
 
 
-def quadrature_lattice(form, lattice, tol):
-    """Oriented integral of the form over the normal cycle of a face lattice,
-    every piece by adaptive cubature."""
+def quadrature_pieces(form, pieces, tol):
+    """Oriented integral of the form over a normal cycle given as pieces by
+    shape (k, m), every piece by adaptive cubature.  Only the size of a
+    piece's volume is read: its orientation is taken again from its frame
+    and generators."""
     total = 0.0
-    for entry in lattice:
-        if entry.volume == 0.0 or not entry.region:
-            continue
-        face_vecs = [np.asarray(f, dtype=float) for f in entry.frame]
-        parity = -1.0 if entry.k % 2 else 1.0
-        for gens in entry.region:
-            sgn = parity * piece_sign(face_vecs, gens)
-            val = adaptive(partial(cell_integral, form, face_vecs), gens, tol)
-            total += sgn * entry.volume * val
+    for (k, _), (faces, gens, volumes) in pieces.items():
+        parity = -1.0 if k % 2 else 1.0
+        for face_vecs, cell, volume in zip(faces, gens, volumes):
+            sgn = parity * piece_sign(face_vecs, cell)
+            val = adaptive(partial(cell_integral, form, list(face_vecs)), cell, tol)
+            total += sgn * abs(volume) * val
     return total
 
 
 def quadrature_evaluate(mu, K, tol):
     """Numeric value of the valuation on a polytope, every piece by cubature.
 
-    The face lattice lists no vertices; the vertex cones of a polytope tile
-    S^(n-1), so its vertex pieces are integrated as a point's normal cycle.
+    A body's pieces include no vertex pieces; the vertex cones of a polytope
+    tile S^(n-1), so its vertex pieces are integrated as a point's normal
+    cycle.
     """
-    total = quadrature_lattice(mu.omega, K.face_lattice() + point_lattice(K.dim), tol)
+    total = quadrature_pieces(mu.omega, {**K.pieces(), **point_pieces(K.dim)}, tol)
     phi_top = float(mu.phi)
     return total + phi_top * K.volume() if phi_top else total
 

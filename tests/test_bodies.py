@@ -15,9 +15,9 @@ from _oracles import (
     cone_density,
     fiber_integral,
     left_mult_matrix,
-    point_lattice,
+    point_pieces,
     quadrature_evaluate,
-    quadrature_lattice,
+    quadrature_pieces,
     rational_unit_quaternion,
 )
 from valcalc import bodies
@@ -34,7 +34,13 @@ from valcalc.bodies import (
 )
 from valcalc.exterior import InvariantForm, SpherePoly
 from valcalc.su2 import ImDirection, su2_basis, z_rep
-from valcalc.valuation import derivation, intrinsic_volume_rep, pairing, unit_ball_value
+from valcalc.valuation import (
+    ValuationRep,
+    derivation,
+    intrinsic_volume_rep,
+    pairing,
+    unit_ball_value,
+)
 
 
 def unit_box(n):
@@ -109,26 +115,52 @@ class TestConstruction:
         assert regular_polygon(6).area == pytest.approx(1.5 * math.sqrt(3), abs=1e-14)
 
 
+def _piece_counts(K):
+    """Pieces per shape (k, m) of the body's normal cycle."""
+    return {shape: len(volumes) for shape, (_, _, volumes) in K.pieces().items()}
+
+
+def _face_group(frames, cones):
+    """Faces of unit volume with the given frames and normal cones in R^n, a
+    group for ``bodies._pieces``."""
+    frames, cones = np.array(frames, dtype=float), np.array(cones, dtype=float)
+    n = frames.shape[2]
+    return frames, np.ones(len(frames)), cones, np.zeros((len(frames), 0, n))
+
+
+class _HandBuilt:
+    """A stand-in polytope in R^4 whose normal cycle is the given face groups."""
+    dim = 4
+
+    def __init__(self, *groups):
+        self.groups = groups
+
+    def pieces(self):
+        return bodies._pieces(self.groups)
+
+    def volume(self):
+        return 0.0
+
+
 class TestFaceLattice:
+    # the face lattice as the normal cycle's pieces face x cone, by shape
     def test_box_counts(self):
-        counts = {}
-        for entry in unit_box(4).face_lattice():
-            counts[entry.k] = counts.get(entry.k, 0) + 1
-        assert counts == {1: 32, 2: 24, 3: 8, 4: 1}
+        # 2^(4-k) C(4, k) faces of dimension k, one piece each; the box
+        # itself has no normal cone and gives its volume
+        box = unit_box(4)
+        assert _piece_counts(box) == {(1, 3): 32, (2, 2): 24, (3, 1): 8}
+        assert box.volume() == 1.0
 
     def test_segment_counts(self):
+        # one edge, one piece per orthant of the 3-dimensional complement
         seg = Simplex([[0, 0, 0, 0], [1, 2, 2, 0]])
-        counts = {}
-        for entry in seg.face_lattice():
-            counts[entry.k] = counts.get(entry.k, 0) + 1
-        assert counts == {1: 1}
+        assert _piece_counts(seg) == {(1, 3): 8}
 
     def test_polygon_counts(self):
+        # the polygon and its 7 edges, each times the 4 orthants of the
+        # complement of its plane
         poly = regular_polygon(7)
-        counts = {}
-        for entry in poly.face_lattice():
-            counts[entry.k] = counts.get(entry.k, 0) + 1
-        assert counts == {1: 7, 2: 1}
+        assert _piece_counts(poly) == {(2, 2): 4, (1, 3): 28}
 
     def test_no_vertex_entries(self):
         # the vertex pieces give the value on a point, taken in closed form
@@ -138,29 +170,27 @@ class TestFaceLattice:
                         PlanarPolygon(_random_orthogonal(rng, n)[:2], _PENTAGON)]
             bodies_n += [_oblique_simplex(rng, n, m) for m in range(2, n + 2)]
             for body in bodies_n:
-                lattice = body.face_lattice()
-                assert lattice and all(entry.k >= 1 for entry in lattice), (n, body)
-            assert Simplex(rng.uniform(-1, 1, (1, n))).face_lattice() == []
+                pieces = body.pieces()
+                assert pieces and all(k >= 1 for k, _ in pieces), (n, body)
+            assert Simplex(rng.uniform(-1, 1, (1, n))).pieces() == {}
 
     def test_frames_orthonormal_regions_orthogonal(self):
         for body in (unit_box(3), STANDARD_SIMPLEX, regular_polygon(5)):
-            for entry in body.face_lattice():
-                frame = np.asarray(entry.frame, dtype=float)
-                if entry.k:
+            for (k, m), (faces, gens, volumes) in body.pieces().items():
+                assert faces.shape == (len(volumes), k, body.dim)
+                assert gens.shape == (len(volumes), m, body.dim)
+                for frame, g in zip(faces, gens):
                     gram = frame @ frame.T
-                    assert np.allclose(gram, np.eye(entry.k), atol=1e-12)
-                for gens in entry.region:
-                    g = np.asarray(gens, dtype=float)
+                    assert np.allclose(gram, np.eye(k), atol=1e-12)
                     assert np.allclose(np.linalg.norm(g, axis=1), 1.0, atol=1e-12)
-                    if entry.k:
-                        assert np.max(np.abs(g @ frame.T)) < 1e-12
+                    assert np.max(np.abs(g @ frame.T)) < 1e-12
 
     def test_face_volumes(self):
-        total = {k: 0.0 for k in range(1, 5)}
-        for entry in unit_box(4).face_lattice():
-            total[entry.k] += entry.volume
-        # 2^(n-k) C(n,k) faces of unit k-volume each
-        assert np.allclose([total[k] for k in range(1, 5)],
+        total = {}
+        for (k, _), (_, _, volumes) in unit_box(4).pieces().items():
+            total[k] = float(np.abs(volumes).sum())
+        # 2^(n-k) C(n,k) faces of unit k-volume each, one piece each
+        assert np.allclose([total[k] for k in range(1, 4)] + [unit_box(4).volume()],
                            [32, 24, 8, 1], atol=1e-12)
 
 
@@ -226,52 +256,61 @@ class TestEvaluate:
         vertex_only = InvariantForm(4, {(I, J): p for (I, J), p in chi.terms.items() if not I})
         assert set(bodies._closed_form_terms(vertex_only)) == {(0, 4)}
         gens = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.6, 0.8, 0.0), (0.0, 0.6, 0.8, 0.0))
-        lattice = [bodies.FaceLatticeEntry(1, ((1.0, 0.0, 0.0, 0.0),), 1.0, (gens,))]
+        K = _HandBuilt(_face_group([[(1.0, 0.0, 0.0, 0.0)]], [gens]))
         for forms in ([vertex_only], [vertex_only, InvariantForm.zero(4)], [chi, vertex_only]):
             with pytest.raises(ValueError, match="degenerate normal-cycle piece"):
-                bodies._integrate_forms(forms, lattice)
+                bodies.evaluate_many([ValuationRep(4, form) for form in forms], K)
 
     def test_degenerate_piece_names_its_face(self):
         # the second piece of an edge, and the only piece of a 2-face whose
         # generators lie in the span of its frame
-        chi = intrinsic_volume_rep(4, 0).omega
+        chi = intrinsic_volume_rep(4, 0)
         good = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
         bad = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.6, 0.8, 0.0), (0.0, 0.6, 0.8, 0.0))
-        edge = bodies.FaceLatticeEntry(1, ((1.0, 0.0, 0.0, 0.0),), 1.0, (good, bad))
+        edge = [(1.0, 0.0, 0.0, 0.0)]
         with pytest.raises(ValueError, match=r"^degenerate normal-cycle piece: face of "
                                              r"dimension 1, piece 1, \|det\| = 0\.000e\+00$"):
-            bodies._integrate_forms([chi], [edge])
-        square = bodies.FaceLatticeEntry(2, ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)), 1.0,
-                                         (((0.0, 0.0, 1.0, 0.0), (0.6, 0.8, 0.0, 0.0)),))
-        for lattice in ([square], [dataclasses.replace(edge, region=(good,)), square]):
+            evaluate(chi, _HandBuilt(_face_group([edge, edge], [good, bad])))
+        square = _face_group([[(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)]],
+                             [((0.0, 0.0, 1.0, 0.0), (0.6, 0.8, 0.0, 0.0))])
+        for groups in ([square], [_face_group([edge], [good]), square]):
             with pytest.raises(ValueError, match="face of dimension 2, piece 0, "):
-                bodies._integrate_forms([chi], lattice)
+                evaluate(chi, _HandBuilt(*groups))
 
     def test_mixed_rules_and_reordered_pieces(self):
-        # one lattice of a rotated box, an oblique 4-simplex and a pentagon:
-        # its edge pieces mix orthant and triangle cells, and its 2-face
-        # pieces orthant and arc cells
-        parts = [_ROTATED_BOX.face_lattice(), _OBLIQUE_4.face_lattice(),
+        # the pieces of a rotated box, an oblique 4-simplex and a pentagon
+        # together: their edge pieces mix orthant and triangle cells, and
+        # their 2-face pieces orthant and arc cells
+        parts = [_ROTATED_BOX.pieces(), _OBLIQUE_4.pieces(),
                  PlanarPolygon(_random_orthogonal(np.random.default_rng(2), 4)[:2], _PENTAGON,
-                               np.array([0.1, 0.2, 0.3, 0.4])).face_lattice()]
-        lattice = [entry for part in parts for entry in part]
+                               np.array([0.1, 0.2, 0.3, 0.4])).pieces()]
+        stacks = {}
+        for part in parts:
+            for shape, arrays in part.items():
+                stacks.setdefault(shape, []).append(arrays)
+        pieces = {shape: tuple(np.concatenate(a) for a in zip(*stack))
+                  for shape, stack in stacks.items()}
         rules = {}
-        for (k, m), (_, gens, _) in bodies._pieces(lattice, 4).items():
+        for (k, m), (_, gens, _) in pieces.items():
             rules[k] = {bodies.RULES[r] for r in bodies._classify(gens).rule}
         assert rules == {1: {"orthant", "triangle"}, 2: {"orthant", "arc"}, 3: {"orthant"}}
-        # without dv-only terms, whose value on a point each lattice would add
+        # without dv-only terms, whose value on a point each part would add
         rng = np.random.default_rng(13)
         full = [rep.omega for _, rep in su2_basis()] + [_random_form(rng, 4, d) for d in (1, 3)]
         forms = [InvariantForm(4, {(I, J): p for (I, J), p in form.terms.items() if I})
                  for form in full]
-        whole = bodies._integrate_forms(forms, lattice)
+        whole = bodies._integrate_forms(forms, pieces)
         summed = [sum(values) for values in
                   zip(*(bodies._integrate_forms(forms, part) for part in parts))]
-        order = rng.permutation(len(lattice))
-        shuffled = bodies._integrate_forms(forms, [lattice[i] for i in order])
-        for got, want, again in zip(whole, summed, shuffled):
+        # the shapes in reverse order, the pieces of each shuffled
+        shuffled = {}
+        for shape in reversed(list(pieces)):
+            order = rng.permutation(len(pieces[shape][2]))
+            shuffled[shape] = tuple(a[order] for a in pieces[shape])
+        again = bodies._integrate_forms(forms, shuffled)
+        for got, want, other in zip(whole, summed, again):
             assert abs(got - want) <= 1e-14 * abs(want), (got, want)
-            assert abs(again - got) <= 1e-14 * abs(got), (again, got)
+            assert abs(other - got) <= 1e-14 * abs(got), (other, got)
 
     def test_batch_of_mixed_degrees_matches_single_forms(self):
         # forms of different degrees share pieces; each takes its own degrees
@@ -279,9 +318,9 @@ class TestEvaluate:
         rng = np.random.default_rng(6)
         forms = [_random_form(rng, 4, d) for d in (3, 0, 1)] + [InvariantForm.zero(4)]
         for K in (_ROTATED_BOX, _OBLIQUE_4, regular_polygon(5)):
-            lattice = K.face_lattice()
-            batch = bodies._integrate_forms(forms, lattice)
-            single = [bodies._integrate_forms([form], lattice)[0] for form in forms]
+            pieces = K.pieces()
+            batch = bodies._integrate_forms(forms, pieces)
+            single = [bodies._integrate_forms([form], pieces)[0] for form in forms]
             assert [x.hex() for x in batch] == [x.hex() for x in single]
 
     def test_term_cache_stays_within_bound(self):
@@ -358,6 +397,41 @@ class TestTube:
     def test_negative_t(self):
         with pytest.raises(ValueError):
             evaluate_tube(intrinsic_volume_rep(4, 0), unit_box(4), -0.1)
+
+    @pytest.mark.parametrize("t", [-1.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_negative_t(self, t):
+        chi = intrinsic_volume_rep(4, 0)
+        for K in (Box(np.zeros(4), np.ones(4)), Ball(np.zeros(4), 1.0), STANDARD_SIMPLEX):
+            with pytest.raises(ValueError, match="^tube parameter must be finite and nonnegative"):
+                steiner_volume(K, t)
+            with pytest.raises(ValueError, match="^tube parameter must be finite and nonnegative"):
+                evaluate_tube(chi, K, t)
+
+    def test_tube_builds_the_pieces_once(self, monkeypatch):
+        # the form's integral and the Steiner volume share one set of pieces
+        calls = []
+        original = Box.pieces
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Box, "pieces", counted)
+        box = Box(np.zeros(4), np.array([0.5, 1.0, 0.25, 0.7]))
+        vol = intrinsic_volume_rep(4, 4)
+        for mu in (vol, z_rep(ImDirection.of(1, 2, 0)) + vol * 3):
+            calls.clear()
+            evaluate_tube(mu, box, 0.3)
+            assert calls == [box]
+
+    def test_steiner_volume_at_zero_is_the_volume(self):
+        # the full-dimensional term is the body's own volume, bit for bit
+        # the value of the volume valuation on it; the Gram determinant of
+        # a simplex's edges gives other bits on these simplices
+        rng = np.random.default_rng(2)
+        vol = {n: intrinsic_volume_rep(n, n) for n in (2, 3, 4)}
+        for K in [_oblique_simplex(rng, n, n + 1) for n in (2, 3, 4)] + [_ROTATED_BOX]:
+            assert steiner_volume(K, 0.0) == K.volume() == evaluate(vol[K.dim], K), K
 
     def test_derivation_matches_tube_derivative(self):
         cases = [
@@ -976,9 +1050,9 @@ class TestClosedFormCells:
         rng = np.random.default_rng(n)
         full = _random_form(rng, n, degree)
         form = InvariantForm(n, {(I, J): p for (I, J), p in full.terms.items() if not I})
-        lattice = _oblique_simplex(rng, n, n + 1).face_lattice()
-        (got,) = bodies._integrate_forms([form], lattice)
-        want = quadrature_lattice(form, point_lattice(n), tol)
+        pieces = _oblique_simplex(rng, n, n + 1).pieces()
+        (got,) = bodies._integrate_forms([form], pieces)
+        want = quadrature_pieces(form, point_pieces(n), tol)
         assert abs(got - want) <= 10 * tol * max(1.0, abs(want)), (got, want)
 
     @pytest.mark.parametrize("body", [
@@ -1028,10 +1102,8 @@ class TestClosedFormCells:
                 bodies_n["triangle"] = _oblique_simplex(rng, 4, 3)
             for name, body in bodies_n.items():
                 found = rules.setdefault((name, n), set())
-                for entry in body.face_lattice():
-                    if entry.region:
-                        cells = bodies._classify(np.array(entry.region, dtype=float))
-                        found.update(bodies.RULES[r] for r in cells.rule)
+                for _, gens, _ in body.pieces().values():
+                    found.update(bodies.RULES[r] for r in bodies._classify(gens).rule)
                 for k in range(n + 1):
                     assert math.isfinite(evaluate(intrinsic_volume_rep(n, k), body))
                 assert math.isfinite(steiner_volume(body, 0.3))

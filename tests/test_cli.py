@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,24 @@ class TestKlain:
                          "--plane", "1,0,0,0;1,0,0,0")
         assert rc == 2
         assert "orthonormal" in err
+
+    def test_overflowing_direction(self, capsys):
+        # 1.0e400 reads as inf, which used to normalize to a nan density
+        with pytest.raises(SystemExit) as exc:
+            main(["klain", "--u", "1.0e400,0,0", "--plane", "1,0,0,0;0,1,0,0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --u" in err and "direction components must be finite" in err
+
+    @pytest.mark.parametrize("plane", ["1e400,0,0,0;0,1,0,0", "1,0,0,0;0,nan,0,0"])
+    def test_non_finite_frame(self, capsys, plane):
+        # rejected before the orthonormality test, which warned on inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "klain", "--u", "1,0,0", "--plane", plane)
+        assert rc == 2
+        assert not out
+        assert err == "error: frame entries must be finite\n"
 
 
 class TestVerifyMc:

@@ -144,6 +144,17 @@ class TestEvaluationVector:
         assert len(_VECTOR_CACHE) <= VECTOR_CACHE_SIZE
         assert evaluation_vector(balls[-1]) is vecs[-1]
 
+    def test_cache_key_holds_the_shapes(self, monkeypatch):
+        # a triangle in R^4 and a tetrahedron in R^3 with the same 12 vertex
+        # numbers: the tetrahedron must not get the triangle's cached vector
+        monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
+        x = np.random.default_rng(3).uniform(-1, 1, 12)
+        triangle = evaluation_vector(Simplex(x.reshape(3, 4)))
+        assert triangle.values[0] == 1.0
+        with pytest.raises(ValueError, match="body dimension does not match the valuation"):
+            evaluation_vector(Simplex(x.reshape(4, 3)))
+        assert evaluation_vector(Simplex(x.reshape(3, 4))) is triangle
+
     def test_basis_built_once_per_kind(self, monkeypatch):
         import valcalc.su2 as su2
 
@@ -221,7 +232,7 @@ PINNED_VECTORS = {
 
 
 class TestOnePass:
-    """The basis is evaluated on a body in one pass over its face lattice."""
+    """The basis is evaluated on a body in one pass over its pieces."""
 
     @pytest.mark.parametrize("kind", ["icosahedron", "alesker"])
     @pytest.mark.parametrize("name", list(PINNED_BODIES))
@@ -252,17 +263,17 @@ class TestOnePass:
             warm = bodies.evaluate_many(reps, PINNED_BODIES[name])
             assert [v.hex() for v in warm] == [v.hex() for v in values], name
 
-    def test_one_face_lattice_per_cold_vector(self, monkeypatch):
+    def test_one_pieces_call_per_cold_vector(self, monkeypatch):
         monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
         calls = []
         for cls in (Box, Simplex, PlanarPolygon):
-            original = cls.face_lattice
+            original = cls.pieces
 
             def counted(self, original=original):
                 calls.append(self)
                 return original(self)
 
-            monkeypatch.setattr(cls, "face_lattice", counted)
+            monkeypatch.setattr(cls, "pieces", counted)
         for name, K in PINNED_BODIES.items():
             for kind in ("icosahedron", "alesker"):
                 evaluation_vector(K, kind)
@@ -288,12 +299,11 @@ class TestOnePass:
         monkeypatch.setattr(bodies, "_classify", counted)
         for name in ("box", "simplex", "pentagon", "segment"):
             K = PINNED_BODIES[name]
-            live = [gens
-                    for entry in K.face_lattice() if entry.volume != 0.0
-                    for gens in entry.region if (entry.k, len(gens)) in shapes]
+            live = sum(len(volumes) for shape, (_, _, volumes) in K.pieces().items()
+                       if shape in shapes)
             calls.clear()
             evaluation_vector(K, kind)
-            assert live and len(calls) == len(live), (name, len(calls), len(live))
+            assert live and len(calls) == live, (name, len(calls), live)
 
     def test_basis_terms_not_rebuilt_on_a_second_body(self, monkeypatch):
         monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})

@@ -70,6 +70,14 @@ class TestImDirection:
         with pytest.raises(ValueError):
             ImDirection.of(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, float("1.0e400")],
+                             ids=["inf", "-inf", "nan", "1.0e400"])
+    def test_non_finite_rejected(self, bad):
+        # inf / inf would normalize to nan
+        for coords in ((bad, 0.0, 0.0), (1.0, bad, 0.0), (0, 1, bad)):
+            with pytest.raises(ValueError, match="^direction components must be finite$"):
+                ImDirection.of(*coords)
+
     def test_float_mode(self):
         u = ImDirection.of(-0.6, -0.8, 0.0)
         assert not u.exact
