@@ -788,10 +788,11 @@ def _point_value(form):
     return ball_value(ValuationRep(form.n, form), 0)
 
 
-def _integrate_forms(forms, pieces):
+def _integrate_forms(forms, pieces, cells=None):
     """Oriented integrals of forms on R^n over a polytope's normal cycle, its
     ``pieces`` by shape, in one pass: the cells and moments of the pieces of
-    one shape serve every form with terms of that shape.
+    one shape serve every form with terms of that shape.  cells, if given,
+    holds each shape's ``_classify`` of its generators.
 
     Only the dv-only terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
@@ -808,7 +809,8 @@ def _integrate_forms(forms, pieces):
         users = [(i, groups[shape]) for i, groups in live if shape in groups]
         if not users:
             continue
-        minors = _minors(faces, _classify(gens), max(group.degree for _, group in users))
+        shape_cells = _classify(gens) if cells is None else cells[shape]
+        minors = _minors(faces, shape_cells, max(group.degree for _, group in users))
         for i, group in users:
             totals[i] += float(volume @ _piece_integrals(group, minors))
     for i, groups in live:
@@ -841,13 +843,19 @@ def _check_tube(t):
         raise ValueError(f"tube parameter must be finite and nonnegative, got {t}")
 
 
-def _steiner_volume(K, pieces, t):
-    """Volume of K + tB from the pieces of K's normal cycle: each piece adds
-    its face volume times its cell's solid angle times t^m / m, and the
-    vertex angles add up to |S^(n-1)| (see ``_integrate_forms``)."""
+def _cells(pieces):
+    """Each shape's ``_classify`` of its pieces' generators."""
+    return {shape: _classify(gens) for shape, (_, gens, _) in pieces.items()}
+
+
+def _steiner_volume(K, pieces, cells, t):
+    """Volume of K + tB from the pieces of K's normal cycle and their
+    ``_cells``: each piece adds its face volume times its cell's solid angle
+    times t^m / m, and the vertex angles add up to |S^(n-1)| (see
+    ``_integrate_forms``)."""
     total = float(ball_volume(K.dim)) * t ** K.dim + K.volume()
-    for (_, m), (_, gens, volume) in pieces.items():
-        total += float(np.abs(volume) @ _moments(_classify(gens), 0)[:, 0]) / m * t ** m
+    for (k, m), (_, _, volume) in pieces.items():
+        total += float(np.abs(volume) @ _moments(cells[(k, m)], 0)[:, 0]) / m * t ** m
     return total
 
 
@@ -856,7 +864,8 @@ def steiner_volume(K, t: float) -> float:
     _check_tube(t)
     if isinstance(K, Ball):
         return float(ball_volume(K.dim)) * (K.radius + t) ** K.dim
-    return _steiner_volume(K, K.pieces(), t)
+    pieces = K.pieces()
+    return _steiner_volume(K, pieces, _cells(pieces), t)
 
 
 def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
@@ -867,11 +876,13 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     if t == 0:
         return evaluate(mu, K)
     pieces = K.pieces()
-    shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
-    (total,) = _integrate_forms([shifted], pieces)
     phi_top = float(mu.phi)
+    # the Steiner sum needs every shape's cells, so the form's pass shares them
+    cells = _cells(pieces) if phi_top else None
+    shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
+    (total,) = _integrate_forms([shifted], pieces, cells)
     if phi_top:
-        total += phi_top * _steiner_volume(K, pieces, t)
+        total += phi_top * _steiner_volume(K, pieces, cells, t)
     return total
 
 

@@ -20,6 +20,12 @@ l1 norms of the operator's steps (the *_norm helpers), so no lane carries
 into the next.  pair_top contracts two vectors against the closed-form
 integrals of sphere monomials.
 
+An operator's output stays split vectors: the form ``_join_vectors`` makes
+of them builds its Scalar terms (``_vector_terms``) only when they are
+asked for, and until then its zero test, degrees and exactness read the
+vectors' blocks.  ``_vector_key`` turns split vectors into a hashable key,
+the key of contact's Rumin LRU.
+
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
 up) runs the dict operator itself, and a pairing whose degrees sum past
@@ -155,7 +161,13 @@ def _split_vectors(a: InvariantForm) -> dict:
 
 
 def _join_vectors(n, parts) -> InvariantForm:
-    """The Scalar-coefficient form of split vectors; it keeps them as its split."""
+    """The form of split vectors; it keeps them as its split, and builds its
+    Scalar coefficients (``_vector_terms``) only when they are asked for."""
+    return InvariantForm._from_vectors(n, parts, lambda: _vector_terms(n, parts))
+
+
+def _vector_terms(n, parts) -> dict:
+    """The terms, with Scalar coefficients, of the form of split vectors."""
     coeffs = {}
     for k, (den, blocks) in parts.items():
         for ab, (ids, vals) in blocks.items():
@@ -163,11 +175,32 @@ def _join_vectors(n, parts) -> InvariantForm:
             for i, c in zip(ids.tolist(), vals.tolist()):
                 I, J, e = keys[i]
                 coeffs.setdefault((I, J), {}).setdefault(e, {})[k] = Rat(c, den)
-    terms = {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
-             for key, poly in coeffs.items()}
-    out = InvariantForm(n, terms, projected=True)
-    out._parts = parts
-    return out
+    return {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
+            for key, poly in coeffs.items()}
+
+
+def _vector_key(n, parts) -> tuple:
+    """A hashable key that determines the split form: n, then per pi power k
+    and block (a, b) the denominator, the ids' bytes, the values' dtype and
+    the values, as bytes for int64 and as a tuple of ints for object arrays."""
+    return (n,) + tuple(
+        (k, den, ab, ids.tobytes(), vals.dtype.str,
+         tuple(vals.tolist()) if vals.dtype == object else vals.tobytes())
+        for k, (den, blocks) in parts.items() for ab, (ids, vals) in blocks.items())
+
+
+def _key_vectors(key):
+    """(n, split form) of a ``_vector_key``; the arrays are read-only."""
+    n, *entries = key
+    parts = {}
+    for k, den, ab, ids, dtype, vals in entries:
+        if isinstance(vals, tuple):
+            out = np.empty(len(vals), object)
+            out[:] = vals
+        else:
+            out = np.frombuffer(vals, dtype)
+        parts.setdefault(k, (den, {}))[1][ab] = (np.frombuffer(ids, np.int64), out)
+    return n, parts
 
 
 def _reduce_grade(den, blocks):

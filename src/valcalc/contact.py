@@ -11,7 +11,10 @@ The dict solve here, ``_lefschetz_pass``, builds the missing columns of an
 input in one lane-packed pass and checks there, once for every column, that
 the corrected derivative is vertical.  Its lane width comes from
 ``columns._rumin_bound``, the product of the column l1 norms of the solve's
-steps.  In front of the columns, a bounded LRU keeps the result per form.
+steps.  In front of the columns, a bounded LRU (``_rumin_cached``) keeps
+the result per input, keyed on the bytes of its vectors
+(``columns._vector_key``), so a form rebuilt from the same vectors hits and
+no Scalar term is hashed.
 """
 
 from dataclasses import dataclass
@@ -49,8 +52,8 @@ def contact_data(n: int) -> ContactData:
 class RuminResult:
     """Corrected derivative D_omega = d(omega + alpha ^ xi) with its correction.
 
-    Both are held as split vectors (``columns._split_vectors``) and become
-    Scalar-coefficient forms on first access.  ansatz_degree is the
+    Both are held as split vectors (``columns._split_vectors``); D_omega
+    and xi are their forms (``columns._join_vectors``).  ansatz_degree is the
     polynomial degree of xi's coefficients.
     """
 
@@ -134,17 +137,19 @@ def rumin(omega: InvariantForm) -> RuminResult:
     one per monomial seen (``columns``); monomials whose column bound needs
     lanes past 64 bits run the dict solve instead.
     """
-    return _rumin_cached(omega)
+    n = omega.n
+    if omega and omega.degree() != n - 1:
+        raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
+    from .columns import _split_vectors, _vector_key
+
+    return _rumin_cached(_vector_key(n, _split_vectors(omega)))
 
 
 @lru_cache(maxsize=RUMIN_CACHE_SIZE)
-def _rumin_cached(omega: InvariantForm) -> RuminResult:
-    n = omega.n
-    if omega.is_zero():
-        return RuminResult(n, {}, {})
-    if omega.degree() != n - 1:
-        raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
-    from .columns import RUMIN, _split_vectors
+def _rumin_cached(key) -> RuminResult:
+    """The Rumin solve of the split form with ``columns._vector_key`` key."""
+    from .columns import RUMIN, _key_vectors
 
-    xi_parts, D_parts = RUMIN.apply(n, _split_vectors(omega))
+    n, parts = _key_vectors(key)
+    xi_parts, D_parts = RUMIN.apply(n, parts)
     return RuminResult(n, D_parts, xi_parts)

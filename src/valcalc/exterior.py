@@ -10,8 +10,9 @@ Coefficients are Scalars (or ints/rationals) for exact work; plain floats
 are accepted by the purely algebraic operations for numeric pipelines.
 Every operator here is linear over Z, so the exact layers above split a
 Scalar-coefficient form once into pi-graded parts with plain int
-coefficients, held as sparse integer vectors over monomial coordinates, and
-rebuild the Scalar coefficients once on the way out (``columns``).  There
+coefficients, held as sparse integer vectors over monomial coordinates; a
+form made from such vectors builds its terms only when they are asked for
+(``columns._join_vectors``).  There
 hodge_star, lie_reeb and the antipode (with contact's Rumin solve) apply as
 caches of integer columns keyed by the input's (n, |I|, |J|).  The dict
 operators here build those columns, a batch at a time, with every monomial
@@ -312,7 +313,7 @@ class InvariantForm:
     come first in the monomial orientation.
     """
 
-    __slots__ = ("n", "terms", "_hash", "_parts")
+    __slots__ = ("n", "_terms", "_hash", "_parts", "_source")
 
     def __init__(self, n, terms=None, projected=False):
         self.n = n
@@ -329,22 +330,48 @@ class InvariantForm:
             _accumulate(clean, (tuple(key[0]), tuple(key[1])), p)
         if not projected:
             clean = _project_terms(n, clean)
-        self.terms = clean
+        self._terms = clean
         self._hash = None
         self._parts = None  # columns._split_vectors, once computed
+        self._source = None
+
+    @classmethod
+    def _from_vectors(cls, n, parts, source) -> "InvariantForm":
+        """The form of split vectors (``columns._split_vectors``); source()
+        returns its terms, and runs only when they are first asked for."""
+        out = cls.__new__(cls)
+        out.n, out._terms, out._hash, out._parts, out._source = n, None, None, parts, source
+        return out
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms, self._source = self._source(), None
+        return self._terms
 
     @classmethod
     def zero(cls, n) -> "InvariantForm":
         return cls(n, {}, projected=True)
 
+    def _bidegrees(self) -> set:
+        """(|I|, |J|) of the nonzero terms; a split form reads its vectors' blocks."""
+        if self._parts is not None:
+            return {ab for _, blocks in self._parts.values() for ab in blocks}
+        return {(len(I), len(J)) for (I, J) in self._terms}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._parts if self._parts is not None else self._terms)
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.is_zero()
+
+    def is_exact(self) -> bool:
+        """Whether no coefficient is a float; a split form is exact by construction."""
+        return self._parts is not None or not any(
+            isinstance(c, float) for p in self._terms.values() for c in p.terms.values())
 
     def degrees(self):
-        return {len(I) + len(J) for (I, J) in self.terms}
+        return {a + b for a, b in self._bidegrees()}
 
     def degree(self) -> int:
         degs = self.degrees()

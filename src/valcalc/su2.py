@@ -8,10 +8,19 @@ integral geometry of the quaternionic line.
 Directions are stored unscaled: an exact direction keeps a primitive integer
 triple (p, q, r) standing for (p, q, r)/sqrt(p^2+q^2+r^2), which keeps every
 derived quantity rational even when the normalization is irrational.
+
+An exact direction's Z_u is built as split vectors (``columns``) from a
+fixed integer tensor: the numerator beta^d(beta) + 2 gamma^Omega is
+quadratic in the integer triple, so it is T times the six products u_i u_j,
+with T found once per process by polarization of the dict forms.  A float
+direction's Z_u is built by the dict operators (``stated_z_form``).
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from .exterior import (
     InvariantForm,
@@ -79,6 +88,11 @@ class ImDirection:
         if not all(map(math.isfinite, vals)):
             raise ValueError("direction components must be finite")
         norm = math.sqrt(sum(x * x for x in vals))
+        if not math.isfinite(norm):
+            # the squares overflow: scale by the largest component first
+            top = max(map(abs, vals))
+            vals = tuple(x / top for x in vals)
+            norm = math.sqrt(sum(x * x for x in vals))
         if norm < ZERO_NORM_TOL:
             raise ValueError("direction must be nonzero")
         vals = tuple(x / norm for x in vals)
@@ -176,12 +190,68 @@ def stated_z_form(u: ImDirection) -> InvariantForm:
     return beta.wedge(d(beta)) * (scale / 8) + gamma.wedge(omega) * (scale / 4)
 
 
-def z_rep(u: ImDirection) -> ValuationRep:
-    """The valuation Z_u, oriented so that the unit ball evaluates to +pi."""
+def _oriented_z_form(u: ImDirection) -> InvariantForm:
     omega = stated_z_form(u)
-    if Z_ORIENTATION < 0:
-        omega = -omega
-    return ValuationRep(4, omega)
+    return -omega if Z_ORIENTATION < 0 else omega
+
+
+# the products u_i u_j of a direction's coordinates, in the order _z_tensor
+# polarizes them
+_PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+@lru_cache(maxsize=None)
+def _z_tensor():
+    """(ids, T, bound): the numerator beta^d(beta) + 2 gamma^Omega of the forms
+    of an integer triple u is T m(u) on the monomials ids of block (2, 1),
+    where m(u) holds the products u_i u_j of _PRODUCTS; bound is the largest
+    row l1 norm of T.
+
+    The numerator is quadratic in u, so T follows by polarization from the
+    dict forms of e_i and e_i + e_j, built once per process.
+    """
+    from .columns import _split_vectors
+
+    images = []
+    for i, j in _PRODUCTS:
+        beta, gamma, omega = _scaled_forms(tuple(int(t in (i, j)) for t in range(3)))
+        (_, blocks), = _split_vectors(beta.wedge(d(beta)) + gamma.wedge(omega) * 2).values()
+        (ids, vals), = blocks.values()
+        images.append(dict(zip(ids.tolist(), vals.tolist())))
+    for c, (i, j) in enumerate(_PRODUCTS):
+        if i != j:
+            images[c] = {r: x - images[i].get(r, 0) - images[j].get(r, 0)
+                         for r, x in images[c].items()}
+    ids = np.array(sorted(set().union(*images)), np.int64)
+    T = np.array([[image.get(r, 0) for image in images] for r in ids.tolist()], np.int64)
+    return ids, T, int(np.abs(T).sum(axis=1).max())
+
+
+def _z_vectors(u: ImDirection) -> dict:
+    """The split vectors of an exact direction's Z_u: pi^-1 times
+    Z_ORIENTATION T m(u) / (8 |u|^2), reduced by the gcd."""
+    from .columns import _fit, _reduce_grade, _widen
+
+    ids, T, bound = _z_tensor()
+    prods = [u.coords[i] * u.coords[j] for i, j in _PRODUCTS]
+    t, m = _widen(bound * max(map(abs, prods)), T, _fit(prods))
+    vals = (t @ m) * Z_ORIENTATION
+    nz = np.flatnonzero(vals)
+    return {-1: _reduce_grade(8 * u.norm_sq, {(2, 1): (ids[nz], _fit(vals[nz]))})}
+
+
+def z_rep(u: ImDirection) -> ValuationRep:
+    """The valuation Z_u, oriented so that the unit ball evaluates to +pi.
+
+    An exact direction's form is its split vectors (``_z_vectors``).  Its
+    terms are built only when asked for, and then from ``stated_z_form``:
+    float sums over a form's terms follow their order, and the dict path's
+    order depends on u in a way the vectors do not keep.
+    """
+    if not u.exact:
+        return ValuationRep(4, _oriented_z_form(u))
+    return ValuationRep(4, InvariantForm._from_vectors(
+        4, _z_vectors(u), lambda: _oriented_z_form(u).terms))
 
 
 def gram_zz(u: ImDirection, v: ImDirection) -> Scalar:

@@ -79,12 +79,11 @@ class ValuationRep:
 
     def is_exact(self) -> bool:
         """Whether no coefficient is a float (phi's are exact by construction)."""
-        return not any(isinstance(c, float)
-                       for p in self.omega.terms.values() for c in p.terms.values())
+        return self.omega.is_exact()
 
     def degrees(self) -> set:
         """Degrees of the nonzero homogeneous components (bidegree filtering)."""
-        out = {len(I) for (I, J) in self.omega.terms}
+        out = {a for a, _ in self.omega._bidegrees()}
         if self.phi:
             out.add(self.n)
         return out

@@ -424,6 +424,21 @@ class TestTube:
             evaluate_tube(mu, box, 0.3)
             assert calls == [box]
 
+    def test_tube_classifies_each_piece_once(self, monkeypatch):
+        # the Steiner sum reads the cells the form's pass classified; each
+        # shape used to be classified again for it (120 rows for 64 pieces)
+        rows = []
+        original = bodies._classify
+
+        def counted(gens):
+            rows.append(len(gens))
+            return original(gens)
+
+        monkeypatch.setattr(bodies, "_classify", counted)
+        box = Box(np.zeros(4), np.array([0.5, 1.0, 0.25, 0.7]))
+        evaluate_tube(z_rep(ImDirection.of(1, 0, 0)) + intrinsic_volume_rep(4, 4) * 3, box, 0.3)
+        assert sum(rows) == sum(len(gens) for _, gens, _ in box.pieces().values()) == 64
+
     def test_steiner_volume_at_zero_is_the_volume(self):
         # the full-dimensional term is the body's own volume, bit for bit
         # the value of the volume valuation on it; the Gram determinant of

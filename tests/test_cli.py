@@ -198,6 +198,13 @@ class TestKlain:
         err = capsys.readouterr().err
         assert "argument --u" in err and "direction components must be finite" in err
 
+    def test_direction_with_overflowing_norm(self, capsys):
+        # 1.0e200 squared overflows; the direction is still i
+        rc, out, err = run(capsys, "klain", "--u", "1.0e200,0,0", "--plane", "1,0,0,0;0,1,0,0")
+        assert (rc, err) == (0, "")
+        assert out == run(capsys, "klain", "--u", "1.0,0,0", "--plane", "1,0,0,0;0,1,0,0")[1]
+        assert out.strip() == "0.500000000000"
+
     @pytest.mark.parametrize("plane", ["1e400,0,0,0;0,1,0,0", "1,0,0,0;0,nan,0,0"])
     def test_non_finite_frame(self, capsys, plane):
         # rejected before the orthonormality test, which warned on inf * 0

@@ -53,7 +53,7 @@ from valcalc.exterior import (
     reeb_field,
 )
 from valcalc.scalars import Rat, Scalar
-from valcalc.su2 import ImDirection, z_rep
+from valcalc.su2 import ImDirection, stated_z_form, tasaki_density, z_rep
 from valcalc.valuation import (
     ValuationRep,
     derivation,
@@ -408,6 +408,33 @@ def test_caches_within_their_blocks():
                 assert (cols.rows[j] < len(out.keys)).all()
 
 
+def test_exact_operators_stay_on_vectors(monkeypatch):
+    # the pairing and the operators on exact Z_u, Z_v and vol3 run on split
+    # vectors: no form made from vectors builds its Scalar terms
+    built = []
+    terms = InvariantForm.terms
+
+    def counted(form):
+        if form._terms is None:
+            built.append(form)
+        return terms.fget(form)
+
+    monkeypatch.setattr(InvariantForm, "terms", property(counted))
+    vol3 = intrinsic_volume_rep(4, 3)
+    u, v = ImDirection.of(3, 0, -7), ImDirection.of(0, 5, 2)
+    zu, zv = z_rep(u), z_rep(v)
+    zz = pairing(zu, zv)
+    lam = (pairing(derivation(zu), vol3), pairing(zu, derivation(vol3)))
+    sig = (pairing(signature(zu), zv), pairing(zu, signature(zv)))
+    lap = (pairing(laplace(zu), zv), pairing(zu, laplace(zv)))
+    assert not built
+    assert zz == tasaki_density(u, v)
+    assert lam[0] == lam[1] and sig[0] == sig[1] and lap[0] == lap[1]
+    # asking for the terms builds them once
+    assert zu.omega.terms == (-stated_z_form(u)).terms
+    assert built == [zu.omega]
+
+
 def test_failed_correction_raises(monkeypatch):
     original = contact._xi_lefschetz
 
@@ -418,7 +445,8 @@ def test_failed_correction_raises(monkeypatch):
     monkeypatch.setattr(contact, "_xi_lefschetz", doubled)
     monkeypatch.setattr(RUMIN, "caches", {})
     omega = z_rep(ImDirection.of(1, 0, 2)).omega
+    key = columns._vector_key(4, _split_vectors(omega))
     with pytest.raises(ArithmeticError, match="vertical"):
-        contact._rumin_cached.__wrapped__(omega)
+        contact._rumin_cached.__wrapped__(key)
     monkeypatch.setattr(contact, "_xi_lefschetz", original)
-    assert contact._rumin_cached.__wrapped__(omega).D_omega == rumin_reference(omega)[1]
+    assert contact._rumin_cached.__wrapped__(key).D_omega == rumin_reference(omega)[1]

@@ -12,6 +12,7 @@ from _oracles import (
     sphere_volume_form,
     verify_zero_valuation,
 )
+from valcalc.columns import _join_vectors, _key_vectors, _split_vectors, _vector_key
 from valcalc.contact import (
     RUMIN_CACHE_SIZE,
     ContactData,
@@ -31,7 +32,8 @@ from valcalc.exterior import (
     lie_reeb,
 )
 from valcalc.scalars import PI, Rat, Scalar
-from valcalc.valuation import intrinsic_volume_rep
+from valcalc.su2 import ImDirection, stated_z_form, z_rep
+from valcalc.valuation import intrinsic_volume_rep, signature
 
 
 class TestContactData:
@@ -140,6 +142,41 @@ class TestRuminCache:
         hits = _rumin_cached.cache_info().hits
         assert rumin(omega) is first
         assert _rumin_cached.cache_info().hits == hits + 1
+
+    def test_key_is_the_vectors(self):
+        # the cache's argument is the split form's vector key, not the form
+        omega = intrinsic_volume_rep(4, 2).omega * 5
+        first = rumin(omega)
+        assert _rumin_cached(_vector_key(4, _split_vectors(omega))) is first
+
+    def test_form_rebuilt_from_the_same_vectors_hits(self):
+        # a new form object with equal vectors (copied arrays) is a hit,
+        # and neither form builds its Scalar terms
+        omega = signature(z_rep(ImDirection.of(2, 0, 5))).omega
+        first = rumin(omega)
+        hits = _rumin_cached.cache_info().hits
+        copied = {k: (den, {ab: (ids.copy(), vals.copy()) for ab, (ids, vals) in blocks.items()})
+                  for k, (den, blocks) in omega._parts.items()}
+        again = _join_vectors(4, copied)
+        assert again is not omega
+        assert rumin(again) is first
+        assert _rumin_cached.cache_info().hits == hits + 1
+        assert omega._terms is None and again._terms is None
+
+    def test_object_vectors_round_trip_the_key(self):
+        # values past int64 enter the key as a tuple of Python ints
+        u = ImDirection.of(2, -(2 ** 70 + 3), 7)
+        omega = z_rep(u).omega
+        key = _vector_key(4, omega._parts)
+        n, parts = _key_vectors(key)
+        assert n == 4 and parts.keys() == omega._parts.keys()
+        for k, (den, blocks) in omega._parts.items():
+            assert parts[k][0] == den and parts[k][1].keys() == blocks.keys()
+            for ab, (ids, vals) in blocks.items():
+                got_ids, got_vals = parts[k][1][ab]
+                assert vals.dtype == got_vals.dtype == object
+                assert got_ids.tolist() == ids.tolist() and got_vals.tolist() == vals.tolist()
+        assert rumin(omega).D_omega == rumin(-stated_z_form(u)).D_omega
 
 
 class TestAnsatz:

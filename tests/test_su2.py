@@ -24,7 +24,8 @@ from valcalc.exterior import (
     pullback_antipode,
 )
 from valcalc.contact import rumin
-from valcalc import su2
+from valcalc import columns, su2
+from valcalc.columns import _split_vectors
 from valcalc.linalg import invert_scalar_matrix
 from valcalc.scalars import PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import (
@@ -77,6 +78,16 @@ class TestImDirection:
         for coords in ((bad, 0.0, 0.0), (1.0, bad, 0.0), (0, 1, bad)):
             with pytest.raises(ValueError, match="^direction components must be finite$"):
                 ImDirection.of(*coords)
+
+    def test_overflowing_norm_keeps_the_direction(self):
+        # 1e200 squared is inf; the components are scaled by the largest first
+        assert ImDirection.of(1e200, 0.0, 0.0).coords == (1.0, 0.0, 0.0)
+        assert ImDirection.of(-1e300, 1e300, 0.0) == ImDirection.of(1.0, -1.0, 0.0)
+        assert ImDirection.of(0.0, 1.5e308, -1.5e308) == ImDirection.of(0.0, 2.0, -2.0)
+        # a direction whose norm is finite keeps the bits of dividing by it
+        vals = (3e150, -4e150, 1e149)
+        norm = math.sqrt(sum(x * x for x in vals))
+        assert ImDirection.of(*vals).coords == tuple(x / norm for x in vals)
 
     def test_float_mode(self):
         u = ImDirection.of(-0.6, -0.8, 0.0)
@@ -233,6 +244,91 @@ class TestZRep:
     def test_cube_value(self):
         for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             assert unit_cube_value(z_rep(ImDirection.of(*coords))) == 2
+
+
+def _exact_directions(count=200):
+    """Distinct exact directions: small triples with zeros and negative
+    entries, and triples with coordinates near 2^40 and near 2^70."""
+    rng = random.Random(43)
+    small = lambda: rng.choice((0, 0) + tuple(range(-9, 10)))
+    near = lambda bits: rng.choice((1, -1)) * (2 ** bits + rng.randrange(-40, 41))
+    makers = (small, lambda: near(40), lambda: near(70))
+    out = {}
+    while len(out) < count:
+        kinds = rng.choice(((0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0),
+                            (2, 2, 1)))
+        coords = [makers[k]() for k in kinds]
+        rng.shuffle(coords)
+        if any(coords):
+            u = ImDirection.of(*coords)
+            out[u.coords] = u
+    return list(out.values())
+
+
+EXACT_DIRECTIONS = _exact_directions()
+
+
+class TestZTensor:
+    def test_directions_cover_the_cases(self):
+        coords = [abs(x) for u in EXACT_DIRECTIONS for x in u.coords]
+        assert len(EXACT_DIRECTIONS) == 200
+        assert sum(1 for u in EXACT_DIRECTIONS if max(map(abs, u.coords)) < 10) >= 50
+        assert sum(1 for u in EXACT_DIRECTIONS if 0 in u.coords) >= 40
+        assert sum(1 for u in EXACT_DIRECTIONS if min(u.coords) < 0) >= 100
+        assert sum(1 for x in coords if 2 ** 39 < x < 2 ** 41) >= 80
+        assert sum(1 for x in coords if 2 ** 69 < x < 2 ** 71) >= 80
+        # a Z_u past int64 holds object arrays of Python ints
+        assert sum(1 for u in EXACT_DIRECTIONS
+                   if z_rep(u).omega._parts[-1][1][(2, 1)][1].dtype == object) >= 100
+
+    def test_vectors_are_the_split_of_the_dict_path(self):
+        # Z_u's vectors come from a fixed integer tensor in the products
+        # u_i u_j; they are the split of -stated_z_form(u), pi^-1 over one
+        # reduced denominator, and int64 exactly while below INT64_SAFE
+        for u in EXACT_DIRECTIONS:
+            parts = z_rep(u).omega._parts
+            ref = -stated_z_form(u)
+            assert columns._join_vectors(4, parts) == ref, u
+
+            def entries(split):
+                return {k: (den, {ab: dict(zip(ids.tolist(), vals.tolist()))
+                                  for ab, (ids, vals) in blocks.items()})
+                        for k, (den, blocks) in split.items()}
+
+            assert entries(parts) == entries(_split_vectors(ref)), u
+            (_, blocks), = parts.values()
+            for _, vals in blocks.values():
+                big = max(abs(x) for x in vals.tolist()) >= columns.INT64_SAFE
+                assert vals.dtype == (object if big else np.int64), u
+
+    def test_terms_are_the_dict_path_in_its_order(self):
+        # float sums over a form's terms follow their order, so the terms of
+        # an exact Z_u are those of the dict path, in its order
+        for u in EXACT_DIRECTIONS:
+            omega = z_rep(u).omega
+            assert omega._terms is None
+            ref = -stated_z_form(u)
+            assert omega.terms == ref.terms, u
+            assert list(omega.terms) == list(ref.terms), u
+            for key, p in omega.terms.items():
+                assert list(p.terms.items()) == list(ref.terms[key].terms.items()), u
+
+    def test_split_form_reads_its_blocks(self):
+        mu = z_rep(ImDirection.of(2, -5, 1))
+        assert mu.omega and not mu.omega.is_zero()
+        assert mu.omega.degrees() == {3} and mu.degrees() == {2} and mu.degree() == 2
+        assert mu.is_exact() and mu.omega.is_exact()
+        assert mu.omega._terms is None
+
+    def test_large_pairs_match_tasaki(self):
+        big = [u for u in EXACT_DIRECTIONS if max(map(abs, u.coords)) > 2 ** 39]
+        rng = random.Random(47)
+        for _ in range(4):
+            u, v = rng.sample(big, 2)
+            assert pairing(z_rep(u), z_rep(v)) == tasaki_density(u, v), (u, v)
+        u = ImDirection.of(1099511627777, 3, -5)
+        v = ImDirection.of(2, -1180591620717411303425, 7)
+        assert gram_zz(u, v) == tasaki_density(u, v)
 
 
 class TestGram:
