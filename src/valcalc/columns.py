@@ -5,7 +5,9 @@ monomials v^e dx_I ^ dv_J of one bidegree (|I|, |J|), a block, numbered in
 the order the process first sees them.  A split form is
 {k: (den, {(|I|, |J|): (ids, vals)})}, ids indexing the block's monomials and
 vals int64 while every entry is below INT64_SAFE, an object array of Python
-ints otherwise (``_fit``).
+ints otherwise (``_fit``).  A float coefficient lies in grade 0, whose vals
+are then float64 over den 1; the columns apply to them unchanged, and no
+float is truncated or gcd-reduced.
 
 contact's Rumin solve (RUMIN), hodge_star (HODGE) and lie_reeb (LIE_REEB)
 are caches of integer columns, one per monomial of an input block: its image
@@ -24,7 +26,7 @@ An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
 asked for, and until then its zero test, degrees and exactness read the
 vectors' blocks.  ``_vector_key`` turns split vectors into a hashable key,
-the key of contact's Rumin LRU.
+the key of contact's Rumin LRU, which a form keeps once computed.
 
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
@@ -109,12 +111,15 @@ def _block(n, a, b) -> _Block:
 
 
 def _fit(vals):
-    """Integer entries (a list or an array) as a vector's values: int64 while
-    every entry is below INT64_SAFE, else an object array of Python ints."""
+    """Entries (a list or an array) as a vector's values: float64 if any is a
+    float, int64 while every entry is below INT64_SAFE, else an object array
+    of Python ints."""
     if isinstance(vals, np.ndarray):
-        if vals.dtype != object:
+        if vals.dtype.kind == "i":
             return vals.astype(object) if _maxabs(vals) >= INT64_SAFE else vals
         vals = vals.tolist()
+    if any(isinstance(x, float) for x in vals):
+        return np.array(vals, np.float64)
     if vals and max(max(vals), -min(vals)) >= INT64_SAFE:
         out = np.empty(len(vals), object)
         out[:] = vals
@@ -136,8 +141,9 @@ def _widen(bound, *arrays):
 
 
 def _split_vectors(a: InvariantForm) -> dict:
-    """The pi-graded integer parts of a, with a = sum_k pi^k part_k / den_k, as
-    sparse vectors, computed once per form; float coefficients raise TypeError."""
+    """The pi-graded parts of a, with a = sum_k pi^k part_k / den_k, as sparse
+    vectors, computed once per form.  A float coefficient lies in grade 0, and
+    a grade holding one is float64 over den 1."""
     if a._parts is None:
         n = a.n
         raw = {}
@@ -145,17 +151,18 @@ def _split_vectors(a: InvariantForm) -> dict:
             blk = _block(n, len(I), len(J))
             for e, c in p.terms.items():
                 i = blk.id((I, J, e))
-                for k, r in _pi_terms(c):
+                for k, r in ((0, c),) if isinstance(c, float) else _pi_terms(c):
                     ids, rats = raw.setdefault(k, {}).setdefault((blk.a, blk.b), ([], []))
                     ids.append(i)
                     rats.append(r)
         parts = {}
         for k, blocks in raw.items():
-            den = math.lcm(*(int(r.denominator) for _, rats in blocks.values() for r in rats))
-            parts[k] = (den, {ab: (np.array(ids, np.int64),
-                                   _fit([int(r.numerator) * (den // int(r.denominator))
-                                               for r in rats]))
-                              for ab, (ids, rats) in blocks.items()})
+            rats = [r for _, rs in blocks.values() for r in rs]
+            floats = any(isinstance(r, float) for r in rats)
+            den = 1 if floats else math.lcm(*(int(r.denominator) for r in rats))
+            parts[k] = (den, {ab: (np.array(ids, np.int64), _fit(rs if floats else [
+                int(r.numerator) * (den // int(r.denominator)) for r in rs]))
+                              for ab, (ids, rs) in blocks.items()})
         a._parts = parts
     return a._parts
 
@@ -167,16 +174,27 @@ def _join_vectors(n, parts) -> InvariantForm:
 
 
 def _vector_terms(n, parts) -> dict:
-    """The terms, with Scalar coefficients, of the form of split vectors."""
+    """The terms of the form of split vectors: Scalar coefficients, or float
+    ones if any vector holds floats."""
     coeffs = {}
+    floats = False
     for k, (den, blocks) in parts.items():
         for ab, (ids, vals) in blocks.items():
             keys = _BLOCKS[(n,) + ab].keys
+            flt = vals.dtype.kind == "f"
+            floats = floats or flt
             for i, c in zip(ids.tolist(), vals.tolist()):
                 I, J, e = keys[i]
-                coeffs.setdefault((I, J), {}).setdefault(e, {})[k] = Rat(c, den)
-    return {key: SpherePoly._canonical(n, {e: Scalar(t) for e, t in poly.items()})
+                coeffs.setdefault((I, J), {}).setdefault(e, {})[k] = \
+                    c / den if flt else Rat(c, den)
+    coef = _float_value if floats else Scalar
+    return {key: SpherePoly._canonical(n, {e: coef(t) for e, t in poly.items()})
             for key, poly in coeffs.items()}
+
+
+def _float_value(t) -> float:
+    """The float value of {pi power: coefficient}."""
+    return sum(float(c) * math.pi ** k for k, c in t.items())
 
 
 def _vector_key(n, parts) -> tuple:
@@ -204,11 +222,12 @@ def _key_vectors(key):
 
 
 def _reduce_grade(den, blocks):
-    """(den, blocks) divided through by the gcd of den and every entry."""
+    """(den, blocks) divided through by the gcd of den and every entry; a
+    grade holding floats stays as it is."""
     g = den
     for _, vals in blocks.values():
-        g = math.gcd(g, int(np.gcd.reduce(vals)) if vals.dtype != object else
-                     math.gcd(*vals.tolist()))
+        g = 1 if vals.dtype.kind == "f" else math.gcd(
+            g, int(np.gcd.reduce(vals)) if vals.dtype != object else math.gcd(*vals.tolist()))
         if g == 1:
             return den, blocks
     return den // g, {ab: (ids, vals // g) for ab, (ids, vals) in blocks.items()}

@@ -13,8 +13,8 @@ the corrected derivative is vertical.  Its lane width comes from
 ``columns._rumin_bound``, the product of the column l1 norms of the solve's
 steps.  In front of the columns, a bounded LRU (``_rumin_cached``) keeps
 the result per input, keyed on the bytes of its vectors
-(``columns._vector_key``), so a form rebuilt from the same vectors hits and
-no Scalar term is hashed.
+(``columns._vector_key``, kept with the form), so a form rebuilt from the
+same vectors hits and no Scalar term is hashed.
 """
 
 from dataclasses import dataclass
@@ -142,7 +142,9 @@ def rumin(omega: InvariantForm) -> RuminResult:
         raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
     from .columns import _split_vectors, _vector_key
 
-    return _rumin_cached(_vector_key(n, _split_vectors(omega)))
+    if omega._key is None:
+        omega._key = _vector_key(n, _split_vectors(omega))
+    return _rumin_cached(omega._key)
 
 
 @lru_cache(maxsize=RUMIN_CACHE_SIZE)
@@ -151,5 +153,7 @@ def _rumin_cached(key) -> RuminResult:
     from .columns import RUMIN, _key_vectors
 
     n, parts = _key_vectors(key)
+    if any(vals.dtype.kind == "f" for _, blocks in parts.values() for _, vals in blocks.values()):
+        raise TypeError("the Rumin solve requires exact coefficients, not floats")
     xi_parts, D_parts = RUMIN.apply(n, parts)
     return RuminResult(n, D_parts, xi_parts)

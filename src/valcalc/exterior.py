@@ -10,14 +10,15 @@ Coefficients are Scalars (or ints/rationals) for exact work; plain floats
 are accepted by the purely algebraic operations for numeric pipelines.
 Every operator here is linear over Z, so the exact layers above split a
 Scalar-coefficient form once into pi-graded parts with plain int
-coefficients, held as sparse integer vectors over monomial coordinates; a
-form made from such vectors builds its terms only when they are asked for
-(``columns._join_vectors``).  There
-hodge_star, lie_reeb and the antipode (with contact's Rumin solve) apply as
-caches of integer columns keyed by the input's (n, |I|, |J|).  The dict
-operators here build those columns, a batch at a time, with every monomial
-in a lane of a Python int whose width comes from a proved bound on the
-column's entries, and they stay the reference the tests hold the columns to.
+coefficients (float coefficients into a float64 part), held as sparse
+vectors over monomial coordinates; a form made from such vectors builds its
+terms only when they are asked for (``columns._join_vectors``).  There
+hodge_star and lie_reeb (with contact's Rumin solve) apply as caches of
+integer columns keyed by the input's (n, |I|, |J|), and the antipodal
+pullback as a sign per monomial.  The dict operators here build those
+columns, a batch at a time, with every monomial in a lane of a Python int
+whose width comes from a proved bound on the column's entries, and they
+stay the reference the tests hold the columns to.
 
 Fiber integration pi_* enters only through its dx_1^...^dx_n coefficient
 (``top_fiber_integral``), which the pairing takes for forms too large to
@@ -26,7 +27,9 @@ contract on their vectors.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from operator import add
 
 from .scalars import _RAT_TYPES, Rat, Scalar, ZERO, gamma_half
@@ -69,11 +72,29 @@ def _complement(t, n):
     return tuple(i for i in range(n) if i not in t)
 
 
+def _sphere_reduce(n, e, c):
+    """The terms of c v^e with v_n^(2k) expanded as (1 - v_1^2 - ... -
+    v_(n-1)^2)^k by multinomial coefficients: one term per multiset of k
+    factors, taken in the order of combinations_with_replacement over
+    (v_(n-1)^2, ..., v_1^2, 1), the order a rewrite one square at a time
+    would first reach them in; slot n - 1 stands for the factor 1."""
+    k, r = divmod(e[n - 1], 2)
+    for combo in combinations_with_replacement((*range(n - 2, -1, -1), n - 1), k):
+        f = list(e[:n - 1]) + [r]
+        count = [0] * n
+        for i in combo:
+            count[i] += 1
+        for i in range(n - 1):
+            f[i] += 2 * count[i]
+        mult = math.factorial(k) // math.prod(map(math.factorial, count))
+        yield tuple(f), c * (mult if (k - count[n - 1]) % 2 == 0 else -mult)
+
+
 class SpherePoly:
     """Polynomial in the fiber variables v_1..v_n, canonical modulo sum(v_i^2) = 1.
 
     Stored as {exponent tuple: coefficient} with the last exponent at most 1;
-    v_n^2 is rewritten as 1 - sum of the other squares on construction.
+    v_n^(2k) is rewritten as (1 - sum of the other squares)^k on construction.
     """
 
     __slots__ = ("n", "terms", "_hash")
@@ -81,23 +102,15 @@ class SpherePoly:
     def __init__(self, n, terms=None):
         self.n = n
         t = {}
-        if terms:
-            stack = list(terms.items())
-            while stack:
-                e, c = stack.pop()
-                if not c:
-                    continue
-                if e[n - 1] >= 2:
-                    base = e[:n - 1] + (e[n - 1] - 2,)
-                    stack.append((base, c))
-                    for i in range(n - 1):
-                        stack.append((base[:i] + (base[i] + 2,) + base[i + 1:], -c))
+        for e, c in reversed(terms.items()) if terms else ():
+            if not c:
+                continue
+            for f, x in _sphere_reduce(n, e, c) if e[n - 1] >= 2 else ((e, c),):
+                s = t.get(f, 0) + x
+                if s:
+                    t[f] = s
                 else:
-                    s = t.get(e, 0) + c
-                    if s:
-                        t[e] = s
-                    else:
-                        t.pop(e, None)
+                    t.pop(f, None)
         self.terms = t
         self._hash = None
 
@@ -206,10 +219,6 @@ class SpherePoly:
                 t[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return SpherePoly(self.n, t)
 
-    def negate_variables(self) -> "SpherePoly":
-        return SpherePoly._canonical(
-            self.n, {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()})
-
     def evaluate(self, v) -> float:
         total = 0.0
         for e, c in self.terms.items():
@@ -313,7 +322,7 @@ class InvariantForm:
     come first in the monomial orientation.
     """
 
-    __slots__ = ("n", "_terms", "_hash", "_parts", "_source")
+    __slots__ = ("n", "_terms", "_hash", "_parts", "_source", "_key")
 
     def __init__(self, n, terms=None, projected=False):
         self.n = n
@@ -334,6 +343,7 @@ class InvariantForm:
         self._hash = None
         self._parts = None  # columns._split_vectors, once computed
         self._source = None
+        self._key = None  # contact.rumin's cache key, once computed
 
     @classmethod
     def _from_vectors(cls, n, parts, source) -> "InvariantForm":
@@ -341,6 +351,7 @@ class InvariantForm:
         returns its terms, and runs only when they are first asked for."""
         out = cls.__new__(cls)
         out.n, out._terms, out._hash, out._parts, out._source = n, None, None, parts, source
+        out._key = None
         return out
 
     @property
@@ -366,8 +377,11 @@ class InvariantForm:
         return not self.is_zero()
 
     def is_exact(self) -> bool:
-        """Whether no coefficient is a float; a split form is exact by construction."""
-        return self._parts is not None or not any(
+        """Whether no coefficient is a float; a split form reads its vectors' dtype."""
+        if self._parts is not None:
+            return all(vals.dtype.kind != "f" for _, blocks in self._parts.values()
+                       for _, vals in blocks.values())
+        return not any(
             isinstance(c, float) for p in self._terms.values() for c in p.terms.values())
 
     def degrees(self):
@@ -570,16 +584,6 @@ def _substitute(a, dx_images, dv_images) -> InvariantForm:
         for key, q in acc.items():
             _accumulate(out, key, q)
     return InvariantForm(a.n, out)
-
-
-def pullback_antipode(a: InvariantForm) -> InvariantForm:
-    out = {}
-    for (I, J), p in a.terms.items():
-        q = p.negate_variables()
-        if len(J) % 2:
-            q = -q
-        out[(I, J)] = q
-    return InvariantForm(a.n, out, projected=True)
 
 
 def pullback_ball_shift(a: InvariantForm, t) -> InvariantForm:

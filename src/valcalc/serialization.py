@@ -20,6 +20,10 @@ from .exterior import InvariantForm, SpherePoly
 from .scalars import _RAT_TYPES, Rat, Scalar
 from .valuation import ValuationRep
 
+# the largest |number| a body file may hold: evaluations reach eighth powers
+# of a body's coordinates (Gram determinants of 4 edges), which stay finite
+MAX_COORDINATE = 1e30
+
 
 class SerializationError(ValueError):
     """Malformed serialized data; the message names the offending location."""
@@ -153,6 +157,8 @@ def _vector(raw, path):
         raise SerializationError(path, "expected a nonempty list of numbers")
     if not all(math.isfinite(x) for x in raw):
         raise SerializationError(path, "numbers must be finite")
+    if any(abs(x) > MAX_COORDINATE for x in raw):
+        raise SerializationError(path, f"numbers must be at most {MAX_COORDINATE:g} in size")
     return [float(x) for x in raw]
 
 
@@ -193,9 +199,8 @@ def body_from_json(obj, path="body"):
             radius = obj.get("radius")
             if not isinstance(radius, (int, float)) or isinstance(radius, bool):
                 raise SerializationError(f"{path}.radius", "expected a number")
-            if not math.isfinite(radius):
-                raise SerializationError(f"{path}.radius", "radius must be finite")
-            body = Ball(_vector(obj.get("center"), f"{path}.center"), obj["radius"])
+            (radius,) = _vector([radius], f"{path}.radius")
+            body = Ball(_vector(obj.get("center"), f"{path}.center"), radius)
         elif tag == "box":
             rot = obj.get("rotation")
             body = Box(_vector(obj.get("center"), f"{path}.center"),

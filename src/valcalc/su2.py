@@ -9,11 +9,11 @@ Directions are stored unscaled: an exact direction keeps a primitive integer
 triple (p, q, r) standing for (p, q, r)/sqrt(p^2+q^2+r^2), which keeps every
 derived quantity rational even when the normalization is irrational.
 
-An exact direction's Z_u is built as split vectors (``columns``) from a
-fixed integer tensor: the numerator beta^d(beta) + 2 gamma^Omega is
-quadratic in the integer triple, so it is T times the six products u_i u_j,
-with T found once per process by polarization of the dict forms.  A float
-direction's Z_u is built by the dict operators (``stated_z_form``).
+Every Z_u is built as split vectors (``columns``) from a fixed integer
+tensor: the numerator beta^d(beta) + 2 gamma^Omega is quadratic in u, so it
+is T times the six products u_i u_j, with T found once per process by
+polarization of the dict forms.  The products are those of an exact
+direction's integer triple, or of a float direction's unit coordinates.
 """
 
 import math
@@ -190,11 +190,6 @@ def stated_z_form(u: ImDirection) -> InvariantForm:
     return beta.wedge(d(beta)) * (scale / 8) + gamma.wedge(omega) * (scale / 4)
 
 
-def _oriented_z_form(u: ImDirection) -> InvariantForm:
-    omega = stated_z_form(u)
-    return -omega if Z_ORIENTATION < 0 else omega
-
-
 # the products u_i u_j of a direction's coordinates, in the order _z_tensor
 # polarizes them
 _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -228,30 +223,32 @@ def _z_tensor():
 
 
 def _z_vectors(u: ImDirection) -> dict:
-    """The split vectors of an exact direction's Z_u: pi^-1 times
-    Z_ORIENTATION T m(u) / (8 |u|^2), reduced by the gcd."""
+    """The split vectors of Z_u, Z_ORIENTATION T m(u) / (8 pi): for an exact
+    direction, m(u) of its integer triple and pi^-1 over 8 |u|^2, reduced by
+    the gcd; for a float one, m(u) of its unit coordinates, in float64 over 1."""
     from .columns import _fit, _reduce_grade, _widen
 
     ids, T, bound = _z_tensor()
-    prods = [u.coords[i] * u.coords[j] for i, j in _PRODUCTS]
+    x = u.coords if u.exact else u.unit()
+    prods = [x[i] * x[j] for i, j in _PRODUCTS]
     t, m = _widen(bound * max(map(abs, prods)), T, _fit(prods))
     vals = (t @ m) * Z_ORIENTATION
     nz = np.flatnonzero(vals)
+    if not u.exact:
+        return {0: (1, {(2, 1): (ids[nz], vals[nz] / 8 / math.pi)})}
     return {-1: _reduce_grade(8 * u.norm_sq, {(2, 1): (ids[nz], _fit(vals[nz]))})}
 
 
 def z_rep(u: ImDirection) -> ValuationRep:
     """The valuation Z_u, oriented so that the unit ball evaluates to +pi.
 
-    An exact direction's form is its split vectors (``_z_vectors``).  Its
-    terms are built only when asked for, and then from ``stated_z_form``:
-    float sums over a form's terms follow their order, and the dict path's
-    order depends on u in a way the vectors do not keep.
+    Its form is its split vectors (``_z_vectors``).  Its terms are built only
+    when asked for, and then from ``stated_z_form``: float sums over a form's
+    terms follow their order, and the dict path's order depends on u in a way
+    the vectors do not keep.
     """
-    if not u.exact:
-        return ValuationRep(4, _oriented_z_form(u))
     return ValuationRep(4, InvariantForm._from_vectors(
-        4, _z_vectors(u), lambda: _oriented_z_form(u).terms))
+        4, _z_vectors(u), lambda: (stated_z_form(u) * Z_ORIENTATION).terms))
 
 
 def gram_zz(u: ImDirection, v: ImDirection) -> Scalar:

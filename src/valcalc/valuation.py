@@ -5,14 +5,14 @@ degree n-1 on the sphere bundle integrated over normal cycles, phi a constant
 top-degree form integrated over the body.  Translation invariance makes phi a
 constant times dx_1^...^dx_n, so a rep stores that constant, a Scalar.  The
 operators here (reflection, derivation, signature, Laplacian) and the product
-pairing are all computed exactly in Q[pi, 1/pi], on the pi-graded integer
-parts of the forms as sparse vectors over monomials
-(``columns._split_vectors``): every operator involved is linear over Z, and
-applies as cached integer columns (see ``columns``).  The pairing contracts
-two such vectors against the closed-form integrals of sphere monomials, each
-a rational times pi^(n // 2) (``columns.pair_top``).  Float-coefficient reps
-keep the dict operators.  ``columns`` is imported where an exact operator
-first runs.
+pairing run on the pi-graded parts of the forms as sparse vectors over
+monomials (``columns._split_vectors``): every operator involved is linear
+over Z, and applies as cached integer columns (see ``columns``), exactly in
+Q[pi, 1/pi] on integer parts and in floats on the float64 part of a float
+rep.  The pairing contracts two integer vectors against the closed-form
+integrals of sphere monomials, each a rational times pi^(n // 2)
+(``columns.pair_top``); it and the Rumin-based operators reject floats.
+``columns`` is imported where an operator first runs.
 """
 
 import math
@@ -27,8 +27,6 @@ from .exterior import (
     _complement,
     _merge_sign,
     contract,
-    lie_reeb,
-    pullback_antipode,
     reeb_field,
     sphere_monomial_integral,
     spherical_density,
@@ -97,35 +95,26 @@ class ValuationRep:
 
 def euler_verdier(mu: ValuationRep) -> ValuationRep:
     """Composition with the antipodal reflection: ((-1)^n s*omega, (-1)^n phi)."""
-    sign = -1 if mu.n % 2 else 1
-    if mu.is_exact():
-        from . import columns
+    from . import columns
 
-        parts = columns._split_vectors(mu.omega)
-        image = columns._antipode_vectors(mu.n, parts, sign)
-        if image is parts and (sign > 0 or not mu.phi):
-            return mu
-        omega = mu.omega if image is parts else columns._join_vectors(mu.n, image)
-    else:
-        omega = pullback_antipode(mu.omega)
-        if sign < 0:
-            omega = -omega
+    sign = -1 if mu.n % 2 else 1
+    parts = columns._split_vectors(mu.omega)
+    image = columns._antipode_vectors(mu.n, parts, sign)
+    if image is parts and (sign > 0 or not mu.phi):
+        return mu
+    omega = mu.omega if image is parts else columns._join_vectors(mu.n, image)
     return ValuationRep(mu.n, omega, -mu.phi if sign < 0 else mu.phi)
 
 
 def derivation(mu: ValuationRep) -> ValuationRep:
     """Degree-lowering derivative: (L_T omega + i_T pullback(phi), 0)."""
+    from . import columns
+
     n = mu.n
     lifted = contract(reeb_field(n), _phi_form(mu))
-    if mu.is_exact():
-        from . import columns
-
-        (parts,) = columns.LIE_REEB.apply(n, columns._split_vectors(mu.omega))
-        omega = columns._join_vectors(
-            n, columns._add_vectors(n, parts, columns._split_vectors(lifted)))
-    else:
-        # float reps (the icosahedral Z_u) are lowered in floats
-        omega = lie_reeb(mu.omega) + lifted
+    (parts,) = columns.LIE_REEB.apply(n, columns._split_vectors(mu.omega))
+    omega = columns._join_vectors(
+        n, columns._add_vectors(n, parts, columns._split_vectors(lifted)))
     return ValuationRep(n, omega)
 
 

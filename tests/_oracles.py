@@ -699,6 +699,17 @@ def join_pi(n, parts) -> InvariantForm:
 # -- basic forms, quaternion matrices and checks that only the tests use -------
 
 
+def pullback_antipode(a: InvariantForm) -> InvariantForm:
+    """The pullback along the antipodal map (x, v) -> (x, -v): the reference
+    for ``columns._antipode_vectors``."""
+    out = {}
+    for (I, J), p in a.terms.items():
+        sign = -1 if len(J) % 2 else 1
+        out[(I, J)] = SpherePoly._canonical(
+            a.n, {e: c * sign * (-1) ** sum(e) for e, c in p.terms.items()})
+    return InvariantForm(a.n, out, projected=True)
+
+
 def fiber_integral(a: InvariantForm) -> dict:
     """The fiber integral pi_*(a) as {I: Scalar}, the nonzero coefficients of
     dx_I; only the terms of dv-degree n-1 contribute."""

@@ -15,7 +15,8 @@ from valcalc.cli import main
 from valcalc.contact import rumin
 from valcalc.kinematic import kinematic_tensor
 from valcalc.su2 import ImDirection, quaternionic_forms, z_rep
-from valcalc.valuation import derivation, intrinsic_volume_rep
+from valcalc.exterior import SpherePoly
+from valcalc.valuation import ValuationRep, derivation, intrinsic_volume_rep, pairing
 
 
 def run(capsys, *args):
@@ -152,6 +153,24 @@ class TestRoundTripThroughCli:
         assert rc == 0
         # <Z_i, Z_(i+j)/sqrt(2)> = (1 + 1/2) / 4
         assert out.strip() == "3/8"
+
+    def test_pair_with_a_high_last_exponent(self, capsys, files):
+        # the file's v4^(e + 50) is rewritten as v4^e (1 - v1^2 - v2^2 -
+        # v3^2)^25 when parsed; rewriting one square at a time without
+        # merging equal exponents never finished
+        _, save = files
+        vol2 = intrinsic_volume_rep(4, 2)
+        raw = ser.valuation_to_json(vol2)
+        for term in raw["omega"]["terms"]:
+            for mono in term["poly"]:
+                mono["exp"][3] += 50
+        a = save("high.json", raw)
+        zu = z_rep(ImDirection.of(1, 0, 2))
+        b = save("zu.json", ser.valuation_to_json(zu))
+        rc, out, _ = run(capsys, "pair", "--a", a, "--b", b)
+        assert rc == 0
+        high = ValuationRep(4, vol2.omega * SpherePoly(4, {(0, 0, 0, 50): 1}))
+        assert out.strip() == str(pairing(high, zu)) != "0"
 
     def test_forms_exact_direction_round_trips(self, capsys):
         rc, out, _ = run(capsys, "su2", "forms", "--u", "0,0,1", "--json")
@@ -310,6 +329,44 @@ class TestExitCodes:
             assert rc == 2
             assert not out
             assert f"{body}.{field}" in err
+
+    @pytest.mark.parametrize("name, text, field", [
+        ("box.json", '{"type": "box", "center": [0, 0, 0, 0], '
+                     '"half_extents": [1e308, 1e308, 1e308, 1e308]}', "half_extents"),
+        ("ball.json", '{"type": "ball", "center": [0, 0, 0, 0], "radius": 1e300}', "radius"),
+    ])
+    def test_overflowing_body_numbers(self, capsys, files, name, text, field):
+        # the box used to print numpy overflow warnings and inf with exit 0,
+        # the ball to exit 3 on an integer division too large for a float
+        tmp, save = files
+        vol1 = save("vol1.json", ser.valuation_to_json(intrinsic_volume_rep(4, 1)))
+        body = tmp / name
+        body.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "eval", "--valuation", vol1, "--body", str(body))
+        assert rc == 2
+        assert not out
+        assert err.startswith(f"error: {body}.{field}: ")
+
+    def test_bodies_at_the_coordinate_bound_evaluate(self, capsys, files):
+        # every number of these bodies is 1e30 in size at most, and every
+        # intrinsic volume of them is finite, with no warning
+        tmp, save = files
+        big = ser.MAX_COORDINATE
+        bodies = {
+            "box": Box(np.array([big, -big, 0, 0]), np.full(4, big)),
+            "simplex": Simplex(np.vstack([np.zeros(4), np.eye(4) * big])),
+            "ball": Ball(np.array([big, 0, 0, 0]), big),
+        }
+        for name, K in bodies.items():
+            body = save(f"{name}.json", ser.body_to_json(K))
+            for k in range(5):
+                rep = save(f"v{k}.json", ser.valuation_to_json(intrinsic_volume_rep(4, k)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rc, out, _ = run(capsys, "eval", "--valuation", rep, "--body", body)
+                assert rc == 0 and np.isfinite(float(out)), (name, k)
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "rumin", "--form", str(tmp_path / "nope.json"))

@@ -19,6 +19,7 @@ from _oracles import (
     derivation_reference,
     join_pi,
     pairing_reference,
+    pullback_antipode,
     random_sphere_poly,
     rumin_reference,
     signature_reference,
@@ -49,11 +50,18 @@ from valcalc.exterior import (
     d,
     hodge_star,
     lie_reeb,
-    pullback_antipode,
     reeb_field,
 )
 from valcalc.scalars import Rat, Scalar
-from valcalc.su2 import ImDirection, stated_z_form, tasaki_density, z_rep
+from valcalc.bodies import Box, Simplex, evaluate
+from valcalc.su2 import (
+    ImDirection,
+    icosahedron_directions,
+    stated_z_form,
+    su2_basis,
+    tasaki_density,
+    z_rep,
+)
 from valcalc.valuation import (
     ValuationRep,
     derivation,
@@ -137,6 +145,73 @@ class TestAgainstDictPath:
         # phi makes both reps of mixed degree, so the full product is taken
         assert pairing(mu, nu) == pairing_reference(mu, nu)
         assert pairing(nu, mu) == pairing_reference(nu, mu)
+
+
+class TestFloatVectors:
+    # a float rep's omega is split vectors of float64 values in grade 0 over
+    # den 1, and the operators apply the same integer columns to them
+    BODIES = {
+        "box": Box(np.array([0.1, 0.0, -0.2, 0.3]), np.array([0.45, 0.55, 0.35, 0.6])),
+        "simplex": Simplex([[0, 0, 0, 0], [1.1, 0, 0, 0], [0.2, 0.9, 0, 0],
+                            [0.1, 0.2, 1, 0], [0.3, 0.1, 0.2, 0.8]]),
+    }
+
+    def test_icosahedron_vectors_are_the_dict_coefficients(self):
+        # T m(u) / 8 / pi gives the dict path's coefficients bit for bit
+        keys = columns._block(4, 2, 1).keys
+        for u in icosahedron_directions():
+            parts = z_rep(u).omega._parts
+            assert list(parts) == [0] and parts[0][0] == 1
+            (ids, vals), = parts[0][1].values()
+            assert vals.dtype == np.float64
+            ref = -stated_z_form(u)
+            assert {keys[i]: c for i, c in zip(ids.tolist(), vals.tolist())} == \
+                {(I, J, e): c for (I, J), p in ref.terms.items() for e, c in p.terms.items()}
+
+    @pytest.mark.parametrize("body", list(BODIES))
+    def test_float_twin_agrees_with_exact(self, body):
+        K = self.BODIES[body]
+        zf, ze = z_rep(ImDirection.of(0.6, 0.8, 0.0)), z_rep(ImDirection.of(3, 4, 0))
+        ops = {"Z_u": lambda mu: mu, "Lambda": derivation, "sigma": euler_verdier,
+               "Lambda sigma": lambda mu: derivation(euler_verdier(mu))}
+        for name, op in ops.items():
+            a, b = op(zf), op(ze)
+            assert not a.is_exact() and b.is_exact(), name
+            assert abs(evaluate(a, K) - evaluate(b, K)) < 1e-12, name
+            exact = {(key, e): float(c) for key, p in b.omega.terms.items()
+                     for e, c in p.terms.items()}
+            approx = {(key, e): c for key, p in a.omega.terms.items() for e, c in p.terms.items()}
+            assert approx.keys() == exact.keys(), name
+            assert max(abs(approx[m] - exact[m]) for m in exact) < 1e-12, name
+
+    def test_derivation_of_a_sum_of_float_reps(self):
+        reps = [rep for label, rep in su2_basis("icosahedron") if label.startswith("Z_u")]
+        total = reps[0] + reps[3] * 0.5
+        lowered = derivation(total)
+        assert not lowered.is_exact() and lowered.degree() == 1
+        ref = lie_reeb(total.omega)
+        got = lowered.omega.terms
+        assert got.keys() == ref.terms.keys()
+        for key, p in ref.terms.items():
+            assert p.terms.keys() == got[key].terms.keys()
+            assert all(abs(got[key].terms[e] - c) < 1e-15 for e, c in p.terms.items())
+        K = self.BODIES["box"]
+        apart = evaluate(derivation(reps[0]), K) + 0.5 * evaluate(derivation(reps[3]), K)
+        assert abs(evaluate(lowered, K) - apart) < 1e-12
+
+    def test_float_and_integer_parts_add_to_float64(self):
+        (ids, _), = z_rep(icosahedron_directions()[0]).omega._parts[0][1].values()
+        f = {0: (1, {(2, 1): (ids[:2], np.array([0.5, 0.25]))})}
+        i = {0: (3, {(2, 1): (ids[:1], np.array([1], np.int64))})}
+        for p, q in ((f, i), (i, f)):
+            (den, blocks), = columns._add_vectors(4, p, q).values()
+            (got_ids, vals), = blocks.values()
+            assert den == 3 and vals.dtype == np.float64
+            assert dict(zip(got_ids.tolist(), vals.tolist())) == \
+                {ids[0]: 2.5, ids[1]: 0.75}
+        sum_form = columns._join_vectors(4, columns._add_vectors(4, f, i))
+        coeffs = [c for p in sum_form.terms.values() for c in p.terms.values()]
+        assert sorted(coeffs) == [0.25, 2.5 / 3]
 
 
 class TestPythonInts:

@@ -12,6 +12,7 @@ from _oracles import (
     sphere_volume_form,
     verify_zero_valuation,
 )
+from valcalc import columns
 from valcalc.columns import _join_vectors, _key_vectors, _split_vectors, _vector_key
 from valcalc.contact import (
     RUMIN_CACHE_SIZE,
@@ -142,6 +143,18 @@ class TestRuminCache:
         hits = _rumin_cached.cache_info().hits
         assert rumin(omega) is first
         assert _rumin_cached.cache_info().hits == hits + 1
+
+    def test_repeated_form_computes_its_key_once(self, monkeypatch):
+        # the key stays with the form's split vectors, so a repeated hit is
+        # one lookup
+        omega = signature(z_rep(ImDirection.of(3, 0, -7))).omega
+        calls = []
+        key = columns._vector_key
+        monkeypatch.setattr(columns, "_vector_key", lambda n, parts: calls.append(n) or key(n, parts))
+        first = rumin(omega)
+        for _ in range(3):
+            assert rumin(omega) is first
+        assert len(calls) == 1
 
     def test_key_is_the_vectors(self):
         # the cache's argument is the split form's vector key, not the form

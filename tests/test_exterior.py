@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from _oracles import (
     numeric_contraction,
     numeric_hodge_components,
     orthographic_chart,
+    pullback_antipode,
     pullback_linear,
     random_form,
     random_sphere_poly,
@@ -39,7 +41,6 @@ from valcalc.exterior import (
     d,
     hodge_star,
     lie_reeb,
-    pullback_antipode,
     pullback_ball_shift,
     reeb_field,
     sphere_monomial_integral,
@@ -75,6 +76,55 @@ class TestReduce:
         for _ in range(20):
             v = random_unit(rng, N)
             assert p.evaluate(v) == pytest.approx(v[3] ** 3, abs=1e-12)
+
+    def test_high_last_exponent(self):
+        # v4^60 = (1 - v1^2 - v2^2 - v3^2)^30, expanded here one factor at a
+        # time; a rewrite that does not merge equal exponents takes about 4
+        # times longer for every 2 added to the exponent, and v4^60 never ends
+        want = {(0, 0, 0, 0): 1}
+        for _ in range(30):
+            nxt = {}
+            for e, c in want.items():
+                nxt[e] = nxt.get(e, 0) + c
+                for i in range(3):
+                    f = e[:i] + (e[i] + 2,) + e[i + 1:]
+                    nxt[f] = nxt.get(f, 0) - c
+            want = {e: c for e, c in nxt.items() if c}
+        start = time.perf_counter()
+        p = SpherePoly(N, {(0, 0, 0, 60): 1})
+        assert time.perf_counter() - start < 1.0
+        assert p.terms == want
+
+    def test_rewrite_keeps_the_order_of_a_square_at_a_time(self):
+        # terms come in the order a rewrite of one square at a time, last
+        # term first, reaches them, as they always have: term order is the
+        # order of float sums downstream (the tangential projection of dv_n
+        # rewrites v_n^2); inputs whose last exponent is 2 or 3 keep it
+        # exactly, higher ones keep their values
+        def one_square_at_a_time(n, terms):
+            t, stack = {}, list(terms.items())
+            while stack:
+                e, c = stack.pop()
+                if e[n - 1] >= 2:
+                    base = e[:n - 1] + (e[n - 1] - 2,)
+                    stack.append((base, c))
+                    stack += [(base[:i] + (base[i] + 2,) + base[i + 1:], -c) for i in range(n - 1)]
+                elif t.get(e, 0) + c:
+                    t[e] = t.get(e, 0) + c
+                else:
+                    t.pop(e, None)
+            return t
+
+        rng = random.Random(12)
+        for top in (3, 7):
+            for _ in range(300):
+                n = rng.choice([2, 3, 4])
+                terms = {tuple(rng.randint(0, 3) for _ in range(n - 1)) + (rng.randint(0, top),):
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)}
+                got, want = SpherePoly(n, terms).terms, one_square_at_a_time(n, terms)
+                assert got == want
+                if top == 3:
+                    assert list(got) == list(want)
 
     def test_reduction_idempotent(self):
         rng = random.Random(6)

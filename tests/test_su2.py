@@ -10,6 +10,7 @@ from _oracles import (
     fiber_integral,
     imaginary_rotation,
     left_mult_matrix,
+    pullback_antipode,
     pullback_linear,
     rational_unit_quaternion,
     right_translation_matrix,
@@ -21,7 +22,6 @@ from valcalc.exterior import (
     InvariantForm,
     d,
     lie_reeb,
-    pullback_antipode,
 )
 from valcalc.contact import rumin
 from valcalc import columns, su2
