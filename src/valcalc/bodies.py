@@ -20,7 +20,8 @@ simplices of dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
 Several valuations on one body share one pass over its pieces
 (``evaluate_many``), their cells and moments computed once per shape for all
 the valuations, and a tube value passes the same pieces to the form's
-integral and to the Steiner volume (``evaluate_tube``).
+integral and to the Steiner volume (``evaluate_tube``).  A form's monomials
+are read from its split vectors in one fixed order (``_closed_form_terms``).
 
 Each body class carries its own support function (``support``,
 ``support_point``, both batched over (B, n) directions, and
@@ -31,7 +32,7 @@ whether one body meets each of a batch of rigid motions of another.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -725,27 +726,42 @@ class _TermGroup(NamedTuple):
     degree: int           # highest degree of monomial * v_i
 
 
-@lru_cache(maxsize=64)
-def _closed_form_terms(form):
-    """The form's terms grouped by (k, m): face dimension, cone generators.
+def _cached_on_vectors(fn):
+    """fn(n, parts) of a split form as a function of a form, in a bounded LRU
+    on its vector key (``columns._form_key``); results are shared, not copied."""
+    @lru_cache(maxsize=64)
+    def cached(key):
+        from .columns import _key_vectors
 
-    Cached by form, so each basis valuation's groups are built once, not once
-    per body; the returned groups are shared and must not be changed.
-    """
-    n = form.n
-    by_shape = {}
-    for (I, J), p in form.terms.items():
-        by_shape.setdefault((len(I), len(J) + 1), []).append((I, J, p))
+        return fn(*_key_vectors(key))
+
+    @wraps(fn)
+    def call(form):
+        from .columns import _form_key
+
+        return cached(_form_key(form))
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_cached_on_vectors
+def _closed_form_terms(n, parts):
+    """The form's terms grouped by (k, m): face dimension, cone generators,
+    in ``columns._ordered_terms`` order, the order of every float sum over them."""
+    from .columns import _ordered_terms
+
+    rows = {}
+    for I, J, e, c in _ordered_terms(n, parts, True):
+        rows.setdefault((len(I), len(J) + 1), []).append(
+            (_subsets(n, len(I))[1][I], _subsets(n, len(J))[1][J], c,
+             [_moment_position(n, _shifted(e, i, 1)) for i in range(n)], sum(e)))
     groups = {}
-    for (k, m), items in by_shape.items():
-        rows = [(_subsets(n, k)[1][I], _subsets(n, m - 1)[1][J], float(c),
-                 [_moment_position(n, _shifted(e, i, 1)) for i in range(n)])
-                for I, J, p in items for e, c in p.terms.items()]
-        base, fiber, coef, position = zip(*rows)
-        groups[(k, m)] = _TermGroup(
+    for shape, items in rows.items():
+        base, fiber, coef, position, degree = zip(*items)
+        groups[shape] = _TermGroup(
             np.array(base, dtype=int), np.array(fiber, dtype=int), np.array(coef),
-            np.array(position, dtype=int).reshape(len(rows), n),
-            max(p.degree() for _, _, p in items) + 1)
+            np.array(position, dtype=int).reshape(len(items), n), max(degree) + 1)
     return groups
 
 
@@ -778,14 +794,15 @@ def _piece_integrals(group, minors):
     return np.einsum("pq,pq->p", vals, group.coef * base[:, group.base])
 
 
-@lru_cache(maxsize=64)
-def _point_value(form):
+@_cached_on_vectors
+def _point_value(n, parts):
     """The form's integral over the normal cycle of a point, which the vertex
     pieces of every polytope add up to: its value on a ball of radius 0
     (``valuation.ball_value``), where only the dv-only terms count.  Exact
-    coefficients are summed exactly and rounded once.  Cached per form, so a
-    basis valuation's value is computed once, not once per body."""
-    return ball_value(ValuationRep(form.n, form), 0)
+    coefficients are summed exactly and rounded once."""
+    from .columns import _join_vectors
+
+    return ball_value(ValuationRep(n, _join_vectors(n, parts)), 0)
 
 
 def _integrate_forms(forms, pieces, cells=None):

@@ -25,8 +25,10 @@ integrals of sphere monomials.
 An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
 asked for, and until then its zero test, degrees and exactness read the
-vectors' blocks.  ``_vector_key`` turns split vectors into a hashable key,
-the key of contact's Rumin LRU, which a form keeps once computed.
+vectors' blocks.  Every float sum over monomials takes them sorted by (I, J,
+e) (``_ordered_terms``), never in the order the process numbered them.
+``_vector_key`` turns split vectors into a hashable key, which a form keeps
+once computed (``_form_key``): the key of the Rumin LRU and bodies' caches.
 
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
@@ -35,7 +37,7 @@ MAX_CONTRACT_DEGREE wedges and takes the top coefficient of the fiber
 integral.  The caches keep every column they build for the life of the
 process: their size is bounded by the number of monomials of the degrees in
 use, not by a count of forms.  This module is imported on the first exact
-operation, so code that runs none does not load it.
+operation or numeric evaluation, so code that runs none does not load it.
 """
 
 import math
@@ -170,31 +172,38 @@ def _split_vectors(a: InvariantForm) -> dict:
 def _join_vectors(n, parts) -> InvariantForm:
     """The form of split vectors; it keeps them as its split, and builds its
     Scalar coefficients (``_vector_terms``) only when they are asked for."""
-    return InvariantForm._from_vectors(n, parts, lambda: _vector_terms(n, parts))
+    form = InvariantForm.__new__(InvariantForm)
+    form.n, form._terms, form._parts, form._key = n, None, parts, None
+    return form
 
 
-def _vector_terms(n, parts) -> dict:
-    """The terms of the form of split vectors: Scalar coefficients, or float
-    ones if any vector holds floats."""
+def _ordered_terms(n, parts, numeric):
+    """(I, J, e, coefficient) per monomial of a split form, sorted by (I, J, e):
+    the one order of float sums over monomials.  With numeric set the
+    coefficient is sum_k float(c_k) pi^k, as ``Scalar.__float__`` computes it;
+    otherwise {k: c_k} over ascending k, c_k rational or, in grade 0, a float."""
     coeffs = {}
-    floats = False
-    for k, (den, blocks) in parts.items():
+    for k in sorted(parts):
+        den, blocks = parts[k]
         for ab, (ids, vals) in blocks.items():
             keys = _BLOCKS[(n,) + ab].keys
             flt = vals.dtype.kind == "f"
-            floats = floats or flt
             for i, c in zip(ids.tolist(), vals.tolist()):
-                I, J, e = keys[i]
-                coeffs.setdefault((I, J), {}).setdefault(e, {})[k] = \
-                    c / den if flt else Rat(c, den)
-    coef = _float_value if floats else Scalar
-    return {key: SpherePoly._canonical(n, {e: coef(t) for e, t in poly.items()})
-            for key, poly in coeffs.items()}
+                coeffs.setdefault(keys[i], {})[k] = c / den if flt else Rat(c, den)
+    for key in sorted(coeffs):
+        t = coeffs[key]
+        yield (*key, sum(float(c) * math.pi ** k for k, c in t.items()) if numeric else t)
 
 
-def _float_value(t) -> float:
-    """The float value of {pi power: coefficient}."""
-    return sum(float(c) * math.pi ** k for k, c in t.items())
+def _vector_terms(n, parts) -> dict:
+    """The terms of the form of split vectors, in ``_ordered_terms`` order:
+    Scalar coefficients, or float ones if any vector holds floats."""
+    floats = any(vals.dtype.kind == "f" for _, blocks in parts.values()
+                 for _, vals in blocks.values())
+    terms = {}
+    for I, J, e, c in _ordered_terms(n, parts, floats):
+        terms.setdefault((I, J), {})[e] = c if floats else Scalar(c)
+    return {key: SpherePoly._canonical(n, t) for key, t in terms.items()}
 
 
 def _vector_key(n, parts) -> tuple:
@@ -205,6 +214,14 @@ def _vector_key(n, parts) -> tuple:
         (k, den, ab, ids.tobytes(), vals.dtype.str,
          tuple(vals.tolist()) if vals.dtype == object else vals.tobytes())
         for k, (den, blocks) in parts.items() for ab, (ids, vals) in blocks.items())
+
+
+def _form_key(form) -> tuple:
+    """The form's ``_vector_key``, computed once and kept with the form: the
+    key of contact's Rumin LRU and of the numeric caches of ``bodies``."""
+    if form._key is None:
+        form._key = _vector_key(form.n, _split_vectors(form))
+    return form._key
 
 
 def _key_vectors(key):
@@ -338,7 +355,12 @@ class _Columns:
         self.rows, self.vals = [np.zeros(0, np.int64)] * m, [np.zeros(0, np.int64)] * m
 
     def apply(self, ids, vals):
-        """The image of the vector (ids, vals): per output block, (ids, vals) or None."""
+        """The image of the vector (ids, vals): per output block, (ids, vals) or None;
+        float entries are summed in ``_ordered_terms`` order."""
+        if vals.dtype.kind == "f":
+            keys = [self.src.keys[i] for i in ids.tolist()]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            ids, vals = ids[order], vals[order]
         grow = len(self.src.keys) - len(self.slot)
         if grow:
             self.slot = np.concatenate([self.slot, np.full(grow, -1, np.int64)])

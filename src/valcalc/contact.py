@@ -13,7 +13,7 @@ the corrected derivative is vertical.  Its lane width comes from
 ``columns._rumin_bound``, the product of the column l1 norms of the solve's
 steps.  In front of the columns, a bounded LRU (``_rumin_cached``) keeps
 the result per input, keyed on the bytes of its vectors
-(``columns._vector_key``, kept with the form), so a form rebuilt from the
+(``columns._form_key``, kept with the form), so a form rebuilt from the
 same vectors hits and no Scalar term is hashed.
 """
 
@@ -140,11 +140,9 @@ def rumin(omega: InvariantForm) -> RuminResult:
     n = omega.n
     if omega and omega.degree() != n - 1:
         raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
-    from .columns import _split_vectors, _vector_key
+    from .columns import _form_key
 
-    if omega._key is None:
-        omega._key = _vector_key(n, _split_vectors(omega))
-    return _rumin_cached(omega._key)
+    return _rumin_cached(_form_key(omega))
 
 
 @lru_cache(maxsize=RUMIN_CACHE_SIZE)

@@ -12,7 +12,8 @@ Every operator here is linear over Z, so the exact layers above split a
 Scalar-coefficient form once into pi-graded parts with plain int
 coefficients (float coefficients into a float64 part), held as sparse
 vectors over monomial coordinates; a form made from such vectors builds its
-terms only when they are asked for (``columns._join_vectors``).  There
+terms only when they are asked for (``columns._join_vectors``), and a sum
+with such a form is taken on the vectors.  There
 hodge_star and lie_reeb (with contact's Rumin solve) apply as caches of
 integer columns keyed by the input's (n, |I|, |J|), and the antipodal
 pullback as a sign per monomial.  The dict operators here build those
@@ -97,7 +98,7 @@ class SpherePoly:
     v_n^(2k) is rewritten as (1 - sum of the other squares)^k on construction.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -112,7 +113,6 @@ class SpherePoly:
                 else:
                     t.pop(f, None)
         self.terms = t
-        self._hash = None
 
     @classmethod
     def _canonical(cls, n, terms) -> "SpherePoly":
@@ -120,7 +120,6 @@ class SpherePoly:
         out = cls.__new__(cls)
         out.n = n
         out.terms = terms
-        out._hash = None
         return out
 
     @classmethod
@@ -207,27 +206,12 @@ class SpherePoly:
             return self.terms == {(0,) * self.n: other}
         return NotImplemented
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
-
     def derivative(self, i) -> "SpherePoly":
         t = {}
         for e, c in self.terms.items():
             if e[i]:
                 t[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return SpherePoly(self.n, t)
-
-    def evaluate(self, v) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            m = float(c)
-            for vi, ei in zip(v, e):
-                if ei:
-                    m *= vi ** ei
-            total += m
-        return total
 
     def __str__(self):
         if not self.terms:
@@ -319,10 +303,11 @@ class InvariantForm:
 
     terms maps (I, J) to a SpherePoly coefficient, where I and J are strictly
     ascending 0-based index tuples naming the dx and dv factors; dx factors
-    come first in the monomial orientation.
+    come first in the monomial orientation.  Forms are not hashable: caches
+    key on their split vectors (``columns._form_key``).
     """
 
-    __slots__ = ("n", "_terms", "_hash", "_parts", "_source", "_key")
+    __slots__ = ("n", "_terms", "_parts", "_key")
 
     def __init__(self, n, terms=None, projected=False):
         self.n = n
@@ -340,24 +325,16 @@ class InvariantForm:
         if not projected:
             clean = _project_terms(n, clean)
         self._terms = clean
-        self._hash = None
         self._parts = None  # columns._split_vectors, once computed
-        self._source = None
-        self._key = None  # contact.rumin's cache key, once computed
-
-    @classmethod
-    def _from_vectors(cls, n, parts, source) -> "InvariantForm":
-        """The form of split vectors (``columns._split_vectors``); source()
-        returns its terms, and runs only when they are first asked for."""
-        out = cls.__new__(cls)
-        out.n, out._terms, out._hash, out._parts, out._source = n, None, None, parts, source
-        out._key = None
-        return out
+        self._key = None  # columns._form_key, once computed
 
     @property
     def terms(self) -> dict:
+        # a form of split vectors (columns._join_vectors) builds them when asked
         if self._terms is None:
-            self._terms, self._source = self._source(), None
+            from .columns import _vector_terms
+
+            self._terms = _vector_terms(self.n, self._parts)
         return self._terms
 
     @classmethod
@@ -398,6 +375,11 @@ class InvariantForm:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
+        if self._parts is not None or other._parts is not None:
+            from .columns import _add_vectors, _join_vectors, _split_vectors
+
+            return _join_vectors(self.n, _add_vectors(
+                self.n, _split_vectors(self), _split_vectors(other)))
         t = dict(self.terms)
         for key, p in other.terms.items():
             _accumulate(t, key, p)
@@ -423,11 +405,6 @@ class InvariantForm:
         if not isinstance(other, InvariantForm):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
 
     def __reduce__(self):
         # the cached split vectors number monomials as this process first saw them
@@ -621,23 +598,13 @@ def _coeff_to_scalar(c) -> Scalar:
     raise TypeError(f"exact operation on non-exact coefficient {c!r}")
 
 
-def spherical_density(n, J, p) -> SpherePoly:
-    """Density h with (dv-part) = h * sphere volume form, for |J| = n-1.
-
-    h is the coefficient of dv_1^...^dv_n in (sum v_t dv_t) ^ dv_J.
-    """
-    (t,) = set(range(n)) - set(J)
-    sgn = _prepend_sign(J, t)
-    q = p * SpherePoly.variable(n, t)
-    return -q if sgn < 0 else q
-
-
-def integrate_spherical(n, J, p) -> Scalar:
-    h = spherical_density(n, J, p)
-    total = ZERO
-    for e, c in h.terms.items():
-        total = total + _coeff_to_scalar(c) * sphere_monomial_integral(e)
-    return total
+def fiber_monomial_integral(J, e) -> Scalar:
+    """Exact integral of v^e dv_J over S^(n-1), n = len(e), |J| = n - 1: on
+    the sphere dv_J is v_t times its volume form, t the index J omits, signed
+    by putting t in front of J."""
+    (t,) = _complement(J, len(e))
+    w = sphere_monomial_integral(e[:t] + (e[t] + 1,) + e[t + 1:])
+    return -w if _prepend_sign(J, t) < 0 else w
 
 
 def top_fiber_integral(a: InvariantForm) -> Scalar:
@@ -650,7 +617,8 @@ def top_fiber_integral(a: InvariantForm) -> Scalar:
     total = ZERO
     for (I, J), p in a.terms.items():
         if I == top and len(J) == n - 1:
-            total = total + integrate_spherical(n, J, p)
+            for e, c in p.terms.items():
+                total = total + _coeff_to_scalar(c) * fiber_monomial_integral(J, e)
     return total
 
 

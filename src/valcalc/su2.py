@@ -14,6 +14,7 @@ tensor: the numerator beta^d(beta) + 2 gamma^Omega is quadratic in u, so it
 is T times the six products u_i u_j, with T found once per process by
 polarization of the dict forms.  The products are those of an exact
 direction's integer triple, or of a float direction's unit coordinates.
+Numeric evaluation reads the vectors; Z_u's terms are built from them.
 """
 
 import math
@@ -28,7 +29,7 @@ from .exterior import (
     alpha_form,
     d,
 )
-from .scalars import PI, Rat, Scalar
+from .scalars import Rat, Scalar
 from .tolerances import DIRECTION_MATCH_TOL, ORTHONORMAL_TOL, ZERO_NORM_TOL
 from .valuation import ValuationRep, intrinsic_volume_rep, pairing
 
@@ -175,21 +176,6 @@ def quaternionic_forms(u: ImDirection):
     return alpha, beta, gamma, omega
 
 
-def stated_z_form(u: ImDirection) -> InvariantForm:
-    """The combination (1/8pi) beta^d(beta) + (1/4pi) gamma^Omega, unit-normalized.
-
-    An exact direction builds the forms from its integer triple and divides
-    by |u|^2; a float direction builds them from its unit coordinates.
-    Dividing the scale by 8 and by 4 is exact in either case.
-    """
-    if u.exact:
-        coords, scale = u.coords, PI ** -1 / u.norm_sq
-    else:
-        coords, scale = u.unit(), 1 / math.pi
-    beta, gamma, omega = _scaled_forms(coords)
-    return beta.wedge(d(beta)) * (scale / 8) + gamma.wedge(omega) * (scale / 4)
-
-
 # the products u_i u_j of a direction's coordinates, in the order _z_tensor
 # polarizes them
 _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -242,13 +228,12 @@ def _z_vectors(u: ImDirection) -> dict:
 def z_rep(u: ImDirection) -> ValuationRep:
     """The valuation Z_u, oriented so that the unit ball evaluates to +pi.
 
-    Its form is its split vectors (``_z_vectors``).  Its terms are built only
-    when asked for, and then from ``stated_z_form``: float sums over a form's
-    terms follow their order, and the dict path's order depends on u in a way
-    the vectors do not keep.
+    Its form is its split vectors (``_z_vectors``); numeric evaluation reads
+    them, and its terms are built from them only when asked for.
     """
-    return ValuationRep(4, InvariantForm._from_vectors(
-        4, _z_vectors(u), lambda: (stated_z_form(u) * Z_ORIENTATION).terms))
+    from .columns import _join_vectors
+
+    return ValuationRep(4, _join_vectors(4, _z_vectors(u)))
 
 
 def gram_zz(u: ImDirection, v: ImDirection) -> Scalar:

@@ -12,24 +12,23 @@ Q[pi, 1/pi] on integer parts and in floats on the float64 part of a float
 rep.  The pairing contracts two integer vectors against the closed-form
 integrals of sphere monomials, each a rational times pi^(n // 2)
 (``columns.pair_top``); it and the Rumin-based operators reject floats.
-``columns`` is imported where an operator first runs.
+The value on a ball reads the split vectors too.  ``columns`` is imported
+where an operator or a ball value first runs.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .contact import rumin
 from .exterior import (
     InvariantForm,
     SpherePoly,
-    _coeff_to_scalar,
     _complement,
     _merge_sign,
     contract,
+    fiber_monomial_integral,
     reeb_field,
-    sphere_monomial_integral,
-    spherical_density,
 )
 from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
 from .tolerances import ORTHONORMAL_TOL
@@ -203,29 +202,34 @@ def _ball_parts(mu: ValuationRep, radius, numeric: bool):
 
     The normal cycle is the graph v -> (c + radius * v, v), so dx pulls back
     to radius * dv and the integral reduces to spherical monomial integrals
-    (Folland, "How to integrate a polynomial over a sphere", 2001).  With
-    numeric set, float coefficients are summed in floats against the same
-    exact monomial integrals; otherwise they raise TypeError like every exact
+    (Folland, "How to integrate a polynomial over a sphere", 2001), over the
+    monomials in ``columns._ordered_terms`` order.  Exact grades are summed
+    exactly; with numeric set the float grade is summed in floats against the
+    same exact integrals, otherwise it raises TypeError like every exact
     operation.
     """
+    from .columns import _ordered_terms, _split_vectors
+
     n = mu.n
     r = Rat(radius)
     exact = mu.phi * ball_volume(n, radius)
     approx = 0.0
-    for (I, J), p in mu.omega.terms.items():
+    monomials = _ordered_terms(n, _split_vectors(mu.omega), False)
+    for (I, J), group in groupby(monomials, key=lambda term: term[:2]):
         scale = r ** len(I)
         if not scale or set(I) & set(J):
             continue
         merged = tuple(sorted(I + J))
-        if len(merged) != n - 1:
-            continue
         part, fpart = ZERO, 0.0
-        for e, c in spherical_density(n, merged, p).terms.items():
-            w = sphere_monomial_integral(e)
-            if numeric and isinstance(c, float):
-                fpart += c * float(w)
-            else:
-                part = part + _coeff_to_scalar(c) * w
+        for *_, e, coef in group:
+            w = fiber_monomial_integral(merged, e)
+            if not w:
+                continue
+            for k, c in coef.items():
+                if numeric and isinstance(c, float):
+                    fpart += c * float(w)  # a float lies in grade 0, so pi^k = 1
+                else:
+                    part = part + Scalar({k: c}) * w
         part = part * scale
         fpart *= float(scale)
         if _merge_sign(I, J) < 0:

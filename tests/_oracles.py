@@ -22,14 +22,14 @@ from valcalc.exterior import (
     contract,
     d,
     hodge_star,
-    integrate_spherical,
+    fiber_monomial_integral,
     lie_reeb,
     reeb_field,
     sphere_monomial_integral,
 )
 from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN
-from valcalc.scalars import ZERO, Rat, Scalar
-from valcalc.su2 import right_mult_matrix
+from valcalc.scalars import PI, ZERO, Rat, Scalar
+from valcalc.su2 import _scaled_forms, right_mult_matrix
 from valcalc.tolerances import DEGENERATE_PIECE_TOL, ZERO_NORM_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
@@ -223,8 +223,20 @@ def random_tangent_field(rng, n):
     return VectorField(n, x_comps, v_comps)
 
 
+def poly_value(p: SpherePoly, v) -> float:
+    """The polynomial's value at the point v, in floats."""
+    total = 0.0
+    for e, c in p.terms.items():
+        m = float(c)
+        for vi, ei in zip(v, e):
+            if ei:
+                m *= vi ** ei
+        total += m
+    return total
+
+
 def field_value(X, v):
-    return np.array([c.evaluate(v) for c in X.x_comps] + [c.evaluate(v) for c in X.v_comps])
+    return np.array([poly_value(c, v) for c in X.x_comps + X.v_comps])
 
 
 # -- quadrature oracle for normal-cycle integrals ----------------------------------
@@ -710,6 +722,14 @@ def pullback_antipode(a: InvariantForm) -> InvariantForm:
     return InvariantForm(a.n, out, projected=True)
 
 
+def integrate_spherical(n, J, p) -> Scalar:
+    """The integral of p dv_J over S^(n-1), |J| = n - 1, exactly."""
+    total = ZERO
+    for e, c in p.terms.items():
+        total = total + _coeff_to_scalar(c) * fiber_monomial_integral(J, e)
+    return total
+
+
 def fiber_integral(a: InvariantForm) -> dict:
     """The fiber integral pi_*(a) as {I: Scalar}, the nonzero coefficients of
     dx_I; only the terms of dv-degree n-1 contribute."""
@@ -828,7 +848,7 @@ def evaluate_at(form, v, vectors) -> float:
     for (I, J), p in form.terms.items():
         if len(I) + len(J) != k:
             continue
-        c = p.evaluate(v)
+        c = poly_value(p, v)
         if c == 0.0:
             continue
         if k == 0:
@@ -857,6 +877,23 @@ def verify_zero_valuation(omega: InvariantForm, phi=ZERO) -> bool:
     """
     total = rumin(omega).D_omega + dx_top_form(omega.n) * phi
     return total.is_zero() and not fiber_integral(omega)
+
+
+def stated_z_form(u) -> InvariantForm:
+    """The combination (1/8pi) beta^d(beta) + (1/4pi) gamma^Omega of the
+    paper, unit-normalized, built on the dict path: the reference Z_u is
+    compared with, Z_u being its negative (su2.Z_ORIENTATION).
+
+    An exact direction builds the forms from its integer triple and divides
+    by |u|^2; a float direction builds them from its unit coordinates.
+    Dividing the scale by 8 and by 4 is exact in either case.
+    """
+    if u.exact:
+        coords, scale = u.coords, PI ** -1 / u.norm_sq
+    else:
+        coords, scale = u.unit(), 1 / math.pi
+    beta, gamma, omega = _scaled_forms(coords)
+    return beta.wedge(d(beta)) * (scale / 8) + gamma.wedge(omega) * (scale / 4)
 
 
 def right_translation_matrix(q):

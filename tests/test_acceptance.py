@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 
-from _oracles import fiber_integral, random_form, random_sphere_poly, right_translation_matrix
+from _oracles import (
+    fiber_integral,
+    random_form,
+    random_sphere_poly,
+    right_translation_matrix,
+    stated_z_form,
+)
 from valcalc.bodies import (
     Ball,
     Box,
@@ -39,7 +45,6 @@ from valcalc.su2 import (
     ImDirection,
     _scaled_forms,
     quaternionic_forms,
-    stated_z_form,
     su2_basis,
     tasaki_density,
     z_rep,

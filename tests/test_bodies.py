@@ -2,8 +2,12 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from _oracles import (
     quadrature_pieces,
     rational_unit_quaternion,
 )
-from valcalc import bodies
+from valcalc import bodies, columns
 from valcalc.bodies import (
     Ball,
     Box,
@@ -374,6 +378,45 @@ class TestBallNumericPath:
             pairing(float_rep, z_rep(ImDirection.of(0, 1, 0)))
         with pytest.raises(TypeError):
             unit_ball_value(float_rep)
+
+
+class TestNumberingHistory:
+    """Numeric values do not depend on the order in which the process
+    numbered the monomials of its forms."""
+
+    def test_cold_and_warm_processes_agree(self):
+        # tests/history_probe.py prints the float.hex of Z_u and its images
+        # under the operators on a simplex and a ball; the warm process first
+        # applies the operators to other forms
+        probe = Path(__file__).with_name("history_probe.py")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = {}
+        for mode in ("cold", "warm"):
+            proc = subprocess.run([sys.executable, str(probe), mode], capture_output=True,
+                                  text=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            out[mode] = proc.stdout.splitlines()
+        assert len(out["cold"]) == 14
+        assert out["warm"] == out["cold"]
+
+
+def test_caches_key_on_the_vectors():
+    # a form rebuilt from copies of the same vectors hits both caches, and
+    # neither form builds its terms
+    omega = derivation(derivation(z_rep(ImDirection.of(2, -1, 4)))).omega
+    assert bodies._closed_form_terms(omega) is bodies._closed_form_terms(omega)
+    value = bodies._point_value(omega)
+    copied = {k: (den, {ab: (ids.copy(), vals.copy()) for ab, (ids, vals) in blocks.items()})
+              for k, (den, blocks) in omega._parts.items()}
+    again = columns._join_vectors(4, copied)
+    hits = (bodies._closed_form_terms.cache_info().hits, bodies._point_value.cache_info().hits)
+    assert bodies._closed_form_terms(again) is bodies._closed_form_terms(omega)
+    assert bodies._point_value(again) == value
+    assert (bodies._closed_form_terms.cache_info().hits,
+            bodies._point_value.cache_info().hits) == (hits[0] + 2, hits[1] + 1)
+    assert omega._terms is None and again._terms is None
 
 
 class TestTube:

@@ -10,6 +10,7 @@ norms, and the caches to the monomials of their blocks.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -24,6 +25,7 @@ from _oracles import (
     rumin_reference,
     signature_reference,
     split_pi,
+    stated_z_form,
 )
 from valcalc import columns, contact, valuation
 from valcalc.columns import (
@@ -53,11 +55,10 @@ from valcalc.exterior import (
     reeb_field,
 )
 from valcalc.scalars import Rat, Scalar
-from valcalc.bodies import Box, Simplex, evaluate
+from valcalc.bodies import Ball, Box, Simplex, evaluate
 from valcalc.su2 import (
     ImDirection,
     icosahedron_directions,
-    stated_z_form,
     su2_basis,
     tasaki_density,
     z_rep,
@@ -212,6 +213,61 @@ class TestFloatVectors:
         sum_form = columns._join_vectors(4, columns._add_vectors(4, f, i))
         coeffs = [c for p in sum_form.terms.values() for c in p.terms.values()]
         assert sorted(coeffs) == [0.25, 2.5 / 3]
+
+
+    @pytest.mark.parametrize("body", list(BODIES))
+    def test_float_plus_exact_sum(self, body):
+        # the sum adds on the vectors: the float grade 0 and the exact grade
+        # -1 side by side, read as floats
+        K = self.BODIES[body]
+        zf, ze = z_rep(ImDirection.of(0.6, 0.8, 0.0)), z_rep(ImDirection.of(3, 4, 0))
+        total = zf + ze
+        assert sorted(total.omega._parts) == [-1, 0] and not total.is_exact()
+        assert all(vals.dtype == np.float64 for _, vals in total.omega._parts[0][1].values())
+        assert {c.__class__ for p in total.omega.terms.values() for c in p.terms.values()} == {float}
+        assert abs(evaluate(total, K) - (evaluate(zf, K) + evaluate(ze, K))) < 1e-12
+        ball = Ball(np.array([0.1, -0.2, 0.0, 0.3]), 0.8)
+        assert abs(evaluate(total, ball) - 2 * math.pi * 0.64) < 1e-12
+
+    def test_images_of_float_vectors_ignore_the_input_order(self):
+        # each output entry sums the input in sorted monomial order, however
+        # the input's ids are ordered
+        (ids, vals), = z_rep(icosahedron_directions()[2]).omega._parts[0][1].values()
+        rng = np.random.default_rng(3)
+        want = LIE_REEB.columns(4, 2, 1).apply(ids, vals)
+        for _ in range(3):
+            order = rng.permutation(len(ids))
+            got = LIE_REEB.columns(4, 2, 1).apply(ids[order], vals[order])
+            for (w_ids, w_vals), (g_ids, g_vals) in zip(want, got):
+                assert g_ids.tolist() == w_ids.tolist()
+                assert [x.hex() for x in g_vals.tolist()] == [x.hex() for x in w_vals.tolist()]
+
+
+class TestOrderedTerms:
+    def test_sorted_order_and_exact_grades(self):
+        # a form of two pi grades over their denominators
+        rng = random.Random(61)
+        omega = bidegree_form(rng, 4, 2, pi_powers=(-1, 0))
+        parts = _split_vectors(omega)
+        assert len(parts) == 2
+        terms = list(columns._ordered_terms(4, parts, False))
+        keys = [(I, J, e) for I, J, e, _ in terms]
+        assert keys == sorted(keys)
+        assert {(I, J, e): Scalar(c) for I, J, e, c in terms} == \
+            {(I, J, e): c for (I, J), p in omega.terms.items() for e, c in p.terms.items()}
+        assert all(list(c) == sorted(c) for *_, c in terms)
+        floats = list(columns._ordered_terms(4, parts, True))
+        assert [t[:3] for t in floats] == keys
+        assert [c for *_, c in floats] == [float(Scalar(c)) for *_, c in terms]
+
+    def test_float_grade(self):
+        parts = z_rep(icosahedron_directions()[1]).omega._parts
+        (ids, vals), = parts[0][1].values()
+        keys = columns._block(4, 2, 1).keys
+        want = sorted((keys[i], c) for i, c in zip(ids.tolist(), vals.tolist()))
+        for numeric in (False, True):
+            got = [((I, J, e), c) for I, J, e, c in columns._ordered_terms(4, parts, numeric)]
+            assert got == [(key, c if numeric else {0: c}) for key, c in want]
 
 
 class TestPythonInts:

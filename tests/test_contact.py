@@ -10,6 +10,7 @@ from _oracles import (
     random_form,
     rumin_ansatz,
     sphere_volume_form,
+    stated_z_form,
     verify_zero_valuation,
 )
 from valcalc import columns
@@ -33,7 +34,7 @@ from valcalc.exterior import (
     lie_reeb,
 )
 from valcalc.scalars import PI, Rat, Scalar
-from valcalc.su2 import ImDirection, stated_z_form, z_rep
+from valcalc.su2 import ImDirection, z_rep
 from valcalc.valuation import intrinsic_volume_rep, signature
 
 

@@ -170,7 +170,8 @@ class TestEvaluationVector:
 
 # evaluation vectors as float.hex, pinned with numpy 2.4 and OpenBLAS 0.3.31 on
 # x86-64 from the evaluation that integrates the pieces of one shape together
-# as arrays; chi is the closed-form value on a point, 1 exactly
+# as arrays, each form's monomials in sorted (I, J, e) order; chi is the
+# closed-form value on a point, 1 exactly
 _PENTAGON_2D = [[0.8 * math.cos(2 * math.pi * i / 5 + 0.1 * i),
                  0.8 * math.sin(2 * math.pi * i / 5 + 0.1 * i)] for i in range(5)]
 PINNED_BODIES = {
@@ -200,12 +201,12 @@ PINNED_VECTORS = {
             "0x1.0f64e5ec10ee3p-5",
         ),
         "pentagon": (
-            _ONE, "0x1.2b8c791ffdb1cp+1", "0x1.0bd9b8f991f91p-1",
+            _ONE, "0x1.2b8c791ffdb1ap+1", "0x1.0bd9b8f991f91p-1",
             "0x1.7fcf052ea71f0p-2", "0x1.5fe7a3941881ep-1", "0x1.90066d9f375ddp-2",
             "0x1.28548d5e6960ap-1", "0x1.b8c4adf855ee0p-2", _ZERO, _ZERO,
         ),
         "point": (_ONE,) + (_ZERO,) * 9,
-        "segment": (_ONE, "0x1.45d5b5c3f4f6bp+0") + (_ZERO,) * 8,
+        "segment": (_ONE, "0x1.45d5b5c3f4f6cp+0") + (_ZERO,) * 8,
     },
     "alesker": {
         "box": (
@@ -215,18 +216,18 @@ PINNED_VECTORS = {
             "0x1.a9c779a6b50b1p-1",
         ),
         "simplex": (
-            _ONE, "0x1.2cc1d8451cfa1p+1", "0x1.0a5462e866e82p-1",
+            _ONE, "0x1.2cc1d8451cfa1p+1", "0x1.0a5462e866e83p-1",
             "0x1.0a0dc32a9c0d8p-1", "0x1.14cd71a66f68fp-1", "0x1.06a2b40cfd446p-1",
-            "0x1.0e43db388aa73p-1", "0x1.10dfa77850729p-1", "0x1.9800e483b174cp-2",
+            "0x1.0e43db388aa73p-1", "0x1.10dfa7785072ap-1", "0x1.9800e483b174cp-2",
             "0x1.0f64e5ec10ee3p-5",
         ),
         "pentagon": (
-            _ONE, "0x1.2b8c791ffdb1cp+1", "0x1.13f56d31da186p-1",
-            "0x1.13f56d31da186p-1", "0x1.a88d4587c5af6p-2", "0x1.68de7b19ce6eap-1",
+            _ONE, "0x1.2b8c791ffdb1ap+1", "0x1.13f56d31da186p-1",
+            "0x1.13f56d31da186p-1", "0x1.a88d4587c5af6p-2", "0x1.68de7b19ce6e9p-1",
             "0x1.1e928eeed8a32p-1", "0x1.1e928eeed8a32p-1", _ZERO, _ZERO,
         ),
         "point": (_ONE,) + (_ZERO,) * 9,
-        "segment": (_ONE, "0x1.45d5b5c3f4f6bp+0") + (_ZERO,) * 8,
+        "segment": (_ONE, "0x1.45d5b5c3f4f6cp+0") + (_ZERO,) * 8,
     },
 }
 

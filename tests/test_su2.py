@@ -15,6 +15,7 @@ from _oracles import (
     rational_unit_quaternion,
     right_translation_matrix,
     sphere_volume_form,
+    stated_z_form,
     unit_cube_value,
     verify_zero_valuation,
 )
@@ -24,7 +25,8 @@ from valcalc.exterior import (
     lie_reeb,
 )
 from valcalc.contact import rumin
-from valcalc import columns, su2
+from valcalc import columns, kinematic, su2
+from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex, evaluate
 from valcalc.columns import _split_vectors
 from valcalc.linalg import invert_scalar_matrix
 from valcalc.scalars import PI, Rat, Scalar, ZERO, rational
@@ -35,7 +37,6 @@ from valcalc.su2 import (
     icosahedron_directions,
     quaternionic_forms,
     right_mult_matrix,
-    stated_z_form,
     su2_basis,
     tasaki_density,
     z_rep,
@@ -301,17 +302,36 @@ class TestZTensor:
                 big = max(abs(x) for x in vals.tolist()) >= columns.INT64_SAFE
                 assert vals.dtype == (object if big else np.int64), u
 
-    def test_terms_are_the_dict_path_in_its_order(self):
-        # float sums over a form's terms follow their order, so the terms of
-        # an exact Z_u are those of the dict path, in its order
+    def test_terms_are_the_dict_path_in_sorted_order(self):
+        # the terms of a Z_u are those of the dict path, built from its
+        # vectors in the one monomial order of columns._ordered_terms
         for u in EXACT_DIRECTIONS:
             omega = z_rep(u).omega
             assert omega._terms is None
-            ref = -stated_z_form(u)
-            assert omega.terms == ref.terms, u
-            assert list(omega.terms) == list(ref.terms), u
-            for key, p in omega.terms.items():
-                assert list(p.terms.items()) == list(ref.terms[key].terms.items()), u
+            assert omega.terms == (-stated_z_form(u)).terms, u
+            order = [(I, J, e) for I, J, e, _ in columns._ordered_terms(4, omega._parts, False)]
+            assert [(I, J, e) for (I, J), p in omega.terms.items() for e in p.terms] == order, u
+            assert order == sorted(order), u
+
+    def test_numeric_evaluation_builds_no_terms(self, monkeypatch):
+        # evaluation on bodies and balls reads the split vectors alone
+        bodies = [Box(np.zeros(4), np.array([0.4, 0.5, 0.3, 0.6])),
+                  Simplex(np.vstack([np.zeros(4), np.eye(4) * 0.9])),
+                  PlanarPolygon([[1, 0, 0, 0], [0, 0.6, 0.8, 0]], [[0, 0], [1, 0], [0.5, 0.8]]),
+                  Ball(np.array([0.1, 0.2, 0.0, -0.3]), 0.7)]
+        # fresh bases, whose terms no other test has asked for
+        monkeypatch.setattr(su2, "_BASES", {})
+        for kind in ("icosahedron", "alesker"):
+            monkeypatch.setattr(kinematic, "_VECTOR_CACHE", {})
+            for K in bodies:
+                kinematic.evaluation_vector(K, kind)
+            for label, rep in su2_basis(kind):
+                if label.startswith("Z_"):
+                    assert rep.omega._terms is None, (kind, label)
+        omega = z_rep(ImDirection.of(2, -1, 3)).omega
+        for K in bodies:
+            evaluate(ValuationRep(4, omega), K)
+        assert omega._terms is None
 
     def test_split_form_reads_its_blocks(self):
         mu = z_rep(ImDirection.of(2, -5, 1))
