@@ -19,8 +19,9 @@ cone of four or more generators on a face of dimension >= 1, which only
 simplices of dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
 Several valuations on one body share one pass over its pieces
 (``evaluate_many``), their cells and moments computed once per shape for all
-the valuations, and a tube value passes the same pieces to the form's
-integral and to the Steiner volume (``evaluate_tube``).  A form's monomials
+the valuations.  A tube value is the Taylor sum of t^k / k! (Lambda^k mu)(K)
+over the derivation's chain, evaluated in one such pass (``evaluate_tube``),
+and so is the Steiner volume.  A form's monomials
 are read from its split vectors in one fixed order (``_closed_form_terms``).
 
 Each body class carries its own support function (``support``,
@@ -38,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exterior import pullback_ball_shift
 from .tolerances import (
     CELL_TOL,
     CONVEXITY_TOL,
@@ -47,7 +47,7 @@ from .tolerances import (
     ORTHONORMAL_TOL,
     RANK_TOL,
 )
-from .valuation import ValuationRep, ball_value, ball_volume
+from .valuation import ValuationRep, ball_value, ball_volume, derivation, intrinsic_volume_rep
 
 GJK_CAP = 200
 
@@ -805,11 +805,10 @@ def _point_value(n, parts):
     return ball_value(ValuationRep(n, _join_vectors(n, parts)), 0)
 
 
-def _integrate_forms(forms, pieces, cells=None):
+def _integrate_forms(forms, pieces):
     """Oriented integrals of forms on R^n over a polytope's normal cycle, its
     ``pieces`` by shape, in one pass: the cells and moments of the pieces of
-    one shape serve every form with terms of that shape.  cells, if given,
-    holds each shape's ``_classify`` of its generators.
+    one shape serve every form with terms of that shape.
 
     Only the dv-only terms (I = ()) live on vertex pieces, and they depend on
     v alone.  The vertex normal cones of a polytope tile S^(n-1), so its
@@ -826,8 +825,7 @@ def _integrate_forms(forms, pieces, cells=None):
         users = [(i, groups[shape]) for i, groups in live if shape in groups]
         if not users:
             continue
-        shape_cells = _classify(gens) if cells is None else cells[shape]
-        minors = _minors(faces, shape_cells, max(group.degree for _, group in users))
+        minors = _minors(faces, _classify(gens), max(group.degree for _, group in users))
         for i, group in users:
             totals[i] += float(volume @ _piece_integrals(group, minors))
     for i, groups in live:
@@ -855,52 +853,24 @@ def evaluate(mu: ValuationRep, K) -> float:
     return evaluate_many([mu], K)[0]
 
 
-def _check_tube(t):
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"tube parameter must be finite and nonnegative, got {t}")
-
-
-def _cells(pieces):
-    """Each shape's ``_classify`` of its pieces' generators."""
-    return {shape: _classify(gens) for shape, (_, gens, _) in pieces.items()}
-
-
-def _steiner_volume(K, pieces, cells, t):
-    """Volume of K + tB from the pieces of K's normal cycle and their
-    ``_cells``: each piece adds its face volume times its cell's solid angle
-    times t^m / m, and the vertex angles add up to |S^(n-1)| (see
-    ``_integrate_forms``)."""
-    total = float(ball_volume(K.dim)) * t ** K.dim + K.volume()
-    for (k, m), (_, _, volume) in pieces.items():
-        total += float(np.abs(volume) @ _moments(cells[(k, m)], 0)[:, 0]) / m * t ** m
-    return total
-
-
 def steiner_volume(K, t: float) -> float:
-    """Volume of the outer parallel body K + tB via the face decomposition."""
-    _check_tube(t)
-    if isinstance(K, Ball):
-        return float(ball_volume(K.dim)) * (K.radius + t) ** K.dim
-    pieces = K.pieces()
-    return _steiner_volume(K, pieces, _cells(pieces), t)
+    """Volume of the outer parallel body K + tB via the derivation's Taylor polynomial."""
+    return evaluate_tube(intrinsic_volume_rep(K.dim, K.dim), K, t)
 
 
 def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
-    """Value of the valuation on the outer parallel body K + tB."""
-    _check_tube(t)
+    """Value of the valuation on the outer parallel body K + tB: the derivation
+    Lambda is d/dt at t = 0 and lowers degree, so this is the Taylor sum of
+    t^k / k! (Lambda^k mu)(K) down to degree 0, its values in one pass."""
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"tube parameter must be finite and nonnegative, got {t}")
     if isinstance(K, Ball):
         return evaluate(mu, Ball(K.center, K.radius + t))
-    if t == 0:
-        return evaluate(mu, K)
-    pieces = K.pieces()
-    phi_top = float(mu.phi)
-    # the Steiner sum needs every shape's cells, so the form's pass shares them
-    cells = _cells(pieces) if phi_top else None
-    shifted = pullback_ball_shift(mu.omega.to_float(), float(t))
-    (total,) = _integrate_forms([shifted], pieces, cells)
-    if phi_top:
-        total += phi_top * _steiner_volume(K, pieces, cells, t)
-    return total
+    chain = [mu]
+    while max(chain[-1].degrees(), default=0) > 0:
+        chain.append(derivation(chain[-1]))
+    values = evaluate_many(chain, K)
+    return sum(v * t ** k / math.factorial(k) for k, v in enumerate(values))
 
 
 def _projection(pts):

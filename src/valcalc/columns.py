@@ -257,13 +257,19 @@ def _rescale(vals, f):
 
 
 def _add_vectors(n, p, q) -> dict:
-    """Sum of two split forms, each pi power over the lcm of its denominators."""
+    """Sum of two split forms, each pi power over the lcm of its denominators;
+    a pi power that holds floats on either side is float64 over 1."""
     out = dict(p)
     for k, (dq, bq) in q.items():
         if k not in out:
             out[k] = (dq, bq)
             continue
         dp, bp = out[k]
+        if any(vals.dtype.kind == "f" for _, vals in (*bp.values(), *bq.values())):
+            # each exact entry c / den is rounded once, as int / int rounds
+            bp, bq = ({ab: (ids, np.array([c / d for c in vals.tolist()], np.float64))
+                       for ab, (ids, vals) in b.items()} for d, b in ((dp, bp), (dq, bq)))
+            dp = dq = 1
         den = math.lcm(dp, dq)
         merged = {ab: (ids, _rescale(vals, den // dp)) for ab, (ids, vals) in bp.items()}
         for ab, (ids, vals) in bq.items():

@@ -6,8 +6,8 @@ coefficients are kept canonical modulo the sphere relation sum(v_i^2) = 1
 tangentially to the sphere fiber, so two forms are equal on the bundle
 exactly when their stored representations coincide.
 
-Coefficients are Scalars (or ints/rationals) for exact work; plain floats
-are accepted by the purely algebraic operations for numeric pipelines.
+Coefficients are Scalars (or ints/rationals); the terms of a float rep
+carry plain floats, which the purely algebraic operations accept.
 Every operator here is linear over Z, so the exact layers above split a
 Scalar-coefficient form once into pi-graded parts with plain int
 coefficients (float coefficients into a float64 part), held as sparse
@@ -428,13 +428,6 @@ class InvariantForm:
                 _accumulate(out, key, q)
         return InvariantForm(self.n, out, projected=True)
 
-    def to_float(self) -> "InvariantForm":
-        """Copy with float coefficients, for numeric evaluation paths."""
-        t = {}
-        for key, p in self.terms.items():
-            _accumulate(t, key, SpherePoly(p.n, {e: float(c) for e, c in p.terms.items()}))
-        return InvariantForm(self.n, t, projected=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -548,27 +541,6 @@ def lie_reeb(a: InvariantForm) -> InvariantForm:
     """Lie derivative along the Reeb field, via the Cartan formula."""
     T = reeb_field(a.n)
     return contract(T, d(a)) + d(contract(T, a))
-
-
-def _substitute(a, dx_images, dv_images) -> InvariantForm:
-    out = {}
-    for (I, J), p in a.terms.items():
-        acc = {((), ()): p}
-        for i in I:
-            acc = _wedge_step(acc, dx_images[i])
-        for j in J:
-            acc = _wedge_step(acc, dv_images[j])
-        for key, q in acc.items():
-            _accumulate(out, key, q)
-    return InvariantForm(a.n, out)
-
-
-def pullback_ball_shift(a: InvariantForm, t) -> InvariantForm:
-    """Pullback along (x, v) -> (x + t v, v)."""
-    n = a.n
-    dx_images = [[(1, 0, i), (t, 1, i)] for i in range(n)]
-    dv_images = [[(1, 1, j)] for j in range(n)]
-    return _substitute(a, dx_images, dv_images)
 
 
 def sphere_monomial_integral(e) -> Scalar:

@@ -772,16 +772,32 @@ def pullback_linear(a: InvariantForm, A) -> InvariantForm:
                 raise ValueError("matrix is not orthogonal")
     dx_images = [[(A[i][k], 0, k) for k in range(n) if A[i][k]] for i in range(n)]
     dv_images = [[(A[j][k], 1, k) for k in range(n) if A[j][k]] for j in range(n)]
+    return _substitute(a, dx_images, dv_images, lambda p: substitute_linear(p, A))
+
+
+def _substitute(a, dx_images, dv_images, coefficient=lambda p: p) -> InvariantForm:
+    """The form with each dx_i and dv_j replaced by its image, a list of
+    (coefficient, 0 for dx or 1 for dv, index), and each coefficient
+    polynomial by coefficient(p)."""
     out = {}
     for (I, J), p in a.terms.items():
-        acc = {((), ()): substitute_linear(p, A)}
+        acc = {((), ()): coefficient(p)}
         for i in I:
             acc = _wedge_step(acc, dx_images[i])
         for j in J:
             acc = _wedge_step(acc, dv_images[j])
         for key, q in acc.items():
             _accumulate(out, key, q)
-    return InvariantForm(n, out)
+    return InvariantForm(a.n, out)
+
+
+def pullback_ball_shift(a: InvariantForm, t) -> InvariantForm:
+    """Pullback along (x, v) -> (x + t v, v): the reference for tube values,
+    which the Taylor sum of the derivation gives on the vectors."""
+    n = a.n
+    dx_images = [[(1, 0, i), (t, 1, i)] for i in range(n)]
+    dv_images = [[(1, 1, j)] for j in range(n)]
+    return _substitute(a, dx_images, dv_images)
 
 
 def unit_cube_value(mu: ValuationRep) -> Scalar:

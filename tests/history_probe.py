@@ -2,6 +2,7 @@
 
 Prints the float.hex of Z_u, Lambda Z_u, Lambda^2 Z_u and, for an exact u,
 sigma Z_u, each on a 4-simplex and on a ball of radius 0.7 (``ball_value``),
+and of Z_u on the tube of radius 0.4 about the simplex (``evaluate_tube``),
 for an exact and a float direction u.  Run with ``cold`` it computes nothing
 first.  Run with ``warm`` it first splits vol_2 and applies signature and
 derivation twice to other directions, so that the process numbers the
@@ -15,7 +16,7 @@ the same lines:
 
 import sys
 
-from valcalc.bodies import Simplex, evaluate
+from valcalc.bodies import Simplex, evaluate, evaluate_tube
 from valcalc.su2 import ImDirection, z_rep
 from valcalc.valuation import ball_value, derivation, intrinsic_volume_rep, signature
 
@@ -42,6 +43,7 @@ def lines():
         for name, rep in reps.items():
             yield f"{u} {name} simplex {evaluate(rep, SIMPLEX).hex()}"
             yield f"{u} {name} ball {ball_value(rep, 0.7).hex()}"
+        yield f"{u} Z tube {evaluate_tube(zu, SIMPLEX, 0.4).hex()}"
 
 
 def main(argv):

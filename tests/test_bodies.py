@@ -20,6 +20,7 @@ from _oracles import (
     fiber_integral,
     left_mult_matrix,
     point_pieces,
+    pullback_ball_shift,
     quadrature_evaluate,
     quadrature_pieces,
     rational_unit_quaternion,
@@ -37,7 +38,8 @@ from valcalc.bodies import (
     steiner_volume,
 )
 from valcalc.exterior import InvariantForm, SpherePoly
-from valcalc.su2 import ImDirection, su2_basis, z_rep
+from valcalc.scalars import Rat
+from valcalc.su2 import ImDirection, icosahedron_directions, su2_basis, z_rep
 from valcalc.valuation import (
     ValuationRep,
     derivation,
@@ -398,7 +400,7 @@ class TestNumberingHistory:
                                   text=True, timeout=300, env=env)
             assert proc.returncode == 0, proc.stderr
             out[mode] = proc.stdout.splitlines()
-        assert len(out["cold"]) == 14
+        assert len(out["cold"]) == 16
         assert out["warm"] == out["cold"]
 
 
@@ -451,7 +453,7 @@ class TestTube:
                 evaluate_tube(chi, K, t)
 
     def test_tube_builds_the_pieces_once(self, monkeypatch):
-        # the form's integral and the Steiner volume share one set of pieces
+        # the whole chain mu, Lambda mu, ... is evaluated on one set of pieces
         calls = []
         original = Box.pieces
 
@@ -468,8 +470,8 @@ class TestTube:
             assert calls == [box]
 
     def test_tube_classifies_each_piece_once(self, monkeypatch):
-        # the Steiner sum reads the cells the form's pass classified; each
-        # shape used to be classified again for it (120 rows for 64 pieces)
+        # the chain mu, Lambda mu, ... shares one pass, which classifies each
+        # shape's cells once for all its forms (64 rows for 64 pieces)
         rows = []
         original = bodies._classify
 
@@ -511,6 +513,37 @@ class TestTube:
         t = 0.7
         want = 1 + 4 * t + math.pi * t ** 2
         assert abs(steiner_volume(sq, t) - want) < 1e-12
+
+    def test_steiner_volume_of_a_ball_is_the_volume_of_the_larger_ball(self):
+        vol = intrinsic_volume_rep(4, 4)
+        center = np.array([0.3, -0.1, 0.2, 0.05])
+        for r, t in ((0.35, 0.0), (0.35, 0.4), (1.0, 1.7)):
+            want = evaluate(vol, Ball(center, r + t))
+            assert steiner_volume(Ball(center, r), t).hex() == want.hex()
+
+    @pytest.mark.parametrize("body", ["box", "simplex", "segment", "polygon"])
+    def test_tube_matches_the_pulled_back_form(self, body):
+        # the oracle pulls omega back along (x, v) -> (x + t v, v) in exact t
+        # and evaluates it on K, and adds phi times the Steiner polynomial
+        # sum_k kappa_(4-k) V_k(K) t^(4-k) for the volume of K + tB
+        K = {"box": _ROTATED_BOX, "simplex": _OBLIQUE_4,
+             "segment": Simplex([[0.1, -0.2, 0.3, 0.05], [0.9, 0.4, -0.2, 0.6]]),
+             "polygon": PlanarPolygon(_random_orthogonal(np.random.default_rng(5), 4)[:2],
+                                      _PENTAGON, np.array([0.1, 0.2, 0.3, 0.4]))}[body]
+        exact, approx = z_rep(ImDirection.of(3, 1, -2)), z_rep(icosahedron_directions()[0])
+        vol = intrinsic_volume_rep(4, 4)
+        reps = {"Z_u": exact, "float Z_u": approx, "Z_u + 3 vol": exact + vol * 3,
+                "float Z_u + vol / 3": approx + vol * Rat(1, 3)}
+        intrinsic = [evaluate(intrinsic_volume_rep(4, k), K) for k in range(5)]
+        for t in (Rat(3, 10), Rat(7, 4)):
+            tf = float(t)
+            tube_volume = sum(math.pi ** ((4 - k) / 2) / math.gamma((4 - k) / 2 + 1)
+                              * intrinsic[k] * tf ** (4 - k) for k in range(5))
+            for name, mu in reps.items():
+                shifted = ValuationRep(4, pullback_ball_shift(mu.omega, t))
+                want = evaluate(shifted, K) + float(mu.phi) * tube_volume
+                got = evaluate_tube(mu, K, tf)
+                assert abs(got - want) <= 1e-12 * abs(want), (name, t, got, want)
 
 
 class TestSupport:

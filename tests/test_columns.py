@@ -204,15 +204,27 @@ class TestFloatVectors:
         (ids, _), = z_rep(icosahedron_directions()[0]).omega._parts[0][1].values()
         f = {0: (1, {(2, 1): (ids[:2], np.array([0.5, 0.25]))})}
         i = {0: (3, {(2, 1): (ids[:1], np.array([1], np.int64))})}
+        # the exact 1/3 is rounded once, and the grade is float64 over 1
         for p, q in ((f, i), (i, f)):
             (den, blocks), = columns._add_vectors(4, p, q).values()
             (got_ids, vals), = blocks.values()
-            assert den == 3 and vals.dtype == np.float64
+            assert den == 1 and vals.dtype == np.float64
             assert dict(zip(got_ids.tolist(), vals.tolist())) == \
-                {ids[0]: 2.5, ids[1]: 0.75}
+                {ids[0]: 0.5 + 1 / 3, ids[1]: 0.25}
         sum_form = columns._join_vectors(4, columns._add_vectors(4, f, i))
         coeffs = [c for p in sum_form.terms.values() for c in p.terms.values()]
-        assert sorted(coeffs) == [0.25, 2.5 / 3]
+        assert sorted(coeffs) == [0.25, 0.5 + 1 / 3]
+
+    def test_float_plus_exact_grade_keeps_the_float_bits(self):
+        # Z_u's float grade 0 plus V_3 / 3, whose grade 0 is exact over 6
+        zu = z_rep(icosahedron_directions()[0]).omega
+        total = zu + intrinsic_volume_rep(4, 3).omega * Rat(1, 3)
+        den, blocks = total._parts[0]
+        assert den == 1 and all(vals.dtype == np.float64 for _, vals in blocks.values())
+        (ids, vals), = zu._parts[0][1].values()
+        assert len(ids) == 36
+        got = dict(zip(*(a.tolist() for a in blocks[(2, 1)])))
+        assert [got[i].hex() for i in ids.tolist()] == [c.hex() for c in vals.tolist()]
 
 
     @pytest.mark.parametrize("body", list(BODIES))

@@ -22,6 +22,7 @@ from _oracles import (
     poly_value,
     orthographic_chart,
     pullback_antipode,
+    pullback_ball_shift,
     pullback_linear,
     random_form,
     random_sphere_poly,
@@ -42,11 +43,12 @@ from valcalc.exterior import (
     d,
     hodge_star,
     lie_reeb,
-    pullback_ball_shift,
     reeb_field,
     sphere_monomial_integral,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
+from valcalc.su2 import ImDirection, z_rep
+from valcalc.valuation import intrinsic_volume_rep
 
 
 N = 4
@@ -368,6 +370,23 @@ class TestPullbacks:
         lhs = pullback_ball_shift(a.wedge(b), t)
         rhs = pullback_ball_shift(a, t).wedge(pullback_ball_shift(b, t))
         assert lhs == rhs
+
+    def test_ball_shift_is_the_exponential_of_lie_reeb(self):
+        # (x, v) -> (x + t v, v) is the flow of the Reeb field, whose Lie
+        # derivative lowers |I|, so the pullback is the finite sum of
+        # t^k / k! lie_reeb^k: the Taylor sum that gives tube values
+        forms = [z_rep(ImDirection.of(1, 0, 2)).omega]
+        forms += [intrinsic_volume_rep(n, k).omega for n in (2, 3, 4) for k in range(n)]
+        for omega in forms:
+            powers = [omega]
+            while powers[-1]:
+                powers.append(lie_reeb(powers[-1]))
+            assert len(powers) <= omega.n + 1
+            for t in (Rat(1, 3), Rat(5, 2)):
+                taylor = InvariantForm.zero(omega.n)
+                for k, term in enumerate(powers):
+                    taylor = taylor + term * (t ** k / math.factorial(k))
+                assert pullback_ball_shift(omega, t) == taylor
 
     def test_linear_rotation_preserves_alpha(self):
         A = [[Rat(3, 5), Rat(-4, 5), 0, 0],
