@@ -95,16 +95,6 @@ def _row_norms(x):
     return np.sqrt(total)
 
 
-def _row_norms_inplace(x):
-    """_row_norms of x, the same bits, squaring x in place and summing its
-    columns into the first; returns a view of that column."""
-    np.multiply(x, x, out=x)
-    total = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        total += x[..., k]
-    return np.sqrt(total, out=total)
-
-
 def _row_min(x):
     """Minima over the last axis, as _row_max takes maxima."""
     low = x[..., 0]
@@ -870,7 +860,10 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     while max(chain[-1].degrees(), default=0) > 0:
         chain.append(derivation(chain[-1]))
     values = evaluate_many(chain, K)
-    return sum(v * t ** k / math.factorial(k) for k, v in enumerate(values))
+    try:
+        return sum(v * t ** k / math.factorial(k) for k, v in enumerate(values))
+    except OverflowError:
+        raise ValueError(f"tube parameter {t!r}: t^{len(values) - 1} overflows a float") from None
 
 
 def _projection(pts):

@@ -13,12 +13,12 @@ rotation has a closed form (two boxes: a zonotope volume; two plates: a
 determinant) the estimator draws only rotations and integrates the
 translation exactly.  A rotation is left multiplication L_q by a unit
 quaternion q, so these weights are scored from q itself: the box/box
-generators are linear in q, and the plates' determinant is a quadratic
-form q^T A q in it.  A ball is unchanged by rotation, and the motion
-measure by g -> g^-1, so a ball against a ball or a box draws only
-translations: the integral is the volume of the points within the ball's
-radius of the other body.  Every other pair draws rotations and
-translations and scores a hit indicator.
+weight sums |16 linear and 18 quadratic forms| in q, and the plates'
+determinant is a quadratic form q^T A q in it.  A ball is unchanged by
+rotation, and the motion measure by g -> g^-1, so a ball against a ball or a
+box draws only translations: the integral is the volume of the points
+within the ball's radius of the other body.  Every other pair draws
+rotations and translations and scores a hit indicator.
 """
 
 import math
@@ -29,8 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bodies import (Ball, Box, PlanarPolygon, _row_norms, _row_norms_inplace, evaluate_many,
-                     intersects_batch)
+from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate_many, intersects_batch
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
@@ -38,8 +37,8 @@ from .tolerances import MC_INDETERMINATE_RATE
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
-# samples per block of the box/box volumes, whose minors come to about a
-# hundred floats per sample
+# samples per block of the box/box volumes, whose 16 linear and 18 quadratic
+# forms in q come to about fifty floats per sample
 BOX_BOX_BLOCK = 1 << 12
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
@@ -167,11 +166,19 @@ _LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
 # L_q = sum_k q_k _UNIT_LEFT[k]
 _UNIT_LEFT = _LEFT_SIGN * (_LEFT_INDEX == np.arange(4)[:, None, None])
 
+# the 2-subsets of four indices in lexicographic order (5 - p the complement
+# of p), the 18 pairs (P, T) of them with 0 in P, and the 10 index pairs k <= l
+_SUBSETS = np.array(list(combinations(range(4), 2)))
+_P, _T = np.divmod(np.arange(18), 6)
+_QK, _QL = np.triu_indices(4)
+
 
 def _haar_quaternions(rng, size):
     """``size`` unit quaternions uniform on S^3, as (size, 4) rows."""
     qs = rng.standard_normal((size, 4))
-    qs /= _row_norms(qs)[:, None]
+    norms = _row_norms(qs)
+    for k in range(4):  # a column at a time, as in _count_within_reach
+        qs[:, k] /= norms
     return qs
 
 
@@ -210,44 +217,50 @@ def _ball_reach(K, L):
     return None
 
 
-def _box_box_volumes(K, L, qs):
-    """vol(K - L_q L) for each unit quaternion q of the (B, 4) rows qs, a
-    block of samples at a time."""
-    # coordinate c of L's half-generator a in K's frame is row 4c + a of
-    # gen @ q: K.rotation^T L_q L.rotation diag(hL), flattened, is linear in q
-    gen = np.kron(K.rotation.T, (L.rotation * L.half_extents).T) @ _UNIT_LEFT.reshape(4, 16).T
-    G = (gen @ qs.T).reshape(4, 4, len(qs))
-    vol = np.empty(len(qs))
-    for s in range(0, len(qs), BOX_BOX_BLOCK):
-        vol[s:s + BOX_BOX_BLOCK] = _box_box_block(K.half_extents, G[..., s:s + BOX_BOX_BLOCK])
-    return vol
+def _box_box_volumes(K, L):
+    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    vol(K - L_q L), a block at a time. The volume is 16 sum |det| over the
+    4-subsets of the zonotope's 8 half-generators (Shephard 1974): in K's
+    frame prod_(P^c) hK prod_T hL |minor(O; P, T)|, |P| = |T| and O =
+    K.rotation^T L_q L.rotation. O is orthogonal, so |det O| = 1 and
+    |minor(O; P, T)| = |minor(O; P^c, T^c)| (Jacobi): the 70 minors reduce to
+    c0, the 16 entries gen @ q (weights W1) and 18 2x2 minors S @ m(q), m(q)
+    the 10 products q_k q_l (weights W2). The relative error is at most about
+    the rotations' departure from orthonormality, max |R R^T - I|: near 1e-9
+    at ORTHONORMAL_TOL, far below any Monte Carlo standard error."""
+    hK, hL = K.half_extents, L.half_extents
+    gen = np.kron(K.rotation.T, L.rotation.T) @ _UNIT_LEFT.reshape(4, 16).T
+    W1 = (np.outer(np.prod(hK) / hK, hL) + np.outer(hK, np.prod(hL) / hL)).ravel()
+    O, (i, j), (a, b) = gen.reshape(4, 4, 4), _SUBSETS[_P].T, _SUBSETS[_T].T
+    M = np.einsum("mk,ml->mkl", O[i, a], O[j, b]) - np.einsum("mk,ml->mkl", O[i, b], O[j, a])
+    S = M[:, _QK, _QL] + (_QK != _QL) * M[:, _QL, _QK]
+    pK, pL = np.prod(hK[_SUBSETS], axis=1), np.prod(hL[_SUBSETS], axis=1)
+    W2 = pK[5 - _P] * pL[_T] + pK[_P] * pL[5 - _T]
+    c0 = np.prod(hK) + np.prod(hL)
+
+    def volumes(qs):
+        vol = np.empty(len(qs))
+        for s in range(0, len(qs), BOX_BOX_BLOCK):
+            q = qs[s:s + BOX_BOX_BLOCK]
+            vol[s:s + BOX_BOX_BLOCK] = (np.abs(q @ gen.T) @ W1 + c0
+                                        + np.abs((q[:, _QK] * q[:, _QL]) @ S.T) @ W2)
+        return 16.0 * vol
+    return volumes
 
 
-def _box_box_block(hK, G):
-    """The zonotope volumes of one block of samples, hK K's half extents and
-    G[c, a] the (B,) row of coordinate c of L's half-generator a in K's frame.
-
-    K - R L is the zonotope of K's 4 and R L's 4 half-generators, so its
-    volume is 16 times the sum of |det| over the 70 4-subsets of them
-    (Shephard 1974). In K's frame K's half-generators are h_i e_i, so the
-    subset of K's generators off the rows P and L's generators T, |T| = |P|,
-    contributes prod_(i not in P) h_i |minor(G; P, T)|, G the matrix of L's
-    half-generators. Each minor is a Laplace expansion along its first row
-    of those one size smaller.
-    """
-    minors = {((), ()): 1.0}
-    vol = np.full(G.shape[2], np.prod(hK))
-    for k in range(1, 5):
-        for rows in combinations(range(4), k):
-            weight = np.prod([h for i, h in enumerate(hK) if i not in rows])
-            for cols in combinations(range(4), k):
-                m = 0.0
-                for j, c in enumerate(cols):
-                    term = G[rows[0], c] * minors[rows[1:], cols[:j] + cols[j + 1:]]
-                    m = m - term if j % 2 else m + term
-                minors[rows, cols] = m
-                vol += weight * np.abs(m)
-    return 16.0 * vol
+def _count_within_reach(y, h, r):
+    """The rows of y, uniform in [0, 1)^4, within r of the box [-h, h] once
+    column k is scaled by h_k + r, less h_k and clamped at 0 where h_k != 0.
+    A column at a time (numpy broadcasts a (4,) vector over (B, 4) rows as B
+    loops of 4); each element takes the steps of a row-wise scoring in order."""
+    for k, hk in enumerate(h):
+        c = y[:, k] * (hk + r)
+        if hk:
+            c -= hk
+            np.maximum(c, 0.0, out=c)
+        c *= c
+        total = np.add(total, c, out=total) if k else c
+    return np.count_nonzero(np.sqrt(total, out=total) <= r)
 
 
 def _run_chunks(worker, N, threads):
@@ -308,32 +321,26 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     y lies within the ball's radius of that body. Every other pair draws a Haar
     rotation R = L_q. For two boxes the translation integral of
     chi(K . (R L + t)) is vol(K - R L), which scores the sample in closed
-    form from q: the generators of R L in K's frame are linear in q. The rest also
+    form from q: a weighted sum of the absolute values of 16 linear and 18
+    quadratic forms in q, built once per estimate. The rest also
     draw a translation uniform in the bounding box of the support
     differences, scored by box volume times the intersection indicator.
     Deterministic for fixed (seed, N) regardless of threads.
     """
     _check_mc_args(N, threads, K=K, L=L)
     rhs = rhs_kinematic(K, L, kind)
-    boxes = isinstance(K, Box) and isinstance(L, Box)
+    volumes = _box_box_volumes(K, L) if isinstance(K, Box) and isinstance(L, Box) else None
     reach = _ball_reach(K, L)
 
     def worker(idx, size):
         if reach:
             h, r = reach
-            # random() draws the bits uniform(size=...) would; y becomes
-            # |y| - h clamped at 0, which is |y| itself when h = 0 (two balls)
-            y = np.random.default_rng([seed, idx]).random((size, 4))
-            y *= h + r
-            if h.any():
-                y -= h
-                np.maximum(y, 0.0, out=y)
-            n = np.count_nonzero(_row_norms_inplace(y) <= r)
+            # random() draws the bits uniform(size=...) would
+            n = _count_within_reach(np.random.default_rng([seed, idx]).random((size, 4)), h, r)
             vol = float(np.prod(2.0 * (h + r)))
             return vol * n, vol * vol * n, 0
-        if boxes:
-            qs = _haar_quaternions(np.random.default_rng([seed, idx]), size)
-            w, bad = _box_box_volumes(K, L, qs), 0
+        if volumes:
+            w, bad = volumes(_haar_quaternions(np.random.default_rng([seed, idx]), size)), 0
         else:
             Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
             sep = intersects_batch(K, L, Rs, ts)

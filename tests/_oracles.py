@@ -27,7 +27,7 @@ from valcalc.exterior import (
     reeb_field,
     sphere_monomial_integral,
 )
-from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN
+from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN, _UNIT_LEFT
 from valcalc.scalars import PI, ZERO, Rat, Scalar
 from valcalc.su2 import _scaled_forms, right_mult_matrix
 from valcalc.tolerances import DEGENERATE_PIECE_TOL, ZERO_NORM_TOL
@@ -640,6 +640,59 @@ def hits_box_box_zonotope(K, L, Rs, ts):
         extent = np.abs(np.einsum("bi,bgi->bg", nu, gens)).sum(axis=1)
         inside &= ~ok | (proj <= extent + ZONOTOPE_SLACK * scale)
     return inside
+
+
+def box_box_laplace_volumes(K, L, qs):
+    """vol(K - L_q L) for each unit quaternion q of the (B, 4) rows qs from
+    all 70 Laplace minors of L's half-generators in K's frame: the reference
+    for the Monte Carlo's 16 linear and 18 quadratic forms in q."""
+    # coordinate c of L's half-generator a in K's frame is row 4c + a of
+    # gen @ q: K.rotation^T L_q L.rotation diag(hL), flattened, is linear in q
+    gen = np.kron(K.rotation.T, (L.rotation * L.half_extents).T) @ _UNIT_LEFT.reshape(4, 16).T
+    return box_box_block(K.half_extents, (gen @ qs.T).reshape(4, 4, len(qs)))
+
+
+def box_box_block(hK, G):
+    """The zonotope volumes of a batch of samples, hK K's half extents and
+    G[c, a] the (B,) row of coordinate c of L's half-generator a in K's frame.
+
+    K - R L is the zonotope of K's 4 and R L's 4 half-generators, so its
+    volume is 16 times the sum of |det| over the 70 4-subsets of them
+    (Shephard 1974). In K's frame K's half-generators are h_i e_i, so the
+    subset of K's generators off the rows P and L's generators T, |T| = |P|,
+    contributes prod_(i not in P) h_i |minor(G; P, T)|, G the matrix of L's
+    half-generators. Each minor is a Laplace expansion along its first row
+    of those one size smaller.
+    """
+    minors = {((), ()): 1.0}
+    vol = np.full(G.shape[2], np.prod(hK))
+    for k in range(1, 5):
+        for rows in itertools.combinations(range(4), k):
+            weight = np.prod([h for i, h in enumerate(hK) if i not in rows])
+            for cols in itertools.combinations(range(4), k):
+                m = 0.0
+                for j, c in enumerate(cols):
+                    term = G[rows[0], c] * minors[rows[1:], cols[:j] + cols[j + 1:]]
+                    m = m - term if j % 2 else m + term
+                minors[rows, cols] = m
+                vol += weight * np.abs(m)
+    return 16.0 * vol
+
+
+def count_within_reach_rows(y, h, r):
+    """The ball-reach count of the (B, 4) rows y, uniform in [0, 1), scored a
+    row at a time: y scaled by h + r, less h and clamped at 0 when any h is
+    nonzero, squared in place and its columns summed into the first. The
+    reference for the column-at-a-time count."""
+    y = y * (h + r)
+    if h.any():
+        y -= h
+        np.maximum(y, 0.0, out=y)
+    np.multiply(y, y, out=y)
+    total = y[:, 0]
+    for k in range(1, 4):
+        total += y[:, k]
+    return np.count_nonzero(np.sqrt(total, out=total) <= r)
 
 
 # the six pairs (a, b), a < b, of four indices in lexicographic order; pair

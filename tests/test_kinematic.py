@@ -660,7 +660,7 @@ class TestBoxBoxVolumes:
         K, L = BOX_PAIRS[pair]
         Rs = kinematic._haar_rotations(np.random.default_rng(31 + pair),
                                        kinematic.BOX_BOX_BLOCK + 500)
-        got = kinematic._box_box_volumes(K, L, Rs[:, :, 0])
+        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pair", [1, 2])
@@ -677,7 +677,7 @@ class TestBoxBoxVolumes:
             hits = _oracles.hits_box_box_zonotope(K, L, np.broadcast_to(R, (n, 4, 4)), ts)
             w = np.prod(hi - lo) * hits
             se = w.std(ddof=1) / math.sqrt(n)
-            (want,) = kinematic._box_box_volumes(K, L, R[None, :, 0])
+            (want,) = kinematic._box_box_volumes(K, L)(R[None, :, 0])
             assert abs(w.mean() - want) <= 4.0 * se, (w.mean(), want, se)
 
     @pytest.mark.parametrize("a, b", [
@@ -691,6 +691,66 @@ class TestBoxBoxVolumes:
         K = Box(np.zeros(4), np.array(a))
         L = Box(np.array([0.1, 0.0, -0.2, 0.0]), np.array(b))
         assert rhs_kinematic(K, L) == pytest.approx(_axis_box_rhs(a, b), rel=1e-12, abs=0)
+
+
+# a reflected rotation (det -1, the last row of the CI's rotation negated)
+# and a thin box of extent 1e-3 against the rotated boxes
+_REFLECTION = rotation_matrix([0.6, 0.0, 0.8, 0.0]) * np.array([[1.0], [1.0], [1.0], [-1.0]])
+WEIGHT_PAIRS = BOX_PAIRS + [
+    (Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6])),
+     Box(np.array([0.1, 0.0, -0.2, 0.0]), np.array([0.45, 0.55, 0.35, 0.6]), _REFLECTION)),
+    (Box(np.zeros(4), np.array([0.5, 1e-3, 0.4, 0.6]), BOX_PAIRS[2][0].rotation), BOX_PAIRS[3][1]),
+]
+
+
+def _complement(subset):
+    return [i for i in range(4) if i not in subset]
+
+
+class TestBoxBoxForms:
+    """The box/box weight from 16 linear and 18 quadratic forms in q: the
+    complementary minors it merges, and its values against all 70 Laplace
+    minors and numpy's determinants."""
+
+    @pytest.mark.parametrize("pair", range(len(WEIGHT_PAIRS)))
+    def test_complementary_minors_agree(self, pair):
+        # O(q) = K.rotation^T L_q L.rotation is orthogonal, so in absolute
+        # value each 2x2 minor is its complementary minor and each 3x3 minor
+        # its complementary entry (Jacobi)
+        K, L = WEIGHT_PAIRS[pair]
+        Rs = kinematic._haar_rotations(np.random.default_rng(60 + pair), 256)
+        O = K.rotation.T @ Rs @ L.rotation
+        for P in combinations(range(4), 2):
+            for T in combinations(range(4), 2):
+                minor = np.linalg.det(O[:, P][:, :, T])
+                other = np.linalg.det(O[:, _complement(P)][:, :, _complement(T)])
+                np.testing.assert_allclose(np.abs(minor), np.abs(other), rtol=0, atol=1e-14)
+        for c in range(4):
+            for a in range(4):
+                minor = np.linalg.det(O[:, _complement([c])][:, :, _complement([a])])
+                np.testing.assert_allclose(np.abs(minor), np.abs(O[:, c, a]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("pair", range(len(WEIGHT_PAIRS)))
+    def test_matches_laplace_minors_and_determinants(self, pair):
+        # one full block and a partial one
+        K, L = WEIGHT_PAIRS[pair]
+        Rs = kinematic._haar_rotations(np.random.default_rng(70 + pair),
+                                       kinematic.BOX_BOX_BLOCK + 500)
+        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
+        want = _oracles.box_box_laplace_volumes(K, L, Rs[:, :, 0])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-13, atol=0)
+
+    def test_nearly_orthonormal_rotation(self):
+        # a rotation 1e-10 off orthonormal, within ORTHONORMAL_TOL: the
+        # complementary minors, and so the weights, differ by about as much
+        rng = np.random.default_rng(80)
+        rotation = _random_rotation(rng) + 1e-10 * rng.standard_normal((4, 4))
+        K = Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), rotation)
+        L = BOX_PAIRS[3][1]
+        qs = kinematic._haar_quaternions(rng, 2000)
+        np.testing.assert_allclose(kinematic._box_box_volumes(K, L)(qs),
+                                   _oracles.box_box_laplace_volumes(K, L, qs), rtol=1e-8, atol=0)
 
 
 def _plates_sharing_a_line(rng, F1t, eps, count):
@@ -818,11 +878,24 @@ PINNED_BALL_REACH = {
     ("ball_box", 91): ("0x1.953660c49ba5fp+3", "0x1.e50d95288a29fp-8", 0),
     ("ball_box", 92): ("0x1.946faf5c28f5dp+3", "0x1.e611108fa1aedp-8", 0),
 }
-PINNED_ESTIMATES = {**PINNED_BALL_REACH, **PINNED_TRANSLATION_BOX}
+# the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64:
+# box/box from its 16 linear and 18 quadratic forms (the estimates of the 70
+# Laplace minors at these seeds had the same bits), and the plates
+PINNED_QUATERNION_WEIGHTS = {
+    ("box_box", 91): ("0x1.dd8fcb3aac366p+4", "0x1.6b13f9b5b6887p-7", 0),
+    ("box_box", 92): ("0x1.dcfdfebe0688cp+4", "0x1.700ca42c6cdf8p-7", 0),
+    ("poincare", 91): ("0x1.18e41344567cap-1", "0x1.f20ec2df40810p-11", 0),
+    ("poincare", 92): ("0x1.19baf3b113416p-1", "0x1.f341020bda749p-11", 0),
+}
+PINNED_ESTIMATES = {**PINNED_BALL_REACH, **PINNED_TRANSLATION_BOX, **PINNED_QUATERNION_WEIGHTS}
 _BALL = Ball(np.zeros(4), 0.5)
-TRANSLATION_PAIRS = {
+# the pinned pairs of the motion_mc benchmark at its sample counts
+PINNED_PAIRS = {
     "ball_ball": (_BALL, _BALL, 1 << 20),
     "ball_box": (_BALL, Box(np.zeros(4), np.array([0.6, 0.5, 0.4, 0.55])), 28 << 15),
+    "box_box": (*BOX_PAIRS[0], 60 << 10),
+    "poincare": (PlanarPolygon(SQUARE_FRAME, [[0, 0], [1, 0], [1, 1], [0, 1]]),
+                 mgon(5, PENTAGON_FRAME, radius=0.8), 5 << 15),
     "box_simplex": (Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6])),
                     Simplex([[0.0, 0.0, 0.0, 0.0], [1.1, 0.0, 0.0, 0.0], [0.2, 0.9, 0.0, 0.0],
                              [0.1, 0.2, 1.0, 0.0], [0.3, 0.1, 0.2, 0.8]]), 512),
@@ -832,9 +905,10 @@ TRANSLATION_PAIRS = {
 class TestTranslationBox:
     @pytest.mark.parametrize("pair, seed", list(PINNED_ESTIMATES))
     def test_pinned_estimates(self, pair, seed):
-        K, L, N = TRANSLATION_PAIRS[pair]
+        K, L, N = PINNED_PAIRS[pair]
+        estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
         for threads in (1, 2):
-            rep = mc_principal_kinematic(K, L, N=N, seed=seed, threads=threads)
+            rep = estimator(K, L, N=N, seed=seed, threads=threads)
             got = (float(rep.estimate).hex(), float(rep.stderr).hex(), rep.indeterminate)
             assert got == PINNED_ESTIMATES[(pair, seed)], threads
 
@@ -893,10 +967,22 @@ class TestBallReach:
         assert rep.estimate == pytest.approx(np.prod(2.0 * ROTATED_BOX.half_extents),
                                              rel=1e-14)
 
+    @pytest.mark.parametrize("size", [kinematic.MC_CHUNK, 1000, 3])
+    def test_columns_count_as_rows(self, size):
+        # the column-at-a-time count against scoring whole rows, for half
+        # extents with zero and nonzero entries and a zero radius
+        rng = np.random.default_rng(size)
+        for h, r in [(np.array([0.6, 0.5, 0.4, 0.55]), 0.5), (np.zeros(4), 1.0),
+                     (np.array([0.3, 0.0, 0.7, 0.0]), 0.35), (np.array([0.6, 0.0, 0.4, 0.55]), 0.0),
+                     (np.zeros(4), 0.0)]:
+            y = rng.random((size, 4))
+            want = _oracles.count_within_reach_rows(y, h, r)
+            assert kinematic._count_within_reach(y, h, r) == want, (h, r)
+
     def test_ball_box_stderr(self):
         # criterion 10's ball/box run: the translation box around rotated
         # copies gave 1.9e-3
-        rep = mc_principal_kinematic(_BALL, TRANSLATION_PAIRS["ball_box"][1], N=10**6, seed=31)
+        rep = mc_principal_kinematic(_BALL, PINNED_PAIRS["ball_box"][1], N=10**6, seed=31)
         assert rep.stderr / rep.estimate < 1e-3
 
 
@@ -919,7 +1005,6 @@ class TestOracleEstimates:
 
         fast = run()
         monkeypatch.setattr(kinematic, "_row_norms", _oracles.row_norms_numpy)
-        monkeypatch.setattr(kinematic, "_row_norms_inplace", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_norms", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_max", _oracles.row_max_numpy)
         assert run() == fast
