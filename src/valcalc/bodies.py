@@ -28,13 +28,16 @@ Each body class carries its own support function (``support``,
 ``support_point``, both batched over (B, n) directions, and
 ``reference_point``), volume, rigid motion ``moved(R, t)`` for x -> R x + t,
 and, except the ball, its pieces.  ``intersects_batch`` decides by GJK
-whether one body meets each of a batch of rigid motions of another.
+whether one body meets each of a batch of rigid motions of another: the
+Monte Carlo's hit indicator for the pairs whose translation integral has no
+closed form here (a ball against a simplex or a polygon, and two polytopes
+neither of which is a box).
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -115,7 +118,7 @@ def _row_max(x):
 
 def _check_orthonormal(a, name, tol=ORTHONORMAL_TOL):
     g = a @ a.T
-    if not np.allclose(g, np.eye(a.shape[0]), atol=tol):
+    if not np.allclose(g, np.eye(a.shape[0]), rtol=0, atol=tol):
         raise ValueError(f"{name} must have orthonormal rows")
 
 
@@ -860,10 +863,17 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     while max(chain[-1].degrees(), default=0) > 0:
         chain.append(derivation(chain[-1]))
     values = evaluate_many(chain, K)
+    n = len(values) - 1
     try:
-        return sum(v * t ** k / math.factorial(k) for k, v in enumerate(values))
+        terms = [v * t ** k / math.factorial(k) for k, v in enumerate(values)]
     except OverflowError:
-        raise ValueError(f"tube parameter {t!r}: t^{len(values) - 1} overflows a float") from None
+        raise ValueError(f"tube parameter {t!r}: t^{n} overflows a float") from None
+    total = sum(terms)
+    if not math.isfinite(total):
+        # the first partial sum that overflows, at a term or on adding finite ones
+        k = next(k for k, part in enumerate(accumulate(terms)) if not math.isfinite(part))
+        raise ValueError(f"tube parameter {t!r}: the sum to the t^{k} term overflows a float")
+    return total
 
 
 def _projection(pts):

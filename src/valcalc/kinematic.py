@@ -9,27 +9,44 @@ exactly and yields the tensor of the principal kinematic formula; a Monte
 Carlo estimator over random rigid motions provides an independent numeric
 check of the normalization (probability Haar measure on the rotations,
 Lebesgue on the translations).  Where the translation integral for a fixed
-rotation has a closed form (two boxes: a zonotope volume; two plates: a
-determinant) the estimator draws only rotations and integrates the
-translation exactly.  A rotation is left multiplication L_q by a unit
-quaternion q, so these weights are scored from q itself: the box/box
-weight sums |16 linear and 18 quadratic forms| in q, and the plates'
-determinant is a quadratic form q^T A q in it.  A ball is unchanged by
-rotation, and the motion measure by g -> g^-1, so a ball against a ball or a
-box draws only translations: the integral is the volume of the points
-within the ball's radius of the other body.  Every other pair draws
-rotations and translations and scores a hit indicator.
+rotation has a closed form (two boxes: a zonotope volume; a box and a
+simplex, segment, point or polygon: vol(K - R L) from the shadows of R L on
+the coordinate subspaces of the box's frame; two plates: a determinant) the
+estimator draws only rotations and integrates the translation exactly.  A
+rotation is left multiplication L_q by a unit quaternion q, so these weights
+are scored from q itself: the box/box weight sums |16 linear and 18
+quadratic forms| in q, a polytope's vertices in the box's frame are a fixed
+matrix times q, and the plates' determinant is a quadratic form q^T A q in
+it.  A ball is unchanged by rotation, and the motion measure by g -> g^-1,
+so a ball against a ball or a box draws only translations: the integral is
+the volume of the points within the ball's radius of the other body; a
+polytope against a box is scored as that box against the polytope, for
+the same reason.  The remaining pairs (a ball against a simplex or a
+polygon, and two polytopes neither of which is a box) have no closed form
+here: they draw rotations and translations and score the batched GJK's hit
+indicator.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .bodies import Ball, Box, PlanarPolygon, _row_norms, evaluate_many, intersects_batch
+from .bodies import (
+    Ball,
+    Box,
+    PlanarPolygon,
+    _VertexHull,
+    _row_max,
+    _row_min,
+    _row_norms,
+    evaluate_many,
+    intersects_batch,
+)
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
@@ -37,8 +54,9 @@ from .tolerances import MC_INDETERMINATE_RATE
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
-# samples per block of the box/box volumes, whose 16 linear and 18 quadratic
-# forms in q come to about fifty floats per sample
+# samples per block of the box/box and box/polytope volumes: box/box's 16
+# linear and 18 quadratic forms in q come to about fifty floats per sample,
+# and a 4-simplex's shadows to a few hundred
 BOX_BOX_BLOCK = 1 << 12
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
@@ -171,6 +189,10 @@ _UNIT_LEFT = _LEFT_SIGN * (_LEFT_INDEX == np.arange(4)[:, None, None])
 _SUBSETS = np.array(list(combinations(range(4), 2)))
 _P, _T = np.divmod(np.arange(18), 6)
 _QK, _QL = np.triu_indices(4)
+# row l: the three axes other than l, a coordinate 3-space; its first two
+# span a coordinate plane (a row of _SUBSETS) and the third is its height
+_SPACES = np.array(list(combinations(range(4), 3)))[::-1]
+_SPACE_PLANE = np.array([[tuple(p) for p in _SUBSETS].index(tuple(s[:2])) for s in _SPACES])
 
 
 def _haar_quaternions(rng, size):
@@ -248,6 +270,123 @@ def _box_box_volumes(K, L):
     return volumes
 
 
+@lru_cache(maxsize=None)
+def _hull_indices(m):
+    """Index arrays for the shadows of m >= 3 points: the pairs (a, b),
+    a < b; the pairs ab, bc, ac of each sorted triple (a, b, c); for each
+    pair (a, b) and each other point c, the places of "c lies left of
+    (a, b)" and of "c lies right of it" among the stacked tests [each
+    triple turns left; each turns right] (a sorted triple turns as
+    (a, b, c) does unless a < c < b); and the 4-subsets, each with the
+    triples omitting its points in turn. Only simplices call it, so m is 3,
+    4 or 5 and the cache holds at most three entries."""
+    pairs = list(combinations(range(m), 2))
+    triples = list(combinations(range(m), 3))
+    pair, triple = ({t: i for i, t in enumerate(ts)} for ts in (pairs, triples))
+    turns = [[pair[a, b], pair[b, c], pair[a, c]] for a, b, c in triples]
+    seen = np.array([[triple[tuple(sorted((a, b, c)))] for c in range(m) if c not in (a, b)]
+                     for a, b in pairs])
+    flip = np.array([[a < c < b for c in range(m) if c not in (a, b)] for a, b in pairs])
+    quads = list(combinations(range(m), 4))
+    faces = np.array([[triple[q[:r] + q[r + 1:]] for r in range(4)] for q in quads], dtype=int)
+    T = len(triples)
+    return (np.array(pairs).T, np.array(turns).T, seen + T * flip, seen + T * ~flip,
+            np.array(quads), faces)
+
+
+def _hull_shadows(X, dim, cycle):
+    """Shadows of the convex hull of m points onto the coordinate
+    subspaces, the points given as X (m, 4, B), point by coordinate by
+    sample, with samples last: the ranges on the 4 axes (4, B), the areas
+    on the 6 coordinate planes of _SUBSETS (6, B) and the volumes in the 4
+    coordinate 3-spaces of _SPACES (4, B), the list cut off after the
+    hull's dimension dim, beyond which they vanish.
+
+    ``cycle`` says the points are a convex polygon's vertices in order: a
+    linear map keeps that cycle or flattens it to a segment, so a plane
+    shadow is |shoelace| / 2, at a cost linear in m.
+    Otherwise the pair {a, b} is a hull edge, counterclockwise (+1) or
+    clockwise (-1), when every other point lies strictly on its left or
+    its right, and the area is half the sum of sign * (x_a y_b - x_b y_a).
+    The orientation of each triple is taken once per plane, as the sum of
+    its pairs' cross products. In 3-D, a 4-subset's 6-volume is its
+    determinant expanded along the height over those orientations, and the
+    hull of 5 points in general position has half the sum of the 5
+    tetrahedra's volumes (Radon: its points split 1 + 4 or 2 + 3, and
+    either way the tetrahedra cover the hull twice).
+    """
+    by_point = X.transpose(1, 2, 0)
+    shadows = [_row_max(by_point) - _row_min(by_point)]
+    if dim < 2:
+        return shadows
+    x, y = X[:, _SUBSETS[:, 0]], X[:, _SUBSETS[:, 1]]
+    if cycle:
+        nxt = np.roll(np.arange(len(X)), -1)
+        area = (x * y[nxt] - x[nxt] * y).sum(axis=0)
+        return shadows + [0.5 * np.abs(area)]
+    (a, b), (ab, bc, ac), left, right, quads, faces = _hull_indices(len(X))
+    cross = x[a] * y[b] - x[b] * y[a]
+    orient = cross[ab] + cross[bc] - cross[ac]
+    turns = np.concatenate([orient > 0, orient < 0])
+    edge = turns[left].all(axis=1) * cross - turns[right].all(axis=1) * cross
+    shadows.append(0.5 * edge.sum(axis=0))
+    if dim < 3:
+        return shadows
+    terms = X[:, _SPACES[:, 2]][quads] * orient[:, _SPACE_PLANE][faces]
+    det = terms[:, 0] - terms[:, 1] + terms[:, 2] - terms[:, 3]
+    shadows.append(np.abs(det).sum(axis=0) / (12.0 if len(quads) > 1 else 6.0))
+    return shadows
+
+
+def _box_polytope_volumes(K, L):
+    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    vol(K - L_q L), a block at a time, for a box K and a vertex hull L (a
+    simplex of 1 to 5 vertices or a planar polygon).
+
+    K - L_q L is a polytope plus K's four orthogonal edges, so its volume
+    is the sum over the axis sets S of K's frame of prod_S 2 hK times the
+    (4 - |S|)-volume of the shadow of L_q L on the other axes (Shephard
+    1974): a point, ranges, areas, 3-volumes (``_hull_shadows``) and L's
+    own volume. In K's frame L's vertices, less their mean, are a fixed
+    (4m x 4) matrix times q; translations change no shadow."""
+    verts = L._hull() - L.reference_point()
+    m = len(verts)
+    cycle = isinstance(L, PlanarPolygon)
+    dim = 2 if cycle else m - 1
+    # gen[j, i, k]: coordinate i of L_q v_j in K's frame is sum_k gen[j, i, k] q_k
+    gen = np.einsum("li,klr,jr->jik", K.rotation, _UNIT_LEFT, verts).reshape(4 * m, 4)
+    edges = 2.0 * K.half_extents
+    # a shadow's weight is the product of K's edges on the other axes: the
+    # 3-space off a range's axis, the plane complementary to a plane, and
+    # the axis a 3-space omits
+    weights = [np.prod(edges[_SPACES], axis=1), np.prod(edges[_SUBSETS[::-1]], axis=1), edges]
+    c0 = np.prod(edges) + L.volume()
+
+    def volumes(qs):
+        vol = np.empty(len(qs))
+        for s in range(0, len(qs), BOX_BOX_BLOCK):
+            X = (gen @ qs[s:s + BOX_BOX_BLOCK].T).reshape(m, 4, -1)
+            total = c0
+            for w, shadow in zip(weights, _hull_shadows(X, dim, cycle)):
+                total = total + w @ shadow
+            vol[s:s + BOX_BOX_BLOCK] = total
+        return vol
+    return volumes
+
+
+def _translation_volumes(K, L):
+    """qs -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
+    for two boxes or a box and a vertex hull, else None. The motion measure
+    is unchanged by g -> g^-1, so a vertex hull against a box takes the box
+    as K, the same function of the same q."""
+    if isinstance(K, Box) and isinstance(L, Box):
+        return _box_box_volumes(K, L)
+    box, hull = (K, L) if isinstance(K, Box) else (L, K)
+    if isinstance(box, Box) and isinstance(hull, _VertexHull):
+        return _box_polytope_volumes(box, hull)
+    return None
+
+
 def _count_within_reach(y, h, r):
     """The rows of y, uniform in [0, 1)^4, within r of the box [-h, h] once
     column k is scaled by h_k + r, less h_k and clamped at 0 where h_k != 0.
@@ -319,17 +458,19 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     A ball against a ball or a box draws per sample a point y uniform in a
     fixed box in the other body's frame, scored by box volume times whether
     y lies within the ball's radius of that body. Every other pair draws a Haar
-    rotation R = L_q. For two boxes the translation integral of
-    chi(K . (R L + t)) is vol(K - R L), which scores the sample in closed
-    form from q: a weighted sum of the absolute values of 16 linear and 18
-    quadratic forms in q, built once per estimate. The rest also
-    draw a translation uniform in the bounding box of the support
-    differences, scored by box volume times the intersection indicator.
-    Deterministic for fixed (seed, N) regardless of threads.
+    rotation R = L_q. For two boxes, or a box and a simplex or polygon in
+    either order, the translation integral of chi(K . (R L + t)) is
+    vol(K - R L), which scores the sample in closed form from q: for two
+    boxes a weighted sum of the absolute values of 16 linear and 18
+    quadratic forms in q, for a box and a polytope a weighted sum of the
+    polytope's shadows (``_box_polytope_volumes``), built once per estimate.
+    The rest also draw a translation uniform in the bounding box of the
+    support differences, scored by box volume times the GJK's intersection
+    indicator. Deterministic for fixed (seed, N) regardless of threads.
     """
     _check_mc_args(N, threads, K=K, L=L)
     rhs = rhs_kinematic(K, L, kind)
-    volumes = _box_box_volumes(K, L) if isinstance(K, Box) and isinstance(L, Box) else None
+    volumes = _translation_volumes(K, L)
     reach = _ball_reach(K, L)
 
     def worker(idx, size):

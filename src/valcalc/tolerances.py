@@ -2,8 +2,11 @@
 
 Each constant names a threshold of one geometric or numeric test.  None of
 them is an accuracy target: every normal-cycle cell is integrated exactly, so
-float results carry only rounding error.  The Monte Carlo weights of box/box
-pairs and of plate pairs are closed forms with no threshold at all, and ball
+float results carry only rounding error.  The Monte Carlo weights of box/box,
+box/polytope and plate pairs are closed forms with no threshold at all (a
+polytope's plane shadow counts a hull edge when every other point lies
+strictly on one side of it, which can miss an edge only where three points
+of the shadow are collinear, a set of rotations of measure zero), and ball
 pairs score the exact hit |y| <= r: a slack would only move samples within it
 of a sphere, a set of measure zero.
 """
@@ -30,7 +33,9 @@ DEGENERATE_PIECE_TOL = 1e-12
 # simplex's distance to the origin, or the gap between it and the support
 # lower bound, falls to this times 1 + |d0| + the two support radii.  The
 # closest face is chosen by the signs of barycentric weights alone, with no
-# slack on a sign and no least gain in distance.
+# slack on a sign and no least gain in distance.  Only the Monte Carlo pairs
+# with no closed-form translation integral use it: a ball against a simplex
+# or a polygon, and two polytopes neither of which is a box.
 GJK_TOL = 1e-12
 
 # vectors shorter than this count as zero (imaginary directions)
@@ -40,4 +45,5 @@ ZERO_NORM_TOL = 1e-12
 DIRECTION_MATCH_TOL = 1e-9
 
 # Monte Carlo gives up above this share of samples that GJK leaves undecided
+# (only the pairs scored by GJK can have any)
 MC_INDETERMINATE_RATE = 1e-4

@@ -292,7 +292,7 @@ def klain(mu: ValuationRep, frame) -> float:
         raise ValueError("frame vectors must have length n")
     if not np.all(np.isfinite(mat)):
         raise ValueError("frame entries must be finite")
-    if not np.allclose(mat @ mat.T, np.eye(k), atol=ORTHONORMAL_TOL):
+    if not np.allclose(mat @ mat.T, np.eye(k), rtol=0, atol=ORTHONORMAL_TOL):
         raise ValueError("frame is not orthonormal")
     from .bodies import Simplex, evaluate
 

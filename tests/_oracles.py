@@ -7,6 +7,7 @@ from collections import defaultdict
 from functools import lru_cache, partial
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
@@ -594,7 +595,8 @@ def rumin_ansatz(omega):
 #
 # References for the Monte Carlo scoring in ``valcalc.kinematic`` and
 # ``valcalc.bodies``: the box/box hit indicator that the zonotope volume
-# integrates over translations, tested on world-frame generators, and numpy's
+# integrates over translations, tested on world-frame generators, Qhull's
+# shadows of a vertex hull and the box/polytope volume they give, and numpy's
 # row norms and maxima.
 
 
@@ -677,6 +679,42 @@ def box_box_block(hK, G):
                 minors[rows, cols] = m
                 vol += weight * np.abs(m)
     return 16.0 * vol
+
+
+def shadow_volumes(points):
+    """The shadows of the convex hull of the rows of ``points`` (m, 4) on the
+    coordinate subspaces, by scipy's Qhull: the ranges on the 4 axes, the
+    areas on the 6 coordinate planes (i, j), i < j, in lexicographic order,
+    and the volumes in the 4 coordinate 3-spaces omitting axis 0, 1, 2, 3.
+    A shadow of fewer points than its dimension plus one, or a flat one, is 0."""
+    def hull_volume(axes):
+        pts = points[:, list(axes)]
+        if len(pts) <= len(axes):
+            return 0.0
+        try:
+            return ConvexHull(pts).volume
+        except QhullError:
+            return 0.0
+
+    planes = itertools.combinations(range(4), 2)
+    spaces = [[i for i in range(4) if i != l] for l in range(4)]
+    return (np.ptp(points, axis=0), np.array([hull_volume(p) for p in planes]),
+            np.array([hull_volume(s) for s in spaces]))
+
+
+def box_polytope_volume(K, L, q):
+    """vol(K - L_q L) for a box K, a vertex hull L and a unit quaternion q,
+    from Qhull's shadows of L_q L in K's frame: the sum over the axis sets S
+    of prod_S (2 hK) times the shadow on the other axes (Shephard 1974)."""
+    points = L._hull() @ (K.rotation.T @ rotation_matrix(q)).T
+    edges = 2.0 * K.half_extents
+    total = np.prod(edges) + L.volume()
+    for dim, shadows in enumerate(shadow_volumes(points), start=1):
+        axes = itertools.combinations(range(4), dim) if dim < 3 else (
+            [i for i in range(4) if i != l] for l in range(4))
+        for shadow, kept in zip(shadows, axes):
+            total += shadow * np.prod([e for i, e in enumerate(edges) if i not in kept])
+    return total
 
 
 def count_within_reach_rows(y, h, r):

@@ -78,6 +78,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Box(np.zeros(3), np.ones(3), np.diag([1.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1 + 4.9e-6, 1 - 4.9e-6, 1 + 2e-9])
+    def test_orthonormality_has_no_relative_slack(self, scale):
+        # R R^T departs from the identity by about 2 (scale - 1) on the
+        # diagonal, above ORTHONORMAL_TOL: a relative tolerance of 1e-5
+        # once let the diagonal drift by 1e-5 + 1e-9
+        R = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+        with pytest.raises(ValueError, match="^rotation must have orthonormal rows$"):
+            Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), R * scale)
+        with pytest.raises(ValueError, match="^frame must have orthonormal rows$"):
+            PlanarPolygon(R[:2] * scale, [[0, 0], [1, 0], [0, 1]])
+
+    def test_rotation_within_the_tolerance_accepted(self):
+        rng = np.random.default_rng(8)
+        R = np.linalg.qr(rng.standard_normal((4, 4)))[0] + 1e-10 * rng.standard_normal((4, 4))
+        assert np.max(np.abs(R @ R.T - np.eye(4))) > 1e-11
+        box = Box(np.zeros(4), np.ones(4), R)
+        assert np.array_equal(box.rotation, R)
+        PlanarPolygon(R[:2], [[0, 0], [1, 0], [0, 1]])
+
     def test_simplex_degenerate(self):
         with pytest.raises(ValueError):
             Simplex([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -474,6 +493,17 @@ class TestTube:
             evaluate_tube(intrinsic_volume_rep(4, degree), box, t)
         if degree == 4:
             with pytest.raises(ValueError, match=rf"\^{power} overflows"):
+                steiner_volume(box, t)
+
+    @pytest.mark.parametrize("degree, t, power", [(4, 1e77, 4), (2, 1e154, 2), (1, 1e308, 1)])
+    def test_overflowing_term_names_t(self, degree, t, power):
+        # t^power is finite but its term is not: the Taylor sum would be inf
+        box = Box(np.zeros(4), np.ones(4))
+        message = f"tube parameter {t!r}: the sum to the t^{power} term overflows a float"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            evaluate_tube(intrinsic_volume_rep(4, degree), box, t)
+        if degree == 4:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 steiner_volume(box, t)
 
     def test_tube_builds_the_pieces_once(self, monkeypatch):

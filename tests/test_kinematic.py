@@ -458,8 +458,8 @@ class TestMCPrincipal:
         box = Box(np.zeros(4), np.array([0.5, 0.5, 0.5, 0.5]))
         point = Simplex([[0.0, 0, 0, 0]])
         rep = mc_principal_kinematic(box, point, N=20000, seed=5)
-        # every translation in the bounding box of {x - q y} hits, so the
-        # estimator is exact: the motion measure is vol(box)
+        # every shadow of a point but the 0-dimensional one vanishes, so
+        # each weight vol(box - q point) is vol(box), the motion measure
         assert rep.estimate == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(1.0, abs=1e-9)
 
@@ -488,10 +488,12 @@ class TestMCPrincipal:
         assert rep.indeterminate <= 1e-4 * rep.samples
         assert abs(rep.z_score) < 3
 
-    def test_box_simplex_thread_invariant_across_chunks(self):
+    def test_ball_simplex_thread_invariant_across_chunks(self):
+        # ball/simplex draws translations and scores them by the batched GJK
+        half = Ball(np.zeros(4), 0.5)
         N = kinematic.MC_CHUNK + 4096
-        one = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=8)
-        two = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=8, threads=2)
+        one = mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=8)
+        two = mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=8, threads=2)
         assert (one.estimate, one.stderr, one.indeterminate) == \
             (two.estimate, two.stderr, two.indeterminate)
         assert abs(one.z_score) < 3
@@ -544,16 +546,19 @@ class TestMCArguments:
 
 
 class TestMCFailureContext:
+    # ball/simplex is scored by the batched GJK, which can leave samples undecided
+    HALF_BALL = Ball(np.zeros(4), 0.5)
+
     def test_undecided_rate_names_the_run(self, monkeypatch):
         _undecided_first(3, monkeypatch)
         with pytest.raises(RuntimeError) as exc:
-            mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=20000, seed=6)
-        assert str(exc.value) == ("3 of 20000 samples undecided for Box against Simplex "
+            mc_principal_kinematic(self.HALF_BALL, MOTION_SIMPLEX, N=20000, seed=6)
+        assert str(exc.value) == ("3 of 20000 samples undecided for Ball against Simplex "
                                   "at seed 6: rate 0.00015 exceeds 0.0001")
 
     def test_undecided_at_the_limit_pass(self, monkeypatch):
         _undecided_first(2, monkeypatch)
-        rep = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=20000, seed=6)
+        rep = mc_principal_kinematic(self.HALF_BALL, MOTION_SIMPLEX, N=20000, seed=6)
         assert rep.indeterminate == 2
 
 
@@ -848,15 +853,20 @@ class TestPlateConditioning:
 
 
 class TestQuaternionWeights:
-    """Box/box and the plates score unit quaternions, not rotation matrices."""
+    """Box/box, box/polytope and the plates score unit quaternions, not
+    rotation matrices, and call no GJK."""
 
     def test_no_rotation_drawn(self, monkeypatch):
         def boom(*args):
-            raise AssertionError("a box/box or plate estimate drew rotation matrices")
+            raise AssertionError("a box/box, box/polytope or plate estimate drew "
+                                 "rotation matrices or called the GJK")
 
         monkeypatch.setattr(kinematic, "_haar_rotations", boom)
+        monkeypatch.setattr(kinematic, "intersects_batch", boom)
         N = kinematic.MC_CHUNK + 100
         reps = [mc_principal_kinematic(*BOX_PAIRS[1], N=N, seed=3),
+                mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=3),
+                mc_principal_kinematic(MOTION_SIMPLEX, ROTATED_BOX, N=N, seed=3),
                 mc_poincare(mgon(4, SQUARE_FRAME), mgon(5, PENTAGON_FRAME, radius=0.8),
                             N=N, seed=3)]
         for rep in reps:
@@ -864,13 +874,7 @@ class TestQuaternionWeights:
 
 
 # (estimate, stderr, indeterminate) as float.hex at the benchmark's sample
-# counts, pinned with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 from a build that
-# called each body's support function once per sign of every row
-PINNED_TRANSLATION_BOX = {
-    ("box_simplex", 91): ("0x1.a2aafa215ff08p+3", "0x1.e63f789098d8ep-2", 0),
-    ("box_simplex", 92): ("0x1.b00c85c160582p+3", "0x1.e3525f975b340p-2", 0),
-}
-# the same for the ball pairs, pinned with numpy 2.4 on x86-64 from the
+# counts for the ball pairs, pinned with numpy 2.4 on x86-64 from the
 # sampler that draws only points within reach of the ball
 PINNED_BALL_REACH = {
     ("ball_ball", 91): ("0x1.3c5cc00000000p+2", "0x1.d9262dd49d989p-8", 0),
@@ -880,14 +884,17 @@ PINNED_BALL_REACH = {
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64:
 # box/box from its 16 linear and 18 quadratic forms (the estimates of the 70
-# Laplace minors at these seeds had the same bits), and the plates
+# Laplace minors at these seeds had the same bits), box/simplex from the
+# shadows of the simplex, and the plates
 PINNED_QUATERNION_WEIGHTS = {
     ("box_box", 91): ("0x1.dd8fcb3aac366p+4", "0x1.6b13f9b5b6887p-7", 0),
     ("box_box", 92): ("0x1.dcfdfebe0688cp+4", "0x1.700ca42c6cdf8p-7", 0),
+    ("box_simplex", 91): ("0x1.ac173d1a8e7f8p+3", "0x1.8450f4fa36e7bp-7", 0),
+    ("box_simplex", 92): ("0x1.abd3db7135163p+3", "0x1.89fc675163ec8p-7", 0),
     ("poincare", 91): ("0x1.18e41344567cap-1", "0x1.f20ec2df40810p-11", 0),
     ("poincare", 92): ("0x1.19baf3b113416p-1", "0x1.f341020bda749p-11", 0),
 }
-PINNED_ESTIMATES = {**PINNED_BALL_REACH, **PINNED_TRANSLATION_BOX, **PINNED_QUATERNION_WEIGHTS}
+PINNED_ESTIMATES = {**PINNED_BALL_REACH, **PINNED_QUATERNION_WEIGHTS}
 _BALL = Ball(np.zeros(4), 0.5)
 # the pinned pairs of the motion_mc benchmark at its sample counts
 PINNED_PAIRS = {
@@ -984,6 +991,118 @@ class TestBallReach:
         # copies gave 1.9e-3
         rep = mc_principal_kinematic(_BALL, PINNED_PAIRS["ball_box"][1], N=10**6, seed=31)
         assert rep.stderr / rep.estimate < 1e-3
+
+
+# a box against each kind of vertex hull: the motion_mc benchmark's
+# box/simplex, the rotated box against that simplex, and boxes against the
+# pentagon plate, a segment, a point, a triangle and a tetrahedron
+_HULL_RNG = np.random.default_rng(2025)
+POLYTOPE_PAIRS = {
+    "box_simplex": (MOTION_BOX, MOTION_SIMPLEX),
+    "rotated_box_simplex": (ROTATED_BOX, MOTION_SIMPLEX),
+    "box_pentagon": (MOTION_BOX, mgon(5, PENTAGON_FRAME, radius=0.8)),
+    "box_segment": (MOTION_BOX, Simplex([[0.1, -0.2, 0.3, 0.0], [0.9, 0.4, -0.5, 0.6]])),
+    "box_point": (MOTION_BOX, Simplex([[0.3, 0.1, -0.2, 0.4]])),
+    "box_triangle": (ROTATED_BOX, Simplex(_HULL_RNG.uniform(-0.6, 0.6, (3, 4)))),
+    "box_tetrahedron": (Box(_HULL_RNG.uniform(-0.3, 0.3, 4), _HULL_RNG.uniform(0.1, 0.8, 4),
+                            _random_rotation(_HULL_RNG)),
+                        Simplex(_HULL_RNG.uniform(-0.6, 0.6, (4, 4)))),
+}
+
+
+class TestHullShadows:
+    """The shadows of a vertex hull on the coordinate subspaces against
+    scipy's Qhull."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_qhull(self, m):
+        rng = np.random.default_rng(90 + m)
+        X = rng.standard_normal((m, 4, 200))
+        shadows = kinematic._hull_shadows(X, m - 1, False)
+        assert len(shadows) == min(max(m - 1, 1), 3)
+        for b in range(X.shape[2]):
+            want = _oracles.shadow_volumes(X[:, :, b])
+            for got, ref in zip(shadows, want):
+                np.testing.assert_allclose(got[:, b], ref, rtol=1e-12, atol=1e-14)
+            # the shadows past the hull's dimension are flat
+            assert not any(ref.any() for ref in want[len(shadows):])
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_polygon_cycle(self, m):
+        # a convex polygon's vertices in order under random linear maps: the
+        # shoelace of the cycle, the hull edges of the points and Qhull agree
+        rng = np.random.default_rng(95 + m)
+        M = mgon(m, PENTAGON_FRAME, radius=0.8)
+        X = np.einsum("jr,bir->jib", M.embedded_vertices(), rng.standard_normal((100, 4, 4)))
+        cycle = kinematic._hull_shadows(X, 2, True)
+        edges = kinematic._hull_shadows(X, 2, False)
+        np.testing.assert_array_equal(cycle[0], edges[0])
+        np.testing.assert_allclose(cycle[1], edges[1], rtol=1e-12, atol=0)
+        for b in range(X.shape[2]):
+            np.testing.assert_allclose(cycle[1][:, b], _oracles.shadow_volumes(X[:, :, b])[1],
+                                       rtol=1e-12, atol=0)
+
+
+class TestBoxPolytopeVolumes:
+    """The box/polytope weight vol(K - L_q L) against Qhull's shadows, the
+    hit indicator it integrates and the exact right-hand side."""
+
+    @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
+    def test_matches_qhull_shadows(self, pair):
+        # one full block and a partial one
+        K, L = POLYTOPE_PAIRS[pair]
+        qs = kinematic._haar_quaternions(np.random.default_rng(110),
+                                         kinematic.BOX_BOX_BLOCK + 100)
+        got = kinematic._box_polytope_volumes(K, L)(qs)
+        for b in range(0, len(qs), 37):
+            assert got[b] == pytest.approx(_oracles.box_polytope_volume(K, L, qs[b]),
+                                           rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
+    def test_averages_the_hit_indicator(self, pair):
+        # translations uniform in the translation box, each scored by box
+        # volume times the GJK's hit: their mean over 2^14 translations is
+        # the weight to within its standard error
+        K, L = POLYTOPE_PAIRS[pair]
+        rng = np.random.default_rng(120)
+        n = 1 << 14
+        for q in kinematic._haar_quaternions(rng, 3):
+            R = rotation_matrix(q)
+            lo, hi = (side[0] for side in kinematic._translation_box(K, L, R[None]))
+            ts = lo + rng.uniform(size=(n, 4)) * (hi - lo)
+            sep = bodies.intersects_batch(K, L, np.broadcast_to(R, (n, 4, 4)), ts)
+            assert not sep.undecided.any()
+            w = np.prod(hi - lo) * sep.hits
+            se = w.std(ddof=1) / math.sqrt(n)
+            (want,) = kinematic._box_polytope_volumes(K, L)(q[None])
+            assert abs(w.mean() - want) <= 4.0 * se + 1e-12 * want, (w.mean(), want, se)
+
+    @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
+    def test_estimate_matches_rhs_in_either_order(self, pair):
+        K, L = POLYTOPE_PAIRS[pair]
+        N = 2 * kinematic.BOX_BOX_BLOCK + 100
+        a = mc_principal_kinematic(K, L, N=N, seed=130)
+        b = mc_principal_kinematic(L, K, N=N, seed=130)
+        assert (a.estimate, a.stderr, a.indeterminate) == (b.estimate, b.stderr, 0)
+        assert abs(a.z_score) < 3, a
+
+    @pytest.mark.parametrize("pair", ["box_simplex", "box_pentagon"])
+    def test_thread_invariant_across_chunks(self, pair):
+        K, L = POLYTOPE_PAIRS[pair]
+        N = kinematic.MC_CHUNK + 4096
+        one = mc_principal_kinematic(K, L, N=N, seed=8)
+        two = mc_principal_kinematic(K, L, N=N, seed=8, threads=2)
+        assert (one.estimate, one.stderr, one.indeterminate) == \
+            (two.estimate, two.stderr, two.indeterminate)
+        assert abs(one.z_score) < 3
+
+    @pytest.mark.parametrize("seed", [91, 92])
+    def test_box_simplex_relative_stderr(self, seed):
+        # the motion_mc benchmark's box/simplex at its 512 samples: the hit
+        # indicator over the translation box gave 3.6e-2 at these seeds
+        rep = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=512, seed=seed)
+        assert rep.stderr <= 2e-3 * rep.estimate
+        assert abs(rep.z_score) < 3
 
 
 class TestOracleEstimates:

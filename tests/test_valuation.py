@@ -297,3 +297,12 @@ class TestKlain:
     def test_frame_count_enforced(self):
         with pytest.raises(ValueError):
             klain(intrinsic_volume_rep(4, 2), [])
+
+    def test_orthonormality_has_no_relative_slack(self):
+        # the Gram matrix's diagonal departs by 9.8e-6, within a relative
+        # tolerance of 1e-5 but not within ORTHONORMAL_TOL; 2e-10 is within it
+        v2 = intrinsic_volume_rep(4, 2)
+        with pytest.raises(ValueError, match="^frame is not orthonormal$"):
+            klain(v2, [[1 + 4.9e-6, 0, 0, 0], [0, 1 + 4.9e-6, 0, 0]])
+        assert klain(v2, [[1 + 1e-10, 0, 0, 0], [0, 1, 0, 0]]) == \
+            pytest.approx(klain(v2, [[1, 0, 0, 0], [0, 1, 0, 0]]), rel=1e-8)
