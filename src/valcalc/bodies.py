@@ -24,14 +24,11 @@ over the derivation's chain, evaluated in one such pass (``evaluate_tube``),
 and so is the Steiner volume.  A form's monomials
 are read from its split vectors in one fixed order (``_closed_form_terms``).
 
-Each body class carries its own support function (``support``,
-``support_point``, both batched over (B, n) directions, and
-``reference_point``), volume, rigid motion ``moved(R, t)`` for x -> R x + t,
-and, except the ball, its pieces.  ``intersects_batch`` decides by GJK
-whether one body meets each of a batch of rigid motions of another: the
-Monte Carlo's hit indicator for the pairs whose translation integral has no
-closed form here (a ball against a simplex or a polygon, and two polytopes
-neither of which is a box).
+Each body class carries its own support function (``support``, batched over
+(B, n) directions), volume, rigid motion ``moved(R, t)`` for x -> R x + t,
+and, except the ball, its pieces; a simplex and a polygon also list their
+faces with spanning vectors and measures (``faces``), from which the Monte
+Carlo builds its exact weights and distance tests.
 """
 
 import math
@@ -46,30 +43,10 @@ from .tolerances import (
     CELL_TOL,
     CONVEXITY_TOL,
     DEGENERATE_PIECE_TOL,
-    GJK_TOL,
     ORTHONORMAL_TOL,
     RANK_TOL,
 )
 from .valuation import ValuationRep, ball_value, ball_volume, derivation, intrinsic_volume_rep
-
-GJK_CAP = 200
-
-
-class IndeterminateIntersection(RuntimeError):
-    """Raised when the separation iteration hits its cap without a verdict.
-
-    Carries the iteration count and the last distance bounds: the distance
-    from the origin to the simplex's hull and the lower bound on the distance
-    to the difference body.
-    """
-
-    def __init__(self, iterations, dist, lower):
-        super().__init__(f"separation iteration hit its cap of {iterations} iterations "
-                         f"at distance {dist:.3e} with lower bound {lower:.3e}")
-        self.iterations = iterations
-        self.dist = dist
-        self.lower = lower
-
 
 def _finite(values, name):
     a = np.asarray(values, dtype=float)
@@ -204,26 +181,6 @@ class Ball:
         h = xi @ self.center + self.radius * _row_norms(xi)
         return float(h) if xi.ndim == 1 else h
 
-    def support_pair(self, xi):
-        """The support values at a (B, n) batch of directions and at their
-        negatives, from one product with the center and one row norm.  The
-        values equal those of support(xi) and support(-xi); a zero may take
-        the other sign."""
-        p, r = xi @ self.center, self.radius * _row_norms(xi)
-        return p + r, r - p
-
-    def support_point(self, xi):
-        """A point of the body attaining the support value in direction xi,
-        one per row for a (B, n) batch; the center for a zero direction."""
-        xi = np.asarray(xi, dtype=float)
-        norm = np.linalg.norm(xi, axis=-1, keepdims=True)
-        unit = np.divide(xi, norm, out=np.zeros_like(xi), where=norm > 0)
-        return self.center + self.radius * unit
-
-    def reference_point(self):
-        """A point of the body, used to seed and scale the separation iteration."""
-        return self.center.copy()
-
     def volume(self) -> float:
         """Lebesgue volume (zero for the lower-dimensional bodies)."""
         return float(ball_volume(self.dim)) * self.radius ** self.dim
@@ -264,17 +221,6 @@ class Box:
         h = xi @ self.center + np.abs(xi @ self.rotation) @ self.half_extents
         return float(h) if xi.ndim == 1 else h
 
-    def support_pair(self, xi):
-        p, r = xi @ self.center, np.abs(xi @ self.rotation) @ self.half_extents
-        return p + r, r - p
-
-    def support_point(self, xi):
-        proj = np.asarray(xi, dtype=float) @ self.rotation
-        return self.center + (self.half_extents * np.sign(proj)) @ self.rotation.T
-
-    def reference_point(self):
-        return self.center.copy()
-
     def volume(self) -> float:
         return float(np.prod(2.0 * self.half_extents))
 
@@ -297,23 +243,12 @@ class Box:
 
 
 class _VertexHull:
-    """Support data of a body that is the convex hull of ``_hull()``'s rows."""
+    """The support function of a body that is the convex hull of ``_hull()``'s rows."""
 
     def support(self, xi):
         xi = np.asarray(xi, dtype=float)
         h = _row_max(xi @ self._hull().T)
         return float(h) if xi.ndim == 1 else h
-
-    def support_pair(self, xi):
-        p = xi @ self._hull().T
-        return _row_max(p), -_row_min(p)
-
-    def support_point(self, xi):
-        verts = self._hull()
-        return np.take(verts, np.argmax(np.asarray(xi, dtype=float) @ verts.T, axis=-1), axis=0)
-
-    def reference_point(self):
-        return self._hull().mean(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,6 +280,16 @@ class Simplex(_VertexHull):
 
     def moved(self, R, t):
         return Simplex(self.vertices @ R.T + t)
+
+    def faces(self):
+        """Every face as (vertex indices, spanning vectors, measure factor),
+        by dimension: the vertex subsets in ``combinations`` order, each
+        spanned by its edges from its first vertex; a k-face measures 1/k!
+        of their parallelotope."""
+        verts = self.vertices
+        return [(face, verts[list(face[1:])] - verts[face[0]], 1.0 / math.factorial(len(face) - 1))
+                for size in range(1, len(verts) + 1)
+                for face in combinations(range(len(verts)), size)]
 
     def pieces(self):
         """The normal cycle's pieces by shape (``_pieces``): the faces of
@@ -424,6 +369,18 @@ class PlanarPolygon(_VertexHull):
 
     def moved(self, R, t):
         return PlanarPolygon(self.frame @ R.T, self.vertices2d, R @ self.base + t)
+
+    def faces(self):
+        """Every face as (vertex indices, spanning vectors, measure factor),
+        by dimension: the vertices; the edges of the cycle, each spanned by
+        itself; and the polygon, spanned by its orthonormal frame, so that
+        it measures its area."""
+        verts = self.embedded_vertices()
+        m, n = verts.shape
+        edges = [(i, (i + 1) % m) for i in range(m)]
+        return ([((i,), np.zeros((0, n)), 1.0) for i in range(m)]
+                + [((i, j), verts[[j]] - verts[i], 1.0) for i, j in edges]
+                + [(tuple(range(m)), self.frame, self.area)])
 
     def pieces(self):
         """The normal cycle's pieces by shape (``_pieces``): the polygon
@@ -874,166 +831,3 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
         k = next(k for k, part in enumerate(accumulate(terms)) if not math.isfinite(part))
         raise ValueError(f"tube parameter {t!r}: the sum to the t^{k} term overflows a float")
     return total
-
-
-def _projection(pts):
-    """The origin's projection onto the affine hull of each row of points
-    (B, m, n), m >= 2: its barycentric weights, whether the points are
-    affinely independent (the weights mean nothing where they are not), and
-    the projection itself.
-
-    The projection is taken off the edges twice: the first pass leaves a
-    rounding error along the edges as large as eps times the points, which
-    would tilt a projection near the origin off its normal cone, and the
-    second pass removes it.
-    """
-    edges = pts[:, 1:] - pts[:, :1]
-    columns = edges.swapaxes(1, 2)
-    gram = edges @ columns
-    ok = np.linalg.det(gram) > 0
-    gram[~ok] = np.eye(gram.shape[1])
-    inv = np.linalg.inv(gram)
-    p0 = pts[:, 0, :, None]
-    sol = -(inv @ (edges @ p0))
-    c = p0 + columns @ sol
-    c -= columns @ (inv @ (edges @ c))
-    lam = np.concatenate([1.0 - sol.sum(axis=1), sol[..., 0]], axis=1)
-    return lam, ok, c[..., 0]
-
-
-def _closest_points(simplex, size):
-    """Closest point to the origin of each simplex's hull, and its support face.
-
-    ``simplex`` is (B, n+1, n); sample b uses its first ``size[b]`` rows.
-    Signed-volumes rule (Montanari, Petrinic and Barbieri 2017): a face whose
-    barycentric weights of the origin's projection are all positive holds that
-    projection, and any other face hands the search on to the facets that drop
-    a vertex of non-positive weight (to all of them if it is degenerate).
-    Faces are visited by decreasing size, each once for all the samples that
-    reach it, and the closest of the reached faces holding their projection
-    wins.  A face of n+1 points holding its projection holds the origin.
-    """
-    B, slots, n = simplex.shape
-    reach = {tuple(range(m)): size == m for m in range(1, slots + 1)}
-    best = np.full(B, np.inf)
-    closest = np.zeros((B, n))
-    keep = np.zeros((B, slots), dtype=bool)
-    for m in range(slots, 0, -1):
-        for face in combinations(range(slots), m):
-            rows = np.flatnonzero(reach.pop(face, ()))
-            if not len(rows):
-                continue
-            pts = simplex[np.ix_(rows, face)]
-            if m == 1:
-                c = pts[:, 0]
-            else:
-                lam, ok, c = _projection(pts)
-                positive = ok[:, None] & (lam > 0)
-                held = positive.all(axis=1)
-                for j in range(m):
-                    sub = face[:j] + face[j + 1:]
-                    reach.setdefault(sub, np.zeros(B, dtype=bool))[rows[~positive[:, j]]] = True
-                rows, c = rows[held], c[held]
-                if m == n + 1:
-                    c = np.zeros_like(c)
-            d = np.einsum("bi,bi->b", c, c)
-            better = d < best[rows]
-            rows = rows[better]
-            best[rows] = d[better]
-            closest[rows] = c[better]
-            keep[rows] = [i in face for i in range(slots)]
-    return closest, keep
-
-
-def _support_radius(K, center, frames):
-    """Largest distance from center to K's support points along the rows of
-    each frame (B, n, n) and their negatives."""
-    r = 0.0
-    for i in range(frames.shape[1]):
-        for s in (1.0, -1.0):
-            r = np.maximum(r, np.linalg.norm(K.support_point(s * frames[:, i]) - center, axis=1))
-    return r
-
-
-class Separation(NamedTuple):
-    """Verdicts of ``intersects_batch``, one entry per motion."""
-    hits: np.ndarray       # (B,) whether K meets R_b L + t_b
-    undecided: np.ndarray  # (B,) the iteration hit GJK_CAP without a verdict
-    dist: np.ndarray       # (B,) an undecided sample's last distance, else nan
-    lower: np.ndarray      # (B,) an undecided sample's last lower bound, else nan
-
-
-def intersects_batch(K, L, Rs, ts) -> Separation:
-    """Whether K meets R_b L + t_b, for each motion of a batch (Rs, ts).
-
-    GJK (Gilbert, Johnson and Keerthi 1988) on all samples in step.  Each
-    sample keeps a simplex inside its difference body K - (R L + t) and the
-    point c of the simplex's hull closest to the origin (``_closest_points``).
-    It is decided on a zero-distance witness, |c| <= GJK_TOL * scale, or on a
-    certified positive lower bound from the support point w in direction -c;
-    scale is 1 + |d0| + the two bodies' support radii, d0 the difference of
-    their reference points.  The support point of R L + t in direction xi is
-    R s_L(R^T xi) + t, so L itself is never moved.
-    """
-    if K.dim != L.dim:
-        raise ValueError("dimension mismatch")
-    n = K.dim
-    Rs = np.asarray(Rs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    ck, cl = K.reference_point(), L.reference_point()
-    d0 = ck - (Rs @ cl + ts)
-    norm0 = np.linalg.norm(d0, axis=1)
-    scale = (1.0 + norm0 + _support_radius(K, ck, np.eye(n)[None])
-             + _support_radius(L, cl, Rs))
-    hits = norm0 < GJK_TOL * scale
-    live = np.flatnonzero(~hits)
-    R, t, bound = Rs[live], ts[live], GJK_TOL * scale[live]
-
-    def support(d):
-        """Support points of the live difference bodies in directions d."""
-        s = L.support_point(-np.einsum("bji,bj->bi", R, d))
-        return K.support_point(d) - np.einsum("bij,bj->bi", R, s) - t
-
-    simplex = np.zeros((len(live), n + 1, n))
-    simplex[:, 0] = support(-d0[live])
-    size = np.ones(len(live), dtype=int)
-    dist = lower = np.zeros(0)
-    for _ in range(GJK_CAP):
-        if not len(live):
-            break
-        c, keep = _closest_points(simplex, size)
-        dist = np.linalg.norm(c, axis=1)
-        hit = dist <= bound
-        hits[live[hit]] = True
-        w = support(-c)
-        # w minimizes <c, z> over the difference body, so <c, w>/|c| bounds
-        # the distance from below; a positive bound certifies separation
-        lower = np.einsum("bi,bi->b", c, w) / np.where(hit, 1.0, dist)
-        go = ~(hit | (lower > bound) | (dist - lower <= bound))
-        # the support face keeps its points in front, and w joins them
-        keep = keep[go]
-        order = np.argsort(~keep, axis=1, kind="stable")
-        simplex = np.take_along_axis(simplex[go], order[..., None], axis=1)
-        size = keep.sum(axis=1)
-        simplex[np.arange(len(size)), size] = w[go]
-        size += 1
-        live, R, t, bound = live[go], R[go], t[go], bound[go]
-        dist, lower = dist[go], lower[go]
-    undecided = np.zeros(len(Rs), dtype=bool)
-    undecided[live] = True
-    last_dist = np.full(len(Rs), np.nan)
-    last_lower = np.full(len(Rs), np.nan)
-    last_dist[live], last_lower[live] = dist, lower
-    return Separation(hits, undecided, last_dist, last_lower)
-
-
-def intersects(K, L) -> bool:
-    """Whether the two bodies meet: ``intersects_batch`` for the identity motion.
-
-    Raises ``IndeterminateIntersection`` when the iteration hits its cap.
-    """
-    n = K.dim
-    sep = intersects_batch(K, L, np.eye(n)[None], np.zeros((1, n)))
-    if sep.undecided[0]:
-        raise IndeterminateIntersection(GJK_CAP, float(sep.dist[0]), float(sep.lower[0]))
-    return bool(sep.hits[0])

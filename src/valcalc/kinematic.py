@@ -8,23 +8,20 @@ Gauss-Jordan elimination with monomial pivots in Q[pi, 1/pi] inverts it
 exactly and yields the tensor of the principal kinematic formula; a Monte
 Carlo estimator over random rigid motions provides an independent numeric
 check of the normalization (probability Haar measure on the rotations,
-Lebesgue on the translations).  Where the translation integral for a fixed
-rotation has a closed form (two boxes: a zonotope volume; a box and a
-simplex, segment, point or polygon: vol(K - R L) from the shadows of R L on
-the coordinate subspaces of the box's frame; two plates: a determinant) the
-estimator draws only rotations and integrates the translation exactly.  A
-rotation is left multiplication L_q by a unit quaternion q, so these weights
-are scored from q itself: the box/box weight sums |16 linear and 18
-quadratic forms| in q, a polytope's vertices in the box's frame are a fixed
-matrix times q, and the plates' determinant is a quadratic form q^T A q in
-it.  A ball is unchanged by rotation, and the motion measure by g -> g^-1,
-so a ball against a ball or a box draws only translations: the integral is
-the volume of the points within the ball's radius of the other body; a
-polytope against a box is scored as that box against the polytope, for
-the same reason.  The remaining pairs (a ball against a simplex or a
-polygon, and two polytopes neither of which is a box) have no closed form
-here: they draw rotations and translations and score the batched GJK's hit
-indicator.
+Lebesgue on the translations).  It has two sample paths, each scored
+exactly and with no iteration, so every sample is decided.  A ball is
+unchanged by rotation, and the motion measure by g -> g^-1, so a ball
+against any body draws only translations: the integral is the volume of the
+points within the ball's radius of the other body, and each point is scored
+by its exact distance to it.  Every other pair draws only a rotation, left
+multiplication L_q by a unit quaternion q, and integrates the translation
+in closed form: the weight is vol(K - L_q L), scored from q itself.  For two
+boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
+simplex, segment, point or polygon, in either order, it sums the shadows of
+L_q L on the coordinate subspaces of the box's frame, L's vertices there
+being a fixed matrix times q; for two simplices or polygons it sums over
+the facets of K - L_q L, each a sum of faces of the two; and two plates'
+intersection count has the determinant q^T A q.
 """
 
 import math
@@ -40,23 +37,23 @@ from .bodies import (
     Ball,
     Box,
     PlanarPolygon,
-    _VertexHull,
+    _complement_basis,
     _row_max,
     _row_min,
     _row_norms,
+    _subsets,
     evaluate_many,
-    intersects_batch,
 )
 from .linalg import invert_scalar_matrix
 from .scalars import Scalar, ZERO
 from .su2 import icosahedron_directions, su2_basis, tasaki_density
-from .tolerances import MC_INDETERMINATE_RATE
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
-# samples per block of the box/box and box/polytope volumes: box/box's 16
-# linear and 18 quadratic forms in q come to about fifty floats per sample,
-# and a 4-simplex's shadows to a few hundred
+# samples per block of the translation volumes: box/box's 16 linear and 18
+# quadratic forms in q come to about fifty floats per sample, a 4-simplex's
+# shadows to a few hundred and the facet sum of two 4-simplices to a few
+# thousand
 BOX_BOX_BLOCK = 1 << 12
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
@@ -162,15 +159,12 @@ def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
     T = kinematic_tensor(kind)
     vK = evaluation_vector(K, kind)
     vL = vK if L is K else evaluation_vector(L, kind)
-    total = 0.0
-    for i, a in enumerate(vK.values):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(vL.values):
-            c = T.matrix[i][j]
-            if b != 0.0 and not c.is_zero():
-                total += float(c) * a * b
-    return total
+    # an exactly rounded sum of terms symmetric in (K, L): the same float in
+    # either order
+    return math.fsum(float(T.matrix[i][j]) * (a * b)
+                     for i, a in enumerate(vK.values) if a != 0.0
+                     for j, b in enumerate(vL.values)
+                     if b != 0.0 and not T.matrix[i][j].is_zero())
 
 
 # left multiplication by q0 + q1 i + q2 j + q3 k: entry (r, c) of its matrix
@@ -204,39 +198,76 @@ def _haar_quaternions(rng, size):
     return qs
 
 
-def _haar_rotations(rng, size):
-    """Left multiplications by ``size`` unit quaternions uniform on S^3."""
-    qs = _haar_quaternions(rng, size)
-    Rs = qs[:, _LEFT_INDEX]
-    Rs *= _LEFT_SIGN
-    return Rs
-
-
-def _translation_box(K, L, Rs: np.ndarray):
-    """Axis bounds of {x - q y : x in K, y in L} for each sample rotation."""
-    B = len(Rs)
-    lo = np.empty((B, 4))
-    hi = np.empty((B, 4))
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        plus, minus = L.support_pair(Rs[:, i, :])
-        hi[:, i] = K.support(e) + minus
-        lo[:, i] = -(K.support(-e) + plus)
-    return lo, hi
-
-
 def _ball_reach(K, L):
-    """(h, r) for a ball against a ball or a box, else None: the motion
-    integral is the volume of the points within r of the box [-h, h] in the
-    other body's frame (two balls: a point, h = 0, and r their radius sum).
-    It is symmetric in each coordinate, so samples draw |y| in [0, h + r]."""
+    """For a ball against any body, (vol, count): the motion integral is the
+    volume of the points within the ball's radius r of the other body, and
+    count(u) counts the rows of u, uniform in [0, 1)^4, that land there once
+    mapped onto a box of volume vol around it; else None. A ball or a box is
+    symmetric in each coordinate of its frame, so its points draw |y| in
+    [0, h + r], h its half extents (two balls: a point, h = 0, and r their
+    radius sum); a vertex hull's are drawn in its bounding box grown by r
+    (``_hull_reach``)."""
     ball, other = (K, L) if isinstance(K, Ball) else (L, K)
-    if isinstance(ball, Ball) and isinstance(other, Ball):
-        return np.zeros(4), K.radius + L.radius
-    if isinstance(ball, Ball) and isinstance(other, Box):
-        return other.half_extents, ball.radius
-    return None
+    if not isinstance(ball, Ball):
+        return None
+    if isinstance(other, Ball):
+        h, r = np.zeros(4), K.radius + L.radius
+    elif isinstance(other, Box):
+        h, r = other.half_extents, ball.radius
+    else:
+        return _hull_reach(other, ball.radius)
+    return float(np.prod(2.0 * (h + r))), lambda u: _count_within_reach(u, h, r)
+
+
+def _hull_reach(P, r):
+    """(vol, count) of ``_ball_reach`` for a ball of radius r against a
+    vertex hull P: y uniform in P's bounding box grown by r, a hit when
+    dist(y, P) <= r.
+
+    P is a union of simplices: itself, or a polygon's fan of triangles from
+    its first vertex. The point of P closest to y is y's projection onto the
+    affine hull of a face of one of them, with barycentric weights all >= 0,
+    and every such projection lies in P, so dist(y, P) is the least residual
+    over the faces whose projection of y has them. A face's weights are an
+    affine map of y, and its residual is y less its first vertex in an
+    orthonormal basis of the complement of its span: constants built once,
+    stacked by face size. The test is exact, with no iteration."""
+    verts = P._hull()
+    m = len(verts)
+    cells = [(0, i, i + 1) for i in range(1, m - 1)] if isinstance(P, PlanarPolygon) else [range(m)]
+    faces = sorted({face for cell in cells for k in range(1, len(cell) + 1)
+                    for face in combinations(cell, k)})
+    groups = []
+    for size in range(1, 6):
+        same = [face for face in faces if len(face) == size]
+        if not same:
+            continue
+        weights, shifts, perps, heights = [], [], [], []
+        for face in same:
+            p0 = verts[face[0]]
+            edges = verts[list(face[1:])] - p0
+            z = np.linalg.pinv(edges.T)  # x - p0 = edges^T z on the face's span
+            A = np.vstack([-z.sum(axis=0), z])
+            perp = _complement_basis(edges)
+            weights.append(A)
+            shifts.append(np.eye(size)[0] - A @ p0)
+            perps.append(perp)
+            heights.append(perp @ p0)
+        groups.append((len(same), size, np.vstack(weights), np.concatenate(shifts),
+                       np.vstack(perps), np.concatenate(heights)))
+    lo = verts.min(axis=0) - r
+    span = verts.max(axis=0) + r - lo
+
+    def count(u):
+        y = (u * span + lo).T
+        hit = np.zeros(len(u), dtype=bool)
+        for nfaces, size, A, c, perp, h in groups:
+            lam = (A @ y + c[:, None]).reshape(nfaces, size, len(u))
+            off = (perp @ y - h[:, None]).reshape(nfaces, 5 - size, len(u))
+            near = (off * off).sum(axis=1) <= r * r
+            hit |= (near & (lam >= 0).all(axis=1)).any(axis=0)
+        return np.count_nonzero(hit)
+    return float(np.prod(span)), count
 
 
 def _box_box_volumes(K, L):
@@ -349,7 +380,7 @@ def _box_polytope_volumes(K, L):
     1974): a point, ranges, areas, 3-volumes (``_hull_shadows``) and L's
     own volume. In K's frame L's vertices, less their mean, are a fixed
     (4m x 4) matrix times q; translations change no shadow."""
-    verts = L._hull() - L.reference_point()
+    verts = L._hull() - L._hull().mean(axis=0)
     m = len(verts)
     cycle = isinstance(L, PlanarPolygon)
     dim = 2 if cycle else m - 1
@@ -374,17 +405,136 @@ def _box_polytope_volumes(K, L):
     return volumes
 
 
+# the facet sum's determinants, each a Laplace expansion into the minors of
+# rows from K's faces and of rows from M's: _wedge extends k rows' minors by
+# a row, and _dual pairs them with the minors of 4 - k other rows
+
+
+@lru_cache(maxsize=None)
+def _wedge_indices(k):
+    """Per (k + 1)-subset S of the four columns, in ``combinations`` order:
+    its members, and the positions among the k-subsets of S less each."""
+    wider, narrower = _subsets(4, k + 1)[0], _subsets(4, k)[1]
+    rest = [[narrower[S[:p] + S[p + 1:]] for p in range(k + 1)]
+            for S in map(tuple, wider.tolist())]
+    return wider, np.array(rest, dtype=int).reshape(len(wider), k + 1)
+
+
+def _wedge(minors, x, k):
+    """The minors of k rows (..., C(4, k), B), one per column subset in
+    ``combinations`` order, extended by a row x (..., 4, B): each (k + 1)-
+    minor expanded along its last row."""
+    cols, rest = _wedge_indices(k)
+    total = 0.0
+    for p in range(k + 1):
+        term = x[..., cols[:, p], :] * minors[..., rest[:, p], :]
+        total = total - term if (k + p) % 2 else total + term
+    return total
+
+
+def _dual(minors, k):
+    """The minors of k rows (..., C(4, k), B) rearranged so that their dot
+    product with the minors of 4 - k further rows is the 4x4 determinant of
+    all of them: the Laplace expansion along the first k rows, its term on
+    columns S signed as the permutation (S, S^c), and complements coming in
+    reversed ``combinations`` order."""
+    subsets = _subsets(4, k)[0]
+    signs = (-1.0) ** (subsets.sum(axis=1) - k * (k - 1) // 2)
+    return (signs[:, None] * minors)[..., ::-1, :]
+
+
+def _face_rows(P):
+    """P's faces by dimension k, {k: (rows, factors)}: rows (F, k + off + 1, 4)
+    holds each face's k spanning vectors, then the vertices of P off the face
+    less its first vertex f0, then f0; factors are the faces' measure
+    factors (``faces``). All faces of one dimension have the same number
+    of vertices off them."""
+    verts = P._hull()
+    groups = {}
+    for face, span, factor in P.faces():
+        off = [v for v in range(len(verts)) if v not in face]
+        rows = np.vstack([span, verts[off] - verts[face[0]], verts[face[0]]])
+        groups.setdefault(len(span), []).append((rows, factor))
+    return {k: (np.array([rows for rows, _ in faces]), np.array([w for _, w in faces]))
+            for k, faces in groups.items()}
+
+
+def _hull_hull_volumes(K, L):
+    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    vol(K - L_q L), a block at a time, for two vertex hulls (simplices of 1
+    to 5 vertices or planar polygons), by the facet sum
+    vol P = 1/4 sum_F h_P(u_F) vol_3(F) (Schneider, Convex Bodies, 2014, 5.1).
+
+    A facet of K + M, M = -L_q L, is F + G for a face F of K and a face G of
+    M, dim F + dim G = 3, extreme in one direction (ibid., 1.7). Let
+    n.x = det [F's spanning vectors; G's; x]. The pair is a facet when n.x
+    has one strict sign at every vertex of K off F less F's first vertex f0
+    and at every vertex of M off G less g0: no tolerance, as a tie is a set
+    of rotations of measure zero. A sum of dimension below 4 has no pair
+    with a vertex off it, so its volume is 0. Oriented outward, |n| w_F w_G
+    is vol_3(F + G), w the faces' measure factors, so the facet adds
+    n.(f0 + g0) w_F w_G / 4.
+
+    Every such determinant is a dot product of the minors of K's rows, fixed
+    (``_dual``), with those of M's, which are -L_q times L's: per block, one
+    product with q gives M's rows and a few wedges their minors, and one
+    contraction per pair of face dimensions gives every sign and h."""
+    rows_K, rows_L = _face_rows(K), _face_rows(L)
+    pairs = []
+    for a, (F, w_F) in rows_K.items():
+        b = 3 - a
+        if b not in rows_L:
+            continue
+        G, w_G = rows_L[b]
+        off_K, off_M = F.shape[1] - a - 1, G.shape[1] - b - 1
+        if not off_K + off_M:
+            continue  # F is K and G is M: their sum is flat
+        # K's minors with a sample axis of length 1
+        F = F[..., None]
+        minors = np.ones((len(F), 1, 1))
+        for i in range(a):
+            minors = _wedge(minors, F[:, i], i)
+        by_F = _dual(minors, a)[..., 0]
+        by_F_row = (-1.0) ** b * _dual(_wedge(minors[:, None], F[:, a:], a), a + 1)[..., 0]
+        # coordinate i of -L_q x is -sum_k q_k (e_k x)_i for each row x of L's
+        gen = -np.einsum("kij,grj->grik", _UNIT_LEFT, G).reshape(-1, 4)
+        pairs.append((b, off_K, off_M, G.shape[:2], gen, by_F,
+                      by_F_row.reshape(-1, by_F_row.shape[2]), np.outer(w_G, w_F).ravel() / 4.0))
+
+    def volumes(qs):
+        vol = np.zeros(len(qs))
+        for s in range(0, len(qs), BOX_BOX_BLOCK):
+            q = qs[s:s + BOX_BOX_BLOCK]
+            B = len(q)
+            for b, off_K, off_M, (nG, width), gen, by_F, by_F_row, w in pairs:
+                rows = (gen @ q.T).reshape(nG, width, 4, B)
+                minors = np.ones((nG, 1, B))
+                for i in range(b):
+                    minors = _wedge(minors, rows[:, i], i)
+                # n.x, by (G, F, x, sample), at the vertices of K (then at f0)
+                # and at those of M (then at g0)
+                at_K = (by_F_row @ minors).reshape(nG, len(by_F), off_K + 1, B)
+                at_M = (by_F @ _wedge(minors[:, None], rows[:, b:], b)).transpose(0, 2, 1, 3)
+                tests_K, tests_M = at_K[:, :, :off_K], at_M[:, :, :off_M]
+                out = (tests_K < 0).all(axis=2) & (tests_M < 0).all(axis=2)
+                into = (tests_K > 0).all(axis=2) & (tests_M > 0).all(axis=2)
+                h = at_K[:, :, off_K] + at_M[:, :, off_M]
+                vol[s:s + B] += w @ (h * out - h * into).reshape(-1, B)
+        return vol
+    return volumes
+
+
 def _translation_volumes(K, L):
     """qs -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
-    for two boxes or a box and a vertex hull, else None. The motion measure
-    is unchanged by g -> g^-1, so a vertex hull against a box takes the box
-    as K, the same function of the same q."""
+    for any pair of boxes and vertex hulls. The motion measure is unchanged
+    by g -> g^-1, so a vertex hull against a box takes the box as K, the
+    same function of the same q."""
     if isinstance(K, Box) and isinstance(L, Box):
         return _box_box_volumes(K, L)
     box, hull = (K, L) if isinstance(K, Box) else (L, K)
-    if isinstance(box, Box) and isinstance(hull, _VertexHull):
+    if isinstance(box, Box):
         return _box_polytope_volumes(box, hull)
-    return None
+    return _hull_hull_volumes(K, L)
 
 
 def _count_within_reach(y, h, r):
@@ -410,13 +560,10 @@ def _run_chunks(worker, N, threads):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, range(len(sizes)), sizes))
-    sum_w = math.fsum(r[0] for r in results)
-    sum_w2 = math.fsum(r[1] for r in results)
-    bad = sum(r[2] for r in results)
-    return sum_w, sum_w2, bad
+    return math.fsum(r[0] for r in results), math.fsum(r[1] for r in results)
 
 
-def _finalize(sum_w, sum_w2, N, seed, rhs, bad):
+def _finalize(sum_w, sum_w2, N, seed, rhs):
     mean = sum_w / N
     var = max(sum_w2 - N * mean * mean, 0.0) / max(N - 1, 1)
     stderr = math.sqrt(var / N)
@@ -424,22 +571,7 @@ def _finalize(sum_w, sum_w2, N, seed, rhs, bad):
         z = (mean - rhs) / stderr
     else:
         z = 0.0 if mean == rhs else math.inf
-    return MCReport(mean, stderr, N, seed, rhs, z, bad)
-
-
-def _sample_motions(K, L, seed, idx, size):
-    """Rotations, translations and translation-box volumes of chunk idx."""
-    rng = np.random.default_rng([seed, idx])
-    Rs = _haar_rotations(rng, size)
-    # hi - lo and lo + u (hi - lo) in place: with fewer temporaries beside
-    # Rs, a chunk's arrays fit in the heap the allocator keeps between
-    # chunks instead of being returned to the system and faulted in again
-    lo, span = _translation_box(K, L, Rs)
-    span -= lo
-    ts = rng.uniform(size=(size, 4))
-    ts *= span
-    ts += lo
-    return Rs, ts, np.prod(span, axis=1)
+    return MCReport(mean, stderr, N, seed, rhs, z)
 
 
 def _check_mc_args(N, threads, **bodies):
@@ -455,46 +587,34 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1, kind: str = "icosahedron") -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
 
-    A ball against a ball or a box draws per sample a point y uniform in a
-    fixed box in the other body's frame, scored by box volume times whether
-    y lies within the ball's radius of that body. Every other pair draws a Haar
-    rotation R = L_q. For two boxes, or a box and a simplex or polygon in
-    either order, the translation integral of chi(K . (R L + t)) is
-    vol(K - R L), which scores the sample in closed form from q: for two
-    boxes a weighted sum of the absolute values of 16 linear and 18
-    quadratic forms in q, for a box and a polytope a weighted sum of the
-    polytope's shadows (``_box_polytope_volumes``), built once per estimate.
-    The rest also draw a translation uniform in the bounding box of the
-    support differences, scored by box volume times the GJK's intersection
-    indicator. Deterministic for fixed (seed, N) regardless of threads.
+    There are two sample paths, each scored exactly, with no iteration. A
+    ball against any body draws per sample a point y uniform in a fixed box
+    around the other body, scored by the box's volume times whether y lies
+    within the ball's radius of that body (``_ball_reach``). Every other pair
+    draws only a Haar unit quaternion q: the translation integral of
+    chi(K . (L_q L + t)) is vol(K - L_q L), which scores the sample in closed
+    form from q (``_translation_volumes``): for two boxes a weighted sum of
+    the absolute values of 16 linear and 18 quadratic forms in q, for a box
+    and a vertex hull a weighted sum of the hull's shadows, and for two
+    vertex hulls a sum over the facets of K - L_q L, each built once per
+    estimate. Deterministic for fixed (seed, N) regardless of threads.
     """
     _check_mc_args(N, threads, K=K, L=L)
     rhs = rhs_kinematic(K, L, kind)
-    volumes = _translation_volumes(K, L)
     reach = _ball_reach(K, L)
+    volumes = None if reach else _translation_volumes(K, L)
 
     def worker(idx, size):
+        rng = np.random.default_rng([seed, idx])
         if reach:
-            h, r = reach
             # random() draws the bits uniform(size=...) would
-            n = _count_within_reach(np.random.default_rng([seed, idx]).random((size, 4)), h, r)
-            vol = float(np.prod(2.0 * (h + r)))
-            return vol * n, vol * vol * n, 0
-        if volumes:
-            w, bad = volumes(_haar_quaternions(np.random.default_rng([seed, idx]), size)), 0
-        else:
-            Rs, ts, vol = _sample_motions(K, L, seed, idx, size)
-            sep = intersects_batch(K, L, Rs, ts)
-            w, bad = vol * sep.hits, int(np.count_nonzero(sep.undecided))
-        return float(np.sum(w)), float(np.sum(w * w)), bad
+            vol, count = reach
+            n = count(rng.random((size, 4)))
+            return vol * n, vol * vol * n
+        w = volumes(_haar_quaternions(rng, size))
+        return float(np.sum(w)), float(np.sum(w * w))
 
-    sum_w, sum_w2, bad = _run_chunks(worker, N, threads)
-    if bad > MC_INDETERMINATE_RATE * N:
-        raise RuntimeError(
-            f"{bad} of {N} samples undecided for {type(K).__name__} against "
-            f"{type(L).__name__} at seed {seed}: rate {bad / N:.3g} exceeds "
-            f"{MC_INDETERMINATE_RATE:g}")
-    return _finalize(sum_w, sum_w2, N, seed, rhs, bad)
+    return _finalize(*_run_chunks(worker, N, threads), N, seed, rhs)
 
 
 def plane_class(frame) -> np.ndarray:
@@ -570,7 +690,6 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     def worker(idx, size):
         w = _quadratic_forms(A, _haar_quaternions(np.random.default_rng([seed, idx]), size))
         np.abs(w, out=w)
-        return float(np.sum(w)), float(np.sum(w * w)), 0
+        return float(np.sum(w)), float(np.sum(w * w))
 
-    sum_w, sum_w2, _ = _run_chunks(worker, N, threads)
-    return _finalize(sum_w, sum_w2, N, seed, rhs, 0)
+    return _finalize(*_run_chunks(worker, N, threads), N, seed, rhs)

@@ -7,8 +7,11 @@ from collections import defaultdict
 from functools import lru_cache, partial
 
 import numpy as np
+from scipy.linalg import null_space
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
+from valcalc.bodies import Box, PlanarPolygon
 from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
     InvariantForm,
@@ -31,7 +34,7 @@ from valcalc.exterior import (
 from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN, _UNIT_LEFT
 from valcalc.scalars import PI, ZERO, Rat, Scalar
 from valcalc.su2 import _scaled_forms, right_mult_matrix
-from valcalc.tolerances import DEGENERATE_PIECE_TOL, ZERO_NORM_TOL
+from valcalc.tolerances import DEGENERATE_PIECE_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
 
@@ -593,27 +596,12 @@ def rumin_ansatz(omega):
 
 # -- Monte Carlo scoring oracles --------------------------------------------------
 #
-# References for the Monte Carlo scoring in ``valcalc.kinematic`` and
-# ``valcalc.bodies``: the box/box hit indicator that the zonotope volume
-# integrates over translations, tested on world-frame generators, Qhull's
-# shadows of a vertex hull and the box/polytope volume they give, and numpy's
-# row norms and maxima.
-
-
-def det3(m):
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
-
-
-def orthogonal_complement(rows):
-    """Vector orthogonal to three row vectors in R^4, batched as (B, 3, 4)."""
-    out = np.empty(rows.shape[:-2] + (4,))
-    cols = np.arange(4)
-    for l in range(4):
-        keep = cols[cols != l]
-        out[..., l] = (-1.0) ** l * det3(rows[..., keep])
-    return out
+# References for the Monte Carlo scoring in ``valcalc.kinematic``: the
+# zonotope's world-frame generators, the hit indicator that every weight
+# vol(K - R L) integrates over translations (Qhull's facets of the vertex
+# differences, and a linear program on the moved bodies), Qhull's shadows of
+# a vertex hull and the box/polytope volume they give, distances to a hull
+# for the ball pairs' hits, and numpy's row norms and maxima.
 
 
 def box_box_generators(K, L, Rs):
@@ -623,25 +611,30 @@ def box_box_generators(K, L, Rs):
     return np.concatenate([np.broadcast_to(gen_K, (len(Rs), 4, 4)), gen_L], axis=1)
 
 
-# relative slack of the zonotope hit test: a facet normal n passes when
-# |n.d| <= sum_g |n.g| + this times |n|
-ZONOTOPE_SLACK = 1e-9
+def translation_box(K, L, R):
+    """Axis bounds (lo, hi) of {x - R y : x in K, y in L}, outside which K
+    and R L + t cannot meet, from the support functions."""
+    eye = np.eye(4)
+    hi = np.array([K.support(e) + L.support(-R.T @ e) for e in eye])
+    lo = np.array([-K.support(-e) - L.support(R.T @ e) for e in eye])
+    return lo, hi
 
 
-def hits_box_box_zonotope(K, L, Rs, ts):
-    """Box/box hit test on the 56 facet normals of the Minkowski difference,
-    each the complement of three world-frame generators."""
-    gens = box_box_generators(K, L, Rs)
-    d = Rs @ L.center + ts - K.center
-    inside = np.ones(len(Rs), dtype=bool)
-    for tri in itertools.combinations(range(8), 3):
-        nu = orthogonal_complement(gens[:, tri, :])
-        scale = np.linalg.norm(nu, axis=1)
-        ok = scale > ZERO_NORM_TOL
-        proj = np.abs(np.einsum("bi,bi->b", nu, d))
-        extent = np.abs(np.einsum("bi,bgi->bg", nu, gens)).sum(axis=1)
-        inside &= ~ok | (proj <= extent + ZONOTOPE_SLACK * scale)
-    return inside
+def polytope_vertices(K):
+    """The vertices of a box, simplex or planar polygon, as rows."""
+    if isinstance(K, Box):
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+        return K.center + (signs * K.half_extents) @ K.rotation.T
+    return K._hull()
+
+
+def translation_hits(K, L, R, ts):
+    """Whether K meets R L + t for each row t of ts: whether t lies in
+    K - R L, the hull of the vertex differences, on the inner side of every
+    facet equation a.x + b <= 0 Qhull gives."""
+    diffs = polytope_vertices(K)[:, None] - (polytope_vertices(L) @ R.T)[None]
+    eq = ConvexHull(diffs.reshape(-1, 4)).equations
+    return np.all(eq[:, :4] @ ts.T + eq[:, 4:] <= 0.0, axis=0)
 
 
 def box_box_laplace_volumes(K, L, qs):
@@ -752,6 +745,95 @@ def plate_determinants(F1t, F2):
     first two columns): the reference for the plates' quadratic form in
     the quaternion."""
     return np.abs(_pair_minors(F2) @ (_PAIR_SIGNS * _pair_minors(F1t))[::-1])
+
+
+def lp_constraints(K, n):
+    if isinstance(K, Box):
+        Rt = K.rotation.T
+        A = np.vstack([Rt, -Rt])
+        shift = Rt @ K.center
+        b = np.concatenate([K.half_extents + shift, K.half_extents - shift])
+        return A, b, None, None, 0
+    verts = K.embedded_vertices() if isinstance(K, PlanarPolygon) else K.vertices
+    m = len(verts)
+    A_eq = np.hstack([np.eye(n), -verts.T])
+    A_eq = np.vstack([A_eq, np.hstack([np.zeros(n), np.ones(m)])])
+    b_eq = np.append(np.zeros(n), 1.0)
+    A_ub = np.hstack([np.zeros((m, n)), -np.eye(m)])
+    return A_ub, np.zeros(m), A_eq, b_eq, m
+
+
+def lp_intersects(K, L, n):
+    """Whether the polytopes K and L in R^n meet: whether a linear program
+    finds a point of both, a box by its half-spaces and a vertex hull as
+    convex weights of its vertices (scipy's HiGHS)."""
+    blocks = [lp_constraints(K, n), lp_constraints(L, n)]
+    nv = n + blocks[0][4] + blocks[1][4]
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    off = n
+    for A, b, Ae, be, m in blocks:
+        def pad(M, off=off, m=m):
+            out = np.zeros((len(M), nv))
+            out[:, :n] = M[:, :n]
+            if m:
+                out[:, off:off + m] = M[:, n:]
+            return out
+        if len(A):
+            A_ub.append(pad(A))
+            b_ub.append(b)
+        if Ae is not None:
+            A_eq.append(pad(Ae))
+            b_eq.append(be)
+        off += m
+    res = linprog(np.zeros(nv),
+                  A_ub=np.vstack(A_ub) if A_ub else None,
+                  b_ub=np.concatenate(b_ub) if b_ub else None,
+                  A_eq=np.vstack(A_eq) if A_eq else None,
+                  b_eq=np.concatenate(b_eq) if b_eq else None,
+                  bounds=[(None, None)] * n + [(0, None)] * (nv - n),
+                  method="highs")
+    return res.status == 0
+
+
+def hull_distance(x, verts):
+    """Distance from each point x (B, n) to the hull of its vertices (B, V, n).
+
+    The closest point is x's projection onto the affine hull of some face and
+    lies inside that face, so the least distance to the projections that lie
+    inside their faces is exact."""
+    best = np.full(len(x), np.inf)
+    for m in range(1, verts.shape[1] + 1):
+        for face in itertools.combinations(range(verts.shape[1]), m):
+            p = verts[:, face]
+            e = p[:, 1:] - p[:, :1]
+            sol = np.zeros((len(x), m - 1))
+            if m > 1:
+                sol = np.linalg.solve(e @ e.swapaxes(1, 2), e @ (x - p[:, 0])[..., None])[..., 0]
+            lam = np.concatenate([1.0 - sol.sum(axis=1, keepdims=True), sol], axis=1)
+            q = p[:, 0] + np.einsum("bk,bki->bi", sol, e)
+            d = np.linalg.norm(x - q, axis=1)
+            best = np.where(np.all(lam >= 0, axis=1), np.minimum(best, d), best)
+    return best
+
+
+def polygon_distance(x, P):
+    """Distance from each row of x (B, 4) to the planar polygon P: the
+    height off its plane, from scipy's null space, and within the plane 0
+    inside and else the distance to the nearest edge, in quadrature."""
+    rel = x - P.base
+    height = rel @ null_space(P.frame)
+    z = rel @ P.frame.T
+    v = P.vertices2d
+    e = np.roll(v, -1, axis=0) - v
+    inside = np.ones(len(x), dtype=bool)
+    flat = np.full(len(x), np.inf)
+    for a, edge in zip(v, e):
+        d = z - a
+        inside &= edge[0] * d[:, 1] - edge[1] * d[:, 0] >= 0.0
+        t = np.clip(d @ edge / (edge @ edge), 0.0, 1.0)
+        flat = np.minimum(flat, np.linalg.norm(d - t[:, None] * edge, axis=1))
+    flat[inside] = 0.0
+    return np.sqrt(flat ** 2 + np.sum(height ** 2, axis=1))
 
 
 def row_norms_numpy(x):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from _oracles import (
     adaptive,
@@ -29,12 +28,10 @@ from valcalc import bodies, columns
 from valcalc.bodies import (
     Ball,
     Box,
-    IndeterminateIntersection,
     PlanarPolygon,
     Simplex,
     evaluate,
     evaluate_tube,
-    intersects,
     steiner_volume,
 )
 from valcalc.exterior import InvariantForm, SpherePoly
@@ -601,22 +598,6 @@ class TestTube:
 
 
 class TestSupport:
-    @pytest.mark.parametrize("kind", ["ball", "box", "simplex", "polygon"])
-    def test_pair_matches_both_signs(self, kind):
-        rng = np.random.default_rng(6)
-        K = {"ball": Ball(np.array([0.3, -0.1, 0.2, 0.5]), 0.7),
-             "box": Box(np.array([0.1, 0.2, -0.3, 0.0]), np.array([0.5, 0.4, 0.3, 0.6]),
-                        np.linalg.qr(rng.normal(size=(4, 4)))[0]),
-             "simplex": STANDARD_SIMPLEX,
-             "polygon": regular_polygon(5, radius=0.8)}[kind]
-        # the rows of rotation matrices, as the translation box reads them
-        xi = np.linalg.qr(rng.normal(size=(64, 4, 4)))[0][:, 1, :]
-        # equal values: a product with a vertex at the origin may give a zero
-        # of the other sign than the product with the negated direction
-        plus, minus = K.support_pair(xi)
-        assert np.array_equal(plus, K.support(xi))
-        assert np.array_equal(minus, K.support(-xi))
-
     def test_ball(self):
         b = Ball(np.array([1.0, 2.0, 0.0]), 1.5)
         xi = np.array([0.0, 1.0, 0.0])
@@ -662,292 +643,6 @@ class TestSupport:
         for rows in (x[:, :n], x[:, ::2], -x[:, n:], x[0, :n]):
             assert np.array_equal(bodies._row_norms(rows), np.linalg.norm(rows, axis=-1))
             assert np.array_equal(bodies._row_max(rows), np.max(rows, axis=-1))
-
-
-def lp_constraints(K, n):
-    if isinstance(K, Box):
-        Rt = K.rotation.T
-        A = np.vstack([Rt, -Rt])
-        shift = Rt @ K.center
-        b = np.concatenate([K.half_extents + shift, K.half_extents - shift])
-        return A, b, None, None, 0
-    verts = K.embedded_vertices() if isinstance(K, PlanarPolygon) else K.vertices
-    m = len(verts)
-    A_eq = np.hstack([np.eye(n), -verts.T])
-    A_eq = np.vstack([A_eq, np.hstack([np.zeros(n), np.ones(m)])])
-    b_eq = np.append(np.zeros(n), 1.0)
-    A_ub = np.hstack([np.zeros((m, n)), -np.eye(m)])
-    return A_ub, np.zeros(m), A_eq, b_eq, m
-
-
-def lp_intersects(K, L, n):
-    blocks = [lp_constraints(K, n), lp_constraints(L, n)]
-    nv = n + blocks[0][4] + blocks[1][4]
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    off = n
-    for A, b, Ae, be, m in blocks:
-        def pad(M, off=off, m=m):
-            out = np.zeros((len(M), nv))
-            out[:, :n] = M[:, :n]
-            if m:
-                out[:, off:off + m] = M[:, n:]
-            return out
-        if len(A):
-            A_ub.append(pad(A))
-            b_ub.append(b)
-        if Ae is not None:
-            A_eq.append(pad(Ae))
-            b_eq.append(be)
-        off += m
-    res = linprog(np.zeros(nv),
-                  A_ub=np.vstack(A_ub) if A_ub else None,
-                  b_ub=np.concatenate(b_ub) if b_ub else None,
-                  A_eq=np.vstack(A_eq) if A_eq else None,
-                  b_eq=np.concatenate(b_eq) if b_eq else None,
-                  bounds=[(None, None)] * n + [(0, None)] * (nv - n),
-                  method="highs")
-    return res.status == 0
-
-
-def random_polytope(rng, n):
-    if rng.integers(0, 2) == 0:
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        return Box(rng.uniform(-2, 2, n), rng.uniform(0.2, 1.5, n), q)
-    m = int(rng.integers(2, n + 2))
-    while True:
-        v = rng.uniform(-2, 2, (m, n))
-        if np.linalg.matrix_rank(v[1:] - v[0], tol=1e-8) == m - 1:
-            return Simplex(v)
-
-
-class TestIntersects:
-    def test_balls(self):
-        assert intersects(Ball(np.zeros(4), 1.0), Ball(np.array([1.9, 0, 0, 0]), 1.0))
-        assert not intersects(Ball(np.zeros(4), 1.0), Ball(np.array([2.1, 0, 0, 0]), 1.0))
-
-    def test_box_far_translate(self):
-        box = Box(np.zeros(3), np.ones(3))
-        assert not intersects(box, box.moved(np.eye(3), np.array([10.4, 0, 0])))
-        assert intersects(box, box.moved(np.eye(3), np.array([1.9, 0, 0])))
-
-    def test_lp_oracle(self):
-        rng = np.random.default_rng(20260818)
-        for _ in range(1000):
-            n = int(rng.integers(2, 5))
-            K, L = random_polytope(rng, n), random_polytope(rng, n)
-            assert intersects(K, L) == lp_intersects(K, L, n)
-
-    def test_ball_vs_simplex(self):
-        tet = Simplex([[2, 0, 0], [3, 0, 0], [2, 1, 0], [2, 0, 1]])
-        assert not intersects(Ball(np.zeros(3), 1.9), tet)
-        assert intersects(Ball(np.zeros(3), 2.1), tet)
-
-
-# the simplex of the motion_mc benchmark workload
-MOTION_SIMPLEX = Simplex([[0.0, 0.0, 0.0, 0.0], [1.1, 0.0, 0.0, 0.0],
-                          [0.2, 0.9, 0.0, 0.0], [0.1, 0.2, 1.0, 0.0],
-                          [0.3, 0.1, 0.2, 0.8]])
-
-
-def random_motions(rng, K, L, count):
-    """Orthogonal maps R from QR, and translations t uniform in the bounding
-    box of K - R L (outside which K and R L + t cannot meet), each shrunk or
-    widened about its centre by a factor in [0.4, 1.4]."""
-    q, r = np.linalg.qr(rng.normal(size=(count, 4, 4)))
-    Rs = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    eye = np.eye(4)
-    hi = np.stack([K.support(eye[i]) + L.support(-Rs[:, i]) for i in range(4)], axis=1)
-    lo = np.stack([-K.support(-eye[i]) - L.support(Rs[:, i]) for i in range(4)], axis=1)
-    spread = rng.uniform(0.2, 0.7, size=(count, 1))
-    return Rs, 0.5 * (lo + hi) + spread * rng.uniform(-1.0, 1.0, size=(count, 4)) * (hi - lo)
-
-
-def vertices_and_faces(K):
-    """Vertices of a polytope in R^4, and the direction rows of its faces of
-    each dimension 0 to 3."""
-    if isinstance(K, Box):
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
-        axes = K.rotation.T
-        verts = K.center + (signs * K.half_extents) @ axes
-        return verts, {d: [axes[list(c)] for c in itertools.combinations(range(4), d)]
-                       for d in range(4)}
-    if isinstance(K, PlanarPolygon):
-        verts = K.embedded_vertices()
-        edges = [e[None] for e in np.roll(verts, -1, axis=0) - verts]
-        return verts, {0: [np.zeros((0, 4))], 1: edges, 2: [K.frame], 3: []}
-    verts = K.vertices
-    return verts, {d: [verts[list(c[1:])] - verts[c[0]]
-                       for c in itertools.combinations(range(len(verts)), d + 1)]
-                   for d in range(4)}
-
-
-def normal_of(a, b, c):
-    """The cofactor vector orthogonal to rows a, b, c in R^4, batched."""
-    minors = ([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])
-    return np.stack([(-1.0) ** l * np.einsum("...i,...i->...", a[..., k],
-                                             np.cross(b[..., k], c[..., k]))
-                     for l, k in enumerate(minors)], axis=-1)
-
-
-def sat_margin(K, L, Rs, ts, block=512):
-    """Signed margin of polytope K against each R L + t, by separating axes.
-
-    Each facet of the difference body D = K - (R L + t) is the sum of a face
-    of K and a face of R L whose dimensions add up to 3 (for motions in
-    general position), so its normal is orthogonal to their directions.  The
-    least support value h_D(+-nu) over these normals is the depth of the
-    origin in D when it is >= 0, and minus a lower bound on the distance of
-    the bodies when it is < 0.
-    """
-    vk, fk = vertices_and_faces(K)
-    vl, fl = vertices_and_faces(L)
-    rows, from_l = [], []
-    for f in range(4):
-        for F, G in itertools.product(fk[f], fl[3 - f]):
-            rows.append(np.vstack([F, G]))
-            from_l.append([False] * f + [True] * (3 - f))
-    rows = np.array(rows)
-    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    from_l = np.array(from_l)[..., None]
-    margin = np.empty(len(Rs))
-    for lo in range(0, len(Rs), block):
-        R, t = Rs[lo:lo + block], ts[lo:lo + block]
-        moved = np.einsum("bij,vj->bvi", R, vl) + t[:, None, :]
-        turned = np.where(from_l, np.einsum("bij,crj->bcri", R, rows), rows)
-        nu = normal_of(turned[:, :, 0], turned[:, :, 1], turned[:, :, 2])
-        size = np.linalg.norm(nu, axis=2)
-        ok = size > 1e-6
-        nu = nu / np.where(ok, size, 1.0)[..., None]
-        pk = nu @ vk.T
-        pl = nu @ moved.swapaxes(1, 2)
-        least = np.minimum(pk.max(axis=2) - pl.min(axis=2), pl.max(axis=2) - pk.min(axis=2))
-        margin[lo:lo + block] = np.where(ok, least, np.inf).min(axis=1)
-    return margin
-
-
-def hull_distance(x, verts):
-    """Distance from each point x (B, n) to the hull of its vertices (B, V, n).
-
-    The closest point is x's projection onto the affine hull of some face and
-    lies inside that face, so the least distance to the projections that lie
-    inside their faces is exact."""
-    best = np.full(len(x), np.inf)
-    for m in range(1, verts.shape[1] + 1):
-        for face in itertools.combinations(range(verts.shape[1]), m):
-            p = verts[:, face]
-            e = p[:, 1:] - p[:, :1]
-            sol = np.zeros((len(x), m - 1))
-            if m > 1:
-                sol = np.linalg.solve(e @ e.swapaxes(1, 2), e @ (x - p[:, 0])[..., None])[..., 0]
-            lam = np.concatenate([1.0 - sol.sum(axis=1, keepdims=True), sol], axis=1)
-            q = p[:, 0] + np.einsum("bk,bki->bi", sol, e)
-            d = np.linalg.norm(x - q, axis=1)
-            best = np.where(np.all(lam >= 0, axis=1), np.minimum(best, d), best)
-    return best
-
-
-def ball_margin(K, L, Rs, ts):
-    """Radius less the exact distance from the ball's centre to the simplex."""
-    if isinstance(K, Ball):
-        ball, verts = K, np.einsum("bij,vj->bvi", Rs, L.vertices) + ts[:, None, :]
-        centres = np.broadcast_to(K.center, ts.shape)
-    else:
-        ball, verts = L, np.broadcast_to(K.vertices, (len(Rs),) + K.vertices.shape)
-        centres = Rs @ L.center + ts
-    return ball.radius - hull_distance(centres, verts)
-
-
-NARROW_BALL = Ball(np.array([0.1, 0.0, 0.0, 0.2]), 0.5)
-NARROW_BOX = Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6]))
-NARROW_PAIRS = {
-    "box-simplex": (NARROW_BOX, MOTION_SIMPLEX, sat_margin),
-    "simplex-box": (MOTION_SIMPLEX, NARROW_BOX, sat_margin),
-    "simplex-simplex": (MOTION_SIMPLEX, STANDARD_SIMPLEX, sat_margin),
-    "box-point": (NARROW_BOX, Simplex([[0.2, -0.1, 0.0, 0.3]]), sat_margin),
-    "polygon-simplex": (regular_polygon(5, radius=0.8), MOTION_SIMPLEX, sat_margin),
-    "ball-simplex": (NARROW_BALL, MOTION_SIMPLEX, ball_margin),
-    "simplex-ball": (MOTION_SIMPLEX, NARROW_BALL, ball_margin),
-}
-
-
-class TestNarrowPhase:
-    @pytest.mark.parametrize("pair", list(NARROW_PAIRS))
-    def test_batched_verdicts_match_oracles(self, pair):
-        K, L, margin_of = NARROW_PAIRS[pair]
-        rng = np.random.default_rng(sorted(NARROW_PAIRS).index(pair) + 40)
-        Rs, ts = random_motions(rng, K, L, 10**4)
-        sep = bodies.intersects_batch(K, L, Rs, ts)
-        margin = margin_of(K, L, Rs, ts)
-        far = np.abs(margin) > 1e-9
-        assert not np.any(sep.undecided[far])
-        assert np.array_equal(sep.hits[far], margin[far] >= 0)
-        # both outcomes are well represented
-        assert 0.05 < np.mean(sep.hits) < 0.95
-        if margin_of is sat_margin:
-            # the LP oracle agrees on a sample of the motions not within its
-            # own feasibility tolerance of touching
-            for b in rng.choice(np.flatnonzero(np.abs(margin) > 1e-6), 100, replace=False):
-                assert lp_intersects(K, L.moved(Rs[b], ts[b]), 4) == sep.hits[b]
-
-    @pytest.mark.parametrize("gap", [-1e-8, 1e-8, -1e-6, 1e-6])
-    def test_vertex_against_facet(self, gap):
-        # a simplex vertex at the given gap off a rotated box's facet, inside
-        # the facet's relative interior, with the rest of the simplex beyond it
-        q, _ = np.linalg.qr(np.random.default_rng(14).normal(size=(4, 4)))
-        half = np.array([0.7, 0.55, 0.5, 0.6])
-        box = Box(np.zeros(4), half, q)
-        local = np.array([[0.0, 0.1, -0.2, 0.05], [0.5, 0.3, 0, 0], [0.4, -0.2, 0.3, 0],
-                          [0.6, 0, 0, 0.4], [0.3, 0.1, 0.1, -0.3]])
-        local[:, 0] += half[0] + gap
-        simplex = Simplex(local @ q.T)
-        assert intersects(box, simplex) == (gap < 0)
-        assert intersects(simplex, box) == (gap < 0)
-
-    def test_support_point_batches(self):
-        rng = np.random.default_rng(12)
-        dirs = np.vstack([rng.normal(size=(6, 4)), np.zeros((1, 4))])
-        for K in (NARROW_BALL, NARROW_BOX, MOTION_SIMPLEX, regular_polygon(5)):
-            batch = K.support_point(dirs)
-            assert batch.shape == (7, 4)
-            for xi, p in zip(dirs, batch):
-                assert np.array_equal(K.support_point(xi), p)
-            assert np.allclose(np.einsum("bi,bi->b", batch, dirs), K.support(dirs),
-                               atol=1e-12)
-
-    def test_one_motion_matches_moved_body(self):
-        rng = np.random.default_rng(13)
-        K, L = NARROW_BOX, MOTION_SIMPLEX
-        Rs, ts = random_motions(rng, K, L, 200)
-        sep = bodies.intersects_batch(K, L, Rs, ts)
-        assert [intersects(K, L.moved(R, t)) for R, t in zip(Rs, ts)] == list(sep.hits)
-
-    def test_origin_near_a_face_is_decided(self):
-        # the origin lies about 4e-10 from a face of the full simplex here,
-        # while the bodies overlap by 3.6e-4; a rule that asks a larger face
-        # to lower the squared distance by a fixed gain never takes the full
-        # simplex and repeats the same support point up to the cap
-        from valcalc.kinematic import _sample_motions
-
-        Rs, ts, _ = _sample_motions(NARROW_BALL, MOTION_SIMPLEX, 103, 0, 2048)
-        R, t = Rs[200:201], ts[200:201]
-        assert ball_margin(NARROW_BALL, MOTION_SIMPLEX, R, t)[0] == pytest.approx(3.6e-4,
-                                                                                  rel=0.05)
-        assert intersects(NARROW_BALL, MOTION_SIMPLEX.moved(R[0], t[0]))
-        sep = bodies.intersects_batch(NARROW_BALL, MOTION_SIMPLEX, R, t)
-        assert sep.hits[0] and not sep.undecided[0]
-
-    def test_undecided_sample_carries_its_bounds(self, monkeypatch):
-        monkeypatch.setattr(bodies, "GJK_CAP", 1)
-        K, L = NARROW_BOX, MOTION_SIMPLEX.moved(np.eye(4), np.array([1.3, 0.9, 0.0, 0.0]))
-        with pytest.raises(IndeterminateIntersection) as exc:
-            intersects(K, L)
-        err = exc.value
-        assert err.iterations == 1
-        assert err.lower < err.dist < math.inf
-        assert f"{err.dist:.3e}" in str(err) and f"{err.lower:.3e}" in str(err)
-        sep = bodies.intersects_batch(K, L, np.eye(4)[None], np.zeros((1, 4)))
-        assert sep.undecided[0] and not sep.hits[0]
-        assert (sep.dist[0], sep.lower[0]) == (err.dist, err.lower)
 
 
 class TestInvariants:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 import _oracles
@@ -350,6 +351,13 @@ class TestRhs:
         shifted = box.moved(np.eye(4), np.array([3.0, -2.0, 0.5, 1.0]))
         assert rhs_kinematic(shifted, simp) == pytest.approx(ab, rel=1e-9)
 
+    def test_same_bits_in_either_order(self):
+        # the terms are summed exactly and rounded once: a plain running
+        # sum gave box8/simplex and the CI's ball/simplex 1 ulp apart
+        for K, L in [(MOTION_BOX, MOTION_SIMPLEX), (OFF_CENTRE_BALL, MOTION_SIMPLEX),
+                     (MOTION_SIMPLEX, mgon(5, PENTAGON_FRAME, radius=0.8))]:
+            assert rhs_kinematic(K, L).hex() == rhs_kinematic(L, K).hex()
+
     def test_basis_independence(self):
         box = Box(np.zeros(4), np.array([0.6, 0.5, 0.4, 0.55]))
         thin = Box(np.zeros(4), np.array([1.0, 1.0, 0.08, 0.08]))
@@ -373,13 +381,23 @@ class TestRigidMotion:
         assert moved.radius == 2.0
 
 
+def _left_mults(rng, size):
+    """Left multiplications by the unit quaternions the estimators draw."""
+    return np.array([left_mult_matrix(q) for q in kinematic._haar_quaternions(rng, size)])
+
+
+def _rotations(qs):
+    return np.array([rotation_matrix(q) for q in qs])
+
+
 class TestHaar:
-    """The rotations the Monte Carlo estimators draw."""
+    """The rotations L_q of the unit quaternions q the Monte Carlo
+    estimators draw."""
 
     def test_moments(self):
         rng = np.random.default_rng(12345)
         # the first column of L_q is q itself
-        qs = kinematic._haar_rotations(rng, 20000)[:, :, 0]
+        qs = _left_mults(rng, 20000)[:, :, 0]
         # component means vanish, second moments are 1/4
         assert np.max(np.abs(qs.mean(axis=0))) < 4 / (2 * math.sqrt(20000))
         assert np.max(np.abs((qs ** 2).mean(axis=0) - 0.25)) < 0.01
@@ -387,7 +405,7 @@ class TestHaar:
     def test_rotated_vector_uniform_on_sphere(self):
         rng = np.random.default_rng(77)
         # coordinate 1 of each rotation's image of e_0
-        coords = kinematic._haar_rotations(rng, 5000)[:, 1, 0]
+        coords = _left_mults(rng, 5000)[:, 1, 0]
 
         def sphere_cdf(x):
             x = np.clip(x, -1.0, 1.0)
@@ -397,12 +415,13 @@ class TestHaar:
         assert stat.pvalue > 1e-3
 
     def test_rotations_are_left_multiplications_by_the_quaternions(self):
-        # box/box and the plates score the quaternions, the other pairs their
-        # rotations: the same draws, bit for bit
+        # the weights read L_q as sum_k q_k _UNIT_LEFT[k], built from the
+        # index and sign tables: the matrix of q x, bit for bit
         qs = kinematic._haar_quaternions(np.random.default_rng(5), 1000)
-        Rs = kinematic._haar_rotations(np.random.default_rng(5), 1000)
+        Rs = _left_mults(np.random.default_rng(5), 1000)
         assert np.ascontiguousarray(Rs[:, :, 0]).tobytes() == qs.tobytes()
-        assert np.array_equal(Rs, [rotation_matrix(q) for q in qs])
+        assert np.array_equal(Rs, _rotations(qs))
+        assert np.array_equal(Rs, np.einsum("bk,kij->bij", qs, kinematic._UNIT_LEFT))
 
 
 class TestMCPrincipal:
@@ -480,16 +499,16 @@ class TestMCPrincipal:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_ball_simplex_decided(self, seed):
-        # a closest-face rule that needed a larger face to lower the squared
-        # distance by a fixed gain left 2-4e-4 of these samples undecided, so
-        # both estimates raised
+        # every sample is scored by an exact distance test, so none is left
+        # undecided
         half = Ball(np.zeros(4), 0.5)
         rep = mc_principal_kinematic(half, MOTION_SIMPLEX, N=20000, seed=seed)
-        assert rep.indeterminate <= 1e-4 * rep.samples
+        assert rep.indeterminate == 0
         assert abs(rep.z_score) < 3
 
     def test_ball_simplex_thread_invariant_across_chunks(self):
-        # ball/simplex draws translations and scores them by the batched GJK
+        # ball/simplex draws points in the simplex's bounding box grown by
+        # the radius, each scored by its distance to the simplex
         half = Ball(np.zeros(4), 0.5)
         N = kinematic.MC_CHUNK + 4096
         one = mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=8)
@@ -497,19 +516,6 @@ class TestMCPrincipal:
         assert (one.estimate, one.stderr, one.indeterminate) == \
             (two.estimate, two.stderr, two.indeterminate)
         assert abs(one.z_score) < 3
-
-
-def _undecided_first(count, monkeypatch):
-    """Make the narrow phase leave the first ``count`` samples of each chunk undecided."""
-    real = kinematic.intersects_batch
-
-    def fake(K, L, Rs, ts):
-        sep = real(K, L, Rs, ts)
-        undecided = sep.undecided.copy()
-        undecided[:count] = True
-        return bodies.Separation(sep.hits & ~undecided, undecided, sep.dist, sep.lower)
-
-    monkeypatch.setattr(kinematic, "intersects_batch", fake)
 
 
 class TestMCArguments:
@@ -543,23 +549,6 @@ class TestMCArguments:
     def test_numpy_integers_accepted(self):
         rep = self._estimate("principal", N=np.int64(64), threads=np.int32(1))
         assert rep.samples == 64
-
-
-class TestMCFailureContext:
-    # ball/simplex is scored by the batched GJK, which can leave samples undecided
-    HALF_BALL = Ball(np.zeros(4), 0.5)
-
-    def test_undecided_rate_names_the_run(self, monkeypatch):
-        _undecided_first(3, monkeypatch)
-        with pytest.raises(RuntimeError) as exc:
-            mc_principal_kinematic(self.HALF_BALL, MOTION_SIMPLEX, N=20000, seed=6)
-        assert str(exc.value) == ("3 of 20000 samples undecided for Ball against Simplex "
-                                  "at seed 6: rate 0.00015 exceeds 0.0001")
-
-    def test_undecided_at_the_limit_pass(self, monkeypatch):
-        _undecided_first(2, monkeypatch)
-        rep = mc_principal_kinematic(self.HALF_BALL, MOTION_SIMPLEX, N=20000, seed=6)
-        assert rep.indeterminate == 2
 
 
 class TestMCPoincare:
@@ -655,6 +644,26 @@ def _axis_box_rhs(a, b):
     return 16.0 * total
 
 
+def _assert_averages_the_hit_indicator(K, L, volumes, rng, rotations, n, slack=0.0):
+    """The Fubini step for a few unit quaternions q: translations t uniform
+    in the bounding box of K - L_q L, each scored by the box's volume times
+    whether K meets L_q L + t, average to volumes(q) within 4 standard
+    errors (plus ``slack`` times the weight). The hit is Qhull's test of
+    t against the facets of K - L_q L, and its first few verdicts per
+    rotation match the LP oracle on the moved bodies."""
+    for q in kinematic._haar_quaternions(rng, rotations):
+        R = rotation_matrix(q)
+        lo, hi = _oracles.translation_box(K, L, R)
+        ts = lo + rng.uniform(size=(n, 4)) * (hi - lo)
+        hits = _oracles.translation_hits(K, L, R, ts)
+        for t, hit in zip(ts[:8], hits):
+            assert _oracles.lp_intersects(K, L.moved(R, t), 4) == hit
+        w = np.prod(hi - lo) * hits
+        se = w.std(ddof=1) / math.sqrt(n)
+        (want,) = volumes(q[None])
+        assert abs(w.mean() - want) <= 4.0 * se + slack * want, (w.mean(), want, se)
+
+
 class TestBoxBoxVolumes:
     """The box/box weight vol(K - R L) against numpy's determinants, the
     hit indicator it integrates and the exact right-hand side."""
@@ -663,27 +672,19 @@ class TestBoxBoxVolumes:
     def test_matches_determinant_sum(self, pair):
         # one full block and a partial one
         K, L = BOX_PAIRS[pair]
-        Rs = kinematic._haar_rotations(np.random.default_rng(31 + pair),
-                                       kinematic.BOX_BOX_BLOCK + 500)
+        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(31 + pair),
+                                                    kinematic.BOX_BOX_BLOCK + 500))
         got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pair", [1, 2])
     def test_averages_the_hit_indicator(self, pair):
-        # translations uniform in the translation box, each scored by box
-        # volume times the generic zonotope hit test: their mean over 2^16
-        # translations is the weight to within its standard error
+        # the Fubini step: translations uniform in the translation box, each
+        # scored by box volume times whether the bodies meet, average to the
+        # weight to within 4 standard errors over 2^16 translations
         K, L = BOX_PAIRS[pair]
-        rng = np.random.default_rng(50 + pair)
-        n = 1 << 16
-        for R in kinematic._haar_rotations(rng, 4):
-            lo, hi = (side[0] for side in kinematic._translation_box(K, L, R[None]))
-            ts = lo + rng.uniform(size=(n, 4)) * (hi - lo)
-            hits = _oracles.hits_box_box_zonotope(K, L, np.broadcast_to(R, (n, 4, 4)), ts)
-            w = np.prod(hi - lo) * hits
-            se = w.std(ddof=1) / math.sqrt(n)
-            (want,) = kinematic._box_box_volumes(K, L)(R[None, :, 0])
-            assert abs(w.mean() - want) <= 4.0 * se, (w.mean(), want, se)
+        _assert_averages_the_hit_indicator(K, L, kinematic._box_box_volumes(K, L),
+                                           np.random.default_rng(50 + pair), 4, 1 << 16)
 
     @pytest.mark.parametrize("a, b", [
         # the box pair of the motion_mc benchmark, its box8 against a second
@@ -723,7 +724,7 @@ class TestBoxBoxForms:
         # value each 2x2 minor is its complementary minor and each 3x3 minor
         # its complementary entry (Jacobi)
         K, L = WEIGHT_PAIRS[pair]
-        Rs = kinematic._haar_rotations(np.random.default_rng(60 + pair), 256)
+        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(60 + pair), 256))
         O = K.rotation.T @ Rs @ L.rotation
         for P in combinations(range(4), 2):
             for T in combinations(range(4), 2):
@@ -739,8 +740,8 @@ class TestBoxBoxForms:
     def test_matches_laplace_minors_and_determinants(self, pair):
         # one full block and a partial one
         K, L = WEIGHT_PAIRS[pair]
-        Rs = kinematic._haar_rotations(np.random.default_rng(70 + pair),
-                                       kinematic.BOX_BOX_BLOCK + 500)
+        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(70 + pair),
+                                                    kinematic.BOX_BOX_BLOCK + 500))
         got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
         want = _oracles.box_box_laplace_volumes(K, L, Rs[:, :, 0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -802,7 +803,7 @@ class TestPlateConditioning:
     def test_matches_svd_on_sampled_motions(self):
         M1 = mgon(4, SQUARE_FRAME)
         M2 = mgon(5, PENTAGON_FRAME, radius=0.8)
-        Rs = kinematic._haar_rotations(np.random.default_rng(12), 4096)
+        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(12), 4096))
         F1t, F2 = M1.frame.T, Rs @ M2.frame.T
         mats = np.concatenate([np.broadcast_to(F1t, F2.shape), F2], axis=2)
         minors = _oracles.plate_determinants(F1t, F2)
@@ -852,23 +853,41 @@ class TestPlateConditioning:
         assert rep.indeterminate == 0
 
 
+_REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class _Draws:
+    """A stand-in for ``np.random.default_rng`` whose generators record each
+    draw and offer only the one method a sample path may use."""
+
+    def __init__(self, method, log):
+        self.method, self.log = method, log
+
+    def __call__(self, seed):
+        rng = _REAL_DEFAULT_RNG(seed)
+
+        def draw(shape):
+            self.log.append(shape)
+            return getattr(rng, self.method)(shape)
+        return type("Recorded", (), {self.method: staticmethod(draw)})()
+
+
 class TestQuaternionWeights:
-    """Box/box, box/polytope and the plates score unit quaternions, not
-    rotation matrices, and call no GJK."""
+    """Every pair without a ball draws only unit quaternions, one row of 4
+    normal deviates per sample, and scores them by a closed-form weight."""
 
     def test_no_rotation_drawn(self, monkeypatch):
-        def boom(*args):
-            raise AssertionError("a box/box, box/polytope or plate estimate drew "
-                                 "rotation matrices or called the GJK")
-
-        monkeypatch.setattr(kinematic, "_haar_rotations", boom)
-        monkeypatch.setattr(kinematic, "intersects_batch", boom)
+        draws = []
+        monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("standard_normal", draws))
         N = kinematic.MC_CHUNK + 100
+        pentagon = mgon(5, PENTAGON_FRAME, radius=0.8)
         reps = [mc_principal_kinematic(*BOX_PAIRS[1], N=N, seed=3),
                 mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=3),
                 mc_principal_kinematic(MOTION_SIMPLEX, ROTATED_BOX, N=N, seed=3),
-                mc_poincare(mgon(4, SQUARE_FRAME), mgon(5, PENTAGON_FRAME, radius=0.8),
-                            N=N, seed=3)]
+                mc_principal_kinematic(pentagon, MOTION_SIMPLEX, N=N, seed=3),
+                mc_principal_kinematic(mgon(4, SQUARE_FRAME), pentagon, N=N, seed=3),
+                mc_poincare(mgon(4, SQUARE_FRAME), pentagon, N=N, seed=3)]
+        assert draws == [(kinematic.MC_CHUNK, 4), (100, 4)] * len(reps)
         for rep in reps:
             assert abs(rep.z_score) < 3
 
@@ -919,19 +938,6 @@ class TestTranslationBox:
             got = (float(rep.estimate).hex(), float(rep.stderr).hex(), rep.indeterminate)
             assert got == PINNED_ESTIMATES[(pair, seed)], threads
 
-    def test_one_support_call_per_axis(self, monkeypatch):
-        calls = []
-        original = Ball.support_pair
-
-        def counted(self, xi):
-            calls.append(len(xi))
-            return original(self, xi)
-
-        monkeypatch.setattr(Ball, "support_pair", counted)
-        Rs = kinematic._haar_rotations(np.random.default_rng(3), 64)
-        kinematic._translation_box(_BALL, _BALL, Rs)
-        assert calls == [64] * 4
-
 
 # the rotated box of the CI's Monte Carlo step and an off-centre ball
 ROTATED_BOX = Box(np.array([0.1, 0, -0.2, 0]), np.array([0.45, 0.55, 0.35, 0.6]),
@@ -951,14 +957,15 @@ class TestBallReach:
     """Pairs with a ball draw only points within reach of it."""
 
     def test_no_rotation_drawn(self, monkeypatch):
-        def boom(*args):
-            raise AssertionError("a ball pair drew a rotation")
-
-        monkeypatch.setattr(kinematic, "_haar_rotations", boom)
-        monkeypatch.setattr(kinematic, "_translation_box", boom)
-        for K, L in [(_BALL, _BALL), (_BALL, ROTATED_BOX), (ROTATED_BOX, OFF_CENTRE_BALL)]:
+        # one row of 4 uniform deviates per sample, and nothing else
+        draws = []
+        monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("random", draws))
+        pairs = [(_BALL, _BALL), (_BALL, ROTATED_BOX), (ROTATED_BOX, OFF_CENTRE_BALL),
+                 (OFF_CENTRE_BALL, MOTION_SIMPLEX), (mgon(5, PENTAGON_FRAME, radius=0.8), _BALL)]
+        for K, L in pairs:
             rep = mc_principal_kinematic(K, L, N=kinematic.MC_CHUNK + 100, seed=3)
             assert abs(rep.z_score) < 3
+        assert draws == [(kinematic.MC_CHUNK, 4), (100, 4)] * len(pairs)
 
     def test_off_centre_pair_in_either_order(self):
         want = _steiner_box(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius)
@@ -1060,22 +1067,12 @@ class TestBoxPolytopeVolumes:
 
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
     def test_averages_the_hit_indicator(self, pair):
-        # translations uniform in the translation box, each scored by box
-        # volume times the GJK's hit: their mean over 2^14 translations is
-        # the weight to within its standard error
+        # the Fubini step over 2^14 translations; a point's difference body
+        # fills its translation box, so every sample hits and only rounding
+        # separates the mean from the weight
         K, L = POLYTOPE_PAIRS[pair]
-        rng = np.random.default_rng(120)
-        n = 1 << 14
-        for q in kinematic._haar_quaternions(rng, 3):
-            R = rotation_matrix(q)
-            lo, hi = (side[0] for side in kinematic._translation_box(K, L, R[None]))
-            ts = lo + rng.uniform(size=(n, 4)) * (hi - lo)
-            sep = bodies.intersects_batch(K, L, np.broadcast_to(R, (n, 4, 4)), ts)
-            assert not sep.undecided.any()
-            w = np.prod(hi - lo) * sep.hits
-            se = w.std(ddof=1) / math.sqrt(n)
-            (want,) = kinematic._box_polytope_volumes(K, L)(q[None])
-            assert abs(w.mean() - want) <= 4.0 * se + 1e-12 * want, (w.mean(), want, se)
+        _assert_averages_the_hit_indicator(K, L, kinematic._box_polytope_volumes(K, L),
+                                           np.random.default_rng(120), 3, 1 << 14, slack=1e-12)
 
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
     def test_estimate_matches_rhs_in_either_order(self, pair):
@@ -1103,6 +1100,136 @@ class TestBoxPolytopeVolumes:
         rep = mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=512, seed=seed)
         assert rep.stderr <= 2e-3 * rep.estimate
         assert abs(rep.z_score) < 3
+
+
+# vertex hulls of every kind: simplices of 1 to 5 vertices, the pentagon
+# plate of the motion_mc benchmark, off-centre, and the unit square
+_MIX_RNG = np.random.default_rng(2026)
+HULLS = {
+    **{f"simplex{m}": Simplex(_MIX_RNG.uniform(-0.6, 0.6, (m, 4))) for m in range(1, 6)},
+    "pentagon": mgon(5, PENTAGON_FRAME, radius=0.8, base=np.array([0.1, 0.2, -0.1, 0.3])),
+    "square": PlanarPolygon(SQUARE_FRAME, [[0, 0], [1, 0], [1, 1], [0, 1]]),
+}
+HULL_PAIRS = list(combinations(HULLS, 2)) + [(name, name) for name in HULLS]
+
+
+def _hull_dim(P):
+    return 2 if isinstance(P, PlanarPolygon) else len(P.vertices) - 1
+
+
+def _qhull_difference_volume(K, L, q):
+    """vol(K - L_q L) as Qhull's volume of the vertex differences."""
+    diffs = K._hull()[:, None] - (L._hull() @ rotation_matrix(q).T)[None]
+    return ConvexHull(diffs.reshape(-1, 4)).volume
+
+
+class TestHullHullVolumes:
+    """The facet-sum weight vol(K - L_q L) of two vertex hulls against
+    Qhull, the plates' weight, the hit indicator it integrates and the exact
+    right-hand side."""
+
+    @pytest.mark.parametrize("pair", HULL_PAIRS, ids="-".join)
+    def test_matches_qhull(self, pair):
+        # one full block and a partial one; a sum of dimension below 4 is
+        # 0 exactly
+        K, L = (HULLS[name] for name in pair)
+        qs = kinematic._haar_quaternions(np.random.default_rng(140), kinematic.BOX_BOX_BLOCK + 100)
+        got = kinematic._hull_hull_volumes(K, L)(qs)
+        if _hull_dim(K) + _hull_dim(L) < 4:
+            assert not got.any()
+            return
+        for b in range(0, len(qs), 131):
+            assert got[b] == pytest.approx(_qhull_difference_volume(K, L, qs[b]), rel=1e-12, abs=0)
+
+    def test_plates_match_the_plate_form(self):
+        # two plates' sum is an affine image of their product:
+        # area1 area2 |det [F1^T | L_q F2^T]|, the intersection count's weight
+        M1, M2 = HULLS["square"], HULLS["pentagon"]
+        qs = kinematic._haar_quaternions(np.random.default_rng(141), 4096)
+        scale = M1.area * M2.area
+        want = np.abs(kinematic._quadratic_forms(
+            scale * kinematic._plate_form(M1.frame.T, M2.frame.T), qs))
+        got = kinematic._hull_hull_volumes(M1, M2)(qs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5")],
+                             ids="-".join)
+    def test_averages_the_hit_indicator(self, pair):
+        K, L = (HULLS[name] for name in pair)
+        _assert_averages_the_hit_indicator(K, L, kinematic._hull_hull_volumes(K, L),
+                                           np.random.default_rng(150), 3, 1 << 14)
+
+    @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5"),
+                                      ("simplex3", "simplex4"), ("simplex2", "simplex4"),
+                                      ("simplex3", "pentagon"), ("square", "pentagon")],
+                             ids="-".join)
+    def test_estimate_matches_rhs_in_either_order(self, pair):
+        # the two orders weigh vol(K - L_q L) and vol(L - K_q K): equal in
+        # distribution, not sample by sample
+        K, L = (HULLS[name] for name in pair)
+        N = 2 * kinematic.BOX_BOX_BLOCK + 100
+        for a, b in [(K, L), (L, K)]:
+            rep = mc_principal_kinematic(a, b, N=N, seed=160)
+            assert rep.indeterminate == 0
+            assert abs(rep.z_score) < 3, rep
+
+    @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5")],
+                             ids="-".join)
+    def test_thread_invariant_across_chunks(self, pair):
+        K, L = (HULLS[name] for name in pair)
+        N = kinematic.MC_CHUNK + 4096
+        one = mc_principal_kinematic(K, L, N=N, seed=8)
+        two = mc_principal_kinematic(K, L, N=N, seed=8, threads=2)
+        assert one == two
+        assert abs(one.z_score) < 3
+
+    def test_simplex_simplex_relative_stderr(self):
+        # the motion_mc benchmark's simplex against the standard one at
+        # 8192 samples: the hit indicator over the translation box had a
+        # relative variance of 15.8 per sample, a relative stderr of 4.4e-2
+        standard = Simplex(np.vstack([np.zeros(4), np.eye(4)]))
+        rep = mc_principal_kinematic(MOTION_SIMPLEX, standard, N=8192, seed=170)
+        assert rep.stderr <= 3e-3 * rep.estimate
+        assert abs(rep.z_score) < 3
+
+
+class TestHullReach:
+    """A ball against a simplex or a polygon draws points in the hull's
+    bounding box grown by the radius, each scored by its exact distance to
+    the hull."""
+
+    @pytest.mark.parametrize("name", ["simplex5", "simplex3", "pentagon", "square"])
+    def test_hits_match_the_distance_oracle(self, name):
+        P, r = HULLS[name], 0.35
+        vol, count = kinematic._ball_reach(Ball(np.zeros(4), r), P)
+        u = np.random.default_rng(180).random((20000, 4))
+        verts = P._hull()
+        lo, hi = verts.min(axis=0) - r, verts.max(axis=0) + r
+        assert vol == pytest.approx(np.prod(hi - lo), rel=1e-15)
+        y = lo + u * (hi - lo)
+        if isinstance(P, PlanarPolygon):
+            dist = _oracles.polygon_distance(y, P)
+        else:
+            dist = _oracles.hull_distance(y, np.broadcast_to(verts, (len(y),) + verts.shape))
+        # no sample within rounding of the sphere, where the two could differ
+        assert np.min(np.abs(dist - r)) > 1e-9
+        assert 0.05 < np.mean(dist <= r) < 0.95
+        assert count(u) == np.count_nonzero(dist <= r)
+
+    @pytest.mark.parametrize("name", ["simplex5", "simplex2", "pentagon"])
+    def test_estimate_matches_rhs_in_either_order(self, name):
+        # the ball is the ball in either order: the same report, bit for bit
+        P = HULLS[name]
+        a = mc_principal_kinematic(OFF_CENTRE_BALL, P, N=40000, seed=191)
+        b = mc_principal_kinematic(P, OFF_CENTRE_BALL, N=40000, seed=191)
+        assert a == b
+        assert a.indeterminate == 0
+        assert abs(a.z_score) < 3, a
+
+    def test_zero_radius_ball_gives_simplex_volume(self):
+        point = Ball(np.zeros(4), 0.0)
+        rep = mc_principal_kinematic(point, MOTION_SIMPLEX, N=50000, seed=4)
+        assert abs(rep.estimate - MOTION_SIMPLEX.volume()) < 3 * rep.stderr
 
 
 class TestOracleEstimates:
