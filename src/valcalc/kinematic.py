@@ -8,12 +8,16 @@ Gauss-Jordan elimination with monomial pivots in Q[pi, 1/pi] inverts it
 exactly and yields the tensor of the principal kinematic formula; a Monte
 Carlo estimator over random rigid motions provides an independent numeric
 check of the normalization (probability Haar measure on the rotations,
-Lebesgue on the translations).  It has two sample paths, each scored
-exactly and with no iteration, so every sample is decided.  A ball is
-unchanged by rotation, and the motion measure by g -> g^-1, so a ball
-against any body draws only translations: the integral is the volume of the
-points within the ball's radius of the other body, and each point is scored
-by its exact distance to it.  Every other pair draws only a rotation, left
+Lebesgue on the translations).  Every sample is scored exactly and with no
+iteration, so every sample is decided.  A ball is unchanged by rotation,
+and the motion measure by g -> g^-1, so a ball against any body draws only
+translations: the integral is the volume of the points within the ball's
+radius of the other body.  Against a ball or a box that volume is integrated
+over two coordinates of the box's frame in closed form: the section at fixed
+(y1, y2) is a rounded rectangle, and (y1, y2) runs over a rank-1 lattice
+under 16 random shifts (Cranley-Patterson), whose replicate means give the
+standard error.  Against a vertex hull each point drawn is scored by its
+exact distance to it.  Every other pair draws only a rotation, left
 multiplication L_q by a unit quaternion q, and integrates the translation
 in closed form: the weight is vol(K - L_q L), scored from q itself.  For two
 boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
@@ -50,11 +54,21 @@ from .su2 import icosahedron_directions, su2_basis, tasaki_density
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
+# random shifts of the ball pairs' lattice: the standard error comes from
+# their means, with REPLICATES - 1 degrees of freedom
+REPLICATES = 16
+# lattice generators by point count n, oldest evicted first
+GENERATOR_CACHE_SIZE = 64
+_GENERATOR_CACHE = {}
 # samples per block of the translation volumes: box/box's 16 linear and 18
 # quadratic forms in q come to about fifty floats per sample, a 4-simplex's
 # shadows to a few hundred and the facet sum of two 4-simplices to a few
 # thousand
 BOX_BOX_BLOCK = 1 << 12
+# floats in the widest temporary of a facet-sum block, one (G, F, vertex)
+# sign test per sample: a block of two 4-simplices' edge/triangle pairs
+# holds 400 a sample
+HULL_BLOCK_FLOATS = 1 << 18
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
 
@@ -193,35 +207,148 @@ def _haar_quaternions(rng, size):
     """``size`` unit quaternions uniform on S^3, as (size, 4) rows."""
     qs = rng.standard_normal((size, 4))
     norms = _row_norms(qs)
-    for k in range(4):  # a column at a time, as in _count_within_reach
+    # a column at a time: dividing the (B, 4) rows by a (B, 1) column runs
+    # as B loops of 4
+    for k in range(4):
         qs[:, k] /= norms
     return qs
 
 
-def _ball_reach(K, L):
-    """For a ball against any body, (vol, count): the motion integral is the
-    volume of the points within the ball's radius r of the other body, and
-    count(u) counts the rows of u, uniform in [0, 1)^4, that land there once
-    mapped onto a box of volume vol around it; else None. A ball or a box is
-    symmetric in each coordinate of its frame, so its points draw |y| in
-    [0, h + r], h its half extents (two balls: a point, h = 0, and r their
-    radius sum); a vertex hull's are drawn in its bounding box grown by r
-    (``_hull_reach``)."""
+def _ball_section(K, L):
+    """For a ball against a ball or a box, (h, r): the box's half extents
+    (two balls: zeros) and the ball's radius (two balls: their radius sum);
+    else None. The motion integral is then the volume of the points within
+    r of the box [-h, h] in its frame, vol(box + r B^4), and
+    ``_section_replicates`` integrates it."""
     ball, other = (K, L) if isinstance(K, Ball) else (L, K)
     if not isinstance(ball, Ball):
         return None
     if isinstance(other, Ball):
-        h, r = np.zeros(4), K.radius + L.radius
-    elif isinstance(other, Box):
-        h, r = other.half_extents, ball.radius
-    else:
-        return _hull_reach(other, ball.radius)
-    return float(np.prod(2.0 * (h + r))), lambda u: _count_within_reach(u, h, r)
+        return np.zeros(4), K.radius + L.radius
+    if isinstance(other, Box):
+        return other.half_extents, ball.radius
+    return None
+
+
+def check_samples(K, L, N):
+    """Raise ValueError unless N suits the pair: a ball against a ball or a
+    box splits N over REPLICATES shifted lattices of N / REPLICATES points,
+    so N must be a multiple of REPLICATES (at least REPLICATES)."""
+    if _ball_section(K, L) is not None and (N < REPLICATES or N % REPLICATES):
+        raise ValueError(f"a ball against a ball or a box needs a multiple of {REPLICATES} "
+                         f"samples ({REPLICATES} shifted lattices of N/{REPLICATES} points), "
+                         f"got {N}")
+
+
+def _lattice_generator(n):
+    """The generator g of the n-point rank-1 lattice {(k/n, frac(k g/n))}:
+    the first g, 1 <= g < n/2 and coprime to n (g = 1 when n <= 2), whose
+    continued fraction g/n = [0; a_1, ..., a_m] has the smallest largest
+    partial quotient, the quantity that bounds a 2-D lattice's figure of
+    merit (Niederreiter 1992, ch. 5). n - g gives the mirrored lattice.
+
+    A g with largest quotient at most m has a_1 = n // g <= m, so g > n/(m
+    + 1). For m = 2, 3, ... the candidates above n/(m + 1) take Euclid's
+    steps together, in ascending blocks of MC_CHUNK, each dropped once a
+    quotient exceeds m; the least survivor of the first level that has one
+    is g, as every g below it failed a lower level or this one. Cached per
+    n, at most GENERATOR_CACHE_SIZE of them."""
+    if n in _GENERATOR_CACHE:
+        return _GENERATOR_CACHE[n]
+    stop = max(2, (n + 1) // 2)
+    m, g = 2, None
+    while g is None:
+        for lo in range(n // (m + 1) + 1, stop, MC_CHUNK):
+            cand = np.arange(lo, min(lo + MC_CHUNK, stop), dtype=np.int64)
+            a, b = np.full(len(cand), n, dtype=np.int64), cand
+            while len(b):
+                q = a // b
+                keep = q <= m
+                a, b, cand = b[keep], (a - q * b)[keep], cand[keep]
+                done = b == 0
+                # a is now gcd(n, g)
+                found = cand[done & (a == 1)]
+                if len(found):
+                    g = int(found.min()) if g is None else min(g, int(found.min()))
+                a, b, cand = a[~done], b[~done], cand[~done]
+            if g is not None:
+                break
+        m += 1
+    if len(_GENERATOR_CACHE) >= GENERATOR_CACHE_SIZE:
+        del _GENERATOR_CACHE[next(iter(_GENERATOR_CACHE))]
+    _GENERATOR_CACHE[n] = g
+    return g
+
+
+def _section_areas(s, h, r):
+    """The summed areas of the (y3, y4) sections of the points y in [0, h +
+    r]^4 within r of the box [-h, h], over an array s of values of
+    sum_(k <= 2) (y_k - h_k)_+^2, which it overwrites: with rho^2 = r^2 - s,
+    a rounded rectangle of area h3 h4 + rho (h3 + h4) + pi rho^2 / 4 when
+    s <= r^2, and 0 otherwise."""
+    rho2 = np.subtract(r * r, s, out=s)
+    total = h[2] * h[3] * np.count_nonzero(rho2 >= 0.0) if h[2] * h[3] else 0.0
+    np.maximum(rho2, 0.0, out=rho2)
+    total += 0.25 * math.pi * float(rho2.sum())
+    if h[2] + h[3]:
+        total += (h[2] + h[3]) * float(np.sqrt(rho2, out=rho2).sum())
+    return total
+
+
+def _section_replicates(h, r, n, seed):
+    """The function taking a replicate index to its mean weight for the
+    pair of ``_ball_section``: vol(box + r B^4) is 16 times the volume of
+    the points y in [0, h + r]^4 with sum_k (y_k - h_k)_+^2 <= r^2. At fixed
+    (y1, y2), with s = sum_(k <= 2) (y_k - h_k)_+^2 and rho^2 = r^2 - s, the
+    (y3, y4) section is a rounded rectangle of area
+    h3 h4 + rho (h3 + h4) + pi rho^2 / 4 when s <= r^2, and 0 otherwise, so
+    a point (y1, y2) weighs 16 (h1 + r)(h2 + r) times that area (Fubini).
+
+    (y1, y2) are (h1 + r, h2 + r) times the n points of the rank-1 lattice
+    of ``_lattice_generator`` shifted by d, two uniforms of
+    default_rng([seed, idx]). Writing d1 n = m + phi and k' = k + m mod n,
+    the points are ((k' + phi)/n, frac(k' g/n + e)) with one constant e, so
+    the first coordinate needs no wrap. The k' run in blocks of MC_CHUNK
+    that share the first block's coordinates: a block adds constants to them
+    and wraps the second by its floor."""
+    a1, a2 = h[0] + r, h[1] + r
+    g = _lattice_generator(n)
+    B = min(n, MC_CHUNK)
+    k = np.arange(B)
+    Y1 = k * (a1 / n)
+    X2 = (k * g % n) / n
+
+    def replicate(idx):
+        d1, d2 = np.random.default_rng([seed, idx]).random(2)
+        m = int(d1 * n)
+        phi = d1 * n - m
+        area = 0.0
+        block, x, floor = np.empty((3, B))
+        for start in range(0, n, B):
+            size = min(B, n - start)
+            # s, the sum over y1 and y2 of (y_k - h_k)_+^2
+            s = np.add(Y1[:size], (start + phi) * (a1 / n) - h[0], out=block[:size])
+            if h[0]:
+                np.maximum(s, 0.0, out=s)
+            s *= s
+            y = np.add(X2[:size], ((start - m) * g % n / n + d2) % 1.0, out=x[:size])
+            y -= np.floor(y, out=floor[:size])
+            y *= a2
+            if h[1]:
+                y -= h[1]
+                np.maximum(y, 0.0, out=y)
+            y *= y
+            s += y
+            area += _section_areas(s, h, r)
+        return 16.0 * a1 * a2 * area / n
+    return replicate
 
 
 def _hull_reach(P, r):
-    """(vol, count) of ``_ball_reach`` for a ball of radius r against a
-    vertex hull P: y uniform in P's bounding box grown by r, a hit when
+    """For a ball of radius r against a vertex hull P, (vol, count): the
+    motion integral is the volume of the points within r of P, and count(u)
+    counts the rows of u, uniform in [0, 1)^4, that land there once mapped
+    onto P's bounding box grown by r, of volume vol: y, a hit when
     dist(y, P) <= r.
 
     P is a union of simplices: itself, or a polygon's fan of triangles from
@@ -500,11 +627,16 @@ def _hull_hull_volumes(K, L):
         gen = -np.einsum("kij,grj->grik", _UNIT_LEFT, G).reshape(-1, 4)
         pairs.append((b, off_K, off_M, G.shape[:2], gen, by_F,
                       by_F_row.reshape(-1, by_F_row.shape[2]), np.outer(w_G, w_F).ravel() / 4.0))
+    # samples per block, so that the widest (G, F, vertex, sample) array of
+    # sign tests holds about HULL_BLOCK_FLOATS
+    widest = max((shape[0] * len(by_F) * (max(off_K, off_M) + 1)
+                  for _, off_K, off_M, shape, _, by_F, _, _ in pairs), default=1)
+    block = max(1, HULL_BLOCK_FLOATS // widest)
 
     def volumes(qs):
         vol = np.zeros(len(qs))
-        for s in range(0, len(qs), BOX_BOX_BLOCK):
-            q = qs[s:s + BOX_BOX_BLOCK]
+        for s in range(0, len(qs), block):
+            q = qs[s:s + block]
             B = len(q)
             for b, off_K, off_M, (nG, width), gen, by_F, by_F_row, w in pairs:
                 rows = (gen @ q.T).reshape(nG, width, 4, B)
@@ -537,36 +669,38 @@ def _translation_volumes(K, L):
     return _hull_hull_volumes(K, L)
 
 
-def _count_within_reach(y, h, r):
-    """The rows of y, uniform in [0, 1)^4, within r of the box [-h, h] once
-    column k is scaled by h_k + r, less h_k and clamped at 0 where h_k != 0.
-    A column at a time (numpy broadcasts a (4,) vector over (B, 4) rows as B
-    loops of 4); each element takes the steps of a row-wise scoring in order."""
-    for k, hk in enumerate(h):
-        c = y[:, k] * (hk + r)
-        if hk:
-            c -= hk
-            np.maximum(c, 0.0, out=c)
-        c *= c
-        total = np.add(total, c, out=total) if k else c
-    return np.count_nonzero(np.sqrt(total, out=total) <= r)
-
-
-def _run_chunks(worker, N, threads):
-    sizes = [min(MC_CHUNK, N - s) for s in range(0, N, MC_CHUNK)]
-    workers = min(threads, len(sizes), os.cpu_count() or 1)
+def _run_units(worker, units, threads):
+    """[worker(0), ..., worker(units - 1)], in that order, on up to
+    ``threads`` threads (no more than the units or the CPUs)."""
+    workers = min(threads, units, os.cpu_count() or 1)
     if workers <= 1:
-        results = [worker(idx, size) for idx, size in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, range(len(sizes)), sizes))
-    return math.fsum(r[0] for r in results), math.fsum(r[1] for r in results)
+        return [worker(idx) for idx in range(units)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, range(units)))
 
 
-def _finalize(sum_w, sum_w2, N, seed, rhs):
+def _chunk_moments(worker, N, threads):
+    """Mean and standard error of N iid weights, drawn in chunks of
+    MC_CHUNK: worker(idx, size) gives chunk idx's (sum w, sum w^2)."""
+    sizes = [min(MC_CHUNK, N - s) for s in range(0, N, MC_CHUNK)]
+    results = _run_units(lambda idx: worker(idx, sizes[idx]), len(sizes), threads)
+    sum_w, sum_w2 = math.fsum(r[0] for r in results), math.fsum(r[1] for r in results)
     mean = sum_w / N
     var = max(sum_w2 - N * mean * mean, 0.0) / max(N - 1, 1)
-    stderr = math.sqrt(var / N)
+    return mean, math.sqrt(var / N)
+
+
+def _replicate_moments(replicate, threads):
+    """Mean and standard error of the REPLICATES means replicate(idx), one
+    per random shift: independent and identically distributed, so the error
+    has REPLICATES - 1 degrees of freedom."""
+    means = _run_units(replicate, REPLICATES, threads)
+    mean = math.fsum(means) / REPLICATES
+    var = math.fsum((m - mean) ** 2 for m in means) / (REPLICATES - 1)
+    return mean, math.sqrt(var / REPLICATES)
+
+
+def _finalize(mean, stderr, N, seed, rhs):
     if stderr > 0:
         z = (mean - rhs) / stderr
     else:
@@ -587,21 +721,39 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1, kind: str = "icosahedron") -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
 
-    There are two sample paths, each scored exactly, with no iteration. A
-    ball against any body draws per sample a point y uniform in a fixed box
-    around the other body, scored by the box's volume times whether y lies
-    within the ball's radius of that body (``_ball_reach``). Every other pair
-    draws only a Haar unit quaternion q: the translation integral of
-    chi(K . (L_q L + t)) is vol(K - L_q L), which scores the sample in closed
-    form from q (``_translation_volumes``): for two boxes a weighted sum of
-    the absolute values of 16 linear and 18 quadratic forms in q, for a box
-    and a vertex hull a weighted sum of the hull's shadows, and for two
-    vertex hulls a sum over the facets of K - L_q L, each built once per
-    estimate. Deterministic for fixed (seed, N) regardless of threads.
+    Every sample is scored exactly, with no iteration. A ball draws only
+    translations, and the integral is the volume of the points within its
+    radius of the other body.
+    - Against a ball or a box (``_section_replicates``), that volume is
+      integrated in closed form over two coordinates of the box's frame,
+      the section at fixed (y1, y2) being a rounded rectangle. (y1, y2)
+      runs over a rank-1 lattice of N / 16 points, its generator the first
+      with the smallest largest partial quotient (``_lattice_generator``),
+      under 16 random shifts; N must be a multiple of 16. The standard error
+      is that of the 16 replicate means, with 15 degrees of freedom, so with
+      no defect |z| > 3 has probability 0.009 (the normal's is 0.0027).
+    - Against a vertex hull, a point y uniform in a box around the hull
+      scores the box's volume times whether y lies within the radius of it
+      (``_hull_reach``).
+    Every other pair draws only a Haar unit quaternion q: the translation
+    integral of chi(K . (L_q L + t)) is vol(K - L_q L), which scores the
+    sample in closed form from q (``_translation_volumes``): for two boxes a
+    weighted sum of the absolute values of 16 linear and 18 quadratic forms
+    in q, for a box and a vertex hull a weighted sum of the hull's shadows,
+    and for two vertex hulls a sum over the facets of K - L_q L, each built
+    once per estimate. Those pairs' standard error is that of their N iid
+    weights. Deterministic for fixed (seed, N) regardless of threads.
     """
     _check_mc_args(N, threads, K=K, L=L)
+    check_samples(K, L, N)
     rhs = rhs_kinematic(K, L, kind)
-    reach = _ball_reach(K, L)
+    section = _ball_section(K, L)
+    if section is not None:
+        moments = _replicate_moments(_section_replicates(*section, N // REPLICATES, seed),
+                                     threads)
+        return _finalize(*moments, N, seed, rhs)
+    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
+    reach = _hull_reach(other, ball.radius) if isinstance(ball, Ball) else None
     volumes = None if reach else _translation_volumes(K, L)
 
     def worker(idx, size):
@@ -614,7 +766,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
         w = volumes(_haar_quaternions(rng, size))
         return float(np.sum(w)), float(np.sum(w * w))
 
-    return _finalize(*_run_chunks(worker, N, threads), N, seed, rhs)
+    return _finalize(*_chunk_moments(worker, N, threads), N, seed, rhs)
 
 
 def plane_class(frame) -> np.ndarray:
@@ -692,4 +844,4 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
         np.abs(w, out=w)
         return float(np.sum(w)), float(np.sum(w * w))
 
-    return _finalize(*_run_chunks(worker, N, threads), N, seed, rhs)
+    return _finalize(*_chunk_moments(worker, N, threads), N, seed, rhs)

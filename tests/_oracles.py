@@ -1,6 +1,7 @@
 """Shared numeric oracles and random generators for the test suite."""
 
 import itertools
+import json
 import math
 import random
 from collections import defaultdict
@@ -33,6 +34,7 @@ from valcalc.exterior import (
 )
 from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN, _UNIT_LEFT
 from valcalc.scalars import PI, ZERO, Rat, Scalar
+from valcalc.serialization import body_to_json
 from valcalc.su2 import _scaled_forms, right_mult_matrix
 from valcalc.tolerances import DEGENERATE_PIECE_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
@@ -710,20 +712,22 @@ def box_polytope_volume(K, L, q):
     return total
 
 
-def count_within_reach_rows(y, h, r):
-    """The ball-reach count of the (B, 4) rows y, uniform in [0, 1), scored a
-    row at a time: y scaled by h + r, less h and clamped at 0 when any h is
-    nonzero, squared in place and its columns summed into the first. The
-    reference for the column-at-a-time count."""
-    y = y * (h + r)
-    if h.any():
-        y -= h
-        np.maximum(y, 0.0, out=y)
-    np.multiply(y, y, out=y)
-    total = y[:, 0]
-    for k in range(1, 4):
-        total += y[:, k]
-    return np.count_nonzero(np.sqrt(total, out=total) <= r)
+def verify_mc_line(K, L, N, seed, threads, poincare=False):
+    """The bash line that reruns a Monte Carlo estimate through the CLI,
+    each body's JSON passed by process substitution."""
+    def body(B):
+        return "<(echo '" + json.dumps(body_to_json(B), separators=(",", ":")) + "')"
+    return " ".join(["valcalc verify mc", *(["--poincare"] if poincare else []),
+                     "--k", body(K), "--l", body(L),
+                     f"--samples {N} --seed {seed} --threads {threads}"])
+
+
+def mc_failure(name, K, L, N, seed, threads, rep, poincare=False):
+    """What a failed Monte Carlo assert reports: the pair, the run's
+    settings, its numbers and the CLI line that repeats it."""
+    return (f"{name}: seed {seed}, N {N}, threads {threads}: estimate {rep.estimate!r} "
+            f"+- {rep.stderr!r} against rhs {rep.rhs!r} (z {rep.z_score:+.2f}); rerun with "
+            + verify_mc_line(K, L, N, seed, threads, poincare))
 
 
 # the six pairs (a, b), a < b, of four indices in lexicographic order; pair

@@ -11,6 +11,7 @@ import numpy as np
 
 from _oracles import (
     fiber_integral,
+    mc_failure,
     random_form,
     random_sphere_poly,
     right_translation_matrix,
@@ -329,12 +330,15 @@ def test_10_monte_carlo_principal_formula():
         reports = {}
         for name, K, L, seed in runs:
             r = mc_principal_kinematic(K, L, N=10 ** 6, seed=seed, threads=4)
-            assert abs(r.z_score) < 3.0, (name, r.z_score)
-            assert r.stderr / r.estimate < 0.01, (name, r.stderr, r.estimate)
+            message = mc_failure(name, K, L, 10 ** 6, seed, 4, r)
+            assert abs(r.z_score) < 3.0, message
+            assert r.stderr / r.estimate < 0.01, message
             reports[name] = r
         ra, rg = reports["thin aligned"], reports["thin generic"]
         gap = ra.rhs - rg.rhs
-        assert gap > 3.0 * (ra.stderr + rg.stderr), gap
+        assert gap > 3.0 * (ra.stderr + rg.stderr), (
+            f"rhs gap {gap!r}; " + mc_failure("thin aligned", thin, thin, 10 ** 6, 77, 4, ra)
+            + "; " + mc_failure("thin generic", thin, thin_generic, 10 ** 6, 78, 4, rg))
         zs = ", ".join(f"{n} z={r.z_score:+.2f}" for n, r in reports.items())
         return zs
 
@@ -363,8 +367,9 @@ def test_11_monte_carlo_intersection_counts():
         zs = []
         for name, A, B, want_rhs, seed in runs:
             r = mc_poincare(A, B, N=10 ** 6, seed=seed, threads=4)
-            assert abs(r.rhs - want_rhs) < 1e-9, (name, r.rhs, want_rhs)
-            assert abs(r.estimate - r.rhs) <= 3.0 * r.stderr, (name, r.z_score)
+            message = mc_failure(name, A, B, 10 ** 6, seed, 4, r, poincare=True)
+            assert abs(r.rhs - want_rhs) < 1e-9, (want_rhs, message)
+            assert abs(r.estimate - r.rhs) <= 3.0 * r.stderr, message
             zs.append(f"{name} z={r.z_score:+.2f}")
         return ", ".join(zs)
 

@@ -295,6 +295,43 @@ class TestVerifyMc:
         assert rc == 0
         assert ["z_score", "inf"] in [line.split() for line in human.splitlines()]
 
+    @pytest.mark.parametrize("samples", ["100", "8", "40001"])
+    def test_ball_pair_samples_must_be_a_multiple_of_16(self, capsys, files, samples):
+        # a ball against a ball or a box splits N over 16 shifted lattices;
+        # any other N is refused before a sample is drawn, on one line
+        _, save = files
+        k = save("k.json", ser.body_to_json(Ball(np.zeros(4), 0.5)))
+        l = save("l.json", ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))))
+        for pair in ((k, k), (k, l), (l, k)):
+            rc, out, err = run(capsys, "verify", "mc", "--k", pair[0], "--l", pair[1],
+                               "--samples", samples, "--seed", "1")
+            assert (rc, out) == (2, "")
+            assert err.splitlines() == [
+                f"error: --samples: a ball against a ball or a box needs a multiple of 16 "
+                f"samples (16 shifted lattices of N/16 points), got {samples}"]
+        simplex = save("s.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0], [1.0, 0, 0, 0]])))
+        rc, _, _ = run(capsys, "verify", "mc", "--k", k, "--l", simplex,
+                       "--samples", samples, "--seed", "1")
+        assert rc == 0
+
+    def test_failure_message_line_reruns_the_estimate(self, capsys):
+        # the verify mc line a failed Monte Carlo assert prints, run by bash
+        # with the module in place of the installed entry point
+        from _oracles import mc_failure, verify_mc_line
+        K = Ball(np.array([0.3, -0.1, 0.2, 0.05]), 0.35)
+        L = Box(np.array([0.1, 0, -0.2, 0]), np.array([0.45, 0.55, 0.35, 0.6]))
+        line = verify_mc_line(K, L, 4096, 21, 2)
+        rep = kinematic.mc_principal_kinematic(K, L, N=4096, seed=21, threads=2)
+        assert mc_failure("ball/box", K, L, 4096, 21, 2, rep).endswith("rerun with " + line)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        command = line.replace("valcalc", f"'{sys.executable}' -m valcalc.cli", 1) + " --json"
+        proc = subprocess.run(["bash", "-c", command], capture_output=True, text=True,
+                              timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == rep.to_dict()
+
     def test_seed_required(self, capsys, files):
         _, save = files
         k = save("k.json", ser.body_to_json(Ball(np.zeros(4), 0.5)))

@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 import _oracles
-from _oracles import left_mult_matrix, rotation_matrix
+from _oracles import left_mult_matrix, mc_failure, rotation_matrix
 from valcalc import bodies
 from valcalc import kinematic
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
@@ -428,7 +428,7 @@ class TestMCPrincipal:
     def test_ball_ball(self):
         half = Ball(np.zeros(4), 0.5)
         rep = mc_principal_kinematic(half, half, N=200000, seed=42)
-        assert abs(rep.z_score) < 3
+        assert abs(rep.z_score) < 3, mc_failure("ball/ball", half, half, 200000, 42, 1, rep)
         assert rep.samples == 200000
         assert rep.indeterminate == 0
 
@@ -438,8 +438,9 @@ class TestMCPrincipal:
         a = mc_principal_kinematic(half, box, N=70000, seed=9)
         b = mc_principal_kinematic(half, box, N=70000, seed=9)
         c = mc_principal_kinematic(half, box, N=70000, seed=9, threads=4)
-        assert a.estimate == b.estimate == c.estimate
-        assert a.stderr == c.stderr
+        message = mc_failure("ball/box at 4 threads", half, box, 70000, 9, 4, c)
+        assert a.estimate == b.estimate == c.estimate, message
+        assert a.stderr == c.stderr, message
 
     def test_threads_bounded_by_chunks_and_cpus(self, monkeypatch):
         import valcalc.kinematic as kinematic
@@ -447,7 +448,7 @@ class TestMCPrincipal:
         seen = []
 
         class Recorder:
-            # records the pool size and runs the chunks in order on the
+            # records the pool size and runs the units in order on the
             # calling thread, so no thread is started
             def __init__(self, max_workers):
                 seen.append(max_workers)
@@ -464,14 +465,21 @@ class TestMCPrincipal:
         monkeypatch.setattr(kinematic, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 64)
         half = Ball(np.zeros(4), 0.5)
-        N = 2 * kinematic.MC_CHUNK + 1  # three chunks
+        # a ball pair's units are its 16 shifted lattices, whatever N; the
+        # ball/simplex pair's are its chunks of iid points, here three
+        N = 2 * kinematic.MC_CHUNK
         one = mc_principal_kinematic(half, half, N=N, seed=4)
         many = mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
-        assert seen == [3]
+        assert seen == [kinematic.REPLICATES]
         assert (many.estimate, many.stderr) == (one.estimate, one.stderr)
+        mc_principal_kinematic(half, half, N=64, seed=4, threads=10**6)
+        assert seen == [kinematic.REPLICATES] * 2
+        mc_principal_kinematic(half, MOTION_SIMPLEX, N=N + 1, seed=4, threads=10**6)
+        assert seen == [kinematic.REPLICATES] * 2 + [3]
         monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 2)
         mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
-        assert seen == [3, 2]
+        mc_principal_kinematic(half, MOTION_SIMPLEX, N=N + 1, seed=4, threads=10**6)
+        assert seen == [kinematic.REPLICATES] * 2 + [3, 2, 2]
 
     def test_box_point(self):
         box = Box(np.zeros(4), np.array([0.5, 0.5, 0.5, 0.5]))
@@ -487,14 +495,15 @@ class TestMCPrincipal:
         box = Box(np.zeros(4), np.array([0.5, 0.4, 0.6, 0.3]))
         a = mc_principal_kinematic(half, box, N=40000, seed=1)
         b = mc_principal_kinematic(half, box, N=160000, seed=1)
-        assert b.stderr < a.stderr
-        assert b.stderr == pytest.approx(a.stderr / 2, rel=0.2)
+        message = mc_failure("ball/box at 4N", half, box, 160000, 1, 1, b)
+        assert b.stderr < a.stderr, message
+        assert b.stderr == pytest.approx(a.stderr / 2, rel=0.2), message
 
     def test_box_box_generic_rotations(self):
         k = Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]))
         l = Box(np.array([0.1, 0, -0.2, 0]), np.array([0.45, 0.55, 0.35, 0.6]))
         rep = mc_principal_kinematic(k, l, N=200000, seed=17)
-        assert abs(rep.z_score) < 3
+        assert abs(rep.z_score) < 3, mc_failure("box/box", k, l, 200000, 17, 1, rep)
 
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -503,8 +512,9 @@ class TestMCPrincipal:
         # undecided
         half = Ball(np.zeros(4), 0.5)
         rep = mc_principal_kinematic(half, MOTION_SIMPLEX, N=20000, seed=seed)
-        assert rep.indeterminate == 0
-        assert abs(rep.z_score) < 3
+        message = mc_failure("ball/simplex", half, MOTION_SIMPLEX, 20000, seed, 1, rep)
+        assert rep.indeterminate == 0, message
+        assert abs(rep.z_score) < 3, message
 
     def test_ball_simplex_thread_invariant_across_chunks(self):
         # ball/simplex draws points in the simplex's bounding box grown by
@@ -514,8 +524,9 @@ class TestMCPrincipal:
         one = mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=8)
         two = mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=8, threads=2)
         assert (one.estimate, one.stderr, one.indeterminate) == \
-            (two.estimate, two.stderr, two.indeterminate)
-        assert abs(one.z_score) < 3
+            (two.estimate, two.stderr, two.indeterminate), \
+            mc_failure("ball/simplex at 2 threads", half, MOTION_SIMPLEX, N, 8, 2, two)
+        assert abs(one.z_score) < 3, mc_failure("ball/simplex", half, MOTION_SIMPLEX, N, 8, 1, one)
 
 
 class TestMCArguments:
@@ -527,7 +538,7 @@ class TestMCArguments:
             p = PlanarPolygon(np.asarray(frame, dtype=float)[:, :dim], verts)
             return mc_poincare(p, mgon(5, self.SQUARE[0]), **{"N": 100, **kwargs})
         ball = Ball(np.zeros(dim), 0.5)
-        return mc_principal_kinematic(ball, Ball(np.zeros(4), 0.5), **{"N": 100, **kwargs})
+        return mc_principal_kinematic(ball, Ball(np.zeros(4), 0.5), **{"N": 96, **kwargs})
 
     @pytest.mark.parametrize("estimator", ["principal", "poincare"])
     @pytest.mark.parametrize("name, value", [
@@ -549,6 +560,18 @@ class TestMCArguments:
     def test_numpy_integers_accepted(self):
         rep = self._estimate("principal", N=np.int64(64), threads=np.int32(1))
         assert rep.samples == 64
+
+    @pytest.mark.parametrize("N", [100, 8, 1, 2 * kinematic.MC_CHUNK + 1])
+    def test_ball_pairs_need_a_multiple_of_the_replicates(self, N):
+        # a ball against a ball or a box splits N over 16 shifted lattices;
+        # a box against a simplex, or a ball against one, takes any N
+        with pytest.raises(ValueError, match="^a ball against a ball or a box needs a "
+                                             "multiple of 16 samples"):
+            self._estimate("principal", N=N)
+        with pytest.raises(ValueError, match="multiple of 16"):
+            mc_principal_kinematic(ROTATED_BOX, OFF_CENTRE_BALL, N=N)
+        assert mc_principal_kinematic(_BALL, MOTION_SIMPLEX, N=N).samples == N
+        assert mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N).samples == N
 
 
 class TestMCPoincare:
@@ -894,12 +917,12 @@ class TestQuaternionWeights:
 
 # (estimate, stderr, indeterminate) as float.hex at the benchmark's sample
 # counts for the ball pairs, pinned with numpy 2.4 on x86-64 from the
-# sampler that draws only points within reach of the ball
-PINNED_BALL_REACH = {
-    ("ball_ball", 91): ("0x1.3c5cc00000000p+2", "0x1.d9262dd49d989p-8", 0),
-    ("ball_ball", 92): ("0x1.3b34800000000p+2", "0x1.d8ab42c49afa7p-8", 0),
-    ("ball_box", 91): ("0x1.953660c49ba5fp+3", "0x1.e50d95288a29fp-8", 0),
-    ("ball_box", 92): ("0x1.946faf5c28f5dp+3", "0x1.e611108fa1aedp-8", 0),
+# rounded-rectangle sections over 16 shifted rank-1 lattices
+PINNED_BALL_SECTIONS = {
+    ("ball_ball", 91): ("0x1.3bd370e3c5e82p+2", "0x1.cf8a1bcc58d47p-16", 0),
+    ("ball_ball", 92): ("0x1.3bd448d0f3f6ap+2", "0x1.bb4680800aa2dp-16", 0),
+    ("ball_box", 91): ("0x1.949977258ec23p+3", "0x1.53638c5c6694bp-14", 0),
+    ("ball_box", 92): ("0x1.9499950d58058p+3", "0x1.502b117479d24p-14", 0),
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64:
 # box/box from its 16 linear and 18 quadratic forms (the estimates of the 70
@@ -913,7 +936,7 @@ PINNED_QUATERNION_WEIGHTS = {
     ("poincare", 91): ("0x1.18e41344567cap-1", "0x1.f20ec2df40810p-11", 0),
     ("poincare", 92): ("0x1.19baf3b113416p-1", "0x1.f341020bda749p-11", 0),
 }
-PINNED_ESTIMATES = {**PINNED_BALL_REACH, **PINNED_QUATERNION_WEIGHTS}
+PINNED_ESTIMATES = {**PINNED_BALL_SECTIONS, **PINNED_QUATERNION_WEIGHTS}
 _BALL = Ball(np.zeros(4), 0.5)
 # the pinned pairs of the motion_mc benchmark at its sample counts
 PINNED_PAIRS = {
@@ -957,15 +980,19 @@ class TestBallReach:
     """Pairs with a ball draw only points within reach of it."""
 
     def test_no_rotation_drawn(self, monkeypatch):
-        # one row of 4 uniform deviates per sample, and nothing else
+        # a ball against a ball or a box draws two uniforms per shift, the
+        # lattice's shift, and none per point; against a vertex hull, one
+        # row of 4 uniforms per point
         draws = []
         monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("random", draws))
-        pairs = [(_BALL, _BALL), (_BALL, ROTATED_BOX), (ROTATED_BOX, OFF_CENTRE_BALL),
-                 (OFF_CENTRE_BALL, MOTION_SIMPLEX), (mgon(5, PENTAGON_FRAME, radius=0.8), _BALL)]
-        for K, L in pairs:
-            rep = mc_principal_kinematic(K, L, N=kinematic.MC_CHUNK + 100, seed=3)
-            assert abs(rep.z_score) < 3
-        assert draws == [(kinematic.MC_CHUNK, 4), (100, 4)] * len(pairs)
+        N = kinematic.MC_CHUNK + 96
+        lattice = [(_BALL, _BALL), (_BALL, ROTATED_BOX), (ROTATED_BOX, OFF_CENTRE_BALL)]
+        hulls = [(OFF_CENTRE_BALL, MOTION_SIMPLEX), (mgon(5, PENTAGON_FRAME, radius=0.8), _BALL)]
+        for K, L in lattice + hulls:
+            rep = mc_principal_kinematic(K, L, N=N, seed=3)
+            assert abs(rep.z_score) < 3, mc_failure("ball reach", K, L, N, 3, 1, rep)
+        assert draws == [2] * kinematic.REPLICATES * len(lattice) + \
+            [(kinematic.MC_CHUNK, 4), (96, 4)] * len(hulls)
 
     def test_off_centre_pair_in_either_order(self):
         want = _steiner_box(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius)
@@ -981,23 +1008,133 @@ class TestBallReach:
         assert rep.estimate == pytest.approx(np.prod(2.0 * ROTATED_BOX.half_extents),
                                              rel=1e-14)
 
-    @pytest.mark.parametrize("size", [kinematic.MC_CHUNK, 1000, 3])
-    def test_columns_count_as_rows(self, size):
-        # the column-at-a-time count against scoring whole rows, for half
-        # extents with zero and nonzero entries and a zero radius
-        rng = np.random.default_rng(size)
-        for h, r in [(np.array([0.6, 0.5, 0.4, 0.55]), 0.5), (np.zeros(4), 1.0),
-                     (np.array([0.3, 0.0, 0.7, 0.0]), 0.35), (np.array([0.6, 0.0, 0.4, 0.55]), 0.0),
-                     (np.zeros(4), 0.0)]:
-            y = rng.random((size, 4))
-            want = _oracles.count_within_reach_rows(y, h, r)
-            assert kinematic._count_within_reach(y, h, r) == want, (h, r)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sections_of_a_point_are_exact(self, threads):
+        # a zero-radius ball's sections are the box's own face, h3 h4, at
+        # every lattice point: every shift gives vol(box) to rounding, with a
+        # standard error at rounding level; two points meet on a null set
+        point = Ball(np.array([0.2, 0.0, 0.1, 0.0]), 0.0)
+        volume = np.prod(2.0 * ROTATED_BOX.half_extents)
+        for N in (16, 4096 + 16 * 7, 16 * (kinematic.MC_CHUNK + 100)):
+            rep = mc_principal_kinematic(ROTATED_BOX, point, N=N, seed=5, threads=threads)
+            assert abs(rep.estimate - volume) <= 1e-14 * volume, rep
+            assert rep.stderr <= 1e-15 * volume, rep
+        rep = mc_principal_kinematic(point, point, N=4096, seed=6, threads=threads)
+        assert (rep.estimate, rep.stderr, rep.rhs, rep.z_score) == (0.0, 0.0, 0.0, 0.0)
 
     def test_ball_box_stderr(self):
         # criterion 10's ball/box run: the translation box around rotated
         # copies gave 1.9e-3
         rep = mc_principal_kinematic(_BALL, PINNED_PAIRS["ball_box"][1], N=10**6, seed=31)
         assert rep.stderr / rep.estimate < 1e-3
+
+
+def _largest_quotient(g, n):
+    """The largest partial quotient of the continued fraction of g/n, by
+    Euclid's algorithm one step at a time."""
+    largest = 0
+    while g:
+        q, rem = divmod(n, g)
+        largest = max(largest, q)
+        n, g = g, rem
+    return largest
+
+
+def _plain_generator(n):
+    """The first g, 1 <= g < n/2 and coprime to n (g = 1 when n <= 2), with
+    the smallest largest partial quotient, by scanning every g."""
+    coprime = [g for g in range(1, max(2, (n + 1) // 2)) if math.gcd(g, n) == 1]
+    return min(coprime, key=lambda g: (_largest_quotient(g, n), g))
+
+
+class TestLatticeGenerator:
+    """The rank-1 lattice generator of the ball pairs against a plain scan
+    of the continued fractions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 32, 448, 512, 2500])
+    def test_matches_a_plain_scan(self, monkeypatch, n):
+        # n = 1 and 2 have no g below n/2 and take g = 1
+        monkeypatch.setattr(kinematic, "_GENERATOR_CACHE", {})
+        assert kinematic._lattice_generator(n) == _plain_generator(n)
+
+    @pytest.mark.parametrize("n", [65536, 57344])
+    def test_benchmark_lattices_have_quotients_at_most_three(self, monkeypatch, n):
+        # the motion_mc benchmark's ball pairs: N = 2^20 and 917,504 over 16
+        # shifts
+        monkeypatch.setattr(kinematic, "_GENERATOR_CACHE", {})
+        g = kinematic._lattice_generator(n)
+        assert 1 <= g < n / 2 and math.gcd(g, n) == 1
+        assert _largest_quotient(g, n) <= 3
+
+    def test_cache_size_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(kinematic, "_GENERATOR_CACHE", {})
+        sizes = range(100, 100 + kinematic.GENERATOR_CACHE_SIZE + 10)
+        gens = [kinematic._lattice_generator(n) for n in sizes]
+        assert len(kinematic._GENERATOR_CACHE) <= kinematic.GENERATOR_CACHE_SIZE
+        assert kinematic._GENERATOR_CACHE[sizes[-1]] == gens[-1]
+        assert sizes[0] not in kinematic._GENERATOR_CACHE
+
+
+class TestBallSections:
+    """A ball against a ball or a box: rounded-rectangle sections over a
+    shifted rank-1 lattice."""
+
+    @pytest.mark.parametrize("h, r", [(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius),
+                                      (np.zeros(4), 0.7),
+                                      (np.array([0.6, 0.5, 0.4, 0.55]), 0.5)])
+    def test_sections_integrate_to_the_steiner_volume(self, h, r):
+        # Fubini: the section areas averaged over a fine midpoint grid in
+        # (y1, y2) give vol(box + r B^4)
+        m = 4096
+        a1, a2 = h[0] + r, h[1] + r
+        s2 = np.maximum((np.arange(m) + 0.5) * (a2 / m) - h[1], 0.0) ** 2
+        total = 0.0
+        for i in range(m):
+            s1 = max((i + 0.5) * (a1 / m) - h[0], 0.0) ** 2
+            total += kinematic._section_areas(s1 + s2, h, r)
+        want = _steiner_box(h, r)
+        assert 16.0 * a1 * a2 * total / m ** 2 == pytest.approx(want, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("h, r, n", [(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius, 1000),
+                                         (np.zeros(4), 1.0, 768), (np.zeros(4), 1.0, 7)])
+    def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, h, r, n):
+        # blocks of 256 points, the last one partial, against the rule
+        # written plainly: the points frac(k (1, g)/n + d), the section
+        # area of each
+        monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
+        replicate = kinematic._section_replicates(h, r, n, seed=77)
+        g = kinematic._lattice_generator(n)
+        k = np.arange(n)
+        for idx in range(3):
+            d1, d2 = np.random.default_rng([77, idx]).random(2)
+            y1 = (k / n + d1) % 1.0 * (h[0] + r)
+            y2 = (k * g % n / n + d2) % 1.0 * (h[1] + r)
+            s = np.maximum(y1 - h[0], 0.0) ** 2 + np.maximum(y2 - h[1], 0.0) ** 2
+            rho = np.sqrt(np.maximum(r * r - s, 0.0))
+            area = np.where(s <= r * r, h[2] * h[3] + rho * (h[2] + h[3]) + math.pi * rho ** 2 / 4,
+                            0.0)
+            want = 16.0 * (h[0] + r) * (h[1] + r) * area.mean()
+            assert replicate(idx) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_stderr_has_fifteen_degrees_of_freedom(self, monkeypatch):
+        # the reported error is that of the 16 replicate means
+        half = Ball(np.zeros(4), 0.5)
+        seen = []
+        real = kinematic._section_replicates
+
+        def recording(*args):
+            replicate = real(*args)
+
+            def record(idx):
+                seen.append(replicate(idx))
+                return seen[-1]
+            return record
+
+        monkeypatch.setattr(kinematic, "_section_replicates", recording)
+        rep = mc_principal_kinematic(half, ROTATED_BOX, N=16 * 1000, seed=8)
+        assert len(seen) == kinematic.REPLICATES
+        assert rep.estimate == pytest.approx(np.mean(seen), rel=1e-15)
+        assert rep.stderr == pytest.approx(np.std(seen, ddof=1) / 4.0, rel=1e-12)
 
 
 # a box against each kind of vertex hull: the motion_mc benchmark's
@@ -1201,7 +1338,7 @@ class TestHullReach:
     @pytest.mark.parametrize("name", ["simplex5", "simplex3", "pentagon", "square"])
     def test_hits_match_the_distance_oracle(self, name):
         P, r = HULLS[name], 0.35
-        vol, count = kinematic._ball_reach(Ball(np.zeros(4), r), P)
+        vol, count = kinematic._hull_reach(P, r)
         u = np.random.default_rng(180).random((20000, 4))
         verts = P._hull()
         lo, hi = verts.min(axis=0) - r, verts.max(axis=0) + r
@@ -1236,7 +1373,7 @@ class TestOracleEstimates:
     def test_estimates_unchanged_by_the_oracles(self, monkeypatch):
         # two chunks per estimate; every sample must get the same weight with
         # numpy's row norms and maxima as with the column sums and maxima
-        N = kinematic.MC_CHUNK + 7000
+        N = kinematic.MC_CHUNK + 7008
         half = Ball(np.zeros(4), 0.5)
         box = BOX_PAIRS[0][0]
         square = mgon(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
