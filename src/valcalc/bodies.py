@@ -24,11 +24,11 @@ over the derivation's chain, evaluated in one such pass (``evaluate_tube``),
 and so is the Steiner volume.  A form's monomials
 are read from its split vectors in one fixed order (``_closed_form_terms``).
 
-Each body class carries its own support function (``support``, batched over
-(B, n) directions), volume, rigid motion ``moved(R, t)`` for x -> R x + t,
-and, except the ball, its pieces; a simplex and a polygon also list their
-faces with spanning vectors and measures (``faces``), from which the Monte
-Carlo builds its exact weights and distance tests.
+Each body class carries its own volume, rigid motion ``moved(R, t)`` for
+x -> R x + t, and, except the ball, its pieces; a simplex and a polygon also
+list their vertices (``_hull``) and their faces with spanning vectors and
+measures (``faces``), from which the Monte Carlo builds its exact weights
+and distance tests.
 """
 
 import math
@@ -172,15 +172,6 @@ class Ball:
     def dim(self):
         return len(self.center)
 
-    def support(self, xi):
-        """Support function sup_{x in K} <xi, x>.
-
-        A single direction gives a float, a (B, n) batch of directions an array.
-        """
-        xi = np.asarray(xi, dtype=float)
-        h = xi @ self.center + self.radius * _row_norms(xi)
-        return float(h) if xi.ndim == 1 else h
-
     def volume(self) -> float:
         """Lebesgue volume (zero for the lower-dimensional bodies)."""
         return float(ball_volume(self.dim)) * self.radius ** self.dim
@@ -216,11 +207,6 @@ class Box:
     def dim(self):
         return len(self.center)
 
-    def support(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        h = xi @ self.center + np.abs(xi @ self.rotation) @ self.half_extents
-        return float(h) if xi.ndim == 1 else h
-
     def volume(self) -> float:
         return float(np.prod(2.0 * self.half_extents))
 
@@ -242,17 +228,8 @@ class Box:
         return _pieces(groups)
 
 
-class _VertexHull:
-    """The support function of a body that is the convex hull of ``_hull()``'s rows."""
-
-    def support(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        h = _row_max(xi @ self._hull().T)
-        return float(h) if xi.ndim == 1 else h
-
-
 @dataclass(frozen=True, eq=False)
-class Simplex(_VertexHull):
+class Simplex:
     vertices: np.ndarray
 
     def __init__(self, vertices):
@@ -317,7 +294,7 @@ class Simplex(_VertexHull):
 
 
 @dataclass(frozen=True, eq=False)
-class PlanarPolygon(_VertexHull):
+class PlanarPolygon:
     frame: np.ndarray
     vertices2d: np.ndarray
     base: np.ndarray

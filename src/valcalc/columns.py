@@ -20,7 +20,7 @@ coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane width B
 comes from a proved bound on a column's entries, the product of the column
 l1 norms of the operator's steps (the *_norm helpers), so no lane carries
 into the next.  pair_top contracts two vectors against the closed-form
-integrals of sphere monomials.
+integrals of sphere monomials, the one path of the pairing at every degree.
 
 An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
@@ -32,12 +32,14 @@ once computed (``_form_key``): the key of the Rumin LRU and bodies' caches.
 
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
-up) runs the dict operator itself, and a pairing whose degrees sum past
-MAX_CONTRACT_DEGREE wedges and takes the top coefficient of the fiber
-integral.  The caches keep every column they build for the life of the
-process: their size is bounded by the number of monomials of the degrees in
-use, not by a count of forms.  This module is imported on the first exact
-operation or numeric evaluation, so code that runs none does not load it.
+up) runs the dict operator itself.  The contraction packs each product's
+exponents into one code, in fields as wide as the two degrees' sum needs:
+an int64 while the n fields fit in 63 bits (in R^4, degree sums up to
+2^15 - 2), a Python int past that.  The caches keep every column they
+build for the life of the process: their size is bounded by the number of
+monomials of the degrees in use, not by a count of forms.  This module is
+imported on the first exact operation or numeric evaluation, so code that
+runs none does not load it.
 """
 
 import math
@@ -58,7 +60,6 @@ from .exterior import (
     hodge_star,
     lie_reeb,
     sphere_monomial_integral,
-    top_fiber_integral,
 )
 from .scalars import Rat, Scalar
 
@@ -74,13 +75,14 @@ PACKED_BITS = 8192
 class _Block:
     """The monomials (I, J, e) of one bidegree in dimension n, numbered as first seen."""
 
-    __slots__ = ("n", "a", "b", "index", "keys", "_codes")
+    __slots__ = ("n", "a", "b", "index", "keys", "_codes", "_packed")
 
     def __init__(self, n, a, b):
         self.n, self.a, self.b = n, a, b
         self.index = {}
         self.keys = []
-        self._codes = (np.zeros(0, np.int64),) * 3
+        self._codes = (np.zeros(0, np.int64), np.zeros((0, n), np.int64), np.zeros(0, np.int64))
+        self._packed = {}
 
     def id(self, key) -> int:
         i = self.index.get(key)
@@ -90,16 +92,26 @@ class _Block:
         return i
 
     def codes(self):
-        """Per id: key code Imask | Jmask << n, exponent code sum e_i << 8i, degree."""
+        """Per id: key code Imask | Jmask << n, exponents as a row, degree."""
         have = len(self._codes[0])
         if have < len(self.keys):
             n = self.n
-            new = [(sum(1 << i for i in I) | sum(1 << (n + j) for j in J),
-                    sum(x << (8 * i) for i, x in enumerate(e)), sum(e))
-                   for I, J, e in self.keys[have:]]
-            self._codes = tuple(np.concatenate([old, np.array(col, np.int64)])
-                                for old, col in zip(self._codes, zip(*new)))
+            new = self.keys[have:]
+            keys = np.array([sum(1 << i for i in I) | sum(1 << (n + j) for j in J)
+                             for I, J, _ in new], np.int64)
+            exps = np.array([e for _, _, e in new], np.int64).reshape(-1, n)
+            self._codes = tuple(np.concatenate([old, col]) for old, col in
+                                zip(self._codes, (keys, exps, exps.sum(axis=1))))
         return self._codes
+
+    def packed(self, width):
+        """Per id: the exponents packed width bits each (``_place``)."""
+        exps = self.codes()[1]
+        out = self._packed.get(width)
+        if out is None or len(out) < len(exps):
+            place = _place(self.n, width)
+            out = self._packed[width] = exps.astype(place.dtype) @ place
+        return out
 
 
 _BLOCKS = {}
@@ -569,65 +581,71 @@ def _antipode_vectors(n, parts, sign):
     return out if flips else parts
 
 
-# the contraction packs exponents 8 bits each, and a product's exponent is at
-# most the sum of the factors' degrees plus one; past it, forms are wedged
-MAX_CONTRACT_DEGREE = 254
-
-
 @lru_cache(maxsize=None)
 def _partners(n):
     """For each key code Imask | Jmask << n of a monomial of degree n - 1, the
     key codes of the monomials its wedge reaches dx_1..n ^ dv_(all but t)
     with, as arrays of shape (4^n, n): partner key, sign of wedge and fiber
-    orientation, 2^(8 t).  A sign of 0 pads the rows."""
-    key, sign, shift = (np.zeros((1 << (2 * n), n), np.int64) for _ in range(3))
+    orientation, t.  A sign of 0 pads the rows."""
+    key, sign, slot = (np.zeros((1 << (2 * n), n), np.int64) for _ in range(3))
     for a in range(n):
         for I1, J1 in product(combinations(range(n), a), combinations(range(n), n - 1 - a)):
             code = sum(1 << i for i in I1) | sum(1 << (n + j) for j in J1)
             I2 = _complement(I1, n)
-            for slot, t in enumerate(_complement(J1, n)):
+            for col, t in enumerate(_complement(J1, n)):
                 J2 = tuple(j for j in _complement(J1, n) if j != t)
                 s = _merge_sign(I1, I2) * _merge_sign(J1, J2) * (-1) ** (len(I2) * len(J1))
-                key[code, slot] = sum(1 << i for i in I2) | sum(1 << (n + j) for j in J2)
-                sign[code, slot] = s * _prepend_sign(tuple(sorted(J1 + J2)), t)
-                shift[code, slot] = 1 << (8 * t)
-    return key, sign, shift
+                key[code, col] = sum(1 << i for i in I2) | sum(1 << (n + j) for j in J2)
+                sign[code, col] = s * _prepend_sign(tuple(sorted(J1 + J2)), t)
+                slot[code, col] = t
+    return key, sign, slot
 
 
 @lru_cache(maxsize=None)
-def _sphere_rational(n, code):
-    """The integral of v^e over S^(n-1), e packed 8 bits per exponent, as
+def _place(n, width):
+    """2^(width t) for t < n: an int64 array while the n fields fit in 63
+    bits, Python ints past that."""
+    return np.array([1 << (width * t) for t in range(n)],
+                    np.int64 if n * width < 64 else object)
+
+
+@lru_cache(maxsize=None)
+def _sphere_rational(n, width, code):
+    """The integral of v^e over S^(n-1), e packed width bits per exponent, as
     (rational, pi power)."""
-    (power, r), = sphere_monomial_integral(tuple(code >> (8 * i) & 255
+    mask = (1 << width) - 1
+    (power, r), = sphere_monomial_integral(tuple(code >> (width * i) & mask
                                                  for i in range(n))).terms.items()
     return r, power
 
 
-def _degree(n, parts) -> int:
-    """Largest polynomial degree of the monomials of a split form."""
-    return max((int(_BLOCKS[(n,) + ab].codes()[2][ids].max())
-                for _, blocks in parts.values() for ab, (ids, _) in blocks.items()), default=0)
-
-
 def _top_contract(n, ab, x_vec, y_vec):
     """Top coefficient of pi_*(x ^ y) for integer vectors x on block ab and y
-    on the complementary block, as {pi power: rational}.  Needs the degrees of
-    x and y to sum to at most MAX_CONTRACT_DEGREE."""
-    codes_x = _block(n, *ab).codes()
-    codes_y = _block(n, n - ab[0], n - 1 - ab[1]).codes()
+    on the complementary block, as {pi power: rational}.
+
+    The exponents of a product v^(e_x + e_y) v_t, at most the two degrees'
+    sum plus one, are packed into one code each, in the fewest bits that hold
+    that bound: an int64 while the n fields fit in 63 bits, a Python int past
+    it, as ``_widen`` does for values."""
+    blk_x, blk_y = _block(n, *ab), _block(n, n - ab[0], n - 1 - ab[1])
+    codes_x, codes_y = blk_x.codes(), blk_y.codes()
     (ix, x), (iy, y) = x_vec, y_vec
-    kx, ex = codes_x[0][ix], codes_x[1][ix]
+    width = (int(codes_x[2][ix].max()) + int(codes_y[2][iy].max()) + 1).bit_length()
+    place = _place(n, width)
     order = np.argsort(codes_y[0][iy], kind="stable")
-    ky, ey, y = codes_y[0][iy][order], codes_y[1][iy][order], y[order]
-    pkey, psign, pshift = (t[kx].ravel() for t in _partners(n))
+    ky, ey, y = codes_y[0][iy][order], blk_y.packed(width)[iy][order], y[order]
+    kx = codes_x[0][ix]
+    pkey, psign = (t[kx].ravel() for t in _partners(n)[:2])
+    # the code of x_i's exponents times its partner's v_t, per (i, slot)
+    ex = (blk_x.packed(width)[ix][:, None] + place[_partners(n)[2][kx]]).ravel()
     lo = np.searchsorted(ky, pkey)
     count = np.where(psign != 0, np.searchsorted(ky, pkey, side="right") - lo, 0)
     total = int(count.sum())
     pair = np.repeat(np.arange(len(count)), count)
     j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
     i = pair // n
-    code = ex[i] + ey[j] + pshift[pair]
-    even = (code & sum(1 << (8 * t) for t in range(n))) == 0
+    code = ex[pair] + ey[j]
+    even = (code & place.sum()) == 0
     if not even.any():
         return {}
     # |x_i y_j| summed over all pairs bounds every total below
@@ -639,7 +657,7 @@ def _top_contract(n, ab, x_vec, y_vec):
     out = {}
     for c, t in zip(code[first].tolist(), np.add.reduceat(val, first).tolist()):
         if t:
-            r, power = _sphere_rational(n, c)
+            r, power = _sphere_rational(n, width, c)
             out[power] = out.get(power, 0) + t * r
     return out
 
@@ -647,11 +665,8 @@ def _top_contract(n, ab, x_vec, y_vec):
 def pair_top(n, omega, parts) -> Scalar:
     """Top coefficient of pi_*(omega ^ y) for a form omega of degree n - 1 and
     a split form y of degree n, contracted on their vectors."""
-    parts1 = _split_vectors(omega)
-    if _degree(n, parts1) + _degree(n, parts) > MAX_CONTRACT_DEGREE:
-        return top_fiber_integral(omega.wedge(_join_vectors(n, parts)))
     first = {}
-    for k1, (d1, blocks1) in parts1.items():
+    for k1, (d1, blocks1) in _split_vectors(omega).items():
         for k2, (d2, blocks2) in parts.items():
             for (a, b), x in blocks1.items():
                 y = blocks2.get((n - a, n - 1 - b))

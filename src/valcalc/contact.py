@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 
 from .exterior import (
     InvariantForm,
-    VectorField,
     alpha_form,
     contract,
     contract_slot,
@@ -32,20 +31,6 @@ from .exterior import (
 
 # corrections kept for reuse; one pairing with its operators needs about five
 RUMIN_CACHE_SIZE = 64
-
-
-@dataclass(frozen=True)
-class ContactData:
-    """The contact form alpha, its Reeb field, and the ambient dimension."""
-
-    n: int
-    alpha: InvariantForm
-    reeb: VectorField
-
-
-@lru_cache(maxsize=None)
-def contact_data(n: int) -> ContactData:
-    return ContactData(n=n, alpha=alpha_form(n), reeb=reeb_field(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +71,7 @@ def _pihat(n: int) -> InvariantForm:
 
 def horizontal_part(a: InvariantForm) -> InvariantForm:
     """Remove the Reeb component: a - alpha ^ i_T(a)."""
-    data = contact_data(a.n)
-    return a - data.alpha.wedge(contract(data.reeb, a))
+    return a - alpha_form(a.n).wedge(contract(reeb_field(a.n), a))
 
 
 def dual_lefschetz(a: InvariantForm) -> InvariantForm:
@@ -124,7 +108,7 @@ def _lefschetz_pass(f: InvariantForm):
     when every lane is.
     """
     xi, s = _xi_lefschetz(f)
-    D = d(f * s + contact_data(f.n).alpha.wedge(xi))
+    D = d(f * s + alpha_form(f.n).wedge(xi))
     if not horizontal_part(D).is_zero():
         raise ArithmeticError("correction failed to make the derivative vertical")
     return (xi, D), s

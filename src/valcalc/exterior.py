@@ -21,9 +21,12 @@ columns, a batch at a time, with every monomial in a lane of a Python int
 whose width comes from a proved bound on the column's entries, and they
 stay the reference the tests hold the columns to.
 
-Fiber integration pi_* enters only through its dx_1^...^dx_n coefficient
-(``top_fiber_integral``), which the pairing takes for forms too large to
-contract on their vectors.
+Fiber integration pi_* enters through closed-form sphere integrals alone:
+``sphere_monomial_integral`` for the pairing, which contracts two forms'
+vectors (``columns.pair_top``), and ``fiber_monomial_integral`` for a
+valuation's value on a ball.  The one exterior product is
+``InvariantForm.wedge``; the tangential projection of dv_J is a product of
+projected one-forms taken with it.
 """
 
 from __future__ import annotations
@@ -43,15 +46,6 @@ def _merge_sign(a, b) -> int:
         for y in b:
             if x > y:
                 s = -s
-    return s
-
-
-def _insert_sign(t, i) -> int:
-    """Sign of appending index i to ascending tuple t and re-sorting."""
-    s = 1
-    for x in t:
-        if x > i:
-            s = -s
     return s
 
 
@@ -239,31 +233,6 @@ def _accumulate(d, key, val):
         del d[key]
 
 
-def _wedge_step(acc, combo):
-    """Wedge every monomial in acc with a sum of coefficient-weighted 1-forms.
-
-    combo: list of (coefficient, kind, index) with kind 0 for dx, 1 for dv.
-    """
-    nxt = {}
-    for (I, J), p in acc.items():
-        for coeff, kind, idx in combo:
-            if kind == 0:
-                if idx in I:
-                    continue
-                sgn = _insert_sign(I, idx) * (-1 if len(J) % 2 else 1)
-                key = (_insert(I, idx), J)
-            else:
-                if idx in J:
-                    continue
-                sgn = _insert_sign(J, idx)
-                key = (I, _insert(J, idx))
-            q = p * coeff
-            if sgn < 0:
-                q = -q
-            _accumulate(nxt, key, q)
-    return nxt
-
-
 @lru_cache(maxsize=None)
 def _dv_projection(n, J):
     """Tangential projection of dv_J as ((J', q), ...), meaning sum_J' q dv_J'.
@@ -272,16 +241,16 @@ def _dv_projection(n, J):
     expanded; the coefficients q are integer polynomials.  One entry per
     (n, J), so at most 2^n per dimension.
     """
-    acc = {((), ()): SpherePoly.constant(n, 1)}
+    acc = InvariantForm(n, {((), ()): SpherePoly.constant(n, 1)}, projected=True)
     for j in J:
-        combo = [(1, 1, j)]
+        terms = {((), (j,)): SpherePoly.constant(n, 1)}
         for t in range(n):
             ejt = [0] * n
             ejt[j] += 1
             ejt[t] += 1
-            combo.append((SpherePoly(n, {tuple(ejt): -1}), 1, t))
-        acc = _wedge_step(acc, combo)
-    return tuple((Jp, q) for (_, Jp), q in acc.items())
+            _accumulate(terms, ((), (t,)), SpherePoly(n, {tuple(ejt): -1}))
+        acc = acc.wedge(InvariantForm(n, terms, projected=True))
+    return tuple((Jp, q) for (_, Jp), q in acc.terms.items())
 
 
 def _project_terms(n, terms):
@@ -465,11 +434,13 @@ class VectorField:
         return s.is_zero()
 
 
+@lru_cache(maxsize=None)
 def reeb_field(n) -> VectorField:
     return VectorField(n, [SpherePoly.variable(n, i) for i in range(n)],
                        [SpherePoly(n) for _ in range(n)])
 
 
+@lru_cache(maxsize=None)
 def alpha_form(n) -> InvariantForm:
     t = {((i,), ()): SpherePoly.variable(n, i) for i in range(n)}
     return InvariantForm(n, t, projected=True)
@@ -562,14 +533,6 @@ def sphere_monomial_integral(e) -> Scalar:
     return Scalar({half // 2: num / cden})
 
 
-def _coeff_to_scalar(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    if isinstance(c, _RAT_TYPES):
-        return Scalar({0: c})
-    raise TypeError(f"exact operation on non-exact coefficient {c!r}")
-
-
 def fiber_monomial_integral(J, e) -> Scalar:
     """Exact integral of v^e dv_J over S^(n-1), n = len(e), |J| = n - 1: on
     the sphere dv_J is v_t times its volume form, t the index J omits, signed
@@ -577,21 +540,6 @@ def fiber_monomial_integral(J, e) -> Scalar:
     (t,) = _complement(J, len(e))
     w = sphere_monomial_integral(e[:t] + (e[t] + 1,) + e[t + 1:])
     return -w if _prepend_sign(J, t) < 0 else w
-
-
-def top_fiber_integral(a: InvariantForm) -> Scalar:
-    """Coefficient of dx_1^...^dx_n in the fiber integral pi_*(a).
-
-    Only the terms dx_1^...^dx_n ^ dv_J with |J| = n-1 contribute.
-    """
-    n = a.n
-    top = tuple(range(n))
-    total = ZERO
-    for (I, J), p in a.terms.items():
-        if I == top and len(J) == n - 1:
-            for e, c in p.terms.items():
-                total = total + _coeff_to_scalar(c) * fiber_monomial_integral(J, e)
-    return total
 
 
 def hodge_star(a: InvariantForm) -> InvariantForm:

@@ -49,17 +49,16 @@ from .bodies import (
     evaluate_many,
 )
 from .linalg import invert_scalar_matrix
-from .scalars import Scalar, ZERO
-from .su2 import icosahedron_directions, su2_basis, tasaki_density
+from .scalars import Rat, Scalar, ZERO
+from .su2 import su2_basis
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
 # random shifts of the ball pairs' lattice: the standard error comes from
 # their means, with REPLICATES - 1 degrees of freedom
 REPLICATES = 16
-# lattice generators by point count n, oldest evicted first
+# lattice generators kept, by point count n, least recently used evicted first
 GENERATOR_CACHE_SIZE = 64
-_GENERATOR_CACHE = {}
 # samples per block of the translation volumes: box/box's 16 linear and 18
 # quadratic forms in q come to about fifty floats per sample, a 4-simplex's
 # shadows to a few hundred and the facet sum of two 4-simplices to a few
@@ -108,43 +107,42 @@ def gram_matrix(kind: str = "icosahedron"):
     """Labels and the exact 10x10 pairing Gram matrix of the basis."""
     basis = su2_basis(kind)
     labels = [label for label, _ in basis]
-    # the icosahedron's direction pairs carry algebraic (u.v)^2, so its Z_u
-    # have float coefficients and its projection-valuation block takes the
-    # closed-form density; every other entry pairs the basis reps
-    dirs = icosahedron_directions() if kind == "icosahedron" else None
+    # the icosahedron's Z_u have float coefficients, as its directions are
+    # irrational; any two of them meet at (u.v)^2 = 1/5, so its Z_u block
+    # takes the closed-form density (1 + (u.v)^2) / 4. Every other entry
+    # pairs the basis reps
     n = len(basis)
     G = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if BASIS_DEGREES[i] + BASIS_DEGREES[j] != 4:
                 continue
-            if dirs and 2 <= i < 8 and 2 <= j < 8:
-                val = tasaki_density(dirs[i - 2], dirs[j - 2])
+            if kind == "icosahedron" and 2 <= i < 8 and 2 <= j < 8:
+                val = (1 + Scalar({0: 1 if i == j else Rat(1, 5)})) * Rat(1, 4)
             else:
                 val = pairing(basis[i][1], basis[j][1])
             G[i][j] = G[j][i] = val
     return labels, G
 
 
-_TENSOR_CACHE = {}
-
-
 def kinematic_tensor(basis="icosahedron") -> KinematicTensor:
     """Exact inverse of the pairing Gram matrix, by Gauss-Jordan elimination
     with monomial pivots in Q[pi, 1/pi]; raises ValueError on a Gram matrix
-    that needs any other pivot."""
+    that needs any other pivot.  A named basis's tensor is built once."""
     if isinstance(basis, str):
-        if basis not in _TENSOR_CACHE:
-            labels, G = gram_matrix(basis)
-            inv = invert_scalar_matrix(G)
-            _TENSOR_CACHE[basis] = KinematicTensor(
-                tuple(labels), tuple(tuple(row) for row in inv))
-        return _TENSOR_CACHE[basis]
+        return _named_tensor(basis)
     labels = [label for label, _ in basis]
     reps = [rep for _, rep in basis]
     if not all(rep.is_exact() for rep in reps):
         raise ValueError("kinematic tensor requires exact representatives")
     G = [[pairing(a, b) for b in reps] for a in reps]
+    inv = invert_scalar_matrix(G)
+    return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
+
+
+@lru_cache(maxsize=None)
+def _named_tensor(basis: str) -> KinematicTensor:
+    labels, G = gram_matrix(basis)
     inv = invert_scalar_matrix(G)
     return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
 
@@ -240,6 +238,7 @@ def check_samples(K, L, N):
                          f"got {N}")
 
 
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _lattice_generator(n):
     """The generator g of the n-point rank-1 lattice {(k/n, frac(k g/n))}:
     the first g, 1 <= g < n/2 and coprime to n (g = 1 when n <= 2), whose
@@ -253,8 +252,6 @@ def _lattice_generator(n):
     quotient exceeds m; the least survivor of the first level that has one
     is g, as every g below it failed a lower level or this one. Cached per
     n, at most GENERATOR_CACHE_SIZE of them."""
-    if n in _GENERATOR_CACHE:
-        return _GENERATOR_CACHE[n]
     stop = max(2, (n + 1) // 2)
     m, g = 2, None
     while g is None:
@@ -274,9 +271,6 @@ def _lattice_generator(n):
             if g is not None:
                 break
         m += 1
-    if len(_GENERATOR_CACHE) >= GENERATOR_CACHE_SIZE:
-        del _GENERATOR_CACHE[next(iter(_GENERATOR_CACHE))]
-    _GENERATOR_CACHE[n] = g
     return g
 
 

@@ -18,7 +18,7 @@ Numeric evaluation reads the vectors; Z_u's terms are built from them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +30,7 @@ from .exterior import (
     d,
 )
 from .scalars import Rat, Scalar
-from .tolerances import DIRECTION_MATCH_TOL, ORTHONORMAL_TOL, ZERO_NORM_TOL
+from .tolerances import ZERO_NORM_TOL
 from .valuation import ValuationRep, intrinsic_volume_rep, pairing
 
 I_MATRICES = {
@@ -66,10 +66,9 @@ class ImDirection:
 
     coords: tuple
     exact: bool
-    family: str = field(default="", compare=False)
 
     @classmethod
-    def of(cls, a, b, c, family=""):
+    def of(cls, a, b, c):
         vals = (a, b, c)
         if not any(isinstance(x, float) for x in vals):
             vals = tuple(Rat(x) for x in vals)
@@ -84,7 +83,7 @@ class ImDirection:
                     if x < 0:
                         ints = [-y for y in ints]
                     break
-            return cls(tuple(ints), True, family)
+            return cls(tuple(ints), True)
         vals = tuple(float(x) for x in vals)
         if not all(map(math.isfinite, vals)):
             raise ValueError("direction components must be finite")
@@ -102,7 +101,7 @@ class ImDirection:
                 if x < 0:
                     vals = tuple(-y for y in vals)
                 break
-        return cls(vals, False, family)
+        return cls(vals, False)
 
     @property
     def norm_sq(self):
@@ -120,10 +119,6 @@ class ImDirection:
         if self.exact and other.exact:
             dot = sum(x * y for x, y in zip(self.coords, other.coords))
             return Rat(dot * dot, self.norm_sq * other.norm_sq)
-        if self.family == "icosahedron" and other.family == "icosahedron":
-            if all(abs(x - y) < DIRECTION_MATCH_TOL for x, y in zip(self.unit(), other.unit())):
-                return Rat(1)
-            return Rat(1, 5)
         dot = sum(x * y for x, y in zip(self.unit(), other.unit()))
         return dot * dot
 
@@ -251,28 +246,16 @@ def tasaki_density(u: ImDirection, v: ImDirection):
     return (1 + Scalar({0: ds})) * Rat(1, 4)
 
 
-def icosahedron_directions(rotation=None):
-    """Six projective vertex classes of the regular icosahedron.
-
-    rotation: optional 3x3 orthogonal matrix applied to the standard
-    golden-ratio vertices; pairwise angles are unaffected.
-    """
+def icosahedron_directions():
+    """Six projective vertex classes of the regular icosahedron, from the
+    golden-ratio vertices; ``kinematic.gram_matrix`` holds their exact angle."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     seeds = [
         (0.0, 1.0, phi), (0.0, 1.0, -phi),
         (1.0, phi, 0.0), (1.0, -phi, 0.0),
         (phi, 0.0, 1.0), (phi, 0.0, -1.0),
     ]
-    if rotation is not None:
-        rot = [[float(rotation[r][s]) for s in range(3)] for r in range(3)]
-        for r in range(3):
-            for s in range(3):
-                dot = sum(rot[t][r] * rot[t][s] for t in range(3))
-                if abs(dot - (1.0 if r == s else 0.0)) > ORTHONORMAL_TOL:
-                    raise ValueError("rotation matrix is not orthogonal")
-        seeds = [tuple(sum(rot[r][s] * x[s] for s in range(3)) for r in range(3))
-                 for x in seeds]
-    return [ImDirection.of(*s, family="icosahedron") for s in seeds]
+    return [ImDirection.of(*s) for s in seeds]
 
 
 def alesker_directions():
@@ -281,17 +264,13 @@ def alesker_directions():
     return [ImDirection.of(*s) for s in seeds]
 
 
-_BASES = {}
-
-
 def su2_basis(kind: str = "icosahedron"):
     """Ten labeled valuations spanning the unitarily invariant space, as a
     tuple of (label, rep) pairs built once per kind."""
-    if kind not in _BASES:
-        _BASES[kind] = _build_basis(kind)
-    return _BASES[kind]
+    return _build_basis(kind)
 
 
+@lru_cache(maxsize=None)
 def _build_basis(kind):
     if kind == "icosahedron":
         dirs = icosahedron_directions()

@@ -16,8 +16,8 @@ would only move samples within it of the boundary, a set of measure zero.
 # pair, to within this
 CELL_TOL = 1e-12
 
-# rows given as orthonormal (box rotations, polygon and Klain frames, the
-# icosahedron's rotation) may deviate from it by this much
+# rows given as orthonormal (box rotations, polygon and Klain frames) may
+# deviate from it by this much
 ORTHONORMAL_TOL = 1e-9
 
 # singular values and ranks of edge sets (simplex vertices, complements)
@@ -31,6 +31,3 @@ DEGENERATE_PIECE_TOL = 1e-12
 
 # vectors shorter than this count as zero (imaginary directions)
 ZERO_NORM_TOL = 1e-12
-
-# two float icosahedron directions are the same within this per coordinate
-DIRECTION_MATCH_TOL = 1e-9

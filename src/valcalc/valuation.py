@@ -168,8 +168,8 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
 def pairing(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     """Exact Poincare-type pairing; zero unless degrees are complementary.
 
-    Forms whose polynomial degrees sum past ``columns.MAX_CONTRACT_DEGREE``
-    are wedged and fiber-integrated instead of contracted.
+    The forms' vectors are contracted at any polynomial degree
+    (``columns.pair_top``).
     """
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")

@@ -17,12 +17,10 @@ from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
-    _coeff_to_scalar,
     _complement,
     _merge_sign,
     _accumulate,
     _pi_terms,
-    _wedge_step,
     alpha_form,
     contract,
     d,
@@ -615,11 +613,9 @@ def box_box_generators(K, L, Rs):
 
 def translation_box(K, L, R):
     """Axis bounds (lo, hi) of {x - R y : x in K, y in L}, outside which K
-    and R L + t cannot meet, from the support functions."""
-    eye = np.eye(4)
-    hi = np.array([K.support(e) + L.support(-R.T @ e) for e in eye])
-    lo = np.array([-K.support(-e) - L.support(R.T @ e) for e in eye])
-    return lo, hi
+    and R L + t cannot meet, from the vertex differences."""
+    diffs = polytope_vertices(K)[:, None] - (polytope_vertices(L) @ R.T)[None]
+    return diffs.min(axis=(0, 1)), diffs.max(axis=(0, 1))
 
 
 def polytope_vertices(K):
@@ -899,11 +895,17 @@ def pullback_antipode(a: InvariantForm) -> InvariantForm:
     return InvariantForm(a.n, out, projected=True)
 
 
+def exact_scalar(c) -> Scalar:
+    """An exact coefficient, a Scalar or a rational of either backend, as a
+    Scalar; a float raises TypeError."""
+    return Scalar(dict(_pi_terms(c)))
+
+
 def integrate_spherical(n, J, p) -> Scalar:
     """The integral of p dv_J over S^(n-1), |J| = n - 1, exactly."""
     total = ZERO
     for e, c in p.terms.items():
-        total = total + _coeff_to_scalar(c) * fiber_monomial_integral(J, e)
+        total = total + exact_scalar(c) * fiber_monomial_integral(J, e)
     return total
 
 
@@ -956,16 +958,26 @@ def _substitute(a, dx_images, dv_images, coefficient=lambda p: p) -> InvariantFo
     """The form with each dx_i and dv_j replaced by its image, a list of
     (coefficient, 0 for dx or 1 for dv, index), and each coefficient
     polynomial by coefficient(p)."""
+    n = a.n
+
+    def one_form(image):
+        terms = {}
+        for c, kind, k in image:
+            _accumulate(terms, ((k,), ()) if kind == 0 else ((), (k,)),
+                        c if isinstance(c, SpherePoly) else SpherePoly.constant(n, c))
+        return InvariantForm(n, terms, projected=True)
+
+    dx_forms, dv_forms = [one_form(im) for im in dx_images], [one_form(im) for im in dv_images]
     out = {}
     for (I, J), p in a.terms.items():
-        acc = {((), ()): coefficient(p)}
+        acc = InvariantForm(n, {((), ()): coefficient(p)}, projected=True)
         for i in I:
-            acc = _wedge_step(acc, dx_images[i])
+            acc = acc.wedge(dx_forms[i])
         for j in J:
-            acc = _wedge_step(acc, dv_images[j])
-        for key, q in acc.items():
+            acc = acc.wedge(dv_forms[j])
+        for key, q in acc.terms.items():
             _accumulate(out, key, q)
-    return InvariantForm(a.n, out)
+    return InvariantForm(n, out)
 
 
 def pullback_ball_shift(a: InvariantForm, t) -> InvariantForm:
@@ -1000,7 +1012,7 @@ def unit_cube_value(mu: ValuationRep) -> Scalar:
                         continue
                     eb = tuple(e[b] for b in B)
                     eb = tuple(x + (1 if b == pos else 0) for b, x in enumerate(eb))
-                    val = _coeff_to_scalar(c) * sphere_monomial_integral(eb)
+                    val = exact_scalar(c) * sphere_monomial_integral(eb)
                     if pos % 2:
                         val = -val
                     acc = acc + val

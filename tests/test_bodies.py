@@ -597,42 +597,8 @@ class TestTube:
                 assert abs(got - want) <= 1e-12 * abs(want), (name, t, got, want)
 
 
-class TestSupport:
-    def test_ball(self):
-        b = Ball(np.array([1.0, 2.0, 0.0]), 1.5)
-        xi = np.array([0.0, 1.0, 0.0])
-        assert b.support(xi) == pytest.approx(3.5)
-
-    def test_box_rotated(self):
-        c, s = math.cos(0.3), math.sin(0.3)
-        R = np.array([[c, -s], [s, c]])
-        box = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]), R)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            xi = rng.normal(size=2)
-            want = box.center @ xi + np.abs(R.T @ xi) @ box.half_extents
-            assert box.support(xi) == pytest.approx(want, abs=1e-12)
-
-    def test_simplex_and_polygon(self):
-        xi = np.array([1.0, 1.0, 0.0, 0.0])
-        assert STANDARD_SIMPLEX.support(xi) == pytest.approx(1.0)
-        poly = regular_polygon(8)
-        verts = poly.embedded_vertices()
-        assert poly.support(xi) == pytest.approx(float(np.max(verts @ xi)), abs=1e-12)
-
-    def test_batch_matches_single_directions(self):
-        rng = np.random.default_rng(11)
-        bodies = [Ball(np.array([1.0, -0.5, 0.2, 0.0]), 0.7),
-                  Box(np.zeros(4), np.array([0.5, 1.0, 0.25, 0.7]),
-                      left_mult_matrix((0.5, 0.5, 0.5, 0.5))),
-                  STANDARD_SIMPLEX, regular_polygon(5)]
-        dirs = rng.normal(size=(7, 4))
-        for K in bodies:
-            batch = K.support(dirs)
-            assert batch.shape == (7,)
-            for xi, h in zip(dirs, batch):
-                assert isinstance(K.support(xi), float)
-                assert K.support(xi) == pytest.approx(h, abs=1e-12)
+class TestRowReductions:
+    """The row norms and maxima of the Monte Carlo kernels are numpy's bits."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_row_norms_and_maxima_are_numpys_bits(self, n):

@@ -346,7 +346,8 @@ class TestPythonInts:
 
 
 class TestLimits:
-    """Inputs past the column path's limits take the dict operators."""
+    """Inputs past the column path's limits: the Rumin solve takes the dict
+    operator, and the pairing packs exponents in wider fields."""
 
     def test_rumin_past_int64_lanes(self):
         # at degree 331,751 the bound on a (2, 1) column needs 64-bit lanes,
@@ -364,17 +365,46 @@ class TestLimits:
         built = np.flatnonzero(cols.slot >= 0)
         assert built.size and columns._block(4, 2, 1).codes()[2][built].max() < 10
 
-    def test_pairing_past_contraction_degree(self):
+    @staticmethod
+    def _record_widths(monkeypatch):
+        """The exponent field width of every sphere integral the contraction reads."""
+        widths = []
+        real = columns._sphere_rational
+
+        def spy(n, width, code):
+            widths.append(width)
+            return real(n, width, code)
+
+        monkeypatch.setattr(columns, "_sphere_rational", spy)
+        return widths
+
+    def test_pairing_past_contraction_degree(self, monkeypatch):
+        # degrees summing past 254 overflow 8-bit exponent fields: the
+        # contraction packs 9-bit ones, two of which still fit an int64
         a = InvariantForm(2, {((0,), ()): SpherePoly(2, {(130, 1): Scalar({0: Rat(1, 3)}),
                                                          (2, 0): Scalar({-1: Rat(1)})})})
         b = InvariantForm(2, {((1,), ()): SpherePoly(2, {(127, 0): Scalar({0: Rat(5)}),
                                                          (3, 1): Scalar({1: Rat(1)})})})
         mu, nu = ValuationRep(2, a), ValuationRep(2, b)
-        inner = valuation._inner_parts(euler_verdier(nu))
-        assert (columns._degree(2, _split_vectors(a)) + columns._degree(2, inner)
-                > columns.MAX_CONTRACT_DEGREE)
+        inner = columns._join_vectors(2, valuation._inner_parts(euler_verdier(nu)))
+        assert max(p.degree() for p in a.terms.values()) + max(
+            p.degree() for p in inner.terms.values()) > 254
+        widths = self._record_widths(monkeypatch)
         assert pairing(mu, nu) == pairing_reference(mu, nu) != 0
         assert pairing(nu, mu) == pairing_reference(nu, mu)
+        assert widths and all(2 * w < 64 for w in widths)
+
+    def test_pairing_with_an_exponent_past_int64_fields(self, monkeypatch):
+        # v1^(2^15) needs 16-bit exponent fields, and four of them pass 63
+        # bits: the contraction packs exponents in Python ints
+        high = ValuationRep(4, InvariantForm(4, {((0, 1, 2), ()): SpherePoly(4, {
+            (1 << 15, 0, 1, 0): Scalar({0: Rat(2, 3)}), (1, 1, 0, 0): Scalar({-1: Rat(5)})})}))
+        low = ValuationRep(4, InvariantForm(4, {((2,), (0, 1)): SpherePoly(4, {
+            (0, 0, 1, 0): Scalar({1: Rat(3, 7)})})}))
+        widths = self._record_widths(monkeypatch)
+        assert pairing(high, low) == pairing_reference(high, low) != 0
+        assert pairing(low, high) == pairing_reference(low, high) != 0
+        assert widths and all(4 * w >= 64 for w in widths)
 
 
 def test_split_vectors_match_split_pi():

@@ -17,10 +17,8 @@ from valcalc import columns
 from valcalc.columns import _join_vectors, _key_vectors, _split_vectors, _vector_key
 from valcalc.contact import (
     RUMIN_CACHE_SIZE,
-    ContactData,
     RuminResult,
     _rumin_cached,
-    contact_data,
     dual_lefschetz,
     horizontal_part,
     rumin,
@@ -32,6 +30,7 @@ from valcalc.exterior import (
     contract,
     d,
     lie_reeb,
+    reeb_field,
 )
 from valcalc.scalars import PI, Rat, Scalar
 from valcalc.su2 import ImDirection, z_rep
@@ -41,18 +40,18 @@ from valcalc.valuation import intrinsic_volume_rep, signature
 class TestContactData:
     def test_reeb_pairing(self):
         for n in (2, 3, 4):
-            data = contact_data(n)
+            # built once per dimension
+            assert alpha_form(n) is alpha_form(n) and reeb_field(n) is reeb_field(n)
             one = InvariantForm(n, {((), ()): SpherePoly.constant(n, 1)}, projected=True)
-            assert contract(data.reeb, data.alpha) == one
-            assert lie_reeb(data.alpha).is_zero()
+            assert contract(reeb_field(n), alpha_form(n)) == one
+            assert lie_reeb(alpha_form(n)).is_zero()
 
     def test_contact_condition_nondegenerate(self):
         # alpha ^ (d alpha)^(n-1) never vanishes on the bundle
         rng = random.Random(7)
         for n in (2, 3, 4):
-            data = contact_data(n)
-            form = data.alpha
-            da = d(data.alpha)
+            form = alpha_form(n)
+            da = d(alpha_form(n))
             for _ in range(n - 1):
                 form = form.wedge(da)
             for _ in range(10):

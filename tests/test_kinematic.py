@@ -491,11 +491,13 @@ class TestMCPrincipal:
         assert rep.rhs == pytest.approx(1.0, abs=1e-9)
 
     def test_stderr_scales(self):
+        # iid draws: 4 times the samples halve the standard error. Ball/box
+        # runs on a lattice, so the pair is a ball against a simplex, whose
+        # points are drawn iid
         half = Ball(np.zeros(4), 0.5)
-        box = Box(np.zeros(4), np.array([0.5, 0.4, 0.6, 0.3]))
-        a = mc_principal_kinematic(half, box, N=40000, seed=1)
-        b = mc_principal_kinematic(half, box, N=160000, seed=1)
-        message = mc_failure("ball/box at 4N", half, box, 160000, 1, 1, b)
+        a = mc_principal_kinematic(half, MOTION_SIMPLEX, N=40000, seed=1)
+        b = mc_principal_kinematic(half, MOTION_SIMPLEX, N=160000, seed=1)
+        message = mc_failure("ball/simplex at 4N", half, MOTION_SIMPLEX, 160000, 1, 1, b)
         assert b.stderr < a.stderr, message
         assert b.stderr == pytest.approx(a.stderr / 2, rel=0.2), message
 
@@ -1052,27 +1054,32 @@ class TestLatticeGenerator:
     of the continued fractions."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 32, 448, 512, 2500])
-    def test_matches_a_plain_scan(self, monkeypatch, n):
+    def test_matches_a_plain_scan(self, n):
         # n = 1 and 2 have no g below n/2 and take g = 1
-        monkeypatch.setattr(kinematic, "_GENERATOR_CACHE", {})
+        kinematic._lattice_generator.cache_clear()
         assert kinematic._lattice_generator(n) == _plain_generator(n)
 
     @pytest.mark.parametrize("n", [65536, 57344])
-    def test_benchmark_lattices_have_quotients_at_most_three(self, monkeypatch, n):
+    def test_benchmark_lattices_have_quotients_at_most_three(self, n):
         # the motion_mc benchmark's ball pairs: N = 2^20 and 917,504 over 16
         # shifts
-        monkeypatch.setattr(kinematic, "_GENERATOR_CACHE", {})
+        kinematic._lattice_generator.cache_clear()
         g = kinematic._lattice_generator(n)
         assert 1 <= g < n / 2 and math.gcd(g, n) == 1
         assert _largest_quotient(g, n) <= 3
 
-    def test_cache_size_stays_within_bound(self, monkeypatch):
-        monkeypatch.setattr(kinematic, "_GENERATOR_CACHE", {})
+    def test_cache_size_stays_within_bound(self):
+        kinematic._lattice_generator.cache_clear()
         sizes = range(100, 100 + kinematic.GENERATOR_CACHE_SIZE + 10)
         gens = [kinematic._lattice_generator(n) for n in sizes]
-        assert len(kinematic._GENERATOR_CACHE) <= kinematic.GENERATOR_CACHE_SIZE
-        assert kinematic._GENERATOR_CACHE[sizes[-1]] == gens[-1]
-        assert sizes[0] not in kinematic._GENERATOR_CACHE
+        info = kinematic._lattice_generator.cache_info()
+        assert info.maxsize == kinematic.GENERATOR_CACHE_SIZE
+        assert info.currsize == kinematic.GENERATOR_CACHE_SIZE and info.misses == len(sizes)
+        # the newest is kept, the oldest was evicted and is searched again
+        assert kinematic._lattice_generator(sizes[-1]) == gens[-1]
+        assert kinematic._lattice_generator.cache_info().hits == 1
+        assert kinematic._lattice_generator(sizes[0]) == gens[0]
+        assert kinematic._lattice_generator.cache_info().misses == len(sizes) + 1
 
 
 class TestBallSections:
