@@ -4,9 +4,12 @@ A form omega of degree n-1 admits a unique correction alpha ^ xi making
 d(omega + alpha ^ xi) a multiple of the contact form alpha.  The corrected
 derivative is the basic invariant attached to omega here; the correction is
 found by inverting the Lefschetz operator on horizontal forms in closed
-form.  The solve is linear over Z, so it runs on the pi-graded integer parts
-of omega as sparse vectors over monomials (see ``columns``): D and xi are a
-cache of integer columns per input block (n, |I|, |J|), ``columns.RUMIN``.
+form: the horizontal part of a form drops alpha ^ i_T a, T the Reeb field
+(``exterior.reeb_contract``), and the dual Lefschetz operator traces over
+paired base and fiber slots (``exterior.contract_slot``).  The solve is
+linear over Z, so it runs on the pi-graded integer parts of omega as sparse
+vectors over monomials (see ``columns``): D and xi are a cache of integer
+columns per input block (n, |I|, |J|), ``columns.RUMIN``.
 The dict solve here, ``_lefschetz_pass``, builds the missing columns of an
 input in one lane-packed pass and checks there, once for every column, that
 the corrected derivative is vertical.  Its lane width comes from
@@ -20,14 +23,7 @@ same vectors hits and no Scalar term is hashed.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exterior import (
-    InvariantForm,
-    alpha_form,
-    contract,
-    contract_slot,
-    d,
-    reeb_field,
-)
+from .exterior import InvariantForm, alpha_form, contract_slot, d, reeb_contract
 
 # corrections kept for reuse; one pairing with its operators needs about five
 RUMIN_CACHE_SIZE = 64
@@ -71,7 +67,7 @@ def _pihat(n: int) -> InvariantForm:
 
 def horizontal_part(a: InvariantForm) -> InvariantForm:
     """Remove the Reeb component: a - alpha ^ i_T(a)."""
-    return a - alpha_form(a.n).wedge(contract(reeb_field(a.n), a))
+    return a - alpha_form(a.n).wedge(reeb_contract(a))
 
 
 def dual_lefschetz(a: InvariantForm) -> InvariantForm:

@@ -26,7 +26,9 @@ Fiber integration pi_* enters through closed-form sphere integrals alone:
 vectors (``columns.pair_top``), and ``fiber_monomial_integral`` for a
 valuation's value on a ball.  The one exterior product is
 ``InvariantForm.wedge``; the tangential projection of dv_J is a product of
-projected one-forms taken with it.
+projected one-forms taken with it.  The one vector field contracted with is
+the Reeb field T = sum_i v_i d/dx_i of the contact form alpha
+(``reeb_contract``); ``contract_slot`` contracts with a coordinate direction.
 """
 
 from __future__ import annotations
@@ -410,36 +412,6 @@ class InvariantForm:
     __repr__ = __str__
 
 
-class VectorField:
-    """Vector field on the bundle with polynomial components.
-
-    x_comps and v_comps hold the coefficients of d/dx_i and d/dv_i.
-    """
-
-    __slots__ = ("n", "x_comps", "v_comps")
-
-    def __init__(self, n, x_comps, v_comps):
-        def conv(c):
-            return c if isinstance(c, SpherePoly) else SpherePoly.constant(n, c)
-        self.n = n
-        self.x_comps = [conv(c) for c in x_comps]
-        self.v_comps = [conv(c) for c in v_comps]
-        if len(self.x_comps) != n or len(self.v_comps) != n:
-            raise ValueError("component count mismatch")
-
-    def is_tangent(self) -> bool:
-        s = SpherePoly(self.n)
-        for i in range(self.n):
-            s = s + SpherePoly.variable(self.n, i) * self.v_comps[i]
-        return s.is_zero()
-
-
-@lru_cache(maxsize=None)
-def reeb_field(n) -> VectorField:
-    return VectorField(n, [SpherePoly.variable(n, i) for i in range(n)],
-                       [SpherePoly(n) for _ in range(n)])
-
-
 @lru_cache(maxsize=None)
 def alpha_form(n) -> InvariantForm:
     t = {((i,), ()): SpherePoly.variable(n, i) for i in range(n)}
@@ -463,30 +435,18 @@ def d(a: InvariantForm) -> InvariantForm:
     return InvariantForm(a.n, out)
 
 
-def contract(X: VectorField, a: InvariantForm) -> InvariantForm:
-    """Interior product with a vector field tangent to the bundle."""
-    if not X.is_tangent():
-        raise ValueError("vector field is not tangent to the sphere bundle")
+def reeb_contract(a: InvariantForm) -> InvariantForm:
+    """Interior product i_T a with the Reeb field T = sum_i v_i d/dx_i."""
+    n = a.n
+    v = [SpherePoly.variable(n, i) for i in range(n)]
     out = {}
     for (I, J), p in a.terms.items():
         for pos, i in enumerate(I):
-            comp = X.x_comps[i]
-            if not comp:
-                continue
-            q = p * comp
+            q = p * v[i]
             if pos % 2:
                 q = -q
             _accumulate(out, (I[:pos] + I[pos + 1:], J), q)
-        off = len(I)
-        for pos, j in enumerate(J):
-            comp = X.v_comps[j]
-            if not comp:
-                continue
-            q = p * comp
-            if (off + pos) % 2:
-                q = -q
-            _accumulate(out, (I, J[:pos] + J[pos + 1:]), q)
-    return InvariantForm(a.n, out, projected=True)
+    return InvariantForm(n, out, projected=True)
 
 
 def contract_slot(a: InvariantForm, kind, idx) -> InvariantForm:
@@ -510,8 +470,7 @@ def contract_slot(a: InvariantForm, kind, idx) -> InvariantForm:
 
 def lie_reeb(a: InvariantForm) -> InvariantForm:
     """Lie derivative along the Reeb field, via the Cartan formula."""
-    T = reeb_field(a.n)
-    return contract(T, d(a)) + d(contract(T, a))
+    return reeb_contract(d(a)) + d(reeb_contract(a))
 
 
 def sphere_monomial_integral(e) -> Scalar:

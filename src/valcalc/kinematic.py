@@ -125,23 +125,11 @@ def gram_matrix(kind: str = "icosahedron"):
     return labels, G
 
 
-def kinematic_tensor(basis="icosahedron") -> KinematicTensor:
-    """Exact inverse of the pairing Gram matrix, by Gauss-Jordan elimination
-    with monomial pivots in Q[pi, 1/pi]; raises ValueError on a Gram matrix
-    that needs any other pivot.  A named basis's tensor is built once."""
-    if isinstance(basis, str):
-        return _named_tensor(basis)
-    labels = [label for label, _ in basis]
-    reps = [rep for _, rep in basis]
-    if not all(rep.is_exact() for rep in reps):
-        raise ValueError("kinematic tensor requires exact representatives")
-    G = [[pairing(a, b) for b in reps] for a in reps]
-    inv = invert_scalar_matrix(G)
-    return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
-
-
 @lru_cache(maxsize=None)
-def _named_tensor(basis: str) -> KinematicTensor:
+def kinematic_tensor(basis: str) -> KinematicTensor:
+    """Exact inverse of the named basis's pairing Gram matrix, built once, by
+    Gauss-Jordan elimination with monomial pivots in Q[pi, 1/pi]; raises
+    ValueError on a Gram matrix that needs any other pivot."""
     labels, G = gram_matrix(basis)
     inv = invert_scalar_matrix(G)
     return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
@@ -712,7 +700,7 @@ def _check_mc_args(N, threads, **bodies):
 
 
 def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
-                           threads: int = 1, kind: str = "icosahedron") -> MCReport:
+                           threads: int = 1) -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL).
 
     Every sample is scored exactly, with no iteration. A ball draws only
@@ -740,7 +728,7 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
     """
     _check_mc_args(N, threads, K=K, L=L)
     check_samples(K, L, N)
-    rhs = rhs_kinematic(K, L, kind)
+    rhs = rhs_kinematic(K, L)
     section = _ball_section(K, L)
     if section is not None:
         moments = _replicate_moments(_section_replicates(*section, N // REPLICATES, seed),

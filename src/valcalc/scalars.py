@@ -1,19 +1,16 @@
-"""Exact scalar ring: Laurent polynomials in pi with rational coefficients."""
+"""Exact scalar ring: Laurent polynomials in pi with rational coefficients.
+
+The rationals are ``fractions.Fraction`` of the standard library (``Rat``).
+"""
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    Rat = Fraction
+Rat = Fraction
 
-_RAT_TYPES = (int, Fraction, type(Rat(1)))
-
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(pi(?:\^(-?\d+))?)?$")
+_RAT_TYPES = (int, Fraction)
 
 
 def _rat(x) -> Rat:
@@ -45,41 +42,6 @@ class Scalar:
     @classmethod
     def of(cls, p, q=1, pi=0) -> "Scalar":
         return cls({pi: Rat(p, q)})
-
-    @classmethod
-    def parse(cls, s: str) -> "Scalar":
-        text = s.replace(" ", "")
-        if not text:
-            raise ValueError("empty scalar string")
-        if text == "0":
-            return cls()
-        pieces = []
-        start = 0
-        for i in range(1, len(text)):
-            if text[i] in "+-" and text[i - 1] != "^":
-                pieces.append(text[start:i])
-                start = i
-        pieces.append(text[start:])
-        terms: dict[int, Rat] = {}
-        for piece in pieces:
-            sign = 1
-            if piece.startswith("+"):
-                piece = piece[1:]
-            elif piece.startswith("-"):
-                sign = -1
-                piece = piece[1:]
-            m = _TERM_RE.match(piece)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise ValueError(f"bad scalar term {piece!r} in {s!r}")
-            coeff = Rat(m.group(1)) if m.group(1) is not None else Rat(1)
-            if m.group(2) is None:
-                k = 0
-            elif m.group(3) is None:
-                k = 1
-            else:
-                k = int(m.group(3))
-            terms[k] = terms.get(k, Rat(0)) + sign * coeff
-        return cls(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -243,5 +205,6 @@ def gamma_half(two_a: int):
         raise ValueError("gamma argument must be positive")
     if two_a % 2 == 0:
         return Rat(math.factorial(two_a // 2 - 1)), 0
+    # Gamma(m + 1/2) / sqrt(pi) = (2m - 1)!! / 2^m, and (2m)! / m! = 2^m (2m - 1)!!
     m = (two_a - 1) // 2
-    return Rat(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
+    return Rat(math.perm(2 * m, m) >> m, 1 << m), 1

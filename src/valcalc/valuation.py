@@ -26,9 +26,8 @@ from .exterior import (
     SpherePoly,
     _complement,
     _merge_sign,
-    contract,
     fiber_monomial_integral,
-    reeb_field,
+    reeb_contract,
 )
 from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
 from .tolerances import ORTHONORMAL_TOL
@@ -110,7 +109,7 @@ def derivation(mu: ValuationRep) -> ValuationRep:
     from . import columns
 
     n = mu.n
-    lifted = contract(reeb_field(n), _phi_form(mu))
+    lifted = reeb_contract(_phi_form(mu))
     (parts,) = columns.LIE_REEB.apply(n, columns._split_vectors(mu.omega))
     omega = columns._join_vectors(
         n, columns._add_vectors(n, parts, columns._split_vectors(lifted)))
@@ -267,8 +266,7 @@ def intrinsic_volume_rep(n: int, k: int) -> ValuationRep:
         raise ValueError(f"k must lie in 0..{n}")
     if k == n:
         return ValuationRep(n, InvariantForm.zero(n), ONE)
-    T = reeb_field(n)
-    raw = ValuationRep(n, contract(T, _invariant_top_pair(n, n - 1 - k)))
+    raw = ValuationRep(n, reeb_contract(_invariant_top_pair(n, n - 1 - k)))
     ball = rational(math.comb(n, k)) * ball_volume(n) / ball_volume(n - k)
     return raw * (ball / unit_ball_value(raw))
 

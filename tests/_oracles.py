@@ -22,12 +22,11 @@ from valcalc.exterior import (
     _accumulate,
     _pi_terms,
     alpha_form,
-    contract,
     d,
     hodge_star,
     fiber_monomial_integral,
     lie_reeb,
-    reeb_field,
+    reeb_contract,
     sphere_monomial_integral,
 )
 from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN, _UNIT_LEFT
@@ -212,21 +211,6 @@ def numeric_contraction(form, v, X_at, vectors):
     return evaluate_at(form, v, [X_at] + list(vectors))
 
 
-def random_tangent_field(rng, n):
-    """Random polynomial vector field tangent to the bundle."""
-    from valcalc.exterior import VectorField
-
-    x_comps = [random_sphere_poly(rng, n, 1) for _ in range(n)]
-    v_comps = [SpherePoly(n) for _ in range(n)]
-    # rotational fields v_i d/dv_j - v_j d/dv_i stay tangent to the sphere
-    for _ in range(2):
-        i, j = rng.sample(range(n), 2)
-        c = SpherePoly.constant(n, random_rational(rng))
-        v_comps[j] = v_comps[j] + SpherePoly.variable(n, i) * c
-        v_comps[i] = v_comps[i] - SpherePoly.variable(n, j) * c
-    return VectorField(n, x_comps, v_comps)
-
-
 def poly_value(p: SpherePoly, v) -> float:
     """The polynomial's value at the point v, in floats."""
     total = 0.0
@@ -237,10 +221,6 @@ def poly_value(p: SpherePoly, v) -> float:
                 m *= vi ** ei
         total += m
     return total
-
-
-def field_value(X, v):
-    return np.array([poly_value(c, v) for c in X.x_comps + X.v_comps])
 
 
 # -- quadrature oracle for normal-cycle integrals ----------------------------------
@@ -446,8 +426,7 @@ def rumin_reference(omega):
 
 
 def derivation_reference(mu):
-    T = reeb_field(mu.n)
-    omega = lie_reeb(mu.omega) + contract(T, dx_top_form(mu.n) * mu.phi)
+    omega = lie_reeb(mu.omega) + reeb_contract(dx_top_form(mu.n) * mu.phi)
     return ValuationRep(mu.n, omega)
 
 

@@ -48,11 +48,10 @@ from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
     alpha_form,
-    contract,
     d,
     hodge_star,
     lie_reeb,
-    reeb_field,
+    reeb_contract,
 )
 from valcalc.scalars import Rat, Scalar
 from valcalc.bodies import Ball, Box, Simplex, evaluate
@@ -504,7 +503,6 @@ class TestLaneBound:
         # each step's column l1 norm on monomials of degree <= 3 stays within
         # the bound the lane width is built from
         rng = random.Random(60 + n)
-        T = reeb_field(n)
         alpha, pihat = alpha_form(n), _pihat(n)
         for a in range(n + 1):
             for b in range(n + 1 - a):
@@ -512,9 +510,9 @@ class TestLaneBound:
                 for I, J, e in rng.sample(monos, min(len(monos), 40)):
                     m, deg = monomial(n, I, J, e), sum(e)
                     assert l1(d(m)) <= _d_norm(n, b, deg)
-                    assert l1(contract(T, m)) <= _reeb_norm(n, a)
+                    assert l1(reeb_contract(m)) <= _reeb_norm(n, a)
                     assert l1(alpha.wedge(m)) <= _alpha_norm(n, a)
-                    assert l1(m - alpha.wedge(contract(T, m))) <= _horizontal_norm(n, a)
+                    assert l1(m - alpha.wedge(reeb_contract(m))) <= _horizontal_norm(n, a)
                     assert l1(dual_lefschetz(m)) <= min(a, b)
                     assert l1(pihat.wedge(m)) <= _wedge_norm(pihat)
                     assert l1(hodge_star(m)) <= _hodge_bound(n, a, b, deg)
@@ -525,7 +523,7 @@ class TestLaneBound:
         # on the monomials the previous step reaches from the block (2, 1) up
         # to degree 2, composed as _rumin_bound composes its factors
         n, rng = 4, random.Random(62)
-        T, alpha, pihat = reeb_field(n), alpha_form(n), _pihat(n)
+        alpha, pihat = alpha_form(n), _pihat(n)
 
         def step(fn, keys):
             norm, reached = 0, set()
@@ -537,13 +535,13 @@ class TestLaneBound:
 
         start = {key for deg in range(3) for key in block_monomials(n, 2, 1, deg)}
         d1, reached = step(d, start)
-        h1, reached = step(lambda m: m - alpha.wedge(contract(T, m)), reached)
+        h1, reached = step(lambda m: m - alpha.wedge(reeb_contract(m)), reached)
         dl1, lam1 = step(dual_lefschetz, reached)
         dl2, reached = step(dual_lefschetz, lam1)
         pi, reached = step(pihat.wedge, reached)
         al, reached = step(alpha.wedge, lam1 | reached)
         d2, reached = step(d, reached | start)
-        h2, _ = step(lambda m: m - alpha.wedge(contract(T, m)), reached)
+        h2, _ = step(lambda m: m - alpha.wedge(reeb_contract(m)), reached)
         xi = d1 * h1 * dl1 * (4 + dl2 * pi)
         D = d2 * (4 + al * xi)
         assert max(xi, D, h2 * D) <= _rumin_bound(n, 2, 1, 2)

@@ -27,10 +27,9 @@ from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
     alpha_form,
-    contract,
     d,
     lie_reeb,
-    reeb_field,
+    reeb_contract,
 )
 from valcalc.scalars import PI, Rat, Scalar
 from valcalc.su2 import ImDirection, z_rep
@@ -41,9 +40,9 @@ class TestContactData:
     def test_reeb_pairing(self):
         for n in (2, 3, 4):
             # built once per dimension
-            assert alpha_form(n) is alpha_form(n) and reeb_field(n) is reeb_field(n)
+            assert alpha_form(n) is alpha_form(n)
             one = InvariantForm(n, {((), ()): SpherePoly.constant(n, 1)}, projected=True)
-            assert contract(reeb_field(n), alpha_form(n)) == one
+            assert reeb_contract(alpha_form(n)) == one
             assert lie_reeb(alpha_form(n)).is_zero()
 
     def test_contact_condition_nondegenerate(self):

@@ -16,7 +16,6 @@ from _oracles import (
     fd_exterior_derivative,
     fiber_integral,
     frame_components,
-    field_value,
     numeric_contraction,
     numeric_hodge_components,
     poly_value,
@@ -26,7 +25,6 @@ from _oracles import (
     pullback_linear,
     random_form,
     random_sphere_poly,
-    random_tangent_field,
     random_tangent_vector,
     random_unit,
     shuffle_wedge_value,
@@ -35,15 +33,13 @@ from _oracles import (
 from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
-    VectorField,
     _pi_terms,
     alpha_form,
-    contract,
     contract_slot,
     d,
     hodge_star,
     lie_reeb,
-    reeb_field,
+    reeb_contract,
     sphere_monomial_integral,
 )
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
@@ -215,8 +211,6 @@ class TestProjection:
 
     def test_projected_kills_radial_contraction(self):
         rng = random.Random(32)
-        r = VectorField(N, [SpherePoly(N)] * N,
-                        [SpherePoly.variable(N, i) for i in range(N)])
         for _ in range(10):
             a = random_form(rng, N, 2)
             out = {}
@@ -277,47 +271,41 @@ class TestDerivative:
 
 class TestContract:
     def test_reeb_alpha_is_one(self):
-        T = reeb_field(N)
-        res = contract(T, alpha_form(N))
+        res = reeb_contract(alpha_form(N))
         assert res == InvariantForm(N, {((), ()): SpherePoly.constant(N, 1)}, projected=True)
 
     def test_reeb_dx(self):
-        T = reeb_field(N)
-        res = contract(T, dx_form(N, 0))
+        res = reeb_contract(dx_form(N, 0))
         assert res == InvariantForm(N, {((), ()): SpherePoly.variable(N, 0)}, projected=True)
 
     def test_double_contraction_zero(self):
         rng = random.Random(51)
         for _ in range(10):
-            X = random_tangent_field(rng, N)
             a = random_form(rng, N, 3)
-            assert contract(X, contract(X, a)).is_zero()
-
-    def test_non_tangent_rejected(self):
-        r = VectorField(N, [SpherePoly(N)] * N,
-                        [SpherePoly.variable(N, i) for i in range(N)])
-        with pytest.raises(ValueError):
-            contract(r, alpha_form(N))
+            assert reeb_contract(reeb_contract(a)).is_zero()
 
     def test_numeric_oracle(self):
         rng = random.Random(52)
         for _ in range(20):
-            X = random_tangent_field(rng, N)
             deg = rng.randrange(1, 4)
             a = random_form(rng, N, deg)
-            got_form = contract(X, a)
+            got_form = reeb_contract(a)
             v = random_unit(rng, N)
             vecs = [random_tangent_vector(rng, N, v) for _ in range(deg - 1)]
             got = evaluate_at(got_form, v, vecs)
-            want = numeric_contraction(a, v, field_value(X, v), vecs)
+            # the Reeb field's value at (x, v) is (v, 0)
+            want = numeric_contraction(a, v, np.concatenate([v, np.zeros(N)]), vecs)
             assert got == pytest.approx(want, abs=1e-9, rel=1e-9)
 
-    def test_contract_slot_matches_field(self):
+    def test_reeb_contract_is_sum_of_slots(self):
+        # i_T a = sum_i v_i i_(d/dx_i) a
         rng = random.Random(53)
-        a = random_form(rng, N, 2)
-        X = VectorField(N, [SpherePoly.constant(N, 1)] + [SpherePoly(N)] * (N - 1),
-                        [SpherePoly(N)] * N)
-        assert contract_slot(a, 0, 0) == contract(X, a)
+        for _ in range(12):
+            a = random_form(rng, N, rng.randrange(1, 4))
+            want = InvariantForm.zero(N)
+            for i in range(N):
+                want = want + contract_slot(a, 0, i) * SpherePoly.variable(N, i)
+            assert reeb_contract(a) == want
 
 
 class TestLieReeb:

@@ -102,6 +102,7 @@ class TestTensor:
         for kind in ("icosahedron", "alesker"):
             labels, G = gram_matrix(kind)
             T = kinematic_tensor(kind)
+            assert T.entry("vol1", "vol3") == rational(4, 3) * PI ** -1
             for i in range(10):
                 for j in range(10):
                     acc = ZERO
@@ -117,13 +118,6 @@ class TestTensor:
                 assert T.matrix[i][j] == T.matrix[j][i]
                 if degrees[i] + degrees[j] != 4:
                     assert T.matrix[i][j].is_zero()
-
-    def test_explicit_basis_list(self):
-        basis = [(label, rep) for label, rep in su2_basis("alesker")]
-        T = kinematic_tensor(basis)
-        assert T.entry("vol1", "vol3") == rational(4, 3) * PI ** -1
-        with pytest.raises(ValueError):
-            kinematic_tensor(su2_basis("icosahedron"))  # float coefficients
 
 
 class TestEvaluationVector:

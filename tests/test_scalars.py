@@ -107,22 +107,6 @@ def test_format_canonical():
     assert str(rational(1) + PI + rational(-1, 3) * PI ** 2) == "1 + pi - 1/3*pi^2"
 
 
-def test_parse_round_trip():
-    rng = random.Random(13)
-    for _ in range(200):
-        s = random_scalar(rng)
-        assert Scalar.parse(str(s)) == s
-    assert Scalar.parse("17/4") == rational(17, 4)
-    assert Scalar.parse("-3/4") == rational(-3, 4)
-    assert Scalar.parse("3/4*pi") == Scalar.of(3, 4, pi=1)
-    assert Scalar.parse("1/2*pi^-1") == Scalar.of(1, 2, pi=-1)
-    assert Scalar.parse(" 1 + pi ") == ONE + PI
-    assert Scalar.parse("-pi^2") == -(PI ** 2)
-    for bad in ["", "foo", "1..2", "pi^", "3/", "+"]:
-        with pytest.raises(ValueError):
-            Scalar.parse(bad)
-
-
 def test_rational_coefficients_stored_as_given():
     c = Rat(3, 7)
     s = Scalar({1: c, 0: 2})
@@ -143,3 +127,13 @@ def test_gamma_half():
     assert gamma_half(7) == (Rat(15, 8), 1)
     with pytest.raises(ValueError):
         gamma_half(0)
+    # Gamma(m + 1/2) / sqrt(pi) = (2m)! / (4^m m!), compared cross-multiplied
+    # so that the large arguments skip a gcd of the unreduced ratio
+    for two_a in [*range(1, 400), 2 ** 15 + 1, 2 ** 16 + 7]:
+        r, h = gamma_half(two_a)
+        if two_a % 2 == 0:
+            assert (r, h) == (math.factorial(two_a // 2 - 1), 0)
+            continue
+        m = (two_a - 1) // 2
+        assert h == 1 and r.denominator == 1 << m
+        assert r.numerator * 4 ** m * math.factorial(m) == r.denominator * math.factorial(2 * m)

@@ -15,7 +15,7 @@ from _oracles import (
 )
 from valcalc import valuation
 from valcalc.contact import rumin
-from valcalc.exterior import InvariantForm, SpherePoly, contract, d, reeb_field
+from valcalc.exterior import InvariantForm, SpherePoly, d, reeb_contract
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import ImDirection, su2_basis, z_rep
 from valcalc.valuation import (
@@ -91,7 +91,7 @@ class TestIntrinsicVolumes:
         for n in (2, 3, 4):
             for k in range(n):
                 top_pair = valuation._invariant_top_pair(n, n - 1 - k)
-                raw = ValuationRep(n, contract(reeb_field(n), top_pair))
+                raw = ValuationRep(n, reeb_contract(top_pair))
                 want = raw * (rational(math.comb(n, k)) / unit_cube_value(raw))
                 got = intrinsic_volume_rep(n, k)
                 assert got.omega == want.omega and got.phi == want.phi == ZERO, (n, k)
