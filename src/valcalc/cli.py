@@ -50,11 +50,11 @@ def _table(rows) -> str:
                      for r in rows)
 
 
-def _labeled_matrix(labels, matrix):
-    rows = [[""] + list(labels)]
-    for lab, row in zip(labels, matrix):
-        rows.append([lab] + [str(x) for x in row])
-    return _table(rows)
+def _labeled_matrix(basis, labels, matrix):
+    """The text table and the JSON payload of a basis's labelled matrix."""
+    cells = [[str(x) for x in row] for row in matrix]
+    rows = [[""] + list(labels)] + [[lab] + row for lab, row in zip(labels, cells)]
+    return _table(rows), {"basis": basis, "labels": list(labels), "matrix": cells}
 
 
 def _number(text: str) -> float:
@@ -151,17 +151,12 @@ def cmd_eval(args):
 
 
 def cmd_su2_gram(args):
-    labels, matrix = gram_matrix(args.basis)
-    payload = {"basis": args.basis, "labels": list(labels),
-               "matrix": [[str(x) for x in row] for row in matrix]}
-    return _labeled_matrix(labels, matrix), payload
+    return _labeled_matrix(args.basis, *gram_matrix(args.basis))
 
 
 def cmd_su2_kinematic(args):
     tensor = kinematic_tensor(args.basis)
-    payload = {"basis": args.basis, "labels": list(tensor.labels),
-               "matrix": [[str(x) for x in row] for row in tensor.matrix]}
-    return _labeled_matrix(tensor.labels, tensor.matrix), payload
+    return _labeled_matrix(args.basis, tensor.labels, tensor.matrix)
 
 
 def cmd_su2_forms(args):
@@ -199,16 +194,12 @@ def cmd_su2_forms(args):
 def cmd_verify_mc(args):
     K = ser.load_body(args.k)
     L = ser.load_body(args.l)
-    if args.poincare:
-        report = mc_poincare(K, L, N=args.samples, seed=args.seed,
-                             threads=args.threads)
-    else:
-        try:
-            check_samples(K, L, args.samples)
-        except ValueError as e:
-            raise ValueError(f"--samples: {e}") from None
-        report = mc_principal_kinematic(K, L, N=args.samples, seed=args.seed,
-                                        threads=args.threads)
+    estimator = mc_poincare if args.poincare else mc_principal_kinematic
+    try:
+        check_samples(K, L, args.samples)
+    except ValueError as e:
+        raise ValueError(f"--samples: {e}") from None
+    report = estimator(K, L, N=args.samples, seed=args.seed, threads=args.threads)
     payload = report.to_dict()
     rows = [[key, format_float(val) if isinstance(val, float) else str(val)]
             for key, val in payload.items()]
@@ -298,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, type=_seed_arg,
                    help="explicit RNG seed (no wall-clock seeding)")
     p.add_argument("--poincare", action="store_true",
-                   help="count polygon intersection points instead")
+                   help="compare with the plane-class density (1 + (u.v)^2)/4 of the "
+                        "intersection count instead of the exact tensor; only the "
+                        "right-hand side changes, and both bodies must be polygons")
     p.add_argument("--threads", type=_positive_arg, default=1)
     p.set_defaults(handler=cmd_verify_mc)
 

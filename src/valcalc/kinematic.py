@@ -23,9 +23,9 @@ in closed form: the weight is vol(K - L_q L), scored from q itself.  For two
 boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
 simplex, segment, point or polygon, in either order, it sums the shadows of
 L_q L on the coordinate subspaces of the box's frame, L's vertices there
-being a fixed matrix times q; for two simplices or polygons it sums over
-the facets of K - L_q L, each a sum of faces of the two; and two plates'
-intersection count has the determinant q^T A q.
+being a fixed matrix times q; for two plates it is area1 area2 |q^T A q|,
+which also weighs their intersection count; for any other two vertex hulls
+it sums over the facets of K - L_q L, each a sum of faces of the two.
 """
 
 import math
@@ -573,6 +573,7 @@ def _hull_hull_volumes(K, L):
     vol(K - L_q L), a block at a time, for two vertex hulls (simplices of 1
     to 5 vertices or planar polygons), by the facet sum
     vol P = 1/4 sum_F h_P(u_F) vol_3(F) (Schneider, Convex Bodies, 2014, 5.1).
+    Two polygons take ``_plate_volumes``, which the tests check by this sum.
 
     A facet of K + M, M = -L_q L, is F + G for a face F of K and a face G of
     M, dim F + dim G = 3, extreme in one direction (ibid., 1.7). Let
@@ -638,6 +639,47 @@ def _hull_hull_volumes(K, L):
     return volumes
 
 
+def _plate_form(F1t, F2t):
+    """The symmetric 4x4 matrix A with det [F1t | L_q F2t] = q^T A q for
+    every quaternion q, F1t and F2t 4x2 frames.
+
+    The columns of L_q F2t are q a and q b, a and b those of F2t read as
+    quaternions, and q a = sum_i q_i (e_i a) is linear in q. The
+    determinant is linear in each column, so it is sum_ij q_i q_j
+    det [F1t | e_i a | e_j b], and A_ij is the mean of that determinant and
+    the one with i and j swapped.
+    """
+    mats = np.empty((4, 4, 4, 4))
+    mats[..., :2] = F1t
+    mats[..., 2] = (_UNIT_LEFT @ F2t[:, 0])[:, None, :]
+    mats[..., 3] = (_UNIT_LEFT @ F2t[:, 1])[None, :, :]
+    D = np.linalg.det(mats)
+    return 0.5 * (D + D.T)
+
+
+def _plate_volumes(M1, M2):
+    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    vol(M1 - L_q M2) for two plates: their sum is an affine image of their
+    product, so the volume is area1 area2 |det [F1^T | L_q F2^T]|, the
+    quadratic form q^T A q of ``_plate_form`` scaled by the areas. It falls
+    to 0 as the plates turn parallel.
+
+    The sum over i of q_i (q . A_i) takes one (B,) product at a time: with
+    no (B, 4) array beside qs, a chunk's arrays stay in the heap the
+    allocator keeps between chunks instead of being faulted in again."""
+    A = M1.area * M2.area * _plate_form(M1.frame.T, M2.frame.T)
+
+    def volumes(qs):
+        total = qs @ A[0]
+        total *= qs[:, 0]
+        for i in range(1, 4):
+            term = qs @ A[i]
+            term *= qs[:, i]
+            total += term
+        return np.abs(total, out=total)
+    return volumes
+
+
 def _translation_volumes(K, L):
     """qs -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
     for any pair of boxes and vertex hulls. The motion measure is unchanged
@@ -648,6 +690,8 @@ def _translation_volumes(K, L):
     box, hull = (K, L) if isinstance(K, Box) else (L, K)
     if isinstance(box, Box):
         return _box_polytope_volumes(box, hull)
+    if isinstance(K, PlanarPolygon) and isinstance(L, PlanarPolygon):
+        return _plate_volumes(K, L)
     return _hull_hull_volumes(K, L)
 
 
@@ -682,14 +726,6 @@ def _replicate_moments(replicate, threads):
     return mean, math.sqrt(var / REPLICATES)
 
 
-def _finalize(mean, stderr, N, seed, rhs):
-    if stderr > 0:
-        z = (mean - rhs) / stderr
-    else:
-        z = 0.0 if mean == rhs else math.inf
-    return MCReport(mean, stderr, N, seed, rhs, z)
-
-
 def _check_mc_args(N, threads, **bodies):
     for name, value in (("N", N), ("threads", threads)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -699,9 +735,9 @@ def _check_mc_args(N, threads, **bodies):
             raise ValueError(f"{name} must be a body in R^4")
 
 
-def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
-                           threads: int = 1) -> MCReport:
-    """Monte Carlo estimate of the motion integral of chi(K . gL).
+def _estimate(K, L, N, seed, threads, rhs):
+    """The Monte Carlo estimate of the motion integral of chi(K . gL) that
+    both estimators report, against their right-hand side rhs.
 
     Every sample is scored exactly, with no iteration. A ball draws only
     translations, and the integral is the volume of the points within its
@@ -719,36 +755,45 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
       (``_hull_reach``).
     Every other pair draws only a Haar unit quaternion q: the translation
     integral of chi(K . (L_q L + t)) is vol(K - L_q L), which scores the
-    sample in closed form from q (``_translation_volumes``): for two boxes a
-    weighted sum of the absolute values of 16 linear and 18 quadratic forms
-    in q, for a box and a vertex hull a weighted sum of the hull's shadows,
-    and for two vertex hulls a sum over the facets of K - L_q L, each built
-    once per estimate. Those pairs' standard error is that of their N iid
-    weights. Deterministic for fixed (seed, N) regardless of threads.
-    """
-    _check_mc_args(N, threads, K=K, L=L)
-    check_samples(K, L, N)
-    rhs = rhs_kinematic(K, L)
+    sample in closed form from q (``_translation_volumes``), with a
+    standard error from the N iid weights. Deterministic for fixed (seed,
+    N) regardless of threads."""
     section = _ball_section(K, L)
     if section is not None:
-        moments = _replicate_moments(_section_replicates(*section, N // REPLICATES, seed),
-                                     threads)
-        return _finalize(*moments, N, seed, rhs)
-    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
-    reach = _hull_reach(other, ball.radius) if isinstance(ball, Ball) else None
-    volumes = None if reach else _translation_volumes(K, L)
+        mean, stderr = _replicate_moments(
+            _section_replicates(*section, N // REPLICATES, seed), threads)
+    else:
+        ball, other = (K, L) if isinstance(K, Ball) else (L, K)
+        reach = _hull_reach(other, ball.radius) if isinstance(ball, Ball) else None
+        volumes = None if reach else _translation_volumes(K, L)
 
-    def worker(idx, size):
-        rng = np.random.default_rng([seed, idx])
-        if reach:
-            # random() draws the bits uniform(size=...) would
-            vol, count = reach
-            n = count(rng.random((size, 4)))
-            return vol * n, vol * vol * n
-        w = volumes(_haar_quaternions(rng, size))
-        return float(np.sum(w)), float(np.sum(w * w))
+        def worker(idx, size):
+            rng = np.random.default_rng([seed, idx])
+            if reach:
+                # random() draws the bits uniform(size=...) would
+                vol, count = reach
+                n = count(rng.random((size, 4)))
+                return vol * n, vol * vol * n
+            w = volumes(_haar_quaternions(rng, size))
+            return float(np.sum(w)), float(np.sum(w * w))
 
-    return _finalize(*_chunk_moments(worker, N, threads), N, seed, rhs)
+        mean, stderr = _chunk_moments(worker, N, threads)
+    if stderr > 0:
+        z = (mean - rhs) / stderr
+    else:
+        z = 0.0 if mean == rhs else math.inf
+    return MCReport(mean, stderr, N, seed, rhs, z)
+
+
+def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
+                           threads: int = 1) -> MCReport:
+    """Monte Carlo estimate of the motion integral of chi(K . gL) against
+    the exact tensor's pairing of the evaluation vectors (``rhs_kinematic``).
+    The samples and weights are ``_estimate``'s; a ball against a ball or a
+    box needs N a multiple of 16."""
+    _check_mc_args(N, threads, K=K, L=L)
+    check_samples(K, L, N)
+    return _estimate(K, L, N, seed, threads, rhs_kinematic(K, L))
 
 
 def plane_class(frame) -> np.ndarray:
@@ -764,66 +809,16 @@ def plane_class(frame) -> np.ndarray:
     ])
 
 
-def _plate_form(F1t, F2t):
-    """The symmetric 4x4 matrix A with det [F1t | L_q F2t] = q^T A q for
-    every quaternion q, F1t and F2t 4x2 frames.
-
-    The columns of L_q F2t are q a and q b, a and b those of F2t read as
-    quaternions, and q a = sum_i q_i (e_i a) is linear in q. The
-    determinant is linear in each column, so it is sum_ij q_i q_j
-    det [F1t | e_i a | e_j b], and A_ij is the mean of that determinant and
-    the one with i and j swapped.
-    """
-    mats = np.empty((4, 4, 4, 4))
-    mats[..., :2] = F1t
-    mats[..., 2] = (_UNIT_LEFT @ F2t[:, 0])[:, None, :]
-    mats[..., 3] = (_UNIT_LEFT @ F2t[:, 1])[None, :, :]
-    D = np.linalg.det(mats)
-    return 0.5 * (D + D.T)
-
-
-def _quadratic_forms(A, qs):
-    """q^T A q for each row q of the (B, 4) array qs and symmetric A.
-
-    The sum over i of q_i (q . A_i) takes one (B,) product at a time: with
-    no (B, 4) array beside qs, a chunk's arrays stay in the heap the
-    allocator keeps between chunks instead of being faulted in again.
-    """
-    total = qs @ A[0]
-    total *= qs[:, 0]
-    for i in range(1, 4):
-        term = qs @ A[i]
-        term *= qs[:, i]
-        total += term
-    return total
-
-
 def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
                 seed: int = 0, threads: int = 1) -> MCReport:
     """Monte Carlo for the expected number of intersection points of two
-    moving polygons, against the plane-class density (1 + (u.v)^2)/4.
-
-    Per sample a Haar rotation L_q, scored by the translation integral of
-    the intersection count, area1 area2 |det [F1^T | L_q F2^T]|: near-parallel
-    plates get a weight near 0. The determinant is the quadratic form
-    q^T A q of the unit quaternion q, with
-
-        A_ij = (det [F1^T | e_i a | e_j b] + det [F1^T | e_j a | e_i b]) / 2,
-
-    a and b the rows of F2 read as quaternions and e_i the quaternion
-    units, so each sample costs a 4-vector product with A and no rotation
-    matrix is built.
-    """
+    moving polygons, against the plane-class density (1 + (u.v)^2)/4 times
+    their areas. Two plates in general position meet in at most one point,
+    so the count is chi(M1 . gM2), and the estimate is that of
+    ``mc_principal_kinematic`` (``_estimate``); only the rhs differs."""
     _check_mc_args(N, threads, M1=M1, M2=M2)
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
     rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * M1.area * M2.area
-    A = M1.area * M2.area * _plate_form(M1.frame.T, M2.frame.T)
-
-    def worker(idx, size):
-        w = _quadratic_forms(A, _haar_quaternions(np.random.default_rng([seed, idx]), size))
-        np.abs(w, out=w)
-        return float(np.sum(w)), float(np.sum(w * w))
-
-    return _finalize(*_chunk_moments(worker, N, threads), N, seed, rhs)
+    return _estimate(M1, M2, N, seed, threads, rhs)

@@ -602,6 +602,19 @@ class TestMCPoincare:
             density * _area(6, 1.0) * _area(8, 0.7), rel=1e-12)
         assert abs(rep.z_score) < 3
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_principal_estimate_of_the_plates_is_the_count(self, threads):
+        # two plates in general position meet in at most one point, so their
+        # intersection count is chi(M1 . gM2): the two estimators draw the
+        # same quaternions and weigh them alike, and only their right-hand
+        # sides, the exact tensor and the plane-class density, differ
+        square, pentagon, _ = PINNED_PAIRS["poincare"]
+        principal = mc_principal_kinematic(square, pentagon, N=40000, seed=13, threads=threads)
+        count = mc_poincare(square, pentagon, N=40000, seed=13, threads=threads)
+        assert [x.hex() for x in (principal.estimate, principal.stderr)] == \
+            [x.hex() for x in (count.estimate, count.stderr)]
+        assert principal.rhs == pytest.approx(count.rhs, rel=1e-14, abs=0)
+
     def test_left_multiplication_preserves_class(self):
         p = mgon(5, [[1, 0, 0, 0], [0, 0, 1, 0]])
         q = np.array([1.0, -2.0, 0.5, 3.0])
@@ -802,8 +815,10 @@ def _svd_volumes(F1t, F2):
 
 
 def _plate_weights(F1t, F2t, qs):
-    """|det [F1t | L_q F2t]| for each row q of qs, as the plates score it."""
-    return np.abs(kinematic._quadratic_forms(kinematic._plate_form(F1t, F2t), qs))
+    """|det [F1t | L_q F2t]| for each row q of qs, as the plates score it:
+    the weight of two unit squares in the planes of F1t and F2t."""
+    M1, M2 = (PlanarPolygon(Ft.T, [[0, 0], [1, 0], [1, 1], [0, 1]]) for Ft in (F1t, F2t))
+    return kinematic._plate_volumes(M1, M2)(qs)
 
 
 SQUARE_FRAME = [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -1285,8 +1300,7 @@ class TestHullHullVolumes:
         M1, M2 = HULLS["square"], HULLS["pentagon"]
         qs = kinematic._haar_quaternions(np.random.default_rng(141), 4096)
         scale = M1.area * M2.area
-        want = np.abs(kinematic._quadratic_forms(
-            scale * kinematic._plate_form(M1.frame.T, M2.frame.T), qs))
+        want = kinematic._plate_volumes(M1, M2)(qs)
         got = kinematic._hull_hull_volumes(M1, M2)(qs)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
