@@ -21,8 +21,11 @@ Several valuations on one body share one pass over its pieces
 (``evaluate_many``), their cells and moments computed once per shape for all
 the valuations.  A tube value is the Taylor sum of t^k / k! (Lambda^k mu)(K)
 over the derivation's chain, evaluated in one such pass (``evaluate_tube``),
-and so is the Steiner volume.  A form's monomials
-are read from its split vectors in one fixed order (``_closed_form_terms``).
+and so is the Steiner volume.  The Klain density of an even degree-k
+valuation on a k-plane is k! times its value on the simplex of an
+orthonormal frame of the plane (``klain``).  A form's monomials are read
+from its split vectors in one fixed order (``_closed_form_terms``), kept
+per form in a bounded LRU on its vectors (``columns._cached_on_vectors``).
 
 Each body class carries its own volume, rigid motion ``moved(R, t)`` for
 x -> R x + t, and, except the ball, its pieces; a simplex and a polygon also
@@ -33,12 +36,13 @@ and distance tests.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
+from .columns import _cached_on_vectors, _join_vectors, _ordered_terms
 from .tolerances import (
     CELL_TOL,
     CONVEXITY_TOL,
@@ -653,31 +657,10 @@ class _TermGroup(NamedTuple):
     degree: int           # highest degree of monomial * v_i
 
 
-def _cached_on_vectors(fn):
-    """fn(n, parts) of a split form as a function of a form, in a bounded LRU
-    on its vector key (``columns._form_key``); results are shared, not copied."""
-    @lru_cache(maxsize=64)
-    def cached(key):
-        from .columns import _key_vectors
-
-        return fn(*_key_vectors(key))
-
-    @wraps(fn)
-    def call(form):
-        from .columns import _form_key
-
-        return cached(_form_key(form))
-
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
-
-
 @_cached_on_vectors
 def _closed_form_terms(n, parts):
     """The form's terms grouped by (k, m): face dimension, cone generators,
     in ``columns._ordered_terms`` order, the order of every float sum over them."""
-    from .columns import _ordered_terms
-
     rows = {}
     for I, J, e, c in _ordered_terms(n, parts, True):
         rows.setdefault((len(I), len(J) + 1), []).append(
@@ -727,8 +710,6 @@ def _point_value(n, parts):
     pieces of every polytope add up to: its value on a ball of radius 0
     (``valuation.ball_value``), where only the dv-only terms count.  Exact
     coefficients are summed exactly and rounded once."""
-    from .columns import _join_vectors
-
     return ball_value(ValuationRep(n, _join_vectors(n, parts)), 0)
 
 
@@ -778,6 +759,29 @@ def evaluate_many(reps, K) -> list:
 def evaluate(mu: ValuationRep, K) -> float:
     """Numeric value of the valuation on a convex body."""
     return evaluate_many([mu], K)[0]
+
+
+def klain(mu: ValuationRep, frame) -> float:
+    """Klain density of an even degree-k valuation on the span of an orthonormal frame.
+
+    Evaluates mu on a unit-volume piece of the subspace: for k = 0 the value on
+    a point, the value on a ball of radius 0 (``ball_value``), otherwise k!
+    times the value on the simplex spanned by the frame.
+    """
+    k = mu.degree()
+    if len(frame) != k:
+        raise ValueError(f"expected {k} frame vectors, got {len(frame)}")
+    if k == 0:
+        return ball_value(mu, 0)
+    mat = np.array([[float(x) for x in f] for f in frame], dtype=float)
+    if mat.shape != (k, mu.n):
+        raise ValueError("frame vectors must have length n")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("frame entries must be finite")
+    if not np.allclose(mat @ mat.T, np.eye(k), rtol=0, atol=ORTHONORMAL_TOL):
+        raise ValueError("frame is not orthonormal")
+    verts = np.vstack([np.zeros(mu.n), mat])
+    return evaluate(mu, Simplex(verts)) * math.factorial(k)
 
 
 def steiner_volume(K, t: float) -> float:

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import serialization as ser
-from .bodies import evaluate
+from .bodies import evaluate, klain
 from .contact import rumin
 from .exterior import alpha_form
 from .kinematic import (
@@ -28,7 +28,7 @@ from .kinematic import (
 )
 from .scalars import Rat
 from .su2 import ImDirection, _scaled_forms, quaternionic_forms, z_rep
-from .valuation import derivation, euler_verdier, klain, laplace, pairing, signature
+from .valuation import derivation, euler_verdier, laplace, pairing, signature
 
 OPERATORS = {
     "sigma": euler_verdier,

@@ -9,18 +9,19 @@ ints otherwise (``_fit``).  A float coefficient lies in grade 0, whose vals
 are then float64 over den 1; the columns apply to them unchanged, and no
 float is truncated or gcd-reduced.
 
-contact's Rumin solve (RUMIN), hodge_star (HODGE) and lie_reeb (LIE_REEB)
-are caches of integer columns, one per monomial of an input block: its image
-as (row, value) arrays into each output block.  Applying one is a gather and
-an np.add.at per output block, in int64 while a checked bound allows it and
-in Python ints past it (``_widen``).  The dict operators build the columns,
-all missing monomials of an input in one pass: monomial i enters with
-coefficient 2^(B i), so its image rides in lane i of every output
-coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane width B
-comes from a proved bound on a column's entries, the product of the column
-l1 norms of the operator's steps (the *_norm helpers), so no lane carries
-into the next.  pair_top contracts two vectors against the closed-form
-integrals of sphere monomials, the one path of the pairing at every degree.
+hodge_star (HODGE), lie_reeb (LIE_REEB) and contact's Rumin solve
+(``contact.RUMIN``) are caches of integer columns, one per monomial of an
+input block: its image as (row, value) arrays into each output block.
+Applying one is a gather and an np.add.at per output block, in int64 while a
+checked bound allows it and in Python ints past it (``_widen``).  The dict
+operators build the columns, all missing monomials of an input in one pass:
+monomial i enters with coefficient 2^(B i), so its image rides in lane i of
+every output coefficient, and a bias of 2^(B - 1) per lane decodes it.  The
+lane width B comes from a proved bound on a column's entries, the product of
+the column l1 norms of the operator's steps (the *_norm helpers), so no lane
+carries into the next.  pair_top contracts two vectors against the
+closed-form integrals of sphere monomials, the one path of the pairing at
+every degree.
 
 An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
@@ -28,7 +29,9 @@ asked for, and until then its zero test, degrees and exactness read the
 vectors' blocks.  Every float sum over monomials takes them sorted by (I, J,
 e) (``_ordered_terms``), never in the order the process numbered them.
 ``_vector_key`` turns split vectors into a hashable key, which a form keeps
-once computed (``_form_key``): the key of the Rumin LRU and bodies' caches.
+once computed (``_form_key``).  ``_cached_on_vectors`` keeps a function of a
+form in a bounded LRU on that key: contact's Rumin solve and the numeric
+caches of ``bodies``.
 
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
@@ -37,18 +40,17 @@ exponents into one code, in fields as wide as the two degrees' sum needs:
 an int64 while the n fields fit in 63 bits (in R^4, degree sums up to
 2^15 - 2), a Python int past that.  The caches keep every column they
 build for the life of the process: their size is bounded by the number of
-monomials of the degrees in use, not by a count of forms.  This module is
-imported on the first exact operation or numeric evaluation, so code that
-runs none does not load it.
+monomials of the degrees in use, not by a count of forms.  This module
+builds on ``exterior`` and ``scalars`` alone; every module above it imports
+it at load.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, product
 
 import numpy as np
 
-from .contact import _lefschetz_pass, _pihat
 from .exterior import (
     InvariantForm,
     SpherePoly,
@@ -70,6 +72,9 @@ INT64_SAFE = 1 << 62  # vector entries below it are stored as int64
 # monomials of Z_u-like forms raised peak RSS by 3 MB at 5,120 bits and by
 # 8 MB at 10,240 bits; x86-64, Python 3.11)
 PACKED_BITS = 8192
+# results kept per function of a form (``_cached_on_vectors``); one pairing
+# with its operators needs about five Rumin solves
+FORM_CACHE_SIZE = 64
 
 
 class _Block:
@@ -230,7 +235,7 @@ def _vector_key(n, parts) -> tuple:
 
 def _form_key(form) -> tuple:
     """The form's ``_vector_key``, computed once and kept with the form: the
-    key of contact's Rumin LRU and of the numeric caches of ``bodies``."""
+    key of ``_cached_on_vectors``."""
     if form._key is None:
         form._key = _vector_key(form.n, _split_vectors(form))
     return form._key
@@ -248,6 +253,22 @@ def _key_vectors(key):
             out = np.frombuffer(vals, dtype)
         parts.setdefault(k, (den, {}))[1][ab] = (np.frombuffer(ids, np.int64), out)
     return n, parts
+
+
+def _cached_on_vectors(fn):
+    """fn(n, parts) of a split form as a function of a form, in a bounded LRU
+    on its vector key (``_form_key``): a form rebuilt from the same vectors
+    hits, and no Scalar term is hashed.  Results are shared, not copied."""
+    @lru_cache(maxsize=FORM_CACHE_SIZE)
+    def cached(key):
+        return fn(*_key_vectors(key))
+
+    @wraps(fn)
+    def call(form):
+        return cached(_form_key(form))
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 def _reduce_grade(den, blocks):
@@ -539,24 +560,6 @@ def _hodge_bound(n, a, b, deg) -> int:
 def _lie_bound(n, a, b, deg) -> int:
     # i_T d + d i_T; i_T raises the degree by one
     return _reeb_norm(n, a) * (_d_norm(n, b, deg) + _d_norm(n, b, deg + 1))
-
-
-def _rumin_bound(n, a, b, deg) -> int:
-    """Bound on the entries of xi, D and horizontal_part(D) for one monomial of
-    bidegree (a, b) and polynomial degree <= deg: the product of the column l1
-    norms of the steps of _lefschetz_pass.  d and the projection raise the
-    degree by at most one, i_T and alpha ^ by one, pihat ^ by two.
-    """
-    lam1 = _d_norm(n, b, deg) * _horizontal_norm(n, a) * min(a, b + 1)
-    s, xi, xi_deg = 1, lam1, deg + 3
-    if n == 4:
-        s, xi, xi_deg = 4, 4 * lam1 + _wedge_norm(_pihat(n)) * min(a - 1, b) * lam1, deg + 5
-    D = _d_norm(n, b, max(deg, xi_deg + 1)) * (s + _alpha_norm(n, a - 1) * xi)
-    return max(xi, D, _horizontal_norm(n, a) * D)
-
-
-RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
-                        lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
 
 
 HODGE = _ColumnOperator(lambda f: ((hodge_star(f),), 1), _hodge_bound,

@@ -9,24 +9,30 @@ form: the horizontal part of a form drops alpha ^ i_T a, T the Reeb field
 paired base and fiber slots (``exterior.contract_slot``).  The solve is
 linear over Z, so it runs on the pi-graded integer parts of omega as sparse
 vectors over monomials (see ``columns``): D and xi are a cache of integer
-columns per input block (n, |I|, |J|), ``columns.RUMIN``.
-The dict solve here, ``_lefschetz_pass``, builds the missing columns of an
-input in one lane-packed pass and checks there, once for every column, that
-the corrected derivative is vertical.  Its lane width comes from
-``columns._rumin_bound``, the product of the column l1 norms of the solve's
-steps.  In front of the columns, a bounded LRU (``_rumin_cached``) keeps
-the result per input, keyed on the bytes of its vectors
-(``columns._form_key``, kept with the form), so a form rebuilt from the
-same vectors hits and no Scalar term is hashed.
+columns per input block (n, |I|, |J|), ``RUMIN``.  The dict solve,
+``_lefschetz_pass``, builds the missing columns of an input in one
+lane-packed pass and checks there, once for every column, that the
+corrected derivative is vertical.  Its lane width comes from
+``_rumin_bound``, the product of the column l1 norms of the solve's steps,
+kept beside the solve whose steps it bounds.  In front of the columns, a bounded LRU (``_rumin_cached``,
+``columns._cached_on_vectors``) keeps the result per input, keyed on the
+bytes of its vectors, so a form rebuilt from the same vectors hits and no
+Scalar term is hashed.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .columns import (
+    _ColumnOperator,
+    _alpha_norm,
+    _cached_on_vectors,
+    _d_norm,
+    _horizontal_norm,
+    _join_vectors,
+    _wedge_norm,
+)
 from .exterior import InvariantForm, alpha_form, contract_slot, d, reeb_contract
-
-# corrections kept for reuse; one pairing with its operators needs about five
-RUMIN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +50,10 @@ class RuminResult:
 
     @cached_property
     def D_omega(self) -> InvariantForm:
-        from .columns import _join_vectors
-
         return _join_vectors(self.n, self.D_parts)
 
     @cached_property
     def xi(self) -> InvariantForm:
-        from .columns import _join_vectors
-
         return _join_vectors(self.n, self.xi_parts)
 
     @cached_property
@@ -110,27 +112,40 @@ def _lefschetz_pass(f: InvariantForm):
     return (xi, D), s
 
 
+def _rumin_bound(n, a, b, deg) -> int:
+    """Bound on the entries of xi, D and horizontal_part(D) for one monomial of
+    bidegree (a, b) and polynomial degree <= deg: the product of the column l1
+    norms of the steps of _lefschetz_pass.  d and the projection raise the
+    degree by at most one, i_T and alpha ^ by one, pihat ^ by two.
+    """
+    lam1 = _d_norm(n, b, deg) * _horizontal_norm(n, a) * min(a, b + 1)
+    s, xi, xi_deg = 1, lam1, deg + 3
+    if n == 4:
+        s, xi, xi_deg = 4, 4 * lam1 + _wedge_norm(_pihat(n)) * min(a - 1, b) * lam1, deg + 5
+    D = _d_norm(n, b, max(deg, xi_deg + 1)) * (s + _alpha_norm(n, a - 1) * xi)
+    return max(xi, D, _horizontal_norm(n, a) * D)
+
+
+RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
+                        lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
+
+
 def rumin(omega: InvariantForm) -> RuminResult:
     """Correction xi and corrected derivative for a form of degree n-1.
 
     The integer columns it builds stay cached for the life of the process,
-    one per monomial seen (``columns``); monomials whose column bound needs
+    one per monomial seen (``RUMIN``); monomials whose column bound needs
     lanes past 64 bits run the dict solve instead.
     """
     n = omega.n
     if omega and omega.degree() != n - 1:
         raise ValueError(f"expected a form of degree {n - 1}, got {omega.degree()}")
-    from .columns import _form_key
-
-    return _rumin_cached(_form_key(omega))
+    return _rumin_cached(omega)
 
 
-@lru_cache(maxsize=RUMIN_CACHE_SIZE)
-def _rumin_cached(key) -> RuminResult:
-    """The Rumin solve of the split form with ``columns._vector_key`` key."""
-    from .columns import RUMIN, _key_vectors
-
-    n, parts = _key_vectors(key)
+@_cached_on_vectors
+def _rumin_cached(n, parts) -> RuminResult:
+    """The Rumin solve of a split form."""
     if any(vals.dtype.kind == "f" for _, blocks in parts.values() for _, vals in blocks.values()):
         raise TypeError("the Rumin solve requires exact coefficients, not floats")
     xi_parts, D_parts = RUMIN.apply(n, parts)

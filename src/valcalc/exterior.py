@@ -303,6 +303,7 @@ class InvariantForm:
     def terms(self) -> dict:
         # a form of split vectors (columns._join_vectors) builds them when asked
         if self._terms is None:
+            # columns builds on InvariantForm: the exterior <-> columns cycle
             from .columns import _vector_terms
 
             self._terms = _vector_terms(self.n, self._parts)
@@ -347,6 +348,7 @@ class InvariantForm:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         if self._parts is not None or other._parts is not None:
+            # columns builds on InvariantForm: the exterior <-> columns cycle
             from .columns import _add_vectors, _join_vectors, _split_vectors
 
             return _join_vectors(self.n, _add_vectors(

@@ -50,7 +50,7 @@ from .bodies import (
 )
 from .linalg import invert_scalar_matrix
 from .scalars import Rat, Scalar, ZERO
-from .su2 import su2_basis
+from .su2 import UNIT_LEFT, su2_basis, tasaki_density
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
@@ -109,7 +109,7 @@ def gram_matrix(kind: str = "icosahedron"):
     labels = [label for label, _ in basis]
     # the icosahedron's Z_u have float coefficients, as its directions are
     # irrational; any two of them meet at (u.v)^2 = 1/5, so its Z_u block
-    # takes the closed-form density (1 + (u.v)^2) / 4. Every other entry
+    # takes the plane-class density (1 + (u.v)^2) / 4. Every other entry
     # pairs the basis reps
     n = len(basis)
     G = [[ZERO] * n for _ in range(n)]
@@ -118,7 +118,7 @@ def gram_matrix(kind: str = "icosahedron"):
             if BASIS_DEGREES[i] + BASIS_DEGREES[j] != 4:
                 continue
             if kind == "icosahedron" and 2 <= i < 8 and 2 <= j < 8:
-                val = (1 + Scalar({0: 1 if i == j else Rat(1, 5)})) * Rat(1, 4)
+                val = Scalar({0: tasaki_density(Rat(1) if i == j else Rat(1, 5))})
             else:
                 val = pairing(basis[i][1], basis[j][1])
             G[i][j] = G[j][i] = val
@@ -167,16 +167,8 @@ def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
                      if b != 0.0 and not T.matrix[i][j].is_zero())
 
 
-# left multiplication by q0 + q1 i + q2 j + q3 k: entry (r, c) of its matrix
-# is _LEFT_SIGN[r, c] * q[_LEFT_INDEX[r, c]]
-_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
-                       [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
-
-
-# _UNIT_LEFT[k] is left multiplication by the quaternion unit e_k, so that
-# L_q = sum_k q_k _UNIT_LEFT[k]
-_UNIT_LEFT = _LEFT_SIGN * (_LEFT_INDEX == np.arange(4)[:, None, None])
+# left multiplication by q0 + q1 i + q2 j + q3 k is L_q = sum_k q_k _UNIT_LEFT[k]
+_UNIT_LEFT = np.array(UNIT_LEFT, dtype=float)
 
 # the 2-subsets of four indices in lexicographic order (5 - p the complement
 # of p), the 18 pairs (P, T) of them with 0 in P, and the 10 index pairs k <= l
@@ -820,5 +812,5 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
-    rhs = 0.25 * (1.0 + float(u1 @ u2) ** 2) * M1.area * M2.area
+    rhs = tasaki_density(float(u1 @ u2) ** 2) * M1.area * M2.area
     return _estimate(M1, M2, N, seed, threads, rhs)

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .columns import _fit, _join_vectors, _reduce_grade, _split_vectors, _widen
 from .exterior import (
     InvariantForm,
     SpherePoly,
@@ -33,11 +34,14 @@ from .scalars import Rat, Scalar
 from .tolerances import ZERO_NORM_TOL
 from .valuation import ValuationRep, intrinsic_volume_rep, pairing
 
-I_MATRICES = {
-    "i": ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)),
-    "j": ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)),
-    "k": ((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
-}
+# UNIT_LEFT[k] is the matrix of left multiplication by the quaternion unit
+# e_k of the basis (1, i, j, k): column s holds the coordinates of e_k e_s
+UNIT_LEFT = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+    ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0)),
+    ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+)
 
 # Orientation fix: with normal cycles oriented so that chi(ball) = +1, the
 # combination (1/8pi) beta^d(beta) + (1/4pi) gamma^Omega integrates to -pi
@@ -46,11 +50,12 @@ Z_ORIENTATION = -1
 
 
 def right_mult_matrix(a, b, c):
-    """Matrix of right quaternion multiplication by a*i + b*j + c*k."""
-    mats = (I_MATRICES["i"], I_MATRICES["j"], I_MATRICES["k"])
+    """Matrix of right quaternion multiplication by a*i + b*j + c*k, exact for
+    exact coefficients: entry (r, s) of x -> x e_k is coordinate r of e_s e_k,
+    UNIT_LEFT[s][r][k]."""
     coef = (a, b, c)
     return tuple(
-        tuple(sum(coef[m] * mats[m][r][s] for m in range(3)) for s in range(4))
+        tuple(sum(coef[m] * UNIT_LEFT[s][r][m + 1] for m in range(3)) for s in range(4))
         for r in range(4)
     )
 
@@ -186,8 +191,6 @@ def _z_tensor():
     The numerator is quadratic in u, so T follows by polarization from the
     dict forms of e_i and e_i + e_j, built once per process.
     """
-    from .columns import _split_vectors
-
     images = []
     for i, j in _PRODUCTS:
         beta, gamma, omega = _scaled_forms(tuple(int(t in (i, j)) for t in range(3)))
@@ -207,8 +210,6 @@ def _z_vectors(u: ImDirection) -> dict:
     """The split vectors of Z_u, Z_ORIENTATION T m(u) / (8 pi): for an exact
     direction, m(u) of its integer triple and pi^-1 over 8 |u|^2, reduced by
     the gcd; for a float one, m(u) of its unit coordinates, in float64 over 1."""
-    from .columns import _fit, _reduce_grade, _widen
-
     ids, T, bound = _z_tensor()
     x = u.coords if u.exact else u.unit()
     prods = [x[i] * x[j] for i, j in _PRODUCTS]
@@ -226,8 +227,6 @@ def z_rep(u: ImDirection) -> ValuationRep:
     Its form is its split vectors (``_z_vectors``); numeric evaluation reads
     them, and its terms are built from them only when asked for.
     """
-    from .columns import _join_vectors
-
     return ValuationRep(4, _join_vectors(4, _z_vectors(u)))
 
 
@@ -238,12 +237,10 @@ def gram_zz(u: ImDirection, v: ImDirection) -> Scalar:
     return pairing(z_rep(u), z_rep(v))
 
 
-def tasaki_density(u: ImDirection, v: ImDirection):
-    """Closed form 1/4 (1 + (u.v)^2) for the average intersection density."""
-    ds = u.dot_sq(v)
-    if isinstance(ds, float):
-        return 0.25 * (1.0 + ds)
-    return (1 + Scalar({0: ds})) * Rat(1, 4)
+def tasaki_density(cos2):
+    """The plane-class density (1 + (u.v)^2) / 4 at cos2 = (u.v)^2
+    (``ImDirection.dot_sq``): exact for a Fraction, a float for a float."""
+    return (1 + cos2) / 4
 
 
 def icosahedron_directions():

@@ -12,14 +12,24 @@ Q[pi, 1/pi] on integer parts and in floats on the float64 part of a float
 rep.  The pairing contracts two integer vectors against the closed-form
 integrals of sphere monomials, each a rational times pi^(n // 2)
 (``columns.pair_top``); it and the Rumin-based operators reject floats.
-The value on a ball reads the split vectors too.  ``columns`` is imported
-where an operator or a ball value first runs.
+The value on a ball reads the split vectors too.  Evaluation on other
+bodies, and the Klain density read from it, live in ``bodies``.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
+from .columns import (
+    HODGE,
+    LIE_REEB,
+    _add_vectors,
+    _antipode_vectors,
+    _join_vectors,
+    _ordered_terms,
+    _split_vectors,
+    pair_top,
+)
 from .contact import rumin
 from .exterior import (
     InvariantForm,
@@ -30,7 +40,6 @@ from .exterior import (
     reeb_contract,
 )
 from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
-from .tolerances import ORTHONORMAL_TOL
 
 
 @dataclass(frozen=True)
@@ -93,26 +102,21 @@ class ValuationRep:
 
 def euler_verdier(mu: ValuationRep) -> ValuationRep:
     """Composition with the antipodal reflection: ((-1)^n s*omega, (-1)^n phi)."""
-    from . import columns
-
     sign = -1 if mu.n % 2 else 1
-    parts = columns._split_vectors(mu.omega)
-    image = columns._antipode_vectors(mu.n, parts, sign)
+    parts = _split_vectors(mu.omega)
+    image = _antipode_vectors(mu.n, parts, sign)
     if image is parts and (sign > 0 or not mu.phi):
         return mu
-    omega = mu.omega if image is parts else columns._join_vectors(mu.n, image)
+    omega = mu.omega if image is parts else _join_vectors(mu.n, image)
     return ValuationRep(mu.n, omega, -mu.phi if sign < 0 else mu.phi)
 
 
 def derivation(mu: ValuationRep) -> ValuationRep:
     """Degree-lowering derivative: (L_T omega + i_T pullback(phi), 0)."""
-    from . import columns
-
     n = mu.n
     lifted = reeb_contract(_phi_form(mu))
-    (parts,) = columns.LIE_REEB.apply(n, columns._split_vectors(mu.omega))
-    omega = columns._join_vectors(
-        n, columns._add_vectors(n, parts, columns._split_vectors(lifted)))
+    (parts,) = LIE_REEB.apply(n, _split_vectors(mu.omega))
+    omega = _join_vectors(n, _add_vectors(n, parts, _split_vectors(lifted)))
     return ValuationRep(n, omega)
 
 
@@ -124,18 +128,13 @@ def _phi_form(mu: ValuationRep) -> InvariantForm:
 
 def _inner_parts(mu: ValuationRep) -> dict:
     """Split vectors of D(omega) + pullback(phi); raises TypeError on floats."""
-    from . import columns
-
-    return columns._add_vectors(mu.n, rumin(mu.omega).D_parts,
-                                columns._split_vectors(_phi_form(mu)))
+    return _add_vectors(mu.n, rumin(mu.omega).D_parts, _split_vectors(_phi_form(mu)))
 
 
 def signature(mu: ValuationRep) -> ValuationRep:
     """Hodge star of the corrected derivative: (star(D omega + pullback(phi)), 0)."""
-    from . import columns
-
-    (parts,) = columns.HODGE.apply(mu.n, _inner_parts(mu))
-    return ValuationRep(mu.n, columns._join_vectors(mu.n, parts))
+    (parts,) = HODGE.apply(mu.n, _inner_parts(mu))
+    return ValuationRep(mu.n, _join_vectors(mu.n, parts))
 
 
 def laplace(mu: ValuationRep) -> ValuationRep:
@@ -154,9 +153,7 @@ def product_top(mu1: ValuationRep, mu2: ValuationRep) -> Scalar:
     if mu1.n != mu2.n:
         raise ValueError("dimension mismatch")
     n = mu1.n
-    from . import columns
-
-    first = columns.pair_top(n, mu1.omega, _inner_parts(mu2))
+    first = pair_top(n, mu1.omega, _inner_parts(mu2))
     if n % 2:
         first = -first
     if not mu1.phi:
@@ -207,8 +204,6 @@ def _ball_parts(mu: ValuationRep, radius, numeric: bool):
     same exact integrals, otherwise it raises TypeError like every exact
     operation.
     """
-    from .columns import _ordered_terms, _split_vectors
-
     n = mu.n
     r = Rat(radius)
     exact = mu.phi * ball_volume(n, radius)
@@ -249,7 +244,8 @@ def ball_value(mu: ValuationRep, radius) -> float:
     Exact coefficients are summed exactly and rounded once, so an exact rep
     gives float(unit_ball_value(mu, radius)) bit for bit.  At radius 0 it is
     the value on a point, the sum of a polytope's vertex pieces, which
-    ``bodies._integrate_forms`` adds in their place and ``klain`` takes for k = 0.
+    ``bodies._integrate_forms`` adds in their place and ``bodies.klain``
+    takes for k = 0.
     """
     exact, approx = _ball_parts(mu, radius, numeric=True)
     return float(exact) + approx
@@ -270,29 +266,3 @@ def intrinsic_volume_rep(n: int, k: int) -> ValuationRep:
     ball = rational(math.comb(n, k)) * ball_volume(n) / ball_volume(n - k)
     return raw * (ball / unit_ball_value(raw))
 
-
-def klain(mu: ValuationRep, frame) -> float:
-    """Klain density of an even degree-k valuation on the span of an orthonormal frame.
-
-    Evaluates mu on a unit-volume piece of the subspace: for k = 0 the value on
-    a point, the value on a ball of radius 0 (``ball_value``), otherwise k!
-    times the value on the simplex spanned by the frame.
-    """
-    k = mu.degree()
-    if len(frame) != k:
-        raise ValueError(f"expected {k} frame vectors, got {len(frame)}")
-    if k == 0:
-        return ball_value(mu, 0)
-    import numpy as np
-
-    mat = np.array([[float(x) for x in f] for f in frame], dtype=float)
-    if mat.shape != (k, mu.n):
-        raise ValueError("frame vectors must have length n")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("frame entries must be finite")
-    if not np.allclose(mat @ mat.T, np.eye(k), rtol=0, atol=ORTHONORMAL_TOL):
-        raise ValueError("frame is not orthonormal")
-    from .bodies import Simplex, evaluate
-
-    verts = np.vstack([np.zeros(mu.n), mat])
-    return evaluate(mu, Simplex(verts)) * math.factorial(k)

@@ -29,10 +29,9 @@ from valcalc.exterior import (
     reeb_contract,
     sphere_monomial_integral,
 )
-from valcalc.kinematic import _LEFT_INDEX, _LEFT_SIGN, _UNIT_LEFT
 from valcalc.scalars import PI, ZERO, Rat, Scalar
 from valcalc.serialization import body_to_json
-from valcalc.su2 import _scaled_forms, right_mult_matrix
+from valcalc.su2 import _scaled_forms
 from valcalc.tolerances import DEGENERATE_PIECE_TOL
 from valcalc.valuation import ValuationRep, euler_verdier
 
@@ -620,7 +619,7 @@ def box_box_laplace_volumes(K, L, qs):
     for the Monte Carlo's 16 linear and 18 quadratic forms in q."""
     # coordinate c of L's half-generator a in K's frame is row 4c + a of
     # gen @ q: K.rotation^T L_q L.rotation diag(hL), flattened, is linear in q
-    gen = np.kron(K.rotation.T, (L.rotation * L.half_extents).T) @ _UNIT_LEFT.reshape(4, 16).T
+    gen = np.kron(K.rotation.T, (L.rotation * L.half_extents).T) @ unit_left().reshape(4, 16).T
     return box_box_block(K.half_extents, (gen @ qs.T).reshape(4, 4, len(qs)))
 
 
@@ -1081,9 +1080,15 @@ def stated_z_form(u) -> InvariantForm:
 
 
 def right_translation_matrix(q):
-    """Matrix of x -> x q for a full quaternion q = (q0, q1, q2, q3)."""
-    m = right_mult_matrix(q[1], q[2], q[3])
-    return [[m[r][s] + (q[0] if r == s else 0) for s in range(4)] for r in range(4)]
+    """Matrix of x -> x q for a full quaternion q = (q0, q1, q2, q3), from the
+    Hamilton product written out."""
+    q0, q1, q2, q3 = q
+    return [
+        [q0, -q1, -q2, -q3],
+        [q1, q0, q3, -q2],
+        [q2, -q3, q0, q1],
+        [q3, q2, -q1, q0],
+    ]
 
 
 def left_mult_matrix(q):
@@ -1098,9 +1103,15 @@ def left_mult_matrix(q):
 
 
 def rotation_matrix(q) -> np.ndarray:
-    """Left multiplication by the unit quaternion q as a 4x4 float matrix, from
-    the index and sign tables the Monte Carlo rotations are built with."""
-    return np.array([float(x) for x in q])[_LEFT_INDEX] * _LEFT_SIGN
+    """Left multiplication by the unit quaternion q as a 4x4 float matrix,
+    from the Hamilton product written out in ``left_mult_matrix``."""
+    return np.array(left_mult_matrix([float(x) for x in q]))
+
+
+def unit_left() -> np.ndarray:
+    """(4, 4, 4): entry k is left multiplication by the quaternion unit e_k,
+    so that L_q = sum_k q_k unit_left()[k]."""
+    return np.array([left_mult_matrix(e) for e in np.eye(4)])
 
 
 def rational_unit_quaternion(rng):

@@ -107,7 +107,7 @@ def test_02_pairing_density_closed_form():
             if not any(cu) or not any(cv):
                 continue
             u, v = ImDirection.of(*cu), ImDirection.of(*cv)
-            assert pairing(z_rep(u), z_rep(v)) == tasaki_density(u, v), (cu, cv)
+            assert pairing(z_rep(u), z_rep(v)) == tasaki_density(u.dot_sq(v)), (cu, cv)
             done += 1
         return "20 exact rational direction pairs"
 

@@ -112,6 +112,26 @@ class TestConstruction:
             PlanarPolygon(np.array([[1.0, 0, 0, 0], [1.0, 1, 0, 0]]),
                           [[0, 0], [1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Box(np.zeros(4), np.ones(3)), "half_extents must match the center dimension"),
+        (lambda: Box(np.zeros(4), np.ones((4, 1))), "half_extents must match the center dimension"),
+        (lambda: Box(np.zeros(4), np.ones(4), np.eye(3)),
+         "rotation must be square of matching dimension"),
+        (lambda: Box(np.zeros(4), np.ones(4), np.eye(4)[:3]),
+         "rotation must be square of matching dimension"),
+        (lambda: PlanarPolygon(np.eye(4)[:3], [[0, 0], [1, 0], [0, 1]]),
+         "frame must consist of two rows"),
+        (lambda: PlanarPolygon(np.eye(4)[:2], [[0, 0], [1, 0]]),
+         "need at least three planar vertices"),
+        (lambda: PlanarPolygon(np.eye(4)[:2], [[0, 0], [1, 0], [0, 1]], np.zeros(3)),
+         "base point must match the frame dimension"),
+    ], ids=["half-extents-length", "half-extents-matrix", "rotation-size", "rotation-rows",
+            "frame-rows", "two-vertices", "base-length"])
+    def test_shape_checks(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_non_finite_rejected(self):
         frame = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         tri = [[0, 0], [1, 0], [0, 1]]

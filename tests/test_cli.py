@@ -459,6 +459,34 @@ class TestExitCodes:
                 main(["klain", "--u", bad, "--plane", "1,0,0,0;0,1,0,0"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["verify", "mc", "--k", "k.json", "--l", "l.json", "--seed", "1", "--samples", "many"],
+         "argument --samples: 'many' is not an integer"),
+        (["verify", "mc", "--k", "k.json", "--l", "l.json", "--seed", "1", "--samples", "0"], "argument --samples: must be positive"),
+        (["verify", "mc", "--k", "k.json", "--l", "l.json", "--seed", "1", "--samples", "16", "--threads", "1.5"],
+         "argument --threads: '1.5' is not an integer"),
+        (["verify", "mc", "--k", "k.json", "--l", "l.json", "--seed", "1", "--samples", "16", "--threads", "0"],
+         "argument --threads: must be positive"),
+        (["klain", "--u", "1,0,0", "--plane", "1,0,0,0;0,x,0,0"],
+         "argument --plane: vector 2 of '1,0,0,0;0,x,0,0' is not a comma-separated number list"),
+        (["klain", "--u", "1,0,0", "--plane", "1,0,0,0;0,1,0"],
+         "argument --plane: frame vectors must have equal length"),
+        (["su2", "forms", "--u", "1.5,0,0"], "su2 forms requires rational direction components"),
+    ], ids=["samples-text", "samples-zero", "threads-text", "threads-zero", "plane-number",
+            "plane-ragged", "forms-float"])
+    def test_argument_checks(self, capsys, args, message):
+        # each check ends the run with exit code 2 and its own one-line
+        # message, from argparse or from main, and no traceback
+        try:
+            rc = main(args)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert not out
+        assert err.splitlines()[-1].endswith(f"error: {message}")
+        assert "Traceback" not in err
+
 
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):

@@ -31,7 +31,6 @@ from valcalc import columns, contact, valuation
 from valcalc.columns import (
     HODGE,
     LIE_REEB,
-    RUMIN,
     _alpha_norm,
     _d_norm,
     _hodge_bound,
@@ -39,11 +38,10 @@ from valcalc.columns import (
     _lane_bits,
     _lie_bound,
     _reeb_norm,
-    _rumin_bound,
     _split_vectors,
     _wedge_norm,
 )
-from valcalc.contact import _lefschetz_pass, _pihat, dual_lefschetz, rumin
+from valcalc.contact import RUMIN, _lefschetz_pass, _pihat, _rumin_bound, dual_lefschetz, rumin
 from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
@@ -599,7 +597,7 @@ def test_exact_operators_stay_on_vectors(monkeypatch):
     sig = (pairing(signature(zu), zv), pairing(zu, signature(zv)))
     lap = (pairing(laplace(zu), zv), pairing(zu, laplace(zv)))
     assert not built
-    assert zz == tasaki_density(u, v)
+    assert zz == tasaki_density(u.dot_sq(v))
     assert lam[0] == lam[1] and sig[0] == sig[1] and lap[0] == lap[1]
     # asking for the terms builds them once
     assert zu.omega.terms == (-stated_z_form(u)).terms
@@ -616,8 +614,8 @@ def test_failed_correction_raises(monkeypatch):
     monkeypatch.setattr(contact, "_xi_lefschetz", doubled)
     monkeypatch.setattr(RUMIN, "caches", {})
     omega = z_rep(ImDirection.of(1, 0, 2)).omega
-    key = columns._vector_key(4, _split_vectors(omega))
+    parts = _split_vectors(omega)
     with pytest.raises(ArithmeticError, match="vertical"):
-        contact._rumin_cached.__wrapped__(key)
+        contact._rumin_cached.__wrapped__(4, parts)
     monkeypatch.setattr(contact, "_xi_lefschetz", original)
-    assert contact._rumin_cached.__wrapped__(key).D_omega == rumin_reference(omega)[1]
+    assert contact._rumin_cached.__wrapped__(4, parts).D_omega == rumin_reference(omega)[1]

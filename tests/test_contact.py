@@ -15,8 +15,8 @@ from _oracles import (
 )
 from valcalc import columns
 from valcalc.columns import _join_vectors, _key_vectors, _split_vectors, _vector_key
+from valcalc.columns import FORM_CACHE_SIZE
 from valcalc.contact import (
-    RUMIN_CACHE_SIZE,
     RuminResult,
     _rumin_cached,
     dual_lefschetz,
@@ -130,11 +130,11 @@ class TestRumin:
 class TestRuminCache:
     def test_size_stays_within_bound(self):
         base = intrinsic_volume_rep(3, 1).omega
-        for k in range(1, RUMIN_CACHE_SIZE + 10):
+        for k in range(1, FORM_CACHE_SIZE + 10):
             rumin(base * k)
         info = _rumin_cached.cache_info()
-        assert info.maxsize == RUMIN_CACHE_SIZE
-        assert info.currsize <= RUMIN_CACHE_SIZE
+        assert info.maxsize == FORM_CACHE_SIZE
+        assert info.currsize <= FORM_CACHE_SIZE
 
     def test_repeated_form_hits(self):
         omega = intrinsic_volume_rep(3, 2).omega * 7
@@ -156,10 +156,13 @@ class TestRuminCache:
         assert len(calls) == 1
 
     def test_key_is_the_vectors(self):
-        # the cache's argument is the split form's vector key, not the form
+        # the cache takes the form and keys its LRU on the split form's
+        # vector key, which the form keeps: the form of that key's vectors hits
         omega = intrinsic_volume_rep(4, 2).omega * 5
         first = rumin(omega)
-        assert _rumin_cached(_vector_key(4, _split_vectors(omega))) is first
+        assert _rumin_cached(omega) is first
+        assert omega._key == _vector_key(4, _split_vectors(omega))
+        assert _rumin_cached(_join_vectors(*_key_vectors(omega._key))) is first
 
     def test_form_rebuilt_from_the_same_vectors_hits(self):
         # a new form object with equal vectors (copied arrays) is a hit,

@@ -400,6 +400,13 @@ class TestPullbacks:
             pullback_linear(alpha_form(N), A)
 
 
+@pytest.mark.parametrize("e", [(-1, 0, 0), (2, 0, 0, -2)])
+def test_sphere_integral_rejects_negative_exponents(e):
+    with pytest.raises(ValueError) as exc:
+        sphere_monomial_integral(e)
+    assert str(exc.value) == "negative exponent"
+
+
 class TestSphereIntegral:
     def test_golden_values(self):
         assert sphere_monomial_integral((0, 0, 0, 0)) == 2 * PI ** 2

@@ -615,6 +615,19 @@ class TestMCPoincare:
             [x.hex() for x in (count.estimate, count.stderr)]
         assert principal.rhs == pytest.approx(count.rhs, rel=1e-14, abs=0)
 
+    def test_rhs_of_the_ci_plates_keeps_its_bits(self):
+        # the CI's square and pentagon plates: the density of su2 times the
+        # two areas, with the bits the density written inline as
+        # 0.25 * (1.0 + (u.v)^2) gave
+        square = PlanarPolygon(SQUARE_FRAME, [[0, 0], [1, 0], [1, 1], [0, 1]])
+        pentagon = PlanarPolygon(PENTAGON_FRAME, [
+            [0.8 * math.cos(2 * math.pi * i / 5), 0.8 * math.sin(2 * math.pi * i / 5)]
+            for i in range(5)])
+        rep = mc_poincare(square, pentagon, N=64, seed=13)
+        assert rep.rhs.hex() == "0x1.1957f995aae44p-1"
+        cos2 = float(plane_class(square.frame) @ plane_class(pentagon.frame)) ** 2
+        assert rep.rhs == 0.25 * (1.0 + cos2) * square.area * pentagon.area
+
     def test_left_multiplication_preserves_class(self):
         p = mgon(5, [[1, 0, 0, 0], [0, 0, 1, 0]])
         q = np.array([1.0, -2.0, 0.5, 3.0])

@@ -123,6 +123,27 @@ class TestFormJson:
             assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("load, obj, message", [
+    (ser.valuation_from_json, {"dim": 4, "omega": [1]}, "valuation.omega: expected a JSON object"),
+    (ser.form_from_json, {"dim": 4, "terms": [{"dx": 1}]},
+     "form.terms[0].dx: expected a list of integers"),
+    (ser.form_from_json, {"dim": 4, "terms": [{"poly": {"exp": [0, 0, 0, 0]}}]},
+     "form.terms[0].poly: expected a list of monomials"),
+    (ser.form_from_json, {"dim": 4, "terms": [[1]]},
+     "form.terms[0]: expected an object with dx, dv, poly"),
+    (ser.form_from_json, {"dim": 4, "terms": [{"poly": [[0, 0, 0, 0]]}]},
+     "form.terms[0].poly[0]: expected an object with exp and coeff"),
+    (ser.body_from_json, {"type": "simplex", "vertices": []}, "body.vertices: expected a list of rows"),
+    (ser.body_from_json, {"type": "simplex", "vertices": [[0, 0, 0], [1, 0]]},
+     "body.vertices: rows must have equal length"),
+], ids=["omega-not-object", "dx-not-list", "poly-not-list", "term-not-object",
+        "monomial-not-object", "no-rows", "ragged-rows"])
+def test_shape_errors_name_their_location(load, obj, message):
+    with pytest.raises(SerializationError) as err:
+        load(obj)
+    assert str(err.value) == message
+
+
 class TestValuationJson:
     def test_round_trips(self):
         reps = [intrinsic_volume_rep(4, k) for k in range(5)]

@@ -116,6 +116,13 @@ class TestQuaternionMatrices:
                   for r in range(4)]
             assert sq == [[-s if r == col else 0 for col in range(4)] for r in range(4)]
 
+    @pytest.mark.parametrize("coef", [(2, -1, 3), (Rat(1, 3), Rat(-2, 5), 0), (0.6, 0.0, -0.8)])
+    def test_right_mult_is_the_hamilton_product(self, coef):
+        # derived from the left multiplication table, exact for exact entries
+        m = right_mult_matrix(*coef)
+        assert [list(row) for row in m] == right_translation_matrix((0, *coef))
+        assert all(type(x) is type(sum(coef)) for row in m for x in row)
+
     def test_right_mult_orthogonal(self):
         m = right_mult_matrix(1, 0, 0)
         mtm = [[sum(m[t][r] * m[t][col] for t in range(4)) for col in range(4)]
@@ -345,10 +352,10 @@ class TestZTensor:
         rng = random.Random(47)
         for _ in range(4):
             u, v = rng.sample(big, 2)
-            assert pairing(z_rep(u), z_rep(v)) == tasaki_density(u, v), (u, v)
+            assert pairing(z_rep(u), z_rep(v)) == tasaki_density(u.dot_sq(v)), (u, v)
         u = ImDirection.of(1099511627777, 3, -5)
         v = ImDirection.of(2, -1180591620717411303425, 7)
-        assert gram_zz(u, v) == tasaki_density(u, v)
+        assert gram_zz(u, v) == tasaki_density(u.dot_sq(v))
 
 
 class TestGram:
@@ -363,7 +370,7 @@ class TestGram:
         rng = random.Random(17)
         for _ in range(5):
             u, v = random_direction(rng), random_direction(rng)
-            assert gram_zz(u, v) == tasaki_density(u, v)
+            assert gram_zz(u, v) == tasaki_density(u.dot_sq(v))
 
     def test_symmetries(self):
         u = ImDirection.of(3, -2, 1)
@@ -391,12 +398,16 @@ class TestGram:
 
     def test_tasaki_density(self):
         ui = ImDirection.of(1, 0, 0)
-        assert tasaki_density(ui, ui) == Rat(1, 2)
-        assert tasaki_density(ui, ImDirection.of(0, 0, 1)) == Rat(1, 4)
+        assert tasaki_density(ui.dot_sq(ui)) == Rat(1, 2)
+        assert tasaki_density(ui.dot_sq(ImDirection.of(0, 0, 1))) == Rat(1, 4)
+        assert type(tasaki_density(ui.dot_sq(ui))) is Rat
         # float directions give the float density
         u, v = icosahedron_directions()[:2]
-        assert tasaki_density(u, v) == pytest.approx(0.3, rel=1e-15)
-        assert tasaki_density(u, u) == pytest.approx(0.5, rel=1e-15)
+        assert tasaki_density(u.dot_sq(v)) == pytest.approx(0.3, rel=1e-15)
+        assert tasaki_density(u.dot_sq(u)) == pytest.approx(0.5, rel=1e-15)
+        # dividing by 4 and multiplying by 0.25 round alike
+        for x in (u.dot_sq(v), 0.1, 1 / 3, 0.7071067811865476, 1.0):
+            assert tasaki_density(x).hex() == (0.25 * (1.0 + x)).hex()
 
 
 class TestInvariance:
@@ -465,7 +476,7 @@ class TestBasis:
 
     def test_alesker_gram_nonsingular(self):
         dirs = alesker_directions()
-        gram = [[tasaki_density(u, v) for v in dirs] for u in dirs]
+        gram = [[Scalar({0: tasaki_density(u.dot_sq(v))}) for v in dirs] for u in dirs]
         inv = invert_scalar_matrix(gram)
         n = len(gram)
         for i in range(n):

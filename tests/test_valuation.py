@@ -14,6 +14,7 @@ from _oracles import (
     verify_zero_valuation,
 )
 from valcalc import valuation
+from valcalc.bodies import klain
 from valcalc.contact import rumin
 from valcalc.exterior import InvariantForm, SpherePoly, d, reeb_contract
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
@@ -23,7 +24,6 @@ from valcalc.valuation import (
     derivation,
     euler_verdier,
     intrinsic_volume_rep,
-    klain,
     laplace,
     pairing,
     product_top,
@@ -287,6 +287,21 @@ class TestFloatCoefficients:
               "laplace": laplace}[name]
         with pytest.raises(TypeError, match="exact coefficients"):
             op(zf)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: intrinsic_volume_rep(4, 5), "k must lie in 0..4"),
+    (lambda: klain(intrinsic_volume_rep(4, 2), [[1, 0, 0], [0, 1, 0]]),
+     "frame vectors must have length n"),
+    (lambda: intrinsic_volume_rep(3, 1) + intrinsic_volume_rep(4, 1), "dimension mismatch"),
+    (lambda: pairing(intrinsic_volume_rep(3, 1), intrinsic_volume_rep(4, 3)),
+     "dimension mismatch"),
+], ids=["intrinsic-volume-degree", "klain-frame-length", "sum-dimensions",
+        "pairing-dimensions"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestKlain:
