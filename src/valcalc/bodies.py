@@ -50,7 +50,7 @@ from .tolerances import (
     ORTHONORMAL_TOL,
     RANK_TOL,
 )
-from .valuation import ValuationRep, ball_value, ball_volume, derivation, intrinsic_volume_rep
+from .valuation import ValuationRep, ball_value, ball_volume, derivation
 
 def _finite(values, name):
     a = np.asarray(values, dtype=float)
@@ -773,20 +773,15 @@ def klain(mu: ValuationRep, frame) -> float:
         raise ValueError(f"expected {k} frame vectors, got {len(frame)}")
     if k == 0:
         return ball_value(mu, 0)
-    mat = np.array([[float(x) for x in f] for f in frame], dtype=float)
-    if mat.shape != (k, mu.n):
+    if any(len(f) != mu.n for f in frame):
         raise ValueError("frame vectors must have length n")
+    mat = np.array([[float(x) for x in f] for f in frame], dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("frame entries must be finite")
     if not np.allclose(mat @ mat.T, np.eye(k), rtol=0, atol=ORTHONORMAL_TOL):
         raise ValueError("frame is not orthonormal")
     verts = np.vstack([np.zeros(mu.n), mat])
     return evaluate(mu, Simplex(verts)) * math.factorial(k)
-
-
-def steiner_volume(K, t: float) -> float:
-    """Volume of the outer parallel body K + tB via the derivation's Taylor polynomial."""
-    return evaluate_tube(intrinsic_volume_rep(K.dim, K.dim), K, t)
 
 
 def evaluate_tube(mu: ValuationRep, K, t: float) -> float:

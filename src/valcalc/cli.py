@@ -19,6 +19,7 @@ from .bodies import evaluate, klain
 from .contact import rumin
 from .exterior import alpha_form
 from .kinematic import (
+    KOROBOV_CANDIDATES,
     REPLICATES,
     check_samples,
     gram_matrix,
@@ -276,16 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
             "against a ball or a box integrates two coordinates of the box's frame in "
             "closed form (a rounded-rectangle section) and draws the other two from a "
             "rank-1 lattice of n = N/{R} points, its generator the first g < n/2 coprime "
-            "to n whose continued fraction g/n has the smallest largest partial quotient, "
-            "under {R} "
-            "random shifts: N must be a multiple of {R}, and the standard error is that "
-            "of the {R} shift means, with {R1} degrees of freedom, so |z| > 3 has "
-            "probability 0.009 with no defect. Every other pair draws N independent "
-            "samples.").format(R=REPLICATES, R1=REPLICATES - 1))
+            "to n whose continued fraction g/n has the smallest largest partial quotient. "
+            "A ball against a simplex or a polygon draws N independent points. Every "
+            "other pair draws only rotations, unit quaternions q from the 3-D rank-1 "
+            "lattice of n = N/{R} points with generating vector (1, a, a^2 mod n), its "
+            "first coordinate folded by the tent 1 - |2u - 1| and mapped onto S^3 by "
+            "Shoemake's map; a is, of the a coprime to n in (n/4, n/2] first at or "
+            "above {C} evenly spaced points, the one of least figure of merit P_2. Each "
+            "lattice runs under {R} random shifts: N must be a multiple of {R}, and the "
+            "standard error is that of the {R} shift means, with {R1} degrees of "
+            "freedom, so |z| > 3 has probability 0.009 with no defect.").format(
+                R=REPLICATES, R1=REPLICATES - 1, C=KOROBOV_CANDIDATES))
     p.add_argument("--k", required=True, help="JSON body file, fixed body")
     p.add_argument("--l", required=True, help="JSON body file, moving body")
     p.add_argument("--samples", required=True, type=_positive_arg,
-                   help=f"N, a multiple of {REPLICATES} for a ball against a ball or a box")
+                   help=f"N, a multiple of {REPLICATES} for every pair but a ball against a "
+                        f"simplex or a polygon: {REPLICATES} shifted lattices of N/{REPLICATES} "
+                        f"points, 2-D for a ball against a ball or a box, 3-D Korobov "
+                        f"rotations otherwise")
     p.add_argument("--seed", required=True, type=_seed_arg,
                    help="explicit RNG seed (no wall-clock seeding)")
     p.add_argument("--poincare", action="store_true",

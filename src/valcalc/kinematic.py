@@ -25,11 +25,15 @@ simplex, segment, point or polygon, in either order, it sums the shadows of
 L_q L on the coordinate subspaces of the box's frame, L's vertices there
 being a fixed matrix times q; for two plates it is area1 area2 |q^T A q|,
 which also weighs their intersection count; for any other two vertex hulls
-it sums over the facets of K - L_q L, each a sum of faces of the two.
+it sums over the facets of K - L_q L, each a sum of faces of the two.  q
+runs over a 3-D rank-1 lattice (Korobov) under 16 random shifts, mapped
+onto S^3 by Shoemake's map, and again the 16 replicate means give the
+standard error.
 """
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -44,7 +48,6 @@ from .bodies import (
     _complement_basis,
     _row_max,
     _row_min,
-    _row_norms,
     _subsets,
     evaluate_many,
 )
@@ -54,9 +57,16 @@ from .su2 import UNIT_LEFT, su2_basis, tasaki_density
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
-# random shifts of the ball pairs' lattice: the standard error comes from
-# their means, with REPLICATES - 1 degrees of freedom
+# random shifts of every lattice, the ball pairs' 2-D one and the rotation
+# pairs' 3-D one: the standard error comes from their means, with
+# REPLICATES - 1 degrees of freedom
 REPLICATES = 16
+# candidate generators whose figure of merit the 3-D lattice's search takes
+KOROBOV_CANDIDATES = 48
+# the least standard error a rotation pair reports, in units in the last
+# place of its estimate: the spread of the replicate means cannot see the
+# rounding that every sample shares
+ROUNDING_ULPS = 4
 # lattice generators kept, by point count n, least recently used evicted first
 GENERATOR_CACHE_SIZE = 64
 # samples per block of the translation volumes: box/box's 16 linear and 18
@@ -181,17 +191,6 @@ _SPACES = np.array(list(combinations(range(4), 3)))[::-1]
 _SPACE_PLANE = np.array([[tuple(p) for p in _SUBSETS].index(tuple(s[:2])) for s in _SPACES])
 
 
-def _haar_quaternions(rng, size):
-    """``size`` unit quaternions uniform on S^3, as (size, 4) rows."""
-    qs = rng.standard_normal((size, 4))
-    norms = _row_norms(qs)
-    # a column at a time: dividing the (B, 4) rows by a (B, 1) column runs
-    # as B loops of 4
-    for k in range(4):
-        qs[:, k] /= norms
-    return qs
-
-
 def _ball_section(K, L):
     """For a ball against a ball or a box, (h, r): the box's half extents
     (two balls: zeros) and the ball's radius (two balls: their radius sum);
@@ -209,13 +208,14 @@ def _ball_section(K, L):
 
 
 def check_samples(K, L, N):
-    """Raise ValueError unless N suits the pair: a ball against a ball or a
-    box splits N over REPLICATES shifted lattices of N / REPLICATES points,
-    so N must be a multiple of REPLICATES (at least REPLICATES)."""
-    if _ball_section(K, L) is not None and (N < REPLICATES or N % REPLICATES):
-        raise ValueError(f"a ball against a ball or a box needs a multiple of {REPLICATES} "
-                         f"samples ({REPLICATES} shifted lattices of N/{REPLICATES} points), "
-                         f"got {N}")
+    """Raise ValueError unless N suits the pair: every pair but a ball
+    against a vertex hull splits N over REPLICATES shifted lattices of
+    N / REPLICATES points, so N must be a multiple of REPLICATES."""
+    hull_reach = _ball_section(K, L) is None and (isinstance(K, Ball) or isinstance(L, Ball))
+    if not hull_reach and (N < REPLICATES or N % REPLICATES):
+        raise ValueError(f"every pair but a ball against a vertex hull needs a multiple of "
+                         f"{REPLICATES} samples ({REPLICATES} shifted lattices of "
+                         f"N/{REPLICATES} points), got {N}")
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -316,6 +316,144 @@ def _section_replicates(h, r, n, seed):
             area += _section_areas(s, h, r)
         return 16.0 * a1 * a2 * area / n
     return replicate
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _korobov_generator(n):
+    """The a of the n-point rank-1 lattice {frac(k (1, a, a^2 mod n)/n)} in
+    [0, 1)^3 (Korobov): of the a coprime to n in (n/4, n/2], the first at
+    or above the integer part of each of the KOROBOV_CANDIDATES points
+    n/4 + (i + 1/2) n / (4 KOROBOV_CANDIDATES), evenly spaced inside that
+    range (all of them when it holds no more), the one of least figure of
+    merit
+    P_2 = -1 + (1/n) sum_k prod_j (1 + 2 pi^2 B_2(frac(k z_j / n))),
+    B_2(x) = x^2 - x + 1/6 (Sloan & Joe 1994, ch. 5); the first on a tie,
+    and a = 1 when the range holds none. n - a gives the mirrored lattice,
+    of the same P_2.
+
+    The summand is the same at k and n - k, and at k = 0 and k = n/2 the
+    same for every candidate, so the candidates compare by the sum over
+    0 < k < n/2, walked in blocks of MC_CHUNK: the search costs
+    O(KOROBOV_CANDIDATES n) time and O(MC_CHUNK) memory, about 25 ms at
+    n = 62,500 (N = 10^6). Cached per n, at most GENERATOR_CACHE_SIZE of
+    them."""
+    lo, hi = n // 4 + 1, n // 2
+    c = KOROBOV_CANDIDATES
+    if hi - lo + 1 <= c:
+        cands = [a for a in range(lo, hi + 1) if math.gcd(a, n) == 1]
+    else:
+        cands = []
+        for i in range(c):
+            a = max(lo, n * (2 * c + 2 * i + 1) // (8 * c))
+            while a <= hi and math.gcd(a, n) != 1:
+                a += 1
+            if a <= hi and (not cands or a > cands[-1]):
+                cands.append(a)
+    if len(cands) < 2:
+        return cands[0] if cands else 1
+
+    def factor(r):
+        # 1 + 2 pi^2 B_2(r / n) over residues r
+        x = r / n
+        x *= x - 1.0
+        x += 1.0 / 6.0
+        x *= 2.0 * math.pi ** 2
+        x += 1.0
+        return x
+
+    merit = np.zeros(len(cands))
+    half = (n + 1) // 2
+    for start in range(1, half, MC_CHUNK):
+        k = np.arange(start, min(start + MC_CHUNK, half))
+        first = factor(k)
+        for i, a in enumerate(cands):
+            term = factor(k * a % n)
+            term *= factor(k * (a * a % n) % n)
+            merit[i] += float(first @ term)
+    return cands[int(np.argmin(merit))]
+
+
+def _rotation_lattice(n):
+    """The function block(d, start, out) that writes into out, (4, R,
+    size), the unit quaternions of points start, ..., start + size - 1 of
+    the n-point rank-1 lattice of ``_korobov_generator`` under each of R
+    shifts, the rows of d (R, 3) (Cranley & Patterson 1976). A shifted
+    point u in [0, 1)^3 has its first coordinate folded by the tent
+    1 - |2 u1 - 1|, which keeps the uniform measure and lets the rule treat
+    the integrand as periodic in u1 (Hickernell 2002), and is mapped onto
+    S^3 by Shoemake's map (Graphics Gems III, 1992)
+    u -> (sqrt(1 - u1) (cos, sin) 2 pi u2, sqrt(u1) (cos, sin) 2 pi u3),
+    which takes the uniform measure on [0, 1)^3 to Haar measure.
+
+    Writing d1 n = m + phi and k' = k + m mod n, point k' has u1 = (k' +
+    phi)/n, so the first coordinate needs no wrap, as in
+    ``_section_replicates``; the angles need none either, being periodic.
+    The sines and cosines of the first MC_CHUNK points' angles 2 pi frac(k'
+    z_j / n) are taken once; a block starting at k' = start turns them by
+    the constant angle 2 pi (frac((start - m) z_j / n) + d_j)."""
+    a = _korobov_generator(n)
+    steps = (a, a * a % n)
+    k = np.arange(min(n, MC_CHUNK))
+    turns = [(np.sin(t), np.cos(t)) for t in (2.0 * math.pi / n * (k * g % n) for g in steps)]
+
+    def block(d, start, out):
+        size = out.shape[2]
+        m = [int(x) for x in d[:, 0] * n]
+        phi = d[:, 0] * n - m
+        u = np.add(k[:size], (start + phi)[:, None], out=out[1])
+        # the tent 1 - |2 u1 - 1|
+        u *= 2.0 / n
+        u -= 1.0
+        np.abs(u, out=u)
+        np.subtract(1.0, u, out=u)
+        # rows 0 and 2 hold the radii sqrt(1 - u1) and sqrt(u1), then
+        # times the cosines; rows 1 and 3 the radii times the sines
+        np.sqrt(np.subtract(1.0, u, out=out[0]), out=out[0])
+        np.sqrt(u, out=out[2])
+        for row, (sin, cos), g, dj in zip((0, 2), turns, steps, d[:, 1:].T):
+            t = 2.0 * math.pi * ((np.array([(start - mi) * g % n for mi in m]) / n + dj) % 1.0)
+            c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+            radius = out[row]
+            np.multiply(sin[:size], c, out=out[row + 1])
+            out[row + 1] += s * cos[:size]
+            out[row + 1] *= radius
+            radius *= c * cos[:size] - s * sin[:size]
+    return block
+
+
+def _rotation_means(volumes, n, seed, threads):
+    """The REPLICATES mean weights volumes(q) over the lattice of
+    ``_rotation_lattice``, n points each, replicate idx under the shift of
+    three uniforms of default_rng([seed, idx]), as the ball pairs draw
+    theirs, in blocks of MC_CHUNK.
+    When all of them fit in one block, the REPLICATES lattices are scored
+    in one call and split by replicate after; the path depends on n alone,
+    so the means depend only on (seed, n), whatever the threads."""
+    block = _rotation_lattice(n)
+    shifts = np.array([np.random.default_rng([seed, idx]).random(3) for idx in range(REPLICATES)])
+    if REPLICATES * n <= MC_CHUNK:
+        qs = np.empty((4, REPLICATES * n))
+        block(shifts, 0, qs.reshape(4, REPLICATES, n))
+        w = volumes(qs.T).reshape(REPLICATES, n)
+        return (w.sum(axis=1) / n).tolist()
+    # one buffer of a whole chunk per thread, whatever n, kept through all
+    # its replicates: the allocator serves one that large from fresh pages
+    # and, once it is freed, keeps blocks up to its size, the weights'
+    # temporaries among them, in its heap; freed between replicates, it
+    # would take them along when the heap is trimmed, to be faulted in
+    # again at the next one
+    local = threading.local()
+
+    def replicate(idx):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((4, 1, MC_CHUNK))
+        total = 0.0
+        for start in range(0, n, MC_CHUNK):
+            qs = local.buf[..., :min(MC_CHUNK, n - start)]
+            block(shifts[idx:idx + 1], start, qs)
+            total += float(volumes(qs[:, 0].T).sum())
+        return total / n
+    return _run_units(replicate, REPLICATES, threads)
 
 
 def _hull_reach(P, r):
@@ -708,11 +846,10 @@ def _chunk_moments(worker, N, threads):
     return mean, math.sqrt(var / N)
 
 
-def _replicate_moments(replicate, threads):
-    """Mean and standard error of the REPLICATES means replicate(idx), one
-    per random shift: independent and identically distributed, so the error
-    has REPLICATES - 1 degrees of freedom."""
-    means = _run_units(replicate, REPLICATES, threads)
+def _replicate_moments(means):
+    """Mean and standard error of the REPLICATES means, one per random
+    shift: independent and identically distributed, so the error has
+    REPLICATES - 1 degrees of freedom."""
     mean = math.fsum(means) / REPLICATES
     var = math.fsum((m - mean) ** 2 for m in means) / (REPLICATES - 1)
     return mean, math.sqrt(var / REPLICATES)
@@ -739,37 +876,47 @@ def _estimate(K, L, N, seed, threads, rhs):
       the section at fixed (y1, y2) being a rounded rectangle. (y1, y2)
       runs over a rank-1 lattice of N / 16 points, its generator the first
       with the smallest largest partial quotient (``_lattice_generator``),
-      under 16 random shifts; N must be a multiple of 16. The standard error
-      is that of the 16 replicate means, with 15 degrees of freedom, so with
-      no defect |z| > 3 has probability 0.009 (the normal's is 0.0027).
+      under 16 random shifts.
     - Against a vertex hull, a point y uniform in a box around the hull
       scores the box's volume times whether y lies within the radius of it
-      (``_hull_reach``).
-    Every other pair draws only a Haar unit quaternion q: the translation
+      (``_hull_reach``), with a standard error from the N iid weights.
+    Every other pair draws only a unit quaternion q: the translation
     integral of chi(K . (L_q L + t)) is vol(K - L_q L), which scores the
-    sample in closed form from q (``_translation_volumes``), with a
-    standard error from the N iid weights. Deterministic for fixed (seed,
-    N) regardless of threads."""
+    sample in closed form from q (``_translation_volumes``). q runs over
+    the 3-D rank-1 lattice of N / 16 points with generating vector (1, a,
+    a^2 mod n) of ``_korobov_generator``, mapped onto S^3 by Shoemake's
+    map, under 16 random shifts (``_rotation_lattice``).
+
+    Every pair but a ball against a vertex hull thus needs N a multiple of
+    16, and its standard error is that of the 16 replicate means, with 15
+    degrees of freedom, so with no defect |z| > 3 has probability 0.009
+    (the normal's is 0.0027). A rotation pair's standard error is at least
+    ROUNDING_ULPS units in the last place of its estimate, as the spread of
+    the replicate means cannot see the rounding every sample shares: a
+    weight that does not depend on q (a box against a point weighs vol(box)
+    at every q) gives 16 equal means, and the lattice integrates some
+    weights exactly. An rhs a few ulps off then gives a small z, and one
+    further off a large one. Deterministic for fixed (seed, N) regardless
+    of threads."""
     section = _ball_section(K, L)
+    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
     if section is not None:
-        mean, stderr = _replicate_moments(
-            _section_replicates(*section, N // REPLICATES, seed), threads)
-    else:
-        ball, other = (K, L) if isinstance(K, Ball) else (L, K)
-        reach = _hull_reach(other, ball.radius) if isinstance(ball, Ball) else None
-        volumes = None if reach else _translation_volumes(K, L)
+        means = _run_units(_section_replicates(*section, N // REPLICATES, seed),
+                           REPLICATES, threads)
+        mean, stderr = _replicate_moments(means)
+    elif isinstance(ball, Ball):
+        vol, count = _hull_reach(other, ball.radius)
 
         def worker(idx, size):
-            rng = np.random.default_rng([seed, idx])
-            if reach:
-                # random() draws the bits uniform(size=...) would
-                vol, count = reach
-                n = count(rng.random((size, 4)))
-                return vol * n, vol * vol * n
-            w = volumes(_haar_quaternions(rng, size))
-            return float(np.sum(w)), float(np.sum(w * w))
+            # random() draws the bits uniform(size=...) would
+            n = count(np.random.default_rng([seed, idx]).random((size, 4)))
+            return vol * n, vol * vol * n
 
         mean, stderr = _chunk_moments(worker, N, threads)
+    else:
+        mean, stderr = _replicate_moments(
+            _rotation_means(_translation_volumes(K, L), N // REPLICATES, seed, threads))
+        stderr = max(stderr, ROUNDING_ULPS * math.ulp(mean))
     if stderr > 0:
         z = (mean - rhs) / stderr
     else:
@@ -781,8 +928,8 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1) -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL) against
     the exact tensor's pairing of the evaluation vectors (``rhs_kinematic``).
-    The samples and weights are ``_estimate``'s; a ball against a ball or a
-    box needs N a multiple of 16."""
+    The samples and weights are ``_estimate``'s; every pair but a ball
+    against a vertex hull needs N a multiple of 16."""
     _check_mc_args(N, threads, K=K, L=L)
     check_samples(K, L, N)
     return _estimate(K, L, N, seed, threads, rhs_kinematic(K, L))
@@ -811,6 +958,7 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     _check_mc_args(N, threads, M1=M1, M2=M2)
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
+    check_samples(M1, M2, N)
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
     rhs = tasaki_density(float(u1 @ u2) ** 2) * M1.area * M2.area
     return _estimate(M1, M2, N, seed, threads, rhs)

@@ -12,7 +12,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from valcalc.bodies import Box, PlanarPolygon
+from valcalc.bodies import Box, PlanarPolygon, evaluate_tube
 from valcalc.contact import dual_lefschetz, horizontal_part, rumin
 from valcalc.exterior import (
     InvariantForm,
@@ -33,7 +33,7 @@ from valcalc.scalars import PI, ZERO, Rat, Scalar
 from valcalc.serialization import body_to_json
 from valcalc.su2 import _scaled_forms
 from valcalc.tolerances import DEGENERATE_PIECE_TOL
-from valcalc.valuation import ValuationRep, euler_verdier
+from valcalc.valuation import ValuationRep, euler_verdier, intrinsic_volume_rep
 
 
 def random_rational(rng, lo=-3, hi=4, den=4):
@@ -579,7 +579,82 @@ def rumin_ansatz(omega):
 # vol(K - R L) integrates over translations (Qhull's facets of the vertex
 # differences, and a linear program on the moved bodies), Qhull's shadows of
 # a vertex hull and the box/polytope volume they give, distances to a hull
-# for the ball pairs' hits, and numpy's row norms and maxima.
+# for the ball pairs' hits, numpy's row norms and maxima, iid Haar unit
+# quaternions, and the exact means over them of the box/box and plate weights.
+
+
+def haar_quaternions(rng, size):
+    """``size`` iid unit quaternions uniform on S^3, as (size, 4) rows:
+    normal deviates scaled to unit length."""
+    qs = rng.standard_normal((size, 4))
+    return qs / np.linalg.norm(qs, axis=1)[:, None]
+
+
+# E|q_k| for q uniform on S^3: q_k has density (2/pi) sqrt(1 - t^2)
+LINEAR_FORM_MEAN = 4.0 / (3.0 * math.pi)
+
+
+def paired_form_mean(M, rel=1e-12):
+    """E|q^T M q| over q uniform on S^3, for a symmetric 4x4 M whose
+    eigenvalues pair as (a, a, b, b), which it asserts to ``rel`` of the
+    largest. In M's eigenbasis q^T M q = a r + b (1 - r), r = q1^2 + q2^2
+    uniform on [0, 1], so the mean is |a + b|/2 when ab >= 0, else
+    (a^2 + b^2)/(2(|a| + |b|))."""
+    e = np.linalg.eigvalsh(M)
+    scale = max(np.max(np.abs(e)), np.finfo(float).tiny)
+    assert abs(e[1] - e[0]) <= rel * scale and abs(e[3] - e[2]) <= rel * scale, e
+    a, b = (e[0] + e[1]) / 2.0, (e[2] + e[3]) / 2.0
+    if a * b >= 0.0:
+        return abs(a + b) / 2.0
+    return (a * a + b * b) / (2.0 * (abs(a) + abs(b)))
+
+
+def _symmetric(M):
+    return 0.5 * (M + M.T)
+
+
+def exact_rotation_mean(K, L):
+    """The mean of vol(K - L_q L) over q uniform on S^3, exactly up to
+    rounding, for two boxes or two plates: the motion integral their
+    Monte Carlo estimates.
+
+    Two boxes: 16 times the sum over the 70 Laplace minors of O(q) =
+    K.rotation^T L_q L.rotation on rows P and columns T, |P| = |T|, of
+    prod_(P^c) hK prod_T hL E|minor| (Shephard 1974). The empty minor and
+    det O are 1 in absolute value. Each entry of O is a linear form l.q, of
+    mean |l| 4/(3 pi), and so is each 3x3 minor, being in absolute value its
+    complementary entry (Jacobi, O orthogonal). Each 2x2 minor is a
+    quadratic form q^T M q; L_q acts on the 2-vectors trivially on one of
+    the summands of Lambda^2 = Lambda^2_+ + Lambda^2_- and as a rotation on
+    the other, so M has eigenvalues (a, a, b, b) (``paired_form_mean``).
+
+    Two plates: area1 area2 E|det [F1^T | L_q F2^T]|, the determinant a
+    quadratic form in q by its Laplace expansion along the first two
+    columns, again with paired eigenvalues."""
+    U = unit_left()
+    if isinstance(K, Box) and isinstance(L, Box):
+        # lin[c, a]: entry (c, a) of O(q) is lin[c, a] . q
+        lin = np.einsum("ic,kij,ja->cak", K.rotation, U, L.rotation)
+        hK, hL = K.half_extents, L.half_extents
+        total = math.prod(hK) + math.prod(hL)
+        for c, a in itertools.product(range(4), repeat=2):
+            rest_K = math.prod(h for i, h in enumerate(hK) if i != c)
+            rest_L = math.prod(h for j, h in enumerate(hL) if j != a)
+            total += LINEAR_FORM_MEAN * np.linalg.norm(lin[c, a]) * (
+                rest_K * hL[a] + hK[c] * rest_L)
+        for (p1, p2), (t1, t2) in itertools.product(itertools.combinations(range(4), 2), repeat=2):
+            M = np.outer(lin[p1, t1], lin[p2, t2]) - np.outer(lin[p1, t2], lin[p2, t1])
+            weight = math.prod(h for i, h in enumerate(hK) if i not in (p1, p2)) * hL[t1] * hL[t2]
+            total += weight * paired_form_mean(_symmetric(M))
+        return 16.0 * total
+    if isinstance(K, PlanarPolygon) and isinstance(L, PlanarPolygon):
+        # coordinate i of L_q x is sum_k q_k (U[k] x)_i, for x = L's frame rows
+        Ua, Ub = (U @ x for x in L.frame)
+        signed = (_PAIR_SIGNS * _pair_minors(K.frame.T))[::-1]
+        A = sum(w * (np.outer(Ua[:, r], Ub[:, s]) - np.outer(Ua[:, s], Ub[:, r]))
+                for w, r, s in zip(signed, _FIRST, _SECOND))
+        return K.area * L.area * paired_form_mean(_symmetric(A))
+    raise ValueError("exact_rotation_mean takes two boxes or two plates")
 
 
 def box_box_generators(K, L, Rs):
@@ -1050,6 +1125,12 @@ def degree_component(mu: ValuationRep, k: int) -> ValuationRep:
     terms = {key: p for key, p in mu.omega.terms.items() if len(key[0]) == k}
     omega = InvariantForm(mu.n, terms, projected=True)
     return ValuationRep(mu.n, omega)
+
+
+def steiner_volume(K, t: float) -> float:
+    """Volume of the outer parallel body K + tB via the derivation's Taylor
+    polynomial: the volume valuation's tube (``evaluate_tube``)."""
+    return evaluate_tube(intrinsic_volume_rep(K.dim, K.dim), K, t)
 
 
 def verify_zero_valuation(omega: InvariantForm, phi=ZERO) -> bool:

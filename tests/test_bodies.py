@@ -23,6 +23,7 @@ from _oracles import (
     quadrature_evaluate,
     quadrature_pieces,
     rational_unit_quaternion,
+    steiner_volume,
 )
 from valcalc import bodies, columns
 from valcalc.bodies import (
@@ -32,7 +33,6 @@ from valcalc.bodies import (
     Simplex,
     evaluate,
     evaluate_tube,
-    steiner_volume,
 )
 from valcalc.exterior import InvariantForm, SpherePoly
 from valcalc.scalars import Rat

@@ -270,18 +270,19 @@ class TestVerifyMc:
         k = save("k.json", ser.body_to_json(Ball(np.zeros(4), 1.0)))
         l = save("p.json", ser.body_to_json(square()))
         rc, _, err = run(capsys, "verify", "mc", "--k", k, "--l", l,
-                         "--samples", "100", "--seed", "0", "--poincare")
+                         "--samples", "96", "--seed", "0", "--poincare")
         assert rc == 2
         assert err
 
     def test_infinite_z_is_null_in_strict_json(self, capsys, files, monkeypatch):
-        # every sample of a box against a point scores vol(box) = 1, so the
-        # standard error is 0; against a right-hand side of 1/2, z = inf
+        # every section of a zero-radius ball against another is empty, so
+        # the estimate and its standard error are 0; against a right-hand
+        # side of 1/2, z = inf. (A box against a point, whose every weight
+        # is vol(box), reports a standard error of a few ulps instead.)
         monkeypatch.setattr(kinematic, "rhs_kinematic", lambda K, L, kind="icosahedron": 0.5)
         _, save = files
-        k = save("box.json", ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))))
-        l = save("point.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0]])))
-        args = ("verify", "mc", "--k", k, "--l", l, "--samples", "20000", "--seed", "5")
+        k = save("point.json", ser.body_to_json(Ball(np.zeros(4), 0.0)))
+        args = ("verify", "mc", "--k", k, "--l", k, "--samples", "20000", "--seed", "5")
         rc, machine, _ = run(capsys, *args, "--json")
         assert rc == 0
 
@@ -290,7 +291,7 @@ class TestVerifyMc:
 
         payload = json.loads(machine, parse_constant=reject)
         assert payload["z_score"] is None
-        assert payload["stderr"] == 0.0 and (payload["estimate"], payload["rhs"]) == (1.0, 0.5)
+        assert payload["stderr"] == 0.0 and (payload["estimate"], payload["rhs"]) == (0.0, 0.5)
         rc, human, _ = run(capsys, *args)
         assert rc == 0
         assert ["z_score", "inf"] in [line.split() for line in human.splitlines()]
@@ -307,12 +308,30 @@ class TestVerifyMc:
                                "--samples", samples, "--seed", "1")
             assert (rc, out) == (2, "")
             assert err.splitlines() == [
-                f"error: --samples: a ball against a ball or a box needs a multiple of 16 "
-                f"samples (16 shifted lattices of N/16 points), got {samples}"]
+                f"error: --samples: every pair but a ball against a vertex hull needs a "
+                f"multiple of 16 samples (16 shifted lattices of N/16 points), got {samples}"]
         simplex = save("s.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0], [1.0, 0, 0, 0]])))
         rc, _, _ = run(capsys, "verify", "mc", "--k", k, "--l", simplex,
                        "--samples", samples, "--seed", "1")
         assert rc == 0
+
+    @pytest.mark.parametrize("samples", ["100", "8", "40001"])
+    def test_rotation_pair_samples_must_be_a_multiple_of_16(self, capsys, files, samples):
+        # a pair that draws rotations runs 16 shifted lattices of N/16
+        # points too: a box pair, a box against a simplex and two plates in
+        # either estimator refuse any other N on the same one line
+        _, save = files
+        box = save("box.json", ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))))
+        simplex = save("s.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0], [1.0, 0, 0, 0]])))
+        plate = save("p.json", ser.body_to_json(square()))
+        for pair, extra in (((box, box), ()), ((box, simplex), ()), ((plate, plate), ()),
+                            ((plate, plate), ("--poincare",))):
+            rc, out, err = run(capsys, "verify", "mc", "--k", pair[0], "--l", pair[1],
+                               "--samples", samples, "--seed", "1", *extra)
+            assert (rc, out) == (2, "")
+            assert err.splitlines() == [
+                f"error: --samples: every pair but a ball against a vertex hull needs a "
+                f"multiple of 16 samples (16 shifted lattices of N/16 points), got {samples}"]
 
     def test_failure_message_line_reruns_the_estimate(self, capsys):
         # the verify mc line a failed Monte Carlo assert prints, run by bash

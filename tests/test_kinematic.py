@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 import _oracles
-from _oracles import left_mult_matrix, mc_failure, rotation_matrix
+from _oracles import exact_rotation_mean, haar_quaternions, left_mult_matrix, mc_failure, rotation_matrix
 from valcalc import bodies
 from valcalc import kinematic
 from valcalc.bodies import Ball, Box, PlanarPolygon, Simplex
@@ -375,9 +376,17 @@ class TestRigidMotion:
         assert moved.radius == 2.0
 
 
-def _left_mults(rng, size):
-    """Left multiplications by the unit quaternions the estimators draw."""
-    return np.array([left_mult_matrix(q) for q in kinematic._haar_quaternions(rng, size)])
+def _lattice_quaternions(n, seed, idx=0):
+    """The n unit quaternions of replicate idx of the rotation lattice the
+    estimators draw, as (n, 4) rows."""
+    out = np.empty((4, 1, n))
+    shift = np.random.default_rng([seed, idx]).random((1, 3))
+    kinematic._rotation_lattice(n)(shift, 0, out)
+    return out[:, 0].T
+
+
+def _left_mults(qs):
+    return np.array([left_mult_matrix(q) for q in qs])
 
 
 def _rotations(qs):
@@ -386,20 +395,20 @@ def _rotations(qs):
 
 class TestHaar:
     """The rotations L_q of the unit quaternions q the Monte Carlo
-    estimators draw."""
+    estimators draw: one shifted lattice of 20,000 points is already
+    spread over S^3 like Haar measure."""
 
     def test_moments(self):
-        rng = np.random.default_rng(12345)
         # the first column of L_q is q itself
-        qs = _left_mults(rng, 20000)[:, :, 0]
+        qs = _left_mults(_lattice_quaternions(20000, 12345))[:, :, 0]
         # component means vanish, second moments are 1/4
         assert np.max(np.abs(qs.mean(axis=0))) < 4 / (2 * math.sqrt(20000))
         assert np.max(np.abs((qs ** 2).mean(axis=0) - 0.25)) < 0.01
+        np.testing.assert_allclose(np.linalg.norm(qs, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_rotated_vector_uniform_on_sphere(self):
-        rng = np.random.default_rng(77)
         # coordinate 1 of each rotation's image of e_0
-        coords = _left_mults(rng, 5000)[:, 1, 0]
+        coords = _left_mults(_lattice_quaternions(5000, 77))[:, 1, 0]
 
         def sphere_cdf(x):
             x = np.clip(x, -1.0, 1.0)
@@ -411,9 +420,9 @@ class TestHaar:
     def test_rotations_are_left_multiplications_by_the_quaternions(self):
         # the weights read L_q as sum_k q_k _UNIT_LEFT[k], built from the
         # index and sign tables: the matrix of q x, bit for bit
-        qs = kinematic._haar_quaternions(np.random.default_rng(5), 1000)
-        Rs = _left_mults(np.random.default_rng(5), 1000)
-        assert np.ascontiguousarray(Rs[:, :, 0]).tobytes() == qs.tobytes()
+        qs = _lattice_quaternions(1000, 5)
+        Rs = _left_mults(qs)
+        assert np.ascontiguousarray(Rs[:, :, 0]).tobytes() == np.ascontiguousarray(qs).tobytes()
         assert np.array_equal(Rs, _rotations(qs))
         assert np.array_equal(Rs, np.einsum("bk,kij->bij", qs, kinematic._UNIT_LEFT))
 
@@ -532,7 +541,7 @@ class TestMCArguments:
         if estimator == "poincare":
             frame, verts = self.SQUARE
             p = PlanarPolygon(np.asarray(frame, dtype=float)[:, :dim], verts)
-            return mc_poincare(p, mgon(5, self.SQUARE[0]), **{"N": 100, **kwargs})
+            return mc_poincare(p, mgon(5, self.SQUARE[0]), **{"N": 96, **kwargs})
         ball = Ball(np.zeros(dim), 0.5)
         return mc_principal_kinematic(ball, Ball(np.zeros(4), 0.5), **{"N": 96, **kwargs})
 
@@ -559,15 +568,35 @@ class TestMCArguments:
 
     @pytest.mark.parametrize("N", [100, 8, 1, 2 * kinematic.MC_CHUNK + 1])
     def test_ball_pairs_need_a_multiple_of_the_replicates(self, N):
-        # a ball against a ball or a box splits N over 16 shifted lattices;
-        # a box against a simplex, or a ball against one, takes any N
-        with pytest.raises(ValueError, match="^a ball against a ball or a box needs a "
-                                             "multiple of 16 samples"):
+        # a ball against a ball or a box splits N over 16 shifted lattices,
+        # and so does a box against a simplex; a ball against a simplex
+        # takes any N
+        with pytest.raises(ValueError, match="^every pair but a ball against a vertex hull "
+                                             "needs a multiple of 16 samples"):
             self._estimate("principal", N=N)
         with pytest.raises(ValueError, match="multiple of 16"):
             mc_principal_kinematic(ROTATED_BOX, OFF_CENTRE_BALL, N=N)
         assert mc_principal_kinematic(_BALL, MOTION_SIMPLEX, N=N).samples == N
-        assert mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N).samples == N
+        with pytest.raises(ValueError, match="multiple of 16"):
+            mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N)
+
+    @pytest.mark.parametrize("N", [100, 8, 1, 2 * kinematic.MC_CHUNK + 1])
+    def test_rotation_pairs_need_a_multiple_of_the_replicates(self, N):
+        # every pair that draws a rotation splits N over 16 shifted
+        # lattices, in either estimator, with the one message of the ball
+        # pairs; no N is cut down to a multiple in silence
+        message = ("^every pair but a ball against a vertex hull needs a multiple of 16 "
+                   f"samples \\(16 shifted lattices of N/16 points\\), got {N}$")
+        square, pentagon = mgon(4, self.SQUARE[0]), mgon(5, PENTAGON_FRAME, radius=0.8)
+        pairs = [BOX_PAIRS[1], (MOTION_BOX, MOTION_SIMPLEX), (MOTION_SIMPLEX, ROTATED_BOX),
+                 (pentagon, MOTION_SIMPLEX), (square, pentagon)]
+        for K, L in pairs:
+            with pytest.raises(ValueError, match=message):
+                mc_principal_kinematic(K, L, N=N)
+        with pytest.raises(ValueError, match=message):
+            mc_poincare(square, pentagon, N=N)
+        whole = 16 * max(1, N // 16)
+        assert mc_poincare(square, pentagon, N=whole).samples == whole
 
 
 class TestMCPoincare:
@@ -696,7 +725,7 @@ def _assert_averages_the_hit_indicator(K, L, volumes, rng, rotations, n, slack=0
     errors (plus ``slack`` times the weight). The hit is Qhull's test of
     t against the facets of K - L_q L, and its first few verdicts per
     rotation match the LP oracle on the moved bodies."""
-    for q in kinematic._haar_quaternions(rng, rotations):
+    for q in haar_quaternions(rng, rotations):
         R = rotation_matrix(q)
         lo, hi = _oracles.translation_box(K, L, R)
         ts = lo + rng.uniform(size=(n, 4)) * (hi - lo)
@@ -717,8 +746,8 @@ class TestBoxBoxVolumes:
     def test_matches_determinant_sum(self, pair):
         # one full block and a partial one
         K, L = BOX_PAIRS[pair]
-        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(31 + pair),
-                                                    kinematic.BOX_BOX_BLOCK + 500))
+        Rs = _rotations(haar_quaternions(np.random.default_rng(31 + pair),
+                                         kinematic.BOX_BOX_BLOCK + 500))
         got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
@@ -769,7 +798,7 @@ class TestBoxBoxForms:
         # value each 2x2 minor is its complementary minor and each 3x3 minor
         # its complementary entry (Jacobi)
         K, L = WEIGHT_PAIRS[pair]
-        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(60 + pair), 256))
+        Rs = _rotations(haar_quaternions(np.random.default_rng(60 + pair), 256))
         O = K.rotation.T @ Rs @ L.rotation
         for P in combinations(range(4), 2):
             for T in combinations(range(4), 2):
@@ -785,8 +814,8 @@ class TestBoxBoxForms:
     def test_matches_laplace_minors_and_determinants(self, pair):
         # one full block and a partial one
         K, L = WEIGHT_PAIRS[pair]
-        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(70 + pair),
-                                                    kinematic.BOX_BOX_BLOCK + 500))
+        Rs = _rotations(haar_quaternions(np.random.default_rng(70 + pair),
+                                         kinematic.BOX_BOX_BLOCK + 500))
         got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
         want = _oracles.box_box_laplace_volumes(K, L, Rs[:, :, 0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -799,7 +828,7 @@ class TestBoxBoxForms:
         rotation = _random_rotation(rng) + 1e-10 * rng.standard_normal((4, 4))
         K = Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), rotation)
         L = BOX_PAIRS[3][1]
-        qs = kinematic._haar_quaternions(rng, 2000)
+        qs = haar_quaternions(rng, 2000)
         np.testing.assert_allclose(kinematic._box_box_volumes(K, L)(qs),
                                    _oracles.box_box_laplace_volumes(K, L, qs), rtol=1e-8, atol=0)
 
@@ -850,7 +879,7 @@ class TestPlateConditioning:
     def test_matches_svd_on_sampled_motions(self):
         M1 = mgon(4, SQUARE_FRAME)
         M2 = mgon(5, PENTAGON_FRAME, radius=0.8)
-        Rs = _rotations(kinematic._haar_quaternions(np.random.default_rng(12), 4096))
+        Rs = _rotations(haar_quaternions(np.random.default_rng(12), 4096))
         F1t, F2 = M1.frame.T, Rs @ M2.frame.T
         mats = np.concatenate([np.broadcast_to(F1t, F2.shape), F2], axis=2)
         minors = _oracles.plate_determinants(F1t, F2)
@@ -868,7 +897,7 @@ class TestPlateConditioning:
         # L_q F2^T nearly shares a line with F1^T
         F1t = mgon(4, SQUARE_FRAME).frame.T
         F2t = mgon(5, PENTAGON_FRAME, radius=0.8).frame.T
-        qs = kinematic._haar_quaternions(np.random.default_rng(13), 4 * 10 ** 5)
+        qs = haar_quaternions(np.random.default_rng(13), 4 * 10 ** 5)
         weights = _plate_weights(F1t, F2t, qs)
         near = np.argsort(weights)[:200]
         qs, got = qs[near], weights[near]
@@ -895,7 +924,7 @@ class TestPlateConditioning:
         F1t = p.frame.T
         assert _oracles.plate_determinants(F1t, F1t[None])[0] <= 1e-15
         assert _plate_weights(F1t, F1t, np.array([[1.0, 0.0, 0.0, 0.0]]))[0] <= 1e-15
-        rep = mc_poincare(p, p, N=100, seed=4)
+        rep = mc_poincare(p, p, N=96, seed=4)
         assert math.isfinite(rep.estimate) and math.isfinite(rep.stderr)
         assert rep.indeterminate == 0
 
@@ -920,13 +949,15 @@ class _Draws:
 
 
 class TestQuaternionWeights:
-    """Every pair without a ball draws only unit quaternions, one row of 4
-    normal deviates per sample, and scores them by a closed-form weight."""
+    """Every pair without a ball draws only unit quaternions, from 16
+    shifted lattices of three uniforms each, and scores them by a
+    closed-form weight."""
 
     def test_no_rotation_drawn(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("standard_normal", draws))
-        N = kinematic.MC_CHUNK + 100
+        monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("random", draws))
+        # just past one chunk, where the 16 lattices stop sharing one call
+        N = kinematic.MC_CHUNK + 96
         pentagon = mgon(5, PENTAGON_FRAME, radius=0.8)
         reps = [mc_principal_kinematic(*BOX_PAIRS[1], N=N, seed=3),
                 mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N, seed=3),
@@ -934,7 +965,7 @@ class TestQuaternionWeights:
                 mc_principal_kinematic(pentagon, MOTION_SIMPLEX, N=N, seed=3),
                 mc_principal_kinematic(mgon(4, SQUARE_FRAME), pentagon, N=N, seed=3),
                 mc_poincare(mgon(4, SQUARE_FRAME), pentagon, N=N, seed=3)]
-        assert draws == [(kinematic.MC_CHUNK, 4), (100, 4)] * len(reps)
+        assert draws == [3] * kinematic.REPLICATES * len(reps)
         for rep in reps:
             assert abs(rep.z_score) < 3
 
@@ -948,17 +979,17 @@ PINNED_BALL_SECTIONS = {
     ("ball_box", 91): ("0x1.949977258ec23p+3", "0x1.53638c5c6694bp-14", 0),
     ("ball_box", 92): ("0x1.9499950d58058p+3", "0x1.502b117479d24p-14", 0),
 }
-# the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64:
-# box/box from its 16 linear and 18 quadratic forms (the estimates of the 70
-# Laplace minors at these seeds had the same bits), box/simplex from the
-# shadows of the simplex, and the plates
+# the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
+# from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
+# 18 quadratic forms, box/simplex from the shadows of the simplex, and the
+# plates
 PINNED_QUATERNION_WEIGHTS = {
-    ("box_box", 91): ("0x1.dd8fcb3aac366p+4", "0x1.6b13f9b5b6887p-7", 0),
-    ("box_box", 92): ("0x1.dcfdfebe0688cp+4", "0x1.700ca42c6cdf8p-7", 0),
-    ("box_simplex", 91): ("0x1.ac173d1a8e7f8p+3", "0x1.8450f4fa36e7bp-7", 0),
-    ("box_simplex", 92): ("0x1.abd3db7135163p+3", "0x1.89fc675163ec8p-7", 0),
-    ("poincare", 91): ("0x1.18e41344567cap-1", "0x1.f20ec2df40810p-11", 0),
-    ("poincare", 92): ("0x1.19baf3b113416p-1", "0x1.f341020bda749p-11", 0),
+    ("box_box", 91): ("0x1.dd8f1abe4a158p+4", "0x1.beead29f33e7bp-15", 0),
+    ("box_box", 92): ("0x1.dd8f56069ebeap+4", "0x1.c62999bd10917p-15", 0),
+    ("box_simplex", 91): ("0x1.ac0e0c5024f92p+3", "0x1.0f771e4e5b910p-7", 0),
+    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51c12p-8", 0),
+    ("poincare", 91): ("0x1.1957e55309938p-1", "0x1.5bcc0a118ee3dp-22", 0),
+    ("poincare", 92): ("0x1.19580ab147d24p-1", "0x1.82c043d93ec34p-22", 0),
 }
 PINNED_ESTIMATES = {**PINNED_BALL_SECTIONS, **PINNED_QUATERNION_WEIGHTS}
 _BALL = Ball(np.zeros(4), 0.5)
@@ -1224,8 +1255,7 @@ class TestBoxPolytopeVolumes:
     def test_matches_qhull_shadows(self, pair):
         # one full block and a partial one
         K, L = POLYTOPE_PAIRS[pair]
-        qs = kinematic._haar_quaternions(np.random.default_rng(110),
-                                         kinematic.BOX_BOX_BLOCK + 100)
+        qs = haar_quaternions(np.random.default_rng(110), kinematic.BOX_BOX_BLOCK + 100)
         got = kinematic._box_polytope_volumes(K, L)(qs)
         for b in range(0, len(qs), 37):
             assert got[b] == pytest.approx(_oracles.box_polytope_volume(K, L, qs[b]),
@@ -1243,7 +1273,7 @@ class TestBoxPolytopeVolumes:
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
     def test_estimate_matches_rhs_in_either_order(self, pair):
         K, L = POLYTOPE_PAIRS[pair]
-        N = 2 * kinematic.BOX_BOX_BLOCK + 100
+        N = 2 * kinematic.BOX_BOX_BLOCK + 96
         a = mc_principal_kinematic(K, L, N=N, seed=130)
         b = mc_principal_kinematic(L, K, N=N, seed=130)
         assert (a.estimate, a.stderr, a.indeterminate) == (b.estimate, b.stderr, 0)
@@ -1299,7 +1329,7 @@ class TestHullHullVolumes:
         # one full block and a partial one; a sum of dimension below 4 is
         # 0 exactly
         K, L = (HULLS[name] for name in pair)
-        qs = kinematic._haar_quaternions(np.random.default_rng(140), kinematic.BOX_BOX_BLOCK + 100)
+        qs = haar_quaternions(np.random.default_rng(140), kinematic.BOX_BOX_BLOCK + 100)
         got = kinematic._hull_hull_volumes(K, L)(qs)
         if _hull_dim(K) + _hull_dim(L) < 4:
             assert not got.any()
@@ -1311,7 +1341,7 @@ class TestHullHullVolumes:
         # two plates' sum is an affine image of their product:
         # area1 area2 |det [F1^T | L_q F2^T]|, the intersection count's weight
         M1, M2 = HULLS["square"], HULLS["pentagon"]
-        qs = kinematic._haar_quaternions(np.random.default_rng(141), 4096)
+        qs = haar_quaternions(np.random.default_rng(141), 4096)
         scale = M1.area * M2.area
         want = kinematic._plate_volumes(M1, M2)(qs)
         got = kinematic._hull_hull_volumes(M1, M2)(qs)
@@ -1332,7 +1362,7 @@ class TestHullHullVolumes:
         # the two orders weigh vol(K - L_q L) and vol(L - K_q K): equal in
         # distribution, not sample by sample
         K, L = (HULLS[name] for name in pair)
-        N = 2 * kinematic.BOX_BOX_BLOCK + 100
+        N = 2 * kinematic.BOX_BOX_BLOCK + 96
         for a, b in [(K, L), (L, K)]:
             rep = mc_principal_kinematic(a, b, N=N, seed=160)
             assert rep.indeterminate == 0
@@ -1399,8 +1429,9 @@ class TestHullReach:
 
 class TestOracleEstimates:
     def test_estimates_unchanged_by_the_oracles(self, monkeypatch):
-        # two chunks per estimate; every sample must get the same weight with
-        # numpy's row norms and maxima as with the column sums and maxima
+        # past one chunk per estimate; every sample must get the same weight
+        # with numpy's row norms and maxima as with the column sums and
+        # maxima, the box/simplex shadows' ranges among them
         N = kinematic.MC_CHUNK + 7008
         half = Ball(np.zeros(4), 0.5)
         box = BOX_PAIRS[0][0]
@@ -1410,12 +1441,214 @@ class TestOracleEstimates:
         def run():
             reps = [mc_principal_kinematic(K, L, N=N, seed=seed)
                     for seed, (K, L) in enumerate([(half, half), (half, box), BOX_PAIRS[0],
-                                                   BOX_PAIRS[3]])]
+                                                   BOX_PAIRS[3], (MOTION_BOX, MOTION_SIMPLEX)])]
             reps.append(mc_poincare(square, pentagon, N=N, seed=5))
             return [(r.estimate, r.stderr, r.indeterminate) for r in reps]
 
         fast = run()
-        monkeypatch.setattr(kinematic, "_row_norms", _oracles.row_norms_numpy)
+        monkeypatch.setattr(kinematic, "_row_max", _oracles.row_max_numpy)
         monkeypatch.setattr(bodies, "_row_norms", _oracles.row_norms_numpy)
         monkeypatch.setattr(bodies, "_row_max", _oracles.row_max_numpy)
         assert run() == fast
+
+
+class TestRoundingFloor:
+    """A rotation pair's standard error is at least ROUNDING_ULPS ulps of
+    its estimate: a weight that does not depend on q gives 16 equal
+    replicate means, so a spread of 0, and an rhs a few ulps away must not
+    give z = inf, while one off by more must still be flagged."""
+
+    def test_box_against_a_point_agrees(self):
+        box, point = POLYTOPE_PAIRS["box_point"]
+        for N in (4096, kinematic.MC_CHUNK + 96):
+            rep = mc_principal_kinematic(box, point, N=N, seed=5)
+            assert rep.stderr == kinematic.ROUNDING_ULPS * math.ulp(rep.estimate), rep
+            assert abs(rep.z_score) <= 1.0, rep
+
+    @pytest.mark.parametrize("rel", [1e-12, -1e-12])
+    def test_rhs_off_by_one_part_in_a_trillion_is_flagged(self, monkeypatch, rel):
+        box, point = POLYTOPE_PAIRS["box_point"]
+        want = rhs_kinematic(box, point)
+        monkeypatch.setattr(kinematic, "rhs_kinematic",
+                            lambda K, L, kind="icosahedron": want * (1.0 + rel))
+        rep = mc_principal_kinematic(box, point, N=4096, seed=5)
+        assert abs(rep.z_score) > 3, rep
+        # the estimate lies on the other side of the rhs
+        assert math.copysign(1.0, rep.z_score) == -math.copysign(1.0, rel)
+
+
+def _plain_candidates(n, count):
+    """The generator candidates written plainly: of the a coprime to n in
+    (n/4, n/2], the first at or above the integer part of each of the
+    ``count`` points n/4 + (i + 1/2) n / (4 count), or all of them when the
+    range holds no more."""
+    coprime = [a for a in range(n // 4 + 1, n // 2 + 1) if math.gcd(a, n) == 1]
+    if n // 2 - n // 4 <= count:
+        return coprime
+    points = [math.floor(Fraction(n, 4) + Fraction(2 * i + 1, 8 * count) * n)
+              for i in range(count)]
+    return sorted({min(a for a in coprime if a >= p) for p in points if coprime[-1] >= p})
+
+
+def _plain_p2(n, a):
+    """P_2 of the lattice (1, a, a^2 mod n) over all n points at once."""
+    x = np.outer(np.arange(n), [1, a, a * a % n]) % n / n
+    return -1.0 + np.mean(np.prod(1.0 + 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0), axis=1))
+
+
+def _plain_rotation_means(volumes, n, seed):
+    """The 16 replicate means written plainly: the points frac(k (1, a,
+    a^2)/n + d), the tent on the first coordinate and Shoemake's map."""
+    a = kinematic._korobov_generator(n)
+    z = np.array([1, a, a * a % n])
+    means = []
+    for idx in range(kinematic.REPLICATES):
+        d = np.random.default_rng([seed, idx]).random(3)
+        u = (np.outer(np.arange(n), z) % n / n + d) % 1.0
+        u1 = 1.0 - np.abs(2.0 * u[:, 0] - 1.0)
+        t2, t3 = 2.0 * math.pi * u[:, 1], 2.0 * math.pi * u[:, 2]
+        qs = np.stack([np.sqrt(1.0 - u1) * np.cos(t2), np.sqrt(1.0 - u1) * np.sin(t2),
+                       np.sqrt(u1) * np.cos(t3), np.sqrt(u1) * np.sin(t3)], axis=1)
+        means.append(volumes(qs).mean())
+    return means
+
+
+class TestRotationLattice:
+    """The 3-D rank-1 lattice of the rotation pairs: its generator against
+    a plain search, and the shifted, folded and mapped points against the
+    rule written plainly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 30, 32, 97, 480, 1280, 2054, 3840])
+    def test_generator_matches_a_plain_search(self, n):
+        kinematic._korobov_generator.cache_clear()
+        a = kinematic._korobov_generator(n)
+        cands = _plain_candidates(n, kinematic.KOROBOV_CANDIDATES)
+        if not cands:
+            assert a == 1
+            return
+        assert a in cands and math.gcd(a, n) == 1
+        merits = [_plain_p2(n, c) for c in cands]
+        assert _plain_p2(n, a) <= min(merits) + 1e-12 * abs(min(merits))
+
+    def test_generator_cache_size_stays_within_bound(self):
+        kinematic._korobov_generator.cache_clear()
+        sizes = range(100, 100 + kinematic.GENERATOR_CACHE_SIZE + 10)
+        gens = [kinematic._korobov_generator(n) for n in sizes]
+        info = kinematic._korobov_generator.cache_info()
+        assert info.maxsize == kinematic.GENERATOR_CACHE_SIZE
+        assert info.currsize == kinematic.GENERATOR_CACHE_SIZE and info.misses == len(sizes)
+        assert kinematic._korobov_generator(sizes[-1]) == gens[-1]
+        assert kinematic._korobov_generator.cache_info().hits == 1
+        assert kinematic._korobov_generator(sizes[0]) == gens[0]
+        assert kinematic._korobov_generator.cache_info().misses == len(sizes) + 1
+
+    @pytest.mark.parametrize("n", [7, 16, 17, 768, 1000])
+    def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, n):
+        # chunks of 256 points: the 16 lattices share one call up to n = 16
+        # and run a replicate at a time past it, in blocks, the last one
+        # partial
+        monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
+        for K, L in (BOX_PAIRS[2], PINNED_PAIRS["poincare"][:2]):
+            volumes = kinematic._translation_volumes(K, L)
+            got = kinematic._rotation_means(volumes, n, 77, 1)
+            np.testing.assert_allclose(got, _plain_rotation_means(volumes, n, 77), rtol=1e-12, atol=0)
+            assert kinematic._rotation_means(volumes, n, 77, 2) == got
+
+    def test_stderr_has_fifteen_degrees_of_freedom(self, monkeypatch):
+        # the reported error is that of the 16 replicate means
+        seen = []
+        real = kinematic._rotation_means
+
+        def recording(*args):
+            seen.extend(real(*args))
+            return seen
+        monkeypatch.setattr(kinematic, "_rotation_means", recording)
+        rep = mc_principal_kinematic(*BOX_PAIRS[1], N=16 * 1000, seed=8)
+        assert len(seen) == kinematic.REPLICATES
+        assert rep.estimate == pytest.approx(np.mean(seen), rel=1e-15)
+        assert rep.stderr == pytest.approx(np.std(seen, ddof=1) / 4.0, rel=1e-12)
+
+
+# the thin boxes of acceptance criterion 10, aligned and generic
+_THIN = Box(np.zeros(4), np.array([1.0, 1.0, 0.06, 0.06]))
+_THIN_GENERIC = Box(np.zeros(4), np.array([1.0, 1.0, 0.06, 0.06]),
+                    np.array(_oracles.right_translation_matrix((1 / 3, 2 / 3, -2 / 3, 0)), dtype=float))
+
+
+def _agrees(value, exact):
+    """The check the exact means hold the tensor to: 1e-13 relative."""
+    return abs(value - exact) <= 1e-13 * abs(exact)
+
+
+class TestExactRotationMean:
+    """The exact mean over S^3 of the box/box and plate weights
+    (``_oracles.exact_rotation_mean``) against the exact tensor and the
+    plane-class density, to rounding."""
+
+    def test_box_pairs_match_the_tensor(self):
+        rng = np.random.default_rng(2027)
+        random_pairs = [
+            (Box(rng.uniform(-0.3, 0.3, 4), rng.uniform(0.1, 0.8, 4), _random_rotation(rng)),
+             Box(rng.uniform(-0.3, 0.3, 4), rng.uniform(0.1, 0.8, 4), _random_rotation(rng)))
+            for _ in range(4)]
+        for K, L in WEIGHT_PAIRS + random_pairs + [(_THIN, _THIN), (_THIN, _THIN_GENERIC)]:
+            exact = exact_rotation_mean(K, L)
+            assert _agrees(rhs_kinematic(K, L), exact), (K, L, exact)
+
+    @pytest.mark.parametrize("a, b", [((0.6, 0.5, 0.4, 0.55), (0.6, 0.5, 0.4, 0.55)),
+                                      ((1.0, 1.0, 0.06, 0.06), (1.0, 1.0, 0.06, 0.06))])
+    def test_axis_aligned_boxes_match_their_closed_form(self, a, b):
+        K, L = Box(np.zeros(4), np.array(a)), Box(np.zeros(4), np.array(b))
+        assert exact_rotation_mean(K, L) == pytest.approx(_axis_box_rhs(a, b), rel=1e-13, abs=0)
+
+    def test_plates_match_the_density(self):
+        rng = np.random.default_rng(2028)
+        pairs = [PINNED_PAIRS["poincare"][:2]] + [
+            (mgon(4, _random_rotation(rng)[:2]), mgon(5, _random_rotation(rng)[:2], radius=0.8))
+            for _ in range(6)]
+        for M1, M2 in pairs:
+            rhs = mc_poincare(M1, M2, N=16, seed=0).rhs
+            assert _agrees(rhs, exact_rotation_mean(M1, M2)), (M1, M2)
+
+    def test_a_wrong_power_of_pi_in_the_gram_matrix_fails(self, monkeypatch):
+        # the vol1/vol3 entry times pi: the tensor and so the rhs move
+        real = kinematic.gram_matrix
+
+        def mutant(kind="icosahedron"):
+            labels, G = real(kind)
+            G[1][8] = G[8][1] = G[1][8] * PI
+            return labels, G
+
+        monkeypatch.setattr(kinematic, "gram_matrix", mutant)
+        kinematic.kinematic_tensor.cache_clear()
+        try:
+            for K, L in (BOX_PAIRS[0], BOX_PAIRS[2]):
+                assert not _agrees(rhs_kinematic(K, L), exact_rotation_mean(K, L))
+        finally:
+            kinematic.kinematic_tensor.cache_clear()
+
+
+class TestLatticeAccuracy:
+    """The rotation lattice's reported standard error against its true
+    error, the exact mean: over 48 seeds the RMS relative error is within
+    1.5 times the median relative standard error, for the motion_mc
+    benchmark's box/box and plates at its sample counts and for a rotated
+    box pair."""
+
+    SEEDS = range(7100, 7148)
+
+    @pytest.mark.parametrize("pair", ["box_box", "poincare", "rotated_boxes"])
+    def test_rms_error_matches_the_reported_stderr(self, pair):
+        if pair == "rotated_boxes":
+            K, L, N = (*BOX_PAIRS[2], 60 << 10)
+        else:
+            K, L, N = PINNED_PAIRS[pair]
+        exact = exact_rotation_mean(K, L)
+        estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
+        errors, stderrs = [], []
+        for seed in self.SEEDS:
+            rep = estimator(K, L, N=N, seed=seed)
+            errors.append((rep.estimate - exact) / exact)
+            stderrs.append(rep.stderr / exact)
+        rms = math.sqrt(np.mean(np.square(errors)))
+        assert rms <= 1.5 * np.median(stderrs), (rms, np.median(stderrs))

@@ -313,6 +313,14 @@ class TestKlain:
         with pytest.raises(ValueError):
             klain(intrinsic_volume_rep(4, 2), [])
 
+    @pytest.mark.parametrize("frame", [[[1, 0, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0, 0]],
+                                       [[1, 0, 0, 0], [0, 1, 0, 0, 0]]])
+    def test_ragged_frame_names_the_row_length(self, frame):
+        # rows of unequal length reach the frame's own check, not numpy's
+        # complaint about an inhomogeneous shape
+        with pytest.raises(ValueError, match="^frame vectors must have length n$"):
+            klain(intrinsic_volume_rep(4, 2), frame)
+
     def test_orthonormality_has_no_relative_slack(self):
         # the Gram matrix's diagonal departs by 9.8e-6, within a relative
         # tolerance of 1e-5 but not within ORTHONORMAL_TOL; 2e-10 is within it
