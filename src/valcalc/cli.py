@@ -21,7 +21,7 @@ from .exterior import alpha_form
 from .kinematic import (
     KOROBOV_CANDIDATES,
     REPLICATES,
-    check_samples,
+    SampleCountError,
     gram_matrix,
     kinematic_tensor,
     mc_poincare,
@@ -197,10 +197,9 @@ def cmd_verify_mc(args):
     L = ser.load_body(args.l)
     estimator = mc_poincare if args.poincare else mc_principal_kinematic
     try:
-        check_samples(K, L, args.samples)
-    except ValueError as e:
+        report = estimator(K, L, N=args.samples, seed=args.seed, threads=args.threads)
+    except SampleCountError as e:
         raise ValueError(f"--samples: {e}") from None
-    report = estimator(K, L, N=args.samples, seed=args.seed, threads=args.threads)
     payload = report.to_dict()
     rows = [[key, format_float(val) if isinstance(val, float) else str(val)]
             for key, val in payload.items()]
@@ -273,28 +272,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify_sub.add_parser(
         "mc", parents=[common], help="motion integral estimate vs exact value",
         description=(
-            "Monte Carlo estimate of a motion integral against its exact value. A ball "
-            "against a ball or a box integrates two coordinates of the box's frame in "
-            "closed form (a rounded-rectangle section) and draws the other two from a "
-            "rank-1 lattice of n = N/{R} points, its generator the first g < n/2 coprime "
-            "to n whose continued fraction g/n has the smallest largest partial quotient. "
-            "A ball against a simplex or a polygon draws N independent points. Every "
-            "other pair draws only rotations, unit quaternions q from the 3-D rank-1 "
-            "lattice of n = N/{R} points with generating vector (1, a, a^2 mod n), its "
-            "first coordinate folded by the tent 1 - |2u - 1| and mapped onto S^3 by "
-            "Shoemake's map; a is, of the a coprime to n in (n/4, n/2] first at or "
-            "above {C} evenly spaced points, the one of least figure of merit P_2. Each "
-            "lattice runs under {R} random shifts: N must be a multiple of {R}, and the "
-            "standard error is that of the {R} shift means, with {R1} degrees of "
-            "freedom, so |z| > 3 has probability 0.009 with no defect.").format(
+            "Monte Carlo estimate of a motion integral against its exact value. Every "
+            "pair runs a rank-1 lattice of n = N/{R} points in [0, 1)^s under {R} random "
+            "shifts: N must be a multiple of {R}, and the standard error is that of the "
+            "{R} shift means, with {R1} degrees of freedom, so |z| > 3 has probability "
+            "0.009 with no defect. A ball against a ball or a box integrates two "
+            "coordinates of the box's frame in closed form (a rounded-rectangle section) "
+            "and takes the other two from the 2-D lattice whose generator is the first "
+            "g < n/2 coprime to n whose continued fraction g/n has the smallest largest "
+            "partial quotient. A ball against a simplex or a polygon takes points around "
+            "it from the 4-D lattice with generating vector (1, a, a^2, a^3 mod n). Every "
+            "other pair draws only rotations, unit quaternions q from the 3-D lattice "
+            "with generating vector (1, a, a^2 mod n), its first coordinate folded by the "
+            "tent 1 - |2u - 1| and mapped onto S^3 by Shoemake's map. In 3-D and 4-D, a "
+            "is, of the a coprime to n in (n/4, n/2] first at or above {C} evenly spaced "
+            "points, the one of least figure of merit P_2.").format(
                 R=REPLICATES, R1=REPLICATES - 1, C=KOROBOV_CANDIDATES))
     p.add_argument("--k", required=True, help="JSON body file, fixed body")
     p.add_argument("--l", required=True, help="JSON body file, moving body")
     p.add_argument("--samples", required=True, type=_positive_arg,
-                   help=f"N, a multiple of {REPLICATES} for every pair but a ball against a "
-                        f"simplex or a polygon: {REPLICATES} shifted lattices of N/{REPLICATES} "
-                        f"points, 2-D for a ball against a ball or a box, 3-D Korobov "
-                        f"rotations otherwise")
+                   help=f"N, a multiple of {REPLICATES}: {REPLICATES} shifted lattices of "
+                        f"N/{REPLICATES} points, 2-D for a ball against a ball or a box, 4-D "
+                        f"for a ball against a simplex or a polygon, 3-D Korobov rotations "
+                        f"otherwise")
     p.add_argument("--seed", required=True, type=_seed_arg,
                    help="explicit RNG seed (no wall-clock seeding)")
     p.add_argument("--poincare", action="store_true",

@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
 
-from .scalars import _RAT_TYPES, Rat, Scalar, ZERO, gamma_half
+from .scalars import _RAT_TYPES, Rat, Scalar, ZERO
 
 
 def _merge_sign(a, b) -> int:
@@ -476,22 +476,25 @@ def lie_reeb(a: InvariantForm) -> InvariantForm:
 
 
 def sphere_monomial_integral(e) -> Scalar:
-    """Exact integral of v^e over the unit sphere S^(n-1), n = len(e)."""
+    """Exact integral of v^e over the unit sphere S^(n-1), n = len(e):
+    2 prod_i Gamma((e_i + 1)/2) / Gamma((|e| + n)/2), zero unless every e_i
+    is even. With Gamma(m + 1/2) = (2m - 1)!! sqrt(pi) / 2^m and the odd
+    (2m - 1)!! = (2m)! / (m! 2^m), it is a rational times pi^(n // 2), built
+    as one fraction of integers whose powers of two cancel by shifts."""
     if any(ei < 0 for ei in e):
         raise ValueError("negative exponent")
     if any(ei % 2 for ei in e):
         return ZERO
-    num = Rat(2)
-    half = 0
-    for ei in e:
-        c, h = gamma_half(ei + 1)
-        num *= c
-        half += h
-    cden, hden = gamma_half(sum(e) + len(e))
-    half -= hden
-    if half % 2:
-        raise ArithmeticError("unreachable: fractional pi power")
-    return Scalar({half // 2: num / cden})
+    num = math.prod(math.perm(ei, ei // 2) >> ei // 2 for ei in e)
+    t = sum(e) + len(e)
+    if t % 2:
+        den, twos = math.perm(t - 1, t // 2) >> t // 2, 1 + t // 2 - sum(e) // 2
+    else:
+        den, twos = math.factorial(t // 2 - 1), 1 - sum(e) // 2
+    zeros = (den & -den).bit_length() - 1
+    den, twos = den >> zeros, twos - zeros
+    value = Rat(num << twos, den) if twos >= 0 else Rat(num, den << -twos)
+    return Scalar({len(e) // 2: value})
 
 
 def fiber_monomial_integral(J, e) -> Scalar:

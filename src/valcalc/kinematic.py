@@ -13,22 +13,26 @@ iteration, so every sample is decided.  A ball is unchanged by rotation,
 and the motion measure by g -> g^-1, so a ball against any body draws only
 translations: the integral is the volume of the points within the ball's
 radius of the other body.  Against a ball or a box that volume is integrated
-over two coordinates of the box's frame in closed form: the section at fixed
-(y1, y2) is a rounded rectangle, and (y1, y2) runs over a rank-1 lattice
-under 16 random shifts (Cranley-Patterson), whose replicate means give the
-standard error.  Against a vertex hull each point drawn is scored by its
-exact distance to it.  Every other pair draws only a rotation, left
-multiplication L_q by a unit quaternion q, and integrates the translation
-in closed form: the weight is vol(K - L_q L), scored from q itself.  For two
-boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
-simplex, segment, point or polygon, in either order, it sums the shadows of
-L_q L on the coordinate subspaces of the box's frame, L's vertices there
-being a fixed matrix times q; for two plates it is area1 area2 |q^T A q|,
-which also weighs their intersection count; for any other two vertex hulls
-it sums over the facets of K - L_q L, each a sum of faces of the two.  q
-runs over a 3-D rank-1 lattice (Korobov) under 16 random shifts, mapped
-onto S^3 by Shoemake's map, and again the 16 replicate means give the
-standard error.
+over two coordinates of the box's frame in closed form, the section at fixed
+(y1, y2) being a rounded rectangle; against a vertex hull each point is
+scored by its exact distance to it.  Every other pair draws only a rotation,
+left multiplication L_q by a unit quaternion q, and integrates the
+translation in closed form: the weight is vol(K - L_q L), scored from q
+itself.  For two boxes it sums |16 linear and 18 quadratic forms| in q; for
+a box and a simplex, segment, point or polygon, in either order, it sums the
+shadows of L_q L on the coordinate subspaces of the box's frame, L's
+vertices there being a fixed matrix times q; for two plates it is
+area1 area2 |q^T A q|, which also weighs their intersection count; for any
+other two vertex hulls it sums over the facets of K - L_q L, each a sum of
+faces of the two.
+
+Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
+N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
+whose 16 replicate means give the standard error, with 15 degrees of
+freedom.  s = 2 for the (y1, y2) of a ball against a ball or a box, s = 3
+for q, mapped onto S^3 by Shoemake's map, and s = 4 for the points around a
+vertex hull, the last two with Korobov's generating vector (1, a, ...,
+a^(s-1) mod n).  So N must be a multiple of 16, for every pair.
 """
 
 import math
@@ -57,11 +61,10 @@ from .su2 import UNIT_LEFT, su2_basis, tasaki_density
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
-# random shifts of every lattice, the ball pairs' 2-D one and the rotation
-# pairs' 3-D one: the standard error comes from their means, with
-# REPLICATES - 1 degrees of freedom
+# random shifts of every pair's lattice: the standard error comes from their
+# means, with REPLICATES - 1 degrees of freedom
 REPLICATES = 16
-# candidate generators whose figure of merit the 3-D lattice's search takes
+# candidate generators whose figure of merit the Korobov lattices' search takes
 KOROBOV_CANDIDATES = 48
 # the least standard error a rotation pair reports, in units in the last
 # place of its estimate: the spread of the replicate means cannot see the
@@ -97,6 +100,10 @@ class EvaluationVector:
     body: object
     labels: tuple
     values: tuple
+
+
+class SampleCountError(ValueError):
+    """N is not a multiple of REPLICATES."""
 
 
 @dataclass(frozen=True)
@@ -191,33 +198,6 @@ _SPACES = np.array(list(combinations(range(4), 3)))[::-1]
 _SPACE_PLANE = np.array([[tuple(p) for p in _SUBSETS].index(tuple(s[:2])) for s in _SPACES])
 
 
-def _ball_section(K, L):
-    """For a ball against a ball or a box, (h, r): the box's half extents
-    (two balls: zeros) and the ball's radius (two balls: their radius sum);
-    else None. The motion integral is then the volume of the points within
-    r of the box [-h, h] in its frame, vol(box + r B^4), and
-    ``_section_replicates`` integrates it."""
-    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
-    if not isinstance(ball, Ball):
-        return None
-    if isinstance(other, Ball):
-        return np.zeros(4), K.radius + L.radius
-    if isinstance(other, Box):
-        return other.half_extents, ball.radius
-    return None
-
-
-def check_samples(K, L, N):
-    """Raise ValueError unless N suits the pair: every pair but a ball
-    against a vertex hull splits N over REPLICATES shifted lattices of
-    N / REPLICATES points, so N must be a multiple of REPLICATES."""
-    hull_reach = _ball_section(K, L) is None and (isinstance(K, Ball) or isinstance(L, Ball))
-    if not hull_reach and (N < REPLICATES or N % REPLICATES):
-        raise ValueError(f"every pair but a ball against a vertex hull needs a multiple of "
-                         f"{REPLICATES} samples ({REPLICATES} shifted lattices of "
-                         f"N/{REPLICATES} points), got {N}")
-
-
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _lattice_generator(n):
     """The generator g of the n-point rank-1 lattice {(k/n, frac(k g/n))}:
@@ -256,77 +236,83 @@ def _lattice_generator(n):
 
 def _section_areas(s, h, r):
     """The summed areas of the (y3, y4) sections of the points y in [0, h +
-    r]^4 within r of the box [-h, h], over an array s of values of
-    sum_(k <= 2) (y_k - h_k)_+^2, which it overwrites: with rho^2 = r^2 - s,
-    a rounded rectangle of area h3 h4 + rho (h3 + h4) + pi rho^2 / 4 when
-    s <= r^2, and 0 otherwise."""
+    r]^4 within r of the box [-h, h], per row of an array s (R, size) of
+    values of sum_(k <= 2) (y_k - h_k)_+^2, which it overwrites: with
+    rho^2 = r^2 - s, a rounded rectangle of area
+    h3 h4 + rho (h3 + h4) + pi rho^2 / 4 when s <= r^2, and 0 otherwise."""
     rho2 = np.subtract(r * r, s, out=s)
-    total = h[2] * h[3] * np.count_nonzero(rho2 >= 0.0) if h[2] * h[3] else 0.0
+    total = 0.0
+    if h[2] * h[3]:
+        # count_nonzero along an axis takes several times as long as row by row
+        total = h[2] * h[3] * np.array([np.count_nonzero(row >= 0.0) for row in rho2])
     np.maximum(rho2, 0.0, out=rho2)
-    total += 0.25 * math.pi * float(rho2.sum())
+    total += 0.25 * math.pi * rho2.sum(axis=-1)
     if h[2] + h[3]:
-        total += (h[2] + h[3]) * float(np.sqrt(rho2, out=rho2).sum())
+        total += (h[2] + h[3]) * np.sqrt(rho2, out=rho2).sum(axis=-1)
     return total
 
 
-def _section_replicates(h, r, n, seed):
-    """The function taking a replicate index to its mean weight for the
-    pair of ``_ball_section``: vol(box + r B^4) is 16 times the volume of
-    the points y in [0, h + r]^4 with sum_k (y_k - h_k)_+^2 <= r^2. At fixed
-    (y1, y2), with s = sum_(k <= 2) (y_k - h_k)_+^2 and rho^2 = r^2 - s, the
-    (y3, y4) section is a rounded rectangle of area
-    h3 h4 + rho (h3 + h4) + pi rho^2 / 4 when s <= r^2, and 0 otherwise, so
-    a point (y1, y2) weighs 16 (h1 + r)(h2 + r) times that area (Fubini).
+def _section_rule(h, r):
+    """The rule (``_lattice_means``) of a ball of radius r against the box
+    [-h, h] in its frame: vol(box + r B^4) is 16 times the volume of the
+    points y in [0, h + r]^4 with sum_k (y_k - h_k)_+^2 <= r^2. At fixed
+    (y1, y2) the (y3, y4) section is a rounded rectangle
+    (``_section_areas``), so a point (y1, y2) weighs 16 (h1 + r)(h2 + r)
+    times its area (Fubini).
 
-    (y1, y2) are (h1 + r, h2 + r) times the n points of the rank-1 lattice
-    of ``_lattice_generator`` shifted by d, two uniforms of
-    default_rng([seed, idx]). Writing d1 n = m + phi and k' = k + m mod n,
-    the points are ((k' + phi)/n, frac(k' g/n + e)) with one constant e, so
-    the first coordinate needs no wrap. The k' run in blocks of MC_CHUNK
-    that share the first block's coordinates: a block adds constants to them
-    and wraps the second by its floor."""
+    (y1, y2) are (h1 + r, h2 + r) times the points of the 2-D lattice of
+    ``_lattice_generator``. Under a shift d, writing d1 n = m + phi and
+    k' = k + m mod n, they are ((k' + phi)/n, frac(k' g/n + e)) with one
+    constant e, so the first coordinate needs no wrap. The k' run in blocks
+    that share the first block's coordinates: a block adds constants to
+    them and wraps the second by its floor."""
     a1, a2 = h[0] + r, h[1] + r
-    g = _lattice_generator(n)
-    B = min(n, MC_CHUNK)
-    k = np.arange(B)
-    Y1 = k * (a1 / n)
-    X2 = (k * g % n) / n
 
-    def replicate(idx):
-        d1, d2 = np.random.default_rng([seed, idx]).random(2)
-        m = int(d1 * n)
-        phi = d1 * n - m
-        area = 0.0
-        block, x, floor = np.empty((3, B))
-        for start in range(0, n, B):
-            size = min(B, n - start)
+    def lattice(n):
+        g = _lattice_generator(n)
+        k = np.arange(min(n, MC_CHUNK))
+        Y1 = k * (a1 / n)
+        X2 = (k * g % n) / n
+
+        def weigh(d, start, out):
+            size = out.shape[2]
+            # the block's constants per shift, taken in floats: a numpy
+            # call on R values costs more than the arithmetic
+            shifted = []
+            for d1, d2 in d.tolist():
+                m = int(d1 * n)
+                phi = d1 * n - m
+                shifted.append(((start + phi) * (a1 / n) - h[0],
+                                ((start - m) * g % n / n + d2) % 1.0))
+            c1, c2 = np.array(shifted).T[..., None]
             # s, the sum over y1 and y2 of (y_k - h_k)_+^2
-            s = np.add(Y1[:size], (start + phi) * (a1 / n) - h[0], out=block[:size])
+            s, y, floor = out[0], out[1], out[2]
+            np.add(Y1[:size], c1, out=s)
             if h[0]:
                 np.maximum(s, 0.0, out=s)
             s *= s
-            y = np.add(X2[:size], ((start - m) * g % n / n + d2) % 1.0, out=x[:size])
-            y -= np.floor(y, out=floor[:size])
+            np.add(X2[:size], c2, out=y)
+            y -= np.floor(y, out=floor)
             y *= a2
             if h[1]:
                 y -= h[1]
                 np.maximum(y, 0.0, out=y)
             y *= y
             s += y
-            area += _section_areas(s, h, r)
-        return 16.0 * a1 * a2 * area / n
-    return replicate
+            return _section_areas(s, h, r)
+        return weigh
+    return 2, 16.0 * a1 * a2, lattice
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _korobov_generator(n):
-    """The a of the n-point rank-1 lattice {frac(k (1, a, a^2 mod n)/n)} in
-    [0, 1)^3 (Korobov): of the a coprime to n in (n/4, n/2], the first at
-    or above the integer part of each of the KOROBOV_CANDIDATES points
-    n/4 + (i + 1/2) n / (4 KOROBOV_CANDIDATES), evenly spaced inside that
-    range (all of them when it holds no more), the one of least figure of
-    merit
-    P_2 = -1 + (1/n) sum_k prod_j (1 + 2 pi^2 B_2(frac(k z_j / n))),
+def _korobov_generator(n, s):
+    """The a of the n-point rank-1 lattice
+    {frac(k (1, a, ..., a^(s-1) mod n)/n)} in [0, 1)^s (Korobov): of the a
+    coprime to n in (n/4, n/2], the first at or above the integer part of
+    each of the KOROBOV_CANDIDATES points n/4 + (i + 1/2) n /
+    (4 KOROBOV_CANDIDATES), evenly spaced inside that range (all of them
+    when it holds no more), the one of least figure of merit
+    P_2 = -1 + (1/n) sum_k prod_(j < s) (1 + 2 pi^2 B_2(frac(k a^j / n))),
     B_2(x) = x^2 - x + 1/6 (Sloan & Joe 1994, ch. 5); the first on a tie,
     and a = 1 when the range holds none. n - a gives the mirrored lattice,
     of the same P_2.
@@ -334,9 +320,9 @@ def _korobov_generator(n):
     The summand is the same at k and n - k, and at k = 0 and k = n/2 the
     same for every candidate, so the candidates compare by the sum over
     0 < k < n/2, walked in blocks of MC_CHUNK: the search costs
-    O(KOROBOV_CANDIDATES n) time and O(MC_CHUNK) memory, about 25 ms at
-    n = 62,500 (N = 10^6). Cached per n, at most GENERATOR_CACHE_SIZE of
-    them."""
+    O(KOROBOV_CANDIDATES s n) time and O(MC_CHUNK) memory, about 25 ms at
+    n = 62,500 (N = 10^6) and s = 3. Cached per (n, s), at most
+    GENERATOR_CACHE_SIZE of them."""
     lo, hi = n // 4 + 1, n // 2
     c = KOROBOV_CANDIDATES
     if hi - lo + 1 <= c:
@@ -367,8 +353,10 @@ def _korobov_generator(n):
         k = np.arange(start, min(start + MC_CHUNK, half))
         first = factor(k)
         for i, a in enumerate(cands):
-            term = factor(k * a % n)
-            term *= factor(k * (a * a % n) % n)
+            term, z = factor(k * a % n), a
+            for _ in range(s - 2):
+                z = z * a % n
+                term *= factor(k * z % n)
             merit[i] += float(first @ term)
     return cands[int(np.argmin(merit))]
 
@@ -387,11 +375,11 @@ def _rotation_lattice(n):
 
     Writing d1 n = m + phi and k' = k + m mod n, point k' has u1 = (k' +
     phi)/n, so the first coordinate needs no wrap, as in
-    ``_section_replicates``; the angles need none either, being periodic.
-    The sines and cosines of the first MC_CHUNK points' angles 2 pi frac(k'
+    ``_section_rule``; the angles need none either, being periodic. The
+    sines and cosines of the first MC_CHUNK points' angles 2 pi frac(k'
     z_j / n) are taken once; a block starting at k' = start turns them by
     the constant angle 2 pi (frac((start - m) z_j / n) + d_j)."""
-    a = _korobov_generator(n)
+    a = _korobov_generator(n, 3)
     steps = (a, a * a % n)
     k = np.arange(min(n, MC_CHUNK))
     turns = [(np.sin(t), np.cos(t)) for t in (2.0 * math.pi / n * (k * g % n) for g in steps)]
@@ -421,47 +409,24 @@ def _rotation_lattice(n):
     return block
 
 
-def _rotation_means(volumes, n, seed, threads):
-    """The REPLICATES mean weights volumes(q) over the lattice of
-    ``_rotation_lattice``, n points each, replicate idx under the shift of
-    three uniforms of default_rng([seed, idx]), as the ball pairs draw
-    theirs, in blocks of MC_CHUNK.
-    When all of them fit in one block, the REPLICATES lattices are scored
-    in one call and split by replicate after; the path depends on n alone,
-    so the means depend only on (seed, n), whatever the threads."""
-    block = _rotation_lattice(n)
-    shifts = np.array([np.random.default_rng([seed, idx]).random(3) for idx in range(REPLICATES)])
-    if REPLICATES * n <= MC_CHUNK:
-        qs = np.empty((4, REPLICATES * n))
-        block(shifts, 0, qs.reshape(4, REPLICATES, n))
-        w = volumes(qs.T).reshape(REPLICATES, n)
-        return (w.sum(axis=1) / n).tolist()
-    # one buffer of a whole chunk per thread, whatever n, kept through all
-    # its replicates: the allocator serves one that large from fresh pages
-    # and, once it is freed, keeps blocks up to its size, the weights'
-    # temporaries among them, in its heap; freed between replicates, it
-    # would take them along when the heap is trimmed, to be faulted in
-    # again at the next one
-    local = threading.local()
+def _rotation_rule(volumes):
+    """The rule (``_lattice_means``) of a pair weighted from q by volumes:
+    the unit quaternions of ``_rotation_lattice``."""
+    def lattice(n):
+        block = _rotation_lattice(n)
 
-    def replicate(idx):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((4, 1, MC_CHUNK))
-        total = 0.0
-        for start in range(0, n, MC_CHUNK):
-            qs = local.buf[..., :min(MC_CHUNK, n - start)]
-            block(shifts[idx:idx + 1], start, qs)
-            total += float(volumes(qs[:, 0].T).sum())
-        return total / n
-    return _run_units(replicate, REPLICATES, threads)
+        def weigh(d, start, out):
+            block(d, start, out)
+            return volumes(out.reshape(4, -1).T).reshape(len(d), -1).sum(axis=1)
+        return weigh
+    return 3, 1.0, lattice
 
 
 def _hull_reach(P, r):
-    """For a ball of radius r against a vertex hull P, (vol, count): the
-    motion integral is the volume of the points within r of P, and count(u)
-    counts the rows of u, uniform in [0, 1)^4, that land there once mapped
-    onto P's bounding box grown by r, of volume vol: y, a hit when
-    dist(y, P) <= r.
+    """For a ball of radius r against a vertex hull P, (vol, hits): the
+    motion integral is the volume of the points within r of P, and hits(u)
+    marks the rows of u in [0, 1)^4 that land there once mapped onto P's
+    bounding box grown by r, of volume vol: y, a hit when dist(y, P) <= r.
 
     P is a union of simplices: itself, or a polygon's fan of triangles from
     its first vertex. The point of P closest to y is y's projection onto the
@@ -497,7 +462,7 @@ def _hull_reach(P, r):
     lo = verts.min(axis=0) - r
     span = verts.max(axis=0) + r - lo
 
-    def count(u):
+    def hits(u):
         y = (u * span + lo).T
         hit = np.zeros(len(u), dtype=bool)
         for nfaces, size, A, c, perp, h in groups:
@@ -505,8 +470,29 @@ def _hull_reach(P, r):
             off = (perp @ y - h[:, None]).reshape(nfaces, 5 - size, len(u))
             near = (off * off).sum(axis=1) <= r * r
             hit |= (near & (lam >= 0).all(axis=1)).any(axis=0)
-        return np.count_nonzero(hit)
-    return float(np.prod(span)), count
+        return hit
+    return float(np.prod(span)), hits
+
+
+def _hull_rule(P, r):
+    """The rule (``_lattice_means``) of a ball of radius r against a vertex
+    hull P: ``_hull_reach``'s hit test at the points of the 4-D Korobov
+    lattice (1, a, a^2, a^3 mod n) of ``_korobov_generator``, each hit
+    weighing the volume of the grown bounding box they are mapped onto."""
+    vol, hits = _hull_reach(P, r)
+
+    def lattice(n):
+        a = _korobov_generator(n, 4)
+        steps = [pow(a, j, n) for j in range(4)]
+
+        def weigh(d, start, out):
+            k = np.arange(start, start + out.shape[2])
+            for row, z, dj in zip(out, steps, d.T):
+                np.add(k * z % n / n, dj[:, None], out=row)
+            out %= 1.0
+            return np.count_nonzero(hits(out.reshape(4, -1).T).reshape(len(d), -1), axis=1)
+        return weigh
+    return 4, vol, lattice
 
 
 def _box_box_volumes(K, L):
@@ -835,15 +821,54 @@ def _run_units(worker, units, threads):
         return list(pool.map(worker, range(units)))
 
 
-def _chunk_moments(worker, N, threads):
-    """Mean and standard error of N iid weights, drawn in chunks of
-    MC_CHUNK: worker(idx, size) gives chunk idx's (sum w, sum w^2)."""
-    sizes = [min(MC_CHUNK, N - s) for s in range(0, N, MC_CHUNK)]
-    results = _run_units(lambda idx: worker(idx, sizes[idx]), len(sizes), threads)
-    sum_w, sum_w2 = math.fsum(r[0] for r in results), math.fsum(r[1] for r in results)
-    mean = sum_w / N
-    var = max(sum_w2 - N * mean * mean, 0.0) / max(N - 1, 1)
-    return mean, math.sqrt(var / N)
+def _rule(K, L):
+    """The lattice rule (``_lattice_means``) of the pair's motion integral;
+    two balls are a box of half extents 0 against a ball of their radius
+    sum."""
+    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
+    if not isinstance(ball, Ball):
+        return _rotation_rule(_translation_volumes(K, L))
+    if isinstance(other, Ball):
+        return _section_rule(np.zeros(4), K.radius + L.radius)
+    if isinstance(other, Box):
+        return _section_rule(other.half_extents, ball.radius)
+    return _hull_rule(other, ball.radius)
+
+
+def _lattice_means(rule, n, seed, threads):
+    """The REPLICATES mean weights of a rule over its n-point rank-1
+    lattice in [0, 1)^s, replicate idx under the shift of s uniforms of
+    default_rng([seed, idx]) (Cranley & Patterson 1976). A rule is (s,
+    scale, lattice): lattice(n) gives weigh(d, start, out), which scores
+    points start, ..., start + size - 1 of the lattice under each of R
+    shifts, the rows of d (R, s), with out (4, R, size) to work in, and
+    returns their summed weights per shift; a replicate's mean is scale
+    times its sum over n. When all of them fit in one block of MC_CHUNK,
+    the REPLICATES lattices are scored in one call; else the threads split
+    the replicates, each run in blocks of MC_CHUNK. The path depends on n
+    alone, so the means depend only on (seed, n), whatever the threads."""
+    s, scale, lattice = rule
+    weigh = lattice(n)
+    shifts = np.array([np.random.default_rng([seed, idx]).random(s) for idx in range(REPLICATES)])
+    if REPLICATES * n <= MC_CHUNK:
+        return (scale * weigh(shifts, 0, np.empty((4, REPLICATES, n))) / n).tolist()
+    # one buffer of a whole chunk per thread, whatever n, kept through all
+    # its replicates: the allocator serves one that large from fresh pages
+    # and, once it is freed, keeps blocks up to its size, the weights'
+    # temporaries among them, in its heap; freed between replicates, it
+    # would take them along when the heap is trimmed, to be faulted in
+    # again at the next one
+    local = threading.local()
+
+    def replicate(idx):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((4, 1, MC_CHUNK))
+        total = 0.0
+        for start in range(0, n, MC_CHUNK):
+            out = local.buf[..., :min(MC_CHUNK, n - start)]
+            total += float(weigh(shifts[idx:idx + 1], start, out)[0])
+        return scale * total / n
+    return _run_units(replicate, REPLICATES, threads)
 
 
 def _replicate_moments(means):
@@ -862,35 +887,22 @@ def _check_mc_args(N, threads, **bodies):
     for name, body in bodies.items():
         if getattr(body, "dim", None) != 4:
             raise ValueError(f"{name} must be a body in R^4")
+    if N % REPLICATES:
+        raise SampleCountError(f"N must be a multiple of {REPLICATES} ({REPLICATES} shifted "
+                               f"lattices of N/{REPLICATES} points), got {N}")
 
 
 def _estimate(K, L, N, seed, threads, rhs):
     """The Monte Carlo estimate of the motion integral of chi(K . gL) that
-    both estimators report, against their right-hand side rhs.
+    both estimators report, against their right-hand side rhs: the pair's
+    rule (``_rule``) over 16 shifted rank-1 lattices of N / 16 points in
+    [0, 1)^s (``_lattice_means``), s = 2 for a ball against a ball or a
+    box, 4 for a ball against a vertex hull and 3 for the q of every other
+    pair. Every sample is scored exactly, with no iteration.
 
-    Every sample is scored exactly, with no iteration. A ball draws only
-    translations, and the integral is the volume of the points within its
-    radius of the other body.
-    - Against a ball or a box (``_section_replicates``), that volume is
-      integrated in closed form over two coordinates of the box's frame,
-      the section at fixed (y1, y2) being a rounded rectangle. (y1, y2)
-      runs over a rank-1 lattice of N / 16 points, its generator the first
-      with the smallest largest partial quotient (``_lattice_generator``),
-      under 16 random shifts.
-    - Against a vertex hull, a point y uniform in a box around the hull
-      scores the box's volume times whether y lies within the radius of it
-      (``_hull_reach``), with a standard error from the N iid weights.
-    Every other pair draws only a unit quaternion q: the translation
-    integral of chi(K . (L_q L + t)) is vol(K - L_q L), which scores the
-    sample in closed form from q (``_translation_volumes``). q runs over
-    the 3-D rank-1 lattice of N / 16 points with generating vector (1, a,
-    a^2 mod n) of ``_korobov_generator``, mapped onto S^3 by Shoemake's
-    map, under 16 random shifts (``_rotation_lattice``).
-
-    Every pair but a ball against a vertex hull thus needs N a multiple of
-    16, and its standard error is that of the 16 replicate means, with 15
-    degrees of freedom, so with no defect |z| > 3 has probability 0.009
-    (the normal's is 0.0027). A rotation pair's standard error is at least
+    The standard error is that of the 16 replicate means, with 15 degrees
+    of freedom, so with no defect |z| > 3 has probability 0.009 (the
+    normal's is 0.0027). A rotation pair's standard error is at least
     ROUNDING_ULPS units in the last place of its estimate, as the spread of
     the replicate means cannot see the rounding every sample shares: a
     weight that does not depend on q (a box against a point weighs vol(box)
@@ -898,24 +910,8 @@ def _estimate(K, L, N, seed, threads, rhs):
     weights exactly. An rhs a few ulps off then gives a small z, and one
     further off a large one. Deterministic for fixed (seed, N) regardless
     of threads."""
-    section = _ball_section(K, L)
-    ball, other = (K, L) if isinstance(K, Ball) else (L, K)
-    if section is not None:
-        means = _run_units(_section_replicates(*section, N // REPLICATES, seed),
-                           REPLICATES, threads)
-        mean, stderr = _replicate_moments(means)
-    elif isinstance(ball, Ball):
-        vol, count = _hull_reach(other, ball.radius)
-
-        def worker(idx, size):
-            # random() draws the bits uniform(size=...) would
-            n = count(np.random.default_rng([seed, idx]).random((size, 4)))
-            return vol * n, vol * vol * n
-
-        mean, stderr = _chunk_moments(worker, N, threads)
-    else:
-        mean, stderr = _replicate_moments(
-            _rotation_means(_translation_volumes(K, L), N // REPLICATES, seed, threads))
+    mean, stderr = _replicate_moments(_lattice_means(_rule(K, L), N // REPLICATES, seed, threads))
+    if not isinstance(K, Ball) and not isinstance(L, Ball):
         stderr = max(stderr, ROUNDING_ULPS * math.ulp(mean))
     if stderr > 0:
         z = (mean - rhs) / stderr
@@ -928,10 +924,9 @@ def mc_principal_kinematic(K, L, N: int = 10**6, seed: int = 0,
                            threads: int = 1) -> MCReport:
     """Monte Carlo estimate of the motion integral of chi(K . gL) against
     the exact tensor's pairing of the evaluation vectors (``rhs_kinematic``).
-    The samples and weights are ``_estimate``'s; every pair but a ball
-    against a vertex hull needs N a multiple of 16."""
+    The samples and weights are ``_estimate``'s; N must be a multiple of
+    16."""
     _check_mc_args(N, threads, K=K, L=L)
-    check_samples(K, L, N)
     return _estimate(K, L, N, seed, threads, rhs_kinematic(K, L))
 
 
@@ -958,7 +953,6 @@ def mc_poincare(M1: PlanarPolygon, M2: PlanarPolygon, N: int = 10**6,
     _check_mc_args(N, threads, M1=M1, M2=M2)
     if not isinstance(M1, PlanarPolygon) or not isinstance(M2, PlanarPolygon):
         raise ValueError("the intersection count estimator needs planar polygons")
-    check_samples(M1, M2, N)
     u1, u2 = plane_class(M1.frame), plane_class(M2.frame)
     rhs = tasaki_density(float(u1 @ u2) ** 2) * M1.area * M2.area
     return _estimate(M1, M2, N, seed, threads, rhs)

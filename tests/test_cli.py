@@ -298,22 +298,20 @@ class TestVerifyMc:
 
     @pytest.mark.parametrize("samples", ["100", "8", "40001"])
     def test_ball_pair_samples_must_be_a_multiple_of_16(self, capsys, files, samples):
-        # a ball against a ball or a box splits N over 16 shifted lattices;
-        # any other N is refused before a sample is drawn, on one line
+        # a ball against a ball, a box or a simplex splits N over 16
+        # shifted lattices; any other N is refused before a sample is
+        # drawn, on one line
         _, save = files
         k = save("k.json", ser.body_to_json(Ball(np.zeros(4), 0.5)))
         l = save("l.json", ser.body_to_json(Box(np.zeros(4), 0.5 * np.ones(4))))
-        for pair in ((k, k), (k, l), (l, k)):
+        simplex = save("s.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0], [1.0, 0, 0, 0]])))
+        for pair in ((k, k), (k, l), (l, k), (k, simplex), (simplex, k)):
             rc, out, err = run(capsys, "verify", "mc", "--k", pair[0], "--l", pair[1],
                                "--samples", samples, "--seed", "1")
             assert (rc, out) == (2, "")
             assert err.splitlines() == [
-                f"error: --samples: every pair but a ball against a vertex hull needs a "
-                f"multiple of 16 samples (16 shifted lattices of N/16 points), got {samples}"]
-        simplex = save("s.json", ser.body_to_json(Simplex([[0.0, 0, 0, 0], [1.0, 0, 0, 0]])))
-        rc, _, _ = run(capsys, "verify", "mc", "--k", k, "--l", simplex,
-                       "--samples", samples, "--seed", "1")
-        assert rc == 0
+                f"error: --samples: N must be a multiple of 16 (16 shifted lattices of "
+                f"N/16 points), got {samples}"]
 
     @pytest.mark.parametrize("samples", ["100", "8", "40001"])
     def test_rotation_pair_samples_must_be_a_multiple_of_16(self, capsys, files, samples):
@@ -330,8 +328,8 @@ class TestVerifyMc:
                                "--samples", samples, "--seed", "1", *extra)
             assert (rc, out) == (2, "")
             assert err.splitlines() == [
-                f"error: --samples: every pair but a ball against a vertex hull needs a "
-                f"multiple of 16 samples (16 shifted lattices of N/16 points), got {samples}"]
+                f"error: --samples: N must be a multiple of 16 (16 shifted lattices of "
+                f"N/16 points), got {samples}"]
 
     def test_failure_message_line_reruns_the_estimate(self, capsys):
         # the verify mc line a failed Monte Carlo assert prints, run by bash

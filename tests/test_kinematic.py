@@ -468,21 +468,22 @@ class TestMCPrincipal:
         monkeypatch.setattr(kinematic, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 64)
         half = Ball(np.zeros(4), 0.5)
-        # a ball pair's units are its 16 shifted lattices, whatever N; the
-        # ball/simplex pair's are its chunks of iid points, here three
+        # every pair's units are its 16 shifted lattices, the ball/simplex
+        # pair's too; 16 lattices that fit in one chunk together share one
+        # call and start no pool
         N = 2 * kinematic.MC_CHUNK
         one = mc_principal_kinematic(half, half, N=N, seed=4)
         many = mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
         assert seen == [kinematic.REPLICATES]
         assert (many.estimate, many.stderr) == (one.estimate, one.stderr)
         mc_principal_kinematic(half, half, N=64, seed=4, threads=10**6)
+        assert seen == [kinematic.REPLICATES]
+        mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=4, threads=10**6)
         assert seen == [kinematic.REPLICATES] * 2
-        mc_principal_kinematic(half, MOTION_SIMPLEX, N=N + 1, seed=4, threads=10**6)
-        assert seen == [kinematic.REPLICATES] * 2 + [3]
         monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 2)
         mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
-        mc_principal_kinematic(half, MOTION_SIMPLEX, N=N + 1, seed=4, threads=10**6)
-        assert seen == [kinematic.REPLICATES] * 2 + [3, 2, 2]
+        mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=4, threads=10**6)
+        assert seen == [kinematic.REPLICATES] * 2 + [2, 2]
 
     def test_box_point(self):
         box = Box(np.zeros(4), np.array([0.5, 0.5, 0.5, 0.5]))
@@ -494,9 +495,10 @@ class TestMCPrincipal:
         assert rep.rhs == pytest.approx(1.0, abs=1e-9)
 
     def test_stderr_scales(self):
-        # iid draws: 4 times the samples halve the standard error. Ball/box
-        # runs on a lattice, so the pair is a ball against a simplex, whose
-        # points are drawn iid
+        # 4 times the samples about halve the standard error for a ball
+        # against a simplex: its weight is a hit indicator, whose jump at
+        # the edge of the hull's reach the 4-D lattice gains little on, so
+        # its error falls about as an iid one's
         half = Ball(np.zeros(4), 0.5)
         a = mc_principal_kinematic(half, MOTION_SIMPLEX, N=40000, seed=1)
         b = mc_principal_kinematic(half, MOTION_SIMPLEX, N=160000, seed=1)
@@ -568,25 +570,21 @@ class TestMCArguments:
 
     @pytest.mark.parametrize("N", [100, 8, 1, 2 * kinematic.MC_CHUNK + 1])
     def test_ball_pairs_need_a_multiple_of_the_replicates(self, N):
-        # a ball against a ball or a box splits N over 16 shifted lattices,
-        # and so does a box against a simplex; a ball against a simplex
-        # takes any N
-        with pytest.raises(ValueError, match="^every pair but a ball against a vertex hull "
-                                             "needs a multiple of 16 samples"):
+        # a ball against a ball, a box or a vertex hull splits N over 16
+        # shifted lattices, as a box against a simplex does
+        with pytest.raises(kinematic.SampleCountError, match="^N must be a multiple of 16"):
             self._estimate("principal", N=N)
-        with pytest.raises(ValueError, match="multiple of 16"):
-            mc_principal_kinematic(ROTATED_BOX, OFF_CENTRE_BALL, N=N)
-        assert mc_principal_kinematic(_BALL, MOTION_SIMPLEX, N=N).samples == N
-        with pytest.raises(ValueError, match="multiple of 16"):
-            mc_principal_kinematic(MOTION_BOX, MOTION_SIMPLEX, N=N)
+        for K, L in ((ROTATED_BOX, OFF_CENTRE_BALL), (_BALL, MOTION_SIMPLEX),
+                     (mgon(5, PENTAGON_FRAME, radius=0.8), _BALL), (MOTION_BOX, MOTION_SIMPLEX)):
+            with pytest.raises(ValueError, match="multiple of 16"):
+                mc_principal_kinematic(K, L, N=N)
 
     @pytest.mark.parametrize("N", [100, 8, 1, 2 * kinematic.MC_CHUNK + 1])
     def test_rotation_pairs_need_a_multiple_of_the_replicates(self, N):
         # every pair that draws a rotation splits N over 16 shifted
         # lattices, in either estimator, with the one message of the ball
         # pairs; no N is cut down to a multiple in silence
-        message = ("^every pair but a ball against a vertex hull needs a multiple of 16 "
-                   f"samples \\(16 shifted lattices of N/16 points\\), got {N}$")
+        message = f"^N must be a multiple of 16 \\(16 shifted lattices of N/16 points\\), got {N}$"
         square, pentagon = mgon(4, self.SQUARE[0]), mgon(5, PENTAGON_FRAME, radius=0.8)
         pairs = [BOX_PAIRS[1], (MOTION_BOX, MOTION_SIMPLEX), (MOTION_SIMPLEX, ROTATED_BOX),
                  (pentagon, MOTION_SIMPLEX), (square, pentagon)]
@@ -1036,8 +1034,8 @@ class TestBallReach:
 
     def test_no_rotation_drawn(self, monkeypatch):
         # a ball against a ball or a box draws two uniforms per shift, the
-        # lattice's shift, and none per point; against a vertex hull, one
-        # row of 4 uniforms per point
+        # 2-D lattice's shift, and none per point; against a vertex hull,
+        # four per shift, the 4-D lattice's
         draws = []
         monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("random", draws))
         N = kinematic.MC_CHUNK + 96
@@ -1047,7 +1045,7 @@ class TestBallReach:
             rep = mc_principal_kinematic(K, L, N=N, seed=3)
             assert abs(rep.z_score) < 3, mc_failure("ball reach", K, L, N, 3, 1, rep)
         assert draws == [2] * kinematic.REPLICATES * len(lattice) + \
-            [(kinematic.MC_CHUNK, 4), (96, 4)] * len(hulls)
+            [4] * kinematic.REPLICATES * len(hulls)
 
     def test_off_centre_pair_in_either_order(self):
         want = _steiner_box(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius)
@@ -1151,7 +1149,7 @@ class TestBallSections:
         total = 0.0
         for i in range(m):
             s1 = max((i + 0.5) * (a1 / m) - h[0], 0.0) ** 2
-            total += kinematic._section_areas(s1 + s2, h, r)
+            total += kinematic._section_areas((s1 + s2)[None], h, r)[0]
         want = _steiner_box(h, r)
         assert 16.0 * a1 * a2 * total / m ** 2 == pytest.approx(want, rel=1e-6, abs=0)
 
@@ -1162,10 +1160,11 @@ class TestBallSections:
         # written plainly: the points frac(k (1, g)/n + d), the section
         # area of each
         monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
-        replicate = kinematic._section_replicates(h, r, n, seed=77)
+        means = kinematic._lattice_means(kinematic._section_rule(h, r), n, 77, 1)
+        assert kinematic._lattice_means(kinematic._section_rule(h, r), n, 77, 2) == means
         g = kinematic._lattice_generator(n)
         k = np.arange(n)
-        for idx in range(3):
+        for idx in range(kinematic.REPLICATES):
             d1, d2 = np.random.default_rng([77, idx]).random(2)
             y1 = (k / n + d1) % 1.0 * (h[0] + r)
             y2 = (k * g % n / n + d2) % 1.0 * (h[1] + r)
@@ -1174,23 +1173,18 @@ class TestBallSections:
             area = np.where(s <= r * r, h[2] * h[3] + rho * (h[2] + h[3]) + math.pi * rho ** 2 / 4,
                             0.0)
             want = 16.0 * (h[0] + r) * (h[1] + r) * area.mean()
-            assert replicate(idx) == pytest.approx(want, rel=1e-12, abs=0)
+            assert means[idx] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_stderr_has_fifteen_degrees_of_freedom(self, monkeypatch):
         # the reported error is that of the 16 replicate means
         half = Ball(np.zeros(4), 0.5)
         seen = []
-        real = kinematic._section_replicates
+        real = kinematic._lattice_means
 
         def recording(*args):
-            replicate = real(*args)
-
-            def record(idx):
-                seen.append(replicate(idx))
-                return seen[-1]
-            return record
-
-        monkeypatch.setattr(kinematic, "_section_replicates", recording)
+            seen.extend(real(*args))
+            return seen
+        monkeypatch.setattr(kinematic, "_lattice_means", recording)
         rep = mc_principal_kinematic(half, ROTATED_BOX, N=16 * 1000, seed=8)
         assert len(seen) == kinematic.REPLICATES
         assert rep.estimate == pytest.approx(np.mean(seen), rel=1e-15)
@@ -1390,13 +1384,13 @@ class TestHullHullVolumes:
 
 class TestHullReach:
     """A ball against a simplex or a polygon draws points in the hull's
-    bounding box grown by the radius, each scored by its exact distance to
-    the hull."""
+    bounding box grown by the radius from a shifted 4-D Korobov lattice,
+    each scored by its exact distance to the hull."""
 
     @pytest.mark.parametrize("name", ["simplex5", "simplex3", "pentagon", "square"])
     def test_hits_match_the_distance_oracle(self, name):
         P, r = HULLS[name], 0.35
-        vol, count = kinematic._hull_reach(P, r)
+        vol, hits = kinematic._hull_reach(P, r)
         u = np.random.default_rng(180).random((20000, 4))
         verts = P._hull()
         lo, hi = verts.min(axis=0) - r, verts.max(axis=0) + r
@@ -1409,7 +1403,24 @@ class TestHullReach:
         # no sample within rounding of the sphere, where the two could differ
         assert np.min(np.abs(dist - r)) > 1e-9
         assert 0.05 < np.mean(dist <= r) < 0.95
-        assert count(u) == np.count_nonzero(dist <= r)
+        assert np.array_equal(hits(u), dist <= r)
+
+    @pytest.mark.parametrize("n", [7, 16, 17, 1000])
+    def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, n):
+        # chunks of 256 points, as for the rotations, against the rule
+        # written plainly: the points frac(k (1, a, a^2, a^3)/n + d), each
+        # hit weighing the grown bounding box's volume
+        monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
+        P, r = HULLS["pentagon"], 0.35
+        rule = kinematic._hull_rule(P, r)
+        means = kinematic._lattice_means(rule, n, 77, 1)
+        assert kinematic._lattice_means(rule, n, 77, 2) == means
+        vol, hits = kinematic._hull_reach(P, r)
+        a = kinematic._korobov_generator(n, 4)
+        for idx in range(kinematic.REPLICATES):
+            d = np.random.default_rng([77, idx]).random(4)
+            u = (np.outer(np.arange(n), [a ** j % n for j in range(4)]) % n / n + d) % 1.0
+            assert means[idx] == vol * np.count_nonzero(hits(u)) / n
 
     @pytest.mark.parametrize("name", ["simplex5", "simplex2", "pentagon"])
     def test_estimate_matches_rhs_in_either_order(self, name):
@@ -1490,16 +1501,17 @@ def _plain_candidates(n, count):
     return sorted({min(a for a in coprime if a >= p) for p in points if coprime[-1] >= p})
 
 
-def _plain_p2(n, a):
-    """P_2 of the lattice (1, a, a^2 mod n) over all n points at once."""
-    x = np.outer(np.arange(n), [1, a, a * a % n]) % n / n
+def _plain_p2(n, a, s):
+    """P_2 of the lattice (1, a, ..., a^(s-1) mod n) over all n points at
+    once."""
+    x = np.outer(np.arange(n), [a ** j % n for j in range(s)]) % n / n
     return -1.0 + np.mean(np.prod(1.0 + 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0), axis=1))
 
 
 def _plain_rotation_means(volumes, n, seed):
     """The 16 replicate means written plainly: the points frac(k (1, a,
     a^2)/n + d), the tent on the first coordinate and Shoemake's map."""
-    a = kinematic._korobov_generator(n)
+    a = kinematic._korobov_generator(n, 3)
     z = np.array([1, a, a * a % n])
     means = []
     for idx in range(kinematic.REPLICATES):
@@ -1518,28 +1530,31 @@ class TestRotationLattice:
     a plain search, and the shifted, folded and mapped points against the
     rule written plainly."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 30, 32, 97, 480, 1280, 2054, 3840])
-    def test_generator_matches_a_plain_search(self, n):
+    @pytest.mark.parametrize("n, s", [pytest.param(n, s, id=str(n) if s == 3 else f"s{s}-{n}")
+                                      for s in (3, 4)
+                                      for n in (1, 2, 3, 4, 6, 7, 30, 32, 97, 480, 1280, 2054, 3840)])
+    def test_generator_matches_a_plain_search(self, n, s):
+        # s = 3 for the rotations, s = 4 for the points around a vertex hull
         kinematic._korobov_generator.cache_clear()
-        a = kinematic._korobov_generator(n)
+        a = kinematic._korobov_generator(n, s)
         cands = _plain_candidates(n, kinematic.KOROBOV_CANDIDATES)
         if not cands:
             assert a == 1
             return
         assert a in cands and math.gcd(a, n) == 1
-        merits = [_plain_p2(n, c) for c in cands]
-        assert _plain_p2(n, a) <= min(merits) + 1e-12 * abs(min(merits))
+        merits = [_plain_p2(n, c, s) for c in cands]
+        assert _plain_p2(n, a, s) <= min(merits) + 1e-12 * abs(min(merits))
 
     def test_generator_cache_size_stays_within_bound(self):
         kinematic._korobov_generator.cache_clear()
         sizes = range(100, 100 + kinematic.GENERATOR_CACHE_SIZE + 10)
-        gens = [kinematic._korobov_generator(n) for n in sizes]
+        gens = [kinematic._korobov_generator(n, 3) for n in sizes]
         info = kinematic._korobov_generator.cache_info()
         assert info.maxsize == kinematic.GENERATOR_CACHE_SIZE
         assert info.currsize == kinematic.GENERATOR_CACHE_SIZE and info.misses == len(sizes)
-        assert kinematic._korobov_generator(sizes[-1]) == gens[-1]
+        assert kinematic._korobov_generator(sizes[-1], 3) == gens[-1]
         assert kinematic._korobov_generator.cache_info().hits == 1
-        assert kinematic._korobov_generator(sizes[0]) == gens[0]
+        assert kinematic._korobov_generator(sizes[0], 3) == gens[0]
         assert kinematic._korobov_generator.cache_info().misses == len(sizes) + 1
 
     @pytest.mark.parametrize("n", [7, 16, 17, 768, 1000])
@@ -1550,19 +1565,20 @@ class TestRotationLattice:
         monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
         for K, L in (BOX_PAIRS[2], PINNED_PAIRS["poincare"][:2]):
             volumes = kinematic._translation_volumes(K, L)
-            got = kinematic._rotation_means(volumes, n, 77, 1)
+            rule = kinematic._rotation_rule(volumes)
+            got = kinematic._lattice_means(rule, n, 77, 1)
             np.testing.assert_allclose(got, _plain_rotation_means(volumes, n, 77), rtol=1e-12, atol=0)
-            assert kinematic._rotation_means(volumes, n, 77, 2) == got
+            assert kinematic._lattice_means(rule, n, 77, 2) == got
 
     def test_stderr_has_fifteen_degrees_of_freedom(self, monkeypatch):
         # the reported error is that of the 16 replicate means
         seen = []
-        real = kinematic._rotation_means
+        real = kinematic._lattice_means
 
         def recording(*args):
             seen.extend(real(*args))
             return seen
-        monkeypatch.setattr(kinematic, "_rotation_means", recording)
+        monkeypatch.setattr(kinematic, "_lattice_means", recording)
         rep = mc_principal_kinematic(*BOX_PAIRS[1], N=16 * 1000, seed=8)
         assert len(seen) == kinematic.REPLICATES
         assert rep.estimate == pytest.approx(np.mean(seen), rel=1e-15)
@@ -1633,9 +1649,24 @@ class TestLatticeAccuracy:
     error, the exact mean: over 48 seeds the RMS relative error is within
     1.5 times the median relative standard error, for the motion_mc
     benchmark's box/box and plates at its sample counts and for a rotated
-    box pair."""
+    box pair. The same holds for the 4-D lattice of a ball against a
+    simplex and a pentagon."""
 
     SEEDS = range(7100, 7148)
+
+    @pytest.mark.parametrize("hull", ["simplex", "pentagon"])
+    def test_hull_reach_rms_error_matches_the_reported_stderr(self, hull):
+        # the off-centre ball of the CI against its simplex and pentagon at
+        # its 40,000 samples, against the exact tensor's rhs
+        L = MOTION_SIMPLEX if hull == "simplex" else mgon(5, PENTAGON_FRAME, radius=0.8)
+        exact = rhs_kinematic(OFF_CENTRE_BALL, L)
+        errors, stderrs = [], []
+        for seed in self.SEEDS:
+            rep = mc_principal_kinematic(OFF_CENTRE_BALL, L, N=40000, seed=seed)
+            errors.append((rep.estimate - exact) / exact)
+            stderrs.append(rep.stderr / exact)
+        rms = math.sqrt(np.mean(np.square(errors)))
+        assert rms <= 1.5 * np.median(stderrs), (rms, np.median(stderrs))
 
     @pytest.mark.parametrize("pair", ["box_box", "poincare", "rotated_boxes"])
     def test_rms_error_matches_the_reported_stderr(self, pair):

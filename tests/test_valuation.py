@@ -9,6 +9,7 @@ from _oracles import (
     pullback_linear,
     random_form,
     random_rational,
+    random_sphere_poly,
     sphere_volume_form,
     unit_cube_value,
     verify_zero_valuation,
@@ -240,6 +241,46 @@ class TestOperators:
         c = pairing(lv, v2) / pairing(v2, v2)
         diff = lv - v2 * c
         assert verify_zero_valuation(diff.omega, diff.phi)
+
+
+def graded_valuation(rng, n, k):
+    """Random exact valuation of degree k: a form of bidegree (k, n - 1 - k)
+    with polynomials of degree up to 5, or a volume multiple when k = n."""
+    if k == n:
+        return ValuationRep(n, InvariantForm.zero(n), Scalar({0: random_rational(rng, 1, 7)}))
+    terms = {}
+    for _ in range(4):
+        I = tuple(sorted(rng.sample(range(n), k)))
+        J = tuple(sorted(rng.sample(range(n), n - 1 - k)))
+        terms[(I, J)] = random_sphere_poly(rng, n, 5, nterms=4, den=6)
+    return ValuationRep(n, InvariantForm(n, terms))
+
+
+class TestPairingSymmetry:
+    """The pairing is symmetric, with sign +1, on valuations of every degree
+    and either parity (the parts fixed and negated by ``euler_verdier``),
+    and pairs an even valuation with an odd one to 0."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_symmetric_on_random_valuations(self, k):
+        rng = random.Random(3300 + k)
+        half = Rat(1, 2)
+        nonzero = set()
+        for _ in range(6):
+            parts = []
+            for degree in (k, 4 - k):
+                mu = graded_valuation(rng, 4, degree)
+                reflected = euler_verdier(mu)
+                parts.append({"even": (mu + reflected) * half, "odd": (mu - reflected) * half})
+            for pa, a in parts[0].items():
+                for pb, b in parts[1].items():
+                    value = pairing(a, b)
+                    assert value == pairing(b, a), (k, pa, pb)
+                    if not value.is_zero():
+                        nonzero.add((pa, pb))
+        # no odd valuation of degree 0 or 4 is nonzero in R^4
+        want = {("even", "even"), ("odd", "odd")} if 0 < k < 4 else {("even", "even")}
+        assert nonzero == want
 
 
 class TestRepresentationIndependence:
