@@ -32,7 +32,11 @@ whose 16 replicate means give the standard error, with 15 degrees of
 freedom.  s = 2 for the (y1, y2) of a ball against a ball or a box, s = 3
 for q, mapped onto S^3 by Shoemake's map, and s = 4 for the points around a
 vertex hull, the last two with Korobov's generating vector (1, a, ...,
-a^(s-1) mod n).  So N must be a multiple of 16, for every pair.
+a^(s-1) mod n).  So N must be a multiple of 16, for every pair.  What
+depends on n alone is built once per n (``_lattice_tables``), and every
+block works in its thread's resident workspace (``_Workspace``), so a warm
+estimate allocates no large array; the estimates are bit for bit those of
+the plain computation.
 """
 
 import math
@@ -40,7 +44,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -72,6 +76,12 @@ KOROBOV_CANDIDATES = 48
 ROUNDING_ULPS = 4
 # lattice generators kept, by point count n, least recently used evicted first
 GENERATOR_CACHE_SIZE = 64
+# lattice tables kept, by (n, s, MC_CHUNK), least recently used evicted first:
+# a motion_mc op estimates five pairs, each on a lattice of its own
+TABLE_CACHE_SIZE = 8
+# floats in each thread's workspace (``_Workspace``): a ball section's first
+# coordinate and a block of MC_CHUNK points of 4 coordinates
+WORKSPACE_FLOATS = 5 * MC_CHUNK
 # samples per block of the translation volumes: box/box's 16 linear and 18
 # quadratic forms in q come to about fifty floats per sample, a 4-simplex's
 # shadows to a few hundred and the facet sum of two 4-simplices to a few
@@ -93,6 +103,12 @@ class KinematicTensor:
     def entry(self, a: str, b: str) -> Scalar:
         i, j = self.labels.index(a), self.labels.index(b)
         return self.matrix[i][j]
+
+    @cached_property
+    def float_entries(self):
+        """(i, j, float(entry)) for each nonzero entry, converted once."""
+        return tuple((i, j, float(t)) for i, row in enumerate(self.matrix)
+                     for j, t in enumerate(row) if not t.is_zero())
 
 
 @dataclass(frozen=True)
@@ -178,10 +194,9 @@ def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
     vL = vK if L is K else evaluation_vector(L, kind)
     # an exactly rounded sum of terms symmetric in (K, L): the same float in
     # either order
-    return math.fsum(float(T.matrix[i][j]) * (a * b)
-                     for i, a in enumerate(vK.values) if a != 0.0
-                     for j, b in enumerate(vL.values)
-                     if b != 0.0 and not T.matrix[i][j].is_zero())
+    a, b = vK.values, vL.values
+    return math.fsum(t * (a[i] * b[j]) for i, j, t in T.float_entries
+                     if a[i] != 0.0 and b[j] != 0.0)
 
 
 # left multiplication by q0 + q1 i + q2 j + q3 k is L_q = sum_k q_k _UNIT_LEFT[k]
@@ -196,6 +211,44 @@ _QK, _QL = np.triu_indices(4)
 # span a coordinate plane (a row of _SUBSETS) and the third is its height
 _SPACES = np.array(list(combinations(range(4), 3)))[::-1]
 _SPACE_PLANE = np.array([[tuple(p) for p in _SUBSETS].index(tuple(s[:2])) for s in _SPACES])
+
+
+class _Workspace(threading.local):
+    """One thread's floats for Monte Carlo blocks: WORKSPACE_FLOATS of them,
+    allocated at the thread's first use and kept, so that no estimate
+    allocates, and faults in, a large array of its own. Arrays are taken
+    from the front of the floats within a ``with`` frame (``with _WORK as
+    take``), and leaving the frame frees what was taken in it. An array that
+    no longer fits is a new one."""
+
+    def __init__(self):
+        self.floats = None
+        self.top = 0
+        self.frames = []
+
+    def __enter__(self):
+        self.frames.append(self.top)
+        return self.take
+
+    def __exit__(self, *exc):
+        self.top = self.frames.pop()
+
+    def take(self, *shape, dtype=float):
+        if self.floats is None:
+            # the allocator aligns to 16 bytes, and SIMD loads run fastest
+            # from 64-byte boundaries
+            raw = np.empty(WORKSPACE_FLOATS + 8)
+            start = -raw.ctypes.data % 64 // 8
+            self.floats = raw[start:start + WORKSPACE_FLOATS]
+        size = math.prod(shape)
+        stop = self.top + -(-size * np.dtype(dtype).itemsize // 64) * 8
+        if stop > len(self.floats):
+            return np.empty(shape, dtype)
+        start, self.top = self.top, stop
+        return self.floats[start:stop].view(dtype)[:size].reshape(shape)
+
+
+_WORK = _Workspace()
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -265,14 +318,16 @@ def _section_rule(h, r):
     k' = k + m mod n, they are ((k' + phi)/n, frac(k' g/n + e)) with one
     constant e, so the first coordinate needs no wrap. The k' run in blocks
     that share the first block's coordinates: a block adds constants to
-    them and wraps the second by its floor."""
+    them and wraps the second by its floor. The second coordinates come
+    from ``_lattice_tables``; the first, scaled by h1 + r, is taken per call
+    into the calling thread's workspace, which the threads that run the
+    replicates read."""
     a1, a2 = h[0] + r, h[1] + r
 
     def lattice(n):
         g = _lattice_generator(n)
-        k = np.arange(min(n, MC_CHUNK))
-        Y1 = k * (a1 / n)
-        X2 = (k * g % n) / n
+        k, X2 = _lattice_tables(n, 2, MC_CHUNK)
+        Y1 = np.multiply(k, a1 / n, out=_WORK.take(len(k)))
 
         def weigh(d, start, out):
             size = out.shape[2]
@@ -361,6 +416,37 @@ def _korobov_generator(n, s):
     return cands[int(np.argmin(merit))]
 
 
+@lru_cache(maxsize=1)
+def _lattice_index(chunk):
+    """0, 1, ..., chunk - 1 as read-only floats: the k of every table."""
+    k = np.arange(chunk, dtype=float)
+    k.flags.writeable = False
+    return k
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _lattice_tables(n, s, chunk):
+    """Read-only rows over the first min(n, chunk) points k of the n-point
+    rank-1 lattice of dimension s, which depend on n alone: k and
+    frac(k g / n) for the 2-D lattice of ``_lattice_generator`` (s = 2), and
+    k and the sine and cosine of 2 pi frac(k z / n), z = a and a^2 mod n,
+    for the 3-D one of ``_korobov_generator`` (s = 3). Built once per (n, s,
+    chunk), chunk being MC_CHUNK at the call, so that a table built for one
+    block size is never read at another; at most TABLE_CACHE_SIZE of them.
+    At the benchmark's sizes the tables take about 1.2 MB together."""
+    m = min(n, chunk)
+    k = np.arange(m)
+    if s == 2:
+        rows = [(k * _lattice_generator(n) % n) / n]
+    else:
+        a = _korobov_generator(n, 3)
+        rows = [f(t) for t in (2.0 * math.pi / n * (k * z % n) for z in (a, a * a % n))
+                for f in (np.sin, np.cos)]
+    for row in rows:
+        row.flags.writeable = False
+    return (_lattice_index(chunk)[:m], *rows)
+
+
 def _rotation_lattice(n):
     """The function block(d, start, out) that writes into out, (4, R,
     size), the unit quaternions of points start, ..., start + size - 1 of
@@ -377,12 +463,13 @@ def _rotation_lattice(n):
     phi)/n, so the first coordinate needs no wrap, as in
     ``_section_rule``; the angles need none either, being periodic. The
     sines and cosines of the first MC_CHUNK points' angles 2 pi frac(k'
-    z_j / n) are taken once; a block starting at k' = start turns them by
-    the constant angle 2 pi (frac((start - m) z_j / n) + d_j)."""
+    z_j / n) come from ``_lattice_tables``; a block starting at k' = start
+    turns them by the constant angle 2 pi (frac((start - m) z_j / n) + d_j),
+    with two rows of the thread's workspace to work in."""
     a = _korobov_generator(n, 3)
     steps = (a, a * a % n)
-    k = np.arange(min(n, MC_CHUNK))
-    turns = [(np.sin(t), np.cos(t)) for t in (2.0 * math.pi / n * (k * g % n) for g in steps)]
+    k, *rows = _lattice_tables(n, 3, MC_CHUNK)
+    turns = (rows[:2], rows[2:])
 
     def block(d, start, out):
         size = out.shape[2]
@@ -398,14 +485,18 @@ def _rotation_lattice(n):
         # times the cosines; rows 1 and 3 the radii times the sines
         np.sqrt(np.subtract(1.0, u, out=out[0]), out=out[0])
         np.sqrt(u, out=out[2])
-        for row, (sin, cos), g, dj in zip((0, 2), turns, steps, d[:, 1:].T):
-            t = 2.0 * math.pi * ((np.array([(start - mi) * g % n for mi in m]) / n + dj) % 1.0)
-            c, s = np.cos(t)[:, None], np.sin(t)[:, None]
-            radius = out[row]
-            np.multiply(sin[:size], c, out=out[row + 1])
-            out[row + 1] += s * cos[:size]
-            out[row + 1] *= radius
-            radius *= c * cos[:size] - s * sin[:size]
+        with _WORK as take:
+            cs, ss = take(len(d), size), take(len(d), size)
+            for row, (sin, cos), g, dj in zip((0, 2), turns, steps, d[:, 1:].T):
+                t = 2.0 * math.pi * ((np.array([(start - mi) * g % n for mi in m]) / n + dj) % 1.0)
+                c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+                radius = out[row]
+                np.multiply(sin[:size], c, out=out[row + 1])
+                out[row + 1] += np.multiply(cos[:size], s, out=cs)
+                out[row + 1] *= radius
+                np.multiply(cos[:size], c, out=cs)
+                cs -= np.multiply(sin[:size], s, out=ss)
+                radius *= cs
     return block
 
 
@@ -517,12 +608,26 @@ def _box_box_volumes(K, L):
     c0 = np.prod(hK) + np.prod(hL)
 
     def volumes(qs):
+        # a block's forms in the thread's workspace: the linear ones, then
+        # the quadratic ones in their place, the products q_k q_l a row per
+        # (k, l), and the quadratic forms' weighted sums
         vol = np.empty(len(qs))
-        for s in range(0, len(qs), BOX_BOX_BLOCK):
-            q = qs[s:s + BOX_BOX_BLOCK]
-            vol[s:s + BOX_BOX_BLOCK] = (np.abs(q @ gen.T) @ W1 + c0
-                                        + np.abs((q[:, _QK] * q[:, _QL]) @ S.T) @ W2)
-        return 16.0 * vol
+        B = min(len(qs), BOX_BOX_BLOCK)
+        with _WORK as take:
+            forms, products, sums = take(18 * B), take(10, B), take(B)
+            for s in range(0, len(qs), BOX_BOX_BLOCK):
+                q = qs[s:s + BOX_BOX_BLOCK]
+                m = len(q)
+                lin = np.matmul(q, gen.T, out=forms[:16 * m].reshape(m, 16))
+                v = np.matmul(np.abs(lin, out=lin), W1, out=vol[s:s + m])
+                v += c0
+                p = products[:, :m]
+                for k, row in ((0, 0), (1, 4), (2, 7), (3, 9)):
+                    np.multiply(q[:, k], q[:, k:].T, out=p[row:row + 4 - k])
+                quad = np.matmul(p.T, S.T, out=forms[:18 * m].reshape(m, 18))
+                v += np.matmul(np.abs(quad, out=quad), W2, out=sums[:m])
+        vol *= 16.0
+        return vol
     return volumes
 
 
@@ -550,6 +655,12 @@ def _hull_indices(m):
             np.array(quads), faces)
 
 
+def _gather(a, rows, out):
+    """a[rows] written into out; np.take's default mode would copy it into
+    a new array first."""
+    return np.take(a, rows, axis=0, out=out, mode="clip")
+
+
 def _hull_shadows(X, dim, cycle):
     """Shadows of the convex hull of m points onto the coordinate
     subspaces, the points given as X (m, 4, B), point by coordinate by
@@ -570,27 +681,64 @@ def _hull_shadows(X, dim, cycle):
     hull of 5 points in general position has half the sum of the 5
     tetrahedra's volumes (Radon: its points split 1 + 4 or 2 + 3, and
     either way the tetrahedra cover the hull twice).
+
+    The gathered and multiplied (pair, plane, sample) arrays are taken from
+    the thread's workspace, each freed once its shadow is summed.
     """
     by_point = X.transpose(1, 2, 0)
     shadows = [_row_max(by_point) - _row_min(by_point)]
     if dim < 2:
         return shadows
-    x, y = X[:, _SUBSETS[:, 0]], X[:, _SUBSETS[:, 1]]
+    m, _, B = X.shape
     if cycle:
-        nxt = np.roll(np.arange(len(X)), -1)
+        x, y = X[:, _SUBSETS[:, 0]], X[:, _SUBSETS[:, 1]]
+        nxt = np.roll(np.arange(m), -1)
         area = (x * y[nxt] - x[nxt] * y).sum(axis=0)
         return shadows + [0.5 * np.abs(area)]
-    (a, b), (ab, bc, ac), left, right, quads, faces = _hull_indices(len(X))
-    cross = x[a] * y[b] - x[b] * y[a]
-    orient = cross[ab] + cross[bc] - cross[ac]
-    turns = np.concatenate([orient > 0, orient < 0])
-    edge = turns[left].all(axis=1) * cross - turns[right].all(axis=1) * cross
-    shadows.append(0.5 * edge.sum(axis=0))
-    if dim < 3:
-        return shadows
-    terms = X[:, _SPACES[:, 2]][quads] * orient[:, _SPACE_PLANE][faces]
-    det = terms[:, 0] - terms[:, 1] + terms[:, 2] - terms[:, 3]
-    shadows.append(np.abs(det).sum(axis=0) / (12.0 if len(quads) > 1 else 6.0))
+    (a, b), (ab, bc, ac), left, right, quads, faces = _hull_indices(m)
+    # row 4 j + i of rows is coordinate i of point j; a plane's x and y are
+    # the coordinates _SUBSETS[:, 0] and _SUBSETS[:, 1]
+    rows, (x, y) = X.reshape(-1, B), _SUBSETS.T
+    with _WORK as take:
+        T, P = len(ab), len(a)
+        # the orientations' rows hold one product of cross until cross is done
+        orient = take(max(P, T), 6, B)
+        with _WORK as take:
+            # cross = x[a] y[b] - x[b] y[a]
+            cross, term, other = take(P, 6, B), take(max(P, T), 6, B), orient[:P]
+            np.multiply(_gather(rows, 4 * a[:, None] + x, cross),
+                        _gather(rows, 4 * b[:, None] + y, other), out=cross)
+            cross -= np.multiply(_gather(rows, 4 * b[:, None] + x, term[:P]),
+                                 _gather(rows, 4 * a[:, None] + y, other), out=term[:P])
+            # orient = cross[ab] + cross[bc] - cross[ac]
+            orient = _gather(cross, ab, orient[:T])
+            orient += _gather(cross, bc, term[:T])
+            orient -= _gather(cross, ac, term[:T])
+            turns = take(2 * T, 6, B, dtype=bool)
+            np.greater(orient, 0, out=turns[:T])
+            np.less(orient, 0, out=turns[T:])
+            # edge = turns[left].all(axis=1) cross - turns[right].all(axis=1) cross
+            tests, sides = take(*left.shape, 6, B, dtype=bool), take(P, 6, B, dtype=bool)
+            _gather(turns, left, tests).all(axis=1, out=sides)
+            edge = np.multiply(sides, cross, out=term[:P])
+            _gather(turns, right, tests).all(axis=1, out=sides)
+            edge -= np.multiply(sides, cross, out=cross)
+            shadows.append(0.5 * edge.sum(axis=0))
+        if dim < 3:
+            return shadows
+        # det = terms[0] - terms[1] + terms[2] - terms[3], where terms[r] is
+        # X[:, _SPACES[:, 2]][quads[:, r]] orient[:, _SPACE_PLANE][faces[:, r]]
+        det, term, other = (take(len(quads), 4, B) for _ in range(3))
+
+        def terms(r, out):
+            _gather(rows, 4 * quads[:, r, None] + _SPACES[:, 2], out)
+            out *= _gather(orient.reshape(-1, B), 6 * faces[:, r, None] + _SPACE_PLANE, other)
+            return out
+
+        terms(0, det)
+        for r, combine in ((1, np.subtract), (2, np.add), (3, np.subtract)):
+            combine(det, terms(r, term), out=det)
+        shadows.append(np.abs(det, out=det).sum(axis=0) / (12.0 if len(quads) > 1 else 6.0))
     return shadows
 
 
@@ -621,10 +769,12 @@ def _box_polytope_volumes(K, L):
     def volumes(qs):
         vol = np.empty(len(qs))
         for s in range(0, len(qs), BOX_BOX_BLOCK):
-            X = (gen @ qs[s:s + BOX_BOX_BLOCK].T).reshape(m, 4, -1)
-            total = c0
-            for w, shadow in zip(weights, _hull_shadows(X, dim, cycle)):
-                total = total + w @ shadow
+            q = qs[s:s + BOX_BOX_BLOCK]
+            with _WORK as take:
+                X = np.matmul(gen, q.T, out=take(4 * m, len(q))).reshape(m, 4, -1)
+                total = c0
+                for w, shadow in zip(weights, _hull_shadows(X, dim, cycle)):
+                    total = total + w @ shadow
             vol[s:s + BOX_BOX_BLOCK] = total
         return vol
     return volumes
@@ -780,18 +930,17 @@ def _plate_volumes(M1, M2):
     quadratic form q^T A q of ``_plate_form`` scaled by the areas. It falls
     to 0 as the plates turn parallel.
 
-    The sum over i of q_i (q . A_i) takes one (B,) product at a time: with
-    no (B, 4) array beside qs, a chunk's arrays stay in the heap the
-    allocator keeps between chunks instead of being faulted in again."""
+    The sum over i of q_i (q . A_i) takes one (B,) product at a time, in a
+    row of the thread's workspace."""
     A = M1.area * M2.area * _plate_form(M1.frame.T, M2.frame.T)
 
     def volumes(qs):
         total = qs @ A[0]
         total *= qs[:, 0]
-        for i in range(1, 4):
-            term = qs @ A[i]
-            term *= qs[:, i]
-            total += term
+        with _WORK as take:
+            term = take(len(qs))
+            for i in range(1, 4):
+                total += np.multiply(np.matmul(qs, A[i], out=term), qs[:, i], out=term)
         return np.abs(total, out=total)
     return volumes
 
@@ -846,29 +995,29 @@ def _lattice_means(rule, n, seed, threads):
     times its sum over n. When all of them fit in one block of MC_CHUNK,
     the REPLICATES lattices are scored in one call; else the threads split
     the replicates, each run in blocks of MC_CHUNK. The path depends on n
-    alone, so the means depend only on (seed, n), whatever the threads."""
-    s, scale, lattice = rule
-    weigh = lattice(n)
-    shifts = np.array([np.random.default_rng([seed, idx]).random(s) for idx in range(REPLICATES)])
-    if REPLICATES * n <= MC_CHUNK:
-        return (scale * weigh(shifts, 0, np.empty((4, REPLICATES, n))) / n).tolist()
-    # one buffer of a whole chunk per thread, whatever n, kept through all
-    # its replicates: the allocator serves one that large from fresh pages
-    # and, once it is freed, keeps blocks up to its size, the weights'
-    # temporaries among them, in its heap; freed between replicates, it
-    # would take them along when the heap is trimmed, to be faulted in
-    # again at the next one
-    local = threading.local()
+    alone, so the means depend only on (seed, n), whatever the threads.
 
-    def replicate(idx):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((4, 1, MC_CHUNK))
-        total = 0.0
-        for start in range(0, n, MC_CHUNK):
-            out = local.buf[..., :min(MC_CHUNK, n - start)]
-            total += float(weigh(shifts[idx:idx + 1], start, out)[0])
-        return scale * total / n
-    return _run_units(replicate, REPLICATES, threads)
+    Every block, and whatever lattice(n) takes for the call, is taken from
+    the running thread's workspace (``_Workspace``), which outlives the
+    call: an estimate's steady state allocates no large array, whatever the
+    allocator's thresholds."""
+    s, scale, lattice = rule
+    shifts = np.array([np.random.default_rng([seed, idx]).random(s) for idx in range(REPLICATES)])
+    with _WORK:
+        weigh = lattice(n)
+        if REPLICATES * n <= MC_CHUNK:
+            with _WORK as take:
+                return (scale * weigh(shifts, 0, take(4, REPLICATES, n)) / n).tolist()
+
+        def replicate(idx):
+            total = 0.0
+            with _WORK as take:
+                block = take(4, 1, min(MC_CHUNK, n))
+                for start in range(0, n, MC_CHUNK):
+                    out = block[..., :min(MC_CHUNK, n - start)]
+                    total += float(weigh(shifts[idx:idx + 1], start, out)[0])
+            return scale * total / n
+        return _run_units(replicate, REPLICATES, threads)
 
 
 def _replicate_moments(means):

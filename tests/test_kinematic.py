@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -1683,3 +1684,95 @@ class TestLatticeAccuracy:
             stderrs.append(rep.stderr / exact)
         rms = math.sqrt(np.mean(np.square(errors)))
         assert rms <= 1.5 * np.median(stderrs), (rms, np.median(stderrs))
+
+
+class TestLatticeTables:
+    """The per-n lattice tables: one bounded cache of read-only arrays,
+    never read at a block size other than the one they were built for."""
+
+    @pytest.mark.parametrize("n", [768, 1000])
+    def test_same_means_whichever_block_size_came_first(self, monkeypatch, n):
+        # the rules of the tests that run at MC_CHUNK = 256: tables built at
+        # 2^15 hold more points than a block of 256 and tables built at 256
+        # fewer than a block of 2^15, so either order reads the wrong ones if
+        # the cache forgets the block size
+        rules = [kinematic._section_rule(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius),
+                 kinematic._rotation_rule(kinematic._translation_volumes(*BOX_PAIRS[2])),
+                 kinematic._hull_rule(HULLS["pentagon"], 0.35)]
+
+        def means(chunk):
+            monkeypatch.setattr(kinematic, "MC_CHUNK", chunk)
+            return [kinematic._lattice_means(rule, n, 77, 1) for rule in rules]
+
+        kinematic._lattice_tables.cache_clear()
+        small, big = means(256), means(1 << 15)
+        kinematic._lattice_tables.cache_clear()
+        assert means(1 << 15) == big
+        assert means(256) == small
+
+    def test_cache_size_stays_within_bound(self):
+        kinematic._lattice_tables.cache_clear()
+        sizes = range(100, 100 + kinematic.TABLE_CACHE_SIZE + 3)
+        for n in sizes:
+            kinematic._lattice_tables(n, 3, kinematic.MC_CHUNK)
+        info = kinematic._lattice_tables.cache_info()
+        assert info.maxsize == kinematic.TABLE_CACHE_SIZE
+        assert info.currsize == kinematic.TABLE_CACHE_SIZE and info.misses == len(sizes)
+        kinematic._lattice_tables(sizes[-1], 3, kinematic.MC_CHUNK)
+        assert kinematic._lattice_tables.cache_info().hits == 1
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_tables_are_read_only(self, s):
+        tables = kinematic._lattice_tables(1000, s, kinematic.MC_CHUNK)
+        # k, then frac(k g / n), or the sines and cosines of two angles
+        assert len(tables) == {2: 2, 3: 5}[s]
+        for row in tables:
+            assert len(row) == 1000 and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+
+
+class TestWorkspace:
+    """Warm estimates work in each thread's resident workspace."""
+
+    @pytest.mark.parametrize("pair", list(PINNED_PAIRS))
+    def test_warm_estimate_allocates_at_most_512_kib(self, pair):
+        # before the workspace, a warm estimate's temporaries peaked at
+        # 1.5-2.3 MiB: the whole-chunk buffer, the tables, box/box's forms
+        # and the simplex shadows' (pair, plane, sample) arrays
+        K, L, N = PINNED_PAIRS[pair]
+        estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
+        estimator(K, L, N=N, seed=1)
+        tracemalloc.start()
+        try:
+            estimator(K, L, N=N, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, peak
+
+    def test_frames_free_what_they_took(self):
+        # every estimate leaves the workspace as it found it, its floats
+        # allocated once; the threads that run replicates read the calling
+        # thread's section coordinates
+        K, L, N = PINNED_PAIRS["ball_box"]
+        one = mc_principal_kinematic(K, L, N=N // 8, seed=3)
+        floats = kinematic._WORK.floats
+        assert kinematic._WORK.top == 0 and floats is not None
+        for threads in (2, 4):
+            rep = mc_principal_kinematic(K, L, N=N // 8, seed=3, threads=threads)
+            assert (rep.estimate, rep.stderr) == (one.estimate, one.stderr)
+        mc_principal_kinematic(*PINNED_PAIRS["box_simplex"][:2], N=512, seed=3)
+        assert kinematic._WORK.top == 0 and kinematic._WORK.floats is floats
+
+    def test_take_past_the_end_makes_a_new_array(self):
+        work = kinematic._Workspace()
+        with work as take:
+            # arrays start on 64-byte steps: 5 flags take 8 floats
+            flags = take(5, dtype=bool)
+            assert flags.dtype == bool and np.shares_memory(flags, work.floats)
+            inside = take(kinematic.WORKSPACE_FLOATS - 8)
+            assert np.shares_memory(inside, work.floats)
+            assert not np.shares_memory(take(1), work.floats)
+        assert work.top == 0
+        assert work.floats.ctypes.data % 64 == 0
