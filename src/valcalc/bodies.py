@@ -8,15 +8,16 @@ independent unit generators.  Each polytope class builds its pieces as arrays
 by shape (k, m) (``pieces``), oriented by the sign of det[frame | generators],
 the convention under which the Euler characteristic of every body is +1.
 
-Every piece is integrated exactly, through the spherical moments of its cell:
-an orthant, an arc times an orthant, or a geodesic triangle.  The vertex
-cones of a polytope tile the sphere, so its vertex pieces together give the
-valuation's value on a point, ``valuation.ball_value`` at radius 0, whose
-exact coefficients are summed exactly and rounded once; the pieces cover
-only faces of dimension >= 1, and a point has none.  That covers every cell
-of boxes, points, segments, polygons and simplices in R^2 to R^4; an oblique
-cone of four or more generators on a face of dimension >= 1, which only
-simplices of dimension >= 4 in R^n with n >= 5 have, raises ``ValueError``.
+Every piece is integrated exactly, through the spherical moments of its cell,
+which its generator count m alone makes a point (m = 1), an arc (m = 2) or
+a geodesic triangle (m = 3).  The vertex cones of a polytope tile the
+sphere, so its vertex pieces together give the valuation's value on a
+point, ``valuation.ball_value`` at radius 0, whose exact coefficients are
+summed exactly and rounded once; the pieces cover only faces of dimension
+>= 1, and a point has none.  That covers every cell of boxes, points,
+segments, polygons and simplices in R^2 to R^4; a cone of four or more
+generators, which only bodies in R^n with n >= 5 have on a face of
+dimension >= 1, raises ``ValueError``.
 Several valuations on one body share one pass over its pieces
 (``evaluate_many``), their cells and moments computed once per shape for all
 the valuations.  A tube value is the Taylor sum of t^k / k! (Lambda^k mu)(K)
@@ -44,7 +45,6 @@ import numpy as np
 
 from .columns import _cached_on_vectors, _join_vectors, _ordered_terms
 from .tolerances import (
-    CELL_TOL,
     CONVEXITY_TOL,
     DEGENERATE_PIECE_TOL,
     ORTHONORMAL_TOL,
@@ -383,25 +383,16 @@ class PlanarPolygon:
 #
 # A cell is integrated through its moments, the integrals of y^a over the cell
 # for every monomial a, where v = y E in an orthonormal frame E of the span of
-# its m generators.  Three kinds of cell have exact moments:
-#   orthant:  orthonormal generators (Folland, "How to integrate a polynomial
-#             over a sphere", 2001),
-#             int y^a = 2^(1-m) prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2),
-#             odd exponents included;
-#   arc:      orthonormal but for one pair at angle theta in (0, pi), put first,
-#             int y^a = int_0^theta cos^a_0 sin^a_1
-#                       x (orthant moment of (a_0+a_1+1, a_2, ...)),
-#             from polar coordinates in the arc's plane;
-#   triangle: any other three generators, a geodesic triangle on S^2
-#             (``_triangle_moments``).
+# its m generators.  The generator count alone picks the closed form:
+#   point:    m = 1, every moment 1;
+#   arc:      m = 2, generators at angle theta in (0, pi),
+#             int y^a = int_0^theta cos^a_0 sin^a_1 (``_arc_integrals``);
+#   triangle: m = 3, a geodesic triangle on S^2 (``_triangle_moments``).
 # Vertex cells need no rule of their own (``_point_value``).  That leaves
-# oblique cones of four or more generators on faces of dimension >= 1, which
-# only simplices of dimension >= 4 in R^n with n >= 5 have: they raise.
+# cones of four or more generators on faces of dimension >= 1, which only
+# bodies in R^n with n >= 5 have: they raise.
 # The pieces of one shape (k, m) are integrated together: ``_classify`` and
 # ``_moments`` take them as arrays, and each form takes one contraction.
-
-
-RULES = ("orthant", "arc", "triangle")
 
 
 @lru_cache(maxsize=None)
@@ -464,28 +455,6 @@ def _derivatives(degree):
     return lap, grad
 
 
-def _orthant_moment(a):
-    b = [(x + 1) / 2 for x in a]
-    return 2.0 ** (1 - len(a)) * math.prod(map(math.gamma, b)) / math.gamma(sum(b))
-
-
-@lru_cache(maxsize=None)
-def _orthant_moments(m, degree):
-    """Orthant moments in R^m, one per monomial of the degree."""
-    return np.array([_orthant_moment(a) for a in _monomials(m, degree)[0]])
-
-
-@lru_cache(maxsize=None)
-def _arc_moment_parts(m, degree):
-    """Per monomial y^a of the degree: a_0, a_1 and the orthant moment of
-    (a_0 + a_1 + 1, a_2, ...) in R^(m-1)."""
-    exps = _monomials(m, degree)[0]
-    a0 = np.array([e[0] for e in exps], dtype=int)
-    a1 = np.array([e[1] for e in exps], dtype=int)
-    rest = np.array([_orthant_moment((e[0] + e[1] + 1,) + e[2:]) for e in exps])
-    return a0, a1, rest
-
-
 def _atan2(y, x):
     """math.atan2 over arrays: numpy's arctan2 loads 0.1 MB of code for a few angles."""
     return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
@@ -508,11 +477,12 @@ def _arc_integrals(theta, degree):
     return F
 
 
-def _arc_moments(m, theta, degree):
-    """Moments of arcs of angles theta (P,) times an orthant, per degree."""
+def _arc_moments(theta, degree):
+    """Moments of arcs of angles theta (P,), per degree: y^a = y_0^a_0 y_1^a_1
+    integrates to F[a_0, a_1] of ``_arc_integrals``, in polar coordinates
+    from the first generator."""
     F = _arc_integrals(theta, degree)
-    parts = (_arc_moment_parts(m, d) for d in range(degree + 1))
-    return [F[:, a0, a1] * rest for a0, a1, rest in parts]
+    return [F[:, np.arange(d, -1, -1), np.arange(d + 1)] for d in range(degree + 1)]
 
 
 def _triangle_moments(corners, degree):
@@ -547,7 +517,7 @@ def _triangle_moments(corners, degree):
     normal = normal / s[:, None]
     cos = np.concatenate([g[:, 0, 1], g[:, 1, 2], g[:, 2, 0]])
     arc = _frame_moments(np.stack([x, np.cross(normal, x)], axis=1),
-                         _arc_moments(2, _atan2(s, cos), degree - 1))
+                         _arc_moments(_atan2(s, cos), degree - 1))
     for d in range(1, degree + 1):
         lap, grad = _derivatives(d)
         # flux (P, 3, monomials of degree d - 1), summed over the three arcs
@@ -584,59 +554,40 @@ def _frame_moments(frame, y):
 
 class _Cells(NamedTuple):
     """Spherical cells of one shape, as arrays over the P cells."""
-    rule: np.ndarray    # (P,) index into RULES
     frame: np.ndarray   # (P, m, n) orthonormal rows E spanning each cell, v = y E
     local: np.ndarray   # (P, m, m) the generators in frame coordinates, g E^T
-    theta: np.ndarray   # (P,) an arc cell's angle; meaningless for the others
-
-
-@lru_cache(maxsize=None)
-def _arc_orders(m):
-    """Per pair (a, b) of m generators, a < b, the order that puts a and b first."""
-    pairs = zip(*np.triu_indices(m, 1))
-    return np.array([[a, b] + [i for i in range(m) if i not in (a, b)] for a, b in pairs])
+    theta: np.ndarray   # (P,) an arc's angle, None unless m = 2
 
 
 def _classify(gens):
-    """The exact rules of the cells spanned by generators (P, m, n), and
-    their frames: orthonormal bases of the spans by Gram-Schmidt, arc pair
-    first.  A Gram matrix equal to the identity, or to it but for one pair,
-    to within ``CELL_TOL`` makes an orthant or an arc; any other three
-    generators make a triangle.
-    """
+    """The cells spanned by generators (P, m, n): their frames, orthonormal
+    bases of the spans by Gram-Schmidt in the generators' order, and for
+    m = 2 the arcs' angles.  A cone of four or more generators has no exact
+    rule and raises ``ValueError``."""
     P, m, n = gens.shape
-    a, b = np.triu_indices(m, 1)
-    oblique = np.abs(gens @ gens.transpose(0, 2, 1) - np.eye(m))[:, a, b] > CELL_TOL
-    count = oblique.sum(axis=1)
-    if m != 3 and np.any(count > 1):
-        raise ValueError(f"no exact rule for an oblique normal cone of {m} generators in R^{n}")
-    # an arc's pair first, every other generator in its place
-    order = np.tile(np.arange(m), (P, 1))
-    arc = np.flatnonzero(count == 1)
-    if len(arc):
-        order[arc] = _arc_orders(m)[np.argmax(oblique[arc], axis=1)]
-    q, r = np.linalg.qr(np.take_along_axis(gens, order[..., None], axis=1).transpose(0, 2, 1))
+    if m > 3:
+        raise ValueError(f"no exact rule for a normal cone of {m} generators in R^{n}")
+    q, r = np.linalg.qr(gens.transpose(0, 2, 1))
     flip = np.sign(np.diagonal(r, axis1=1, axis2=2))
     frame = (q * flip[:, None, :]).transpose(0, 2, 1)
     local = gens @ frame.transpose(0, 2, 1)
-    theta = _atan2(flip[:, 1] * r[:, 1, 1], flip[:, 0] * r[:, 0, 1]) if m > 1 else np.zeros(P)
-    return _Cells(np.minimum(count, 2), frame, local, theta)
+    theta = _atan2(flip[:, 1] * r[:, 1, 1], flip[:, 0] * r[:, 0, 1]) if m == 2 else None
+    return _Cells(frame, local, theta)
 
 
 def _moments(cells, degree):
     """Integrals of v^e over each cell, one row per cell, for every monomial e
     of degree 0 up to the given, laid end to end as ``_moment_position``
-    numbers them; those of one degree do not depend on the top degree."""
+    numbers them; those of one degree do not depend on the top degree.  The
+    generator count m picks the cell's closed form: a point, an arc or a
+    triangle."""
     P, m, _ = cells.frame.shape
-    y = [np.repeat(_orthant_moments(m, d)[None], P, axis=0) for d in range(degree + 1)]
-    arc = np.flatnonzero(cells.rule == 1)
-    if len(arc):
-        for yd, part in zip(y, _arc_moments(m, cells.theta[arc], degree)):
-            yd[arc] = part
-    triangle = np.flatnonzero(cells.rule == 2)
-    if len(triangle):
-        for yd, part in zip(y, _triangle_moments(cells.local[triangle], degree)):
-            yd[triangle] = part
+    if m == 1:
+        y = [np.ones((P, 1))] * (degree + 1)
+    elif m == 2:
+        y = _arc_moments(cells.theta, degree)
+    else:
+        y = _triangle_moments(cells.local, degree)
     return np.concatenate(_frame_moments(cells.frame, y), axis=1)
 
 

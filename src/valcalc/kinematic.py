@@ -35,8 +35,9 @@ vertex hull, the last two with Korobov's generating vector (1, a, ...,
 a^(s-1) mod n).  So N must be a multiple of 16, for every pair.  What
 depends on n alone is built once per n (``_lattice_tables``), and every
 block works in its thread's resident workspace (``_Workspace``), so a warm
-estimate allocates no large array; the estimates are bit for bit those of
-the plain computation.
+estimate allocates no large array; the threads that split the replicates
+are kept across estimates (``_SLOTS``), with their workspaces.  The
+estimates are bit for bit those of the plain computation.
 """
 
 import math
@@ -249,6 +250,12 @@ class _Workspace(threading.local):
 
 
 _WORK = _Workspace()
+
+# single-thread executors kept for the process's life, one per worker slot:
+# a slot always runs on one thread, which keeps its workspace from one
+# estimate to the next
+_SLOTS = []
+_SLOTS_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -962,12 +969,22 @@ def _translation_volumes(K, L):
 
 def _run_units(worker, units, threads):
     """[worker(0), ..., worker(units - 1)], in that order, on up to
-    ``threads`` threads (no more than the units or the CPUs)."""
+    ``threads`` threads (no more than the units or the CPUs): slot w of
+    ``_SLOTS`` runs units w, w + workers, ... on its resident thread."""
     workers = min(threads, units, os.cpu_count() or 1)
     if workers <= 1:
         return [worker(idx) for idx in range(units)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(units)))
+    with _SLOTS_LOCK:
+        _SLOTS.extend(ThreadPoolExecutor(max_workers=1) for _ in range(workers - len(_SLOTS)))
+        slots = _SLOTS[:workers]
+    results = [None] * units
+
+    def share(first):
+        for idx in range(first, units, workers):
+            results[idx] = worker(idx)
+    for future in [slot.submit(share, w) for w, slot in enumerate(slots)]:
+        future.result()
+    return results
 
 
 def _rule(K, L):

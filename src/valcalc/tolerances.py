@@ -1,20 +1,17 @@
 """Named numeric tolerances shared by the float code paths.
 
 Each constant names a threshold of one geometric or numeric test.  None of
-them is an accuracy target: every normal-cycle cell is integrated exactly, so
-float results carry only rounding error.  No Monte Carlo sample is scored
-against any of them: every score is exact, with no iteration.  The weights of
-pairs without a ball are closed forms in the rotation (a shadow or a facet
-of a sum counts when every other vertex lies strictly on one side of it,
-which can fail only where vertices are coplanar, a set of rotations of
-measure zero), and ball pairs score the exact hit dist(y, K) <= r: a slack
-would only move samples within it of the boundary, a set of measure zero.
+them is an accuracy target, and none picks a rule: a normal-cycle cell is a
+point, an arc or a geodesic triangle by its generator count alone (a cone of
+four or more generators raises), each integrated exactly, so float results
+carry only rounding error.  No Monte Carlo sample is scored against any of
+them: every score is exact, with no iteration.  The weights of pairs without
+a ball are closed forms in the rotation (a shadow or a facet of a sum counts
+when every other vertex lies strictly on one side of it, which can fail only
+where vertices are coplanar, a set of rotations of measure zero), and ball
+pairs score the exact hit dist(y, K) <= r: a slack would only move samples
+within it of the boundary, a set of measure zero.
 """
-
-# a normal cone is an orthant when its generators' Gram matrix is the
-# identity, and an arc times an orthant when it is the identity but for one
-# pair, to within this
-CELL_TOL = 1e-12
 
 # rows given as orthonormal (box rotations, polygon and Klain frames) may
 # deviate from it by this much

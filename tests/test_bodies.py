@@ -321,8 +321,9 @@ class TestEvaluate:
 
     def test_mixed_rules_and_reordered_pieces(self):
         # the pieces of a rotated box, an oblique 4-simplex and a pentagon
-        # together: their edge pieces mix orthant and triangle cells, and
-        # their 2-face pieces orthant and arc cells
+        # together: the box's octants and the simplex's oblique cones share
+        # the edge pieces' triangle rule, and right and oblique angles the
+        # 2-face pieces' arc rule
         parts = [_ROTATED_BOX.pieces(), _OBLIQUE_4.pieces(),
                  PlanarPolygon(_random_orthogonal(np.random.default_rng(2), 4)[:2], _PENTAGON,
                                np.array([0.1, 0.2, 0.3, 0.4])).pieces()]
@@ -332,10 +333,8 @@ class TestEvaluate:
                 stacks.setdefault(shape, []).append(arrays)
         pieces = {shape: tuple(np.concatenate(a) for a in zip(*stack))
                   for shape, stack in stacks.items()}
-        rules = {}
-        for (k, m), (_, gens, _) in pieces.items():
-            rules[k] = {bodies.RULES[r] for r in bodies._classify(gens).rule}
-        assert rules == {1: {"orthant", "triangle"}, 2: {"orthant", "arc"}, 3: {"orthant"}}
+        counts = {k: _generators(bodies._classify(gens)) for (k, _), (_, gens, _) in pieces.items()}
+        assert counts == {1: 3, 2: 2, 3: 1}
         # without dv-only terms, whose value on a point each part would add
         rng = np.random.default_rng(13)
         full = [rep.omega for _, rep in su2_basis()] + [_random_form(rng, 4, d) for d in (1, 3)]
@@ -490,8 +489,8 @@ class TestTube:
 
     @pytest.mark.parametrize("t, steiner, v2", [
         (0, "0x1.0000000000000p+4", "0x1.8000000000000p+4"),
-        (0.3, "0x1.5771d98b4e476p+5", "0x1.1395f99e6e914p+5"),
-        (1.7, "0x1.1246c9f401be5p+9", "0x1.a68ce931226c5p+6"),
+        (0.3, "0x1.5771d98b4e476p+5", "0x1.1395f99e6e915p+5"),
+        (1.7, "0x1.1246c9f401be5p+9", "0x1.a68ce931226c7p+6"),
         (1e3, "0x1.2132c00f09aa0p+42", "0x1.209943ebe9f6dp+23"),
     ])
     def test_tube_values_keep_their_bits(self, t, steiner, v2):
@@ -744,8 +743,8 @@ def _one_cell(gens):
     return bodies._classify(np.asarray(gens, dtype=float)[None])
 
 
-def _rule(cell):
-    return bodies.RULES[cell.rule[0]]
+def _generators(cell):
+    return cell.local.shape[1]
 
 
 def _measure(cell):
@@ -791,10 +790,12 @@ class TestClosedFormCells:
     """Exact cell rules against the adaptive cubature oracle."""
 
     @pytest.mark.parametrize("m, arc", [(1, False), (2, False), (2, True), (3, False),
-                                        (3, True), (4, False), (4, True)])
+                                        (3, True)])
     def test_cell_matches_quadrature(self, m, arc):
         rng = np.random.default_rng(10 * m + arc)
-        # the reference cubature at 1e-13 slows with the cell's dimension and
+        # orthonormal generators, or all but one pair at theta: a right or
+        # oblique arc for m = 2, a triangle either way for m = 3; the
+        # reference cubature at 1e-13 slows with the cell's dimension and
         # the integrand's degree; degree 5 - m keeps each case near a second
         form = _random_form(rng, 4, 5 - m)
         k = 4 - m
@@ -806,18 +807,39 @@ class TestClosedFormCells:
                 gens[1] = math.cos(theta) * gens[0] + math.sin(theta) * gens[1]
             gens = gens[rng.permutation(m)]
             cell = _one_cell(gens)
-            assert _rule(cell) == ("arc" if arc else "orthant")
+            assert _generators(cell) == m
             got = _cell_integral(group, fmat, cell)
             want = _oracle_cell(form, fmat, gens)
             assert _close(got, want), (got, want)
 
-    def test_near_orthonormal_cell_takes_triangle_rule(self):
-        rng = np.random.default_rng(4)
+    def test_cells_near_an_octant_measure_girards_excess(self):
+        # cones within 1e-13 to 9e-13 of an octant, or of a right angle
+        # against an arc, take the triangle rule like any other: their
+        # measure is Girard's angle excess, computed here from the corners
+        rng = np.random.default_rng(35)
         q = _random_orthogonal(rng, 4)
+        for eps in (1e-13, 5e-13, 9e-13):
+            for cos in (0.0, math.cos(1.1)):
+                gram = np.full((3, 3), eps) + (1.0 - eps) * np.eye(3)
+                gram[0, 1] = gram[1, 0] = cos or eps
+                local = np.linalg.cholesky(gram)
+                gens = local @ q[1:]
+                cell = _one_cell(gens)
+                assert _generators(cell) == 3
+                # the corner angle at a is the angle between the planes (a, b)
+                # and (a, c), whose normals are a x b and a x c
+                excess = -math.pi
+                for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                    u = np.cross(local[a], local[b])
+                    w = np.cross(local[a], local[c])
+                    excess += math.atan2(np.linalg.norm(np.cross(u, w)), u @ w)
+                got = _measure(cell)
+                assert abs(got - excess) <= 1e-14 * excess, (eps, cos, got, excess)
+        # further off an octant, the measure and a form's integral against
+        # the cubature oracle
         gens = q[1:] + 1e-8 * rng.standard_normal((3, 4))
         gens /= np.linalg.norm(gens, axis=1, keepdims=True)
         cell = _one_cell(gens)
-        assert _rule(cell) == "triangle"
         assert _close(_measure(cell), adaptive(cone_density, gens, 1e-13))
         form = _random_form(rng, 4, 2)
         group = bodies._closed_form_terms(form)[(1, 3)]
@@ -835,7 +857,6 @@ class TestClosedFormCells:
         want = _oracle_cell(form, q[:1], gens)
         for order in itertools.permutations(range(3)):
             cell = _one_cell(gens[list(order)])
-            assert _rule(cell) == "triangle"
             # the chart of reordered generators is oriented by the order's sign
             sign = 1.0 if order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
             got = _cell_integral(group, q[:1], cell)
@@ -859,7 +880,6 @@ class TestClosedFormCells:
         fmat = np.zeros((0, 3))
         for order in ((0, 1, 2), (2, 1, 0)):
             cell = _one_cell(gens[list(order)])
-            assert _rule(cell) == "triangle"
             assert _close(_measure(cell), adaptive(cone_density, gens, 1e-13))
             got = _cell_integral(group, fmat, cell)
             want = _oracle_cell(form, fmat, gens[list(order)])
@@ -912,7 +932,7 @@ class TestClosedFormCells:
 
     def test_every_cell_has_an_exact_rule(self):
         rng = np.random.default_rng(12)
-        rules = {}
+        counts = {}
         for n in (2, 3, 4):
             bodies_n = {
                 "point": Simplex(rng.uniform(-1, 1, (1, n))),
@@ -925,17 +945,20 @@ class TestClosedFormCells:
                 bodies_n["tetrahedron"] = _oblique_simplex(rng, 4, 4)
                 bodies_n["triangle"] = _oblique_simplex(rng, 4, 3)
             for name, body in bodies_n.items():
-                found = rules.setdefault((name, n), set())
+                found = counts.setdefault((name, n), set())
                 for _, gens, _ in body.pieces().values():
-                    found.update(bodies.RULES[r] for r in bodies._classify(gens).rule)
+                    found.add(_generators(bodies._classify(gens)))
                 for k in range(n + 1):
                     assert math.isfinite(evaluate(intrinsic_volume_rep(n, k), body))
                 assert math.isfinite(steiner_volume(body, 0.3))
-        assert rules[("simplex", 4)] == {"triangle", "arc", "orthant"}
-        assert rules[("simplex", 3)] == rules[("tetrahedron", 4)] == {"arc", "orthant"}
-        assert rules[("triangle", 4)] == rules[("box", 4)] == {"orthant"}
-        assert all(found <= {"arc", "orthant"} for (name, _), found in rules.items()
-                   if name != "simplex")
+        # a face of dimension k has n - k generators: a point, an arc or a
+        # triangle for every face of dimension >= 1 in R^2 to R^4
+        assert counts[("simplex", 4)] == counts[("box", 4)] == counts[("tetrahedron", 4)] \
+            == {1, 2, 3}
+        assert counts[("simplex", 3)] == counts[("box", 3)] == counts[("polygon", 3)] == {1, 2}
+        assert counts[("triangle", 4)] == counts[("polygon", 4)] == {2, 3}
+        assert counts[("segment", 4)] == {3}
+        assert all(not found for (name, _), found in counts.items() if name == "point")
         s5 = Simplex(np.vstack([np.zeros(5), np.eye(5)]))
         with pytest.raises(ValueError, match="4 generators in R\\^5"):
             evaluate(intrinsic_volume_rep(5, 1), s5)
@@ -947,7 +970,7 @@ class TestClosedFormCells:
         # generators, which only V_1 integrates over
         S = Simplex([[0, 0, 0, 0, 0], [1, 0.2, 0, 0, 0.1], [0, 1, 0.1, 0, 0],
                      [0.3, 0, 1, 0, 0.2], [0, 0.1, 0, 1.2, 0]])
-        message = "no exact rule for an oblique normal cone of 4 generators in R^5"
+        message = "no exact rule for a normal cone of 4 generators in R^5"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate(intrinsic_volume_rep(5, 1), S)
         values = {k: evaluate(intrinsic_volume_rep(5, k), S) for k in (0, 2, 3, 4)}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 from itertools import combinations
 
@@ -186,29 +187,29 @@ _ZERO = "0x0.0p+0"
 PINNED_VECTORS = {
     "icosahedron": {
         "box": (
-            _ONE, "0x1.f333333333334p+1", "0x1.e07d29a1a1ecap+0",
+            _ONE, "0x1.f333333333336p+1", "0x1.e07d29a1a1ecap+0",
             "0x1.e07d29a1a1ecap+0", "0x1.e2ff4f10fc280p+0", "0x1.e2ff4f10fc280p+0",
-            "0x1.ddcb3561dccd2p+0", "0x1.ddcb3561dccd2p+0", "0x1.c7ced916872b1p+1",
+            "0x1.ddcb3561dccd1p+0", "0x1.ddcb3561dccd2p+0", "0x1.c7ced916872b1p+1",
             "0x1.a9c779a6b50b1p-1",
         ),
         "simplex": (
-            _ONE, "0x1.2cc1d8451cfa1p+1", "0x1.131fe1ade315fp-1",
+            _ONE, "0x1.2cc1d8451cfa1p+1", "0x1.131fe1ade3160p-1",
             "0x1.1089ea06d79a3p-1", "0x1.06f30591360efp-1", "0x1.0d4f8b003a11ep-1",
-            "0x1.0c0f83fd62fdep-1", "0x1.0e634f2f56ee5p-1", "0x1.9800e483b174cp-2",
+            "0x1.0c0f83fd62fddp-1", "0x1.0e634f2f56ee5p-1", "0x1.9800e483b174cp-2",
             "0x1.0f64e5ec10ee3p-5",
         ),
         "pentagon": (
-            _ONE, "0x1.2b8c791ffdb1ap+1", "0x1.0bd9b8f991f91p-1",
+            _ONE, "0x1.2b8c791ffdb1cp+1", "0x1.0bd9b8f991f91p-1",
             "0x1.7fcf052ea71f0p-2", "0x1.5fe7a3941881ep-1", "0x1.90066d9f375ddp-2",
             "0x1.28548d5e6960ap-1", "0x1.b8c4adf855ee0p-2", _ZERO, _ZERO,
         ),
         "point": (_ONE,) + (_ZERO,) * 9,
-        "segment": (_ONE, "0x1.45d5b5c3f4f6cp+0") + (_ZERO,) * 8,
+        "segment": (_ONE, "0x1.45d5b5c3f4f6dp+0") + (_ZERO,) * 8,
     },
     "alesker": {
         "box": (
-            _ONE, "0x1.f333333333334p+1", "0x1.dd70a3d70a3d8p+0",
-            "0x1.e51eb851eb854p+0", "0x1.deb851eb851eep+0", "0x1.e147ae147ae17p+0",
+            _ONE, "0x1.f333333333336p+1", "0x1.dd70a3d70a3d8p+0",
+            "0x1.e51eb851eb853p+0", "0x1.deb851eb851edp+0", "0x1.e147ae147ae18p+0",
             "0x1.de147ae147ae4p+0", "0x1.e1eb851eb8520p+0", "0x1.c7ced916872b1p+1",
             "0x1.a9c779a6b50b1p-1",
         ),
@@ -219,12 +220,12 @@ PINNED_VECTORS = {
             "0x1.0f64e5ec10ee3p-5",
         ),
         "pentagon": (
-            _ONE, "0x1.2b8c791ffdb1ap+1", "0x1.13f56d31da186p-1",
+            _ONE, "0x1.2b8c791ffdb1cp+1", "0x1.13f56d31da186p-1",
             "0x1.13f56d31da186p-1", "0x1.a88d4587c5af6p-2", "0x1.68de7b19ce6e9p-1",
             "0x1.1e928eeed8a32p-1", "0x1.1e928eeed8a32p-1", _ZERO, _ZERO,
         ),
         "point": (_ONE,) + (_ZERO,) * 9,
-        "segment": (_ONE, "0x1.45d5b5c3f4f6cp+0") + (_ZERO,) * 8,
+        "segment": (_ONE, "0x1.45d5b5c3f4f6dp+0") + (_ZERO,) * 8,
     },
 }
 
@@ -452,39 +453,41 @@ class TestMCPrincipal:
         seen = []
 
         class Recorder:
-            # records the pool size and runs the units in order on the
-            # calling thread, so no thread is started
+            # a worker slot that records the share it is given and runs it
+            # on the calling thread, so no thread is started
             def __init__(self, max_workers):
-                seen.append(max_workers)
+                assert max_workers == 1
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, first):
+                seen.append(first)
+                done = Future()
+                done.set_result(fn(first))
+                return done
 
         monkeypatch.setattr(kinematic, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(kinematic, "_SLOTS", [])
         monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 64)
         half = Ball(np.zeros(4), 0.5)
         # every pair's units are its 16 shifted lattices, the ball/simplex
         # pair's too; 16 lattices that fit in one chunk together share one
-        # call and start no pool
+        # call and busy no slot; each estimate gives slots 0, 1, ... one
+        # share each
         N = 2 * kinematic.MC_CHUNK
+        busy = list(range(kinematic.REPLICATES))
         one = mc_principal_kinematic(half, half, N=N, seed=4)
         many = mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
-        assert seen == [kinematic.REPLICATES]
+        assert seen == busy
         assert (many.estimate, many.stderr) == (one.estimate, one.stderr)
         mc_principal_kinematic(half, half, N=64, seed=4, threads=10**6)
-        assert seen == [kinematic.REPLICATES]
+        assert seen == busy
         mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=4, threads=10**6)
-        assert seen == [kinematic.REPLICATES] * 2
+        assert seen == busy * 2
         monkeypatch.setattr(kinematic.os, "cpu_count", lambda: 2)
         mc_principal_kinematic(half, half, N=N, seed=4, threads=10**6)
         mc_principal_kinematic(half, MOTION_SIMPLEX, N=N, seed=4, threads=10**6)
-        assert seen == [kinematic.REPLICATES] * 2 + [2, 2]
+        assert seen == busy * 2 + [0, 1, 0, 1]
+        # the slots are kept: no estimate made more than the most it used
+        assert len(kinematic._SLOTS) == kinematic.REPLICATES
 
     def test_box_point(self):
         box = Box(np.zeros(4), np.array([0.5, 0.5, 0.5, 0.5]))
@@ -1750,6 +1753,25 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 512 * 1024, peak
+
+    @pytest.mark.parametrize("pair", list(PINNED_PAIRS))
+    def test_warm_estimate_at_two_threads_allocates_at_most_512_kib(self, pair):
+        # the threads that split the replicates are kept with their
+        # workspaces: a fresh pair of them took 2.5-2.7 MiB per estimate
+        K, L, N = PINNED_PAIRS[pair]
+        estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
+        estimator(K, L, N=N, seed=1, threads=2)
+        tracemalloc.start()
+        try:
+            rep = estimator(K, L, N=N, seed=2, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, peak
+        for threads in (1, 4):
+            other = estimator(K, L, N=N, seed=2, threads=threads)
+            assert (other.estimate.hex(), other.stderr.hex()) == (rep.estimate.hex(),
+                                                                  rep.stderr.hex())
 
     def test_frames_free_what_they_took(self):
         # every estimate leaves the workspace as it found it, its floats
