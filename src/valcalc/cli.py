@@ -276,11 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
             "pair runs a rank-1 lattice of n = N/{R} points in [0, 1)^s under {R} random "
             "shifts: N must be a multiple of {R}, and the standard error is that of the "
             "{R} shift means, with {R1} degrees of freedom, so |z| > 3 has probability "
-            "0.009 with no defect. A ball against a ball or a box integrates two "
-            "coordinates of the box's frame in closed form (a rounded-rectangle section) "
-            "and takes the other two from the 2-D lattice whose generator is the first "
-            "g < n/2 coprime to n whose continued fraction g/n has the smallest largest "
-            "partial quotient. A ball against a simplex or a polygon takes points around "
+            "0.009 with no defect. A ball against a ball or a box integrates three "
+            "coordinates of the box's frame in closed form (a rounded 3-box section, by "
+            "the Steiner formula) and takes the fourth from the 1-D lattice, folded by "
+            "the tent 1 - |2x - 1|. A ball against a simplex or a polygon takes points around "
             "it from the 4-D lattice with generating vector (1, a, a^2, a^3 mod n). Every "
             "other pair draws only rotations, unit quaternions q from the 3-D lattice "
             "with generating vector (1, a, a^2 mod n), its first coordinate folded by the "
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, help="JSON body file, moving body")
     p.add_argument("--samples", required=True, type=_positive_arg,
                    help=f"N, a multiple of {REPLICATES}: {REPLICATES} shifted lattices of "
-                        f"N/{REPLICATES} points, 2-D for a ball against a ball or a box, 4-D "
+                        f"N/{REPLICATES} points, 1-D for a ball against a ball or a box, 4-D "
                         f"for a ball against a simplex or a polygon, 3-D Korobov rotations "
                         f"otherwise")
     p.add_argument("--seed", required=True, type=_seed_arg,

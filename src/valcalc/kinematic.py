@@ -13,26 +13,28 @@ iteration, so every sample is decided.  A ball is unchanged by rotation,
 and the motion measure by g -> g^-1, so a ball against any body draws only
 translations: the integral is the volume of the points within the ball's
 radius of the other body.  Against a ball or a box that volume is integrated
-over two coordinates of the box's frame in closed form, the section at fixed
-(y1, y2) being a rounded rectangle; against a vertex hull each point is
-scored by its exact distance to it.  Every other pair draws only a rotation,
-left multiplication L_q by a unit quaternion q, and integrates the
-translation in closed form: the weight is vol(K - L_q L), scored from q
-itself.  For two boxes it sums |16 linear and 18 quadratic forms| in q; for
-a box and a simplex, segment, point or polygon, in either order, it sums the
-shadows of L_q L on the coordinate subspaces of the box's frame, L's
-vertices there being a fixed matrix times q; for two plates it is
-area1 area2 |q^T A q|, which also weighs their intersection count; for any
-other two vertex hulls it sums over the facets of K - L_q L, each a sum of
-faces of the two.
+over three coordinates of the box's frame in closed form, the section at
+fixed y1 being a rounded 3-box, whose volume is a cubic in its rounding
+radius (Steiner); against a vertex hull each point is scored by its exact
+distance to it.  Every other pair draws only a rotation, left
+multiplication L_q by a unit quaternion q, and integrates the translation
+in closed form: the weight is vol(K - L_q L), scored from q itself.  For
+two boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
+simplex, segment, point or polygon, in either order, it sums the shadows
+of L_q L on the coordinate subspaces of the box's frame, L's vertices
+there being a fixed matrix times q; for two plates it is area1 area2
+|q^T A q|, which also weighs their intersection count; for any other two
+vertex hulls it sums over the facets of K - L_q L, each a sum of faces of
+the two.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
 whose 16 replicate means give the standard error, with 15 degrees of
-freedom.  s = 2 for the (y1, y2) of a ball against a ball or a box, s = 3
-for q, mapped onto S^3 by Shoemake's map, and s = 4 for the points around a
-vertex hull, the last two with Korobov's generating vector (1, a, ...,
-a^(s-1) mod n).  So N must be a multiple of 16, for every pair.  What
+freedom.  s = 1 for the y1 of a ball against a ball or a box, folded by
+the tent 1 - |2x - 1|, s = 3 for q, its first coordinate folded by the
+same tent and mapped onto S^3 by Shoemake's map, and s = 4 for the points
+around a vertex hull, the last two with Korobov's generating vector (1, a,
+..., a^(s-1) mod n).  So N must be a multiple of 16, for every pair.  What
 depends on n alone is built once per n (``_lattice_tables``), and every
 block works in its thread's resident workspace (``_Workspace``), so a warm
 estimate allocates no large array; the threads that split the replicates
@@ -71,8 +73,8 @@ MC_CHUNK = 1 << 15
 REPLICATES = 16
 # candidate generators whose figure of merit the Korobov lattices' search takes
 KOROBOV_CANDIDATES = 48
-# the least standard error a rotation pair reports, in units in the last
-# place of its estimate: the spread of the replicate means cannot see the
+# the least standard error an estimate reports, in units in the last place
+# of its estimate: the spread of the replicate means cannot see the
 # rounding that every sample shares
 ROUNDING_ULPS = 4
 # lattice generators kept, by point count n, least recently used evicted first
@@ -258,112 +260,63 @@ _SLOTS = []
 _SLOTS_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _lattice_generator(n):
-    """The generator g of the n-point rank-1 lattice {(k/n, frac(k g/n))}:
-    the first g, 1 <= g < n/2 and coprime to n (g = 1 when n <= 2), whose
-    continued fraction g/n = [0; a_1, ..., a_m] has the smallest largest
-    partial quotient, the quantity that bounds a 2-D lattice's figure of
-    merit (Niederreiter 1992, ch. 5). n - g gives the mirrored lattice.
-
-    A g with largest quotient at most m has a_1 = n // g <= m, so g > n/(m
-    + 1). For m = 2, 3, ... the candidates above n/(m + 1) take Euclid's
-    steps together, in ascending blocks of MC_CHUNK, each dropped once a
-    quotient exceeds m; the least survivor of the first level that has one
-    is g, as every g below it failed a lower level or this one. Cached per
-    n, at most GENERATOR_CACHE_SIZE of them."""
-    stop = max(2, (n + 1) // 2)
-    m, g = 2, None
-    while g is None:
-        for lo in range(n // (m + 1) + 1, stop, MC_CHUNK):
-            cand = np.arange(lo, min(lo + MC_CHUNK, stop), dtype=np.int64)
-            a, b = np.full(len(cand), n, dtype=np.int64), cand
-            while len(b):
-                q = a // b
-                keep = q <= m
-                a, b, cand = b[keep], (a - q * b)[keep], cand[keep]
-                done = b == 0
-                # a is now gcd(n, g)
-                found = cand[done & (a == 1)]
-                if len(found):
-                    g = int(found.min()) if g is None else min(g, int(found.min()))
-                a, b, cand = a[~done], b[~done], cand[~done]
-            if g is not None:
-                break
-        m += 1
-    return g
-
-
-def _section_areas(s, h, r):
-    """The summed areas of the (y3, y4) sections of the points y in [0, h +
-    r]^4 within r of the box [-h, h], per row of an array s (R, size) of
-    values of sum_(k <= 2) (y_k - h_k)_+^2, which it overwrites: with
-    rho^2 = r^2 - s, a rounded rectangle of area
-    h3 h4 + rho (h3 + h4) + pi rho^2 / 4 when s <= r^2, and 0 otherwise."""
-    rho2 = np.subtract(r * r, s, out=s)
-    total = 0.0
-    if h[2] * h[3]:
-        # count_nonzero along an axis takes several times as long as row by row
-        total = h[2] * h[3] * np.array([np.count_nonzero(row >= 0.0) for row in rho2])
-    np.maximum(rho2, 0.0, out=rho2)
-    total += 0.25 * math.pi * rho2.sum(axis=-1)
-    if h[2] + h[3]:
-        total += (h[2] + h[3]) * np.sqrt(rho2, out=rho2).sum(axis=-1)
-    return total
-
-
 def _section_rule(h, r):
     """The rule (``_lattice_means``) of a ball of radius r against the box
     [-h, h] in its frame: vol(box + r B^4) is 16 times the volume of the
-    points y in [0, h + r]^4 with sum_k (y_k - h_k)_+^2 <= r^2. At fixed
-    (y1, y2) the (y3, y4) section is a rounded rectangle
-    (``_section_areas``), so a point (y1, y2) weighs 16 (h1 + r)(h2 + r)
-    times its area (Fubini).
+    points y in [0, h + r]^4 with sum_k (y_k - h_k)_+^2 <= r^2. At fixed y1
+    the (y2, y3, y4) section is the part in [0, h + r]^3 of the box
+    [0, h2] x [0, h3] x [0, h4] grown by rho, rho^2 = r^2 - (y1 - h1)_+^2, a
+    rounded 3-box: by the Steiner formula (Schneider, Convex Bodies, 2014,
+    ch. 4) its volume is c0 + c1 rho + c2 rho^2 + c3 rho^3, with c0 =
+    h2 h3 h4, c1 = h2 h3 + h2 h4 + h3 h4, c2 = pi (h2 + h3 + h4) / 4 and
+    c3 = pi / 6. So a point y1 weighs 16 (h1 + r) times that volume
+    (Fubini).
 
-    (y1, y2) are (h1 + r, h2 + r) times the points of the 2-D lattice of
-    ``_lattice_generator``. Under a shift d, writing d1 n = m + phi and
-    k' = k + m mod n, they are ((k' + phi)/n, frac(k' g/n + e)) with one
-    constant e, so the first coordinate needs no wrap. The k' run in blocks
-    that share the first block's coordinates: a block adds constants to
-    them and wraps the second by its floor. The second coordinates come
-    from ``_lattice_tables``; the first, scaled by h1 + r, is taken per call
-    into the calling thread's workspace, which the threads that run the
-    replicates read."""
-    a1, a2 = h[0] + r, h[1] + r
+    y1 = (h1 + r)(1 - |2x - 1|) at the points x of the 1-D lattice: under a
+    shift d they are x = (k + phi)/n, k = 0, ..., n - 1 and phi = frac(d n),
+    with no wrap. The tent keeps the uniform measure and makes the
+    integrand periodic in x (Hickernell 2002). y1 - h1 = r - (h1 + r)|2x -
+    1| is at most r, and below 0 only when h1 != 0 (else by rounding, which
+    squares away), where it is clamped: so rho^2 >= 0 holds exactly. A
+    block starting at k = start adds a constant per shift to the first
+    block's (h1 + r) 2k/n, which is taken per call into the calling
+    thread's workspace, read by the threads that run the replicates. Terms
+    whose coefficient is 0 are skipped."""
+    a1 = h[0] + r
+    c0 = h[1] * h[2] * h[3]
+    c1 = h[1] * h[2] + h[1] * h[3] + h[2] * h[3]
+    c2 = 0.25 * math.pi * (h[1] + h[2] + h[3])
 
     def lattice(n):
-        g = _lattice_generator(n)
-        k, X2 = _lattice_tables(n, 2, MC_CHUNK)
-        Y1 = np.multiply(k, a1 / n, out=_WORK.take(len(k)))
+        k = _lattice_index(MC_CHUNK)[:min(n, MC_CHUNK)]
+        Y = np.multiply(k, 2.0 * a1 / n, out=_WORK.take(len(k)))
 
         def weigh(d, start, out):
             size = out.shape[2]
-            # the block's constants per shift, taken in floats: a numpy
-            # call on R values costs more than the arithmetic
-            shifted = []
-            for d1, d2 in d.tolist():
-                m = int(d1 * n)
-                phi = d1 * n - m
-                shifted.append(((start + phi) * (a1 / n) - h[0],
-                                ((start - m) * g % n / n + d2) % 1.0))
-            c1, c2 = np.array(shifted).T[..., None]
-            # s, the sum over y1 and y2 of (y_k - h_k)_+^2
-            s, y, floor = out[0], out[1], out[2]
-            np.add(Y1[:size], c1, out=s)
+            # the block's constant per shift, taken in floats: a numpy call
+            # on R values costs more than the arithmetic
+            c = np.array([(start + d1 * n % 1.0) * (2.0 * a1 / n) - a1 for d1 in d[:, 0].tolist()])
+            # t = (h1 + r)(2x - 1), then y1 - h1 = r - |t|, then rho^2 in
+            # its place
+            t, rho = out[0], out[1]
+            np.add(Y[:size], c[:, None], out=t)
+            np.abs(t, out=t)
+            np.subtract(r, t, out=t)
             if h[0]:
-                np.maximum(s, 0.0, out=s)
-            s *= s
-            np.add(X2[:size], c2, out=y)
-            y -= np.floor(y, out=floor)
-            y *= a2
-            if h[1]:
-                y -= h[1]
-                np.maximum(y, 0.0, out=y)
-            y *= y
-            s += y
-            return _section_areas(s, h, r)
+                np.maximum(t, 0.0, out=t)
+            t *= t
+            rho2 = np.subtract(r * r, t, out=t)
+            np.sqrt(rho2, out=rho)
+            # per shift, c0 size + c1 sum rho + c2 sum rho^2 + c3 sum rho^3
+            total = np.full(len(d), c0 * size)
+            if c1:
+                total += c1 * rho.sum(axis=1)
+            if c2:
+                total += c2 * rho2.sum(axis=1)
+            total += math.pi / 6.0 * np.matmul(rho2[:, None], rho[..., None])[:, 0, 0]
+            return total
         return weigh
-    return 2, 16.0 * a1 * a2, lattice
+    return 1, 16.0 * a1, lattice
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -425,7 +378,7 @@ def _korobov_generator(n, s):
 
 @lru_cache(maxsize=1)
 def _lattice_index(chunk):
-    """0, 1, ..., chunk - 1 as read-only floats: the k of every table."""
+    """0, 1, ..., chunk - 1 as read-only floats: the k of every block."""
     k = np.arange(chunk, dtype=float)
     k.flags.writeable = False
     return k
@@ -433,25 +386,28 @@ def _lattice_index(chunk):
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _lattice_tables(n, s, chunk):
-    """Read-only rows over the first min(n, chunk) points k of the n-point
-    rank-1 lattice of dimension s, which depend on n alone: k and
-    frac(k g / n) for the 2-D lattice of ``_lattice_generator`` (s = 2), and
-    k and the sine and cosine of 2 pi frac(k z / n), z = a and a^2 mod n,
-    for the 3-D one of ``_korobov_generator`` (s = 3). Built once per (n, s,
-    chunk), chunk being MC_CHUNK at the call, so that a table built for one
-    block size is never read at another; at most TABLE_CACHE_SIZE of them.
-    At the benchmark's sizes the tables take about 1.2 MB together."""
+    """Read-only rows over the first m = min(n, chunk) points k of the
+    n-point rank-1 lattice of ``_korobov_generator`` in dimension s, which
+    depend on n alone: 2k/n, and a (2(s - 1), m) table of the cosine and
+    sine of 2 pi frac(k z / n) for each z = a, ..., a^(s-1) mod n, for the
+    rotations (s = 3) the rows (cos, sin) of a and (cos, sin) of a^2. Built
+    once per (n, s, chunk), chunk being MC_CHUNK at the call, so that a
+    table built for one block size is never read at another; at most
+    TABLE_CACHE_SIZE of them. At the benchmark's sizes the tables and the
+    index take about 0.8 MB together."""
     m = min(n, chunk)
     k = np.arange(m)
-    if s == 2:
-        rows = [(k * _lattice_generator(n) % n) / n]
-    else:
-        a = _korobov_generator(n, 3)
-        rows = [f(t) for t in (2.0 * math.pi / n * (k * z % n) for z in (a, a * a % n))
-                for f in (np.sin, np.cos)]
-    for row in rows:
-        row.flags.writeable = False
-    return (_lattice_index(chunk)[:m], *rows)
+    a, z = _korobov_generator(n, s), 1
+    angles = np.empty((2 * (s - 1), m))
+    for cos, sin in angles.reshape(s - 1, 2, m):
+        z = z * a % n
+        t = 2.0 * math.pi / n * (k * z % n)
+        np.cos(t, out=cos)
+        np.sin(t, out=sin)
+    tent = _lattice_index(chunk)[:m] * (2.0 / n)
+    for table in (tent, angles):
+        table.flags.writeable = False
+    return tent, angles
 
 
 def _rotation_lattice(n):
@@ -469,41 +425,40 @@ def _rotation_lattice(n):
     Writing d1 n = m + phi and k' = k + m mod n, point k' has u1 = (k' +
     phi)/n, so the first coordinate needs no wrap, as in
     ``_section_rule``; the angles need none either, being periodic. The
-    sines and cosines of the first MC_CHUNK points' angles 2 pi frac(k'
+    cosines and sines of the first MC_CHUNK points' angles 2 pi frac(k'
     z_j / n) come from ``_lattice_tables``; a block starting at k' = start
-    turns them by the constant angle 2 pi (frac((start - m) z_j / n) + d_j),
-    with two rows of the thread's workspace to work in."""
+    turns them by the constant angles 2 pi (frac((start - m) z_j / n) +
+    d_j), one block-diagonal 4x4 rotation per shift applied by one matrix
+    product, and scales them by the radii, with a row of the thread's
+    workspace to work in."""
     a = _korobov_generator(n, 3)
     steps = (a, a * a % n)
-    k, *rows = _lattice_tables(n, 3, MC_CHUNK)
-    turns = (rows[:2], rows[2:])
+    tent, angles = _lattice_tables(n, 3, MC_CHUNK)
 
     def block(d, start, out):
         size = out.shape[2]
-        m = [int(x) for x in d[:, 0] * n]
-        phi = d[:, 0] * n - m
-        u = np.add(k[:size], (start + phi)[:, None], out=out[1])
-        # the tent 1 - |2 u1 - 1|
-        u *= 2.0 / n
-        u -= 1.0
-        np.abs(u, out=u)
-        np.subtract(1.0, u, out=u)
-        # rows 0 and 2 hold the radii sqrt(1 - u1) and sqrt(u1), then
-        # times the cosines; rows 1 and 3 the radii times the sines
-        np.sqrt(np.subtract(1.0, u, out=out[0]), out=out[0])
-        np.sqrt(u, out=out[2])
+        # per shift, in floats (a numpy call on R values costs more than
+        # the arithmetic): the tent's offset and the turn of the angles
+        offsets, turns = [], []
+        for d1, *rest in d.tolist():
+            m = int(d1 * n)
+            offsets.append((start + (d1 * n - m)) * (2.0 / n) - 1.0)
+            angle = [2.0 * math.pi * (((start - m) * g % n / n + dj) % 1.0)
+                     for g, dj in zip(steps, rest)]
+            (c2, c3), (s2, s3) = map(math.cos, angle), map(math.sin, angle)
+            turns.append(((c2, -s2, 0.0, 0.0), (s2, c2, 0.0, 0.0),
+                          (0.0, 0.0, c3, -s3), (0.0, 0.0, s3, c3)))
+        np.matmul(np.array(turns), angles[:, :size], out=out.transpose(1, 0, 2))
+        offsets = np.array(offsets)[:, None]
         with _WORK as take:
-            cs, ss = take(len(d), size), take(len(d), size)
-            for row, (sin, cos), g, dj in zip((0, 2), turns, steps, d[:, 1:].T):
-                t = 2.0 * math.pi * ((np.array([(start - mi) * g % n for mi in m]) / n + dj) % 1.0)
-                c, s = np.cos(t)[:, None], np.sin(t)[:, None]
-                radius = out[row]
-                np.multiply(sin[:size], c, out=out[row + 1])
-                out[row + 1] += np.multiply(cos[:size], s, out=cs)
-                out[row + 1] *= radius
-                np.multiply(cos[:size], c, out=cs)
-                cs -= np.multiply(sin[:size], s, out=ss)
-                radius *= cs
+            w = take(len(d), size)
+
+            def fold():
+                # |2 u1 - 1|, which the tent takes to 1 - u1: folded again
+                # for the second radius, as the workspace has one row free
+                return np.abs(np.add(tent[:size], offsets, out=w), out=w)
+            out[:2] *= np.sqrt(fold(), out=w)
+            out[2:] *= np.sqrt(np.subtract(1.0, fold(), out=w), out=w)
     return block
 
 
@@ -515,7 +470,7 @@ def _rotation_rule(volumes):
 
         def weigh(d, start, out):
             block(d, start, out)
-            return volumes(out.reshape(4, -1).T).reshape(len(d), -1).sum(axis=1)
+            return volumes(out.reshape(4, -1)).reshape(len(d), -1).sum(axis=1)
         return weigh
     return 3, 1.0, lattice
 
@@ -594,7 +549,7 @@ def _hull_rule(P, r):
 
 
 def _box_box_volumes(K, L):
-    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    """The function taking unit quaternions, the (4, B) columns of q, to
     vol(K - L_q L), a block at a time. The volume is 16 sum |det| over the
     4-subsets of the zonotope's 8 half-generators (Shephard 1974): in K's
     frame prod_(P^c) hK prod_T hL |minor(O; P, T)|, |P| = |T| and O =
@@ -614,25 +569,25 @@ def _box_box_volumes(K, L):
     W2 = pK[5 - _P] * pL[_T] + pK[_P] * pL[5 - _T]
     c0 = np.prod(hK) + np.prod(hL)
 
-    def volumes(qs):
+    def volumes(q):
         # a block's forms in the thread's workspace: the linear ones, then
         # the quadratic ones in their place, the products q_k q_l a row per
         # (k, l), and the quadratic forms' weighted sums
-        vol = np.empty(len(qs))
-        B = min(len(qs), BOX_BOX_BLOCK)
+        vol = np.empty(q.shape[1])
+        B = min(len(vol), BOX_BOX_BLOCK)
         with _WORK as take:
             forms, products, sums = take(18 * B), take(10, B), take(B)
-            for s in range(0, len(qs), BOX_BOX_BLOCK):
-                q = qs[s:s + BOX_BOX_BLOCK]
-                m = len(q)
-                lin = np.matmul(q, gen.T, out=forms[:16 * m].reshape(m, 16))
-                v = np.matmul(np.abs(lin, out=lin), W1, out=vol[s:s + m])
+            for s in range(0, len(vol), BOX_BOX_BLOCK):
+                qb = q[:, s:s + BOX_BOX_BLOCK]
+                m = qb.shape[1]
+                lin = np.matmul(gen, qb, out=forms[:16 * m].reshape(16, m))
+                v = np.matmul(W1, np.abs(lin, out=lin), out=vol[s:s + m])
                 v += c0
                 p = products[:, :m]
                 for k, row in ((0, 0), (1, 4), (2, 7), (3, 9)):
-                    np.multiply(q[:, k], q[:, k:].T, out=p[row:row + 4 - k])
-                quad = np.matmul(p.T, S.T, out=forms[:18 * m].reshape(m, 18))
-                v += np.matmul(np.abs(quad, out=quad), W2, out=sums[:m])
+                    np.multiply(qb[k], qb[k:], out=p[row:row + 4 - k])
+                quad = np.matmul(S, p, out=forms[:18 * m].reshape(18, m))
+                v += np.matmul(W2, np.abs(quad, out=quad), out=sums[:m])
         vol *= 16.0
         return vol
     return volumes
@@ -750,7 +705,7 @@ def _hull_shadows(X, dim, cycle):
 
 
 def _box_polytope_volumes(K, L):
-    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    """The function taking unit quaternions, the (4, B) columns of q, to
     vol(K - L_q L), a block at a time, for a box K and a vertex hull L (a
     simplex of 1 to 5 vertices or a planar polygon).
 
@@ -773,12 +728,12 @@ def _box_polytope_volumes(K, L):
     weights = [np.prod(edges[_SPACES], axis=1), np.prod(edges[_SUBSETS[::-1]], axis=1), edges]
     c0 = np.prod(edges) + L.volume()
 
-    def volumes(qs):
-        vol = np.empty(len(qs))
-        for s in range(0, len(qs), BOX_BOX_BLOCK):
-            q = qs[s:s + BOX_BOX_BLOCK]
+    def volumes(q):
+        vol = np.empty(q.shape[1])
+        for s in range(0, len(vol), BOX_BOX_BLOCK):
+            qb = q[:, s:s + BOX_BOX_BLOCK]
             with _WORK as take:
-                X = np.matmul(gen, q.T, out=take(4 * m, len(q))).reshape(m, 4, -1)
+                X = np.matmul(gen, qb, out=take(4 * m, qb.shape[1])).reshape(m, 4, -1)
                 total = c0
                 for w, shadow in zip(weights, _hull_shadows(X, dim, cycle)):
                     total = total + w @ shadow
@@ -842,7 +797,7 @@ def _face_rows(P):
 
 
 def _hull_hull_volumes(K, L):
-    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    """The function taking unit quaternions, the (4, B) columns of q, to
     vol(K - L_q L), a block at a time, for two vertex hulls (simplices of 1
     to 5 vertices or planar polygons), by the facet sum
     vol P = 1/4 sum_F h_P(u_F) vol_3(F) (Schneider, Convex Bodies, 2014, 5.1).
@@ -889,13 +844,13 @@ def _hull_hull_volumes(K, L):
                   for _, off_K, off_M, shape, _, by_F, _, _ in pairs), default=1)
     block = max(1, HULL_BLOCK_FLOATS // widest)
 
-    def volumes(qs):
-        vol = np.zeros(len(qs))
-        for s in range(0, len(qs), block):
-            q = qs[s:s + block]
-            B = len(q)
+    def volumes(q):
+        vol = np.zeros(q.shape[1])
+        for s in range(0, len(vol), block):
+            qb = q[:, s:s + block]
+            B = qb.shape[1]
             for b, off_K, off_M, (nG, width), gen, by_F, by_F_row, w in pairs:
-                rows = (gen @ q.T).reshape(nG, width, 4, B)
+                rows = (gen @ qb).reshape(nG, width, 4, B)
                 minors = np.ones((nG, 1, B))
                 for i in range(b):
                     minors = _wedge(minors, rows[:, i], i)
@@ -931,29 +886,33 @@ def _plate_form(F1t, F2t):
 
 
 def _plate_volumes(M1, M2):
-    """The function taking unit quaternions q, the (B, 4) rows of qs, to
+    """The function taking unit quaternions, the (4, B) columns of q, to
     vol(M1 - L_q M2) for two plates: their sum is an affine image of their
     product, so the volume is area1 area2 |det [F1^T | L_q F2^T]|, the
     quadratic form q^T A q of ``_plate_form`` scaled by the areas. It falls
     to 0 as the plates turn parallel.
 
-    The sum over i of q_i (q . A_i) takes one (B,) product at a time, in a
-    row of the thread's workspace."""
+    A block of q takes one product A q and one sum over i of (A q)_i q_i,
+    in the thread's workspace."""
     A = M1.area * M2.area * _plate_form(M1.frame.T, M2.frame.T)
 
-    def volumes(qs):
-        total = qs @ A[0]
-        total *= qs[:, 0]
+    def volumes(q):
+        total = np.empty(q.shape[1])
+        B = min(len(total), BOX_BOX_BLOCK)
         with _WORK as take:
-            term = take(len(qs))
-            for i in range(1, 4):
-                total += np.multiply(np.matmul(qs, A[i], out=term), qs[:, i], out=term)
+            terms = take(4 * B)
+            for s in range(0, len(total), BOX_BOX_BLOCK):
+                qb = q[:, s:s + BOX_BOX_BLOCK]
+                m = qb.shape[1]
+                t = np.matmul(A, qb, out=terms[:4 * m].reshape(4, m))
+                t *= qb
+                t.sum(axis=0, out=total[s:s + m])
         return np.abs(total, out=total)
     return volumes
 
 
 def _translation_volumes(K, L):
-    """qs -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
+    """q -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
     for any pair of boxes and vertex hulls. The motion measure is unchanged
     by g -> g^-1, so a vertex hull against a box takes the box as K, the
     same function of the same q."""
@@ -1004,8 +963,10 @@ def _rule(K, L):
 def _lattice_means(rule, n, seed, threads):
     """The REPLICATES mean weights of a rule over its n-point rank-1
     lattice in [0, 1)^s, replicate idx under the shift of s uniforms of
-    default_rng([seed, idx]) (Cranley & Patterson 1976). A rule is (s,
-    scale, lattice): lattice(n) gives weigh(d, start, out), which scores
+    default_rng([seed, idx]) (Cranley & Patterson 1976): s = 1 for a ball
+    against a ball or a box (``_section_rule``), 3 for the rotations
+    (``_rotation_rule``) and 4 for a ball against a vertex hull
+    (``_hull_rule``). A rule is (s, scale, lattice): lattice(n) gives weigh(d, start, out), which scores
     points start, ..., start + size - 1 of the lattice under each of R
     shifts, the rows of d (R, s), with out (4, R, size) to work in, and
     returns their summed weights per shift; a replicate's mean is scale
@@ -1062,22 +1023,23 @@ def _estimate(K, L, N, seed, threads, rhs):
     """The Monte Carlo estimate of the motion integral of chi(K . gL) that
     both estimators report, against their right-hand side rhs: the pair's
     rule (``_rule``) over 16 shifted rank-1 lattices of N / 16 points in
-    [0, 1)^s (``_lattice_means``), s = 2 for a ball against a ball or a
+    [0, 1)^s (``_lattice_means``), s = 1 for a ball against a ball or a
     box, 4 for a ball against a vertex hull and 3 for the q of every other
     pair. Every sample is scored exactly, with no iteration.
 
     The standard error is that of the 16 replicate means, with 15 degrees
     of freedom, so with no defect |z| > 3 has probability 0.009 (the
-    normal's is 0.0027). A rotation pair's standard error is at least
-    ROUNDING_ULPS units in the last place of its estimate, as the spread of
-    the replicate means cannot see the rounding every sample shares: a
-    weight that does not depend on q (a box against a point weighs vol(box)
-    at every q) gives 16 equal means, and the lattice integrates some
-    weights exactly. An rhs a few ulps off then gives a small z, and one
-    further off a large one. Deterministic for fixed (seed, N) regardless
-    of threads."""
+    normal's is 0.0027). It is at least ROUNDING_ULPS units in the last
+    place of the estimate, as the spread of the replicate means cannot see
+    the rounding every sample shares: a weight that does not depend on the
+    sample (a box against a point weighs vol(box) at every q) gives 16
+    equal means, and the lattice integrates some weights, a ball against a
+    ball's among them, all but exactly. An rhs a few ulps off then gives a
+    small z, and one further off a large one. A mean of 0 is a sum of
+    weights that are all 0, which no rounding touches. Deterministic for
+    fixed (seed, N) regardless of threads."""
     mean, stderr = _replicate_moments(_lattice_means(_rule(K, L), N // REPLICATES, seed, threads))
-    if not isinstance(K, Ball) and not isinstance(L, Ball):
+    if mean:
         stderr = max(stderr, ROUNDING_ULPS * math.ulp(mean))
     if stderr > 0:
         z = (mean - rhs) / stderr

@@ -736,7 +736,7 @@ def _assert_averages_the_hit_indicator(K, L, volumes, rng, rotations, n, slack=0
             assert _oracles.lp_intersects(K, L.moved(R, t), 4) == hit
         w = np.prod(hi - lo) * hits
         se = w.std(ddof=1) / math.sqrt(n)
-        (want,) = volumes(q[None])
+        (want,) = volumes(q[:, None])
         assert abs(w.mean() - want) <= 4.0 * se + slack * want, (w.mean(), want, se)
 
 
@@ -750,7 +750,7 @@ class TestBoxBoxVolumes:
         K, L = BOX_PAIRS[pair]
         Rs = _rotations(haar_quaternions(np.random.default_rng(31 + pair),
                                          kinematic.BOX_BOX_BLOCK + 500))
-        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
+        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0].T)
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pair", [1, 2])
@@ -818,7 +818,7 @@ class TestBoxBoxForms:
         K, L = WEIGHT_PAIRS[pair]
         Rs = _rotations(haar_quaternions(np.random.default_rng(70 + pair),
                                          kinematic.BOX_BOX_BLOCK + 500))
-        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0])
+        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0].T)
         want = _oracles.box_box_laplace_volumes(K, L, Rs[:, :, 0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-13, atol=0)
@@ -831,7 +831,7 @@ class TestBoxBoxForms:
         K = Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), rotation)
         L = BOX_PAIRS[3][1]
         qs = haar_quaternions(rng, 2000)
-        np.testing.assert_allclose(kinematic._box_box_volumes(K, L)(qs),
+        np.testing.assert_allclose(kinematic._box_box_volumes(K, L)(qs.T),
                                    _oracles.box_box_laplace_volumes(K, L, qs), rtol=1e-8, atol=0)
 
 
@@ -862,7 +862,7 @@ def _plate_weights(F1t, F2t, qs):
     """|det [F1t | L_q F2t]| for each row q of qs, as the plates score it:
     the weight of two unit squares in the planes of F1t and F2t."""
     M1, M2 = (PlanarPolygon(Ft.T, [[0, 0], [1, 0], [1, 1], [0, 1]]) for Ft in (F1t, F2t))
-    return kinematic._plate_volumes(M1, M2)(qs)
+    return kinematic._plate_volumes(M1, M2)(qs.T)
 
 
 SQUARE_FRAME = [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -974,24 +974,24 @@ class TestQuaternionWeights:
 
 # (estimate, stderr, indeterminate) as float.hex at the benchmark's sample
 # counts for the ball pairs, pinned with numpy 2.4 on x86-64 from the
-# rounded-rectangle sections over 16 shifted rank-1 lattices
+# rounded 3-box sections over 16 shifted 1-D lattices
 PINNED_BALL_SECTIONS = {
-    ("ball_ball", 91): ("0x1.3bd370e3c5e82p+2", "0x1.cf8a1bcc58d47p-16", 0),
-    ("ball_ball", 92): ("0x1.3bd448d0f3f6ap+2", "0x1.bb4680800aa2dp-16", 0),
-    ("ball_box", 91): ("0x1.949977258ec23p+3", "0x1.53638c5c6694bp-14", 0),
-    ("ball_box", 92): ("0x1.9499950d58058p+3", "0x1.502b117479d24p-14", 0),
+    ("ball_ball", 91): ("0x1.3bd3cc9be4904p+2", "0x1.e16abfbf8657fp-42", 0),
+    ("ball_ball", 92): ("0x1.3bd3cc9be46c2p+2", "0x1.a621b7f5af22cp-42", 0),
+    ("ball_box", 91): ("0x1.9499c90c58527p+3", "0x1.7026048c9ba07p-25", 0),
+    ("ball_box", 92): ("0x1.9499c91e7e9b6p+3", "0x1.4182405e33f8fp-25", 0),
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
 # from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
 # 18 quadratic forms, box/simplex from the shadows of the simplex, and the
 # plates
 PINNED_QUATERNION_WEIGHTS = {
-    ("box_box", 91): ("0x1.dd8f1abe4a158p+4", "0x1.beead29f33e7bp-15", 0),
-    ("box_box", 92): ("0x1.dd8f56069ebeap+4", "0x1.c62999bd10917p-15", 0),
-    ("box_simplex", 91): ("0x1.ac0e0c5024f92p+3", "0x1.0f771e4e5b910p-7", 0),
-    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51c12p-8", 0),
-    ("poincare", 91): ("0x1.1957e55309938p-1", "0x1.5bcc0a118ee3dp-22", 0),
-    ("poincare", 92): ("0x1.19580ab147d24p-1", "0x1.82c043d93ec34p-22", 0),
+    ("box_box", 91): ("0x1.dd8f1abe4a157p+4", "0x1.beead29f2f7ebp-15", 0),
+    ("box_box", 92): ("0x1.dd8f56069ebeap+4", "0x1.c62999bd08156p-15", 0),
+    ("box_simplex", 91): ("0x1.ac0e0c5024f92p+3", "0x1.0f771e4e5b90ep-7", 0),
+    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51c11p-8", 0),
+    ("poincare", 91): ("0x1.1957e55309937p-1", "0x1.5bcc0a118f63cp-22", 0),
+    ("poincare", 92): ("0x1.19580ab147d24p-1", "0x1.82c043d943248p-22", 0),
 }
 PINNED_ESTIMATES = {**PINNED_BALL_SECTIONS, **PINNED_QUATERNION_WEIGHTS}
 _BALL = Ball(np.zeros(4), 0.5)
@@ -1037,8 +1037,8 @@ class TestBallReach:
     """Pairs with a ball draw only points within reach of it."""
 
     def test_no_rotation_drawn(self, monkeypatch):
-        # a ball against a ball or a box draws two uniforms per shift, the
-        # 2-D lattice's shift, and none per point; against a vertex hull,
+        # a ball against a ball or a box draws one uniform per shift, the
+        # 1-D lattice's shift, and none per point; against a vertex hull,
         # four per shift, the 4-D lattice's
         draws = []
         monkeypatch.setattr(kinematic.np.random, "default_rng", _Draws("random", draws))
@@ -1048,7 +1048,7 @@ class TestBallReach:
         for K, L in lattice + hulls:
             rep = mc_principal_kinematic(K, L, N=N, seed=3)
             assert abs(rep.z_score) < 3, mc_failure("ball reach", K, L, N, 3, 1, rep)
-        assert draws == [2] * kinematic.REPLICATES * len(lattice) + \
+        assert draws == [1] * kinematic.REPLICATES * len(lattice) + \
             [4] * kinematic.REPLICATES * len(hulls)
 
     def test_off_centre_pair_in_either_order(self):
@@ -1086,97 +1086,43 @@ class TestBallReach:
         assert rep.stderr / rep.estimate < 1e-3
 
 
-def _largest_quotient(g, n):
-    """The largest partial quotient of the continued fraction of g/n, by
-    Euclid's algorithm one step at a time."""
-    largest = 0
-    while g:
-        q, rem = divmod(n, g)
-        largest = max(largest, q)
-        n, g = g, rem
-    return largest
-
-
-def _plain_generator(n):
-    """The first g, 1 <= g < n/2 and coprime to n (g = 1 when n <= 2), with
-    the smallest largest partial quotient, by scanning every g."""
-    coprime = [g for g in range(1, max(2, (n + 1) // 2)) if math.gcd(g, n) == 1]
-    return min(coprime, key=lambda g: (_largest_quotient(g, n), g))
-
-
-class TestLatticeGenerator:
-    """The rank-1 lattice generator of the ball pairs against a plain scan
-    of the continued fractions."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 32, 448, 512, 2500])
-    def test_matches_a_plain_scan(self, n):
-        # n = 1 and 2 have no g below n/2 and take g = 1
-        kinematic._lattice_generator.cache_clear()
-        assert kinematic._lattice_generator(n) == _plain_generator(n)
-
-    @pytest.mark.parametrize("n", [65536, 57344])
-    def test_benchmark_lattices_have_quotients_at_most_three(self, n):
-        # the motion_mc benchmark's ball pairs: N = 2^20 and 917,504 over 16
-        # shifts
-        kinematic._lattice_generator.cache_clear()
-        g = kinematic._lattice_generator(n)
-        assert 1 <= g < n / 2 and math.gcd(g, n) == 1
-        assert _largest_quotient(g, n) <= 3
-
-    def test_cache_size_stays_within_bound(self):
-        kinematic._lattice_generator.cache_clear()
-        sizes = range(100, 100 + kinematic.GENERATOR_CACHE_SIZE + 10)
-        gens = [kinematic._lattice_generator(n) for n in sizes]
-        info = kinematic._lattice_generator.cache_info()
-        assert info.maxsize == kinematic.GENERATOR_CACHE_SIZE
-        assert info.currsize == kinematic.GENERATOR_CACHE_SIZE and info.misses == len(sizes)
-        # the newest is kept, the oldest was evicted and is searched again
-        assert kinematic._lattice_generator(sizes[-1]) == gens[-1]
-        assert kinematic._lattice_generator.cache_info().hits == 1
-        assert kinematic._lattice_generator(sizes[0]) == gens[0]
-        assert kinematic._lattice_generator.cache_info().misses == len(sizes) + 1
-
-
 class TestBallSections:
-    """A ball against a ball or a box: rounded-rectangle sections over a
-    shifted rank-1 lattice."""
+    """A ball against a ball or a box: rounded 3-box sections over a
+    shifted, tent-folded 1-D lattice."""
 
     @pytest.mark.parametrize("h, r", [(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius),
                                       (np.zeros(4), 0.7),
                                       (np.array([0.6, 0.5, 0.4, 0.55]), 0.5)])
     def test_sections_integrate_to_the_steiner_volume(self, h, r):
-        # Fubini: the section areas averaged over a fine midpoint grid in
-        # (y1, y2) give vol(box + r B^4)
-        m = 4096
-        a1, a2 = h[0] + r, h[1] + r
-        s2 = np.maximum((np.arange(m) + 0.5) * (a2 / m) - h[1], 0.0) ** 2
-        total = 0.0
-        for i in range(m):
-            s1 = max((i + 0.5) * (a1 / m) - h[0], 0.0) ** 2
-            total += kinematic._section_areas((s1 + s2)[None], h, r)[0]
-        want = _steiner_box(h, r)
-        assert 16.0 * a1 * a2 * total / m ** 2 == pytest.approx(want, rel=1e-6, abs=0)
+        # Fubini: the section volumes averaged over a fine midpoint grid in
+        # y1 give vol(box + r B^4). Under the shift phi = 1/2 the tent takes
+        # the n points x = (k + 1/2)/n to the midpoints of n/2 cells of
+        # [0, h1 + r], each twice
+        n = 8192
+        scale, lattice = kinematic._section_rule(h, r)[1:]
+        with kinematic._WORK as take:
+            (total,) = lattice(n)(np.array([[0.5 / n]]), 0, take(4, 1, n))
+        assert scale * total / n == pytest.approx(_steiner_box(h, r), rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("h, r, n", [(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius, 1000),
                                          (np.zeros(4), 1.0, 768), (np.zeros(4), 1.0, 7)])
     def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, h, r, n):
         # blocks of 256 points, the last one partial, against the rule
-        # written plainly: the points frac(k (1, g)/n + d), the section
-        # area of each
+        # written plainly: the points frac(k/n + d), folded by the tent onto
+        # y1 in [0, h1 + r], the section volume of each
         monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
         means = kinematic._lattice_means(kinematic._section_rule(h, r), n, 77, 1)
         assert kinematic._lattice_means(kinematic._section_rule(h, r), n, 77, 2) == means
-        g = kinematic._lattice_generator(n)
         k = np.arange(n)
         for idx in range(kinematic.REPLICATES):
-            d1, d2 = np.random.default_rng([77, idx]).random(2)
-            y1 = (k / n + d1) % 1.0 * (h[0] + r)
-            y2 = (k * g % n / n + d2) % 1.0 * (h[1] + r)
-            s = np.maximum(y1 - h[0], 0.0) ** 2 + np.maximum(y2 - h[1], 0.0) ** 2
-            rho = np.sqrt(np.maximum(r * r - s, 0.0))
-            area = np.where(s <= r * r, h[2] * h[3] + rho * (h[2] + h[3]) + math.pi * rho ** 2 / 4,
-                            0.0)
-            want = 16.0 * (h[0] + r) * (h[1] + r) * area.mean()
+            (d,) = np.random.default_rng([77, idx]).random(1)
+            x = (k / n + d) % 1.0
+            y1 = (h[0] + r) * (1.0 - np.abs(2.0 * x - 1.0))
+            rho2 = np.maximum(r * r - np.maximum(y1 - h[0], 0.0) ** 2, 0.0)
+            rho = np.sqrt(rho2)
+            volume = (h[1] * h[2] * h[3] + rho * (h[1] * h[2] + h[1] * h[3] + h[2] * h[3])
+                      + math.pi / 4 * rho2 * (h[1] + h[2] + h[3]) + math.pi / 6 * rho ** 3)
+            want = 16.0 * (h[0] + r) * volume.mean()
             assert means[idx] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_stderr_has_fifteen_degrees_of_freedom(self, monkeypatch):
@@ -1254,7 +1200,7 @@ class TestBoxPolytopeVolumes:
         # one full block and a partial one
         K, L = POLYTOPE_PAIRS[pair]
         qs = haar_quaternions(np.random.default_rng(110), kinematic.BOX_BOX_BLOCK + 100)
-        got = kinematic._box_polytope_volumes(K, L)(qs)
+        got = kinematic._box_polytope_volumes(K, L)(qs.T)
         for b in range(0, len(qs), 37):
             assert got[b] == pytest.approx(_oracles.box_polytope_volume(K, L, qs[b]),
                                            rel=1e-12, abs=0)
@@ -1328,7 +1274,7 @@ class TestHullHullVolumes:
         # 0 exactly
         K, L = (HULLS[name] for name in pair)
         qs = haar_quaternions(np.random.default_rng(140), kinematic.BOX_BOX_BLOCK + 100)
-        got = kinematic._hull_hull_volumes(K, L)(qs)
+        got = kinematic._hull_hull_volumes(K, L)(qs.T)
         if _hull_dim(K) + _hull_dim(L) < 4:
             assert not got.any()
             return
@@ -1341,8 +1287,8 @@ class TestHullHullVolumes:
         M1, M2 = HULLS["square"], HULLS["pentagon"]
         qs = haar_quaternions(np.random.default_rng(141), 4096)
         scale = M1.area * M2.area
-        want = kinematic._plate_volumes(M1, M2)(qs)
-        got = kinematic._hull_hull_volumes(M1, M2)(qs)
+        want = kinematic._plate_volumes(M1, M2)(qs.T)
+        got = kinematic._hull_hull_volumes(M1, M2)(qs.T)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
     @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5")],
@@ -1468,8 +1414,8 @@ class TestOracleEstimates:
 
 
 class TestRoundingFloor:
-    """A rotation pair's standard error is at least ROUNDING_ULPS ulps of
-    its estimate: a weight that does not depend on q gives 16 equal
+    """Every pair's standard error is at least ROUNDING_ULPS ulps of its
+    estimate: a weight that does not depend on the sample gives 16 equal
     replicate means, so a spread of 0, and an rhs a few ulps away must not
     give z = inf, while one off by more must still be flagged."""
 
@@ -1490,6 +1436,24 @@ class TestRoundingFloor:
         assert abs(rep.z_score) > 3, rep
         # the estimate lies on the other side of the rhs
         assert math.copysign(1.0, rep.z_score) == -math.copysign(1.0, rel)
+
+
+    def test_ball_pair_with_equal_replicate_means(self, monkeypatch):
+        # a ball pair's sections are integrated all but exactly: ball/ball's
+        # standard error sits near 1e-13 relative at the benchmark's N, so
+        # 16 equal replicate means must get the floor too
+        K, L, N = PINNED_PAIRS["ball_ball"]
+        want = rhs_kinematic(K, L)
+        monkeypatch.setattr(kinematic, "_lattice_means",
+                            lambda *args: [want] * kinematic.REPLICATES)
+        rep = mc_principal_kinematic(K, L, N=N, seed=5)
+        assert rep.stderr == kinematic.ROUNDING_ULPS * math.ulp(rep.estimate), rep
+        assert rep.z_score == 0.0, rep
+        for rel in (1e-12, -1e-12):
+            monkeypatch.setattr(kinematic, "rhs_kinematic",
+                                lambda K, L, kind="icosahedron": want * (1.0 + rel))
+            rep = mc_principal_kinematic(K, L, N=N, seed=5)
+            assert abs(rep.z_score) > 3, rep
 
 
 def _plain_candidates(n, count):
@@ -1525,7 +1489,7 @@ def _plain_rotation_means(volumes, n, seed):
         t2, t3 = 2.0 * math.pi * u[:, 1], 2.0 * math.pi * u[:, 2]
         qs = np.stack([np.sqrt(1.0 - u1) * np.cos(t2), np.sqrt(1.0 - u1) * np.sin(t2),
                        np.sqrt(u1) * np.cos(t3), np.sqrt(u1) * np.sin(t3)], axis=1)
-        means.append(volumes(qs).mean())
+        means.append(volumes(qs.T).mean())
     return means
 
 
@@ -1649,28 +1613,34 @@ class TestExactRotationMean:
 
 
 class TestLatticeAccuracy:
-    """The rotation lattice's reported standard error against its true
-    error, the exact mean: over 48 seeds the RMS relative error is within
-    1.5 times the median relative standard error, for the motion_mc
+    """The lattice rules' reported standard error against their true error,
+    the exact mean: over 48 seeds the RMS relative error is within 1.5
+    times the median relative standard error, for the motion_mc
     benchmark's box/box and plates at its sample counts and for a rotated
     box pair. The same holds for the 4-D lattice of a ball against a
-    simplex and a pentagon."""
+    simplex and a pentagon, and for the 1-D lattice of a ball against a
+    ball or a box, whose exact mean is the Steiner volume."""
 
     SEEDS = range(7100, 7148)
+
+    @staticmethod
+    def _rms_and_median_stderr(estimate, exact):
+        errors, stderrs = [], []
+        for seed in TestLatticeAccuracy.SEEDS:
+            rep = estimate(seed)
+            errors.append((rep.estimate - exact) / exact)
+            stderrs.append(rep.stderr / exact)
+        return math.sqrt(np.mean(np.square(errors))), np.median(stderrs)
 
     @pytest.mark.parametrize("hull", ["simplex", "pentagon"])
     def test_hull_reach_rms_error_matches_the_reported_stderr(self, hull):
         # the off-centre ball of the CI against its simplex and pentagon at
         # its 40,000 samples, against the exact tensor's rhs
         L = MOTION_SIMPLEX if hull == "simplex" else mgon(5, PENTAGON_FRAME, radius=0.8)
-        exact = rhs_kinematic(OFF_CENTRE_BALL, L)
-        errors, stderrs = [], []
-        for seed in self.SEEDS:
-            rep = mc_principal_kinematic(OFF_CENTRE_BALL, L, N=40000, seed=seed)
-            errors.append((rep.estimate - exact) / exact)
-            stderrs.append(rep.stderr / exact)
-        rms = math.sqrt(np.mean(np.square(errors)))
-        assert rms <= 1.5 * np.median(stderrs), (rms, np.median(stderrs))
+        rms, stderr = self._rms_and_median_stderr(
+            lambda seed: mc_principal_kinematic(OFF_CENTRE_BALL, L, N=40000, seed=seed),
+            rhs_kinematic(OFF_CENTRE_BALL, L))
+        assert rms <= 1.5 * stderr, (rms, stderr)
 
     @pytest.mark.parametrize("pair", ["box_box", "poincare", "rotated_boxes"])
     def test_rms_error_matches_the_reported_stderr(self, pair):
@@ -1678,15 +1648,40 @@ class TestLatticeAccuracy:
             K, L, N = (*BOX_PAIRS[2], 60 << 10)
         else:
             K, L, N = PINNED_PAIRS[pair]
-        exact = exact_rotation_mean(K, L)
         estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
-        errors, stderrs = [], []
-        for seed in self.SEEDS:
-            rep = estimator(K, L, N=N, seed=seed)
-            errors.append((rep.estimate - exact) / exact)
-            stderrs.append(rep.stderr / exact)
-        rms = math.sqrt(np.mean(np.square(errors)))
-        assert rms <= 1.5 * np.median(stderrs), (rms, np.median(stderrs))
+        rms, stderr = self._rms_and_median_stderr(
+            lambda seed: estimator(K, L, N=N, seed=seed), exact_rotation_mean(K, L))
+        assert rms <= 1.5 * stderr, (rms, stderr)
+
+    # the motion_mc benchmark's ball pairs at its sample counts, and the
+    # CI's off-centre ball against its rotated box and against itself at
+    # its 40,000 samples
+    BALL_PAIRS = {
+        "ball_ball": PINNED_PAIRS["ball_ball"],
+        "ball_box": PINNED_PAIRS["ball_box"],
+        "ci_ball_box": (OFF_CENTRE_BALL, ROTATED_BOX, 40000),
+        "ci_ball_ball": (OFF_CENTRE_BALL, OFF_CENTRE_BALL, 40000),
+    }
+
+    @staticmethod
+    def _ball_pair_accuracy(pair):
+        K, L, N = TestLatticeAccuracy.BALL_PAIRS[pair]
+        if isinstance(L, Ball):
+            exact = _steiner_box(np.zeros(4), K.radius + L.radius)
+        else:
+            exact = _steiner_box(L.half_extents, K.radius)
+        return TestLatticeAccuracy._rms_and_median_stderr(
+            lambda seed: mc_principal_kinematic(K, L, N=N, seed=seed), exact)
+
+    @pytest.mark.parametrize("pair", list(BALL_PAIRS))
+    def test_ball_section_rms_error_matches_the_reported_stderr(self, pair):
+        rms, stderr = self._ball_pair_accuracy(pair)
+        assert rms <= 1.5 * stderr, (rms, stderr)
+
+    def test_ci_ball_box_relative_stderr(self):
+        # the 2-D lattice over (y1, y2) with rounded-rectangle sections gave
+        # a median of 7.8e-5
+        assert self._ball_pair_accuracy("ci_ball_box")[1] < 1e-5
 
 
 class TestLatticeTables:
@@ -1724,15 +1719,15 @@ class TestLatticeTables:
         kinematic._lattice_tables(sizes[-1], 3, kinematic.MC_CHUNK)
         assert kinematic._lattice_tables.cache_info().hits == 1
 
-    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("s", [3])
     def test_tables_are_read_only(self, s):
-        tables = kinematic._lattice_tables(1000, s, kinematic.MC_CHUNK)
-        # k, then frac(k g / n), or the sines and cosines of two angles
-        assert len(tables) == {2: 2, 3: 5}[s]
-        for row in tables:
-            assert len(row) == 1000 and not row.flags.writeable
+        tent, angles = kinematic._lattice_tables(1000, s, kinematic.MC_CHUNK)
+        # 2k/n, then the cosines and sines of the two angles
+        assert tent.shape == (1000,) and angles.shape == (4, 1000)
+        for table in (tent, angles):
+            assert not table.flags.writeable
             with pytest.raises(ValueError):
-                row[0] = 0.5
+                table[0] = 0.5
 
 
 class TestWorkspace:
