@@ -279,21 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
             "0.009 with no defect. A ball against a ball or a box integrates three "
             "coordinates of the box's frame in closed form (a rounded 3-box section, by "
             "the Steiner formula) and takes the fourth from the 1-D lattice, folded by "
-            "the tent 1 - |2x - 1|. A ball against a simplex or a polygon takes points around "
-            "it from the 4-D lattice with generating vector (1, a, a^2, a^3 mod n). Every "
-            "other pair draws only rotations, unit quaternions q from the 3-D lattice "
-            "with generating vector (1, a, a^2 mod n), its first coordinate folded by the "
-            "tent 1 - |2u - 1| and mapped onto S^3 by Shoemake's map. In 3-D and 4-D, a "
-            "is, of the a coprime to n in (n/4, n/2] first at or above {C} evenly spaced "
-            "points, the one of least figure of merit P_2.").format(
+            "the tent 1 - |2x - 1|. Every other pair draws only rotations, unit "
+            "quaternions q from the 3-D lattice with generating vector (1, a, a^2 mod n), "
+            "its first coordinate folded by the tent 1 - |2u - 1| and mapped onto S^3 by "
+            "Shoemake's map; a ball against a simplex or a polygon weighs the hull's "
+            "coordinate shadows by the radius (Steiner and Kubota). a is, of the a "
+            "coprime to n in (n/4, n/2] first at or above {C} evenly spaced points, the "
+            "one of least figure of merit P_2.").format(
                 R=REPLICATES, R1=REPLICATES - 1, C=KOROBOV_CANDIDATES))
     p.add_argument("--k", required=True, help="JSON body file, fixed body")
     p.add_argument("--l", required=True, help="JSON body file, moving body")
     p.add_argument("--samples", required=True, type=_positive_arg,
                    help=f"N, a multiple of {REPLICATES}: {REPLICATES} shifted lattices of "
-                        f"N/{REPLICATES} points, 1-D for a ball against a ball or a box, 4-D "
-                        f"for a ball against a simplex or a polygon, 3-D Korobov rotations "
-                        f"otherwise")
+                        f"N/{REPLICATES} points, 1-D for a ball against a ball or a box, 3-D "
+                        f"Korobov rotations otherwise")
     p.add_argument("--seed", required=True, type=_seed_arg,
                    help="explicit RNG seed (no wall-clock seeding)")
     p.add_argument("--poincare", action="store_true",

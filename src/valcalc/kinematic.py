@@ -10,13 +10,12 @@ Carlo estimator over random rigid motions provides an independent numeric
 check of the normalization (probability Haar measure on the rotations,
 Lebesgue on the translations).  Every sample is scored exactly and with no
 iteration, so every sample is decided.  A ball is unchanged by rotation,
-and the motion measure by g -> g^-1, so a ball against any body draws only
-translations: the integral is the volume of the points within the ball's
-radius of the other body.  Against a ball or a box that volume is integrated
-over three coordinates of the box's frame in closed form, the section at
-fixed y1 being a rounded 3-box, whose volume is a cubic in its rounding
-radius (Steiner); against a vertex hull each point is scored by its exact
-distance to it.  Every other pair draws only a rotation, left
+and the motion measure by g -> g^-1, so the integral of a ball against
+any body is the volume of the points within the ball's radius of the other
+body.  Against a ball or a box a ball draws only translations: that volume
+is integrated over three coordinates of the box's frame in closed form, the
+section at fixed y1 being a rounded 3-box, whose volume is a cubic in its
+rounding radius (Steiner).  Every other pair draws only a rotation, left
 multiplication L_q by a unit quaternion q, and integrates the translation
 in closed form: the weight is vol(K - L_q L), scored from q itself.  For
 two boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
@@ -25,21 +24,22 @@ of L_q L on the coordinate subspaces of the box's frame, L's vertices
 there being a fixed matrix times q; for two plates it is area1 area2
 |q^T A q|, which also weighs their intersection count; for any other two
 vertex hulls it sums over the facets of K - L_q L, each a sum of faces of
-the two.
+the two.  A ball against a vertex hull weighs the same shadows by the
+ball's radius (Steiner and Kubota), a weight whose mean over q, not its
+value at each q, is the volume within reach of the hull.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
 whose 16 replicate means give the standard error, with 15 degrees of
 freedom.  s = 1 for the y1 of a ball against a ball or a box, folded by
-the tent 1 - |2x - 1|, s = 3 for q, its first coordinate folded by the
-same tent and mapped onto S^3 by Shoemake's map, and s = 4 for the points
-around a vertex hull, the last two with Korobov's generating vector (1, a,
-..., a^(s-1) mod n).  So N must be a multiple of 16, for every pair.  What
-depends on n alone is built once per n (``_lattice_tables``), and every
-block works in its thread's resident workspace (``_Workspace``), so a warm
-estimate allocates no large array; the threads that split the replicates
-are kept across estimates (``_SLOTS``), with their workspaces.  The
-estimates are bit for bit those of the plain computation.
+the tent 1 - |2x - 1|, and s = 3 for q, with Korobov's generating vector
+(1, a, a^2 mod n), its first coordinate folded by the same tent and mapped
+onto S^3 by Shoemake's map.  So N must be a multiple of 16, for every
+pair.  What depends on n alone is built once per n (``_lattice_tables``),
+and every block works in its thread's resident workspace (``_Workspace``),
+so a warm estimate allocates no large array; the threads that split the
+replicates are kept across estimates (``_SLOTS``), with their workspaces.
+The estimates are bit for bit those of the plain computation.
 """
 
 import math
@@ -56,7 +56,6 @@ from .bodies import (
     Ball,
     Box,
     PlanarPolygon,
-    _complement_basis,
     _row_max,
     _row_min,
     _subsets,
@@ -71,7 +70,7 @@ MC_CHUNK = 1 << 15
 # random shifts of every pair's lattice: the standard error comes from their
 # means, with REPLICATES - 1 degrees of freedom
 REPLICATES = 16
-# candidate generators whose figure of merit the Korobov lattices' search takes
+# candidate generators whose figure of merit the Korobov lattice's search takes
 KOROBOV_CANDIDATES = 48
 # the least standard error an estimate reports, in units in the last place
 # of its estimate: the spread of the replicate means cannot see the
@@ -79,7 +78,7 @@ KOROBOV_CANDIDATES = 48
 ROUNDING_ULPS = 4
 # lattice generators kept, by point count n, least recently used evicted first
 GENERATOR_CACHE_SIZE = 64
-# lattice tables kept, by (n, s, MC_CHUNK), least recently used evicted first:
+# lattice tables kept, by (n, MC_CHUNK), least recently used evicted first:
 # a motion_mc op estimates five pairs, each on a lattice of its own
 TABLE_CACHE_SIZE = 8
 # floats in each thread's workspace (``_Workspace``): a ball section's first
@@ -320,24 +319,23 @@ def _section_rule(h, r):
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _korobov_generator(n, s):
-    """The a of the n-point rank-1 lattice
-    {frac(k (1, a, ..., a^(s-1) mod n)/n)} in [0, 1)^s (Korobov): of the a
-    coprime to n in (n/4, n/2], the first at or above the integer part of
-    each of the KOROBOV_CANDIDATES points n/4 + (i + 1/2) n /
-    (4 KOROBOV_CANDIDATES), evenly spaced inside that range (all of them
-    when it holds no more), the one of least figure of merit
-    P_2 = -1 + (1/n) sum_k prod_(j < s) (1 + 2 pi^2 B_2(frac(k a^j / n))),
-    B_2(x) = x^2 - x + 1/6 (Sloan & Joe 1994, ch. 5); the first on a tie,
-    and a = 1 when the range holds none. n - a gives the mirrored lattice,
-    of the same P_2.
+def _korobov_generator(n):
+    """The a of the n-point rank-1 lattice {frac(k (1, a, a^2 mod n)/n)} in
+    [0, 1)^3 (Korobov): of the a coprime to n in (n/4, n/2], the first at
+    or above the integer part of each of the KOROBOV_CANDIDATES points
+    n/4 + (i + 1/2) n / (4 KOROBOV_CANDIDATES), evenly spaced inside that
+    range (all of them when it holds no more), the one of least figure of
+    merit P_2 = -1 + (1/n) sum_k prod_(z = 1, a, a^2) (1 + 2 pi^2
+    B_2(frac(k z / n))), B_2(x) = x^2 - x + 1/6 (Sloan & Joe 1994, ch. 5);
+    the first on a tie, and a = 1 when the range holds none. n - a gives
+    the mirrored lattice, of the same P_2.
 
     The summand is the same at k and n - k, and at k = 0 and k = n/2 the
     same for every candidate, so the candidates compare by the sum over
     0 < k < n/2, walked in blocks of MC_CHUNK: the search costs
-    O(KOROBOV_CANDIDATES s n) time and O(MC_CHUNK) memory, about 25 ms at
-    n = 62,500 (N = 10^6) and s = 3. Cached per (n, s), at most
-    GENERATOR_CACHE_SIZE of them."""
+    O(KOROBOV_CANDIDATES n) time and O(MC_CHUNK) memory, about 25 ms at
+    n = 62,500 (N = 10^6). Cached per n, at most GENERATOR_CACHE_SIZE of
+    them."""
     lo, hi = n // 4 + 1, n // 2
     c = KOROBOV_CANDIDATES
     if hi - lo + 1 <= c:
@@ -368,10 +366,8 @@ def _korobov_generator(n, s):
         k = np.arange(start, min(start + MC_CHUNK, half))
         first = factor(k)
         for i, a in enumerate(cands):
-            term, z = factor(k * a % n), a
-            for _ in range(s - 2):
-                z = z * a % n
-                term *= factor(k * z % n)
+            term = factor(k * a % n)
+            term *= factor(k * (a * a % n) % n)
             merit[i] += float(first @ term)
     return cands[int(np.argmin(merit))]
 
@@ -385,22 +381,20 @@ def _lattice_index(chunk):
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _lattice_tables(n, s, chunk):
+def _lattice_tables(n, chunk):
     """Read-only rows over the first m = min(n, chunk) points k of the
-    n-point rank-1 lattice of ``_korobov_generator`` in dimension s, which
-    depend on n alone: 2k/n, and a (2(s - 1), m) table of the cosine and
-    sine of 2 pi frac(k z / n) for each z = a, ..., a^(s-1) mod n, for the
-    rotations (s = 3) the rows (cos, sin) of a and (cos, sin) of a^2. Built
-    once per (n, s, chunk), chunk being MC_CHUNK at the call, so that a
-    table built for one block size is never read at another; at most
-    TABLE_CACHE_SIZE of them. At the benchmark's sizes the tables and the
-    index take about 0.8 MB together."""
+    n-point rank-1 lattice of ``_korobov_generator``, which depend on n
+    alone: 2k/n, and a (4, m) table of the cosine and sine of
+    2 pi frac(k z / n), the rows (cos, sin) for z = a and then for
+    z = a^2 mod n. Built once per (n, chunk), chunk being MC_CHUNK at the
+    call, so that a table built for one block size is never read at
+    another; at most TABLE_CACHE_SIZE of them. At the benchmark's sizes the
+    tables and the index take about 0.8 MB together."""
     m = min(n, chunk)
     k = np.arange(m)
-    a, z = _korobov_generator(n, s), 1
-    angles = np.empty((2 * (s - 1), m))
-    for cos, sin in angles.reshape(s - 1, 2, m):
-        z = z * a % n
+    a = _korobov_generator(n)
+    angles = np.empty((4, m))
+    for cos, sin, z in zip(angles[::2], angles[1::2], (a, a * a % n)):
         t = 2.0 * math.pi / n * (k * z % n)
         np.cos(t, out=cos)
         np.sin(t, out=sin)
@@ -431,9 +425,9 @@ def _rotation_lattice(n):
     d_j), one block-diagonal 4x4 rotation per shift applied by one matrix
     product, and scales them by the radii, with a row of the thread's
     workspace to work in."""
-    a = _korobov_generator(n, 3)
+    a = _korobov_generator(n)
     steps = (a, a * a % n)
-    tent, angles = _lattice_tables(n, 3, MC_CHUNK)
+    tent, angles = _lattice_tables(n, MC_CHUNK)
 
     def block(d, start, out):
         size = out.shape[2]
@@ -473,79 +467,6 @@ def _rotation_rule(volumes):
             return volumes(out.reshape(4, -1)).reshape(len(d), -1).sum(axis=1)
         return weigh
     return 3, 1.0, lattice
-
-
-def _hull_reach(P, r):
-    """For a ball of radius r against a vertex hull P, (vol, hits): the
-    motion integral is the volume of the points within r of P, and hits(u)
-    marks the rows of u in [0, 1)^4 that land there once mapped onto P's
-    bounding box grown by r, of volume vol: y, a hit when dist(y, P) <= r.
-
-    P is a union of simplices: itself, or a polygon's fan of triangles from
-    its first vertex. The point of P closest to y is y's projection onto the
-    affine hull of a face of one of them, with barycentric weights all >= 0,
-    and every such projection lies in P, so dist(y, P) is the least residual
-    over the faces whose projection of y has them. A face's weights are an
-    affine map of y, and its residual is y less its first vertex in an
-    orthonormal basis of the complement of its span: constants built once,
-    stacked by face size. The test is exact, with no iteration."""
-    verts = P._hull()
-    m = len(verts)
-    cells = [(0, i, i + 1) for i in range(1, m - 1)] if isinstance(P, PlanarPolygon) else [range(m)]
-    faces = sorted({face for cell in cells for k in range(1, len(cell) + 1)
-                    for face in combinations(cell, k)})
-    groups = []
-    for size in range(1, 6):
-        same = [face for face in faces if len(face) == size]
-        if not same:
-            continue
-        weights, shifts, perps, heights = [], [], [], []
-        for face in same:
-            p0 = verts[face[0]]
-            edges = verts[list(face[1:])] - p0
-            z = np.linalg.pinv(edges.T)  # x - p0 = edges^T z on the face's span
-            A = np.vstack([-z.sum(axis=0), z])
-            perp = _complement_basis(edges)
-            weights.append(A)
-            shifts.append(np.eye(size)[0] - A @ p0)
-            perps.append(perp)
-            heights.append(perp @ p0)
-        groups.append((len(same), size, np.vstack(weights), np.concatenate(shifts),
-                       np.vstack(perps), np.concatenate(heights)))
-    lo = verts.min(axis=0) - r
-    span = verts.max(axis=0) + r - lo
-
-    def hits(u):
-        y = (u * span + lo).T
-        hit = np.zeros(len(u), dtype=bool)
-        for nfaces, size, A, c, perp, h in groups:
-            lam = (A @ y + c[:, None]).reshape(nfaces, size, len(u))
-            off = (perp @ y - h[:, None]).reshape(nfaces, 5 - size, len(u))
-            near = (off * off).sum(axis=1) <= r * r
-            hit |= (near & (lam >= 0).all(axis=1)).any(axis=0)
-        return hit
-    return float(np.prod(span)), hits
-
-
-def _hull_rule(P, r):
-    """The rule (``_lattice_means``) of a ball of radius r against a vertex
-    hull P: ``_hull_reach``'s hit test at the points of the 4-D Korobov
-    lattice (1, a, a^2, a^3 mod n) of ``_korobov_generator``, each hit
-    weighing the volume of the grown bounding box they are mapped onto."""
-    vol, hits = _hull_reach(P, r)
-
-    def lattice(n):
-        a = _korobov_generator(n, 4)
-        steps = [pow(a, j, n) for j in range(4)]
-
-        def weigh(d, start, out):
-            k = np.arange(start, start + out.shape[2])
-            for row, z, dj in zip(out, steps, d.T):
-                np.add(k * z % n / n, dj[:, None], out=row)
-            out %= 1.0
-            return np.count_nonzero(hits(out.reshape(4, -1).T).reshape(len(d), -1), axis=1)
-        return weigh
-    return 4, vol, lattice
 
 
 def _box_box_volumes(K, L):
@@ -704,29 +625,54 @@ def _hull_shadows(X, dim, cycle):
     return shadows
 
 
-def _box_polytope_volumes(K, L):
-    """The function taking unit quaternions, the (4, B) columns of q, to
-    vol(K - L_q L), a block at a time, for a box K and a vertex hull L (a
-    simplex of 1 to 5 vertices or a planar polygon).
+def _shadow_volumes(K, L):
+    """The function taking unit quaternions, the (4, B) columns of q, to c0
+    plus a weighted sum of the shadows of L_q L on the coordinate subspaces
+    of K's frame (``_hull_shadows``), a block at a time, for a box or a ball
+    K and a vertex hull L (a simplex of 1 to 5 vertices or a planar
+    polygon). In K's frame L's vertices, less their mean, are a fixed
+    (4m x 4) matrix times q; translations change no shadow.
 
-    K - L_q L is a polytope plus K's four orthogonal edges, so its volume
-    is the sum over the axis sets S of K's frame of prod_S 2 hK times the
-    (4 - |S|)-volume of the shadow of L_q L on the other axes (Shephard
-    1974): a point, ranges, areas, 3-volumes (``_hull_shadows``) and L's
-    own volume. In K's frame L's vertices, less their mean, are a fixed
-    (4m x 4) matrix times q; translations change no shadow."""
+    For a box the sum is vol(K - L_q L) at each q. K - L_q L is a polytope
+    plus K's four orthogonal edges, so its volume is the sum over the axis
+    sets S of K's frame of prod_S 2 hK times the (4 - |S|)-volume of the
+    shadow of L_q L on the other axes (Shephard 1974): a point, ranges,
+    areas, 3-volumes and L's own volume.
+
+    For a ball of radius r the frame is the identity, a j-shadow weighs
+    kappa_4 / kappa_j r^(4 - j), kappa_j the volume of the unit j-ball, and
+    c0 = kappa_4 r^4 + vol L. The sum is then vol(L + r B^4), the motion
+    integral, in its mean over Haar q, not at each q (Steiner and Kubota,
+    Schneider, Convex Bodies, 2014). Steiner gives vol(L + r B) =
+    sum_j kappa_(4-j) r^(4-j) V_j(L), and Kubota gives V_j(L) as
+    C(4, j) kappa_4 / (kappa_j kappa_(4-j)) times the mean over j-planes E
+    of vol_j(L | E). The shadow of L_q L on E is that of L on L_q^T E. L_q
+    takes an axis or a 3-space to one whose normal is uniform on S^3, so
+    each of the C(4, j) coordinate ones has the mean shadow. L_q keeps a
+    2-plane's class, the u in S^2 with f = e u for an orthonormal basis
+    (e, f) of it, and the mean area over the planes of one class is
+    quadratic in u, as the degree-2 SU(2)-invariant valuations Z_u are. The
+    six coordinate planes carry the classes +-i, +-j and +-k, two planes
+    each, and that octahedron is a spherical 3-design (Delsarte, Goethals &
+    Seidel 1977): their mean of a quadratic in u is its mean over S^2."""
     verts = L._hull() - L._hull().mean(axis=0)
     m = len(verts)
     cycle = isinstance(L, PlanarPolygon)
     dim = 2 if cycle else m - 1
+    if isinstance(K, Ball):
+        frame, r = np.eye(4), K.radius
+        weights = [np.full(4, math.pi ** 2 / 4.0 * r ** 3), np.full(6, math.pi / 2.0 * r ** 2),
+                   np.full(4, 3.0 * math.pi / 8.0 * r)]
+        c0 = math.pi ** 2 / 2.0 * r ** 4 + L.volume()
+    else:
+        frame, edges = K.rotation, 2.0 * K.half_extents
+        # a shadow's weight is the product of K's edges on the other axes:
+        # the 3-space off a range's axis, the plane complementary to a
+        # plane, and the axis a 3-space omits
+        weights = [np.prod(edges[_SPACES], axis=1), np.prod(edges[_SUBSETS[::-1]], axis=1), edges]
+        c0 = np.prod(edges) + L.volume()
     # gen[j, i, k]: coordinate i of L_q v_j in K's frame is sum_k gen[j, i, k] q_k
-    gen = np.einsum("li,klr,jr->jik", K.rotation, _UNIT_LEFT, verts).reshape(4 * m, 4)
-    edges = 2.0 * K.half_extents
-    # a shadow's weight is the product of K's edges on the other axes: the
-    # 3-space off a range's axis, the plane complementary to a plane, and
-    # the axis a 3-space omits
-    weights = [np.prod(edges[_SPACES], axis=1), np.prod(edges[_SUBSETS[::-1]], axis=1), edges]
-    c0 = np.prod(edges) + L.volume()
+    gen = np.einsum("li,klr,jr->jik", frame, _UNIT_LEFT, verts).reshape(4 * m, 4)
 
     def volumes(q):
         vol = np.empty(q.shape[1])
@@ -920,7 +866,7 @@ def _translation_volumes(K, L):
         return _box_box_volumes(K, L)
     box, hull = (K, L) if isinstance(K, Box) else (L, K)
     if isinstance(box, Box):
-        return _box_polytope_volumes(box, hull)
+        return _shadow_volumes(box, hull)
     if isinstance(K, PlanarPolygon) and isinstance(L, PlanarPolygon):
         return _plate_volumes(K, L)
     return _hull_hull_volumes(K, L)
@@ -947,9 +893,11 @@ def _run_units(worker, units, threads):
 
 
 def _rule(K, L):
-    """The lattice rule (``_lattice_means``) of the pair's motion integral;
-    two balls are a box of half extents 0 against a ball of their radius
-    sum."""
+    """The lattice rule (``_lattice_means``) of the pair's motion integral:
+    the sections of a ball against a ball or a box, two balls being a box
+    of half extents 0 against a ball of their radius sum, and the rotations
+    of every other pair, a ball against a vertex hull weighed by the hull's
+    shadows (``_shadow_volumes``)."""
     ball, other = (K, L) if isinstance(K, Ball) else (L, K)
     if not isinstance(ball, Ball):
         return _rotation_rule(_translation_volumes(K, L))
@@ -957,16 +905,15 @@ def _rule(K, L):
         return _section_rule(np.zeros(4), K.radius + L.radius)
     if isinstance(other, Box):
         return _section_rule(other.half_extents, ball.radius)
-    return _hull_rule(other, ball.radius)
+    return _rotation_rule(_shadow_volumes(ball, other))
 
 
 def _lattice_means(rule, n, seed, threads):
     """The REPLICATES mean weights of a rule over its n-point rank-1
     lattice in [0, 1)^s, replicate idx under the shift of s uniforms of
     default_rng([seed, idx]) (Cranley & Patterson 1976): s = 1 for a ball
-    against a ball or a box (``_section_rule``), 3 for the rotations
-    (``_rotation_rule``) and 4 for a ball against a vertex hull
-    (``_hull_rule``). A rule is (s, scale, lattice): lattice(n) gives weigh(d, start, out), which scores
+    against a ball or a box (``_section_rule``) and 3 for the rotations
+    (``_rotation_rule``). A rule is (s, scale, lattice): lattice(n) gives weigh(d, start, out), which scores
     points start, ..., start + size - 1 of the lattice under each of R
     shifts, the rows of d (R, s), with out (4, R, size) to work in, and
     returns their summed weights per shift; a replicate's mean is scale
@@ -1024,8 +971,8 @@ def _estimate(K, L, N, seed, threads, rhs):
     both estimators report, against their right-hand side rhs: the pair's
     rule (``_rule``) over 16 shifted rank-1 lattices of N / 16 points in
     [0, 1)^s (``_lattice_means``), s = 1 for a ball against a ball or a
-    box, 4 for a ball against a vertex hull and 3 for the q of every other
-    pair. Every sample is scored exactly, with no iteration.
+    box and 3 for the q of every other pair. Every sample is scored
+    exactly, with no iteration.
 
     The standard error is that of the 16 replicate means, with 15 degrees
     of freedom, so with no defect |z| > 3 has probability 0.009 (the
