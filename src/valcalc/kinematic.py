@@ -24,9 +24,12 @@ of L_q L on the coordinate subspaces of the box's frame, L's vertices
 there being a fixed matrix times q; for two plates it is area1 area2
 |q^T A q|, which also weighs their intersection count; for any other two
 vertex hulls it sums over the facets of K - L_q L, each a sum of faces of
-the two.  A ball against a vertex hull weighs the same shadows by the
-ball's radius (Steiner and Kubota), a weight whose mean over q, not its
-value at each q, is the volume within reach of the hull.
+the two.  The plates' A and the facets' signs and heights are determinants
+with columns turned by L_q, each fixed coefficients times the monomials of
+q (``_det_form``), taken once per pair of bodies.  A ball against a vertex
+hull weighs the same shadows by the ball's radius (Steiner and Kubota), a
+weight whose mean over q, not its value at each q, is the volume within
+reach of the hull.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
@@ -48,7 +51,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -58,7 +61,6 @@ from .bodies import (
     PlanarPolygon,
     _row_max,
     _row_min,
-    _subsets,
     evaluate_many,
 )
 from .linalg import invert_scalar_matrix
@@ -312,7 +314,9 @@ def _section_rule(h, r):
                 total += c1 * rho.sum(axis=1)
             if c2:
                 total += c2 * rho2.sum(axis=1)
-            total += math.pi / 6.0 * np.matmul(rho2[:, None], rho[..., None])[:, 0, 0]
+            # a dot of up to MC_CHUNK terms: einsum sums it in one order,
+            # where BLAS would split it among however many threads it has
+            total += math.pi / 6.0 * np.einsum("ij,ij->i", rho2, rho)
             return total
         return weigh
     return 1, 16.0 * a1, lattice
@@ -688,42 +692,45 @@ def _shadow_volumes(K, L):
     return volumes
 
 
-# the facet sum's determinants, each a Laplace expansion into the minors of
-# rows from K's faces and of rows from M's: _wedge extends k rows' minors by
-# a row, and _dual pairs them with the minors of 4 - k other rows
+def _monomials(q, b):
+    """The monomials of the (4, B) columns q of degrees 0 to b, a (count, B)
+    array per degree in ``combinations_with_replacement`` order: q_k times
+    the last C(d + 2 - k, d - 1) of degree d - 1, those in q_k, ..., q_3."""
+    monomials = [np.ones((1, q.shape[1]))]
+    for d in range(1, b + 1):
+        lower = monomials[-1]
+        monomials.append(np.concatenate([q[k] * lower[len(lower) - math.comb(d + 2 - k, d - 1):]
+                                         for k in range(4)]))
+    return monomials
 
 
 @lru_cache(maxsize=None)
-def _wedge_indices(k):
-    """Per (k + 1)-subset S of the four columns, in ``combinations`` order:
-    its members, and the positions among the k-subsets of S less each."""
-    wider, narrower = _subsets(4, k + 1)[0], _subsets(4, k)[1]
-    rest = [[narrower[S[:p] + S[p + 1:]] for p in range(k + 1)]
-            for S in map(tuple, wider.tolist())]
-    return wider, np.array(rest, dtype=int).reshape(len(wider), k + 1)
+def _index_tuples(b):
+    """The 4^b index tuples of length b <= 4, (4^b, b) in ``product`` order,
+    and the 0/1 matrix taking each to its sorted one in ``_monomials``."""
+    tuples = list(product(range(4), repeat=b))
+    where = {m: i for i, m in enumerate(combinations_with_replacement(range(4), b))}
+    fold = np.zeros((len(tuples), len(where)))
+    fold[np.arange(len(tuples)), [where[tuple(sorted(t))] for t in tuples]] = 1.0
+    return np.array(tuples, dtype=int).reshape(len(tuples), b), fold
 
 
-def _wedge(minors, x, k):
-    """The minors of k rows (..., C(4, k), B), one per column subset in
-    ``combinations`` order, extended by a row x (..., 4, B): each (k + 1)-
-    minor expanded along its last row."""
-    cols, rest = _wedge_indices(k)
-    total = 0.0
-    for p in range(k + 1):
-        term = x[..., cols[:, p], :] * minors[..., rest[:, p], :]
-        total = total - term if (k + p) % 2 else total + term
-    return total
-
-
-def _dual(minors, k):
-    """The minors of k rows (..., C(4, k), B) rearranged so that their dot
-    product with the minors of 4 - k further rows is the 4x4 determinant of
-    all of them: the Laplace expansion along the first k rows, its term on
-    columns S signed as the permutation (S, S^c), and complements coming in
-    reversed ``combinations`` order."""
-    subsets = _subsets(4, k)[0]
-    signs = (-1.0) ** (subsets.sum(axis=1) - k * (k - 1) // 2)
-    return (signs[:, None] * minors)[..., ::-1, :]
+def _det_form(cols, moving):
+    """The coefficients (..., C(b + 3, 3)) over the degree-b monomials of q
+    (``_monomials``) of the determinants of 4x4 matrices, column j of each
+    being cols[..., j, :], with the b columns in moving turned by L_q.
+    L_q x = sum_k q_k e_k x is linear in q and the determinant is linear
+    in each column, so it is the sum over the 4^b index tuples (k_1, ...,
+    k_b) of q_k1 ... q_kb times the determinant with column moving[i] turned
+    by e_ki: those 4^b determinants are taken here, once, and summed onto
+    each tuple's sorted monomial."""
+    ks, fold = _index_tuples(len(moving))
+    mats = np.repeat(cols[..., None, :, :], len(ks), axis=-3)
+    for i, j in enumerate(moving):
+        # row k of turned: e_k times column j
+        turned = (_UNIT_LEFT @ cols[..., j, None, :, None])[..., 0]
+        mats[..., j, :] = turned[..., ks[:, i], :]
+    return np.linalg.det(np.swapaxes(mats, -1, -2)) @ fold
 
 
 def _face_rows(P):
@@ -759,10 +766,11 @@ def _hull_hull_volumes(K, L):
     is vol_3(F + G), w the faces' measure factors, so the facet adds
     n.(f0 + g0) w_F w_G / 4.
 
-    Every such determinant is a dot product of the minors of K's rows, fixed
-    (``_dual``), with those of M's, which are -L_q times L's: per block, one
-    product with q gives M's rows and a few wedges their minors, and one
-    contraction per pair of face dimensions gives every sign and h."""
+    Every such n.x is a 4x4 determinant of rows of K's, fixed, and rows of
+    M's, -L_q times L's: a fixed form in q (``_det_form``), of degree b =
+    dim G at K's vertices and b + 1 at M's, signed (-1)^(rows of M). Per
+    block, the monomials of q and one contraction per form give every sign
+    and h."""
     rows_K, rows_L = _face_rows(K), _face_rows(L)
     pairs = []
     for a, (F, w_F) in rows_K.items():
@@ -773,37 +781,42 @@ def _hull_hull_volumes(K, L):
         off_K, off_M = F.shape[1] - a - 1, G.shape[1] - b - 1
         if not off_K + off_M:
             continue  # F is K and G is M: their sum is flat
-        # K's minors with a sample axis of length 1
-        F = F[..., None]
-        minors = np.ones((len(F), 1, 1))
-        for i in range(a):
-            minors = _wedge(minors, F[:, i], i)
-        by_F = _dual(minors, a)[..., 0]
-        by_F_row = (-1.0) ** b * _dual(_wedge(minors[:, None], F[:, a:], a), a + 1)[..., 0]
-        # coordinate i of -L_q x is -sum_k q_k (e_k x)_i for each row x of L's
-        gen = -np.einsum("kij,grj->grik", _UNIT_LEFT, G).reshape(-1, 4)
-        pairs.append((b, off_K, off_M, G.shape[:2], gen, by_F,
-                      by_F_row.reshape(-1, by_F_row.shape[2]), np.outer(w_G, w_F).ravel() / 4.0))
+        nG, nF = len(G), len(F)
+
+        def form(x, turned):
+            # per (G, F, x), stacked by G: the columns [F's spans; G's spans;
+            # x], the last b + turned of them turned, signed (-1)^(b + turned)
+            n = x.shape[2]
+            cols = np.concatenate([np.broadcast_to(F[None, :, None, :a], (nG, nF, n, a, 4)),
+                                   np.broadcast_to(G[:, None, None, :b], (nG, nF, n, b, 4)),
+                                   x[..., None, :]], axis=3)
+            c = (-1.0) ** (b + turned) * _det_form(cols, range(a, 3 + turned))
+            return c.reshape(nG, nF * n, -1)
+
+        # x at K's rows past F's spans, and at L's past G's
+        by_K = form(np.broadcast_to(F[None, :, a:], (nG, nF, off_K + 1, 4)), 0)
+        by_M = form(np.broadcast_to(G[:, None, b:], (nG, nF, off_M + 1, 4)), 1)
+        pairs.append((b, off_K, off_M, (nG, nF), by_K, by_M, np.outer(w_G, w_F).ravel() / 4.0))
     # samples per block, so that the widest (G, F, vertex, sample) array of
     # sign tests holds about HULL_BLOCK_FLOATS
-    widest = max((shape[0] * len(by_F) * (max(off_K, off_M) + 1)
-                  for _, off_K, off_M, shape, _, by_F, _, _ in pairs), default=1)
+    widest = max((nG * nF * (max(off_K, off_M) + 1) for _, off_K, off_M, (nG, nF), _, _, _ in pairs),
+                 default=1)
     block = max(1, HULL_BLOCK_FLOATS // widest)
+    top = max((b + 1 for b, *_ in pairs), default=0)
 
     def volumes(q):
         vol = np.zeros(q.shape[1])
         for s in range(0, len(vol), block):
             qb = q[:, s:s + block]
             B = qb.shape[1]
-            for b, off_K, off_M, (nG, width), gen, by_F, by_F_row, w in pairs:
-                rows = (gen @ qb).reshape(nG, width, 4, B)
-                minors = np.ones((nG, 1, B))
-                for i in range(b):
-                    minors = _wedge(minors, rows[:, i], i)
+            monomials = _monomials(qb, top)
+            for b, off_K, off_M, (nG, nF), by_K, by_M, w in pairs:
                 # n.x, by (G, F, x, sample), at the vertices of K (then at f0)
-                # and at those of M (then at g0)
-                at_K = (by_F_row @ minors).reshape(nG, len(by_F), off_K + 1, B)
-                at_M = (by_F @ _wedge(minors[:, None], rows[:, b:], b)).transpose(0, 2, 1, 3)
+                # and at those of M (then at g0): a product per G, small
+                # enough that OpenBLAS starts none of its own threads inside
+                # the estimate's worker threads, which would oversubscribe
+                at_K = np.matmul(by_K, monomials[b]).reshape(nG, nF, off_K + 1, B)
+                at_M = np.matmul(by_M, monomials[b + 1]).reshape(nG, nF, off_M + 1, B)
                 tests_K, tests_M = at_K[:, :, :off_K], at_M[:, :, :off_M]
                 out = (tests_K < 0).all(axis=2) & (tests_M < 0).all(axis=2)
                 into = (tests_K > 0).all(axis=2) & (tests_M > 0).all(axis=2)
@@ -813,34 +826,19 @@ def _hull_hull_volumes(K, L):
     return volumes
 
 
-def _plate_form(F1t, F2t):
-    """The symmetric 4x4 matrix A with det [F1t | L_q F2t] = q^T A q for
-    every quaternion q, F1t and F2t 4x2 frames.
-
-    The columns of L_q F2t are q a and q b, a and b those of F2t read as
-    quaternions, and q a = sum_i q_i (e_i a) is linear in q. The
-    determinant is linear in each column, so it is sum_ij q_i q_j
-    det [F1t | e_i a | e_j b], and A_ij is the mean of that determinant and
-    the one with i and j swapped.
-    """
-    mats = np.empty((4, 4, 4, 4))
-    mats[..., :2] = F1t
-    mats[..., 2] = (_UNIT_LEFT @ F2t[:, 0])[:, None, :]
-    mats[..., 3] = (_UNIT_LEFT @ F2t[:, 1])[None, :, :]
-    D = np.linalg.det(mats)
-    return 0.5 * (D + D.T)
-
-
 def _plate_volumes(M1, M2):
     """The function taking unit quaternions, the (4, B) columns of q, to
     vol(M1 - L_q M2) for two plates: their sum is an affine image of their
-    product, so the volume is area1 area2 |det [F1^T | L_q F2^T]|, the
-    quadratic form q^T A q of ``_plate_form`` scaled by the areas. It falls
+    product, so the volume is area1 area2 |det [F1^T | L_q F2^T]|, a
+    quadratic form q^T A q scaled by the areas, A_kk the coefficient of
+    q_k^2 in ``_det_form`` and A_kl = A_lk half that of q_k q_l. It falls
     to 0 as the plates turn parallel.
 
     A block of q takes one product A q and one sum over i of (A q)_i q_i,
     in the thread's workspace."""
-    A = M1.area * M2.area * _plate_form(M1.frame.T, M2.frame.T)
+    c = _det_form(np.vstack([M1.frame, M2.frame]), (2, 3))
+    A = np.empty((4, 4))
+    A[_QK, _QL] = A[_QL, _QK] = M1.area * M2.area * np.where(_QK == _QL, c, 0.5 * c)
 
     def volumes(q):
         total = np.empty(q.shape[1])

@@ -849,22 +849,21 @@ def lp_intersects(K, L, n):
 
 
 def hull_distance(x, verts):
-    """Distance from each point x (B, n) to the hull of its vertices (B, V, n).
+    """Distance from each point x (B, n) to the hull of the vertices (V, n).
 
     The closest point is x's projection onto the affine hull of some face and
     lies inside that face, so the least distance to the projections that lie
-    inside their faces is exact."""
+    inside their faces is exact. Each face's Gram system is solved once, for
+    every point."""
     best = np.full(len(x), np.inf)
-    for m in range(1, verts.shape[1] + 1):
-        for face in itertools.combinations(range(verts.shape[1]), m):
-            p = verts[:, face]
-            e = p[:, 1:] - p[:, :1]
-            sol = np.zeros((len(x), m - 1))
-            if m > 1:
-                sol = np.linalg.solve(e @ e.swapaxes(1, 2), e @ (x - p[:, 0])[..., None])[..., 0]
+    for m in range(1, len(verts) + 1):
+        for face in itertools.combinations(range(len(verts)), m):
+            p = verts[list(face)]
+            e = p[1:] - p[0]
+            # the projection's coordinates along e: sol = (x - p0) e^T (e e^T)^-1
+            sol = (x - p[0]) @ np.linalg.solve(e @ e.T, e).T
             lam = np.concatenate([1.0 - sol.sum(axis=1, keepdims=True), sol], axis=1)
-            q = p[:, 0] + np.einsum("bk,bki->bi", sol, e)
-            d = np.linalg.norm(x - q, axis=1)
+            d = np.linalg.norm(x - p[0] - sol @ e, axis=1)
             best = np.where(np.all(lam >= 0, axis=1), np.minimum(best, d), best)
     return best
 

@@ -3,7 +3,7 @@ import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -871,6 +871,34 @@ SQUARE_FRAME = [[1, 0, 0, 0], [0, 1, 0, 0]]
 PENTAGON_FRAME = [[1, 0, 0, 0], [0, 2 / 3, 2 / 3, 1 / 3]]
 
 
+class TestDetForm:
+    """A determinant with some columns turned by L_q as fixed coefficients
+    over the monomials of q."""
+
+    @pytest.mark.parametrize("b", range(5))
+    def test_matches_the_turned_determinant(self, b):
+        # every choice of b moving columns, at quaternions that are not unit:
+        # the form is a polynomial identity, not one on S^3 alone
+        rng = np.random.default_rng(200 + b)
+        cols = rng.normal(size=(3, 4, 4))
+        qs = rng.normal(size=(8, 4)) * rng.uniform(0.5, 2.0, (8, 1))
+        monomials = kinematic._monomials(qs.T, b)[b]
+        assert len(monomials) == math.comb(b + 3, 3)
+        for moving in combinations(range(4), b):
+            coeffs = kinematic._det_form(cols, moving)
+            for q, row in zip(qs, monomials.T):
+                turned = cols.copy()
+                turned[:, list(moving)] = cols[:, list(moving)] @ rotation_matrix(q).T
+                want = np.linalg.det(turned.swapaxes(1, 2))
+                np.testing.assert_allclose(coeffs @ row, want, rtol=1e-13, atol=0)
+
+    def test_monomials_are_sorted_index_products(self):
+        q = np.array([[2.0], [3.0], [5.0], [7.0]])
+        for b in range(5):
+            want = [math.prod(q[list(t), 0]) for t in combinations_with_replacement(range(4), b)]
+            assert kinematic._monomials(q, b)[b][:, 0].tolist() == want
+
+
 class TestPlateConditioning:
     """The plate weight |det [F1^T | L_q F2^T]| as the quadratic form
     q^T A q, against the frames' 2x2 minors and the singular values.
@@ -978,10 +1006,10 @@ class TestQuaternionWeights:
 # counts for the ball pairs, pinned with numpy 2.4 on x86-64 from the
 # rounded 3-box sections over 16 shifted 1-D lattices
 PINNED_BALL_SECTIONS = {
-    ("ball_ball", 91): ("0x1.3bd3cc9be4904p+2", "0x1.e16abfbf8657fp-42", 0),
-    ("ball_ball", 92): ("0x1.3bd3cc9be46c2p+2", "0x1.a621b7f5af22cp-42", 0),
+    ("ball_ball", 91): ("0x1.3bd3cc9be4905p+2", "0x1.e161845c54a87p-42", 0),
+    ("ball_ball", 92): ("0x1.3bd3cc9be46c2p+2", "0x1.a660bd81698d5p-42", 0),
     ("ball_box", 91): ("0x1.9499c90c58527p+3", "0x1.7026048c9ba07p-25", 0),
-    ("ball_box", 92): ("0x1.9499c91e7e9b6p+3", "0x1.4182405e33f8fp-25", 0),
+    ("ball_box", 92): ("0x1.9499c91e7e9b6p+3", "0x1.4182406d33f72p-25", 0),
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
 # from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
@@ -1365,7 +1393,7 @@ class TestHullReach:
             if isinstance(P, PlanarPolygon):
                 dist = _oracles.polygon_distance(rest, P)
             else:
-                dist = _oracles.hull_distance(rest, np.broadcast_to(verts, (len(rest),) + verts.shape))
+                dist = _oracles.hull_distance(rest, verts)
             hits += np.count_nonzero(near) + np.count_nonzero(dist <= r)
         p = hits / size
         count, count_err = np.prod(span) * p, np.prod(span) * math.sqrt(p * (1 - p) / size)
