@@ -15,7 +15,11 @@ any body is the volume of the points within the ball's radius of the other
 body.  Against a ball or a box a ball draws only translations: that volume
 is integrated over three coordinates of the box's frame in closed form, the
 section at fixed y1 being a rounded 3-box, whose volume is a cubic in its
-rounding radius (Steiner).  Every other pair draws only a rotation, left
+rounding radius (Steiner).  On a block of y1's lattice the rounding radius
+is r wherever y1 <= h1, and y1 - h1 is affine in the point's index on
+either side of the tent's apex, so a block splits into runs: the points
+with y1 <= h1 are counted in closed form, not evaluated, and the others
+take one affine pass.  Every other pair draws only a rotation, left
 multiplication L_q by a unit quaternion q, and integrates the translation
 in closed form: the weight is vol(K - L_q L), scored from q itself.  For
 two boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
@@ -261,6 +265,23 @@ _SLOTS = []
 _SLOTS_LOCK = threading.Lock()
 
 
+def _first_reaching(step, c, level, size):
+    """The first k in 0, ..., size - 1 with k step + c >= level, or size if
+    there is none, each product and sum rounded as a block's elementwise
+    pass rounds it (k step is the block's row of k times step). For
+    step >= 0 the left side does not decrease in k, so a guess from the
+    exact line is corrected a point at a time."""
+    if not step:
+        return 0 if c >= level else size
+    x = (level - c) / step
+    k = 0 if x <= 0 else size if x >= size else math.ceil(x)
+    while k > 0 and (k - 1) * step + c >= level:
+        k -= 1
+    while k < size and k * step + c < level:
+        k += 1
+    return k
+
+
 def _section_rule(h, r):
     """The rule (``_lattice_means``) of a ball of radius r against the box
     [-h, h] in its frame: vol(box + r B^4) is 16 times the volume of the
@@ -276,48 +297,68 @@ def _section_rule(h, r):
     y1 = (h1 + r)(1 - |2x - 1|) at the points x of the 1-D lattice: under a
     shift d they are x = (k + phi)/n, k = 0, ..., n - 1 and phi = frac(d n),
     with no wrap. The tent keeps the uniform measure and makes the
-    integrand periodic in x (Hickernell 2002). y1 - h1 = r - (h1 + r)|2x -
-    1| is at most r, and below 0 only when h1 != 0 (else by rounding, which
-    squares away), where it is clamped: so rho^2 >= 0 holds exactly. A
-    block starting at k = start adds a constant per shift to the first
-    block's (h1 + r) 2k/n, which is taken per call into the calling
-    thread's workspace, read by the threads that run the replicates. Terms
-    whose coefficient is 0 are skipped."""
+    integrand periodic in x (Hickernell 2002). On a block starting at
+    k = start, t = (h1 + r)(2x - 1) = Y_k + c, Y_k = (h1 + r) 2k/n taken
+    once per call into the calling thread's workspace and c a constant per
+    shift, and u = y1 - h1 = r - |t|. So u is affine on either side of the
+    apex t = 0: (r + c) + Y_k before it, rising, and (r - c) - Y_k from it
+    on, falling. Where u <= 0 (only when h1 != 0, else by rounding) it is
+    clamped and rho = r exactly. The clamped points are a prefix of the
+    rising run and a suffix of the falling one, found with the apex by
+    ``_first_reaching`` on the same float expressions: a block splits into
+    at most four runs, clamped, rising, falling, clamped. The two middle
+    runs take one affine pass each, then rho^2 and rho and their sums; the
+    clamped ones add their count times r, r^2 and r^3. Should a run's
+    largest u, at the apex, round past r, its constant steps down an ulp
+    until it does not: so 0 < u <= r and 0 <= rho^2 < r^2 hold exactly.
+    Terms whose coefficient is 0 are skipped."""
     a1 = h[0] + r
     c0 = h[1] * h[2] * h[3]
     c1 = h[1] * h[2] + h[1] * h[3] + h[2] * h[3]
     c2 = 0.25 * math.pi * (h[1] + h[2] + h[3])
+    r2 = r * r
+    r3 = r2 * r
+    tiny = math.ulp(0.0)
 
     def lattice(n):
+        step = 2.0 * a1 / n
         k = _lattice_index(MC_CHUNK)[:min(n, MC_CHUNK)]
-        Y = np.multiply(k, 2.0 * a1 / n, out=_WORK.take(len(k)))
+        Y = np.multiply(k, step, out=_WORK.take(len(k)))
 
         def weigh(d, start, out):
             size = out.shape[2]
-            # the block's constant per shift, taken in floats: a numpy call
-            # on R values costs more than the arithmetic
-            c = np.array([(start + d1 * n % 1.0) * (2.0 * a1 / n) - a1 for d1 in d[:, 0].tolist()])
-            # t = (h1 + r)(2x - 1), then y1 - h1 = r - |t|, then rho^2 in
-            # its place
-            t, rho = out[0], out[1]
-            np.add(Y[:size], c[:, None], out=t)
-            np.abs(t, out=t)
-            np.subtract(r, t, out=t)
-            if h[0]:
-                np.maximum(t, 0.0, out=t)
-            t *= t
-            rho2 = np.subtract(r * r, t, out=t)
-            np.sqrt(rho2, out=rho)
-            # per shift, c0 size + c1 sum rho + c2 sum rho^2 + c3 sum rho^3
-            total = np.full(len(d), c0 * size)
-            if c1:
-                total += c1 * rho.sum(axis=1)
-            if c2:
-                total += c2 * rho2.sum(axis=1)
-            # a dot of up to MC_CHUNK terms: einsum sums it in one order,
-            # where BLAS would split it among however many threads it has
-            total += math.pi / 6.0 * np.einsum("ij,ij->i", rho2, rho)
-            return total
+            totals = []
+            for u, rho, d1 in zip(out[0], out[1], d[:, 0].tolist()):
+                c = (start + d1 * n % 1.0) * step - a1
+                apex = _first_reaching(step, c, 0.0, size)
+                rise, fall = r + c, r - c
+                while apex and (apex - 1) * step + rise > r:
+                    rise = math.nextafter(rise, -math.inf)
+                while apex < size and fall - apex * step > r:
+                    fall = math.nextafter(fall, -math.inf)
+                # the runs [lo, apex) and [apex, hi), where u > 0: fall - Y_k
+                # is -(Y_k - fall), exactly
+                lo = min(_first_reaching(step, rise, tiny, size), apex)
+                hi = max(_first_reaching(step, -fall, 0.0, size), apex)
+                u = u[lo:hi]
+                np.add(Y[lo:apex], rise, out=u[:apex - lo])
+                np.subtract(fall, Y[apex:hi], out=u[apex - lo:])
+                u *= u
+                rho2 = np.subtract(r2, u, out=u)
+                rho = np.sqrt(rho2, out=rho[lo:hi])
+                # c0 size + c1 sum rho + c2 sum rho^2 + c3 sum rho^3, the
+                # clamped points' rho being r
+                clamped = size - len(rho)
+                total = c0 * size
+                if c1:
+                    total += c1 * (clamped * r + float(rho.sum()))
+                if c2:
+                    total += c2 * (clamped * r2 + float(rho2.sum()))
+                # a dot of up to MC_CHUNK terms: einsum sums it in one order,
+                # where BLAS would split it among however many threads it has
+                total += math.pi / 6.0 * (clamped * r3 + float(np.einsum("i,i->", rho2, rho)))
+                totals.append(total)
+            return np.array(totals)
         return weigh
     return 1, 16.0 * a1, lattice
 
@@ -786,16 +827,23 @@ def _hull_hull_volumes(K, L):
         def form(x, turned):
             # per (G, F, x), stacked by G: the columns [F's spans; G's spans;
             # x], the last b + turned of them turned, signed (-1)^(b + turned)
-            n = x.shape[2]
-            cols = np.concatenate([np.broadcast_to(F[None, :, None, :a], (nG, nF, n, a, 4)),
-                                   np.broadcast_to(G[:, None, None, :b], (nG, nF, n, b, 4)),
+            gs, fs, n = x.shape[:3]
+            cols = np.concatenate([np.broadcast_to(F[None, :fs, None, :a], (gs, fs, n, a, 4)),
+                                   np.broadcast_to(G[:gs, None, None, :b], (gs, fs, n, b, 4)),
                                    x[..., None, :]], axis=3)
             c = (-1.0) ** (b + turned) * _det_form(cols, range(a, 3 + turned))
-            return c.reshape(nG, nF * n, -1)
+            return c.reshape(gs, fs * n, -1)
 
-        # x at K's rows past F's spans, and at L's past G's
-        by_K = form(np.broadcast_to(F[None, :, a:], (nG, nF, off_K + 1, 4)), 0)
-        by_M = form(np.broadcast_to(G[:, None, b:], (nG, nF, off_M + 1, 4)), 1)
+        # x at K's rows past F's spans, and at L's past G's. The forms at K's
+        # do not depend on G when G is a vertex, nor those at M's on F when F
+        # is one: each is built once. At K's they are of degree 0, so the
+        # block's product is exact and broadcasts over G; at M's they are
+        # repeated over F, as a product with fewer rows may round otherwise
+        # in BLAS
+        by_K = form(np.broadcast_to(F[None, :, a:], (nG if b else 1, nF, off_K + 1, 4)), 0)
+        by_M = form(np.broadcast_to(G[:, None, b:], (nG, nF if a else 1, off_M + 1, 4)), 1)
+        if not a:
+            by_M = np.tile(by_M, (1, nF, 1))
         pairs.append((b, off_K, off_M, (nG, nF), by_K, by_M, np.outer(w_G, w_F).ravel() / 4.0))
     # samples per block, so that the widest (G, F, vertex, sample) array of
     # sign tests holds about HULL_BLOCK_FLOATS
@@ -814,8 +862,9 @@ def _hull_hull_volumes(K, L):
                 # n.x, by (G, F, x, sample), at the vertices of K (then at f0)
                 # and at those of M (then at g0): a product per G, small
                 # enough that OpenBLAS starts none of its own threads inside
-                # the estimate's worker threads, which would oversubscribe
-                at_K = np.matmul(by_K, monomials[b]).reshape(nG, nF, off_K + 1, B)
+                # the estimate's worker threads, which would oversubscribe;
+                # forms at K's built once broadcast over G
+                at_K = np.matmul(by_K, monomials[b]).reshape(len(by_K), nF, off_K + 1, B)
                 at_M = np.matmul(by_M, monomials[b + 1]).reshape(nG, nF, off_M + 1, B)
                 tests_K, tests_M = at_K[:, :, :off_K], at_M[:, :, :off_M]
                 out = (tests_K < 0).all(axis=2) & (tests_M < 0).all(axis=2)

@@ -1004,12 +1004,13 @@ class TestQuaternionWeights:
 
 # (estimate, stderr, indeterminate) as float.hex at the benchmark's sample
 # counts for the ball pairs, pinned with numpy 2.4 on x86-64 from the
-# rounded 3-box sections over 16 shifted 1-D lattices
+# rounded 3-box sections over 16 shifted 1-D lattices, each block split into
+# its clamped, rising and falling runs
 PINNED_BALL_SECTIONS = {
     ("ball_ball", 91): ("0x1.3bd3cc9be4905p+2", "0x1.e161845c54a87p-42", 0),
     ("ball_ball", 92): ("0x1.3bd3cc9be46c2p+2", "0x1.a660bd81698d5p-42", 0),
-    ("ball_box", 91): ("0x1.9499c90c58527p+3", "0x1.7026048c9ba07p-25", 0),
-    ("ball_box", 92): ("0x1.9499c91e7e9b6p+3", "0x1.4182406d33f72p-25", 0),
+    ("ball_box", 91): ("0x1.9499c90c58526p+3", "0x1.70260484b2504p-25", 0),
+    ("ball_box", 92): ("0x1.9499c91e7e9b6p+3", "0x1.41824070d4c1fp-25", 0),
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
 # from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
@@ -1117,9 +1118,36 @@ class TestBallReach:
         assert rep.stderr / rep.estimate < 1e-3
 
 
+class _Shift:
+    """A stand-in for ``np.random.default_rng`` whose every draw is d."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def random(self, shape):
+        return np.full(shape, self.d)
+
+
 class TestBallSections:
     """A ball against a ball or a box: rounded 3-box sections over a
     shifted, tent-folded 1-D lattice."""
+
+    def test_first_reaching_is_the_elementwise_pass(self):
+        # the first k with k step + c >= level, against the block's own
+        # row of k times step plus c, levels on and between its values
+        rng = np.random.default_rng(39)
+        k = kinematic._lattice_index(kinematic.MC_CHUNK)
+        for _ in range(400):
+            size = int(rng.integers(1, 3000))
+            step = 2.0 * rng.uniform(0.01, 50.0) / rng.integers(1, 70000)
+            c = rng.uniform(-1.0, 0.0) * size * step
+            row = np.multiply(k[:size], step) + c
+            for level in (row[rng.integers(size)], rng.uniform(row[0], row[-1]), 0.0,
+                          row[0], row[-1], np.nextafter(row[-1], np.inf), row[0] - 1.0):
+                want = int(np.argmax(row >= level)) if row[-1] >= level else size
+                assert kinematic._first_reaching(step, c, float(level), size) == want
+        assert kinematic._first_reaching(0.0, -0.0, 0.0, 10) == 0
+        assert kinematic._first_reaching(0.0, -1.0, 0.0, 10) == 10
 
     @pytest.mark.parametrize("h, r", [(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius),
                                       (np.zeros(4), 0.7),
@@ -1135,13 +1163,33 @@ class TestBallSections:
             (total,) = lattice(n)(np.array([[0.5 / n]]), 0, take(4, 1, n))
         assert scale * total / n == pytest.approx(_steiner_box(h, r), rel=1e-6, abs=0)
 
-    @pytest.mark.parametrize("h, r, n", [(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius, 1000),
-                                         (np.zeros(4), 1.0, 768), (np.zeros(4), 1.0, 7)])
-    def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, h, r, n):
+    @pytest.mark.parametrize("h, r, n, shift", [
+        pytest.param(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius, 1000, None, id="h0-0.35-1000"),
+        pytest.param(np.zeros(4), 1.0, 768, None, id="h1-1.0-768"),
+        pytest.param(np.zeros(4), 1.0, 7, None, id="h2-1.0-7"),
+        # h1 + r = 1 and n = 1024 under d = 0, every float exact: the apex
+        # t = 0 on point 512, the first of a block, and y1 = h1 on points
+        # 128 and 896, the clamped runs' edges
+        pytest.param(np.array([0.25, 0.5, 0.4, 0.3]), 0.75, 1024, 0.0, id="apex-first-y1-h1-on-points"),
+        # t = 0 on point 128 of one block, where r - c = r + h1 + r rounds
+        # up: the falling run's constant steps down, else u > r there and
+        # rho is not real
+        pytest.param(np.array([0.15, 0.5, 0.4, 0.3]), 0.3, 256, 0.0, id="apex-rounding"),
+        # phi = 1/2: the first point with t >= 0 is 511, the last of a block
+        pytest.param(np.array([0.3, 0.5, 0.4, 0.3]), 0.35, 1022, 0.25, id="apex-last"),
+        # h1 >> r: the first and last blocks lie wholly in the clamped runs,
+        # and the offset of each run is far larger than r; an odd n
+        pytest.param(np.array([4.0, 0.5, 0.4, 0.3]), 0.25, 1000, None, id="clamped-blocks"),
+        pytest.param(np.array([30.0, 0.6, 0.5, 0.2]), 0.05, 4097, None, id="h1-far-past-r"),
+        pytest.param(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius, 999, None, id="odd-n")])
+    def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, h, r, n, shift):
         # blocks of 256 points, the last one partial, against the rule
         # written plainly: the points frac(k/n + d), folded by the tent onto
-        # y1 in [0, h1 + r], the section volume of each
+        # y1 in [0, h1 + r], the section volume of each; every replicate
+        # shifted by the given d, if any
         monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
+        if shift is not None:
+            monkeypatch.setattr(kinematic.np.random, "default_rng", lambda seed: _Shift(shift))
         means = kinematic._lattice_means(kinematic._section_rule(h, r), n, 77, 1)
         assert kinematic._lattice_means(kinematic._section_rule(h, r), n, 77, 2) == means
         k = np.arange(n)
@@ -1594,6 +1642,23 @@ class TestRotationLattice:
             got = kinematic._lattice_means(rule, n, 77, 1)
             np.testing.assert_allclose(got, _plain_rotation_means(volumes, n, 77), rtol=1e-12, atol=0)
             assert kinematic._lattice_means(rule, n, 77, 2) == got
+
+    @pytest.mark.parametrize("n, d1, size", [(1000, 0.3, 256), (512, 0.5, 256), (1023, 0.25, 700)])
+    def test_radii_are_the_folded_coordinate_bit_for_bit(self, n, d1, size):
+        # a block starting at k' = m = int(d1 n) under d = (d1, 0, 0) turns
+        # the angles by 0, so it holds the tables' cosines and sines times
+        # the radii sqrt(|2 u1 - 1|) and sqrt(1 - |2 u1 - 1|), each of which
+        # must be the plain fold's, bit for bit, on both sides of the apex
+        # u1 = 1/2 (on the block's first point at n = 512)
+        m = int(d1 * n)
+        out = np.empty((4, 1, size))
+        kinematic._rotation_lattice(n)(np.array([[d1, 0.0, 0.0]]), m, out)
+        tent, angles = kinematic._lattice_tables(n, kinematic.MC_CHUNK)
+        t = tent[:size] + ((m + (d1 * n - m)) * (2.0 / n) - 1.0)
+        assert t[0] <= 0.0 < t[-1]
+        fold = np.abs(t)
+        radii = np.sqrt([fold, fold, 1.0 - fold, 1.0 - fold])
+        assert out[:, 0].tobytes() == (angles[:, :size] * radii).tobytes()
 
     def test_stderr_has_fifteen_degrees_of_freedom(self, monkeypatch):
         # the reported error is that of the 16 replicate means
