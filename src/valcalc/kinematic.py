@@ -21,19 +21,22 @@ either side of the tent's apex, so a block splits into runs: the points
 with y1 <= h1 are counted in closed form, not evaluated, and the others
 take one affine pass.  Every other pair draws only a rotation, left
 multiplication L_q by a unit quaternion q, and integrates the translation
-in closed form: the weight is vol(K - L_q L), scored from q itself.  For
-two boxes it sums |16 linear and 18 quadratic forms| in q; for a box and a
-simplex, segment, point or polygon, in either order, it sums the shadows
-of L_q L on the coordinate subspaces of the box's frame, L's vertices
-there being a fixed matrix times q; for two plates it is area1 area2
-|q^T A q|, which also weighs their intersection count; for any other two
-vertex hulls it sums over the facets of K - L_q L, each a sum of faces of
-the two.  The plates' A and the facets' signs and heights are determinants
-with columns turned by L_q, each fixed coefficients times the monomials of
-q (``_det_form``), taken once per pair of bodies.  A ball against a vertex
-hull weighs the same shadows by the ball's radius (Steiner and Kubota), a
-weight whose mean over q, not its value at each q, is the volume within
-reach of the hull.
+in closed form: the weight is vol(K - L_q L), scored from q itself, a sum
+of |determinants| with columns turned by L_q.  Each is a form of degree at
+most 2 in q: L_q is a rotation (det L_q = |q|^4 = 1, L_q^T = L_qbar), so a
+determinant with 3 or 4 columns turned is the one with the other 1 or 0
+turned by L_qbar.  For two boxes it sums |16 linear and 18 quadratic forms|
+in q; for a box and a simplex, segment, point or polygon, in either order,
+it sums the shadows of L_q L on the coordinate subspaces of the box's
+frame, L's vertices and its 3-faces' cofactor vectors there being a fixed
+matrix times q; for two plates it is area1 area2 |q^T A q|, which also
+weighs their intersection count; for any other two vertex hulls it sums
+over the facets of K - L_q L, each a sum of faces of the two.  The plates'
+A and the facets' signs and heights are fixed coefficients times the
+monomials of q (``_det_form``), taken once per pair of bodies.  A ball
+against a vertex hull weighs the same shadows by the ball's radius
+(Steiner and Kubota), a weight whose mean over q, not its value at each q,
+is the volume within reach of the hull.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
@@ -82,19 +85,20 @@ KOROBOV_CANDIDATES = 48
 # of its estimate: the spread of the replicate means cannot see the
 # rounding that every sample shares
 ROUNDING_ULPS = 4
-# lattice generators kept, by point count n, least recently used evicted first
-GENERATOR_CACHE_SIZE = 64
-# lattice tables kept, by (n, MC_CHUNK), least recently used evicted first:
-# a motion_mc op estimates five pairs, each on a lattice of its own
+# lattice generators and tables kept, by (n, MC_CHUNK), least recently used
+# evicted first: a motion_mc op estimates five pairs, each on a lattice of
+# its own
 TABLE_CACHE_SIZE = 8
-# floats in each thread's workspace (``_Workspace``): a ball section's first
-# coordinate and a block of MC_CHUNK points of 4 coordinates
-WORKSPACE_FLOATS = 5 * MC_CHUNK
 # samples per block of the translation volumes: box/box's 16 linear and 18
 # quadratic forms in q come to about fifty floats per sample, a 4-simplex's
 # shadows to a few hundred and the facet sum of two 4-simplices to a few
 # thousand
 BOX_BOX_BLOCK = 1 << 12
+# floats in each thread's workspace (``_Workspace``): a block of MC_CHUNK
+# points of 4 coordinates, and past it box/box's 18 forms, 10 products and
+# sums for BOX_BOX_BLOCK samples, more than a ball section's first
+# coordinate or a rotation block's radii take
+WORKSPACE_FLOATS = 4 * MC_CHUNK + 29 * BOX_BOX_BLOCK
 # floats in the widest temporary of a facet-sum block, one (G, F, vertex)
 # sign test per sample: a block of two 4-simplices' edge/triangle pairs
 # holds 400 a sample
@@ -215,10 +219,8 @@ _UNIT_LEFT = np.array(UNIT_LEFT, dtype=float)
 _SUBSETS = np.array(list(combinations(range(4), 2)))
 _P, _T = np.divmod(np.arange(18), 6)
 _QK, _QL = np.triu_indices(4)
-# row l: the three axes other than l, a coordinate 3-space; its first two
-# span a coordinate plane (a row of _SUBSETS) and the third is its height
+# row l: the three axes other than l, a coordinate 3-space
 _SPACES = np.array(list(combinations(range(4), 3)))[::-1]
-_SPACE_PLANE = np.array([[tuple(p) for p in _SUBSETS].index(tuple(s[:2])) for s in _SPACES])
 
 
 class _Workspace(threading.local):
@@ -363,7 +365,6 @@ def _section_rule(h, r):
     return 1, 16.0 * a1, lattice
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _korobov_generator(n):
     """The a of the n-point rank-1 lattice {frac(k (1, a, a^2 mod n)/n)} in
     [0, 1)^3 (Korobov): of the a coprime to n in (n/4, n/2], the first at
@@ -379,8 +380,7 @@ def _korobov_generator(n):
     same for every candidate, so the candidates compare by the sum over
     0 < k < n/2, walked in blocks of MC_CHUNK: the search costs
     O(KOROBOV_CANDIDATES n) time and O(MC_CHUNK) memory, about 25 ms at
-    n = 62,500 (N = 10^6). Cached per n, at most GENERATOR_CACHE_SIZE of
-    them."""
+    n = 62,500 (N = 10^6). ``_lattice_tables`` keeps it per n."""
     lo, hi = n // 4 + 1, n // 2
     c = KOROBOV_CANDIDATES
     if hi - lo + 1 <= c:
@@ -427,10 +427,10 @@ def _lattice_index(chunk):
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _lattice_tables(n, chunk):
-    """Read-only rows over the first m = min(n, chunk) points k of the
-    n-point rank-1 lattice of ``_korobov_generator``, which depend on n
-    alone: 2k/n, and a (4, m) table of the cosine and sine of
-    2 pi frac(k z / n), the rows (cos, sin) for z = a and then for
+    """What the n-point rank-1 lattice of ``_korobov_generator`` needs that
+    depends on n alone: its generator a, and read-only rows over its first
+    m = min(n, chunk) points k, 2k/n and a (4, m) table of the cosine and
+    sine of 2 pi frac(k z / n), the rows (cos, sin) for z = a and then for
     z = a^2 mod n. Built once per (n, chunk), chunk being MC_CHUNK at the
     call, so that a table built for one block size is never read at
     another; at most TABLE_CACHE_SIZE of them. At the benchmark's sizes the
@@ -446,7 +446,7 @@ def _lattice_tables(n, chunk):
     tent = _lattice_index(chunk)[:m] * (2.0 / n)
     for table in (tent, angles):
         table.flags.writeable = False
-    return tent, angles
+    return a, tent, angles
 
 
 def _rotation_lattice(n):
@@ -470,9 +470,8 @@ def _rotation_lattice(n):
     d_j), one block-diagonal 4x4 rotation per shift applied by one matrix
     product, and scales them by the radii, with a row of the thread's
     workspace to work in."""
-    a = _korobov_generator(n)
+    a, tent, angles = _lattice_tables(n, MC_CHUNK)
     steps = (a, a * a % n)
-    tent, angles = _lattice_tables(n, MC_CHUNK)
 
     def block(d, start, out):
         size = out.shape[2]
@@ -561,14 +560,13 @@ def _box_box_volumes(K, L):
 
 @lru_cache(maxsize=None)
 def _hull_indices(m):
-    """Index arrays for the shadows of m >= 3 points: the pairs (a, b),
-    a < b; the pairs ab, bc, ac of each sorted triple (a, b, c); for each
-    pair (a, b) and each other point c, the places of "c lies left of
-    (a, b)" and of "c lies right of it" among the stacked tests [each
+    """Index arrays for the plane shadows of m >= 3 points: the pairs
+    (a, b), a < b; the pairs ab, bc, ac of each sorted triple (a, b, c); and
+    for each pair (a, b) and each other point c, the places of "c lies left
+    of (a, b)" and of "c lies right of it" among the stacked tests [each
     triple turns left; each turns right] (a sorted triple turns as
-    (a, b, c) does unless a < c < b); and the 4-subsets, each with the
-    triples omitting its points in turn. Only simplices call it, so m is 3,
-    4 or 5 and the cache holds at most three entries."""
+    (a, b, c) does unless a < c < b). Only simplices call it, so m is 3, 4
+    or 5 and the cache holds at most three entries."""
     pairs = list(combinations(range(m), 2))
     triples = list(combinations(range(m), 3))
     pair, triple = ({t: i for i, t in enumerate(ts)} for ts in (pairs, triples))
@@ -576,11 +574,8 @@ def _hull_indices(m):
     seen = np.array([[triple[tuple(sorted((a, b, c)))] for c in range(m) if c not in (a, b)]
                      for a, b in pairs])
     flip = np.array([[a < c < b for c in range(m) if c not in (a, b)] for a, b in pairs])
-    quads = list(combinations(range(m), 4))
-    faces = np.array([[triple[q[:r] + q[r + 1:]] for r in range(4)] for q in quads], dtype=int)
     T = len(triples)
-    return (np.array(pairs).T, np.array(turns).T, seen + T * flip, seen + T * ~flip,
-            np.array(quads), faces)
+    return np.array(pairs).T, np.array(turns).T, seen + T * flip, seen + T * ~flip
 
 
 def _gather(a, rows, out):
@@ -589,13 +584,12 @@ def _gather(a, rows, out):
     return np.take(a, rows, axis=0, out=out, mode="clip")
 
 
-def _hull_shadows(X, dim, cycle):
-    """Shadows of the convex hull of m points onto the coordinate
-    subspaces, the points given as X (m, 4, B), point by coordinate by
-    sample, with samples last: the ranges on the 4 axes (4, B), the areas
-    on the 6 coordinate planes of _SUBSETS (6, B) and the volumes in the 4
-    coordinate 3-spaces of _SPACES (4, B), the list cut off after the
-    hull's dimension dim, beyond which they vanish.
+def _hull_shadows(X, cycle):
+    """Shadows of the convex hull of m points onto the coordinate axes and
+    planes, the points given as X (m, 4, B), point by coordinate by sample,
+    with samples last: the ranges on the 4 axes (4, B) and, for m >= 3, the
+    areas on the 6 coordinate planes of _SUBSETS (6, B); fewer points have
+    flat plane shadows.
 
     ``cycle`` says the points are a convex polygon's vertices in order: a
     linear map keeps that cycle or flattens it to a segment, so a plane
@@ -604,79 +598,67 @@ def _hull_shadows(X, dim, cycle):
     clockwise (-1), when every other point lies strictly on its left or
     its right, and the area is half the sum of sign * (x_a y_b - x_b y_a).
     The orientation of each triple is taken once per plane, as the sum of
-    its pairs' cross products. In 3-D, a 4-subset's 6-volume is its
-    determinant expanded along the height over those orientations, and the
-    hull of 5 points in general position has half the sum of the 5
-    tetrahedra's volumes (Radon: its points split 1 + 4 or 2 + 3, and
-    either way the tetrahedra cover the hull twice).
+    its pairs' cross products.
 
     The gathered and multiplied (pair, plane, sample) arrays are taken from
-    the thread's workspace, each freed once its shadow is summed.
+    the thread's workspace, and freed once the area is summed.
     """
     by_point = X.transpose(1, 2, 0)
     shadows = [_row_max(by_point) - _row_min(by_point)]
-    if dim < 2:
-        return shadows
     m, _, B = X.shape
+    if m < 3:
+        return shadows
     if cycle:
         x, y = X[:, _SUBSETS[:, 0]], X[:, _SUBSETS[:, 1]]
         nxt = np.roll(np.arange(m), -1)
         area = (x * y[nxt] - x[nxt] * y).sum(axis=0)
         return shadows + [0.5 * np.abs(area)]
-    (a, b), (ab, bc, ac), left, right, quads, faces = _hull_indices(m)
+    (a, b), (ab, bc, ac), left, right = _hull_indices(m)
     # row 4 j + i of rows is coordinate i of point j; a plane's x and y are
     # the coordinates _SUBSETS[:, 0] and _SUBSETS[:, 1]
     rows, (x, y) = X.reshape(-1, B), _SUBSETS.T
+    T, P = len(ab), len(a)
     with _WORK as take:
-        T, P = len(ab), len(a)
-        # the orientations' rows hold one product of cross until cross is done
-        orient = take(max(P, T), 6, B)
-        with _WORK as take:
-            # cross = x[a] y[b] - x[b] y[a]
-            cross, term, other = take(P, 6, B), take(max(P, T), 6, B), orient[:P]
-            np.multiply(_gather(rows, 4 * a[:, None] + x, cross),
-                        _gather(rows, 4 * b[:, None] + y, other), out=cross)
-            cross -= np.multiply(_gather(rows, 4 * b[:, None] + x, term[:P]),
-                                 _gather(rows, 4 * a[:, None] + y, other), out=term[:P])
-            # orient = cross[ab] + cross[bc] - cross[ac]
-            orient = _gather(cross, ab, orient[:T])
-            orient += _gather(cross, bc, term[:T])
-            orient -= _gather(cross, ac, term[:T])
-            turns = take(2 * T, 6, B, dtype=bool)
-            np.greater(orient, 0, out=turns[:T])
-            np.less(orient, 0, out=turns[T:])
-            # edge = turns[left].all(axis=1) cross - turns[right].all(axis=1) cross
-            tests, sides = take(*left.shape, 6, B, dtype=bool), take(P, 6, B, dtype=bool)
-            _gather(turns, left, tests).all(axis=1, out=sides)
-            edge = np.multiply(sides, cross, out=term[:P])
-            _gather(turns, right, tests).all(axis=1, out=sides)
-            edge -= np.multiply(sides, cross, out=cross)
-            shadows.append(0.5 * edge.sum(axis=0))
-        if dim < 3:
-            return shadows
-        # det = terms[0] - terms[1] + terms[2] - terms[3], where terms[r] is
-        # X[:, _SPACES[:, 2]][quads[:, r]] orient[:, _SPACE_PLANE][faces[:, r]]
-        det, term, other = (take(len(quads), 4, B) for _ in range(3))
-
-        def terms(r, out):
-            _gather(rows, 4 * quads[:, r, None] + _SPACES[:, 2], out)
-            out *= _gather(orient.reshape(-1, B), 6 * faces[:, r, None] + _SPACE_PLANE, other)
-            return out
-
-        terms(0, det)
-        for r, combine in ((1, np.subtract), (2, np.add), (3, np.subtract)):
-            combine(det, terms(r, term), out=det)
-        shadows.append(np.abs(det, out=det).sum(axis=0) / (12.0 if len(quads) > 1 else 6.0))
+        # cross = x[a] y[b] - x[b] y[a]
+        cross, term, other = take(P, 6, B), take(max(P, T), 6, B), take(max(P, T), 6, B)
+        np.multiply(_gather(rows, 4 * a[:, None] + x, cross),
+                    _gather(rows, 4 * b[:, None] + y, other[:P]), out=cross)
+        cross -= np.multiply(_gather(rows, 4 * b[:, None] + x, term[:P]),
+                             _gather(rows, 4 * a[:, None] + y, other[:P]), out=term[:P])
+        # orient = cross[ab] + cross[bc] - cross[ac]
+        orient = _gather(cross, ab, other[:T])
+        orient += _gather(cross, bc, term[:T])
+        orient -= _gather(cross, ac, term[:T])
+        turns = take(2 * T, 6, B, dtype=bool)
+        np.greater(orient, 0, out=turns[:T])
+        np.less(orient, 0, out=turns[T:])
+        # edge = turns[left].all(axis=1) cross - turns[right].all(axis=1) cross
+        tests, sides = take(*left.shape, 6, B, dtype=bool), take(P, 6, B, dtype=bool)
+        _gather(turns, left, tests).all(axis=1, out=sides)
+        edge = np.multiply(sides, cross, out=term[:P])
+        _gather(turns, right, tests).all(axis=1, out=sides)
+        edge -= np.multiply(sides, cross, out=cross)
+        shadows.append(0.5 * edge.sum(axis=0))
     return shadows
 
 
 def _shadow_volumes(K, L):
     """The function taking unit quaternions, the (4, B) columns of q, to c0
     plus a weighted sum of the shadows of L_q L on the coordinate subspaces
-    of K's frame (``_hull_shadows``), a block at a time, for a box or a ball
-    K and a vertex hull L (a simplex of 1 to 5 vertices or a planar
-    polygon). In K's frame L's vertices, less their mean, are a fixed
-    (4m x 4) matrix times q; translations change no shadow.
+    of K's frame, a block at a time, for a box or a ball K and a vertex hull
+    L (a simplex of 1 to 5 vertices or a planar polygon). In K's frame L's
+    vertices, less their mean, are a fixed (4m x 4) matrix times q, and
+    their ranges and plane areas are ``_hull_shadows``'; translations change
+    no shadow.
+
+    A 3-D shadow is linear in q: on the 3-space omitting axis l of K's
+    frame R (columns its axes), a tetrahedron's is |det [R^T L_q s_i; e_l]|
+    / 6 = |<R e_l, L_q c>| / 6, as R^T L_q is a rotation, c the cofactor
+    vector of its spans s_i (<c, u> = det [s_1; s_2; s_3; u]), turned like
+    a vertex; a 4-simplex's is half the sum of its five facets' (Cauchy's
+    projection formula, Schneider, Convex Bodies, 2014, 5.3). The relative
+    error is at most about R's departure from orthonormality,
+    max |R R^T - I|, as in ``_box_box_volumes``.
 
     For a box the sum is vol(K - L_q L) at each q. K - L_q L is a polytope
     plus K's four orthogonal edges, so its volume is the sum over the axis
@@ -688,7 +670,7 @@ def _shadow_volumes(K, L):
     kappa_4 / kappa_j r^(4 - j), kappa_j the volume of the unit j-ball, and
     c0 = kappa_4 r^4 + vol L. The sum is then vol(L + r B^4), the motion
     integral, in its mean over Haar q, not at each q (Steiner and Kubota,
-    Schneider, Convex Bodies, 2014). Steiner gives vol(L + r B) =
+    ibid.). Steiner gives vol(L + r B) =
     sum_j kappa_(4-j) r^(4-j) V_j(L), and Kubota gives V_j(L) as
     C(4, j) kappa_4 / (kappa_j kappa_(4-j)) times the mean over j-planes E
     of vol_j(L | E). The shadow of L_q L on E is that of L on L_q^T E. L_q
@@ -703,7 +685,14 @@ def _shadow_volumes(K, L):
     verts = L._hull() - L._hull().mean(axis=0)
     m = len(verts)
     cycle = isinstance(L, PlanarPolygon)
-    dim = 2 if cycle else m - 1
+    # a simplex's 3-faces are its 4-subsets of vertices (a polygon has none);
+    # rows[f, k] is face f's spans from its first vertex, then e_k, so
+    # det rows[f] is the face's cofactor vector
+    quads = np.array([] if cycle else list(combinations(range(m), 4)), dtype=int).reshape(-1, 4)
+    rows = np.zeros((len(quads), 4, 4, 4))
+    rows[:, :, :3] = (verts[quads[:, 1:]] - verts[quads[:, :1]])[:, None]
+    rows[:, :, 3] = np.eye(4)
+    facets = np.linalg.det(rows)
     if isinstance(K, Ball):
         frame, r = np.eye(4), K.radius
         weights = [np.full(4, math.pi ** 2 / 4.0 * r ** 3), np.full(6, math.pi / 2.0 * r ** 2),
@@ -716,17 +705,22 @@ def _shadow_volumes(K, L):
         # plane, and the axis a 3-space omits
         weights = [np.prod(edges[_SPACES], axis=1), np.prod(edges[_SUBSETS[::-1]], axis=1), edges]
         c0 = np.prod(edges) + L.volume()
-    # gen[j, i, k]: coordinate i of L_q v_j in K's frame is sum_k gen[j, i, k] q_k
-    gen = np.einsum("li,klr,jr->jik", frame, _UNIT_LEFT, verts).reshape(4 * m, 4)
+    # gen[j, i, k]: coordinate i of L_q v_j in K's frame is sum_k gen[j, i, k] q_k,
+    # the v_j being the m vertices and then the facets' cofactors
+    gen = np.einsum("kir,jr->jik", frame.T @ _UNIT_LEFT, np.vstack([verts, facets])).reshape(-1, 4)
 
     def volumes(q):
         vol = np.empty(q.shape[1])
         for s in range(0, len(vol), BOX_BOX_BLOCK):
             qb = q[:, s:s + BOX_BOX_BLOCK]
             with _WORK as take:
-                X = np.matmul(gen, qb, out=take(4 * m, qb.shape[1])).reshape(m, 4, -1)
+                X = np.matmul(gen, qb, out=take(len(gen), qb.shape[1])).reshape(-1, 4, qb.shape[1])
+                shadows = _hull_shadows(X[:m], cycle)
+                if len(facets):
+                    volume = np.abs(X[m:], out=X[m:]).sum(axis=0)
+                    shadows.append(volume / (6.0 if len(facets) == 1 else 12.0))
                 total = c0
-                for w, shadow in zip(weights, _hull_shadows(X, dim, cycle)):
+                for w, shadow in zip(weights, shadows):
                     total = total + w @ shadow
             vol[s:s + BOX_BOX_BLOCK] = total
         return vol
@@ -747,7 +741,7 @@ def _monomials(q, b):
 
 @lru_cache(maxsize=None)
 def _index_tuples(b):
-    """The 4^b index tuples of length b <= 4, (4^b, b) in ``product`` order,
+    """The 4^b index tuples of length b <= 2, (4^b, b) in ``product`` order,
     and the 0/1 matrix taking each to its sorted one in ``_monomials``."""
     tuples = list(product(range(4), repeat=b))
     where = {m: i for i, m in enumerate(combinations_with_replacement(range(4), b))}
@@ -757,19 +751,24 @@ def _index_tuples(b):
 
 
 def _det_form(cols, moving):
-    """The coefficients (..., C(b + 3, 3)) over the degree-b monomials of q
-    (``_monomials``) of the determinants of 4x4 matrices, column j of each
-    being cols[..., j, :], with the b columns in moving turned by L_q.
-    L_q x = sum_k q_k e_k x is linear in q and the determinant is linear
-    in each column, so it is the sum over the 4^b index tuples (k_1, ...,
-    k_b) of q_k1 ... q_kb times the determinant with column moving[i] turned
-    by e_ki: those 4^b determinants are taken here, once, and summed onto
-    each tuple's sorted monomial."""
+    """The coefficients (..., C(d + 3, 3)) over the degree-d monomials of q
+    (``_monomials``), d = min(b, 4 - b) <= 2, of the determinants of 4x4
+    matrices, column j of each being cols[..., j, :], with the b columns in
+    moving turned by L_q, q a unit. L_q x = sum_k q_k e_k x and the
+    determinant is linear in each column, so it is the sum over the 4^b
+    index tuples (k_1, ..., k_b) of q_k1 ... q_kb times the determinant with
+    column moving[i] turned by e_ki, taken here once and summed onto the
+    tuple's sorted monomial. For b >= 3, as L_q^T L_q = I and det L_q = 1,
+    multiplying by L_q^T = sum_k q_k e_k^T keeps the determinant and turns
+    the other 4 - b columns instead: that form holds on S^3 alone."""
+    units = _UNIT_LEFT
+    if len(moving) > 2:
+        moving, units = [j for j in range(4) if j not in moving], units.swapaxes(1, 2)
     ks, fold = _index_tuples(len(moving))
     mats = np.repeat(cols[..., None, :, :], len(ks), axis=-3)
     for i, j in enumerate(moving):
-        # row k of turned: e_k times column j
-        turned = (_UNIT_LEFT @ cols[..., j, None, :, None])[..., 0]
+        # row k of turned: unit k times column j
+        turned = (units @ cols[..., j, None, :, None])[..., 0]
         mats[..., j, :] = turned[..., ks[:, i], :]
     return np.linalg.det(np.swapaxes(mats, -1, -2)) @ fold
 
@@ -808,10 +807,11 @@ def _hull_hull_volumes(K, L):
     n.(f0 + g0) w_F w_G / 4.
 
     Every such n.x is a 4x4 determinant of rows of K's, fixed, and rows of
-    M's, -L_q times L's: a fixed form in q (``_det_form``), of degree b =
-    dim G at K's vertices and b + 1 at M's, signed (-1)^(rows of M). Per
-    block, the monomials of q and one contraction per form give every sign
-    and h."""
+    M's, -L_q times L's, signed (-1)^(rows of M): a fixed form in q
+    (``_det_form``), of degree at most 2 however many rows are turned, as q
+    is a unit: min(b, 4 - b) at K's vertices and min(b + 1, 3 - b) at M's,
+    b = dim G. Per block, the monomials of q and one contraction per form
+    give every sign and h."""
     rows_K, rows_L = _face_rows(K), _face_rows(L)
     pairs = []
     for a, (F, w_F) in rows_K.items():
@@ -826,46 +826,40 @@ def _hull_hull_volumes(K, L):
 
         def form(x, turned):
             # per (G, F, x), stacked by G: the columns [F's spans; G's spans;
-            # x], the last b + turned of them turned, signed (-1)^(b + turned)
+            # x], the last b + turned of them turned, signed (-1)^(b + turned),
+            # and the degree of its monomials
             gs, fs, n = x.shape[:3]
             cols = np.concatenate([np.broadcast_to(F[None, :fs, None, :a], (gs, fs, n, a, 4)),
                                    np.broadcast_to(G[:gs, None, None, :b], (gs, fs, n, b, 4)),
                                    x[..., None, :]], axis=3)
             c = (-1.0) ** (b + turned) * _det_form(cols, range(a, 3 + turned))
-            return c.reshape(gs, fs * n, -1)
+            return c.reshape(gs, fs * n, -1), min(b + turned, 4 - b - turned)
 
         # x at K's rows past F's spans, and at L's past G's. The forms at K's
         # do not depend on G when G is a vertex, nor those at M's on F when F
-        # is one: each is built once. At K's they are of degree 0, so the
-        # block's product is exact and broadcasts over G; at M's they are
-        # repeated over F, as a product with fewer rows may round otherwise
-        # in BLAS
+        # is one: each is built once, of degree 0, so the block's product is
+        # exact and broadcasts over the other face
         by_K = form(np.broadcast_to(F[None, :, a:], (nG if b else 1, nF, off_K + 1, 4)), 0)
         by_M = form(np.broadcast_to(G[:, None, b:], (nG, nF if a else 1, off_M + 1, 4)), 1)
-        if not a:
-            by_M = np.tile(by_M, (1, nF, 1))
-        pairs.append((b, off_K, off_M, (nG, nF), by_K, by_M, np.outer(w_G, w_F).ravel() / 4.0))
+        pairs.append((off_K, off_M, by_K, by_M, np.outer(w_G, w_F).ravel() / 4.0))
     # samples per block, so that the widest (G, F, vertex, sample) array of
     # sign tests holds about HULL_BLOCK_FLOATS
-    widest = max((nG * nF * (max(off_K, off_M) + 1) for _, off_K, off_M, (nG, nF), _, _, _ in pairs),
-                 default=1)
+    widest = max((len(w) * (max(off_K, off_M) + 1) for off_K, off_M, *_, w in pairs), default=1)
     block = max(1, HULL_BLOCK_FLOATS // widest)
-    top = max((b + 1 for b, *_ in pairs), default=0)
 
     def volumes(q):
         vol = np.zeros(q.shape[1])
         for s in range(0, len(vol), block):
             qb = q[:, s:s + block]
             B = qb.shape[1]
-            monomials = _monomials(qb, top)
-            for b, off_K, off_M, (nG, nF), by_K, by_M, w in pairs:
+            monomials = _monomials(qb, 2)
+            for off_K, off_M, (by_K, d_K), (by_M, d_M), w in pairs:
                 # n.x, by (G, F, x, sample), at the vertices of K (then at f0)
                 # and at those of M (then at g0): a product per G, small
                 # enough that OpenBLAS starts none of its own threads inside
-                # the estimate's worker threads, which would oversubscribe;
-                # forms at K's built once broadcast over G
-                at_K = np.matmul(by_K, monomials[b]).reshape(len(by_K), nF, off_K + 1, B)
-                at_M = np.matmul(by_M, monomials[b + 1]).reshape(nG, nF, off_M + 1, B)
+                # the estimate's worker threads, which would oversubscribe
+                at_K = np.matmul(by_K, monomials[d_K]).reshape(len(by_K), -1, off_K + 1, B)
+                at_M = np.matmul(by_M, monomials[d_M]).reshape(len(by_M), -1, off_M + 1, B)
                 tests_K, tests_M = at_K[:, :, :off_K], at_M[:, :, :off_M]
                 out = (tests_K < 0).all(axis=2) & (tests_M < 0).all(axis=2)
                 into = (tests_K > 0).all(axis=2) & (tests_M > 0).all(axis=2)

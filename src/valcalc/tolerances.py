@@ -8,9 +8,9 @@ carry only rounding error.  No Monte Carlo sample is scored against any of
 them: every score is exact, with no iteration.  The weights of pairs without
 a ball are closed forms in the rotation (a shadow or a facet of a sum counts
 when every other vertex lies strictly on one side of it, which can fail only
-where vertices are coplanar, a set of rotations of measure zero), and ball
-pairs score the exact hit dist(y, K) <= r: a slack would only move samples
-within it of the boundary, a set of measure zero.
+where vertices are coplanar, a set of rotations of measure zero).  Ball
+pairs integrate rounded-3-box sections or weigh a hull's shadows, in closed
+form: none tests a point against a boundary.
 """
 
 # rows given as orthonormal (box rotations, polygon and Klain frames) may

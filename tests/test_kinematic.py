@@ -4,6 +4,7 @@ from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -877,15 +878,21 @@ class TestDetForm:
 
     @pytest.mark.parametrize("b", range(5))
     def test_matches_the_turned_determinant(self, b):
-        # every choice of b moving columns, at quaternions that are not unit:
-        # the form is a polynomial identity, not one on S^3 alone
+        # every choice of b moving columns. For b <= 2 at quaternions that
+        # are not unit: the form of degree b is a polynomial identity. For
+        # b = 3 and 4 at unit quaternions: the form has degree 4 - b, the
+        # other columns turned back by L_q^T, which holds on S^3 alone
         rng = np.random.default_rng(200 + b)
         cols = rng.normal(size=(3, 4, 4))
         qs = rng.normal(size=(8, 4)) * rng.uniform(0.5, 2.0, (8, 1))
-        monomials = kinematic._monomials(qs.T, b)[b]
-        assert len(monomials) == math.comb(b + 3, 3)
+        degree = b if b <= 2 else 4 - b
+        if degree < b:
+            qs /= np.linalg.norm(qs, axis=1)[:, None]
+        monomials = kinematic._monomials(qs.T, degree)[degree]
+        assert len(monomials) == math.comb(degree + 3, 3) <= 10
         for moving in combinations(range(4), b):
             coeffs = kinematic._det_form(cols, moving)
+            assert coeffs.shape == (3, len(monomials))
             for q, row in zip(qs, monomials.T):
                 turned = cols.copy()
                 turned[:, list(moving)] = cols[:, list(moving)] @ rotation_matrix(q).T
@@ -1014,13 +1021,13 @@ PINNED_BALL_SECTIONS = {
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
 # from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
-# 18 quadratic forms, box/simplex from the shadows of the simplex, and the
-# plates
+# 18 quadratic forms, box/simplex from the shadows of the simplex (the 3-D
+# ones from its facets' cofactors), and the plates
 PINNED_QUATERNION_WEIGHTS = {
     ("box_box", 91): ("0x1.dd8f1abe4a157p+4", "0x1.beead29f2f7ebp-15", 0),
     ("box_box", 92): ("0x1.dd8f56069ebeap+4", "0x1.c62999bd08156p-15", 0),
     ("box_simplex", 91): ("0x1.ac0e0c5024f92p+3", "0x1.0f771e4e5b90ep-7", 0),
-    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51c11p-8", 0),
+    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51bcfp-8", 0),
     ("poincare", 91): ("0x1.1957e55309937p-1", "0x1.5bcc0a118f63cp-22", 0),
     ("poincare", 92): ("0x1.19580ab147d24p-1", "0x1.82c043d943248p-22", 0),
 }
@@ -1243,16 +1250,35 @@ class TestHullShadows:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_qhull(self, m):
+        # the ranges and, past two points, the plane areas
         rng = np.random.default_rng(90 + m)
         X = rng.standard_normal((m, 4, 200))
-        shadows = kinematic._hull_shadows(X, m - 1, False)
-        assert len(shadows) == min(max(m - 1, 1), 3)
+        shadows = kinematic._hull_shadows(X, False)
+        assert len(shadows) == (2 if m >= 3 else 1)
         for b in range(X.shape[2]):
             want = _oracles.shadow_volumes(X[:, :, b])
             for got, ref in zip(shadows, want):
                 np.testing.assert_allclose(got[:, b], ref, rtol=1e-12, atol=1e-14)
-            # the shadows past the hull's dimension are flat
-            assert not any(ref.any() for ref in want[len(shadows):])
+            # the plane shadows of fewer points are flat
+            assert not any(ref.any() for ref in want[len(shadows):2])
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_three_space_shadows_match_qhull(self, m):
+        # a frame whose only edge is axis l weighs the 3-D shadow on the
+        # 3-space omitting l alone, so the weight less vol L is that shadow:
+        # a tetrahedron's cofactor, or half the sum of a 4-simplex's five
+        rng = np.random.default_rng(100 + m)
+        L = Simplex(rng.uniform(-0.6, 0.6, (m, 4)))
+        qs = haar_quaternions(rng, 40)
+        for _ in range(5):
+            R = _random_rotation(rng)
+            for l in range(4):
+                frame = SimpleNamespace(rotation=R, half_extents=0.5 * np.eye(4)[l])
+                got = kinematic._shadow_volumes(frame, L)(qs.T) - L.volume()
+                for q, shadow in zip(qs, got):
+                    points = L.vertices @ (R.T @ rotation_matrix(q)).T
+                    want = _oracles.shadow_volumes(points)[2][l]
+                    assert shadow == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [3, 5, 8])
     def test_polygon_cycle(self, m):
@@ -1261,8 +1287,8 @@ class TestHullShadows:
         rng = np.random.default_rng(95 + m)
         M = mgon(m, PENTAGON_FRAME, radius=0.8)
         X = np.einsum("jr,bir->jib", M.embedded_vertices(), rng.standard_normal((100, 4, 4)))
-        cycle = kinematic._hull_shadows(X, 2, True)
-        edges = kinematic._hull_shadows(X, 2, False)
+        cycle = kinematic._hull_shadows(X, True)
+        edges = kinematic._hull_shadows(X, False)
         np.testing.assert_array_equal(cycle[0], edges[0])
         np.testing.assert_allclose(cycle[1], edges[1], rtol=1e-12, atol=0)
         for b in range(X.shape[2]):
@@ -1608,7 +1634,6 @@ class TestRotationLattice:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 30, 32, 97, 480, 1280, 2054, 3840])
     def test_generator_matches_a_plain_search(self, n):
-        kinematic._korobov_generator.cache_clear()
         a = kinematic._korobov_generator(n)
         cands = _plain_candidates(n, kinematic.KOROBOV_CANDIDATES)
         if not cands:
@@ -1617,18 +1642,6 @@ class TestRotationLattice:
         assert a in cands and math.gcd(a, n) == 1
         merits = [_plain_p2(n, c) for c in cands]
         assert _plain_p2(n, a) <= min(merits) + 1e-12 * abs(min(merits))
-
-    def test_generator_cache_size_stays_within_bound(self):
-        kinematic._korobov_generator.cache_clear()
-        sizes = range(100, 100 + kinematic.GENERATOR_CACHE_SIZE + 10)
-        gens = [kinematic._korobov_generator(n) for n in sizes]
-        info = kinematic._korobov_generator.cache_info()
-        assert info.maxsize == kinematic.GENERATOR_CACHE_SIZE
-        assert info.currsize == kinematic.GENERATOR_CACHE_SIZE and info.misses == len(sizes)
-        assert kinematic._korobov_generator(sizes[-1]) == gens[-1]
-        assert kinematic._korobov_generator.cache_info().hits == 1
-        assert kinematic._korobov_generator(sizes[0]) == gens[0]
-        assert kinematic._korobov_generator.cache_info().misses == len(sizes) + 1
 
     @pytest.mark.parametrize("n", [7, 16, 17, 768, 1000])
     def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, n):
@@ -1653,7 +1666,7 @@ class TestRotationLattice:
         m = int(d1 * n)
         out = np.empty((4, 1, size))
         kinematic._rotation_lattice(n)(np.array([[d1, 0.0, 0.0]]), m, out)
-        tent, angles = kinematic._lattice_tables(n, kinematic.MC_CHUNK)
+        _, tent, angles = kinematic._lattice_tables(n, kinematic.MC_CHUNK)
         t = tent[:size] + ((m + (d1 * n - m)) * (2.0 / n) - 1.0)
         assert t[0] <= 0.0 < t[-1]
         fold = np.abs(t)
@@ -1854,8 +1867,9 @@ class TestLatticeTables:
         assert kinematic._lattice_tables.cache_info().hits == 1
 
     def test_tables_are_read_only(self):
-        tent, angles = kinematic._lattice_tables(1000, kinematic.MC_CHUNK)
-        # 2k/n, then the cosines and sines of the two angles
+        a, tent, angles = kinematic._lattice_tables(1000, kinematic.MC_CHUNK)
+        # the generator, 2k/n, then the cosines and sines of the two angles
+        assert a == kinematic._korobov_generator(1000)
         assert tent.shape == (1000,) and angles.shape == (4, 1000)
         for table in (tent, angles):
             assert not table.flags.writeable
@@ -1866,12 +1880,17 @@ class TestLatticeTables:
 class TestWorkspace:
     """Warm estimates work in each thread's resident workspace."""
 
-    @pytest.mark.parametrize("pair", list(PINNED_PAIRS))
-    def test_warm_estimate_allocates_at_most_512_kib(self, pair):
+    @pytest.mark.parametrize("pair, N", [pytest.param(pair, N, id=pair)
+                                         for pair, (_, _, N) in PINNED_PAIRS.items()]
+                             + [pytest.param("box_box", 1 << 20, id="box_box-past-a-chunk")])
+    def test_warm_estimate_allocates_at_most_512_kib(self, pair, N):
         # before the workspace, a warm estimate's temporaries peaked at
         # 1.5-2.3 MiB: the whole-chunk buffer, the tables, box/box's forms
-        # and the simplex shadows' (pair, plane, sample) arrays
-        K, L, N = PINNED_PAIRS[pair]
+        # and the simplex shadows' (pair, plane, sample) arrays. From
+        # N = 2^19 on a replicate's block holds MC_CHUNK points, and box/box's
+        # forms must fit beside it: in 5 MC_CHUNK floats they did not, and a
+        # warm estimate at N = 2^20 peaked at 1,161 KiB
+        K, L, _ = PINNED_PAIRS[pair]
         estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
         estimator(K, L, N=N, seed=1)
         tracemalloc.start()
