@@ -29,10 +29,10 @@ from its split vectors in one fixed order (``_closed_form_terms``), kept
 per form in a bounded LRU on its vectors (``columns._cached_on_vectors``).
 
 Each body class carries its own volume, rigid motion ``moved(R, t)`` for
-x -> R x + t, and, except the ball, its pieces; a simplex and a polygon also
-list their vertices (``_hull``) and their faces with spanning vectors and
-measures (``faces``), from which the Monte Carlo builds its exact weights
-and distance tests.
+x -> R x + t, and, except the ball, its faces grouped by dimension
+(``face_groups``), from which it builds its pieces; a simplex and a polygon
+also list their vertices (``_hull``).  The Monte Carlo weighs two vertex
+hulls from the same groups and vertices.
 """
 
 import math
@@ -126,14 +126,14 @@ def _pieces(groups):
     (k, m): face frames (P, k, n), cone generators (P, m, n) and face volumes
     signed by the orientation (-1)^k sign det[frame | generators].
 
-    Each group holds faces of one dimension k: orthonormal frames (F, k, n),
-    k-volumes (F,), the generators of their normal cones within the body's
-    affine hull (F, c, n), and orthonormal bases of the hull's orthogonal
-    complement (F, d, n), or one (d, n) for all.  A face gives one piece per
-    orthant of the complement, + before -, the last sign fastest; a face of
-    volume 0 or with no generators gives none.  A degenerate piece, whose
-    frame and generators are dependent, raises ``ValueError`` naming its face
-    dimension and its place in its shape.
+    Each group holds faces of one dimension k (``face_groups``): orthonormal
+    frames (F, k, n), k-volumes (F,), the generators of their normal cones
+    within the body's affine hull (F, c, n), and orthonormal bases of the
+    hull's orthogonal complement (F, d, n), or one (d, n) for all.  A face
+    gives one piece per orthant of the complement, + before -, the last sign
+    fastest; a face of volume 0 or with no generators gives none.  A
+    degenerate piece, whose frame and generators are dependent, raises
+    ``ValueError`` naming its face dimension and its place in its shape.
     """
     out = {}
     for frames, volumes, cones, perp in groups:
@@ -157,6 +157,14 @@ def _pieces(groups):
         volume = np.repeat(volumes[keep], S)
         out[(k, c + d)] = faces, gens, (-1.0) ** k * np.where(det > 0, 1.0, -1.0) * volume
     return out
+
+
+class _Polytope:
+    """A body given by its faces (``face_groups``)."""
+
+    def pieces(self):
+        """The normal cycle's pieces of the face groups, by shape (``_pieces``)."""
+        return _pieces(self.face_groups())
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +194,7 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(_Polytope):
     center: np.ndarray
     half_extents: np.ndarray
     rotation: np.ndarray
@@ -217,10 +225,10 @@ class Box:
     def moved(self, R, t):
         return Box(R @ self.center + t, self.half_extents, R @ self.rotation)
 
-    def pieces(self):
-        """The normal cycle's pieces by shape (``_pieces``): the faces of
-        dimension 1 to n - 1 by their free axes, in ``combinations`` order,
-        each with one piece per orthant of its fixed axes."""
+    def face_groups(self):
+        """The faces of dimension 1 to n - 1 (``_pieces``) by their free
+        axes, in ``combinations`` order; a face's normal cone is the span of
+        its fixed axes, so it gives one piece per orthant of them."""
         n = self.dim
         axes, edges = self.rotation.T, 2.0 * self.half_extents
         groups = []
@@ -229,11 +237,11 @@ class Box:
             volumes = np.prod(edges[free], axis=1)
             fixed = _subsets(n, n - k)[0][::-1]  # row i: the axes not in free's row i
             groups.append((axes[free], volumes, np.zeros((len(free), 0, n)), axes[fixed]))
-        return _pieces(groups)
+        return groups
 
 
 @dataclass(frozen=True, eq=False)
-class Simplex:
+class Simplex(_Polytope):
     vertices: np.ndarray
 
     def __init__(self, vertices):
@@ -262,25 +270,15 @@ class Simplex:
     def moved(self, R, t):
         return Simplex(self.vertices @ R.T + t)
 
-    def faces(self):
-        """Every face as (vertex indices, spanning vectors, measure factor),
-        by dimension: the vertex subsets in ``combinations`` order, each
-        spanned by its edges from its first vertex; a k-face measures 1/k!
-        of their parallelotope."""
-        verts = self.vertices
-        return [(face, verts[list(face[1:])] - verts[face[0]], 1.0 / math.factorial(len(face) - 1))
-                for size in range(1, len(verts) + 1)
-                for face in combinations(range(len(verts)), size)]
-
-    def pieces(self):
-        """The normal cycle's pieces by shape (``_pieces``): the faces of
-        dimension >= 1 by their vertex sets, in ``combinations`` order; a
-        face's cone is spanned by the facet normals of the vertices it omits.
-        A point has none."""
+    def face_groups(self):
+        """The faces of dimension >= 1 (``_pieces``) by their vertex sets,
+        in ``combinations`` order, one group per dimension; a face's cone is
+        spanned by the facet normals of the vertices it omits. A point has
+        none."""
         verts = self.vertices
         kt = len(verts) - 1
         if not kt:
-            return {}
+            return []
         perp = _complement_basis(verts[1:] - verts[0])
         normals = _simplex_facet_normals(verts)
         groups = []
@@ -294,11 +292,11 @@ class Simplex:
             gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
             volumes = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(size - 1)
             groups.append((frames, volumes, normals[others], perp))
-        return _pieces(groups)
+        return groups
 
 
 @dataclass(frozen=True, eq=False)
-class PlanarPolygon:
+class PlanarPolygon(_Polytope):
     frame: np.ndarray
     vertices2d: np.ndarray
     base: np.ndarray
@@ -351,21 +349,9 @@ class PlanarPolygon:
     def moved(self, R, t):
         return PlanarPolygon(self.frame @ R.T, self.vertices2d, R @ self.base + t)
 
-    def faces(self):
-        """Every face as (vertex indices, spanning vectors, measure factor),
-        by dimension: the vertices; the edges of the cycle, each spanned by
-        itself; and the polygon, spanned by its orthonormal frame, so that
-        it measures its area."""
-        verts = self.embedded_vertices()
-        m, n = verts.shape
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        return ([((i,), np.zeros((0, n)), 1.0) for i in range(m)]
-                + [((i, j), verts[[j]] - verts[i], 1.0) for i, j in edges]
-                + [(tuple(range(m)), self.frame, self.area)])
-
-    def pieces(self):
-        """The normal cycle's pieces by shape (``_pieces``): the polygon
-        itself, then its edges."""
+    def face_groups(self):
+        """The faces of dimension >= 1 (``_pieces``): the polygon itself,
+        then its edges."""
         n = self.dim
         perp = _complement_basis(self.frame)
         # edge i runs vertices2d[i] -> vertices2d[i+1]; its embedded direction, outer normal
@@ -373,10 +359,10 @@ class PlanarPolygon:
         lengths = _row_norms(e)
         dirs = (e[:, :1] * self.frame[0] + e[:, 1:] * self.frame[1]) / lengths[:, None]
         normals = (e[:, 1:] * self.frame[0] - e[:, :1] * self.frame[1]) / lengths[:, None]
-        return _pieces([
+        return [
             (self.frame[None], np.array([self.area]), np.zeros((1, 0, n)), perp),
             (dirs[:, None], lengths, normals[:, None], perp),
-        ])
+        ]
 
 
 # -- exact cells -----------------------------------------------------------------

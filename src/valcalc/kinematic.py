@@ -31,8 +31,9 @@ it sums the shadows of L_q L on the coordinate subspaces of the box's
 frame, L's vertices and its 3-faces' cofactor vectors there being a fixed
 matrix times q; for two plates it is area1 area2 |q^T A q|, which also
 weighs their intersection count; for any other two vertex hulls it sums
-over the facets of K - L_q L, each a sum of faces of the two.  The plates'
-A and the facets' signs and heights are fixed coefficients times the
+their mixed volumes, maxima of linear forms in q over 3-faces and |forms
+of degree 2| over the pairs of 2-faces that one fixed direction picks.
+The plates' A and the 2-face pairs' forms are fixed coefficients times the
 monomials of q (``_det_form``), taken once per pair of bodies.  A ball
 against a vertex hull weighs the same shadows by the ball's radius
 (Steiner and Kubota), a weight whose mean over q, not its value at each q,
@@ -46,8 +47,9 @@ the tent 1 - |2x - 1|, and s = 3 for q, with Korobov's generating vector
 (1, a, a^2 mod n), its first coordinate folded by the same tent and mapped
 onto S^3 by Shoemake's map.  So N must be a multiple of 16, for every
 pair.  What depends on n alone is built once per n (``_lattice_tables``),
-and every block works in its thread's resident workspace (``_Workspace``),
-so a warm estimate allocates no large array; the threads that split the
+and the blocks work in their thread's resident workspace (``_Workspace``),
+so a warm estimate allocates no large array, but for a hull's shadows
+against a box or a ball (``_shadow_volumes``); the threads that split the
 replicates are kept across estimates (``_SLOTS``), with their workspaces.
 The estimates are bit for bit those of the plain computation.
 """
@@ -91,18 +93,13 @@ ROUNDING_ULPS = 4
 TABLE_CACHE_SIZE = 8
 # samples per block of the translation volumes: box/box's 16 linear and 18
 # quadratic forms in q come to about fifty floats per sample, a 4-simplex's
-# shadows to a few hundred and the facet sum of two 4-simplices to a few
-# thousand
+# shadows to a few hundred and two hulls' mixed volumes to up to about 650
 BOX_BOX_BLOCK = 1 << 12
 # floats in each thread's workspace (``_Workspace``): a block of MC_CHUNK
 # points of 4 coordinates, and past it box/box's 18 forms, 10 products and
 # sums for BOX_BOX_BLOCK samples, more than a ball section's first
 # coordinate or a rotation block's radii take
 WORKSPACE_FLOATS = 4 * MC_CHUNK + 29 * BOX_BOX_BLOCK
-# floats in the widest temporary of a facet-sum block, one (G, F, vertex)
-# sign test per sample: a block of two 4-simplices' edge/triangle pairs
-# holds 400 a sample
-HULL_BLOCK_FLOATS = 1 << 18
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
 
@@ -548,9 +545,7 @@ def _box_box_volumes(K, L):
                 lin = np.matmul(gen, qb, out=forms[:16 * m].reshape(16, m))
                 v = np.matmul(W1, np.abs(lin, out=lin), out=vol[s:s + m])
                 v += c0
-                p = products[:, :m]
-                for k, row in ((0, 0), (1, 4), (2, 7), (3, 9)):
-                    np.multiply(qb[k], qb[k:], out=p[row:row + 4 - k])
+                p = _products(qb, products[:, :m])
                 quad = np.matmul(S, p, out=forms[:18 * m].reshape(18, m))
                 v += np.matmul(W2, np.abs(quad, out=quad), out=sums[:m])
         vol *= 16.0
@@ -727,22 +722,19 @@ def _shadow_volumes(K, L):
     return volumes
 
 
-def _monomials(q, b):
-    """The monomials of the (4, B) columns q of degrees 0 to b, a (count, B)
-    array per degree in ``combinations_with_replacement`` order: q_k times
-    the last C(d + 2 - k, d - 1) of degree d - 1, those in q_k, ..., q_3."""
-    monomials = [np.ones((1, q.shape[1]))]
-    for d in range(1, b + 1):
-        lower = monomials[-1]
-        monomials.append(np.concatenate([q[k] * lower[len(lower) - math.comb(d + 2 - k, d - 1):]
-                                         for k in range(4)]))
-    return monomials
+def _products(q, out):
+    """The 10 monomials q_k q_l, k <= l, of the (4, B) columns q written into
+    out (10, B), in ``combinations_with_replacement`` order, the order of
+    the monomials of every degree here: q_k times q_k, ..., q_3."""
+    for k, row in ((0, 0), (1, 4), (2, 7), (3, 9)):
+        np.multiply(q[k], q[k:], out=out[row:row + 4 - k])
+    return out
 
 
 @lru_cache(maxsize=None)
 def _index_tuples(b):
     """The 4^b index tuples of length b <= 2, (4^b, b) in ``product`` order,
-    and the 0/1 matrix taking each to its sorted one in ``_monomials``."""
+    and the 0/1 matrix taking each to its sorted one in ``_products``."""
     tuples = list(product(range(4), repeat=b))
     where = {m: i for i, m in enumerate(combinations_with_replacement(range(4), b))}
     fold = np.zeros((len(tuples), len(where)))
@@ -752,7 +744,7 @@ def _index_tuples(b):
 
 def _det_form(cols, moving):
     """The coefficients (..., C(d + 3, 3)) over the degree-d monomials of q
-    (``_monomials``), d = min(b, 4 - b) <= 2, of the determinants of 4x4
+    (``_products``), d = min(b, 4 - b) <= 2, of the determinants of 4x4
     matrices, column j of each being cols[..., j, :], with the b columns in
     moving turned by L_q, q a unit. L_q x = sum_k q_k e_k x and the
     determinant is linear in each column, so it is the sum over the 4^b
@@ -773,98 +765,117 @@ def _det_form(cols, moving):
     return np.linalg.det(np.swapaxes(mats, -1, -2)) @ fold
 
 
-def _face_rows(P):
-    """P's faces by dimension k, {k: (rows, factors)}: rows (F, k + off + 1, 4)
-    holds each face's k spanning vectors, then the vertices of P off the face
-    less its first vertex f0, then f0; factors are the faces' measure
-    factors (``faces``). All faces of one dimension have the same number
-    of vertices off them."""
-    verts = P._hull()
-    groups = {}
-    for face, span, factor in P.faces():
-        off = [v for v in range(len(verts)) if v not in face]
-        rows = np.vstack([span, verts[off] - verts[face[0]], verts[face[0]]])
-        groups.setdefault(len(span), []).append((rows, factor))
-    return {k: (np.array([rows for rows, _ in faces]), np.array([w for _, w in faces]))
-            for k, faces in groups.items()}
+# the x of ``_hull_hull_volumes``: no plane spanned by two of a face's
+# normal vectors holds it but by a coincidence of measure zero
+_GENERIC = np.array([0.5772156649015329, -0.3183098861837907, 0.7390851332151607, 0.4142135623730951])
+
+
+def _facet_directions(groups):
+    """The directions (D, 4) of a hull's 3-faces' normal cones, a facet's
+    normal or +-p for a 3-dimensional hull, and each face's 3-volume."""
+    if 3 not in groups:
+        return np.zeros((0, 4)), np.zeros(0)
+    _, volumes, cones, perp = groups[3]
+    if cones.shape[1]:
+        return cones[:, 0], volumes
+    return np.vstack([perp, -perp]).reshape(-1, 4), np.tile(volumes, 2)
+
+
+def _normal_planes(groups):
+    """A hull's 2-faces' normal planes (F, 2, 4), spanned by their cones'
+    c generators and then the complement basis; c; and each face's area
+    over the square root of those vectors' Gram determinant."""
+    _, volumes, cones, perp = groups[2]
+    vecs = np.concatenate([cones, np.broadcast_to(perp, (len(volumes), 2 - cones.shape[1], 4))], axis=1)
+    return vecs, cones.shape[1], volumes / np.sqrt(np.linalg.det(vecs @ vecs.swapaxes(1, 2)))
 
 
 def _hull_hull_volumes(K, L):
     """The function taking unit quaternions, the (4, B) columns of q, to
     vol(K - L_q L), a block at a time, for two vertex hulls (simplices of 1
-    to 5 vertices or planar polygons), by the facet sum
-    vol P = 1/4 sum_F h_P(u_F) vol_3(F) (Schneider, Convex Bodies, 2014, 5.1).
-    Two polygons take ``_plate_volumes``, which the tests check by this sum.
+    to 5 vertices or planar polygons), by mixed volumes over their
+    ``face_groups``: with M = -L_q L, vol(K + M) = vol K + vol M +
+    4 V(K[3], M) + 6 V(K[2], M[2]) + 4 V(K, M[3]) (Schneider, Convex Bodies,
+    2014, 5.1). Two plates take ``_plate_volumes``, which the tests compare
+    with it. 4 V(K[3], M) sums vol_3(F) h_M(u) over K's 3-faces F and the
+    directions u of their normal cones, h_M(u) = max over L's vertices l of
+    -<L_q l, u>; 4 V(K, M[3]) likewise sums h_K(-L_q u) = max -<k, L_q u>.
 
-    A facet of K + M, M = -L_q L, is F + G for a face F of K and a face G of
-    M, dim F + dim G = 3, extreme in one direction (ibid., 1.7). Let
-    n.x = det [F's spanning vectors; G's; x]. The pair is a facet when n.x
-    has one strict sign at every vertex of K off F less F's first vertex f0
-    and at every vertex of M off G less g0: no tolerance, as a tie is a set
-    of rotations of measure zero. A sum of dimension below 4 has no pair
-    with a vertex off it, so its volume is 0. Oriented outward, |n| w_F w_G
-    is vol_3(F + G), w the faces' measure factors, so the facet adds
-    n.(f0 + g0) w_F w_G / 4.
+    6 V(K[2], M[2]) sums vol(F + L_q G) = vol_2 F vol_2 G |det [F's frame,
+    L_q G's frame]| over the pairs of 2-faces with x in N(K, F) + L_q N(L, G)
+    = N(K, F) - N(M, -L_q G), x fixed (``_GENERIC``): the cells of the mixed
+    subdivision of K + M that lifting K by <x, .> makes (Huber & Sturmfels,
+    Math. Comp. 64, 1995; Fulton & Sturmfels, Topology 36, 1997). Solving
+    x = [a, p, L_q b, L_q r] t by Cramer's rule, a, b the cones' generators
+    and p, r the complement bases (``_normal_planes``), the pair counts when
+    each generator's numerator has the denominator's sign. By Hodge duality
+    the frames' |det| is |den| over the roots of the normal planes' Gram
+    determinants. den and a numerator with x for a are forms of degree 2 in
+    q (``_det_form``), one with x for b of degree 1. A tie needs q on the
+    zero set of a form that is not 0 (L_q turns one normal plane through
+    every angle with another, and x lies in none): no tolerance. Dimensions
+    adding to less than 4 leave no pair of 2-faces and 3-faces only against
+    one vertex, 0 less the vertices' mean: the volume is 0 exactly.
 
-    Every such n.x is a 4x4 determinant of rows of K's, fixed, and rows of
-    M's, -L_q times L's, signed (-1)^(rows of M): a fixed form in q
-    (``_det_form``), of degree at most 2 however many rows are turned, as q
-    is a unit: min(b, 4 - b) at K's vertices and min(b + 1, 3 - b) at M's,
-    b = dim G. Per block, the monomials of q and one contraction per form
-    give every sign and h."""
-    rows_K, rows_L = _face_rows(K), _face_rows(L)
-    pairs = []
-    for a, (F, w_F) in rows_K.items():
-        b = 3 - a
-        if b not in rows_L:
-            continue
-        G, w_G = rows_L[b]
-        off_K, off_M = F.shape[1] - a - 1, G.shape[1] - b - 1
-        if not off_K + off_M:
-            continue  # F is K and G is M: their sum is flat
-        nG, nF = len(G), len(F)
-
-        def form(x, turned):
-            # per (G, F, x), stacked by G: the columns [F's spans; G's spans;
-            # x], the last b + turned of them turned, signed (-1)^(b + turned),
-            # and the degree of its monomials
-            gs, fs, n = x.shape[:3]
-            cols = np.concatenate([np.broadcast_to(F[None, :fs, None, :a], (gs, fs, n, a, 4)),
-                                   np.broadcast_to(G[:gs, None, None, :b], (gs, fs, n, b, 4)),
-                                   x[..., None, :]], axis=3)
-            c = (-1.0) ** (b + turned) * _det_form(cols, range(a, 3 + turned))
-            return c.reshape(gs, fs * n, -1), min(b + turned, 4 - b - turned)
-
-        # x at K's rows past F's spans, and at L's past G's. The forms at K's
-        # do not depend on G when G is a vertex, nor those at M's on F when F
-        # is one: each is built once, of degree 0, so the block's product is
-        # exact and broadcasts over the other face
-        by_K = form(np.broadcast_to(F[None, :, a:], (nG if b else 1, nF, off_K + 1, 4)), 0)
-        by_M = form(np.broadcast_to(G[:, None, b:], (nG, nF if a else 1, off_M + 1, 4)), 1)
-        pairs.append((off_K, off_M, by_K, by_M, np.outer(w_G, w_F).ravel() / 4.0))
-    # samples per block, so that the widest (G, F, vertex, sample) array of
-    # sign tests holds about HULL_BLOCK_FLOATS
-    widest = max((len(w) * (max(off_K, off_M) + 1) for off_K, off_M, *_, w in pairs), default=1)
-    block = max(1, HULL_BLOCK_FLOATS // widest)
+    A block's monomials, forms and sign tests are taken from the thread's
+    workspace past a block of MC_CHUNK points, its size following from the
+    pair's form rows; so each product, at most (2-face pairs, 10) times
+    (10, block), stays below the sizes at which OpenBLAS starts threads of
+    its own, which inside the estimate's threads would oversubscribe."""
+    groups = [{g[0].shape[1]: g for g in P.face_groups()} for P in (K, L)]
+    # the vertices less their mean, the fewer repeating their last
+    verts = [P._hull() - P._hull().mean(axis=0) for P in (K, L)]
+    m = max(map(len, verts))
+    verts = [v[np.minimum(np.arange(m), len(v) - 1)] for v in verts]
+    # support forms, by (direction, vertex, k): the coefficients of q_k in
+    # -vol <L_q l, u> and in -vol <k, L_q u>
+    (u_K, vol_K), (u_L, vol_L) = map(_facet_directions, groups)
+    forms = -np.concatenate([np.einsum("d,di,kij,lj->dlk", vol_K, u_K, _UNIT_LEFT, verts[1]),
+                             np.einsum("d,vi,kij,dj->dvk", vol_L, verts[0], _UNIT_LEFT, u_L)]).reshape(-1, 4)
+    # per pair of 2-faces, the denominator, weighted, then a numerator per
+    # generator: degree 2 with x for one of K's, 1 with x for one of L's
+    rows = []
+    if 2 in groups[0] and 2 in groups[1]:
+        (a, c_K, w_K), (b, c_L, w_L) = map(_normal_planes, groups)
+        cols = np.concatenate(np.broadcast_arrays(a[:, None], b[None]), axis=2)
+        rows.append(np.outer(w_K, w_L)[..., None] * _det_form(cols, (2, 3)))
+        for j in [*range(c_K), *range(2, 2 + c_L)]:
+            at = cols.copy()
+            at[:, :, j] = _GENERIC
+            rows.append(_det_form(at, (2, 3) if j < 2 else (5 - j,)))
+        rows = [r.reshape(-1, r.shape[-1]) for r in rows]
+    c0 = K.volume() + L.volume()
+    S, R, P = len(forms), len(rows), len(rows[0]) if rows else 0
+    # samples per block: per sample a sum, the forms, the monomials and a
+    # byte per test, all and any, less 8 floats per array for its rounding
+    per = 1 + S + 10 + R * P + (R + 2) * P / 8
+    block = min(BOX_BOX_BLOCK, int((WORKSPACE_FLOATS - 4 * MC_CHUNK - 56) / per))
 
     def volumes(q):
-        vol = np.zeros(q.shape[1])
+        vol = np.full(q.shape[1], c0)
         for s in range(0, len(vol), block):
             qb = q[:, s:s + block]
             B = qb.shape[1]
-            monomials = _monomials(qb, 2)
-            for off_K, off_M, (by_K, d_K), (by_M, d_M), w in pairs:
-                # n.x, by (G, F, x, sample), at the vertices of K (then at f0)
-                # and at those of M (then at g0): a product per G, small
-                # enough that OpenBLAS starts none of its own threads inside
-                # the estimate's worker threads, which would oversubscribe
-                at_K = np.matmul(by_K, monomials[d_K]).reshape(len(by_K), -1, off_K + 1, B)
-                at_M = np.matmul(by_M, monomials[d_M]).reshape(len(by_M), -1, off_M + 1, B)
-                tests_K, tests_M = at_K[:, :, :off_K], at_M[:, :, :off_M]
-                out = (tests_K < 0).all(axis=2) & (tests_M < 0).all(axis=2)
-                into = (tests_K > 0).all(axis=2) & (tests_M > 0).all(axis=2)
-                h = at_K[:, :, off_K] + at_M[:, :, off_M]
-                vol[s:s + B] += w @ (h * out - h * into).reshape(-1, B)
+            with _WORK as take:
+                sums = take(B)
+                if S:
+                    # h per direction: the max over the vertices
+                    h = np.matmul(forms, qb, out=take(S, B)).reshape(-1, m, B)
+                    for v in range(1, m):
+                        np.maximum(h[:, 0], h[:, v], out=h[:, 0])
+                    vol[s:s + B] += np.add.reduce(h[:, 0], axis=0, out=sums)
+                if P:
+                    products = _products(qb, take(10, B))
+                    tests = take(R, P, B)
+                    for r, form in zip(tests, rows):
+                        np.matmul(form, products if form.shape[1] == 10 else qb, out=r)
+                    positive = np.greater(tests, 0, out=take(R, P, B, dtype=bool))
+                    every = np.logical_and.reduce(positive, axis=0, out=take(P, B, dtype=bool))
+                    some = np.logical_or.reduce(positive, axis=0, out=take(P, B, dtype=bool))
+                    # a pair counts when every row is positive or none is
+                    den = np.abs(tests[0], out=tests[0])
+                    den *= np.greater_equal(every, some, out=every)
+                    vol[s:s + B] += np.add.reduce(den, axis=0, out=sums)
         return vol
     return volumes
 
@@ -875,7 +886,8 @@ def _plate_volumes(M1, M2):
     product, so the volume is area1 area2 |det [F1^T | L_q F2^T]|, a
     quadratic form q^T A q scaled by the areas, A_kk the coefficient of
     q_k^2 in ``_det_form`` and A_kl = A_lk half that of q_k q_l. It falls
-    to 0 as the plates turn parallel.
+    to 0 as the plates turn parallel, as two hulls' mixed volumes do
+    (``_hull_hull_volumes``), which the tests compare with it.
 
     A block of q takes one product A q and one sum over i of (A q)_i q_i,
     in the thread's workspace."""
@@ -900,9 +912,9 @@ def _plate_volumes(M1, M2):
 
 def _translation_volumes(K, L):
     """q -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
-    for any pair of boxes and vertex hulls. The motion measure is unchanged
-    by g -> g^-1, so a vertex hull against a box takes the box as K, the
-    same function of the same q."""
+    for any pair of boxes and vertex hulls, two hulls by mixed volumes. The
+    motion measure is unchanged by g -> g^-1, so a vertex hull against a box
+    takes the box as K, the same function of the same q."""
     if isinstance(K, Box) and isinstance(L, Box):
         return _box_box_volumes(K, L)
     box, hull = (K, L) if isinstance(K, Box) else (L, K)
@@ -966,7 +978,7 @@ def _lattice_means(rule, n, seed, threads):
     Every block, and whatever lattice(n) takes for the call, is taken from
     the running thread's workspace (``_Workspace``), which outlives the
     call: an estimate's steady state allocates no large array, whatever the
-    allocator's thresholds."""
+    allocator's thresholds, but for the shadows' (``_shadow_volumes``)."""
     s, scale, lattice = rule
     shifts = np.array([np.random.default_rng([seed, idx]).random(s) for idx in range(REPLICATES)])
     with _WORK:

@@ -6,9 +6,10 @@ point, an arc or a geodesic triangle by its generator count alone (a cone of
 four or more generators raises), each integrated exactly, so float results
 carry only rounding error.  No Monte Carlo sample is scored against any of
 them: every score is exact, with no iteration.  The weights of pairs without
-a ball are closed forms in the rotation (a shadow or a facet of a sum counts
-when every other vertex lies strictly on one side of it, which can fail only
-where vertices are coplanar, a set of rotations of measure zero).  Ball
+a ball are closed forms in the rotation (a shadow's edge counts when every
+other vertex lies strictly on one side of it, a pair of 2-faces when one
+fixed x lies strictly inside their cones' sum: a tie needs q in a set of
+measure zero).  Ball
 pairs integrate rounded-3-box sections or weigh a hull's shadows, in closed
 form: none tests a point against a boundary.
 """

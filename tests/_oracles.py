@@ -590,6 +590,19 @@ def haar_quaternions(rng, size):
     return qs / np.linalg.norm(qs, axis=1)[:, None]
 
 
+def quaternion_monomials(q, b):
+    """The monomials of the (4, B) columns q of degrees 0 to b, a (count, B)
+    array per degree in ``combinations_with_replacement`` order, the order
+    of ``kinematic._det_form``'s coefficients: q_k times the last
+    C(d + 2 - k, d - 1) of degree d - 1, those in q_k, ..., q_3."""
+    monomials = [np.ones((1, q.shape[1]))]
+    for d in range(1, b + 1):
+        lower = monomials[-1]
+        monomials.append(np.concatenate([q[k] * lower[len(lower) - math.comb(d + 2 - k, d - 1):]
+                                         for k in range(4)]))
+    return monomials
+
+
 # E|q_k| for q uniform on S^3: q_k has density (2/pi) sqrt(1 - t^2)
 LINEAR_FORM_MEAN = 4.0 / (3.0 * math.pi)
 

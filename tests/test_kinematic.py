@@ -888,7 +888,7 @@ class TestDetForm:
         degree = b if b <= 2 else 4 - b
         if degree < b:
             qs /= np.linalg.norm(qs, axis=1)[:, None]
-        monomials = kinematic._monomials(qs.T, degree)[degree]
+        monomials = _oracles.quaternion_monomials(qs.T, degree)[degree]
         assert len(monomials) == math.comb(degree + 3, 3) <= 10
         for moving in combinations(range(4), b):
             coeffs = kinematic._det_form(cols, moving)
@@ -900,10 +900,14 @@ class TestDetForm:
                 np.testing.assert_allclose(coeffs @ row, want, rtol=1e-13, atol=0)
 
     def test_monomials_are_sorted_index_products(self):
+        # the oracle's monomials of every degree, and the blocks' products
+        # of degree 2
         q = np.array([[2.0], [3.0], [5.0], [7.0]])
         for b in range(5):
             want = [math.prod(q[list(t), 0]) for t in combinations_with_replacement(range(4), b)]
-            assert kinematic._monomials(q, b)[b][:, 0].tolist() == want
+            assert _oracles.quaternion_monomials(q, b)[b][:, 0].tolist() == want
+            if b == 2:
+                assert kinematic._products(q, np.empty((10, 1)))[:, 0].tolist() == want
 
 
 class TestPlateConditioning:
@@ -1369,7 +1373,7 @@ def _qhull_difference_volume(K, L, q):
 
 
 class TestHullHullVolumes:
-    """The facet-sum weight vol(K - L_q L) of two vertex hulls against
+    """The mixed-volume weight vol(K - L_q L) of two vertex hulls against
     Qhull, the plates' weight, the hit indicator it integrates and the exact
     right-hand side."""
 
@@ -1385,6 +1389,20 @@ class TestHullHullVolumes:
             return
         for b in range(0, len(qs), 131):
             assert got[b] == pytest.approx(_qhull_difference_volume(K, L, qs[b]), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("pair", HULL_PAIRS, ids="-".join)
+    def test_weight_does_not_depend_on_the_direction_x(self, pair, monkeypatch):
+        # x picks the pairs of 2-faces that count, the cells of one mixed
+        # subdivision of K - L_q L: another generic x picks the cells of
+        # another, of the same volume
+        K, L = (HULLS[name] for name in pair)
+        qs = haar_quaternions(np.random.default_rng(142), 4096)
+        one = kinematic._hull_hull_volumes(K, L)(qs.T)
+        monkeypatch.setattr(kinematic, "_GENERIC",
+                            np.array([-0.2718281828459045, 0.6180339887498949,
+                                      0.1234567890123457, -0.7071067811865476]))
+        two = kinematic._hull_hull_volumes(K, L)(qs.T)
+        np.testing.assert_allclose(two, one, rtol=0, atol=1e-13 * np.abs(one).max())
 
     def test_plates_match_the_plate_form(self):
         # two plates' sum is an affine image of their product:
@@ -1877,20 +1895,30 @@ class TestLatticeTables:
                 table[0] = 0.5
 
 
+# the vertex-hull pairs of the CI's Monte Carlo step
+WORKSPACE_HULLS = {
+    "simplex_simplex": (MOTION_SIMPLEX, MOTION_SIMPLEX),
+    "pentagon_simplex": (mgon(5, PENTAGON_FRAME, radius=0.8), MOTION_SIMPLEX),
+}
+
+
 class TestWorkspace:
     """Warm estimates work in each thread's resident workspace."""
 
     @pytest.mark.parametrize("pair, N", [pytest.param(pair, N, id=pair)
                                          for pair, (_, _, N) in PINNED_PAIRS.items()]
-                             + [pytest.param("box_box", 1 << 20, id="box_box-past-a-chunk")])
+                             + [pytest.param("box_box", 1 << 20, id="box_box-past-a-chunk")]
+                             + [pytest.param(pair, 40000, id=pair) for pair in WORKSPACE_HULLS])
     def test_warm_estimate_allocates_at_most_512_kib(self, pair, N):
         # before the workspace, a warm estimate's temporaries peaked at
         # 1.5-2.3 MiB: the whole-chunk buffer, the tables, box/box's forms
         # and the simplex shadows' (pair, plane, sample) arrays. From
         # N = 2^19 on a replicate's block holds MC_CHUNK points, and box/box's
         # forms must fit beside it: in 5 MC_CHUNK floats they did not, and a
-        # warm estimate at N = 2^20 peaked at 1,161 KiB
-        K, L, _ = PINNED_PAIRS[pair]
+        # warm estimate at N = 2^20 peaked at 1,161 KiB. The facet sum of two
+        # vertex hulls peaked at 8,000 KiB (simplex/simplex) and 5,520 KiB
+        # (pentagon/simplex)
+        K, L = {**PINNED_PAIRS, **WORKSPACE_HULLS}[pair][:2]
         estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
         estimator(K, L, N=N, seed=1)
         tracemalloc.start()
