@@ -12,16 +12,22 @@ float is truncated or gcd-reduced.
 hodge_star (HODGE), lie_reeb (LIE_REEB) and contact's Rumin solve
 (``contact.RUMIN``) are caches of integer columns, one per monomial of an
 input block: its image as (row, value) arrays into each output block.
-Applying one is a gather and an np.add.at per output block, in int64 while a
-checked bound allows it and in Python ints past it (``_widen``).  The dict
-operators build the columns, all missing monomials of an input in one pass:
+Applying one is a gather and an np.add.at per output block it is asked for
+(``_ColumnOperator.apply`` takes their numbers: the pairing reads the Rumin
+solve's D and not its correction xi), in int64 while a checked bound allows
+it and in Python ints past it (``_widen``).  The dict operators build the
+columns of every output, all missing monomials of an input in one pass:
 monomial i enters with coefficient 2^(B i), so its image rides in lane i of
 every output coefficient, and a bias of 2^(B - 1) per lane decodes it.  The
 lane width B comes from a proved bound on a column's entries, the product of
 the column l1 norms of the operator's steps (the *_norm helpers), so no lane
 carries into the next.  pair_top contracts two vectors against the
 closed-form integrals of sphere monomials, the one path of the pairing at
-every degree.
+every degree.  The integral of v^e is an integer numerator of e
+(``exterior.sphere_numerator``) times a factor of n and |e| alone
+(``exterior.sphere_factor``), so the contraction sums its products times
+their numerators in Python ints per total degree, and makes one fraction
+per degree.
 
 An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
@@ -35,7 +41,9 @@ caches of ``bodies``.
 
 Limits: an input whose column bound needs lanes wider than 64 bits (for
 the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
-up) runs the dict operator itself.  The contraction packs each product's
+up) runs the dict operator itself, which gives every output at once; a
+caller that reads the outputs in turn keeps those images (``solved``), so
+that no block is solved twice.  The contraction packs each product's
 exponents into one code, in fields as wide as the two degrees' sum needs:
 an int64 while the n fields fit in 63 bits (in R^4, degree sums up to
 2^15 - 2), a Python int past that.  The caches keep every column they
@@ -61,7 +69,8 @@ from .exterior import (
     _prepend_sign,
     hodge_star,
     lie_reeb,
-    sphere_monomial_integral,
+    sphere_factor,
+    sphere_numerator,
 )
 from .scalars import Rat, Scalar
 
@@ -373,6 +382,16 @@ def _lane_bits(bound) -> int:
     return 8 * -(-(bound.bit_length() + 1) // 8)
 
 
+def _key_order(blk, ids, vals):
+    """A vector (ids, vals) of block blk; a float one sorted by monomial key,
+    so that its sums run in ``_ordered_terms`` order."""
+    if vals.dtype.kind != "f":
+        return ids, vals
+    keys = [blk.keys[i] for i in ids.tolist()]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return ids[order], vals[order]
+
+
 class _Columns:
     """Integer columns of a Z-linear operator on the monomials of one block.
 
@@ -393,13 +412,14 @@ class _Columns:
         self.start, self.size = [np.zeros(0, np.int64)] * m, [np.zeros(0, np.int64)] * m
         self.rows, self.vals = [np.zeros(0, np.int64)] * m, [np.zeros(0, np.int64)] * m
 
-    def apply(self, ids, vals):
-        """The image of the vector (ids, vals): per output block, (ids, vals) or None;
-        float entries are summed in ``_ordered_terms`` order."""
-        if vals.dtype.kind == "f":
-            keys = [self.src.keys[i] for i in ids.tolist()]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            ids, vals = ids[order], vals[order]
+    def apply(self, ids, vals, outs=None):
+        """The image of the vector (ids, vals) in the output blocks numbered
+        outs, every one by default: per output, (ids, vals), or None where it
+        is empty or not asked for.  Float entries are summed in
+        ``_ordered_terms`` order.  Returns None, and builds no column, when
+        the columns of its monomials would need lanes past 64 bits
+        (``direct``)."""
+        ids, vals = _key_order(self.src, ids, vals)
         grow = len(self.src.keys) - len(self.slot)
         if grow:
             self.slot = np.concatenate([self.slot, np.full(grow, -1, np.int64)])
@@ -407,20 +427,21 @@ class _Columns:
         missing = ids[cols < 0]
         if missing.size:
             if not self._build(missing.tolist()):
-                return self._direct(ids, vals)
+                return None
             cols = self.slot[ids]
-        out = []
+        out = [None] * len(self.outs)
         top = _maxabs(vals) * self.maxabs
-        for j, blk in enumerate(self.outs):
+        for j in range(len(self.outs)) if outs is None else outs:
             start, size = self.start[j][cols], self.size[j][cols]
             total = int(size.sum())
             idx = np.repeat(start - np.cumsum(size) + size, size) + np.arange(total)
             # every partial sum is at most max|x| * max|entry| * total
             x, col_vals = _widen(top * total, vals, self.vals[j][idx])
-            acc = np.zeros(len(blk.keys), x.dtype)
+            acc = np.zeros(len(self.outs[j].keys), x.dtype)
             np.add.at(acc, self.rows[j][idx], col_vals * np.repeat(x, size))
             nz = np.flatnonzero(acc)
-            out.append((nz, _fit(acc[nz])) if nz.size else None)
+            if nz.size:
+                out[j] = (nz, _fit(acc[nz]))
         return out
 
     def _build(self, missing) -> bool:
@@ -437,9 +458,11 @@ class _Columns:
             self._build_lanes(missing[s:s + step], keys[s:s + step], B)
         return True
 
-    def _direct(self, ids, vals):
-        """The image of the vector (ids, vals) through the dict operator
-        itself, for monomials of so high a degree that no column is kept."""
+    def direct(self, ids, vals):
+        """The image of the vector (ids, vals) in every output block, as for
+        apply, through one run of the dict operator itself: for monomials of
+        so high a degree that no column is kept."""
+        ids, vals = _key_order(self.src, ids, vals)
         keys = [self.src.keys[i] for i in ids.tolist()]
         outputs, self.scale = self.build(_form(self.src.n, keys, vals.tolist()))
         out = []
@@ -486,17 +509,32 @@ class _ColumnOperator:
                 n, a, b, self.build, lambda deg: self.bound(n, a, b, deg), self.outs(n, a, b))
         return cols
 
-    def apply(self, n, parts) -> list:
-        """The operator on every part of a split form: one split form per output."""
-        results = [{} for _ in range(self.arity)]
+    def apply(self, n, parts, outs=None, solved=None) -> list:
+        """The operator on every part of a split form: one split form per
+        output numbered in outs, every output by default.
+
+        An input block whose columns would need lanes past 64 bits runs the
+        dict operator, which gives every output at once.  solved, a dict,
+        keeps those images per (pi power, input block); a later call on the
+        same form with the same dict reads them and solves nothing again.
+        """
+        outs = range(self.arity) if outs is None else outs
+        results = [{} for _ in outs]
         for k, (den, blocks) in parts.items():
-            images = [{} for _ in results]
+            images = [{} for _ in outs]
             for (a, b), (ids, vals) in blocks.items():
                 cols = self.columns(n, a, b)
+                full = None if solved is None else solved.get((k, a, b))
+                if full is None:
+                    full = cols.apply(ids, vals, outs)
+                if full is None:
+                    full = cols.direct(ids, vals)
+                    if solved is not None:
+                        solved[(k, a, b)] = full
                 # the outputs of different input blocks lie in different blocks
-                for image, blk, res in zip(images, cols.outs, cols.apply(ids, vals)):
-                    if res is not None:
-                        image[(blk.a, blk.b)] = res
+                for image, j in zip(images, outs):
+                    if full[j] is not None:
+                        image[(cols.outs[j].a, cols.outs[j].b)] = full[j]
             for res, image in zip(results, images):
                 if image:
                     res[k] = _reduce_grade(den * cols.scale, image)
@@ -613,13 +651,11 @@ def _place(n, width):
 
 
 @lru_cache(maxsize=None)
-def _sphere_rational(n, width, code):
-    """The integral of v^e over S^(n-1), e packed width bits per exponent, as
-    (rational, pi power)."""
+def _sphere_numerator(n, width, code):
+    """``exterior.sphere_numerator`` of the exponents e packed width bits
+    each in code."""
     mask = (1 << width) - 1
-    (power, r), = sphere_monomial_integral(tuple(code >> (width * i) & mask
-                                                 for i in range(n))).terms.items()
-    return r, power
+    return sphere_numerator(tuple(code >> (width * i) & mask for i in range(n)))
 
 
 def _top_contract(n, ab, x_vec, y_vec):
@@ -629,7 +665,11 @@ def _top_contract(n, ab, x_vec, y_vec):
     The exponents of a product v^(e_x + e_y) v_t, at most the two degrees'
     sum plus one, are packed into one code each, in the fewest bits that hold
     that bound: an int64 while the n fields fit in 63 bits, a Python int past
-    it, as ``_widen`` does for values."""
+    it, as ``_widen`` does for values.  The integral of v^e is
+    ``sphere_numerator`` times a factor of n and |e| alone
+    (``sphere_factor``), so the products' sums times their codes' numerators
+    add up in Python ints per total degree, and each degree makes one
+    fraction."""
     blk_x, blk_y = _block(n, *ab), _block(n, n - ab[0], n - 1 - ab[1])
     codes_x, codes_y = blk_x.codes(), blk_y.codes()
     (ix, x), (iy, y) = x_vec, y_vec
@@ -646,21 +686,29 @@ def _top_contract(n, ab, x_vec, y_vec):
     total = int(count.sum())
     pair = np.repeat(np.arange(len(count)), count)
     j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
-    i = pair // n
     code = ex[pair] + ey[j]
-    even = (code & place.sum()) == 0
-    if not even.any():
+    # only codes with every exponent even integrate to nonzero
+    even = np.flatnonzero((code & place.sum()) == 0)
+    if not even.size:
         return {}
+    pair, j, code = pair[even], j[even], code[even]
     # |x_i y_j| summed over all pairs bounds every total below
     x, y = _widen(_maxabs(x) * _maxabs(y) * total, x, y)
-    val, code = (x[i] * y[j] * psign[pair])[even], code[even]
+    val = x[pair // n] * y[j] * psign[pair]
     order = np.argsort(code, kind="stable")
     val, code = val[order], code[order]
     first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    out = {}
+    # an even code's fields sum to its degree, which is even and so below
+    # 2^width - 1; as 2^width is 1 modulo 2^width - 1, so is the code
+    mod = (1 << width) - 1
+    sums = {}
     for c, t in zip(code[first].tolist(), np.add.reduceat(val, first).tolist()):
         if t:
-            r, power = _sphere_rational(n, width, c)
+            sums[c % mod] = sums.get(c % mod, 0) + t * _sphere_numerator(n, width, c)
+    out = {}
+    for deg, t in sums.items():
+        if t:
+            (power, r), = sphere_factor(n, deg).terms.items()
             out[power] = out.get(power, 0) + t * r
     return out
 

@@ -10,11 +10,14 @@ paired base and fiber slots (``exterior.contract_slot``).  The solve is
 linear over Z, so it runs on the pi-graded integer parts of omega as sparse
 vectors over monomials (see ``columns``): D and xi are a cache of integer
 columns per input block (n, |I|, |J|), ``RUMIN``.  The dict solve,
-``_lefschetz_pass``, builds the missing columns of an input in one
-lane-packed pass and checks there, once for every column, that the
-corrected derivative is vertical.  Its lane width comes from
-``_rumin_bound``, the product of the column l1 norms of the solve's steps,
-kept beside the solve whose steps it bounds.  In front of the columns, a bounded LRU (``_rumin_cached``,
+``_lefschetz_pass``, builds the missing columns of both outputs of an
+input in one lane-packed pass and checks there, once for every column,
+that the corrected derivative is vertical.  A solve applies the columns of
+D alone, which is all that the pairing and the operators read; the result
+(``RuminResult``) applies xi's on first read, for the ``rumin`` command.
+The lane width comes from ``_rumin_bound``, the product of the column l1
+norms of the solve's steps, kept beside the solve whose steps it bounds.
+In front of the columns, a bounded LRU (``_rumin_cached``,
 ``columns._cached_on_vectors``) keeps the result per input, keyed on the
 bytes of its vectors, so a form rebuilt from the same vectors hits and no
 Scalar term is hashed.
@@ -39,14 +42,25 @@ from .exterior import InvariantForm, alpha_form, contract_slot, d, reeb_contract
 class RuminResult:
     """Corrected derivative D_omega = d(omega + alpha ^ xi) with its correction.
 
-    Both are held as split vectors (``columns._split_vectors``); D_omega
-    and xi are their forms (``columns._join_vectors``).  ansatz_degree is the
+    D_parts holds D_omega as split vectors (``columns._split_vectors``);
+    parts holds omega's, from which xi_parts applies the columns of xi on
+    first read, since only the correction itself (the ``rumin`` command)
+    reads them.  solved keeps the dict solve's images of the input blocks
+    past 64-bit lanes, every output of them (``columns._ColumnOperator``),
+    so that reading xi solves no block again.  D_omega and xi are the forms
+    of the vectors (``columns._join_vectors``).  ansatz_degree is the
     polynomial degree of xi's coefficients.
     """
 
     n: int
+    parts: dict
     D_parts: dict
-    xi_parts: dict
+    solved: dict
+
+    @cached_property
+    def xi_parts(self) -> dict:
+        (xi,) = RUMIN.apply(self.n, self.parts, (_XI,), self.solved)
+        return xi
 
     @cached_property
     def D_omega(self) -> InvariantForm:
@@ -128,6 +142,7 @@ def _rumin_bound(n, a, b, deg) -> int:
 
 RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
                         lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
+_XI, _D = 0, 1  # RUMIN's outputs, in the order of _lefschetz_pass
 
 
 def rumin(omega: InvariantForm) -> RuminResult:
@@ -148,5 +163,6 @@ def _rumin_cached(n, parts) -> RuminResult:
     """The Rumin solve of a split form."""
     if any(vals.dtype.kind == "f" for _, blocks in parts.values() for _, vals in blocks.values()):
         raise TypeError("the Rumin solve requires exact coefficients, not floats")
-    xi_parts, D_parts = RUMIN.apply(n, parts)
-    return RuminResult(n, D_parts, xi_parts)
+    solved = {}
+    (D_parts,) = RUMIN.apply(n, parts, (_D,), solved)
+    return RuminResult(n, parts, D_parts, solved)

@@ -22,9 +22,11 @@ whose width comes from a proved bound on the column's entries, and they
 stay the reference the tests hold the columns to.
 
 Fiber integration pi_* enters through closed-form sphere integrals alone:
-``sphere_monomial_integral`` for the pairing, which contracts two forms'
-vectors (``columns.pair_top``), and ``fiber_monomial_integral`` for a
-valuation's value on a ball.  The one exterior product is
+``sphere_monomial_integral`` as the product of its two parts, for the
+pairing, which contracts two forms' vectors over the integer part
+``sphere_numerator`` and scales each degree once by ``sphere_factor``
+(``columns.pair_top``), and ``fiber_monomial_integral`` for a valuation's
+value on a ball.  The one exterior product is
 ``InvariantForm.wedge``; the tangential projection of dv_J is a product of
 projected one-forms taken with it.  The one vector field contracted with is
 the Reeb field T = sum_i v_i d/dx_i of the contact form alpha
@@ -478,23 +480,40 @@ def lie_reeb(a: InvariantForm) -> InvariantForm:
 def sphere_monomial_integral(e) -> Scalar:
     """Exact integral of v^e over the unit sphere S^(n-1), n = len(e):
     2 prod_i Gamma((e_i + 1)/2) / Gamma((|e| + n)/2), zero unless every e_i
-    is even. With Gamma(m + 1/2) = (2m - 1)!! sqrt(pi) / 2^m and the odd
-    (2m - 1)!! = (2m)! / (m! 2^m), it is a rational times pi^(n // 2), built
-    as one fraction of integers whose powers of two cancel by shifts."""
+    is even.  It is ``sphere_numerator(e)`` times ``sphere_factor(n, |e|)``."""
+    num = sphere_numerator(e)
+    if not num:
+        return ZERO
+    (power, r), = sphere_factor(len(e), sum(e)).terms.items()
+    return Scalar({power: Rat(num * r.numerator, r.denominator)})
+
+
+def sphere_numerator(e) -> int:
+    """The part of the integral of v^e over S^(n-1) that depends on each e_i:
+    prod_i (e_i - 1)!!, the odd (2m - 1)!! = (2m)! / (m! 2^m), and 0 unless
+    every e_i is even.  As Gamma(m + 1/2) = (2m - 1)!! sqrt(pi) / 2^m,
+    prod_i Gamma((e_i + 1)/2) is this times pi^(n/2) / 2^(|e|/2)."""
     if any(ei < 0 for ei in e):
         raise ValueError("negative exponent")
     if any(ei % 2 for ei in e):
-        return ZERO
-    num = math.prod(math.perm(ei, ei // 2) >> ei // 2 for ei in e)
-    t = sum(e) + len(e)
+        return 0
+    return math.prod(math.perm(ei, ei // 2) >> ei // 2 for ei in e)
+
+
+@lru_cache(maxsize=None)
+def sphere_factor(n, degree) -> Scalar:
+    """The part of the integral of v^e over S^(n-1), |e| = degree even, that
+    depends on n and |e| alone: 2 pi^(n/2) / (2^(|e|/2) Gamma((|e| + n)/2)),
+    a rational times pi^(n // 2), built as one fraction of integers whose
+    powers of two cancel by shifts."""
+    t = degree + n
     if t % 2:
-        den, twos = math.perm(t - 1, t // 2) >> t // 2, 1 + t // 2 - sum(e) // 2
+        den, twos = math.perm(t - 1, t // 2) >> t // 2, 1 + t // 2 - degree // 2
     else:
-        den, twos = math.factorial(t // 2 - 1), 1 - sum(e) // 2
+        den, twos = math.factorial(t // 2 - 1), 1 - degree // 2
     zeros = (den & -den).bit_length() - 1
     den, twos = den >> zeros, twos - zeros
-    value = Rat(num << twos, den) if twos >= 0 else Rat(num, den << -twos)
-    return Scalar({len(e) // 2: value})
+    return Scalar({n // 2: Rat(1 << twos, den) if twos >= 0 else Rat(1, den << -twos)})
 
 
 def fiber_monomial_integral(J, e) -> Scalar:

@@ -114,10 +114,10 @@ def euler_verdier(mu: ValuationRep) -> ValuationRep:
 def derivation(mu: ValuationRep) -> ValuationRep:
     """Degree-lowering derivative: (L_T omega + i_T pullback(phi), 0)."""
     n = mu.n
-    lifted = reeb_contract(_phi_form(mu))
     (parts,) = LIE_REEB.apply(n, _split_vectors(mu.omega))
-    omega = _join_vectors(n, _add_vectors(n, parts, _split_vectors(lifted)))
-    return ValuationRep(n, omega)
+    if mu.phi:
+        parts = _add_vectors(n, parts, _split_vectors(reeb_contract(_phi_form(mu))))
+    return ValuationRep(n, _join_vectors(n, parts))
 
 
 def _phi_form(mu: ValuationRep) -> InvariantForm:
@@ -128,7 +128,8 @@ def _phi_form(mu: ValuationRep) -> InvariantForm:
 
 def _inner_parts(mu: ValuationRep) -> dict:
     """Split vectors of D(omega) + pullback(phi); raises TypeError on floats."""
-    return _add_vectors(mu.n, rumin(mu.omega).D_parts, _split_vectors(_phi_form(mu)))
+    parts = rumin(mu.omega).D_parts
+    return _add_vectors(mu.n, parts, _split_vectors(_phi_form(mu))) if mu.phi else parts
 
 
 def signature(mu: ValuationRep) -> ValuationRep:

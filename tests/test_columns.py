@@ -364,15 +364,15 @@ class TestLimits:
 
     @staticmethod
     def _record_widths(monkeypatch):
-        """The exponent field width of every sphere integral the contraction reads."""
+        """The exponent field width of every sphere numerator the contraction reads."""
         widths = []
-        real = columns._sphere_rational
+        real = columns._sphere_numerator
 
         def spy(n, width, code):
             widths.append(width)
             return real(n, width, code)
 
-        monkeypatch.setattr(columns, "_sphere_rational", spy)
+        monkeypatch.setattr(columns, "_sphere_numerator", spy)
         return widths
 
     def test_pairing_past_contraction_degree(self, monkeypatch):
@@ -402,6 +402,116 @@ class TestLimits:
         assert pairing(high, low) == pairing_reference(high, low) != 0
         assert pairing(low, high) == pairing_reference(low, high) != 0
         assert widths and all(4 * w >= 64 for w in widths)
+
+
+class TestDegreeSums:
+    """The contraction adds each code's integer sum times its sphere
+    numerator in Python ints per total degree, and scales each degree's sum
+    once (``exterior.sphere_factor``)."""
+
+    @staticmethod
+    def _record_degrees(monkeypatch):
+        """Per contraction, the degrees of its codes with a nonzero sum, and
+        the degrees it scales."""
+        calls = []
+        contract, numerator, factor = (columns._top_contract, columns._sphere_numerator,
+                                       columns.sphere_factor)
+
+        def contract_spy(*args):
+            calls.append((set(), set()))
+            return contract(*args)
+
+        def numerator_spy(n, width, code):
+            mask = (1 << width) - 1
+            calls[-1][0].add(sum(code >> (width * i) & mask for i in range(n)))
+            return numerator(n, width, code)
+
+        def factor_spy(n, degree):
+            calls[-1][1].add(degree)
+            return factor(n, degree)
+
+        monkeypatch.setattr(columns, "_top_contract", contract_spy)
+        monkeypatch.setattr(columns, "_sphere_numerator", numerator_spy)
+        monkeypatch.setattr(columns, "sphere_factor", factor_spy)
+        return calls
+
+    @staticmethod
+    def _rep(n, terms):
+        return ValuationRep(n, InvariantForm(n, {key: SpherePoly(n, p) for key, p in terms.items()}))
+
+    def test_two_degrees_in_one_contraction(self, monkeypatch):
+        mu = self._rep(2, {((0,), ()): {(1, 0): 1, (3, 0): 1}})
+        nu = self._rep(2, {((1,), ()): {(0, 1): 1}})
+        calls = self._record_degrees(monkeypatch)
+        for x, y in ((mu, nu), (nu, mu)):
+            calls.clear()
+            assert pairing(x, y) == pairing_reference(x, y) != 0
+            assert any(len(scaled) >= 2 for _, scaled in calls)
+
+    def test_a_degree_sum_cancels(self, monkeypatch):
+        # in pairing(nu, mu) one contraction meets codes of three degrees,
+        # and the numerators of one degree's codes add up to 0
+        mu = self._rep(3, {((0, 1), ()): {(0, 1, 1): 3}})
+        nu = self._rep(3, {((0,), (0,)): {(1, 2, 1): 2}})
+        calls = self._record_degrees(monkeypatch)
+        assert pairing(mu, nu) == pairing_reference(mu, nu) != 0
+        calls.clear()
+        assert pairing(nu, mu) == pairing_reference(nu, mu) != 0
+        assert any(scaled and summed - scaled for summed, scaled in calls)
+
+
+class TestLazyXi:
+    """The pairing and the operators read D alone: the Rumin solve applies
+    the columns of D, and xi's on first read."""
+
+    def test_operators_leave_xi_unapplied(self, monkeypatch):
+        made, result = [], contact.RuminResult
+        monkeypatch.setattr(contact, "RuminResult", lambda *args: made.append(result(*args))
+                            or made[-1])
+        # a fresh LRU, so that every solve below makes its result
+        monkeypatch.setattr(contact, "_rumin_cached", contact._cached_on_vectors(
+            contact._rumin_cached.__wrapped__))
+        u, v = ImDirection.of(4, 0, -9), ImDirection.of(0, 7, 3)
+        zu, zv = z_rep(u), z_rep(v)
+        assert pairing(zu, zv) == tasaki_density(u.dot_sq(v))
+        signature(zu)
+        laplace(zv)
+        assert made and all("xi_parts" not in vars(res) for res in made)
+        for res in made:
+            omega = columns._join_vectors(res.n, res.parts)
+            xi, D = rumin_reference(omega)
+            assert res.xi == xi and res.D_omega == D
+
+    @pytest.mark.parametrize("u", [(1, 0, 2), (1099511627777, 3, -5)])
+    def test_xi_on_first_read(self, u):
+        # the second direction's vectors hold Python ints past 2^63
+        omega = z_rep(ImDirection.of(*u)).omega
+        res = contact._rumin_cached.__wrapped__(4, _split_vectors(omega))
+        dtypes = {vals.dtype.kind for _, blocks in res.parts.values() for _, vals in blocks.values()}
+        assert dtypes == ({"O"} if max(u) > 1 << 40 else {"i"})
+        assert "xi_parts" not in vars(res)
+        xi, D = rumin_reference(omega)
+        assert res.xi == xi and res.D_omega == D
+        assert res.ansatz_degree == max(p.degree() for p in xi.terms.values())
+
+    def test_direct_path_solves_once(self, monkeypatch):
+        # a column bound past 64-bit lanes sends every block to the dict
+        # solve, which gives D and xi at once: reading both solves once
+        solves = []
+
+        def counted(f):
+            solves.append(f)
+            return _lefschetz_pass(f)
+
+        monkeypatch.setattr(RUMIN, "caches", {})
+        monkeypatch.setattr(RUMIN, "build", counted)
+        monkeypatch.setattr(RUMIN, "bound", lambda n, a, b, deg: 1 << 64)
+        omega = monomial(4, (0, 1), (2,), (2, 1, 0, 1), 3) + monomial(4, (0, 1), (3,), (0, 3, 1, 0), -2)
+        res = contact._rumin_cached.__wrapped__(4, _split_vectors(omega))
+        assert len(solves) == 1 and not RUMIN.columns(4, 2, 1).count
+        xi, D = rumin_reference(omega)
+        assert res.D_omega == D and res.xi == xi and not xi.is_zero()
+        assert len(solves) == 1
 
 
 def test_split_vectors_match_split_pi():

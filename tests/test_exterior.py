@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -40,9 +41,11 @@ from valcalc.exterior import (
     hodge_star,
     lie_reeb,
     reeb_contract,
+    sphere_factor,
     sphere_monomial_integral,
+    sphere_numerator,
 )
-from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
+from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, gamma_half, rational
 from valcalc.su2 import ImDirection, z_rep
 from valcalc.valuation import intrinsic_volume_rep
 
@@ -431,6 +434,32 @@ class TestSphereIntegral:
                     e[j] = 2
                     total = total + sphere_monomial_integral(tuple(e))
         assert total == 2 * PI ** 2
+
+    @staticmethod
+    def _by_gamma(e):
+        """2 prod_i Gamma((e_i + 1)/2) / Gamma((|e| + n)/2), zero unless every
+        e_i is even, from ``scalars.gamma_half``."""
+        if any(ei % 2 for ei in e):
+            return ZERO
+        value, roots = Rat(2), 0
+        for ei in e:
+            g, h = gamma_half(ei + 1)
+            value, roots = value * g, roots + h
+        g, h = gamma_half(sum(e) + len(e))
+        return Scalar({(roots - h) // 2: value / g})
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_numerator_times_factor(self, n):
+        # the contraction scales each degree's sum of numerators by one
+        # factor: their product is the whole integral
+        for e in itertools.product(range(9), repeat=n):
+            whole = sphere_factor(n, sum(e)) * sphere_numerator(e)
+            assert whole == sphere_monomial_integral(e) == self._by_gamma(e), e
+
+    def test_numerator_times_factor_near_2_15(self):
+        e = ((1 << 15) - 2, 4, 0, 2)
+        whole = sphere_factor(4, sum(e)) * sphere_numerator(e)
+        assert whole == sphere_monomial_integral(e) == self._by_gamma(e) != 0
 
     def test_monte_carlo_cross_check(self):
         rng = np.random.default_rng(12345)
