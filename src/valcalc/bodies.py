@@ -30,9 +30,10 @@ per form in a bounded LRU on its vectors (``columns._cached_on_vectors``).
 
 Each body class carries its own volume, rigid motion ``moved(R, t)`` for
 x -> R x + t, and, except the ball, its faces grouped by dimension
-(``face_groups``), from which it builds its pieces; a simplex and a polygon
-also list their vertices (``_hull``).  The Monte Carlo weighs two vertex
-hulls from the same groups and vertices.
+(``face_groups``), from which it builds its pieces, and its vertices
+(``_hull``).  The Monte Carlo weighs a vertex hull against a box or
+another hull by mixed volumes over these groups and vertices, and against a
+ball over a cube's, weighted by the ball's radius.
 """
 
 import math
@@ -77,24 +78,6 @@ def _row_norms(x):
     for k in range(1, x.shape[-1]):
         total = total + x[..., k] * x[..., k]
     return np.sqrt(total)
-
-
-def _row_min(x):
-    """Minima over the last axis, as _row_max takes maxima."""
-    low = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        low = np.minimum(low, x[..., k])
-    return low
-
-
-def _row_max(x):
-    """Maxima over the last axis, as explicit column maxima: on the few
-    vertices of a simplex or polygon several times faster than ``np.max``'s
-    reduction, and exact either way."""
-    top = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        top = np.maximum(top, x[..., k])
-    return top
 
 
 def _check_orthonormal(a, name, tol=ORTHONORMAL_TOL):
@@ -224,6 +207,12 @@ class Box(_Polytope):
 
     def moved(self, R, t):
         return Box(R @ self.center + t, self.half_extents, R @ self.rotation)
+
+    def _hull(self):
+        """The 2^n vertices, center + R (s * half_extents) for the sign
+        vectors s in ``product`` order."""
+        signs = np.array(list(product((-1.0, 1.0), repeat=self.dim)))
+        return self.center + (signs * self.half_extents) @ self.rotation.T
 
     def face_groups(self):
         """The faces of dimension 1 to n - 1 (``_pieces``) by their free

@@ -22,22 +22,22 @@ with y1 <= h1 are counted in closed form, not evaluated, and the others
 take one affine pass.  Every other pair draws only a rotation, left
 multiplication L_q by a unit quaternion q, and integrates the translation
 in closed form: the weight is vol(K - L_q L), scored from q itself, a sum
-of |determinants| with columns turned by L_q.  Each is a form of degree at
-most 2 in q: L_q is a rotation (det L_q = |q|^4 = 1, L_q^T = L_qbar), so a
-determinant with 3 or 4 columns turned is the one with the other 1 or 0
-turned by L_qbar.  For two boxes it sums |16 linear and 18 quadratic forms|
-in q; for a box and a simplex, segment, point or polygon, in either order,
-it sums the shadows of L_q L on the coordinate subspaces of the box's
-frame, L's vertices and its 3-faces' cofactor vectors there being a fixed
-matrix times q; for two plates it is area1 area2 |q^T A q|, which also
-weighs their intersection count; for any other two vertex hulls it sums
-their mixed volumes, maxima of linear forms in q over 3-faces and |forms
-of degree 2| over the pairs of 2-faces that one fixed direction picks.
-The plates' A and the 2-face pairs' forms are fixed coefficients times the
-monomials of q (``_det_form``), taken once per pair of bodies.  A ball
-against a vertex hull weighs the same shadows by the ball's radius
-(Steiner and Kubota), a weight whose mean over q, not its value at each q,
-is the volume within reach of the hull.
+of |determinants| with columns turned by L_q and of maxima of linear forms
+in q.  Each determinant is a form of degree at most 2 in q: L_q is a
+rotation (det L_q = |q|^4 = 1, L_q^T = L_qbar), so a determinant with 3 or
+4 columns turned is the one with the other 1 or 0 turned by L_qbar.  For
+two boxes it sums |16 linear and 18 quadratic forms| in q; for two plates
+it is area1 area2 |q^T A q|, which also weighs their intersection count;
+for a vertex hull (a simplex, segment, point or polygon) against a box or
+another vertex hull, in either order, it sums their mixed volumes over
+their faces, a box's being a zonotope's: maxima of linear forms in q over
+3-faces and |forms of degree 2| over the pairs of 2-faces that one fixed
+direction picks.  The plates' A and the 2-face pairs' forms are fixed
+coefficients times the monomials of q (``_det_form``), taken once per pair
+of bodies and kept (``_WEIGHT_CACHE``).  A ball against a vertex hull takes
+the same mixed volumes with the ball as a cube whose faces weigh powers of
+its radius (Steiner and Kubota), a weight whose mean over q, not its value
+at each q, is the volume within reach of the hull.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
@@ -48,8 +48,7 @@ the tent 1 - |2x - 1|, and s = 3 for q, with Korobov's generating vector
 onto S^3 by Shoemake's map.  So N must be a multiple of 16, for every
 pair.  What depends on n alone is built once per n (``_lattice_tables``),
 and the blocks work in their thread's resident workspace (``_Workspace``),
-so a warm estimate allocates no large array, but for a hull's shadows
-against a box or a ball (``_shadow_volumes``); the threads that split the
+so a warm estimate allocates no large array; the threads that split the
 replicates are kept across estimates (``_SLOTS``), with their workspaces.
 The estimates are bit for bit those of the plain computation.
 """
@@ -58,20 +57,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .bodies import (
-    Ball,
-    Box,
-    PlanarPolygon,
-    _row_max,
-    _row_min,
-    evaluate_many,
-)
+from .bodies import Ball, Box, PlanarPolygon, evaluate_many
 from .linalg import invert_scalar_matrix
 from .scalars import Rat, Scalar, ZERO
 from .su2 import UNIT_LEFT, su2_basis, tasaki_density
@@ -92,8 +84,8 @@ ROUNDING_ULPS = 4
 # its own
 TABLE_CACHE_SIZE = 8
 # samples per block of the translation volumes: box/box's 16 linear and 18
-# quadratic forms in q come to about fifty floats per sample, a 4-simplex's
-# shadows to a few hundred and two hulls' mixed volumes to up to about 650
+# quadratic forms in q come to about fifty floats per sample, and the mixed
+# volumes of a vertex hull and a box, a ball or a hull to up to about 660
 BOX_BOX_BLOCK = 1 << 12
 # floats in each thread's workspace (``_Workspace``): a block of MC_CHUNK
 # points of 4 coordinates, and past it box/box's 18 forms, 10 products and
@@ -177,23 +169,36 @@ def kinematic_tensor(basis: str) -> KinematicTensor:
     return KinematicTensor(tuple(labels), tuple(tuple(row) for row in inv))
 
 
-# evaluation vectors by (basis, body type, field shapes and bytes), oldest evicted first
+def _body_key(K):
+    """A body's type and each field's shape and bytes, the fields read from
+    its instance dict, which holds them alone: equal for bodies built from
+    equal arrays, the key of the caches here."""
+    arrays = map(np.asarray, vars(K).values())
+    return (type(K).__name__, *((a.shape, a.tobytes()) for a in arrays))
+
+
+def _keep(cache, size, key, value):
+    """value, stored in cache under key, the oldest entry evicted first
+    once the cache holds size of them."""
+    if len(cache) >= size:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+# evaluation vectors by (basis, ``_body_key``), oldest evicted first
 VECTOR_CACHE_SIZE = 256
 _VECTOR_CACHE = {}
 
 
 def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
-    arrays = (np.asarray(getattr(K, f.name)) for f in fields(K))
-    key = (kind, type(K).__name__, *((a.shape, a.tobytes()) for a in arrays))
+    key = (kind, _body_key(K))
     if key in _VECTOR_CACHE:
         return _VECTOR_CACHE[key]
     basis = su2_basis(kind)
     values = tuple(evaluate_many([rep for _, rep in basis], K))
-    vec = EvaluationVector(K, tuple(label for label, _ in basis), values)
-    if len(_VECTOR_CACHE) >= VECTOR_CACHE_SIZE:
-        del _VECTOR_CACHE[next(iter(_VECTOR_CACHE))]
-    _VECTOR_CACHE[key] = vec
-    return vec
+    return _keep(_VECTOR_CACHE, VECTOR_CACHE_SIZE, key,
+                 EvaluationVector(K, tuple(label for label, _ in basis), values))
 
 
 def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
@@ -216,8 +221,6 @@ _UNIT_LEFT = np.array(UNIT_LEFT, dtype=float)
 _SUBSETS = np.array(list(combinations(range(4), 2)))
 _P, _T = np.divmod(np.arange(18), 6)
 _QK, _QL = np.triu_indices(4)
-# row l: the three axes other than l, a coordinate 3-space
-_SPACES = np.array(list(combinations(range(4), 3)))[::-1]
 
 
 class _Workspace(threading.local):
@@ -553,175 +556,6 @@ def _box_box_volumes(K, L):
     return volumes
 
 
-@lru_cache(maxsize=None)
-def _hull_indices(m):
-    """Index arrays for the plane shadows of m >= 3 points: the pairs
-    (a, b), a < b; the pairs ab, bc, ac of each sorted triple (a, b, c); and
-    for each pair (a, b) and each other point c, the places of "c lies left
-    of (a, b)" and of "c lies right of it" among the stacked tests [each
-    triple turns left; each turns right] (a sorted triple turns as
-    (a, b, c) does unless a < c < b). Only simplices call it, so m is 3, 4
-    or 5 and the cache holds at most three entries."""
-    pairs = list(combinations(range(m), 2))
-    triples = list(combinations(range(m), 3))
-    pair, triple = ({t: i for i, t in enumerate(ts)} for ts in (pairs, triples))
-    turns = [[pair[a, b], pair[b, c], pair[a, c]] for a, b, c in triples]
-    seen = np.array([[triple[tuple(sorted((a, b, c)))] for c in range(m) if c not in (a, b)]
-                     for a, b in pairs])
-    flip = np.array([[a < c < b for c in range(m) if c not in (a, b)] for a, b in pairs])
-    T = len(triples)
-    return np.array(pairs).T, np.array(turns).T, seen + T * flip, seen + T * ~flip
-
-
-def _gather(a, rows, out):
-    """a[rows] written into out; np.take's default mode would copy it into
-    a new array first."""
-    return np.take(a, rows, axis=0, out=out, mode="clip")
-
-
-def _hull_shadows(X, cycle):
-    """Shadows of the convex hull of m points onto the coordinate axes and
-    planes, the points given as X (m, 4, B), point by coordinate by sample,
-    with samples last: the ranges on the 4 axes (4, B) and, for m >= 3, the
-    areas on the 6 coordinate planes of _SUBSETS (6, B); fewer points have
-    flat plane shadows.
-
-    ``cycle`` says the points are a convex polygon's vertices in order: a
-    linear map keeps that cycle or flattens it to a segment, so a plane
-    shadow is |shoelace| / 2, at a cost linear in m.
-    Otherwise the pair {a, b} is a hull edge, counterclockwise (+1) or
-    clockwise (-1), when every other point lies strictly on its left or
-    its right, and the area is half the sum of sign * (x_a y_b - x_b y_a).
-    The orientation of each triple is taken once per plane, as the sum of
-    its pairs' cross products.
-
-    The gathered and multiplied (pair, plane, sample) arrays are taken from
-    the thread's workspace, and freed once the area is summed.
-    """
-    by_point = X.transpose(1, 2, 0)
-    shadows = [_row_max(by_point) - _row_min(by_point)]
-    m, _, B = X.shape
-    if m < 3:
-        return shadows
-    if cycle:
-        x, y = X[:, _SUBSETS[:, 0]], X[:, _SUBSETS[:, 1]]
-        nxt = np.roll(np.arange(m), -1)
-        area = (x * y[nxt] - x[nxt] * y).sum(axis=0)
-        return shadows + [0.5 * np.abs(area)]
-    (a, b), (ab, bc, ac), left, right = _hull_indices(m)
-    # row 4 j + i of rows is coordinate i of point j; a plane's x and y are
-    # the coordinates _SUBSETS[:, 0] and _SUBSETS[:, 1]
-    rows, (x, y) = X.reshape(-1, B), _SUBSETS.T
-    T, P = len(ab), len(a)
-    with _WORK as take:
-        # cross = x[a] y[b] - x[b] y[a]
-        cross, term, other = take(P, 6, B), take(max(P, T), 6, B), take(max(P, T), 6, B)
-        np.multiply(_gather(rows, 4 * a[:, None] + x, cross),
-                    _gather(rows, 4 * b[:, None] + y, other[:P]), out=cross)
-        cross -= np.multiply(_gather(rows, 4 * b[:, None] + x, term[:P]),
-                             _gather(rows, 4 * a[:, None] + y, other[:P]), out=term[:P])
-        # orient = cross[ab] + cross[bc] - cross[ac]
-        orient = _gather(cross, ab, other[:T])
-        orient += _gather(cross, bc, term[:T])
-        orient -= _gather(cross, ac, term[:T])
-        turns = take(2 * T, 6, B, dtype=bool)
-        np.greater(orient, 0, out=turns[:T])
-        np.less(orient, 0, out=turns[T:])
-        # edge = turns[left].all(axis=1) cross - turns[right].all(axis=1) cross
-        tests, sides = take(*left.shape, 6, B, dtype=bool), take(P, 6, B, dtype=bool)
-        _gather(turns, left, tests).all(axis=1, out=sides)
-        edge = np.multiply(sides, cross, out=term[:P])
-        _gather(turns, right, tests).all(axis=1, out=sides)
-        edge -= np.multiply(sides, cross, out=cross)
-        shadows.append(0.5 * edge.sum(axis=0))
-    return shadows
-
-
-def _shadow_volumes(K, L):
-    """The function taking unit quaternions, the (4, B) columns of q, to c0
-    plus a weighted sum of the shadows of L_q L on the coordinate subspaces
-    of K's frame, a block at a time, for a box or a ball K and a vertex hull
-    L (a simplex of 1 to 5 vertices or a planar polygon). In K's frame L's
-    vertices, less their mean, are a fixed (4m x 4) matrix times q, and
-    their ranges and plane areas are ``_hull_shadows``'; translations change
-    no shadow.
-
-    A 3-D shadow is linear in q: on the 3-space omitting axis l of K's
-    frame R (columns its axes), a tetrahedron's is |det [R^T L_q s_i; e_l]|
-    / 6 = |<R e_l, L_q c>| / 6, as R^T L_q is a rotation, c the cofactor
-    vector of its spans s_i (<c, u> = det [s_1; s_2; s_3; u]), turned like
-    a vertex; a 4-simplex's is half the sum of its five facets' (Cauchy's
-    projection formula, Schneider, Convex Bodies, 2014, 5.3). The relative
-    error is at most about R's departure from orthonormality,
-    max |R R^T - I|, as in ``_box_box_volumes``.
-
-    For a box the sum is vol(K - L_q L) at each q. K - L_q L is a polytope
-    plus K's four orthogonal edges, so its volume is the sum over the axis
-    sets S of K's frame of prod_S 2 hK times the (4 - |S|)-volume of the
-    shadow of L_q L on the other axes (Shephard 1974): a point, ranges,
-    areas, 3-volumes and L's own volume.
-
-    For a ball of radius r the frame is the identity, a j-shadow weighs
-    kappa_4 / kappa_j r^(4 - j), kappa_j the volume of the unit j-ball, and
-    c0 = kappa_4 r^4 + vol L. The sum is then vol(L + r B^4), the motion
-    integral, in its mean over Haar q, not at each q (Steiner and Kubota,
-    ibid.). Steiner gives vol(L + r B) =
-    sum_j kappa_(4-j) r^(4-j) V_j(L), and Kubota gives V_j(L) as
-    C(4, j) kappa_4 / (kappa_j kappa_(4-j)) times the mean over j-planes E
-    of vol_j(L | E). The shadow of L_q L on E is that of L on L_q^T E. L_q
-    takes an axis or a 3-space to one whose normal is uniform on S^3, so
-    each of the C(4, j) coordinate ones has the mean shadow. L_q keeps a
-    2-plane's class, the u in S^2 with f = e u for an orthonormal basis
-    (e, f) of it, and the mean area over the planes of one class is
-    quadratic in u, as the degree-2 SU(2)-invariant valuations Z_u are. The
-    six coordinate planes carry the classes +-i, +-j and +-k, two planes
-    each, and that octahedron is a spherical 3-design (Delsarte, Goethals &
-    Seidel 1977): their mean of a quadratic in u is its mean over S^2."""
-    verts = L._hull() - L._hull().mean(axis=0)
-    m = len(verts)
-    cycle = isinstance(L, PlanarPolygon)
-    # a simplex's 3-faces are its 4-subsets of vertices (a polygon has none);
-    # rows[f, k] is face f's spans from its first vertex, then e_k, so
-    # det rows[f] is the face's cofactor vector
-    quads = np.array([] if cycle else list(combinations(range(m), 4)), dtype=int).reshape(-1, 4)
-    rows = np.zeros((len(quads), 4, 4, 4))
-    rows[:, :, :3] = (verts[quads[:, 1:]] - verts[quads[:, :1]])[:, None]
-    rows[:, :, 3] = np.eye(4)
-    facets = np.linalg.det(rows)
-    if isinstance(K, Ball):
-        frame, r = np.eye(4), K.radius
-        weights = [np.full(4, math.pi ** 2 / 4.0 * r ** 3), np.full(6, math.pi / 2.0 * r ** 2),
-                   np.full(4, 3.0 * math.pi / 8.0 * r)]
-        c0 = math.pi ** 2 / 2.0 * r ** 4 + L.volume()
-    else:
-        frame, edges = K.rotation, 2.0 * K.half_extents
-        # a shadow's weight is the product of K's edges on the other axes:
-        # the 3-space off a range's axis, the plane complementary to a
-        # plane, and the axis a 3-space omits
-        weights = [np.prod(edges[_SPACES], axis=1), np.prod(edges[_SUBSETS[::-1]], axis=1), edges]
-        c0 = np.prod(edges) + L.volume()
-    # gen[j, i, k]: coordinate i of L_q v_j in K's frame is sum_k gen[j, i, k] q_k,
-    # the v_j being the m vertices and then the facets' cofactors
-    gen = np.einsum("kir,jr->jik", frame.T @ _UNIT_LEFT, np.vstack([verts, facets])).reshape(-1, 4)
-
-    def volumes(q):
-        vol = np.empty(q.shape[1])
-        for s in range(0, len(vol), BOX_BOX_BLOCK):
-            qb = q[:, s:s + BOX_BOX_BLOCK]
-            with _WORK as take:
-                X = np.matmul(gen, qb, out=take(len(gen), qb.shape[1])).reshape(-1, 4, qb.shape[1])
-                shadows = _hull_shadows(X[:m], cycle)
-                if len(facets):
-                    volume = np.abs(X[m:], out=X[m:]).sum(axis=0)
-                    shadows.append(volume / (6.0 if len(facets) == 1 else 12.0))
-                total = c0
-                for w, shadow in zip(weights, shadows):
-                    total = total + w @ shadow
-            vol[s:s + BOX_BOX_BLOCK] = total
-        return vol
-    return volumes
-
-
 def _products(q, out):
     """The 10 monomials q_k q_l, k <= l, of the (4, B) columns q written into
     out (10, B), in ``combinations_with_replacement`` order, the order of
@@ -765,14 +599,15 @@ def _det_form(cols, moving):
     return np.linalg.det(np.swapaxes(mats, -1, -2)) @ fold
 
 
-# the x of ``_hull_hull_volumes``: no plane spanned by two of a face's
-# normal vectors holds it but by a coincidence of measure zero
+# the x of ``_mixed_volumes``: no plane spanned by two of a face's normal
+# vectors holds it but by a coincidence of measure zero
 _GENERIC = np.array([0.5772156649015329, -0.3183098861837907, 0.7390851332151607, 0.4142135623730951])
 
 
 def _facet_directions(groups):
-    """The directions (D, 4) of a hull's 3-faces' normal cones, a facet's
-    normal or +-p for a 3-dimensional hull, and each face's 3-volume."""
+    """The directions (D, 4) of a body's 3-faces' normal cones, a facet's
+    normal, or +-p where the cone is the line of p (a 3-dimensional hull's
+    or a box's faces), and each face's 3-volume."""
     if 3 not in groups:
         return np.zeros((0, 4)), np.zeros(0)
     _, volumes, cones, perp = groups[3]
@@ -782,7 +617,7 @@ def _facet_directions(groups):
 
 
 def _normal_planes(groups):
-    """A hull's 2-faces' normal planes (F, 2, 4), spanned by their cones'
+    """A body's 2-faces' normal planes (F, 2, 4), spanned by their cones'
     c generators and then the complement basis; c; and each face's area
     over the square root of those vectors' Gram determinant."""
     _, volumes, cones, perp = groups[2]
@@ -790,16 +625,43 @@ def _normal_planes(groups):
     return vecs, cones.shape[1], volumes / np.sqrt(np.linalg.det(vecs @ vecs.swapaxes(1, 2)))
 
 
-def _hull_hull_volumes(K, L):
+@lru_cache(maxsize=1)
+def _unit_cube():
+    """The cube [-1/2, 1/2]^4, whose faces and vertices a ball's weight
+    scales, built on first use rather than at import."""
+    return Box(np.zeros(4), np.full(4, 0.5))
+
+
+def _mixed_side(P):
+    """What ``_mixed_volumes`` reads of one body: its face groups
+    (``face_groups``) by dimension, of which it reads those of dimension 2
+    and 3, its vertices less their mean, and its volume. A box's faces have
+    subspace normal cones, as a zonotope's do. A ball of radius r takes the
+    unit cube's 2- and 3-faces in the identity frame, its 3-faces weighing
+    pi^2/4 r^3 and its 2-faces pi/2 r^2, the cube's vertices times
+    3 pi/8 r, and its own volume kappa_4 r^4; so a ball of radius 0 weighs
+    0 on every face."""
+    if isinstance(P, Ball):
+        r = P.radius
+        weights = {3: math.pi ** 2 / 4.0 * r ** 3, 2: math.pi / 2.0 * r ** 2}
+        groups = {frames.shape[1]: (frames, np.full(len(volumes), weights[frames.shape[1]]), cones, perp)
+                  for frames, volumes, cones, perp in _unit_cube().face_groups() if frames.shape[1] in weights}
+        return groups, 3.0 * math.pi / 8.0 * r * _unit_cube()._hull(), P.volume()
+    verts = P._hull()
+    return {g[0].shape[1]: g for g in P.face_groups()}, verts - verts.mean(axis=0), P.volume()
+
+
+def _mixed_volumes(K, L):
     """The function taking unit quaternions, the (4, B) columns of q, to
-    vol(K - L_q L), a block at a time, for two vertex hulls (simplices of 1
-    to 5 vertices or planar polygons), by mixed volumes over their
-    ``face_groups``: with M = -L_q L, vol(K + M) = vol K + vol M +
-    4 V(K[3], M) + 6 V(K[2], M[2]) + 4 V(K, M[3]) (Schneider, Convex Bodies,
-    2014, 5.1). Two plates take ``_plate_volumes``, which the tests compare
-    with it. 4 V(K[3], M) sums vol_3(F) h_M(u) over K's 3-faces F and the
-    directions u of their normal cones, h_M(u) = max over L's vertices l of
-    -<L_q l, u>; 4 V(K, M[3]) likewise sums h_K(-L_q u) = max -<k, L_q u>.
+    vol(K - L_q L), a block at a time, for a vertex hull L (a simplex of 1
+    to 5 vertices or a planar polygon) against a box or a vertex hull K, by
+    mixed volumes over their faces and vertices (``_mixed_side``): with
+    M = -L_q L, vol(K + M) = vol K + vol M + 4 V(K[3], M) + 6 V(K[2], M[2])
+    + 4 V(K, M[3]) (Schneider, Convex Bodies, 2014, 5.1). Two plates take
+    ``_plate_volumes``, which the tests compare with it. 4 V(K[3], M) sums
+    vol_3(F) h_M(u) over K's 3-faces F and the directions u of their normal
+    cones, h_M(u) = max over L's vertices l of -<L_q l, u>; 4 V(K, M[3])
+    likewise sums h_K(-L_q u) = max over K's vertices k of -<k, L_q u>.
 
     6 V(K[2], M[2]) sums vol(F + L_q G) = vol_2 F vol_2 G |det [F's frame,
     L_q G's frame]| over the pairs of 2-faces with x in N(K, F) + L_q N(L, G)
@@ -808,30 +670,54 @@ def _hull_hull_volumes(K, L):
     Math. Comp. 64, 1995; Fulton & Sturmfels, Topology 36, 1997). Solving
     x = [a, p, L_q b, L_q r] t by Cramer's rule, a, b the cones' generators
     and p, r the complement bases (``_normal_planes``), the pair counts when
-    each generator's numerator has the denominator's sign. By Hodge duality
-    the frames' |det| is |den| over the roots of the normal planes' Gram
-    determinants. den and a numerator with x for a are forms of degree 2 in
-    q (``_det_form``), one with x for b of degree 1. A tie needs q on the
-    zero set of a form that is not 0 (L_q turns one normal plane through
-    every angle with another, and x lies in none): no tolerance. Dimensions
-    adding to less than 4 leave no pair of 2-faces and 3-faces only against
-    one vertex, 0 less the vertices' mean: the volume is 0 exactly.
+    each generator's numerator has the denominator's sign; a box's cones
+    hold none, so only L's are tested. By Hodge duality the frames' |det| is
+    |den| over the roots of the normal planes' Gram determinants. den and a
+    numerator with x for a are forms of degree 2 in q (``_det_form``), one
+    with x for b of degree 1. A tie needs q on the zero set of a form that
+    is not 0 (L_q turns one normal plane through every angle with another,
+    and x lies in none): no tolerance. Two hulls whose dimensions add to
+    less than 4 have no pair of 2-faces and 3-faces only against one
+    vertex, 0 less the vertices' mean: the volume is 0 exactly.
 
-    A block's monomials, forms and sign tests are taken from the thread's
-    workspace past a block of MC_CHUNK points, its size following from the
-    pair's form rows; so each product, at most (2-face pairs, 10) times
-    (10, block), stays below the sizes at which OpenBLAS starts threads of
-    its own, which inside the estimate's threads would oversubscribe."""
-    groups = [{g[0].shape[1]: g for g in P.face_groups()} for P in (K, L)]
-    # the vertices less their mean, the fewer repeating their last
-    verts = [P._hull() - P._hull().mean(axis=0) for P in (K, L)]
-    m = max(map(len, verts))
-    verts = [v[np.minimum(np.arange(m), len(v) - 1)] for v in verts]
+    A ball K of radius r enters as the unit cube in the identity frame,
+    weighted (``_mixed_side``): its 3-faces sum M's ranges on the axes times
+    pi^2/4 r^3, its 2-faces M's areas on the coordinate planes times
+    pi/2 r^2, and its vertices M's 3-volumes on the coordinate 3-spaces,
+    half the sum of vol_3(G) |<e_l, L_q u>| over M's 3-faces (Cauchy),
+    times 3 pi/8 r: each j-dimensional shadow of L_q L weighs kappa_4 /
+    kappa_j r^(4 - j), kappa_j the volume of the unit j-ball, beside
+    kappa_4 r^4 + vol L. That sum is vol(L + r B^4), the motion integral,
+    in its mean over Haar q, not at each q (Steiner and Kubota, ibid., 5.3).
+    Steiner gives vol(L + r B) = sum_j kappa_(4-j) r^(4-j) V_j(L), and
+    Kubota gives V_j(L) as C(4, j) kappa_4 / (kappa_j kappa_(4-j)) times
+    the mean over j-planes E of vol_j(L | E). The shadow of L_q L on E is
+    that of L on L_q^T E. L_q takes an axis or a 3-space to one whose normal
+    is uniform on S^3, so each of the C(4, j) coordinate ones has the mean
+    shadow. L_q keeps a 2-plane's class, the u in S^2 with f = e u for an
+    orthonormal basis (e, f) of it, and the mean area over the planes of one
+    class is quadratic in u, as the degree-2 SU(2)-invariant valuations Z_u
+    are. The six coordinate planes carry the classes +-i, +-j and +-k, two
+    planes each, and that octahedron is a spherical 3-design (Delsarte,
+    Goethals & Seidel 1977): their mean of a quadratic in u is its mean over
+    S^2.
+
+    A block's monomials, forms, maxima and sign tests are taken from the
+    thread's workspace past a block of MC_CHUNK points, its size following
+    from the pair's form rows; so each product, at most (2-face pairs, 10)
+    times (10, block), stays below the sizes at which OpenBLAS starts
+    threads of its own, which inside the estimate's threads would
+    oversubscribe."""
+    groups, verts, sizes = zip(*map(_mixed_side, (K, L)))
     # support forms, by (direction, vertex, k): the coefficients of q_k in
-    # -vol <L_q l, u> and in -vol <k, L_q u>
+    # -vol <L_q l, u> over L's vertices l, then in -vol <k, L_q u> over K's
     (u_K, vol_K), (u_L, vol_L) = map(_facet_directions, groups)
-    forms = -np.concatenate([np.einsum("d,di,kij,lj->dlk", vol_K, u_K, _UNIT_LEFT, verts[1]),
-                             np.einsum("d,vi,kij,dj->dvk", vol_L, verts[0], _UNIT_LEFT, u_L)]).reshape(-1, 4)
+    forms = -np.concatenate([np.einsum("d,di,kij,lj->dlk", vol_K, u_K, _UNIT_LEFT, verts[1]).reshape(-1, 4),
+                             np.einsum("d,vi,kij,dj->dvk", vol_L, verts[0], _UNIT_LEFT, u_L).reshape(-1, 4)])
+    # each sum of maxima: its forms' rows, its maxima's rows and its vertex count
+    D_K, m_L, D = len(u_K), len(verts[1]), len(u_K) + len(u_L)
+    maxima = [(slice(0, D_K * m_L), slice(0, D_K), m_L),
+              (slice(D_K * m_L, len(forms)), slice(D_K, D), len(verts[0]))]
     # per pair of 2-faces, the denominator, weighted, then a numerator per
     # generator: degree 2 with x for one of K's, 1 with x for one of L's
     rows = []
@@ -844,14 +730,15 @@ def _hull_hull_volumes(K, L):
             at[:, :, j] = _GENERIC
             rows.append(_det_form(at, (2, 3) if j < 2 else (5 - j,)))
         rows = [r.reshape(-1, r.shape[-1]) for r in rows]
-    c0 = K.volume() + L.volume()
+    c0 = sizes[0] + sizes[1]
     S, R, P = len(forms), len(rows), len(rows[0]) if rows else 0
-    # samples per block: per sample a sum, the forms, the monomials and a
-    # byte per test, all and any, less 8 floats per array for its rounding
-    per = 1 + S + 10 + R * P + (R + 2) * P / 8
-    block = min(BOX_BOX_BLOCK, int((WORKSPACE_FLOATS - 4 * MC_CHUNK - 56) / per))
+    # floats per sample: a sum, the forms, their maxima, the monomials and a
+    # byte per test, all and any
+    per = 1 + S + D + 10 + R * P + (R + 2) * P / 8
 
     def volumes(q):
+        # samples per block, 8 floats per array kept for its rounding
+        block = min(BOX_BOX_BLOCK, int((WORKSPACE_FLOATS - 4 * MC_CHUNK - 64) / per))
         vol = np.full(q.shape[1], c0)
         for s in range(0, len(vol), block):
             qb = q[:, s:s + block]
@@ -859,11 +746,14 @@ def _hull_hull_volumes(K, L):
             with _WORK as take:
                 sums = take(B)
                 if S:
-                    # h per direction: the max over the vertices
-                    h = np.matmul(forms, qb, out=take(S, B)).reshape(-1, m, B)
-                    for v in range(1, m):
-                        np.maximum(h[:, 0], h[:, v], out=h[:, 0])
-                    vol[s:s + B] += np.add.reduce(h[:, 0], axis=0, out=sums)
+                    # h per direction: the max over the other body's vertices
+                    h, top = np.matmul(forms, qb, out=take(S, B)), take(D, B)
+                    for form_rows, top_rows, m in maxima:
+                        by_vertex, t = h[form_rows].reshape(-1, m, B), top[top_rows]
+                        np.copyto(t, by_vertex[:, 0])
+                        for v in range(1, m):
+                            np.maximum(t, by_vertex[:, v], out=t)
+                    vol[s:s + B] += np.add.reduce(top, axis=0, out=sums)
                 if P:
                     products = _products(qb, take(10, B))
                     tests = take(R, P, B)
@@ -887,7 +777,7 @@ def _plate_volumes(M1, M2):
     quadratic form q^T A q scaled by the areas, A_kk the coefficient of
     q_k^2 in ``_det_form`` and A_kl = A_lk half that of q_k q_l. It falls
     to 0 as the plates turn parallel, as two hulls' mixed volumes do
-    (``_hull_hull_volumes``), which the tests compare with it.
+    (``_mixed_volumes``), which the tests compare with it.
 
     A block of q takes one product A q and one sum over i of (A q)_i q_i,
     in the thread's workspace."""
@@ -912,17 +802,21 @@ def _plate_volumes(M1, M2):
 
 def _translation_volumes(K, L):
     """q -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
-    for any pair of boxes and vertex hulls, two hulls by mixed volumes. The
-    motion measure is unchanged by g -> g^-1, so a vertex hull against a box
-    takes the box as K, the same function of the same q."""
+    for any pair of boxes and vertex hulls: two boxes by their 16 linear and
+    18 quadratic forms, two plates by one quadratic form, every other pair
+    by mixed volumes. Against a ball a vertex hull is weighed by the same
+    mixed volumes, the ball a weighted cube (``_mixed_side``), whose mean
+    over q, not its value at each q, is the motion integral. The motion
+    measure is unchanged by g -> g^-1, so a vertex hull against a box or a
+    ball takes that body as K, the same function of the same q in either
+    order."""
+    if isinstance(L, (Ball, Box)) and not isinstance(K, (Ball, Box)):
+        K, L = L, K
     if isinstance(K, Box) and isinstance(L, Box):
         return _box_box_volumes(K, L)
-    box, hull = (K, L) if isinstance(K, Box) else (L, K)
-    if isinstance(box, Box):
-        return _shadow_volumes(box, hull)
     if isinstance(K, PlanarPolygon) and isinstance(L, PlanarPolygon):
         return _plate_volumes(K, L)
-    return _hull_hull_volumes(K, L)
+    return _mixed_volumes(K, L)
 
 
 def _run_units(worker, units, threads):
@@ -945,20 +839,29 @@ def _run_units(worker, units, threads):
     return results
 
 
+# the rotation pairs' weights (``_translation_volumes``) by their bodies'
+# ``_body_key``s, oldest evicted first: setting up a pair's forms costs more
+# than a small estimate of it
+WEIGHT_CACHE_SIZE = 32
+_WEIGHT_CACHE = {}
+
+
 def _rule(K, L):
     """The lattice rule (``_lattice_means``) of the pair's motion integral:
     the sections of a ball against a ball or a box, two balls being a box
     of half extents 0 against a ball of their radius sum, and the rotations
-    of every other pair, a ball against a vertex hull weighed by the hull's
-    shadows (``_shadow_volumes``)."""
+    of every other pair, weighed by ``_translation_volumes``, built once per
+    pair of bodies (``_WEIGHT_CACHE``)."""
     ball, other = (K, L) if isinstance(K, Ball) else (L, K)
-    if not isinstance(ball, Ball):
-        return _rotation_rule(_translation_volumes(K, L))
-    if isinstance(other, Ball):
+    if isinstance(ball, Ball) and isinstance(other, Ball):
         return _section_rule(np.zeros(4), K.radius + L.radius)
-    if isinstance(other, Box):
+    if isinstance(ball, Ball) and isinstance(other, Box):
         return _section_rule(other.half_extents, ball.radius)
-    return _rotation_rule(_shadow_volumes(ball, other))
+    key = (_body_key(K), _body_key(L))
+    volumes = _WEIGHT_CACHE.get(key)
+    if volumes is None:
+        volumes = _keep(_WEIGHT_CACHE, WEIGHT_CACHE_SIZE, key, _translation_volumes(K, L))
+    return _rotation_rule(volumes)
 
 
 def _lattice_means(rule, n, seed, threads):
@@ -978,7 +881,7 @@ def _lattice_means(rule, n, seed, threads):
     Every block, and whatever lattice(n) takes for the call, is taken from
     the running thread's workspace (``_Workspace``), which outlives the
     call: an estimate's steady state allocates no large array, whatever the
-    allocator's thresholds, but for the shadows' (``_shadow_volumes``)."""
+    allocator's thresholds."""
     s, scale, lattice = rule
     shifts = np.array([np.random.default_rng([seed, idx]).random(s) for idx in range(REPLICATES)])
     with _WORK:

@@ -905,10 +905,6 @@ def row_norms_numpy(x):
     return np.linalg.norm(x, axis=-1)
 
 
-def row_max_numpy(x):
-    return np.max(x, axis=-1)
-
-
 def split_pi(a: InvariantForm) -> dict:
     """The pi-graded integer parts {k: (den, f)} of a, with a = sum_k pi^k f / den.
 

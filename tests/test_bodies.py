@@ -193,6 +193,16 @@ class TestFaceLattice:
         assert _piece_counts(box) == {(1, 3): 32, (2, 2): 24, (3, 1): 8}
         assert box.volume() == 1.0
 
+    def test_box_vertices(self):
+        # the 2^n vertices c + R (s * h), one per sign vector s, from which
+        # the Monte Carlo's mixed volumes take a box's support
+        rng = np.random.default_rng(10)
+        for n in (2, 3, 4):
+            box = Box(rng.uniform(-1, 1, n), rng.uniform(0.1, 1, n), _random_orthogonal(rng, n))
+            local = (box._hull() - box.center) @ box.rotation / box.half_extents
+            np.testing.assert_allclose(np.abs(local), 1.0, rtol=0, atol=1e-12)
+            assert sorted(map(tuple, np.sign(local))) == sorted(itertools.product((-1.0, 1.0), repeat=n))
+
     def test_segment_counts(self):
         # one edge, one piece per orthant of the 3-dimensional complement
         seg = Simplex([[0, 0, 0, 0], [1, 2, 2, 0]])
@@ -617,7 +627,7 @@ class TestTube:
 
 
 class TestRowReductions:
-    """The row norms and maxima of the Monte Carlo kernels are numpy's bits."""
+    """The row norms of the normal-cycle kernels are numpy's bits."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_row_norms_and_maxima_are_numpys_bits(self, n):
@@ -627,7 +637,6 @@ class TestRowReductions:
         x = rng.normal(size=(4096, 2 * n)) * np.exp(3 * rng.normal(size=(4096, 2 * n)))
         for rows in (x[:, :n], x[:, ::2], -x[:, n:], x[0, :n]):
             assert np.array_equal(bodies._row_norms(rows), np.linalg.norm(rows, axis=-1))
-            assert np.array_equal(bodies._row_max(rows), np.max(rows, axis=-1))
 
 
 class TestInvariants:

@@ -4,7 +4,6 @@ from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1025,13 +1024,12 @@ PINNED_BALL_SECTIONS = {
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
 # from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
-# 18 quadratic forms, box/simplex from the shadows of the simplex (the 3-D
-# ones from its facets' cofactors), and the plates
+# 18 quadratic forms, box/simplex from their mixed volumes, and the plates
 PINNED_QUATERNION_WEIGHTS = {
     ("box_box", 91): ("0x1.dd8f1abe4a157p+4", "0x1.beead29f2f7ebp-15", 0),
     ("box_box", 92): ("0x1.dd8f56069ebeap+4", "0x1.c62999bd08156p-15", 0),
-    ("box_simplex", 91): ("0x1.ac0e0c5024f92p+3", "0x1.0f771e4e5b90ep-7", 0),
-    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51bcfp-8", 0),
+    ("box_simplex", 91): ("0x1.ac0e0c5024f93p+3", "0x1.0f771e4e5b958p-7", 0),
+    ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51c0dp-8", 0),
     ("poincare", 91): ("0x1.1957e55309937p-1", "0x1.5bcc0a118f63cp-22", 0),
     ("poincare", 92): ("0x1.19580ab147d24p-1", "0x1.82c043d943248p-22", 0),
 }
@@ -1067,12 +1065,15 @@ ROTATED_BOX = Box(np.array([0.1, 0, -0.2, 0]), np.array([0.45, 0.55, 0.35, 0.6])
 OFF_CENTRE_BALL = Ball(np.array([0.3, -0.1, 0.2, 0.05]), 0.35)
 
 
+# kappa_j, the volume of the unit j-ball
+_KAPPA = (1.0, 2.0, math.pi, 4.0 * math.pi / 3.0, math.pi ** 2 / 2.0)
+
+
 def _steiner_box(half_extents, r):
-    """vol(box + r B^4) = sum_k omega_(4-k) V_k(box) r^(4-k), V_k(box) the
+    """vol(box + r B^4) = sum_k kappa_(4-k) V_k(box) r^(4-k), V_k(box) the
     k-th elementary symmetric function of the edge lengths."""
-    omega = (1.0, 2.0, math.pi, 4.0 * math.pi / 3.0, math.pi ** 2 / 2.0)
     edges = [2.0 * h for h in half_extents]
-    return sum(omega[4 - k] * _elementary(edges, k) * r ** (4 - k) for k in range(5))
+    return sum(_KAPPA[4 - k] * _elementary(edges, k) * r ** (4 - k) for k in range(5))
 
 
 class TestBallReach:
@@ -1231,6 +1232,27 @@ class TestBallSections:
         assert rep.stderr == pytest.approx(np.std(seen, ddof=1) / 4.0, rel=1e-12)
 
 
+# vertex hulls of every kind: simplices of 1 to 5 vertices, the pentagon
+# plate of the motion_mc benchmark, off-centre, and the unit square
+_MIX_RNG = np.random.default_rng(2026)
+HULLS = {
+    **{f"simplex{m}": Simplex(_MIX_RNG.uniform(-0.6, 0.6, (m, 4))) for m in range(1, 6)},
+    "pentagon": mgon(5, PENTAGON_FRAME, radius=0.8, base=np.array([0.1, 0.2, -0.1, 0.3])),
+    "square": PlanarPolygon(SQUARE_FRAME, [[0, 0], [1, 0], [1, 1], [0, 1]]),
+}
+HULL_PAIRS = list(combinations(HULLS, 2)) + [(name, name) for name in HULLS]
+
+
+def _hull_dim(P):
+    return 2 if isinstance(P, PlanarPolygon) else len(P.vertices) - 1
+
+
+def _qhull_difference_volume(K, L, q):
+    """vol(K - L_q L) as Qhull's volume of the vertex differences."""
+    diffs = K._hull()[:, None] - (L._hull() @ rotation_matrix(q).T)[None]
+    return ConvexHull(diffs.reshape(-1, 4)).volume
+
+
 # a box against each kind of vertex hull: the motion_mc benchmark's
 # box/simplex, the rotated box against that simplex, and boxes against the
 # pentagon plate, a segment, a point, a triangle and a tetrahedron
@@ -1248,37 +1270,52 @@ POLYTOPE_PAIRS = {
 }
 
 
+def _kubota_weight(points, volume, r):
+    """kappa_4 r^4 + volume plus the shadows of the points' hull on the
+    coordinate subspaces by Qhull (``_oracles.shadow_volumes``), each
+    j-dimensional one times kappa_4 / kappa_j r^(4 - j): the weight whose
+    mean over rotations is the volume within r of the hull (Steiner and
+    Kubota)."""
+    shadows = _oracles.shadow_volumes(points)
+    return _KAPPA[4] * r ** 4 + volume + sum(
+        _KAPPA[4] / _KAPPA[j] * r ** (4 - j) * shadow.sum() for j, shadow in enumerate(shadows, start=1))
+
+
 class TestHullShadows:
     """The shadows of a vertex hull on the coordinate subspaces against
-    scipy's Qhull."""
+    scipy's Qhull, as the mixed volumes weigh them: against a ball, whose
+    weighted cube sums each j-dimensional shadow times kappa_4 / kappa_j
+    r^(4 - j), and against a box."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_qhull(self, m):
-        # the ranges and, past two points, the plane areas
+        # the ranges and, past two points, the plane areas and, past three,
+        # the 3-D shadows of m random points; two radii keep the terms of
+        # each dimension apart. The plane shadows of fewer points are flat
         rng = np.random.default_rng(90 + m)
-        X = rng.standard_normal((m, 4, 200))
-        shadows = kinematic._hull_shadows(X, False)
-        assert len(shadows) == (2 if m >= 3 else 1)
-        for b in range(X.shape[2]):
-            want = _oracles.shadow_volumes(X[:, :, b])
-            for got, ref in zip(shadows, want):
-                np.testing.assert_allclose(got[:, b], ref, rtol=1e-12, atol=1e-14)
-            # the plane shadows of fewer points are flat
-            assert not any(ref.any() for ref in want[len(shadows):2])
+        L = Simplex(rng.standard_normal((m, 4)))
+        qs = haar_quaternions(rng, 100)
+        for r in (0.35, 2.0):
+            got = kinematic._mixed_volumes(Ball(np.zeros(4), r), L)(qs.T)
+            for q, weight in zip(qs, got):
+                want = _kubota_weight(L.vertices @ rotation_matrix(q).T, L.volume(), r)
+                assert weight == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_three_space_shadows_match_qhull(self, m):
-        # a frame whose only edge is axis l weighs the 3-D shadow on the
-        # 3-space omitting l alone, so the weight less vol L is that shadow:
-        # a tetrahedron's cofactor, or half the sum of a 4-simplex's five
+        # a box whose only edge longer than 2e-300 is axis l weighs the 3-D
+        # shadow on the 3-space omitting l alone, its other terms vanishing
+        # below rounding, so the weight less vol L is that shadow: the
+        # support of the box's vertices on a tetrahedron's normal line, or
+        # on a 4-simplex's five facet normals
         rng = np.random.default_rng(100 + m)
         L = Simplex(rng.uniform(-0.6, 0.6, (m, 4)))
         qs = haar_quaternions(rng, 40)
         for _ in range(5):
             R = _random_rotation(rng)
             for l in range(4):
-                frame = SimpleNamespace(rotation=R, half_extents=0.5 * np.eye(4)[l])
-                got = kinematic._shadow_volumes(frame, L)(qs.T) - L.volume()
+                needle = Box(np.zeros(4), np.where(np.arange(4) == l, 0.5, 1e-300), R)
+                got = kinematic._mixed_volumes(needle, L)(qs.T) - L.volume()
                 for q, shadow in zip(qs, got):
                     points = L.vertices @ (R.T @ rotation_matrix(q)).T
                     want = _oracles.shadow_volumes(points)[2][l]
@@ -1286,32 +1323,47 @@ class TestHullShadows:
 
     @pytest.mark.parametrize("m", [3, 5, 8])
     def test_polygon_cycle(self, m):
-        # a convex polygon's vertices in order under random linear maps: the
-        # shoelace of the cycle, the hull edges of the points and Qhull agree
+        # a convex polygon's vertices in order make its one 2-face, whose
+        # normal cone is its plane's complement: its plane shadows against
+        # a ball and a box, in their frames, match Qhull's
         rng = np.random.default_rng(95 + m)
         M = mgon(m, PENTAGON_FRAME, radius=0.8)
-        X = np.einsum("jr,bir->jib", M.embedded_vertices(), rng.standard_normal((100, 4, 4)))
-        cycle = kinematic._hull_shadows(X, True)
-        edges = kinematic._hull_shadows(X, False)
-        np.testing.assert_array_equal(cycle[0], edges[0])
-        np.testing.assert_allclose(cycle[1], edges[1], rtol=1e-12, atol=0)
-        for b in range(X.shape[2]):
-            np.testing.assert_allclose(cycle[1][:, b], _oracles.shadow_volumes(X[:, :, b])[1],
-                                       rtol=1e-12, atol=0)
+        qs = haar_quaternions(rng, 100)
+        r = OFF_CENTRE_BALL.radius
+        ball = kinematic._mixed_volumes(OFF_CENTRE_BALL, M)(qs.T)
+        box = kinematic._mixed_volumes(ROTATED_BOX, M)(qs.T)
+        for q, by_ball, by_box in zip(qs, ball, box):
+            want = _kubota_weight(M.embedded_vertices() @ rotation_matrix(q).T, 0.0, r)
+            assert by_ball == pytest.approx(want, rel=1e-12, abs=0)
+            want = _oracles.box_polytope_volume(ROTATED_BOX, M, q)
+            assert by_box == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestBoxPolytopeVolumes:
-    """The box/polytope weight vol(K - L_q L) against Qhull's shadows, the
-    hit indicator it integrates and the exact right-hand side."""
+    """The box/polytope weight vol(K - L_q L), the mixed volumes of the
+    polytope and the box, against Qhull's shadows, the hit indicator it
+    integrates and the exact right-hand side."""
 
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
     def test_matches_qhull_shadows(self, pair):
         # one full block and a partial one
         K, L = POLYTOPE_PAIRS[pair]
         qs = haar_quaternions(np.random.default_rng(110), kinematic.BOX_BOX_BLOCK + 100)
-        got = kinematic._shadow_volumes(K, L)(qs.T)
+        got = kinematic._mixed_volumes(K, L)(qs.T)
         for b in range(0, len(qs), 37):
             assert got[b] == pytest.approx(_oracles.box_polytope_volume(K, L, qs[b]),
+                                           rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", list(HULLS))
+    def test_every_hull_matches_qhull_shadows(self, name):
+        # the rotated box against every kind of vertex hull, the hull given
+        # first: the box is taken as K, the same weight bit for bit
+        L = HULLS[name]
+        qs = haar_quaternions(np.random.default_rng(111), 1000)
+        got = kinematic._translation_volumes(L, ROTATED_BOX)(qs.T)
+        assert got.tobytes() == kinematic._mixed_volumes(ROTATED_BOX, L)(qs.T).tobytes()
+        for b in range(0, len(qs), 19):
+            assert got[b] == pytest.approx(_oracles.box_polytope_volume(ROTATED_BOX, L, qs[b]),
                                            rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
@@ -1320,7 +1372,7 @@ class TestBoxPolytopeVolumes:
         # fills its translation box, so every sample hits and only rounding
         # separates the mean from the weight
         K, L = POLYTOPE_PAIRS[pair]
-        _assert_averages_the_hit_indicator(K, L, kinematic._shadow_volumes(K, L),
+        _assert_averages_the_hit_indicator(K, L, kinematic._mixed_volumes(K, L),
                                            np.random.default_rng(120), 3, 1 << 14, slack=1e-12)
 
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
@@ -1351,27 +1403,6 @@ class TestBoxPolytopeVolumes:
         assert abs(rep.z_score) < 3
 
 
-# vertex hulls of every kind: simplices of 1 to 5 vertices, the pentagon
-# plate of the motion_mc benchmark, off-centre, and the unit square
-_MIX_RNG = np.random.default_rng(2026)
-HULLS = {
-    **{f"simplex{m}": Simplex(_MIX_RNG.uniform(-0.6, 0.6, (m, 4))) for m in range(1, 6)},
-    "pentagon": mgon(5, PENTAGON_FRAME, radius=0.8, base=np.array([0.1, 0.2, -0.1, 0.3])),
-    "square": PlanarPolygon(SQUARE_FRAME, [[0, 0], [1, 0], [1, 1], [0, 1]]),
-}
-HULL_PAIRS = list(combinations(HULLS, 2)) + [(name, name) for name in HULLS]
-
-
-def _hull_dim(P):
-    return 2 if isinstance(P, PlanarPolygon) else len(P.vertices) - 1
-
-
-def _qhull_difference_volume(K, L, q):
-    """vol(K - L_q L) as Qhull's volume of the vertex differences."""
-    diffs = K._hull()[:, None] - (L._hull() @ rotation_matrix(q).T)[None]
-    return ConvexHull(diffs.reshape(-1, 4)).volume
-
-
 class TestHullHullVolumes:
     """The mixed-volume weight vol(K - L_q L) of two vertex hulls against
     Qhull, the plates' weight, the hit indicator it integrates and the exact
@@ -1383,7 +1414,7 @@ class TestHullHullVolumes:
         # 0 exactly
         K, L = (HULLS[name] for name in pair)
         qs = haar_quaternions(np.random.default_rng(140), kinematic.BOX_BOX_BLOCK + 100)
-        got = kinematic._hull_hull_volumes(K, L)(qs.T)
+        got = kinematic._mixed_volumes(K, L)(qs.T)
         if _hull_dim(K) + _hull_dim(L) < 4:
             assert not got.any()
             return
@@ -1397,11 +1428,11 @@ class TestHullHullVolumes:
         # another, of the same volume
         K, L = (HULLS[name] for name in pair)
         qs = haar_quaternions(np.random.default_rng(142), 4096)
-        one = kinematic._hull_hull_volumes(K, L)(qs.T)
+        one = kinematic._mixed_volumes(K, L)(qs.T)
         monkeypatch.setattr(kinematic, "_GENERIC",
                             np.array([-0.2718281828459045, 0.6180339887498949,
                                       0.1234567890123457, -0.7071067811865476]))
-        two = kinematic._hull_hull_volumes(K, L)(qs.T)
+        two = kinematic._mixed_volumes(K, L)(qs.T)
         np.testing.assert_allclose(two, one, rtol=0, atol=1e-13 * np.abs(one).max())
 
     def test_plates_match_the_plate_form(self):
@@ -1411,14 +1442,14 @@ class TestHullHullVolumes:
         qs = haar_quaternions(np.random.default_rng(141), 4096)
         scale = M1.area * M2.area
         want = kinematic._plate_volumes(M1, M2)(qs.T)
-        got = kinematic._hull_hull_volumes(M1, M2)(qs.T)
+        got = kinematic._mixed_volumes(M1, M2)(qs.T)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
     @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5")],
                              ids="-".join)
     def test_averages_the_hit_indicator(self, pair):
         K, L = (HULLS[name] for name in pair)
-        _assert_averages_the_hit_indicator(K, L, kinematic._hull_hull_volumes(K, L),
+        _assert_averages_the_hit_indicator(K, L, kinematic._mixed_volumes(K, L),
                                            np.random.default_rng(150), 3, 1 << 14)
 
     @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5"),
@@ -1456,9 +1487,22 @@ class TestHullHullVolumes:
 
 
 class TestHullReach:
-    """A ball against a simplex or a polygon: the rotation rule on the
-    hull's coordinate shadows weighed by the radius (Steiner and Kubota),
-    whose mean over q is the volume within reach of the hull."""
+    """A ball against a simplex or a polygon: the rotation rule on the mixed
+    volumes of the hull and the ball's weighted cube, which sum the hull's
+    coordinate shadows weighed by the radius (Steiner and Kubota), whose
+    mean over q is the volume within reach of the hull."""
+
+    @pytest.mark.parametrize("name", list(HULLS))
+    def test_weight_matches_kubota_weighted_qhull_shadows(self, name):
+        # every kind of vertex hull, given first: the ball is taken as K,
+        # the same weight bit for bit
+        P = HULLS[name]
+        qs = haar_quaternions(np.random.default_rng(182), 200)
+        got = kinematic._translation_volumes(P, OFF_CENTRE_BALL)(qs.T)
+        assert got.tobytes() == kinematic._mixed_volumes(OFF_CENTRE_BALL, P)(qs.T).tobytes()
+        for q, weight in zip(qs, got):
+            want = _kubota_weight(P._hull() @ rotation_matrix(q).T, P.volume(), OFF_CENTRE_BALL.radius)
+            assert weight == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("name", ["simplex5", "simplex3", "pentagon", "square"])
     def test_mean_weight_matches_the_distance_oracle(self, name):
@@ -1490,7 +1534,7 @@ class TestHullReach:
         p = hits / size
         count, count_err = np.prod(span) * p, np.prod(span) * math.sqrt(p * (1 - p) / size)
         assert count_err < 2e-3 * count
-        weights = kinematic._shadow_volumes(Ball(np.zeros(4), r), P)(
+        weights = kinematic._mixed_volumes(Ball(np.zeros(4), r), P)(
             haar_quaternions(np.random.default_rng(181), 1 << 16).T)
         mean, err = weights.mean(), weights.std(ddof=1) / math.sqrt(len(weights))
         assert abs(mean - count) < 4 * math.hypot(err, count_err), (mean, err, count, count_err)
@@ -1498,13 +1542,13 @@ class TestHullReach:
     @pytest.mark.parametrize("n", [7, 16, 17, 1000])
     def test_replicates_are_the_shifted_lattice_rule(self, monkeypatch, n):
         # chunks of 256 points, as for the rotations: the ball/pentagon
-        # rule is the rotation rule of its shadow weight, written plainly
+        # rule is the rotation rule of its mixed volumes, written plainly
         monkeypatch.setattr(kinematic, "MC_CHUNK", 256)
         P = HULLS["pentagon"]
         rule = kinematic._rule(OFF_CENTRE_BALL, P)
         means = kinematic._lattice_means(rule, n, 77, 1)
         assert kinematic._lattice_means(rule, n, 77, 2) == means
-        volumes = kinematic._shadow_volumes(OFF_CENTRE_BALL, P)
+        volumes = kinematic._mixed_volumes(OFF_CENTRE_BALL, P)
         np.testing.assert_allclose(means, _plain_rotation_means(volumes, n, 77), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", ["simplex5", "simplex2", "pentagon"])
@@ -1521,7 +1565,7 @@ class TestHullReach:
     def _assert_constant_weight(ball, P, want):
         # every q weighs want to rounding, and so does every estimate, past
         # one chunk at 1 and 2 threads
-        weights = kinematic._shadow_volumes(ball, P)(
+        weights = kinematic._mixed_volumes(ball, P)(
             haar_quaternions(np.random.default_rng(192), 1000).T)
         assert np.all(np.abs(weights - want) <= 2 * math.ulp(want)), (weights, want)
         N = 2 * kinematic.MC_CHUNK + 16 * 7
@@ -1544,8 +1588,9 @@ class TestHullReach:
 class TestOracleEstimates:
     def test_estimates_unchanged_by_the_oracles(self, monkeypatch):
         # past one chunk per estimate; every sample must get the same weight
-        # with numpy's row norms and maxima as with the column sums and
-        # maxima, the box/simplex shadows' ranges among them
+        # with numpy's row norms as with the column sums, the simplex's facet
+        # normals in its mixed volumes with the box among them: the second
+        # run builds its weights afresh
         N = kinematic.MC_CHUNK + 7008
         half = Ball(np.zeros(4), 0.5)
         box = BOX_PAIRS[0][0]
@@ -1560,9 +1605,8 @@ class TestOracleEstimates:
             return [(r.estimate, r.stderr, r.indeterminate) for r in reps]
 
         fast = run()
-        monkeypatch.setattr(kinematic, "_row_max", _oracles.row_max_numpy)
+        monkeypatch.setattr(kinematic, "_WEIGHT_CACHE", {})
         monkeypatch.setattr(bodies, "_row_norms", _oracles.row_norms_numpy)
-        monkeypatch.setattr(bodies, "_row_max", _oracles.row_max_numpy)
         assert run() == fast
 
 
@@ -1771,7 +1815,7 @@ class TestLatticeAccuracy:
     times the median relative standard error, for the motion_mc
     benchmark's box/box and plates at its sample counts and for a rotated
     box pair. The same holds for a ball against a simplex and a pentagon,
-    weighed by their shadows, and for the 1-D lattice of a ball against a
+    weighed by their mixed volumes, and for the 1-D lattice of a ball against a
     ball or a box, whose exact mean is the Steiner volume."""
 
     SEEDS = range(7100, 7148)
@@ -1900,6 +1944,57 @@ WORKSPACE_HULLS = {
     "simplex_simplex": (MOTION_SIMPLEX, MOTION_SIMPLEX),
     "pentagon_simplex": (mgon(5, PENTAGON_FRAME, radius=0.8), MOTION_SIMPLEX),
 }
+# its pairs of a vertex hull and a box or a ball
+WORKSPACE_MIXED = {
+    "ci_box_simplex": (MOTION_BOX, MOTION_SIMPLEX),
+    "ci_box_pentagon": (MOTION_BOX, mgon(5, PENTAGON_FRAME, radius=0.8)),
+    "ci_ball_simplex": (OFF_CENTRE_BALL, MOTION_SIMPLEX),
+    "ci_ball_pentagon": (OFF_CENTRE_BALL, mgon(5, PENTAGON_FRAME, radius=0.8)),
+}
+
+
+class TestWeightCache:
+    """The rotation pairs' weights are built once per pair of bodies, keyed
+    by their fields' bytes, in a cache of at most WEIGHT_CACHE_SIZE."""
+
+    def test_cache_size_stays_within_bound_and_evicts_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(kinematic, "_WEIGHT_CACHE", {})
+        point = Simplex([[0.1, -0.2, 0.3, 0.4]])
+        boxes = [Box(np.zeros(4), np.full(4, 0.3 + k / 64)) for k in range(kinematic.WEIGHT_CACHE_SIZE + 3)]
+        for box in boxes:
+            kinematic._rule(box, point)
+            assert len(kinematic._WEIGHT_CACHE) <= kinematic.WEIGHT_CACHE_SIZE
+        keys = [(kinematic._body_key(box), kinematic._body_key(point)) for box in boxes]
+        assert list(kinematic._WEIGHT_CACHE) == keys[3:]
+
+    def test_a_rebuilt_body_hits(self, monkeypatch):
+        # bodies built again from equal arrays get the cached weight, and a
+        # box whose half extents differ a weight of its own
+        monkeypatch.setattr(kinematic, "_WEIGHT_CACHE", {})
+        built = []
+        real = kinematic._translation_volumes
+
+        def recording(K, L):
+            built.append((K, L))
+            return real(K, L)
+        monkeypatch.setattr(kinematic, "_translation_volumes", recording)
+        kinematic._rule(Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6])),
+                        Simplex(MOTION_SIMPLEX.vertices.copy()))
+        (weight,) = kinematic._WEIGHT_CACHE.values()
+        kinematic._rule(MOTION_BOX, MOTION_SIMPLEX)
+        assert len(built) == 1 and list(kinematic._WEIGHT_CACHE.values()) == [weight]
+        kinematic._rule(Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.61])), MOTION_SIMPLEX)
+        assert len(built) == 2 and len(kinematic._WEIGHT_CACHE) == 2
+
+    @pytest.mark.parametrize("pair", list(WORKSPACE_MIXED))
+    def test_estimates_are_the_same_cold_and_warm(self, monkeypatch, pair):
+        K, L = WORKSPACE_MIXED[pair]
+        monkeypatch.setattr(kinematic, "_WEIGHT_CACHE", {})
+        cold = mc_principal_kinematic(K, L, N=40000, seed=21)
+        mc_principal_kinematic(K, L, N=16000, seed=22)
+        assert len(kinematic._WEIGHT_CACHE) == 1
+        assert mc_principal_kinematic(K, L, N=40000, seed=21) == cold
+        assert mc_principal_kinematic(L, K, N=40000, seed=21) == cold
 
 
 class TestWorkspace:
@@ -1908,7 +2003,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("pair, N", [pytest.param(pair, N, id=pair)
                                          for pair, (_, _, N) in PINNED_PAIRS.items()]
                              + [pytest.param("box_box", 1 << 20, id="box_box-past-a-chunk")]
-                             + [pytest.param(pair, 40000, id=pair) for pair in WORKSPACE_HULLS])
+                             + [pytest.param(pair, 40000, id=pair) for pair in WORKSPACE_HULLS]
+                             + [pytest.param(pair, N, id=f"{pair}-{N}") for pair in WORKSPACE_MIXED
+                                for N in (40000, 1 << 20)])
     def test_warm_estimate_allocates_at_most_512_kib(self, pair, N):
         # before the workspace, a warm estimate's temporaries peaked at
         # 1.5-2.3 MiB: the whole-chunk buffer, the tables, box/box's forms
@@ -1917,8 +2014,9 @@ class TestWorkspace:
         # forms must fit beside it: in 5 MC_CHUNK floats they did not, and a
         # warm estimate at N = 2^20 peaked at 1,161 KiB. The facet sum of two
         # vertex hulls peaked at 8,000 KiB (simplex/simplex) and 5,520 KiB
-        # (pentagon/simplex)
-        K, L = {**PINNED_PAIRS, **WORKSPACE_HULLS}[pair][:2]
+        # (pentagon/simplex), and the shadows of a hull against a box or a
+        # ball at 2,508-3,955 KiB
+        K, L = {**PINNED_PAIRS, **WORKSPACE_HULLS, **WORKSPACE_MIXED}[pair][:2]
         estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
         estimator(K, L, N=N, seed=1)
         tracemalloc.start()
