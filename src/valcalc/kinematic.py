@@ -47,10 +47,11 @@ the tent 1 - |2x - 1|, and s = 3 for q, with Korobov's generating vector
 (1, a, a^2 mod n), its first coordinate folded by the same tent and mapped
 onto S^3 by Shoemake's map.  So N must be a multiple of 16, for every
 pair.  What depends on n alone is built once per n (``_lattice_tables``),
-and the blocks work in their thread's resident workspace (``_Workspace``),
-so a warm estimate allocates no large array; the threads that split the
-replicates are kept across estimates (``_SLOTS``), with their workspaces.
-The estimates are bit for bit those of the plain computation.
+and the blocks and their weights work in their thread's resident workspace
+(``_Workspace``), so a warm estimate allocates no large array at any N;
+the threads that split the replicates are kept across estimates
+(``_SLOTS``), with their workspaces.  The estimates are bit for bit those
+of the plain computation.
 """
 
 import math
@@ -83,15 +84,14 @@ ROUNDING_ULPS = 4
 # evicted first: a motion_mc op estimates five pairs, each on a lattice of
 # its own
 TABLE_CACHE_SIZE = 8
-# samples per block of the translation volumes: box/box's 16 linear and 18
-# quadratic forms in q come to about fifty floats per sample, and the mixed
-# volumes of a vertex hull and a box, a ball or a hull to up to about 660
-BOX_BOX_BLOCK = 1 << 12
+# samples per block of a rotation weight (``_blocked``), at most: box/box
+# takes 29 floats a sample, the mixed volumes up to about 660
+WEIGHT_BLOCK = 1 << 12
 # floats in each thread's workspace (``_Workspace``): a block of MC_CHUNK
-# points of 4 coordinates, and past it box/box's 18 forms, 10 products and
-# sums for BOX_BOX_BLOCK samples, more than a ball section's first
-# coordinate or a rotation block's radii take
-WORKSPACE_FLOATS = 4 * MC_CHUNK + 29 * BOX_BOX_BLOCK
+# points of 4 coordinates and their weights, then box/box's 29 floats for
+# each of WEIGHT_BLOCK samples and 64 for the rounding of its arrays, more
+# than a ball section's first coordinate or a rotation block's radii take
+WORKSPACE_FLOATS = 5 * MC_CHUNK + 29 * WEIGHT_BLOCK + 64
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
 
@@ -501,59 +501,75 @@ def _rotation_lattice(n):
 
 
 def _rotation_rule(volumes):
-    """The rule (``_lattice_means``) of a pair weighted from q by volumes:
-    the unit quaternions of ``_rotation_lattice``."""
+    """The rule (``_lattice_means``) of a pair weighted from q by volumes
+    (``_blocked``): the unit quaternions of ``_rotation_lattice``, their
+    weights written into the thread's workspace."""
     def lattice(n):
-        block = _rotation_lattice(n)
+        rotate = _rotation_lattice(n)
 
         def weigh(d, start, out):
-            block(d, start, out)
-            return volumes(out.reshape(4, -1)).reshape(len(d), -1).sum(axis=1)
+            rotate(d, start, out)
+            q = out.reshape(4, -1)
+            with _WORK as take:
+                return volumes(q, take(q.shape[1])).reshape(len(d), -1).sum(axis=1)
         return weigh
     return 3, 1.0, lattice
 
 
+def _blocked(kernel, per):
+    """The weight volumes(q, vol) of a rotation pair, which writes the
+    weights of the unit quaternions q, (4, B) columns, into vol (B,) and
+    returns it: kernel(qb, vb, take) weighs each block qb of at most
+    WEIGHT_BLOCK columns into its slice vb, in per floats a sample taken
+    from the workspace past MC_CHUNK points and their weights (and 8 per
+    array for its rounding). So each product, at most (2-face pairs, 10)
+    times (10, block), stays below the sizes at which OpenBLAS starts
+    threads of its own, which would oversubscribe the estimate's threads.
+    A column weighs the same in whichever block it falls."""
+    block = min(WEIGHT_BLOCK, int((WORKSPACE_FLOATS - 5 * MC_CHUNK - 64) / per))
+
+    def volumes(q, vol):
+        for s in range(0, q.shape[1], block):
+            with _WORK as take:
+                kernel(q[:, s:s + block], vol[s:s + block], take)
+        return vol
+    return volumes
+
+
 def _box_box_volumes(K, L):
-    """The function taking unit quaternions, the (4, B) columns of q, to
-    vol(K - L_q L), a block at a time. The volume is 16 sum |det| over the
-    4-subsets of the zonotope's 8 half-generators (Shephard 1974): in K's
-    frame prod_(P^c) hK prod_T hL |minor(O; P, T)|, |P| = |T| and O =
-    K.rotation^T L_q L.rotation. O is orthogonal, so |det O| = 1 and
-    |minor(O; P, T)| = |minor(O; P^c, T^c)| (Jacobi): the 70 minors reduce to
-    c0, the 16 entries gen @ q (weights W1) and 18 2x2 minors S @ m(q), m(q)
-    the 10 products q_k q_l (weights W2). The relative error is at most about
-    the rotations' departure from orthonormality, max |R R^T - I|: near 1e-9
-    at ORTHONORMAL_TOL, far below any Monte Carlo standard error."""
+    """The weight (``_blocked``) q -> vol(K - L_q L) of two boxes. The
+    volume is 16 sum |det| over the 4-subsets of the zonotope's 8
+    half-generators (Shephard 1974): in K's frame prod_(P^c) hK prod_T hL
+    |minor(O; P, T)|, |P| = |T| and O = K.rotation^T L_q L.rotation. O is
+    orthogonal, so |det O| = 1 and |minor(O; P, T)| = |minor(O; P^c, T^c)|
+    (Jacobi): the 70 minors reduce to c0, the 16 entries gen @ q (weights
+    W1) and 18 2x2 minors S @ m(q), m(q) the 10 products q_k q_l (weights
+    W2). The relative error is at most about the rotations' departure from
+    orthonormality, max |R R^T - I|: near 1e-9 at ORTHONORMAL_TOL, far below
+    any Monte Carlo standard error."""
     hK, hL = K.half_extents, L.half_extents
     gen = np.kron(K.rotation.T, L.rotation.T) @ _UNIT_LEFT.reshape(4, 16).T
-    W1 = (np.outer(np.prod(hK) / hK, hL) + np.outer(hK, np.prod(hL) / hL)).ravel()
+    # the weights and c0 carry the factor 16, a power of two: exactly the
+    # sum times 16
+    W1 = 16.0 * (np.outer(np.prod(hK) / hK, hL) + np.outer(hK, np.prod(hL) / hL)).ravel()
     O, (i, j), (a, b) = gen.reshape(4, 4, 4), _SUBSETS[_P].T, _SUBSETS[_T].T
     M = np.einsum("mk,ml->mkl", O[i, a], O[j, b]) - np.einsum("mk,ml->mkl", O[i, b], O[j, a])
     S = M[:, _QK, _QL] + (_QK != _QL) * M[:, _QL, _QK]
     pK, pL = np.prod(hK[_SUBSETS], axis=1), np.prod(hL[_SUBSETS], axis=1)
-    W2 = pK[5 - _P] * pL[_T] + pK[_P] * pL[5 - _T]
-    c0 = np.prod(hK) + np.prod(hL)
+    W2 = 16.0 * (pK[5 - _P] * pL[_T] + pK[_P] * pL[5 - _T])
+    c0 = 16.0 * (np.prod(hK) + np.prod(hL))
 
-    def volumes(q):
-        # a block's forms in the thread's workspace: the linear ones, then
-        # the quadratic ones in their place, the products q_k q_l a row per
-        # (k, l), and the quadratic forms' weighted sums
-        vol = np.empty(q.shape[1])
-        B = min(len(vol), BOX_BOX_BLOCK)
-        with _WORK as take:
-            forms, products, sums = take(18 * B), take(10, B), take(B)
-            for s in range(0, len(vol), BOX_BOX_BLOCK):
-                qb = q[:, s:s + BOX_BOX_BLOCK]
-                m = qb.shape[1]
-                lin = np.matmul(gen, qb, out=forms[:16 * m].reshape(16, m))
-                v = np.matmul(W1, np.abs(lin, out=lin), out=vol[s:s + m])
-                v += c0
-                p = _products(qb, products[:, :m])
-                quad = np.matmul(S, p, out=forms[:18 * m].reshape(18, m))
-                v += np.matmul(W2, np.abs(quad, out=quad), out=sums[:m])
-        vol *= 16.0
-        return vol
-    return volumes
+    def kernel(q, vol, take):
+        # the linear forms, then the quadratic ones in their place, the
+        # products q_k q_l a row per (k, l), and the quadratic forms'
+        # weighted sums
+        forms = take(18, q.shape[1])
+        lin = np.matmul(gen, q, out=forms[:16])
+        np.matmul(W1, np.abs(lin, out=lin), out=vol)
+        vol += c0
+        quad = np.matmul(S, _products(q, take(10, q.shape[1])), out=forms)
+        vol += np.matmul(W2, np.abs(quad, out=quad), out=take(q.shape[1]))
+    return _blocked(kernel, 29)
 
 
 def _products(q, out):
@@ -652,16 +668,16 @@ def _mixed_side(P):
 
 
 def _mixed_volumes(K, L):
-    """The function taking unit quaternions, the (4, B) columns of q, to
-    vol(K - L_q L), a block at a time, for a vertex hull L (a simplex of 1
-    to 5 vertices or a planar polygon) against a box or a vertex hull K, by
-    mixed volumes over their faces and vertices (``_mixed_side``): with
-    M = -L_q L, vol(K + M) = vol K + vol M + 4 V(K[3], M) + 6 V(K[2], M[2])
-    + 4 V(K, M[3]) (Schneider, Convex Bodies, 2014, 5.1). Two plates take
-    ``_plate_volumes``, which the tests compare with it. 4 V(K[3], M) sums
-    vol_3(F) h_M(u) over K's 3-faces F and the directions u of their normal
-    cones, h_M(u) = max over L's vertices l of -<L_q l, u>; 4 V(K, M[3])
-    likewise sums h_K(-L_q u) = max over K's vertices k of -<k, L_q u>.
+    """The weight (``_blocked``) q -> vol(K - L_q L) of a vertex hull L (a
+    simplex of 1 to 5 vertices or a planar polygon) against a box or a
+    vertex hull K, by mixed volumes over their faces and vertices
+    (``_mixed_side``): with M = -L_q L, vol(K + M) = vol K + vol M +
+    4 V(K[3], M) + 6 V(K[2], M[2]) + 4 V(K, M[3]) (Schneider, Convex Bodies,
+    2014, 5.1). Two plates take ``_plate_volumes``, which the tests compare
+    with it. 4 V(K[3], M) sums vol_3(F) h_M(u) over K's 3-faces F and the
+    directions u of their normal cones, h_M(u) = max over L's vertices l of
+    -<L_q l, u>; 4 V(K, M[3]) likewise sums h_K(-L_q u) = max over K's
+    vertices k of -<k, L_q u>.
 
     6 V(K[2], M[2]) sums vol(F + L_q G) = vol_2 F vol_2 G |det [F's frame,
     L_q G's frame]| over the pairs of 2-faces with x in N(K, F) + L_q N(L, G)
@@ -700,14 +716,7 @@ def _mixed_volumes(K, L):
     are. The six coordinate planes carry the classes +-i, +-j and +-k, two
     planes each, and that octahedron is a spherical 3-design (Delsarte,
     Goethals & Seidel 1977): their mean of a quadratic in u is its mean over
-    S^2.
-
-    A block's monomials, forms, maxima and sign tests are taken from the
-    thread's workspace past a block of MC_CHUNK points, its size following
-    from the pair's form rows; so each product, at most (2-face pairs, 10)
-    times (10, block), stays below the sizes at which OpenBLAS starts
-    threads of its own, which inside the estimate's threads would
-    oversubscribe."""
+    S^2."""
     groups, verts, sizes = zip(*map(_mixed_side, (K, L)))
     # support forms, by (direction, vertex, k): the coefficients of q_k in
     # -vol <L_q l, u> over L's vertices l, then in -vol <k, L_q u> over K's
@@ -732,72 +741,59 @@ def _mixed_volumes(K, L):
         rows = [r.reshape(-1, r.shape[-1]) for r in rows]
     c0 = sizes[0] + sizes[1]
     S, R, P = len(forms), len(rows), len(rows[0]) if rows else 0
+
+    def kernel(q, vol, take):
+        B = q.shape[1]
+        sums = take(B)
+        vol.fill(c0)
+        if S:
+            # h per direction: the max over the other body's vertices
+            h, top = np.matmul(forms, q, out=take(S, B)), take(D, B)
+            for form_rows, top_rows, m in maxima:
+                by_vertex, t = h[form_rows].reshape(-1, m, B), top[top_rows]
+                np.copyto(t, by_vertex[:, 0])
+                for v in range(1, m):
+                    np.maximum(t, by_vertex[:, v], out=t)
+            vol += np.add.reduce(top, axis=0, out=sums)
+        if P:
+            products = _products(q, take(10, B))
+            tests = take(R, P, B)
+            for r, form in zip(tests, rows):
+                np.matmul(form, products if form.shape[1] == 10 else q, out=r)
+            positive = np.greater(tests, 0, out=take(R, P, B, dtype=bool))
+            every = np.logical_and.reduce(positive, axis=0, out=take(P, B, dtype=bool))
+            some = np.logical_or.reduce(positive, axis=0, out=take(P, B, dtype=bool))
+            # a pair counts when every row is positive or none is
+            den = np.abs(tests[0], out=tests[0])
+            den *= np.greater_equal(every, some, out=every)
+            vol += np.add.reduce(den, axis=0, out=sums)
     # floats per sample: a sum, the forms, their maxima, the monomials and a
     # byte per test, all and any
-    per = 1 + S + D + 10 + R * P + (R + 2) * P / 8
-
-    def volumes(q):
-        # samples per block, 8 floats per array kept for its rounding
-        block = min(BOX_BOX_BLOCK, int((WORKSPACE_FLOATS - 4 * MC_CHUNK - 64) / per))
-        vol = np.full(q.shape[1], c0)
-        for s in range(0, len(vol), block):
-            qb = q[:, s:s + block]
-            B = qb.shape[1]
-            with _WORK as take:
-                sums = take(B)
-                if S:
-                    # h per direction: the max over the other body's vertices
-                    h, top = np.matmul(forms, qb, out=take(S, B)), take(D, B)
-                    for form_rows, top_rows, m in maxima:
-                        by_vertex, t = h[form_rows].reshape(-1, m, B), top[top_rows]
-                        np.copyto(t, by_vertex[:, 0])
-                        for v in range(1, m):
-                            np.maximum(t, by_vertex[:, v], out=t)
-                    vol[s:s + B] += np.add.reduce(top, axis=0, out=sums)
-                if P:
-                    products = _products(qb, take(10, B))
-                    tests = take(R, P, B)
-                    for r, form in zip(tests, rows):
-                        np.matmul(form, products if form.shape[1] == 10 else qb, out=r)
-                    positive = np.greater(tests, 0, out=take(R, P, B, dtype=bool))
-                    every = np.logical_and.reduce(positive, axis=0, out=take(P, B, dtype=bool))
-                    some = np.logical_or.reduce(positive, axis=0, out=take(P, B, dtype=bool))
-                    # a pair counts when every row is positive or none is
-                    den = np.abs(tests[0], out=tests[0])
-                    den *= np.greater_equal(every, some, out=every)
-                    vol[s:s + B] += np.add.reduce(den, axis=0, out=sums)
-        return vol
-    return volumes
+    return _blocked(kernel, 1 + S + D + 10 + R * P + (R + 2) * P / 8)
 
 
 def _plate_volumes(M1, M2):
-    """The function taking unit quaternions, the (4, B) columns of q, to
-    vol(M1 - L_q M2) for two plates: their sum is an affine image of their
-    product, so the volume is area1 area2 |det [F1^T | L_q F2^T]|, a
-    quadratic form q^T A q scaled by the areas, A_kk the coefficient of
-    q_k^2 in ``_det_form`` and A_kl = A_lk half that of q_k q_l. It falls
-    to 0 as the plates turn parallel, as two hulls' mixed volumes do
-    (``_mixed_volumes``), which the tests compare with it.
+    """The weight (``_blocked``) q -> vol(M1 - L_q M2) of two plates: their
+    sum is an affine image of their product, so the volume is area1 area2
+    |det [F1^T | L_q F2^T]|, a quadratic form q^T A q scaled by the areas,
+    A_kk the coefficient of q_k^2 in ``_det_form`` and A_kl = A_lk half
+    that of q_k q_l. It falls to 0 as the plates turn parallel, as two
+    hulls' mixed volumes do (``_mixed_volumes``), which the tests compare
+    with it.
 
-    A block of q takes one product A q and one sum over i of (A q)_i q_i,
-    in the thread's workspace."""
+    A block of q takes one product A q and one sum over i of (A q)_i q_i."""
     c = _det_form(np.vstack([M1.frame, M2.frame]), (2, 3))
     A = np.empty((4, 4))
     A[_QK, _QL] = A[_QL, _QK] = M1.area * M2.area * np.where(_QK == _QL, c, 0.5 * c)
 
-    def volumes(q):
-        total = np.empty(q.shape[1])
-        B = min(len(total), BOX_BOX_BLOCK)
-        with _WORK as take:
-            terms = take(4 * B)
-            for s in range(0, len(total), BOX_BOX_BLOCK):
-                qb = q[:, s:s + BOX_BOX_BLOCK]
-                m = qb.shape[1]
-                t = np.matmul(A, qb, out=terms[:4 * m].reshape(4, m))
-                t *= qb
-                t.sum(axis=0, out=total[s:s + m])
-        return np.abs(total, out=total)
-    return volumes
+    def kernel(q, vol, take):
+        t = np.matmul(A, q, out=take(4, q.shape[1]))
+        # a row at a time: numpy buffers a product of two 2-D arrays whose
+        # rows lie apart by different strides, as a block of q's do
+        for row, q_k in zip(t, q):
+            row *= q_k
+        np.abs(t.sum(axis=0, out=vol), out=vol)
+    return _blocked(kernel, 4)
 
 
 def _translation_volumes(K, L):
@@ -869,14 +865,15 @@ def _lattice_means(rule, n, seed, threads):
     lattice in [0, 1)^s, replicate idx under the shift of s uniforms of
     default_rng([seed, idx]) (Cranley & Patterson 1976): s = 1 for a ball
     against a ball or a box (``_section_rule``) and 3 for the rotations
-    (``_rotation_rule``). A rule is (s, scale, lattice): lattice(n) gives weigh(d, start, out), which scores
-    points start, ..., start + size - 1 of the lattice under each of R
-    shifts, the rows of d (R, s), with out (4, R, size) to work in, and
-    returns their summed weights per shift; a replicate's mean is scale
-    times its sum over n. When all of them fit in one block of MC_CHUNK,
-    the REPLICATES lattices are scored in one call; else the threads split
-    the replicates, each run in blocks of MC_CHUNK. The path depends on n
-    alone, so the means depend only on (seed, n), whatever the threads.
+    (``_rotation_rule``). A rule is (s, scale, lattice): lattice(n) gives
+    weigh(d, start, out), which scores points start, ..., start + size - 1
+    of the lattice under each of R shifts, the rows of d (R, s), with out
+    (4, R, size) to work in, and returns their summed weights per shift; a
+    replicate's mean is scale times its sum over n. A unit is a group of
+    shifts, scored together in blocks of MC_CHUNK points: all REPLICATES of
+    them when their lattices fit in one block, else one. The threads split
+    the units; the grouping depends on n alone, so the means depend only on
+    (seed, n), whatever the threads.
 
     Every block, and whatever lattice(n) takes for the call, is taken from
     the running thread's workspace (``_Workspace``), which outlives the
@@ -884,21 +881,20 @@ def _lattice_means(rule, n, seed, threads):
     allocator's thresholds."""
     s, scale, lattice = rule
     shifts = np.array([np.random.default_rng([seed, idx]).random(s) for idx in range(REPLICATES)])
+    group = REPLICATES if REPLICATES * n <= MC_CHUNK else 1
+    step = MC_CHUNK // group
     with _WORK:
         weigh = lattice(n)
-        if REPLICATES * n <= MC_CHUNK:
-            with _WORK as take:
-                return (scale * weigh(shifts, 0, take(4, REPLICATES, n)) / n).tolist()
 
-        def replicate(idx):
-            total = 0.0
+        def unit(idx):
+            d = shifts[idx * group:(idx + 1) * group]
+            totals = np.zeros(group)
             with _WORK as take:
-                block = take(4, 1, min(MC_CHUNK, n))
-                for start in range(0, n, MC_CHUNK):
-                    out = block[..., :min(MC_CHUNK, n - start)]
-                    total += float(weigh(shifts[idx:idx + 1], start, out)[0])
-            return scale * total / n
-        return _run_units(replicate, REPLICATES, threads)
+                block = take(4, group, min(step, n))
+                for start in range(0, n, step):
+                    totals += weigh(d, start, block[..., :min(step, n - start)])
+            return (scale * totals / n).tolist()
+        return [mean for means in _run_units(unit, REPLICATES // group, threads) for mean in means]
 
 
 def _replicate_moments(means):

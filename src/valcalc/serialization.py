@@ -155,10 +155,11 @@ def _vector(raw, path):
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in raw)):
         raise SerializationError(path, "expected a nonempty list of numbers")
-    if not all(math.isfinite(x) for x in raw):
-        raise SerializationError(path, "numbers must be finite")
+    # the size first: an int too large for a float has no isfinite
     if any(abs(x) > MAX_COORDINATE for x in raw):
         raise SerializationError(path, f"numbers must be at most {MAX_COORDINATE:g} in size")
+    if not all(math.isfinite(x) for x in raw):
+        raise SerializationError(path, "numbers must be finite")
     return [float(x) for x in raw]
 
 

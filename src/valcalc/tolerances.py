@@ -5,13 +5,13 @@ them is an accuracy target, and none picks a rule: a normal-cycle cell is a
 point, an arc or a geodesic triangle by its generator count alone (a cone of
 four or more generators raises), each integrated exactly, so float results
 carry only rounding error.  No Monte Carlo sample is scored against any of
-them: every score is exact, with no iteration.  The weights of pairs without
-a ball are closed forms in the rotation (a shadow's edge counts when every
-other vertex lies strictly on one side of it, a pair of 2-faces when one
-fixed x lies strictly inside their cones' sum: a tie needs q in a set of
-measure zero).  Ball
-pairs integrate rounded-3-box sections or weigh a hull's shadows, in closed
-form: none tests a point against a boundary.
+them: every score is exact, with no iteration.  The rotation pairs' weights
+are closed forms in the rotation: mixed volumes over the bodies' faces, a
+ball's being a cube's whose faces weigh powers of its radius, in which a
+pair of 2-faces counts when one fixed x lies strictly inside their cones'
+sum (a tie needs q in a set of measure zero).  A ball against a ball or a
+box integrates rounded-3-box sections in closed form: none tests a point
+against a boundary.
 """
 
 # rows given as orthonormal (box rotations, polygon and Klain frames) may

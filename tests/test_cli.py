@@ -403,6 +403,25 @@ class TestExitCodes:
         assert not out
         assert err.startswith(f"error: {body}.{field}: ")
 
+    @pytest.mark.parametrize("field", ["center", "radius"])
+    def test_integer_too_large_for_a_float(self, capsys, files, field):
+        # a 400-digit integer used to exit 3 with "int too large to convert
+        # to float" and no location
+        tmp, save = files
+        k = save("k.json", ser.body_to_json(Ball(np.zeros(4), 0.5)))
+        ball = {"type": "ball", "center": [0, 0, 0, 0], "radius": 0.5}
+        if field == "center":
+            ball["center"] = [10 ** 400, 0, 0, 0]
+        else:
+            ball["radius"] = 10 ** 400
+        body = tmp / "big.json"
+        body.write_text(json.dumps(ball))
+        rc, out, err = run(capsys, "verify", "mc", "--k", k, "--l", str(body),
+                           "--samples", "512", "--seed", "1")
+        assert rc == 2
+        assert not out
+        assert err == f"error: {body}.{field}: numbers must be at most 1e+30 in size\n"
+
     def test_bodies_at_the_coordinate_bound_evaluate(self, capsys, files):
         # every number of these bodies is 1e30 in size at most, and every
         # intrinsic volume of them is finite, with no warning

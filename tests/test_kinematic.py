@@ -692,6 +692,11 @@ BOX_PAIRS = [
 ]
 
 
+def _scored(volumes, q):
+    """A rotation weight's values at the (4, B) columns q, in a new array."""
+    return volumes(q, np.empty(q.shape[1]))
+
+
 def _zonotope_volumes(K, L, Rs):
     """16 times the sum of |det| over the 70 4-subsets of the 8 half-generators
     of K - R L, by numpy's determinant."""
@@ -738,7 +743,7 @@ def _assert_averages_the_hit_indicator(K, L, volumes, rng, rotations, n, slack=0
             assert _oracles.lp_intersects(K, L.moved(R, t), 4) == hit
         w = np.prod(hi - lo) * hits
         se = w.std(ddof=1) / math.sqrt(n)
-        (want,) = volumes(q[:, None])
+        (want,) = _scored(volumes, q[:, None])
         assert abs(w.mean() - want) <= 4.0 * se + slack * want, (w.mean(), want, se)
 
 
@@ -751,8 +756,8 @@ class TestBoxBoxVolumes:
         # one full block and a partial one
         K, L = BOX_PAIRS[pair]
         Rs = _rotations(haar_quaternions(np.random.default_rng(31 + pair),
-                                         kinematic.BOX_BOX_BLOCK + 500))
-        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0].T)
+                                         kinematic.WEIGHT_BLOCK + 500))
+        got = _scored(kinematic._box_box_volumes(K, L), Rs[:, :, 0].T)
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pair", [1, 2])
@@ -819,8 +824,8 @@ class TestBoxBoxForms:
         # one full block and a partial one
         K, L = WEIGHT_PAIRS[pair]
         Rs = _rotations(haar_quaternions(np.random.default_rng(70 + pair),
-                                         kinematic.BOX_BOX_BLOCK + 500))
-        got = kinematic._box_box_volumes(K, L)(Rs[:, :, 0].T)
+                                         kinematic.WEIGHT_BLOCK + 500))
+        got = _scored(kinematic._box_box_volumes(K, L), Rs[:, :, 0].T)
         want = _oracles.box_box_laplace_volumes(K, L, Rs[:, :, 0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-13, atol=0)
@@ -833,7 +838,7 @@ class TestBoxBoxForms:
         K = Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), rotation)
         L = BOX_PAIRS[3][1]
         qs = haar_quaternions(rng, 2000)
-        np.testing.assert_allclose(kinematic._box_box_volumes(K, L)(qs.T),
+        np.testing.assert_allclose(_scored(kinematic._box_box_volumes(K, L), qs.T),
                                    _oracles.box_box_laplace_volumes(K, L, qs), rtol=1e-8, atol=0)
 
 
@@ -864,7 +869,7 @@ def _plate_weights(F1t, F2t, qs):
     """|det [F1t | L_q F2t]| for each row q of qs, as the plates score it:
     the weight of two unit squares in the planes of F1t and F2t."""
     M1, M2 = (PlanarPolygon(Ft.T, [[0, 0], [1, 0], [1, 1], [0, 1]]) for Ft in (F1t, F2t))
-    return kinematic._plate_volumes(M1, M2)(qs.T)
+    return _scored(kinematic._plate_volumes(M1, M2), qs.T)
 
 
 SQUARE_FRAME = [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -1296,7 +1301,7 @@ class TestHullShadows:
         L = Simplex(rng.standard_normal((m, 4)))
         qs = haar_quaternions(rng, 100)
         for r in (0.35, 2.0):
-            got = kinematic._mixed_volumes(Ball(np.zeros(4), r), L)(qs.T)
+            got = _scored(kinematic._mixed_volumes(Ball(np.zeros(4), r), L), qs.T)
             for q, weight in zip(qs, got):
                 want = _kubota_weight(L.vertices @ rotation_matrix(q).T, L.volume(), r)
                 assert weight == pytest.approx(want, rel=1e-12, abs=0)
@@ -1315,7 +1320,7 @@ class TestHullShadows:
             R = _random_rotation(rng)
             for l in range(4):
                 needle = Box(np.zeros(4), np.where(np.arange(4) == l, 0.5, 1e-300), R)
-                got = kinematic._mixed_volumes(needle, L)(qs.T) - L.volume()
+                got = _scored(kinematic._mixed_volumes(needle, L), qs.T) - L.volume()
                 for q, shadow in zip(qs, got):
                     points = L.vertices @ (R.T @ rotation_matrix(q)).T
                     want = _oracles.shadow_volumes(points)[2][l]
@@ -1330,8 +1335,8 @@ class TestHullShadows:
         M = mgon(m, PENTAGON_FRAME, radius=0.8)
         qs = haar_quaternions(rng, 100)
         r = OFF_CENTRE_BALL.radius
-        ball = kinematic._mixed_volumes(OFF_CENTRE_BALL, M)(qs.T)
-        box = kinematic._mixed_volumes(ROTATED_BOX, M)(qs.T)
+        ball = _scored(kinematic._mixed_volumes(OFF_CENTRE_BALL, M), qs.T)
+        box = _scored(kinematic._mixed_volumes(ROTATED_BOX, M), qs.T)
         for q, by_ball, by_box in zip(qs, ball, box):
             want = _kubota_weight(M.embedded_vertices() @ rotation_matrix(q).T, 0.0, r)
             assert by_ball == pytest.approx(want, rel=1e-12, abs=0)
@@ -1348,8 +1353,8 @@ class TestBoxPolytopeVolumes:
     def test_matches_qhull_shadows(self, pair):
         # one full block and a partial one
         K, L = POLYTOPE_PAIRS[pair]
-        qs = haar_quaternions(np.random.default_rng(110), kinematic.BOX_BOX_BLOCK + 100)
-        got = kinematic._mixed_volumes(K, L)(qs.T)
+        qs = haar_quaternions(np.random.default_rng(110), kinematic.WEIGHT_BLOCK + 100)
+        got = _scored(kinematic._mixed_volumes(K, L), qs.T)
         for b in range(0, len(qs), 37):
             assert got[b] == pytest.approx(_oracles.box_polytope_volume(K, L, qs[b]),
                                            rel=1e-12, abs=0)
@@ -1360,8 +1365,8 @@ class TestBoxPolytopeVolumes:
         # first: the box is taken as K, the same weight bit for bit
         L = HULLS[name]
         qs = haar_quaternions(np.random.default_rng(111), 1000)
-        got = kinematic._translation_volumes(L, ROTATED_BOX)(qs.T)
-        assert got.tobytes() == kinematic._mixed_volumes(ROTATED_BOX, L)(qs.T).tobytes()
+        got = _scored(kinematic._translation_volumes(L, ROTATED_BOX), qs.T)
+        assert got.tobytes() == _scored(kinematic._mixed_volumes(ROTATED_BOX, L), qs.T).tobytes()
         for b in range(0, len(qs), 19):
             assert got[b] == pytest.approx(_oracles.box_polytope_volume(ROTATED_BOX, L, qs[b]),
                                            rel=1e-12, abs=0)
@@ -1378,7 +1383,7 @@ class TestBoxPolytopeVolumes:
     @pytest.mark.parametrize("pair", list(POLYTOPE_PAIRS))
     def test_estimate_matches_rhs_in_either_order(self, pair):
         K, L = POLYTOPE_PAIRS[pair]
-        N = 2 * kinematic.BOX_BOX_BLOCK + 96
+        N = 2 * kinematic.WEIGHT_BLOCK + 96
         a = mc_principal_kinematic(K, L, N=N, seed=130)
         b = mc_principal_kinematic(L, K, N=N, seed=130)
         assert (a.estimate, a.stderr, a.indeterminate) == (b.estimate, b.stderr, 0)
@@ -1413,8 +1418,8 @@ class TestHullHullVolumes:
         # one full block and a partial one; a sum of dimension below 4 is
         # 0 exactly
         K, L = (HULLS[name] for name in pair)
-        qs = haar_quaternions(np.random.default_rng(140), kinematic.BOX_BOX_BLOCK + 100)
-        got = kinematic._mixed_volumes(K, L)(qs.T)
+        qs = haar_quaternions(np.random.default_rng(140), kinematic.WEIGHT_BLOCK + 100)
+        got = _scored(kinematic._mixed_volumes(K, L), qs.T)
         if _hull_dim(K) + _hull_dim(L) < 4:
             assert not got.any()
             return
@@ -1428,11 +1433,11 @@ class TestHullHullVolumes:
         # another, of the same volume
         K, L = (HULLS[name] for name in pair)
         qs = haar_quaternions(np.random.default_rng(142), 4096)
-        one = kinematic._mixed_volumes(K, L)(qs.T)
+        one = _scored(kinematic._mixed_volumes(K, L), qs.T)
         monkeypatch.setattr(kinematic, "_GENERIC",
                             np.array([-0.2718281828459045, 0.6180339887498949,
                                       0.1234567890123457, -0.7071067811865476]))
-        two = kinematic._mixed_volumes(K, L)(qs.T)
+        two = _scored(kinematic._mixed_volumes(K, L), qs.T)
         np.testing.assert_allclose(two, one, rtol=0, atol=1e-13 * np.abs(one).max())
 
     def test_plates_match_the_plate_form(self):
@@ -1441,8 +1446,8 @@ class TestHullHullVolumes:
         M1, M2 = HULLS["square"], HULLS["pentagon"]
         qs = haar_quaternions(np.random.default_rng(141), 4096)
         scale = M1.area * M2.area
-        want = kinematic._plate_volumes(M1, M2)(qs.T)
-        got = kinematic._mixed_volumes(M1, M2)(qs.T)
+        want = _scored(kinematic._plate_volumes(M1, M2), qs.T)
+        got = _scored(kinematic._mixed_volumes(M1, M2), qs.T)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
     @pytest.mark.parametrize("pair", [("simplex5", "simplex5"), ("pentagon", "simplex5")],
@@ -1460,7 +1465,7 @@ class TestHullHullVolumes:
         # the two orders weigh vol(K - L_q L) and vol(L - K_q K): equal in
         # distribution, not sample by sample
         K, L = (HULLS[name] for name in pair)
-        N = 2 * kinematic.BOX_BOX_BLOCK + 96
+        N = 2 * kinematic.WEIGHT_BLOCK + 96
         for a, b in [(K, L), (L, K)]:
             rep = mc_principal_kinematic(a, b, N=N, seed=160)
             assert rep.indeterminate == 0
@@ -1498,8 +1503,8 @@ class TestHullReach:
         # the same weight bit for bit
         P = HULLS[name]
         qs = haar_quaternions(np.random.default_rng(182), 200)
-        got = kinematic._translation_volumes(P, OFF_CENTRE_BALL)(qs.T)
-        assert got.tobytes() == kinematic._mixed_volumes(OFF_CENTRE_BALL, P)(qs.T).tobytes()
+        got = _scored(kinematic._translation_volumes(P, OFF_CENTRE_BALL), qs.T)
+        assert got.tobytes() == _scored(kinematic._mixed_volumes(OFF_CENTRE_BALL, P), qs.T).tobytes()
         for q, weight in zip(qs, got):
             want = _kubota_weight(P._hull() @ rotation_matrix(q).T, P.volume(), OFF_CENTRE_BALL.radius)
             assert weight == pytest.approx(want, rel=1e-12, abs=0)
@@ -1534,8 +1539,8 @@ class TestHullReach:
         p = hits / size
         count, count_err = np.prod(span) * p, np.prod(span) * math.sqrt(p * (1 - p) / size)
         assert count_err < 2e-3 * count
-        weights = kinematic._mixed_volumes(Ball(np.zeros(4), r), P)(
-            haar_quaternions(np.random.default_rng(181), 1 << 16).T)
+        weights = _scored(kinematic._mixed_volumes(Ball(np.zeros(4), r), P),
+                      haar_quaternions(np.random.default_rng(181), 1 << 16).T)
         mean, err = weights.mean(), weights.std(ddof=1) / math.sqrt(len(weights))
         assert abs(mean - count) < 4 * math.hypot(err, count_err), (mean, err, count, count_err)
 
@@ -1565,8 +1570,8 @@ class TestHullReach:
     def _assert_constant_weight(ball, P, want):
         # every q weighs want to rounding, and so does every estimate, past
         # one chunk at 1 and 2 threads
-        weights = kinematic._mixed_volumes(ball, P)(
-            haar_quaternions(np.random.default_rng(192), 1000).T)
+        weights = _scored(kinematic._mixed_volumes(ball, P),
+                      haar_quaternions(np.random.default_rng(192), 1000).T)
         assert np.all(np.abs(weights - want) <= 2 * math.ulp(want)), (weights, want)
         N = 2 * kinematic.MC_CHUNK + 16 * 7
         for threads in (1, 2):
@@ -1685,7 +1690,7 @@ def _plain_rotation_means(volumes, n, seed):
         t2, t3 = 2.0 * math.pi * u[:, 1], 2.0 * math.pi * u[:, 2]
         qs = np.stack([np.sqrt(1.0 - u1) * np.cos(t2), np.sqrt(1.0 - u1) * np.sin(t2),
                        np.sqrt(u1) * np.cos(t3), np.sqrt(u1) * np.sin(t3)], axis=1)
-        means.append(volumes(qs.T).mean())
+        means.append(_scored(volumes, qs.T).mean())
     return means
 
 
@@ -1997,6 +2002,35 @@ class TestWeightCache:
         assert mc_principal_kinematic(L, K, N=40000, seed=21) == cold
 
 
+# a pair for each kind of rotation weight, and for both sides of a ball's
+SPLIT_PAIRS = {
+    "box_box": BOX_PAIRS[2],
+    "plates": PINNED_PAIRS["poincare"][:2],
+    "simplex_simplex": WORKSPACE_HULLS["simplex_simplex"],
+    "box_pentagon": WORKSPACE_MIXED["ci_box_pentagon"],
+    "ball_simplex": WORKSPACE_MIXED["ci_ball_simplex"],
+}
+
+
+class TestBlocks:
+    """A rotation weight walks q in blocks of at most WEIGHT_BLOCK
+    (``_blocked``): a column weighs the same in whichever block it falls."""
+
+    @pytest.mark.parametrize("pair", list(SPLIT_PAIRS))
+    def test_split_q_scores_the_same_bytes(self, pair):
+        # rows of q contiguous, as a lattice block's are, cut at 1009 and
+        # 5003, primes: inside the first block of box/box and the plates
+        # and past it, and off every block boundary of the mixed volumes
+        volumes = kinematic._translation_volumes(*SPLIT_PAIRS[pair])
+        q = np.ascontiguousarray(haar_quaternions(np.random.default_rng(200),
+                                                  2 * kinematic.WEIGHT_BLOCK + 96).T)
+        whole = _scored(volumes, q)
+        split = np.empty_like(whole)
+        for lo, hi in [(0, 1009), (1009, 5003), (5003, q.shape[1])]:
+            volumes(q[:, lo:hi], split[lo:hi])
+        assert split.tobytes() == whole.tobytes()
+
+
 class TestWorkspace:
     """Warm estimates work in each thread's resident workspace."""
 
@@ -2026,6 +2060,25 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 512 * 1024, peak
+
+    @pytest.mark.parametrize("pair", ["box_box", "poincare", *WORKSPACE_HULLS, *WORKSPACE_MIXED])
+    def test_warm_peak_does_not_grow_with_n(self, pair):
+        # the rotation weights write into the workspace: when each allocated
+        # its output, a block of MC_CHUNK points from N = 2^19 on cost
+        # 256 KiB, and warm peaks at 2^20 read 261-372 KiB against
+        # 44-135 KiB at 40,000
+        K, L = {**PINNED_PAIRS, **WORKSPACE_HULLS, **WORKSPACE_MIXED}[pair][:2]
+        estimator = mc_poincare if pair == "poincare" else mc_principal_kinematic
+        peaks = []
+        for N in (40000, 1 << 20):
+            estimator(K, L, N=N, seed=1)
+            tracemalloc.start()
+            try:
+                estimator(K, L, N=N, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16 * 1024, peaks
 
     @pytest.mark.parametrize("pair", list(PINNED_PAIRS))
     def test_warm_estimate_at_two_threads_allocates_at_most_512_kib(self, pair):
