@@ -25,9 +25,15 @@ carries into the next.  pair_top contracts two vectors against the
 closed-form integrals of sphere monomials, the one path of the pairing at
 every degree.  The integral of v^e is an integer numerator of e
 (``exterior.sphere_numerator``) times a factor of n and |e| alone
-(``exterior.sphere_factor``), so the contraction sums its products times
-their numerators in Python ints per total degree, and makes one fraction
-per degree.
+(``exterior.sphere_factor``).  Which products x_i y_j integrate to
+nonzero, and with which numerator, depends on the two supports alone, so
+the contraction splits as a sparse direct solver splits its symbolic
+analysis from its numeric passes: a plan (``_contract_plan``), kept per
+(n, block pair, ids of x, ids of y) in an LRU of FORM_CACHE_SIZE plans,
+holds the positions in x and y of every product whose exponents are all
+even, its partner sign times its code's numerator, and the products
+grouped by total degree; a call is then one integer pass over the plan
+and one fraction per degree (``_top_contract``).
 
 An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
@@ -46,11 +52,13 @@ caller that reads the outputs in turn keeps those images (``solved``), so
 that no block is solved twice.  The contraction packs each product's
 exponents into one code, in fields as wide as the two degrees' sum needs:
 an int64 while the n fields fit in 63 bits (in R^4, degree sums up to
-2^15 - 2), a Python int past that.  The caches keep every column they
-build for the life of the process: their size is bounded by the number of
-monomials of the degrees in use, not by a count of forms.  This module
-builds on ``exterior`` and ``scalars`` alone; every module above it imports
-it at load.
+2^15 - 2), a Python int past that.  The column caches keep every column
+they build for the life of the process: their size is bounded by the
+number of monomials of the degrees in use, not by a count of forms.  The
+contraction's plans, at most FORM_CACHE_SIZE, are the only place that
+keeps a sphere numerator; a plan holds three entries per product it
+keeps.  This module builds on ``exterior`` and ``scalars`` alone; every
+module above it imports it at load.
 """
 
 import math
@@ -69,8 +77,8 @@ from .exterior import (
     _prepend_sign,
     hodge_star,
     lie_reeb,
+    odd_factorial,
     sphere_factor,
-    sphere_numerator,
 )
 from .scalars import Rat, Scalar
 
@@ -81,8 +89,9 @@ INT64_SAFE = 1 << 62  # vector entries below it are stored as int64
 # monomials of Z_u-like forms raised peak RSS by 3 MB at 5,120 bits and by
 # 8 MB at 10,240 bits; x86-64, Python 3.11)
 PACKED_BITS = 8192
-# results kept per function of a form (``_cached_on_vectors``); one pairing
-# with its operators needs about five Rumin solves
+# results kept per function of a form (``_cached_on_vectors``), and plans kept
+# by the contraction (``_contract_plan``); one pairing with its operators needs
+# about five Rumin solves
 FORM_CACHE_SIZE = 64
 
 
@@ -623,22 +632,21 @@ def _antipode_vectors(n, parts, sign):
 
 
 @lru_cache(maxsize=None)
-def _partners(n):
-    """For each key code Imask | Jmask << n of a monomial of degree n - 1, the
-    key codes of the monomials its wedge reaches dx_1..n ^ dv_(all but t)
-    with, as arrays of shape (4^n, n): partner key, sign of wedge and fiber
-    orientation, t.  A sign of 0 pads the rows."""
-    key, sign, slot = (np.zeros((1 << (2 * n), n), np.int64) for _ in range(3))
-    for a in range(n):
-        for I1, J1 in product(combinations(range(n), a), combinations(range(n), n - 1 - a)):
-            code = sum(1 << i for i in I1) | sum(1 << (n + j) for j in J1)
-            I2 = _complement(I1, n)
-            for col, t in enumerate(_complement(J1, n)):
-                J2 = tuple(j for j in _complement(J1, n) if j != t)
-                s = _merge_sign(I1, I2) * _merge_sign(J1, J2) * (-1) ** (len(I2) * len(J1))
-                key[code, col] = sum(1 << i for i in I2) | sum(1 << (n + j) for j in J2)
-                sign[code, col] = s * _prepend_sign(tuple(sorted(J1 + J2)), t)
-                slot[code, col] = t
+def _partners(n, b):
+    """For each key code Imask | Jmask << n of a monomial dx_I ^ dv_J of degree
+    n - 1, |J| = b, the key codes of the n - b monomials its wedge reaches
+    dx_1..n ^ dv_(all but t) with, one per t outside J, as arrays of shape
+    (4^n, n - b): partner key, sign of wedge and fiber orientation, t."""
+    key, sign, slot = (np.zeros((1 << (2 * n), n - b), np.int64) for _ in range(3))
+    for I1, J1 in product(combinations(range(n), n - 1 - b), combinations(range(n), b)):
+        code = sum(1 << i for i in I1) | sum(1 << (n + j) for j in J1)
+        I2 = _complement(I1, n)
+        for col, t in enumerate(_complement(J1, n)):
+            J2 = tuple(j for j in _complement(J1, n) if j != t)
+            s = _merge_sign(I1, I2) * _merge_sign(J1, J2) * (-1) ** (len(I2) * len(J1))
+            key[code, col] = sum(1 << i for i in I2) | sum(1 << (n + j) for j in J2)
+            sign[code, col] = s * _prepend_sign(tuple(sorted(J1 + J2)), t)
+            slot[code, col] = t
     return key, sign, slot
 
 
@@ -650,63 +658,94 @@ def _place(n, width):
                     np.int64 if n * width < 64 else object)
 
 
-@lru_cache(maxsize=None)
-def _sphere_numerator(n, width, code):
-    """``exterior.sphere_numerator`` of the exponents e packed width bits
-    each in code."""
-    mask = (1 << width) - 1
-    return sphere_numerator(tuple(code >> (width * i) & mask for i in range(n)))
+def _sphere_numerators(n, width, codes):
+    """``exterior.sphere_numerator`` of the exponents packed width bits each
+    in each of codes (int64 or Python ints), every exponent even, as an array:
+    the product of its fields' one-variable numerators, each computed once
+    per distinct exponent.  int64 while every product is below INT64_SAFE,
+    Python ints past that."""
+    fields = (codes[:, None] // _place(n, width) & (1 << width) - 1).astype(np.int64)
+    exps = sorted(set(fields.ravel().tolist()))
+    table = [odd_factorial(e) for e in exps]
+    table = np.array(table, np.int64 if n * table[-1].bit_length() <= 62 else object)
+    return np.multiply.reduce(table[np.searchsorted(exps, fields)], axis=1)
+
+
+@lru_cache(maxsize=FORM_CACHE_SIZE)
+def _contract_plan(n, ab, ix, iy):
+    """The part of ``_top_contract`` that reads the supports alone, ids ix on
+    block ab and iy on the complementary block (int64 bytes): (px, py, w,
+    starts, degrees, l1), or None where no product integrates to nonzero.
+
+    Product m is x[px[m]] y[py[m]] times w[m], its partner sign times its
+    code's sphere numerator.  The products run grouped by total degree, the
+    group of degrees[g] from starts[g] on; l1 is sum |w|.  w is int64 while
+    its entries fit, an object array of Python ints past that."""
+    ix, iy = np.frombuffer(ix, np.int64), np.frombuffer(iy, np.int64)
+    a, b = ab
+    blk_x, blk_y = _block(n, a, b), _block(n, n - a, n - 1 - b)
+    (kx, _, dx), (ky, _, dy) = blk_x.codes(), blk_y.codes()
+    width = (int(dx[ix].max()) + int(dy[iy].max()) + 1).bit_length()
+    place, mod = _place(n, width), (1 << width) - 1
+    py = np.argsort(ky[iy], kind="stable")
+    ky, ey = ky[iy[py]], blk_y.packed(width)[iy[py]]
+    kx = kx[ix]
+    pkey, psign, pslot = (t[kx].ravel() for t in _partners(n, b))
+    # the code of x_i's exponents times its partner's v_t, per (i, slot)
+    ex = np.repeat(blk_x.packed(width)[ix], n - b) + place[pslot]
+    lo = np.searchsorted(ky, pkey)
+    count = np.searchsorted(ky, pkey, side="right") - lo
+    pair = np.repeat(np.arange(len(count)), count)
+    j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(pair))
+    code = ex[pair] + ey[j]
+    # only codes with every exponent even integrate to nonzero
+    even = np.flatnonzero((code & place.sum()) == 0)
+    if not even.size:
+        return None
+    # an even code's fields sum to its degree, which is even and so below
+    # 2^width - 1; as 2^width is 1 modulo 2^width - 1, so is the code
+    code = code[even]
+    degree = code % mod
+    order = np.lexsort((code, degree))
+    code, degree, pair, j = code[order], degree[order], pair[even[order]], j[even[order]]
+    edges = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1], [True])))
+    size = np.diff(edges)
+    num = _sphere_numerators(n, width, code[edges[:-1]])
+    w = np.repeat(num, size) * psign[pair]
+    starts = np.flatnonzero(np.concatenate(([True], degree[1:] != degree[:-1])))
+    l1 = sum(c * s for c, s in zip(num.tolist(), size.tolist()))
+    plan = pair // (n - b), py[j], w, starts
+    for arr in plan:
+        arr.flags.writeable = False  # shared by every call on these supports
+    return (*plan, degree[starts].tolist(), l1)
 
 
 def _top_contract(n, ab, x_vec, y_vec):
     """Top coefficient of pi_*(x ^ y) for integer vectors x on block ab and y
     on the complementary block, as {pi power: rational}.
 
-    The exponents of a product v^(e_x + e_y) v_t, at most the two degrees'
-    sum plus one, are packed into one code each, in the fewest bits that hold
-    that bound: an int64 while the n fields fit in 63 bits, a Python int past
-    it, as ``_widen`` does for values.  The integral of v^e is
+    Which products x_i y_j integrate to nonzero, and with which weight,
+    depends on the supports alone: ``_contract_plan`` finds them once per
+    pair of supports and keeps them in an LRU of FORM_CACHE_SIZE plans.  It
+    packs the exponents of a product v^(e_x + e_y) v_t, at most the two
+    degrees' sum plus one, into one code, in the fewest bits that hold that
+    bound: an int64 while the n fields fit in 63 bits, a Python int past it,
+    as ``_widen`` does for values.  The integral of v^e is
     ``sphere_numerator`` times a factor of n and |e| alone
-    (``sphere_factor``), so the products' sums times their codes' numerators
-    add up in Python ints per total degree, and each degree makes one
-    fraction."""
-    blk_x, blk_y = _block(n, *ab), _block(n, n - ab[0], n - 1 - ab[1])
-    codes_x, codes_y = blk_x.codes(), blk_y.codes()
+    (``sphere_factor``), so a plan weighs each even product by its partner
+    sign times its code's numerator, computed once per code, and groups the
+    products by total degree.  A call is then one integer pass: the weighted
+    products summed per degree, in int64 while max|x| max|y| sum|w| bounds
+    every partial sum below 2^63 and in Python ints past it, and one
+    fraction per degree."""
     (ix, x), (iy, y) = x_vec, y_vec
-    width = (int(codes_x[2][ix].max()) + int(codes_y[2][iy].max()) + 1).bit_length()
-    place = _place(n, width)
-    order = np.argsort(codes_y[0][iy], kind="stable")
-    ky, ey, y = codes_y[0][iy][order], blk_y.packed(width)[iy][order], y[order]
-    kx = codes_x[0][ix]
-    pkey, psign = (t[kx].ravel() for t in _partners(n)[:2])
-    # the code of x_i's exponents times its partner's v_t, per (i, slot)
-    ex = (blk_x.packed(width)[ix][:, None] + place[_partners(n)[2][kx]]).ravel()
-    lo = np.searchsorted(ky, pkey)
-    count = np.where(psign != 0, np.searchsorted(ky, pkey, side="right") - lo, 0)
-    total = int(count.sum())
-    pair = np.repeat(np.arange(len(count)), count)
-    j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
-    code = ex[pair] + ey[j]
-    # only codes with every exponent even integrate to nonzero
-    even = np.flatnonzero((code & place.sum()) == 0)
-    if not even.size:
+    plan = _contract_plan(n, ab, ix.tobytes(), iy.tobytes())
+    if plan is None:
         return {}
-    pair, j, code = pair[even], j[even], code[even]
-    # |x_i y_j| summed over all pairs bounds every total below
-    x, y = _widen(_maxabs(x) * _maxabs(y) * total, x, y)
-    val = x[pair // n] * y[j] * psign[pair]
-    order = np.argsort(code, kind="stable")
-    val, code = val[order], code[order]
-    first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    # an even code's fields sum to its degree, which is even and so below
-    # 2^width - 1; as 2^width is 1 modulo 2^width - 1, so is the code
-    mod = (1 << width) - 1
-    sums = {}
-    for c, t in zip(code[first].tolist(), np.add.reduceat(val, first).tolist()):
-        if t:
-            sums[c % mod] = sums.get(c % mod, 0) + t * _sphere_numerator(n, width, c)
+    px, py, w, starts, degrees, l1 = plan
+    x, y, w = _widen(_maxabs(x) * _maxabs(y) * l1, x, y, w)
     out = {}
-    for deg, t in sums.items():
+    for deg, t in zip(degrees, np.add.reduceat(x[px] * y[py] * w, starts).tolist()):
         if t:
             (power, r), = sphere_factor(n, deg).terms.items()
             out[power] = out.get(power, 0) + t * r

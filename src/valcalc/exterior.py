@@ -497,7 +497,13 @@ def sphere_numerator(e) -> int:
         raise ValueError("negative exponent")
     if any(ei % 2 for ei in e):
         return 0
-    return math.prod(math.perm(ei, ei // 2) >> ei // 2 for ei in e)
+    return math.prod(odd_factorial(ei) for ei in e)
+
+
+def odd_factorial(e) -> int:
+    """(e - 1)!! of an even e >= 0, the odd (2m - 1)!! = (2m)! / (m! 2^m): the
+    ``sphere_numerator`` of one variable."""
+    return math.perm(e, e // 2) >> e // 2
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ import pytest
 
 from _oracles import (
     derivation_reference,
+    fiber_integral,
     join_pi,
     pairing_reference,
     pullback_antipode,
@@ -29,6 +30,7 @@ from _oracles import (
 )
 from valcalc import columns, contact, valuation
 from valcalc.columns import (
+    FORM_CACHE_SIZE,
     HODGE,
     LIE_REEB,
     _alpha_norm,
@@ -45,13 +47,14 @@ from valcalc.contact import RUMIN, _lefschetz_pass, _pihat, _rumin_bound, dual_l
 from valcalc.exterior import (
     InvariantForm,
     SpherePoly,
+    _complement,
     alpha_form,
     d,
     hodge_star,
     lie_reeb,
     reeb_contract,
 )
-from valcalc.scalars import Rat, Scalar
+from valcalc.scalars import ZERO, Rat, Scalar
 from valcalc.bodies import Ball, Box, Simplex, evaluate
 from valcalc.su2 import (
     ImDirection,
@@ -302,6 +305,49 @@ class TestPythonInts:
         assert rumin(omega).D_omega == rumin_reference(omega)[1]
 
 
+    def test_contraction_products_past_int64(self, monkeypatch):
+        # both vectors the contraction reads hold int64 entries, but their
+        # products pass 2^63: the integer pass sums them in Python ints
+        rng = random.Random(34)
+        big = 2 ** 36 + 1
+        mu, nu = graded_rep(rng, 4, 2), graded_rep(rng, 4, 2)
+        seen, contract = [], columns._top_contract
+
+        def spy(n, ab, x, y):
+            seen.append((x[1].dtype, y[1].dtype, columns._maxabs(x[1]) * columns._maxabs(y[1])))
+            return contract(n, ab, x, y)
+
+        monkeypatch.setattr(columns, "_top_contract", spy)
+        value = pairing(mu * big, nu * big)
+        assert all(dx == dy == np.int64 for dx, dy, _ in seen)
+        assert max(top for _, _, top in seen) >= 1 << 63
+        assert value == pairing(mu, nu) * Scalar({0: big * big}) == pairing_reference(mu * big, nu * big)
+
+    def test_contraction_sum_past_int64(self):
+        # 48 products of degree 2 and numerator 1, each 2^62, all of one
+        # sign: no product passes 2^63 but their sum does, so the integer
+        # pass must bound its sums by the weights' sum, not their largest
+        n, (a, b), c = 4, (1, 2), 2 ** 31
+        zero = (0,) * n
+        xs = [(I, J, zero) for I in itertools.combinations(range(n), a)
+              for J in itertools.combinations(range(n), b)]
+        ys, y = [], []
+        for I, J, _ in xs:
+            for t in _complement(J, n):
+                key = (_complement(I, n), tuple(j for j in _complement(J, n) if j != t),
+                       tuple(int(i == t) for i in range(n)))
+                one = columns._form(n, [(I, J, zero)], [1]).wedge(columns._form(n, [key], [1]))
+                ys.append(key)
+                y.append(c if float(fiber_integral(one)[tuple(range(n))]) > 0 else -c)
+        bx, by = columns._block(n, a, b), columns._block(n, n - a, n - 1 - b)
+        ix = np.array([bx.id(key) for key in xs], np.int64)
+        iy = np.array([by.id(key) for key in ys], np.int64)
+        got = columns._top_contract(n, (a, b), (ix, np.full(len(xs), c, np.int64)),
+                                    (iy, np.array(y, np.int64)))
+        top = fiber_integral(columns._form(n, xs, [c] * len(xs)).wedge(
+            columns._form(n, ys, y)))[tuple(range(n))]
+        assert len(ys) == 48 and Scalar(got) == top
+
     def test_rescaled_entries_past_int64(self):
         # int64 entries near 2^62 whose sum with phi, over denominator 7,
         # rescales them past 2^63: in derivation and in D(omega) + phi
@@ -342,6 +388,16 @@ class TestPythonInts:
         assert vals.dtype == object and vals.tolist() == [2 ** 62 + 2]
 
 
+def past_int64_fields():
+    """A valuation with v1^(2^15), whose contraction codes are Python ints,
+    and one it pairs with to nonzero."""
+    high = ValuationRep(4, InvariantForm(4, {((0, 1, 2), ()): SpherePoly(4, {
+        (1 << 15, 0, 1, 0): Scalar({0: Rat(2, 3)}), (1, 1, 0, 0): Scalar({-1: Rat(5)})})}))
+    low = ValuationRep(4, InvariantForm(4, {((2,), (0, 1)): SpherePoly(4, {
+        (0, 0, 1, 0): Scalar({1: Rat(3, 7)})})}))
+    return high, low
+
+
 class TestLimits:
     """Inputs past the column path's limits: the Rumin solve takes the dict
     operator, and the pairing packs exponents in wider fields."""
@@ -364,15 +420,22 @@ class TestLimits:
 
     @staticmethod
     def _record_widths(monkeypatch):
-        """The exponent field width of every sphere numerator the contraction reads."""
+        """The exponent field width of every sphere numerator the contraction
+        reads; each contraction builds its plan afresh, so that none is read
+        from a plan kept by an earlier pairing."""
         widths = []
-        real = columns._sphere_numerator
+        contract, real = columns._top_contract, columns._sphere_numerators
 
-        def spy(n, width, code):
+        def contract_spy(*args):
+            columns._contract_plan.cache_clear()
+            return contract(*args)
+
+        def spy(n, width, codes):
             widths.append(width)
-            return real(n, width, code)
+            return real(n, width, codes)
 
-        monkeypatch.setattr(columns, "_sphere_numerator", spy)
+        monkeypatch.setattr(columns, "_top_contract", contract_spy)
+        monkeypatch.setattr(columns, "_sphere_numerators", spy)
         return widths
 
     def test_pairing_past_contraction_degree(self, monkeypatch):
@@ -394,10 +457,7 @@ class TestLimits:
     def test_pairing_with_an_exponent_past_int64_fields(self, monkeypatch):
         # v1^(2^15) needs 16-bit exponent fields, and four of them pass 63
         # bits: the contraction packs exponents in Python ints
-        high = ValuationRep(4, InvariantForm(4, {((0, 1, 2), ()): SpherePoly(4, {
-            (1 << 15, 0, 1, 0): Scalar({0: Rat(2, 3)}), (1, 1, 0, 0): Scalar({-1: Rat(5)})})}))
-        low = ValuationRep(4, InvariantForm(4, {((2,), (0, 1)): SpherePoly(4, {
-            (0, 0, 1, 0): Scalar({1: Rat(3, 7)})})}))
+        high, low = past_int64_fields()
         widths = self._record_widths(monkeypatch)
         assert pairing(high, low) == pairing_reference(high, low) != 0
         assert pairing(low, high) == pairing_reference(low, high) != 0
@@ -405,33 +465,36 @@ class TestLimits:
 
 
 class TestDegreeSums:
-    """The contraction adds each code's integer sum times its sphere
-    numerator in Python ints per total degree, and scales each degree's sum
-    once (``exterior.sphere_factor``)."""
+    """The contraction sums its products, each times its code's sphere
+    numerator, per total degree, and scales each degree's nonzero sum once
+    (``exterior.sphere_factor``)."""
 
     @staticmethod
     def _record_degrees(monkeypatch):
-        """Per contraction, the degrees of its codes with a nonzero sum, and
-        the degrees it scales."""
+        """Per contraction, the degrees of the codes whose numerators its plan
+        reads, and the degrees it scales; each contraction builds its plan
+        afresh, so that none is read from a plan kept by an earlier pairing."""
         calls = []
-        contract, numerator, factor = (columns._top_contract, columns._sphere_numerator,
+        contract, numerator, factor = (columns._top_contract, columns._sphere_numerators,
                                        columns.sphere_factor)
 
         def contract_spy(*args):
             calls.append((set(), set()))
+            columns._contract_plan.cache_clear()
             return contract(*args)
 
-        def numerator_spy(n, width, code):
+        def numerator_spy(n, width, codes):
             mask = (1 << width) - 1
-            calls[-1][0].add(sum(code >> (width * i) & mask for i in range(n)))
-            return numerator(n, width, code)
+            calls[-1][0].update(sum(code >> (width * i) & mask for i in range(n))
+                                for code in codes.tolist())
+            return numerator(n, width, codes)
 
         def factor_spy(n, degree):
             calls[-1][1].add(degree)
             return factor(n, degree)
 
         monkeypatch.setattr(columns, "_top_contract", contract_spy)
-        monkeypatch.setattr(columns, "_sphere_numerator", numerator_spy)
+        monkeypatch.setattr(columns, "_sphere_numerators", numerator_spy)
         monkeypatch.setattr(columns, "sphere_factor", factor_spy)
         return calls
 
@@ -458,6 +521,85 @@ class TestDegreeSums:
         calls.clear()
         assert pairing(nu, mu) == pairing_reference(nu, mu) != 0
         assert any(scaled and summed - scaled for summed, scaled in calls)
+
+
+class TestContractPlan:
+    """The contraction keeps a plan per pair of supports (n, block, ids) in a
+    bounded LRU; a kept plan gives the value a fresh one gives."""
+
+    @pytest.fixture
+    def fresh_blocks(self, monkeypatch):
+        # monomials numbered from 0 in this test alone; no plan on its ids
+        # outlives it
+        monkeypatch.setattr(columns, "_BLOCKS", {})
+        columns._contract_plan.cache_clear()
+        yield
+        columns._contract_plan.cache_clear()
+
+    def test_equal_ids_on_other_blocks_build_other_plans(self, fresh_blocks):
+        # ids 0..3 name other monomials in every block pair below: equal id
+        # bytes must build a plan per n and block pair
+        rng = random.Random(76)
+        ids = np.arange(4, dtype=np.int64)
+        x, y = (np.array([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in ids]) for _ in range(2))
+        cases = [(2, (1, 0)), (2, (0, 1)), (3, (1, 1)), (3, (2, 0)), (4, (2, 1)), (4, (1, 2))]
+        values = []
+        for n, (a, b) in cases:
+            bx, by = columns._block(n, a, b), columns._block(n, n - a, n - 1 - b)
+            for key in rng.sample(block_monomials(n, a, b, 1) + block_monomials(n, a, b, 3), 4):
+                bx.id(key)
+            for key in rng.sample([key for deg in (0, 2, 4)
+                                   for key in block_monomials(n, n - a, n - 1 - b, deg)], 4):
+                by.id(key)
+            got = Scalar(columns._top_contract(n, (a, b), (ids, x), (ids, y)))
+            top = fiber_integral(columns._form(n, bx.keys, x.tolist()).wedge(
+                columns._form(n, by.keys, y.tolist()))).get(tuple(range(n)), ZERO)
+            assert got == top != 0, (n, a, b)
+            values.append(got)
+        assert len(set(map(str, values))) == len(cases)
+        assert columns._contract_plan.cache_info().misses == len(cases)
+
+    def test_kept_plans_past_int64_fields(self):
+        high, low = past_int64_fields()
+        for x, y in ((high, low), (low, high)):
+            value = pairing(x, y)
+            hits = columns._contract_plan.cache_info().hits
+            assert pairing(x, y) == value
+            assert columns._contract_plan.cache_info().hits > hits
+            columns._contract_plan.cache_clear()
+            assert pairing(x, y) == value == pairing_reference(x, y) != 0
+
+    def test_plans_stay_within_bound(self):
+        n, ab = 4, (2, 1)
+        bx, by = columns._block(n, *ab), columns._block(n, 2, 2)
+        ids = [bx.id(key) for key in block_monomials(n, *ab, 1)]
+        iy = np.array([by.id(key) for key in block_monomials(n, 2, 2, 0)], np.int64)
+        y = np.ones(len(iy), np.int64)
+        pairs = [(i, j) for i in ids for j in ids if i < j][:FORM_CACHE_SIZE + 10]
+        assert len(pairs) == FORM_CACHE_SIZE + 10
+        columns._contract_plan.cache_clear()
+        for i, j in pairs:
+            columns._top_contract(n, ab, (np.array([i, j], np.int64), np.array([1, -2])), (iy, y))
+        info = columns._contract_plan.cache_info()
+        assert info.misses == len(pairs)
+        assert info.maxsize == FORM_CACHE_SIZE
+        assert info.currsize <= FORM_CACHE_SIZE
+
+    def test_many_exponents_keep_numerators_within_bound(self):
+        # the contraction keeps sphere numerators only in its plans: pairing
+        # V_2 v_t^e with Z_(1,0,2) for 90 exponents builds more plans than the
+        # LRU holds, and leaves at most FORM_CACHE_SIZE of them
+        vol2, zu = intrinsic_volume_rep(4, 2).omega, z_rep(ImDirection.of(1, 0, 2))
+        assert not hasattr(columns._sphere_numerators, "cache_info")
+        columns._contract_plan.cache_clear()
+        for t in range(3):
+            for e in range(30):
+                high = ValuationRep(4, vol2 * SpherePoly(4, {tuple(e * (i == t) for i in range(4)): 1}))
+                value = pairing(high, zu)
+                if e == 28:
+                    assert value == pairing_reference(high, zu) != 0
+        info = columns._contract_plan.cache_info()
+        assert info.misses > FORM_CACHE_SIZE >= info.currsize
 
 
 class TestLazyXi:

@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     degree_component,
     fiber_integral,
+    pairing_reference,
     pullback_linear,
     random_form,
     random_rational,
@@ -14,7 +15,7 @@ from _oracles import (
     unit_cube_value,
     verify_zero_valuation,
 )
-from valcalc import valuation
+from valcalc import columns, valuation
 from valcalc.bodies import klain
 from valcalc.contact import rumin
 from valcalc.exterior import InvariantForm, SpherePoly, d, reeb_contract
@@ -281,6 +282,27 @@ class TestPairingSymmetry:
         # no odd valuation of degree 0 or 4 is nonzero in R^4
         want = {("even", "even"), ("odd", "odd")} if 0 < k < 4 else {("even", "even")}
         assert nonzero == want
+
+
+class TestKeptPlans:
+    """A pairing read through the contraction's kept plans
+    (``columns._contract_plan``) equals the one built afresh, and the
+    wedge-and-fiber-integrate reference."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_kept_plans_give_the_fresh_value(self, k):
+        rng = random.Random(4500 + k)
+        kept = 0
+        for _ in range(2):
+            a, b = graded_valuation(rng, 4, k), graded_valuation(rng, 4, 4 - k)
+            for x, y in ((a, b), (b, a)):
+                value = pairing(x, y)
+                hits = columns._contract_plan.cache_info().hits
+                assert pairing(x, y) == value
+                kept += columns._contract_plan.cache_info().hits - hits
+                columns._contract_plan.cache_clear()
+                assert pairing(x, y) == value == pairing_reference(x, y)
+        assert kept
 
 
 class TestRepresentationIndependence:
