@@ -411,7 +411,13 @@ def _raising(nvars, degree):
                      for k in range(nvars)]).reshape(nvars, len(lower))
 
 
-@lru_cache(maxsize=None)
+# the degrees up to which ``_derivatives`` keeps its dense arrays: above the
+# basis evaluations' (1 and 2); a higher degree's are built per call, as its
+# arrays take megabytes (7 MB at degree 30)
+DERIVATIVES_KEPT = 8
+
+
+@lru_cache(maxsize=DERIVATIVES_KEPT)
 def _derivatives(degree):
     """Laplacian and gradient of the monomials of the degree in three variables:
     ``lap[r]`` holds the coefficients of Delta y^e_r over the monomials of
@@ -494,7 +500,8 @@ def _triangle_moments(corners, degree):
     arc = _frame_moments(np.stack([x, np.cross(normal, x)], axis=1),
                          _arc_moments(_atan2(s, cos), degree - 1))
     for d in range(1, degree + 1):
-        lap, grad = _derivatives(d)
+        # the arrays of a degree past DERIVATIVES_KEPT are built, not kept
+        lap, grad = (_derivatives if d <= DERIVATIVES_KEPT else _derivatives.__wrapped__)(d)
         # flux (P, 3, monomials of degree d - 1), summed over the three arcs
         flux = -(normal[:, :, None] * arc[d - 1][:, None]).reshape(3, len(u), 3, -1).sum(axis=0)
         total = -np.einsum("irk,pik->pr", grad, flux)

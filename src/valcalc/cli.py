@@ -282,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
             "the tent 1 - |2x - 1|. Every other pair draws only rotations, unit "
             "quaternions q from the 3-D lattice with generating vector (1, a, a^2 mod n), "
             "its first coordinate folded by the tent 1 - |2u - 1| and mapped onto S^3 by "
-            "Shoemake's map. Two polygons weigh one quadratic form in q, two boxes 34 "
-            "forms, and every other pair its mixed volumes over the faces, a ball's "
-            "being a cube's whose faces weigh powers of its radius (Steiner and "
-            "Kubota). a is, of the a "
+            "Shoemake's map. Each is weighed by the pair's mixed volumes over the faces: "
+            "maxima of linear forms in q over a hull's vertices, |linear forms| over a "
+            "box's axes, a box being a zonotope, and |quadratic forms| over pairs of "
+            "2-faces, forms equal up to sign or rounding merged (two rotated boxes 34, "
+            "two plates one), a ball's being a cube's whose faces weigh powers of its "
+            "radius (Steiner and Kubota). a is, of the a "
             "coprime to n in (n/4, n/2] first at or above {C} evenly spaced points, the "
             "one of least figure of merit P_2.").format(
                 R=REPLICATES, R1=REPLICATES - 1, C=KOROBOV_CANDIDATES))

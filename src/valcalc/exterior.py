@@ -506,12 +506,18 @@ def odd_factorial(e) -> int:
     return math.perm(e, e // 2) >> e // 2
 
 
-@lru_cache(maxsize=None)
+# (n, degree) pairs whose ``sphere_factor`` is kept, least recently used
+# evicted first: a pairing of low-degree forms reads a few dozen
+SPHERE_FACTOR_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SPHERE_FACTOR_CACHE_SIZE)
 def sphere_factor(n, degree) -> Scalar:
     """The part of the integral of v^e over S^(n-1), |e| = degree even, that
     depends on n and |e| alone: 2 pi^(n/2) / (2^(|e|/2) Gamma((|e| + n)/2)),
     a rational times pi^(n // 2), built as one fraction of integers whose
-    powers of two cancel by shifts."""
+    powers of two cancel by shifts. At most SPHERE_FACTOR_CACHE_SIZE are
+    kept, as the degrees follow the input."""
     t = degree + n
     if t % 2:
         den, twos = math.perm(t - 1, t // 2) >> t // 2, 1 + t // 2 - degree // 2

@@ -21,23 +21,23 @@ either side of the tent's apex, so a block splits into runs: the points
 with y1 <= h1 are counted in closed form, not evaluated, and the others
 take one affine pass.  Every other pair draws only a rotation, left
 multiplication L_q by a unit quaternion q, and integrates the translation
-in closed form: the weight is vol(K - L_q L), scored from q itself, a sum
-of |determinants| with columns turned by L_q and of maxima of linear forms
-in q.  Each determinant is a form of degree at most 2 in q: L_q is a
-rotation (det L_q = |q|^4 = 1, L_q^T = L_qbar), so a determinant with 3 or
-4 columns turned is the one with the other 1 or 0 turned by L_qbar.  For
-two boxes it sums |16 linear and 18 quadratic forms| in q; for two plates
-it is area1 area2 |q^T A q|, which also weighs their intersection count;
-for a vertex hull (a simplex, segment, point or polygon) against a box or
-another vertex hull, in either order, it sums their mixed volumes over
-their faces, a box's being a zonotope's: maxima of linear forms in q over
-3-faces and |forms of degree 2| over the pairs of 2-faces that one fixed
-direction picks.  The plates' A and the 2-face pairs' forms are fixed
-coefficients times the monomials of q (``_det_form``), taken once per pair
-of bodies and kept (``_WEIGHT_CACHE``).  A ball against a vertex hull takes
-the same mixed volumes with the ball as a cube whose faces weigh powers of
-its radius (Steiner and Kubota), a weight whose mean over q, not its value
-at each q, is the volume within reach of the hull.
+in closed form: the weight is vol(K - L_q L), scored from q itself as one
+sum of mixed volumes over the two bodies' faces, for boxes, plates and
+vertex hulls (simplices, segments, points and polygons) alike.  Its 3-face
+terms are maxima of linear forms in q over a hull's vertices, or |linear
+forms| over a box's axes, a box being a zonotope; its 2-face terms are
+|determinants| with columns turned by L_q over the pairs of 2-faces that
+one fixed direction picks.  Each determinant is a form of degree at most 2
+in q: L_q is a rotation (det L_q = |q|^4 = 1, L_q^T = L_qbar), so a
+determinant with 3 or 4 columns turned is the one with the other 1 or 0
+turned by L_qbar.  |forms| equal up to sign or rounding merge: two boxes
+sum at most 16 linear and 18 quadratic ones, and two plates one,
+area1 area2 |q^T A q|, which also weighs their intersection count.  The
+forms are fixed coefficients times the monomials of q (``_det_form``),
+taken once per pair of bodies and kept (``_WEIGHT_CACHE``).  A ball against
+a vertex hull takes the same mixed volumes with the ball as a cube whose
+faces weigh powers of its radius (Steiner and Kubota), a weight whose mean
+over q, not its value at each q, is the volume within reach of the hull.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
@@ -60,7 +60,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from .bodies import Ball, Box, PlanarPolygon, evaluate_many
 from .linalg import invert_scalar_matrix
 from .scalars import Rat, Scalar, ZERO
 from .su2 import UNIT_LEFT, su2_basis, tasaki_density
+from .tolerances import FORM_MERGE_TOL
 from .valuation import pairing
 
 MC_CHUNK = 1 << 15
@@ -84,13 +85,15 @@ ROUNDING_ULPS = 4
 # evicted first: a motion_mc op estimates five pairs, each on a lattice of
 # its own
 TABLE_CACHE_SIZE = 8
-# samples per block of a rotation weight (``_blocked``), at most: box/box
-# takes 29 floats a sample, the mixed volumes up to about 660
+# samples per block of a rotation weight (``_blocked``), at most: two
+# axis-aligned boxes take 27 floats a sample (a sum, 10 monomials and 16
+# |forms|), two rotated ones 45 (34 |forms|), two 4-simplices about 660
 WEIGHT_BLOCK = 1 << 12
 # floats in each thread's workspace (``_Workspace``): a block of MC_CHUNK
-# points of 4 coordinates and their weights, then box/box's 29 floats for
-# each of WEIGHT_BLOCK samples and 64 for the rounding of its arrays, more
-# than a ball section's first coordinate or a rotation block's radii take
+# points of 4 coordinates and their weights, then 29 floats for each of
+# WEIGHT_BLOCK samples and 64 for the rounding of its arrays, more than a
+# ball section's first coordinate or a rotation block's radii take: two
+# rotated boxes weigh a replicate of 2,500 points (N = 40,000) in one block
 WORKSPACE_FLOATS = 5 * MC_CHUNK + 29 * WEIGHT_BLOCK + 64
 
 BASIS_DEGREES = (0, 1, 2, 2, 2, 2, 2, 2, 3, 4)
@@ -215,12 +218,6 @@ def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
 
 # left multiplication by q0 + q1 i + q2 j + q3 k is L_q = sum_k q_k _UNIT_LEFT[k]
 _UNIT_LEFT = np.array(UNIT_LEFT, dtype=float)
-
-# the 2-subsets of four indices in lexicographic order (5 - p the complement
-# of p), the 18 pairs (P, T) of them with 0 in P, and the 10 index pairs k <= l
-_SUBSETS = np.array(list(combinations(range(4), 2)))
-_P, _T = np.divmod(np.arange(18), 6)
-_QK, _QL = np.triu_indices(4)
 
 
 class _Workspace(threading.local):
@@ -522,11 +519,13 @@ def _blocked(kernel, per):
     returns it: kernel(qb, vb, take) weighs each block qb of at most
     WEIGHT_BLOCK columns into its slice vb, in per floats a sample taken
     from the workspace past MC_CHUNK points and their weights (and 8 per
-    array for its rounding). So each product, at most (2-face pairs, 10)
-    times (10, block), stays below the sizes at which OpenBLAS starts
-    threads of its own, which would oversubscribe the estimate's threads.
-    A column weighs the same in whichever block it falls."""
-    block = min(WEIGHT_BLOCK, int((WORKSPACE_FLOATS - 5 * MC_CHUNK - 64) / per))
+    array for its rounding), a multiple of 8 columns, so that every row of
+    a block's arrays starts on a 64-byte step. So each product, at most
+    (2-face pairs, 10) times (10, block), stays below the sizes at which
+    OpenBLAS starts threads of its own, which would oversubscribe the
+    estimate's threads. A column weighs the same in whichever block it
+    falls."""
+    block = min(WEIGHT_BLOCK, int((WORKSPACE_FLOATS - 5 * MC_CHUNK - 64) / per) // 8 * 8)
 
     def volumes(q, vol):
         for s in range(0, q.shape[1], block):
@@ -534,42 +533,6 @@ def _blocked(kernel, per):
                 kernel(q[:, s:s + block], vol[s:s + block], take)
         return vol
     return volumes
-
-
-def _box_box_volumes(K, L):
-    """The weight (``_blocked``) q -> vol(K - L_q L) of two boxes. The
-    volume is 16 sum |det| over the 4-subsets of the zonotope's 8
-    half-generators (Shephard 1974): in K's frame prod_(P^c) hK prod_T hL
-    |minor(O; P, T)|, |P| = |T| and O = K.rotation^T L_q L.rotation. O is
-    orthogonal, so |det O| = 1 and |minor(O; P, T)| = |minor(O; P^c, T^c)|
-    (Jacobi): the 70 minors reduce to c0, the 16 entries gen @ q (weights
-    W1) and 18 2x2 minors S @ m(q), m(q) the 10 products q_k q_l (weights
-    W2). The relative error is at most about the rotations' departure from
-    orthonormality, max |R R^T - I|: near 1e-9 at ORTHONORMAL_TOL, far below
-    any Monte Carlo standard error."""
-    hK, hL = K.half_extents, L.half_extents
-    gen = np.kron(K.rotation.T, L.rotation.T) @ _UNIT_LEFT.reshape(4, 16).T
-    # the weights and c0 carry the factor 16, a power of two: exactly the
-    # sum times 16
-    W1 = 16.0 * (np.outer(np.prod(hK) / hK, hL) + np.outer(hK, np.prod(hL) / hL)).ravel()
-    O, (i, j), (a, b) = gen.reshape(4, 4, 4), _SUBSETS[_P].T, _SUBSETS[_T].T
-    M = np.einsum("mk,ml->mkl", O[i, a], O[j, b]) - np.einsum("mk,ml->mkl", O[i, b], O[j, a])
-    S = M[:, _QK, _QL] + (_QK != _QL) * M[:, _QL, _QK]
-    pK, pL = np.prod(hK[_SUBSETS], axis=1), np.prod(hL[_SUBSETS], axis=1)
-    W2 = 16.0 * (pK[5 - _P] * pL[_T] + pK[_P] * pL[5 - _T])
-    c0 = 16.0 * (np.prod(hK) + np.prod(hL))
-
-    def kernel(q, vol, take):
-        # the linear forms, then the quadratic ones in their place, the
-        # products q_k q_l a row per (k, l), and the quadratic forms'
-        # weighted sums
-        forms = take(18, q.shape[1])
-        lin = np.matmul(gen, q, out=forms[:16])
-        np.matmul(W1, np.abs(lin, out=lin), out=vol)
-        vol += c0
-        quad = np.matmul(S, _products(q, take(10, q.shape[1])), out=forms)
-        vol += np.matmul(W2, np.abs(quad, out=quad), out=take(q.shape[1]))
-    return _blocked(kernel, 29)
 
 
 def _products(q, out):
@@ -651,33 +614,65 @@ def _unit_cube():
 def _mixed_side(P):
     """What ``_mixed_volumes`` reads of one body: its face groups
     (``face_groups``) by dimension, of which it reads those of dimension 2
-    and 3, its vertices less their mean, and its volume. A box's faces have
-    subspace normal cones, as a zonotope's do. A ball of radius r takes the
-    unit cube's 2- and 3-faces in the identity frame, its 3-faces weighing
-    pi^2/4 r^3 and its 2-faces pi/2 r^2, the cube's vertices times
-    3 pi/8 r, and its own volume kappa_4 r^4; so a ball of radius 0 weighs
-    0 on every face."""
+    and 3, its support's vectors and weights, and its volume. A box is a
+    zonotope, of support sum_i h_i |<a_i, .>| over its axes a_i (its
+    rotation's columns) and half extents h_i (Shephard 1974). A ball of
+    radius r takes the unit cube's 2- and 3-faces in the identity frame,
+    weighing pi^2/4 r^3 and pi/2 r^2, its axes weighing 3 pi/16 r (the
+    cube's support times 3 pi/8 r) and its own volume kappa_4 r^4; so a
+    ball of radius 0 weighs 0 on every face. A vertex hull's support is the
+    maximum over its vertices less their mean, of weights None."""
     if isinstance(P, Ball):
         r = P.radius
         weights = {3: math.pi ** 2 / 4.0 * r ** 3, 2: math.pi / 2.0 * r ** 2}
         groups = {frames.shape[1]: (frames, np.full(len(volumes), weights[frames.shape[1]]), cones, perp)
                   for frames, volumes, cones, perp in _unit_cube().face_groups() if frames.shape[1] in weights}
-        return groups, 3.0 * math.pi / 8.0 * r * _unit_cube()._hull(), P.volume()
+        return groups, np.eye(4), np.full(4, 3.0 * math.pi / 16.0 * r), P.volume()
+    groups = {g[0].shape[1]: g for g in P.face_groups()}
+    if isinstance(P, Box):
+        return groups, P.rotation.T, P.half_extents, P.volume()
     verts = P._hull()
-    return {g[0].shape[1]: g for g in P.face_groups()}, verts - verts.mean(axis=0), P.volume()
+    return groups, verts - verts.mean(axis=0), None, P.volume()
+
+
+def _merged(rows, weights):
+    """The |forms| of coefficient rows (n, m), weighing weights (n,) >= 0,
+    as fewer rows with their weights folded in. A row is flipped so that
+    its first coefficient past FORM_MERGE_TOL of the largest is positive,
+    and rows within that bound of each other are one, the first, weighing
+    their sum: rows equal up to sign (one box's axes against another's
+    3-faces, and those against its own) or up to rounding (the
+    complementary minors of two boxes' 2-face pairs, by Jacobi). A lone
+    row gets a row of zeros: BLAS takes one row as a matrix-vector product,
+    which rounds a block's last columns otherwise than the rest."""
+    if not len(rows):
+        return rows
+    bound = FORM_MERGE_TOL * np.abs(rows).max()
+    first = (np.abs(rows) > bound).argmax(axis=1)
+    rows = rows * np.where(rows[np.arange(len(rows)), first] < 0, -1.0, 1.0)[:, None]
+    # each row's first near row, followed until it is its own
+    near = (np.abs(rows[:, None] - rows).max(axis=2) <= bound).argmax(axis=1)
+    while np.any(near[near] != near):
+        near = near[near]
+    keep = np.flatnonzero(near == np.arange(len(rows)))
+    rows = rows[keep] * np.bincount(near, weights, len(rows))[keep, None]
+    return np.vstack([rows, np.zeros_like(rows)]) if len(rows) == 1 else rows
 
 
 def _mixed_volumes(K, L):
-    """The weight (``_blocked``) q -> vol(K - L_q L) of a vertex hull L (a
-    simplex of 1 to 5 vertices or a planar polygon) against a box or a
-    vertex hull K, by mixed volumes over their faces and vertices
-    (``_mixed_side``): with M = -L_q L, vol(K + M) = vol K + vol M +
-    4 V(K[3], M) + 6 V(K[2], M[2]) + 4 V(K, M[3]) (Schneider, Convex Bodies,
-    2014, 5.1). Two plates take ``_plate_volumes``, which the tests compare
-    with it. 4 V(K[3], M) sums vol_3(F) h_M(u) over K's 3-faces F and the
-    directions u of their normal cones, h_M(u) = max over L's vertices l of
-    -<L_q l, u>; 4 V(K, M[3]) likewise sums h_K(-L_q u) = max over K's
-    vertices k of -<k, L_q u>.
+    """The weight (``_blocked``) q -> vol(K - L_q L) of any two boxes,
+    balls and vertex hulls (simplices of 1 to 5 vertices and planar
+    polygons) but a ball against a ball or a box, by mixed volumes over
+    their faces and supports (``_mixed_side``): with M = -L_q L,
+    vol(K + M) = vol K + vol M + 4 V(K[3], M) + 6 V(K[2], M[2]) +
+    4 V(K, M[3]) (Schneider, Convex Bodies, 2014, 5.1). 4 V(K[3], M) sums
+    vol_3(F) h_M(u) over K's 3-faces F and the directions u of their normal
+    cones: h_M(u) is the maximum of -<u, L_q l> over L's vertices l, or
+    sum h_l |<u, L_q l>| over a zonotope's axes l; 4 V(K, M[3]) likewise
+    sums vol_3(G) h_K(-L_q u) over L's 3-faces G. Each <a, L_q b> is a
+    linear form in q, taken with a from K and b from L in one product, so
+    that equal forms are equal bit for bit, and the |forms| merge
+    (``_merged``): two boxes read 16 where their two sides give 64.
 
     6 V(K[2], M[2]) sums vol(F + L_q G) = vol_2 F vol_2 G |det [F's frame,
     L_q G's frame]| over the pairs of 2-faces with x in N(K, F) + L_q N(L, G)
@@ -686,61 +681,85 @@ def _mixed_volumes(K, L):
     Math. Comp. 64, 1995; Fulton & Sturmfels, Topology 36, 1997). Solving
     x = [a, p, L_q b, L_q r] t by Cramer's rule, a, b the cones' generators
     and p, r the complement bases (``_normal_planes``), the pair counts when
-    each generator's numerator has the denominator's sign; a box's cones
-    hold none, so only L's are tested. By Hodge duality the frames' |det| is
-    |den| over the roots of the normal planes' Gram determinants. den and a
-    numerator with x for a are forms of degree 2 in q (``_det_form``), one
-    with x for b of degree 1. A tie needs q on the zero set of a form that
-    is not 0 (L_q turns one normal plane through every angle with another,
-    and x lies in none): no tolerance. Two hulls whose dimensions add to
-    less than 4 have no pair of 2-faces and 3-faces only against one
-    vertex, 0 less the vertices' mean: the volume is 0 exactly.
+    each generator's numerator has the denominator's sign. By Hodge duality
+    the frames' |det| is |den| over the roots of the normal planes' Gram
+    determinants. den and a numerator with x for a are forms of degree 2 in
+    q (``_det_form``), one with x for b of degree 1. A tie needs q on the
+    zero set of a form that is not 0 (L_q turns one normal plane through
+    every angle with another, and x lies in none): no tolerance. A box's or
+    a polygon's 2-face cones hold no generator, so two such bodies test
+    none: every pair counts, its |den| merged with the linear |forms|. Two
+    boxes read 18 of 36, and two plates one, area1 area2 |det [F1^T |
+    L_q F2^T]|, also their intersection count's weight. Two hulls whose
+    dimensions add to less than 4 have no pair of 2-faces and 3-faces only
+    against one vertex, 0 less the vertices' mean: the volume is 0 exactly.
 
     A ball K of radius r enters as the unit cube in the identity frame,
     weighted (``_mixed_side``): its 3-faces sum M's ranges on the axes times
     pi^2/4 r^3, its 2-faces M's areas on the coordinate planes times
-    pi/2 r^2, and its vertices M's 3-volumes on the coordinate 3-spaces,
-    half the sum of vol_3(G) |<e_l, L_q u>| over M's 3-faces (Cauchy),
-    times 3 pi/8 r: each j-dimensional shadow of L_q L weighs kappa_4 /
-    kappa_j r^(4 - j), kappa_j the volume of the unit j-ball, beside
-    kappa_4 r^4 + vol L. That sum is vol(L + r B^4), the motion integral,
-    in its mean over Haar q, not at each q (Steiner and Kubota, ibid., 5.3).
-    Steiner gives vol(L + r B) = sum_j kappa_(4-j) r^(4-j) V_j(L), and
-    Kubota gives V_j(L) as C(4, j) kappa_4 / (kappa_j kappa_(4-j)) times
-    the mean over j-planes E of vol_j(L | E). The shadow of L_q L on E is
-    that of L on L_q^T E. L_q takes an axis or a 3-space to one whose normal
-    is uniform on S^3, so each of the C(4, j) coordinate ones has the mean
-    shadow. L_q keeps a 2-plane's class, the u in S^2 with f = e u for an
-    orthonormal basis (e, f) of it, and the mean area over the planes of one
-    class is quadratic in u, as the degree-2 SU(2)-invariant valuations Z_u
-    are. The six coordinate planes carry the classes +-i, +-j and +-k, two
-    planes each, and that octahedron is a spherical 3-design (Delsarte,
-    Goethals & Seidel 1977): their mean of a quadratic in u is its mean over
-    S^2."""
-    groups, verts, sizes = zip(*map(_mixed_side, (K, L)))
-    # support forms, by (direction, vertex, k): the coefficients of q_k in
-    # -vol <L_q l, u> over L's vertices l, then in -vol <k, L_q u> over K's
+    pi/2 r^2, and its axes M's 3-volumes on the coordinate 3-spaces, half
+    the sum of vol_3(G) |<e_l, L_q u>| over M's 3-faces (Cauchy), times
+    3 pi/8 r: each j-dimensional shadow of L_q L weighs kappa_4 / kappa_j
+    r^(4 - j), kappa_j the volume of the unit j-ball, beside kappa_4 r^4 +
+    vol L. That sum is vol(L + r B^4), the motion integral, in its mean over
+    Haar q, not at each q (Steiner and Kubota, ibid., 5.3). Steiner gives
+    vol(L + r B) = sum_j kappa_(4-j) r^(4-j) V_j(L), and Kubota gives V_j(L)
+    as C(4, j) kappa_4 / (kappa_j kappa_(4-j)) times the mean over j-planes
+    E of vol_j(L | E). The shadow of L_q L on E is that of L on L_q^T E. L_q
+    takes an axis or a 3-space to one whose normal is uniform on S^3, so
+    each of the C(4, j) coordinate ones has the mean shadow. L_q keeps a
+    2-plane's class, the u in S^2 with f = e u for an orthonormal basis
+    (e, f) of it, and the mean area over the planes of one class is
+    quadratic in u, as the degree-2 SU(2)-invariant valuations Z_u are. The
+    six coordinate planes carry the classes +-i, +-j and +-k, two planes
+    each, and that octahedron is a spherical 3-design (Delsarte, Goethals &
+    Seidel 1977): their mean of a quadratic in u is its mean over S^2."""
+    groups, vecs, weights, sizes = zip(*map(_mixed_side, (K, L)))
     (u_K, vol_K), (u_L, vol_L) = map(_facet_directions, groups)
-    forms = -np.concatenate([np.einsum("d,di,kij,lj->dlk", vol_K, u_K, _UNIT_LEFT, verts[1]).reshape(-1, 4),
-                             np.einsum("d,vi,kij,dj->dvk", vol_L, verts[0], _UNIT_LEFT, u_L).reshape(-1, 4)])
-    # each sum of maxima: its forms' rows, its maxima's rows and its vertex count
-    D_K, m_L, D = len(u_K), len(verts[1]), len(u_K) + len(u_L)
-    maxima = [(slice(0, D_K * m_L), slice(0, D_K), m_L),
-              (slice(D_K * m_L, len(forms)), slice(D_K, D), len(verts[0]))]
+    # the 3-face terms, a row of q's coefficients in -<a, L_q b> per pair
+    # (a, b): K's directions against L's support, then K's support against
+    # L's directions, by (direction, vector). A row weighs its face's
+    # 3-volume, in the form under a hull's maximum, and outside it, times
+    # the axis's weight, for a zonotope's |forms|
+    sides = [(u_K, vol_K, vecs[1], weights[1]), (u_L, vol_L, vecs[0], weights[0])]
+    pairs = [(np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1))) for u, _, v, _ in sides]
+    a, b = np.concatenate([pairs[0][0], pairs[1][1]]), np.concatenate([pairs[0][1], pairs[1][0]])
+    inside = np.concatenate([np.repeat(vol, len(v)) if h is None else np.ones(len(u) * len(v))
+                             for u, vol, v, h in sides])
+    forms = np.split(-np.einsum("n,ni,kij,nj->nk", inside, a, _UNIT_LEFT, b), [len(pairs[0][0])])
+    # each sum of maxima: its forms' rows, its maxima's rows and its vertex
+    # count; the linear |forms| and their weights
+    hull, maxima, linear, scale = [np.zeros((0, 4))], [], [np.zeros((0, 4))], [np.zeros(0)]
+    S = D = 0
+    for part, (u, vol, v, h) in zip(forms, sides):
+        if h is None:
+            hull.append(part)
+            maxima.append((slice(S, S + len(part)), slice(D, D + len(u)), len(v)))
+            S, D = S + len(part), D + len(u)
+        else:
+            linear.append(part)
+            scale.append(np.outer(vol, h).ravel())
+    hull = np.concatenate(hull)
     # per pair of 2-faces, the denominator, weighted, then a numerator per
-    # generator: degree 2 with x for one of K's, 1 with x for one of L's
-    rows = []
+    # generator: degree 2 with x for one of K's, 1 with x for one of L's;
+    # with no generator, the denominators alone, as |forms|
+    rows, quadratic, area = [], np.zeros((0, 10)), np.zeros(0)
     if 2 in groups[0] and 2 in groups[1]:
         (a, c_K, w_K), (b, c_L, w_L) = map(_normal_planes, groups)
         cols = np.concatenate(np.broadcast_arrays(a[:, None], b[None]), axis=2)
-        rows.append(np.outer(w_K, w_L)[..., None] * _det_form(cols, (2, 3)))
+        den = _det_form(cols, (2, 3))
+        if c_K + c_L:
+            rows.append(np.outer(w_K, w_L)[..., None] * den)
+        else:
+            quadratic, area = den.reshape(-1, 10), np.outer(w_K, w_L).ravel()
         for j in [*range(c_K), *range(2, 2 + c_L)]:
             at = cols.copy()
             at[:, :, j] = _GENERIC
             rows.append(_det_form(at, (2, 3) if j < 2 else (5 - j,)))
         rows = [r.reshape(-1, r.shape[-1]) for r in rows]
+    linear, quadratic = _merged(np.concatenate(linear), np.concatenate(scale)), _merged(quadratic, area)
     c0 = sizes[0] + sizes[1]
-    S, R, P = len(forms), len(rows), len(rows[0]) if rows else 0
+    Z, Y, R, P = len(linear), len(quadratic), len(rows), len(rows[0]) if rows else 0
 
     def kernel(q, vol, take):
         B = q.shape[1]
@@ -748,15 +767,23 @@ def _mixed_volumes(K, L):
         vol.fill(c0)
         if S:
             # h per direction: the max over the other body's vertices
-            h, top = np.matmul(forms, q, out=take(S, B)), take(D, B)
+            h, top = np.matmul(hull, q, out=take(S, B)), take(D, B)
             for form_rows, top_rows, m in maxima:
                 by_vertex, t = h[form_rows].reshape(-1, m, B), top[top_rows]
                 np.copyto(t, by_vertex[:, 0])
                 for v in range(1, m):
                     np.maximum(t, by_vertex[:, v], out=t)
             vol += np.add.reduce(top, axis=0, out=sums)
-        if P:
+        if Y or P:
             products = _products(q, take(10, B))
+        if Z or Y:
+            t = take(Z + Y, B)
+            if Z:
+                np.matmul(linear, q, out=t[:Z])
+            if Y:
+                np.matmul(quadratic, products, out=t[Z:])
+            vol += np.add.reduce(np.abs(t, out=t), axis=0, out=sums)
+        if P:
             tests = take(R, P, B)
             for r, form in zip(tests, rows):
                 np.matmul(form, products if form.shape[1] == 10 else q, out=r)
@@ -767,51 +794,19 @@ def _mixed_volumes(K, L):
             den = np.abs(tests[0], out=tests[0])
             den *= np.greater_equal(every, some, out=every)
             vol += np.add.reduce(den, axis=0, out=sums)
-    # floats per sample: a sum, the forms, their maxima, the monomials and a
-    # byte per test, all and any
-    return _blocked(kernel, 1 + S + D + 10 + R * P + (R + 2) * P / 8)
-
-
-def _plate_volumes(M1, M2):
-    """The weight (``_blocked``) q -> vol(M1 - L_q M2) of two plates: their
-    sum is an affine image of their product, so the volume is area1 area2
-    |det [F1^T | L_q F2^T]|, a quadratic form q^T A q scaled by the areas,
-    A_kk the coefficient of q_k^2 in ``_det_form`` and A_kl = A_lk half
-    that of q_k q_l. It falls to 0 as the plates turn parallel, as two
-    hulls' mixed volumes do (``_mixed_volumes``), which the tests compare
-    with it.
-
-    A block of q takes one product A q and one sum over i of (A q)_i q_i."""
-    c = _det_form(np.vstack([M1.frame, M2.frame]), (2, 3))
-    A = np.empty((4, 4))
-    A[_QK, _QL] = A[_QL, _QK] = M1.area * M2.area * np.where(_QK == _QL, c, 0.5 * c)
-
-    def kernel(q, vol, take):
-        t = np.matmul(A, q, out=take(4, q.shape[1]))
-        # a row at a time: numpy buffers a product of two 2-D arrays whose
-        # rows lie apart by different strides, as a block of q's do
-        for row, q_k in zip(t, q):
-            row *= q_k
-        np.abs(t.sum(axis=0, out=vol), out=vol)
-    return _blocked(kernel, 4)
+    # floats per sample: a sum, the forms, their maxima, the monomials, the
+    # |forms|, and a byte per test, all and any
+    return _blocked(kernel, 1 + S + D + 10 * bool(Y or P) + Z + Y + R * P + (R + 2) * P / 8)
 
 
 def _translation_volumes(K, L):
     """q -> vol(K - L_q L), the translation integral of chi(K . (L_q L + t)),
-    for any pair of boxes and vertex hulls: two boxes by their 16 linear and
-    18 quadratic forms, two plates by one quadratic form, every other pair
-    by mixed volumes. Against a ball a vertex hull is weighed by the same
-    mixed volumes, the ball a weighted cube (``_mixed_side``), whose mean
-    over q, not its value at each q, is the motion integral. The motion
-    measure is unchanged by g -> g^-1, so a vertex hull against a box or a
-    ball takes that body as K, the same function of the same q in either
-    order."""
+    by mixed volumes (``_mixed_volumes``); against a ball, their mean over
+    q is the motion integral. The motion measure is unchanged by
+    g -> g^-1, so a vertex hull against a box or a ball takes that body as
+    K, the same function of the same q in either order."""
     if isinstance(L, (Ball, Box)) and not isinstance(K, (Ball, Box)):
         K, L = L, K
-    if isinstance(K, Box) and isinstance(L, Box):
-        return _box_box_volumes(K, L)
-    if isinstance(K, PlanarPolygon) and isinstance(L, PlanarPolygon):
-        return _plate_volumes(K, L)
     return _mixed_volumes(K, L)
 
 

@@ -9,7 +9,9 @@ them: every score is exact, with no iteration.  The rotation pairs' weights
 are closed forms in the rotation: mixed volumes over the bodies' faces, a
 ball's being a cube's whose faces weigh powers of its radius, in which a
 pair of 2-faces counts when one fixed x lies strictly inside their cones'
-sum (a tie needs q in a set of measure zero).  A ball against a ball or a
+sum (a tie needs q in a set of measure zero).  Their |forms| that agree to
+rounding are summed as one (FORM_MERGE_TOL), which moves a weight by
+rounding alone.  A ball against a ball or a
 box integrates rounded-3-box sections in closed form: none tests a point
 against a boundary.
 """
@@ -29,3 +31,9 @@ DEGENERATE_PIECE_TOL = 1e-12
 
 # vectors shorter than this count as zero (imaginary directions)
 ZERO_NORM_TOL = 1e-12
+
+# a rotation weight's |forms| whose coefficients lie within this much of the
+# largest coefficient of each other are one form: rounding alone tells apart
+# two boxes' complementary minors, which agree for an orthogonal matrix, by
+# up to about 1.2e-15 of it
+FORM_MERGE_TOL = 1e-14

@@ -704,7 +704,7 @@ def translation_hits(K, L, R, ts):
 def box_box_laplace_volumes(K, L, qs):
     """vol(K - L_q L) for each unit quaternion q of the (B, 4) rows qs from
     all 70 Laplace minors of L's half-generators in K's frame: the reference
-    for the Monte Carlo's 16 linear and 18 quadratic forms in q."""
+    for two boxes' mixed volumes, their merged |forms| in q."""
     # coordinate c of L's half-generator a in K's frame is row 4c + a of
     # gen @ q: K.rotation^T L_q L.rotation diag(hL), flattened, is linear in q
     gen = np.kron(K.rotation.T, (L.rotation * L.half_extents).T) @ unit_left().reshape(4, 16).T

@@ -795,6 +795,30 @@ def _oblique_simplex(rng, n, size):
                    + rng.uniform(-0.2, 0.2, (size, n)))
 
 
+class TestDerivativeCache:
+    """``_derivatives`` keeps its dense Laplacians and gradients for degrees
+    up to DERIVATIVES_KEPT alone: at degree 30 they take 7 MB, and all of
+    degrees 1 to 30 46 MB."""
+
+    def test_degree_30_triangle_moments_stay_within_the_bound(self):
+        # the geodesic triangles of a box's edge pieces, whose moments a
+        # degree-30 evaluation of the box takes through every degree from 1
+        # to 30: the cache then holds the degrees up to the bound, well
+        # under 1 MiB, and the moments of those degrees are the ones a
+        # degree-DERIVATIVES_KEPT call takes from the cache alone
+        _, gens, _ = Box(np.zeros(4), np.array([0.7, 0.55, 0.5, 0.6])).pieces()[(1, 3)]
+        corners = bodies._classify(gens).local
+        bodies._derivatives.cache_clear()
+        got = bodies._triangle_moments(corners, 30)
+        info = bodies._derivatives.cache_info()
+        assert info.maxsize == info.currsize == bodies.DERIVATIVES_KEPT < 30
+        kept = [bodies._derivatives(d) for d in range(1, bodies.DERIVATIVES_KEPT + 1)]
+        assert bodies._derivatives.cache_info().misses == info.misses
+        assert sum(a.nbytes for arrays in kept for a in arrays) < 1 << 20
+        low = bodies._triangle_moments(corners, bodies.DERIVATIVES_KEPT)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(low, got))
+
+
 class TestClosedFormCells:
     """Exact cell rules against the adaptive cubature oracle."""
 

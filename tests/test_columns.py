@@ -45,6 +45,7 @@ from valcalc.columns import (
 )
 from valcalc.contact import RUMIN, _lefschetz_pass, _pihat, _rumin_bound, dual_lefschetz, rumin
 from valcalc.exterior import (
+    SPHERE_FACTOR_CACHE_SIZE,
     InvariantForm,
     SpherePoly,
     _complement,
@@ -53,6 +54,7 @@ from valcalc.exterior import (
     hodge_star,
     lie_reeb,
     reeb_contract,
+    sphere_factor,
 )
 from valcalc.scalars import ZERO, Rat, Scalar
 from valcalc.bodies import Ball, Box, Simplex, evaluate
@@ -468,6 +470,23 @@ class TestDegreeSums:
     """The contraction sums its products, each times its code's sphere
     numerator, per total degree, and scales each degree's nonzero sum once
     (``exterior.sphere_factor``)."""
+
+    def test_factor_cache_stays_within_bound(self, monkeypatch):
+        # V_2 v_1^e against Z_(1,0,2) for e = 0, 2, ..., 398 reads 200
+        # degrees past the kept ones: the cache stays within its bound, and
+        # every pairing equals the one with each factor built afresh
+        zu = z_rep(ImDirection.of(1, 0, 2))
+        v2 = intrinsic_volume_rep(4, 2).omega
+        highs = [ValuationRep(4, v2 * SpherePoly(4, {(e, 0, 0, 0): 1})) for e in range(0, 400, 2)]
+        sphere_factor.cache_clear()
+        got = []
+        for high in highs:
+            got.append(pairing(high, zu))
+            assert sphere_factor.cache_info().currsize <= SPHERE_FACTOR_CACHE_SIZE
+        info = sphere_factor.cache_info()
+        assert info.maxsize == SPHERE_FACTOR_CACHE_SIZE < info.misses
+        monkeypatch.setattr(columns, "sphere_factor", sphere_factor.__wrapped__)
+        assert [pairing(high, zu) for high in highs] == got
 
     @staticmethod
     def _record_degrees(monkeypatch):

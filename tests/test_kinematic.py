@@ -757,7 +757,7 @@ class TestBoxBoxVolumes:
         K, L = BOX_PAIRS[pair]
         Rs = _rotations(haar_quaternions(np.random.default_rng(31 + pair),
                                          kinematic.WEIGHT_BLOCK + 500))
-        got = _scored(kinematic._box_box_volumes(K, L), Rs[:, :, 0].T)
+        got = _scored(kinematic._mixed_volumes(K, L), Rs[:, :, 0].T)
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pair", [1, 2])
@@ -766,7 +766,7 @@ class TestBoxBoxVolumes:
         # scored by box volume times whether the bodies meet, average to the
         # weight to within 4 standard errors over 2^16 translations
         K, L = BOX_PAIRS[pair]
-        _assert_averages_the_hit_indicator(K, L, kinematic._box_box_volumes(K, L),
+        _assert_averages_the_hit_indicator(K, L, kinematic._mixed_volumes(K, L),
                                            np.random.default_rng(50 + pair), 4, 1 << 16)
 
     @pytest.mark.parametrize("a, b", [
@@ -796,8 +796,17 @@ def _complement(subset):
     return [i for i in range(4) if i not in subset]
 
 
+def _nearly_orthonormal_pair():
+    """A box whose rotation is 1e-10 off orthonormal, within ORTHONORMAL_TOL,
+    against a rotated box, and the generator that drew it."""
+    rng = np.random.default_rng(80)
+    rotation = _random_rotation(rng) + 1e-10 * rng.standard_normal((4, 4))
+    return Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), rotation), BOX_PAIRS[3][1], rng
+
+
 class TestBoxBoxForms:
-    """The box/box weight from 16 linear and 18 quadratic forms in q: the
+    """The box/box weight from its mixed volumes, whose linear and quadratic
+    |forms| in q merge up to sign and rounding to at most 16 and 18: the
     complementary minors it merges, and its values against all 70 Laplace
     minors and numpy's determinants."""
 
@@ -825,7 +834,7 @@ class TestBoxBoxForms:
         K, L = WEIGHT_PAIRS[pair]
         Rs = _rotations(haar_quaternions(np.random.default_rng(70 + pair),
                                          kinematic.WEIGHT_BLOCK + 500))
-        got = _scored(kinematic._box_box_volumes(K, L), Rs[:, :, 0].T)
+        got = _scored(kinematic._mixed_volumes(K, L), Rs[:, :, 0].T)
         want = _oracles.box_box_laplace_volumes(K, L, Rs[:, :, 0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         np.testing.assert_allclose(got, _zonotope_volumes(K, L, Rs), rtol=1e-13, atol=0)
@@ -833,13 +842,35 @@ class TestBoxBoxForms:
     def test_nearly_orthonormal_rotation(self):
         # a rotation 1e-10 off orthonormal, within ORTHONORMAL_TOL: the
         # complementary minors, and so the weights, differ by about as much
-        rng = np.random.default_rng(80)
-        rotation = _random_rotation(rng) + 1e-10 * rng.standard_normal((4, 4))
-        K = Box(np.zeros(4), np.array([0.7, 0.3, 0.5, 0.4]), rotation)
-        L = BOX_PAIRS[3][1]
+        K, L, rng = _nearly_orthonormal_pair()
         qs = haar_quaternions(rng, 2000)
-        np.testing.assert_allclose(_scored(kinematic._box_box_volumes(K, L), qs.T),
+        np.testing.assert_allclose(_scored(kinematic._mixed_volumes(K, L), qs.T),
                                    _oracles.box_box_laplace_volumes(K, L, qs), rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("pair", [*range(len(WEIGHT_PAIRS)), "nearly_orthonormal"])
+    def test_merged_forms_match_laplace_minors(self, pair, monkeypatch):
+        # the two sides' 64 linear |forms| are 16 up to sign, fewer where the
+        # frames share axes, and the 36 quadratic ones 18 up to rounding
+        # (Jacobi), but 36 where the rotation is 1e-10 off orthonormal, past
+        # the rounding bound. The merged weight matches the Laplace minors,
+        # and the weight merged only where forms are equal bit for bit
+        K, L = WEIGHT_PAIRS[pair] if pair != "nearly_orthonormal" else _nearly_orthonormal_pair()[:2]
+        floats, blocked = [], kinematic._blocked
+        monkeypatch.setattr(kinematic, "_blocked", lambda kernel, per: floats.append(per) or blocked(kernel, per))
+        merged = kinematic._mixed_volumes(K, L)
+        monkeypatch.setattr(kinematic, "FORM_MERGE_TOL", 0.0)
+        exact = kinematic._mixed_volumes(K, L)
+        # a sum and 10 monomials, then the forms
+        forms = [per - 11 for per in floats]
+        if pair == "nearly_orthonormal":
+            assert forms == [16 + 36] * 2
+        else:
+            assert forms[0] <= 16 + 18 and forms[1] <= 16 + 36
+        qs = haar_quaternions(np.random.default_rng(75), 2000)
+        got = _scored(merged, qs.T)
+        np.testing.assert_allclose(got, _scored(exact, qs.T), rtol=0, atol=1e-15 * got.max())
+        np.testing.assert_allclose(got, _oracles.box_box_laplace_volumes(K, L, qs), atol=0,
+                                   rtol=1e-8 if pair == "nearly_orthonormal" else 1e-13)
 
 
 def _plates_sharing_a_line(rng, F1t, eps, count):
@@ -869,7 +900,7 @@ def _plate_weights(F1t, F2t, qs):
     """|det [F1t | L_q F2t]| for each row q of qs, as the plates score it:
     the weight of two unit squares in the planes of F1t and F2t."""
     M1, M2 = (PlanarPolygon(Ft.T, [[0, 0], [1, 0], [1, 1], [0, 1]]) for Ft in (F1t, F2t))
-    return _scored(kinematic._plate_volumes(M1, M2), qs.T)
+    return _scored(kinematic._mixed_volumes(M1, M2), qs.T)
 
 
 SQUARE_FRAME = [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -915,8 +946,9 @@ class TestDetForm:
 
 
 class TestPlateConditioning:
-    """The plate weight |det [F1^T | L_q F2^T]| as the quadratic form
-    q^T A q, against the frames' 2x2 minors and the singular values.
+    """The plate weight |det [F1^T | L_q F2^T]|, the mixed volumes' one
+    |quadratic form| in q, against the frames' 2x2 minors and the singular
+    values.
 
     For orthonormal frames it is sin a sin b, a and b the principal angles
     between the planes, so a pair near parallel gets a weight near 0 and no
@@ -1028,15 +1060,16 @@ PINNED_BALL_SECTIONS = {
     ("ball_box", 92): ("0x1.9499c91e7e9b6p+3", "0x1.41824070d4c1fp-25", 0),
 }
 # the same for the pairs weighted from q, pinned with numpy 2.4 on x86-64
-# from the 16 shifted 3-D rotation lattices: box/box from its 16 linear and
-# 18 quadratic forms, box/simplex from their mixed volumes, and the plates
+# from the 16 shifted 3-D rotation lattices and their mixed volumes: box/box
+# from its 4 linear and 12 quadratic |forms|, box/simplex from maxima over the
+# simplex's vertices and the box's |forms|, and the plates from one |form|
 PINNED_QUATERNION_WEIGHTS = {
-    ("box_box", 91): ("0x1.dd8f1abe4a157p+4", "0x1.beead29f2f7ebp-15", 0),
-    ("box_box", 92): ("0x1.dd8f56069ebeap+4", "0x1.c62999bd08156p-15", 0),
-    ("box_simplex", 91): ("0x1.ac0e0c5024f93p+3", "0x1.0f771e4e5b958p-7", 0),
+    ("box_box", 91): ("0x1.dd8f1abe4a158p+4", "0x1.beead29f34889p-15", 0),
+    ("box_box", 92): ("0x1.dd8f56069ebebp+4", "0x1.c62999bd056bap-15", 0),
+    ("box_simplex", 91): ("0x1.ac0e0c5024f93p+3", "0x1.0f771e4e5b954p-7", 0),
     ("box_simplex", 92): ("0x1.abc14b5f02d3ap+3", "0x1.b7e73cfb51c0dp-8", 0),
-    ("poincare", 91): ("0x1.1957e55309937p-1", "0x1.5bcc0a118f63cp-22", 0),
-    ("poincare", 92): ("0x1.19580ab147d24p-1", "0x1.82c043d943248p-22", 0),
+    ("poincare", 91): ("0x1.1957e55309939p-1", "0x1.5bcc0a11710a7p-22", 0),
+    ("poincare", 92): ("0x1.19580ab147d25p-1", "0x1.82c043d934a1dp-22", 0),
 }
 PINNED_ESTIMATES = {**PINNED_BALL_SECTIONS, **PINNED_QUATERNION_WEIGHTS}
 _BALL = Ball(np.zeros(4), 0.5)
@@ -1286,6 +1319,30 @@ def _kubota_weight(points, volume, r):
         _KAPPA[4] / _KAPPA[j] * r ** (4 - j) * shadow.sum() for j, shadow in enumerate(shadows, start=1))
 
 
+class TestZonotopeSupport:
+    """A box's and a ball's support as the mixed volumes read it, the
+    weighted |linear forms| of their axes (``_mixed_side``), against the
+    maximum over their vertices."""
+
+    @pytest.mark.parametrize("body", [ROTATED_BOX, BOX_PAIRS[2][0], WEIGHT_PAIRS[5][0], OFF_CENTRE_BALL],
+                             ids=["rotated", "random", "thin", "ball"])
+    def test_support_is_the_maximum_over_the_hull(self, body):
+        # at x = L_q u, for 10^4 Haar q and the 4-simplex's facet normals u;
+        # a ball's support is its cube's, [-1/2, 1/2]^4 times 3 pi/8 r
+        _, axes, weights, _ = kinematic._mixed_side(body)
+        if isinstance(body, Ball):
+            verts = 3.0 * math.pi / 8.0 * body.radius * kinematic._unit_cube()._hull()
+        else:
+            verts = body._hull() - body.center
+        qs = haar_quaternions(np.random.default_rng(85), 10 ** 4)
+        normals = kinematic._facet_directions({3: MOTION_SIMPLEX.face_groups()[2]})[0]
+        x = np.einsum("bij,uj->bui", np.array([rotation_matrix(q) for q in qs]), normals)
+        got = np.abs(x @ axes.T) @ weights
+        want = (x @ verts.T).max(axis=2)
+        # x is a unit vector: rounding of a few ulps of the weights' sum
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps * weights.sum())
+
+
 class TestHullShadows:
     """The shadows of a vertex hull on the coordinate subspaces against
     scipy's Qhull, as the mixed volumes weigh them: against a ball, whose
@@ -1446,7 +1503,8 @@ class TestHullHullVolumes:
         M1, M2 = HULLS["square"], HULLS["pentagon"]
         qs = haar_quaternions(np.random.default_rng(141), 4096)
         scale = M1.area * M2.area
-        want = _scored(kinematic._plate_volumes(M1, M2), qs.T)
+        F2 = np.array([rotation_matrix(q) for q in qs]) @ M2.frame.T
+        want = scale * _oracles.plate_determinants(M1.frame.T, F2)
         got = _scored(kinematic._mixed_volumes(M1, M2), qs.T)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
@@ -2002,7 +2060,8 @@ class TestWeightCache:
         assert mc_principal_kinematic(L, K, N=40000, seed=21) == cold
 
 
-# a pair for each kind of rotation weight, and for both sides of a ball's
+# a pair for each kind of |forms| and maxima the rotation weight sums, and
+# for both sides of a ball's
 SPLIT_PAIRS = {
     "box_box": BOX_PAIRS[2],
     "plates": PINNED_PAIRS["poincare"][:2],
