@@ -15,12 +15,19 @@ input block: its image as (row, value) arrays into each output block.
 Applying one is a gather and an np.add.at per output block it is asked for
 (``_ColumnOperator.apply`` takes their numbers: the pairing reads the Rumin
 solve's D and not its correction xi), in int64 while a checked bound allows
-it and in Python ints past it (``_widen``).  The dict operators build the
-columns of every output, all missing monomials of an input in one pass:
-monomial i enters with coefficient 2^(B i), so its image rides in lane i of
-every output coefficient, and a bias of 2^(B - 1) per lane decodes it.  The
-lane width B comes from a proved bound on a column's entries, the product of
-the column l1 norms of the operator's steps (the *_norm helpers), so no lane
+it and in Python ints past it (``_widen``).  Each operator commutes with
+the permutations of the coordinates 1..n-1 acting on x and v together
+(``_group``): they are isometries of R^n, and they fix v_n and so the
+canonical rewrite of v_n^2.  So the dict operators build one column per
+orbit of these permutations, and every other column of the orbit is a
+built one with its rows permuted and signed (``_Columns._permute``); a
+block finds the images of its monomials through a sorted index of their
+packed codes and keeps every image it finds (``_Block.image``).  The
+columns to build, of every output, run in one pass: monomial i enters with
+coefficient 2^(B i), so its image rides in lane i of every output
+coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane width
+B comes from a proved bound on a column's entries, the product of the
+column l1 norms of the operator's steps (the *_norm helpers), so no lane
 carries into the next.  pair_top contracts two vectors against the
 closed-form integrals of sphere monomials, the one path of the pairing at
 every degree.  The integral of v^e is an integer numerator of e
@@ -52,9 +59,14 @@ caller that reads the outputs in turn keeps those images (``solved``), so
 that no block is solved twice.  The contraction packs each product's
 exponents into one code, in fields as wide as the two degrees' sum needs:
 an int64 while the n fields fit in 63 bits (in R^4, degree sums up to
-2^15 - 2), a Python int past that.  The column caches keep every column
-they build for the life of the process: their size is bounded by the
-number of monomials of the degrees in use, not by a count of forms.  The
+2^15 - 2), a Python int past that.  A block's packed code holds each
+exponent in a field of ``_Group.width`` bits (13 in R^4); a monomial with
+an exponent past that is keyed by a tuple, and its images are found
+through the block's dict of keys.  The column caches keep every column
+they build for the life of the process, with one source per orbit, and a
+block keeps its sorted index and its image table, one entry per
+permutation and monomial: their size is bounded by the number of
+monomials of the degrees in use, not by a count of forms.  The
 contraction's plans, at most FORM_CACHE_SIZE, are the only place that
 keeps a sphere numerator; a plan holds three entries per product it
 keeps.  This module builds on ``exterior`` and ``scalars`` alone; every
@@ -63,7 +75,8 @@ module above it imports it at load.
 
 import math
 from functools import lru_cache, wraps
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,11 +96,14 @@ from .exterior import (
 from .scalars import Rat, Scalar
 
 INT64_SAFE = 1 << 62  # vector entries below it are stored as int64
-# bits of one lane-packed coefficient, lanes times lane width: a pass of a dict
-# operator costs about the same whatever its lane count, but peak memory grows
-# with the width of its coefficients (a pass of the Rumin solve over 316
-# monomials of Z_u-like forms raised peak RSS by 3 MB at 5,120 bits and by
-# 8 MB at 10,240 bits; x86-64, Python 3.11)
+# bits of one lane-packed coefficient, lanes times lane width.  A pass of a
+# dict operator costs in proportion to its monomials, and little more for
+# wider lanes: the Rumin solve over 62 monomials of degrees 1 and 3 in block
+# (2, 1) took 22-23 ms at 1-bit lanes, 25 ms at 40-bit and 27-34 ms at
+# 64-bit, against 2.2 ms for one monomial alone.  Peak memory grows with the
+# width of its coefficients: a pass of the Rumin solve over 316 monomials of
+# Z_u-like forms raised peak RSS by 3 MB at 5,120 bits and by 8 MB at 10,240
+# bits (all figures on x86-64, Python 3.11)
 PACKED_BITS = 8192
 # results kept per function of a form (``_cached_on_vectors``), and plans kept
 # by the contraction (``_contract_plan``); one pairing with its operators needs
@@ -95,10 +111,63 @@ PACKED_BITS = 8192
 FORM_CACHE_SIZE = 64
 
 
+class _Group(NamedTuple):
+    """S_(n-1) as tables over its elements p_g (``_group``)."""
+
+    gather: np.ndarray  # (G, n): p_g^-1, so that v^e goes to v^(e[gather[g]])
+    inverse: np.ndarray  # (G,): the number of p_g^-1
+    compose: np.ndarray  # (G, G): the number of p_g p_h, p_h applied first
+    mask: np.ndarray  # (G, 4^n): the key code of p_g (dx_I ^ dv_J)
+    sign: np.ndarray  # (G, 4^n): the sign of sorting p_g I times that of p_g J
+    place: np.ndarray  # (n, G): 2^(2n + width p_g(t)), exponent t's field
+    width: int  # bits of one exponent field of a packed code
+    pairs: tuple  # (I, J) per key code
+
+    def fits(self, exps):
+        """Per row of exponents: whether every one fits its field."""
+        return exps.max(axis=1, initial=0) < 1 << self.width
+
+
+@lru_cache(maxsize=None)
+def _group(n) -> _Group:
+    """The permutations p of the coordinates 0..n-2, n - 1 fixed, acting on
+    dx, dv and v together, numbered as ``itertools.permutations`` gives them
+    (0 the identity).  p takes v^e dx_I ^ dv_J to s v^f dx_pI ^ dv_pJ, f_p(t)
+    = e_t and s the sign of sorting pI times that of sorting pJ.  It fixes
+    v_n, so it keeps the canonical rewrite of v_n^2, and it is an isometry
+    of R^n, so the Rumin solve, the Hodge star and the Lie derivative along
+    the Reeb field commute with it (``_Columns._permute``).  A monomial's
+    packed code is its key code plus its exponents in fields of width bits
+    above the 2n bits of the key code, all within an int64."""
+    perms = [p + (n - 1,) for p in permutations(range(n - 1))]
+    number = {p: g for g, p in enumerate(perms)}
+    inverse = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
+    width = (63 - 2 * n) // n
+    tables, pairs = np.zeros((2, len(perms), 1 << 2 * n), np.int64), []
+    for code in range(1 << 2 * n):
+        I = tuple(i for i in range(n) if code >> i & 1)
+        J = tuple(j for j in range(n) if code >> n + j & 1)
+        pairs.append((I, J))
+        for g, p in enumerate(perms):
+            pI, pJ = [p[i] for i in I], [p[j] for j in J]
+            tables[0, g, code] = sum(1 << i for i in pI) | sum(1 << n + j for j in pJ)
+            flips = sum(x > y for t in (pI, pJ) for x, y in combinations(t, 2))
+            tables[1, g, code] = -1 if flips % 2 else 1
+    return _Group(
+        np.array(inverse, np.int64).reshape(len(perms), n),
+        np.array([number[q] for q in inverse], np.int64),
+        np.array([[number[tuple(p[q[t]] for t in range(n))] for q in perms] for p in perms],
+                 np.int64),
+        tables[0], tables[1],
+        np.array([[1 << 2 * n + width * p[t] for p in perms] for t in range(n)], np.int64),
+        width, tuple(pairs))
+
+
 class _Block:
     """The monomials (I, J, e) of one bidegree in dimension n, numbered as first seen."""
 
-    __slots__ = ("n", "a", "b", "index", "keys", "_codes", "_packed")
+    __slots__ = ("n", "a", "b", "index", "keys", "_codes", "_packed", "_sorted", "_order",
+                 "_indexed", "_images")
 
     def __init__(self, n, a, b):
         self.n, self.a, self.b = n, a, b
@@ -106,6 +175,9 @@ class _Block:
         self.keys = []
         self._codes = (np.zeros(0, np.int64), np.zeros((0, n), np.int64), np.zeros(0, np.int64))
         self._packed = {}
+        self._sorted, self._order = np.zeros(0, np.int64), np.zeros(0, np.int64)
+        self._indexed = 0
+        self._images = np.zeros((len(_group(n).inverse), 0), np.int64)
 
     def id(self, key) -> int:
         i = self.index.get(key)
@@ -123,9 +195,13 @@ class _Block:
             keys = np.array([sum(1 << i for i in I) | sum(1 << (n + j) for j in J)
                              for I, J, _ in new], np.int64)
             exps = np.array([e for _, _, e in new], np.int64).reshape(-1, n)
-            self._codes = tuple(np.concatenate([old, col]) for old, col in
-                                zip(self._codes, (keys, exps, exps.sum(axis=1))))
+            self._append(keys, exps)
         return self._codes
+
+    def _append(self, keys, exps):
+        """Append the key codes and exponents of ids just numbered."""
+        self._codes = tuple(np.concatenate([old, col]) for old, col in
+                            zip(self._codes, (keys, exps, exps.sum(axis=1))))
 
     def packed(self, width):
         """Per id: the exponents packed width bits each (``_place``)."""
@@ -134,6 +210,108 @@ class _Block:
         if out is None or len(out) < len(exps):
             place = _place(self.n, width)
             out = self._packed[width] = exps.astype(place.dtype) @ place
+        return out
+
+    def _add(self, keys, codes, exps):
+        """Number new keys, given their key codes and exponents."""
+        have = len(self.codes()[0])
+        self.keys.extend(keys)
+        self.index.update(zip(keys, range(have, len(self.keys))))
+        self._append(codes, exps)
+
+    def _index(self):
+        """The packed codes (``_group``) of the ids whose exponents fit its
+        fields, ascending, and those ids in that order: kept with the block,
+        and extended by the ids numbered since the last call."""
+        codes, exps, _ = self.codes()
+        if self._indexed < len(codes):
+            grp = _group(self.n)
+            ids = np.arange(self._indexed, len(codes))
+            ids = ids[grp.fits(exps[ids])]
+            code = codes[ids] + exps[ids] @ grp.place[:, 0]
+            order = np.argsort(code)
+            pos = np.searchsorted(self._sorted, code[order])
+            self._sorted = np.insert(self._sorted, pos, code[order])
+            self._order = np.insert(self._order, pos, ids[order])
+            self._indexed = len(codes)
+        return self._sorted, self._order
+
+    def orbits(self, ids) -> list:
+        """Per id: (key, g), the key of its orbit under S_(n-1) and the number
+        g of a permutation (``_group``) that takes it to the orbit's least
+        member.  The key is that member's packed code, a Python int; where
+        an exponent passes the code's fields, it is the tuple (exponents,
+        key code) of the least image."""
+        grp = _group(self.n)
+        codes, exps, _ = self.codes()
+        codes, exps = codes[ids], exps[ids]
+        fit = grp.fits(exps)
+        images = grp.mask[:, codes[fit]].T + exps[fit] @ grp.place
+        g = images.argmin(axis=1)
+        least = iter(zip(images[np.arange(len(g)), g].tolist(), g.tolist()))
+        out = []
+        for r, f in enumerate(fit.tolist()):
+            if f:
+                out.append(next(least))
+                continue
+            cands = [(tuple(exps[r, gather].tolist()), int(mask[codes[r]]))
+                     for gather, mask in zip(grp.gather, grp.mask)]
+            h = min(range(len(cands)), key=cands.__getitem__)
+            out.append((cands[h], h))
+        return out
+
+    def image(self, perms, ids):
+        """(ids, signs) of the images of the monomials ids, each under the
+        permutation numbered perms (``_group``): p m is the sign times the
+        monomial of the image id.  The block keeps every image id it finds,
+        per permutation and id (``_images``, -1 where none is kept yet), and
+        finds each missing one once per call (``_find``)."""
+        grp = _group(self.n)
+        codes = self.codes()[0]
+        sign = grp.sign[perms, codes[ids]]
+        grow = len(codes) - self._images.shape[1]
+        if grow:
+            self._images = np.concatenate(
+                [self._images, np.full((len(grp.inverse), grow), -1, np.int64)], axis=1)
+        out = self._images[perms, ids]
+        todo = np.flatnonzero(out < 0)
+        if todo.size:
+            g, i = perms[todo], ids[todo]
+            # each pair (g, i) keeps the mark of one of its entries
+            mark = np.arange(todo.size)
+            self._images[g, i] = -2 - mark
+            first = np.flatnonzero(self._images[g, i] == -2 - mark)
+            self._images[g[first], i[first]] = self._find(g[first], i[first])
+            out[todo] = self._images[g, i]
+        return out, sign
+
+    def _find(self, perms, ids):
+        """The ids of the images of the monomials ids, each under the
+        permutation numbered perms, through their packed codes
+        (``_index``).  Images not yet in the block are numbered, in the
+        order of their packed codes."""
+        grp = _group(self.n)
+        codes, exps, _ = self.codes()
+        codes = grp.mask[perms, codes[ids]]
+        exps = np.take_along_axis(exps[ids], grp.gather[perms], axis=1)
+        fit = grp.fits(exps)
+        code = codes + (exps * fit[:, None]) @ grp.place[:, 0]
+        known, order = self._index()
+        pos = np.searchsorted(known, code)
+        hit = fit & (pos < len(known))
+        hit[hit] = known[pos[hit]] == code[hit]
+        out = np.empty(len(ids), np.int64)
+        out[hit] = order[pos[hit]]
+        new = np.flatnonzero(fit & ~hit)
+        if new.size:
+            _, first, which = np.unique(code[new], return_index=True, return_inverse=True)
+            rows = new[first]
+            keys = [(*grp.pairs[c], tuple(e)) for c, e in zip(codes[rows].tolist(),
+                                                               exps[rows].tolist())]
+            out[new] = len(self.keys) + which
+            self._add(keys, codes[rows], exps[rows])
+        for r in np.flatnonzero(~fit).tolist():
+            out[r] = self.id((*grp.pairs[codes[r]], tuple(exps[r].tolist())))
         return out
 
 
@@ -401,6 +579,11 @@ def _key_order(blk, ids, vals):
     return ids[order], vals[order]
 
 
+def _ranges(start, size):
+    """The positions start[k] .. start[k] + size[k] - 1, k in turn."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
+
+
 class _Columns:
     """Integer columns of a Z-linear operator on the monomials of one block.
 
@@ -415,6 +598,7 @@ class _Columns:
         self.outs = [_block(n, *ab) for ab in outs]
         self.scale = 1
         self.slot = np.zeros(0, np.int64)  # column number per source id, -1 if not built
+        self.orbits = {}  # orbit key -> (source id, g), as _build records them
         self.count = 0
         self.maxabs = 0
         m = len(outs)
@@ -441,11 +625,10 @@ class _Columns:
         out = [None] * len(self.outs)
         top = _maxabs(vals) * self.maxabs
         for j in range(len(self.outs)) if outs is None else outs:
-            start, size = self.start[j][cols], self.size[j][cols]
-            total = int(size.sum())
-            idx = np.repeat(start - np.cumsum(size) + size, size) + np.arange(total)
-            # every partial sum is at most max|x| * max|entry| * total
-            x, col_vals = _widen(top * total, vals, self.vals[j][idx])
+            size = self.size[j][cols]
+            idx = _ranges(self.start[j][cols], size)
+            # every partial sum is at most max|x| * max|entry| * len(idx)
+            x, col_vals = _widen(top * len(idx), vals, self.vals[j][idx])
             acc = np.zeros(len(self.outs[j].keys), x.dtype)
             np.add.at(acc, self.rows[j][idx], col_vals * np.repeat(x, size))
             nz = np.flatnonzero(acc)
@@ -454,18 +637,55 @@ class _Columns:
         return out
 
     def _build(self, missing) -> bool:
-        """Build the columns of the source ids missing in lane-packed passes;
-        build none, and return False, if their entries may not fit int64."""
-        keys = [self.src.keys[i] for i in missing]
-        deg = max(sum(e) for _, _, e in keys)
-        B = _lane_bits(self.bound(deg))
-        if B > 64:
-            return False
-        passes = -(-len(keys) * B // PACKED_BITS)
-        step = -(-len(keys) // passes)
-        for s in range(0, len(keys), step):
-            self._build_lanes(missing[s:s + step], keys[s:s + step], B)
+        """Build the columns of the source ids missing and return True; build
+        none, and return False, if the columns to build may not fit int64
+        lanes.  The lane-packed passes build the first missing member of
+        each orbit (``_Block.orbits``) with no built column, and record it
+        as its orbit's source once its pass has succeeded; every other
+        column is a built one permuted (``_permute``)."""
+        fresh, rest = {}, []
+        for i, (key, g) in zip(missing, self.src.orbits(missing)):
+            if key in self.orbits or key in fresh:
+                rest.append((i, key, g))
+            else:
+                fresh[key] = (i, g)
+        if fresh:
+            todo = list(fresh.items())
+            keys = [self.src.keys[i] for _, (i, _) in todo]
+            B = _lane_bits(self.bound(max(sum(e) for _, _, e in keys)))
+            if B > 64:
+                return False
+            passes = -(-len(keys) * B // PACKED_BITS)
+            step = -(-len(keys) // passes)
+            for s in range(0, len(keys), step):
+                self._build_lanes([i for _, (i, _) in todo[s:s + step]], keys[s:s + step], B)
+                self.orbits.update(todo[s:s + step])
+        if rest:
+            self._permute(rest)
         return True
+
+    def _permute(self, rest):
+        """Build the column of each (id, orbit key, g) of rest from the column
+        of its orbit's source s, recorded with the number h of a permutation
+        that takes s where p_g takes the id.  p = p_g^-1 p_h takes s to the
+        id times a sign, and the operator commutes with p (``_group``): the
+        id's column is that sign times p applied to s's column, row by row,
+        each row's image numbered in its output block with its own sign."""
+        grp = _group(self.src.n)
+        moves = []
+        for i, key, g in rest:
+            s, h = self.orbits[key]
+            moves.append((i, s, grp.compose[grp.inverse[g], h]))
+        ids, src, perms = np.array(moves, np.int64).T
+        sign = self.src.image(perms, src)[1]
+        cols = self.slot[src]
+        self.slot[ids] = np.arange(self.count, self.count + len(ids))
+        self.count += len(ids)
+        for j, blk in enumerate(self.outs):
+            size = self.size[j][cols]
+            idx = _ranges(self.start[j][cols], size)
+            rows, signs = blk.image(np.repeat(perms, size), self.rows[j][idx])
+            self._append(j, size, rows, self.vals[j][idx] * signs * np.repeat(sign, size))
 
     def direct(self, ids, vals):
         """The image of the vector (ids, vals) in every output block, as for
@@ -489,14 +709,17 @@ class _Columns:
         for j, form in enumerate(outputs):
             lane, row, val = _decode_lanes(form, self.outs[j], lanes, B)
             order = np.argsort(lane, kind="stable")
-            size = np.bincount(lane, minlength=lanes)
-            self.start[j] = np.concatenate([self.start[j],
-                                            len(self.rows[j]) + np.cumsum(size) - size])
-            self.size[j] = np.concatenate([self.size[j], size])
-            self.rows[j] = np.concatenate([self.rows[j], row[order]])
-            self.vals[j] = np.concatenate([self.vals[j], val[order]])
+            self._append(j, np.bincount(lane, minlength=lanes), row[order], val[order])
             if val.size:
                 self.maxabs = max(self.maxabs, int(np.abs(val).max()))
+
+    def _append(self, j, size, rows, vals):
+        """Append columns of output j: their sizes, then their rows and values
+        one column after another."""
+        self.start[j] = np.concatenate([self.start[j], len(self.rows[j]) + np.cumsum(size) - size])
+        self.size[j] = np.concatenate([self.size[j], size])
+        self.rows[j] = np.concatenate([self.rows[j], rows])
+        self.vals[j] = np.concatenate([self.vals[j], vals])
 
 
 class _ColumnOperator:

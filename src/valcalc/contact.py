@@ -10,9 +10,12 @@ paired base and fiber slots (``exterior.contract_slot``).  The solve is
 linear over Z, so it runs on the pi-graded integer parts of omega as sparse
 vectors over monomials (see ``columns``): D and xi are a cache of integer
 columns per input block (n, |I|, |J|), ``RUMIN``.  The dict solve,
-``_lefschetz_pass``, builds the missing columns of both outputs of an
-input in one lane-packed pass and checks there, once for every column,
-that the corrected derivative is vertical.  A solve applies the columns of
+``_lefschetz_pass``, builds the columns of both outputs in one lane-packed
+pass, one monomial per orbit of the coordinate permutations fixing the
+last (``columns._group``), and checks there, once for every column it
+builds, that the corrected derivative is vertical.  The solve commutes
+with those permutations, so every other column of an orbit is a built one
+permuted, and vertical as it is.  A solve applies the columns of
 D alone, which is all that the pairing and the operators read; the result
 (``RuminResult``) applies xi's on first read, for the ``rumin`` command.
 The lane width comes from ``_rumin_bound``, the product of the column l1
@@ -149,8 +152,9 @@ def rumin(omega: InvariantForm) -> RuminResult:
     """Correction xi and corrected derivative for a form of degree n-1.
 
     The integer columns it builds stay cached for the life of the process,
-    one per monomial seen (``RUMIN``); monomials whose column bound needs
-    lanes past 64 bits run the dict solve instead.
+    one per monomial seen (``RUMIN``), the dict solve run for one monomial
+    per orbit of the coordinate permutations; monomials whose column bound
+    needs lanes past 64 bits run the dict solve instead.
     """
     n = omega.n
     if omega and omega.degree() != n - 1:

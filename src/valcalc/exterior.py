@@ -19,7 +19,10 @@ integer columns keyed by the input's (n, |I|, |J|), and the antipodal
 pullback as a sign per monomial.  The dict operators here build those
 columns, a batch at a time, with every monomial in a lane of a Python int
 whose width comes from a proved bound on the column's entries, and they
-stay the reference the tests hold the columns to.
+stay the reference the tests hold the columns to.  They commute with the
+permutations of the coordinates 1..n-1 acting on x and v together, which
+fix v_n and so the canonical rewrite of v_n^2, so they run on one monomial
+per orbit of those permutations, and the others' columns are permuted.
 
 Fiber integration pi_* enters through closed-form sphere integrals alone:
 ``sphere_monomial_integral`` as the product of its two parts, for the

@@ -123,6 +123,50 @@ def column(cols, i, j):
                     cols.vals[j][start:start + size].tolist()))
 
 
+def permutation_sign(seq):
+    return -1 if sum(x > y for x, y in itertools.combinations(seq, 2)) % 2 else 1
+
+
+def permuted_key(n, p, I, J, e):
+    """(sign, key) of p (v^e dx_I ^ dv_J) for a permutation p of range(n):
+    v^e goes to v^f with f[p[t]] = e[t], and dx_I ^ dv_J to dx_pI ^ dv_pJ,
+    sorted with the sign of each sort."""
+    pI, pJ = [p[i] for i in I], [p[j] for j in J]
+    f = [0] * n
+    for t in range(n):
+        f[p[t]] = e[t]
+    return (permutation_sign(pI) * permutation_sign(pJ),
+            (tuple(sorted(pI)), tuple(sorted(pJ)), tuple(f)))
+
+
+def permuted(form, p):
+    """p applied to a form, monomial by monomial (``permuted_key``)."""
+    n = form.n
+    terms = {}
+    for (I, J), poly in form.terms.items():
+        for e, c in poly.terms.items():
+            s, (I2, J2, f) = permuted_key(n, p, I, J, e)
+            terms.setdefault((I2, J2), {})[f] = s * c
+    return InvariantForm(n, {key: SpherePoly._canonical(n, t) for key, t in terms.items()},
+                         projected=True)
+
+
+def coordinate_permutations(n):
+    """S_(n-1): the permutations of the coordinates 0..n-2, n - 1 fixed."""
+    return [p + (n - 1,) for p in itertools.permutations(range(n - 1))]
+
+
+def orbit(n, I, J, e):
+    """The distinct monomials of the orbit of v^e dx_I ^ dv_J under S_(n-1),
+    the monomial itself first."""
+    out = []
+    for p in coordinate_permutations(n):
+        key = permuted_key(n, p, I, J, e)[1]
+        if key not in out:
+            out.append(key)
+    return out
+
+
 @pytest.mark.parametrize("n, a", BIDEGREES)
 class TestAgainstDictPath:
     def test_rumin(self, n, a):
@@ -720,16 +764,19 @@ def test_batch_build_equals_single_monomials(name, monkeypatch):
         passes.append(len(lane_keys))
         return build_lanes(self, src_ids, lane_keys, B)
 
+    # one lane per orbit: the rest of an orbit's columns come by permutation
+    orbits = len({frozenset(orbit(n, *key)) for key in keys})
+    assert orbits < len(keys)
     monkeypatch.setattr(columns._Columns, "_build_lanes", counted)
     monkeypatch.setattr(op, "caches", {})
     op.columns(n, a, b).apply(ids, np.ones(len(ids), np.int64))
     batch = op.columns(n, a, b)
-    assert passes == [len(keys)]
+    assert passes == [orbits]
     monkeypatch.setattr(op, "caches", {})
     for i in ids:
         op.columns(n, a, b).apply(np.array([i]), np.ones(1, np.int64))
     single = op.columns(n, a, b)
-    assert passes[1:] == [1] * len(keys)
+    assert passes[1:] == [1] * orbits
     assert batch.scale == single.scale
     for i in ids.tolist():
         for j in range(op.arity):
@@ -753,6 +800,122 @@ def test_batch_columns_equal_dict_operator(monkeypatch):
             want = {out.id((I2, J2, e2)): c for (I2, J2), p in form.terms.items()
                     for e2, c in p.terms.items()}
             assert column(cols, i, j) == want
+
+
+def dict_operator(name):
+    """The dict operator of RUMIN, HODGE or LIE_REEB: (outputs, scale)."""
+    return {"rumin": _lefschetz_pass, "hodge": lambda m: ((hodge_star(m),), 1),
+            "lie": lambda m: ((lie_reeb(m),), 1)}[name]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", ["rumin", "hodge", "lie"])
+def test_dict_operators_commute_with_coordinate_permutations(name, n):
+    # the premise of building one column per orbit: every permutation of the
+    # coordinates 0..n-2, acting on dx, dv and v together, commutes with the
+    # dict operators, on monomials of every bidegree and of degree 0-4
+    op, rng = dict_operator(name), random.Random(f"{name}/{n}")
+    bidegrees = ([(a, n - 1 - a) for a in range(n)] if name == "rumin"
+                 else [(a, b) for a in range(n + 1) for b in range(n)])
+    moved = 0
+    for a, b in bidegrees:
+        for _ in range(3):
+            I, J = (tuple(sorted(rng.sample(range(n), k))) for k in (a, b))
+            e = rng.choice(exponents(n, rng.randrange(MAX_DEGREE + 1)))
+            m = monomial(n, I, J, e, rng.choice((-3, 1, 2)))
+            outputs, s = op(m)
+            for p in coordinate_permutations(n):
+                images, t = op(permuted(m, p))
+                assert t == s
+                for image, form in zip(images, outputs, strict=True):
+                    assert image == permuted(form, p), (name, n, I, J, e, p)
+                    moved += permuted(form, p) != form
+    assert moved or n == 2
+
+
+class TestOrbitColumns:
+    """One column per orbit of S_(n-1) comes from a lane-packed pass; every
+    other member's is that column permuted, and equals the dict operator on
+    its monomial alone."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        build_lanes = columns._Columns._build_lanes
+
+        def counted(self, src_ids, lane_keys, B):
+            passes.append(len(lane_keys))
+            return build_lanes(self, src_ids, lane_keys, B)
+
+        monkeypatch.setattr(columns._Columns, "_build_lanes", counted)
+        return passes
+
+    @staticmethod
+    def _assert_dict_columns(name, cols, keys):
+        for key in keys:
+            outputs, s = dict_operator(name)(monomial(cols.src.n, *key))
+            assert s == cols.scale
+            for j, form in enumerate(outputs):
+                out = cols.outs[j]
+                want = {out.id((I2, J2, e2)): c for (I2, J2), p in form.terms.items()
+                        for e2, c in p.terms.items()}
+                assert column(cols, cols.src.index[key], j) == want, (name, key, j)
+
+    @pytest.mark.parametrize("name, n, keys", [
+        ("rumin", 4, [((0, 1), (2,), (2, 1, 0, 1)), ((1, 3), (0,), (3, 0, 0, 0)),
+                      ((0, 2), (1,), (1, 1, 1, 0)), ((2, 3), (3,), (0, 2, 1, 1))]),
+        ("rumin", 3, [((0,), (1,), (2, 1, 1)), ((2,), (0,), (0, 3, 0))]),
+        ("hodge", 4, [((0, 1), (2, 3), (2, 1, 0, 1)), ((1, 2), (0, 1), (3, 0, 1, 0))]),
+        ("lie", 4, [((0, 3), (1,), (1, 2, 0, 1)), ((1, 2), (2,), (0, 0, 4, 0))]),
+        # an exponent past the packed codes' 13-bit fields: the orbit's key is
+        # a tuple, and its columns' rows are found through their keys
+        ("hodge", 4, [((0, 1), (2, 3), (8200, 1, 0, 1))]),
+        ("rumin", 4, [((0, 1), (2,), (8200, 1, 0, 1))]),
+    ])
+    def test_orbit_members_equal_dict_operator(self, name, n, keys, monkeypatch):
+        op = {"rumin": RUMIN, "hodge": HODGE, "lie": LIE_REEB}[name]
+        monkeypatch.setattr(columns, "_BLOCKS", {})
+        monkeypatch.setattr(op, "caches", {})
+        passes = self._count_passes(monkeypatch)
+        orbits = [orbit(n, *key) for key in keys]
+        assert all(len(members) > 1 for members in orbits)
+        I, J, _ = keys[0]
+        cols = op.columns(n, len(I), len(J))
+        # one member of each orbit, then every other member in one call
+        for call in ([members[0] for members in orbits],
+                     [key for members in orbits for key in members[1:]]):
+            ids = np.array([cols.src.id(key) for key in call], np.int64)
+            cols.apply(ids, np.ones(len(ids), np.int64))
+        assert passes == [len(orbits)]
+        assert cols.count == sum(map(len, orbits))
+        assert len(cols.orbits) == len(orbits)
+        wide = max(max(e) for _, _, e in keys) >= 1 << 13
+        assert all(isinstance(key, tuple) == wide for key in cols.orbits)
+        self._assert_dict_columns(name, cols, [key for members in orbits for key in members])
+
+    def test_failed_pass_records_no_orbit_source(self, monkeypatch):
+        # a pass that raises records no orbit source: another member of the
+        # orbit is then built afresh, not permuted from a column never built
+        original = contact._xi_lefschetz
+
+        def doubled(f):
+            xi, s = original(f)
+            return xi * 2, s
+
+        monkeypatch.setattr(contact, "_xi_lefschetz", doubled)
+        monkeypatch.setattr(RUMIN, "caches", {})
+        first, second, *_ = orbit(4, (0, 1), (2,), (2, 1, 0, 1))
+        cols = RUMIN.columns(4, 2, 1)
+        with pytest.raises(ArithmeticError, match="vertical"):
+            cols.apply(np.array([cols.src.id(first)]), np.ones(1, np.int64))
+        assert not cols.orbits and not cols.count
+        monkeypatch.setattr(contact, "_xi_lefschetz", original)
+        passes = self._count_passes(monkeypatch)
+        cols.apply(np.array([cols.src.id(second)]), np.ones(1, np.int64))
+        assert passes == [1] and len(cols.orbits) == 1
+        cols.apply(np.array([cols.src.id(first)]), np.ones(1, np.int64))
+        assert passes == [1]
+        self._assert_dict_columns("rumin", cols, [first, second])
 
 
 class TestLaneBound:
