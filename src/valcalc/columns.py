@@ -9,38 +9,37 @@ ints otherwise (``_fit``).  A float coefficient lies in grade 0, whose vals
 are then float64 over den 1; the columns apply to them unchanged, and no
 float is truncated or gcd-reduced.
 
-hodge_star (HODGE), lie_reeb (LIE_REEB) and contact's Rumin solve
-(``contact.RUMIN``) are caches of integer columns, one per monomial of an
-input block: its image as (row, value) arrays into each output block.
-Applying one is a gather and an np.add.at per output block it is asked for
-(``_ColumnOperator.apply`` takes their numbers: the pairing reads the Rumin
-solve's D and not its correction xi), in int64 while a checked bound allows
-it and in Python ints past it (``_widen``).  Each operator commutes with
-the permutations of the coordinates 1..n-1 acting on x and v together
-(``_group``): they are isometries of R^n, and they fix v_n and so the
-canonical rewrite of v_n^2.  So the dict operators build one column per
-orbit of these permutations, and every other column of the orbit is a
-built one with its rows permuted and signed (``_Columns._permute``); a
-block finds the images of its monomials through a sorted index of their
-packed codes and keeps every image it finds (``_Block.image``).  The
-columns to build, of every output, run in one pass: monomial i enters with
-coefficient 2^(B i), so its image rides in lane i of every output
-coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane width
-B comes from a proved bound on a column's entries, the product of the
+hodge_star (HODGE), lie_reeb (LIE_REEB) and the two outputs of contact's
+Rumin solve, the corrected derivative D (``contact.RUMIN``) and the
+correction xi (``contact.RUMIN_XI``), are caches of integer columns, one
+per monomial of an input block: its image as (row, value) arrays into the
+operator's one output block.  Applying one is a gather and an np.add.at, in
+int64 while a checked bound allows it and in Python ints past it
+(``_widen``).  Each operator commutes with the permutations of the
+coordinates 1..n-1 acting on x and v together (``_group``): they are
+isometries of R^n, and they fix v_n and so the canonical rewrite of v_n^2.
+So the dict operators build one column per orbit of these permutations, and
+every other column of the orbit is a built one with its rows permuted and
+signed (``_Columns._permute``); a block finds the images of its monomials
+through a sorted index of their packed codes and keeps every image it finds
+(``_Block.image``).  The columns to build run in one pass: monomial i
+enters with coefficient 2^(B i), so its image rides in lane i of each
+output coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane
+width B comes from a proved bound on a column's entries, the product of the
 column l1 norms of the operator's steps (the *_norm helpers), so no lane
 carries into the next.  pair_top contracts two vectors against the
 closed-form integrals of sphere monomials, the one path of the pairing at
 every degree.  The integral of v^e is an integer numerator of e
 (``exterior.sphere_numerator``) times a factor of n and |e| alone
-(``exterior.sphere_factor``).  Which products x_i y_j integrate to
-nonzero, and with which numerator, depends on the two supports alone, so
-the contraction splits as a sparse direct solver splits its symbolic
-analysis from its numeric passes: a plan (``_contract_plan``), kept per
-(n, block pair, ids of x, ids of y) in an LRU of FORM_CACHE_SIZE plans,
-holds the positions in x and y of every product whose exponents are all
-even, its partner sign times its code's numerator, and the products
-grouped by total degree; a call is then one integer pass over the plan
-and one fraction per degree (``_top_contract``).
+(``exterior.sphere_factor``).  Which products x_i y_j integrate to nonzero,
+and with which numerator, depends on the two supports alone, so the
+contraction splits as a sparse direct solver splits its symbolic analysis
+from its numeric passes: a plan (``_contract_plan``), kept per (n, block
+pair, ids of x, ids of y) in an LRU of FORM_CACHE_SIZE plans, holds the
+positions in x and y of every product whose exponents are all even, its
+partner sign times its code's numerator, and the products grouped by total
+degree; a call is then one integer pass over the plan and one fraction per
+degree (``_top_contract``).
 
 An operator's output stays split vectors: the form ``_join_vectors`` makes
 of them builds its Scalar terms (``_vector_terms``) only when they are
@@ -52,24 +51,22 @@ once computed (``_form_key``).  ``_cached_on_vectors`` keeps a function of a
 form in a bounded LRU on that key: contact's Rumin solve and the numeric
 caches of ``bodies``.
 
-Limits: an input whose column bound needs lanes wider than 64 bits (for
-the Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and
-up) runs the dict operator itself, which gives every output at once; a
-caller that reads the outputs in turn keeps those images (``solved``), so
-that no block is solved twice.  The contraction packs each product's
-exponents into one code, in fields as wide as the two degrees' sum needs:
-an int64 while the n fields fit in 63 bits (in R^4, degree sums up to
-2^15 - 2), a Python int past that.  A block's packed code holds each
-exponent in a field of ``_Group.width`` bits (13 in R^4); a monomial with
-an exponent past that is keyed by a tuple, and its images are found
-through the block's dict of keys.  The column caches keep every column
-they build for the life of the process, with one source per orbit, and a
-block keeps its sorted index and its image table, one entry per
-permutation and monomial: their size is bounded by the number of
-monomials of the degrees in use, not by a count of forms.  The
-contraction's plans, at most FORM_CACHE_SIZE, are the only place that
-keeps a sphere numerator; a plan holds three entries per product it
-keeps.  This module builds on ``exterior`` and ``scalars`` alone; every
+Limits: an input whose column bound needs lanes wider than 64 bits (for the
+Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and up)
+runs the dict operator itself (``_Columns.direct``) on every call and keeps
+no column.  The contraction packs each product's exponents into one code,
+in fields as wide as the two degrees' sum needs: an int64 while the n
+fields fit in 63 bits (in R^4, degree sums up to 2^15 - 2), a Python int
+past that.  A block's packed code holds each exponent in a field of
+``_Group.width`` bits (13 in R^4); a monomial with an exponent past that is
+keyed by a tuple, and its images are found through the block's dict of
+keys.  The column caches keep every column they build for the life of the
+process, with one source per orbit, and a block keeps its sorted index and
+its image table, one entry per permutation and monomial: their size is
+bounded by the number of monomials of the degrees in use, not by a count of
+forms.  The contraction's plans, at most FORM_CACHE_SIZE, are the only
+place that keeps a sphere numerator; a plan holds three entries per product
+it keeps.  This module builds on ``exterior`` and ``scalars`` alone; every
 module above it imports it at load.
 """
 
@@ -588,29 +585,26 @@ class _Columns:
     """Integer columns of a Z-linear operator on the monomials of one block.
 
     build(form) runs the dict operator on a lane-packed form and returns
-    (output forms, scale): the operator is output / scale.  bound(degree) is
+    (output form, scale): the operator is output / scale.  bound(degree) is
     a proved bound on the entries of one column of that polynomial degree.
     """
 
-    def __init__(self, n, a, b, build, bound, outs):
+    def __init__(self, n, a, b, build, bound, out):
         self.src = _block(n, a, b)
         self.build, self.bound = build, bound
-        self.outs = [_block(n, *ab) for ab in outs]
+        self.out = _block(n, *out)
         self.scale = 1
         self.slot = np.zeros(0, np.int64)  # column number per source id, -1 if not built
         self.orbits = {}  # orbit key -> (source id, g), as _build records them
         self.count = 0
         self.maxabs = 0
-        m = len(outs)
-        self.start, self.size = [np.zeros(0, np.int64)] * m, [np.zeros(0, np.int64)] * m
-        self.rows, self.vals = [np.zeros(0, np.int64)] * m, [np.zeros(0, np.int64)] * m
+        self.start, self.size, self.rows, self.vals = (np.zeros(0, np.int64) for _ in range(4))
 
-    def apply(self, ids, vals, outs=None):
-        """The image of the vector (ids, vals) in the output blocks numbered
-        outs, every one by default: per output, (ids, vals), or None where it
-        is empty or not asked for.  Float entries are summed in
-        ``_ordered_terms`` order.  Returns None, and builds no column, when
-        the columns of its monomials would need lanes past 64 bits
+    def apply(self, ids, vals):
+        """The image of the vector (ids, vals) in the output block, as (ids,
+        vals), or None where it is empty.  Float entries are summed in
+        ``_ordered_terms`` order.  When the columns of its monomials would
+        need lanes past 64 bits, it builds none and runs the dict operator
         (``direct``)."""
         ids, vals = _key_order(self.src, ids, vals)
         grow = len(self.src.keys) - len(self.slot)
@@ -620,21 +614,16 @@ class _Columns:
         missing = ids[cols < 0]
         if missing.size:
             if not self._build(missing.tolist()):
-                return None
+                return self.direct(ids, vals)
             cols = self.slot[ids]
-        out = [None] * len(self.outs)
-        top = _maxabs(vals) * self.maxabs
-        for j in range(len(self.outs)) if outs is None else outs:
-            size = self.size[j][cols]
-            idx = _ranges(self.start[j][cols], size)
-            # every partial sum is at most max|x| * max|entry| * len(idx)
-            x, col_vals = _widen(top * len(idx), vals, self.vals[j][idx])
-            acc = np.zeros(len(self.outs[j].keys), x.dtype)
-            np.add.at(acc, self.rows[j][idx], col_vals * np.repeat(x, size))
-            nz = np.flatnonzero(acc)
-            if nz.size:
-                out[j] = (nz, _fit(acc[nz]))
-        return out
+        size = self.size[cols]
+        idx = _ranges(self.start[cols], size)
+        # every partial sum is at most max|x| * max|entry| * len(idx)
+        x, col_vals = _widen(_maxabs(vals) * self.maxabs * len(idx), vals, self.vals[idx])
+        acc = np.zeros(len(self.out.keys), x.dtype)
+        np.add.at(acc, self.rows[idx], col_vals * np.repeat(x, size))
+        nz = np.flatnonzero(acc)
+        return (nz, _fit(acc[nz])) if nz.size else None
 
     def _build(self, missing) -> bool:
         """Build the columns of the source ids missing and return True; build
@@ -670,7 +659,7 @@ class _Columns:
         that takes s where p_g takes the id.  p = p_g^-1 p_h takes s to the
         id times a sign, and the operator commutes with p (``_group``): the
         id's column is that sign times p applied to s's column, row by row,
-        each row's image numbered in its output block with its own sign."""
+        each row's image numbered in the output block with its own sign."""
         grp = _group(self.src.n)
         moves = []
         for i, key, g in rest:
@@ -681,96 +670,74 @@ class _Columns:
         cols = self.slot[src]
         self.slot[ids] = np.arange(self.count, self.count + len(ids))
         self.count += len(ids)
-        for j, blk in enumerate(self.outs):
-            size = self.size[j][cols]
-            idx = _ranges(self.start[j][cols], size)
-            rows, signs = blk.image(np.repeat(perms, size), self.rows[j][idx])
-            self._append(j, size, rows, self.vals[j][idx] * signs * np.repeat(sign, size))
+        size = self.size[cols]
+        idx = _ranges(self.start[cols], size)
+        rows, signs = self.out.image(np.repeat(perms, size), self.rows[idx])
+        self._append(size, rows, self.vals[idx] * signs * np.repeat(sign, size))
 
     def direct(self, ids, vals):
-        """The image of the vector (ids, vals) in every output block, as for
-        apply, through one run of the dict operator itself: for monomials of
-        so high a degree that no column is kept."""
-        ids, vals = _key_order(self.src, ids, vals)
+        """The image of the vector (ids, vals), key-ordered, as for apply,
+        through one run of the dict operator itself: for monomials of so
+        high a degree that no column is kept."""
         keys = [self.src.keys[i] for i in ids.tolist()]
-        outputs, self.scale = self.build(_form(self.src.n, keys, vals.tolist()))
-        out = []
-        for blk, form in zip(self.outs, outputs):
-            rows, values = _monomials(form, blk)
-            out.append((rows, _fit(values)) if values else None)
-        return out
+        form, self.scale = self.build(_form(self.src.n, keys, vals.tolist()))
+        rows, values = _monomials(form, self.out)
+        return (rows, _fit(values)) if values else None
 
     def _build_lanes(self, ids, keys, B):
         lanes = len(keys)
         packed = _form(self.src.n, keys, [1 << (B * i) for i in range(lanes)])
-        outputs, self.scale = self.build(packed)
+        form, self.scale = self.build(packed)
         self.slot[ids] = np.arange(self.count, self.count + lanes)
         self.count += lanes
-        for j, form in enumerate(outputs):
-            lane, row, val = _decode_lanes(form, self.outs[j], lanes, B)
-            order = np.argsort(lane, kind="stable")
-            self._append(j, np.bincount(lane, minlength=lanes), row[order], val[order])
-            if val.size:
-                self.maxabs = max(self.maxabs, int(np.abs(val).max()))
+        lane, row, val = _decode_lanes(form, self.out, lanes, B)
+        order = np.argsort(lane, kind="stable")
+        self._append(np.bincount(lane, minlength=lanes), row[order], val[order])
+        if val.size:
+            self.maxabs = max(self.maxabs, int(np.abs(val).max()))
 
-    def _append(self, j, size, rows, vals):
-        """Append columns of output j: their sizes, then their rows and values
-        one column after another."""
-        self.start[j] = np.concatenate([self.start[j], len(self.rows[j]) + np.cumsum(size) - size])
-        self.size[j] = np.concatenate([self.size[j], size])
-        self.rows[j] = np.concatenate([self.rows[j], rows])
-        self.vals[j] = np.concatenate([self.vals[j], vals])
+    def _append(self, size, rows, vals):
+        """Append columns: their sizes, then their rows and values one column
+        after another."""
+        self.start = np.concatenate([self.start, len(self.rows) + np.cumsum(size) - size])
+        self.size = np.concatenate([self.size, size])
+        self.rows = np.concatenate([self.rows, rows])
+        self.vals = np.concatenate([self.vals, vals])
 
 
 class _ColumnOperator:
     """A Z-linear operator as column caches keyed by (n, |I|, |J|) of its input.
 
-    build(form) -> (output forms, scale), as for _Columns; bound(n, a, b,
-    degree) bounds the entries of a column; outs(n, a, b) names the output
-    blocks, one per output form.
+    build(form) -> (output form, scale), as for _Columns; bound(n, a, b,
+    degree) bounds the entries of a column; out(n, a, b) names the output
+    block.
     """
 
-    def __init__(self, build, bound, outs, arity=1):
-        self.build, self.bound, self.outs, self.arity = build, bound, outs, arity
+    def __init__(self, build, bound, out):
+        self.build, self.bound, self.out = build, bound, out
         self.caches = {}
 
     def columns(self, n, a, b) -> _Columns:
         cols = self.caches.get((n, a, b))
         if cols is None:
             cols = self.caches[(n, a, b)] = _Columns(
-                n, a, b, self.build, lambda deg: self.bound(n, a, b, deg), self.outs(n, a, b))
+                n, a, b, self.build, lambda deg: self.bound(n, a, b, deg), self.out(n, a, b))
         return cols
 
-    def apply(self, n, parts, outs=None, solved=None) -> list:
-        """The operator on every part of a split form: one split form per
-        output numbered in outs, every output by default.
-
-        An input block whose columns would need lanes past 64 bits runs the
-        dict operator, which gives every output at once.  solved, a dict,
-        keeps those images per (pi power, input block); a later call on the
-        same form with the same dict reads them and solves nothing again.
-        """
-        outs = range(self.arity) if outs is None else outs
-        results = [{} for _ in outs]
+    def apply(self, n, parts) -> dict:
+        """The operator on every part of a split form, as a split form."""
+        result = {}
         for k, (den, blocks) in parts.items():
-            images = [{} for _ in outs]
+            image = {}
             for (a, b), (ids, vals) in blocks.items():
                 cols = self.columns(n, a, b)
-                full = None if solved is None else solved.get((k, a, b))
-                if full is None:
-                    full = cols.apply(ids, vals, outs)
-                if full is None:
-                    full = cols.direct(ids, vals)
-                    if solved is not None:
-                        solved[(k, a, b)] = full
-                # the outputs of different input blocks lie in different blocks
-                for image, j in zip(images, outs):
-                    if full[j] is not None:
-                        image[(cols.outs[j].a, cols.outs[j].b)] = full[j]
-            for res, image in zip(results, images):
-                if image:
-                    res[k] = _reduce_grade(den * cols.scale, image)
-        return results
+                out = cols.apply(ids, vals)
+                # the images of different input blocks lie in different blocks
+                if out is not None:
+                    image[(cols.out.a, cols.out.b)] = out
+            if image:
+                result[k] = _reduce_grade(den * cols.scale, image)
+        return result
 
 
 # column l1 norms of the steps the operators take, on monomials of canonical
@@ -832,10 +799,10 @@ def _lie_bound(n, a, b, deg) -> int:
     return _reeb_norm(n, a) * (_d_norm(n, b, deg) + _d_norm(n, b, deg + 1))
 
 
-HODGE = _ColumnOperator(lambda f: ((hodge_star(f),), 1), _hodge_bound,
-                        lambda n, a, b: ((n - a, n - b - 1),))
-LIE_REEB = _ColumnOperator(lambda f: ((lie_reeb(f),), 1), _lie_bound,
-                           lambda n, a, b: ((a - 1, b + 1),))
+HODGE = _ColumnOperator(lambda f: (hodge_star(f), 1), _hodge_bound,
+                        lambda n, a, b: (n - a, n - b - 1))
+LIE_REEB = _ColumnOperator(lambda f: (lie_reeb(f), 1), _lie_bound,
+                           lambda n, a, b: (a - 1, b + 1))
 
 
 def _antipode_vectors(n, parts, sign):

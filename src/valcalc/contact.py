@@ -8,15 +8,16 @@ form: the horizontal part of a form drops alpha ^ i_T a, T the Reeb field
 (``exterior.reeb_contract``), and the dual Lefschetz operator traces over
 paired base and fiber slots (``exterior.contract_slot``).  The solve is
 linear over Z, so it runs on the pi-graded integer parts of omega as sparse
-vectors over monomials (see ``columns``): D and xi are a cache of integer
-columns per input block (n, |I|, |J|), ``RUMIN``.  The dict solve,
-``_lefschetz_pass``, builds the columns of both outputs in one lane-packed
-pass, one monomial per orbit of the coordinate permutations fixing the
-last (``columns._group``), and checks there, once for every column it
-builds, that the corrected derivative is vertical.  The solve commutes
-with those permutations, so every other column of an orbit is a built one
-permuted, and vertical as it is.  A solve applies the columns of
-D alone, which is all that the pairing and the operators read; the result
+vectors over monomials (see ``columns``): D and xi are each a cache of
+integer columns per input block (n, |I|, |J|), ``RUMIN`` and ``RUMIN_XI``.
+Each builds its columns with the dict solve, ``_lefschetz_pass``, keeping
+one of its two outputs, in lane-packed passes of one monomial per orbit of
+the coordinate permutations fixing the last (``columns._group``); every
+pass checks, once for every column in it, that the corrected derivative
+is vertical.  The solve commutes with those permutations, so every other
+column of an orbit is a built one permuted, and vertical as it is.  A
+solve applies the columns of D alone, which is all that the pairing and
+the operators read, so only they are built there; the result
 (``RuminResult``) applies xi's on first read, for the ``rumin`` command.
 The lane width comes from ``_rumin_bound``, the product of the column l1
 norms of the solve's steps, kept beside the solve whose steps it bounds.
@@ -46,24 +47,20 @@ class RuminResult:
     """Corrected derivative D_omega = d(omega + alpha ^ xi) with its correction.
 
     D_parts holds D_omega as split vectors (``columns._split_vectors``);
-    parts holds omega's, from which xi_parts applies the columns of xi on
-    first read, since only the correction itself (the ``rumin`` command)
-    reads them.  solved keeps the dict solve's images of the input blocks
-    past 64-bit lanes, every output of them (``columns._ColumnOperator``),
-    so that reading xi solves no block again.  D_omega and xi are the forms
-    of the vectors (``columns._join_vectors``).  ansatz_degree is the
-    polynomial degree of xi's coefficients.
+    parts holds omega's, from which xi_parts applies the columns of xi
+    (``RUMIN_XI``) on first read, since only the correction itself (the
+    ``rumin`` command) reads them.  D_omega and xi are the forms of the
+    vectors (``columns._join_vectors``).  ansatz_degree is the polynomial
+    degree of xi's coefficients.
     """
 
     n: int
     parts: dict
     D_parts: dict
-    solved: dict
 
     @cached_property
     def xi_parts(self) -> dict:
-        (xi,) = RUMIN.apply(self.n, self.parts, (_XI,), self.solved)
-        return xi
+        return RUMIN_XI.apply(self.n, self.parts)
 
     @cached_property
     def D_omega(self) -> InvariantForm:
@@ -143,18 +140,28 @@ def _rumin_bound(n, a, b, deg) -> int:
     return max(xi, D, _horizontal_norm(n, a) * D)
 
 
-RUMIN = _ColumnOperator(_lefschetz_pass, _rumin_bound,
-                        lambda n, a, b: ((a - 1, b), (a, b + 1)), arity=2)
-_XI, _D = 0, 1  # RUMIN's outputs, in the order of _lefschetz_pass
+def _rumin_output(j, out) -> _ColumnOperator:
+    """Output j of _lefschetz_pass alone, as columns into the blocks out(n, a, b)."""
+    def build(f):
+        outputs, s = _lefschetz_pass(f)
+        return outputs[j], s
+
+    return _ColumnOperator(build, _rumin_bound, out)
+
+
+RUMIN_XI = _rumin_output(0, lambda n, a, b: (a - 1, b))
+RUMIN = _rumin_output(1, lambda n, a, b: (a, b + 1))
 
 
 def rumin(omega: InvariantForm) -> RuminResult:
     """Correction xi and corrected derivative for a form of degree n-1.
 
     The integer columns it builds stay cached for the life of the process,
-    one per monomial seen (``RUMIN``), the dict solve run for one monomial
-    per orbit of the coordinate permutations; monomials whose column bound
-    needs lanes past 64 bits run the dict solve instead.
+    one per monomial seen: D's (``RUMIN``) on the solve, xi's (``RUMIN_XI``)
+    when the result's xi is first read, the dict solve run for one monomial
+    per orbit of the coordinate permutations.  Monomials whose column bound
+    needs lanes past 64 bits run the dict solve instead, once for D and
+    once more for xi.
     """
     n = omega.n
     if omega and omega.degree() != n - 1:
@@ -167,6 +174,4 @@ def _rumin_cached(n, parts) -> RuminResult:
     """The Rumin solve of a split form."""
     if any(vals.dtype.kind == "f" for _, blocks in parts.values() for _, vals in blocks.values()):
         raise TypeError("the Rumin solve requires exact coefficients, not floats")
-    solved = {}
-    (D_parts,) = RUMIN.apply(n, parts, (_D,), solved)
-    return RuminResult(n, parts, D_parts, solved)
+    return RuminResult(n, parts, RUMIN.apply(n, parts))

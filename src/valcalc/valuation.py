@@ -114,7 +114,7 @@ def euler_verdier(mu: ValuationRep) -> ValuationRep:
 def derivation(mu: ValuationRep) -> ValuationRep:
     """Degree-lowering derivative: (L_T omega + i_T pullback(phi), 0)."""
     n = mu.n
-    (parts,) = LIE_REEB.apply(n, _split_vectors(mu.omega))
+    parts = LIE_REEB.apply(n, _split_vectors(mu.omega))
     if mu.phi:
         parts = _add_vectors(n, parts, _split_vectors(reeb_contract(_phi_form(mu))))
     return ValuationRep(n, _join_vectors(n, parts))
@@ -134,7 +134,7 @@ def _inner_parts(mu: ValuationRep) -> dict:
 
 def signature(mu: ValuationRep) -> ValuationRep:
     """Hodge star of the corrected derivative: (star(D omega + pullback(phi)), 0)."""
-    (parts,) = HODGE.apply(mu.n, _inner_parts(mu))
+    parts = HODGE.apply(mu.n, _inner_parts(mu))
     return ValuationRep(mu.n, _join_vectors(mu.n, parts))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from valcalc import bodies, columns
 from valcalc.columns import HODGE, LIE_REEB
-from valcalc.contact import RUMIN
+from valcalc.contact import RUMIN, RUMIN_XI, rumin
 from valcalc.su2 import ImDirection, z_rep
 from valcalc.valuation import derivation, intrinsic_volume_rep, laplace, pairing, signature
 
@@ -48,7 +48,6 @@ BOUNDS = {
     "columns._Block.index": "the monomials seen in the block",
     "columns._Block.keys": "the monomials seen in the block",
     "columns._Block._packed": "one array per exponent field width",
-    "columns._Columns.outs": "the operator's output blocks, one per output",
     "columns._Columns.orbits": "one source per orbit of the monomials seen, "
                                "at most one per built column",
     "columns._ColumnOperator.caches": "keyed by (n, |I|, |J|); each holds a column per "
@@ -143,17 +142,19 @@ def test_known_exceptions_are_unbounded_lrus():
 
 
 def test_permutation_and_orbit_caches_follow_the_monomials_seen():
-    # the exact_pairing op on two pairs of directions: S_(n-1)'s tables have
-    # a size of n alone, an orbit map holds at most one source per built
-    # column, and a block's image table one entry per permutation and id
+    # the exact_pairing op on two pairs of directions, then the correction
+    # xi of Z_u: S_(n-1)'s tables have a size of n alone, an orbit map holds
+    # at most one source per built column, and a block's image table one
+    # entry per permutation and id
     vol3 = intrinsic_volume_rep(4, 3)
     for u, v in [((1, 0, 2), (0, 3, -2)), ((0, 2, 1), (3, -2, 0))]:
         zu, zv = z_rep(ImDirection.of(*u)), z_rep(ImDirection.of(*v))
         pairing(zu, zv)
         pairing(derivation(zu), vol3), pairing(zu, derivation(vol3))
         pairing(signature(zu), zv), pairing(laplace(zu), zv)
+        rumin(zu.omega).xi
     assert columns._group(4).mask.shape == columns._group(4).sign.shape == (6, 4 ** 4)
-    for op in (RUMIN, HODGE, LIE_REEB):
+    for op in (RUMIN, RUMIN_XI, HODGE, LIE_REEB):
         for cols in op.caches.values():
             assert len(cols.orbits) <= cols.count <= len(cols.src.keys)
             sources = [i for i, _ in cols.orbits.values()]

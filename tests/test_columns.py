@@ -43,7 +43,15 @@ from valcalc.columns import (
     _split_vectors,
     _wedge_norm,
 )
-from valcalc.contact import RUMIN, _lefschetz_pass, _pihat, _rumin_bound, dual_lefschetz, rumin
+from valcalc.contact import (
+    RUMIN,
+    RUMIN_XI,
+    _lefschetz_pass,
+    _pihat,
+    _rumin_bound,
+    dual_lefschetz,
+    rumin,
+)
 from valcalc.exterior import (
     SPHERE_FACTOR_CACHE_SIZE,
     InvariantForm,
@@ -115,12 +123,12 @@ def block_monomials(n, a, b, deg):
             for J in itertools.combinations(range(n), b) for e in exponents(n, deg)]
 
 
-def column(cols, i, j):
-    """Column of source id i into output j, as {output id: entry}."""
+def column(cols, i):
+    """Column of source id i, as {output id: entry}."""
     c = cols.slot[i]
-    start, size = cols.start[j][c], cols.size[j][c]
-    return dict(zip(cols.rows[j][start:start + size].tolist(),
-                    cols.vals[j][start:start + size].tolist()))
+    start, size = cols.start[c], cols.size[c]
+    return dict(zip(cols.rows[start:start + size].tolist(),
+                    cols.vals[start:start + size].tolist()))
 
 
 def permutation_sign(seq):
@@ -292,13 +300,12 @@ class TestFloatVectors:
         # the input's ids are ordered
         (ids, vals), = z_rep(icosahedron_directions()[2]).omega._parts[0][1].values()
         rng = np.random.default_rng(3)
-        want = LIE_REEB.columns(4, 2, 1).apply(ids, vals)
+        w_ids, w_vals = LIE_REEB.columns(4, 2, 1).apply(ids, vals)
         for _ in range(3):
             order = rng.permutation(len(ids))
-            got = LIE_REEB.columns(4, 2, 1).apply(ids[order], vals[order])
-            for (w_ids, w_vals), (g_ids, g_vals) in zip(want, got):
-                assert g_ids.tolist() == w_ids.tolist()
-                assert [x.hex() for x in g_vals.tolist()] == [x.hex() for x in w_vals.tolist()]
+            g_ids, g_vals = LIE_REEB.columns(4, 2, 1).apply(ids[order], vals[order])
+            assert g_ids.tolist() == w_ids.tolist()
+            assert [x.hex() for x in g_vals.tolist()] == [x.hex() for x in w_vals.tolist()]
 
 
 class TestOrderedTerms:
@@ -425,10 +432,10 @@ class TestPythonInts:
         assert columns._fit(np.array([safe - 1, 2 ** 70], object)[:1]).dtype == np.int64
         # an int64 column apply whose result reaches INT64_SAFE hands back
         # Python ints: a toy operator, twice its input, with entries 2
-        double = columns._ColumnOperator(lambda f: ((f * 2,), 1), lambda n, a, b, deg: 2,
-                                         lambda n, a, b: ((a, b),))
+        double = columns._ColumnOperator(lambda f: (f * 2, 1), lambda n, a, b, deg: 2,
+                                         lambda n, a, b: (a, b))
         omega = monomial(4, (0, 1), (2,), (1, 0, 0, 0), 2 ** 61 + 1)
-        (parts,) = double.apply(4, _split_vectors(omega))
+        parts = double.apply(4, _split_vectors(omega))
         (_, (_, blocks)), = parts.items()
         (_, vals), = blocks.values()
         assert vals.dtype == object and vals.tolist() == [2 ** 62 + 2]
@@ -667,7 +674,8 @@ class TestContractPlan:
 
 class TestLazyXi:
     """The pairing and the operators read D alone: the Rumin solve applies
-    the columns of D, and xi's on first read."""
+    the columns of D (RUMIN), and xi's (RUMIN_XI) are built and applied on
+    first read."""
 
     def test_operators_leave_xi_unapplied(self, monkeypatch):
         made, result = [], contact.RuminResult
@@ -676,16 +684,21 @@ class TestLazyXi:
         # a fresh LRU, so that every solve below makes its result
         monkeypatch.setattr(contact, "_rumin_cached", contact._cached_on_vectors(
             contact._rumin_cached.__wrapped__))
+        monkeypatch.setattr(RUMIN_XI, "caches", {})
+        vol3 = intrinsic_volume_rep(4, 3)
         u, v = ImDirection.of(4, 0, -9), ImDirection.of(0, 7, 3)
         zu, zv = z_rep(u), z_rep(v)
         assert pairing(zu, zv) == tasaki_density(u.dot_sq(v))
-        signature(zu)
-        laplace(zv)
+        pairing(derivation(zu), vol3), pairing(zu, derivation(vol3))
+        pairing(signature(zu), zv), pairing(zu, signature(zv))
+        pairing(laplace(zu), zv), pairing(zu, laplace(zv))
         assert made and all("xi_parts" not in vars(res) for res in made)
+        assert not any(cols.count for cols in RUMIN_XI.caches.values())
         for res in made:
             omega = columns._join_vectors(res.n, res.parts)
             xi, D = rumin_reference(omega)
-            assert res.xi == xi and res.D_omega == D
+            assert rumin(omega).xi == xi and res.D_omega == D
+        assert RUMIN_XI.columns(4, 2, 1).count
 
     @pytest.mark.parametrize("u", [(1, 0, 2), (1099511627777, 3, -5)])
     def test_xi_on_first_read(self, u):
@@ -701,22 +714,26 @@ class TestLazyXi:
 
     def test_direct_path_solves_once(self, monkeypatch):
         # a column bound past 64-bit lanes sends every block to the dict
-        # solve, which gives D and xi at once: reading both solves once
+        # solve: reading D solves once, reading xi once more, and neither
+        # operator keeps a column
         solves = []
 
         def counted(f):
             solves.append(f)
             return _lefschetz_pass(f)
 
-        monkeypatch.setattr(RUMIN, "caches", {})
-        monkeypatch.setattr(RUMIN, "build", counted)
-        monkeypatch.setattr(RUMIN, "bound", lambda n, a, b, deg: 1 << 64)
+        monkeypatch.setattr(contact, "_lefschetz_pass", counted)
+        for op in (RUMIN, RUMIN_XI):
+            monkeypatch.setattr(op, "caches", {})
+            monkeypatch.setattr(op, "bound", lambda n, a, b, deg: 1 << 64)
         omega = monomial(4, (0, 1), (2,), (2, 1, 0, 1), 3) + monomial(4, (0, 1), (3,), (0, 3, 1, 0), -2)
         res = contact._rumin_cached.__wrapped__(4, _split_vectors(omega))
-        assert len(solves) == 1 and not RUMIN.columns(4, 2, 1).count
-        xi, D = rumin_reference(omega)
-        assert res.D_omega == D and res.xi == xi and not xi.is_zero()
         assert len(solves) == 1
+        xi, D = rumin_reference(omega)
+        assert res.D_omega == D and len(solves) == 1
+        assert res.xi == xi and not xi.is_zero() and len(solves) == 2
+        assert res.D_omega == D and res.xi == xi and len(solves) == 2
+        assert not RUMIN.columns(4, 2, 1).count and not RUMIN_XI.columns(4, 2, 1).count
 
 
 def test_split_vectors_match_split_pi():
@@ -749,10 +766,10 @@ def test_add_vectors_merges_shared_blocks():
     assert columns._add_vectors(4, _split_vectors(omega), minus) == {}
 
 
-@pytest.mark.parametrize("name", ["rumin", "hodge", "lie"])
+@pytest.mark.parametrize("name", ["rumin", "rumin_xi", "hodge", "lie"])
 def test_batch_build_equals_single_monomials(name, monkeypatch):
-    op, n, a, b = {"rumin": (RUMIN, 4, 2, 1), "hodge": (HODGE, 4, 2, 2),
-                   "lie": (LIE_REEB, 4, 2, 1)}[name]
+    op, n, a, b = {"rumin": (RUMIN, 4, 2, 1), "rumin_xi": (RUMIN_XI, 4, 2, 1),
+                   "hodge": (HODGE, 4, 2, 2), "lie": (LIE_REEB, 4, 2, 1)}[name]
     rng = random.Random(51)
     keys = rng.sample(block_monomials(n, a, b, 3) + block_monomials(n, a, b, 2), 40)
     blk = columns._block(n, a, b)
@@ -779,43 +796,47 @@ def test_batch_build_equals_single_monomials(name, monkeypatch):
     assert passes[1:] == [1] * orbits
     assert batch.scale == single.scale
     for i in ids.tolist():
-        for j in range(op.arity):
-            assert column(batch, i, j) == column(single, i, j)
+        assert column(batch, i) == column(single, i)
 
 
 def test_batch_columns_equal_dict_operator(monkeypatch):
-    # each decoded column is the dict solve of its monomial alone
+    # each decoded column, of D and of xi, is the dict solve of its monomial
+    # alone
     rng = random.Random(52)
     keys = rng.sample(block_monomials(4, 2, 1, 3), 12)
     blk = columns._block(4, 2, 1)
     ids = np.array([blk.id(key) for key in keys], np.int64)
-    monkeypatch.setattr(RUMIN, "caches", {})
-    cols = RUMIN.columns(4, 2, 1)
-    cols.apply(ids, np.ones(len(ids), np.int64))
-    for i, (I, J, e) in zip(ids.tolist(), keys):
-        outputs, s = _lefschetz_pass(monomial(4, I, J, e))
-        assert s == cols.scale
-        for j, form in enumerate(outputs):
-            out = cols.outs[j]
-            want = {out.id((I2, J2, e2)): c for (I2, J2), p in form.terms.items()
+    for op, name in ((RUMIN, "rumin"), (RUMIN_XI, "rumin_xi")):
+        monkeypatch.setattr(op, "caches", {})
+        cols = op.columns(4, 2, 1)
+        cols.apply(ids, np.ones(len(ids), np.int64))
+        for i, (I, J, e) in zip(ids.tolist(), keys):
+            form, s = dict_operator(name)(monomial(4, I, J, e))
+            assert s == cols.scale
+            want = {cols.out.id((I2, J2, e2)): c for (I2, J2), p in form.terms.items()
                     for e2, c in p.terms.items()}
-            assert column(cols, i, j) == want
+            assert column(cols, i) == want
 
 
 def dict_operator(name):
-    """The dict operator of RUMIN, HODGE or LIE_REEB: (outputs, scale)."""
-    return {"rumin": _lefschetz_pass, "hodge": lambda m: ((hodge_star(m),), 1),
-            "lie": lambda m: ((lie_reeb(m),), 1)}[name]
+    """The dict operator of RUMIN, RUMIN_XI, HODGE or LIE_REEB: (output, scale)."""
+    if name.startswith("rumin"):
+        def solve(m):
+            (xi, D), s = _lefschetz_pass(m)
+            return (D if name == "rumin" else xi), s
+
+        return solve
+    return {"hodge": lambda m: (hodge_star(m), 1), "lie": lambda m: (lie_reeb(m), 1)}[name]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("name", ["rumin", "hodge", "lie"])
+@pytest.mark.parametrize("name", ["rumin", "rumin_xi", "hodge", "lie"])
 def test_dict_operators_commute_with_coordinate_permutations(name, n):
     # the premise of building one column per orbit: every permutation of the
     # coordinates 0..n-2, acting on dx, dv and v together, commutes with the
     # dict operators, on monomials of every bidegree and of degree 0-4
     op, rng = dict_operator(name), random.Random(f"{name}/{n}")
-    bidegrees = ([(a, n - 1 - a) for a in range(n)] if name == "rumin"
+    bidegrees = ([(a, n - 1 - a) for a in range(n)] if name.startswith("rumin")
                  else [(a, b) for a in range(n + 1) for b in range(n)])
     moved = 0
     for a, b in bidegrees:
@@ -823,13 +844,12 @@ def test_dict_operators_commute_with_coordinate_permutations(name, n):
             I, J = (tuple(sorted(rng.sample(range(n), k))) for k in (a, b))
             e = rng.choice(exponents(n, rng.randrange(MAX_DEGREE + 1)))
             m = monomial(n, I, J, e, rng.choice((-3, 1, 2)))
-            outputs, s = op(m)
+            form, s = op(m)
             for p in coordinate_permutations(n):
-                images, t = op(permuted(m, p))
+                image, t = op(permuted(m, p))
                 assert t == s
-                for image, form in zip(images, outputs, strict=True):
-                    assert image == permuted(form, p), (name, n, I, J, e, p)
-                    moved += permuted(form, p) != form
+                assert image == permuted(form, p), (name, n, I, J, e, p)
+                moved += permuted(form, p) != form
     assert moved or n == 2
 
 
@@ -853,13 +873,11 @@ class TestOrbitColumns:
     @staticmethod
     def _assert_dict_columns(name, cols, keys):
         for key in keys:
-            outputs, s = dict_operator(name)(monomial(cols.src.n, *key))
+            form, s = dict_operator(name)(monomial(cols.src.n, *key))
             assert s == cols.scale
-            for j, form in enumerate(outputs):
-                out = cols.outs[j]
-                want = {out.id((I2, J2, e2)): c for (I2, J2), p in form.terms.items()
-                        for e2, c in p.terms.items()}
-                assert column(cols, cols.src.index[key], j) == want, (name, key, j)
+            want = {cols.out.id((I2, J2, e2)): c for (I2, J2), p in form.terms.items()
+                    for e2, c in p.terms.items()}
+            assert column(cols, cols.src.index[key]) == want, (name, key)
 
     @pytest.mark.parametrize("name, n, keys", [
         ("rumin", 4, [((0, 1), (2,), (2, 1, 0, 1)), ((1, 3), (0,), (3, 0, 0, 0)),
@@ -871,9 +889,14 @@ class TestOrbitColumns:
         # a tuple, and its columns' rows are found through their keys
         ("hodge", 4, [((0, 1), (2, 3), (8200, 1, 0, 1))]),
         ("rumin", 4, [((0, 1), (2,), (8200, 1, 0, 1))]),
+        # the correction xi, on the rumin cases above
+        ("rumin_xi", 4, [((0, 1), (2,), (2, 1, 0, 1)), ((1, 3), (0,), (3, 0, 0, 0)),
+                         ((0, 2), (1,), (1, 1, 1, 0)), ((2, 3), (3,), (0, 2, 1, 1))]),
+        ("rumin_xi", 3, [((0,), (1,), (2, 1, 1)), ((2,), (0,), (0, 3, 0))]),
+        ("rumin_xi", 4, [((0, 1), (2,), (8200, 1, 0, 1))]),
     ])
     def test_orbit_members_equal_dict_operator(self, name, n, keys, monkeypatch):
-        op = {"rumin": RUMIN, "hodge": HODGE, "lie": LIE_REEB}[name]
+        op = {"rumin": RUMIN, "rumin_xi": RUMIN_XI, "hodge": HODGE, "lie": LIE_REEB}[name]
         monkeypatch.setattr(columns, "_BLOCKS", {})
         monkeypatch.setattr(op, "caches", {})
         passes = self._count_passes(monkeypatch)
@@ -892,6 +915,32 @@ class TestOrbitColumns:
         wide = max(max(e) for _, _, e in keys) >= 1 << 13
         assert all(isinstance(key, tuple) == wide for key in cols.orbits)
         self._assert_dict_columns(name, cols, [key for members in orbits for key in members])
+
+    def test_block_finds_each_image_once(self, monkeypatch):
+        # a block keeps the images it finds: a second call on the same
+        # (permutation, id) pairs finds none anew and gives the same images,
+        # each the permuted monomial with its sign
+        monkeypatch.setattr(columns, "_BLOCKS", {})
+        n, found, find = 4, [], columns._Block._find
+
+        def spy(self, perms, ids):
+            found.append(len(ids))
+            return find(self, perms, ids)
+
+        monkeypatch.setattr(columns._Block, "_find", spy)
+        blk = columns._block(n, 2, 1)
+        keys = block_monomials(n, 2, 1, 3)[::7]
+        group = coordinate_permutations(n)
+        perms = np.repeat(np.arange(len(group)), 2 * len(keys))
+        ids = np.tile(np.array([blk.id(key) for key in keys] * 2, np.int64), len(group))
+        first = blk.image(perms, ids)
+        assert sum(found) == len(group) * len(keys)
+        found.clear()
+        second = blk.image(perms, ids)
+        assert not found
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
+        for g, i, j, sign in zip(perms.tolist(), ids.tolist(), *(a.tolist() for a in first)):
+            assert (sign, blk.keys[j]) == permuted_key(n, group[g], *blk.keys[i])
 
     def test_failed_pass_records_no_orbit_source(self, monkeypatch):
         # a pass that raises records no orbit source: another member of the
@@ -992,7 +1041,8 @@ class TestLaneBound:
 
 
 def test_caches_within_their_blocks():
-    # the exact_pairing op: <Z_u, Z_v> and both sides of Lambda, Sigma, Delta
+    # the exact_pairing op: <Z_u, Z_v> and both sides of Lambda, Sigma, Delta,
+    # then the correction xi of Z_u
     vol3 = intrinsic_volume_rep(4, 3)
     for u, v in [((1, 0, 2), (0, 3, -2)), ((2, 1, 0), (0, 1, 5)), ((4, 0, -3), (3, 2, 0))]:
         zu, zv = z_rep(ImDirection.of(*u)), z_rep(ImDirection.of(*v))
@@ -1000,15 +1050,15 @@ def test_caches_within_their_blocks():
         pairing(derivation(zu), vol3), pairing(zu, derivation(vol3))
         pairing(signature(zu), zv), pairing(zu, signature(zv))
         pairing(laplace(zu), zv), pairing(zu, laplace(zv))
-    for op in (RUMIN, HODGE, LIE_REEB):
+        rumin(zu.omega).xi
+    for op in (RUMIN, RUMIN_XI, HODGE, LIE_REEB):
         assert op.caches
         for cols in op.caches.values():
             built = cols.slot[cols.slot >= 0]
             assert len(built) == len(set(built.tolist())) == cols.count
             assert cols.count <= len(cols.src.keys)
-            for j, out in enumerate(cols.outs):
-                assert len(cols.start[j]) == len(cols.size[j]) == cols.count
-                assert (cols.rows[j] < len(out.keys)).all()
+            assert len(cols.start) == len(cols.size) == cols.count
+            assert (cols.rows < len(cols.out.keys)).all()
 
 
 def test_exact_operators_stay_on_vectors(monkeypatch):
@@ -1047,9 +1097,20 @@ def test_failed_correction_raises(monkeypatch):
 
     monkeypatch.setattr(contact, "_xi_lefschetz", doubled)
     monkeypatch.setattr(RUMIN, "caches", {})
+    monkeypatch.setattr(RUMIN_XI, "caches", {})
     omega = z_rep(ImDirection.of(1, 0, 2)).omega
     parts = _split_vectors(omega)
     with pytest.raises(ArithmeticError, match="vertical"):
         contact._rumin_cached.__wrapped__(4, parts)
     monkeypatch.setattr(contact, "_xi_lefschetz", original)
-    assert contact._rumin_cached.__wrapped__(4, parts).D_omega == rumin_reference(omega)[1]
+    res = contact._rumin_cached.__wrapped__(4, parts)
+    xi, D = rumin_reference(omega)
+    assert res.D_omega == D
+    # xi's passes check that D is vertical too, and a failed one keeps nothing
+    monkeypatch.setattr(contact, "_xi_lefschetz", doubled)
+    with pytest.raises(ArithmeticError, match="vertical"):
+        res.xi
+    assert RUMIN_XI.caches and not any(cols.count or cols.orbits or (cols.slot >= 0).any()
+                                       for cols in RUMIN_XI.caches.values())
+    monkeypatch.setattr(contact, "_xi_lefschetz", original)
+    assert res.xi == xi
