@@ -22,11 +22,13 @@ Several valuations on one body share one pass over its pieces
 (``evaluate_many``), their cells and moments computed once per shape for all
 the valuations.  A tube value is the Taylor sum of t^k / k! (Lambda^k mu)(K)
 over the derivation's chain, evaluated in one such pass (``evaluate_tube``),
-and so is the Steiner volume.  The Klain density of an even degree-k
-valuation on a k-plane is k! times its value on the simplex of an
-orthonormal frame of the plane (``klain``).  A form's monomials are read
-from its split vectors in one fixed order (``_closed_form_terms``), kept
-per form in a bounded LRU on its vectors (``columns._cached_on_vectors``).
+and so is the Steiner volume; a ball's tube is the larger ball, bit for
+bit.  A tube whose value overflows a float raises ValueError naming t.
+The Klain density of an even degree-k valuation on a k-plane is k! times
+its value on the simplex of an orthonormal frame of the plane (``klain``).
+A form's monomials are read from its split vectors in one fixed order
+(``_closed_form_terms``), kept per form in a bounded LRU on its vectors
+(``columns._cached_on_vectors``).
 
 Each body class carries its own volume, rigid motion ``moved(R, t)`` for
 x -> R x + t, and, except the ball, its faces grouped by dimension
@@ -724,7 +726,15 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"tube parameter must be finite and nonnegative, got {t}")
     if isinstance(K, Ball):
-        return evaluate(mu, Ball(K.center, K.radius + t))
+        radius = K.radius + t
+        try:
+            total = evaluate(mu, Ball(K.center, radius)) if math.isfinite(radius) else math.inf
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(f"tube parameter {t!r}: the value on the ball of radius "
+                             f"{radius!r} overflows a float")
+        return total
     chain = [mu]
     while max(chain[-1].degrees(), default=0) > 0:
         chain.append(derivation(chain[-1]))

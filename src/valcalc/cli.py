@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 from . import serialization as ser
 from .bodies import evaluate, klain
@@ -117,28 +118,46 @@ def _plane_arg(text: str):
     return frame
 
 
+@contextmanager
+def _naming(*inputs):
+    """Prefix the message of an error raised within by the inputs it was
+    computed from, as "--a a.json, --b b.json: ", keeping its class and so
+    its exit code; a message that starts with its option keeps its own."""
+    try:
+        yield
+    except (ValueError, TypeError, RuntimeError, ArithmeticError) as e:
+        if not str(e).startswith("--"):
+            e.args = (f"{', '.join(inputs)}: {e}",)
+        raise
+
+
 def cmd_rumin(args):
     form = ser.load_form(args.form)
-    res = rumin(form)
-    human = f"D_omega = {res.D_omega}\nxi = {res.xi}"
-    payload = {
-        "D_omega": ser.form_to_json(res.D_omega),
-        "xi": ser.form_to_json(res.xi),
-        "ansatz_degree": res.ansatz_degree,
-    }
+    with _naming(f"--form {args.form}"):
+        res = rumin(form)
+        human = f"D_omega = {res.D_omega}\nxi = {res.xi}"
+        payload = {
+            "D_omega": ser.form_to_json(res.D_omega),
+            "xi": ser.form_to_json(res.xi),
+            "ansatz_degree": res.ansatz_degree,
+        }
     return human, payload
 
 
 def cmd_pair(args):
     a = ser.load_valuation(args.a)
     b = ser.load_valuation(args.b)
-    value = pairing(a, b)
+    with _naming(f"--a {args.a}", f"--b {args.b}"):
+        if a.n != b.n:
+            raise ValueError(f"dimension mismatch ({a.n} and {b.n})")
+        value = pairing(a, b)
     return str(value), {"pairing": str(value)}
 
 
 def cmd_op(args):
     mu = ser.load_valuation(args.valuation)
-    out = OPERATORS[args.name](mu)
+    with _naming(f"--valuation {args.valuation}"):
+        out = OPERATORS[args.name](mu)
     top = "^".join(f"dx{i + 1}" for i in range(out.n))
     human = f"omega = {out.omega}\nphi = " + (f"({out.phi}) {top}" if out.phi else "0")
     return human, {"name": args.name, "result": ser.valuation_to_json(out)}
@@ -147,7 +166,8 @@ def cmd_op(args):
 def cmd_eval(args):
     mu = ser.load_valuation(args.valuation)
     body = ser.load_body(args.body)
-    value = evaluate(mu, body)
+    with _naming(f"--valuation {args.valuation}", f"--body {args.body}"):
+        value = evaluate(mu, body)
     return format_float(value), {"value": value}
 
 
@@ -196,10 +216,11 @@ def cmd_verify_mc(args):
     K = ser.load_body(args.k)
     L = ser.load_body(args.l)
     estimator = mc_poincare if args.poincare else mc_principal_kinematic
-    try:
-        report = estimator(K, L, N=args.samples, seed=args.seed, threads=args.threads)
-    except SampleCountError as e:
-        raise ValueError(f"--samples: {e}") from None
+    with _naming(f"--k {args.k}", f"--l {args.l}"):
+        try:
+            report = estimator(K, L, N=args.samples, seed=args.seed, threads=args.threads)
+        except SampleCountError as e:
+            raise ValueError(f"--samples: {e}") from None
     payload = report.to_dict()
     rows = [[key, format_float(val) if isinstance(val, float) else str(val)]
             for key, val in payload.items()]
@@ -210,7 +231,11 @@ def cmd_verify_mc(args):
 
 def cmd_klain(args):
     mu = z_rep(args.u)
-    value = klain(mu, args.plane)
+    # a non-finite entry keeps the library's refusal, which names no frame
+    if not all(math.isfinite(x) for v in args.plane for x in v):
+        raise ValueError("frame entries must be finite")
+    with _naming("--plane " + ";".join(",".join(map(repr, v)) for v in args.plane)):
+        value = klain(mu, args.plane)
     return format_float(value), {"value": value}
 
 

@@ -21,8 +21,8 @@ isometries of R^n, and they fix v_n and so the canonical rewrite of v_n^2.
 So the dict operators build one column per orbit of these permutations, and
 every other column of the orbit is a built one with its rows permuted and
 signed (``_Columns._permute``); a block finds the images of its monomials
-through a sorted index of their packed codes and keeps every image it finds
-(``_Block.image``).  The columns to build run in one pass: monomial i
+among its packed codes, sorted when it looks, and keeps every image it
+finds (``_Block.image``).  The columns to build run in one pass: monomial i
 enters with coefficient 2^(B i), so its image rides in lane i of each
 output coefficient, and a bias of 2^(B - 1) per lane decodes it.  The lane
 width B comes from a proved bound on a column's entries, the product of the
@@ -61,13 +61,13 @@ past that.  A block's packed code holds each exponent in a field of
 ``_Group.width`` bits (13 in R^4); a monomial with an exponent past that is
 keyed by a tuple, and its images are found through the block's dict of
 keys.  The column caches keep every column they build for the life of the
-process, with one source per orbit, and a block keeps its sorted index and
-its image table, one entry per permutation and monomial: their size is
-bounded by the number of monomials of the degrees in use, not by a count of
-forms.  The contraction's plans, at most FORM_CACHE_SIZE, are the only
-place that keeps a sphere numerator; a plan holds three entries per product
-it keeps.  This module builds on ``exterior`` and ``scalars`` alone; every
-module above it imports it at load.
+process, with one source per orbit, and a block keeps its image table,
+one entry per permutation and monomial: their size is bounded by the
+number of monomials of the degrees in use, not by a count of forms.  The
+contraction's plans, at most FORM_CACHE_SIZE, are the only place that
+keeps a sphere numerator; a plan holds three entries per product it keeps.
+This module builds on ``exterior`` and ``scalars`` alone; every module
+above it imports it at load.
 """
 
 import math
@@ -163,8 +163,7 @@ def _group(n) -> _Group:
 class _Block:
     """The monomials (I, J, e) of one bidegree in dimension n, numbered as first seen."""
 
-    __slots__ = ("n", "a", "b", "index", "keys", "_codes", "_packed", "_sorted", "_order",
-                 "_indexed", "_images")
+    __slots__ = ("n", "a", "b", "index", "keys", "_codes", "_packed", "_images")
 
     def __init__(self, n, a, b):
         self.n, self.a, self.b = n, a, b
@@ -172,8 +171,6 @@ class _Block:
         self.keys = []
         self._codes = (np.zeros(0, np.int64), np.zeros((0, n), np.int64), np.zeros(0, np.int64))
         self._packed = {}
-        self._sorted, self._order = np.zeros(0, np.int64), np.zeros(0, np.int64)
-        self._indexed = 0
         self._images = np.zeros((len(_group(n).inverse), 0), np.int64)
 
     def id(self, key) -> int:
@@ -218,20 +215,13 @@ class _Block:
 
     def _index(self):
         """The packed codes (``_group``) of the ids whose exponents fit its
-        fields, ascending, and those ids in that order: kept with the block,
-        and extended by the ids numbered since the last call."""
+        fields, ascending, and those ids in that order."""
+        grp = _group(self.n)
         codes, exps, _ = self.codes()
-        if self._indexed < len(codes):
-            grp = _group(self.n)
-            ids = np.arange(self._indexed, len(codes))
-            ids = ids[grp.fits(exps[ids])]
-            code = codes[ids] + exps[ids] @ grp.place[:, 0]
-            order = np.argsort(code)
-            pos = np.searchsorted(self._sorted, code[order])
-            self._sorted = np.insert(self._sorted, pos, code[order])
-            self._order = np.insert(self._order, pos, ids[order])
-            self._indexed = len(codes)
-        return self._sorted, self._order
+        ids = np.flatnonzero(grp.fits(exps))
+        code = codes[ids] + exps[ids] @ grp.place[:, 0]
+        order = np.argsort(code)
+        return code[order], ids[order]
 
     def orbits(self, ids) -> list:
         """Per id: (key, g), the key of its orbit under S_(n-1) and the number
@@ -666,7 +656,7 @@ class _Columns:
             s, h = self.orbits[key]
             moves.append((i, s, grp.compose[grp.inverse[g], h]))
         ids, src, perms = np.array(moves, np.int64).T
-        sign = self.src.image(perms, src)[1]
+        sign = grp.sign[perms, self.src.codes()[0][src]]
         cols = self.slot[src]
         self.slot[ids] = np.arange(self.count, self.count + len(ids))
         self.count += len(ids)

@@ -142,10 +142,8 @@ class SpherePoly:
         return max((sum(e) for e in self.terms), default=0)
 
     def __add__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
         if not isinstance(other, SpherePoly):
-            other = SpherePoly.constant(self.n, other)
+            return NotImplemented
         t = dict(self.terms)
         for e, c in other.terms.items():
             s = t.get(e, 0) + c
@@ -155,15 +153,8 @@ class SpherePoly:
                 t.pop(e, None)
         return SpherePoly._canonical(self.n, t)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SpherePoly._canonical(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SpherePoly):
-            other = SpherePoly.constant(self.n, other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int) and other == 1:
@@ -198,14 +189,9 @@ class SpherePoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, SpherePoly):
-            return self.n == other.n and self.terms == other.terms
-        if isinstance(other, (Scalar,) + _RAT_TYPES):
-            zero = not other
-            if zero:
-                return not self.terms
-            return self.terms == {(0,) * self.n: other}
-        return NotImplemented
+        if not isinstance(other, SpherePoly):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
 
     def derivative(self, i) -> "SpherePoly":
         t = {}

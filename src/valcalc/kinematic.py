@@ -30,14 +30,15 @@ forms| over a box's axes, a box being a zonotope; its 2-face terms are
 one fixed direction picks.  Each determinant is a form of degree at most 2
 in q: L_q is a rotation (det L_q = |q|^4 = 1, L_q^T = L_qbar), so a
 determinant with 3 or 4 columns turned is the one with the other 1 or 0
-turned by L_qbar.  |forms| equal up to sign or rounding merge: two boxes
-sum at most 16 linear and 18 quadratic ones, and two plates one,
-area1 area2 |q^T A q|, which also weighs their intersection count.  The
-forms are fixed coefficients times the monomials of q (``_det_form``),
-taken once per pair of bodies and kept (``_WEIGHT_CACHE``).  A ball against
-a vertex hull takes the same mixed volumes with the ball as a cube whose
-faces weigh powers of its radius (Steiner and Kubota), a weight whose mean
-over q, not its value at each q, is the volume within reach of the hull.
+turned by L_qbar: turning two columns is enough.  |forms| equal up to
+sign or rounding merge: two boxes sum at most 16 linear and 18 quadratic
+ones, and two plates one, area1 area2 |q^T A q|, which also weighs their
+intersection count.  The forms are fixed coefficients times the monomials
+of q (``_det_form``), taken once per pair of bodies and kept
+(``_WEIGHT_CACHE``).  A ball against a vertex hull takes the same mixed
+volumes with the ball as a cube whose faces weigh powers of its radius
+(Steiner and Kubota), a weight whose mean over q, not its value at each q,
+is the volume within reach of the hull.
 
 Every pair runs one sampler (``_lattice_means``): a rank-1 lattice of
 N / 16 points in [0, 1)^s under 16 random shifts (Cranley-Patterson),
@@ -117,7 +118,6 @@ class KinematicTensor:
 
 @dataclass(frozen=True)
 class EvaluationVector:
-    body: object
     labels: tuple
     values: tuple
 
@@ -201,7 +201,7 @@ def evaluation_vector(K, kind: str = "icosahedron") -> EvaluationVector:
     basis = su2_basis(kind)
     values = tuple(evaluate_many([rep for _, rep in basis], K))
     return _keep(_VECTOR_CACHE, VECTOR_CACHE_SIZE, key,
-                 EvaluationVector(K, tuple(label for label, _ in basis), values))
+                 EvaluationVector(tuple(label for label, _ in basis), values))
 
 
 def rhs_kinematic(K, L, kind: str = "icosahedron") -> float:
@@ -307,10 +307,14 @@ def _section_rule(h, r):
     ``_first_reaching`` on the same float expressions: a block splits into
     at most four runs, clamped, rising, falling, clamped. The two middle
     runs take one affine pass each, then rho^2 and rho and their sums; the
-    clamped ones add their count times r, r^2 and r^3. Should a run's
-    largest u, at the apex, round past r, its constant steps down an ulp
-    until it does not: so 0 < u <= r and 0 <= rho^2 < r^2 hold exactly.
-    Terms whose coefficient is 0 are skipped."""
+    clamped ones add their count times r, r^2 and r^3. Should the falling
+    run's largest u, at the apex, round past r, its constant steps down an
+    ulp until it does not. The rising run's never does: before the apex
+    Y_k < -c exactly, and r + c rounds by nothing where r/2 <= -c <= 2r
+    (Sterbenz), by less than -c - Y_k where -c > 2r, and by at most half an
+    ulp of r where -c < r/2, so Y_k + (r + c) is below r + ulp(r)/2 before
+    it rounds. So 0 < u <= r and 0 <= rho^2 < r^2 hold exactly. Terms whose
+    coefficient is 0 are skipped."""
     a1 = h[0] + r
     c0 = h[1] * h[2] * h[3]
     c1 = h[1] * h[2] + h[1] * h[3] + h[2] * h[3]
@@ -331,8 +335,6 @@ def _section_rule(h, r):
                 c = (start + d1 * n % 1.0) * step - a1
                 apex = _first_reaching(step, c, 0.0, size)
                 rise, fall = r + c, r - c
-                while apex and (apex - 1) * step + rise > r:
-                    rise = math.nextafter(rise, -math.inf)
                 while apex < size and fall - apex * step > r:
                     fall = math.nextafter(fall, -math.inf)
                 # the runs [lo, apex) and [apex, hi), where u > 0: fall - Y_k
@@ -556,24 +558,18 @@ def _index_tuples(b):
 
 
 def _det_form(cols, moving):
-    """The coefficients (..., C(d + 3, 3)) over the degree-d monomials of q
-    (``_products``), d = min(b, 4 - b) <= 2, of the determinants of 4x4
-    matrices, column j of each being cols[..., j, :], with the b columns in
-    moving turned by L_q, q a unit. L_q x = sum_k q_k e_k x and the
-    determinant is linear in each column, so it is the sum over the 4^b
-    index tuples (k_1, ..., k_b) of q_k1 ... q_kb times the determinant with
-    column moving[i] turned by e_ki, taken here once and summed onto the
-    tuple's sorted monomial. For b >= 3, as L_q^T L_q = I and det L_q = 1,
-    multiplying by L_q^T = sum_k q_k e_k^T keeps the determinant and turns
-    the other 4 - b columns instead: that form holds on S^3 alone."""
-    units = _UNIT_LEFT
-    if len(moving) > 2:
-        moving, units = [j for j in range(4) if j not in moving], units.swapaxes(1, 2)
+    """The coefficients (..., C(b + 3, 3)) over the degree-b monomials of q
+    (``_products``) of the determinants of 4x4 matrices, column j of each
+    being cols[..., j, :], with the b <= 2 columns in moving turned by L_q.
+    L_q x = sum_k q_k e_k x and the determinant is linear in each column, so
+    it is the sum over the 4^b index tuples (k_1, ..., k_b) of q_k1 ... q_kb
+    times the determinant with column moving[i] turned by e_ki, taken here
+    once and summed onto the tuple's sorted monomial."""
     ks, fold = _index_tuples(len(moving))
     mats = np.repeat(cols[..., None, :, :], len(ks), axis=-3)
     for i, j in enumerate(moving):
         # row k of turned: unit k times column j
-        turned = (units @ cols[..., j, None, :, None])[..., 0]
+        turned = (_UNIT_LEFT @ cols[..., j, None, :, None])[..., 0]
         mats[..., j, :] = turned[..., ks[:, i], :]
     return np.linalg.det(np.swapaxes(mats, -1, -2)) @ fold
 

@@ -197,14 +197,3 @@ PI = Scalar.of(1, pi=1)
 
 def rational(p, q=1) -> Scalar:
     return Scalar.of(p, q)
-
-
-def gamma_half(two_a: int):
-    """Gamma(two_a / 2) as a pair (rational, h) meaning rational * pi^(h/2), h in {0,1}."""
-    if two_a <= 0:
-        raise ValueError("gamma argument must be positive")
-    if two_a % 2 == 0:
-        return Rat(math.factorial(two_a // 2 - 1)), 0
-    # Gamma(m + 1/2) / sqrt(pi) = (2m - 1)!! / 2^m, and (2m)! / m! = 2^m (2m - 1)!!
-    m = (two_a - 1) // 2
-    return Rat(math.perm(2 * m, m) >> m, 1 << m), 1

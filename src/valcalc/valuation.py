@@ -38,8 +38,9 @@ from .exterior import (
     _merge_sign,
     fiber_monomial_integral,
     reeb_contract,
+    sphere_factor,
 )
-from .scalars import ONE, Rat, Scalar, ZERO, gamma_half, rational
+from .scalars import ONE, Rat, Scalar, ZERO, rational
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,9 @@ def _invariant_top_pair(n: int, m: int) -> InvariantForm:
 
 
 def ball_volume(n: int, radius=1) -> Scalar:
-    """Exact volume of the n-ball: pi^(n/2) / Gamma(n/2 + 1) times radius^n."""
-    c, h = gamma_half(n + 2)
-    return Scalar({(n - h) // 2: 1 / c}) * (Rat(radius) ** n)
+    """Exact volume of the n-ball, n >= 1: the sphere's area over n,
+    pi^(n/2) / Gamma(n/2 + 1), times radius^n."""
+    return sphere_factor(n, 0) * (Rat(radius) ** n / n)
 
 
 def _ball_parts(mu: ValuationRep, radius, numeric: bool):

@@ -466,6 +466,14 @@ def test_caches_key_on_the_vectors():
     assert omega._terms is None and again._terms is None
 
 
+def _assert_ball_tube_overflows(degree, t):
+    # a ball's tube is the larger ball, whose value overflows as the box's
+    # Taylor sum does: a ValueError names t, not a bare OverflowError or inf
+    message = f"tube parameter {t!r}: the value on the ball of radius {1.0 + t!r} overflows a float"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        evaluate_tube(intrinsic_volume_rep(4, degree), Ball(np.zeros(4), 1.0), t)
+
+
 class TestTube:
     def test_point_tube_is_ball(self):
         vol = intrinsic_volume_rep(4, 4)
@@ -520,6 +528,7 @@ class TestTube:
         if degree == 4:
             with pytest.raises(ValueError, match=rf"\^{power} overflows"):
                 steiner_volume(box, t)
+        _assert_ball_tube_overflows(degree, t)
 
     @pytest.mark.parametrize("degree, t, power", [(4, 1e77, 4), (2, 1e154, 2), (1, 1e308, 1)])
     def test_overflowing_term_names_t(self, degree, t, power):
@@ -531,6 +540,7 @@ class TestTube:
         if degree == 4:
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 steiner_volume(box, t)
+        _assert_ball_tube_overflows(degree, t)
 
     def test_tube_builds_the_pieces_once(self, monkeypatch):
         # the whole chain mu, Lambda mu, ... is evaluated on one set of pieces

@@ -145,7 +145,7 @@ def test_permutation_and_orbit_caches_follow_the_monomials_seen():
     # the exact_pairing op on two pairs of directions, then the correction
     # xi of Z_u: S_(n-1)'s tables have a size of n alone, an orbit map holds
     # at most one source per built column, and a block's image table one
-    # entry per permutation and id
+    # entry per permutation and id and its index at most one per id
     vol3 = intrinsic_volume_rep(4, 3)
     for u, v in [((1, 0, 2), (0, 3, -2)), ((0, 2, 1), (3, -2, 0))]:
         zu, zv = z_rep(ImDirection.of(*u)), z_rep(ImDirection.of(*v))
@@ -163,5 +163,6 @@ def test_permutation_and_orbit_caches_follow_the_monomials_seen():
     for blk in columns._BLOCKS.values():
         assert blk._images.shape[1] <= len(blk.keys)
         assert blk._images.shape[0] == len(columns._group(blk.n).inverse)
-        assert len(blk._order) <= len(blk.keys)
-        assert np.all(np.diff(blk._sorted) > 0)
+        codes, ids = blk._index()
+        assert len(set(ids.tolist())) == len(ids) <= len(blk.keys)
+        assert np.all(np.diff(codes) > 0)

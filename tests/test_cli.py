@@ -524,6 +524,48 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+class TestRefusalsNameTheirInput:
+    """A refusal or failure of the computation names the options and files
+    it came from, on one line, with the library's message and exit code."""
+
+    @pytest.mark.parametrize("command", ["pair", "eval", "rumin", "klain", "verify-mc"])
+    def test_message_starts_with_the_options(self, capsys, files, command):
+        _, save = files
+        v4 = save("v4.json", ser.valuation_to_json(intrinsic_volume_rep(4, 1)))
+        v3 = save("v3.json", ser.valuation_to_json(intrinsic_volume_rep(3, 1)))
+        box3 = save("box3.json", ser.body_to_json(Box(np.zeros(3), np.ones(3))))
+        box4 = save("box4.json", ser.body_to_json(Box(np.zeros(4), np.ones(4))))
+        form2 = save("form2.json", {"dim": 4, "terms": [
+            {"dx": [1], "dv": [2], "poly": [{"exp": [0, 0, 0, 0], "coeff": {"0": "1"}}]}]})
+        args, message = {
+            "pair": (["pair", "--a", v4, "--b", v3],
+                     f"--a {v4}, --b {v3}: dimension mismatch (4 and 3)"),
+            "eval": (["eval", "--valuation", v4, "--body", box3],
+                     f"--valuation {v4}, --body {box3}: body dimension does not match the "
+                     "valuation"),
+            "rumin": (["rumin", "--form", form2],
+                      f"--form {form2}: expected a form of degree 3, got 2"),
+            "klain": (["klain", "--u", "1,0,0", "--plane", "1,0,0,0;1,0,0,0"],
+                      "--plane 1.0,0.0,0.0,0.0;1.0,0.0,0.0,0.0: frame is not orthonormal"),
+            "verify-mc": (["verify", "mc", "--k", box3, "--l", box4, "--samples", "64",
+                           "--seed", "1"], f"--k {box3}, --l {box4}: K must be a body in R^4"),
+        }[command]
+        rc, out, err = run(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_overflow_names_the_valuation_and_body(self, capsys, files):
+        # a valid valuation whose value overflows a float fails with exit 3
+        _, save = files
+        big = save("big.json", {"dim": 4, "phi": {"0": "1e400"}})
+        box = save("box.json", ser.body_to_json(Box(np.zeros(4), np.ones(4))))
+        rc, out, err = run(capsys, "eval", "--valuation", big, "--body", box)
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == [
+            f"error: --valuation {big}, --body {box}: integer division result too large "
+            "for a float"]
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         chi = tmp_path / "chi.json"

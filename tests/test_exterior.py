@@ -1,8 +1,15 @@
+import copy
 import itertools
 import math
+import os
+import pickle
 import random
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from _oracles import (
     fd_exterior_derivative,
     fiber_integral,
     frame_components,
+    gamma_half,
     numeric_contraction,
     numeric_hodge_components,
     poly_value,
@@ -45,9 +53,10 @@ from valcalc.exterior import (
     sphere_monomial_integral,
     sphere_numerator,
 )
-from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, gamma_half, rational
+from valcalc.columns import _split_vectors
+from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import ImDirection, z_rep
-from valcalc.valuation import intrinsic_volume_rep
+from valcalc.valuation import intrinsic_volume_rep, pairing, signature
 
 
 N = 4
@@ -438,7 +447,7 @@ class TestSphereIntegral:
     @staticmethod
     def _by_gamma(e):
         """2 prod_i Gamma((e_i + 1)/2) / Gamma((|e| + n)/2), zero unless every
-        e_i is even, from ``scalars.gamma_half``."""
+        e_i is even, from ``_oracles.gamma_half``."""
         if any(ei % 2 for ei in e):
             return ZERO
         value, roots = Rat(2), 0
@@ -553,6 +562,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             InvariantForm(N, {((0, 4), ()): SpherePoly.constant(N, 1)})
 
+    @pytest.mark.parametrize("key, message", [
+        (((1, 0), ()), "index tuples must be strictly ascending: ((1, 0), ())"),
+        (((0,), (2, 2)), "index tuples must be strictly ascending: ((0,), (2, 2))"),
+        (((0, 4), ()), "index out of range for dimension 4: ((0, 4), ())"),
+        (((), (-1, 2)), "index out of range for dimension 4: ((), (-1, 2))"),
+    ], ids=["I-unsorted", "J-repeated", "I-past-n", "J-negative"])
+    def test_index_errors_name_the_key(self, key, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            InvariantForm(N, {key: SpherePoly.constant(N, 1)})
+
     def test_evaluate_basic(self):
         v = np.array([0.0, 0.0, 0.0, 1.0])
         e0 = np.zeros(8)
@@ -562,6 +581,47 @@ class TestValidation:
         f[4] = 1.0
         # projected dv_1 at the pole e_4 keeps its tangential component
         assert evaluate_at(dv_form(N, 0), v, [f]) == pytest.approx(1.0)
+
+
+# run in a fresh process: number other monomials first, then print the
+# pickle of sigma Z_v, whose form's split vectors follow that numbering
+_PICKLE_IN_ANOTHER_ORDER = """
+import pickle, sys
+from valcalc.su2 import ImDirection, z_rep
+from valcalc.valuation import derivation, intrinsic_volume_rep, signature
+derivation(derivation(intrinsic_volume_rep(4, 2)))
+signature(z_rep(ImDirection.of(5, 0, -2)))
+rep = signature(z_rep(ImDirection.of(0, 3, -2)))
+sys.stdout.write(pickle.dumps(rep).hex())
+"""
+
+
+class TestPickle:
+    """A form pickles as its terms: split vectors number monomials in the
+    order one process first saw them, so they stay behind."""
+
+    def test_split_forms_copy_to_equal_forms_without_vectors(self):
+        zu = z_rep(ImDirection.of(1, 0, 2))
+        sig = signature(zu).omega
+        _split_vectors(zu.omega)
+        assert zu.omega._parts is not None and sig._parts is not None and sig._terms is None
+        for form in (zu.omega, sig):
+            for twin in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+                assert twin == form
+                assert twin._parts is None and twin._key is None and twin._terms is not None
+
+    def test_form_pickled_in_another_process_pairs_the_same(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", _PICKLE_IN_ANOTHER_ORDER],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        theirs = pickle.loads(bytes.fromhex(proc.stdout))
+        ours = signature(z_rep(ImDirection.of(0, 3, -2)))
+        zu = z_rep(ImDirection.of(1, 0, 2))
+        assert theirs.omega == ours.omega and theirs.phi == ours.phi
+        assert pairing(zu, theirs) == pairing(zu, ours) != 0
 
 
 class TestDimensionTwoThree:

@@ -911,20 +911,15 @@ class TestDetForm:
     """A determinant with some columns turned by L_q as fixed coefficients
     over the monomials of q."""
 
-    @pytest.mark.parametrize("b", range(5))
+    @pytest.mark.parametrize("b", range(3))
     def test_matches_the_turned_determinant(self, b):
-        # every choice of b moving columns. For b <= 2 at quaternions that
-        # are not unit: the form of degree b is a polynomial identity. For
-        # b = 3 and 4 at unit quaternions: the form has degree 4 - b, the
-        # other columns turned back by L_q^T, which holds on S^3 alone
+        # every choice of b moving columns, at quaternions that are not
+        # unit: the form of degree b is a polynomial identity
         rng = np.random.default_rng(200 + b)
         cols = rng.normal(size=(3, 4, 4))
         qs = rng.normal(size=(8, 4)) * rng.uniform(0.5, 2.0, (8, 1))
-        degree = b if b <= 2 else 4 - b
-        if degree < b:
-            qs /= np.linalg.norm(qs, axis=1)[:, None]
-        monomials = _oracles.quaternion_monomials(qs.T, degree)[degree]
-        assert len(monomials) == math.comb(degree + 3, 3) <= 10
+        monomials = _oracles.quaternion_monomials(qs.T, b)[b]
+        assert len(monomials) == math.comb(b + 3, 3) <= 10
         for moving in combinations(range(4), b):
             coeffs = kinematic._det_form(cols, moving)
             assert coeffs.shape == (3, len(monomials))
@@ -1212,6 +1207,36 @@ class TestBallSections:
         with kinematic._WORK as take:
             (total,) = lattice(n)(np.array([[0.5 / n]]), 0, take(4, 1, n))
         assert scale * total / n == pytest.approx(_steiner_box(h, r), rel=1e-6, abs=0)
+
+    def test_rising_run_rounds_to_at_most_r(self):
+        # before the apex Y_k + c < 0 exactly; at the largest such Y_k, the
+        # float below -c, Y_k + (r + c) rounds to at most r, whether -c lies
+        # below r/2, between r/2 and 2r or past 2r, at powers of two too: the
+        # rising run has no constant to step down, unlike the falling one
+        rng = np.random.default_rng(61)
+        for r in [*rng.uniform(0.01, 5.0, 300).tolist(), 0.25, 1.0, 3.0]:
+            for c in [*(-rng.uniform(0.0, 0.5 * r, 4)), *(-rng.uniform(0.5 * r, 2.0 * r, 4)),
+                      *(-rng.uniform(2.0 * r, 1e4 * r, 4)), -0.5 * r, -2.0 * r,
+                      -2.0 ** math.ceil(math.log2(r)), -2.0 ** (math.ceil(math.log2(r)) + 3)]:
+                y = math.nextafter(-c, 0.0)
+                assert y + c < 0 and y + (r + c) <= r
+        # the rule's blocks keep rho^2 >= 0 and weigh as the section
+        # volumes computed point by point
+        for _ in range(60):
+            h = rng.uniform(0.0, 3.0, 4) * (rng.random() < 0.8)
+            r, n = float(rng.uniform(0.02, 1.5)), int(rng.integers(2, 3000))
+            d = float(rng.random())
+            start = int(rng.integers(0, n))
+            size = min(n - start, kinematic.MC_CHUNK)
+            lattice = kinematic._section_rule(h, r)[2]
+            with np.errstate(invalid="raise"), kinematic._WORK as take:
+                (total,) = lattice(n)(np.array([[d]]), start, take(4, 1, size))
+            x = (start + np.arange(size) + d * n % 1.0) / n
+            y1 = (h[0] + r) * (1.0 - np.abs(2.0 * x - 1.0))
+            rho = np.sqrt(np.maximum(r * r - np.maximum(y1 - h[0], 0.0) ** 2, 0.0))
+            volume = (h[1] * h[2] * h[3] + rho * (h[1] * h[2] + h[1] * h[3] + h[2] * h[3])
+                      + math.pi / 4 * rho ** 2 * (h[1] + h[2] + h[3]) + math.pi / 6 * rho ** 3)
+            assert total == pytest.approx(float(volume.sum()), rel=1e-11, abs=1e-300)
 
     @pytest.mark.parametrize("h, r, n, shift", [
         pytest.param(ROTATED_BOX.half_extents, OFF_CENTRE_BALL.radius, 1000, None, id="h0-0.35-1000"),

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, gamma_half, rational
+from _oracles import gamma_half
+from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 
 
 def random_scalar(rng, allow_zero=True):
