@@ -727,6 +727,8 @@ def evaluate_tube(mu: ValuationRep, K, t: float) -> float:
         raise ValueError(f"tube parameter must be finite and nonnegative, got {t}")
     if isinstance(K, Ball):
         radius = K.radius + t
+        if not math.isfinite(radius) and max(mu.degrees(), default=0) == 0:
+            radius = K.radius  # a value of degree 0 does not depend on the radius
         try:
             total = evaluate(mu, Ball(K.center, radius)) if math.isfinite(radius) else math.inf
         except OverflowError:

@@ -231,9 +231,6 @@ def cmd_verify_mc(args):
 
 def cmd_klain(args):
     mu = z_rep(args.u)
-    # a non-finite entry keeps the library's refusal, which names no frame
-    if not all(math.isfinite(x) for v in args.plane for x in v):
-        raise ValueError("frame entries must be finite")
     with _naming("--plane " + ";".join(",".join(map(repr, v)) for v in args.plane)):
         value = klain(mu, args.plane)
     return format_float(value), {"value": value}

@@ -51,21 +51,20 @@ once computed (``_form_key``).  ``_cached_on_vectors`` keeps a function of a
 form in a bounded LRU on that key: contact's Rumin solve and the numeric
 caches of ``bodies``.
 
-Limits: an input whose column bound needs lanes wider than 64 bits (for the
-Rumin solve on the (2, 1) block of R^4, polynomial degree 331,751 and up)
-runs the dict operator itself (``_Columns.direct``) on every call and keeps
-no column.  The contraction packs each product's exponents into one code,
-in fields as wide as the two degrees' sum needs: an int64 while the n
-fields fit in 63 bits (in R^4, degree sums up to 2^15 - 2), a Python int
-past that.  A block's packed code holds each exponent in a field of
-``_Group.width`` bits (13 in R^4); a monomial with an exponent past that is
-keyed by a tuple, and its images are found through the block's dict of
-keys.  The column caches keep every column they build for the life of the
-process, with one source per orbit, and a block keeps its image table,
-one entry per permutation and monomial: their size is bounded by the
-number of monomials of the degrees in use, not by a count of forms.  The
-contraction's plans, at most FORM_CACHE_SIZE, are the only place that
-keeps a sphere numerator; a plan holds three entries per product it keeps.
+Limit: a block in R^2..R^4 numbers monomials of degree up to MAX_DEGREE =
+2^13 - 1 alone (past R^4, up to its narrower field's maximum), and
+``_Block.id`` refuses any other with a ValueError that names it.  So a
+block's packed code holds each exponent in a field of ``_Group.width`` bits
+(13 in R^4), a contraction code two degrees' sum plus one in 14-bit fields,
+and every column bound fits 64-bit lanes (56 bits at most).  ``serialization`` refuses a file's monomial past MAX_DEGREE when it
+parses it; a form that the tangential projection or an operator takes past
+it is refused here, when its monomials are numbered.  The column caches
+keep every column they build for the life of the process, with one source
+per orbit, and a block keeps its image table, one entry per permutation and
+monomial: their size is bounded by the number of monomials of the degrees
+in use, not by a count of forms.  The contraction's plans, at most
+FORM_CACHE_SIZE, are the only place that keeps a sphere numerator; a plan
+holds three entries per product it keeps.
 This module builds on ``exterior`` and ``scalars`` alone; every module
 above it imports it at load.
 """
@@ -93,6 +92,11 @@ from .exterior import (
 from .scalars import Rat, Scalar
 
 INT64_SAFE = 1 << 62  # vector entries below it are stored as int64
+# the largest polynomial degree of a monomial a block in R^2..R^4 numbers
+# (``_Block.id``): a packed code holds each exponent in 13 bits in R^4
+# (``_group``), and a contraction code, of two degrees' sum plus one, in 14
+# (``_contract_plan``)
+MAX_DEGREE = (1 << 13) - 1
 # bits of one lane-packed coefficient, lanes times lane width.  A pass of a
 # dict operator costs in proportion to its monomials, and little more for
 # wider lanes: the Rumin solve over 62 monomials of degrees 1 and 3 in block
@@ -118,11 +122,8 @@ class _Group(NamedTuple):
     sign: np.ndarray  # (G, 4^n): the sign of sorting p_g I times that of p_g J
     place: np.ndarray  # (n, G): 2^(2n + width p_g(t)), exponent t's field
     width: int  # bits of one exponent field of a packed code
+    limit: int  # the largest degree of a monomial numbered in dimension n
     pairs: tuple  # (I, J) per key code
-
-    def fits(self, exps):
-        """Per row of exponents: whether every one fits its field."""
-        return exps.max(axis=1, initial=0) < 1 << self.width
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +136,9 @@ def _group(n) -> _Group:
     of R^n, so the Rumin solve, the Hodge star and the Lie derivative along
     the Reeb field commute with it (``_Columns._permute``).  A monomial's
     packed code is its key code plus its exponents in fields of width bits
-    above the 2n bits of the key code, all within an int64."""
+    above the 2n bits of the key code, all within an int64.  A field holds
+    every degree up to MAX_DEGREE while n <= 4, and up to its own maximum
+    past that: the limit a block enforces (``_Block.id``)."""
     perms = [p + (n - 1,) for p in permutations(range(n - 1))]
     number = {p: g for g, p in enumerate(perms)}
     inverse = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
@@ -157,7 +160,7 @@ def _group(n) -> _Group:
                  np.int64),
         tables[0], tables[1],
         np.array([[1 << 2 * n + width * p[t] for p in perms] for t in range(n)], np.int64),
-        width, tuple(pairs))
+        width, min(MAX_DEGREE, (1 << width) - 1), tuple(pairs))
 
 
 class _Block:
@@ -174,8 +177,15 @@ class _Block:
         self._images = np.zeros((len(_group(n).inverse), 0), np.int64)
 
     def id(self, key) -> int:
+        """The number of the monomial key (I, J, e), numbering it if new;
+        a new one of degree past the limit (``_group``), MAX_DEGREE for n <=
+        4, raises ValueError."""
         i = self.index.get(key)
         if i is None:
+            limit = _group(self.n).limit
+            if sum(key[2]) > limit:
+                raise ValueError(f"monomial {_form(self.n, [key], [1])} has degree "
+                                 f"{sum(key[2])}, past {limit}, the most the exact path numbers")
             i = self.index[key] = len(self.keys)
             self.keys.append(key)
         return i
@@ -202,8 +212,7 @@ class _Block:
         exps = self.codes()[1]
         out = self._packed.get(width)
         if out is None or len(out) < len(exps):
-            place = _place(self.n, width)
-            out = self._packed[width] = exps.astype(place.dtype) @ place
+            out = self._packed[width] = exps @ _place(self.n, width)
         return out
 
     def _add(self, keys, codes, exps):
@@ -214,38 +223,23 @@ class _Block:
         self._append(codes, exps)
 
     def _index(self):
-        """The packed codes (``_group``) of the ids whose exponents fit its
-        fields, ascending, and those ids in that order."""
+        """The packed codes (``_group``) of the ids, ascending, and the ids in
+        that order."""
         grp = _group(self.n)
         codes, exps, _ = self.codes()
-        ids = np.flatnonzero(grp.fits(exps))
-        code = codes[ids] + exps[ids] @ grp.place[:, 0]
+        code = codes + exps @ grp.place[:, 0]
         order = np.argsort(code)
-        return code[order], ids[order]
+        return code[order], order
 
     def orbits(self, ids) -> list:
         """Per id: (key, g), the key of its orbit under S_(n-1) and the number
         g of a permutation (``_group``) that takes it to the orbit's least
-        member.  The key is that member's packed code, a Python int; where
-        an exponent passes the code's fields, it is the tuple (exponents,
-        key code) of the least image."""
+        member.  The key is that member's packed code, a Python int."""
         grp = _group(self.n)
         codes, exps, _ = self.codes()
-        codes, exps = codes[ids], exps[ids]
-        fit = grp.fits(exps)
-        images = grp.mask[:, codes[fit]].T + exps[fit] @ grp.place
+        images = grp.mask[:, codes[ids]].T + exps[ids] @ grp.place
         g = images.argmin(axis=1)
-        least = iter(zip(images[np.arange(len(g)), g].tolist(), g.tolist()))
-        out = []
-        for r, f in enumerate(fit.tolist()):
-            if f:
-                out.append(next(least))
-                continue
-            cands = [(tuple(exps[r, gather].tolist()), int(mask[codes[r]]))
-                     for gather, mask in zip(grp.gather, grp.mask)]
-            h = min(range(len(cands)), key=cands.__getitem__)
-            out.append((cands[h], h))
-        return out
+        return list(zip(images[np.arange(len(g)), g].tolist(), g.tolist()))
 
     def image(self, perms, ids):
         """(ids, signs) of the images of the monomials ids, each under the
@@ -281,15 +275,14 @@ class _Block:
         codes, exps, _ = self.codes()
         codes = grp.mask[perms, codes[ids]]
         exps = np.take_along_axis(exps[ids], grp.gather[perms], axis=1)
-        fit = grp.fits(exps)
-        code = codes + (exps * fit[:, None]) @ grp.place[:, 0]
+        code = codes + exps @ grp.place[:, 0]
         known, order = self._index()
         pos = np.searchsorted(known, code)
-        hit = fit & (pos < len(known))
+        hit = pos < len(known)
         hit[hit] = known[pos[hit]] == code[hit]
         out = np.empty(len(ids), np.int64)
         out[hit] = order[pos[hit]]
-        new = np.flatnonzero(fit & ~hit)
+        new = np.flatnonzero(~hit)
         if new.size:
             _, first, which = np.unique(code[new], return_index=True, return_inverse=True)
             rows = new[first]
@@ -297,8 +290,6 @@ class _Block:
                                                                exps[rows].tolist())]
             out[new] = len(self.keys) + which
             self._add(keys, codes[rows], exps[rows])
-        for r in np.flatnonzero(~fit).tolist():
-            out[r] = self.id((*grp.pairs[codes[r]], tuple(exps[r].tolist())))
         return out
 
 
@@ -593,9 +584,7 @@ class _Columns:
     def apply(self, ids, vals):
         """The image of the vector (ids, vals) in the output block, as (ids,
         vals), or None where it is empty.  Float entries are summed in
-        ``_ordered_terms`` order.  When the columns of its monomials would
-        need lanes past 64 bits, it builds none and runs the dict operator
-        (``direct``)."""
+        ``_ordered_terms`` order."""
         ids, vals = _key_order(self.src, ids, vals)
         grow = len(self.src.keys) - len(self.slot)
         if grow:
@@ -603,8 +592,7 @@ class _Columns:
         cols = self.slot[ids]
         missing = ids[cols < 0]
         if missing.size:
-            if not self._build(missing.tolist()):
-                return self.direct(ids, vals)
+            self._build(missing.tolist())
             cols = self.slot[ids]
         size = self.size[cols]
         idx = _ranges(self.start[cols], size)
@@ -615,13 +603,14 @@ class _Columns:
         nz = np.flatnonzero(acc)
         return (nz, _fit(acc[nz])) if nz.size else None
 
-    def _build(self, missing) -> bool:
-        """Build the columns of the source ids missing and return True; build
-        none, and return False, if the columns to build may not fit int64
-        lanes.  The lane-packed passes build the first missing member of
-        each orbit (``_Block.orbits``) with no built column, and record it
-        as its orbit's source once its pass has succeeded; every other
-        column is a built one permuted (``_permute``)."""
+    def _build(self, missing):
+        """Build the columns of the source ids missing.  The lane-packed
+        passes build the first missing member of each orbit
+        (``_Block.orbits``) with no built column, and record it as its
+        orbit's source once its pass has succeeded; every other column is a
+        built one permuted (``_permute``).  Lanes past 64 bits raise
+        ArithmeticError, which no monomial of degree up to MAX_DEGREE
+        reaches."""
         fresh, rest = {}, []
         for i, (key, g) in zip(missing, self.src.orbits(missing)):
             if key in self.orbits or key in fresh:
@@ -631,9 +620,10 @@ class _Columns:
         if fresh:
             todo = list(fresh.items())
             keys = [self.src.keys[i] for _, (i, _) in todo]
-            B = _lane_bits(self.bound(max(sum(e) for _, _, e in keys)))
+            degree = max(sum(e) for _, _, e in keys)
+            B = _lane_bits(self.bound(degree))
             if B > 64:
-                return False
+                raise ArithmeticError(f"columns of degree {degree} need {B}-bit lanes")
             passes = -(-len(keys) * B // PACKED_BITS)
             step = -(-len(keys) // passes)
             for s in range(0, len(keys), step):
@@ -641,7 +631,6 @@ class _Columns:
                 self.orbits.update(todo[s:s + step])
         if rest:
             self._permute(rest)
-        return True
 
     def _permute(self, rest):
         """Build the column of each (id, orbit key, g) of rest from the column
@@ -665,22 +654,17 @@ class _Columns:
         rows, signs = self.out.image(np.repeat(perms, size), self.rows[idx])
         self._append(size, rows, self.vals[idx] * signs * np.repeat(sign, size))
 
-    def direct(self, ids, vals):
-        """The image of the vector (ids, vals), key-ordered, as for apply,
-        through one run of the dict operator itself: for monomials of so
-        high a degree that no column is kept."""
-        keys = [self.src.keys[i] for i in ids.tolist()]
-        form, self.scale = self.build(_form(self.src.n, keys, vals.tolist()))
-        rows, values = _monomials(form, self.out)
-        return (rows, _fit(values)) if values else None
-
     def _build_lanes(self, ids, keys, B):
+        """Build the columns of the source ids, with monomials keys, in one
+        pass of lanes B bits wide.  The output is decoded, and its rows
+        numbered, before any column is recorded, so a pass that raises
+        records none."""
         lanes = len(keys)
         packed = _form(self.src.n, keys, [1 << (B * i) for i in range(lanes)])
         form, self.scale = self.build(packed)
+        lane, row, val = _decode_lanes(form, self.out, lanes, B)
         self.slot[ids] = np.arange(self.count, self.count + lanes)
         self.count += lanes
-        lane, row, val = _decode_lanes(form, self.out, lanes, B)
         order = np.argsort(lane, kind="stable")
         self._append(np.bincount(lane, minlength=lanes), row[order], val[order])
         if val.size:
@@ -832,19 +816,17 @@ def _partners(n, b):
 
 @lru_cache(maxsize=None)
 def _place(n, width):
-    """2^(width t) for t < n: an int64 array while the n fields fit in 63
-    bits, Python ints past that."""
-    return np.array([1 << (width * t) for t in range(n)],
-                    np.int64 if n * width < 64 else object)
+    """2^(width t) for t < n, as int64."""
+    return np.array([1 << (width * t) for t in range(n)], np.int64)
 
 
 def _sphere_numerators(n, width, codes):
     """``exterior.sphere_numerator`` of the exponents packed width bits each
-    in each of codes (int64 or Python ints), every exponent even, as an array:
-    the product of its fields' one-variable numerators, each computed once
-    per distinct exponent.  int64 while every product is below INT64_SAFE,
-    Python ints past that."""
-    fields = (codes[:, None] // _place(n, width) & (1 << width) - 1).astype(np.int64)
+    in each of codes, every exponent even, as an array: the product of its
+    fields' one-variable numerators, each computed once per distinct
+    exponent.  int64 while every product is below INT64_SAFE, Python ints
+    past that."""
+    fields = codes[:, None] // _place(n, width) & (1 << width) - 1
     exps = sorted(set(fields.ravel().tolist()))
     table = [odd_factorial(e) for e in exps]
     table = np.array(table, np.int64 if n * table[-1].bit_length() <= 62 else object)
@@ -860,7 +842,10 @@ def _contract_plan(n, ab, ix, iy):
     Product m is x[px[m]] y[py[m]] times w[m], its partner sign times its
     code's sphere numerator.  The products run grouped by total degree, the
     group of degrees[g] from starts[g] on; l1 is sum |w|.  w is int64 while
-    its entries fit, an object array of Python ints past that."""
+    its entries fit, an object array of Python ints past that.  A code
+    packs the product's exponents in fields as wide as the two degrees'
+    sum plus one needs: 14 bits at most, as both degrees are at most
+    MAX_DEGREE, so a code is an int64."""
     ix, iy = np.frombuffer(ix, np.int64), np.frombuffer(iy, np.int64)
     a, b = ab
     blk_x, blk_y = _block(n, a, b), _block(n, n - a, n - 1 - b)
@@ -908,9 +893,8 @@ def _top_contract(n, ab, x_vec, y_vec):
     depends on the supports alone: ``_contract_plan`` finds them once per
     pair of supports and keeps them in an LRU of FORM_CACHE_SIZE plans.  It
     packs the exponents of a product v^(e_x + e_y) v_t, at most the two
-    degrees' sum plus one, into one code, in the fewest bits that hold that
-    bound: an int64 while the n fields fit in 63 bits, a Python int past it,
-    as ``_widen`` does for values.  The integral of v^e is
+    degrees' sum plus one, into one int64 code, in the fewest bits that hold
+    that bound.  The integral of v^e is
     ``sphere_numerator`` times a factor of n and |e| alone
     (``sphere_factor``), so a plan weighs each even product by its partner
     sign times its code's numerator, computed once per code, and groups the

@@ -159,9 +159,9 @@ def rumin(omega: InvariantForm) -> RuminResult:
     The integer columns it builds stay cached for the life of the process,
     one per monomial seen: D's (``RUMIN``) on the solve, xi's (``RUMIN_XI``)
     when the result's xi is first read, the dict solve run for one monomial
-    per orbit of the coordinate permutations.  Monomials whose column bound
-    needs lanes past 64 bits run the dict solve instead, once for D and
-    once more for xi.
+    per orbit of the coordinate permutations.  A monomial of omega, D or xi
+    of degree past ``columns.MAX_DEGREE`` raises ValueError, and leaves no
+    column behind.
     """
     n = omega.n
     if omega and omega.degree() != n - 1:

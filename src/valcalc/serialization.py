@@ -7,7 +7,9 @@ re-canonicalizes (sphere reduction and tangential projection), so hand
 written files land on the same normal forms the library produces, and
 serialize-then-parse returns an equal value bit for bit.
 
-Forms with float coefficients have no exact representation and are rejected.
+Forms with float coefficients have no exact representation and are rejected,
+and so is a monomial of degree past ``columns.MAX_DEGREE``, the most the
+exact path numbers, at its JSON path and before the sphere reduction runs.
 Body coordinates are floats and round-trip through the shortest-repr float
 encoding of the json module.
 """
@@ -16,6 +18,7 @@ import json
 import math
 
 from .bodies import Ball, Box, PlanarPolygon, Simplex
+from .columns import MAX_DEGREE
 from .exterior import InvariantForm, SpherePoly
 from .scalars import _RAT_TYPES, Rat, Scalar
 from .valuation import ValuationRep
@@ -108,6 +111,10 @@ def _poly_from_json(raw, n, path) -> SpherePoly:
                            for e in exp)):
             raise SerializationError(f"{where}.exp",
                                      f"expected {n} nonnegative integer exponents")
+        # before the v_n^2 rewrite, whose terms a high last exponent multiplies
+        if sum(exp) > MAX_DEGREE:
+            raise SerializationError(f"{where}.exp", f"degree {sum(exp)} is past {MAX_DEGREE}, "
+                                     "the most the exact path takes")
         c = scalar_from_json(mono.get("coeff", {}), f"{where}.coeff")
         e = tuple(exp)
         terms[e] = terms.get(e, Scalar()) + c

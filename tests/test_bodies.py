@@ -492,6 +492,19 @@ class TestTube:
         val = evaluate_tube(mu, Ball(np.zeros(4), 1.0), 0.5)
         assert val == pytest.approx(math.pi * 1.5 ** 2, abs=1e-12)
 
+    def test_ball_tube_past_a_float_radius(self):
+        # r + t overflows a float, but a value of degree 0 does not depend on
+        # the radius: chi and 3 chi of the tube are a point's tube's; a
+        # valuation of positive degree still raises a ValueError naming t
+        ball, point = Ball(np.zeros(4), 1e308), Simplex([[0.0, 0.0, 0.0, 0.0]])
+        chi = intrinsic_volume_rep(4, 0)
+        for mu, want in ((chi, 1.0), (chi * 3, 3.0)):
+            assert evaluate_tube(mu, ball, 1e308) == evaluate_tube(mu, point, 1e308) == want
+        message = "tube parameter 1e+308: the value on the ball of radius inf overflows a float"
+        for degree in (1, 4):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                evaluate_tube(intrinsic_volume_rep(4, degree), ball, 1e308)
+
     def test_negative_t(self):
         with pytest.raises(ValueError):
             evaluate_tube(intrinsic_volume_rep(4, 0), unit_box(4), -0.1)

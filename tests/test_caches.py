@@ -29,7 +29,7 @@ BOUNDS = {
     "columns._group": "one table of S_(n-1) per dimension n",
     "columns._projection_norm": "n and |J| <= n",
     "columns._partners": "n and b < n",
-    "columns._place": "n and an exponent field width, at most 64 per n",
+    "columns._place": "n and a contraction's exponent field width, at most 14 per n",
     "contact._pihat": "one form per dimension n",
     "exterior._dv_projection": "the 2^n subsets J of range(n) per n",
     "exterior.alpha_form": "one form per dimension n",
@@ -40,7 +40,7 @@ BOUNDS = {
     # module-level dicts and lists
     "cli.OPERATORS": "a constant table of four operators",
     "columns._BLOCKS": "keyed by (n, |I|, |J|); each block holds the monomials seen, and "
-                       "its codes, sorted index and image table grow with them",
+                       "its codes, packed codes and image table grow with them",
     "kinematic._VECTOR_CACHE": "VECTOR_CACHE_SIZE entries, oldest evicted first",
     "kinematic._WEIGHT_CACHE": "WEIGHT_CACHE_SIZE entries, oldest evicted first",
     "kinematic._SLOTS": "one executor per CPU at most",

@@ -226,13 +226,16 @@ class TestKlain:
 
     @pytest.mark.parametrize("plane", ["1e400,0,0,0;0,1,0,0", "1,0,0,0;0,nan,0,0"])
     def test_non_finite_frame(self, capsys, plane):
-        # rejected before the orthonormality test, which warned on inf * 0
+        # rejected before the orthonormality test, which warned on inf * 0,
+        # and named by the frame as parsed, as klain's other refusals are
+        echo = {"1e400,0,0,0;0,1,0,0": "inf,0.0,0.0,0.0;0.0,1.0,0.0,0.0",
+                "1,0,0,0;0,nan,0,0": "1.0,0.0,0.0,0.0;0.0,nan,0.0,0.0"}[plane]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out, err = run(capsys, "klain", "--u", "1,0,0", "--plane", plane)
         assert rc == 2
         assert not out
-        assert err == "error: frame entries must be finite\n"
+        assert err == f"error: --plane {echo}: frame entries must be finite\n"
 
 
 class TestVerifyMc:
@@ -553,6 +556,26 @@ class TestRefusalsNameTheirInput:
         rc, out, err = run(capsys, *args)
         assert (rc, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
+
+    def test_degrees_past_the_limit(self, capsys, files):
+        # a file's monomial of degree 8192 is refused at its JSON path, and
+        # one of degree 8191 that the tangential projection of dv1 takes to
+        # 8193 is refused when the solve numbers it, named by its option
+        _, save = files
+
+        def form(name, exp):
+            return save(name, {"dim": 4, "terms": [
+                {"dx": [1, 2], "dv": [1], "poly": [{"exp": exp, "coeff": {"0": "1"}}]}]})
+
+        high, projected = form("high.json", [8192, 0, 0, 0]), form("proj.json", [8191, 0, 0, 0])
+        for path, message in (
+                (high, f"{high}.terms[0].poly[0].exp: degree 8192 is past 8191, the most the "
+                       "exact path takes"),
+                (projected, f"--form {projected}: monomial ((1)*v1^8193) dx1^dx2^dv1 has degree "
+                            "8193, past 8191, the most the exact path numbers")):
+            rc, out, err = run(capsys, "rumin", "--form", path)
+            assert (rc, out) == (2, "")
+            assert err.splitlines() == [f"error: {message}"]
 
     def test_overflow_names_the_valuation_and_body(self, capsys, files):
         # a valid valuation whose value overflows a float fails with exit 3

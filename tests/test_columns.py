@@ -12,6 +12,7 @@ norms, and the caches to the monomials of their blocks.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -441,35 +442,72 @@ class TestPythonInts:
         assert vals.dtype == object and vals.tolist() == [2 ** 62 + 2]
 
 
-def past_int64_fields():
-    """A valuation with v1^(2^15), whose contraction codes are Python ints,
-    and one it pairs with to nonzero."""
-    high = ValuationRep(4, InvariantForm(4, {((0, 1, 2), ()): SpherePoly(4, {
-        (1 << 15, 0, 1, 0): Scalar({0: Rat(2, 3)}), (1, 1, 0, 0): Scalar({-1: Rat(5)})})}))
-    low = ValuationRep(4, InvariantForm(4, {((2,), (0, 1)): SpherePoly(4, {
-        (0, 0, 1, 0): Scalar({1: Rat(3, 7)})})}))
-    return high, low
-
-
 class TestLimits:
-    """Inputs past the column path's limits: the Rumin solve takes the dict
-    operator, and the pairing packs exponents in wider fields."""
+    """The column path at its limits: a block numbers monomials of degree up
+    to MAX_DEGREE and refuses the rest, every column bound up to there fits
+    64-bit lanes, and the pairing packs exponents in wider fields as the
+    degrees grow."""
 
-    def test_rumin_past_int64_lanes(self):
-        # at degree 331,751 the bound on a (2, 1) column needs 64-bit lanes,
-        # one bit too many: that grade runs the dict solve, the other columns
-        deg = 331751
-        assert _lane_bits(_rumin_bound(4, 2, 1, deg)) > 64
-        assert _lane_bits(_rumin_bound(4, 2, 1, deg - 1)) <= 64
-        poly = SpherePoly(4, {(deg, 0, 0, 0): Scalar({1: Rat(3, 5)}),
-                              (1, 1, 0, 1): Scalar({0: Rat(2)})})
-        omega = InvariantForm(4, {((0, 1), (2,)): poly})
+    def test_block_refuses_a_degree_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(columns, "_BLOCKS", {})
+        blk = columns._block(4, 2, 1)
+        limit = columns.MAX_DEGREE
+        top = ((0, 1), (2,), (limit - 1, 0, 0, 1))
+        assert limit == 8191 and blk.id(top) == 0
+        keys, index, codes = list(blk.keys), dict(blk.index), blk.codes()
+        message = ("monomial ((1)*v1^8191*v4) dx1^dx2^dv3 has degree 8192, past 8191, the "
+                   "most the exact path numbers")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            blk.id(((0, 1), (2,), (limit, 0, 0, 1)))
+        assert blk.keys == keys and blk.index == index
+        assert all(np.array_equal(x, y) for x, y in zip(blk.codes(), codes))
+        assert blk.id(top) == 0
+        # R^5's packed codes have 10-bit fields, so its blocks stop at 1023
+        blk5 = columns._block(5, 2, 1)
+        assert blk5.id(((0, 1), (2,), (1023, 0, 0, 0, 0))) == 0
+        with pytest.raises(ValueError, match=r"has degree 1024, past 1023, the most"):
+            blk5.id(((0, 1), (2,), (1024, 0, 0, 0, 0)))
+
+    def test_refused_pass_records_no_column(self, monkeypatch):
+        # v1^8191 dx1^dx2^dx3 is numbered, but its D and xi reach degree
+        # 8192: each pass raises while its output is numbered, and records no
+        # slot, column or orbit source, so that the block's other forms, one
+        # in the refused monomial's orbit, still solve
+        for op in (RUMIN, RUMIN_XI):
+            monkeypatch.setattr(op, "caches", {})
+        key = ((0, 1, 2), (), (columns.MAX_DEGREE, 0, 0, 0))
+        with pytest.raises(ValueError, match="past 8191"):
+            rumin(monomial(4, *key))
+        for op in (RUMIN, RUMIN_XI):
+            cols = op.columns(4, 3, 0)
+            with pytest.raises(ValueError, match="past 8191"):
+                cols.apply(np.array([cols.src.id(key)]), np.ones(1, np.int64))
+            assert not cols.count and not cols.orbits and not (cols.slot >= 0).any()
+            assert not len(cols.start) and not len(cols.rows)
+        omega = (monomial(4, (0, 1, 2), (), (3, 0, 0, 0), 2)
+                 + monomial(4, (0, 1, 2), (), (0, 3, 0, 0))
+                 + monomial(4, (0, 1, 3), (), (2, 1, 0, 1), -5))
         xi, D = rumin_reference(omega)
         res = rumin(omega)
-        assert res.xi == xi and res.D_omega == D
+        assert res.D_omega == D and res.xi == xi and not xi.is_zero()
+
+    def test_lanes_at_the_limit(self, monkeypatch):
+        # every column bound, 8 degrees past the limit, fits 64-bit lanes, so
+        # that no monomial a block numbers reaches _build's guard; a bound
+        # past them raises there and records no column
+        degree = columns.MAX_DEGREE + 8
+        for n in (2, 3, 4):
+            for op in (RUMIN, RUMIN_XI, HODGE, LIE_REEB):
+                for a in range(n + 1):
+                    for b in range(n):
+                        assert _lane_bits(op.bound(n, a, b, degree)) <= 64, (n, a, b)
+        monkeypatch.setattr(RUMIN, "caches", {})
+        monkeypatch.setattr(RUMIN, "bound", lambda n, a, b, deg: 1 << 64)
         cols = RUMIN.columns(4, 2, 1)
-        built = np.flatnonzero(cols.slot >= 0)
-        assert built.size and columns._block(4, 2, 1).codes()[2][built].max() < 10
+        ids = np.array([cols.src.id(((0, 1), (2,), (2, 1, 0, 1)))])
+        with pytest.raises(ArithmeticError, match="need 72-bit lanes"):
+            cols.apply(ids, np.ones(1, np.int64))
+        assert not cols.count and not cols.orbits and not (cols.slot >= 0).any()
 
     @staticmethod
     def _record_widths(monkeypatch):
@@ -507,14 +545,20 @@ class TestLimits:
         assert pairing(nu, mu) == pairing_reference(nu, mu)
         assert widths and all(2 * w < 64 for w in widths)
 
-    def test_pairing_with_an_exponent_past_int64_fields(self, monkeypatch):
-        # v1^(2^15) needs 16-bit exponent fields, and four of them pass 63
-        # bits: the contraction packs exponents in Python ints
-        high, low = past_int64_fields()
+    def test_pairing_at_the_limit(self, monkeypatch):
+        # v1^8190 v3 has degree 8191, the most a block numbers: the
+        # contraction packs its products in 14-bit fields, four to an int64.
+        # The other order solves Rumin on it, whose D passes the limit
+        high = ValuationRep(4, InvariantForm(4, {((0, 1, 2), ()): SpherePoly(4, {
+            (columns.MAX_DEGREE - 1, 0, 1, 0): Scalar({0: Rat(2, 3)}),
+            (1, 1, 0, 0): Scalar({-1: Rat(5)})})}))
+        low = ValuationRep(4, InvariantForm(4, {((2,), (0, 1)): SpherePoly(4, {
+            (0, 0, 1, 0): Scalar({1: Rat(3, 7)})})}))
         widths = self._record_widths(monkeypatch)
         assert pairing(high, low) == pairing_reference(high, low) != 0
-        assert pairing(low, high) == pairing_reference(low, high) != 0
-        assert widths and all(4 * w >= 64 for w in widths)
+        assert max(widths) == 14
+        with pytest.raises(ValueError, match="past 8191"):
+            pairing(low, high)
 
 
 class TestDegreeSums:
@@ -629,16 +673,6 @@ class TestContractPlan:
         assert len(set(map(str, values))) == len(cases)
         assert columns._contract_plan.cache_info().misses == len(cases)
 
-    def test_kept_plans_past_int64_fields(self):
-        high, low = past_int64_fields()
-        for x, y in ((high, low), (low, high)):
-            value = pairing(x, y)
-            hits = columns._contract_plan.cache_info().hits
-            assert pairing(x, y) == value
-            assert columns._contract_plan.cache_info().hits > hits
-            columns._contract_plan.cache_clear()
-            assert pairing(x, y) == value == pairing_reference(x, y) != 0
-
     def test_plans_stay_within_bound(self):
         n, ab = 4, (2, 1)
         bx, by = columns._block(n, *ab), columns._block(n, 2, 2)
@@ -711,29 +745,6 @@ class TestLazyXi:
         xi, D = rumin_reference(omega)
         assert res.xi == xi and res.D_omega == D
         assert res.ansatz_degree == max(p.degree() for p in xi.terms.values())
-
-    def test_direct_path_solves_once(self, monkeypatch):
-        # a column bound past 64-bit lanes sends every block to the dict
-        # solve: reading D solves once, reading xi once more, and neither
-        # operator keeps a column
-        solves = []
-
-        def counted(f):
-            solves.append(f)
-            return _lefschetz_pass(f)
-
-        monkeypatch.setattr(contact, "_lefschetz_pass", counted)
-        for op in (RUMIN, RUMIN_XI):
-            monkeypatch.setattr(op, "caches", {})
-            monkeypatch.setattr(op, "bound", lambda n, a, b, deg: 1 << 64)
-        omega = monomial(4, (0, 1), (2,), (2, 1, 0, 1), 3) + monomial(4, (0, 1), (3,), (0, 3, 1, 0), -2)
-        res = contact._rumin_cached.__wrapped__(4, _split_vectors(omega))
-        assert len(solves) == 1
-        xi, D = rumin_reference(omega)
-        assert res.D_omega == D and len(solves) == 1
-        assert res.xi == xi and not xi.is_zero() and len(solves) == 2
-        assert res.D_omega == D and res.xi == xi and len(solves) == 2
-        assert not RUMIN.columns(4, 2, 1).count and not RUMIN_XI.columns(4, 2, 1).count
 
 
 def test_split_vectors_match_split_pi():
@@ -885,15 +896,13 @@ class TestOrbitColumns:
         ("rumin", 3, [((0,), (1,), (2, 1, 1)), ((2,), (0,), (0, 3, 0))]),
         ("hodge", 4, [((0, 1), (2, 3), (2, 1, 0, 1)), ((1, 2), (0, 1), (3, 0, 1, 0))]),
         ("lie", 4, [((0, 3), (1,), (1, 2, 0, 1)), ((1, 2), (2,), (0, 0, 4, 0))]),
-        # an exponent past the packed codes' 13-bit fields: the orbit's key is
-        # a tuple, and its columns' rows are found through their keys
-        ("hodge", 4, [((0, 1), (2, 3), (8200, 1, 0, 1))]),
-        ("rumin", 4, [((0, 1), (2,), (8200, 1, 0, 1))]),
+        # the Hodge star and the Lie derivative in R^3
+        ("hodge", 3, [((0,), (1, 2), (2, 1, 0)), ((1,), (0, 2), (0, 3, 1))]),
+        ("lie", 3, [((0, 1), (2,), (1, 2, 1)), ((1, 2), (0,), (3, 0, 0))]),
         # the correction xi, on the rumin cases above
         ("rumin_xi", 4, [((0, 1), (2,), (2, 1, 0, 1)), ((1, 3), (0,), (3, 0, 0, 0)),
                          ((0, 2), (1,), (1, 1, 1, 0)), ((2, 3), (3,), (0, 2, 1, 1))]),
         ("rumin_xi", 3, [((0,), (1,), (2, 1, 1)), ((2,), (0,), (0, 3, 0))]),
-        ("rumin_xi", 4, [((0, 1), (2,), (8200, 1, 0, 1))]),
     ])
     def test_orbit_members_equal_dict_operator(self, name, n, keys, monkeypatch):
         op = {"rumin": RUMIN, "rumin_xi": RUMIN_XI, "hodge": HODGE, "lie": LIE_REEB}[name]
@@ -912,8 +921,7 @@ class TestOrbitColumns:
         assert passes == [len(orbits)]
         assert cols.count == sum(map(len, orbits))
         assert len(cols.orbits) == len(orbits)
-        wide = max(max(e) for _, _, e in keys) >= 1 << 13
-        assert all(isinstance(key, tuple) == wide for key in cols.orbits)
+        assert all(isinstance(key, int) for key in cols.orbits)
         self._assert_dict_columns(name, cols, [key for members in orbits for key in members])
 
     def test_block_finds_each_image_once(self, monkeypatch):

@@ -105,6 +105,22 @@ class TestFormJson:
         with pytest.raises(ValueError):
             ser.form_to_json(f)
 
+    def test_degree_past_the_limit_refused_before_the_rewrite(self):
+        # the v4^2 rewrite of v4^1000000 would expand into about 2e16 terms:
+        # a monomial's degree is checked first, at its path; degree 8191,
+        # the most the exact path numbers, parses
+        for exp in ([8192, 0, 0, 0], [0, 0, 0, 10 ** 6], [4000, 0, 0, 4193]):
+            obj = {"dim": 4, "terms": [{"dx": [1, 2, 3], "dv": [], "poly": [
+                {"exp": [1, 0, 0, 0], "coeff": {"0": "1"}}, {"exp": exp, "coeff": {"0": "1"}}]}]}
+            with pytest.raises(SerializationError) as err:
+                ser.form_from_json(obj)
+            assert str(err.value) == (f"form.terms[0].poly[1].exp: degree {sum(exp)} is past "
+                                      "8191, the most the exact path takes")
+        top = {"dim": 4, "terms": [{"dx": [1, 2, 3], "dv": [], "poly": [
+            {"exp": [8190, 0, 0, 1], "coeff": {"0": "1"}}]}]}
+        assert ser.form_from_json(top) == InvariantForm(4, {((0, 1, 2), ()): SpherePoly(
+            4, {(8190, 0, 0, 1): 1})})
+
     def test_errors_carry_location(self):
         bad = [
             ({"dim": 5, "terms": []}, "dim"),
