@@ -14,10 +14,8 @@ a geodesic triangle (m = 3).  The vertex cones of a polytope tile the
 sphere, so its vertex pieces together give the valuation's value on a
 point, ``valuation.ball_value`` at radius 0, whose exact coefficients are
 summed exactly and rounded once; the pieces cover only faces of dimension
->= 1, and a point has none.  That covers every cell of boxes, points,
-segments, polygons and simplices in R^2 to R^4; a cone of four or more
-generators, which only bodies in R^n with n >= 5 have on a face of
-dimension >= 1, raises ``ValueError``.
+>= 1, and a point has none.  In R^2 to R^4, the dimensions a body lives in,
+these cover every cell of every body.
 Several valuations on one body share one pass over its pieces
 (``evaluate_many``), their cells and moments computed once per shape for all
 the valuations.  A tube value is the Taylor sum of t^k / k! (Lambda^k mu)(K)
@@ -47,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .columns import _cached_on_vectors, _join_vectors, _ordered_terms
+from .exterior import check_dimension
 from .tolerances import (
     CONVEXITY_TOL,
     DEGENERATE_PIECE_TOL,
@@ -162,6 +161,7 @@ class Ball:
         object.__setattr__(self, "radius", float(_finite(radius, "radius")))
         if self.center.ndim != 1:
             raise ValueError("center must be a vector")
+        check_dimension(self.dim)
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
@@ -188,6 +188,7 @@ class Box(_Polytope):
         center = _finite(center, "center")
         half = _finite(half_extents, "half_extents")
         n = len(center)
+        check_dimension(n)
         if half.shape != (n,):
             raise ValueError("half_extents must match the center dimension")
         if np.any(half <= 0):
@@ -238,6 +239,7 @@ class Simplex(_Polytope):
     def __init__(self, vertices):
         verts = _as_matrix(vertices, "vertices")
         n = verts.shape[1]
+        check_dimension(n)
         if not 1 <= verts.shape[0] <= n + 1:
             raise ValueError("a simplex in R^n has between 1 and n+1 vertices")
         edges = verts[1:] - verts[0]
@@ -298,6 +300,7 @@ class PlanarPolygon(_Polytope):
         if frame.shape[0] != 2:
             raise ValueError("frame must consist of two rows")
         n = frame.shape[1]
+        check_dimension(n)
         _check_orthonormal(frame, "frame")
         if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("need at least three planar vertices")
@@ -365,14 +368,17 @@ class PlanarPolygon(_Polytope):
 #   arc:      m = 2, generators at angle theta in (0, pi),
 #             int y^a = int_0^theta cos^a_0 sin^a_1 (``_arc_integrals``);
 #   triangle: m = 3, a geodesic triangle on S^2 (``_triangle_moments``).
-# Vertex cells need no rule of their own (``_point_value``).  That leaves
-# cones of four or more generators on faces of dimension >= 1, which only
-# bodies in R^n with n >= 5 have: they raise.
+# Vertex cells need no rule of their own (``_point_value``), and in R^2 to R^4
+# no face of dimension >= 1 has more than three generators.
 # The pieces of one shape (k, m) are integrated together: ``_classify`` and
 # ``_moments`` take them as arrays, and each form takes one contraction.
 
+# tables kept by ``_monomials``, ``_lowering`` and ``_raising`` each: all those
+# of up to four variables and degree 31 (tier-1 reaches degree 30)
+MONOMIAL_TABLES_KEPT = 4 * 32
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=MONOMIAL_TABLES_KEPT)
 def _monomials(nvars, degree):
     """Exponent tuples of one degree in nvars variables, and their positions."""
     if nvars == 1:
@@ -393,7 +399,7 @@ def _shifted(e, i, step):
     return e[:i] + (e[i] + step,) + e[i + 1:]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOMIAL_TABLES_KEPT)
 def _lowering(nvars, degree):
     """Per monomial of the degree: its first variable i and the position of the
     monomial divided by v_i among those of degree - 1."""
@@ -404,7 +410,7 @@ def _lowering(nvars, degree):
     return np.array(var), np.array(parent)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOMIAL_TABLES_KEPT)
 def _raising(nvars, degree):
     """Row k: positions of (each monomial of degree - 1) * y_k in the degree."""
     lower = _monomials(nvars, degree - 1)[0]
@@ -546,11 +552,8 @@ class _Cells(NamedTuple):
 def _classify(gens):
     """The cells spanned by generators (P, m, n): their frames, orthonormal
     bases of the spans by Gram-Schmidt in the generators' order, and for
-    m = 2 the arcs' angles.  A cone of four or more generators has no exact
-    rule and raises ``ValueError``."""
-    P, m, n = gens.shape
-    if m > 3:
-        raise ValueError(f"no exact rule for a normal cone of {m} generators in R^{n}")
+    m = 2 the arcs' angles."""
+    m = gens.shape[1]
     q, r = np.linalg.qr(gens.transpose(0, 2, 1))
     flip = np.sign(np.diagonal(r, axis1=1, axis2=2))
     frame = (q * flip[:, None, :]).transpose(0, 2, 1)

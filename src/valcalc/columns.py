@@ -51,12 +51,11 @@ once computed (``_form_key``).  ``_cached_on_vectors`` keeps a function of a
 form in a bounded LRU on that key: contact's Rumin solve and the numeric
 caches of ``bodies``.
 
-Limit: a block in R^2..R^4 numbers monomials of degree up to MAX_DEGREE =
-2^13 - 1 alone (past R^4, up to its narrower field's maximum), and
-``_Block.id`` refuses any other with a ValueError that names it.  So a
-block's packed code holds each exponent in a field of ``_Group.width`` bits
-(13 in R^4), a contraction code two degrees' sum plus one in 14-bit fields,
-and every column bound fits 64-bit lanes (56 bits at most).  ``serialization`` refuses a file's monomial past MAX_DEGREE when it
+Limit: a block numbers monomials of degree up to MAX_DEGREE = 2^13 - 1 alone
+in R^2..R^4, and ``_Block.id`` refuses any other with a ValueError that
+names it.  So a packed code holds each exponent in 13 bits, a contraction
+code two degrees' sum plus one in 14, and every column bound fits 64-bit
+lanes.  ``serialization`` refuses a file's monomial past MAX_DEGREE when it
 parses it; a form that the tangential projection or an operator takes past
 it is refused here, when its monomials are numbered.  The column caches
 keep every column they build for the life of the process, with one source
@@ -92,11 +91,10 @@ from .exterior import (
 from .scalars import Rat, Scalar
 
 INT64_SAFE = 1 << 62  # vector entries below it are stored as int64
-# the largest polynomial degree of a monomial a block in R^2..R^4 numbers
-# (``_Block.id``): a packed code holds each exponent in 13 bits in R^4
-# (``_group``), and a contraction code, of two degrees' sum plus one, in 14
-# (``_contract_plan``)
-MAX_DEGREE = (1 << 13) - 1
+# bits of an exponent field: of a block's packed code (``_group``), which holds
+# degrees up to MAX_DEGREE, and of a contraction code, twice that plus one
+FIELD_BITS, CONTRACT_BITS = 13, 14
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 # bits of one lane-packed coefficient, lanes times lane width.  A pass of a
 # dict operator costs in proportion to its monomials, and little more for
 # wider lanes: the Rumin solve over 62 monomials of degrees 1 and 3 in block
@@ -120,9 +118,7 @@ class _Group(NamedTuple):
     compose: np.ndarray  # (G, G): the number of p_g p_h, p_h applied first
     mask: np.ndarray  # (G, 4^n): the key code of p_g (dx_I ^ dv_J)
     sign: np.ndarray  # (G, 4^n): the sign of sorting p_g I times that of p_g J
-    place: np.ndarray  # (n, G): 2^(2n + width p_g(t)), exponent t's field
-    width: int  # bits of one exponent field of a packed code
-    limit: int  # the largest degree of a monomial numbered in dimension n
+    place: np.ndarray  # (n, G): 2^(2n + FIELD_BITS p_g(t)), exponent t's field
     pairs: tuple  # (I, J) per key code
 
 
@@ -135,14 +131,11 @@ def _group(n) -> _Group:
     v_n, so it keeps the canonical rewrite of v_n^2, and it is an isometry
     of R^n, so the Rumin solve, the Hodge star and the Lie derivative along
     the Reeb field commute with it (``_Columns._permute``).  A monomial's
-    packed code is its key code plus its exponents in fields of width bits
-    above the 2n bits of the key code, all within an int64.  A field holds
-    every degree up to MAX_DEGREE while n <= 4, and up to its own maximum
-    past that: the limit a block enforces (``_Block.id``)."""
+    packed code is its key code plus its exponents in fields of FIELD_BITS
+    bits above the 2n bits of the key code, 60 bits at most in R^4."""
     perms = [p + (n - 1,) for p in permutations(range(n - 1))]
     number = {p: g for g, p in enumerate(perms)}
     inverse = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
-    width = (63 - 2 * n) // n
     tables, pairs = np.zeros((2, len(perms), 1 << 2 * n), np.int64), []
     for code in range(1 << 2 * n):
         I = tuple(i for i in range(n) if code >> i & 1)
@@ -159,8 +152,8 @@ def _group(n) -> _Group:
         np.array([[number[tuple(p[q[t]] for t in range(n))] for q in perms] for p in perms],
                  np.int64),
         tables[0], tables[1],
-        np.array([[1 << 2 * n + width * p[t] for p in perms] for t in range(n)], np.int64),
-        width, min(MAX_DEGREE, (1 << width) - 1), tuple(pairs))
+        np.array([[1 << 2 * n + FIELD_BITS * p[t] for p in perms] for t in range(n)], np.int64),
+        tuple(pairs))
 
 
 class _Block:
@@ -173,19 +166,17 @@ class _Block:
         self.index = {}
         self.keys = []
         self._codes = (np.zeros(0, np.int64), np.zeros((0, n), np.int64), np.zeros(0, np.int64))
-        self._packed = {}
+        self._packed = np.zeros(0, np.int64)
         self._images = np.zeros((len(_group(n).inverse), 0), np.int64)
 
     def id(self, key) -> int:
         """The number of the monomial key (I, J, e), numbering it if new;
-        a new one of degree past the limit (``_group``), MAX_DEGREE for n <=
-        4, raises ValueError."""
+        a new one of degree past MAX_DEGREE raises ValueError."""
         i = self.index.get(key)
         if i is None:
-            limit = _group(self.n).limit
-            if sum(key[2]) > limit:
-                raise ValueError(f"monomial {_form(self.n, [key], [1])} has degree "
-                                 f"{sum(key[2])}, past {limit}, the most the exact path numbers")
+            if sum(key[2]) > MAX_DEGREE:
+                raise ValueError(f"monomial {_form(self.n, [key], [1])} has degree {sum(key[2])}, "
+                                 f"past {MAX_DEGREE}, the most the exact path numbers")
             i = self.index[key] = len(self.keys)
             self.keys.append(key)
         return i
@@ -207,13 +198,12 @@ class _Block:
         self._codes = tuple(np.concatenate([old, col]) for old, col in
                             zip(self._codes, (keys, exps, exps.sum(axis=1))))
 
-    def packed(self, width):
-        """Per id: the exponents packed width bits each (``_place``)."""
+    def packed(self):
+        """Per id: the exponents packed CONTRACT_BITS bits each (``_place``)."""
         exps = self.codes()[1]
-        out = self._packed.get(width)
-        if out is None or len(out) < len(exps):
-            out = self._packed[width] = exps @ _place(self.n, width)
-        return out
+        if len(self._packed) < len(exps):
+            self._packed = exps @ _place(self.n)
+        return self._packed
 
     def _add(self, keys, codes, exps):
         """Number new keys, given their key codes and exponents."""
@@ -336,13 +326,17 @@ def _widen(bound, *arrays):
 def _split_vectors(a: InvariantForm) -> dict:
     """The pi-graded parts of a, with a = sum_k pi^k part_k / den_k, as sparse
     vectors, computed once per form.  A float coefficient lies in grade 0, and
-    a grade holding one is float64 over den 1."""
+    a grade holding one is float64 over den 1; a non-finite one raises
+    ValueError naming its monomial."""
     if a._parts is None:
         n = a.n
         raw = {}
         for (I, J), p in a.terms.items():
             blk = _block(n, len(I), len(J))
             for e, c in p.terms.items():
+                if isinstance(c, float) and not math.isfinite(c):
+                    raise ValueError(f"monomial {_form(n, [(I, J, e)], [1])} has the "
+                                     f"non-finite coefficient {c}")
                 i = blk.id((I, J, e))
                 for k, r in ((0, c),) if isinstance(c, float) else _pi_terms(c):
                     ids, rats = raw.setdefault(k, {}).setdefault((blk.a, blk.b), ([], []))
@@ -815,18 +809,18 @@ def _partners(n, b):
 
 
 @lru_cache(maxsize=None)
-def _place(n, width):
-    """2^(width t) for t < n, as int64."""
-    return np.array([1 << (width * t) for t in range(n)], np.int64)
+def _place(n):
+    """2^(CONTRACT_BITS t) for t < n, as int64."""
+    return np.array([1 << (CONTRACT_BITS * t) for t in range(n)], np.int64)
 
 
-def _sphere_numerators(n, width, codes):
-    """``exterior.sphere_numerator`` of the exponents packed width bits each
-    in each of codes, every exponent even, as an array: the product of its
-    fields' one-variable numerators, each computed once per distinct
-    exponent.  int64 while every product is below INT64_SAFE, Python ints
-    past that."""
-    fields = codes[:, None] // _place(n, width) & (1 << width) - 1
+def _sphere_numerators(n, codes):
+    """``exterior.sphere_numerator`` of the exponents of each of codes, every
+    one even, packed CONTRACT_BITS bits each (``_place``), as an array: the
+    product of its fields' one-variable numerators, each computed once per
+    distinct exponent.  int64 while every product is below INT64_SAFE, Python
+    ints past that."""
+    fields = codes[:, None] // _place(n) & (1 << CONTRACT_BITS) - 1
     exps = sorted(set(fields.ravel().tolist()))
     table = [odd_factorial(e) for e in exps]
     table = np.array(table, np.int64 if n * table[-1].bit_length() <= 62 else object)
@@ -843,21 +837,18 @@ def _contract_plan(n, ab, ix, iy):
     code's sphere numerator.  The products run grouped by total degree, the
     group of degrees[g] from starts[g] on; l1 is sum |w|.  w is int64 while
     its entries fit, an object array of Python ints past that.  A code
-    packs the product's exponents in fields as wide as the two degrees'
-    sum plus one needs: 14 bits at most, as both degrees are at most
-    MAX_DEGREE, so a code is an int64."""
+    packs the product's exponents, the two degrees' sum plus one at most, in
+    CONTRACT_BITS-bit fields, so a code is an int64."""
     ix, iy = np.frombuffer(ix, np.int64), np.frombuffer(iy, np.int64)
     a, b = ab
     blk_x, blk_y = _block(n, a, b), _block(n, n - a, n - 1 - b)
-    (kx, _, dx), (ky, _, dy) = blk_x.codes(), blk_y.codes()
-    width = (int(dx[ix].max()) + int(dy[iy].max()) + 1).bit_length()
-    place, mod = _place(n, width), (1 << width) - 1
+    kx, ky = blk_x.codes()[0][ix], blk_y.codes()[0]
+    place, mod = _place(n), (1 << CONTRACT_BITS) - 1
     py = np.argsort(ky[iy], kind="stable")
-    ky, ey = ky[iy[py]], blk_y.packed(width)[iy[py]]
-    kx = kx[ix]
+    ky, ey = ky[iy[py]], blk_y.packed()[iy[py]]
     pkey, psign, pslot = (t[kx].ravel() for t in _partners(n, b))
     # the code of x_i's exponents times its partner's v_t, per (i, slot)
-    ex = np.repeat(blk_x.packed(width)[ix], n - b) + place[pslot]
+    ex = np.repeat(blk_x.packed()[ix], n - b) + place[pslot]
     lo = np.searchsorted(ky, pkey)
     count = np.searchsorted(ky, pkey, side="right") - lo
     pair = np.repeat(np.arange(len(count)), count)
@@ -868,14 +859,14 @@ def _contract_plan(n, ab, ix, iy):
     if not even.size:
         return None
     # an even code's fields sum to its degree, which is even and so below
-    # 2^width - 1; as 2^width is 1 modulo 2^width - 1, so is the code
+    # mod; as 2^CONTRACT_BITS is 1 modulo mod, so is the code
     code = code[even]
     degree = code % mod
     order = np.lexsort((code, degree))
     code, degree, pair, j = code[order], degree[order], pair[even[order]], j[even[order]]
     edges = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1], [True])))
     size = np.diff(edges)
-    num = _sphere_numerators(n, width, code[edges[:-1]])
+    num = _sphere_numerators(n, code[edges[:-1]])
     w = np.repeat(num, size) * psign[pair]
     starts = np.flatnonzero(np.concatenate(([True], degree[1:] != degree[:-1])))
     l1 = sum(c * s for c, s in zip(num.tolist(), size.tolist()))
@@ -893,10 +884,9 @@ def _top_contract(n, ab, x_vec, y_vec):
     depends on the supports alone: ``_contract_plan`` finds them once per
     pair of supports and keeps them in an LRU of FORM_CACHE_SIZE plans.  It
     packs the exponents of a product v^(e_x + e_y) v_t, at most the two
-    degrees' sum plus one, into one int64 code, in the fewest bits that hold
-    that bound.  The integral of v^e is
-    ``sphere_numerator`` times a factor of n and |e| alone
-    (``sphere_factor``), so a plan weighs each even product by its partner
+    degrees' sum plus one, into one int64 code of CONTRACT_BITS-bit fields.
+    The integral of v^e is ``sphere_numerator`` times a factor of n and |e|
+    alone (``sphere_factor``), so a plan weighs each even product by its partner
     sign times its code's numerator, computed once per code, and groups the
     products by total degree.  A call is then one integer pass: the weighted
     products summed per degree, in int64 while max|x| max|y| sum|w| bounds

@@ -103,12 +103,10 @@ def _xi_lefschetz(f: InvariantForm):
     n = f.n
     tau = -horizontal_part(d(f))
     lam1 = dual_lefschetz(tau)
-    if n in (2, 3):
-        return lam1, 1
     if n == 4:
         # lam1 - pihat ^ lam2 / 4, scaled by 4 to stay integral
         return lam1 * 4 - _pihat(n).wedge(dual_lefschetz(lam1)), 4
-    raise ValueError(f"unsupported dimension {n}")
+    return lam1, 1
 
 
 def _lefschetz_pass(f: InvariantForm):

@@ -45,6 +45,16 @@ from operator import add
 
 from .scalars import _RAT_TYPES, Rat, Scalar, ZERO
 
+# the n of R^n that forms, valuations and bodies live in, those for which the
+# Rumin solve has a closed form (``contact._xi_lefschetz``)
+DIMENSIONS = range(2, 5)
+
+
+def check_dimension(n):
+    """The one check of n, made where a form or a body is built."""
+    if n not in DIMENSIONS:
+        raise ValueError(f"dimension {n} is outside 2..4, the dimensions valcalc works in")
+
 
 def _merge_sign(a, b) -> int:
     """Sign of sorting the concatenation of two disjoint ascending tuples."""
@@ -272,6 +282,7 @@ class InvariantForm:
     __slots__ = ("n", "_terms", "_parts", "_key")
 
     def __init__(self, n, terms=None, projected=False):
+        check_dimension(n)
         self.n = n
         src = terms or {}
         for (I, J) in src:

@@ -19,7 +19,7 @@ import math
 
 from .bodies import Ball, Box, PlanarPolygon, Simplex
 from .columns import MAX_DEGREE
-from .exterior import InvariantForm, SpherePoly
+from .exterior import DIMENSIONS, InvariantForm, SpherePoly
 from .scalars import _RAT_TYPES, Rat, Scalar
 from .valuation import ValuationRep
 
@@ -81,7 +81,7 @@ def _check_dim(obj, path) -> int:
     if not isinstance(obj, dict):
         raise SerializationError(path, "expected a JSON object")
     n = obj.get("dim")
-    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= 4:
+    if not isinstance(n, int) or isinstance(n, bool) or n not in DIMENSIONS:
         raise SerializationError(f"{path}.dim", "dim must be an integer between 2 and 4")
     return n
 
@@ -208,29 +208,24 @@ def body_from_json(obj, path="body"):
             if not isinstance(radius, (int, float)) or isinstance(radius, bool):
                 raise SerializationError(f"{path}.radius", "expected a number")
             (radius,) = _vector([radius], f"{path}.radius")
-            body = Ball(_vector(obj.get("center"), f"{path}.center"), radius)
-        elif tag == "box":
+            return Ball(_vector(obj.get("center"), f"{path}.center"), radius)
+        if tag == "box":
             rot = obj.get("rotation")
-            body = Box(_vector(obj.get("center"), f"{path}.center"),
+            return Box(_vector(obj.get("center"), f"{path}.center"),
                        _vector(obj.get("half_extents"), f"{path}.half_extents"),
                        None if rot is None else _matrix(rot, f"{path}.rotation"))
-        elif tag == "simplex":
-            body = Simplex(_matrix(obj.get("vertices"), f"{path}.vertices"))
-        elif tag == "polygon":
+        if tag == "simplex":
+            return Simplex(_matrix(obj.get("vertices"), f"{path}.vertices"))
+        if tag == "polygon":
             base = obj.get("base")
-            body = PlanarPolygon(_matrix(obj.get("frame"), f"{path}.frame"),
+            return PlanarPolygon(_matrix(obj.get("frame"), f"{path}.frame"),
                                  _matrix(obj.get("vertices"), f"{path}.vertices"),
                                  None if base is None else _vector(base, f"{path}.base"))
-        else:
-            raise SerializationError(
-                f"{path}.type", "expected one of ball, box, simplex, polygon")
+        raise SerializationError(f"{path}.type", "expected one of ball, box, simplex, polygon")
     except SerializationError:
         raise
     except ValueError as e:
         raise SerializationError(path, str(e)) from None
-    if not 2 <= body.dim <= 4:
-        raise SerializationError(path, "body dimension must lie between 2 and 4")
-    return body
 
 
 def read_json_file(path):

@@ -36,6 +36,7 @@ from .exterior import (
     SpherePoly,
     _complement,
     _merge_sign,
+    check_dimension,
     fiber_monomial_integral,
     reeb_contract,
     sphere_factor,
@@ -260,6 +261,7 @@ def intrinsic_volume_rep(n: int, k: int) -> ValuationRep:
     unit ball, V_k(B^n) = binomial(n, k) ball_volume(n) / ball_volume(n - k);
     V_k is binomial(n, k) on the unit cube.
     """
+    check_dimension(n)
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
     if k == n:

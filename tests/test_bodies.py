@@ -39,6 +39,7 @@ from valcalc.scalars import Rat
 from valcalc.su2 import ImDirection, icosahedron_directions, su2_basis, z_rep
 from valcalc.valuation import (
     ValuationRep,
+    ball_value,
     derivation,
     intrinsic_volume_rep,
     pairing,
@@ -425,6 +426,17 @@ class TestBallNumericPath:
             pairing(float_rep, z_rep(ImDirection.of(0, 1, 0)))
         with pytest.raises(TypeError):
             unit_ball_value(float_rep)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_refused(self, c):
+        # refused where the form's vectors are split, naming the monomial,
+        # instead of an evaluation that returns nan
+        message = f"monomial ((1)) dx1^dx2^dv3 has the non-finite coefficient {c}"
+        for value in (lambda mu: evaluate(mu, Box(np.zeros(4), np.ones(4))),
+                      lambda mu: ball_value(mu, 1.0), derivation):
+            mu = ValuationRep(4, InvariantForm(4, {((0, 1), (2,)): c}))
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                value(mu)
 
 
 class TestNumberingHistory:
@@ -1015,32 +1027,34 @@ class TestClosedFormCells:
         assert counts[("triangle", 4)] == counts[("polygon", 4)] == {2, 3}
         assert counts[("segment", 4)] == {3}
         assert all(not found for (name, _), found in counts.items() if name == "point")
-        s5 = Simplex(np.vstack([np.zeros(5), np.eye(5)]))
-        with pytest.raises(ValueError, match="4 generators in R\\^5"):
-            evaluate(intrinsic_volume_rep(5, 1), s5)
-        with pytest.raises(ValueError, match="4 generators in R\\^5"):
-            steiner_volume(s5, 0.3)
+        # the edges of the 5-simplex in R^5 would have cones of four
+        # generators, which have no exact rule: R^5 is refused where the
+        # body and the valuation are built
+        with pytest.raises(ValueError, match=r"^dimension 5 is outside 2\.\.4, "):
+            Simplex(np.vstack([np.zeros(5), np.eye(5)]))
+        with pytest.raises(ValueError, match=r"^dimension 5 is outside 2\.\.4, "):
+            intrinsic_volume_rep(5, 1)
 
-    def test_oblique_cone_raises_only_where_a_form_needs_it(self):
-        # the edges of a 4-simplex in R^5 have cones of four oblique
-        # generators, which only V_1 integrates over
-        S = Simplex([[0, 0, 0, 0, 0], [1, 0.2, 0, 0, 0.1], [0, 1, 0.1, 0, 0],
+    def test_oblique_simplex_in_a_hyperplane(self):
+        # the edges of a 3-simplex in a hyperplane of R^4 have cones of
+        # three oblique generators; its analogue one dimension up, a
+        # 4-simplex in R^5, is refused where it is built
+        with pytest.raises(ValueError, match=r"^dimension 5 is outside 2\.\.4, "):
+            Simplex([[0, 0, 0, 0, 0], [1, 0.2, 0, 0, 0.1], [0, 1, 0.1, 0, 0],
                      [0.3, 0, 1, 0, 0.2], [0, 0.1, 0, 1.2, 0]])
-        message = "no exact rule for a normal cone of 4 generators in R^5"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            evaluate(intrinsic_volume_rep(5, 1), S)
-        values = {k: evaluate(intrinsic_volume_rep(5, k), S) for k in (0, 2, 3, 4)}
+        S = Simplex([[0, 0, 0, 0], [1, 0.2, 0, 0.1], [0, 1, 0.1, 0], [0.3, 0, 1, 0.2]])
+        values = {k: evaluate(intrinsic_volume_rep(4, k), S) for k in range(4)}
         assert all(math.isfinite(v) for v in values.values())
         assert values[0] == 1.0
-        # V_4 is the 4-volume and V_3 half the boundary's 3-volume
+        # V_3 is the 3-volume and V_2 half the boundary's 2-volume
         verts = S.vertices
 
         def volume(points):
             edges = points[1:] - points[0]
             return math.sqrt(np.linalg.det(edges @ edges.T)) / math.factorial(len(edges))
 
-        assert _close(values[4], volume(verts))
-        assert _close(values[3], 0.5 * sum(volume(np.delete(verts, j, axis=0)) for j in range(5)))
+        assert _close(values[3], volume(verts))
+        assert _close(values[2], 0.5 * sum(volume(np.delete(verts, j, axis=0)) for j in range(4)))
 
     @pytest.mark.parametrize("body, ks", [
         (_ROTATED_BOX, (1, 2, 3)),

@@ -5,11 +5,11 @@ sources of ``valcalc`` and find every ``lru_cache(maxsize=None)`` (or
 ``cache``), every module-level dict or list and every dict or list an
 instance keeps as an attribute; each must be listed below with its bound or
 its finite key set, so that a new unbounded cache fails here until it is
-bounded or listed.  Three caches keyed by a degree the input controls are
-the known exceptions (ROADMAP item 3, step d).
+bounded or listed.
 """
 
 import ast
+import math
 import sys
 from pathlib import Path
 
@@ -25,11 +25,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "valcalc"
 
 BOUNDS = {
     # lru_cache(maxsize=None), each keyed by a finite set
-    "bodies._subsets": "n <= 4 and a subset size <= n",
-    "columns._group": "one table of S_(n-1) per dimension n",
+    "bodies._subsets": "at most n + 1 <= 5 points, as a body lives in R^2..R^4, and a "
+                       "subset size <= that",
+    "columns._group": "one table of S_(n-1) per dimension n in 2..4",
     "columns._projection_norm": "n and |J| <= n",
-    "columns._partners": "n and b < n",
-    "columns._place": "n and a contraction's exponent field width, at most 14 per n",
+    "columns._partners": "n in 2..4 and b < n",
+    "columns._place": "one array per dimension n in 2..4",
     "contact._pihat": "one form per dimension n",
     "exterior._dv_projection": "the 2^n subsets J of range(n) per n",
     "exterior.alpha_form": "one form per dimension n",
@@ -47,16 +48,12 @@ BOUNDS = {
     # dicts and lists kept by instances
     "columns._Block.index": "the monomials seen in the block",
     "columns._Block.keys": "the monomials seen in the block",
-    "columns._Block._packed": "one array per exponent field width",
     "columns._Columns.orbits": "one source per orbit of the monomials seen, "
                                "at most one per built column",
     "columns._ColumnOperator.caches": "keyed by (n, |I|, |J|); each holds a column per "
                                       "monomial seen",
     "kinematic._Workspace.frames": "one per open frame of the workspace",
 }
-
-# keyed by a degree the input controls: ROADMAP item 3, step d
-KNOWN_UNBOUNDED = {"bodies._monomials", "bodies._lowering", "bodies._raising"}
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque"}
@@ -113,8 +110,7 @@ def found_caches() -> set:
 
 
 def test_every_cache_is_listed():
-    assert found_caches() == set(BOUNDS) | KNOWN_UNBOUNDED
-    assert not set(BOUNDS) & KNOWN_UNBOUNDED
+    assert found_caches() == set(BOUNDS)
 
 
 def test_the_scan_sees_a_new_unbounded_cache(tmp_path, monkeypatch):
@@ -130,15 +126,23 @@ def test_the_scan_sees_a_new_unbounded_cache(tmp_path, monkeypatch):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
-    extra = found_caches() - set(BOUNDS) - KNOWN_UNBOUNDED
+    extra = found_caches() - set(BOUNDS)
     assert extra == {"extra._TABLE", "extra._ROWS", "extra.f", "extra.g", "extra.h",
                      "extra.Store.seen"}
 
 
-def test_known_exceptions_are_unbounded_lrus():
-    for name in KNOWN_UNBOUNDED:
-        module, fn = name.split(".")
-        assert getattr({"bodies": bodies}[module], fn).cache_info().maxsize is None
+def test_normal_cycle_tables_are_bounded():
+    # the moments' monomial tables are keyed by a degree the input controls:
+    # positions up to degree 35 in four variables read 4 * 36 tables, past
+    # the bound, which evicts and rebuilds them equal
+    tables = (bodies._monomials, bodies._lowering, bodies._raising)
+    assert all(t.cache_info().maxsize == bodies.MONOMIAL_TABLES_KEPT for t in tables)
+    positions = [bodies._moment_position(4, (d, 0, 0, 0)) for d in range(36)]
+    assert bodies._monomials.cache_info().currsize == bodies.MONOMIAL_TABLES_KEPT
+    # v1^d comes first among its degree's, after C(d + 3, 4) of lower degrees
+    assert positions == [math.comb(d + 3, 4) for d in range(36)]
+    assert bodies._monomials(4, 7) == bodies._monomials.__wrapped__(4, 7)
+    bodies._monomials.cache_clear()
 
 
 def test_permutation_and_orbit_caches_follow_the_monomials_seen():

@@ -445,8 +445,7 @@ class TestPythonInts:
 class TestLimits:
     """The column path at its limits: a block numbers monomials of degree up
     to MAX_DEGREE and refuses the rest, every column bound up to there fits
-    64-bit lanes, and the pairing packs exponents in wider fields as the
-    degrees grow."""
+    64-bit lanes, and the pairing packs exponents in fixed 14-bit fields."""
 
     def test_block_refuses_a_degree_past_the_limit(self, monkeypatch):
         monkeypatch.setattr(columns, "_BLOCKS", {})
@@ -462,11 +461,13 @@ class TestLimits:
         assert blk.keys == keys and blk.index == index
         assert all(np.array_equal(x, y) for x, y in zip(blk.codes(), codes))
         assert blk.id(top) == 0
-        # R^5's packed codes have 10-bit fields, so its blocks stop at 1023
-        blk5 = columns._block(5, 2, 1)
-        assert blk5.id(((0, 1), (2,), (1023, 0, 0, 0, 0))) == 0
-        with pytest.raises(ValueError, match=r"has degree 1024, past 1023, the most"):
-            blk5.id(((0, 1), (2,), (1024, 0, 0, 0, 0)))
+        # a block numbers monomials in R^2..R^4 alone: a form in R^5 is
+        # refused where it is built, before any block or table of R^5
+        groups = columns._group.cache_info().currsize
+        with pytest.raises(ValueError, match=r"^dimension 5 is outside 2\.\.4, "):
+            monomial(5, (0, 1), (2,), (1023, 0, 0, 0, 0))
+        assert columns._BLOCKS.keys() == {(4, 2, 1)}
+        assert columns._group.cache_info().currsize == groups
 
     def test_refused_pass_records_no_column(self, monkeypatch):
         # v1^8191 dx1^dx2^dx3 is numbered, but its D and xi reach degree
@@ -510,28 +511,30 @@ class TestLimits:
         assert not cols.count and not cols.orbits and not (cols.slot >= 0).any()
 
     @staticmethod
-    def _record_widths(monkeypatch):
-        """The exponent field width of every sphere numerator the contraction
-        reads; each contraction builds its plan afresh, so that none is read
-        from a plan kept by an earlier pairing."""
-        widths = []
+    def _record_degrees(monkeypatch):
+        """The largest exponent field of the codes of every sphere numerator
+        the contraction reads; each contraction builds its plan afresh, so
+        that none is read from a plan kept by an earlier pairing."""
+        fields = []
         contract, real = columns._top_contract, columns._sphere_numerators
 
         def contract_spy(*args):
             columns._contract_plan.cache_clear()
             return contract(*args)
 
-        def spy(n, width, codes):
-            widths.append(width)
-            return real(n, width, codes)
+        def spy(n, codes):
+            mask = (1 << columns.CONTRACT_BITS) - 1
+            fields.append(max(c >> columns.CONTRACT_BITS * t & mask
+                              for c in codes.tolist() for t in range(n)))
+            return real(n, codes)
 
         monkeypatch.setattr(columns, "_top_contract", contract_spy)
         monkeypatch.setattr(columns, "_sphere_numerators", spy)
-        return widths
+        return fields
 
     def test_pairing_past_contraction_degree(self, monkeypatch):
-        # degrees summing past 254 overflow 8-bit exponent fields: the
-        # contraction packs 9-bit ones, two of which still fit an int64
+        # degrees summing past 254 would overflow 8-bit exponent fields: the
+        # contraction's fields are 14 bits wide whatever the degrees
         a = InvariantForm(2, {((0,), ()): SpherePoly(2, {(130, 1): Scalar({0: Rat(1, 3)}),
                                                          (2, 0): Scalar({-1: Rat(1)})})})
         b = InvariantForm(2, {((1,), ()): SpherePoly(2, {(127, 0): Scalar({0: Rat(5)}),
@@ -540,10 +543,10 @@ class TestLimits:
         inner = columns._join_vectors(2, valuation._inner_parts(euler_verdier(nu)))
         assert max(p.degree() for p in a.terms.values()) + max(
             p.degree() for p in inner.terms.values()) > 254
-        widths = self._record_widths(monkeypatch)
+        fields = self._record_degrees(monkeypatch)
         assert pairing(mu, nu) == pairing_reference(mu, nu) != 0
         assert pairing(nu, mu) == pairing_reference(nu, mu)
-        assert widths and all(2 * w < 64 for w in widths)
+        assert columns.CONTRACT_BITS == 14 and 255 < max(fields) < 1 << 14
 
     def test_pairing_at_the_limit(self, monkeypatch):
         # v1^8190 v3 has degree 8191, the most a block numbers: the
@@ -554,9 +557,9 @@ class TestLimits:
             (1, 1, 0, 0): Scalar({-1: Rat(5)})})}))
         low = ValuationRep(4, InvariantForm(4, {((2,), (0, 1)): SpherePoly(4, {
             (0, 0, 1, 0): Scalar({1: Rat(3, 7)})})}))
-        widths = self._record_widths(monkeypatch)
+        fields = self._record_degrees(monkeypatch)
         assert pairing(high, low) == pairing_reference(high, low) != 0
-        assert max(widths) == 14
+        assert columns.CONTRACT_BITS == 14 and 1 << 13 <= max(fields) < 1 << 14
         with pytest.raises(ValueError, match="past 8191"):
             pairing(low, high)
 
@@ -597,11 +600,12 @@ class TestDegreeSums:
             columns._contract_plan.cache_clear()
             return contract(*args)
 
-        def numerator_spy(n, width, codes):
+        def numerator_spy(n, codes):
+            width = columns.CONTRACT_BITS
             mask = (1 << width) - 1
             calls[-1][0].update(sum(code >> (width * i) & mask for i in range(n))
                                 for code in codes.tolist())
-            return numerator(n, width, codes)
+            return numerator(n, codes)
 
         def factor_spy(n, degree):
             calls[-1][1].add(degree)
@@ -973,6 +977,33 @@ class TestOrbitColumns:
         cols.apply(np.array([cols.src.id(first)]), np.ones(1, np.int64))
         assert passes == [1]
         self._assert_dict_columns("rumin", cols, [first, second])
+
+    def test_warm_exact_path_builds_no_lane_pass(self, monkeypatch):
+        # the calls of one exact pairing op (perfbench's exact_pairing), from
+        # fresh column caches: a warm-up on one pair of directions builds a
+        # column for every orbit that any other direction reaches, so the
+        # same calls on directions of every zero pattern build none
+        for op in (RUMIN, RUMIN_XI, HODGE, LIE_REEB):
+            monkeypatch.setattr(op, "caches", {})
+        contact._rumin_cached.cache_clear()
+        passes = self._count_passes(monkeypatch)
+        vol3 = intrinsic_volume_rep(4, 3)
+
+        def op(u, v):
+            zu, zv = z_rep(ImDirection.of(*u)), z_rep(ImDirection.of(*v))
+            pairing(zu, zv)
+            pairing(derivation(zu), vol3), pairing(zu, derivation(vol3))
+            pairing(signature(zu), zv), pairing(zu, signature(zv))
+            pairing(laplace(zu), zv), pairing(zu, laplace(zv))
+
+        op((1, 0, 2), (0, 3, -2))
+        assert passes
+        passes.clear()
+        dirs = [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 2, 0), (3, 0, -1), (0, 1, -2),
+                (2, -1, 3), (1, 1, 1)]
+        for u, v in itertools.permutations(dirs, 2):
+            op(u, v)
+        assert not passes
 
 
 class TestLaneBound:

@@ -53,6 +53,7 @@ from valcalc.exterior import (
     sphere_monomial_integral,
     sphere_numerator,
 )
+from valcalc import bodies, columns
 from valcalc.columns import _split_vectors
 from valcalc.scalars import ONE, PI, Rat, Scalar, ZERO, rational
 from valcalc.su2 import ImDirection, z_rep
@@ -571,6 +572,40 @@ class TestValidation:
     def test_index_errors_name_the_key(self, key, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             InvariantForm(N, {key: SpherePoly.constant(N, 1)})
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8])
+    def test_dimension_outside_the_range(self, n):
+        # forms, valuations and bodies live in R^2..R^4, checked where they
+        # are built, before any table keyed by the dimension
+        tables = (columns._group, columns._partners, bodies._subsets)
+        before = [t.cache_info().currsize for t in tables]
+        message = f"^dimension {n} is outside 2\\.\\.4, the dimensions valcalc works in$"
+        builds = [
+            lambda: InvariantForm(n, {}),
+            lambda: intrinsic_volume_rep(n, 1),
+            lambda: bodies.Ball(np.zeros(n), 1.0),
+            lambda: bodies.Box(np.zeros(n), np.ones(n)),
+            lambda: bodies.Simplex(np.vstack([np.zeros(n), np.eye(n)])),
+            lambda: bodies.PlanarPolygon(np.eye(2, n), [[0, 0], [1, 0], [0, 1]]),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
+        assert [t.cache_info().currsize for t in tables] == before
+
+    def test_high_dimension_refused_before_its_tables(self):
+        # V_2 of R^8 would build S_7's tables, gigabytes; a regression
+        # times out here instead of holding up the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from valcalc.valuation import intrinsic_volume_rep; intrinsic_volume_rep(8, 2)"],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ValueError: dimension 8 is outside 2..4, the dimensions valcalc works in")
 
     def test_evaluate_basic(self):
         v = np.array([0.0, 0.0, 0.0, 1.0])
